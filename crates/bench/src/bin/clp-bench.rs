@@ -25,17 +25,9 @@
 //! tells whether the regression ate into genuine headroom or the cell
 //! was already near its dataflow/resource floor.
 //!
-//! `--time` switches to the wall-clock harness: every `(workload,
-//! cores)` cell is simulated serially (no harness-level parallelism,
-//! no profiling layer) `--reps` times (default 3) and the fastest
-//! run's wall time is recorded to `BENCH_wallclock.json`. With
-//! `--threads <n>` each cell is also run on the sharded stepper and
-//! the harness asserts the cycle counts match the serial run before
-//! recording the threaded column. With `--speedup <baseline>` the
-//! fresh times are divided into a committed serial-baseline artifact
-//! (same schema, recorded from the pre-event-engine stepper — see
-//! DESIGN.md "Execution engine") and the per-cell and per-size
-//! speedups land in `BENCH_speedup.json`.
+//! Host wall-clock throughput is not measured here: that is
+//! `clp-hostbench` under `benchmark/` (see its README for the noise
+//! protocol).
 
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::attribute_buckets;
@@ -52,10 +44,6 @@ struct Args {
     check: Option<String>,
     threshold: f64,
     explain: bool,
-    time: bool,
-    reps: usize,
-    threads: usize,
-    speedup: Option<String>,
 }
 
 fn die(msg: &str) -> ! {
@@ -69,10 +57,6 @@ fn parse_args() -> Args {
         check: None,
         threshold: 2.0,
         explain: false,
-        time: false,
-        reps: 3,
-        threads: 1,
-        speedup: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -84,22 +68,6 @@ fn parse_args() -> Args {
             "--out" => args.out = flag_value("--out"),
             "--check" => args.check = Some(flag_value("--check")),
             "--explain" => args.explain = true,
-            "--time" => args.time = true,
-            "--speedup" => args.speedup = Some(flag_value("--speedup")),
-            "--reps" => {
-                let v = flag_value("--reps");
-                match v.parse() {
-                    Ok(r) if r >= 1 => args.reps = r,
-                    _ => die(&format!("--reps wants a count >= 1, got `{v}`")),
-                }
-            }
-            "--threads" => {
-                let v = flag_value("--threads");
-                match v.parse() {
-                    Ok(t) if t >= 1 => args.threads = t,
-                    _ => die(&format!("--threads wants a count >= 1, got `{v}`")),
-                }
-            }
             "--threshold" => {
                 let v = flag_value("--threshold");
                 match v.parse() {
@@ -225,235 +193,6 @@ fn baseline_cells(doc: &Value) -> Vec<((String, u64), (u64, Value))> {
     out
 }
 
-/// One timed cell: fastest-of-reps wall clock for the serial engine
-/// and (when `--threads` is given) the sharded stepper.
-struct TimedCell {
-    workload: String,
-    cores: usize,
-    cycles: u64,
-    wall_ms: f64,
-    wall_ms_threaded: Option<f64>,
-}
-
-/// Runs one cell `reps` times with `threads` workers and returns
-/// `(cycles, fastest wall ms)`. The profiling layer stays off so the
-/// measurement reflects the engine, not the observer.
-fn time_cell(
-    cw: &clp_core::CompiledWorkload,
-    cores: usize,
-    threads: usize,
-    reps: usize,
-) -> (u64, f64) {
-    let mut cfg = ProcessorConfig::tflex(cores);
-    cfg.sim.threads = threads;
-    let obs = ObsOptions::default();
-    let mut cycles = 0;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let r = run_compiled_observed(cw, &cfg, &obs)
-            .unwrap_or_else(|e| panic!("{} on {cores} cores: {e}", cw.workload.name));
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            cycles == 0 || cycles == r.stats.cycles,
-            "nondeterministic run"
-        );
-        cycles = r.stats.cycles;
-        if wall < best {
-            best = wall;
-        }
-    }
-    (cycles, best)
-}
-
-/// The `--time` harness: serial cell-by-cell measurement (compilation
-/// is parallel, simulation is not, so cells never contend for cores).
-fn measure_wallclock(reps: usize, threads: usize) -> Vec<TimedCell> {
-    let workloads = suite::all();
-    let compiled: Vec<_> = thread::scope(|scope| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| {
-                scope.spawn(move || {
-                    compile_workload(w).unwrap_or_else(|e| panic!("{}: {e}", w.name))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("compiles"))
-            .collect()
-    });
-    let mut cells = Vec::new();
-    for cw in &compiled {
-        for &n in &BENCH_SIZES {
-            let (cycles, wall_ms) = time_cell(cw, n, 1, reps);
-            let wall_ms_threaded = (threads > 1).then(|| {
-                let (tc, tw) = time_cell(cw, n, threads, reps);
-                assert_eq!(
-                    tc, cycles,
-                    "{} x{n}: threaded run diverged from serial",
-                    cw.workload.name
-                );
-                tw
-            });
-            cells.push(TimedCell {
-                workload: cw.workload.name.to_string(),
-                cores: n,
-                cycles,
-                wall_ms,
-                wall_ms_threaded,
-            });
-        }
-    }
-    cells
-}
-
-fn time_doc(cells: &[TimedCell], reps: usize, threads: usize) -> Value {
-    let mut top = vec![
-        (
-            "schema".to_string(),
-            Value::String("clp-bench-time-v1".to_string()),
-        ),
-        ("reps".to_string(), Value::UInt(reps as u64)),
-    ];
-    if threads > 1 {
-        top.push(("threads".to_string(), Value::UInt(threads as u64)));
-    }
-    top.push((
-        "cells".to_string(),
-        Value::Array(
-            cells
-                .iter()
-                .map(|c| {
-                    let mut cell = vec![
-                        ("workload".to_string(), Value::String(c.workload.clone())),
-                        ("cores".to_string(), Value::UInt(c.cores as u64)),
-                        ("cycles".to_string(), Value::UInt(c.cycles)),
-                        ("wall_ms".to_string(), Value::Float(c.wall_ms)),
-                    ];
-                    if let Some(t) = c.wall_ms_threaded {
-                        cell.push(("wall_ms_threaded".to_string(), Value::Float(t)));
-                    }
-                    Value::Object(cell)
-                })
-                .collect(),
-        ),
-    ));
-    Value::Object(top)
-}
-
-/// Baseline wall-clock cells as `(workload, cores) -> wall_ms`.
-fn baseline_walls(doc: &Value) -> Vec<((String, u64), f64)> {
-    let Some(cells) = doc.get("cells").as_array() else {
-        die("speedup baseline has no `cells` array (expected clp-bench-time-v1)");
-    };
-    cells
-        .iter()
-        .filter_map(|c| {
-            let name = c.get("workload").as_str()?;
-            let cores = c.get("cores").as_u64()?;
-            let wall = c.get("wall_ms").as_f64()?;
-            Some(((name.to_string(), cores), wall))
-        })
-        .collect()
-}
-
-fn speedup_doc(cells: &[TimedCell], baseline: &[((String, u64), f64)], from: &str) -> Value {
-    let mut rows = Vec::new();
-    // Per-size aggregates over cells present in both measurements:
-    // total serial-baseline wall over total fresh wall (the honest
-    // "suite sweep at this size is N x faster" number), plus the
-    // geometric mean of per-cell speedups.
-    let mut by_size: Vec<(u64, f64, f64, f64, usize)> = BENCH_SIZES
-        .iter()
-        .map(|&n| (n as u64, 0.0, 0.0, 0.0, 0))
-        .collect();
-    for c in cells {
-        let Some((_, base)) = baseline
-            .iter()
-            .find(|((n, cs), _)| *n == c.workload && *cs == c.cores as u64)
-        else {
-            continue;
-        };
-        let speedup = base / c.wall_ms;
-        rows.push(Value::Object(vec![
-            ("workload".to_string(), Value::String(c.workload.clone())),
-            ("cores".to_string(), Value::UInt(c.cores as u64)),
-            ("baseline_wall_ms".to_string(), Value::Float(*base)),
-            ("wall_ms".to_string(), Value::Float(c.wall_ms)),
-            ("speedup".to_string(), Value::Float(speedup)),
-        ]));
-        let row = by_size
-            .iter_mut()
-            .find(|(n, ..)| *n == c.cores as u64)
-            .expect("bench size");
-        row.1 += base;
-        row.2 += c.wall_ms;
-        row.3 += speedup.ln();
-        row.4 += 1;
-    }
-    Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::String("clp-bench-speedup-v1".to_string()),
-        ),
-        ("baseline".to_string(), Value::String(from.to_string())),
-        (
-            "by_size".to_string(),
-            Value::Array(
-                by_size
-                    .iter()
-                    .filter(|(.., count)| *count > 0)
-                    .map(|&(n, base, fresh, ln_sum, count)| {
-                        Value::Object(vec![
-                            ("cores".to_string(), Value::UInt(n)),
-                            ("cells".to_string(), Value::UInt(count as u64)),
-                            ("baseline_wall_ms".to_string(), Value::Float(base)),
-                            ("wall_ms".to_string(), Value::Float(fresh)),
-                            ("speedup".to_string(), Value::Float(base / fresh)),
-                            (
-                                "geomean_speedup".to_string(),
-                                Value::Float((ln_sum / count as f64).exp()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("cells".to_string(), Value::Array(rows)),
-    ])
-}
-
-fn run_time_mode(args: &Args) {
-    let cells = measure_wallclock(args.reps, args.threads);
-    let doc = time_doc(&cells, args.reps, args.threads);
-    let out = "BENCH_wallclock.json";
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serializes"))
-        .unwrap_or_else(|e| die(&format!("cannot write `{out}`: {e}")));
-    println!("clp-bench: wrote {} timed cells to {out}", cells.len());
-    if let Some(path) = &args.speedup {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-        let base = serde_json::from_str::<Value>(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse `{path}`: {e}")));
-        let doc = speedup_doc(&cells, &baseline_walls(&base), path);
-        let out = "BENCH_speedup.json";
-        std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serializes"))
-            .unwrap_or_else(|e| die(&format!("cannot write `{out}`: {e}")));
-        for row in doc.get("by_size").as_array().unwrap_or(&Vec::new()) {
-            println!(
-                "clp-bench: x{} suite speedup {:.2} (geomean {:.2}) over {} cells",
-                row.get("cores").as_u64().unwrap_or(0),
-                row.get("speedup").as_f64().unwrap_or(0.0),
-                row.get("geomean_speedup").as_f64().unwrap_or(0.0),
-                row.get("cells").as_u64().unwrap_or(0),
-            );
-        }
-        println!("clp-bench: wrote speedup vs {path} to {out}");
-    }
-}
-
 /// The clp-bound static cycle floor of one suite cell, or `None` if
 /// the workload vanished or no longer compiles (the regression line
 /// itself already reports that kind of drift).
@@ -466,10 +205,6 @@ fn static_floor(name: &str, cores: usize) -> Option<u64> {
 
 fn main() {
     let args = parse_args();
-    if args.time {
-        run_time_mode(&args);
-        return;
-    }
     let rows = measure_suite();
     let doc = to_doc(&rows);
     // Always emit the measured suite (also under --check, so CI uploads

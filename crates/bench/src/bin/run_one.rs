@@ -21,11 +21,6 @@
 //! `--fault-seed <n>` picks the PRNG stream (default 1); the same spec
 //! and seed always reproduce the same cycle count.
 //!
-//! `--threads <n>` steps the operand mesh on `n` worker shards; any
-//! value produces bit-identical cycle counts and stats (see the
-//! "Execution engine" section of DESIGN.md for the determinism
-//! argument), so this is purely a wall-clock knob.
-//!
 //! `--lint` runs the [`clp_lint`] static analyses on the compiled
 //! program before simulating and refuses to run it if any
 //! error-severity diagnostic is found.
@@ -81,7 +76,6 @@ struct Args {
     max_cycles: Option<u64>,
     lint: bool,
     bound: bool,
-    threads: usize,
     profile: bool,
     trend: bool,
     phase_table: bool,
@@ -105,7 +99,6 @@ fn parse_args() -> Args {
         max_cycles: None,
         lint: false,
         bound: false,
-        threads: 1,
         profile: false,
         trend: false,
         phase_table: false,
@@ -129,13 +122,6 @@ fn parse_args() -> Args {
             }
             "--lint" => args.lint = true,
             "--bound" => args.bound = true,
-            "--threads" => {
-                let v = flag_value("--threads");
-                match v.parse() {
-                    Ok(t) if t >= 1 => args.threads = t,
-                    _ => die(&format!("--threads wants a count >= 1, got `{v}`")),
-                }
-            }
             "--profile" => args.profile = true,
             "--trend" => args.trend = true,
             "--phase-table" => {
@@ -218,7 +204,6 @@ fn main() {
     let mut cfg = SimConfig::tflex();
     cfg.max_cycles = 2_000_000;
     cfg.deadline = args.max_cycles;
-    cfg.threads = args.threads;
     if let Some(spec) = &args.faults {
         cfg.faults = FaultPlan::parse(spec, args.fault_seed)
             .unwrap_or_else(|e| die(&format!("bad --faults spec: {e}")));

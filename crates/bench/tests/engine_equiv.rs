@@ -1,20 +1,24 @@
 //! The standing engine-equivalence suite.
 //!
-//! The execution engine has three interchangeable drivers: the
-//! reference single-step loop (`Machine::run_stepped`), the
-//! event-driven skip-ahead loop (`Machine::run`), and the sharded
-//! parallel stepper (`SimConfig::threads > 1`). Their contract is
-//! *bit-identity*: same cycle counts, same stats registry, same
-//! clp-prof cycle accounting, same clp-trend time series — an optimized
-//! driver that changes any reported number is a bug, not a speedup.
+//! The execution engine has two interchangeable drivers: the reference
+//! single-step loop (`Machine::run_stepped`) and the event-driven
+//! skip-ahead loop (`Machine::run`). Their contract is *bit-identity*:
+//! same cycle counts, same stats registry, same clp-prof cycle
+//! accounting, same clp-trend time series, same typed failure — an
+//! optimized driver that changes any reported number is a bug, not a
+//! speedup.
 //!
-//! Two test families enforce the contract:
+//! Three test families enforce the contract here (a one-kernel-per-class
+//! slice also runs under tier-1, in the root `tests/engine_equiv.rs`):
 //!
 //! * the full benchmark suite across logical-processor sizes 1, 2, 4,
-//!   8, and 16, comparing cycles everywhere and full snapshot /
-//!   clp-prof / clp-trend JSON on a cross-class subset (the JSON
-//!   comparison is byte-level: `serde_json` output is field-ordered,
-//!   so equal strings mean equal reports);
+//!   8, and 16, comparing cycles, return values and the full snapshot /
+//!   clp-prof / clp-trend JSON (the JSON comparison is byte-level:
+//!   `serde_json` output is field-ordered, so equal strings mean equal
+//!   reports);
+//! * the inputs the skip-ahead horizon has explicit terms for: every
+//!   fault kind alone, all of them together, a mid-run core kill, and a
+//!   cycle deadline;
 //! * a proptest-style loop over seeded generated programs — random op
 //!   mixes, loop trip counts, data-dependent branches, and store
 //!   patterns from a hand-rolled LCG — so the equivalence claim does
@@ -22,124 +26,142 @@
 //!   which reproduces the program deterministically.
 
 use clp_compiler::{FunctionBuilder, ProgramBuilder, VReg};
-use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig, RunOutcome};
+use clp_core::{
+    compile_workload, run_compiled, run_compiled_observed, CompiledWorkload, FaultPlan, ObsOptions,
+    ProcessorConfig, RunFailure, RunOutcome, ALL_FAULT_KINDS,
+};
 use clp_isa::Opcode;
 use clp_obs::TrendOptions;
+use clp_sim::RunError;
 use clp_workloads::{CheckSpec, IlpClass, Workload, WorkloadClass};
 
 const SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Shard width for the threaded leg. Three does not divide the mesh
-/// evenly, so the last shard is ragged — the interesting case.
-const THREADS: usize = 3;
-
-/// Runs `cw` on `cores` with the given driver and full observability.
+/// Runs `cw` under `cfg` with the given driver and full observability.
 fn run_with(
-    cw: &clp_core::CompiledWorkload,
-    cores: usize,
+    cw: &CompiledWorkload,
+    cfg: &ProcessorConfig,
     stepped: bool,
-    threads: usize,
-) -> RunOutcome {
-    let mut cfg = ProcessorConfig::tflex(cores);
-    cfg.sim.threads = threads;
+) -> Result<RunOutcome, RunFailure> {
     let obs = ObsOptions {
         profile: true,
         trend: Some(TrendOptions::default()),
         stepped,
         ..ObsOptions::default()
     };
-    let r = run_compiled_observed(cw, &cfg, &obs)
-        .unwrap_or_else(|e| panic!("{} on {cores} cores: {e}", cw.workload.name));
-    assert!(
-        r.correct,
-        "{} on {cores} cores: wrong output",
-        cw.workload.name
-    );
-    r
+    run_compiled_observed(cw, cfg, &obs)
 }
 
-/// Renders every report of a run as one comparable string.
-fn reports(r: &RunOutcome) -> (String, String, String) {
-    let snapshot = serde_json::to_string(&r.snapshot).expect("serializes");
+/// Renders every report of a run as comparable strings.
+fn reports(r: &RunOutcome) -> [(&'static str, String); 3] {
     let profile = r
         .profile
         .as_ref()
         .map(|p| serde_json::to_string(&p.to_json_value()).expect("serializes"))
         .unwrap_or_default();
     let trend = r.trend.as_ref().map(|t| t.to_json()).unwrap_or_default();
-    (snapshot, profile, trend)
+    [
+        (
+            "snapshot",
+            serde_json::to_string(&r.snapshot).expect("serializes"),
+        ),
+        ("clp-prof", profile),
+        ("clp-trend", trend),
+    ]
 }
 
-/// Asserts full bit-identity (cycles + all three reports) between the
-/// reference stepper and both optimized drivers.
-fn assert_equivalent(cw: &clp_core::CompiledWorkload, cores: usize, label: &str) {
-    let reference = run_with(cw, cores, true, 1);
-    let skip = run_with(cw, cores, false, 1);
-    let sharded = run_with(cw, cores, false, THREADS);
-    for (name, run) in [("skip-ahead", &skip), ("sharded", &sharded)] {
-        assert_eq!(
-            reference.stats.cycles, run.stats.cycles,
-            "{label} x{cores}: {name} cycle count diverged"
-        );
-        assert_eq!(
-            reference.ret, run.ret,
-            "{label} x{cores}: {name} return value diverged"
-        );
-        let (want_snap, want_prof, want_trend) = reports(&reference);
-        let (snap, prof, trend) = reports(run);
-        assert_eq!(
-            want_snap, snap,
-            "{label} x{cores}: {name} snapshot diverged"
-        );
-        assert_eq!(
-            want_prof, prof,
-            "{label} x{cores}: {name} clp-prof diverged"
-        );
-        assert_eq!(
-            want_trend, trend,
-            "{label} x{cores}: {name} clp-trend diverged"
-        );
+/// Asserts that the reference stepper and skip-ahead agree under `cfg`
+/// — the same verified cycles, return value and reports, or the same
+/// typed failure — and returns that shared result.
+fn assert_equivalent(
+    cw: &CompiledWorkload,
+    cfg: &ProcessorConfig,
+    label: &str,
+) -> Result<RunOutcome, RunFailure> {
+    match (run_with(cw, cfg, true), run_with(cw, cfg, false)) {
+        (Ok(reference), Ok(skip)) => {
+            assert!(reference.correct, "{label}: wrong output");
+            assert_eq!(
+                reference.stats.cycles, skip.stats.cycles,
+                "{label}: cycle count diverged"
+            );
+            assert_eq!(reference.ret, skip.ret, "{label}: return value diverged");
+            for ((what, want), (_, got)) in reports(&reference).iter().zip(&reports(&skip)) {
+                assert_eq!(want, got, "{label}: {what} diverged");
+            }
+            Ok(reference)
+        }
+        (Err(reference), Err(skip)) => {
+            assert_eq!(
+                reference.to_string(),
+                skip.to_string(),
+                "{label}: failure diverged"
+            );
+            Err(reference)
+        }
+        (reference, skip) => panic!(
+            "{label}: one driver failed: stepped {:?}, skip-ahead {:?}",
+            reference.map(|r| r.stats.cycles),
+            skip.map(|r| r.stats.cycles)
+        ),
     }
 }
 
-/// Full suite, every size: cycles and return values must match across
-/// all three drivers. (Reports are compared on the subset below — this
-/// test keeps the full sweep affordable while still covering every
-/// workload's cycle count five times over.)
+/// Full suite, every size, full report bit-identity.
 #[test]
-fn suite_cycles_identical_across_engines() {
+fn suite_identical_across_engines() {
     for w in clp_workloads::suite::all() {
         let cw = compile_workload(&w).expect("compiles");
         for &n in &SIZES {
-            let reference = run_with(&cw, n, true, 1);
-            let skip = run_with(&cw, n, false, 1);
-            let sharded = run_with(&cw, n, false, THREADS);
-            for (name, run) in [("skip-ahead", &skip), ("sharded", &sharded)] {
-                assert_eq!(
-                    reference.stats.cycles, run.stats.cycles,
-                    "{} x{n}: {name} cycle count diverged",
-                    w.name
-                );
-                assert_eq!(
-                    reference.ret, run.ret,
-                    "{} x{n}: {name} return value diverged",
-                    w.name
-                );
-            }
+            let label = format!("{} x{n}", w.name);
+            assert_equivalent(&cw, &ProcessorConfig::tflex(n), &label).expect("runs");
         }
     }
 }
 
-/// One workload per class, every size: full report bit-identity
-/// (snapshot, clp-prof, clp-trend JSON byte-for-byte).
+/// The inputs the skip-ahead horizon special-cases: each fault kind
+/// alone (`noc_burst` disables skipping outright; `dram_spike` and
+/// `handoff_delay` are the only producers of far-future wheel events),
+/// all kinds together, a mid-run core kill, and a deadline both
+/// drivers must report as the same `DeadlineExceeded`.
 #[test]
-fn reports_identical_across_engines() {
-    for name in ["conv", "mcf", "equake", "a2time", "802.11b"] {
+fn perturbed_runs_identical_across_engines() {
+    let mut fired = [0u64; ALL_FAULT_KINDS.len()];
+    for name in [
+        "conv", "mcf", "equake", "a2time", "802.11b", "tblook", "bezier",
+    ] {
         let w = clp_workloads::suite::by_name(name).expect("exists");
         let cw = compile_workload(&w).expect("compiles");
-        for &n in &SIZES {
-            assert_equivalent(&cw, n, name);
+        for cores in [1usize, 4, 16] {
+            let base = ProcessorConfig::tflex(cores);
+            let half = run_compiled(&cw, &base).expect("clean run").stats.cycles / 2;
+            for (k, kind) in ALL_FAULT_KINDS.into_iter().enumerate() {
+                let plan = FaultPlan::only(kind, 0xE0, 150);
+                let label = format!("{name} x{cores} under {kind}");
+                let r = assert_equivalent(&cw, &base.clone().with_faults(plan), &label);
+                fired[k] += r.expect("runs").stats.faults.count(kind);
+            }
+            let label = format!("{name} x{cores} under chaos");
+            let chaos = base.clone().with_faults(FaultPlan::chaos(97, 100));
+            assert_equivalent(&cw, &chaos, &label).expect("runs");
+            if cores >= 4 {
+                let mut plan = FaultPlan::none();
+                plan.add_kill(1, half).expect("valid kill");
+                let label = format!("{name} x{cores} killed");
+                let r = assert_equivalent(&cw, &base.clone().with_faults(plan), &label);
+                assert_eq!(r.expect("recovers").stats.recovery.cores_killed, 1);
+            }
+            let label = format!("{name} x{cores} deadline");
+            match assert_equivalent(&cw, &base.with_deadline(half), &label) {
+                Err(RunFailure::Run(RunError::DeadlineExceeded { budget })) => {
+                    assert_eq!(budget, half);
+                }
+                other => panic!("{label}: expected a deadline kill, got {other:?}"),
+            }
         }
+    }
+    for (kind, n) in ALL_FAULT_KINDS.iter().zip(fired) {
+        assert!(n > 0, "{kind} never fired across the sweep");
     }
 }
 
@@ -272,7 +294,8 @@ fn generated_programs_identical_across_engines() {
         let cw =
             compile_workload(&w).unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
         for &n in &SIZES {
-            assert_equivalent(&cw, n, w.name);
+            let label = format!("{} x{n}", w.name);
+            assert_equivalent(&cw, &ProcessorConfig::tflex(n), &label).expect("runs");
         }
     }
 }

@@ -271,19 +271,7 @@ pub fn run_compiled_observed(
     cfg: &ProcessorConfig,
     obs: &ObsOptions,
 ) -> Result<RunOutcome, RunFailure> {
-    let mut sim = cfg.sim;
-    // `CLP_SIM_THREADS` overrides the sharded-stepper width for every
-    // run in the process — the CI matrix uses it to re-run the whole
-    // test suite threaded without touching each call site. Thread
-    // count never changes results (cycle counts, stats, traces), only
-    // wall clock, so an override cannot invalidate a test.
-    if let Some(t) = std::env::var("CLP_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        sim.threads = t.max(1);
-    }
-    let mut m = Machine::new(sim);
+    let mut m = Machine::new(cfg.sim);
     if obs.tracer.enabled() {
         m.set_tracer(obs.tracer.clone());
     }

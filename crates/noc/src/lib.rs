@@ -30,7 +30,6 @@
 
 mod mesh;
 mod region;
-mod sharded;
 mod stats;
 
 pub use mesh::{Mesh, MeshConfig, NodeId};

@@ -163,25 +163,23 @@ impl MeshConfig {
 }
 
 #[derive(Debug)]
-pub(crate) struct InFlight<M> {
-    pub(crate) at: NodeId,
-    pub(crate) src: NodeId,
-    pub(crate) dst: NodeId,
-    pub(crate) payload: M,
-    pub(crate) injected_at: u64,
-    pub(crate) seq: u64,
+struct InFlight<M> {
+    at: NodeId,
+    src: NodeId,
+    dst: NodeId,
+    payload: M,
+    injected_at: u64,
+    seq: u64,
 }
 
-/// One router's work for one cycle, shared verbatim by the serial
-/// stepper and the sharded workers so both produce identical routing
-/// decisions: drains `queue` in FIFO order under a per-direction
-/// budget of `bw`, appending local deliveries to `delivered` and
-/// forwarded messages to `arriving`, accumulating counter deltas into
-/// `stats`. `scratch` must be empty on entry; on exit `queue` holds
-/// the messages that stalled this cycle (in order) and `scratch` is
-/// empty again.
+/// One router's work for one cycle: drains `queue` in FIFO order under
+/// a per-direction budget of `bw`, appending local deliveries to
+/// `delivered` and forwarded messages to `arriving`, accumulating
+/// counter deltas into `stats`. `scratch` must be empty on entry; on
+/// exit `queue` holds the messages that stalled this cycle (in order)
+/// and `scratch` is empty again.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn route_node_cycle<M>(
+fn route_node_cycle<M>(
     cfg: &MeshConfig,
     cycle: u64,
     node: usize,
@@ -262,8 +260,6 @@ pub struct Mesh<M> {
     /// queue each cycle. Invariant: bit `n` is set iff `queues[n]` is
     /// non-empty.
     busy: Vec<u64>,
-    /// Worker pool for the sharded stepper; `None` runs serially.
-    sharding: Option<crate::sharded::ShardedRouter<M>>,
 }
 
 impl<M> Mesh<M> {
@@ -282,7 +278,6 @@ impl<M> Mesh<M> {
             throttled_until: 0,
             scratch: VecDeque::new(),
             busy: vec![0; cfg.nodes().div_ceil(64)],
-            sharding: None,
             cfg,
         }
     }
@@ -393,44 +388,28 @@ impl<M> Mesh<M> {
         } else {
             self.cfg.link_bandwidth
         };
-        if self.sharding.is_some() && !self.tracer.enabled() {
-            self.step_sharded(bw);
-            // The shards may have drained any subset of their queues;
-            // rebuild the occupancy mask wholesale (one pass, only paid
-            // on busy sharded cycles).
-            for (i, word) in self.busy.iter_mut().enumerate() {
-                let mut w = 0u64;
-                for (b, q) in self.queues[i * 64..].iter().take(64).enumerate() {
-                    if !q.is_empty() {
-                        w |= 1 << b;
-                    }
-                }
-                *word = w;
-            }
-        } else {
-            // Visit only occupied queues, in ascending node order (word
-            // order, then bit order — identical to the full scan).
-            for i in 0..self.busy.len() {
-                let mut word = self.busy[i];
-                while word != 0 {
-                    let node = i * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    route_node_cycle(
-                        &self.cfg,
-                        self.cycle,
-                        node,
-                        bw,
-                        &mut self.queues[node],
-                        &mut self.scratch,
-                        &mut self.delivered,
-                        &mut self.arriving,
-                        &mut self.stats,
-                        &self.tracer,
-                        self.plane,
-                    );
-                    if self.queues[node].is_empty() {
-                        self.busy[i] &= !(1 << (node % 64));
-                    }
+        // Visit only occupied queues, in ascending node order (word
+        // order, then bit order — identical to the full scan).
+        for i in 0..self.busy.len() {
+            let mut word = self.busy[i];
+            while word != 0 {
+                let node = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                route_node_cycle(
+                    &self.cfg,
+                    self.cycle,
+                    node,
+                    bw,
+                    &mut self.queues[node],
+                    &mut self.scratch,
+                    &mut self.delivered,
+                    &mut self.arriving,
+                    &mut self.stats,
+                    &self.tracer,
+                    self.plane,
+                );
+                if self.queues[node].is_empty() {
+                    self.busy[i] &= !(1 << (node % 64));
                 }
             }
         }
@@ -447,42 +426,9 @@ impl<M> Mesh<M> {
         self.arriving = arriving;
     }
 
-    /// One sharded router cycle: fan the non-empty queues out to the
-    /// worker shards, then merge their results in shard order at the
-    /// cycle barrier (see [`crate::sharded`] for the determinism
-    /// argument).
-    fn step_sharded(&mut self, bw: usize) {
-        let router = self.sharding.take().expect("sharding enabled");
-        router.step(
-            self.cycle,
-            bw,
-            &mut self.queues,
-            &mut self.delivered,
-            &mut self.arriving,
-            &mut self.stats,
-        );
-        self.sharding = Some(router);
-    }
-
     /// Removes and returns all messages delivered by previous steps.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, M)> {
         std::mem::take(&mut self.delivered)
-    }
-}
-
-impl<M: Send + 'static> Mesh<M> {
-    /// Switches the router phase to `threads` worker shards (clamped to
-    /// the node count; `threads <= 1` keeps the serial stepper).
-    ///
-    /// Results are bit-identical to the serial path. Calls while a
-    /// tracer is attached still take effect, but traced steps fall back
-    /// to the serial path so trace files stay byte-identical.
-    pub fn enable_sharding(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.sharding = None;
-            return;
-        }
-        self.sharding = Some(crate::sharded::ShardedRouter::new(self.cfg, threads));
     }
 }
 

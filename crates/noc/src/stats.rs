@@ -42,15 +42,6 @@ impl MeshStats {
             .count("total_latency", self.total_latency)
             .gauge("avg_latency", self.avg_latency())
     }
-
-    /// Merges counters from another stats block (e.g. across meshes).
-    pub fn merge(&mut self, other: &MeshStats) {
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.link_traversals += other.link_traversals;
-        self.stalled_cycles += other.stalled_cycles;
-        self.total_latency += other.total_latency;
-    }
 }
 
 #[cfg(test)]
@@ -60,21 +51,5 @@ mod tests {
     #[test]
     fn avg_latency_handles_empty() {
         assert_eq!(MeshStats::default().avg_latency(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = MeshStats {
-            injected: 1,
-            delivered: 1,
-            link_traversals: 3,
-            stalled_cycles: 0,
-            total_latency: 4,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.injected, 2);
-        assert_eq!(a.link_traversals, 6);
-        assert_eq!(a.total_latency, 8);
     }
 }

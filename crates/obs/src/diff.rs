@@ -489,7 +489,8 @@ fn diff_scope(a: &Value, b: &Value) -> AttributionReport {
         let mut out = Vec::new();
         if let Some(classes) = doc.get("fleet").get("by_class").as_array() {
             for c in classes {
-                if let (Some(l), Some(cyc)) = (c.get("label").as_str(), c.get("sim_cycles").as_u64())
+                if let (Some(l), Some(cyc)) =
+                    (c.get("label").as_str(), c.get("sim_cycles").as_u64())
                 {
                     out.push((format!("class {l}"), cyc));
                 }
@@ -497,7 +498,8 @@ fn diff_scope(a: &Value, b: &Value) -> AttributionReport {
         }
         if let Some(sizes) = doc.get("fleet").get("by_cores").as_array() {
             for c in sizes {
-                if let (Some(n), Some(cyc)) = (c.get("cores").as_u64(), c.get("sim_cycles").as_u64())
+                if let (Some(n), Some(cyc)) =
+                    (c.get("cores").as_u64(), c.get("sim_cycles").as_u64())
                 {
                     out.push((format!("composition x{n}"), cyc));
                 }
@@ -596,10 +598,7 @@ mod tests {
                         (
                             "by_class".to_string(),
                             Value::Array(vec![Value::Object(vec![
-                                (
-                                    "label".to_string(),
-                                    Value::String("spec_int".to_string()),
-                                ),
+                                ("label".to_string(), Value::String("spec_int".to_string())),
                                 ("sim_cycles".to_string(), Value::UInt(spec_int)),
                             ])]),
                         ),
@@ -614,8 +613,7 @@ mod tests {
                 ),
             ])
         };
-        let report =
-            diff_documents(&doc(1000, 600, 100), &doc(1500, 1100, 400)).expect("diffs");
+        let report = diff_documents(&doc(1000, 600, 100), &doc(1500, 1100, 400)).expect("diffs");
         assert_eq!(report.kind, "clp-scope-v1");
         assert_eq!(report.cycles, Some((1000, 1500)));
         assert_eq!(report.buckets[0].label, "mem_wait");

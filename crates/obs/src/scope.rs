@@ -146,10 +146,7 @@ impl Terminal {
     }
 
     fn to_json(self) -> Value {
-        let mut fields = vec![(
-            "kind".to_string(),
-            Value::String(self.label().to_string()),
-        )];
+        let mut fields = vec![("kind".to_string(), Value::String(self.label().to_string()))];
         if let Terminal::Completed { cycles } = self {
             fields.push(("cycles".to_string(), Value::UInt(cycles)));
         }
@@ -197,10 +194,7 @@ impl JobSpans {
         let spans = |v: &[Span]| Value::Array(v.iter().map(|s| s.to_json()).collect());
         let mut fields = vec![
             ("id".to_string(), Value::UInt(self.id)),
-            (
-                "workload".to_string(),
-                Value::String(self.workload.clone()),
-            ),
+            ("workload".to_string(), Value::String(self.workload.clone())),
             ("class".to_string(), Value::String(self.class.clone())),
             ("cores".to_string(), Value::UInt(self.cores as u64)),
             ("arrival".to_string(), Value::UInt(self.arrival)),
@@ -339,8 +333,7 @@ impl FleetBook {
                 self.by_class
                     .iter()
                     .map(|(label, b)| {
-                        let mut f =
-                            vec![("label".to_string(), Value::String(label.clone()))];
+                        let mut f = vec![("label".to_string(), Value::String(label.clone()))];
                         f.extend(b.to_json());
                         Value::Object(f)
                     })
@@ -483,7 +476,11 @@ impl ScopeRecorder {
                 cores,
                 arrival: now,
                 finish: now,
-                terminal: if shed { Terminal::Shed } else { Terminal::Invalid },
+                terminal: if shed {
+                    Terminal::Shed
+                } else {
+                    Terminal::Invalid
+                },
                 queued: Vec::new(),
                 attempts: Vec::new(),
                 backoffs: Vec::new(),
@@ -546,13 +543,7 @@ impl ScopeRecorder {
 
     /// The job's current attempt completed and verified; `profile` is
     /// its clp-prof report when profiling was on.
-    pub fn completed(
-        &mut self,
-        id: u64,
-        now: u64,
-        cycles: u64,
-        profile: Option<&ProfileReport>,
-    ) {
+    pub fn completed(&mut self, id: u64, now: u64, cycles: u64, profile: Option<&ProfileReport>) {
         self.counters.completed += 1;
         self.close_attempt(id, AttemptEnd::Success);
         let book = profile.map(ProfileReport::run_buckets);
@@ -706,10 +697,7 @@ impl ScopeReport {
                                                         "attempt".to_string(),
                                                         Value::UInt(u64::from(s.attempt)),
                                                     ),
-                                                    (
-                                                        "start".to_string(),
-                                                        Value::UInt(s.start),
-                                                    ),
+                                                    ("start".to_string(), Value::UInt(s.start)),
                                                     ("end".to_string(), Value::UInt(s.end)),
                                                 ])
                                             })
@@ -812,7 +800,10 @@ impl ScopeReport {
                 .collect(),
         );
         out.push_str("\nfleet bucket book:\n");
-        out.push_str(&format!("{:<14} {:>12} {:>7}\n", "bucket", "cycles", "share"));
+        out.push_str(&format!(
+            "{:<14} {:>12} {:>7}\n",
+            "bucket", "cycles", "share"
+        ));
         for (b, c) in self.fleet.total.buckets.iter() {
             if c == 0 {
                 continue;
@@ -866,10 +857,7 @@ impl ScopeReport {
                 events.push(Value::Object(vec![
                     (
                         "name".to_string(),
-                        Value::String(format!(
-                            "job {} {} x{}",
-                            job.id, job.workload, job.cores
-                        )),
+                        Value::String(format!("job {} {} x{}", job.id, job.workload, job.cores)),
                     ),
                     ("cat".to_string(), s("worker")),
                     ("ph".to_string(), s("X")),
@@ -982,10 +970,7 @@ impl ScopeReport {
                         ("pid".to_string(), Value::UInt(1)),
                         (
                             "args".to_string(),
-                            Value::Object(vec![(
-                                "value".to_string(),
-                                Value::UInt(v / divisor),
-                            )]),
+                            Value::Object(vec![("value".to_string(), Value::UInt(v / divisor))]),
                         ),
                     ]));
                 }

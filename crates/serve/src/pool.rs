@@ -317,10 +317,7 @@ mod tests {
         let a = pool.await_response(0);
         let b = pool.await_response(1);
         match (a.outcome, b.outcome) {
-            (
-                ExecOutcome::Success { cycles: ca, .. },
-                ExecOutcome::Success { cycles: cb, .. },
-            ) => {
+            (ExecOutcome::Success { cycles: ca, .. }, ExecOutcome::Success { cycles: cb, .. }) => {
                 assert_eq!(ca, cb, "same request, same cycles, any thread");
             }
             _ => panic!("both succeed"),

@@ -471,7 +471,12 @@ fn admit(
     let class = workload.class.label();
     if spec.cores == 0 || !spec.cores.is_power_of_two() || spec.cores > 32 {
         ledger.totals.rejected_invalid += 1;
-        reject(ledger, &spec, class, Rejected::InvalidCores { cores: spec.cores });
+        reject(
+            ledger,
+            &spec,
+            class,
+            Rejected::InvalidCores { cores: spec.cores },
+        );
         return;
     }
     if spec.budget == 0 {

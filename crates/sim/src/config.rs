@@ -80,12 +80,6 @@ pub struct SimConfig {
     /// after each all-alive probe round the timeout doubles, up to
     /// `watchdog_timeout << watchdog_backoff_cap`.
     pub watchdog_backoff_cap: u32,
-    /// Worker threads for the sharded mesh stepper; `1` (the default)
-    /// steps serially. Any value produces bit-identical cycle counts,
-    /// stats, profiles, and trends — sharding only changes *how* the
-    /// operand-router phase of each cycle is computed, never its
-    /// result.
-    pub threads: usize,
 }
 
 impl SimConfig {
@@ -117,7 +111,6 @@ impl SimConfig {
             faults: FaultPlan::none(),
             watchdog_timeout: 64,
             watchdog_backoff_cap: 6,
-            threads: 1,
         }
     }
 
@@ -149,7 +142,6 @@ impl SimConfig {
             faults: FaultPlan::none(),
             watchdog_timeout: 64,
             watchdog_backoff_cap: 6,
-            threads: 1,
         }
     }
 

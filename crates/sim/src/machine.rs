@@ -679,14 +679,10 @@ impl Machine {
         let cores = cfg.chip_cores();
         let mut pending_kills: Vec<CoreKill> = cfg.faults.kills().collect();
         pending_kills.sort_by_key(|k| (k.cycle, k.core));
-        let mut opnet = Mesh::new(cfg.operand_net);
-        if cfg.threads > 1 {
-            opnet.enable_sharding(cfg.threads);
-        }
         Machine {
             now: 0,
             mem: MemorySystem::new(cfg.mem, cores),
-            opnet,
+            opnet: Mesh::new(cfg.operand_net),
             local: EventWheel::new(),
             procs: Vec::new(),
             core_map: vec![None; cores],
@@ -3579,7 +3575,6 @@ impl Machine {
         // nothing for the feature.
         let mut backoff_steps = 0u32;
         let mut fail_streak = 0u32;
-        let mut steps = 0u64;
         while self.procs.iter().any(|p| !p.halted) {
             if self.now >= self.cfg.max_cycles {
                 return Err(RunError::CycleLimit(self.cfg.max_cycles));
@@ -3625,10 +3620,6 @@ impl Machine {
                 backoff_steps = backoff_steps.saturating_sub(1);
             }
             self.step();
-            steps += 1;
-        }
-        if std::env::var_os("CLP_ENGINE_DEBUG").is_some() {
-            eprintln!("engine: {steps} steps over {} cycles", self.now);
         }
         Ok(self.collect_stats())
     }

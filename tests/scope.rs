@@ -127,7 +127,10 @@ fn assert_span_invariants(rep: &ScopeReport) {
             want_sim += cycles;
         }
     }
-    assert_eq!(rep.fleet.total.buckets, want, "fleet book = sum of job books");
+    assert_eq!(
+        rep.fleet.total.buckets, want,
+        "fleet book = sum of job books"
+    );
     assert_eq!(rep.fleet.total.sim_cycles, want_sim);
     let by_class: u64 = rep.fleet.by_class.values().map(|b| b.sim_cycles).sum();
     let by_cores: u64 = rep.fleet.by_cores.values().map(|b| b.sim_cycles).sum();
