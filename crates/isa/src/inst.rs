@@ -117,6 +117,7 @@ impl Instruction {
     /// Unlike [`Opcode::arity`], this accounts for return branches, whose
     /// target address arrives as a data operand.
     #[must_use]
+    #[inline]
     pub fn data_arity(&self) -> usize {
         if self.opcode == Opcode::Bro {
             usize::from(matches!(
@@ -130,6 +131,7 @@ impl Instruction {
 
     /// Whether the instruction waits for a predicate operand.
     #[must_use]
+    #[inline]
     pub fn is_predicated(&self) -> bool {
         self.pred.is_some()
     }

@@ -65,6 +65,7 @@ impl EdgeProgram {
 
     /// Looks up the block starting at `addr`.
     #[must_use]
+    #[inline]
     pub fn block(&self, addr: BlockAddr) -> Option<&Block> {
         self.blocks.get(&addr)
     }

@@ -33,8 +33,6 @@ pub(crate) enum Dir {
     Local,
 }
 
-const DIRS: [Dir; 5] = [Dir::East, Dir::West, Dir::North, Dir::South, Dir::Local];
-
 /// Mesh geometry and link parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MeshConfig {
@@ -111,6 +109,7 @@ impl MeshConfig {
     /// [`crate::rect_hops`] definition, so lint and bound route lengths
     /// can never drift from the router's).
     #[must_use]
+    #[inline]
     pub fn hops(&self, a: NodeId, b: NodeId) -> usize {
         assert!(a.0 < self.nodes(), "node {a} outside mesh");
         assert!(b.0 < self.nodes(), "node {b} outside mesh");
@@ -162,69 +161,31 @@ impl MeshConfig {
     }
 }
 
+/// What stays put while a message is in flight: parked once in the
+/// slab at injection and taken out at delivery.
 #[derive(Debug)]
-struct InFlight<M> {
-    at: NodeId,
-    src: NodeId,
-    dst: NodeId,
+struct Parked<M> {
     payload: M,
+    src: u16,
     injected_at: u64,
-    seq: u64,
 }
 
-/// One router's work for one cycle: drains `queue` in FIFO order under
-/// a per-direction budget of `bw`, appending local deliveries to
-/// `delivered` and forwarded messages to `arriving`, accumulating
-/// counter deltas into `stats`. `scratch` must be empty on entry; on
-/// exit `queue` holds the messages that stalled this cycle (in order)
-/// and `scratch` is empty again.
-#[allow(clippy::too_many_arguments)]
-fn route_node_cycle<M>(
-    cfg: &MeshConfig,
-    cycle: u64,
-    node: usize,
-    bw: usize,
-    queue: &mut VecDeque<InFlight<M>>,
-    scratch: &mut VecDeque<InFlight<M>>,
-    delivered: &mut Vec<(NodeId, M)>,
-    arriving: &mut Vec<(NodeId, InFlight<M>)>,
-    stats: &mut MeshStats,
-    tracer: &Tracer,
-    plane: &'static str,
-) {
-    debug_assert!(scratch.is_empty());
-    let mut budget = [bw; 5];
-    while let Some(msg) = queue.pop_front() {
-        let dir = cfg.route_dir(msg.at, msg.dst);
-        let di = DIRS.iter().position(|&d| d == dir).expect("dir indexed");
-        if budget[di] == 0 {
-            stats.stalled_cycles += 1;
-            tracer.emit(cycle, || TraceEvent::LinkContention { plane, node });
-            scratch.push_back(msg);
-            continue;
-        }
-        budget[di] -= 1;
-        match dir {
-            Dir::Local => {
-                stats.delivered += 1;
-                let latency = cycle - msg.injected_at;
-                stats.total_latency += latency;
-                tracer.emit(cycle, || TraceEvent::OperandRouted {
-                    plane,
-                    src: msg.src.0,
-                    dst: msg.dst.0,
-                    latency,
-                });
-                delivered.push((msg.dst, msg.payload));
-            }
-            _ => {
-                stats.link_traversals += 1;
-                let next = cfg.neighbor_of(msg.at, dir);
-                arriving.push((next, InFlight { at: next, ..msg }));
-            }
-        }
-    }
-    std::mem::swap(queue, scratch);
+/// What moves: a 16-byte handle through router queues, `arriving` and
+/// the by-`seq` merge. `at` is the router currently holding it.
+#[derive(Clone, Copy, Debug)]
+struct Handle {
+    seq: u64,
+    slot: u32,
+    at: u16,
+    dst: u16,
+}
+
+/// One `(at, dst)` entry of the routing table: the output direction
+/// and the router that direction leads to.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    dir: Dir,
+    next: u16,
 }
 
 /// A deterministic, dimension-order-routed 2-D mesh.
@@ -237,10 +198,17 @@ fn route_node_cycle<M>(
 #[derive(Debug)]
 pub struct Mesh<M> {
     cfg: MeshConfig,
+    /// `nodes x nodes` next-hop table indexed `at * nodes + dst`, filled
+    /// once from [`MeshConfig::route_dir`] / [`MeshConfig::neighbor_of`]
+    /// (the single definition of X-then-Y routing).
+    hops: Vec<Hop>,
+    /// In-flight payloads; `None` slots are on `free`.
+    slab: Vec<Option<Parked<M>>>,
+    free: Vec<u32>,
     /// Per-node queue of messages waiting to be routed.
-    queues: Vec<VecDeque<InFlight<M>>>,
+    queues: Vec<VecDeque<Handle>>,
     /// Messages that arrive at the *next* step (one-cycle hop latency).
-    arriving: Vec<(NodeId, InFlight<M>)>,
+    arriving: Vec<Handle>,
     delivered: Vec<(NodeId, M)>,
     cycle: u64,
     next_seq: u64,
@@ -254,7 +222,7 @@ pub struct Mesh<M> {
     throttled_until: u64,
     /// Reusable holding deque for messages that stall during a router
     /// cycle, so the hot loop never allocates.
-    scratch: VecDeque<InFlight<M>>,
+    scratch: VecDeque<Handle>,
     /// Occupancy bitmask over `queues` (one bit per node, 64 nodes per
     /// word): the router visits only set bits instead of scanning every
     /// queue each cycle. Invariant: bit `n` is set iff `queues[n]` is
@@ -264,10 +232,29 @@ pub struct Mesh<M> {
 
 impl<M> Mesh<M> {
     /// Creates an idle mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh has more than `u16::MAX` nodes.
     #[must_use]
     pub fn new(cfg: MeshConfig) -> Self {
+        let nodes = cfg.nodes();
+        assert!(nodes <= usize::from(u16::MAX), "mesh too large");
+        let hops = (0..nodes * nodes)
+            .map(|i| {
+                let (at, dst) = (NodeId(i / nodes), NodeId(i % nodes));
+                let dir = cfg.route_dir(at, dst);
+                Hop {
+                    dir,
+                    next: cfg.neighbor_of(at, dir).0 as u16,
+                }
+            })
+            .collect();
         Mesh {
-            queues: (0..cfg.nodes()).map(|_| VecDeque::new()).collect(),
+            hops,
+            slab: Vec::new(),
+            free: Vec::new(),
+            queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             arriving: Vec::new(),
             delivered: Vec::new(),
             cycle: 0,
@@ -277,7 +264,7 @@ impl<M> Mesh<M> {
             plane: "operand",
             throttled_until: 0,
             scratch: VecDeque::new(),
-            busy: vec![0; cfg.nodes().div_ceil(64)],
+            busy: vec![0; nodes.div_ceil(64)],
             cfg,
         }
     }
@@ -328,13 +315,26 @@ impl<M> Mesh<M> {
         self.stats.injected += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queues[src.0].push_back(InFlight {
-            at: src,
-            src,
-            dst,
+        let parked = Some(Parked {
             payload,
+            src: src.0 as u16,
             injected_at: self.cycle,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = parked;
+                slot
+            }
+            None => {
+                self.slab.push(parked);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queues[src.0].push_back(Handle {
             seq,
+            slot,
+            at: src.0 as u16,
+            dst: dst.0 as u16,
         });
         self.busy[src.0 / 64] |= 1 << (src.0 % 64);
     }
@@ -362,10 +362,45 @@ impl<M> Mesh<M> {
         self.cycle = cycle;
     }
 
-    /// Next hop direction under X-then-Y dimension-order routing.
-    #[cfg(test)]
-    fn route(&self, at: NodeId, dst: NodeId) -> Dir {
-        self.cfg.route_dir(at, dst)
+    /// One router's work for one cycle: drains `queues[node]` in FIFO
+    /// order under a per-direction budget of `bw`, delivering local
+    /// messages and moving forwarded handles to `arriving`. Messages
+    /// that stall stay queued, in order.
+    fn route_node_cycle(&mut self, node: usize, bw: usize) {
+        debug_assert!(self.scratch.is_empty());
+        let nodes = self.cfg.nodes();
+        let (cycle, plane) = (self.cycle, self.plane);
+        let mut budget = [bw; 5];
+        while let Some(h) = self.queues[node].pop_front() {
+            let hop = self.hops[node * nodes + usize::from(h.dst)];
+            let di = hop.dir as usize;
+            if budget[di] == 0 {
+                self.stats.stalled_cycles += 1;
+                self.tracer
+                    .emit(cycle, || TraceEvent::LinkContention { plane, node });
+                self.scratch.push_back(h);
+                continue;
+            }
+            budget[di] -= 1;
+            if hop.dir == Dir::Local {
+                let msg = self.slab[h.slot as usize].take().expect("live slot");
+                self.free.push(h.slot);
+                self.stats.delivered += 1;
+                let latency = cycle - msg.injected_at;
+                self.stats.total_latency += latency;
+                self.tracer.emit(cycle, || TraceEvent::OperandRouted {
+                    plane,
+                    src: usize::from(msg.src),
+                    dst: node,
+                    latency,
+                });
+                self.delivered.push((NodeId(node), msg.payload));
+            } else {
+                self.stats.link_traversals += 1;
+                self.arriving.push(Handle { at: hop.next, ..h });
+            }
+        }
+        std::mem::swap(&mut self.queues[node], &mut self.scratch);
     }
 
     /// Advances the mesh by one cycle.
@@ -395,46 +430,202 @@ impl<M> Mesh<M> {
             while word != 0 {
                 let node = i * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                route_node_cycle(
-                    &self.cfg,
-                    self.cycle,
-                    node,
-                    bw,
-                    &mut self.queues[node],
-                    &mut self.scratch,
-                    &mut self.delivered,
-                    &mut self.arriving,
-                    &mut self.stats,
-                    &self.tracer,
-                    self.plane,
-                );
+                self.route_node_cycle(node, bw);
                 if self.queues[node].is_empty() {
                     self.busy[i] &= !(1 << (node % 64));
                 }
             }
         }
 
-        // Hop latency: forwarded messages are routable next cycle. The
-        // buffer is drained rather than consumed so its capacity is
-        // reused across cycles.
-        let mut arriving = std::mem::take(&mut self.arriving);
-        arriving.sort_by_key(|(_, m)| m.seq);
-        for (node, msg) in arriving.drain(..) {
-            self.queues[node.0].push_back(msg);
-            self.busy[node.0 / 64] |= 1 << (node.0 % 64);
+        // Hop latency: forwarded messages are routable next cycle, merged
+        // into their routers' queues in injection order (`seq` is unique,
+        // so the unstable sort is deterministic).
+        self.arriving.sort_unstable_by_key(|h| h.seq);
+        for h in self.arriving.drain(..) {
+            let node = usize::from(h.at);
+            self.queues[node].push_back(h);
+            self.busy[node / 64] |= 1 << (node % 64);
         }
-        self.arriving = arriving;
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
 
     /// Removes and returns all messages delivered by previous steps.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, M)> {
         std::mem::take(&mut self.delivered)
     }
+
+    /// Like [`Mesh::drain_delivered`], but exchanges buffers instead of
+    /// giving one away: the delivered messages land in `buf` and the mesh
+    /// keeps `buf`'s allocation, so a per-cycle caller never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `buf` is not empty.
+    pub fn swap_delivered(&mut self, buf: &mut Vec<(NodeId, M)>) {
+        debug_assert!(buf.is_empty(), "swap_delivered needs an empty buffer");
+        std::mem::swap(&mut self.delivered, buf);
+    }
+
+    /// Panics unless the derived state matches what it summarises: busy
+    /// bit set iff the queue is non-empty, every handle names its own
+    /// live slab slot, and live slots equal queued plus arriving handles.
+    #[cfg(any(test, debug_assertions))]
+    fn check_invariants(&self) {
+        let mut seen = vec![false; self.slab.len()];
+        let mut handles = 0;
+        for (node, q) in self.queues.iter().enumerate() {
+            let bit = self.busy[node / 64] >> (node % 64) & 1 == 1;
+            assert_eq!(bit, !q.is_empty(), "busy bit of node {node}");
+            for h in q {
+                assert_eq!(usize::from(h.at), node, "handle queued at its router");
+            }
+        }
+        for h in self.queues.iter().flatten().chain(&self.arriving) {
+            assert!(self.slab[h.slot as usize].is_some(), "handle to free slot");
+            assert!(!std::mem::replace(&mut seen[h.slot as usize], true));
+            handles += 1;
+        }
+        let live = self.slab.iter().filter(|s| s.is_some()).count();
+        assert_eq!(live, handles, "live slots vs handles in flight");
+        assert_eq!(live + self.free.len(), self.slab.len(), "free list");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The router written the obvious way: whole messages in per-node
+    /// queues, `route_dir` / `neighbor_of` re-derived on every hop. The
+    /// differential test below holds [`Mesh`] to this, cycle for cycle.
+    struct RefMsg {
+        dst: usize,
+        payload: u32,
+        injected_at: u64,
+        seq: u64,
+    }
+
+    struct RefMesh {
+        cfg: MeshConfig,
+        queues: Vec<VecDeque<RefMsg>>,
+        cycle: u64,
+        next_seq: u64,
+        throttled_until: u64,
+        stats: MeshStats,
+    }
+
+    impl RefMesh {
+        fn inject(&mut self, src: usize, dst: usize, payload: u32) {
+            self.stats.injected += 1;
+            self.queues[src].push_back(RefMsg {
+                dst,
+                payload,
+                injected_at: self.cycle,
+                seq: self.next_seq,
+            });
+            self.next_seq += 1;
+        }
+
+        fn throttle(&mut self, cycles: u64) {
+            self.throttled_until = self.throttled_until.max(self.cycle + cycles);
+        }
+
+        /// One cycle; returns the deliveries as `(node, payload)`.
+        fn step(&mut self) -> Vec<(usize, u32)> {
+            self.cycle += 1;
+            let throttled = self.throttled_until != 0 && self.cycle <= self.throttled_until;
+            let bw = self
+                .cfg
+                .link_bandwidth
+                .min(if throttled { 1 } else { usize::MAX });
+            let (mut delivered, mut arriving) = (Vec::new(), Vec::new());
+            for node in 0..self.queues.len() {
+                let mut budget = [bw; 5];
+                let mut stalled = VecDeque::new();
+                for msg in std::mem::take(&mut self.queues[node]) {
+                    let dir = self.cfg.route_dir(NodeId(node), NodeId(msg.dst));
+                    if budget[dir as usize] == 0 {
+                        self.stats.stalled_cycles += 1;
+                        stalled.push_back(msg);
+                    } else if dir == Dir::Local {
+                        budget[dir as usize] -= 1;
+                        self.stats.delivered += 1;
+                        self.stats.total_latency += self.cycle - msg.injected_at;
+                        delivered.push((node, msg.payload));
+                    } else {
+                        budget[dir as usize] -= 1;
+                        self.stats.link_traversals += 1;
+                        arriving.push((self.cfg.neighbor_of(NodeId(node), dir).0, msg));
+                    }
+                }
+                self.queues[node] = stalled;
+            }
+            arriving.sort_by_key(|(_, m)| m.seq);
+            for (node, msg) in arriving {
+                self.queues[node].push_back(msg);
+            }
+            delivered
+        }
+    }
+
+    proptest! {
+        /// Random injection schedules with throttle bursts on the 4x8
+        /// mesh at bandwidth 1 and 2: the same `(cycle, node, payload)`
+        /// delivery sequence and the same `MeshStats` as the reference
+        /// router, invariants intact every cycle, slab empty once idle.
+        #[test]
+        fn matches_reference_router(
+            schedule in prop::collection::vec(
+                (prop::collection::vec((0usize..32, 0usize..32), 0..6), 0u64..40),
+                1..80,
+            ),
+            bw in 1usize..3,
+        ) {
+            let cfg = MeshConfig { width: 4, height: 8, link_bandwidth: bw };
+            let mut mesh: Mesh<u32> = Mesh::new(cfg);
+            let mut reference = RefMesh {
+                cfg,
+                queues: (0..cfg.nodes()).map(|_| VecDeque::new()).collect(),
+                cycle: 0,
+                next_seq: 0,
+                throttled_until: 0,
+                stats: MeshStats::default(),
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut payload = 0;
+            let mut schedule = schedule.into_iter();
+            for cycle in 1u64.. {
+                match schedule.next() {
+                    Some((burst, throttle)) => {
+                        // One schedule entry in eight starts a burst.
+                        if throttle % 8 == 7 {
+                            mesh.throttle(throttle);
+                            reference.throttle(throttle);
+                        }
+                        for (src, dst) in burst {
+                            mesh.inject(NodeId(src), NodeId(dst), payload);
+                            reference.inject(src, dst, payload);
+                            payload += 1;
+                        }
+                    }
+                    None if mesh.is_idle() => break,
+                    None => {}
+                }
+                mesh.step();
+                mesh.check_invariants();
+                got.extend(mesh.drain_delivered().into_iter().map(|(n, p)| (cycle, n.0, p)));
+                want.extend(reference.step().into_iter().map(|(n, p)| (cycle, n, p)));
+                prop_assert!(cycle < 10_000, "mesh must drain");
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(*mesh.stats(), reference.stats);
+            prop_assert!(reference.queues.iter().all(VecDeque::is_empty));
+            prop_assert!(mesh.slab.iter().all(Option::is_none), "slab drained");
+            prop_assert_eq!(mesh.free.len(), mesh.slab.len());
+        }
+    }
 
     fn small() -> MeshConfig {
         MeshConfig {
@@ -505,9 +696,9 @@ mod tests {
         let cfg = small();
         let mut mesh: Mesh<()> = Mesh::new(cfg);
         // (0,0) -> (2,1): route should be E, E, S.
-        assert_eq!(mesh.route(NodeId(0), NodeId(6)), Dir::East);
-        assert_eq!(mesh.route(NodeId(2), NodeId(6)), Dir::South);
-        assert_eq!(mesh.route(NodeId(6), NodeId(6)), Dir::Local);
+        assert_eq!(cfg.route_dir(NodeId(0), NodeId(6)), Dir::East);
+        assert_eq!(cfg.route_dir(NodeId(2), NodeId(6)), Dir::South);
+        assert_eq!(cfg.route_dir(NodeId(6), NodeId(6)), Dir::Local);
         mesh.inject(NodeId(0), NodeId(6), ());
         for _ in 0..10 {
             mesh.step();

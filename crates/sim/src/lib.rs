@@ -41,6 +41,7 @@ pub mod fault;
 mod machine;
 mod regfile;
 mod stats;
+mod window;
 
 pub use config::{table1_text, CoreConfig, ProtocolTiming, SimConfig};
 pub use fault::{

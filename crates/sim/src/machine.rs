@@ -20,6 +20,7 @@ use crate::events::EventWheel;
 use crate::fault::{CoreKill, FaultInjector};
 use crate::regfile::{RegFile, RegRead};
 use crate::stats::{CommitLatencyBreakdown, ComposeStats, ProcStats, RecoveryStats, RunStats};
+use crate::window::BlockWindow;
 use clp_isa::{Block, BlockAddr, BranchKind, EdgeProgram, Opcode, OpcodeClass, Reg, Target};
 use clp_mem::{dbank_for, LoadResponse, LoadServe, MemorySystem, StoreResponse};
 use clp_noc::{region_for, Mesh, NodeId, RegionError};
@@ -29,7 +30,7 @@ use clp_obs::{
 };
 use clp_predictor::{block_owner, ComposedPredictor, ExitOutcome, Prediction};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -415,100 +416,6 @@ impl Blk {
     }
 }
 
-/// The in-flight block window, ordered by sequence number.
-///
-/// Sequence numbers are allocated monotonically and blocks install in
-/// order, so the deque is always sorted. The window never holds more
-/// than `max_inflight` live blocks, which makes binary search over
-/// contiguous storage far cheaper than the `BTreeMap` this replaced —
-/// block lookup is the single hottest operation in the simulator
-/// (every dispatch, issue, completion, and operand arrival pays one).
-#[derive(Debug)]
-struct BlockWindow {
-    blocks: VecDeque<(u64, Blk)>,
-}
-
-impl BlockWindow {
-    fn new() -> Self {
-        BlockWindow {
-            blocks: VecDeque::new(),
-        }
-    }
-
-    #[inline]
-    fn idx(&self, seq: u64) -> Result<usize, usize> {
-        self.blocks.binary_search_by(|&(s, _)| s.cmp(&seq))
-    }
-
-    #[inline]
-    fn get(&self, seq: &u64) -> Option<&Blk> {
-        self.idx(*seq).ok().map(|i| &self.blocks[i].1)
-    }
-
-    #[inline]
-    fn get_mut(&mut self, seq: &u64) -> Option<&mut Blk> {
-        match self.idx(*seq) {
-            Ok(i) => Some(&mut self.blocks[i].1),
-            Err(_) => None,
-        }
-    }
-
-    #[inline]
-    fn contains_key(&self, seq: &u64) -> bool {
-        self.idx(*seq).is_ok()
-    }
-
-    /// Installs a block; `seq` must exceed every stored sequence.
-    fn insert(&mut self, seq: u64, b: Blk) {
-        debug_assert!(self.blocks.back().is_none_or(|&(s, _)| s < seq));
-        self.blocks.push_back((seq, b));
-    }
-
-    fn remove(&mut self, seq: &u64) -> Option<Blk> {
-        let i = self.idx(*seq).ok()?;
-        self.blocks.remove(i).map(|(_, b)| b)
-    }
-
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Oldest in-flight block (lowest sequence number).
-    fn first(&self) -> Option<(u64, &Blk)> {
-        self.blocks.front().map(|(s, b)| (*s, b))
-    }
-
-    fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, &Blk)> {
-        self.blocks.iter().map(|(s, b)| (*s, b))
-    }
-
-    fn values(&self) -> impl DoubleEndedIterator<Item = &Blk> {
-        self.blocks.iter().map(|(_, b)| b)
-    }
-
-    fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut Blk> {
-        self.blocks.iter_mut().map(|(_, b)| b)
-    }
-
-    /// Sequence numbers at or above `from`, ascending.
-    fn seqs_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
-        let i = self.blocks.partition_point(|&(s, _)| s < from);
-        self.blocks.iter().skip(i).map(|&(s, _)| s)
-    }
-
-    /// Whether any block at or above `from` is in flight.
-    fn has_from(&self, from: u64) -> bool {
-        self.blocks.back().is_some_and(|&(s, _)| s >= from)
-    }
-}
-
-impl std::ops::Index<&u64> for BlockWindow {
-    type Output = Blk;
-    fn index(&self, seq: &u64) -> &Blk {
-        self.get(seq).expect("live block")
-    }
-}
-
 /// A scheduled execution completion.
 ///
 /// The derived `Ord` compares fields in declaration order, so a min-heap
@@ -559,7 +466,7 @@ struct Proc {
     fetch_cache: BTreeMap<BlockAddr, FetchTemplate>,
     predictor: ComposedPredictor,
     regs: RegFile,
-    blocks: BlockWindow,
+    blocks: BlockWindow<Blk>,
     next_seq: u64,
     pending: Option<PendingFetch>,
     /// Target of the youngest live prediction: the hand-off the fetch
@@ -577,8 +484,9 @@ struct Proc {
     violated_addrs: std::collections::BTreeSet<BlockAddr>,
     stats: ProcStats,
     waiting_reads: Vec<WaitingRead>,
-    /// Per participant core: ready-to-issue (seq, inst) entries.
-    ready: Vec<BTreeSet<(u64, u8)>>,
+    /// Per participant core: ready-to-issue `(seq, inst)` entries,
+    /// strictly ascending — the issue order.
+    ready: Vec<Vec<(u64, u8)>>,
     /// Bitmask over parts: bit set iff `ready[part]` is non-empty.
     ready_mask: u32,
     /// Per participant core: in-flight completions, popped by done cycle
@@ -623,6 +531,10 @@ pub struct Machine {
     mem: MemorySystem,
     opnet: Mesh<OpMsg>,
     local: EventWheel<Ev>,
+    /// Control-message latency between every pair of chip cores, indexed
+    /// `a * core_map.len() + b`: one cycle plus (under modeled timing)
+    /// the Manhattan hops of [`clp_noc::MeshConfig::hops`].
+    ctrl_delays: Vec<u64>,
     procs: Vec<Proc>,
     /// global core -> (proc, participant index)
     core_map: Vec<Option<(usize, usize)>>,
@@ -670,6 +582,7 @@ pub struct Machine {
     scratch_loads: Vec<(usize, u8)>,
     scratch_reads: Vec<WaitingRead>,
     scratch_evs: Vec<Ev>,
+    scratch_delivered: Vec<(NodeId, OpMsg)>,
 }
 
 impl Machine {
@@ -679,11 +592,20 @@ impl Machine {
         let cores = cfg.chip_cores();
         let mut pending_kills: Vec<CoreKill> = cfg.faults.kills().collect();
         pending_kills.sort_by_key(|k| (k.cycle, k.core));
+        let ctrl_delays = (0..cores * cores)
+            .map(|i| match cfg.protocol {
+                ProtocolTiming::Instant => 1,
+                ProtocolTiming::Modeled => {
+                    1 + cfg.operand_net.hops(NodeId(i / cores), NodeId(i % cores)) as u64
+                }
+            })
+            .collect();
         Machine {
             now: 0,
             mem: MemorySystem::new(cfg.mem, cores),
             opnet: Mesh::new(cfg.operand_net),
             local: EventWheel::new(),
+            ctrl_delays,
             procs: Vec::new(),
             core_map: vec![None; cores],
             last_progress: 0,
@@ -707,6 +629,7 @@ impl Machine {
             scratch_loads: Vec::new(),
             scratch_reads: Vec::new(),
             scratch_evs: Vec::new(),
+            scratch_delivered: Vec::new(),
             cfg,
         }
     }
@@ -1009,7 +932,7 @@ impl Machine {
             violated_addrs: std::collections::BTreeSet::new(),
             stats: ProcStats::default(),
             waiting_reads: Vec::new(),
-            ready: vec![BTreeSet::new(); n_cores],
+            ready: vec![Vec::new(); n_cores],
             ready_mask: 0,
             exec: (0..n_cores).map(|_| BinaryHeap::new()).collect(),
             exec_mask: 0,
@@ -1026,15 +949,9 @@ impl Machine {
 
     // -- helpers ----------------------------------------------------------
 
-    fn hops(&self, a: usize, b: usize) -> u64 {
-        self.cfg.operand_net.hops(NodeId(a), NodeId(b)) as u64
-    }
-
+    #[inline]
     fn ctrl_delay(&self, a: usize, b: usize) -> u64 {
-        match self.cfg.protocol {
-            ProtocolTiming::Instant => 1,
-            ProtocolTiming::Modeled => 1 + self.hops(a, b),
-        }
+        self.ctrl_delays[a * self.core_map.len() + b]
     }
 
     fn push_local(&mut self, at: u64, ev: Ev) {
@@ -1326,7 +1243,7 @@ impl Machine {
             // The predictor restarts cold: its banked tables were hashed
             // over the old core set and the dead bank's history is gone.
             p.predictor = ComposedPredictor::new(pred_cfg, if centralized { 1 } else { new_n });
-            p.ready = vec![BTreeSet::new(); new_n];
+            p.ready = vec![Vec::new(); new_n];
             p.ready_mask = 0;
             p.exec = (0..new_n).map(|_| BinaryHeap::new()).collect();
             p.exec_mask = 0;
@@ -1453,14 +1370,19 @@ impl Machine {
         // the per-address template: an `Arc` of the block plus the
         // per-core dispatch slices. Every later fetch is refcount
         // bumps instead of a deep block clone and `n` slice walks.
-        if !self.procs[pi].fetch_cache.contains_key(&pending.addr) {
-            let p = &mut self.procs[pi];
-            let block = p.program.block(pending.addr).expect("caller checked");
-            let tmpl = FetchTemplate {
-                slices: (0..p.n)
+        let Proc {
+            fetch_cache,
+            program,
+            regs,
+            ..
+        } = &mut self.procs[pi];
+        let tmpl = fetch_cache.entry(pending.addr).or_insert_with(|| {
+            let block = program.block(pending.addr).expect("caller checked");
+            FetchTemplate {
+                slices: (0..n)
                     .map(|part| {
                         block
-                            .slice_for_core(part, p.n)
+                            .slice_for_core(part, n)
                             .map(|(i, _)| i as u8)
                             .collect()
                     })
@@ -1468,34 +1390,29 @@ impl Machine {
                 outputs_needed: block.output_count(),
                 store_mask: block.store_lsids().iter().fold(0u32, |m, &l| m | (1 << l)),
                 block: Arc::new(block.clone()),
-            };
-            p.fetch_cache.insert(pending.addr, tmpl);
-        }
-        let tmpl = self.procs[pi]
-            .fetch_cache
-            .get(&pending.addr)
-            .expect("just filled");
+            }
+        });
         let block = Arc::clone(&tmpl.block);
         let outputs_needed = tmpl.outputs_needed;
         let store_mask = tmpl.store_mask;
-        let slices = tmpl.slices.clone();
-
-        // Declare register writes so younger readers wait (write mask is
-        // part of the block header, known at fetch).
-        for &(_, reg) in block.writes() {
-            self.procs[pi].regs.declare_write(reg, seq);
-        }
 
         // Per-core dispatch slices.
-        let dispatch: Vec<DispatchState> = slices
-            .into_iter()
+        let dispatch: Vec<DispatchState> = tmpl
+            .slices
+            .iter()
             .map(|ids| DispatchState {
-                ids,
+                ids: Arc::clone(ids),
                 next: 0,
                 start_at: u64::MAX,
                 done: false,
             })
             .collect();
+
+        // Declare register writes so younger readers wait (write mask is
+        // part of the block header, known at fetch).
+        for &(_, reg) in block.writes() {
+            regs.declare_write(reg, seq);
+        }
 
         let nops = block.len();
         let conservative = self.procs[pi].violated_addrs.contains(&pending.addr);
@@ -1905,8 +1822,16 @@ impl Machine {
         match action {
             Action::None => {}
             Action::Queue => {
+                // Blocks dispatch and wake oldest-first most of the time,
+                // so the common case appends.
                 let p = &mut self.procs[pi];
-                p.ready[part].insert((seq, id));
+                let list = &mut p.ready[part];
+                let entry = (seq, id);
+                if list.last().is_none_or(|&last| last < entry) {
+                    list.push(entry);
+                } else if let Err(at) = list.binary_search(&entry) {
+                    list.insert(at, entry);
+                }
                 p.ready_mask |= 1 << part;
             }
             Action::Write {
@@ -1960,32 +1885,40 @@ impl Machine {
             let mut fp = self.cfg.core.fp_issue;
             picks.clear();
             {
-                let p = &self.procs[pi];
-                for &(seq, id) in &p.ready[part] {
-                    if total == 0 {
-                        break;
-                    }
-                    let Some(b) = p.blocks.get(&seq) else {
-                        continue;
-                    };
-                    let is_fp =
-                        b.block.instructions()[id as usize].opcode.class() == OpcodeClass::Float;
-                    if is_fp {
-                        if fp == 0 {
-                            continue;
+                // One ascending pass: picked entries move to `picks`,
+                // passed-over ones (no FP slot left, block gone) compact
+                // down in order, the unvisited tail closes the gap.
+                let p = &mut self.procs[pi];
+                let list = &mut p.ready[part];
+                let (mut visited, mut kept) = (0, 0);
+                while visited < list.len() && total > 0 {
+                    let (seq, id) = list[visited];
+                    visited += 1;
+                    let pick = p.blocks.get(&seq).is_some_and(|b| {
+                        let class = b.block.instructions()[id as usize].opcode.class();
+                        if class != OpcodeClass::Float {
+                            return true;
                         }
-                        fp -= 1;
+                        let slot = fp > 0;
+                        fp -= usize::from(slot);
+                        slot
+                    });
+                    if pick {
+                        total -= 1;
+                        picks.push((seq, id));
+                    } else {
+                        list[kept] = (seq, id);
+                        kept += 1;
                     }
-                    total -= 1;
-                    picks.push((seq, id));
+                }
+                list.copy_within(visited.., kept);
+                list.truncate(list.len() - picks.len());
+                if list.is_empty() {
+                    p.ready_mask &= !(1 << part);
                 }
             }
             for &(seq, id) in &picks {
-                self.procs[pi].ready[part].remove(&(seq, id));
                 self.execute_inst(pi, seq, part, id);
-            }
-            if self.procs[pi].ready[part].is_empty() {
-                self.procs[pi].ready_mask &= !(1 << part);
             }
         }
         picks.clear();
@@ -2756,42 +2689,32 @@ impl Machine {
 
     /// Rolls back orphaned predictions and squashes blocks `>= from`.
     fn flush_from(&mut self, pi: usize, from: u64) {
-        let seqs: Vec<u64> = {
-            let p = &self.procs[pi];
-            p.blocks.seqs_from(from).collect()
-        };
-        // Roll back orphaned speculation youngest-first (their own
-        // next_preds, i.e. predictions for blocks beyond them).
-        for &s in seqs.iter().rev() {
-            let pred = self.procs[pi]
-                .blocks
-                .get_mut(&s)
-                .and_then(|b| b.next_pred.take());
-            if let Some(p) = pred {
-                self.procs[pi].predictor.rollback(&p);
-            }
-        }
         let p = &mut self.procs[pi];
         if p.halt_seq.is_some_and(|h| h >= from) {
             p.halt_seq = None;
         }
-        for &s in &seqs {
-            if let Some(b) = p.blocks.remove(&s) {
-                if b.runnable != 0 {
-                    p.dispatch_armed -= 1;
-                }
+        // Squash youngest-first, rolling back each block's orphaned
+        // speculation (its own next_pred, i.e. the prediction for the
+        // block beyond it) on the way.
+        let before = p.blocks.len();
+        while let Some(b) = p.blocks.pop_back_from(from) {
+            if let Some(pred) = b.next_pred {
+                p.predictor.rollback(&pred);
+            }
+            if b.runnable != 0 {
+                p.dispatch_armed -= 1;
             }
             p.slots_free += 1;
             p.stats.blocks_flushed += 1;
         }
-        if !seqs.is_empty() {
+        if p.blocks.len() < before {
             // The block numbering restarts after the flushed range so
             // stale in-flight messages can never alias re-fetched blocks.
             p.regs.flush_from(from);
             p.ready_mask = 0;
-            for (part, set) in p.ready.iter_mut().enumerate() {
-                set.retain(|&(s, _)| s < from);
-                if !set.is_empty() {
+            for (part, list) in p.ready.iter_mut().enumerate() {
+                list.truncate(list.partition_point(|&(s, _)| s < from));
+                if !list.is_empty() {
                     p.ready_mask |= 1 << part;
                 }
             }
@@ -2820,7 +2743,7 @@ impl Machine {
             self.scratch_reads = retry;
         }
         // The youngest surviving block no longer speculates a successor.
-        if let Some(b) = self.procs[pi].blocks.values_mut().next_back() {
+        if let Some(b) = self.procs[pi].blocks.last_mut() {
             if b.seq < from {
                 // Its spec_next (if it pointed at a flushed block) is now
                 // moot; keep next_pred for training at resolution.
@@ -3326,10 +3249,12 @@ impl Machine {
         }
         // 1. Networks.
         self.opnet.step();
-        let delivered = self.opnet.drain_delivered();
-        for (node, msg) in delivered {
+        let mut delivered = std::mem::take(&mut self.scratch_delivered);
+        self.opnet.swap_delivered(&mut delivered);
+        for (node, msg) in delivered.drain(..) {
             self.handle_op(node.0, msg);
         }
+        self.scratch_delivered = delivered;
         // 2. Scheduled local/control events.
         let mut evs = std::mem::take(&mut self.scratch_evs);
         debug_assert!(evs.is_empty());
@@ -3416,6 +3341,31 @@ impl Machine {
         // 5. clp-trend columnar recording: same one-compare contract.
         if self.trend.as_ref().is_some_and(|t| t.due(self.now)) {
             self.trend_sample();
+        }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+    }
+
+    /// Panics unless the derived per-cycle state matches what it
+    /// summarises: each ready list strictly ascending with its
+    /// `ready_mask` bit set iff it is non-empty, and the block window
+    /// consistent with every block filed under its own `seq`.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        for (pi, p) in self.procs.iter().enumerate() {
+            for (part, list) in p.ready.iter().enumerate() {
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "proc{pi} ready[{part}] strictly ascending"
+                );
+                assert_eq!(
+                    p.ready_mask >> part & 1 == 1,
+                    !list.is_empty(),
+                    "proc{pi} ready_mask bit {part}"
+                );
+            }
+            p.blocks.check_invariants();
+            assert!(p.blocks.iter().all(|(seq, b)| b.seq == seq));
         }
     }
 

@@ -8,7 +8,6 @@
 //! still owes a write to that register.
 
 use clp_isa::Reg;
-use std::collections::BTreeMap;
 
 /// Result of attempting a speculative register read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,11 +38,12 @@ pub enum RegRead {
 #[derive(Clone, Debug)]
 pub struct RegFile {
     committed: Vec<u64>,
-    /// Forwarded (speculative) versions: (reg, block seq) -> value.
-    versions: BTreeMap<(u8, u64), u64>,
-    /// Outstanding writes: (reg, block seq) of blocks that declare a
-    /// write they have not yet forwarded (or nulled).
-    pending: BTreeMap<(u8, u64), ()>,
+    /// Per register: the speculative writes of in-flight blocks as
+    /// `(block seq, state)`, ascending by `seq`. `None` is a declared
+    /// write not yet forwarded (or nulled), `Some` a forwarded value. A
+    /// list is as long as the number of in-flight blocks writing that
+    /// register — a handful — so every operation is a short scan.
+    writes: Vec<Vec<(u64, Option<u64>)>>,
 }
 
 impl RegFile {
@@ -52,8 +52,7 @@ impl RegFile {
     pub fn new(n: usize) -> Self {
         RegFile {
             committed: vec![0; n],
-            versions: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            writes: vec![Vec::new(); n],
         }
     }
 
@@ -69,80 +68,101 @@ impl RegFile {
         self.committed[reg.index()] = value;
     }
 
+    /// Sets block `seq`'s entry for `reg`, keeping the list sorted.
+    /// Blocks declare in fetch order, so the common case appends.
+    fn set(&mut self, reg: Reg, seq: u64, state: Option<u64>) {
+        let list = &mut self.writes[reg.index()];
+        match list.binary_search_by_key(&seq, |&(s, _)| s) {
+            Ok(i) => list[i].1 = state,
+            Err(i) => list.insert(i, (seq, state)),
+        }
+    }
+
     /// Declares that block `seq` will write `reg` (called at dispatch of
     /// the block's WRITE instructions). Readers younger than `seq` wait
     /// until the write is forwarded or nulled.
     pub fn declare_write(&mut self, reg: Reg, seq: u64) {
-        self.pending.insert((reg.index() as u8, seq), ());
+        self.set(reg, seq, None);
     }
 
     /// Forwards block `seq`'s write of `reg`. `value` is `None` for a
     /// null (predicated-off) write, which resolves the pending entry
     /// without creating a version.
     pub fn forward_write(&mut self, reg: Reg, seq: u64, value: Option<u64>) {
-        let key = (reg.index() as u8, seq);
-        self.pending.remove(&key);
-        if let Some(v) = value {
-            self.versions.insert(key, v);
+        if value.is_some() {
+            self.set(reg, seq, value);
+        } else {
+            self.writes[reg.index()].retain(|&e| e != (seq, None));
         }
     }
 
     /// Attempts a read of `reg` on behalf of block `seq`.
     #[must_use]
     pub fn read(&self, reg: Reg, seq: u64) -> RegRead {
-        let r = reg.index() as u8;
+        let list = &self.writes[reg.index()];
+        let older = &list[..list.partition_point(|&(s, _)| s < seq)];
         // Any older pending write blocks the read.
-        if self.pending.range((r, 0)..(r, seq)).next().is_some() {
+        if older.iter().any(|(_, state)| state.is_none()) {
             return RegRead::Wait;
         }
-        match self.versions.range((r, 0)..(r, seq)).next_back() {
-            Some((_, &v)) => RegRead::Ready(v),
-            None => RegRead::Ready(self.committed[reg.index()]),
+        match older.last() {
+            Some(&(_, Some(v))) => RegRead::Ready(v),
+            _ => RegRead::Ready(self.committed[reg.index()]),
         }
     }
 
     /// Commits block `seq`: its versions become the committed values.
     /// Returns the number of architectural writes performed.
     pub fn commit(&mut self, seq: u64) -> usize {
-        let keys: Vec<(u8, u64)> = self
-            .versions
-            .keys()
-            .copied()
-            .filter(|&(_, s)| s == seq)
-            .collect();
         let mut n = 0;
-        for (r, s) in keys {
-            let v = self.versions.remove(&(r, s)).expect("key exists");
-            self.committed[r as usize] = v;
-            n += 1;
+        for (list, committed) in self.writes.iter_mut().zip(&mut self.committed) {
+            let Ok(i) = list.binary_search_by_key(&seq, |&(s, _)| s) else {
+                continue;
+            };
+            // Pending entries of a committed block must all be resolved.
+            debug_assert!(list[i].1.is_some(), "commit with a pending write");
+            if let Some(v) = list[i].1 {
+                list.remove(i);
+                *committed = v;
+                n += 1;
+            }
         }
-        // Pending entries of a committed block must all be resolved.
-        debug_assert!(!self.pending.keys().any(|&(_, s)| s == seq));
         n
     }
 
     /// Squashes all speculative state of blocks with `seq >= from`.
     pub fn flush_from(&mut self, from: u64) {
-        self.versions.retain(|&(_, s), _| s < from);
-        self.pending.retain(|&(_, s), _| s < from);
+        for list in &mut self.writes {
+            list.truncate(list.partition_point(|&(s, _)| s < from));
+        }
+    }
+
+    /// `(reg, seq)` of every pending (or every forwarded) entry.
+    fn entries(&self, pending: bool) -> Vec<(u8, u64)> {
+        let mut out = Vec::new();
+        for (r, list) in self.writes.iter().enumerate() {
+            let wanted = list.iter().filter(|(_, state)| state.is_none() == pending);
+            out.extend(wanted.map(|&(s, _)| (r as u8, s)));
+        }
+        out
     }
 
     /// Outstanding declared-but-unforwarded writes `(reg, seq)` (debug).
     #[must_use]
     pub fn pending_entries(&self) -> Vec<(u8, u64)> {
-        self.pending.keys().copied().collect()
+        self.entries(true)
     }
 
     /// Forwarded speculative versions `(reg, seq)` (debug).
     #[must_use]
     pub fn version_entries(&self) -> Vec<(u8, u64)> {
-        self.versions.keys().copied().collect()
+        self.entries(false)
     }
 
     /// True if no speculative state is outstanding.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.versions.is_empty() && self.pending.is_empty()
+        self.writes.iter().all(Vec::is_empty)
     }
 }
 
