@@ -58,11 +58,23 @@ struct Line {
     lru: u64,
 }
 
+/// Lines per page of a bank's line store (fewer when one set is wider).
+const PAGE_LINES: usize = 32;
+
 /// One set-associative, LRU, write-back cache bank.
+///
+/// Lines live in fixed-size pages of whole sets, and a page is
+/// allocated the first time a line is installed in it: an empty page
+/// reads as all-invalid. A run touches a few hundred of the 4 MB L2's
+/// 65 536 lines, so building a bank writes a page table, not the lines.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CacheBank {
     geom: CacheGeometry,
-    lines: Vec<Line>,
+    /// `pages[set >> page_shift]` holds sets in ascending order, each
+    /// `ways` lines wide; empty until first install.
+    pages: Vec<Vec<Line>>,
+    /// log2 of the sets per page.
+    page_shift: u32,
     tick: u64,
     set_mask: u64,
     line_shift: u32,
@@ -73,8 +85,11 @@ impl CacheBank {
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
+        // Largest power of two of whole sets that fits a page.
+        let page_shift = (PAGE_LINES / geom.ways).clamp(1, sets).ilog2();
         CacheBank {
-            lines: vec![Line::default(); sets * geom.ways],
+            pages: vec![Vec::new(); sets >> page_shift],
+            page_shift,
             tick: 0,
             set_mask: (sets - 1) as u64,
             line_shift: geom.line_bytes.trailing_zeros(),
@@ -88,8 +103,26 @@ impl CacheBank {
         &self.geom
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        (((addr >> self.line_shift) & self.set_mask) as usize) * self.geom.ways
+    /// Page index and in-page line offset of the set holding `addr`.
+    fn set_of(&self, addr: u64) -> (usize, usize) {
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        let in_page = set & ((1 << self.page_shift) - 1);
+        (set >> self.page_shift, in_page * self.geom.ways)
+    }
+
+    /// The set holding `addr`; empty if its page was never installed.
+    fn set(&self, addr: u64) -> &[Line] {
+        let (page, base) = self.set_of(addr);
+        self.pages[page]
+            .get(base..base + self.geom.ways)
+            .unwrap_or(&[])
+    }
+
+    fn set_mut(&mut self, addr: u64) -> &mut [Line] {
+        let (page, base) = self.set_of(addr);
+        self.pages[page]
+            .get_mut(base..base + self.geom.ways)
+            .unwrap_or(&mut [])
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
@@ -106,9 +139,13 @@ impl CacheBank {
     /// line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessResult {
         self.tick += 1;
-        let base = self.set_of(addr);
+        let (page, base) = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let set = &mut self.lines[base..base + self.geom.ways];
+        let page = &mut self.pages[page];
+        if page.is_empty() {
+            page.resize(self.geom.ways << self.page_shift, Line::default());
+        }
+        let set = &mut page[base..base + self.geom.ways];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             line.dirty |= write;
@@ -132,19 +169,15 @@ impl CacheBank {
     /// True if the line containing `addr` is present.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let base = self.set_of(addr);
         let tag = self.tag_of(addr);
-        self.lines[base..base + self.geom.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.set(addr).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidates the line containing `addr` (directory-initiated).
     /// Returns `true` if a dirty copy was dropped (write-back needed).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let base = self.set_of(addr);
         let tag = self.tag_of(addr);
-        for l in &mut self.lines[base..base + self.geom.ways] {
+        for l in self.set_mut(addr) {
             if l.valid && l.tag == tag {
                 let was_dirty = l.dirty;
                 l.valid = false;
@@ -158,8 +191,8 @@ impl CacheBank {
     /// Invalidates every line (used only by tests and resets; composition
     /// changes deliberately do *not* flush, per §4.7).
     pub fn clear(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+        for page in &mut self.pages {
+            page.clear();
         }
     }
 
@@ -169,7 +202,7 @@ impl CacheBank {
     /// The order is deterministic (set-major, way-minor).
     pub fn evacuate(&mut self) -> Vec<(u64, bool)> {
         let mut drained = Vec::new();
-        for l in &mut self.lines {
+        for l in self.pages.iter_mut().flatten() {
             if l.valid {
                 drained.push((l.tag << self.line_shift, l.dirty));
                 *l = Line::default();
@@ -182,6 +215,125 @@ impl CacheBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bank written the obvious way: every line of every set in one
+    /// dense vector, built up front. The differential test below holds
+    /// the paged [`CacheBank`] to this, operation for operation.
+    struct DenseBank {
+        ways: usize,
+        lines: Vec<Line>,
+        tick: u64,
+        set_mask: u64,
+        line_shift: u32,
+    }
+
+    impl DenseBank {
+        fn new(geom: CacheGeometry) -> Self {
+            DenseBank {
+                ways: geom.ways,
+                lines: vec![Line::default(); geom.sets() * geom.ways],
+                tick: 0,
+                set_mask: (geom.sets() - 1) as u64,
+                line_shift: geom.line_bytes.trailing_zeros(),
+            }
+        }
+
+        fn set(&mut self, addr: u64) -> &mut [Line] {
+            let base = ((addr >> self.line_shift) & self.set_mask) as usize * self.ways;
+            &mut self.lines[base..base + self.ways]
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> AccessResult {
+            self.tick += 1;
+            let (tick, tag, shift) = (self.tick, addr >> self.line_shift, self.line_shift);
+            let set = self.set(addr);
+            if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.lru = tick;
+                line.dirty |= write;
+                return AccessResult::Hit;
+            }
+            let victim = (0..set.len())
+                .min_by_key(|&i| (set[i].valid, set[i].lru))
+                .expect("nonzero associativity");
+            let v = &mut set[victim];
+            let writeback = (v.valid && v.dirty).then(|| v.tag << shift);
+            *v = Line {
+                tag,
+                valid: true,
+                dirty: write,
+                lru: tick,
+            };
+            AccessResult::Miss { writeback }
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let tag = addr >> self.line_shift;
+            self.set(addr).iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let tag = addr >> self.line_shift;
+            match self.set(addr).iter_mut().find(|l| l.valid && l.tag == tag) {
+                Some(l) => {
+                    l.valid = false;
+                    std::mem::take(&mut l.dirty)
+                }
+                None => false,
+            }
+        }
+
+        fn clear(&mut self) {
+            self.lines.fill(Line::default());
+        }
+
+        fn evacuate(&mut self) -> Vec<(u64, bool)> {
+            let mut drained = Vec::new();
+            for l in self.lines.iter_mut().filter(|l| l.valid) {
+                drained.push((l.tag << self.line_shift, l.dirty));
+                *l = Line::default();
+            }
+            drained
+        }
+    }
+
+    proptest! {
+        /// Random operation sequences over geometries whose sets are
+        /// narrower than, as wide as and wider than a page (and a bank
+        /// smaller than one page): every result, write-back and drain
+        /// order equals the dense model's. Addresses fall in a window
+        /// of 4x the bank, so sets conflict and evict.
+        #[test]
+        fn paged_store_matches_dense_model(
+            ways in prop::sample::select(vec![1usize, 2, 3, 8, 64]),
+            sets in prop::sample::select(vec![1usize, 4, 64]),
+            ops in prop::collection::vec((0u8..16, 0u64..1 << 16, any::<bool>()), 1..300),
+        ) {
+            let geom = CacheGeometry { bytes: sets * ways * 64, line_bytes: 64, ways };
+            let window = (geom.bytes * 4) as u64;
+            let mut paged = CacheBank::new(geom);
+            let mut dense = DenseBank::new(geom);
+            for (op, addr, write) in ops {
+                let addr = addr * 8 % window;
+                match op {
+                    0..=9 => prop_assert_eq!(paged.access(addr, write), dense.access(addr, write)),
+                    10..=11 => prop_assert_eq!(paged.probe(addr), dense.probe(addr)),
+                    12..=13 => prop_assert_eq!(paged.invalidate(addr), dense.invalidate(addr)),
+                    14 => prop_assert_eq!(paged.evacuate(), dense.evacuate()),
+                    _ => {
+                        paged.clear();
+                        dense.clear();
+                    }
+                }
+            }
+            // Whatever is left drains identically, and every line the
+            // dense model holds is visible through the pages.
+            for l in dense.lines.iter().filter(|l| l.valid) {
+                prop_assert!(paged.probe(l.tag << dense.line_shift));
+            }
+            prop_assert_eq!(paged.evacuate(), dense.evacuate());
+        }
+    }
 
     fn small() -> CacheBank {
         CacheBank::new(CacheGeometry {

@@ -585,6 +585,9 @@ impl FaultStats {
 #[derive(Clone, Copy, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// `!plan.is_none()`, computed once: `plan` never changes after
+    /// `new`, and `active` is asked every cycle.
+    active: bool,
     prng: Prng,
     stats: FaultStats,
 }
@@ -595,6 +598,7 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
+            active: !plan.is_none(),
             prng: Prng::new(plan.seed),
             stats: FaultStats::default(),
         }
@@ -609,8 +613,9 @@ impl FaultInjector {
     /// True if this injector can ever fire (used to skip per-cycle work
     /// entirely on fault-free runs).
     #[must_use]
+    #[inline]
     pub fn active(&self) -> bool {
-        !self.plan.is_none()
+        self.active
     }
 
     /// What was injected so far.

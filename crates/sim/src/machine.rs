@@ -344,24 +344,29 @@ struct OpState {
     is_null: [bool; 3],
 }
 
-#[derive(Clone, Debug)]
+/// One core's cursor into its dispatch slice of a block,
+/// `tmpl.slices[part]`.
+#[derive(Clone, Copy, Debug)]
 struct DispatchState {
-    ids: Arc<[u8]>,
+    /// Index of the next instruction id of the slice to dispatch.
     next: usize,
+    /// Cycle the slice may start; `u64::MAX` until the core's fetch
+    /// command arrives.
     start_at: u64,
     done: bool,
 }
 
 /// Everything about a block that is identical across fetches of the
-/// same address: built once per address (per composition) and shared by
-/// refcount afterwards, so the fetch hot path never deep-clones a block
-/// or re-walks its dispatch slices.
+/// same address: built once per address (per composition) and shared
+/// afterwards — a fetch takes one handle to it, never a deep clone of
+/// the block or a walk of its dispatch slices.
 #[derive(Debug)]
 struct FetchTemplate {
-    block: Arc<Block>,
+    block: Block,
     /// Per participant core: instruction ids of its dispatch slice.
-    slices: Vec<Arc<[u8]>>,
+    slices: Vec<Box<[u8]>>,
     outputs_needed: usize,
+    /// Bitmask of store LSIDs the block declares.
     store_mask: u32,
 }
 
@@ -369,9 +374,9 @@ struct FetchTemplate {
 struct Blk {
     seq: u64,
     addr: BlockAddr,
-    block: Arc<Block>,
+    /// The block itself, its dispatch slices and its output counts.
+    tmpl: Arc<FetchTemplate>,
     ops: Vec<OpState>,
-    outputs_needed: usize,
     outputs_done: usize,
     resolved: bool,
     outcome: Option<ExitOutcome>,
@@ -385,8 +390,6 @@ struct Blk {
     conservative: bool,
     /// Bitmask of resolved store LSIDs (accepted or nulled).
     stores_resolved: u32,
-    /// Bitmask of store LSIDs the block declares.
-    store_mask: u32,
     /// Loads deferred by conservative ordering: `(part, inst id)`.
     deferred_loads: Vec<(usize, u8)>,
     dispatch: Vec<DispatchState>,
@@ -414,6 +417,13 @@ impl Blk {
             block_owner(self.addr, n)
         }
     }
+}
+
+/// The lowest part at or above `from` whose bit is set in `mask`.
+#[inline]
+fn next_part(mask: u32, from: usize) -> Option<usize> {
+    let rest = u64::from(mask) >> from;
+    (rest != 0).then(|| from + rest.trailing_zeros() as usize)
 }
 
 /// A scheduled execution completion.
@@ -463,7 +473,7 @@ struct Proc {
     program: EdgeProgram,
     /// Per-address fetch templates (see [`FetchTemplate`]); cleared on
     /// recomposition because dispatch slices depend on `n`.
-    fetch_cache: BTreeMap<BlockAddr, FetchTemplate>,
+    fetch_cache: BTreeMap<BlockAddr, Arc<FetchTemplate>>,
     predictor: ComposedPredictor,
     regs: RegFile,
     blocks: BlockWindow<Blk>,
@@ -496,10 +506,10 @@ struct Proc {
     exec_mask: u32,
     /// Monotonic counter feeding [`ExecDone::push_seq`].
     exec_pushes: u64,
-    /// Number of in-flight blocks with `runnable != 0`; lets the
-    /// dispatch stage and the event horizon skip the block scan when
-    /// nothing can dispatch.
-    dispatch_armed: usize,
+    /// Sequence numbers of the in-flight blocks with `runnable != 0`,
+    /// ascending: the only blocks the dispatch stage and the event
+    /// horizon look at.
+    armed: Vec<u64>,
     /// Last cycle this processor made observable protocol progress —
     /// the "heartbeat" the hard-fault watchdog listens to. Only read
     /// when the fault plan schedules kills.
@@ -576,7 +586,6 @@ pub struct Machine {
     can_skip: bool,
     /// Reusable scratch buffers for the per-cycle stages, so the hot
     /// loop never allocates. Each is empty between uses.
-    scratch_seqs: Vec<(u64, u32)>,
     scratch_ids: Vec<u8>,
     scratch_picks: Vec<(u64, u8)>,
     scratch_loads: Vec<(usize, u8)>,
@@ -623,7 +632,6 @@ impl Machine {
             trend: None,
             compose_stats: ComposeStats::default(),
             can_skip: !cfg.faults.has_per_cycle_draws(),
-            scratch_seqs: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_picks: Vec::new(),
             scratch_loads: Vec::new(),
@@ -937,7 +945,7 @@ impl Machine {
             exec: (0..n_cores).map(|_| BinaryHeap::new()).collect(),
             exec_mask: 0,
             exec_pushes: 0,
-            dispatch_armed: 0,
+            armed: Vec::new(),
             last_beat: 0,
             probe_round: 0,
             probe_deadline: None,
@@ -1247,7 +1255,7 @@ impl Machine {
             p.ready_mask = 0;
             p.exec = (0..new_n).map(|_| BinaryHeap::new()).collect();
             p.exec_mask = 0;
-            p.dispatch_armed = 0;
+            p.armed.clear();
             p.waiting_reads.clear();
             p.max_inflight = max_inflight;
             p.slots_free = max_inflight;
@@ -1367,18 +1375,18 @@ impl Machine {
             speculative: pending.hand_off_cycles > 0.0,
         });
         // First fetch of this address (since compose / recovery) builds
-        // the per-address template: an `Arc` of the block plus the
-        // per-core dispatch slices. Every later fetch is refcount
-        // bumps instead of a deep block clone and `n` slice walks.
+        // the per-address template: the block plus the per-core dispatch
+        // slices. Every later fetch is one refcount bump instead of a
+        // deep block clone and `n` slice walks.
         let Proc {
             fetch_cache,
             program,
             regs,
             ..
         } = &mut self.procs[pi];
-        let tmpl = fetch_cache.entry(pending.addr).or_insert_with(|| {
+        let tmpl = Arc::clone(fetch_cache.entry(pending.addr).or_insert_with(|| {
             let block = program.block(pending.addr).expect("caller checked");
-            FetchTemplate {
+            Arc::new(FetchTemplate {
                 slices: (0..n)
                     .map(|part| {
                         block
@@ -1389,39 +1397,23 @@ impl Machine {
                     .collect(),
                 outputs_needed: block.output_count(),
                 store_mask: block.store_lsids().iter().fold(0u32, |m, &l| m | (1 << l)),
-                block: Arc::new(block.clone()),
-            }
-        });
-        let block = Arc::clone(&tmpl.block);
-        let outputs_needed = tmpl.outputs_needed;
-        let store_mask = tmpl.store_mask;
-
-        // Per-core dispatch slices.
-        let dispatch: Vec<DispatchState> = tmpl
-            .slices
-            .iter()
-            .map(|ids| DispatchState {
-                ids: Arc::clone(ids),
-                next: 0,
-                start_at: u64::MAX,
-                done: false,
+                block: block.clone(),
             })
-            .collect();
+        }));
 
         // Declare register writes so younger readers wait (write mask is
         // part of the block header, known at fetch).
-        for &(_, reg) in block.writes() {
+        for &(_, reg) in tmpl.block.writes() {
             regs.declare_write(reg, seq);
         }
 
-        let nops = block.len();
+        let nops = tmpl.block.len();
         let conservative = self.procs[pi].violated_addrs.contains(&pending.addr);
         let mut blk = Blk {
             seq,
             addr: pending.addr,
-            block,
+            tmpl,
             ops: vec![OpState::default(); nops],
-            outputs_needed,
             outputs_done: 0,
             resolved: false,
             outcome: None,
@@ -1430,9 +1422,15 @@ impl Machine {
             committing: false,
             conservative,
             stores_resolved: 0,
-            store_mask,
             deferred_loads: Vec::new(),
-            dispatch,
+            dispatch: vec![
+                DispatchState {
+                    next: 0,
+                    start_at: u64::MAX,
+                    done: false,
+                };
+                n
+            ],
             dispatch_pending_cores: n,
             runnable: 0,
             t_init: now,
@@ -1606,7 +1604,7 @@ impl Machine {
             b.t_last_cmd = b.t_last_cmd.max(now);
             let ds = &mut b.dispatch[part];
             ds.start_at = now + u64::from(lat);
-            if ds.ids.is_empty() {
+            if b.tmpl.slices[part].is_empty() {
                 ds.done = true;
                 b.dispatch_pending_cores -= 1;
                 b.t_dispatch_done = b.t_dispatch_done.max(now);
@@ -1616,75 +1614,68 @@ impl Machine {
             }
         }
         if newly_armed {
-            p.dispatch_armed += 1;
+            // Blocks mostly arm oldest-first, but a block whose arrived
+            // slices all finished re-arms when a later command lands.
+            if let Err(at) = p.armed.binary_search(&seq) {
+                p.armed.insert(at, seq);
+            }
         }
     }
 
     fn dispatch_stage(&mut self, pi: usize) {
-        if self.procs[pi].dispatch_armed == 0 {
+        let p = &self.procs[pi];
+        if p.armed.is_empty() {
             return;
         }
         let now = self.now;
-        let n = self.procs[pi].n;
         let bw = self.cfg.core.dispatch_per_cycle;
-        // Only blocks with a runnable slice matter: every other slice is
-        // either `done` or still waiting for its fetch command
-        // (`start_at` unset), so the per-part scan would skip it without
-        // consuming budget. Filtering up front is behavior-neutral. The
-        // snapshot of `runnable` is safe to branch on inside the part
-        // loop because a part's processing only ever clears its own bit.
-        let mut seqs = std::mem::take(&mut self.scratch_seqs);
-        debug_assert!(seqs.is_empty());
-        seqs.extend(
-            self.procs[pi]
-                .blocks
-                .iter()
-                .filter(|(_, b)| b.runnable != 0)
-                .map(|(seq, b)| (seq, b.runnable)),
-        );
-        if seqs.is_empty() {
-            self.scratch_seqs = seqs;
-            return;
-        }
+        // Only armed blocks matter: every slice of any other block is
+        // either `done` or still waiting for its fetch command. Parts
+        // run in ascending order and, within a part, blocks oldest
+        // first; a part none of the armed blocks has a runnable slice
+        // on would find nothing to do. No bit is set during the stage
+        // (only a fetch command sets one), so the union taken here
+        // names every part that can make progress.
+        let mut parts = p.armed.iter().fold(0, |m, seq| m | p.blocks[seq].runnable);
         let mut to_dispatch = std::mem::take(&mut self.scratch_ids);
         debug_assert!(to_dispatch.is_empty());
-        let mut disarmed = 0;
-        for part in 0..n {
+        let mut disarmed = false;
+        while parts != 0 {
+            let part = parts.trailing_zeros() as usize;
+            parts &= parts - 1;
             if self.has_kills && self.dead[self.procs[pi].cores[part]] {
                 continue;
             }
             let mut budget = bw;
-            for &(seq, runnable) in &seqs {
+            for i in 0..self.procs[pi].armed.len() {
                 if budget == 0 {
                     break;
                 }
-                if runnable & (1 << part) == 0 {
-                    continue;
-                }
+                let seq = self.procs[pi].armed[i];
                 // Collect ids to dispatch this cycle.
                 to_dispatch.clear();
                 {
-                    let b = match self.procs[pi].blocks.get_mut(&seq) {
-                        Some(b) => b,
-                        None => continue,
-                    };
-                    let ds = &mut b.dispatch[part];
-                    if ds.done || ds.start_at > now {
+                    let b = self.procs[pi].blocks.get_mut(&seq);
+                    let b = b.expect("armed blocks are in flight");
+                    if b.runnable & (1 << part) == 0 {
                         continue;
                     }
-                    while budget > 0 && ds.next < ds.ids.len() {
-                        to_dispatch.push(ds.ids[ds.next]);
-                        ds.next += 1;
-                        budget -= 1;
+                    let ds = &mut b.dispatch[part];
+                    debug_assert!(!ds.done);
+                    if ds.start_at > now {
+                        continue;
                     }
-                    if ds.next == ds.ids.len() {
+                    let ids = &b.tmpl.slices[part];
+                    let take = budget.min(ids.len() - ds.next);
+                    to_dispatch.extend_from_slice(&ids[ds.next..ds.next + take]);
+                    ds.next += take;
+                    budget -= take;
+                    if ds.next == ids.len() {
                         ds.done = true;
                         b.dispatch_pending_cores -= 1;
                         b.t_dispatch_done = b.t_dispatch_done.max(now);
                         b.runnable &= !(1 << part);
-                        if b.runnable == 0 {
-                            disarmed += 1;
-                        }
+                        disarmed |= b.runnable == 0;
                     }
                 }
                 for &id in &to_dispatch {
@@ -1692,11 +1683,12 @@ impl Machine {
                 }
             }
         }
-        self.procs[pi].dispatch_armed -= disarmed;
+        if disarmed {
+            let Proc { armed, blocks, .. } = &mut self.procs[pi];
+            armed.retain(|seq| blocks[seq].runnable != 0);
+        }
         to_dispatch.clear();
         self.scratch_ids = to_dispatch;
-        seqs.clear();
-        self.scratch_seqs = seqs;
     }
 
     fn dispatch_inst(&mut self, pi: usize, seq: u64, part: usize, id: u8) {
@@ -1710,7 +1702,7 @@ impl Machine {
             if let Some(pr) = b.prof.as_deref_mut() {
                 pr.disp[id as usize] = now;
             }
-            let inst = &b.block.instructions()[id as usize];
+            let inst = &b.tmpl.block.instructions()[id as usize];
             (inst.opcode, inst.reg, inst.targets)
         };
         match opcode {
@@ -1777,7 +1769,7 @@ impl Machine {
             let Some(b) = p.blocks.get_mut(&seq) else {
                 return;
             };
-            let inst = &b.block.instructions()[id as usize];
+            let inst = &b.tmpl.block.instructions()[id as usize];
             if inst.opcode == Opcode::Read {
                 return;
             }
@@ -1871,13 +1863,13 @@ impl Machine {
         if self.procs[pi].ready_mask == 0 {
             return;
         }
-        let n = self.procs[pi].n;
         let mut picks = std::mem::take(&mut self.scratch_picks);
         debug_assert!(picks.is_empty());
-        for part in 0..n {
-            if self.procs[pi].ready_mask & (1 << part) == 0 {
-                continue;
-            }
+        // Parts with a non-empty ready list, ascending; the mask is read
+        // again for each next part, as a scan testing every bit would.
+        let mut above = 0;
+        while let Some(part) = next_part(self.procs[pi].ready_mask, above) {
+            above = part + 1;
             if self.has_kills && self.dead[self.procs[pi].cores[part]] {
                 continue;
             }
@@ -1895,7 +1887,7 @@ impl Machine {
                     let (seq, id) = list[visited];
                     visited += 1;
                     let pick = p.blocks.get(&seq).is_some_and(|b| {
-                        let class = b.block.instructions()[id as usize].opcode.class();
+                        let class = b.tmpl.block.instructions()[id as usize].opcode.class();
                         if class != OpcodeClass::Float {
                             return true;
                         }
@@ -1941,7 +1933,7 @@ impl Machine {
             if let Some(pr) = b.prof.as_deref_mut() {
                 pr.issue[id as usize] = now;
             }
-            let inst = &b.block.instructions()[id as usize];
+            let inst = &b.tmpl.block.instructions()[id as usize];
             (
                 inst.opcode,
                 inst.imm,
@@ -2032,7 +2024,7 @@ impl Machine {
                     // this cannot deadlock).
                     let defer = {
                         let b = &self.procs[pi].blocks[&seq];
-                        let older = b.store_mask & ((1u32 << l) - 1);
+                        let older = b.tmpl.store_mask & ((1u32 << l) - 1);
                         b.conservative && older & !b.stores_resolved != 0
                     };
                     if defer {
@@ -2142,7 +2134,7 @@ impl Machine {
         let ea = ((left as i64).wrapping_add(imm) as u64).wrapping_add(self.procs[pi].addr_base);
         let (size, origin) = {
             let b = &self.procs[pi].blocks[&seq];
-            let size = match b.block.instructions()[id as usize].opcode {
+            let size = match b.tmpl.block.instructions()[id as usize].opcode {
                 Opcode::Ldb | Opcode::Stb => 1,
                 _ => 8,
             };
@@ -2187,11 +2179,10 @@ impl Machine {
             return;
         }
         let now = self.now;
-        let n = self.procs[pi].n;
-        for part in 0..n {
-            if self.procs[pi].exec_mask & (1 << part) == 0 {
-                continue;
-            }
+        // Parts with in-flight completions, ascending (see `issue_stage`).
+        let mut above = 0;
+        while let Some(part) = next_part(self.procs[pi].exec_mask, above) {
+            above = part + 1;
             if self.has_kills && self.dead[self.procs[pi].cores[part]] {
                 continue;
             }
@@ -2220,7 +2211,7 @@ impl Machine {
                     match p.blocks.get(&seq) {
                         Some(b) => (
                             true,
-                            b.block.instructions()[id as usize].targets,
+                            b.tmpl.block.instructions()[id as usize].targets,
                             b.prof.as_deref().map_or(0, |pr| pr.issue[id as usize]),
                         ),
                         None => (false, [None, None], 0),
@@ -2701,13 +2692,11 @@ impl Machine {
             if let Some(pred) = b.next_pred {
                 p.predictor.rollback(&pred);
             }
-            if b.runnable != 0 {
-                p.dispatch_armed -= 1;
-            }
             p.slots_free += 1;
             p.stats.blocks_flushed += 1;
         }
         if p.blocks.len() < before {
+            p.armed.truncate(p.armed.partition_point(|&s| s < from));
             // The block numbering restarts after the flushed range so
             // stale in-flight messages can never alias re-fetched blocks.
             p.regs.flush_from(from);
@@ -2824,8 +2813,8 @@ impl Machine {
                 // (in order) into the scratch buffer, the rest compact
                 // down without reordering or reallocating.
                 let resolved = b.stores_resolved;
-                let mask = b.store_mask;
-                let block = &b.block;
+                let mask = b.tmpl.store_mask;
+                let block = &b.tmpl.block;
                 let mut kept = 0;
                 for i in 0..b.deferred_loads.len() {
                     let (part, id) = b.deferred_loads[i];
@@ -2847,7 +2836,7 @@ impl Machine {
         for &(part, id) in &ready_loads {
             let (op_is_store, l, imm, left, right, targets) = {
                 let b = &self.procs[pi].blocks[&seq];
-                let inst = &b.block.instructions()[id as usize];
+                let inst = &b.tmpl.block.instructions()[id as usize];
                 let st = &b.ops[id as usize];
                 (
                     inst.opcode.is_store(),
@@ -2891,7 +2880,7 @@ impl Machine {
             let b = &self.procs[pi].blocks[&seq];
             !b.committing
                 && b.resolved
-                && b.outputs_done >= b.outputs_needed
+                && b.outputs_done >= b.tmpl.outputs_needed
                 && b.dispatch_pending_cores == 0
         };
         if !ready {
@@ -2911,7 +2900,7 @@ impl Machine {
         let mut reg_writes_per_bank = [0u32; 32];
         {
             let b = &self.procs[pi].blocks[&seq];
-            for &(_, reg) in b.block.writes() {
+            for &(_, reg) in b.tmpl.block.writes() {
                 reg_writes_per_bank[reg.bank_of(n)] += 1;
             }
         }
@@ -2983,7 +2972,7 @@ impl Machine {
         {
             let p = &mut self.procs[pi];
             p.stats.blocks_committed += 1;
-            p.stats.insts_dispatched += b.block.len() as u64;
+            p.stats.insts_dispatched += b.tmpl.block.len() as u64;
             p.stats.insts_committed += fired as u64;
             // Fig 9a components for this committed block.
             p.stats.fetch_lat_sum.prediction += b.predict_cycles;
@@ -3348,11 +3337,36 @@ impl Machine {
 
     /// Panics unless the derived per-cycle state matches what it
     /// summarises: each ready list strictly ascending with its
-    /// `ready_mask` bit set iff it is non-empty, and the block window
-    /// consistent with every block filed under its own `seq`.
+    /// `ready_mask` bit set iff it is non-empty, each `exec_mask` bit set
+    /// iff that core has completions in flight, each `runnable` bit set
+    /// iff that slice's fetch command arrived and it is not done, the
+    /// armed list naming exactly the blocks with a runnable slice in
+    /// window order, and the block window consistent with every block
+    /// filed under its own `seq`.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         for (pi, p) in self.procs.iter().enumerate() {
+            for (part, q) in p.exec.iter().enumerate() {
+                assert_eq!(
+                    p.exec_mask >> part & 1 == 1,
+                    !q.is_empty(),
+                    "proc{pi} exec_mask bit {part}"
+                );
+            }
+            for (seq, b) in p.blocks.iter() {
+                for (part, ds) in b.dispatch.iter().enumerate() {
+                    assert_eq!(
+                        b.runnable >> part & 1 == 1,
+                        ds.start_at != u64::MAX && !ds.done,
+                        "proc{pi} block {seq} runnable bit {part}"
+                    );
+                }
+            }
+            let runnable = p.blocks.iter().filter(|(_, b)| b.runnable != 0);
+            assert!(
+                runnable.map(|(seq, _)| seq).eq(p.armed.iter().copied()),
+                "proc{pi} armed list"
+            );
             for (part, list) in p.ready.iter().enumerate() {
                 assert!(
                     list.windows(2).all(|w| w[0] < w[1]),
@@ -3423,14 +3437,13 @@ impl Machine {
             // Dispatch slices whose fetch command has arrived: exactly
             // the `runnable` bits (`start_at` stays `u64::MAX` until the
             // FetchCmd event — which the local horizon already covers).
-            if p.dispatch_armed > 0 {
-                for b in p.blocks.values() {
-                    let mut rm = b.runnable;
-                    while rm != 0 {
-                        let part = rm.trailing_zeros() as usize;
-                        rm &= rm - 1;
-                        h = h.min(b.dispatch[part].start_at);
-                    }
+            for seq in &p.armed {
+                let b = &p.blocks[seq];
+                let mut rm = b.runnable;
+                while rm != 0 {
+                    let part = rm.trailing_zeros() as usize;
+                    rm &= rm - 1;
+                    h = h.min(b.dispatch[part].start_at);
                 }
             }
         }
@@ -3676,13 +3689,13 @@ impl Machine {
                     "  blk {seq} @{:#x}: outputs {}/{} resolved={} committing={} disp_pending={}\n",
                     b.addr,
                     b.outputs_done,
-                    b.outputs_needed,
+                    b.tmpl.outputs_needed,
                     b.resolved,
                     b.committing,
                     b.dispatch_pending_cores
                 ));
                 for (i, st) in b.ops.iter().enumerate() {
-                    let inst = &b.block.instructions()[i];
+                    let inst = &b.tmpl.block.instructions()[i];
                     if !st.fired {
                         out.push_str(&format!(
                             "    i{i} {} disp={} queued={} got={:?} arity={} pred={}\n",
