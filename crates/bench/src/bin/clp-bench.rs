@@ -29,142 +29,74 @@
 //! `clp-hostbench` under `benchmark/` (see its README for the noise
 //! protocol).
 
+use clp_bench::par_suite;
+use clp_core::cli::{die, or_die, read_json, write_or_die, Flag, Spec};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::attribute_buckets;
 use clp_workloads::suite;
-use serde::Value;
-use std::sync::mpsc;
-use std::thread;
+use serde_json::{json, Value};
 
 /// The composition sizes of the regression matrix.
 const BENCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-struct Args {
-    out: String,
-    check: Option<String>,
-    threshold: f64,
-    explain: bool,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-bench: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "BENCH_suite.json".to_string(),
-        check: None,
-        threshold: 2.0,
-        explain: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--out" => args.out = flag_value("--out"),
-            "--check" => args.check = Some(flag_value("--check")),
-            "--explain" => args.explain = true,
-            "--threshold" => {
-                let v = flag_value("--threshold");
-                match v.parse() {
-                    Ok(t) if t >= 0.0 => args.threshold = t,
-                    _ => die(&format!("bad --threshold `{v}`")),
-                }
-            }
-            _ => die(&format!("unexpected argument `{a}`")),
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-bench",
+    about: "Measures the suite at 1/2/4/8/16 cores (clp-bench-v1) and gates it against a baseline.",
+    positionals: &[],
+    flags: &[
+        Flag::value("--out", "PATH", "write the measured suite here (default BENCH_suite.json)"),
+        Flag::value("--check", "BASELINE", "gate cycles per cell on BASELINE; exit 1 if worse"),
+        Flag::value("--threshold", "PCT", "regression allowed per cell, percent >= 0 (default 2)"),
+        Flag::switch("--explain", "attribute each regressed cell to buckets and its static floor"),
+    ],
+    epilog: "",
+};
 
 /// One measured cell: `(cores, cycles, ipc, run-level buckets json)`.
 type Cell = (usize, u64, f64, Value);
 
 fn measure_suite() -> Vec<(String, Vec<Cell>)> {
-    let workloads = suite::all();
-    let (tx, rx) = mpsc::channel();
-    thread::scope(|scope| {
-        for (idx, w) in workloads.iter().enumerate() {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let cw = compile_workload(w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                let obs = ObsOptions {
-                    profile: true,
-                    ..ObsOptions::default()
-                };
-                let cells: Vec<Cell> = BENCH_SIZES
-                    .iter()
-                    .map(|&n| {
-                        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(n), &obs)
-                            .unwrap_or_else(|e| panic!("{} on {n} cores: {e}", w.name));
-                        let report = r.profile.expect("profiled");
-                        let buckets = Value::Object(
-                            report
-                                .run_buckets()
-                                .iter()
-                                .map(|(b, c)| (b.label().to_string(), Value::UInt(c)))
-                                .collect(),
-                        );
-                        (n, r.stats.cycles, r.stats.procs[0].ipc(), buckets)
-                    })
-                    .collect();
-                tx.send((idx, (w.name.to_string(), cells)))
-                    .expect("receiver alive");
-            });
-        }
-        drop(tx);
-        let mut rows: Vec<Option<(String, Vec<Cell>)>> =
-            (0..workloads.len()).map(|_| None).collect();
-        for (idx, row) in rx {
-            rows[idx] = Some(row);
-        }
-        rows.into_iter().map(|r| r.expect("all sent")).collect()
+    let obs = ObsOptions {
+        profile: true,
+        ..ObsOptions::default()
+    };
+    par_suite(&suite::all(), |w| {
+        let cw = compile_workload(w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let cells: Vec<Cell> = BENCH_SIZES
+            .iter()
+            .map(|&n| {
+                let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(n), &obs)
+                    .unwrap_or_else(|e| panic!("{} on {n} cores: {e}", w.name));
+                let report = r.profile.expect("profiled");
+                let buckets = Value::Object(
+                    report
+                        .run_buckets()
+                        .iter()
+                        .map(|(b, c)| (b.label().to_string(), Value::UInt(c)))
+                        .collect(),
+                );
+                (n, r.stats.cycles, r.stats.procs[0].ipc(), buckets)
+            })
+            .collect();
+        (w.name.to_string(), cells)
     })
 }
 
 fn to_doc(rows: &[(String, Vec<Cell>)]) -> Value {
-    Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::String("clp-bench-v1".to_string()),
-        ),
-        (
-            "sizes".to_string(),
-            Value::Array(BENCH_SIZES.iter().map(|&n| Value::UInt(n as u64)).collect()),
-        ),
-        (
-            "workloads".to_string(),
-            Value::Array(
-                rows.iter()
-                    .map(|(name, cells)| {
-                        Value::Object(vec![
-                            ("name".to_string(), Value::String(name.clone())),
-                            (
-                                "runs".to_string(),
-                                Value::Array(
-                                    cells
-                                        .iter()
-                                        .map(|(n, cycles, ipc, buckets)| {
-                                            Value::Object(vec![
-                                                ("cores".to_string(), Value::UInt(*n as u64)),
-                                                ("cycles".to_string(), Value::UInt(*cycles)),
-                                                ("ipc".to_string(), Value::Float(*ipc)),
-                                                ("buckets".to_string(), buckets.clone()),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let workloads: Vec<Value> = rows
+        .iter()
+        .map(|(name, cells)| {
+            let runs: Vec<Value> = cells
+                .iter()
+                .map(|(cores, cycles, ipc, buckets)| {
+                    json!({"cores": cores, "cycles": cycles, "ipc": ipc, "buckets": buckets})
+                })
+                .collect();
+            json!({"name": name, "runs": runs})
+        })
+        .collect();
+    json!({"schema": "clp-bench-v1", "sizes": BENCH_SIZES, "workloads": workloads})
 }
 
 /// Baseline cells as `(workload, cores) -> (cycles, buckets)`.
@@ -204,28 +136,29 @@ fn static_floor(name: &str, cores: usize) -> Option<u64> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = SPEC.parse_env();
+    let out = args
+        .text("--out")
+        .unwrap_or_else(|| "BENCH_suite.json".into());
+    let threshold = or_die(args.num("--threshold", 0.0..)).unwrap_or(2.0);
+    let explain = args.switch("--explain");
     let rows = measure_suite();
     let doc = to_doc(&rows);
     // Always emit the measured suite (also under --check, so CI uploads
     // the fresh numbers a re-baseline can copy from).
-    std::fs::write(
-        &args.out,
-        serde_json::to_string_pretty(&doc).expect("serializes"),
-    )
-    .unwrap_or_else(|e| die(&format!("cannot write `{}`: {e}", args.out)));
+    write_or_die(
+        &out,
+        &serde_json::to_string_pretty(&doc).expect("serializes"),
+    );
     println!(
         "clp-bench: wrote {} workloads x {:?} cores to {}",
         rows.len(),
         BENCH_SIZES,
-        args.out
+        out
     );
 
-    if let Some(baseline_path) = &args.check {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{baseline_path}`: {e}")));
-        let baseline = serde_json::from_str::<Value>(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse `{baseline_path}`: {e}")));
+    if let Some(baseline_path) = &args.text("--check") {
+        let baseline = read_json(baseline_path);
         let mut regressions = Vec::new();
         for ((name, cores), (want, want_buckets)) in baseline_cells(&baseline) {
             let got = rows
@@ -236,12 +169,12 @@ fn main() {
                 None => regressions.push(format!("{name} x{cores}: cell disappeared")),
                 Some((_, got, _, got_buckets)) => {
                     let delta = 100.0 * (*got as f64 / want as f64 - 1.0);
-                    if delta > args.threshold {
+                    if delta > threshold {
                         let mut msg = format!(
                             "{name} x{cores}: {want} -> {got} cycles ({delta:+.2}% > {:.2}%)",
-                            args.threshold
+                            threshold
                         );
-                        if args.explain {
+                        if explain {
                             // Attribute the regression to the buckets
                             // that moved, largest movers first.
                             for e in attribute_buckets(&want_buckets, got_buckets).iter().take(3) {
@@ -273,7 +206,7 @@ fn main() {
             println!(
                 "clp-bench: {} cells within {:.2}% of {baseline_path}",
                 baseline_cells(&baseline).len(),
-                args.threshold
+                threshold
             );
         } else {
             eprintln!("clp-bench: {} regressed cells:", regressions.len());

@@ -24,78 +24,27 @@
 //! [`clp_alloc::SpeedupCurve::analytic`].
 
 use clp_alloc::SpeedupCurve;
+use clp_core::cli::{die, or_die, read_json, Flag, Spec, SUITE};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_lint::{bound_program, LintConfig, ProgramBound};
-use clp_workloads::suite;
-use serde::Value;
+use serde_json::{json, Value};
 
-const DEFAULT_CORES: [usize; 5] = [1, 2, 4, 8, 16];
-
-struct Args {
-    workloads: Vec<String>,
-    cores: Vec<usize>,
-    json: bool,
-    check: Option<String>,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-bound: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Vec::new(),
-        cores: DEFAULT_CORES.to_vec(),
-        json: false,
-        check: None,
-    };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
-            "--json" => args.json = true,
-            "--check" => args.check = Some(flag_value("--check")),
-            "--cores" => {
-                let v = flag_value("--cores");
-                let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                match parsed {
-                    Ok(cs) if !cs.is_empty() && cs.iter().all(|&c| c > 0) => args.cores = cs,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
-            }
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) if c > 0 => args.cores = vec![c],
-                        _ => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-bound",
+    about: "Static per-block cycle/resource lower bounds, checked against the simulator.",
+    positionals: &["[WORKLOAD]", "[CORES]"],
+    flags: &[
+        SUITE,
+        Flag::switch("--json", "emit the clp-bound-v1 document instead of tables"),
+        Flag::value("--check", "BASELINE", "gate bound/measured per cell on BASELINE; exit 1 if off"),
+        Flag::value("--cores", "A,B,..", "composition sizes to sweep (default 1,2,4,8,16)"),
+    ],
+    epilog: "",
+};
 
 struct Cell {
-    workload: String,
+    workload: &'static str,
     cores: usize,
     bound: ProgramBound,
     measured: u64,
@@ -119,45 +68,45 @@ impl Cell {
     }
 
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("workload".to_string(), Value::String(self.workload.clone())),
-            ("cores".to_string(), Value::UInt(self.cores as u64)),
-            ("bound".to_string(), Value::UInt(self.bound.cycles)),
-            ("measured".to_string(), Value::UInt(self.measured)),
-            ("tightness".to_string(), Value::Float(self.tightness())),
-            (
-                "must_commit".to_string(),
-                Value::UInt(self.bound.must_commit),
-            ),
-            ("terminal".to_string(), Value::UInt(self.bound.terminal)),
-            ("work_floor".to_string(), Value::UInt(self.bound.work_floor)),
-        ])
+        let b = &self.bound;
+        json!({
+            "workload": (self.workload),
+            "cores": (self.cores),
+            "bound": (b.cycles),
+            "measured": (self.measured),
+            "tightness": (self.tightness()),
+            "must_commit": (b.must_commit),
+            "terminal": (b.terminal),
+            "work_floor": (b.work_floor)
+        })
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let args = SPEC.parse_env();
+    let workloads = or_die(args.workloads());
+    let mut sizes: Vec<usize> = match args.positional(1) {
+        Some(_) => or_die(args.cores()).into_iter().collect(),
+        None => or_die(args.nums("--cores", 1..)),
+    };
+    if sizes.is_empty() {
+        sizes = vec![1, 2, 4, 8, 16];
+    }
     let cfg = LintConfig::default();
     let mut cells: Vec<Cell> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
 
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
-        for &cores in &args.cores {
+    for w in &workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
+        for &cores in &sizes {
             let pb = bound_program(&cw.edge, &cfg, cores);
             let obs = ObsOptions {
                 profile: true,
                 ..ObsOptions::default()
             };
             let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
-                .unwrap_or_else(|e| die(&format!("{name} on {cores} cores: {e}")));
+                .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
             let measured = r.stats.cycles;
             if pb.cycles > measured {
                 violations.push(format!(
@@ -181,7 +130,7 @@ fn main() {
                 }
             }
             cells.push(Cell {
-                workload: name.clone(),
+                workload: name,
                 cores,
                 bound: pb,
                 measured,
@@ -189,60 +138,29 @@ fn main() {
         }
     }
 
-    let curves: Vec<(String, SpeedupCurve)> = args
-        .workloads
+    let curves: Vec<(&str, SpeedupCurve)> = workloads
         .iter()
-        .filter_map(|name| {
+        .filter_map(|w| {
             let samples: Vec<(usize, u64)> = cells
                 .iter()
-                .filter(|c| &c.workload == name)
+                .filter(|c| c.workload == w.name)
                 .map(|c| (c.cores, c.bound.cycles))
                 .collect();
             samples
                 .iter()
                 .any(|&(c, _)| c == 1)
-                .then(|| (name.clone(), SpeedupCurve::analytic(name, &samples)))
+                .then(|| (w.name, SpeedupCurve::analytic(w.name, &samples)))
         })
         .collect();
 
-    if args.json {
-        let doc = Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-bound-v1".to_string()),
-            ),
-            (
-                "cores".to_string(),
-                Value::Array(args.cores.iter().map(|&c| Value::UInt(c as u64)).collect()),
-            ),
-            (
-                "cells".to_string(),
-                Value::Array(cells.iter().map(Cell::to_json).collect()),
-            ),
-            (
-                "curves".to_string(),
-                Value::Array(
-                    curves
-                        .iter()
-                        .map(|(name, curve)| {
-                            Value::Object(vec![
-                                ("workload".to_string(), Value::String(name.clone())),
-                                (
-                                    "speedup".to_string(),
-                                    Value::Object(
-                                        curve
-                                            .speedup
-                                            .iter()
-                                            .map(|(&c, &s)| (c.to_string(), Value::Float(s)))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
+    if args.switch("--json") {
+        let curves: Vec<Value> = curves
+            .iter()
+            .map(|(name, curve)| json!({"workload": name, "speedup": (curve.speedup)}))
+            .collect();
+        let cells: Vec<Value> = cells.iter().map(Cell::to_json).collect();
+        let doc =
+            json!({"schema": "clp-bound-v1", "cores": sizes, "cells": cells, "curves": curves});
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("serializes")
@@ -256,7 +174,7 @@ fn main() {
                     "{:>6} {:>10} {:>10} {:>10}  floor",
                     "cores", "bound", "measured", "tightness"
                 );
-                last = &cell.workload;
+                last = cell.workload;
             }
             println!(
                 "{:>6} {:>10} {:>10} {:>9.2}x  {}",
@@ -282,13 +200,10 @@ fn main() {
     }
     let mut failed = !violations.is_empty();
 
-    if let Some(path) = &args.check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let doc: Value = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("bad json in {path}: {e}")));
+    if let Some(path) = &args.text("--check") {
+        let doc = read_json(path);
         let Value::Array(baseline) = &doc["cells"] else {
-            die(&format!("{path} has no `cells` array"));
+            die(format!("{path} has no `cells` array"));
         };
         let mut mismatches = 0usize;
         for want in baseline {
@@ -298,7 +213,7 @@ fn main() {
                 want["bound"].as_u64(),
                 want["measured"].as_u64(),
             ) else {
-                die(&format!("{path} has a malformed cell"));
+                die(format!("{path} has a malformed cell"));
             };
             let got = cells
                 .iter()

@@ -17,43 +17,26 @@
 //! Exit codes: 0 = compared (even if everything moved), 2 = usage or
 //! parse error.
 
+use clp_core::cli::{die, or_die, read_json, Flag, Spec};
 use clp_obs::diff_documents;
-use serde::Value;
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-diff: {msg}");
-    eprintln!("usage: clp-diff <before.json> <after.json> [--top N]");
-    std::process::exit(2);
-}
-
-fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-    serde_json::from_str::<Value>(&text)
-        .unwrap_or_else(|e| die(&format!("cannot parse `{path}`: {e}")))
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-diff",
+    about: "Attributes the delta between two measurement documents of the same schema.",
+    positionals: &["BEFORE.json", "AFTER.json"],
+    flags: &[Flag::value("--top", "N", "rows per section (default 10; 0 means unbounded)")],
+    epilog: "",
+};
 
 fn main() {
-    let mut files = Vec::new();
-    let mut top = 10usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => {
-                let v = it.next().unwrap_or_else(|| die("--top requires a value"));
-                match v.parse() {
-                    Ok(t) => top = t,
-                    Err(_) => die(&format!("bad --top `{v}`")),
-                }
-            }
-            _ => files.push(a),
-        }
-    }
-    let [before_path, after_path] = files.as_slice() else {
-        die("pass exactly two files");
+    let args = SPEC.parse_env();
+    let top: usize = or_die(args.num("--top", ..)).unwrap_or(10);
+    let [before_path, after_path] = args.positionals() else {
+        unreachable!("the table requires two files");
     };
-    let (before, after) = (load(before_path), load(after_path));
-    let report = diff_documents(&before, &after).unwrap_or_else(|e| die(&e));
+    let (before, after) = (read_json(before_path), read_json(after_path));
+    let report = diff_documents(&before, &after).unwrap_or_else(|e| die(e));
     println!("{} vs {} ({})", before_path, after_path, report.kind);
     print!("{}", report.render(top));
 }

@@ -9,128 +9,82 @@
 //! cargo run --release -p clp-bench --bin clp-lint -- --asm prog.edge
 //! ```
 //!
-//! `--json` emits the machine-readable diagnostics report instead of
-//! rendered text; `--allow <code>` silences a lint and
-//! `--deny <code>` promotes it to an error (codes accept `L001` or
-//! slug form, e.g. `dead-dataflow`); `--cores <n>` sets the composition
-//! size assumed by the placement and bound lints; `--bound` adds the
-//! L5xx static-cycle-bound lints, whose notes name the binding
-//! resource (dataflow height vs issue bandwidth vs NoC link) per
-//! block. Exits 1 if any error-severity diagnostic remains, 2 on usage
-//! or input errors.
+//! Lint codes are accepted as `L001` or in slug form (`dead-dataflow`);
+//! the L5xx bound lints' notes name the binding resource (dataflow
+//! height vs issue bandwidth vs NoC link) per block. `clp-lint --help`
+//! lists the flags and every lint code. Exits 1 if any error-severity
+//! diagnostic remains, 2 on usage or input errors.
 
+use clp_core::cli::{self, die, or_die, CliError, Flag, Spec, SUITE};
 use clp_core::compile_workload;
 use clp_isa::asm;
-use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport};
-use clp_workloads::suite;
+use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport, Severity};
+use clp_workloads::{suite, Workload};
 
-struct Args {
-    names: Vec<String>,
-    all: bool,
-    asm_path: Option<String>,
-    json: bool,
-    bound: bool,
-    cores: usize,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-lint: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_code(s: &str) -> LintCode {
-    LintCode::from_code(s).unwrap_or_else(|| die(&format!("unknown lint code `{s}`")))
-}
-
-fn parse_args(cfg: &mut LintConfig) -> Args {
-    let mut args = Args {
-        names: Vec::new(),
-        all: false,
-        asm_path: None,
-        json: false,
-        bound: false,
-        cores: 32,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => args.all = true,
-            "--asm" => args.asm_path = Some(flag_value("--asm")),
-            "--json" => args.json = true,
-            "--bound" => args.bound = true,
-            "--allow" => {
-                cfg.allow(parse_code(&flag_value("--allow")));
-            }
-            "--deny" => {
-                cfg.set_level(parse_code(&flag_value("--deny")), clp_lint::Severity::Error);
-            }
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) => args.cores = c,
-                    Err(_) => die(&format!("bad core count `{v}`")),
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: clp-lint [--suite | --asm FILE | WORKLOAD...] \
-                     [--json] [--bound] [--allow CODE] [--deny CODE] [--cores N]"
-                );
-                println!("\nlint codes:");
-                for &c in LintCode::ALL {
-                    println!(
-                        "  {} {:28} {:7} {}",
-                        c.code(),
-                        c.slug(),
-                        c.default_severity().to_string(),
-                        c.describes()
-                    );
-                }
-                std::process::exit(0);
-            }
-            _ if a.starts_with('-') => die(&format!("unknown flag `{a}`")),
-            _ => args.names.push(a),
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const FLAGS: [Flag; 7] = [
+    SUITE,
+    Flag::value("--asm", "FILE", "also lint an assembled program from disk"),
+    Flag::switch("--json", "emit the machine-readable diagnostics report"),
+    Flag::switch("--bound", "add the L5xx static-cycle-bound lints"),
+    Flag::repeated("--allow", "CODE", "silence a lint (L001 or slug form)"),
+    Flag::repeated("--deny", "CODE", "promote a lint to an error"),
+    Flag::value("--cores", "N", "composition size the placement/bound lints assume (default 32)"),
+];
 
 fn main() {
-    let mut cfg = LintConfig::default();
-    let args = parse_args(&mut cfg);
-    cfg.placement_cores = args.cores;
+    let mut codes = "lint codes:\n".to_string();
+    for &c in LintCode::ALL {
+        codes.push_str(&format!(
+            "  {} {:28} {:7} {}\n",
+            c.code(),
+            c.slug(),
+            c.default_severity().to_string(),
+            c.describes()
+        ));
+    }
+    let spec = Spec {
+        prog: "clp-lint",
+        about:
+            "Semantic static analysis of EDGE programs; exits 1 on an error-severity diagnostic.",
+        positionals: &["[WORKLOAD...]"],
+        flags: &FLAGS,
+        epilog: &codes,
+    };
+    let args = spec.parse_env();
+    let code = |s: &str| {
+        let unknown = || CliError::Usage(format!("unknown lint code `{s}`"));
+        or_die(LintCode::from_code(s).ok_or_else(unknown))
+    };
+    let mut cfg = LintConfig {
+        placement_cores: or_die(args.num("--cores", 1..)).unwrap_or(32),
+        ..LintConfig::default()
+    };
+    for s in args.texts("--allow") {
+        cfg.allow(code(s));
+    }
+    for s in args.texts("--deny") {
+        cfg.set_level(code(s), Severity::Error);
+    }
+    let workloads: Vec<Workload> = match (args.positionals(), args.switch(SUITE.name)) {
+        ([], true) => suite::all(),
+        (names, false) => names.iter().map(|n| or_die(cli::workload(n))).collect(),
+        _ => die("pass workload names or --suite, not both"),
+    };
+    let (json, bound) = (args.switch("--json"), args.switch("--bound"));
 
     // (label, program) pairs to lint.
     let mut programs = Vec::new();
-    if let Some(path) = &args.asm_path {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-        let prog = asm::parse_program(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        programs.push((path.clone(), prog));
+    if let Some(path) = args.text("--asm") {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
+        let prog = asm::parse_program(&text).unwrap_or_else(|e| die(format!("{path}: {e}")));
+        programs.push((path, prog));
     }
-    let names: Vec<String> = if args.all {
-        suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect()
-    } else {
-        args.names.clone()
-    };
-    for name in &names {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let all: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                all.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w)
-            .unwrap_or_else(|e| die(&format!("{name} does not compile: {e:?}")));
-        programs.push((name.clone(), cw.edge));
+    for w in &workloads {
+        let cw = compile_workload(w)
+            .unwrap_or_else(|e| die(format!("{} does not compile: {e:?}", w.name)));
+        programs.push((w.name.to_string(), cw.edge));
     }
     if programs.is_empty() {
         die("nothing to lint: pass workload names, --suite, or --asm FILE");
@@ -140,10 +94,10 @@ fn main() {
     let mut failed = false;
     for (label, prog) in &programs {
         let mut report = lint_program(prog, &cfg);
-        if args.bound {
+        if bound {
             report.diagnostics.extend(clp_lint::lint_bounds(prog, &cfg));
         }
-        if args.json {
+        if json {
             merged.diagnostics.extend(report.diagnostics.clone());
         } else if report.is_empty() {
             println!("{label}: clean");
@@ -152,7 +106,7 @@ fn main() {
         }
         failed |= report.has_errors();
     }
-    if args.json {
+    if json {
         println!("{}", merged.to_json());
     }
     std::process::exit(i32::from(failed));

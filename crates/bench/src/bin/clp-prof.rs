@@ -15,113 +15,55 @@
 //! * the hottest operand-mesh links on the critical path.
 //!
 //! `--json` replaces the tables with the pinned `clp-prof-v1` schema on
-//! stdout (one top-level object; per-run reports under `"runs"`).
-//! `--cores N` picks the composition size (default 16); `--top-links N`
-//! bounds the link list (default 8).
+//! stdout (one top-level object; per-run reports under `"runs"`);
+//! `clp-prof --help` lists the other flags.
 
+use clp_core::cli::{die, or_die, Flag, Spec, SUITE};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
-use clp_workloads::suite;
-use serde::Value;
+use serde_json::{json, Value};
 
-struct Args {
-    workloads: Vec<String>,
-    cores: usize,
-    json: bool,
-    top_links: usize,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-prof: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Vec::new(),
-        cores: 16,
-        json: false,
-        top_links: 8,
-    };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
-            "--json" => args.json = true,
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) if c > 0 => args.cores = c,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
-            }
-            "--top-links" => {
-                let v = flag_value("--top-links");
-                match v.parse() {
-                    Ok(c) => args.top_links = c,
-                    Err(_) => die(&format!("bad --top-links `{v}`")),
-                }
-            }
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-prof",
+    about: "Critical-path extraction and top-down cycle accounting for composed processors.",
+    positionals: &["[WORKLOAD]", "[CORES]"],
+    flags: &[
+        SUITE,
+        Flag::switch("--json", "emit the clp-prof-v1 document instead of tables"),
+        Flag::value("--cores", "N", "composition size (default 16)"),
+        Flag::value("--top-links", "N", "hottest mesh links to list (default 8)"),
+    ],
+    epilog: "",
+};
 
 fn main() {
-    let args = parse_args();
+    let args = SPEC.parse_env();
+    let workloads = or_die(args.workloads());
+    let cores = or_die(args.cores()).unwrap_or(16);
+    let top_links: usize = or_die(args.num("--top-links", ..)).unwrap_or(8);
+    let json = args.switch("--json");
     let mut runs: Vec<Value> = Vec::new();
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
+    for w in &workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
         let obs = ObsOptions {
             profile: true,
             ..ObsOptions::default()
         };
-        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(args.cores), &obs)
-            .unwrap_or_else(|e| die(&format!("{name} on {} cores: {e}", args.cores)));
+        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
+            .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
         let report = r.profile.expect("profiling was enabled");
-        if args.json {
-            runs.push(Value::Object(vec![
-                ("workload".to_string(), Value::String(name.clone())),
-                ("cores".to_string(), Value::UInt(args.cores as u64)),
-                ("cycles".to_string(), Value::UInt(r.stats.cycles)),
-                ("ipc".to_string(), Value::Float(r.stats.procs[0].ipc())),
-                ("profile".to_string(), report.to_json_value()),
-            ]));
+        if json {
+            runs.push(json!({
+                "workload": name,
+                "cores": cores,
+                "cycles": (r.stats.cycles),
+                "ipc": (r.stats.procs[0].ipc()),
+                "profile": (report.to_json_value())
+            }));
         } else {
             println!(
-                "== {name} on {} cores: {} cycles, critical path {} ==",
-                args.cores,
+                "== {name} on {cores} cores: {} cycles, critical path {} ==",
                 r.stats.cycles,
                 report.crit_path_cycles()
             );
@@ -129,18 +71,12 @@ fn main() {
             println!("per-core critical cycles:");
             print!("{}", report.render_core_heatmap());
             println!("hottest operand links:");
-            print!("{}", report.render_links(args.top_links));
+            print!("{}", report.render_links(top_links));
             println!();
         }
     }
-    if args.json {
-        let doc = Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-prof-v1".to_string()),
-            ),
-            ("runs".to_string(), Value::Array(runs)),
-        ]);
+    if json {
+        let doc = json!({"schema": "clp-prof-v1", "runs": runs});
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("serializes")

@@ -13,169 +13,70 @@
 //! bucket breakdowns.
 //!
 //! `--json` replaces the tables with pinned `clp-trend-v1` documents on
-//! stdout (one top-level object; per-run reports under `"runs"`).
-//! `--cores N` picks the composition size (default 16); `--period N`
-//! the interval width in cycles (default 1000); `--paths a,b,c` records
-//! extra stats-registry columns; `--phase-window N` and `--threshold N`
-//! tune the change-point detector; `--perfetto <path>` additionally
-//! writes the series as Chrome counter tracks.
+//! stdout (one top-level object; per-run reports under `"runs"`);
+//! `clp-trend --help` lists the other flags.
 
+use clp_core::cli::{die, or_die, write_or_die, Flag, Spec, SUITE};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::TrendOptions;
-use clp_workloads::suite;
-use serde::Value;
+use serde_json::{json, Value};
 
-struct Args {
-    workloads: Vec<String>,
-    cores: usize,
-    json: bool,
-    period: u64,
-    paths: Vec<String>,
-    phase_window: usize,
-    threshold: u64,
-    perfetto: Option<String>,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-trend: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Vec::new(),
-        cores: 16,
-        json: false,
-        period: 1000,
-        paths: Vec::new(),
-        phase_window: 4,
-        threshold: 150,
-        perfetto: None,
-    };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
-            "--json" => args.json = true,
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) if c > 0 => args.cores = c,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
-            }
-            "--period" => {
-                let v = flag_value("--period");
-                match v.parse() {
-                    Ok(p) if p > 0 => args.period = p,
-                    _ => die(&format!("--period wants cycles >= 1, got `{v}`")),
-                }
-            }
-            "--paths" => {
-                let v = flag_value("--paths");
-                args.paths
-                    .extend(v.split(',').filter(|s| !s.is_empty()).map(String::from));
-            }
-            "--phase-window" => {
-                let v = flag_value("--phase-window");
-                match v.parse() {
-                    Ok(w) if w > 0 => args.phase_window = w,
-                    _ => die(&format!("bad --phase-window `{v}`")),
-                }
-            }
-            "--threshold" => {
-                let v = flag_value("--threshold");
-                match v.parse() {
-                    Ok(t) => args.threshold = t,
-                    Err(_) => die(&format!("bad --threshold `{v}`")),
-                }
-            }
-            "--perfetto" => args.perfetto = Some(flag_value("--perfetto")),
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-trend",
+    about: "Deterministic time-series telemetry and phase detection for composed processors.",
+    positionals: &["[WORKLOAD]", "[CORES]"],
+    flags: &[
+        SUITE,
+        Flag::switch("--json", "emit clp-trend-v1 documents instead of tables"),
+        Flag::value("--cores", "N", "composition size (default 16)"),
+        Flag::value("--period", "CYCLES", "interval width (default 1000)"),
+        Flag::repeated("--paths", "A,B,..", "extra stats-registry columns to record"),
+        Flag::value("--phase-window", "N", "change-point detector window, intervals (default 4)"),
+        Flag::value("--threshold", "N", "change-point detector threshold (default 150)"),
+        Flag::value("--perfetto", "PATH", "also write the series as Chrome counter tracks"),
+    ],
+    epilog: "",
+};
 
 fn main() {
-    let args = parse_args();
+    let args = SPEC.parse_env();
+    let workloads = or_die(args.workloads());
+    let cores = or_die(args.cores()).unwrap_or(16);
     let trend_opts = TrendOptions {
-        period: args.period,
-        paths: args.paths.clone(),
-        phase_window: args.phase_window,
-        phase_threshold: args.threshold,
+        period: or_die(args.num("--period", 1..)).unwrap_or(1000),
+        paths: args.list("--paths"),
+        phase_window: or_die(args.num("--phase-window", 1..)).unwrap_or(4),
+        phase_threshold: or_die(args.num("--threshold", ..)).unwrap_or(150),
         ..TrendOptions::default()
     };
+    let (json, perfetto) = (args.switch("--json"), args.text("--perfetto"));
     let obs = ObsOptions {
         trend: Some(trend_opts),
         ..ObsOptions::default()
     };
     let mut runs: Vec<Value> = Vec::new();
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
-        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(args.cores), &obs)
-            .unwrap_or_else(|e| die(&format!("{name} on {} cores: {e}", args.cores)));
+    for w in &workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
+        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
+            .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
         let trend = r.trend.expect("trend recording was enabled");
-        if let Some(path) = &args.perfetto {
-            std::fs::write(path, trend.to_chrome_trace())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+        if let Some(path) = &perfetto {
+            write_or_die(path, &trend.to_chrome_trace());
             println!("[perfetto counters -> {path}]");
         }
-        if args.json {
-            runs.push(Value::Object(vec![
-                ("workload".to_string(), Value::String(name.clone())),
-                ("cores".to_string(), Value::UInt(args.cores as u64)),
-                ("trend".to_string(), trend.to_json_value()),
-            ]));
+        if json {
+            runs.push(json!({"workload": name, "cores": cores, "trend": (trend.to_json_value())}));
         } else {
-            println!(
-                "== {name} on {} cores: {} cycles ==",
-                args.cores, trend.cycles
-            );
+            println!("== {name} on {cores} cores: {} cycles ==", trend.cycles);
             print!("{}", trend.render_timeline());
             print!("{}", trend.render_phase_table());
             println!();
         }
     }
-    if args.json {
-        let doc = Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-trend-suite-v1".to_string()),
-            ),
-            ("runs".to_string(), Value::Array(runs)),
-        ]);
+    if json {
+        let doc = json!({"schema": "clp-trend-suite-v1", "runs": runs});
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("serializes")

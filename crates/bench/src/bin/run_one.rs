@@ -8,179 +8,84 @@
 //!     802.11b 16 --trace out.json --stats-json stats.json --sample-every 500
 //! ```
 //!
-//! `--trace <path>` writes a Chrome trace-event JSON file (open at
-//! <https://ui.perfetto.dev>); `--stats-json <path>` writes the unified
-//! [`clp_obs::StatsSnapshot`]; `--sample-every <cycles>` sets the
-//! interval-sampling period (default 1000 when `--stats-json` is given).
+//! `run_one --help` lists the flags (generated from the table below).
+//! What the one-liners there leave out:
 //!
-//! `--faults <spec>` attaches a deterministic fault-injection plan: a
-//! comma-separated list of `kind[=rate]` entries (rate in per-mille,
-//! default 25), or `all[=rate]` for every kind, e.g.
-//! `--faults noc_delay,forced_nack=100`. Kinds: `noc_delay`, `noc_burst`,
-//! `forced_nack`, `mispredict`, `dram_spike`, `handoff_delay`.
-//! `--fault-seed <n>` picks the PRNG stream (default 1); the same spec
-//! and seed always reproduce the same cycle count.
-//!
-//! `--lint` runs the [`clp_lint`] static analyses on the compiled
-//! program before simulating and refuses to run it if any
-//! error-severity diagnostic is found.
-//!
-//! `--bound` computes the clp-bound static cycle floor at the chosen
-//! composition size, prints it beside the measured cycles with the
-//! per-block component breakdown (which resource binds each block:
-//! dataflow height, issue bandwidth, NoC link, or dispatch), and
-//! renders the L5xx bound lints rustc-style.
-//!
-//! `--profile` enables the clp-prof cycle-accounting layer and prints
-//! the top-down breakdown, the per-core contribution heatmap, and the
-//! hottest mesh links after the run (see also the `clp-prof` binary for
-//! suite-wide tables and JSON output).
-//!
-//! `--trend` records the clp-trend columnar time series (bucket shares
-//! and IPC per interval) and prints the ASCII phase timeline after the
-//! run; `--phase-table` also prints the per-phase bucket breakdown
-//! table (and implies `--trend`). Both enable profiling so the bucket
-//! columns are populated; cycle counts stay bit-identical either way.
-//!
-//! `--kill-core ID@CYCLE` (repeatable, up to 4) schedules a *hard*
-//! kill: global core ID dies permanently at that cycle and the
-//! composition must detect it, migrate state, and recompose around the
-//! survivors. The schedule is exactly reproducible.
-//!
-//! `--max-cycles N` arms the per-run deadline watchdog: if the
-//! simulation crosses N cycles it is killed with a typed
-//! `DeadlineExceeded` error and run_one exits with code 4 — distinct
-//! from other run failures so wrappers (CI timeouts, clp-serve) can
-//! tell "job was slow" from "job is broken".
+//! * `--trace` files open at <https://ui.perfetto.dev>; `--stats-json`
+//!   writes the unified [`clp_obs::StatsSnapshot`].
+//! * `--faults` kinds: `noc_delay`, `noc_burst`, `forced_nack`,
+//!   `mispredict`, `dram_spike`, `handoff_delay`, e.g. `--faults
+//!   noc_delay,forced_nack=100`; the same spec and `--fault-seed` always
+//!   reproduce the same cycle count.
+//! * `--bound` also prints the per-block component breakdown (which
+//!   resource binds each block: dataflow height, issue bandwidth, NoC
+//!   link, or dispatch) and renders the L5xx bound lints rustc-style.
+//! * `--trend` / `--phase-table` enable profiling so the bucket columns
+//!   are populated; cycle counts stay bit-identical either way.
+//! * `--kill-core` is a *hard* kill: the core dies permanently and the
+//!   composition must detect it, migrate state, and recompose around the
+//!   survivors. The schedule is exactly reproducible.
+//! * `--max-cycles` kills the run with a typed `DeadlineExceeded` and
+//!   its own exit code, so wrappers (CI timeouts, clp-serve) can tell
+//!   "job was slow" from "job is broken".
 //!
 //! Exit codes tell failure modes apart: 1 = outputs diverged from the
 //! golden, 2 = usage error, 3 = the run itself failed (deadlock, cycle
 //! limit, invalid kill schedule — i.e. recovery failure), 4 = killed by
 //! the `--max-cycles` deadline.
 
+use clp_core::cli::{self, die, or_die, write_or_die, Flag, Spec};
 use clp_core::compile_workload;
 use clp_isa::Reg;
 use clp_obs::{ChromeTraceWriter, Tracer, TrendOptions};
 use clp_sim::{CoreKill, FaultPlan, Machine, RunError, SimConfig, ALL_FAULT_KINDS};
-use clp_workloads::suite;
 
-struct Args {
-    name: String,
-    cores: usize,
-    trace: Option<String>,
-    stats_json: Option<String>,
-    sample_every: Option<u64>,
-    faults: Option<String>,
-    fault_seed: u64,
-    kills: Vec<CoreKill>,
-    max_cycles: Option<u64>,
-    lint: bool,
-    bound: bool,
-    profile: bool,
-    trend: bool,
-    phase_table: bool,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("run_one: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        name: "gzip".to_string(),
-        cores: 32,
-        trace: None,
-        stats_json: None,
-        sample_every: None,
-        faults: None,
-        fault_seed: 1,
-        kills: Vec::new(),
-        max_cycles: None,
-        lint: false,
-        bound: false,
-        profile: false,
-        trend: false,
-        phase_table: false,
-    };
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--trace" => args.trace = Some(flag_value("--trace")),
-            "--stats-json" => args.stats_json = Some(flag_value("--stats-json")),
-            "--sample-every" => {
-                let v = flag_value("--sample-every");
-                match v.parse() {
-                    Ok(p) if p > 0 => args.sample_every = Some(p),
-                    _ => die(&format!("--sample-every wants a period >= 1, got `{v}`")),
-                }
-            }
-            "--lint" => args.lint = true,
-            "--bound" => args.bound = true,
-            "--profile" => args.profile = true,
-            "--trend" => args.trend = true,
-            "--phase-table" => {
-                args.phase_table = true;
-                args.trend = true;
-            }
-            "--faults" => args.faults = Some(flag_value("--faults")),
-            "--kill-core" => {
-                let v = flag_value("--kill-core");
-                match CoreKill::parse(&v) {
-                    Ok(k) => args.kills.push(k),
-                    Err(e) => die(&format!("bad --kill-core: {e}")),
-                }
-            }
-            "--max-cycles" => {
-                let v = flag_value("--max-cycles");
-                match v.parse() {
-                    Ok(n) if n > 0 => args.max_cycles = Some(n),
-                    _ => die(&format!("--max-cycles wants a budget >= 1, got `{v}`")),
-                }
-            }
-            "--fault-seed" => {
-                let v = flag_value("--fault-seed");
-                match v.parse() {
-                    Ok(s) => args.fault_seed = s,
-                    Err(_) => die(&format!("bad --fault-seed `{v}`")),
-                }
-            }
-            _ => {
-                match positional {
-                    0 => args.name = a,
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "run_one",
+    about: "Runs one workload at one composition; exits 1 wrong output, 3 run failed, 4 deadline.",
+    positionals: &["[WORKLOAD]", "[CORES]"],
+    flags: &[
+        Flag::value("--trace", "PATH", "write a Chrome trace-event JSON file"),
+        Flag::value("--stats-json", "PATH", "write the unified stats snapshot"),
+        Flag::value("--sample-every", "CYCLES", "sampling period (default 1000 with --stats-json)"),
+        Flag::switch("--lint", "lint the compiled program first; refuse to run on errors"),
+        Flag::switch("--bound", "print the static cycle floor beside the measured cycles"),
+        Flag::switch("--profile", "print the clp-prof breakdown, heatmap and hottest links"),
+        Flag::switch("--trend", "print the clp-trend phase timeline"),
+        Flag::switch("--phase-table", "also print the per-phase bucket table (implies --trend)"),
+        Flag::value("--faults", "SPEC", "fault plan: kind[=rate],.. or all[=rate] (per-mille; 25)"),
+        Flag::value("--fault-seed", "N", "fault PRNG stream (default 1)"),
+        Flag::repeated("--kill-core", "ID@CYCLE", "hard-kill global core ID at CYCLE (up to 4)"),
+        Flag::value("--max-cycles", "N", "deadline watchdog: exit 4 past N cycles"),
+    ],
+    epilog: "",
+};
 
 fn main() {
     // Nonzero exit on a failed or incorrect run, so CI smoke jobs can
     // gate on run_one directly.
     let mut exit_code = 0;
-    let args = parse_args();
-    let (name, n) = (args.name.as_str(), args.cores);
-    let w = suite::by_name(name).unwrap_or_else(|| {
-        let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-        die(&format!(
-            "unknown workload `{name}`; available: {}",
-            names.join(", ")
-        ))
+    let args = SPEC.parse_env();
+    let w = &or_die(cli::workload(args.positional(0).unwrap_or("gzip")));
+    let (name, n) = (w.name, or_die(args.cores()).unwrap_or(32));
+    let (trace, stats_json) = (args.text("--trace"), args.text("--stats-json"));
+    let sample_every: Option<u64> = or_die(args.num("--sample-every", 1..));
+    let faults = args.text("--faults");
+    let fault_seed: u64 = or_die(args.num("--fault-seed", ..)).unwrap_or(1);
+    let kills: Vec<CoreKill> = args
+        .texts("--kill-core")
+        .map(|v| CoreKill::parse(v).unwrap_or_else(|e| die(format!("bad --kill-core: {e}"))))
+        .collect();
+    let max_cycles: Option<u64> = or_die(args.num("--max-cycles", 1..));
+    let (lint, bound) = (args.switch("--lint"), args.switch("--bound"));
+    let (profile, phase_table) = (args.switch("--profile"), args.switch("--phase-table"));
+    let trend = args.switch("--trend") || phase_table;
+    let cw = compile_workload(w).unwrap_or_else(|e| {
+        println!("{name} on {n} cores FAILED: {e}");
+        std::process::exit(3);
     });
-    let cw = compile_workload(&w).expect("compiles");
-    if args.lint {
+    if lint {
         let cfg = clp_lint::LintConfig {
             placement_cores: n,
             ..clp_lint::LintConfig::default()
@@ -196,39 +101,37 @@ fn main() {
         }
     }
     // Fail on an unwritable output path now, not after a long run.
-    for path in args.trace.iter().chain(&args.stats_json) {
-        if let Err(e) = std::fs::write(path, "") {
-            die(&format!("cannot write `{path}`: {e}"));
-        }
+    for path in trace.iter().chain(&stats_json) {
+        write_or_die(path, "");
     }
     let mut cfg = SimConfig::tflex();
     cfg.max_cycles = 2_000_000;
-    cfg.deadline = args.max_cycles;
-    if let Some(spec) = &args.faults {
-        cfg.faults = FaultPlan::parse(spec, args.fault_seed)
-            .unwrap_or_else(|e| die(&format!("bad --faults spec: {e}")));
+    cfg.deadline = max_cycles;
+    if let Some(spec) = &faults {
+        cfg.faults = FaultPlan::parse(spec, fault_seed)
+            .unwrap_or_else(|e| die(format!("bad --faults spec: {e}")));
     }
-    for k in &args.kills {
+    for k in &kills {
         cfg.faults
             .add_kill(usize::from(k.core), k.cycle)
-            .unwrap_or_else(|e| die(&format!("bad --kill-core schedule: {e}")));
+            .unwrap_or_else(|e| die(format!("bad --kill-core schedule: {e}")));
     }
     let mut m = Machine::new(cfg);
-    if let Some(path) = &args.trace {
+    if let Some(path) = &trace {
         m.set_tracer(Tracer::new(ChromeTraceWriter::new(path)));
     }
-    if args.stats_json.is_some() || args.sample_every.is_some() {
-        m.set_sample_period(args.sample_every.unwrap_or(1000));
+    if stats_json.is_some() || sample_every.is_some() {
+        m.set_sample_period(sample_every.unwrap_or(1000));
     }
-    if args.profile {
+    if profile {
         m.enable_profiling();
     }
-    if args.trend {
-        if !args.profile {
+    if trend {
+        if !profile {
             m.enable_profiling();
         }
         m.enable_trend(TrendOptions {
-            period: args.sample_every.unwrap_or(1000),
+            period: sample_every.unwrap_or(1000),
             ..TrendOptions::default()
         });
     }
@@ -237,7 +140,7 @@ fn main() {
     }
     let pid = m
         .compose(n, 0, cw.edge.clone(), &w.args)
-        .unwrap_or_else(|e| die(&format!("cannot compose {n} cores: {e:?}")));
+        .unwrap_or_else(|e| die(format!("cannot compose {n} cores: {e:?}")));
     match m.run() {
         Ok(stats) => {
             let ret = m.register(pid, Reg::new(1));
@@ -249,7 +152,7 @@ fn main() {
             if !ok {
                 exit_code = 1;
             }
-            if args.faults.is_some() {
+            if faults.is_some() {
                 let fs = stats.faults;
                 let per_kind: Vec<String> = ALL_FAULT_KINDS
                     .iter()
@@ -259,12 +162,12 @@ fn main() {
                 println!(
                     "[faults: {} injected (seed {}){}{}]",
                     fs.total(),
-                    args.fault_seed,
+                    fault_seed,
                     if per_kind.is_empty() { "" } else { ": " },
                     per_kind.join(", ")
                 );
             }
-            if !args.kills.is_empty() {
+            if !kills.is_empty() {
                 let rec = stats.recovery;
                 println!(
                     "[recovery: {} killed, {} recoveries, detection {:.0} cycles, \
@@ -277,7 +180,7 @@ fn main() {
                     rec.degraded_ipc(),
                 );
             }
-            if args.bound {
+            if bound {
                 let lcfg = clp_lint::LintConfig {
                     placement_cores: n,
                     ..clp_lint::LintConfig::default()
@@ -318,22 +221,22 @@ fn main() {
                     print!("{}", clp_lint::render_report(&report, Some(&cw.edge)));
                 }
             }
-            if args.profile {
+            if profile {
                 let report = m.profile_report().expect("profiling enabled");
                 print!("{}", report.render_breakdown());
                 print!("{}", report.render_core_heatmap());
                 print!("{}", report.render_links(8));
             }
-            if args.trend {
+            if trend {
                 let trend = m.take_trend_report().expect("trend enabled");
                 print!("{}", trend.render_timeline());
-                if args.phase_table {
+                if phase_table {
                     print!("{}", trend.render_phase_table());
                 }
             }
             let snapshot = m.snapshot();
-            if let Some(path) = &args.stats_json {
-                std::fs::write(path, snapshot.to_json()).expect("can write stats");
+            if let Some(path) = &stats_json {
+                write_or_die(path, &snapshot.to_json());
                 println!(
                     "[stats -> {path}: {} intervals, ipc {:.2}]",
                     snapshot.intervals.len(),
@@ -356,7 +259,7 @@ fn main() {
             exit_code = 3;
         }
     }
-    if let Some(path) = &args.trace {
+    if let Some(path) = &trace {
         m.tracer().finish().expect("can write trace");
         println!("[trace -> {path}]");
     }

@@ -12,11 +12,11 @@
 //! ~6%; the allocation-fraction table shows mixed granularities within
 //! one workload size.
 
+use super::{warn_dropped, Ctx};
+use crate::{save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES};
 use clp_alloc::{
     fixed_cmp, granularity_fractions, optimal_clp, variable_best_cmp, Allocation, SpeedupCurve,
 };
-use clp_bench::cli::FigObs;
-use clp_bench::{save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES};
 use clp_workloads::suite;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -49,15 +49,14 @@ struct Out {
     failures: Vec<CellFailure>,
 }
 
-fn main() {
-    let fig = FigObs::parse_env("fig10");
+pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
+    let fig = &ctx.obs;
     // Measure the 12 hand-optimized speedup curves (Figure 6 data).
     let (rows, failures) =
         sweep_suite_resilient_observed(&suite::hand_optimized(), &SWEEP_SIZES, &fig.obs_options())
             .complete_rows();
-    for f in &failures {
-        eprintln!("warning: dropping failed cell {f}");
-    }
+    warn_dropped(&failures);
+    ctx.failed_cells += failures.len();
     let curves: Vec<SpeedupCurve> = rows
         .iter()
         .map(|r| {
@@ -165,4 +164,8 @@ fn main() {
         },
     );
     fig.save_sweep_snapshots(&rows);
+    Some(format!(
+        "Fig 10  TFlex over best fixed CMP: avg {avg_gain:+.1}% max {max_gain:+.1}% \
+         (paper +26%/+47%)"
+    ))
 }

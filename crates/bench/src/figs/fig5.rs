@@ -6,9 +6,9 @@
 //! like code slower. The reproduction checks the *shape*: hand-optimized
 //! >> compiled-INT, with compiled-INT at or below parity.
 
+use super::Ctx;
+use crate::{geomean, save_json};
 use clp_baseline::{run_baseline, BaselineConfig};
-use clp_bench::cli::FigObs;
-use clp_bench::{geomean, save_json};
 use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
 use clp_workloads::{suite, WorkloadClass};
 use serde::Serialize;
@@ -23,8 +23,8 @@ struct Row {
     relative: f64,
 }
 
-fn main() {
-    let fig = FigObs::parse_env("fig5");
+pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
+    let fig = &ctx.obs;
     let obs = fig.obs_options();
     let mut rows = Vec::new();
     let mut snapshots = Vec::new();
@@ -80,4 +80,5 @@ fn main() {
 
     save_json("fig5.json", &rows);
     fig.save_snapshots(snapshots);
+    None
 }

@@ -16,8 +16,8 @@
 //! the kill schedule derives from the clean run's cycle count, not from
 //! any wall clock.
 
-use clp_bench::cli::FigObs;
-use clp_bench::{geomean, save_json};
+use super::Ctx;
+use crate::{geomean, save_json};
 use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
 use clp_sim::FaultPlan;
 use clp_workloads::suite;
@@ -48,8 +48,8 @@ struct Row {
     degraded_ipc: f64,
 }
 
-fn main() {
-    let fig = FigObs::parse_env("fig_degraded");
+pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
+    let fig = &ctx.obs;
     let obs = fig.obs_options();
     let mut rows = Vec::new();
     let mut snapshots = Vec::new();
@@ -147,4 +147,5 @@ fn main() {
 
     save_json("fig_degraded.json", &rows);
     fig.save_snapshots(snapshots);
+    None
 }

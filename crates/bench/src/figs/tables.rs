@@ -1,8 +1,12 @@
-//! Table 2: component areas (mm² at 130 nm) and the average power
-//! breakdown of TRIPS versus an 8-core TFlex processor.
+//! Table 1: single-core TFlex microarchitectural parameters. Table 2:
+//! component areas (mm² at 130 nm) and the average power breakdown of
+//! TRIPS versus an 8-core TFlex processor.
 
-use clp_bench::{save_json, sweep_suite_resilient, CellFailure};
+use super::{warn_dropped, Ctx};
+use crate::{save_json, sweep_suite_resilient_observed, CellFailure};
+use clp_core::ObsOptions;
 use clp_power::PowerBreakdown;
+use clp_sim::{table1_text, SimConfig};
 use clp_workloads::suite;
 use serde::Serialize;
 
@@ -13,7 +17,16 @@ struct PowerRows {
     failures: Vec<CellFailure>,
 }
 
-fn main() {
+pub(super) fn table1(_: &mut Ctx) -> Option<String> {
+    println!("{}", table1_text(&SimConfig::tflex()));
+    println!();
+    println!("TRIPS baseline differences: 16 single-issue tiles, centralized");
+    println!("control/prediction at tile 0, operand-network bandwidth 1,");
+    println!("8 in-flight blocks (1K-instruction window).");
+    None
+}
+
+pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
     let area = clp_power::AreaModel::at_130nm();
     println!("{}", area.table());
     println!(
@@ -23,10 +36,10 @@ fn main() {
     println!();
 
     // Average power across the suite at the paper's two organizations.
-    let (rows, failures) = sweep_suite_resilient(&suite::all(), &[8]).complete_rows();
-    for f in &failures {
-        eprintln!("warning: dropping failed cell {f}");
-    }
+    let (rows, failures) =
+        sweep_suite_resilient_observed(&suite::all(), &[8], &ObsOptions::default()).complete_rows();
+    warn_dropped(&failures);
+    ctx.failed_cells += failures.len();
     let n = rows.len() as f64;
     let mut tflex8 = PowerBreakdown::default();
     let mut trips = PowerBreakdown::default();
@@ -62,4 +75,5 @@ fn main() {
             failures,
         },
     );
+    None
 }

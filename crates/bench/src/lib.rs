@@ -1,10 +1,16 @@
 //! # clp-bench — the evaluation harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md's
-//! experiment index): `table1`, `fig5`, `fig6`, `table2`, `fig7`, `fig8`,
-//! `fig9`, `fig10`, plus the `ablation_*` binaries for §6.4 and the
-//! design-choice studies. Each prints the same rows/series the paper
-//! reports and writes machine-readable JSON under `target/clp-results/`.
+//! Eight tools, one front door. `clp-fig <name>...` regenerates every
+//! table and figure of the paper from the registry in [`figs`] (see
+//! DESIGN.md's experiment index; `clp-fig list` prints it, `clp-fig all`
+//! runs EXPERIMENTS.md's list and closes with the paper-versus-measured
+//! table): each figure prints the rows/series the paper reports and
+//! writes machine-readable JSON under `target/clp-results/`. Beside it
+//! sit `run_one`, `clp-bench`, `clp-bound`, `clp-diff`, `clp-lint`,
+//! `clp-prof` and `clp-trend`. Every one of them declares its flags as a
+//! [`clp_core::cli::Spec`] table, so `<tool> --help` is generated from
+//! what the tool parses and usage errors share one format and exit
+//! code (2).
 //!
 //! This library holds the shared sweep machinery: parallel measurement of
 //! every workload at every composition size plus the TRIPS baseline, and
@@ -12,14 +18,18 @@
 
 #![warn(missing_docs)]
 
-use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig, RunOutcome};
+use clp_core::cli::{die, write_or_die};
+use clp_core::{
+    compile_workload, run_compiled_observed, CompiledWorkload, ObsOptions, ProcessorConfig,
+    RunOutcome,
+};
 use clp_workloads::{IlpClass, Workload};
 use serde::Serialize;
+use std::borrow::Borrow;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::thread;
 
-pub mod cli;
+pub mod figs;
 
 /// The composition sizes of the Figure 6–8 sweeps.
 pub const SWEEP_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -185,91 +195,60 @@ impl SweepOutcome {
     }
 }
 
-/// Sweeps every workload over `sizes` plus TRIPS, in parallel (one thread
-/// per workload), preserving input order. A failing cell is recorded in
-/// its row's `Result` and the sweep keeps going — one bad `(workload,
-/// size)` combination never kills a whole figure binary.
-#[must_use]
-pub fn sweep_suite_resilient(workloads: &[Workload], sizes: &[usize]) -> SweepOutcome {
-    sweep_suite_resilient_observed(workloads, sizes, &ObsOptions::default())
+/// Runs `f` on every workload in parallel (one thread per workload) and
+/// returns the results in input order. A panic in `f` is re-raised here
+/// once every thread has finished.
+pub fn par_suite<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + Sync) -> Vec<T> {
+    thread::scope(|scope| {
+        let handles: Vec<_> = workloads
+            .iter()
+            .map(|w| {
+                let f = &f;
+                scope.spawn(move || f(w))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
-/// Like [`sweep_suite_resilient`], with observability attached to every
-/// cell's run (the figure binaries thread their shared `--sample-every`
-/// / `--stats-json` flags through here; see [`cli::FigObs`]).
+/// Sweeps every workload over `sizes` plus TRIPS, in parallel (see
+/// [`par_suite`]), preserving input order, with `obs` attached to every
+/// cell's run (`clp-fig` threads its `--sample-every` / `--stats-json`
+/// flags through here; see [`figs::FigObs`]). A failing cell is
+/// recorded in its row's `Result` and the sweep keeps going — one bad
+/// `(workload, size)` combination never kills a whole figure.
 #[must_use]
 pub fn sweep_suite_resilient_observed(
     workloads: &[Workload],
     sizes: &[usize],
     obs: &ObsOptions,
 ) -> SweepOutcome {
-    let (tx, rx) = mpsc::channel();
-    thread::scope(|scope| {
-        for (idx, w) in workloads.iter().enumerate() {
-            let tx = tx.clone();
-            let sizes = sizes.to_vec();
-            scope.spawn(move || {
-                let row = match compile_workload(w) {
-                    Ok(cw) => {
-                        let tflex = sizes
-                            .iter()
-                            .map(|&n| {
-                                let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(n), obs)
-                                    .map_err(|e| e.to_string());
-                                (n, r)
-                            })
-                            .collect();
-                        let trips = run_compiled_observed(&cw, &ProcessorConfig::trips(), obs)
-                            .map_err(|e| e.to_string());
-                        RowResult {
-                            workload: w.clone(),
-                            tflex,
-                            trips,
-                        }
-                    }
-                    Err(e) => {
-                        // A compile failure fails every cell of the row.
-                        let msg = e.to_string();
-                        RowResult {
-                            workload: w.clone(),
-                            tflex: sizes.iter().map(|&n| (n, Err(msg.clone()))).collect(),
-                            trips: Err(msg),
-                        }
-                    }
-                };
-                tx.send((idx, row)).expect("receiver alive");
-            });
+    let run = |cw: &CompiledWorkload, cfg: ProcessorConfig| {
+        run_compiled_observed(cw, &cfg, obs).map_err(|e| e.to_string())
+    };
+    let rows = par_suite(workloads, |w| match compile_workload(w) {
+        Ok(cw) => RowResult {
+            workload: w.clone(),
+            tflex: sizes
+                .iter()
+                .map(|&n| (n, run(&cw, ProcessorConfig::tflex(n))))
+                .collect(),
+            trips: run(&cw, ProcessorConfig::trips()),
+        },
+        Err(e) => {
+            // A compile failure fails every cell of the row.
+            let msg = e.to_string();
+            RowResult {
+                workload: w.clone(),
+                tflex: sizes.iter().map(|&n| (n, Err(msg.clone()))).collect(),
+                trips: Err(msg),
+            }
         }
-        drop(tx);
-        let mut rows: Vec<Option<RowResult>> = (0..workloads.len()).map(|_| None).collect();
-        for (idx, row) in rx {
-            rows[idx] = Some(row);
-        }
-        SweepOutcome {
-            rows: rows.into_iter().map(|r| r.expect("all sent")).collect(),
-        }
-    })
-}
-
-/// Sweeps every workload over `sizes` plus TRIPS (see
-/// [`sweep_suite_resilient`]), insisting on a clean sweep.
-///
-/// # Panics
-///
-/// Panics if any cell fails — the correctness gate for the smoke tests.
-#[must_use]
-pub fn sweep_suite(workloads: &[Workload], sizes: &[usize]) -> Vec<BenchRow> {
-    let (rows, failures) = sweep_suite_resilient(workloads, sizes).complete_rows();
-    assert!(
-        failures.is_empty(),
-        "sweep failed: {}",
-        failures
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ")
-    );
-    rows
+    });
+    SweepOutcome { rows }
 }
 
 /// Geometric mean (the paper's cross-benchmark average).
@@ -283,48 +262,41 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Orders rows for the Figure 6 x-axis: low-ILP benchmarks first, then
-/// high-ILP, alphabetical within each group.
-pub fn order_by_ilp(rows: &mut [BenchRow]) {
+/// Orders rows (owned or borrowed) for the Figure 6 x-axis: low-ILP
+/// benchmarks first, then high-ILP, alphabetical within each group.
+pub fn order_by_ilp<R: Borrow<BenchRow>>(rows: &mut [R]) {
     rows.sort_by_key(|r| {
+        let w = &r.borrow().workload;
         (
-            match r.workload.ilp {
+            match w.ilp {
                 IlpClass::Low => 0,
                 IlpClass::High => 1,
             },
-            r.workload.name,
+            w.name,
         )
     });
 }
 
-/// The directory where binaries drop machine-readable results.
+/// The directory where the figures drop machine-readable results,
+/// created on first use; exits 2 if it cannot be.
 #[must_use]
 pub fn results_dir() -> PathBuf {
     let dir =
         PathBuf::from(std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into()))
             .join("clp-results");
-    std::fs::create_dir_all(&dir).expect("can create results dir");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        die(format!("cannot create `{}`: {e}", dir.display()));
+    }
     dir
 }
 
-/// Serializes `value` as pretty JSON into `target/clp-results/<name>`.
+/// Serializes `value` as pretty JSON into `target/clp-results/<name>`;
+/// exits 2 if the file cannot be written.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let path = results_dir().join(name);
     let json = serde_json::to_string_pretty(value).expect("serializable");
-    std::fs::write(&path, json).expect("can write results");
+    write_or_die(&path.to_string_lossy(), &json);
     println!("[saved {}]", path.display());
-}
-
-/// Reduced-size sweep used by the criterion benches and smoke tests:
-/// a few representative workloads at three sizes.
-#[must_use]
-pub fn smoke_rows() -> Vec<BenchRow> {
-    let names = ["conv", "tblook", "bezier"];
-    let workloads: Vec<Workload> = names
-        .iter()
-        .map(|n| clp_workloads::suite::by_name(n).expect("known"))
-        .collect();
-    sweep_suite(&workloads, &[1, 4, 16])
 }
 
 #[cfg(test)]
@@ -345,7 +317,7 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let outcome = sweep_suite_resilient(&workloads, &[1, 64]);
+        let outcome = sweep_suite_resilient_observed(&workloads, &[1, 64], &ObsOptions::default());
         assert!(!outcome.is_clean());
         let failures = outcome.failures();
         assert_eq!(failures.len(), 2, "one bad cell per workload");
@@ -367,7 +339,7 @@ mod tests {
     #[test]
     fn resilient_sweep_clean_run_is_complete() {
         let workloads = [clp_workloads::suite::by_name("conv").expect("known")];
-        let outcome = sweep_suite_resilient(&workloads, &[1, 4]);
+        let outcome = sweep_suite_resilient_observed(&workloads, &[1, 4], &ObsOptions::default());
         assert!(outcome.is_clean());
         let (rows, failures) = outcome.complete_rows();
         assert!(failures.is_empty());
@@ -377,7 +349,14 @@ mod tests {
 
     #[test]
     fn smoke_sweep_runs_and_orders() {
-        let mut rows = smoke_rows();
+        // A few representative workloads at three sizes.
+        let workloads: Vec<Workload> = ["conv", "tblook", "bezier"]
+            .iter()
+            .map(|n| clp_workloads::suite::by_name(n).expect("known"))
+            .collect();
+        let sweep = sweep_suite_resilient_observed(&workloads, &[1, 4, 16], &ObsOptions::default());
+        let (mut rows, failures) = sweep.complete_rows();
+        assert!(failures.is_empty(), "sweep failed: {}", failures[0]);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.cycles_at(1) >= r.cycles_at(16) / 64, "sane cycles");

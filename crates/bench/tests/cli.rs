@@ -1,0 +1,79 @@
+//! Pins, on the built binaries, the exit codes CI's `set -e` steps and
+//! wrappers rely on: 0 = ran and verified, 2 = usage error, 3 = the run
+//! itself failed, 4 = killed by the `--max-cycles` deadline.
+
+use std::process::{Command, Output};
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    // clp-fig creates its results directory under the target directory.
+    Command::new(exe)
+        .args(args)
+        .env("CARGO_TARGET_DIR", env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .unwrap_or_else(|e| panic!("{exe} does not start: {e}"))
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn usage_errors_exit_2_under_the_tool_name() {
+    let out = run(env!("CARGO_BIN_EXE_clp-fig"), &["nonsense"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("clp-fig: unknown figure `nonsense`"));
+
+    let out = run(env!("CARGO_BIN_EXE_clp-diff"), &["one.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "clp-diff: missing AFTER.json (--help for usage)\n"
+    );
+
+    // An unwritable --stats-json fails before the sweep, not after it.
+    let out = run(
+        env!("CARGO_BIN_EXE_clp-fig"),
+        &["fig6", "--stats-json", "/nonexistent-dir/stats.json"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("clp-fig: cannot write `/nonexistent-dir/stats.json`"));
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn help_is_generated_and_exits_0() {
+    let out = run(env!("CARGO_BIN_EXE_run_one"), &["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("usage: run_one [flags] [WORKLOAD] [CORES]"));
+    assert!(text.contains("--kill-core ID@CYCLE") && text.contains("(repeatable)"));
+}
+
+#[test]
+fn run_one_tells_its_failure_modes_apart() {
+    let exe = env!("CARGO_BIN_EXE_run_one");
+    let out = run(exe, &["conv", "1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("correct=true"));
+    // The deadline watchdog fired: slow, not broken.
+    assert_eq!(
+        run(exe, &["conv", "1", "--max-cycles", "10"]).status.code(),
+        Some(4)
+    );
+    // Core 9 is not in a 2-core composition: the run itself fails.
+    assert_eq!(
+        run(exe, &["conv", "2", "--kill-core", "9@100"])
+            .status
+            .code(),
+        Some(3)
+    );
+    assert_eq!(run(exe, &["conv", "0"]).status.code(), Some(2));
+}
+
+#[test]
+fn clp_fig_table1_prints_the_configured_core() {
+    let out = run(env!("CARGO_BIN_EXE_clp-fig"), &["table1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let want = clp_sim::table1_text(&clp_sim::SimConfig::tflex());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with(&want));
+}

@@ -5,8 +5,8 @@
 //! off, or null; (2) a `NullSink` run's wall-clock throughput stays
 //! within noise of a tracer-off run (the hooks are one branch, not a
 //! call); (3) the clp-prof layer's recording and backward walk stay
-//! within a generous wall-clock factor of the bare run (the CI guard on
-//! the `obs_overhead` bench's profiler-on column); (4) the clp-trend
+//! within a generous wall-clock factor of the bare run (the CI guard
+//! beside `clp-hostbench`'s `obs.profile_overhead_x`); (4) the clp-trend
 //! recorder is equally free — cycle counts with trend recording on stay
 //! bit-identical to the pinned goldens *and* to the committed
 //! `BENCH_baseline.json` cells, and its wall-clock cost stays within

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 mod adaptive;
+pub mod cli;
 mod multiprogram;
 mod run;
 

@@ -19,176 +19,88 @@
 //! <path>` reruns it and compares against the committed baseline with a
 //! latency/throughput threshold (default 10%), exiting 1 on regression.
 //!
-//! `--scope` turns on the clp-scope recorder and prints the fleet
-//! breakdown after the run; `--scope-json <path>` writes the full
-//! `clp-scope-v1` document and `--perfetto <path>` a Chrome trace-event
-//! file of the span trees and worker tracks. Scope is observational:
-//! with it off the run takes the identical code path, and with it on
-//! the `clp-serve-v1` report bytes do not change.
+//! `--scope` turns on the clp-scope recorder and prints its report
+//! after the run — run summary, fleet cycle-attribution book, service
+//! time series and phase table; `--scope-json <path>` writes the full
+//! `clp-scope-v1` document (with `--bench`, byte-for-byte the committed
+//! `SCOPE_serve.json`: CI `cmp`s them) and `--perfetto <path>` a Chrome
+//! trace-event file of the span trees and worker tracks. Scope is
+//! observational: with it off the run takes the identical code path,
+//! and with it on the `clp-serve-v1` report bytes do not change.
 //!
 //! Exit codes: 0 = drained with no check regression, 1 = `--check`
 //! found a regression, 2 = usage error.
 
+use clp_core::cli::{or_die, read_json, write_or_die, Flag, Spec};
 use clp_obs::ScopeOptions;
 use clp_serve::{arrivals, report, service, ServiceReport};
 
-struct Args {
-    jobs: usize,
-    seed: u64,
-    workers: usize,
-    queue_cap: usize,
-    degrade_at: usize,
-    mean_gap: u64,
-    budget: u64,
-    tight_every: usize,
-    tight_budget: u64,
-    retries: u32,
-    plant_panic: Vec<u64>,
-    kill_core: Vec<(u64, u64)>,
-    json: Option<String>,
-    bench: bool,
-    check: Option<String>,
-    threshold: f64,
-    scope: bool,
-    scope_period: u64,
-    scope_json: Option<String>,
-    perfetto: Option<String>,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-serve: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        jobs: 24,
-        seed: 7,
-        workers: 4,
-        queue_cap: 8,
-        degrade_at: 6,
-        mean_gap: 3_000,
-        budget: 200_000,
-        tight_every: 0,
-        tight_budget: 2_500,
-        retries: 3,
-        plant_panic: Vec::new(),
-        kill_core: Vec::new(),
-        json: None,
-        bench: false,
-        check: None,
-        threshold: 10.0,
-        scope: false,
-        scope_period: 5_000,
-        scope_json: None,
-        perfetto: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        macro_rules! parse_into {
-            ($field:expr, $flag:expr) => {{
-                let v = flag_value($flag);
-                match v.parse() {
-                    Ok(x) => $field = x,
-                    Err(_) => die(&format!("bad {} value `{v}`", $flag)),
-                }
-            }};
-        }
-        match a.as_str() {
-            "--jobs" => parse_into!(args.jobs, "--jobs"),
-            "--seed" => parse_into!(args.seed, "--seed"),
-            "--workers" => parse_into!(args.workers, "--workers"),
-            "--queue-cap" => parse_into!(args.queue_cap, "--queue-cap"),
-            "--degrade-at" => parse_into!(args.degrade_at, "--degrade-at"),
-            "--mean-gap" => parse_into!(args.mean_gap, "--mean-gap"),
-            "--budget" => parse_into!(args.budget, "--budget"),
-            "--tight-every" => parse_into!(args.tight_every, "--tight-every"),
-            "--tight-budget" => parse_into!(args.tight_budget, "--tight-budget"),
-            "--retries" => parse_into!(args.retries, "--retries"),
-            "--threshold" => parse_into!(args.threshold, "--threshold"),
-            "--plant-panic" => {
-                let v = flag_value("--plant-panic");
-                match v.parse() {
-                    Ok(id) => args.plant_panic.push(id),
-                    Err(_) => die(&format!("bad --plant-panic job id `{v}`")),
-                }
-            }
-            "--kill-core" => {
-                // JOB@CYCLE: job JOB's first attempt kills its (only)
-                // core at CYCLE — a guaranteed recovery failure.
-                let v = flag_value("--kill-core");
-                let parsed = v
-                    .split_once('@')
-                    .and_then(|(j, c)| Some((j.trim().parse().ok()?, c.trim().parse().ok()?)));
-                match parsed {
-                    Some(jc) => args.kill_core.push(jc),
-                    None => die(&format!("bad --kill-core `{v}` (expected JOB@CYCLE)")),
-                }
-            }
-            "--json" => args.json = Some(flag_value("--json")),
-            "--bench" => args.bench = true,
-            "--check" => args.check = Some(flag_value("--check")),
-            "--scope" => args.scope = true,
-            "--scope-period" => parse_into!(args.scope_period, "--scope-period"),
-            "--scope-json" => args.scope_json = Some(flag_value("--scope-json")),
-            "--perfetto" => args.perfetto = Some(flag_value("--perfetto")),
-            _ => die(&format!("unexpected argument `{a}`")),
-        }
-    }
-    args
-}
-
-/// The pinned benchmark configuration: fixed seed, a planted panic, a
-/// no-survivor core kill, and tight-budget jobs, so the committed
-/// `BENCH_serve.json` exercises every fault domain and reproduces
-/// byte-for-byte.
-fn bench_args(mut args: Args) -> Args {
-    args.jobs = 48;
-    args.seed = 42;
-    args.workers = 4;
-    args.queue_cap = 8;
-    args.degrade_at = 6;
-    args.mean_gap = 3_000;
-    args.budget = 200_000;
-    args.tight_every = 7;
-    args.tight_budget = 2_500;
-    args.retries = 3;
-    args.plant_panic = vec![5, 23];
-    args.kill_core = vec![(11, 800)];
-    args
-}
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    prog: "clp-serve",
+    about: "Generates a seeded job schedule, runs the service to full drain, and reports.",
+    positionals: &[],
+    flags: &[
+        Flag::value("--jobs", "N", "jobs to generate (default 24)"),
+        Flag::value("--seed", "N", "arrival and retry-jitter seed (default 7)"),
+        Flag::value("--workers", "N", "worker slots (default 4)"),
+        Flag::value("--queue-cap", "N", "submission-queue bound; arrivals beyond it are shed (8)"),
+        Flag::value("--degrade-at", "N", "queue depth that halves an arrival's composition (6)"),
+        Flag::value("--mean-gap", "TICKS", "mean interarrival gap (default 3000)"),
+        Flag::value("--budget", "CYCLES", "per-attempt cycle budget (default 200000)"),
+        Flag::value("--tight-every", "N", "every N-th job gets the tight budget; 0 = never (0)"),
+        Flag::value("--tight-budget", "CYCLES", "the tight budget (default 2500)"),
+        Flag::value("--retries", "N", "retries per job beyond the first attempt (default 3)"),
+        Flag::repeated("--plant-panic", "JOB", "job whose first attempt panics its worker"),
+        Flag::repeated("--kill-core", "JOB@CYCLE", "job whose first attempt kills its core"),
+        Flag::switch("--bench", "pin the whole schedule to the committed benchmark configuration"),
+        Flag::value("--json", "PATH", "write the clp-serve-v1 report"),
+        Flag::value("--check", "BASELINE", "gate against a clp-serve-v1 baseline; exit 1 if worse"),
+        Flag::value("--threshold", "PCT", "latency/throughput drift --check allows (default 10)"),
+        Flag::switch("--scope", "record with clp-scope and print its report"),
+        Flag::value("--scope-period", "TICKS", "scope time-series interval (default 5000)"),
+        Flag::value("--scope-json", "PATH", "write the clp-scope-v1 document"),
+        Flag::value("--perfetto", "PATH", "write span trees and worker tracks as a Chrome trace"),
+    ],
+    epilog: "",
+};
 
 fn main() {
-    let mut args = parse_args();
-    if args.bench {
-        args = bench_args(args);
-    }
+    let a = SPEC.parse_env();
+    let seed = or_die(a.num("--seed", ..)).unwrap_or(7);
     let acfg = arrivals::ArrivalConfig {
-        jobs: args.jobs,
-        seed: args.seed,
-        mean_gap: args.mean_gap.max(1),
-        budget: args.budget,
-        tight_every: args.tight_every,
-        tight_budget: args.tight_budget,
-        plant_panic: args.plant_panic.clone(),
-        kill_at: args.kill_core.clone(),
+        jobs: or_die(a.num("--jobs", ..)).unwrap_or(24),
+        seed,
+        mean_gap: or_die(a.num("--mean-gap", ..)).unwrap_or(3_000).max(1),
+        budget: or_die(a.num("--budget", ..)).unwrap_or(200_000),
+        tight_every: or_die(a.num("--tight-every", ..)).unwrap_or(0),
+        tight_budget: or_die(a.num("--tight-budget", ..)).unwrap_or(2_500),
+        plant_panic: or_die(a.nums("--plant-panic", ..)),
+        kill_at: or_die(a.pairs("--kill-core")),
     };
     let scfg = service::ServiceConfig {
-        workers: args.workers.max(1),
-        queue_cap: args.queue_cap.max(1),
-        degrade_at: args.degrade_at.max(1),
-        max_retries: args.retries,
-        seed: args.seed,
+        workers: or_die(a.num("--workers", ..)).unwrap_or(4).max(1),
+        queue_cap: or_die(a.num("--queue-cap", ..)).unwrap_or(8).max(1),
+        degrade_at: or_die(a.num("--degrade-at", ..)).unwrap_or(6).max(1),
+        max_retries: or_die(a.num("--retries", ..)).unwrap_or(3),
+        seed,
         ..service::ServiceConfig::default()
     };
+    // The scheduling flags are validated even under --bench, then
+    // replaced wholesale by the pinned specification.
+    let (acfg, scfg) = if a.switch("--bench") {
+        clp_serve::bench_spec()
+    } else {
+        (acfg, scfg)
+    };
+    let threshold: f64 = or_die(a.num("--threshold", ..)).unwrap_or(10.0);
+    let scope_period: u64 = or_die(a.num("--scope-period", ..)).unwrap_or(5_000);
+    let (scope_json, perfetto) = (a.text("--scope-json"), a.text("--perfetto"));
+
     let schedule = arrivals::generate(&acfg);
-    let want_scope = args.scope || args.scope_json.is_some() || args.perfetto.is_some();
-    let sopts = want_scope.then(|| ScopeOptions {
-        period: args.scope_period.max(1),
+    let want_scope = a.switch("--scope") || scope_json.is_some() || perfetto.is_some();
+    let sopts = want_scope.then_some(ScopeOptions {
+        period: scope_period.max(1),
     });
     let (result, scope) = service::serve_scoped(schedule, &scfg, sopts.as_ref());
     let rep = ServiceReport::new(&acfg, &scfg, &result);
@@ -226,38 +138,30 @@ fn main() {
         t.drained_at,
     );
 
-    if let Some(path) = &args.json {
-        std::fs::write(path, rep.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+    if let Some(path) = &a.text("--json") {
+        write_or_die(path, &rep.to_json());
         println!("[report -> {path}]");
     }
     if let Some(sr) = &scope {
-        if args.scope {
+        if a.switch("--scope") {
             println!("{}", sr.render_summary());
             print!("{}", sr.render_fleet());
+            print!("{}", sr.series.render_timeline());
+            print!("{}", sr.series.render_phase_table());
         }
-        if let Some(path) = &args.scope_json {
-            std::fs::write(path, sr.to_json())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+        if let Some(path) = &scope_json {
+            write_or_die(path, &sr.to_json());
             println!("[scope -> {path}]");
         }
-        if let Some(path) = &args.perfetto {
-            std::fs::write(path, sr.to_perfetto())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+        if let Some(path) = &perfetto {
+            write_or_die(path, &sr.to_perfetto());
             println!("[perfetto -> {path}]");
         }
     }
-    if let Some(path) = &args.check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline `{path}`: {e}")));
-        let baseline: serde::Value = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("baseline `{path}` is not JSON: {e}")));
-        let regressions = report::check(&baseline, &rep, args.threshold);
+    if let Some(path) = &a.text("--check") {
+        let regressions = report::check(&read_json(path), &rep, threshold);
         if regressions.is_empty() {
-            println!(
-                "[check: OK against {path} (threshold {:.0}%)]",
-                args.threshold
-            );
+            println!("[check: OK against {path} (threshold {:.0}%)]", threshold);
         } else {
             for r in &regressions {
                 eprintln!("clp-serve: REGRESSION: {r}");

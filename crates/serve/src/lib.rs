@@ -65,3 +65,31 @@ pub use report::{check, ServiceReport, SCHEMA};
 pub use service::{
     serve, serve_scoped, JobRecord, ServiceConfig, ServiceDetail, ServiceResult, ServiceTotals,
 };
+
+/// The pinned benchmark specification behind `clp-serve --bench`, the
+/// committed `BENCH_serve.json` / `SCOPE_serve.json` goldens and the
+/// tests that replay them: fixed seed, two planted panics, a
+/// no-survivor core kill and tight-budget jobs, so one run exercises
+/// every fault domain and reproduces byte-for-byte.
+#[must_use]
+pub fn bench_spec() -> (ArrivalConfig, ServiceConfig) {
+    let acfg = ArrivalConfig {
+        jobs: 48,
+        seed: 42,
+        mean_gap: 3_000,
+        budget: 200_000,
+        tight_every: 7,
+        tight_budget: 2_500,
+        plant_panic: vec![5, 23],
+        kill_at: vec![(11, 800)],
+    };
+    let scfg = ServiceConfig {
+        workers: 4,
+        queue_cap: 8,
+        degrade_at: 6,
+        max_retries: 3,
+        seed: 42,
+        ..ServiceConfig::default()
+    };
+    (acfg, scfg)
+}

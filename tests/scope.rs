@@ -12,35 +12,9 @@
 use clp::obs::{ScopeOptions, ScopeReport, Terminal};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    serve_scoped, ServiceConfig, ServiceReport,
+    bench_spec, serve_scoped, ServiceConfig, ServiceReport,
 };
 use proptest::prelude::*;
-
-/// The exact configuration `clp-serve --bench` / `clp-scope --bench`
-/// pin, so this suite guards the same run CI replays.
-fn bench_arrivals() -> ArrivalConfig {
-    ArrivalConfig {
-        jobs: 48,
-        seed: 42,
-        mean_gap: 3_000,
-        budget: 200_000,
-        tight_every: 7,
-        tight_budget: 2_500,
-        plant_panic: vec![5, 23],
-        kill_at: vec![(11, 800)],
-    }
-}
-
-fn bench_cfg() -> ServiceConfig {
-    ServiceConfig {
-        workers: 4,
-        queue_cap: 8,
-        degrade_at: 6,
-        max_retries: 3,
-        seed: 42,
-        ..ServiceConfig::default()
-    }
-}
 
 /// Asserts every structural span invariant on one scope report.
 fn assert_span_invariants(rep: &ScopeReport) {
@@ -140,8 +114,9 @@ fn assert_span_invariants(rep: &ScopeReport) {
 
 #[test]
 fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
-    let acfg = bench_arrivals();
-    let scfg = bench_cfg();
+    // The exact configuration `clp-serve --bench` pins, so this suite
+    // guards the same run CI replays.
+    let (acfg, scfg) = bench_spec();
     let opts = ScopeOptions::default();
     let run = || serve_scoped(arrivals::generate(&acfg), &scfg, Some(&opts));
 
@@ -165,7 +140,7 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
         scope_a.to_json(),
         golden,
         "replay diverged from SCOPE_serve.json; regenerate with \
-         `clp-scope --bench --json SCOPE_serve.json` if intentional"
+         `clp-serve --bench --scope-json SCOPE_serve.json` if intentional"
     );
 
     // Scope is observational: the clp-serve-v1 document of the scope-on
