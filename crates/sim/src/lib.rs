@@ -22,6 +22,12 @@
 //! * misprediction rollback with exact repair of speculative predictor
 //!   state.
 //!
+//! Each protocol is one module under `src/machine/` (`fetch.rs`,
+//! `dispatch.rs`, `execute.rs`, `operand.rs`, `commit.rs`, plus
+//! `recovery.rs` for hard faults); the header of `machine/mod.rs` is the
+//! module map, and DESIGN.md ("Machine anatomy") tabulates the state,
+//! derived signals and events of each.
+//!
 //! ```no_run
 //! use clp_sim::{Machine, SimConfig};
 //! # fn example(program: clp_isa::EdgeProgram) -> Result<(), Box<dyn std::error::Error>> {

@@ -124,10 +124,10 @@ impl<T> BlockWindow<T> {
         self.iter().next()
     }
 
-    /// Youngest in-flight block (highest sequence number).
-    pub(crate) fn last_mut(&mut self) -> Option<&mut T> {
-        let &(_, slot) = self.order.back()?;
-        self.slots[slot as usize].as_mut()
+    /// Oldest in-flight block, mutably.
+    pub(crate) fn first_mut(&mut self) -> Option<(u64, &mut T)> {
+        let &(seq, slot) = self.order.front()?;
+        Some((seq, self.slots[slot as usize].as_mut()?))
     }
 
     /// Live blocks in ascending sequence order.
@@ -253,7 +253,8 @@ mod tests {
                     }
                 }
                 assert_same(&w, &model, next_seq);
-                prop_assert_eq!(w.last_mut().copied(), model.values().next_back().copied());
+                let oldest = model.iter().next().map(|(&s, &v)| (s, v));
+                prop_assert_eq!(w.first_mut().map(|(s, v)| (s, *v)), oldest);
             }
             // Slots are reused: storage is bounded by the blocks in
             // flight, not by the span of their sequence numbers.
