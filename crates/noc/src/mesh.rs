@@ -4,7 +4,6 @@ use crate::region::Coord;
 use crate::stats::MeshStats;
 use clp_obs::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a mesh node (a TFlex core).
@@ -205,8 +204,8 @@ pub struct Mesh<M> {
     /// In-flight payloads; `None` slots are on `free`.
     slab: Vec<Option<Parked<M>>>,
     free: Vec<u32>,
-    /// Per-node queue of messages waiting to be routed.
-    queues: Vec<VecDeque<Handle>>,
+    /// Per-node queue of messages waiting to be routed, oldest first.
+    queues: Vec<Vec<Handle>>,
     /// Per-node handles forwarded to that router during the current
     /// step, routable from the next one (one-cycle hop latency). Filled
     /// in router-visit order; the end of [`Mesh::step`] puts each list
@@ -227,9 +226,6 @@ pub struct Mesh<M> {
     /// message per cycle regardless of configured bandwidth (used by the
     /// fault-injection layer to model contention bursts).
     throttled_until: u64,
-    /// Reusable holding deque for messages that stall during a router
-    /// cycle, so the hot loop never allocates.
-    scratch: VecDeque<Handle>,
     /// Occupancy bitmask over `queues` (one bit per node, 64 nodes per
     /// word): the router visits only set bits instead of scanning every
     /// queue each cycle. Invariant: bit `n` is set iff `queues[n]` is
@@ -261,7 +257,7 @@ impl<M> Mesh<M> {
             hops,
             slab: Vec::new(),
             free: Vec::new(),
-            queues: (0..nodes).map(|_| VecDeque::new()).collect(),
+            queues: vec![Vec::new(); nodes],
             staging: vec![Vec::new(); nodes],
             staged: vec![0; nodes.div_ceil(64)],
             delivered: Vec::new(),
@@ -271,7 +267,6 @@ impl<M> Mesh<M> {
             tracer: Tracer::off(),
             plane: "operand",
             throttled_until: 0,
-            scratch: VecDeque::new(),
             busy: vec![0; nodes.div_ceil(64)],
             cfg,
         }
@@ -338,7 +333,7 @@ impl<M> Mesh<M> {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.queues[src.0].push_back(Handle {
+        self.queues[src.0].push(Handle {
             seq,
             slot,
             dst: dst.0 as u16,
@@ -369,23 +364,28 @@ impl<M> Mesh<M> {
         self.cycle = cycle;
     }
 
-    /// One router's work for one cycle: drains `queues[node]` in FIFO
+    /// One router's work for one cycle: walks `queues[node]` in FIFO
     /// order under a per-direction budget of `bw`, delivering local
     /// messages and moving each forwarded handle to the staging list of
-    /// its next router. Messages that stall stay queued, in order.
+    /// its next router. Messages that stall compact down to the front
+    /// of the queue, in order.
     fn route_node_cycle(&mut self, node: usize, bw: usize) {
-        debug_assert!(self.scratch.is_empty());
         let nodes = self.cfg.nodes();
         let (cycle, plane) = (self.cycle, self.plane);
+        let hops = &self.hops[node * nodes..][..nodes];
+        let queue = &mut self.queues[node];
         let mut budget = [bw; 5];
-        while let Some(h) = self.queues[node].pop_front() {
-            let hop = self.hops[node * nodes + usize::from(h.dst)];
+        let mut stalled = 0;
+        for i in 0..queue.len() {
+            let h = queue[i];
+            let hop = hops[usize::from(h.dst)];
             let di = hop.dir as usize;
             if budget[di] == 0 {
                 self.stats.stalled_cycles += 1;
                 self.tracer
                     .emit(cycle, || TraceEvent::LinkContention { plane, node });
-                self.scratch.push_back(h);
+                queue[stalled] = h;
+                stalled += 1;
                 continue;
             }
             budget[di] -= 1;
@@ -409,10 +409,7 @@ impl<M> Mesh<M> {
                 self.staged[next / 64] |= 1 << (next % 64);
             }
         }
-        // The queue is drained; what stalled goes back in, in order.
-        if !self.scratch.is_empty() {
-            std::mem::swap(&mut self.queues[node], &mut self.scratch);
-        }
+        queue.truncate(stalled);
     }
 
     /// Advances the mesh by one cycle.
@@ -424,7 +421,7 @@ impl<M> Mesh<M> {
         // previous step). The cycle counter still advances.
         if self.busy.iter().all(|&w| w == 0) {
             debug_assert!(self.staged.iter().all(|&w| w == 0));
-            debug_assert!(self.queues.iter().all(VecDeque::is_empty));
+            debug_assert!(self.queues.iter().all(Vec::is_empty));
             return;
         }
 
@@ -465,7 +462,8 @@ impl<M> Mesh<M> {
                 if arrivals.len() > 1 {
                     arrivals.sort_unstable_by_key(|h| h.seq);
                 }
-                self.queues[node].extend(arrivals.drain(..));
+                self.queues[node].extend_from_slice(arrivals);
+                arrivals.clear();
             }
         }
         #[cfg(debug_assertions)]
@@ -521,6 +519,7 @@ impl<M> Mesh<M> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     /// The router written the obvious way: whole messages in per-node
     /// queues, `route_dir` / `neighbor_of` re-derived on every hop. The

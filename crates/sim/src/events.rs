@@ -91,15 +91,19 @@ impl<T> EventWheel<T> {
         }
     }
 
-    /// Moves every event due at `now` into `out`, in schedule order.
+    /// Hands every event due at `now` over in `out`, in schedule order.
+    /// `out` must come in empty: it trades places with the bucket (which
+    /// keeps `out`'s allocation for its next turn), and no event is
+    /// copied.
     pub(crate) fn pop_due(&mut self, now: u64, out: &mut Vec<T>) {
+        debug_assert!(out.is_empty());
         let slot = now & MASK;
         let bucket = &mut self.slots[slot as usize];
         if bucket.is_empty() {
             return;
         }
         self.near -= bucket.len();
-        out.append(bucket);
+        std::mem::swap(out, bucket);
         self.clear_bit(slot);
     }
 
@@ -141,6 +145,73 @@ impl<T> EventWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Schedules interleaved with cycle advances (single steps and
+        /// skip-ahead jumps up to the next due cycle) and pops, against
+        /// a `BTreeMap<u64, Vec<_>>`: every cycle drains exactly its
+        /// events, in schedule order; an event for `now + 1` scheduled
+        /// before the pop of `now` and one scheduled after it both wait
+        /// for `now + 1`; far events come out ahead of later-scheduled
+        /// near ones; and `next_due` and `len` agree with the map after
+        /// every operation.
+        #[test]
+        fn behaves_like_a_map_of_cycles(
+            ops in prop::collection::vec((0u8..10, 0u64..3 * WHEEL), 1..400),
+        ) {
+            let mut w: EventWheel<u32> = EventWheel::new();
+            let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            let (mut now, mut next_id) = (0u64, 0u32);
+            for (op, arg) in ops {
+                match op {
+                    // Next cycle, a near one, or anywhere up to three
+                    // windows out.
+                    0..=5 => {
+                        let at = now + [1, 1, 1 + arg % 8, 1 + arg % WHEEL, 1 + arg, 1 + arg][usize::from(op)];
+                        w.schedule(now, at, next_id);
+                        model.entry(at).or_default().push(next_id);
+                        next_id += 1;
+                    }
+                    // Pop the current cycle (a second pop finds nothing).
+                    6 | 7 => {
+                        let mut out = Vec::new();
+                        w.pop_due(now, &mut out);
+                        prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
+                    }
+                    // Advance: one cycle or a jump, never past a due
+                    // cycle; the cycle left behind is drained first, as
+                    // `Machine::step` always does.
+                    _ => {
+                        let mut out = Vec::new();
+                        w.pop_due(now, &mut out);
+                        prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
+                        let due = model.keys().next().copied().unwrap_or(u64::MAX);
+                        now = (now + 1 + if op == 8 { 0 } else { arg }).min(due);
+                        w.advance(now);
+                    }
+                }
+                prop_assert_eq!(w.len(), model.values().map(Vec::len).sum::<usize>());
+                // The horizon is asked between steps: `now` is drained.
+                if !model.contains_key(&now) {
+                    let due = model.keys().next().copied().unwrap_or(u64::MAX);
+                    prop_assert_eq!(w.next_due(now), due);
+                }
+            }
+        }
+    }
+
+    /// Steps the wheel through `cycles`, collecting what each hands over.
+    fn drain(w: &mut EventWheel<u32>, cycles: std::ops::RangeInclusive<u64>) -> Vec<u32> {
+        let mut all = Vec::new();
+        for c in cycles {
+            let mut out = Vec::new();
+            w.advance(c);
+            w.pop_due(c, &mut out);
+            all.extend(out);
+        }
+        all
+    }
 
     #[test]
     fn drains_in_schedule_order() {
@@ -148,12 +219,7 @@ mod tests {
         w.schedule(0, 3, 1);
         w.schedule(0, 3, 2);
         w.schedule(0, 5, 3);
-        let mut out = Vec::new();
-        for c in 1..=5 {
-            w.advance(c);
-            w.pop_due(c, &mut out);
-        }
-        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!(drain(&mut w, 1..=5), vec![1, 2, 3]);
         assert_eq!(w.len(), 0);
     }
 
@@ -184,11 +250,7 @@ mod tests {
         assert_eq!(w.next_due(0), 7);
         w.schedule(0, 2, 2);
         assert_eq!(w.next_due(0), 2);
-        let mut out = Vec::new();
-        for c in 1..=7 {
-            w.advance(c);
-            w.pop_due(c, &mut out);
-        }
+        drain(&mut w, 1..=7);
         assert_eq!(w.next_due(7), WHEEL * 3);
     }
 
@@ -200,11 +262,6 @@ mod tests {
         let now = WHEEL - 2;
         w.schedule(now, now + 5, 1);
         assert_eq!(w.next_due(now), now + 5);
-        let mut out = Vec::new();
-        for c in now + 1..=now + 5 {
-            w.advance(c);
-            w.pop_due(c, &mut out);
-        }
-        assert_eq!(out, vec![1]);
+        assert_eq!(drain(&mut w, now + 1..=now + 5), vec![1]);
     }
 }

@@ -4,7 +4,7 @@
 
 use super::fabric::Fabric;
 use super::prof::{FetchReason, Prov};
-use super::state::{lsid_of, Ev, PendingFetch, Proc};
+use super::state::{Ev, PendingFetch, Proc};
 use clp_isa::{BlockAddr, BranchKind};
 use clp_obs::{FlushReason, TraceEvent};
 use clp_predictor::ExitOutcome;
@@ -191,8 +191,8 @@ impl Proc {
             // load's original issue cycle, so the deferral charges to it.
             let base = self.addr_base;
             let mut deferred = std::mem::take(&mut b.deferred_loads);
-            let ready =
-                deferred.extract_if(.., |&mut (_, id)| !b.load_must_wait(lsid_of(b.inst(id))));
+            let lsid_of = |id: u8| b.tmpl.dec[usize::from(id)].lsid;
+            let ready = deferred.extract_if(.., |&mut (_, id)| !b.load_must_wait(lsid_of(id)));
             let released: Vec<_> = ready
                 .map(|(part, id)| (part, id, b.mem_req(id, base), b.issue_cycle(id)))
                 .collect();
@@ -250,7 +250,7 @@ impl Proc {
         self.stats.commit_lat_sum.arch_update += max_update as f64;
         self.stats.commit_lat_sum.handshake += (last_ack - now) as f64 - max_update as f64;
         self.stats.commit_samples += 1;
-        let proc = self.id;
+        let proc = self.ix();
         fab.push_local(last_ack, Ev::CommitDone { proc, seq });
     }
 
@@ -263,8 +263,8 @@ impl Proc {
         // functional effects applied when the handshake started, so it
         // finishes even if its owner died mid-handshake (modeling
         // simplification, see DESIGN.md).
-        self.beat(fab);
-        let fired = b.ops.iter().filter(|o| o.fired).count();
+        self.last_beat = fab.beat();
+        let fired = b.ops.iter().filter(|o| o.fired()).count();
         fab.tracer.emit(now, || TraceEvent::BlockCommitted {
             proc: self.id,
             core: b.owner,
@@ -286,7 +286,7 @@ impl Proc {
         // Dealloc: the fetch engine learns about the free slot after the
         // dealloc broadcast reaches the prospective owner.
         let dealloc = now + fab.max_ctrl_delay(b.owner, &self.cores);
-        fab.push_local(dealloc, Ev::SlotFree { proc: self.id });
+        fab.push_local(dealloc, Ev::SlotFree { proc: self.ix() });
         match b.outcome {
             Some(o) if o.kind == BranchKind::Halt => {
                 self.halted = true;

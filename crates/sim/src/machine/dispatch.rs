@@ -2,10 +2,94 @@
 //! slice of every armed block into the window, and an instruction whose
 //! last input arrived joins its core's ready list.
 
+use super::decode::{Decoded, Kind};
 use super::fabric::Fabric;
 use super::prof::Prov;
-use super::state::{OpBody, OpMsg, Proc};
-use clp_isa::Opcode;
+use super::sched::ReadyLists;
+use super::state::{Blk, OpBody, OpMsg, OpState, Proc, ProcIx};
+use crate::stats::ProcStats;
+
+/// What a wakeup writes besides its block: the chip and two fields of
+/// the processor, lent beside the `&mut Blk` the caller looked up.
+pub(super) struct Sink<'a> {
+    pub(super) fab: &'a mut Fabric,
+    pub(super) ready: &'a mut ReadyLists,
+    pub(super) stats: &'a mut ProcStats,
+}
+
+impl Sink<'_> {
+    /// `body` on its way from the core of instruction `d` to its
+    /// register's bank.
+    fn send_to_bank(&mut self, d: &Decoded, proc: ProcIx, seq: u64, prov: Prov, body: OpBody) {
+        let msg = OpMsg {
+            proc,
+            seq,
+            prov,
+            body,
+        };
+        self.fab
+            .deliver(usize::from(d.home), usize::from(d.bank), msg);
+    }
+}
+
+impl Blk {
+    /// Dispatches instruction `id` of this block (`seq`) into the
+    /// window on `part`: a READ sends its request to the register's
+    /// bank, anything else may already hold all its inputs.
+    fn dispatch(&mut self, sink: &mut Sink, seq: u64, part: usize, id: u8) {
+        let (i, now) = (usize::from(id), sink.fab.now);
+        self.ops[i].flags |= OpState::DISPATCHED;
+        if let Some(pr) = self.prof.as_deref_mut() {
+            pr.disp[i] = now;
+        }
+        let d = &self.tmpl.dec[i];
+        if d.kind != Kind::Read {
+            return self.wake(sink, seq, part, id, Prov::dispatch(now));
+        }
+        let body = OpBody::ReadReq {
+            reg: d.reg,
+            targets: d.targets,
+        };
+        let prov = Prov::reg_read(id, usize::from(d.home), now, now);
+        sink.send_to_bank(d, self.tmpl.proc, seq, prov, body);
+    }
+
+    /// Marks instruction `id` of this block (`seq`), on `part`, ready if
+    /// all its inputs are present. `trigger` is the provenance of the
+    /// arrival that prompted the call (the instruction's own dispatch,
+    /// or an operand delivery); when the call transitions the
+    /// instruction to ready it is, by construction, the last-arrival
+    /// edge the profiler records.
+    pub(super) fn wake(&mut self, sink: &mut Sink, seq: u64, part: usize, id: u8, trigger: Prov) {
+        let (i, now) = (usize::from(id), sink.fab.now);
+        let d = &self.tmpl.dec[i];
+        let st = &mut self.ops[i];
+        if st.flags != OpState::DISPATCHED || st.got & d.need != d.need {
+            return;
+        }
+        if let Some(pr) = self.prof.as_deref_mut() {
+            pr.ready[i] = now;
+            pr.edge[i] = trigger;
+        }
+        if d.kind != Kind::Write {
+            st.flags |= OpState::QUEUED;
+            return sink.ready.push(part, (seq, id));
+        }
+        // Writes fire the moment their input lands.
+        st.flags |= OpState::FIRED;
+        if let Some(pr) = self.prof.as_deref_mut() {
+            pr.issue[i] = now;
+        }
+        sink.stats.insts_fired += 1;
+        sink.stats.reg_writes += 1;
+        let body = OpBody::WriteFwd {
+            reg: d.reg,
+            value: st.arrived(0),
+        };
+        let prov = Prov::exec(id, usize::from(d.home), now, now);
+        sink.send_to_bank(d, self.tmpl.proc, seq, prov, body);
+    }
+}
 
 impl Proc {
     pub(super) fn dispatch_stage(&mut self, fab: &mut Fabric) {
@@ -39,98 +123,17 @@ impl Proc {
                 // A disarmed block left the list; the next took its place.
                 i += usize::from(!claim.disarmed);
                 budget -= claim.ids.len();
+                // Dispatch is protocol progress.
+                self.last_beat = fab.beat();
+                let mut sink = Sink {
+                    fab,
+                    ready: &mut self.ready,
+                    stats: &mut self.stats,
+                };
                 for at in claim.ids {
-                    self.dispatch_inst(fab, seq, part, at);
+                    b.dispatch(&mut sink, seq, part, b.tmpl.slices[part][at]);
                 }
             }
         }
-    }
-
-    /// Dispatches the `at`-th instruction of `part`'s slice of block
-    /// `seq` into the window.
-    fn dispatch_inst(&mut self, fab: &mut Fabric, seq: u64, part: usize, at: usize) {
-        self.beat(fab);
-        let now = fab.now;
-        let Some(b) = self.blocks.get_mut(&seq) else {
-            return;
-        };
-        let id = b.tmpl.slices[part][at];
-        b.ops[usize::from(id)].dispatched = true;
-        if let Some(pr) = b.prof.as_deref_mut() {
-            pr.disp[usize::from(id)] = now;
-        }
-        let inst = b.inst(id);
-        let (Opcode::Read, Some(reg)) = (inst.opcode, inst.reg) else {
-            return self.maybe_ready(fab, seq, part, id, Prov::dispatch(now));
-        };
-        let from = self.cores[part];
-        let msg = OpMsg {
-            proc: self.id,
-            seq,
-            prov: Prov::reg_read(id, from, now, now),
-            body: OpBody::ReadReq {
-                reg,
-                targets: inst.targets,
-            },
-        };
-        fab.deliver(from, self.cores[reg.bank_of(self.n)], msg);
-    }
-
-    /// Enqueues the instruction for issue if all its inputs are present.
-    /// `trigger` is the provenance of the arrival that prompted this call
-    /// (the instruction's own dispatch, or an operand delivery); when the
-    /// call transitions the instruction to ready it is, by construction,
-    /// the last-arrival edge the profiler records.
-    pub(super) fn maybe_ready(
-        &mut self,
-        fab: &mut Fabric,
-        seq: u64,
-        part: usize,
-        id: u8,
-        trigger: Prov,
-    ) {
-        let Some(b) = self.blocks.get_mut(&seq) else {
-            return;
-        };
-        let (now, i) = (fab.now, usize::from(id));
-        let inst = &b.tmpl.block.instructions()[i];
-        let st = &mut b.ops[i];
-        let arity = inst.data_arity();
-        if inst.opcode == Opcode::Read
-            || !st.dispatched
-            || st.queued
-            || st.fired
-            || (arity >= 1 && !st.got[0])
-            || (arity >= 2 && !st.got[1])
-            || (inst.is_predicated() && !st.got[2])
-        {
-            return;
-        }
-        if let Some(pr) = b.prof.as_deref_mut() {
-            pr.ready[i] = now;
-            pr.edge[i] = trigger;
-        }
-        let (Opcode::Write, Some(reg)) = (inst.opcode, inst.reg) else {
-            st.queued = true;
-            return self.ready.push(part, (seq, id));
-        };
-        // Writes fire the moment their input lands.
-        st.fired = true;
-        if let Some(pr) = b.prof.as_deref_mut() {
-            pr.issue[i] = now;
-        }
-        self.stats.insts_fired += 1;
-        self.stats.reg_writes += 1;
-        let from = self.cores[part];
-        let msg = OpMsg {
-            proc: self.id,
-            seq,
-            prov: Prov::exec(id, from, now, now),
-            body: OpBody::WriteFwd {
-                reg,
-                value: st.val[0],
-            },
-        };
-        fab.deliver(from, self.cores[reg.bank_of(self.n)], msg);
     }
 }

@@ -13,6 +13,9 @@ pub enum ComposeError {
     /// The workload passes more arguments than the `r1..=r8` argument
     /// registers can hold (the machine used to silently truncate these).
     TooManyArgs(usize),
+    /// The machine already composed 65 536 processors (decomposed ones
+    /// count): messages name their processor in 16 bits.
+    TooManyProcs,
 }
 
 impl fmt::Display for ComposeError {
@@ -22,6 +25,9 @@ impl fmt::Display for ComposeError {
             ComposeError::CoreBusy(c) => write!(f, "core {c} already composed"),
             ComposeError::TooManyArgs(n) => {
                 write!(f, "{n} arguments exceed the 8 argument registers (r1..=r8)")
+            }
+            ComposeError::TooManyProcs => {
+                write!(f, "a machine composes at most 65536 processors")
             }
         }
     }

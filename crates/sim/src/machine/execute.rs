@@ -2,95 +2,99 @@
 //! execution latency of what fired, and where results go — consumers,
 //! the block owner (branches, nullified stores) or a memory bank.
 
+use super::decode::Kind;
 use super::fabric::Fabric;
 use super::prof::Prov;
-use super::state::{lsid_of, Ev, MemReq, OpBody, OpMsg, Proc};
-use clp_isa::{BranchKind, Opcode, OpcodeClass};
+use super::sched::Pick;
+use super::state::{Ev, OpBody, OpMsg, OpState, Proc};
+use clp_isa::BranchKind;
 use clp_mem::dbank_for;
 use clp_obs::TraceEvent;
-use clp_predictor::ExitOutcome;
 
 impl Proc {
     pub(super) fn issue_stage(&mut self, fab: &mut Fabric) {
         if !self.ready.any_ready() {
             return;
         }
-        let mut picks = std::mem::take(&mut fab.scratch_picks);
+        // The lists step out of `self` for the stage, so that a pick
+        // can issue on the spot, through `&mut self`, with the block
+        // lookup it made. Nothing on the issue path wakes an
+        // instruction: the stand-in left behind stays empty.
+        let mut ready = std::mem::take(&mut self.ready);
+        let width = fab.cfg.core.issue_width;
         // Parts with a non-empty ready list, ascending.
         let mut above = 0;
-        while let Some(part) = self.ready.next_part(above) {
+        while let Some(part) = ready.next_part(above) {
             above = part + 1;
             if fab.is_dead(self.cores[part]) {
                 continue;
             }
             let mut fp = fab.cfg.core.fp_issue;
-            let blocks = &self.blocks;
-            let width = fab.cfg.core.issue_width;
-            self.ready.take_picks(part, width, &mut picks, |seq, id| {
-                blocks.get(&seq).is_some_and(|b| {
-                    if b.inst(id).opcode.class() != OpcodeClass::Float {
-                        return true;
-                    }
-                    let slot = fp > 0;
-                    fp -= usize::from(slot);
-                    slot
-                })
+            ready.take_picks(part, width, |seq, id| {
+                self.issue_inst(fab, &mut fp, seq, part, id)
             });
-            for &(seq, id) in &picks {
-                self.execute_inst(fab, seq, part, id);
-            }
         }
-        picks.clear();
-        fab.scratch_picks = picks;
+        debug_assert!(!self.ready.any_ready(), "a wakeup on the issue path");
+        self.ready = ready;
     }
 
-    fn execute_inst(&mut self, fab: &mut Fabric, seq: u64, part: usize, id: u8) {
-        self.beat(fab);
+    /// Issues instruction `id` of block `seq` on `part` unless it needs
+    /// an FP slot and `fp`, the slots left this cycle, is zero.
+    fn issue_inst(
+        &mut self,
+        fab: &mut Fabric,
+        fp: &mut usize,
+        seq: u64,
+        part: usize,
+        id: u8,
+    ) -> Pick {
         let now = fab.now;
         let Some(b) = self.blocks.get_mut(&seq) else {
-            return;
+            return Pick::Drop;
         };
-        let st = &mut b.ops[usize::from(id)];
-        st.fired = true;
-        let [left, right, pred] = st.val.map(|v| v.unwrap_or(0));
-        if let Some(pr) = b.prof.as_deref_mut() {
-            pr.issue[usize::from(id)] = now;
+        let i = usize::from(id);
+        let d = b.tmpl.dec[i];
+        if d.fp {
+            if *fp == 0 {
+                return Pick::Keep;
+            }
+            *fp -= 1;
         }
-        let inst = b.inst(id);
-        let opcode = inst.opcode;
+        // Issue is protocol progress.
+        self.last_beat = fab.beat();
+        let st = &mut b.ops[i];
+        st.flags |= OpState::FIRED;
+        let [left, right, pred] = st.val;
+        if let Some(pr) = b.prof.as_deref_mut() {
+            pr.issue[i] = now;
+        }
         self.stats.insts_fired += 1;
-        if opcode.class() == OpcodeClass::Float {
+        if d.fp {
             self.stats.fp_ops += 1;
         } else {
             self.stats.int_ops += 1;
         }
-        let from = self.cores[part];
+        let from = usize::from(d.home);
         fab.tracer.emit(now, || TraceEvent::InstIssued {
             proc: self.id,
             core: from,
             block: b.addr,
-            inst: usize::from(id),
-            opcode: opcode.mnemonic(),
+            inst: i,
+            opcode: d.opcode.mnemonic(),
         });
         // Predicated-off instructions consume the slot and vanish.
-        if inst.pred.is_some_and(|sense| !sense.matches(pred)) {
-            return;
+        if d.pred.is_some_and(|sense| !sense.matches(pred)) {
+            return Pick::Take;
         }
-        let done = now + u64::from(opcode.latency());
+        let done = now + u64::from(d.latency);
         let prov = Prov::exec(id, from, now, done);
-        let proc = self.id;
-        match opcode {
-            Opcode::Bro => {
-                let info = inst.branch;
-                let info = info.expect("Block::from_instructions checks branch info");
-                let outcome = ExitOutcome {
-                    exit_id: info.exit_id,
-                    kind: info.kind,
-                    target: match info.kind {
-                        BranchKind::Return => left,
-                        _ => info.target.unwrap_or(b.addr + clp_isa::BLOCK_FRAME_BYTES),
-                    },
-                };
+        let proc = b.tmpl.proc;
+        match d.kind {
+            Kind::Bro => {
+                let mut outcome = b.tmpl.exits[usize::from(d.exit)];
+                if outcome.kind == BranchKind::Return {
+                    outcome.target = left;
+                }
                 let ev = Ev::Branch {
                     proc,
                     seq,
@@ -100,16 +104,17 @@ impl Proc {
                 // The branch resolves at the block's owner.
                 fab.push_local(done + fab.ctrl_delay(from, b.owner), ev);
             }
-            op if op.is_load() || op.is_store() => {
-                if op.is_load() && b.load_must_wait(lsid_of(inst)) {
-                    return b.deferred_loads.push((part, id));
+            Kind::Load | Kind::Store => {
+                if d.kind == Kind::Load && b.load_must_wait(d.lsid) {
+                    b.deferred_loads.push((part, id));
+                } else {
+                    let req = b.mem_req(id, self.addr_base);
+                    self.send_mem_req(fab, seq, part, id, req, now);
                 }
-                let req = b.mem_req(id, self.addr_base);
-                self.send_mem_req(fab, seq, part, id, req, now);
             }
-            Opcode::Null if inst.lsid.is_some() => {
+            Kind::NullStore => {
                 // Store-slot nullification: an output resolves.
-                let lsid = Some(lsid_of(inst));
+                let lsid = Some(d.lsid);
                 let ev = Ev::OutputDone {
                     proc,
                     seq,
@@ -118,27 +123,28 @@ impl Proc {
                 };
                 fab.push_local(done + fab.ctrl_delay(from, b.owner), ev);
             }
-            Opcode::Null => {
+            Kind::NullToken => {
                 // Null token to consumers (typically a WRITE).
                 let ev = Ev::SendOperands {
-                    from,
+                    from: d.home,
                     proc,
                     seq,
-                    targets: inst.targets,
+                    targets: d.targets,
                     value: None,
                     prov,
                 };
                 fab.push_local(done, ev);
             }
-            _ => {
-                let result = clp_isa::value::eval(opcode, inst.imm, left, right);
+            Kind::Alu | Kind::Read | Kind::Write => {
+                let result = clp_isa::value::eval(d.opcode, b.tmpl.imm[i], left, right);
                 self.exec.push(part, done, seq, id, result);
             }
         }
+        Pick::Take
     }
 
-    /// Sends instruction `id`'s memory request from its core to the
-    /// bank its address interleaves to. `issued` is the cycle the
+    /// Sends instruction `id`'s memory request `req` from its core to
+    /// the bank its address interleaves to. `issued` is the cycle the
     /// instruction issued.
     pub(super) fn send_mem_req(
         &self,
@@ -146,17 +152,20 @@ impl Proc {
         seq: u64,
         part: usize,
         id: u8,
-        req: MemReq,
+        req: OpBody,
         issued: u64,
     ) {
+        let OpBody::MemReq { addr, .. } = req else {
+            unreachable!("Blk::mem_req builds memory requests");
+        };
         let from = self.cores[part];
         let msg = OpMsg {
-            proc: self.id,
+            proc: self.ix(),
             seq,
             prov: Prov::load(id, from, issued, fab.now, 0),
-            body: OpBody::MemReq(req),
+            body: req,
         };
-        fab.deliver(from, self.cores[dbank_for(req.addr, self.n)], msg);
+        fab.deliver(from, self.cores[dbank_for(addr, self.n)], msg);
     }
 
     pub(super) fn completion_stage(&mut self, fab: &mut Fabric) {
@@ -175,9 +184,9 @@ impl Proc {
                 let Some(b) = self.blocks.get(&e.seq) else {
                     continue;
                 };
-                let targets = b.inst(e.inst).targets;
+                let targets = &b.tmpl.dec[usize::from(e.inst)].targets;
                 let prov = Prov::exec(e.inst, from, b.issue_cycle(e.inst), now);
-                self.route_operands(fab, from, e.seq, &targets, Some(e.result), prov);
+                b.route_operands(fab, from, e.seq, targets, Some(e.result), prov);
             }
         }
     }

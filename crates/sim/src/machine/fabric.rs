@@ -58,7 +58,6 @@ pub(super) struct Fabric {
     pub(super) prof: Option<Box<ProfAcc>>,
     /// Reusable scratch buffers for the per-cycle stages, so the hot
     /// loop never allocates. Each is empty between uses.
-    pub(super) scratch_picks: Vec<(u64, u8)>,
     pub(super) scratch_reads: Vec<WaitingRead>,
     pub(super) scratch_evs: Vec<Ev>,
     pub(super) scratch_delivered: Vec<(NodeId, OpMsg)>,
@@ -67,6 +66,10 @@ pub(super) struct Fabric {
 impl Fabric {
     pub(super) fn new(cfg: SimConfig) -> Self {
         let cores = cfg.chip_cores();
+        assert!(
+            cores <= 256,
+            "messages and decoded targets name a core in 8 bits: a {cores}-core chip is too big"
+        );
         let mut pending_kills: Vec<CoreKill> = cfg.faults.kills().collect();
         pending_kills.sort_by_key(|k| (k.cycle, k.core));
         let ctrl_delays = (0..cores * cores)
@@ -96,7 +99,6 @@ impl Fabric {
             recovery_mark: None,
             compose_stats: ComposeStats::default(),
             prof: None,
-            scratch_picks: Vec::new(),
             scratch_reads: Vec::new(),
             scratch_evs: Vec::new(),
             scratch_delivered: Vec::new(),
@@ -122,6 +124,14 @@ impl Fabric {
     #[inline]
     pub(super) fn is_dead(&self, core: usize) -> bool {
         self.has_kills && self.dead[core]
+    }
+
+    /// Records observable protocol progress: resets the deadlock window
+    /// and returns `now` for the watchdog's silence timer of the
+    /// processor that made it (`p.last_beat = fab.beat()`).
+    pub(super) fn beat(&mut self) -> u64 {
+        self.last_progress = self.now;
+        self.now
     }
 
     pub(super) fn push_local(&mut self, at: u64, ev: Ev) {
@@ -155,9 +165,10 @@ impl Fabric {
     /// otherwise it crosses the mesh.
     pub(super) fn deliver(&mut self, from: usize, to: usize, msg: OpMsg) {
         if from == to {
-            self.push_local(self.now + 1, Ev::Op(to, msg));
+            self.push_local(self.now + 1, Ev::Op(to as u8, msg));
         } else if let Some(extra) = self.fault("noc_delay", from, FaultInjector::noc_delay) {
             // Held back first, as by a slow or retried link.
+            let (from, to) = (from as u8, to as u8);
             self.push_local(self.now + extra, Ev::Inject { from, to, msg });
         } else {
             self.opnet.inject(NodeId(from), NodeId(to), msg);

@@ -2,9 +2,10 @@
 //! commands to every participant, predicts the successor and hands
 //! control to the next owner.
 
+use super::decode::FetchTemplate;
 use super::fabric::Fabric;
 use super::prof::FetchReason;
-use super::state::{Blk, Ev, FetchTemplate, PendingFetch, Proc};
+use super::state::{Blk, Ev, PendingFetch, Proc};
 use crate::fault::FaultInjector;
 use clp_isa::BlockAddr;
 use clp_obs::TraceEvent;
@@ -41,7 +42,7 @@ impl Proc {
         tmpl: Arc<FetchTemplate>,
     ) {
         let (now, proc) = (fab.now, self.id);
-        self.beat(fab);
+        self.last_beat = fab.beat();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slots_free -= 1;
@@ -63,7 +64,12 @@ impl Proc {
         // Tag access (1 cycle), then broadcast fetch commands.
         for (part, &dst) in self.cores.iter().enumerate() {
             let at = now + 1 + fab.ctrl_delay(owner, dst);
-            fab.push_local(at, Ev::FetchCmd { proc, seq, part });
+            let ev = Ev::FetchCmd {
+                proc: self.ix(),
+                seq,
+                part: part as u8,
+            };
+            fab.push_local(at, ev);
         }
         if self.max_inflight > 1 {
             self.predict_next(fab, &mut blk);
@@ -105,7 +111,7 @@ impl Proc {
         // simply takes longer, as if the control mesh were congested.
         let delay = fab.fault("handoff_delay", owner, FaultInjector::handoff_delay);
         let at = now + 1 + pred_lat + ras_extra + flight + delay.unwrap_or(0);
-        let (proc, addr) = (self.id, pred.target);
+        let (proc, addr) = (self.ix(), pred.target);
         fab.push_local(at, Ev::HandOff { proc, addr });
         blk.next_pred = Some(pred);
     }

@@ -4,7 +4,8 @@
 //! ## Module map
 //!
 //! [`Machine`] is the shared chip (`fabric.rs`) plus the composed
-//! logical processors (`state.rs`); [`Machine::step`] borrows the two
+//! logical processors (`state.rs`, and `decode.rs` for what is fixed
+//! per block address); [`Machine::step`] borrows the two
 //! side by side and runs one module per TFlex protocol over them, in
 //! pipeline order: `fetch.rs`, `dispatch.rs`, `execute.rs`,
 //! `operand.rs`, `commit.rs`, and `recovery.rs` for hard faults. The
@@ -29,6 +30,7 @@
 //!   every run checks end-to-end correctness against the IR interpreter.
 
 mod commit;
+mod decode;
 mod dispatch;
 mod driver;
 mod error;
@@ -51,7 +53,7 @@ use clp_mem::MemorySystem;
 use clp_noc::{region_for, NodeId};
 use clp_obs::{IntervalSampler, SampleCounters, StatsSnapshot, TraceEvent, Tracer, TrendRecorder};
 use fabric::Fabric;
-use state::{Ev, Proc};
+use state::{Ev, OpState, Proc, ProcIx};
 
 /// Identifies a logical processor within a [`Machine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,6 +72,11 @@ pub struct Machine {
 
 impl Machine {
     /// Creates an idle machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand mesh has more than 256 nodes: messages name
+    /// a core in 8 bits.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
         Machine {
@@ -208,7 +215,8 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`ComposeError`] if the region is invalid or overlaps an
-    /// active processor.
+    /// active processor, or at the 65 537th processor composed on one
+    /// machine (decomposed ones count).
     pub fn compose_at(
         &mut self,
         n_cores: usize,
@@ -227,6 +235,9 @@ impl Machine {
             return Err(ComposeError::CoreBusy(c));
         }
         let pid = self.procs.len();
+        if pid > usize::from(ProcIx::MAX) {
+            return Err(ComposeError::TooManyProcs);
+        }
         for (p, &c) in cores.iter().enumerate() {
             fab.core_map[c] = Some((pid, p));
         }
@@ -299,17 +310,18 @@ impl Machine {
         fab.opnet.step();
         let mut delivered = std::mem::take(&mut fab.scratch_delivered);
         fab.opnet.swap_delivered(&mut delivered);
-        for (node, msg) in delivered.drain(..) {
-            self.procs[msg.proc].handle_op(fab, node.0, msg);
+        for (node, msg) in &delivered {
+            self.procs[usize::from(msg.proc)].handle_op(fab, node.0, msg);
         }
+        delivered.clear();
         fab.scratch_delivered = delivered;
         // 2. Scheduled local/control events.
         let mut evs = std::mem::take(&mut fab.scratch_evs);
-        debug_assert!(evs.is_empty());
         fab.local.pop_due(fab.now, &mut evs);
-        for ev in evs.drain(..) {
+        for ev in &evs {
             Self::run_event(fab, &mut self.procs, ev);
         }
+        evs.clear();
         fab.scratch_evs = evs;
         // 3. Per-proc pipeline stages.
         for pi in 0..self.procs.len() {
@@ -344,48 +356,54 @@ impl Machine {
     }
 
     /// Hands a due event to the processor it names.
-    fn run_event(fab: &mut Fabric, procs: &mut [Proc], ev: Ev) {
-        match ev {
-            Ev::Op(core, msg) => procs[msg.proc].handle_op(fab, core, msg),
+    fn run_event(fab: &mut Fabric, procs: &mut [Proc], ev: &Ev) {
+        match *ev {
+            Ev::Op(core, ref msg) => {
+                procs[usize::from(msg.proc)].handle_op(fab, usize::from(core), msg)
+            }
             Ev::OutputDone {
                 proc,
                 seq,
                 lsid,
                 prov,
-            } => procs[proc].on_output_done(fab, seq, lsid, prov),
+            } => procs[usize::from(proc)].on_output_done(fab, seq, lsid, prov),
             Ev::Branch {
                 proc,
                 seq,
                 outcome,
                 prov,
-            } => procs[proc].on_branch(fab, seq, outcome, prov),
-            Ev::HandOff { proc, addr } => procs[proc].on_handoff(fab, addr),
-            Ev::FetchCmd { proc, seq, part } => procs[proc].on_fetch_cmd(fab, seq, part),
+            } => procs[usize::from(proc)].on_branch(fab, seq, outcome, prov),
+            Ev::HandOff { proc, addr } => procs[usize::from(proc)].on_handoff(fab, addr),
+            Ev::FetchCmd { proc, seq, part } => {
+                procs[usize::from(proc)].on_fetch_cmd(fab, seq, usize::from(part));
+            }
             Ev::SendOperands {
                 from,
                 proc,
                 seq,
-                targets,
+                ref targets,
                 value,
                 prov,
             } => {
                 // A dead sender's queued operands never leave.
-                let p = &procs[proc];
-                if !fab.is_dead(from) && p.blocks.contains_key(&seq) {
-                    p.route_operands(fab, from, seq, &targets, value, prov);
+                let from = usize::from(from);
+                let b = procs[usize::from(proc)].blocks.get(&seq);
+                if let Some(b) = b.filter(|_| !fab.is_dead(from)) {
+                    b.route_operands(fab, from, seq, targets, value, prov);
                 }
             }
-            Ev::CommitDone { proc, seq } => procs[proc].on_commit_done(fab, seq),
+            Ev::CommitDone { proc, seq } => procs[usize::from(proc)].on_commit_done(fab, seq),
             Ev::SlotFree { proc } => {
                 // Clamp: a recovery resets slots to the (possibly
                 // smaller) degraded allocation while dealloc
                 // broadcasts from pre-recovery commits are still
                 // in flight. No-op on healthy runs.
-                let p = &mut procs[proc];
+                let p = &mut procs[usize::from(proc)];
                 p.slots_free = (p.slots_free + 1).min(p.max_inflight);
             }
             Ev::Inject { from, to, msg } => {
                 // A dead core's NoC ports are powered off.
+                let (from, to) = (usize::from(from), usize::from(to));
                 if !fab.is_dead(from) {
                     fab.opnet.inject(NodeId(from), NodeId(to), msg);
                 }
@@ -486,14 +504,14 @@ impl Machine {
                     b.committing,
                     b.slices.unfinished()
                 ));
-                for (i, st) in b.ops.iter().enumerate().filter(|(_, st)| !st.fired) {
+                for (i, st) in b.ops.iter().enumerate().filter(|(_, st)| !st.fired()) {
                     let inst = b.inst(i as u8);
                     out.push_str(&format!(
                         "    i{i} {} disp={} queued={} got={:?} arity={} pred={}\n",
                         inst.opcode,
-                        st.dispatched,
-                        st.queued,
-                        st.got,
+                        st.flags & OpState::DISPATCHED != 0,
+                        st.flags & OpState::QUEUED != 0,
+                        [0, 1, 2].map(|slot| st.got >> slot & 1 == 1),
                         inst.data_arity(),
                         inst.is_predicated()
                     ));

@@ -3,17 +3,19 @@
 //! forward at the bank, or run a load/store at its D-cache/LSQ bank,
 //! NACKing on overflow.
 
+use super::dispatch::Sink;
 use super::fabric::Fabric;
 use super::prof::Prov;
-use super::state::{Ev, MemReq, OpBody, OpMsg, Proc, WaitingRead};
+use super::state::{Blk, Ev, OpBody, OpMsg, Proc, WaitingRead};
 use crate::fault::FaultInjector;
 use crate::regfile::RegRead;
 use clp_isa::{Reg, Target};
 use clp_mem::{LoadResponse, LoadServe, StoreResponse};
 use clp_obs::FlushReason;
 
-impl Proc {
-    /// Routes a produced value (or null token) to targets, from `from`.
+impl Blk {
+    /// Routes a value (or null token) an instruction of this block
+    /// (`seq`) produced to its targets, from core `from`.
     pub(super) fn route_operands(
         &self,
         fab: &mut Fabric,
@@ -25,21 +27,24 @@ impl Proc {
     ) {
         for &target in targets.iter().flatten() {
             let msg = OpMsg {
-                proc: self.id,
+                proc: self.tmpl.proc,
                 seq,
                 prov,
                 body: OpBody::Operand { target, value },
             };
-            fab.deliver(from, self.cores[target.inst.core_of(self.n)], msg);
+            let to = self.tmpl.dec[target.inst.index()].home;
+            fab.deliver(from, usize::from(to), msg);
         }
     }
+}
 
+impl Proc {
     /// A message for this processor arrived at `core`.
-    pub(super) fn handle_op(&mut self, fab: &mut Fabric, core: usize, msg: OpMsg) {
+    pub(super) fn handle_op(&mut self, fab: &mut Fabric, core: usize, msg: &OpMsg) {
         // Messages delivered to a dead core vanish — its receive queues
         // are powered off along with everything else — and so do
         // messages for a block that was flushed or committed.
-        let OpMsg { seq, prov, .. } = msg;
+        let &OpMsg { seq, prov, .. } = msg;
         let Some(b) = self.blocks.get_mut(&seq).filter(|_| !fab.is_dead(core)) else {
             return;
         };
@@ -49,11 +54,14 @@ impl Proc {
                     Some((proc, part)) if proc == self.id => part,
                     _ => return,
                 };
-                let st = &mut b.ops[target.inst.index()];
-                let slot = target.operand.encode() as usize;
-                st.got[slot] = true;
-                st.val[slot] = value;
-                self.maybe_ready(fab, seq, part, target.inst.index() as u8, prov);
+                let id = target.inst.index() as u8;
+                b.ops[usize::from(id)].deliver(target.operand.encode() as usize, value);
+                let mut sink = Sink {
+                    fab,
+                    ready: &mut self.ready,
+                    stats: &mut self.stats,
+                };
+                b.wake(&mut sink, seq, part, id, prov);
             }
             OpBody::ReadReq { reg, targets } => self.try_read(
                 fab,
@@ -69,7 +77,7 @@ impl Proc {
                 // The output resolves at the owner.
                 let at = fab.now + fab.ctrl_delay(core, b.owner);
                 self.regs.forward_write(reg, seq, value);
-                let (proc, lsid) = (self.id, None);
+                let (proc, lsid) = (self.ix(), None);
                 let ev = Ev::OutputDone {
                     proc,
                     seq,
@@ -79,18 +87,31 @@ impl Proc {
                 fab.push_local(at, ev);
                 self.retry_waiting_reads(fab, reg);
             }
-            OpBody::MemReq(req) => {
+            OpBody::MemReq { .. } => {
                 let owner = b.owner;
-                self.on_mem_req(fab, core, msg, req, owner);
+                self.on_mem_req(fab, core, msg, owner);
             }
         }
     }
 
-    /// Runs the load or store `req` (carried by `msg`) at `core`'s bank,
-    /// for a block owned by core `owner`.
-    fn on_mem_req(&mut self, fab: &mut Fabric, core: usize, msg: OpMsg, req: MemReq, owner: usize) {
-        let OpMsg { seq, prov, .. } = msg;
-        let (proc, gseq) = (self.id, seq * 32 + u64::from(req.lsid));
+    /// Runs the load or store that `msg` carries at `core`'s bank, for
+    /// a block owned by core `owner`.
+    fn on_mem_req(&mut self, fab: &mut Fabric, core: usize, msg: &OpMsg, owner: usize) {
+        let &OpMsg {
+            seq, prov, body, ..
+        } = msg;
+        let OpBody::MemReq {
+            lsid,
+            store,
+            size,
+            targets,
+            addr,
+            value,
+        } = body
+        else {
+            unreachable!("handle_op routes memory requests here");
+        };
+        let (proc, gseq) = (self.ix(), seq * 32 + u64::from(lsid));
         // Forced NACK: the bank refuses a request it could have
         // accepted. The request retries through the existing
         // NACK/replay path; no overflow eviction (the LSQ is not
@@ -98,14 +119,11 @@ impl Proc {
         let wait = u64::from(fab.cfg.nack_retry);
         let nack = |f: &mut FaultInjector| f.forced_nack().then_some(wait);
         if fab.fault("forced_nack", core, nack).is_some() {
-            fab.mem.note_injected_nack(core, req.addr);
+            fab.mem.note_injected_nack(core, addr);
             return self.nack_retry(fab, core, msg);
         }
-        if req.store {
-            match fab
-                .mem
-                .execute_store(core, gseq, req.addr, req.size, req.value)
-            {
+        if store {
+            match fab.mem.execute_store(core, gseq, addr, size, value) {
                 StoreResponse::Nack => {
                     self.overflow_flush(fab, core, seq);
                     self.nack_retry(fab, core, msg);
@@ -115,7 +133,7 @@ impl Proc {
                     let ev = Ev::OutputDone {
                         proc,
                         seq,
-                        lsid: Some(req.lsid),
+                        lsid: Some(lsid),
                         prov: Prov {
                             from: core as u8,
                             sent: fab.now,
@@ -131,7 +149,7 @@ impl Proc {
             }
             return;
         }
-        match fab.mem.execute_load(core, gseq, req.addr, req.size) {
+        match fab.mem.execute_load(core, gseq, addr, size) {
             LoadResponse::Nack => {
                 self.overflow_flush(fab, core, seq);
                 self.nack_retry(fab, core, msg);
@@ -157,10 +175,10 @@ impl Proc {
                     LoadServe::Miss => 2,
                 };
                 let ev = Ev::SendOperands {
-                    from: core,
+                    from: core as u8,
                     proc,
                     seq,
-                    targets: req.targets,
+                    targets,
                     value: Some(value),
                     prov: Prov::load(prov.inst, core, prov.origin, at, served),
                 };
@@ -171,10 +189,10 @@ impl Proc {
 
     /// Re-queues the NACKed request `msg` at `core`'s bank after the
     /// retry interval.
-    fn nack_retry(&mut self, fab: &mut Fabric, core: usize, msg: OpMsg) {
+    fn nack_retry(&mut self, fab: &mut Fabric, core: usize, msg: &OpMsg) {
         self.stats.nack_retries += 1;
         let at = fab.now + u64::from(fab.cfg.nack_retry);
-        fab.push_local(at, Ev::Op(core, msg));
+        fab.push_local(at, Ev::Op(core as u8, *msg));
     }
 
     /// Serves a register read at its bank, or parks it until the older
@@ -185,8 +203,8 @@ impl Proc {
                 self.stats.reg_reads += 1;
                 let at = fab.now + 1;
                 let ev = Ev::SendOperands {
-                    from: w.bank_core,
-                    proc: self.id,
+                    from: w.bank_core as u8,
+                    proc: self.ix(),
                     seq: w.seq,
                     targets: w.targets,
                     value: Some(v),

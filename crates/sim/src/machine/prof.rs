@@ -8,7 +8,6 @@
 
 use super::state::{Blk, Proc};
 use super::Machine;
-use clp_isa::InstId;
 use clp_noc::{MeshConfig, NodeId};
 use clp_obs::{
     Bucket, BucketCycles, ProcProfile, ProfileReport, StatsNode, TraceEvent, Tracer, TrendOptions,
@@ -54,7 +53,12 @@ pub(super) enum ProvKind {
 /// Last-arrival provenance carried alongside operand-class messages:
 /// which instruction produced the value, where it departed from, when
 /// the producer started (`origin`) and when the value left (`sent`).
+///
+/// Packed to 4-byte alignment: 20 bytes of content would otherwise
+/// round up to 24, the four that put `OpMsg` and `Ev` over their size
+/// bounds. Fields are only ever read and written by value.
 #[derive(Clone, Copy, Debug, Default)]
+#[repr(Rust, packed(4))]
 pub(super) struct Prov {
     pub(super) kind: ProvKind,
     /// Producer instruction id within the block.
@@ -185,7 +189,7 @@ impl Cutter {
 /// segments by walking last-arrival edges backward from the commit
 /// handshake. Also returns the number of edges walked and the critical
 /// loads by service class.
-fn critical_path(p: &Proc, b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64, [u64; 3]) {
+fn critical_path(b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64, [u64; 3]) {
     let owner = b.owner;
     let t0 = b.t_init.min(t_end);
     let mut cutter = Cutter {
@@ -222,7 +226,7 @@ fn critical_path(p: &Proc, b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64,
             }
             edges += 1;
             // Where dispatch placed the consumer.
-            let here = p.cores[InstId::new(i).core_of(p.n)];
+            let here = usize::from(b.tmpl.dec[i].home);
             cutter.cut(pr.ready[i], Bucket::IssueWait, here, None);
             let e = pr.edge[i];
             let producer = match e.kind {
@@ -278,7 +282,7 @@ impl ProfAcc {
         let Some(pr) = b.prof.as_deref() else {
             return;
         };
-        let (segs, edges, load_class) = critical_path(p, b, pr, t_end);
+        let (segs, edges, load_class) = critical_path(b, pr, t_end);
         let (pi, t0) = (p.id, b.t_init.min(t_end));
         if self.per_proc.len() <= pi {
             self.per_proc.resize_with(pi + 1, ProcProfile::default);

@@ -11,8 +11,7 @@
 //! `any_ready`, `next_done` and `next_start` are what the skip-ahead
 //! horizon needs (see `driver.rs`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// The lowest part at or above `from` whose bit is set in `mask`.
@@ -20,6 +19,18 @@ use std::ops::Range;
 fn next_part(mask: u32, from: usize) -> Option<usize> {
     let rest = u64::from(mask) >> from;
     (rest != 0).then(|| from + rest.trailing_zeros() as usize)
+}
+
+/// What an issue pass does with a ready entry it visits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Pick {
+    /// It issued: leaves the list and uses one issue slot.
+    Take,
+    /// Passed over this cycle (no FP slot left): stays, in order.
+    Keep,
+    /// Its block is gone (committed without it): leaves the list and
+    /// uses no slot.
+    Drop,
 }
 
 /// Per participant core: ready-to-issue `(seq, inst)` entries, strictly
@@ -62,32 +73,31 @@ impl ReadyLists {
         self.mask |= 1 << part;
     }
 
-    /// One ascending pass over `part`'s list: up to `width` entries that
-    /// `pick` accepts move to `out` (cleared first), passed-over ones
-    /// (no FP slot left, block gone) compact down in order and the
-    /// unvisited tail closes the gap.
+    /// One ascending pass over `part`'s list, until `width` entries
+    /// were taken: `pick` says what becomes of each entry visited. Kept
+    /// ones compact down in order and the unvisited tail closes the gap.
     pub(super) fn take_picks(
         &mut self,
         part: usize,
         width: usize,
-        out: &mut Vec<(u64, u8)>,
-        mut pick: impl FnMut(u64, u8) -> bool,
+        mut pick: impl FnMut(u64, u8) -> Pick,
     ) {
-        out.clear();
         let list = &mut self.lists[part];
-        let (mut visited, mut kept) = (0, 0);
-        while visited < list.len() && out.len() < width {
+        let (mut visited, mut kept, mut taken) = (0, 0, 0);
+        while visited < list.len() && taken < width {
             let (seq, id) = list[visited];
             visited += 1;
-            if pick(seq, id) {
-                out.push((seq, id));
-            } else {
-                list[kept] = (seq, id);
-                kept += 1;
+            match pick(seq, id) {
+                Pick::Take => taken += 1,
+                Pick::Keep => {
+                    list[kept] = (seq, id);
+                    kept += 1;
+                }
+                Pick::Drop => {}
             }
         }
         list.copy_within(visited.., kept);
-        list.truncate(list.len() - out.len());
+        list.truncate(list.len() - (visited - kept));
         if list.is_empty() {
             self.mask &= !(1 << part);
         }
@@ -127,17 +137,10 @@ impl ReadyLists {
 }
 
 /// A scheduled execution completion.
-///
-/// The derived `Ord` compares fields in declaration order, so a min-heap
-/// of these pops by `(done, push_seq)`: earliest completion first, ties
-/// broken by issue order (every opcode latency is >= 1, so nothing can
-/// complete in arrears).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug)]
 pub(super) struct ExecDone {
     /// Cycle the result becomes routable.
     pub(super) done: u64,
-    /// Monotonic per-processor push counter (FIFO tie-break).
-    push_seq: u64,
     /// Owning block sequence number.
     pub(super) seq: u64,
     /// Instruction id within the block.
@@ -146,19 +149,20 @@ pub(super) struct ExecDone {
     pub(super) result: u64,
 }
 
-/// Per participant core: in-flight completions, popped by done cycle
-/// (issue order within a cycle), and the mask of non-empty queues.
+/// Per participant core: in-flight completions in `(done, push order)`
+/// — earliest completion first, ties in issue order — and the mask of
+/// non-empty queues. Every latency is 1–16 cycles, so a push finds its
+/// place at or next to the back, and its position is the tie-break.
 #[derive(Debug, Default)]
 pub(super) struct ExecQueues {
-    heaps: Vec<BinaryHeap<Reverse<ExecDone>>>,
+    queues: Vec<VecDeque<ExecDone>>,
     mask: u32,
-    pushes: u64,
 }
 
 impl ExecQueues {
     /// Empties the queues and sizes them for `n` participants.
     pub(super) fn reset(&mut self, n: usize) {
-        self.heaps = (0..n).map(|_| BinaryHeap::new()).collect();
+        self.queues = (0..n).map(|_| VecDeque::new()).collect();
         self.mask = 0;
     }
 
@@ -172,23 +176,27 @@ impl ExecQueues {
     /// Starts `inst` of block `seq` on `part`; its result is due at
     /// `done`.
     pub(super) fn push(&mut self, part: usize, done: u64, seq: u64, inst: u8, result: u64) {
-        let push_seq = self.pushes;
-        self.pushes += 1;
         self.mask |= 1 << part;
-        self.heaps[part].push(Reverse(ExecDone {
+        let q = &mut self.queues[part];
+        let e = ExecDone {
             done,
-            push_seq,
             seq,
             inst,
             result,
-        }));
+        };
+        // Behind everything due at or before `done`: mostly the back.
+        if q.back().is_none_or(|last| last.done <= done) {
+            q.push_back(e);
+        } else {
+            q.insert(q.partition_point(|e| e.done <= done), e);
+        }
     }
 
     /// Pops `part`'s next completion due at or before `now`.
     pub(super) fn pop_due(&mut self, part: usize, now: u64) -> Option<ExecDone> {
-        let q = &mut self.heaps[part];
-        let e = q.peek().filter(|Reverse(e)| e.done <= now)?.0;
-        q.pop();
+        let q = &mut self.queues[part];
+        let e = *q.front().filter(|e| e.done <= now)?;
+        q.pop_front();
         if q.is_empty() {
             self.mask &= !(1 << part);
         }
@@ -197,8 +205,8 @@ impl ExecQueues {
 
     /// Drops every completion of blocks `seq` and younger (a squash).
     pub(super) fn truncate_from(&mut self, seq: u64) {
-        for (part, q) in self.heaps.iter_mut().enumerate() {
-            q.retain(|&Reverse(e)| e.seq < seq);
+        for (part, q) in self.queues.iter_mut().enumerate() {
+            q.retain(|e| e.seq < seq);
             if q.is_empty() {
                 self.mask &= !(1 << part);
             }
@@ -211,24 +219,27 @@ impl ExecQueues {
         let (mut h, mut above) = (u64::MAX, 0);
         while let Some(part) = self.next_part(above) {
             above = part + 1;
-            h = h.min(
-                self.heaps[part]
-                    .peek()
-                    .map_or(u64::MAX, |Reverse(e)| e.done),
-            );
+            h = h.min(self.queues[part].front().map_or(u64::MAX, |e| e.done));
         }
         h
     }
 
     /// Completions in flight per participant (debug dumps).
     pub(super) fn lens(&self) -> Vec<usize> {
-        self.heaps.iter().map(BinaryHeap::len).collect()
+        self.queues.iter().map(VecDeque::len).collect()
     }
 
-    /// Panics unless each mask bit is set iff that queue is non-empty.
+    /// Panics unless each queue is in completion order and its mask bit
+    /// is set iff it is non-empty.
     #[cfg(any(test, debug_assertions))]
     pub(super) fn check(&self) {
-        for (part, q) in self.heaps.iter().enumerate() {
+        for (part, q) in self.queues.iter().enumerate() {
+            assert!(
+                q.iter()
+                    .zip(q.iter().skip(1))
+                    .all(|(a, b)| a.done <= b.done),
+                "exec[{part}] in completion order"
+            );
             assert_eq!(
                 self.mask >> part & 1 == 1,
                 !q.is_empty(),
@@ -458,16 +469,29 @@ mod tests {
                         r.push(part, (seq, id));
                         model[part].insert((seq, id));
                     }
-                    // Issue up to `id` entries, passing over odd ids.
+                    // Issue up to `id` entries, passing over ids that
+                    // are 1 mod 3 and finding those 2 mod 3 gone.
                     4 | 5 => {
-                        r.take_picks(part, usize::from(id), &mut out, |_, i| i % 2 == 0);
-                        let mut want = Vec::new();
+                        out.clear();
+                        r.take_picks(part, usize::from(id), |s, i| {
+                            let verdict = [Pick::Take, Pick::Keep, Pick::Drop][usize::from(i % 3)];
+                            if verdict == Pick::Take {
+                                out.push((s, i));
+                            }
+                            verdict
+                        });
+                        let (mut want, mut gone) = (Vec::new(), Vec::new());
                         for &e in &model[part] {
-                            if want.len() < usize::from(id) && e.1 % 2 == 0 {
-                                want.push(e);
+                            if want.len() == usize::from(id) {
+                                break;
+                            }
+                            match e.1 % 3 {
+                                0 => want.push(e),
+                                2 => gone.push(e),
+                                _ => {}
                             }
                         }
-                        for e in &want {
+                        for e in want.iter().chain(&gone) {
                             model[part].remove(e);
                         }
                         prop_assert_eq!(&out, &want);
@@ -497,7 +521,7 @@ mod tests {
         /// `Vec` of the same pushes gives — through squashes.
         #[test]
         fn exec_queues_pop_in_completion_then_issue_order(
-            ops in prop::collection::vec((0u8..8, 0usize..PARTS, 0u64..12, 1u64..5), 1..300),
+            ops in prop::collection::vec((0u8..8, 0usize..PARTS, 0u64..12, 1u64..=16), 1..300),
         ) {
             let mut q = ExecQueues::default();
             q.reset(PARTS);

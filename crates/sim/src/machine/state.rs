@@ -3,23 +3,27 @@
 //! per-block state, and [`Proc`] itself. Signals derived from this
 //! state (which cores have work) live in `sched.rs`.
 
-use super::fabric::Fabric;
+use super::decode::{FetchTemplate, Kind};
 use super::prof::{BlkProf, FetchReason, Prov};
 use super::sched::{Armed, ExecQueues, ReadyLists, Slices};
 use crate::config::SimConfig;
 use crate::regfile::RegFile;
 use crate::stats::ProcStats;
 use crate::window::BlockWindow;
-use clp_isa::{Block, BlockAddr, EdgeProgram, Instruction, Opcode, Reg, Target};
+use clp_isa::{BlockAddr, EdgeProgram, Instruction, Reg, Target};
 use clp_predictor::{block_owner, ComposedPredictor, ExitOutcome, Prediction};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// A processor's index in `Machine::procs` as messages and events
+/// carry it (`compose_at` bounds the index).
+pub(super) type ProcIx = u16;
 
 /// An operand-class message for block `seq` of processor `proc`, sent
 /// over the mesh or, within a core, through the event wheel.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct OpMsg {
-    pub(super) proc: usize,
+    pub(super) proc: ProcIx,
     pub(super) seq: u64,
     pub(super) prov: Prov,
     pub(super) body: OpBody,
@@ -36,112 +40,110 @@ pub(super) enum OpBody {
     },
     /// Register write forwarded to its bank.
     WriteFwd { reg: Reg, value: Option<u64> },
-    /// Memory request to a D-cache/LSQ bank.
-    MemReq(MemReq),
+    /// Memory request to a D-cache/LSQ bank. The fields sit in the
+    /// variant, not in a struct of their own, so that the tag shares
+    /// their padding.
+    MemReq {
+        lsid: u8,
+        store: bool,
+        size: u8,
+        /// Consumers of a load's reply.
+        targets: [Option<Target>; 2],
+        /// Physical effective address.
+        addr: u64,
+        /// Store data.
+        value: u64,
+    },
 }
 
+/// A scheduled local or control event. Core, participant and processor
+/// ids are narrow (a chip has 32 cores) to keep a wheel bucket dense.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct MemReq {
-    pub(super) lsid: u8,
-    pub(super) store: bool,
-    /// Physical effective address.
-    pub(super) addr: u64,
-    pub(super) size: u8,
-    /// Store data.
-    pub(super) value: u64,
-    /// Consumers of a load's reply.
-    pub(super) targets: [Option<Target>; 2],
-}
-
-#[derive(Clone, Debug)]
 pub(super) enum Ev {
     /// Operand-class message delivered locally (same-core fast path, bank
-    /// responses, NACK retries).
-    Op(usize, OpMsg),
+    /// responses, NACK retries) at the given core.
+    Op(u8, OpMsg),
     /// One block output resolved. `lsid` is set when the output is a
     /// store slot (accepted store or null), which also feeds the
     /// conservative-ordering machinery for dependence-violating blocks.
     OutputDone {
-        proc: usize,
+        proc: ProcIx,
         seq: u64,
         lsid: Option<u8>,
         prov: Prov,
     },
     /// The block's exit branch resolved.
     Branch {
-        proc: usize,
+        proc: ProcIx,
         seq: u64,
         outcome: ExitOutcome,
         prov: Prov,
     },
     /// Next-block hand-off arrived at the new owner.
-    HandOff { proc: usize, addr: BlockAddr },
+    HandOff { proc: ProcIx, addr: BlockAddr },
     /// Fetch command arrived at a participating core.
-    FetchCmd { proc: usize, seq: u64, part: usize },
+    FetchCmd { proc: ProcIx, seq: u64, part: u8 },
     /// Route a produced value from `from` to the given targets.
     SendOperands {
-        from: usize,
-        proc: usize,
+        from: u8,
+        proc: ProcIx,
         seq: u64,
         targets: [Option<Target>; 2],
         value: Option<u64>,
         prov: Prov,
     },
     /// All commit acknowledgments arrived at the owner.
-    CommitDone { proc: usize, seq: u64 },
+    CommitDone { proc: ProcIx, seq: u64 },
     /// A window slot became visible as free to the fetch engine.
-    SlotFree { proc: usize },
+    SlotFree { proc: ProcIx },
     /// An operand-network injection held back by the fault layer is
     /// released onto the mesh (only ever scheduled by injected NoC
     /// delays; never present on fault-free runs).
-    Inject { from: usize, to: usize, msg: OpMsg },
+    Inject { from: u8, to: u8, msg: OpMsg },
 }
 
+// Both ride the event wheel's buckets, and `OpMsg` the mesh slab too.
+const _: () = assert!(size_of::<OpMsg>() <= 56);
+const _: () = assert!(size_of::<Ev>() <= 64);
+
+/// Per-instruction ready state: all a wakeup touches.
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) struct OpState {
-    pub(super) dispatched: bool,
-    pub(super) queued: bool,
-    pub(super) fired: bool,
-    pub(super) got: [bool; 3],
-    /// Operand values by slot; `None` until it arrives, and for a null
+    /// `DISPATCHED | QUEUED | FIRED`.
+    pub(super) flags: u8,
+    /// Operand slots that arrived, one bit per slot; the instruction is
+    /// ready once these cover its `Decoded::need`.
+    pub(super) got: u8,
+    /// Arrived slots whose operand is a null token.
+    null: u8,
+    /// Operand values by slot; 0 until one arrives, and for a null
     /// token.
-    pub(super) val: [Option<u64>; 3],
+    pub(super) val: [u64; 3],
 }
 
-/// Everything about a block that is identical across fetches of the
-/// same address: built once per address (per composition) and shared
-/// afterwards — a fetch takes one handle to it, never a deep clone of
-/// the block or a walk of its dispatch slices.
-#[derive(Debug)]
-pub(super) struct FetchTemplate {
-    pub(super) block: Block,
-    /// Per participant core: instruction ids of its dispatch slice.
-    pub(super) slices: Vec<Box<[u8]>>,
-    /// Untouched dispatch cursors over `slices`, copied by each fetch.
-    cursors: Slices,
-    pub(super) outputs_needed: usize,
-    /// Bitmask of store LSIDs the block declares.
-    store_mask: u32,
-}
+const _: () = assert!(size_of::<OpState>() <= 32);
 
-impl FetchTemplate {
-    fn new(block: &Block, n: usize) -> Self {
-        let slice = |part| block.slice_for_core(part, n).map(|(i, _)| i as u8);
-        let slices: Vec<Box<[u8]>> = (0..n).map(|part| slice(part).collect()).collect();
-        FetchTemplate {
-            cursors: Slices::new(slices.iter().map(|s| s.len())),
-            slices,
-            outputs_needed: block.output_count(),
-            store_mask: block.store_lsids().iter().fold(0u32, |m, &l| m | (1 << l)),
-            block: block.clone(),
-        }
+impl OpState {
+    pub(super) const DISPATCHED: u8 = 1;
+    pub(super) const QUEUED: u8 = 2;
+    pub(super) const FIRED: u8 = 4;
+
+    pub(super) fn fired(&self) -> bool {
+        self.flags & Self::FIRED != 0
     }
-}
 
-/// The LSID of a memory instruction or store-slot null.
-pub(super) fn lsid_of(inst: &Instruction) -> u8 {
-    let lsid = inst.lsid.expect("Block::from_instructions checks LSIDs");
-    lsid.index() as u8
+    /// An operand (None = null token) arrived for `slot`.
+    pub(super) fn deliver(&mut self, slot: usize, value: Option<u64>) {
+        let bit = 1 << slot;
+        self.got |= bit;
+        self.null = self.null & !bit | if value.is_none() { bit } else { 0 };
+        self.val[slot] = value.unwrap_or(0);
+    }
+
+    /// The operand that arrived for `slot`: `None` for a null token.
+    pub(super) fn arrived(&self, slot: usize) -> Option<u64> {
+        (self.null & 1 << slot == 0).then_some(self.val[slot])
+    }
 }
 
 #[derive(Debug)]
@@ -151,7 +153,8 @@ pub(super) struct Blk {
     /// outputs and drives its commit. Fixed for the block's life (a
     /// recomposition flushes every block first).
     pub(super) owner: usize,
-    /// The block itself, its dispatch slices and its output counts.
+    /// The block itself, its decoded form, its dispatch slices and its
+    /// output counts.
     pub(super) tmpl: Arc<FetchTemplate>,
     pub(super) ops: Vec<OpState>,
     pub(super) outputs_done: usize,
@@ -232,19 +235,17 @@ impl Blk {
 
     /// The memory request instruction `id` makes with the operands it
     /// holds, in the address space at `base`.
-    pub(super) fn mem_req(&self, id: u8, base: u64) -> MemReq {
-        let inst = self.inst(id);
-        let [left, right, _] = self.ops[usize::from(id)].val.map(|v| v.unwrap_or(0));
-        MemReq {
-            lsid: lsid_of(inst),
-            store: inst.opcode.is_store(),
-            addr: ((left as i64).wrapping_add(inst.imm) as u64).wrapping_add(base),
-            size: match inst.opcode {
-                Opcode::Ldb | Opcode::Stb => 1,
-                _ => 8,
-            },
+    pub(super) fn mem_req(&self, id: u8, base: u64) -> OpBody {
+        let i = usize::from(id);
+        let d = &self.tmpl.dec[i];
+        let [left, right, _] = self.ops[i].val;
+        OpBody::MemReq {
+            lsid: d.lsid,
+            store: d.kind == Kind::Store,
+            size: d.size,
+            targets: d.targets,
+            addr: ((left as i64).wrapping_add(self.tmpl.imm[i]) as u64).wrapping_add(base),
             value: right,
-            targets: inst.targets,
         }
     }
 }
@@ -399,17 +400,15 @@ impl Proc {
         }
     }
 
+    /// This processor as messages and events name it.
+    pub(super) fn ix(&self) -> ProcIx {
+        self.id as ProcIx
+    }
+
     /// The core that owns (fetches, resolves, commits) the block at
     /// `addr`.
     pub(super) fn owner_core(&self, addr: BlockAddr) -> usize {
         self.cores[block_owner(addr, self.ctrl_banks)]
-    }
-
-    /// Records observable protocol progress: resets the deadlock window
-    /// and the watchdog's silence timer.
-    pub(super) fn beat(&mut self, fab: &mut Fabric) {
-        fab.last_progress = fab.now;
-        self.last_beat = fab.now;
     }
 
     /// The fetch template of the block at `addr`, built on its first
@@ -419,7 +418,8 @@ impl Proc {
         if let Some(tmpl) = self.fetch_cache.get(&addr) {
             return Some(Arc::clone(tmpl));
         }
-        let tmpl = Arc::new(FetchTemplate::new(self.program.block(addr)?, self.n));
+        let block = self.program.block(addr)?;
+        let tmpl = Arc::new(FetchTemplate::new(block, addr, self.ix(), &self.cores));
         self.fetch_cache.insert(addr, Arc::clone(&tmpl));
         Some(tmpl)
     }

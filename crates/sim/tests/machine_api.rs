@@ -30,6 +30,16 @@ fn compose_rejects_overlap_and_bad_sizes() {
 }
 
 #[test]
+#[should_panic(expected = "512-core chip is too big")]
+fn a_chip_of_more_than_256_cores_is_refused_not_misrouted() {
+    // Messages name a core in 8 bits: core 256 must not alias core 0.
+    let mut cfg = SimConfig::tflex();
+    cfg.operand_net.width = 32;
+    cfg.operand_net.height = 16;
+    let _ = Machine::new(cfg);
+}
+
+#[test]
 fn arguments_arrive_in_r1_and_up() {
     let mut m = Machine::new(SimConfig::tflex());
     let pid = m.compose(2, 0, tiny_program(), &[40, 2]).unwrap();
