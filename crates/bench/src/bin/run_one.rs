@@ -35,10 +35,10 @@
 //! the `--max-cycles` deadline.
 
 use clp_core::cli::{self, die, or_die, write_or_die, Flag, Spec};
-use clp_core::compile_workload;
+use clp_core::{compile_workload, ObsOptions};
 use clp_isa::Reg;
 use clp_obs::{ChromeTraceWriter, Tracer, TrendOptions};
-use clp_sim::{CoreKill, FaultPlan, Machine, RunError, SimConfig, ALL_FAULT_KINDS};
+use clp_sim::{CoreKill, FaultPlan, RunError, SimConfig, ALL_FAULT_KINDS};
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -116,25 +116,20 @@ fn main() {
             .add_kill(usize::from(k.core), k.cycle)
             .unwrap_or_else(|e| die(format!("bad --kill-core schedule: {e}")));
     }
-    let mut m = Machine::new(cfg);
-    if let Some(path) = &trace {
-        m.set_tracer(Tracer::new(ChromeTraceWriter::new(path)));
-    }
-    if stats_json.is_some() || sample_every.is_some() {
-        m.set_sample_period(sample_every.unwrap_or(1000));
-    }
-    if profile {
-        m.enable_profiling();
-    }
-    if trend {
-        if !profile {
-            m.enable_profiling();
-        }
-        m.enable_trend(TrendOptions {
-            period: sample_every.unwrap_or(1000),
+    let period = sample_every.unwrap_or(1000);
+    let obs = ObsOptions {
+        tracer: trace.as_ref().map_or_else(Tracer::off, |path| {
+            Tracer::new(ChromeTraceWriter::new(path))
+        }),
+        sample_every: (stats_json.is_some() || sample_every.is_some()).then_some(period),
+        profile,
+        trend: trend.then(|| TrendOptions {
+            period,
             ..TrendOptions::default()
-        });
-    }
+        }),
+        ..ObsOptions::default()
+    };
+    let mut m = obs.machine(cfg);
     for (addr, words) in &w.init_mem {
         m.memory_mut().image.load_words(*addr, words);
     }

@@ -1,29 +1,25 @@
-//! The standing engine-equivalence suite.
+//! The repeatability matrix: every run here goes **twice** through the
+//! one driver (`Machine::run`) with clp-prof and clp-trend on, and the
+//! two runs must agree on cycles, return value, the snapshot / clp-prof
+//! / clp-trend strings — or on the typed failure. Two runs in one
+//! process do see `HashMap`-order and address-dependent nondeterminism,
+//! which a pinned value taken from a single run cannot tell from a
+//! legitimate move.
 //!
-//! The execution engine has two interchangeable drivers: the reference
-//! single-step loop (`Machine::run_stepped`) and the event-driven
-//! skip-ahead loop (`Machine::run`). Their contract is *bit-identity*:
-//! same cycle counts, same stats registry, same clp-prof cycle
-//! accounting, same clp-trend time series, same typed failure — an
-//! optimized driver that changes any reported number is a bug, not a
-//! speedup.
+//! What runs:
 //!
-//! Three test families enforce the contract here (a one-kernel-per-class
-//! slice also runs under tier-1, in the root `tests/engine_equiv.rs`):
-//!
-//! * the full benchmark suite across logical-processor sizes 1, 2, 4,
-//!   8, and 16, comparing cycles, return values and the full snapshot /
-//!   clp-prof / clp-trend JSON (the JSON comparison is byte-level:
-//!   `serde_json` output is field-ordered, so equal strings mean equal
-//!   reports);
-//! * the inputs the skip-ahead horizon has explicit terms for: every
-//!   fault kind alone, all of them together, a mid-run core kill, and a
-//!   cycle deadline;
+//! * the perturbed matrix — 7 kernels × {1, 4, 16} cores under each
+//!   fault kind alone, all of them together, a mid-run core kill and a
+//!   half-run deadline;
 //! * a proptest-style loop over seeded generated programs — random op
 //!   mixes, loop trip counts, data-dependent branches, and store
-//!   patterns from a hand-rolled LCG — so the equivalence claim does
+//!   patterns from a hand-rolled LCG — at five sizes, so the claim does
 //!   not rest on the curated suite alone. Failures print the seed,
 //!   which reproduces the program deterministically.
+//!
+//! The clean suite is not repeated here: `BENCH_baseline.json` (at
+//! threshold 0), `BOUND_baseline.json`, the `tests/trend.rs` goldens and
+//! `tests/wide_goldens.rs` pin it cell by cell.
 
 use clp_compiler::{FunctionBuilder, ProgramBuilder, VReg};
 use clp_core::{
@@ -37,22 +33,8 @@ use clp_workloads::{CheckSpec, IlpClass, Workload, WorkloadClass};
 
 const SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Runs `cw` under `cfg` with the given driver and full observability.
-fn run_with(
-    cw: &CompiledWorkload,
-    cfg: &ProcessorConfig,
-    stepped: bool,
-) -> Result<RunOutcome, RunFailure> {
-    let obs = ObsOptions {
-        profile: true,
-        trend: Some(TrendOptions::default()),
-        stepped,
-        ..ObsOptions::default()
-    };
-    run_compiled_observed(cw, cfg, &obs)
-}
-
-/// Renders every report of a run as comparable strings.
+/// Renders every report of a run as comparable strings (`serde_json`
+/// output is field-ordered, so equal strings mean equal reports).
 fn reports(r: &RunOutcome) -> [(&'static str, String); 3] {
     let profile = r
         .profile
@@ -70,62 +52,55 @@ fn reports(r: &RunOutcome) -> [(&'static str, String); 3] {
     ]
 }
 
-/// Asserts that the reference stepper and skip-ahead agree under `cfg`
-/// — the same verified cycles, return value and reports, or the same
-/// typed failure — and returns that shared result.
-fn assert_equivalent(
+/// Runs `cw` under `cfg` twice with full observability and asserts the
+/// runs agree — the same verified cycles, return value and reports, or
+/// the same typed failure — then returns that shared result.
+fn assert_repeatable(
     cw: &CompiledWorkload,
     cfg: &ProcessorConfig,
     label: &str,
 ) -> Result<RunOutcome, RunFailure> {
-    match (run_with(cw, cfg, true), run_with(cw, cfg, false)) {
-        (Ok(reference), Ok(skip)) => {
-            assert!(reference.correct, "{label}: wrong output");
+    let obs = ObsOptions {
+        profile: true,
+        trend: Some(TrendOptions::default()),
+        ..ObsOptions::default()
+    };
+    let [first, second] = [(); 2].map(|()| run_compiled_observed(cw, cfg, &obs));
+    match (first, second) {
+        (Ok(first), Ok(second)) => {
+            assert!(first.correct, "{label}: wrong output");
             assert_eq!(
-                reference.stats.cycles, skip.stats.cycles,
+                first.stats.cycles, second.stats.cycles,
                 "{label}: cycle count diverged"
             );
-            assert_eq!(reference.ret, skip.ret, "{label}: return value diverged");
-            for ((what, want), (_, got)) in reports(&reference).iter().zip(&reports(&skip)) {
+            assert_eq!(first.ret, second.ret, "{label}: return value diverged");
+            for ((what, want), (_, got)) in reports(&first).iter().zip(&reports(&second)) {
                 assert_eq!(want, got, "{label}: {what} diverged");
             }
-            Ok(reference)
+            Ok(first)
         }
-        (Err(reference), Err(skip)) => {
+        (Err(first), Err(second)) => {
             assert_eq!(
-                reference.to_string(),
-                skip.to_string(),
+                first.to_string(),
+                second.to_string(),
                 "{label}: failure diverged"
             );
-            Err(reference)
+            Err(first)
         }
-        (reference, skip) => panic!(
-            "{label}: one driver failed: stepped {:?}, skip-ahead {:?}",
-            reference.map(|r| r.stats.cycles),
-            skip.map(|r| r.stats.cycles)
+        (first, second) => panic!(
+            "{label}: one run failed: first {:?}, second {:?}",
+            first.map(|r| r.stats.cycles),
+            second.map(|r| r.stats.cycles)
         ),
     }
 }
 
-/// Full suite, every size, full report bit-identity.
+/// Each fault kind alone (`noc_burst` draws every cycle; `dram_spike`
+/// and `handoff_delay` are the only producers of far-future wheel
+/// events), all kinds together, a mid-run core kill, and a deadline
+/// both runs must report as the same `DeadlineExceeded`.
 #[test]
-fn suite_identical_across_engines() {
-    for w in clp_workloads::suite::all() {
-        let cw = compile_workload(&w).expect("compiles");
-        for &n in &SIZES {
-            let label = format!("{} x{n}", w.name);
-            assert_equivalent(&cw, &ProcessorConfig::tflex(n), &label).expect("runs");
-        }
-    }
-}
-
-/// The inputs the skip-ahead horizon special-cases: each fault kind
-/// alone (`noc_burst` disables skipping outright; `dram_spike` and
-/// `handoff_delay` are the only producers of far-future wheel events),
-/// all kinds together, a mid-run core kill, and a deadline both
-/// drivers must report as the same `DeadlineExceeded`.
-#[test]
-fn perturbed_runs_identical_across_engines() {
+fn perturbed_runs_repeat() {
     let mut fired = [0u64; ALL_FAULT_KINDS.len()];
     for name in [
         "conv", "mcf", "equake", "a2time", "802.11b", "tblook", "bezier",
@@ -138,21 +113,21 @@ fn perturbed_runs_identical_across_engines() {
             for (k, kind) in ALL_FAULT_KINDS.into_iter().enumerate() {
                 let plan = FaultPlan::only(kind, 0xE0, 150);
                 let label = format!("{name} x{cores} under {kind}");
-                let r = assert_equivalent(&cw, &base.clone().with_faults(plan), &label);
+                let r = assert_repeatable(&cw, &base.clone().with_faults(plan), &label);
                 fired[k] += r.expect("runs").stats.faults.count(kind);
             }
             let label = format!("{name} x{cores} under chaos");
             let chaos = base.clone().with_faults(FaultPlan::chaos(97, 100));
-            assert_equivalent(&cw, &chaos, &label).expect("runs");
+            assert_repeatable(&cw, &chaos, &label).expect("runs");
             if cores >= 4 {
                 let mut plan = FaultPlan::none();
                 plan.add_kill(1, half).expect("valid kill");
                 let label = format!("{name} x{cores} killed");
-                let r = assert_equivalent(&cw, &base.clone().with_faults(plan), &label);
+                let r = assert_repeatable(&cw, &base.clone().with_faults(plan), &label);
                 assert_eq!(r.expect("recovers").stats.recovery.cores_killed, 1);
             }
             let label = format!("{name} x{cores} deadline");
-            match assert_equivalent(&cw, &base.with_deadline(half), &label) {
+            match assert_repeatable(&cw, &base.with_deadline(half), &label) {
                 Err(RunFailure::Run(RunError::DeadlineExceeded { budget })) => {
                     assert_eq!(budget, half);
                 }
@@ -239,7 +214,7 @@ fn generated_workload(seed: u64) -> Workload {
     if with_branch {
         // Data-dependent fork: odd elements take a different op chain,
         // so the next-block predictor is wrong on a pseudo-random
-        // subset of iterations and the engines must agree on every
+        // subset of iterations and both runs must agree on every
         // resulting flush.
         let one = f.c(1);
         let odd = f.bin(Opcode::And, x, one);
@@ -285,17 +260,17 @@ fn generated_workload(seed: u64) -> Workload {
     }
 }
 
-/// Generated programs, every size, full report bit-identity. Ten seeds
+/// Generated programs, every size, both runs' reports equal. Ten seeds
 /// keep the runtime modest; any seed reproduces its program exactly.
 #[test]
-fn generated_programs_identical_across_engines() {
+fn generated_programs_repeat() {
     for seed in 0..10u64 {
         let w = generated_workload(seed);
         let cw =
             compile_workload(&w).unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
         for &n in &SIZES {
             let label = format!("{} x{n}", w.name);
-            assert_equivalent(&cw, &ProcessorConfig::tflex(n), &label).expect("runs");
+            assert_repeatable(&cw, &ProcessorConfig::tflex(n), &label).expect("runs");
         }
     }
 }

@@ -4,7 +4,7 @@
 use crate::run::{compile_workload, ObsOptions, ProcessorConfig, RunFailure};
 use clp_isa::Reg;
 use clp_obs::{StatsSnapshot, TrendReport};
-use clp_sim::{Machine, ProcId, RunStats};
+use clp_sim::{ProcId, RunStats};
 use clp_workloads::Workload;
 use std::fmt;
 
@@ -118,22 +118,7 @@ pub fn run_multiprogram_observed(
     order.sort_by_key(|&i| std::cmp::Reverse(specs[i].cores));
 
     let cfg = ProcessorConfig::tflex(32).sim;
-    let mut m = Machine::new(cfg);
-    if obs.tracer.enabled() {
-        m.set_tracer(obs.tracer.clone());
-    }
-    if let Some(period) = obs.sample_every {
-        m.set_sample_period(period);
-    }
-    if obs.profile {
-        m.enable_profiling();
-    }
-    if let Some(t) = &obs.trend {
-        if (t.buckets || t.heat) && !m.profiling_enabled() {
-            m.enable_profiling();
-        }
-        m.enable_trend(t.clone());
-    }
+    let mut m = obs.machine(cfg);
     let mut compiled = Vec::with_capacity(specs.len());
     for s in specs {
         compiled.push(compile_workload(&s.workload)?);

@@ -240,11 +240,36 @@ pub struct ObsOptions {
     /// implicitly — the trend layer reads the profiler's accumulators
     /// but never feeds timing, so cycles stay bit-identical either way.
     pub trend: Option<TrendOptions>,
-    /// Drive the run with the reference single-step loop instead of the
-    /// event-driven skip-ahead engine (default: off). The two are
-    /// bit-identical by contract; this switch exists so the equivalence
-    /// suite can prove it on every workload rather than assume it.
+    /// Ignored: there is one driver ([`Machine::run`]). The field only
+    /// keeps `benchmark/` compiling and is removed with its
+    /// `cell.stepped` / `sim.stepped_ratio_x` by the benchmark PR of
+    /// ROADMAP 1(a).
     pub stepped: bool,
+}
+
+impl ObsOptions {
+    /// Builds the machine for `cfg` with these observers attached — the
+    /// one place that knows the order (tracer, sampler, clp-prof,
+    /// clp-trend) and that a trend with bucket or heat columns needs
+    /// the profiler on.
+    #[must_use]
+    pub fn machine(&self, cfg: SimConfig) -> Machine {
+        let mut m = Machine::new(cfg);
+        if self.tracer.enabled() {
+            m.set_tracer(self.tracer.clone());
+        }
+        if let Some(period) = self.sample_every {
+            m.set_sample_period(period);
+        }
+        let trend_reads_prof = |t: &TrendOptions| t.buckets || t.heat;
+        if self.profile || self.trend.as_ref().is_some_and(trend_reads_prof) {
+            m.enable_profiling();
+        }
+        if let Some(t) = &self.trend {
+            m.enable_trend(t.clone());
+        }
+        m
+    }
 }
 
 /// Runs a pre-compiled workload on `cfg`, verifying outputs.
@@ -271,33 +296,14 @@ pub fn run_compiled_observed(
     cfg: &ProcessorConfig,
     obs: &ObsOptions,
 ) -> Result<RunOutcome, RunFailure> {
-    let mut m = Machine::new(cfg.sim);
-    if obs.tracer.enabled() {
-        m.set_tracer(obs.tracer.clone());
-    }
-    if let Some(period) = obs.sample_every {
-        m.set_sample_period(period);
-    }
-    if obs.profile {
-        m.enable_profiling();
-    }
-    if let Some(t) = &obs.trend {
-        if (t.buckets || t.heat) && !m.profiling_enabled() {
-            m.enable_profiling();
-        }
-        m.enable_trend(t.clone());
-    }
+    let mut m = obs.machine(cfg.sim);
     for (addr, words) in &cw.workload.init_mem {
         m.memory_mut().image.load_words(*addr, words);
     }
     let pid: ProcId = m
         .compose(cfg.cores(), 0, cw.edge.clone(), &cw.workload.args)
         .map_err(RunFailure::Compose)?;
-    let stats = if obs.stepped {
-        m.run_stepped().map_err(RunFailure::Run)?
-    } else {
-        m.run().map_err(RunFailure::Run)?
-    };
+    let stats = m.run().map_err(RunFailure::Run)?;
     let trend = m.take_trend_report();
     let snapshot = m.snapshot();
     let profile = m.profile_report();

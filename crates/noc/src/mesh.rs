@@ -67,16 +67,6 @@ impl MeshConfig {
         }
     }
 
-    /// The control-message network (one message per link per cycle).
-    #[must_use]
-    pub fn control() -> Self {
-        MeshConfig {
-            width: 4,
-            height: 8,
-            link_bandwidth: 1,
-        }
-    }
-
     /// Number of nodes in the mesh.
     #[must_use]
     pub fn nodes(&self) -> usize {
@@ -345,23 +335,6 @@ impl<M> Mesh<M> {
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.delivered.is_empty() && self.busy.iter().all(|&w| w == 0)
-    }
-
-    /// Advances the cycle counter directly to `cycle` without stepping.
-    ///
-    /// Only legal while the mesh is idle: stepping an idle mesh is a
-    /// pure cycle-counter increment (no routing, no stats, no traffic),
-    /// so an event-driven owner may jump the counter over any number of
-    /// idle cycles and remain bit-identical to a stepped run.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if the mesh has in-flight traffic or `cycle`
-    /// moves backwards.
-    pub fn skip_to(&mut self, cycle: u64) {
-        debug_assert!(self.is_idle(), "cannot skip over in-flight messages");
-        debug_assert!(cycle >= self.cycle, "mesh cycle cannot move backwards");
-        self.cycle = cycle;
     }
 
     /// One router's work for one cycle: walks `queues[node]` in FIFO

@@ -63,7 +63,7 @@ proptest! {
     fn stats_conservation(
         msgs in prop::collection::vec((0usize..32, 0usize..32), 1..60),
     ) {
-        let cfg = MeshConfig::control();
+        let cfg = MeshConfig::trips_operand();
         let mut mesh: Mesh<()> = Mesh::new(cfg);
         let mut expected_hops = 0u64;
         for &(src, dst) in &msgs {

@@ -183,16 +183,6 @@ impl IntervalSampler {
         cycle >= self.next_due
     }
 
-    /// The earliest cycle at which [`IntervalSampler::due`] will next
-    /// return true. Event-driven steppers must not skip past this
-    /// cycle, or window boundaries (and thus the emitted samples) would
-    /// shift.
-    #[inline]
-    #[must_use]
-    pub fn next_due_cycle(&self) -> u64 {
-        self.next_due
-    }
-
     /// Closes the current window at `cycle` given the cumulative
     /// `counters`, recording one sample.
     pub fn sample(&mut self, cycle: u64, counters: SampleCounters) {

@@ -208,16 +208,6 @@ impl TrendRecorder {
         cycle >= self.next_due
     }
 
-    /// The earliest cycle at which [`TrendRecorder::due`] will next
-    /// return true. Event-driven steppers must not skip past this
-    /// cycle, or interval boundaries (and thus the recorded series)
-    /// would shift.
-    #[inline]
-    #[must_use]
-    pub fn next_due_cycle(&self) -> u64 {
-        self.next_due
-    }
-
     /// Closes the interval ending at `cycle`. `root` is the current
     /// stats tree; `insts` the cumulative dispatched-instruction count;
     /// `prof` the profiler's cumulative run-level buckets and per-core

@@ -43,8 +43,6 @@ pub struct SimConfig {
     pub predictor: PredictorConfig,
     /// Operand-network parameters (TFlex doubles link bandwidth).
     pub operand_net: MeshConfig,
-    /// Control-network parameters.
-    pub control_net: MeshConfig,
     /// Handshake timing mode.
     pub protocol: ProtocolTiming,
     /// Cycles a NACKed memory request waits before retrying.
@@ -100,7 +98,6 @@ impl SimConfig {
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::tflex(),
             operand_net: MeshConfig::tflex_operand(),
-            control_net: MeshConfig::control(),
             protocol: ProtocolTiming::Modeled,
             nack_retry: 4,
             max_inflight: None,
@@ -131,7 +128,6 @@ impl SimConfig {
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::trips_centralized(),
             operand_net: MeshConfig::trips_operand(),
-            control_net: MeshConfig::control(),
             protocol: ProtocolTiming::Modeled,
             nack_retry: 4,
             max_inflight: Some(8),

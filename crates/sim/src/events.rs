@@ -13,6 +13,9 @@
 //! migrate at the *start* of the first cycle whose window reaches them
 //! — before any same-cycle scheduling can run — so a far-scheduled
 //! event still precedes any later-scheduled event for the same cycle.
+//! `Machine::step` is the only thing that moves `now`, one cycle at a
+//! time, so `advance` sees every cycle and a far event always lands in
+//! an empty slot.
 
 use std::collections::BTreeMap;
 
@@ -29,34 +32,16 @@ pub(crate) struct EventWheel<T> {
     /// `slots[c & MASK]` holds the events due at cycle `c` for every
     /// `c` within `WHEEL - 1` cycles of the owner's current cycle.
     slots: Vec<Vec<T>>,
-    /// Occupancy bitmask over `slots` (one bit per slot) so the
-    /// skip-ahead horizon can find the next non-empty slot without
-    /// scanning all of them.
-    occupied: [u64; (WHEEL / 64) as usize],
     /// Events at least `WHEEL` cycles out, keyed by due cycle.
     far: BTreeMap<u64, Vec<T>>,
-    /// Events currently in `slots` (kept for the debug dump).
-    near: usize,
 }
 
 impl<T> EventWheel<T> {
     pub(crate) fn new() -> Self {
         EventWheel {
             slots: (0..WHEEL).map(|_| Vec::new()).collect(),
-            occupied: [0; (WHEEL / 64) as usize],
             far: BTreeMap::new(),
-            near: 0,
         }
-    }
-
-    #[inline]
-    fn set_bit(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] |= 1 << (slot % 64);
-    }
-
-    #[inline]
-    fn clear_bit(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] &= !(1 << (slot % 64));
     }
 
     /// Schedules `ev` at cycle `at`, which must be strictly after the
@@ -64,17 +49,14 @@ impl<T> EventWheel<T> {
     pub(crate) fn schedule(&mut self, now: u64, at: u64, ev: T) {
         debug_assert!(at > now, "events must be scheduled in the future");
         if at - now < WHEEL {
-            let slot = at & MASK;
-            self.slots[slot as usize].push(ev);
-            self.set_bit(slot);
-            self.near += 1;
+            self.slots[(at & MASK) as usize].push(ev);
         } else {
             self.far.entry(at).or_default().push(ev);
         }
     }
 
     /// Rotates the wheel to `now`: far events whose cycle just entered
-    /// the window move into their slot. Must run at the start of each
+    /// the window move into their slot. Must run at the start of every
     /// cycle, before any `schedule` calls for that cycle.
     pub(crate) fn advance(&mut self, now: u64) {
         while let Some(entry) = self.far.first_entry() {
@@ -82,12 +64,9 @@ impl<T> EventWheel<T> {
             if at - now >= WHEEL {
                 break;
             }
-            let mut evs = entry.remove();
-            let slot = at & MASK;
-            self.near += evs.len();
-            debug_assert!(self.slots[slot as usize].is_empty());
-            self.slots[slot as usize].append(&mut evs);
-            self.set_bit(slot);
+            let slot = &mut self.slots[(at & MASK) as usize];
+            debug_assert!(slot.is_empty());
+            slot.append(&mut entry.remove());
         }
     }
 
@@ -97,48 +76,13 @@ impl<T> EventWheel<T> {
     /// copied.
     pub(crate) fn pop_due(&mut self, now: u64, out: &mut Vec<T>) {
         debug_assert!(out.is_empty());
-        let slot = now & MASK;
-        let bucket = &mut self.slots[slot as usize];
-        if bucket.is_empty() {
-            return;
-        }
-        self.near -= bucket.len();
-        std::mem::swap(out, bucket);
-        self.clear_bit(slot);
-    }
-
-    /// The earliest cycle after `now` with a scheduled event, or
-    /// `u64::MAX` if nothing is scheduled.
-    pub(crate) fn next_due(&self, now: u64) -> u64 {
-        if self.near > 0 {
-            // Scan the occupancy bitmask circularly starting just past
-            // `now`'s slot; distance in slots = distance in cycles
-            // because every near event is within one wheel turn.
-            let start = (now + 1) & MASK;
-            for d in 0..(WHEEL / 64) + 1 {
-                let word_idx = ((start / 64 + d) % (WHEEL / 64)) as usize;
-                let mut word = self.occupied[word_idx];
-                if d == 0 {
-                    // Mask off slots at or before `start` in this word.
-                    word &= !0u64 << (start % 64);
-                } else if d == WHEEL / 64 {
-                    // Wrapped back to the first word: only slots up to
-                    // and including `now & MASK` remain unchecked.
-                    word &= !(!0u64 << (start % 64));
-                }
-                if word != 0 {
-                    let slot = (word_idx as u64) * 64 + u64::from(word.trailing_zeros());
-                    let delta = (slot.wrapping_sub(now + 1)) & MASK;
-                    return now + 1 + delta;
-                }
-            }
-        }
-        self.far.first_key_value().map_or(u64::MAX, |(&at, _)| at)
+        std::mem::swap(out, &mut self.slots[(now & MASK) as usize]);
     }
 
     /// Total scheduled events (near and far) — debug dumps only.
     pub(crate) fn len(&self) -> usize {
-        self.near + self.far.values().map(Vec::len).sum::<usize>()
+        let near = self.slots.iter().map(Vec::len).sum::<usize>();
+        near + self.far.values().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -148,14 +92,13 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Schedules interleaved with cycle advances (single steps and
-        /// skip-ahead jumps up to the next due cycle) and pops, against
+        /// Schedules interleaved with cycle advances and pops, against
         /// a `BTreeMap<u64, Vec<_>>`: every cycle drains exactly its
         /// events, in schedule order; an event for `now + 1` scheduled
         /// before the pop of `now` and one scheduled after it both wait
         /// for `now + 1`; far events come out ahead of later-scheduled
-        /// near ones; and `next_due` and `len` agree with the map after
-        /// every operation.
+        /// near ones; and `len` agrees with the map after every
+        /// operation.
         #[test]
         fn behaves_like_a_map_of_cycles(
             ops in prop::collection::vec((0u8..10, 0u64..3 * WHEEL), 1..400),
@@ -179,24 +122,20 @@ mod tests {
                         w.pop_due(now, &mut out);
                         prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
                     }
-                    // Advance: one cycle or a jump, never past a due
-                    // cycle; the cycle left behind is drained first, as
-                    // `Machine::step` always does.
+                    // Advance one cycle, or many (far events migrate),
+                    // one at a time; each cycle left behind is drained
+                    // first, as `Machine::step` always does.
                     _ => {
-                        let mut out = Vec::new();
-                        w.pop_due(now, &mut out);
-                        prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
-                        let due = model.keys().next().copied().unwrap_or(u64::MAX);
-                        now = (now + 1 + if op == 8 { 0 } else { arg }).min(due);
-                        w.advance(now);
+                        for _ in 0..if op == 8 { 1 } else { 1 + arg } {
+                            let mut out = Vec::new();
+                            w.pop_due(now, &mut out);
+                            prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
+                            now += 1;
+                            w.advance(now);
+                        }
                     }
                 }
                 prop_assert_eq!(w.len(), model.values().map(Vec::len).sum::<usize>());
-                // The horizon is asked between steps: `now` is drained.
-                if !model.contains_key(&now) {
-                    let due = model.keys().next().copied().unwrap_or(u64::MAX);
-                    prop_assert_eq!(w.next_due(now), due);
-                }
             }
         }
     }
@@ -241,27 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn next_due_finds_near_and_far() {
+    fn drains_across_the_wheel_wrap() {
         let mut w: EventWheel<u32> = EventWheel::new();
-        assert_eq!(w.next_due(0), u64::MAX);
-        w.schedule(0, WHEEL * 3, 9);
-        assert_eq!(w.next_due(0), WHEEL * 3);
-        w.schedule(0, 7, 1);
-        assert_eq!(w.next_due(0), 7);
-        w.schedule(0, 2, 2);
-        assert_eq!(w.next_due(0), 2);
-        drain(&mut w, 1..=7);
-        assert_eq!(w.next_due(7), WHEEL * 3);
-    }
-
-    #[test]
-    fn next_due_wraps_around_the_wheel() {
-        let mut w: EventWheel<u32> = EventWheel::new();
-        // Place `now` late in the wheel so the next event's slot index
-        // is numerically smaller (wrap-around).
+        // Place `now` late in the wheel so the event's slot index is
+        // numerically smaller (wrap-around).
         let now = WHEEL - 2;
         w.schedule(now, now + 5, 1);
-        assert_eq!(w.next_due(now), now + 5);
-        assert_eq!(drain(&mut w, now + 1..=now + 5), vec![1]);
+        assert_eq!(drain(&mut w, now + 1..=now + 4), vec![]);
+        assert_eq!(drain(&mut w, now + 5..=now + 5), vec![1]);
     }
 }

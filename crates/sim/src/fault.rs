@@ -354,17 +354,6 @@ impl FaultPlan {
         self.kills.iter().any(Option::is_some)
     }
 
-    /// True if this plan consumes PRNG state on *every* machine cycle
-    /// rather than per event. Event-driven skip-ahead must step such
-    /// runs cycle by cycle: skipping a cycle would skip its draw and
-    /// shift the whole downstream fault schedule. `noc_burst` is the
-    /// only per-cycle draw (all other kinds roll per message, request,
-    /// or prediction, and zero-rate rolls never touch the PRNG).
-    #[must_use]
-    pub fn has_per_cycle_draws(&self) -> bool {
-        self.noc_burst_rate > 0
-    }
-
     /// The scheduled kills, in insertion order.
     pub fn kills(&self) -> impl Iterator<Item = CoreKill> + '_ {
         self.kills.iter().filter_map(|k| *k)

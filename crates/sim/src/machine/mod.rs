@@ -11,9 +11,9 @@
 //! `operand.rs`, `commit.rs`, and `recovery.rs` for hard faults. The
 //! stage loops walk the derived ready / executing / armed signals of
 //! `sched.rs`; `prof.rs` holds what only clp-prof and clp-trend run;
-//! `driver.rs` holds `run` and all of skip-ahead. Each file's header
-//! names its protocol, and DESIGN.md ("Machine anatomy") tabulates the
-//! state, signals and events of each.
+//! `driver.rs` holds `run`, the one loop that calls `step`. Each
+//! file's header names its protocol, and DESIGN.md ("Machine anatomy")
+//! tabulates the state, signals and events of each.
 //!
 //! ## Modeling notes (see DESIGN.md)
 //!

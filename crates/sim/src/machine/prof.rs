@@ -365,12 +365,6 @@ impl Machine {
         }));
     }
 
-    /// Whether [`Machine::enable_profiling`] was called.
-    #[must_use]
-    pub fn profiling_enabled(&self) -> bool {
-        self.fab.prof.is_some()
-    }
-
     /// The accumulated cycle-accounting report, or `None` when profiling
     /// is disabled. Meaningful once the run has committed blocks; the
     /// `elapsed` field reflects the current cycle.

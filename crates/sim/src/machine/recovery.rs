@@ -71,7 +71,7 @@ impl Fabric {
 impl Proc {
     /// Silence (cycles since the last heartbeat) the watchdog tolerates
     /// before probing, at the current backoff round.
-    pub(super) fn silence_limit(&self, cfg: &SimConfig) -> u64 {
+    fn silence_limit(&self, cfg: &SimConfig) -> u64 {
         cfg.watchdog_timeout << self.probe_round.min(cfg.watchdog_backoff_cap)
     }
 }

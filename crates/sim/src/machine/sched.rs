@@ -7,9 +7,7 @@
 //! cycle counts silently. Each type here owns one list and its mask; its
 //! methods are the only code that writes either, so the two cannot
 //! drift, and `check()` (run after every `step` under debug assertions)
-//! is a backstop rather than the enforcement. The read-only accessors
-//! `any_ready`, `next_done` and `next_start` are what the skip-ahead
-//! horizon needs (see `driver.rs`).
+//! is a backstop rather than the enforcement.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -213,17 +211,6 @@ impl ExecQueues {
         }
     }
 
-    /// The earliest due cycle of any completion in flight, or
-    /// `u64::MAX`.
-    pub(super) fn next_done(&self) -> u64 {
-        let (mut h, mut above) = (u64::MAX, 0);
-        while let Some(part) = self.next_part(above) {
-            above = part + 1;
-            h = h.min(self.queues[part].front().map_or(u64::MAX, |e| e.done));
-        }
-        h
-    }
-
     /// Completions in flight per participant (debug dumps).
     pub(super) fn lens(&self) -> Vec<usize> {
         self.queues.iter().map(VecDeque::len).collect()
@@ -330,8 +317,7 @@ pub(super) struct Claim {
 }
 
 /// Sequence numbers of the in-flight blocks with a runnable slice,
-/// ascending: the only blocks the dispatch stage and the event horizon
-/// look at.
+/// ascending: the only blocks the dispatch stage looks at.
 #[derive(Debug, Default)]
 pub(super) struct Armed {
     seqs: Vec<u64>,
@@ -410,21 +396,6 @@ impl Armed {
     /// dispatch stage can make progress on.
     pub(super) fn parts<'a>(&self, slices: impl Fn(u64) -> &'a Slices) -> u32 {
         self.seqs.iter().fold(0, |m, &seq| m | slices(seq).runnable)
-    }
-
-    /// The earliest cycle any runnable slice may (or might already)
-    /// dispatch, or `u64::MAX`.
-    pub(super) fn next_start<'a>(&self, slices: impl Fn(u64) -> &'a Slices) -> u64 {
-        let mut h = u64::MAX;
-        for &seq in &self.seqs {
-            let s = slices(seq);
-            let mut above = 0;
-            while let Some(part) = next_part(s.runnable, above) {
-                above = part + 1;
-                h = h.min(s.cur[part].start_at);
-            }
-        }
-        h
     }
 
     /// Panics unless every block's runnable bits and unfinished count
@@ -558,8 +529,6 @@ mod tests {
                 }
                 q.check();
                 prop_assert_eq!(q.lens(), model.iter().map(Vec::len).collect::<Vec<_>>());
-                let next = model.iter().filter_map(|m| m.first()).map(|e| e.0).min();
-                prop_assert_eq!(q.next_done(), next.unwrap_or(u64::MAX));
                 let first = (0..PARTS).find(|&p| !model[p].is_empty());
                 prop_assert_eq!(q.next_part(0), first);
             }

@@ -305,7 +305,10 @@ pub struct RunStats {
     pub mem: MemStats,
     /// Operand-network counters.
     pub operand_net: MeshStats,
-    /// Control-network counters.
+    /// Control-network counters: always zero, because control messages
+    /// are charged analytically (`Fabric::ctrl_delay`) and never cross a
+    /// mesh. Kept because the node is in every pinned snapshot and
+    /// `benchmark/` sums it.
     pub control_net: MeshStats,
     /// Fault-injection counters (all zero on fault-free runs).
     pub faults: FaultStats,

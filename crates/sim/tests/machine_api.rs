@@ -85,6 +85,32 @@ fn cycle_limit_is_reported() {
 }
 
 #[test]
+fn a_block_whose_exit_never_fires_is_reported_as_a_deadlock() {
+    // The lint suite's no-firing-exit block: the only exit is predicated
+    // on r1, so with r1 = 0 the block never completes and nothing else
+    // is in flight. The cycle is the last progress (the block's fetch
+    // and dispatch, which depend on the composition) plus the deadlock
+    // window plus one; values recorded at commit 18c0a69.
+    let text = "entry @0x1000
+                block @0x1000 {
+                  i0: read r1 -> i1.P
+                  i1: p_t bro halt e0
+                }";
+    let edge = clp_isa::asm::parse_program(text).expect("parses");
+    for (cores, cycle) in [(1, 500_174), (4, 500_170), (32, 500_171)] {
+        for run in 0..2 {
+            let mut m = Machine::new(SimConfig::tflex());
+            m.compose(cores, 0, edge.clone(), &[0]).unwrap();
+            assert_eq!(
+                m.run(),
+                Err(RunError::Deadlock { cycle }),
+                "{cores} cores, run {run}"
+            );
+        }
+    }
+}
+
+#[test]
 fn deadline_kill_is_typed_and_distinct_from_cycle_limit() {
     // Same infinite loop as above, but killed by the policy deadline
     // long before the max_cycles safety net.
@@ -114,8 +140,7 @@ fn deadline_kill_is_typed_and_distinct_from_cycle_limit() {
 #[test]
 fn generous_deadline_does_not_perturb_the_run() {
     // A deadline the job never reaches must be invisible: identical
-    // result and identical cycle count (the skip-ahead clamp must not
-    // change behavior, only bound it).
+    // result and identical cycle count.
     let run = |deadline: Option<u64>| {
         let mut cfg = SimConfig::tflex();
         cfg.deadline = deadline;
