@@ -13,8 +13,9 @@
 //! code (2).
 //!
 //! This library holds the shared sweep machinery: parallel measurement of
-//! every workload at every composition size plus the TRIPS baseline, and
-//! small statistics helpers.
+//! every workload at every composition size plus the TRIPS baseline,
+//! small statistics helpers, and ([`matrix`]) the builders of the two
+//! suite documents with committed goldens.
 
 #![warn(missing_docs)]
 
@@ -30,6 +31,7 @@ use std::path::PathBuf;
 use std::thread;
 
 pub mod figs;
+pub mod matrix;
 
 /// The composition sizes of the Figure 6–8 sweeps.
 pub const SWEEP_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];

@@ -1,6 +1,7 @@
 //! Pins, on the built binaries, the exit codes CI's `set -e` steps and
-//! wrappers rely on: 0 = ran and verified, 2 = usage error, 3 = the run
-//! itself failed, 4 = killed by the `--max-cycles` deadline.
+//! wrappers rely on: 0 = ran and verified, 1 = a `--check` golden
+//! differs, 2 = usage error, 3 = the run itself failed, 4 = killed by
+//! the `--max-cycles` deadline.
 
 use std::process::{Command, Output};
 
@@ -76,4 +77,57 @@ fn clp_fig_table1_prints_the_configured_core() {
     assert_eq!(out.status.code(), Some(0));
     let want = clp_sim::table1_text(&clp_sim::SimConfig::tflex());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with(&want));
+}
+
+/// `clp-bench --check` is an equality gate: the committed baseline
+/// passes, and a baseline whose conv x1 cell is 1 000 cycles *higher*
+/// than the fresh run — which the old one-sided threshold gate let
+/// through — exits 1 naming the cell.
+#[test]
+fn clp_bench_check_is_two_sided_and_its_thresholds_are_gone() {
+    let exe = env!("CARGO_BIN_EXE_clp-bench");
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = |name: &str| tmp.join(name).to_string_lossy().into_owned();
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(committed).expect("committed BENCH_baseline.json");
+    std::fs::write(path("unedited.json"), &text).expect("writes");
+    let out = run(
+        exe,
+        &[
+            "--out",
+            &path("suite.json"),
+            "--check",
+            &path("unedited.json"),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
+    // conv is the first workload and 1 core its first run.
+    let at = text.find("\"cycles\": ").expect("a cycles field") + "\"cycles\": ".len();
+    let digits = text[at..].find(',').expect("ends the number");
+    let cycles: u64 = text[at..at + digits].parse().expect("a number");
+    let raised = format!("{}{}{}", &text[..at], cycles + 1000, &text[at + digits..]);
+    std::fs::write(path("raised.json"), raised).expect("writes");
+    let out = run(
+        exe,
+        &[
+            "--out",
+            &path("suite.json"),
+            "--check",
+            &path("raised.json"),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let want = format!(
+        "workloads[name=conv]/runs[cores=1]/cycles  {} -> {cycles} (-1000)",
+        cycles + 1000
+    );
+    assert!(stderr(&out).contains(&want), "{}", stderr(&out));
+
+    for gone in ["--threshold", "--explain"] {
+        let out = run(exe, &[gone, "0"]);
+        assert_eq!(out.status.code(), Some(2));
+        let want = format!("clp-bench: unknown flag `{gone}` (--help for usage)\n");
+        assert_eq!(stderr(&out), want);
+    }
 }

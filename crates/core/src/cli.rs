@@ -372,11 +372,15 @@ pub fn or_die<T>(result: Result<T, CliError>) -> T {
 /// Prints `<tool>: <msg>` to stderr and exits 2 — the usage / bad-input
 /// exit of every tool. The tool's name is the running binary's.
 pub fn die(msg: impl Display) -> ! {
+    eprintln!("{}: {msg}", prog());
+    std::process::exit(2);
+}
+
+/// The running binary's name.
+fn prog() -> String {
     let argv0 = std::env::args().next().unwrap_or_default();
     let prog = std::path::Path::new(&argv0).file_stem();
-    let prog = prog.map_or("clp".into(), |s| s.to_string_lossy());
-    eprintln!("{prog}: {msg}");
-    std::process::exit(2);
+    prog.map_or("clp".into(), |s| s.to_string_lossy().into_owned())
 }
 
 /// Reads and parses a JSON document, [`die`]-ing if it cannot.
@@ -385,6 +389,22 @@ pub fn read_json(path: &str) -> Value {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
     serde::json::parse(&text).unwrap_or_else(|e| die(format!("cannot parse `{path}`: {e}")))
+}
+
+/// The `--check GOLDEN` step of every gated tool: holds the freshly
+/// emitted document to the committed one at `path` with
+/// [`clp_obs::check_golden`] (byte equality) and, on a miss, prints the
+/// ranked leaves that moved and exits 1.
+pub fn check_golden(path: &str, fresh: &str) {
+    let committed =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
+    match clp_obs::check_golden(&committed, fresh) {
+        Ok(()) => println!("[check: equal to {path}]"),
+        Err(moved) => {
+            eprint!("{}: fresh output differs from {path}\n{moved}", prog());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Writes `contents` to `path`, [`die`]-ing if that fails. Tools write

@@ -39,6 +39,7 @@
 
 use clp_isa::{Block, BlockAddr, EdgeProgram};
 use serde::{Serialize, Value};
+use serde_json::json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -318,36 +319,15 @@ impl Diagnostic {
 
 impl Serialize for Diagnostic {
     fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("code".to_string(), Value::String(self.code.code().into())),
-            ("name".to_string(), Value::String(self.code.slug().into())),
-            ("severity".to_string(), self.severity.to_value()),
-        ];
-        obj.push((
-            "block".to_string(),
-            match self.span.block {
-                Some(b) => Value::UInt(b),
-                None => Value::Null,
-            },
-        ));
-        obj.push((
-            "inst".to_string(),
-            match self.span.inst {
-                Some(i) => Value::UInt(i as u64),
-                None => Value::Null,
-            },
-        ));
-        obj.push(("message".to_string(), Value::String(self.message.clone())));
-        obj.push((
-            "notes".to_string(),
-            Value::Array(
-                self.notes
-                    .iter()
-                    .map(|n| Value::String(n.clone()))
-                    .collect(),
-            ),
-        ));
-        Value::Object(obj)
+        json!({
+            "code": (self.code),
+            "name": (self.code.slug()),
+            "severity": (self.severity),
+            "block": (self.span.block),
+            "inst": (self.span.inst),
+            "message": (self.message),
+            "notes": (self.notes)
+        })
     }
 }
 
@@ -477,21 +457,12 @@ impl LintReport {
 
 impl Serialize for LintReport {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("errors".to_string(), Value::UInt(self.error_count() as u64)),
-            (
-                "warnings".to_string(),
-                Value::UInt(self.count(Severity::Warn) as u64),
-            ),
-            (
-                "infos".to_string(),
-                Value::UInt(self.count(Severity::Info) as u64),
-            ),
-            (
-                "diagnostics".to_string(),
-                Value::Array(self.diagnostics.iter().map(Serialize::to_value).collect()),
-            ),
-        ])
+        json!({
+            "errors": (self.error_count()),
+            "warnings": (self.count(Severity::Warn)),
+            "infos": (self.count(Severity::Info)),
+            "diagnostics": (self.diagnostics)
+        })
     }
 }
 

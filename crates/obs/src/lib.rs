@@ -30,9 +30,10 @@
 //!   sampler into a columnar time series over any set of stats-registry
 //!   paths plus the profiler's buckets and per-core heat rows, with a
 //!   deterministic integer-only phase detector on top; see [`trend`].
-//! - [`diff`] structurally compares two runs' pinned JSON documents and
-//!   attributes the delta to the buckets, cores, and NoC links that
-//!   moved (the clp-diff library).
+//! - [`diff`] flattens any two JSON documents into path-keyed leaves
+//!   and ranks the ones that moved (the clp-diff library);
+//!   [`check_golden`] is the one equality gate every committed golden
+//!   goes through.
 //! - [`scope`] (the clp-scope data model) lifts the same discipline to
 //!   the service layer: deterministic per-job lifecycle span trees on
 //!   virtual time, worker occupancy tracks, a fleet-wide top-down cycle
@@ -48,7 +49,7 @@ pub mod sink;
 pub mod snapshot;
 pub mod trend;
 
-pub use diff::{attribute_buckets, detect_kind, diff_documents, AttributionReport, DiffEntry};
+pub use diff::{check_golden, diff_documents, AttributionReport, DiffEntry, TextEntry};
 pub use event::{CacheLevel, FlushReason, TraceEvent};
 pub use latency::LatencySummary;
 pub use profile::{BlockSpanStat, Bucket, BucketCycles, ProcProfile, ProfileReport, NUM_BUCKETS};
@@ -61,3 +62,12 @@ pub use snapshot::{
     IntervalSample, IntervalSampler, Metric, MetricValue, SampleCounters, StatsNode, StatsSnapshot,
 };
 pub use trend::{ColumnKind, Phase, TrendColumn, TrendOptions, TrendRecorder, TrendReport};
+
+/// A `json!` object minus its `null` fields: how the emitters spell an
+/// optional key (none of this crate's documents carries a `null`).
+pub(crate) fn skip_nulls(mut object: serde::Value) -> serde::Value {
+    if let serde::Value::Object(fields) = &mut object {
+        fields.retain(|(_, v)| !v.is_null());
+    }
+    object
+}

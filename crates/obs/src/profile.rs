@@ -16,7 +16,8 @@
 //! microarchitectural state the walk consumes.
 
 use crate::snapshot::StatsNode;
-use serde::Value;
+use serde::{Serialize, Value};
+use serde_json::json;
 use std::collections::BTreeMap;
 
 /// Number of cycle-accounting buckets (the length of [`Bucket::ALL`]).
@@ -151,12 +152,51 @@ impl BucketCycles {
         Bucket::ALL.iter().map(move |&b| (b, self.get(b)))
     }
 
-    fn to_json(self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(b, c)| (b.label().to_string(), Value::UInt(c)))
-                .collect(),
-        )
+    /// The book as a stats-registry node: one count per bucket.
+    #[must_use]
+    pub fn to_node(&self, name: &str) -> StatsNode {
+        let node = StatsNode::new(name);
+        self.iter().fold(node, |n, (b, c)| n.count(b.label(), c))
+    }
+
+    /// The bucket / cycles / share table: a header and one row per
+    /// non-empty bucket, shares being of [`BucketCycles::total`].
+    #[must_use]
+    pub fn render_table(&self) -> String {
+        let total = self.total().max(1);
+        let mut out = format!("{:<14} {:>12} {:>7}\n", "bucket", "cycles", "share");
+        for (b, c) in self.iter().filter(|&(_, c)| c > 0) {
+            let share = 100.0 * c as f64 / total as f64;
+            out.push_str(&format!("{:<14} {c:>12} {share:>6.1}%\n", b.label()));
+        }
+        out
+    }
+
+    /// The three largest buckets as `label pct%, ..` (whole percents of
+    /// the total; canonical order breaks ties).
+    #[must_use]
+    pub fn render_top3(&self) -> String {
+        let mut ranked: Vec<(Bucket, u64)> = self.iter().filter(|&(_, c)| c > 0).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
+        let total = self.total().max(1);
+        let top = ranked.iter().take(3);
+        let top: Vec<String> = top
+            .map(|(b, c)| format!("{} {}%", b.label(), c * 100 / total))
+            .collect();
+        top.join(", ")
+    }
+}
+
+/// A JSON object with one entry per bucket label, in canonical order.
+pub(crate) fn by_bucket<T: Serialize>(value: impl Fn(Bucket) -> T) -> Value {
+    let entry = |&b: &Bucket| (b.label().to_string(), value(b).to_value());
+    Value::Object(Bucket::ALL.iter().map(entry).collect())
+}
+
+/// The one JSON spelling of a bucket book: `{"fetch": n, ..}`.
+impl Serialize for BucketCycles {
+    fn to_value(&self) -> Value {
+        by_bucket(|b| self.get(b))
     }
 }
 
@@ -232,14 +272,6 @@ impl ProcProfile {
     /// Renders this processor's profile as a stats-registry node.
     #[must_use]
     pub fn to_node(&self, name: &str) -> StatsNode {
-        let mut buckets = StatsNode::new("buckets");
-        for (b, c) in self.run_buckets.iter() {
-            buckets = buckets.count(b.label(), c);
-        }
-        let mut block_buckets = StatsNode::new("block_buckets");
-        for (b, c) in self.block_buckets.iter() {
-            block_buckets = block_buckets.count(b.label(), c);
-        }
         StatsNode::new(name)
             .count("blocks", self.blocks)
             .count("block_cycles", self.block_cycles)
@@ -249,52 +281,32 @@ impl ProcProfile {
             .count("crit_loads_forwarded", self.crit_loads_forwarded)
             .count("crit_loads_l1", self.crit_loads_l1)
             .count("crit_loads_missed", self.crit_loads_missed)
-            .child(buckets)
-            .child(block_buckets)
+            .child(self.run_buckets.to_node("buckets"))
+            .child(self.block_buckets.to_node("block_buckets"))
     }
 
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("blocks".to_string(), Value::UInt(self.blocks)),
-            ("block_cycles".to_string(), Value::UInt(self.block_cycles)),
-            (
-                "crit_path_cycles".to_string(),
-                Value::UInt(self.crit_path_cycles),
-            ),
-            (
-                "crit_path_edges".to_string(),
-                Value::UInt(self.crit_path_edges),
-            ),
-            ("longest_chain".to_string(), Value::UInt(self.longest_chain)),
-            (
-                "crit_loads".to_string(),
-                Value::Object(vec![
-                    (
-                        "forwarded".to_string(),
-                        Value::UInt(self.crit_loads_forwarded),
-                    ),
-                    ("l1_hit".to_string(), Value::UInt(self.crit_loads_l1)),
-                    ("missed".to_string(), Value::UInt(self.crit_loads_missed)),
-                ]),
-            ),
-            ("run_buckets".to_string(), self.run_buckets.to_json()),
-            ("block_buckets".to_string(), self.block_buckets.to_json()),
-            (
-                "block_spans".to_string(),
-                Value::Array(
-                    self.block_spans
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("addr".to_string(), Value::UInt(s.addr)),
-                                ("commits".to_string(), Value::UInt(s.commits)),
-                                ("min_cycles".to_string(), Value::UInt(s.min_cycles)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let spans = self.block_spans.iter();
+        let spans: Vec<Value> = spans
+            .map(
+                |s| json!({"addr": (s.addr), "commits": (s.commits), "min_cycles": (s.min_cycles)}),
+            )
+            .collect();
+        json!({
+            "blocks": (self.blocks),
+            "block_cycles": (self.block_cycles),
+            "crit_path_cycles": (self.crit_path_cycles),
+            "crit_path_edges": (self.crit_path_edges),
+            "longest_chain": (self.longest_chain),
+            "crit_loads": {
+                "forwarded": (self.crit_loads_forwarded),
+                "l1_hit": (self.crit_loads_l1),
+                "missed": (self.crit_loads_missed)
+            },
+            "run_buckets": (self.run_buckets),
+            "block_buckets": (self.block_buckets),
+            "block_spans": spans
+        })
     }
 }
 
@@ -364,14 +376,10 @@ impl ProfileReport {
     /// Renders the report as a stats-registry node named `"profile"`.
     #[must_use]
     pub fn to_node(&self) -> StatsNode {
-        let mut buckets = StatsNode::new("buckets");
-        for (b, c) in self.run_buckets().iter() {
-            buckets = buckets.count(b.label(), c);
-        }
         let mut node = StatsNode::new("profile")
             .count("elapsed", self.elapsed)
             .count("crit_path_cycles", self.crit_path_cycles())
-            .child(buckets);
+            .child(self.run_buckets().to_node("buckets"));
         for (i, p) in self.procs.iter().enumerate() {
             node = node.child(p.to_node(&format!("proc{i}")));
         }
@@ -381,43 +389,19 @@ impl ProfileReport {
     /// The report under the pinned `clp-prof-v1` JSON schema.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-prof-v1".to_string()),
-            ),
-            ("elapsed".to_string(), Value::UInt(self.elapsed)),
-            (
-                "mesh".to_string(),
-                Value::Object(vec![
-                    ("width".to_string(), Value::UInt(self.mesh_width as u64)),
-                    ("height".to_string(), Value::UInt(self.mesh_height as u64)),
-                ]),
-            ),
-            (
-                "procs".to_string(),
-                Value::Array(self.procs.iter().map(ProcProfile::to_json).collect()),
-            ),
-            (
-                "cores".to_string(),
-                Value::Array(self.core_cycles.iter().map(|&c| Value::UInt(c)).collect()),
-            ),
-            (
-                "links".to_string(),
-                Value::Array(
-                    self.link_cycles
-                        .iter()
-                        .map(|&((from, to), cycles)| {
-                            Value::Object(vec![
-                                ("from".to_string(), Value::UInt(from as u64)),
-                                ("to".to_string(), Value::UInt(to as u64)),
-                                ("cycles".to_string(), Value::UInt(cycles)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let procs: Vec<Value> = self.procs.iter().map(ProcProfile::to_json).collect();
+        let links = self.link_cycles.iter();
+        let links: Vec<Value> = links
+            .map(|&((from, to), cycles)| json!({"from": from, "to": to, "cycles": cycles}))
+            .collect();
+        json!({
+            "schema": "clp-prof-v1",
+            "elapsed": (self.elapsed),
+            "mesh": {"width": (self.mesh_width), "height": (self.mesh_height)},
+            "procs": procs,
+            "cores": (self.core_cycles),
+            "links": links
+        })
     }
 
     /// A per-bucket breakdown table: one row per bucket with cycles and
@@ -425,23 +409,7 @@ impl ProfileReport {
     #[must_use]
     pub fn render_breakdown(&self) -> String {
         let buckets = self.run_buckets();
-        let total = buckets.total().max(1);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<14} {:>12} {:>7}\n",
-            "bucket", "cycles", "share"
-        ));
-        for (b, c) in buckets.iter() {
-            if c == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:<14} {:>12} {:>6.1}%\n",
-                b.label(),
-                c,
-                100.0 * c as f64 / total as f64
-            ));
-        }
+        let mut out = buckets.render_table();
         out.push_str(&format!(
             "{:<14} {:>12} {:>6.1}%\n",
             "total",

@@ -27,9 +27,12 @@
 //! "Service observability").
 
 use crate::profile::{BucketCycles, ProfileReport};
+use crate::sink::{chrome_trace, ChromeEvent};
+use crate::skip_nulls;
 use crate::snapshot::StatsNode;
 use crate::trend::{TrendOptions, TrendRecorder, TrendReport};
-use serde::Value;
+use serde::{Serialize, Value};
+use serde_json::json;
 use std::collections::BTreeMap;
 
 /// Scope layer configuration.
@@ -55,12 +58,9 @@ pub struct Span {
     pub end: u64,
 }
 
-impl Span {
-    fn to_json(self) -> Value {
-        Value::Object(vec![
-            ("start".to_string(), Value::UInt(self.start)),
-            ("end".to_string(), Value::UInt(self.end)),
-        ])
+impl Serialize for Span {
+    fn to_value(&self) -> Value {
+        json!({"start": (self.start), "end": (self.end)})
     }
 }
 
@@ -146,11 +146,11 @@ impl Terminal {
     }
 
     fn to_json(self) -> Value {
-        let mut fields = vec![("kind".to_string(), Value::String(self.label().to_string()))];
-        if let Terminal::Completed { cycles } = self {
-            fields.push(("cycles".to_string(), Value::UInt(cycles)));
-        }
-        Value::Object(fields)
+        let cycles = match self {
+            Terminal::Completed { cycles } => Some(cycles),
+            _ => None,
+        };
+        skip_nulls(json!({"kind": (self.label()), "cycles": cycles}))
     }
 }
 
@@ -191,52 +191,31 @@ pub struct JobSpans {
 
 impl JobSpans {
     fn to_json(&self) -> Value {
-        let spans = |v: &[Span]| Value::Array(v.iter().map(|s| s.to_json()).collect());
-        let mut fields = vec![
-            ("id".to_string(), Value::UInt(self.id)),
-            ("workload".to_string(), Value::String(self.workload.clone())),
-            ("class".to_string(), Value::String(self.class.clone())),
-            ("cores".to_string(), Value::UInt(self.cores as u64)),
-            ("arrival".to_string(), Value::UInt(self.arrival)),
-            ("finish".to_string(), Value::UInt(self.finish)),
-            ("terminal".to_string(), self.terminal.to_json()),
-            ("queued".to_string(), spans(&self.queued)),
-            (
-                "attempts".to_string(),
-                Value::Array(
-                    self.attempts
-                        .iter()
-                        .map(|a| {
-                            let mut f = vec![
-                                ("attempt".to_string(), Value::UInt(u64::from(a.attempt))),
-                                ("worker".to_string(), Value::UInt(a.worker as u64)),
-                                ("start".to_string(), Value::UInt(a.start)),
-                                ("end".to_string(), Value::UInt(a.end)),
-                                (
-                                    "cache".to_string(),
-                                    Value::String(
-                                        if a.cache_hit { "hit" } else { "miss" }.to_string(),
-                                    ),
-                                ),
-                                (
-                                    "outcome".to_string(),
-                                    Value::String(a.end_kind.label().to_string()),
-                                ),
-                            ];
-                            if let Some(c) = a.compile {
-                                f.push(("compile".to_string(), c.to_json()));
-                            }
-                            Value::Object(f)
-                        })
-                        .collect(),
-                ),
-            ),
-            ("backoffs".to_string(), spans(&self.backoffs)),
-        ];
-        if let Some(book) = &self.book {
-            fields.push(("book".to_string(), buckets_json(book)));
-        }
-        Value::Object(fields)
+        let attempts = self.attempts.iter().map(|a| {
+            skip_nulls(json!({
+                "attempt": (a.attempt),
+                "worker": (a.worker),
+                "start": (a.start),
+                "end": (a.end),
+                "cache": (if a.cache_hit { "hit" } else { "miss" }),
+                "outcome": (a.end_kind.label()),
+                "compile": (a.compile)
+            }))
+        });
+        let attempts: Vec<Value> = attempts.collect();
+        skip_nulls(json!({
+            "id": (self.id),
+            "workload": (self.workload),
+            "class": (self.class),
+            "cores": (self.cores),
+            "arrival": (self.arrival),
+            "finish": (self.finish),
+            "terminal": (self.terminal.to_json()),
+            "queued": (self.queued),
+            "attempts": attempts,
+            "backoffs": (self.backoffs),
+            "book": (self.book)
+        }))
     }
 }
 
@@ -288,12 +267,16 @@ impl ClassBook {
         self.buckets.merge(buckets);
     }
 
-    fn to_json(&self) -> Vec<(String, Value)> {
-        vec![
-            ("jobs".to_string(), Value::UInt(self.jobs)),
-            ("sim_cycles".to_string(), Value::UInt(self.sim_cycles)),
-            ("buckets".to_string(), buckets_json(&self.buckets)),
-        ]
+    /// One rollup row of the fleet book, led by the `label` or `cores`
+    /// it is keyed by.
+    fn to_json(&self, label: Option<&str>, cores: Option<usize>) -> Value {
+        skip_nulls(json!({
+            "label": label,
+            "cores": cores,
+            "jobs": (self.jobs),
+            "sim_cycles": (self.sim_cycles),
+            "buckets": (self.buckets)
+        }))
     }
 }
 
@@ -326,43 +309,22 @@ impl FleetBook {
     }
 
     fn to_json(&self) -> Value {
-        let mut fields = self.total.to_json();
-        fields.push((
-            "by_class".to_string(),
-            Value::Array(
-                self.by_class
-                    .iter()
-                    .map(|(label, b)| {
-                        let mut f = vec![("label".to_string(), Value::String(label.clone()))];
-                        f.extend(b.to_json());
-                        Value::Object(f)
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "by_cores".to_string(),
-            Value::Array(
-                self.by_cores
-                    .iter()
-                    .map(|(&cores, b)| {
-                        let mut f = vec![("cores".to_string(), Value::UInt(cores as u64))];
-                        f.extend(b.to_json());
-                        Value::Object(f)
-                    })
-                    .collect(),
-            ),
-        ));
-        Value::Object(fields)
+        let by_class = self.by_class.iter();
+        let by_class: Vec<Value> = by_class
+            .map(|(label, b)| b.to_json(Some(label), None))
+            .collect();
+        let by_cores = self.by_cores.iter();
+        let by_cores: Vec<Value> = by_cores
+            .map(|(&cores, b)| b.to_json(None, Some(cores)))
+            .collect();
+        json!({
+            "jobs": (self.total.jobs),
+            "sim_cycles": (self.total.sim_cycles),
+            "buckets": (self.total.buckets),
+            "by_class": by_class,
+            "by_cores": by_cores
+        })
     }
-}
-
-fn buckets_json(b: &BucketCycles) -> Value {
-    Value::Object(
-        b.iter()
-            .map(|(bk, c)| (bk.label().to_string(), Value::UInt(c)))
-            .collect(),
-    )
 }
 
 /// Stats-registry paths the scope time series records (all under a
@@ -663,61 +625,33 @@ impl ScopeReport {
     /// an integer or a string, so equal runs serialize byte-identically.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-scope-v1".to_string()),
-            ),
-            ("seed".to_string(), Value::UInt(self.seed)),
-            ("workers".to_string(), Value::UInt(self.workers as u64)),
-            ("drained_at".to_string(), Value::UInt(self.drained_at)),
-            (
-                "jobs".to_string(),
-                Value::Array(self.jobs.iter().map(JobSpans::to_json).collect()),
-            ),
-            (
-                "worker_tracks".to_string(),
-                Value::Array(
-                    self.tracks
-                        .iter()
-                        .enumerate()
-                        .map(|(w, t)| {
-                            Value::Object(vec![
-                                ("worker".to_string(), Value::UInt(w as u64)),
-                                ("busy".to_string(), Value::UInt(t.busy_ticks())),
-                                (
-                                    "slices".to_string(),
-                                    Value::Array(
-                                        t.slices
-                                            .iter()
-                                            .map(|s| {
-                                                Value::Object(vec![
-                                                    ("job".to_string(), Value::UInt(s.job)),
-                                                    (
-                                                        "attempt".to_string(),
-                                                        Value::UInt(u64::from(s.attempt)),
-                                                    ),
-                                                    ("start".to_string(), Value::UInt(s.start)),
-                                                    ("end".to_string(), Value::UInt(s.end)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("fleet".to_string(), self.fleet.to_json()),
-            ("series".to_string(), self.series.to_json_value()),
-        ])
+        let jobs: Vec<Value> = self.jobs.iter().map(JobSpans::to_json).collect();
+        let tracks = self.tracks.iter().enumerate().map(|(w, t)| {
+            let slice = |s: &WorkerSlice| {
+                json!({"job": (s.job), "attempt": (s.attempt), "start": (s.start), "end": (s.end)})
+            };
+            let slices: Vec<Value> = t.slices.iter().map(slice).collect();
+            json!({"worker": w, "busy": (t.busy_ticks()), "slices": slices})
+        });
+        let tracks: Vec<Value> = tracks.collect();
+        json!({
+            "schema": "clp-scope-v1",
+            "seed": (self.seed),
+            "workers": (self.workers),
+            "drained_at": (self.drained_at),
+            "jobs": jobs,
+            "worker_tracks": tracks,
+            "fleet": (self.fleet.to_json()),
+            "series": (self.series.to_json_value())
+        })
     }
 
     /// The report serialized as pretty `clp-scope-v1` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json_value()).expect("serializes")
+        // Straight from the tree: `serde_json::to_string_pretty` would
+        // copy it first.
+        serde::json::to_string_value(&self.to_json_value(), true)
     }
 
     /// One-paragraph run summary (terminal-state census + utilization).
@@ -763,21 +697,14 @@ impl ScopeReport {
                 "key", "jobs", "cycles", "share"
             ));
             for (label, book) in rows {
-                let mut ranked: Vec<_> = book.buckets.iter().filter(|&(_, c)| c > 0).collect();
-                ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
                 let cycles = book.buckets.total();
-                let top: Vec<String> = ranked
-                    .iter()
-                    .take(3)
-                    .map(|(b, c)| format!("{} {}%", b.label(), c * 100 / cycles.max(1)))
-                    .collect();
                 out.push_str(&format!(
                     "{:<16} {:>5} {:>12} {:>6.1}%  {}\n",
                     label,
                     book.jobs,
                     cycles,
                     100.0 * cycles as f64 / total_crit as f64,
-                    top.join(", ")
+                    book.buckets.render_top3()
                 ));
             }
         };
@@ -800,21 +727,7 @@ impl ScopeReport {
                 .collect(),
         );
         out.push_str("\nfleet bucket book:\n");
-        out.push_str(&format!(
-            "{:<14} {:>12} {:>7}\n",
-            "bucket", "cycles", "share"
-        ));
-        for (b, c) in self.fleet.total.buckets.iter() {
-            if c == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:<14} {:>12} {:>6.1}%\n",
-                b.label(),
-                c,
-                100.0 * c as f64 / total_crit as f64
-            ));
-        }
+        out.push_str(&self.fleet.total.buckets.render_table());
         out
     }
 
@@ -826,135 +739,92 @@ impl ScopeReport {
     /// utilization counter tracks from the time series.
     #[must_use]
     pub fn to_perfetto(&self) -> String {
-        let s = |x: &str| Value::String(x.to_string());
         let mut events: Vec<Value> = Vec::new();
-        let meta = |name: &str, tid: u64, label: String| {
-            Value::Object(vec![
-                ("name".to_string(), s(name)),
-                ("ph".to_string(), s("M")),
-                ("pid".to_string(), Value::UInt(1)),
-                ("tid".to_string(), Value::UInt(tid)),
-                (
-                    "args".to_string(),
-                    Value::Object(vec![("name".to_string(), Value::String(label))]),
-                ),
-            ])
+        let mut push = |event: ChromeEvent| events.push(event.into_value());
+        let meta = |name: &str, tid: u64, label: String| ChromeEvent {
+            name: name.to_string(),
+            ph: "M",
+            pid: 1,
+            tid: Some(tid),
+            args: Some(json!({"name": label})),
+            ..ChromeEvent::default()
         };
-        events.push(meta("process_name", 0, "clp-serve".to_string()));
-        events.push(meta("thread_name", 0, "admission".to_string()));
+        push(meta("process_name", 0, "clp-serve".to_string()));
+        push(meta("thread_name", 0, "admission".to_string()));
         for w in 0..self.workers {
-            events.push(meta("thread_name", w as u64 + 1, format!("worker {w}")));
+            push(meta("thread_name", w as u64 + 1, format!("worker {w}")));
         }
         // Worker occupancy: complete ("X") slices, compile sub-spans
         // nested within by timestamp containment.
+        let slice = |name: String, tid: usize, start: u64, end: u64| ChromeEvent {
+            name,
+            cat: Some("worker"),
+            ph: "X",
+            ts: Some(start),
+            dur: Some(end - start),
+            pid: 1,
+            tid: Some(tid as u64 + 1),
+            ..ChromeEvent::default()
+        };
         for (w, track) in self.tracks.iter().enumerate() {
-            for slice in &track.slices {
-                let job = self
-                    .jobs
-                    .iter()
-                    .find(|j| j.id == slice.job)
-                    .expect("slice has a job");
-                events.push(Value::Object(vec![
-                    (
-                        "name".to_string(),
-                        Value::String(format!("job {} {} x{}", job.id, job.workload, job.cores)),
-                    ),
-                    ("cat".to_string(), s("worker")),
-                    ("ph".to_string(), s("X")),
-                    ("ts".to_string(), Value::UInt(slice.start)),
-                    ("dur".to_string(), Value::UInt(slice.end - slice.start)),
-                    ("pid".to_string(), Value::UInt(1)),
-                    ("tid".to_string(), Value::UInt(w as u64 + 1)),
-                    (
-                        "args".to_string(),
-                        Value::Object(vec![(
-                            "attempt".to_string(),
-                            Value::UInt(u64::from(slice.attempt)),
-                        )]),
-                    ),
-                ]));
-                let attempt = job
-                    .attempts
-                    .iter()
-                    .find(|a| a.attempt == slice.attempt)
-                    .expect("slice has an attempt");
-                if let Some(c) = attempt.compile {
-                    events.push(Value::Object(vec![
-                        ("name".to_string(), s("compile")),
-                        ("cat".to_string(), s("worker")),
-                        ("ph".to_string(), s("X")),
-                        ("ts".to_string(), Value::UInt(c.start)),
-                        ("dur".to_string(), Value::UInt(c.end - c.start)),
-                        ("pid".to_string(), Value::UInt(1)),
-                        ("tid".to_string(), Value::UInt(w as u64 + 1)),
-                    ]));
+            for s in &track.slices {
+                let job = self.jobs.iter().find(|j| j.id == s.job);
+                let job = job.expect("slice has a job");
+                let title = format!("job {} {} x{}", job.id, job.workload, job.cores);
+                push(ChromeEvent {
+                    args: Some(json!({"attempt": (s.attempt)})),
+                    ..slice(title, w, s.start, s.end)
+                });
+                let attempt = job.attempts.iter().find(|a| a.attempt == s.attempt);
+                if let Some(c) = attempt.expect("slice has an attempt").compile {
+                    push(slice("compile".to_string(), w, c.start, c.end));
                 }
             }
         }
         // Per-job async span trees (one track per job id) + admission
         // instants for refused arrivals.
         for job in &self.jobs {
-            match job.terminal {
-                Terminal::Shed | Terminal::Invalid => {
-                    events.push(Value::Object(vec![
-                        (
-                            "name".to_string(),
-                            Value::String(format!(
-                                "{} job {} {}",
-                                job.terminal.label(),
-                                job.id,
-                                job.workload
-                            )),
-                        ),
-                        ("cat".to_string(), s("admission")),
-                        ("ph".to_string(), s("i")),
-                        ("ts".to_string(), Value::UInt(job.arrival)),
-                        ("pid".to_string(), Value::UInt(1)),
-                        ("tid".to_string(), Value::UInt(0)),
-                        ("s".to_string(), s("t")),
-                    ]));
-                    continue;
-                }
-                _ => {}
+            if matches!(job.terminal, Terminal::Shed | Terminal::Invalid) {
+                push(ChromeEvent {
+                    name: format!("{} job {} {}", job.terminal.label(), job.id, job.workload),
+                    cat: Some("admission"),
+                    ph: "i",
+                    ts: Some(job.arrival),
+                    pid: 1,
+                    tid: Some(0),
+                    scope: Some("t"),
+                    ..ChromeEvent::default()
+                });
+                continue;
             }
-            let async_ev = |name: String, ph: &str, ts: u64, id: u64| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(name)),
-                    ("cat".to_string(), s("job")),
-                    ("ph".to_string(), s(ph)),
-                    ("ts".to_string(), Value::UInt(ts)),
-                    ("pid".to_string(), Value::UInt(1)),
-                    ("id".to_string(), Value::UInt(id)),
-                ])
+            let async_ev = |name: String, ph: &'static str, ts: u64| ChromeEvent {
+                name,
+                cat: Some("job"),
+                ph,
+                ts: Some(ts),
+                pid: 1,
+                id: Some(job.id.to_value()),
+                ..ChromeEvent::default()
             };
             let title = format!("job {} {} x{}", job.id, job.workload, job.cores);
-            events.push(async_ev(title.clone(), "b", job.arrival, job.id));
+            push(async_ev(title.clone(), "b", job.arrival));
             for (k, q) in job.queued.iter().enumerate() {
-                events.push(async_ev("queued".to_string(), "b", q.start, job.id));
-                events.push(async_ev("queued".to_string(), "e", q.end, job.id));
+                push(async_ev("queued".to_string(), "b", q.start));
+                push(async_ev("queued".to_string(), "e", q.end));
                 let a = &job.attempts[k];
-                events.push(async_ev(
-                    format!("attempt {} ({})", a.attempt, a.end_kind.label()),
-                    "b",
-                    a.start,
-                    job.id,
-                ));
+                let attempt = format!("attempt {} ({})", a.attempt, a.end_kind.label());
+                push(async_ev(attempt.clone(), "b", a.start));
                 if let Some(c) = a.compile {
-                    events.push(async_ev("compile".to_string(), "b", c.start, job.id));
-                    events.push(async_ev("compile".to_string(), "e", c.end, job.id));
+                    push(async_ev("compile".to_string(), "b", c.start));
+                    push(async_ev("compile".to_string(), "e", c.end));
                 }
-                events.push(async_ev(
-                    format!("attempt {} ({})", a.attempt, a.end_kind.label()),
-                    "e",
-                    a.end,
-                    job.id,
-                ));
+                push(async_ev(attempt, "e", a.end));
                 if let Some(bo) = job.backoffs.get(k) {
-                    events.push(async_ev("backoff".to_string(), "b", bo.start, job.id));
-                    events.push(async_ev("backoff".to_string(), "e", bo.end, job.id));
+                    push(async_ev("backoff".to_string(), "b", bo.start));
+                    push(async_ev("backoff".to_string(), "e", bo.end));
                 }
             }
-            events.push(async_ev(title, "e", job.finish, job.id));
+            push(async_ev(title, "e", job.finish));
         }
         // Counter tracks from the series: queue depth and utilization.
         for (path, name, divisor) in [
@@ -962,25 +832,13 @@ impl ScopeReport {
             ("scope/utilization", "utilization_milli", 1),
         ] {
             if let Some(col) = self.series.columns.iter().find(|c| c.path == path) {
-                for (i, &v) in col.values.iter().enumerate() {
-                    events.push(Value::Object(vec![
-                        ("name".to_string(), s(name)),
-                        ("ph".to_string(), s("C")),
-                        ("ts".to_string(), Value::UInt(self.series.ends[i])),
-                        ("pid".to_string(), Value::UInt(1)),
-                        (
-                            "args".to_string(),
-                            Value::Object(vec![("value".to_string(), Value::UInt(v / divisor))]),
-                        ),
-                    ]));
+                for (&v, &ts) in col.values.iter().zip(&self.series.ends) {
+                    let args = json!({"value": (v / divisor)});
+                    events.push(ChromeEvent::counter(name, ts, 1, args));
                 }
             }
         }
-        serde_json::to_string(&Value::Object(vec![(
-            "traceEvents".to_string(),
-            Value::Array(events),
-        )]))
-        .expect("serializes")
+        chrome_trace(events, None)
     }
 }
 

@@ -91,6 +91,80 @@ impl TraceSink for RingRecorder {
     }
 }
 
+/// One Chrome trace-event record. Every producer in the crate (the
+/// event-trace writer here, clp-trend's counter tracks, clp-scope's
+/// span export) builds its records through this, so the key order and
+/// the absent-means-omitted rule are written once.
+#[derive(Default)]
+pub(crate) struct ChromeEvent<'a> {
+    pub(crate) name: String,
+    pub(crate) cat: Option<&'a str>,
+    pub(crate) ph: &'a str,
+    pub(crate) ts: Option<u64>,
+    pub(crate) dur: Option<u64>,
+    pub(crate) pid: u64,
+    pub(crate) tid: Option<u64>,
+    pub(crate) id: Option<Value>,
+    /// Instant scope (`"s"`).
+    pub(crate) scope: Option<&'a str>,
+    pub(crate) args: Option<Value>,
+}
+
+impl ChromeEvent<'_> {
+    /// The record as a JSON object: the fields below in this order,
+    /// an absent one omitted. Consumes the event, so a trace of a
+    /// million records copies none of them.
+    pub(crate) fn into_value(self) -> Value {
+        let text = |s: &str| Value::String(s.to_string());
+        let fields = [
+            ("name", Some(Value::String(self.name))),
+            ("cat", self.cat.map(text)),
+            ("ph", Some(text(self.ph))),
+            ("ts", self.ts.map(Value::UInt)),
+            ("dur", self.dur.map(Value::UInt)),
+            ("pid", Some(Value::UInt(self.pid))),
+            ("tid", self.tid.map(Value::UInt)),
+            ("id", self.id),
+            ("s", self.scope.map(text)),
+            ("args", self.args),
+        ];
+        let present = fields.into_iter();
+        Value::Object(
+            present
+                .filter_map(|(k, v)| Some((k.to_string(), v?)))
+                .collect(),
+        )
+    }
+
+    /// A counter-track sample (`ph: "C"`): one series per `args` key.
+    pub(crate) fn counter(name: &str, ts: u64, pid: u64, args: Value) -> Value {
+        let event = ChromeEvent {
+            name: name.to_string(),
+            ph: "C",
+            ts: Some(ts),
+            pid,
+            args: Some(args),
+            ..ChromeEvent::default()
+        };
+        event.into_value()
+    }
+}
+
+/// The compact `{"traceEvents": [..]}` text Perfetto loads, with its
+/// `displayTimeUnit` when one is given. Takes the events by value and
+/// writes the tree as it stands (`json!` and `serde_json::to_string`
+/// would each copy it first).
+pub(crate) fn chrome_trace(events: Vec<Value>, unit: Option<&str>) -> String {
+    let mut doc = vec![("traceEvents".to_string(), Value::Array(events))];
+    if let Some(unit) = unit {
+        doc.push((
+            "displayTimeUnit".to_string(),
+            Value::String(unit.to_string()),
+        ));
+    }
+    serde::json::to_string_value(&Value::Object(doc), false)
+}
+
 /// Writes the run as Chrome trace-event JSON, loadable in Perfetto
 /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
 ///
@@ -117,28 +191,21 @@ impl ChromeTraceWriter {
 
     fn push(&mut self, cycle: u64, ph: &str, name: String, ev: &TraceEvent, id: Option<u64>) {
         let (pid, tid) = ev.track();
-        let mut obj = vec![
-            ("name".to_string(), Value::String(name)),
-            ("cat".to_string(), Value::String(ev.category().to_string())),
-            ("ph".to_string(), Value::String(ph.to_string())),
-            ("ts".to_string(), Value::UInt(cycle)),
-            ("pid".to_string(), Value::UInt(pid)),
-            ("tid".to_string(), Value::UInt(tid)),
-        ];
-        if let Some(id) = id {
-            obj.push(("id".to_string(), Value::String(format!("{id:#x}"))));
-        }
-        if ph == "i" {
+        let args = ev.args().into_iter().map(|(k, v)| (k.to_string(), v));
+        let event = ChromeEvent {
+            name,
+            cat: Some(ev.category()),
+            ph,
+            ts: Some(cycle),
+            pid,
+            tid: Some(tid),
+            id: id.map(|id| Value::String(format!("{id:#x}"))),
             // Thread-scoped instant.
-            obj.push(("s".to_string(), Value::String("t".to_string())));
-        }
-        let args: Vec<(String, Value)> = ev
-            .args()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        obj.push(("args".to_string(), Value::Object(args)));
-        self.events.push(Value::Object(obj));
+            scope: (ph == "i").then_some("t"),
+            args: Some(Value::Object(args.collect())),
+            ..ChromeEvent::default()
+        };
+        self.events.push(event.into_value());
     }
 
     /// Number of buffered trace records.
@@ -182,18 +249,7 @@ impl TraceSink for ChromeTraceWriter {
         if self.written {
             return Ok(());
         }
-        let doc = Value::Object(vec![
-            (
-                "traceEvents".to_string(),
-                Value::Array(std::mem::take(&mut self.events)),
-            ),
-            (
-                "displayTimeUnit".to_string(),
-                Value::String("ms".to_string()),
-            ),
-        ]);
-        let text = serde_json::to_string(&doc)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let text = chrome_trace(std::mem::take(&mut self.events), Some("ms"));
         std::fs::write(&self.path, text)?;
         self.written = true;
         Ok(())

@@ -19,9 +19,12 @@
 //! timeline renderer, a phase table with per-phase bucket breakdowns, and
 //! a Perfetto counter-track export.
 
-use crate::profile::{Bucket, BucketCycles, NUM_BUCKETS};
+use crate::profile::{by_bucket, Bucket, BucketCycles, NUM_BUCKETS};
+use crate::sink::{chrome_trace, ChromeEvent};
+use crate::skip_nulls;
 use crate::snapshot::{MetricValue, StatsNode};
 use serde::Value;
+use serde_json::json;
 
 /// What the trend recorder samples and how phases are scored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -421,98 +424,47 @@ impl TrendReport {
     /// value is an integer, so equal runs serialize byte-identically.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
-        let uints = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::UInt(x)).collect());
-        let mut top = vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-trend-v1".to_string()),
-            ),
-            ("period".to_string(), Value::UInt(self.period)),
-            ("cycles".to_string(), Value::UInt(self.cycles)),
-            ("intervals".to_string(), Value::UInt(self.ends.len() as u64)),
-            ("ends".to_string(), uints(&self.ends)),
-            ("insts".to_string(), uints(&self.insts)),
-            (
-                "columns".to_string(),
-                Value::Array(
-                    self.columns
-                        .iter()
-                        .map(|c| {
-                            Value::Object(vec![
-                                ("path".to_string(), Value::String(c.path.clone())),
-                                (
-                                    "kind".to_string(),
-                                    Value::String(c.kind.label().to_string()),
-                                ),
-                                ("values".to_string(), uints(&c.values)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if !self.buckets.is_empty() {
-            top.push((
-                "buckets".to_string(),
-                Value::Object(
-                    Bucket::ALL
-                        .iter()
-                        .map(|b| (b.label().to_string(), uints(&self.buckets[b.index()])))
-                        .collect(),
-                ),
-            ));
-        }
-        if !self.heat.is_empty() {
-            top.push((
-                "heat".to_string(),
-                Value::Array(self.heat.iter().map(|row| uints(row)).collect()),
-            ));
-        }
-        top.push((
-            "phases".to_string(),
-            Value::Array(
-                self.phases
-                    .iter()
-                    .map(|p| {
-                        Value::Object(vec![
-                            (
-                                "start_interval".to_string(),
-                                Value::UInt(p.start_interval as u64),
-                            ),
-                            (
-                                "end_interval".to_string(),
-                                Value::UInt(p.end_interval as u64),
-                            ),
-                            ("start_cycle".to_string(), Value::UInt(p.start_cycle)),
-                            ("end_cycle".to_string(), Value::UInt(p.end_cycle)),
-                            ("insts".to_string(), Value::UInt(p.insts)),
-                            ("ipc_milli".to_string(), Value::UInt(p.ipc_milli)),
-                            (
-                                "dominant".to_string(),
-                                Value::String(p.dominant.label().to_string()),
-                            ),
-                            ("score".to_string(), Value::UInt(p.score)),
-                            (
-                                "buckets".to_string(),
-                                Value::Object(
-                                    p.buckets
-                                        .iter()
-                                        .map(|(b, c)| (b.label().to_string(), Value::UInt(c)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        Value::Object(top)
+        let columns = self.columns.iter();
+        let columns: Vec<Value> = columns
+            .map(|c| json!({"path": (c.path), "kind": (c.kind.label()), "values": (c.values)}))
+            .collect();
+        let phases = self.phases.iter().map(|p| {
+            json!({
+                "start_interval": (p.start_interval),
+                "end_interval": (p.end_interval),
+                "start_cycle": (p.start_cycle),
+                "end_cycle": (p.end_cycle),
+                "insts": (p.insts),
+                "ipc_milli": (p.ipc_milli),
+                "dominant": (p.dominant.label()),
+                "score": (p.score),
+                "buckets": (p.buckets)
+            })
+        });
+        let phases: Vec<Value> = phases.collect();
+        // `buckets` and `heat` are present only when they were recorded.
+        let buckets = (!self.buckets.is_empty()).then(|| by_bucket(|b| &self.buckets[b.index()]));
+        let heat = (!self.heat.is_empty()).then_some(&self.heat);
+        skip_nulls(json!({
+            "schema": "clp-trend-v1",
+            "period": (self.period),
+            "cycles": (self.cycles),
+            "intervals": (self.ends.len()),
+            "ends": (self.ends),
+            "insts": (self.insts),
+            "columns": columns,
+            "buckets": buckets,
+            "heat": heat,
+            "phases": phases
+        }))
     }
 
     /// The report serialized as pretty `clp-trend-v1` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json_value()).expect("serializes")
+        // Straight from the tree: `serde_json::to_string_pretty` would
+        // copy it first.
+        serde::json::to_string_value(&self.to_json_value(), true)
     }
 
     /// An ASCII timeline: one sparkline row of per-interval IPC with `|`
@@ -563,14 +515,6 @@ impl TrendReport {
             "phase", "intervals", "cycles", "ipc", "score", "dominant"
         );
         for (i, p) in self.phases.iter().enumerate() {
-            let mut ranked: Vec<(Bucket, u64)> = p.buckets.iter().filter(|&(_, c)| c > 0).collect();
-            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
-            let total = p.buckets.total().max(1);
-            let top: Vec<String> = ranked
-                .iter()
-                .take(3)
-                .map(|(b, c)| format!("{} {}%", b.label(), c * 100 / total))
-                .collect();
             out.push_str(&format!(
                 "{:<6} {:>4}..{:<5} {:>7}..{:<8} {:>4}.{:03} {:>8} {:<13} {}\n",
                 i,
@@ -582,7 +526,7 @@ impl TrendReport {
                 p.ipc_milli % 1000,
                 p.score,
                 p.dominant.label(),
-                top.join(", ")
+                p.buckets.render_top3()
             ));
         }
         out
@@ -595,50 +539,20 @@ impl TrendReport {
     #[must_use]
     pub fn to_chrome_trace(&self) -> String {
         let mut events = Vec::new();
-        for i in 0..self.ends.len() {
-            let ts = self.ends[i];
+        for (i, &ts) in self.ends.iter().enumerate() {
             let ipc = self.insts[i] * 1000 / span_of(self, i).max(1);
-            events.push(Value::Object(vec![
-                ("name".to_string(), Value::String("ipc_milli".to_string())),
-                ("ph".to_string(), Value::String("C".to_string())),
-                ("ts".to_string(), Value::UInt(ts)),
-                ("pid".to_string(), Value::UInt(7)),
-                (
-                    "args".to_string(),
-                    Value::Object(vec![("value".to_string(), Value::UInt(ipc))]),
-                ),
-            ]));
+            events.push(ChromeEvent::counter(
+                "ipc_milli",
+                ts,
+                7,
+                json!({"value": ipc}),
+            ));
             if !self.buckets.is_empty() {
-                events.push(Value::Object(vec![
-                    (
-                        "name".to_string(),
-                        Value::String("cycle_buckets".to_string()),
-                    ),
-                    ("ph".to_string(), Value::String("C".to_string())),
-                    ("ts".to_string(), Value::UInt(ts)),
-                    ("pid".to_string(), Value::UInt(7)),
-                    (
-                        "args".to_string(),
-                        Value::Object(
-                            Bucket::ALL
-                                .iter()
-                                .map(|b| {
-                                    (
-                                        b.label().to_string(),
-                                        Value::UInt(self.buckets[b.index()][i]),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]));
+                let args = by_bucket(|b| self.buckets[b.index()][i]);
+                events.push(ChromeEvent::counter("cycle_buckets", ts, 7, args));
             }
         }
-        serde_json::to_string(&Value::Object(vec![(
-            "traceEvents".to_string(),
-            Value::Array(events),
-        )]))
-        .expect("serializes")
+        chrome_trace(events, None)
     }
 }
 

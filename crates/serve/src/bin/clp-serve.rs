@@ -9,15 +9,16 @@
 //! # Regenerate the committed benchmark document.
 //! cargo run --release -p clp-serve -- --bench --json BENCH_serve.json
 //!
-//! # CI gate: rerun the pinned configuration and compare.
+//! # CI gate: rerun the pinned configuration; the report must equal the golden.
 //! cargo run --release -p clp-serve -- --bench --check BENCH_serve.json
 //! ```
 //!
 //! `--bench` pins the full configuration (seed 42, 48 jobs, 4 workers,
 //! tight-budget jobs, a planted panic, and a no-survivor core kill) so
 //! the resulting `clp-serve-v1` document is byte-reproducible; `--check
-//! <path>` reruns it and compares against the committed baseline with a
-//! latency/throughput threshold (default 10%), exiting 1 on regression.
+//! <path>` holds the run's report to the committed document with the
+//! one golden gate (`clp_obs::check_golden`: byte equality, and on a
+//! miss the ranked list of leaves that moved), exiting 1 on a mismatch.
 //!
 //! `--scope` turns on the clp-scope recorder and prints its report
 //! after the run — run summary, fleet cycle-attribution book, service
@@ -28,12 +29,12 @@
 //! observational: with it off the run takes the identical code path,
 //! and with it on the `clp-serve-v1` report bytes do not change.
 //!
-//! Exit codes: 0 = drained with no check regression, 1 = `--check`
-//! found a regression, 2 = usage error.
+//! Exit codes: 0 = drained and `--check` (if given) matched, 1 =
+//! `--check` found a difference, 2 = usage error.
 
-use clp_core::cli::{or_die, read_json, write_or_die, Flag, Spec};
+use clp_core::cli::{check_golden, or_die, write_or_die, Flag, Spec};
 use clp_obs::ScopeOptions;
-use clp_serve::{arrivals, report, service, ServiceReport};
+use clp_serve::{arrivals, service, ServiceReport};
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -55,8 +56,7 @@ const SPEC: Spec = Spec {
         Flag::repeated("--kill-core", "JOB@CYCLE", "job whose first attempt kills its core"),
         Flag::switch("--bench", "pin the whole schedule to the committed benchmark configuration"),
         Flag::value("--json", "PATH", "write the clp-serve-v1 report"),
-        Flag::value("--check", "BASELINE", "gate against a clp-serve-v1 baseline; exit 1 if worse"),
-        Flag::value("--threshold", "PCT", "latency/throughput drift --check allows (default 10)"),
+        Flag::value("--check", "GOLDEN", "exit 1 unless the clp-serve-v1 report equals GOLDEN"),
         Flag::switch("--scope", "record with clp-scope and print its report"),
         Flag::value("--scope-period", "TICKS", "scope time-series interval (default 5000)"),
         Flag::value("--scope-json", "PATH", "write the clp-scope-v1 document"),
@@ -93,7 +93,6 @@ fn main() {
     } else {
         (acfg, scfg)
     };
-    let threshold: f64 = or_die(a.num("--threshold", ..)).unwrap_or(10.0);
     let scope_period: u64 = or_die(a.num("--scope-period", ..)).unwrap_or(5_000);
     let (scope_json, perfetto) = (a.text("--scope-json"), a.text("--perfetto"));
 
@@ -159,14 +158,6 @@ fn main() {
         }
     }
     if let Some(path) = &a.text("--check") {
-        let regressions = report::check(&read_json(path), &rep, threshold);
-        if regressions.is_empty() {
-            println!("[check: OK against {path} (threshold {:.0}%)]", threshold);
-        } else {
-            for r in &regressions {
-                eprintln!("clp-serve: REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
+        check_golden(path, &rep.to_json());
     }
 }

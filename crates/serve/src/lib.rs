@@ -23,8 +23,7 @@
 //!   with deterministic load shedding and graceful degradation, per-job
 //!   cycle-budget deadlines, seeded exponential backoff with jitter for
 //!   transient failures, and a full drain on shutdown.
-//! - [`report`] — the pinned `clp-serve-v1` JSON document, the
-//!   `serve/*` stats-registry export, and the CI threshold gate.
+//! - [`report`] — the pinned `clp-serve-v1` JSON document.
 //!
 //! On top of these, [`service::serve_scoped`] threads the clp-scope
 //! recorder (from `clp-obs`) through the same deterministic event
@@ -61,10 +60,8 @@ pub mod service;
 
 pub use arrivals::ArrivalConfig;
 pub use job::{JobOutcome, JobSpec, Rejected};
-pub use report::{check, ServiceReport, SCHEMA};
-pub use service::{
-    serve, serve_scoped, JobRecord, ServiceConfig, ServiceDetail, ServiceResult, ServiceTotals,
-};
+pub use report::{ServiceReport, SCHEMA};
+pub use service::{serve, serve_scoped, JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
 
 /// The pinned benchmark specification behind `clp-serve --bench`, the
 /// committed `BENCH_serve.json` / `SCOPE_serve.json` goldens and the

@@ -1,16 +1,17 @@
 //! The `clp-serve-v1` report: a pinned, serde-serialized document of one
-//! service run, the stats-registry export, and the CI threshold gate.
+//! service run.
 //!
 //! Because the service is deterministic, the same `(seed, config)`
 //! reproduces the report *byte-for-byte* — the replay golden test pins
-//! that, and CI compares a fresh run against the committed
-//! `BENCH_serve.json` with a latency/throughput threshold (the
-//! `clp-bench --check` pattern).
+//! that, and `clp-serve --bench --check BENCH_serve.json` (CI, and
+//! tier-1 through `tests/scope.rs`) holds a fresh run to the committed
+//! document with `clp_obs::check_golden`, the same equality gate every
+//! other golden goes through.
 
 use crate::arrivals::ArrivalConfig;
-use crate::service::{JobRecord, ServiceConfig, ServiceDetail, ServiceResult, ServiceTotals};
-use clp_obs::{LatencySummary, StatsNode};
-use serde::{Serialize, Value};
+use crate::service::{JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
+use clp_obs::LatencySummary;
+use serde::Serialize;
 
 /// Schema tag of the serialized report.
 pub const SCHEMA: &str = "clp-serve-v1";
@@ -64,131 +65,6 @@ impl ServiceReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
-
-    /// Exports the run through the stats registry as a `serve` subtree,
-    /// the same shape every other subsystem uses (`serve/completed`,
-    /// `serve/cache/hits`, `serve/latency/p99`, ...).
-    #[must_use]
-    pub fn stats_node(&self) -> StatsNode {
-        let t = &self.totals;
-        StatsNode::new("serve")
-            .count("submitted", t.submitted)
-            .count("admitted", t.admitted)
-            .count("completed", t.completed)
-            .count("rejected_overloaded", t.rejected_overloaded)
-            .count("rejected_invalid", t.rejected_invalid)
-            .count("failed_permanent", t.failed_permanent)
-            .count("exhausted", t.exhausted)
-            .count("retries", t.retries)
-            .count("deadline_kills", t.deadline_kills)
-            .count("panics", t.panics)
-            .count("respawns", t.respawns)
-            .count("transient_failures", t.transient_failures)
-            .count("degraded", t.degraded)
-            .count("max_queue_depth", t.max_queue_depth)
-            .count("drained_at", t.drained_at)
-            .gauge("throughput_per_ktick", self.throughput_per_ktick)
-            .child(
-                StatsNode::new("cache")
-                    .count("hits", t.cache_hits)
-                    .count("misses", t.cache_misses)
-                    .count("entries", t.cache_entries)
-                    .count("lint_warnings", t.lint_warnings),
-            )
-            .child(self.latency_ticks.to_node("latency"))
-    }
-
-    /// [`ServiceReport::stats_node`] extended with the fine-grained
-    /// [`ServiceDetail`] counters: `serve/queue/peak` (the high-watermark
-    /// over *all* queue mutations, retry releases included),
-    /// `serve/retries_by/<failure class>`, and
-    /// `serve/completed_by_class/<workload class>`. Kept out of the
-    /// pinned `clp-serve-v1` document so the serialization stays stable.
-    #[must_use]
-    pub fn stats_node_detailed(&self, detail: &ServiceDetail) -> StatsNode {
-        let mut by_class = StatsNode::new("completed_by_class");
-        for (label, n) in &detail.completed_by_class {
-            by_class = by_class.count(label, *n);
-        }
-        self.stats_node()
-            .child(
-                StatsNode::new("queue")
-                    .count("peak", detail.queue_peak)
-                    .count("peak_at", detail.queue_peak_at),
-            )
-            .child(
-                StatsNode::new("retries_by")
-                    .count("transient", detail.retries_transient)
-                    .count("deadline_kill", detail.retries_deadline)
-                    .count("panic", detail.retries_panic),
-            )
-            .child(by_class)
-    }
-}
-
-/// Compares a fresh report against a committed baseline document.
-///
-/// Counters that determinism pins exactly (completed, rejections,
-/// panics, respawns, deadline kills) must match; the latency p99 and
-/// throughput may drift by at most `threshold_pct` percent — tick
-/// charging is policy, not physics, and the gate should not weld it in
-/// place. Returns human-readable regression lines (empty = pass).
-#[must_use]
-pub fn check(baseline: &Value, current: &ServiceReport, threshold_pct: f64) -> Vec<String> {
-    let mut regressions = Vec::new();
-    let get = |path: &[&str]| -> Option<f64> {
-        let mut v = baseline;
-        for key in path {
-            v = v.get(key);
-        }
-        v.as_f64()
-    };
-    if baseline.get("schema").as_str() != Some(SCHEMA) {
-        regressions.push(format!("baseline is not a {SCHEMA} document"));
-        return regressions;
-    }
-    let exact: [(&str, u64); 7] = [
-        ("completed", current.totals.completed),
-        ("rejected_overloaded", current.totals.rejected_overloaded),
-        ("rejected_invalid", current.totals.rejected_invalid),
-        ("deadline_kills", current.totals.deadline_kills),
-        ("panics", current.totals.panics),
-        ("respawns", current.totals.respawns),
-        ("exhausted", current.totals.exhausted),
-    ];
-    for (name, got) in exact {
-        match get(&["totals", name]) {
-            Some(want) if (want - got as f64).abs() < 0.5 => {}
-            Some(want) => regressions.push(format!("totals/{name}: baseline {want}, got {got}")),
-            None => regressions.push(format!("baseline is missing totals/{name}")),
-        }
-    }
-    let frac = threshold_pct / 100.0;
-    if let Some(base_p99) = get(&["latency_ticks", "p99"]) {
-        // A current run with no completions has no p99; the exact
-        // `completed` counter above already flags that divergence.
-        let got = current.latency_ticks.p99.map_or(0.0, |v| v as f64);
-        if got > base_p99 * (1.0 + frac) {
-            regressions.push(format!(
-                "latency p99 regressed: baseline {base_p99:.0} ticks, got {got:.0} \
-                 (> +{threshold_pct}%)"
-            ));
-        }
-    } else {
-        regressions.push("baseline is missing latency_ticks/p99".to_string());
-    }
-    if let Some(base_tp) = get(&["throughput_per_ktick"]) {
-        let got = current.throughput_per_ktick;
-        if got < base_tp * (1.0 - frac) {
-            regressions.push(format!(
-                "throughput regressed: baseline {base_tp:.3}/ktick, got {got:.3} \
-                 (< -{threshold_pct}%)"
-            ));
-        }
-    } else {
-        regressions.push("baseline is missing throughput_per_ktick".to_string());
-    }
-    regressions
 }
 
 #[cfg(test)]
@@ -196,6 +72,7 @@ mod tests {
     use super::*;
     use crate::arrivals::generate;
     use crate::service::serve;
+    use serde::Value;
 
     fn small_report() -> ServiceReport {
         let acfg = ArrivalConfig {
@@ -219,88 +96,5 @@ mod tests {
         assert!(json.contains("\"schema\": \"clp-serve-v1\""));
         let v: Value = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(v["seed"].as_f64(), Some(9.0));
-    }
-
-    #[test]
-    fn stats_node_exports_the_serve_subtree() {
-        let r = small_report();
-        let node = r.stats_node();
-        assert_eq!(
-            node.lookup("completed").map(|m| m.as_f64()),
-            Some(r.totals.completed as f64)
-        );
-        assert!(node.lookup("cache/misses").is_some());
-        assert!(node.lookup("latency/p99").is_some());
-    }
-
-    #[test]
-    fn detailed_stats_node_adds_watermark_retry_and_class_splits() {
-        let acfg = ArrivalConfig {
-            jobs: 4,
-            seed: 9,
-            mean_gap: 5_000,
-            ..ArrivalConfig::default()
-        };
-        let scfg = ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        };
-        let result = serve(generate(&acfg), &scfg);
-        let r = ServiceReport::new(&acfg, &scfg, &result);
-        let node = r.stats_node_detailed(&result.detail);
-        assert_eq!(
-            node.lookup("queue/peak").map(|m| m.as_f64()),
-            Some(result.detail.queue_peak as f64)
-        );
-        assert!(node.lookup("retries_by/transient").is_some());
-        assert!(node.lookup("retries_by/deadline_kill").is_some());
-        // The per-class splits sum to the aggregate completion counter.
-        let split: u64 = result.detail.completed_by_class.values().sum();
-        assert_eq!(split, result.totals.completed);
-        // The base subtree is still there.
-        assert!(node.lookup("completed").is_some());
-        assert!(node.lookup("cache/misses").is_some());
-    }
-
-    /// Replaces a nested object field (the vendored `Value` has no
-    /// `IndexMut`; its objects are plain `Vec<(String, Value)>` pairs).
-    fn set(v: &mut Value, path: &[&str], new: Value) {
-        let Value::Object(fields) = v else {
-            panic!("not an object at {path:?}")
-        };
-        let slot = fields
-            .iter_mut()
-            .find(|(k, _)| k == path[0])
-            .unwrap_or_else(|| panic!("missing key {}", path[0]));
-        if path.len() == 1 {
-            slot.1 = new;
-        } else {
-            set(&mut slot.1, &path[1..], new);
-        }
-    }
-
-    #[test]
-    fn check_passes_against_its_own_output_and_fails_on_drift() {
-        let r = small_report();
-        let baseline: Value = serde_json::from_str(&r.to_json()).unwrap();
-        assert!(check(&baseline, &r, 5.0).is_empty());
-
-        // Corrupt the baseline: pretend it completed one more job.
-        let mut bad = baseline.clone();
-        set(
-            &mut bad,
-            &["totals", "completed"],
-            Value::UInt(r.totals.completed + 1),
-        );
-        let regressions = check(&bad, &r, 5.0);
-        assert!(regressions.iter().any(|l| l.contains("totals/completed")));
-
-        // A wildly better baseline p99 makes the current run a regression.
-        let mut fast = baseline;
-        set(&mut fast, &["latency_ticks", "p99"], Value::UInt(1));
-        if r.latency_ticks.p99.unwrap_or(0) > 1 {
-            let regs = check(&fast, &r, 5.0);
-            assert!(regs.iter().any(|l| l.contains("latency p99")));
-        }
     }
 }

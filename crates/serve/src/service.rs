@@ -40,7 +40,7 @@ use clp_sim::fault::Prng;
 use clp_sim::{FaultPlan, RunError};
 use clp_workloads::Workload;
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Service policy knobs. Everything is in virtual ticks; nothing reads
 /// a clock.
@@ -135,39 +135,6 @@ pub struct ServiceTotals {
     pub drained_at: u64,
 }
 
-/// Fine-grained counters beyond [`ServiceTotals`]: the queue-depth
-/// high-watermark (tracked at *every* queue mutation, retry releases
-/// included), retry attempts split per [`FailureClass`], and completion
-/// counts per workload class. Lives beside the totals rather than
-/// inside them so the pinned `clp-serve-v1` serialization is untouched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServiceDetail {
-    /// Largest queue depth observed across admissions *and* retry
-    /// releases (`>= totals.max_queue_depth`, which only admissions
-    /// update).
-    pub queue_peak: u64,
-    /// First tick at which the peak was reached.
-    pub queue_peak_at: u64,
-    /// Retries whose triggering failure classed as transient (includes
-    /// worker panics, which the service treats as transient).
-    pub retries_transient: u64,
-    /// Retries whose triggering failure was a deadline kill.
-    pub retries_deadline: u64,
-    /// The subset of transient retries caused by a worker panic.
-    pub retries_panic: u64,
-    /// Completed jobs per workload-class label.
-    pub completed_by_class: BTreeMap<String, u64>,
-}
-
-impl ServiceDetail {
-    fn note_queue(&mut self, depth: u64, now: u64) {
-        if depth > self.queue_peak {
-            self.queue_peak = depth;
-            self.queue_peak_at = now;
-        }
-    }
-}
-
 /// Terminal record of one submitted job.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct JobRecord {
@@ -195,8 +162,6 @@ pub struct JobRecord {
 pub struct ServiceResult {
     /// Aggregate counters.
     pub totals: ServiceTotals,
-    /// Fine-grained counters (watermarks, per-class splits).
-    pub detail: ServiceDetail,
     /// One record per submitted job, sorted by id.
     pub records: Vec<JobRecord>,
     /// Sojourn latencies of completed jobs, in submission order.
@@ -222,13 +187,12 @@ struct InFlight {
 }
 
 /// The run's output side, bundled so the event handlers thread one
-/// mutable borrow instead of six: terminal records, latency samples,
-/// both counter tiers, and (when scope is on) the span recorder.
+/// mutable borrow instead of four: terminal records, latency samples,
+/// the counters, and (when scope is on) the span recorder.
 struct Ledger {
     records: Vec<JobRecord>,
     latencies: Vec<u64>,
     totals: ServiceTotals,
-    detail: ServiceDetail,
     scope: Option<ScopeRecorder>,
 }
 
@@ -302,7 +266,6 @@ pub fn serve_scoped(
         records: Vec::new(),
         latencies: Vec::new(),
         totals: ServiceTotals::default(),
-        detail: ServiceDetail::default(),
         scope: scope.map(|o| ScopeRecorder::new(o, cfg.workers.max(1))),
     };
     let profile_jobs = ledger.scope.is_some();
@@ -350,7 +313,6 @@ pub fn serve_scoped(
         // and shedding a half-done job would turn a transient fault into
         // a client-visible loss.
         queue.extend(due);
-        ledger.detail.note_queue(queue.len() as u64, now);
 
         // 3. Arrivals, in schedule order.
         while arrivals.peek().is_some_and(|(t, _)| *t == now) {
@@ -426,7 +388,6 @@ pub fn serve_scoped(
     (
         ServiceResult {
             totals: ledger.totals,
-            detail: ledger.detail,
             records: ledger.records,
             latencies: ledger.latencies,
         },
@@ -511,7 +472,6 @@ fn admit(
         budget,
     });
     ledger.totals.max_queue_depth = ledger.totals.max_queue_depth.max(queue.len() as u64);
-    ledger.detail.note_queue(queue.len() as u64, now);
 }
 
 fn complete(
@@ -554,11 +514,6 @@ fn complete(
     let (error, class, was_panic) = match response.outcome {
         ExecOutcome::Success { cycles, profile } => {
             ledger.totals.completed += 1;
-            *ledger
-                .detail
-                .completed_by_class
-                .entry(job.workload.class.label().to_string())
-                .or_insert(0) += 1;
             ledger.latencies.push(now - job.arrival);
             if let Some(s) = ledger.scope.as_mut() {
                 s.completed(job.spec.id, now, cycles, profile.as_deref());
@@ -627,14 +582,6 @@ fn complete(
     }
     job.attempt += 1;
     ledger.totals.retries += 1;
-    if class == FailureClass::DeadlineKill {
-        ledger.detail.retries_deadline += 1;
-    } else {
-        ledger.detail.retries_transient += 1;
-    }
-    if was_panic {
-        ledger.detail.retries_panic += 1;
-    }
     let delay = backoff_delay(cfg, job.spec.id, job.attempt);
     if let Some(s) = ledger.scope.as_mut() {
         s.retry(job.spec.id, now, now + delay, attempt_end);
@@ -734,21 +681,6 @@ mod tests {
         assert_eq!(r.totals.deadline_kills, 2);
         assert_eq!(r.totals.retries, 2);
         assert_eq!(r.records[0].attempts, 3);
-    }
-
-    #[test]
-    fn detail_counters_split_retries_and_track_the_queue_peak() {
-        // The deadline-kill scenario again: both retries are
-        // deadline-classed, none transient, none panics.
-        let sched = vec![(1, JobSpec::new(0, "conv", 8, 2_000))];
-        let r = serve(sched, &quick_cfg());
-        assert_eq!(r.detail.retries_deadline, 2);
-        assert_eq!(r.detail.retries_transient, 0);
-        assert_eq!(r.detail.retries_panic, 0);
-        assert_eq!(r.detail.completed_by_class.get("hand_optimized"), Some(&1));
-        // One job never queues deeper than 1.
-        assert_eq!(r.detail.queue_peak, 1);
-        assert!(r.detail.queue_peak >= r.totals.max_queue_depth);
     }
 
     #[test]

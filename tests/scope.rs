@@ -9,7 +9,7 @@
 //! tracks must never double-book a slot. Any scheduler change that
 //! breaks the event ordering contract shows up here as a torn span.
 
-use clp::obs::{ScopeOptions, ScopeReport, Terminal};
+use clp::obs::{check_golden, ScopeOptions, ScopeReport, Terminal};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
     bench_spec, serve_scoped, ServiceConfig, ServiceReport,
@@ -136,19 +136,21 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     // ... and identical to the committed golden.
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/SCOPE_serve.json");
     let golden = std::fs::read_to_string(golden_path).expect("committed SCOPE_serve.json");
-    assert_eq!(
-        scope_a.to_json(),
-        golden,
-        "replay diverged from SCOPE_serve.json; regenerate with \
-         `clp-serve --bench --scope-json SCOPE_serve.json` if intentional"
-    );
+    check_golden(&golden, &scope_a.to_json()).unwrap_or_else(|moved| {
+        panic!(
+            "replay diverged from SCOPE_serve.json; regenerate with \
+             `clp-serve --bench --scope-json SCOPE_serve.json` if intentional\n{moved}"
+        )
+    });
 
     // Scope is observational: the clp-serve-v1 document of the scope-on
     // run is the committed scope-off benchmark, byte for byte.
     let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
     let bench = std::fs::read_to_string(bench_path).expect("committed BENCH_serve.json");
     let rep = ServiceReport::new(&acfg, &scfg, &result_a).to_json();
-    assert_eq!(rep, bench, "scope on must not perturb the service document");
+    check_golden(&bench, &rep).unwrap_or_else(|moved| {
+        panic!("scope on must not perturb the service document (BENCH_serve.json)\n{moved}")
+    });
 
     // The chaotic bench run satisfies every span invariant too.
     assert_span_invariants(&scope_a);

@@ -167,18 +167,25 @@ fn diff_attributes_a_dram_spike_to_memory_buckets_cores_and_links() {
 
     let before = clean.profile.expect("profiled").to_json_value();
     let after = spiked.profile.expect("profiled").to_json_value();
-    let report = diff_documents(&before, &after).expect("same schema");
-    assert_eq!(report.kind, "clp-prof-v1");
+    let report = diff_documents(&before, &after);
+    let elapsed = report
+        .section("metrics")
+        .iter()
+        .find(|e| e.label == "elapsed");
+    let elapsed = elapsed.expect("the run's cycles moved");
     assert_eq!(
-        report.cycles,
-        Some((clean.stats.cycles, spiked.stats.cycles))
+        (elapsed.before, elapsed.after),
+        (
+            Some(clean.stats.cycles.into()),
+            Some(spiked.stats.cycles.into())
+        )
     );
 
     // The memory system must be named: mem_wait grew.
     let mem_wait = report
-        .buckets
+        .section("buckets")
         .iter()
-        .find(|e| e.label == "mem_wait")
+        .find(|e| e.label == "procs[0]/run_buckets/mem_wait")
         .expect("mem_wait appears in the bucket attribution");
     assert!(
         mem_wait.delta() > 0,
@@ -186,23 +193,31 @@ fn diff_attributes_a_dram_spike_to_memory_buckets_cores_and_links() {
         mem_wait.delta()
     );
     // And the delta localizes: specific cores and NoC links moved.
-    assert!(!report.cores.is_empty(), "no per-core attribution");
-    assert!(!report.links.is_empty(), "no per-link attribution");
+    assert!(
+        !report.section("cores").is_empty(),
+        "no per-core attribution"
+    );
+    assert!(
+        !report.section("links").is_empty(),
+        "no per-link attribution"
+    );
     let text = report.render(10);
     assert!(text.contains("mem_wait"));
-    assert!(text.contains("core "));
-    assert!(text.contains("link "));
+    assert!(text.contains("cores["));
+    assert!(text.contains("links[from="));
 
     // The snapshot-level diff names the same movement from the stats
     // registry alone (the `clp-diff` path for `--stats-json` files).
     let sa = serde_json::from_str::<Value>(&clean.snapshot.to_json()).expect("parses");
     let sb = serde_json::from_str::<Value>(&spiked.snapshot.to_json()).expect("parses");
-    let snap_report = diff_documents(&sa, &sb).expect("same schema");
-    assert_eq!(snap_report.kind, "stats-snapshot");
+    let snap_report = diff_documents(&sa, &sb);
     let snap_mem = snap_report
-        .buckets
+        .section("buckets")
         .iter()
-        .find(|e| e.label == "mem_wait")
+        .find(|e| {
+            e.label
+                .ends_with("children[name=buckets]/metrics[name=mem_wait]/value/Count")
+        })
         .expect("snapshot diff carries the bucket section");
     assert!(snap_mem.delta() > 0);
 }
