@@ -33,8 +33,8 @@ pub use multiprogram::{
 };
 pub use run::{
     compile_workload, run_compiled, run_compiled_observed, run_workload, speedup_curve, sweep,
-    CompiledWorkload, FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, RunFailure,
-    RunOutcome,
+    CompiledWorkload, FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, Run, RunFailure,
+    RunOutcome, Stopped,
 };
 // Fault-injection vocabulary, re-exported so harnesses and tests can
 // build plans without depending on clp-sim directly.

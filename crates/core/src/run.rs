@@ -79,9 +79,11 @@ impl ProcessorConfig {
             ProcessorKind::Trips => 16,
         }
     }
+}
 
-    fn power_config(&self) -> PowerConfig {
-        match self.kind {
+impl ProcessorKind {
+    fn power_config(self) -> PowerConfig {
+        match self {
             ProcessorKind::TFlex { cores } => PowerConfig::tflex(cores),
             ProcessorKind::Trips => PowerConfig::trips(),
         }
@@ -296,39 +298,131 @@ pub fn run_compiled_observed(
     cfg: &ProcessorConfig,
     obs: &ObsOptions,
 ) -> Result<RunOutcome, RunFailure> {
-    let mut m = obs.machine(cfg.sim);
-    for (addr, words) in &cw.workload.init_mem {
-        m.memory_mut().image.load_words(*addr, words);
+    Run::start(cw, cfg, obs)?
+        .finish(cw)
+        .map_err(|stopped| stopped.failure)
+}
+
+/// One workload composed on one machine: a run that can be put down at
+/// its deadline and picked up again.
+///
+/// [`Run::start`] builds the machine (observers, memory image, compose)
+/// and [`Run::finish`] runs it to the halt and does everything after
+/// (reports, verification against the golden, power, area);
+/// [`run_compiled_observed`] is the two back to back. The one thing a
+/// `Run` adds is what happens at a deadline kill: `finish` hands the
+/// run back inside [`Stopped`] instead of dropping it, and after
+/// [`Run::set_deadline`] a second `finish` continues from the cycle the
+/// first stopped at and returns exactly what a from-zero run under the
+/// final deadline returns (`tests/resume.rs`). It is `Send`, so
+/// clp-serve parks it with the job and any worker may pick it up.
+pub struct Run {
+    /// Boxed: the handle travels through channels and `Result`s.
+    m: Box<Machine>,
+    pid: ProcId,
+    kind: ProcessorKind,
+}
+
+/// Why [`Run::finish`] returned no outcome.
+pub struct Stopped {
+    /// The failure, as [`run_compiled_observed`] reports it.
+    pub failure: RunFailure,
+    /// The cycle the machine had reached.
+    pub cycle: u64,
+    /// The run itself, when the failure was a deadline kill
+    /// ([`RunError::DeadlineExceeded`]): the only stop that leaves a
+    /// machine worth continuing. Every other failure drops it.
+    pub run: Option<Run>,
+}
+
+impl Run {
+    /// Builds the machine for `cfg` with `obs` attached, loads the
+    /// workload's memory image and composes its processor: cycle 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunFailure::Compose`] if the composition is refused.
+    pub fn start(
+        cw: &CompiledWorkload,
+        cfg: &ProcessorConfig,
+        obs: &ObsOptions,
+    ) -> Result<Run, RunFailure> {
+        let mut m = Box::new(obs.machine(cfg.sim));
+        for (addr, words) in &cw.workload.init_mem {
+            m.memory_mut().image.load_words(*addr, words);
+        }
+        let pid = m
+            .compose(cfg.cores(), 0, cw.edge.clone(), &cw.workload.args)
+            .map_err(RunFailure::Compose)?;
+        Ok(Run {
+            m,
+            pid,
+            kind: cfg.kind,
+        })
     }
-    let pid: ProcId = m
-        .compose(cfg.cores(), 0, cw.edge.clone(), &cw.workload.args)
-        .map_err(RunFailure::Compose)?;
-    let stats = m.run().map_err(RunFailure::Run)?;
-    let trend = m.take_trend_report();
-    let snapshot = m.snapshot();
-    let profile = m.profile_report();
-    let ret = m.register(pid, Reg::new(1));
-    cw.workload
-        .verify_against(&cw.golden, ret, &m.memory().image)
-        .map_err(RunFailure::Verify)?;
-    let area = AreaModel::at_130nm();
-    let energy = EnergyModel::at_130nm();
-    let pc = cfg.power_config();
-    let power = energy.power(&stats, &pc, &area);
-    let area_mm2 = match cfg.kind {
-        ProcessorKind::TFlex { cores } => area.tflex_mm2(cores),
-        ProcessorKind::Trips => area.trips_mm2(),
-    };
-    Ok(RunOutcome {
-        stats,
-        snapshot,
-        ret,
-        correct: true,
-        power,
-        area_mm2,
-        profile,
-        trend,
-    })
+
+    /// The cycle the machine has reached.
+    #[must_use]
+    pub fn cycle(&self) -> u64 {
+        self.m.cycle()
+    }
+
+    /// Moves the deadline to `budget` cycles from cycle 0 (what
+    /// [`ProcessorConfig::with_deadline`] set at the start).
+    pub fn set_deadline(&mut self, budget: u64) {
+        self.m.set_deadline(Some(budget));
+    }
+
+    /// Runs to the halt, then takes the reports, verifies the outputs
+    /// against `cw`'s golden (`cw` must be the workload the run was
+    /// started with) and prices power and area.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Stopped`] on a simulation failure or an output
+    /// mismatch; a deadline kill carries the run back in it.
+    pub fn finish(mut self, cw: &CompiledWorkload) -> Result<RunOutcome, Stopped> {
+        let ran = self.m.run();
+        let cycle = self.m.cycle();
+        let stopped = |failure, run| Stopped {
+            failure,
+            cycle,
+            run,
+        };
+        let stats = match ran {
+            Ok(stats) => stats,
+            Err(e) => {
+                let keep = matches!(e, RunError::DeadlineExceeded { .. });
+                return Err(stopped(RunFailure::Run(e), keep.then_some(self)));
+            }
+        };
+        let m = &mut self.m;
+        let trend = m.take_trend_report();
+        let snapshot = m.snapshot();
+        let profile = m.profile_report();
+        let ret = m.register(self.pid, Reg::new(1));
+        cw.workload
+            .verify_against(&cw.golden, ret, &m.memory().image)
+            .map_err(|e| stopped(RunFailure::Verify(e), None))?;
+        let area = AreaModel::at_130nm();
+        let energy = EnergyModel::at_130nm();
+        let pc = self.kind.power_config();
+        let power = energy.power(&stats, &pc, &area);
+        let area_mm2 = match self.kind {
+            ProcessorKind::TFlex { cores } => area.tflex_mm2(cores),
+            ProcessorKind::Trips => area.trips_mm2(),
+        };
+        Ok(RunOutcome {
+            stats,
+            snapshot,
+            ret,
+            correct: true,
+            power,
+            area_mm2,
+            profile,
+            trend,
+        })
+    }
 }
 
 /// Compiles and runs a workload on `cfg` (convenience wrapper).

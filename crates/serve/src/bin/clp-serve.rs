@@ -29,6 +29,12 @@
 //! observational: with it off the run takes the identical code path,
 //! and with it on the `clp-serve-v1` report bytes do not change.
 //!
+//! Besides the report's counters, stdout carries one `[host: …]` line:
+//! attempts run, how many of them continued a deadline-killed machine
+//! instead of starting over, and the cycles the workers stepped against
+//! the cycles the attempts were charged for (`service::HostLedger`; in
+//! no JSON document — CI fails if `--bench` ever reports 0 resumed).
+//!
 //! Exit codes: 0 = drained and `--check` (if given) matched, 1 =
 //! `--check` found a difference, 2 = usage error.
 
@@ -123,6 +129,12 @@ fn main() {
     println!(
         "[cache: {} hits, {} misses, {} programs, {} lint warnings]",
         t.cache_hits, t.cache_misses, t.cache_entries, t.lint_warnings,
+    );
+    // What the host did for it; on stdout only, never in the report.
+    let h = &result.host;
+    println!(
+        "[host: {} attempts, {} resumed, {} cycles stepped for {} charged]",
+        h.attempts, h.resumed, h.cycles_stepped, h.cycles_charged,
     );
     // No completed jobs means no percentiles; print `-` rather than a
     // fake zero.

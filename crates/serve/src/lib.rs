@@ -18,11 +18,15 @@
 //!   are deterministic.
 //! - [`pool`] — persistent worker threads running jobs under
 //!   `catch_unwind`; a panicking job poisons its worker, which is
-//!   disposed of and respawned.
+//!   disposed of and respawned. A deadline-killed attempt's machine
+//!   comes back with the response and goes out again with the retry,
+//!   which continues it instead of re-simulating from cycle 0.
 //! - [`service`] — the virtual-time scheduler: bounded admission queue
 //!   with deterministic load shedding and graceful degradation, per-job
 //!   cycle-budget deadlines, seeded exponential backoff with jitter for
-//!   transient failures, and a full drain on shutdown.
+//!   transient failures, and a full drain on shutdown. Its
+//!   [`HostLedger`] counts what the host stepped against what the
+//!   attempts were charged.
 //! - [`report`] — the pinned `clp-serve-v1` JSON document.
 //!
 //! On top of these, [`service::serve_scoped`] threads the clp-scope
@@ -61,7 +65,9 @@ pub mod service;
 pub use arrivals::ArrivalConfig;
 pub use job::{JobOutcome, JobSpec, Rejected};
 pub use report::{ServiceReport, SCHEMA};
-pub use service::{serve, serve_scoped, JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
+pub use service::{
+    serve, serve_scoped, HostLedger, JobRecord, ServiceConfig, ServiceResult, ServiceTotals,
+};
 
 /// The pinned benchmark specification behind `clp-serve --bench`, the
 /// committed `BENCH_serve.json` / `SCOPE_serve.json` goldens and the

@@ -8,20 +8,34 @@
 //! the slot. Sibling workers never observe anything but their own jobs,
 //! which is what the panic-isolation test pins down cycle-for-cycle.
 //!
+//! Continue, don't redo: a deadline-killed attempt's machine is not
+//! dropped. The worker hands it back ([`Parked`]) with the
+//! `DeadlineExceeded` response, the scheduler keeps it with the job, and
+//! the retry's request carries it to whichever worker is dispatched,
+//! which raises the deadline to the new budget and runs on from the
+//! cycle the kill stopped at. The one test is equality, made here where
+//! both sides are in hand: the retry's [`Settings`] — everything about
+//! the request but the budget — must equal the killed attempt's, or the
+//! parked machine is dropped and the attempt starts at cycle 0. So a
+//! fault-free attempt continues, and an attempt 0 that ran under the
+//! job's fault plan never does, because retries run `FaultPlan::none()`.
+//! A panic takes the request, and any machine in it, down with the
+//! poisoned worker.
+//!
 //! Determinism: a job's result is a pure function of its request
-//! (workload content, composition size, budget, fault plan), so physical
-//! thread scheduling cannot leak into outcomes. The *service* keeps all
-//! ordering decisions on virtual time; the pool is just muscle.
+//! (workload content, composition size, budget, fault plan, and the
+//! parked machine — itself a pure function of the job's earlier
+//! requests, and by `Machine::run`'s contract indistinguishable in its
+//! result from starting over), so physical thread scheduling cannot
+//! leak into outcomes. The *service* keeps all ordering decisions on
+//! virtual time; the pool is just muscle.
 
-use crate::job::JobSpec;
-use clp_core::{
-    compile_workload, run_compiled_observed, CompiledWorkload, ObsOptions, ProcessorConfig,
-    RunFailure,
-};
+use clp_core::{compile_workload, CompiledWorkload, ObsOptions, ProcessorConfig, Run, RunFailure};
 use clp_sim::FaultPlan;
+use clp_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 /// Prefix of pool thread names; the panic hook stays quiet for these so
@@ -44,19 +58,16 @@ fn install_quiet_hook() {
     });
 }
 
-/// A request handed to a worker: one attempt of one job. The workload
-/// is resolved at admission (an unknown name is a typed rejection long
-/// before any worker sees it), so the worker never does name lookups.
-pub struct ExecRequest {
-    /// The job being attempted.
-    pub spec: JobSpec,
-    /// The resolved workload.
-    pub workload: clp_workloads::Workload,
-    /// Composition size actually granted (may be degraded below
-    /// `spec.cores` under load).
+/// What an attempt runs under, apart from its budget: the
+/// configuration two attempts must share for the second to continue
+/// the first's machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Settings {
+    /// Content hash of the workload ([`crate::cache::content_hash`]).
+    pub program: u64,
+    /// Composition size actually granted (may be degraded below the
+    /// job's request under load).
     pub cores: usize,
-    /// Cycle budget of *this* attempt (escalates across deadline kills).
-    pub budget: u64,
     /// Fault plan of this attempt ([`FaultPlan::none`] on retries).
     pub faults: FaultPlan,
     /// Whether to plant a panic (attempt 0 of a sabotaged job).
@@ -67,8 +78,32 @@ pub struct ExecRequest {
     /// PR-5 bit-identity contract — so the virtual schedule is the same
     /// either way.
     pub profile: bool,
+}
+
+/// A deadline-killed attempt's machine, stopped at the cycle its budget
+/// ran out, with the settings it ran under.
+pub struct Parked {
+    run: Run,
+    settings: Settings,
+}
+
+/// A request handed to a worker: one attempt of one job. The workload
+/// is resolved at admission (an unknown name is a typed rejection long
+/// before any worker sees it), so the worker never does name lookups,
+/// and shared from there on: a request is a few words.
+pub struct ExecRequest {
+    /// The job being attempted.
+    pub job_id: u64,
+    /// Everything the attempt runs under but the budget.
+    pub settings: Settings,
+    /// Cycle budget of *this* attempt (escalates across deadline kills).
+    pub budget: u64,
+    /// The resolved workload, read only to compile on a cache miss.
+    pub workload: Arc<Workload>,
     /// Cache-hit program, or `None` when the worker must compile.
-    pub compiled: Option<std::sync::Arc<CompiledWorkload>>,
+    pub compiled: Option<Arc<CompiledWorkload>>,
+    /// The machine the job's previous attempt was deadline-killed on.
+    pub parked: Option<Parked>,
 }
 
 /// What a worker reports back.
@@ -96,50 +131,92 @@ pub struct ExecResponse {
     pub outcome: ExecOutcome,
     /// Compiled on this attempt (cache miss): the program plus its lint
     /// warning count, ready for cache insertion.
-    pub compiled_here: Option<(std::sync::Arc<CompiledWorkload>, u64)>,
+    pub compiled_here: Option<(Arc<CompiledWorkload>, u64)>,
+    /// Whether the attempt continued the request's parked machine.
+    pub resumed: bool,
+    /// Cycles this attempt stepped on the host: from the parked cycle
+    /// on a resumed attempt, from 0 otherwise.
+    pub stepped: u64,
+    /// The machine, when the outcome is a deadline kill.
+    pub parked: Option<Parked>,
+}
+
+impl ExecResponse {
+    /// A response for an attempt whose machine never ran.
+    fn unrun(job_id: u64, outcome: ExecOutcome) -> Self {
+        ExecResponse {
+            job_id,
+            outcome,
+            compiled_here: None,
+            resumed: false,
+            stepped: 0,
+            parked: None,
+        }
+    }
 }
 
 /// Executes one attempt. Pure: the result depends only on the request.
-fn execute(req: &ExecRequest) -> ExecResponse {
-    if req.sabotage {
-        panic!("planted panic in job {}", req.spec.id);
+fn execute(req: ExecRequest) -> ExecResponse {
+    let settings = req.settings;
+    if settings.sabotage {
+        panic!("planted panic in job {}", req.job_id);
     }
-    let (compiled, compiled_here) = match &req.compiled {
-        Some(arc) => (arc.clone(), None),
+    let (compiled, compiled_here) = match req.compiled {
+        Some(arc) => (arc, None),
         None => {
             let cw = match compile_workload(&req.workload) {
-                Ok(cw) => std::sync::Arc::new(cw),
-                Err(e) => {
-                    return ExecResponse {
-                        job_id: req.spec.id,
-                        outcome: ExecOutcome::Failure(e),
-                        compiled_here: None,
-                    };
-                }
+                Ok(cw) => Arc::new(cw),
+                Err(e) => return ExecResponse::unrun(req.job_id, ExecOutcome::Failure(e)),
             };
             let lint = clp_lint::lint_program(&cw.edge, &clp_lint::LintConfig::default());
             let warnings = lint.count(clp_lint::Severity::Warn) as u64;
             (cw.clone(), Some((cw, warnings)))
         }
     };
-    let cfg = ProcessorConfig::tflex(req.cores)
-        .with_faults(req.faults)
-        .with_deadline(req.budget);
-    let obs = ObsOptions {
-        profile: req.profile,
-        ..ObsOptions::default()
+    // Continue the parked machine if it ran under these very settings;
+    // otherwise it is dropped here and the attempt starts at cycle 0.
+    let (run, resumed) = match req.parked.filter(|p| p.settings == settings) {
+        Some(mut p) => {
+            p.run.set_deadline(req.budget);
+            (p.run, true)
+        }
+        None => {
+            let cfg = ProcessorConfig::tflex(settings.cores)
+                .with_faults(settings.faults)
+                .with_deadline(req.budget);
+            let obs = ObsOptions {
+                profile: settings.profile,
+                ..ObsOptions::default()
+            };
+            match Run::start(&compiled, &cfg, &obs) {
+                Ok(run) => (run, false),
+                Err(e) => {
+                    return ExecResponse {
+                        compiled_here,
+                        ..ExecResponse::unrun(req.job_id, ExecOutcome::Failure(e))
+                    }
+                }
+            }
+        }
     };
-    let outcome = match run_compiled_observed(&compiled, &cfg, &obs) {
-        Ok(r) => ExecOutcome::Success {
-            cycles: r.stats.cycles,
-            profile: r.profile.map(Box::new),
-        },
-        Err(e) => ExecOutcome::Failure(e),
+    let from = run.cycle();
+    let (outcome, reached, parked) = match run.finish(&compiled) {
+        Ok(r) => {
+            let (cycles, profile) = (r.stats.cycles, r.profile.map(Box::new));
+            (ExecOutcome::Success { cycles, profile }, cycles, None)
+        }
+        Err(stopped) => {
+            let parked = stopped.run.map(|run| Parked { run, settings });
+            (ExecOutcome::Failure(stopped.failure), stopped.cycle, parked)
+        }
     };
     ExecResponse {
-        job_id: req.spec.id,
+        job_id: req.job_id,
         outcome,
         compiled_here,
+        resumed,
+        stepped: reached - from,
+        parked,
     }
 }
 
@@ -156,8 +233,8 @@ fn spawn_worker(index: usize) -> Slot {
         .name(format!("{WORKER_THREAD_PREFIX}-{index}"))
         .spawn(move || {
             while let Ok(req) = req_rx.recv() {
-                let job_id = req.spec.id;
-                match catch_unwind(AssertUnwindSafe(|| execute(&req))) {
+                let job_id = req.job_id;
+                match catch_unwind(AssertUnwindSafe(|| execute(req))) {
                     Ok(resp) => {
                         if resp_tx.send(resp).is_err() {
                             return;
@@ -166,12 +243,9 @@ fn spawn_worker(index: usize) -> Slot {
                     Err(_) => {
                         // Poisoned: report, then dispose of this thread.
                         // Whatever half-mutated state the job left behind
+                        // (a parked machine it was continuing included)
                         // dies with it; the pool respawns the slot.
-                        let _ = resp_tx.send(ExecResponse {
-                            job_id,
-                            outcome: ExecOutcome::Panicked,
-                            compiled_here: None,
-                        });
+                        let _ = resp_tx.send(ExecResponse::unrun(job_id, ExecOutcome::Panicked));
                         return;
                     }
                 }
@@ -258,15 +332,20 @@ mod tests {
     use super::*;
 
     fn plain_request(id: u64, name: &str, cores: usize, budget: u64) -> ExecRequest {
+        let workload = clp_workloads::suite::by_name(name).expect("suite workload");
         ExecRequest {
-            spec: JobSpec::new(id, name, cores, budget),
-            workload: clp_workloads::suite::by_name(name).expect("suite workload"),
-            cores,
+            job_id: id,
+            settings: Settings {
+                program: crate::cache::content_hash(&workload),
+                cores,
+                faults: FaultPlan::none(),
+                sabotage: false,
+                profile: false,
+            },
             budget,
-            faults: FaultPlan::none(),
-            sabotage: false,
-            profile: false,
+            workload: Arc::new(workload),
             compiled: None,
+            parked: None,
         }
     }
 
@@ -285,7 +364,7 @@ mod tests {
     fn planted_panic_poisons_and_respawns_the_worker() {
         let mut pool = WorkerPool::new(1);
         let mut req = plain_request(1, "conv", 4, 200_000);
-        req.sabotage = true;
+        req.settings.sabotage = true;
         pool.dispatch(0, req);
         let resp = pool.await_response(0);
         assert!(matches!(resp.outcome, ExecOutcome::Panicked));
@@ -296,16 +375,54 @@ mod tests {
         assert!(matches!(resp.outcome, ExecOutcome::Success { .. }));
     }
 
-    #[test]
-    fn deadline_kill_is_reported_as_typed_failure() {
-        let mut pool = WorkerPool::new(1);
+    /// conv on 8 cores killed at 500 cycles: the response.
+    fn killed_at_500(pool: &mut WorkerPool) -> ExecResponse {
         pool.dispatch(0, plain_request(3, "conv", 8, 500));
         let resp = pool.await_response(0);
-        match resp.outcome {
+        match &resp.outcome {
             ExecOutcome::Failure(f) => {
                 assert_eq!(f.class(), clp_core::FailureClass::DeadlineKill);
             }
             _ => panic!("expected a deadline kill"),
+        }
+        resp
+    }
+
+    #[test]
+    fn deadline_kill_is_reported_as_typed_failure_and_hands_the_machine_back() {
+        let resp = killed_at_500(&mut WorkerPool::new(1));
+        assert!(resp.parked.is_some());
+        assert_eq!((resp.resumed, resp.stepped), (false, 500));
+    }
+
+    #[test]
+    fn a_parked_machine_is_continued_only_under_equal_settings() {
+        let mut pool = WorkerPool::new(1);
+        let mut retry = |change: fn(&mut Settings)| {
+            let mut req = plain_request(3, "conv", 8, 200_000);
+            change(&mut req.settings);
+            req.parked = killed_at_500(&mut pool).parked;
+            pool.dispatch(0, req);
+            let resp = pool.await_response(0);
+            assert!(resp.parked.is_none());
+            match resp.outcome {
+                ExecOutcome::Success { cycles, .. } => (resp.resumed, resp.stepped, cycles),
+                _ => panic!("the retry completes"),
+            }
+        };
+        // Only the budget differs: runs on from cycle 500.
+        let (resumed, stepped, cycles) = retry(|_| ());
+        assert_eq!((resumed, stepped), (true, cycles - 500));
+        // Any one setting differs: the machine is dropped, cycle 0.
+        let changes: [fn(&mut Settings); 4] = [
+            |s| s.cores = 4,
+            |s| s.profile = true,
+            |s| s.faults = FaultPlan::only(clp_sim::FaultKind::DramSpike, 1, 200),
+            |s| s.program ^= 1,
+        ];
+        for change in changes {
+            let (resumed, stepped, from_zero) = retry(change);
+            assert_eq!((resumed, stepped), (false, from_zero));
         }
     }
 

@@ -11,6 +11,17 @@
 //! is bit-for-bit reproducible from `(arrival schedule, config)`. No
 //! wall-clock exists anywhere in this module.
 //!
+//! Charged vs stepped: what an attempt is *charged* (below) is a
+//! function of budgets and cycle counts only, never of what the host
+//! did to produce them. That is what lets a deadline-killed attempt's
+//! machine stay with its job (`JobState::parked`) and ride the retry's
+//! request back to a worker, which runs it on to the doubled budget
+//! instead of re-simulating from cycle 0 (`pool.rs` holds the rule for
+//! when it may): the retry is still charged its full cycle count, as if
+//! it had started over, and every tick, counter and record is what it
+//! was. [`HostLedger`] counts the difference and stays out of the
+//! report.
+//!
 //! Service time charged per attempt:
 //! - success: the simulated cycle count (plus the compile charge on a
 //!   cache miss);
@@ -33,7 +44,7 @@
 
 use crate::cache::{content_hash, CacheEntry, CompileCache};
 use crate::job::{JobOutcome, JobSpec, Rejected};
-use crate::pool::{ExecOutcome, ExecRequest, ExecResponse, WorkerPool};
+use crate::pool::{ExecOutcome, ExecRequest, ExecResponse, Parked, Settings, WorkerPool};
 use clp_core::{FailureClass, RunFailure};
 use clp_obs::{AttemptEnd, ScopeOptions, ScopeRecorder, ScopeReport};
 use clp_sim::fault::Prng;
@@ -41,6 +52,7 @@ use clp_sim::{FaultPlan, RunError};
 use clp_workloads::Workload;
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Service policy knobs. Everything is in virtual ticks; nothing reads
 /// a clock.
@@ -156,6 +168,25 @@ pub struct JobRecord {
     pub outcome: JobOutcome,
 }
 
+/// What the host did to produce a run, beside what the run was charged:
+/// deterministic like everything else here, but about the simulator,
+/// not the simulated service, so it is in no report and no golden.
+/// `cycles_charged - cycles_stepped` is the simulation the service
+/// billed for without redoing it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostLedger {
+    /// Attempts handed to a worker.
+    pub attempts: u64,
+    /// Attempts that continued a deadline-killed machine instead of
+    /// starting at cycle 0.
+    pub resumed: u64,
+    /// Cycles the workers stepped.
+    pub cycles_stepped: u64,
+    /// Cycles the attempts were charged for: the cycle count of a
+    /// success, the budget of a deadline kill, the cycle of a deadlock.
+    pub cycles_charged: u64,
+}
+
 /// Everything a service run produces: counters, per-job records in id
 /// order, and the completed-job sojourn times (finish − arrival).
 #[derive(Clone, Debug, PartialEq)]
@@ -166,24 +197,30 @@ pub struct ServiceResult {
     pub records: Vec<JobRecord>,
     /// Sojourn latencies of completed jobs, in submission order.
     pub latencies: Vec<u64>,
+    /// Host-side work, outside the pinned report.
+    pub host: HostLedger,
 }
 
 struct JobState {
     spec: JobSpec,
-    workload: Workload,
+    workload: Arc<Workload>,
+    /// [`content_hash`] of the workload: the compile-cache key.
+    program: u64,
     granted_cores: usize,
     arrival: u64,
     /// 0-based index of the attempt about to run.
     attempt: u32,
     /// Budget of the next attempt (escalates on deadline kills).
     budget: u64,
+    /// The machine the last attempt was deadline-killed on, for the
+    /// next attempt to continue. Any other outcome leaves `None`.
+    parked: Option<Parked>,
 }
 
 struct InFlight {
     job: JobState,
     done_at: u64,
     response: ExecResponse,
-    cache_key: u64,
 }
 
 /// The run's output side, bundled so the event handlers thread one
@@ -193,6 +230,7 @@ struct Ledger {
     records: Vec<JobRecord>,
     latencies: Vec<u64>,
     totals: ServiceTotals,
+    host: HostLedger,
     scope: Option<ScopeRecorder>,
 }
 
@@ -209,29 +247,31 @@ fn backoff_delay(cfg: &ServiceConfig, job_id: u64, attempt: u32) -> u64 {
     (base << shift) + jitter
 }
 
+/// Ticks an attempt is charged, and how many of them are simulated
+/// cycles (the rest are fixed charges for work that is not simulation).
 fn service_ticks(
     cfg: &ServiceConfig,
     outcome: &ExecOutcome,
     compile_miss: bool,
     budget: u64,
-) -> u64 {
+) -> (u64, u64) {
     let compile = if compile_miss { cfg.compile_ticks } else { 0 };
-    let work = match outcome {
-        ExecOutcome::Success { cycles, .. } => *cycles,
-        ExecOutcome::Panicked => cfg.respawn_ticks,
+    let (work, simulated) = match outcome {
+        ExecOutcome::Success { cycles, .. } => (*cycles, true),
+        ExecOutcome::Panicked => (cfg.respawn_ticks, false),
         ExecOutcome::Failure(f) => match f {
-            RunFailure::Run(RunError::DeadlineExceeded { budget }) => *budget,
-            RunFailure::Run(RunError::CycleLimit(n)) => *n,
-            RunFailure::Run(RunError::Deadlock { cycle }) => *cycle,
-            RunFailure::Run(_) => cfg.validate_ticks,
+            RunFailure::Run(RunError::DeadlineExceeded { budget }) => (*budget, true),
+            RunFailure::Run(RunError::CycleLimit(n)) => (*n, true),
+            RunFailure::Run(RunError::Deadlock { cycle }) => (*cycle, true),
+            RunFailure::Run(_) => (cfg.validate_ticks, false),
             RunFailure::Compose(_)
             | RunFailure::Placement(_)
             | RunFailure::Compile(_)
-            | RunFailure::Golden(_) => cfg.validate_ticks,
-            RunFailure::Verify(_) => budget,
+            | RunFailure::Golden(_) => (cfg.validate_ticks, false),
+            RunFailure::Verify(_) => (budget, true),
         },
     };
-    compile + work.max(1)
+    (compile + work.max(1), if simulated { work } else { 0 })
 }
 
 /// Runs the service over a pre-generated arrival schedule (strictly
@@ -266,6 +306,7 @@ pub fn serve_scoped(
         records: Vec::new(),
         latencies: Vec::new(),
         totals: ServiceTotals::default(),
+        host: HostLedger::default(),
         scope: scope.map(|o| ScopeRecorder::new(o, cfg.workers.max(1))),
     };
     let profile_jobs = ledger.scope.is_some();
@@ -324,40 +365,49 @@ pub fn serve_scoped(
         // batch is sent before any response is awaited, so independent
         // jobs execute physically in parallel; the barrier keeps every
         // virtual decision downstream of deterministic state only.
-        let mut batch: Vec<(usize, JobState, u64, bool)> = Vec::new();
+        let mut batch: Vec<(usize, JobState, bool)> = Vec::new();
         for (i, slot) in workers.iter().enumerate() {
             if slot.is_some() {
                 continue;
             }
-            let Some(job) = queue.pop_front() else { break };
-            let key = content_hash(&job.workload);
-            let hit = cache.lookup(key);
+            let Some(mut job) = queue.pop_front() else {
+                break;
+            };
+            let hit = cache.lookup(job.program);
             let miss = hit.is_none();
             let first_attempt = job.attempt == 0;
             pool.dispatch(
                 i,
                 ExecRequest {
-                    spec: job.spec.clone(),
-                    workload: job.workload.clone(),
-                    cores: job.granted_cores,
-                    budget: job.budget,
-                    // Attempt-0 faults only: a retry runs on fresh
-                    // hardware with the transient condition cleared.
-                    faults: if first_attempt {
-                        job.spec.faults
-                    } else {
-                        FaultPlan::none()
+                    job_id: job.spec.id,
+                    settings: Settings {
+                        program: job.program,
+                        cores: job.granted_cores,
+                        // Attempt-0 faults only: a retry runs on fresh
+                        // hardware with the transient condition cleared.
+                        faults: if first_attempt {
+                            job.spec.faults
+                        } else {
+                            FaultPlan::none()
+                        },
+                        sabotage: first_attempt && job.spec.sabotage,
+                        profile: profile_jobs,
                     },
-                    sabotage: first_attempt && job.spec.sabotage,
-                    profile: profile_jobs,
+                    budget: job.budget,
+                    workload: job.workload.clone(),
                     compiled: hit.map(|e| e.compiled),
+                    parked: job.parked.take(),
                 },
             );
-            batch.push((i, job, key, miss));
+            batch.push((i, job, miss));
         }
-        for (i, job, key, miss) in batch {
+        for (i, job, miss) in batch {
             let response = pool.await_response(i);
-            let ticks = service_ticks(cfg, &response.outcome, miss, job.budget);
+            let (ticks, charged) = service_ticks(cfg, &response.outcome, miss, job.budget);
+            ledger.host.attempts += 1;
+            ledger.host.resumed += u64::from(response.resumed);
+            ledger.host.cycles_stepped += response.stepped;
+            ledger.host.cycles_charged += charged;
             if let Some(s) = ledger.scope.as_mut() {
                 s.dispatched(job.spec.id, i, now, now + ticks, !miss, cfg.compile_ticks);
             }
@@ -365,7 +415,6 @@ pub fn serve_scoped(
                 done_at: now + ticks,
                 job,
                 response,
-                cache_key: key,
             });
         }
 
@@ -390,6 +439,7 @@ pub fn serve_scoped(
             totals: ledger.totals,
             records: ledger.records,
             latencies: ledger.latencies,
+            host: ledger.host,
         },
         report,
     )
@@ -465,11 +515,13 @@ fn admit(
     let budget = spec.budget;
     queue.push_back(JobState {
         spec,
-        workload,
+        program: content_hash(&workload),
+        workload: Arc::new(workload),
         granted_cores: granted,
         arrival: now,
         attempt: 0,
         budget,
+        parked: None,
     });
     ledger.totals.max_queue_depth = ledger.totals.max_queue_depth.max(queue.len() as u64);
 }
@@ -483,16 +535,16 @@ fn complete(
     ledger: &mut Ledger,
 ) {
     let InFlight {
-        mut job,
-        response,
-        cache_key,
-        ..
+        mut job, response, ..
     } = f;
+    // A deadline kill leaves its machine with the job for the retry to
+    // continue; after anything else there is none to keep.
+    job.parked = response.parked;
     // Cache insertion happens here, at the completion event, in
     // deterministic order — workers never touch the cache.
     if let Some((compiled, lint_warnings)) = response.compiled_here {
         cache.insert(
-            cache_key,
+            job.program,
             CacheEntry {
                 compiled,
                 lint_warnings,

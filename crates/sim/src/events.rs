@@ -8,6 +8,18 @@
 //! the wheel window (rare: only pathological fault delays) overflow
 //! into a `BTreeMap` and migrate into the wheel as `now` approaches.
 //!
+//! Ownership: a bucket has a buffer only while it holds events.
+//! `pop_due` hands the due bucket's buffer to the caller and leaves the
+//! bucket unallocated; the buffer the caller passed in (last cycle's,
+//! emptied) goes on a spare stack, and the next `schedule` into an
+//! unallocated bucket takes it from there. So the wheel holds as many
+//! buffers as buckets were ever non-empty *at once* — 4 to 14 on the
+//! suite — where "every bucket keeps the buffer it first grew" ended a
+//! long run with all 256 allocated: 100–260 KB that a machine parked at
+//! a deadline (clp-serve keeps those) would carry for nothing.
+//! DESIGN.md, "Hot-path data layout", has the allocation anatomy before
+//! and after.
+//!
 //! Determinism: events for the same cycle drain in schedule order,
 //! exactly like the `Vec` per key of the map this replaces. Far events
 //! migrate at the *start* of the first cycle whose window reaches them
@@ -30,8 +42,11 @@ const MASK: u64 = WHEEL - 1;
 #[derive(Debug)]
 pub(crate) struct EventWheel<T> {
     /// `slots[c & MASK]` holds the events due at cycle `c` for every
-    /// `c` within `WHEEL - 1` cycles of the owner's current cycle.
+    /// `c` within `WHEEL - 1` cycles of the owner's current cycle. An
+    /// empty bucket is unallocated (capacity 0).
     slots: Vec<Vec<T>>,
+    /// Emptied buffers waiting for the next bucket that needs one.
+    spare: Vec<Vec<T>>,
     /// Events at least `WHEEL` cycles out, keyed by due cycle.
     far: BTreeMap<u64, Vec<T>>,
 }
@@ -40,6 +55,7 @@ impl<T> EventWheel<T> {
     pub(crate) fn new() -> Self {
         EventWheel {
             slots: (0..WHEEL).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             far: BTreeMap::new(),
         }
     }
@@ -49,7 +65,13 @@ impl<T> EventWheel<T> {
     pub(crate) fn schedule(&mut self, now: u64, at: u64, ev: T) {
         debug_assert!(at > now, "events must be scheduled in the future");
         if at - now < WHEEL {
-            self.slots[(at & MASK) as usize].push(ev);
+            let slot = &mut self.slots[(at & MASK) as usize];
+            if slot.capacity() == 0 {
+                if let Some(buf) = self.spare.pop() {
+                    *slot = buf;
+                }
+            }
+            slot.push(ev);
         } else {
             self.far.entry(at).or_default().push(ev);
         }
@@ -65,18 +87,28 @@ impl<T> EventWheel<T> {
                 break;
             }
             let slot = &mut self.slots[(at & MASK) as usize];
-            debug_assert!(slot.is_empty());
-            slot.append(&mut entry.remove());
+            debug_assert_eq!(slot.capacity(), 0, "a far event lands in an empty bucket");
+            // The far entry brings its own buffer into circulation, so
+            // one spare (if any) retires and the count stays put.
+            *slot = entry.remove();
+            self.spare.pop();
         }
     }
 
     /// Hands every event due at `now` over in `out`, in schedule order.
-    /// `out` must come in empty: it trades places with the bucket (which
-    /// keeps `out`'s allocation for its next turn), and no event is
-    /// copied.
+    /// `out` must come in empty: it becomes the due bucket's buffer, no
+    /// event is copied, and the allocation `out` came in with is kept
+    /// as a spare for whichever bucket next needs one.
     pub(crate) fn pop_due(&mut self, now: u64, out: &mut Vec<T>) {
         debug_assert!(out.is_empty());
-        std::mem::swap(out, &mut self.slots[(now & MASK) as usize]);
+        let slot = &mut self.slots[(now & MASK) as usize];
+        if slot.is_empty() {
+            return;
+        }
+        let emptied = std::mem::replace(out, std::mem::take(slot));
+        if emptied.capacity() != 0 {
+            self.spare.push(emptied);
+        }
     }
 
     /// Total scheduled events (near and far) — debug dumps only.
@@ -91,6 +123,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl<T> EventWheel<T> {
+        /// Buffers the wheel owns: allocated buckets plus spares.
+        fn buffers(&self) -> usize {
+            self.slots.iter().filter(|s| s.capacity() != 0).count() + self.spare.len()
+        }
+
+        fn nonempty_buckets(&self) -> usize {
+            self.slots.iter().filter(|s| !s.is_empty()).count()
+        }
+    }
+
     proptest! {
         /// Schedules interleaved with cycle advances and pops, against
         /// a `BTreeMap<u64, Vec<_>>`: every cycle drains exactly its
@@ -98,7 +141,9 @@ mod tests {
         /// before the pop of `now` and one scheduled after it both wait
         /// for `now + 1`; far events come out ahead of later-scheduled
         /// near ones; and `len` agrees with the map after every
-        /// operation.
+        /// operation. The caller's buffer goes round as `Machine::step`
+        /// sends it, and the wheel never owns more buffers than the
+        /// most buckets that held events at once, plus that one.
         #[test]
         fn behaves_like_a_map_of_cycles(
             ops in prop::collection::vec((0u8..10, 0u64..3 * WHEEL), 1..400),
@@ -106,6 +151,8 @@ mod tests {
             let mut w: EventWheel<u32> = EventWheel::new();
             let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             let (mut now, mut next_id) = (0u64, 0u32);
+            let mut out = Vec::new();
+            let mut most_nonempty = 0;
             for (op, arg) in ops {
                 match op {
                     // Next cycle, a near one, or anywhere up to three
@@ -118,24 +165,27 @@ mod tests {
                     }
                     // Pop the current cycle (a second pop finds nothing).
                     6 | 7 => {
-                        let mut out = Vec::new();
                         w.pop_due(now, &mut out);
-                        prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
+                        prop_assert_eq!(&out, &model.remove(&now).unwrap_or_default());
+                        out.clear();
                     }
                     // Advance one cycle, or many (far events migrate),
                     // one at a time; each cycle left behind is drained
                     // first, as `Machine::step` always does.
                     _ => {
                         for _ in 0..if op == 8 { 1 } else { 1 + arg } {
-                            let mut out = Vec::new();
                             w.pop_due(now, &mut out);
-                            prop_assert_eq!(out, model.remove(&now).unwrap_or_default());
+                            prop_assert_eq!(&out, &model.remove(&now).unwrap_or_default());
+                            out.clear();
                             now += 1;
                             w.advance(now);
+                            most_nonempty = most_nonempty.max(w.nonempty_buckets());
                         }
                     }
                 }
                 prop_assert_eq!(w.len(), model.values().map(Vec::len).sum::<usize>());
+                most_nonempty = most_nonempty.max(w.nonempty_buckets());
+                prop_assert!(w.buffers() <= most_nonempty + 1, "{} buffers", w.buffers());
             }
         }
     }

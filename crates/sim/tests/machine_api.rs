@@ -3,7 +3,8 @@
 
 use clp_compiler::{compile, CompileOptions, FunctionBuilder, ProgramBuilder};
 use clp_isa::{Opcode, Reg};
-use clp_sim::{ComposeError, Machine, RunError, SimConfig};
+use clp_sim::{ComposeError, FaultPlan, Machine, ProcId, RunError, RunStats, SimConfig};
+use clp_workloads::Workload;
 
 fn tiny_program() -> clp_isa::EdgeProgram {
     let mut f = FunctionBuilder::new("t", 2);
@@ -153,6 +154,147 @@ fn generous_deadline_does_not_perturb_the_run() {
     let (ret_b, cyc_b) = run(Some(1_000_000));
     assert_eq!(ret_a, 42);
     assert_eq!((ret_a, cyc_a), (ret_b, cyc_b));
+}
+
+#[test]
+fn a_deadline_that_is_not_raised_stops_the_run_again_where_it_stood() {
+    let w = clp_workloads::suite::by_name("conv").expect("suite kernel");
+    let (mut m, _) = composed(&w, 4, SimConfig::tflex(), false);
+    m.set_deadline(Some(700));
+    assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 700 }));
+    // Again, unmoved: the same kill, and not one more cycle.
+    assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 700 }));
+    assert_eq!(m.cycle(), 700);
+    // Moved, but not past the cycle reached: killed at once, and the
+    // error names the budget now in force.
+    m.set_deadline(Some(500));
+    assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 500 }));
+    assert_eq!(m.cycle(), 700);
+}
+
+/// Suite kernel `w` composed on `cores` cores of a machine at cycle 0.
+fn composed(w: &Workload, cores: usize, cfg: SimConfig, profile: bool) -> (Machine, ProcId) {
+    let edge = compile(&w.program, &CompileOptions::default()).expect("compiles");
+    let mut m = Machine::new(cfg);
+    if profile {
+        m.enable_profiling();
+    }
+    for (addr, words) in &w.init_mem {
+        m.memory_mut().image.load_words(*addr, words);
+    }
+    let pid = m.compose(cores, 0, edge, &w.args).expect("composes");
+    (m, pid)
+}
+
+/// Everything two finished runs of `w` are compared on: the stats, the
+/// whole stats registry, the return register, the words the golden
+/// check reads (verified against the interpreter here) and, with
+/// clp-prof on, its report.
+fn finished(
+    w: &Workload,
+    m: &mut Machine,
+    pid: ProcId,
+    stats: RunStats,
+) -> (RunStats, String, u64, Vec<u64>, Option<serde::Value>) {
+    let ret = m.register(pid, Reg::new(1));
+    let image = &m.memory().image;
+    w.verify(ret, image).expect("outputs match the interpreter");
+    let regions = w.check.regions.iter();
+    let words = regions.flat_map(|&(base, len)| (0..len).map(move |k| base + 8 * k as u64));
+    let words = words.map(|addr| image.read_u64(addr)).collect();
+    let profile = m.profile_report().map(|p| p.to_json_value());
+    (stats, m.snapshot().to_json(), ret, words, profile)
+}
+
+/// Runs `w` twice — killed at each deadline of `ladder` in turn and
+/// continued under the next, and from cycle 0 under the deadline the
+/// first run finished under — and requires the two to end identically.
+/// Returns how many deadline kills the first run took.
+fn continued_equals_from_zero(
+    w: &Workload,
+    cores: usize,
+    faults: FaultPlan,
+    profile: bool,
+    ladder: impl IntoIterator<Item = Option<u64>>,
+) -> usize {
+    let cfg = SimConfig {
+        faults,
+        ..SimConfig::tflex()
+    };
+    let (mut m, pid) = composed(w, cores, cfg, profile);
+    let mut kills = 0;
+    let mut ladder = ladder.into_iter();
+    let (stats, last) = loop {
+        let deadline = ladder.next().expect("the ladder ends without a deadline");
+        m.set_deadline(deadline);
+        match m.run() {
+            Ok(stats) => break (stats, deadline),
+            Err(RunError::DeadlineExceeded { budget }) => {
+                assert_eq!((Some(budget), m.cycle()), (deadline, budget));
+                kills += 1;
+            }
+            Err(e) => panic!("{} on {cores}: {e}", w.name),
+        }
+    };
+    let continued = finished(w, &mut m, pid, stats);
+
+    let cfg = SimConfig {
+        deadline: last,
+        ..cfg
+    };
+    let (mut m, pid) = composed(w, cores, cfg, profile);
+    let stats = m.run().expect("finishes under the last deadline");
+    let from_zero = finished(w, &mut m, pid, stats);
+    assert!(
+        continued == from_zero,
+        "{} on {cores} cores, {kills} kills: continued run differs from the from-zero run\n\
+         continued {:?}\nfrom zero {:?}",
+        w.name,
+        continued.0,
+        from_zero.0
+    );
+    kills
+}
+
+fn doubling(first: u64) -> impl Iterator<Item = Option<u64>> {
+    std::iter::successors(Some(first), |b| Some(b * 2)).map(Some)
+}
+
+#[test]
+fn a_run_continued_past_its_deadline_ends_like_the_from_zero_run() {
+    for name in ["conv", "bezier", "autocor", "tblook", "gzip", "swim", "mcf"] {
+        let w = clp_workloads::suite::by_name(name).expect("suite kernel");
+        for cores in [1, 4, 16] {
+            // clp-serve's ladder, plain; an odd one with clp-prof on.
+            let kills =
+                continued_equals_from_zero(&w, cores, FaultPlan::none(), false, doubling(2_500));
+            assert!(kills >= 1, "{name} on {cores} never met a deadline");
+            let odd = [Some(777), Some(4_001), None];
+            let kills = continued_equals_from_zero(&w, cores, FaultPlan::none(), true, odd);
+            assert!(kills >= 1, "{name} on {cores} never met a deadline");
+        }
+    }
+}
+
+#[test]
+fn a_run_continued_under_the_same_fault_plan_ends_like_the_from_zero_run() {
+    // The fault PRNG and the kill schedule live in the machine, so they
+    // continue too. Deadlines every 500 cycles cut before the kill,
+    // between kill and detection, inside the recovery and after it;
+    // `run` re-validates the kills still pending on every call, here
+    // with one core already gone and its processor recomposed.
+    let mut chaos = FaultPlan::chaos(7, 50);
+    chaos.add_kill(3, 2_000).expect("valid kill");
+    let mut two_kills = FaultPlan::none();
+    two_kills.add_kill(3, 4_000).expect("valid kill");
+    two_kills.add_kill(5, 6_000).expect("valid kill");
+    for (name, faults) in [("conv", chaos), ("tblook", two_kills)] {
+        let w = clp_workloads::suite::by_name(name).expect("suite kernel");
+        let every_500 = (1..).map(|k| Some(500 * k));
+        let kills = continued_equals_from_zero(&w, 8, faults, true, every_500);
+        assert!(kills > 12, "{name}: the ladder reaches past the last kill");
+        continued_equals_from_zero(&w, 8, faults, false, doubling(2_500));
+    }
 }
 
 #[test]

@@ -1,17 +1,24 @@
 //! Integration suite for clp-serve: deterministic replay, panic
 //! isolation, deadline kills with budget escalation, recovery-failure
-//! retries, overload shedding, graceful degradation, and full drain.
+//! retries, overload shedding, graceful degradation, full drain, and
+//! the continued deadline kill: which attempts run on a parked machine,
+//! that doing so never shows in a cycle count, and what it saves the
+//! host ([`HostLedger`]).
 //!
 //! Everything here leans on the service's central contract: no
 //! wall-clock anywhere, so one `(arrival schedule, config)` pair
 //! reproduces the entire run — including every retry, panic, and shed
 //! job — byte-for-byte.
 
+use clp::core::{run_workload, ProcessorConfig};
+use clp::obs::ScopeOptions;
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    serve, JobOutcome, JobSpec, Rejected, ServiceConfig, ServiceReport,
+    serve, serve_scoped, HostLedger, JobOutcome, JobSpec, Rejected, ServiceConfig, ServiceReport,
+    ServiceResult,
 };
-use clp::sim::FaultPlan;
+use clp::sim::{FaultKind, FaultPlan};
+use proptest::prelude::*;
 
 fn chaos_arrivals() -> ArrivalConfig {
     // A small but fully loaded schedule: a planted panic, a doomed
@@ -270,4 +277,181 @@ fn fault_free_plan_is_default_and_kill_plans_round_trip() {
     let mut with_kill = spec.clone();
     with_kill.faults.add_kill(2, 99).expect("valid");
     assert_ne!(with_kill.faults, FaultPlan::none());
+}
+
+/// Cycles of `name` run directly — from cycle 0, fault-free, no
+/// deadline — on `cores` cores.
+fn direct_cycles(name: &str, cores: usize) -> u64 {
+    let w = clp::workloads::suite::by_name(name).expect("suite kernel");
+    let out = run_workload(&w, &ProcessorConfig::tflex(cores)).expect("runs directly");
+    out.stats.cycles
+}
+
+/// Every completed record reports the cycles of the direct run at its
+/// granted size: whatever was continued, nothing of it shows.
+fn assert_completed_cycles_are_direct(result: &ServiceResult) {
+    for r in &result.records {
+        if let JobOutcome::Completed { cycles } = r.outcome {
+            let direct = direct_cycles(&r.workload, r.cores_granted);
+            assert_eq!(cycles, direct, "job {} ({})", r.id, r.workload);
+        }
+    }
+}
+
+#[test]
+fn a_deadline_kill_under_attempt_0_faults_is_not_continued() {
+    // Attempt 0 runs under the job's fault plan and a budget it cannot
+    // meet; the retry runs fault-free, so its settings differ and the
+    // faulted machine must be dropped: continuing it would carry the
+    // faulted prefix into the reported cycle count. Attempt 1 is killed
+    // fault-free at 4 000 and attempt 2 continues *that* machine.
+    let mut spec = JobSpec::new(0, "conv", 8, 2_000);
+    spec.faults = FaultPlan::only(FaultKind::DramSpike, 9, 400);
+    let r = serve(vec![(1, spec)], &quiet_cfg());
+    assert_eq!((r.totals.deadline_kills, r.totals.completed), (2, 1));
+    assert_eq!(r.records[0].attempts, 3);
+    assert_completed_cycles_are_direct(&r);
+    let JobOutcome::Completed { cycles } = r.records[0].outcome else {
+        unreachable!("checked above");
+    };
+    assert_eq!(
+        r.host,
+        HostLedger {
+            attempts: 3,
+            resumed: 1,
+            // 0..2 000 faulted, 0..4 000 afresh, then on from 4 000.
+            cycles_stepped: 2_000 + cycles,
+            cycles_charged: 2_000 + 4_000 + cycles,
+        }
+    );
+}
+
+#[test]
+fn the_gzip_shape_resumes_exactly_once() {
+    // A no-survivor kill is refused before cycle 0 (transient), the
+    // fault-free retry outlives 200 000 cycles, and the third attempt
+    // runs the second's machine on: gzip is simulated once, end to end.
+    let mut spec = JobSpec::new(0, "gzip", 1, 200_000);
+    spec.faults.add_kill(0, 800).expect("valid kill");
+    let r = serve(vec![(1, spec)], &quiet_cfg());
+    let t = &r.totals;
+    assert_eq!((t.transient_failures, t.deadline_kills), (1, 1));
+    assert_eq!((t.retries, t.completed), (2, 1));
+    assert_completed_cycles_are_direct(&r);
+    let JobOutcome::Completed { cycles } = r.records[0].outcome else {
+        unreachable!("checked above");
+    };
+    assert_eq!(
+        r.host,
+        HostLedger {
+            attempts: 3,
+            resumed: 1,
+            cycles_stepped: cycles,
+            cycles_charged: 200_000 + cycles,
+        }
+    );
+}
+
+#[test]
+fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
+    // The four pinned streams of clp-hostbench's `serve_batch` (the
+    // specification is copied from benchmark/src/workloads.rs): 48 jobs
+    // all complete, 27 deadline kills on the way. Before kills were
+    // continued the workers stepped every charged cycle — 1 785 851 —
+    // of which 410 000 were re-simulated prefixes.
+    let scfg = ServiceConfig {
+        workers: 2,
+        queue_cap: 64,
+        degrade_at: 48,
+        max_retries: 7,
+        seed: 42,
+        ..ServiceConfig::default()
+    };
+    let mut host = HostLedger::default();
+    let (mut completed, mut kills) = (0, 0);
+    for stream in 0..4 {
+        let acfg = ArrivalConfig {
+            jobs: 12,
+            seed: 42 + stream,
+            mean_gap: 3_000,
+            budget: 200_000,
+            tight_every: 5,
+            tight_budget: 2_500,
+            plant_panic: vec![5],
+            kill_at: vec![(11, 800)],
+        };
+        let plain = serve(arrivals::generate(&acfg), &scfg);
+        let (scoped, _) = serve_scoped(
+            arrivals::generate(&acfg),
+            &scfg,
+            Some(&ScopeOptions::default()),
+        );
+        assert_eq!(plain, scoped, "stream {stream}: scope on changes nothing");
+        completed += plain.totals.completed;
+        kills += plain.totals.deadline_kills;
+        host.attempts += plain.host.attempts;
+        host.resumed += plain.host.resumed;
+        host.cycles_stepped += plain.host.cycles_stepped;
+        host.cycles_charged += plain.host.cycles_charged;
+    }
+    assert_eq!((completed, kills), (48, 27));
+    assert_eq!(
+        host,
+        HostLedger {
+            attempts: 83,
+            resumed: 27,
+            cycles_stepped: 1_375_851,
+            cycles_charged: 1_785_851,
+        }
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        max_shrink_iters: 20,
+        ..ProptestConfig::default()
+    })]
+
+    /// Over any arrival stream with tight budgets, a planted panic and
+    /// a doomed kill job: completed cycles are the direct run's (what
+    /// clp-hostbench's `serve_direct` checks for its four streams), and
+    /// scope on — every attempt profiled — agrees with scope off on the
+    /// whole result, host ledger included.
+    #[test]
+    fn continued_kills_never_show_in_the_results(
+        seed in 0u64..4096,
+        jobs in 4usize..9,
+        tight_every in 1usize..4,
+        panic_pick in 0u64..8,
+        kill_pick in 0u64..8,
+        kill_cycle in 1u64..3_000,
+    ) {
+        let acfg = ArrivalConfig {
+            jobs,
+            seed,
+            mean_gap: 2_500,
+            budget: 150_000,
+            tight_every,
+            tight_budget: 2_500,
+            plant_panic: vec![panic_pick],
+            kill_at: vec![(kill_pick, kill_cycle)],
+        };
+        let scfg = ServiceConfig {
+            workers: 2,
+            queue_cap: 16,
+            degrade_at: 12,
+            max_retries: 7,
+            seed,
+            ..ServiceConfig::default()
+        };
+        let plain = serve(arrivals::generate(&acfg), &scfg);
+        assert_completed_cycles_are_direct(&plain);
+        let h = plain.host;
+        prop_assert!(h.resumed <= plain.totals.deadline_kills);
+        prop_assert!(h.cycles_stepped <= h.cycles_charged);
+        let (scoped, _) =
+            serve_scoped(arrivals::generate(&acfg), &scfg, Some(&ScopeOptions::default()));
+        prop_assert_eq!(plain, scoped);
+    }
 }
