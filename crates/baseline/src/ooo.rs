@@ -182,6 +182,8 @@ pub fn run_baseline(
     let mut fp_free = vec![0u64; cfg.fp_units];
     let mut mem_free = vec![0u64; cfg.mem_ports];
     // Conservative memory ordering: last store completion per line.
+    // Read and written by key only, so hash order cannot reach a cycle.
+    #[allow(clippy::disallowed_types)]
     let mut last_store_done: std::collections::HashMap<u64, u64> = Default::default();
     let mut last_cycle: u64 = 1;
 

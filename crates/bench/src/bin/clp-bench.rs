@@ -24,8 +24,9 @@
 //! `clp-hostbench` under `benchmark/` (see its README for the noise
 //! protocol).
 
-use clp_bench::matrix::{bench_document, BENCH_SIZES};
+use clp_bench::matrix::{SuiteMatrix, BENCH_SIZES};
 use clp_core::cli::{check_golden, write_or_die, Flag, Spec};
+use clp_workloads::suite;
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -44,7 +45,7 @@ fn main() {
     let out = args
         .text("--out")
         .unwrap_or_else(|| "BENCH_suite.json".into());
-    let doc = bench_document();
+    let doc = SuiteMatrix::measure(&suite::all(), &BENCH_SIZES).bench_document();
     let text = serde_json::to_string_pretty(&doc).expect("serializes");
     // Always emit the measured suite (also under --check, so CI uploads
     // the fresh numbers a re-baseline can copy from).

@@ -24,7 +24,7 @@
 //! `bound(1)/bound(n)` exported through
 //! [`clp_alloc::SpeedupCurve::analytic`].
 
-use clp_bench::matrix::{BoundCell, BoundMatrix, BENCH_SIZES};
+use clp_bench::matrix::{Cell, SuiteMatrix, BENCH_SIZES};
 use clp_core::cli::{check_golden, or_die, Flag, Spec, SUITE};
 
 #[rustfmt::skip]
@@ -42,7 +42,7 @@ const SPEC: Spec = Spec {
 };
 
 /// Which program-level floor set the cell's bound.
-fn floor(cell: &BoundCell) -> &'static str {
+fn floor(cell: &Cell) -> &'static str {
     let b = &cell.bound;
     if b.must_commit >= b.terminal && b.must_commit >= b.work_floor {
         "must-commit"
@@ -63,8 +63,8 @@ fn main() {
     if sizes.is_empty() {
         sizes = BENCH_SIZES.to_vec();
     }
-    let matrix = BoundMatrix::measure(&workloads, &sizes);
-    let text = serde_json::to_string_pretty(&matrix.document()).expect("serializes");
+    let matrix = SuiteMatrix::measure(&workloads, &sizes);
+    let text = serde_json::to_string_pretty(&matrix.bound_document()).expect("serializes");
 
     if args.switch("--json") {
         println!("{text}");

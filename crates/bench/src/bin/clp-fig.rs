@@ -11,8 +11,8 @@
 //! under `target/clp-results/` (see [`clp_bench::figs`]). `all` runs the
 //! regeneration list in order — the full-suite sweep behind Figures 6–9
 //! is taken once — and closes with the paper-versus-measured table.
-//! `--sample-every` / `--stats-json` apply to the figures `list` marks
-//! `[obs]`; `--stats-json` wants exactly one of them.
+//! `--stats-json` dumps the stats snapshot of every cell a figure ran;
+//! it applies to the figures `list` marks `[obs]`, exactly one at a time.
 //!
 //! Exit codes: 0 = regenerated, 1 = some sweep cell failed (its row is
 //! dropped from the figure and reported on stderr), 2 = usage error or
@@ -20,7 +20,7 @@
 
 use clp_bench::figs::{self, Ctx, FigObs, Figure, OBS_FLAGS, REGISTRY};
 use clp_bench::results_dir;
-use clp_core::cli::{die, or_die, write_or_die, Spec};
+use clp_core::cli::{die, write_or_die, Spec};
 
 const SPEC: Spec = Spec {
     prog: "clp-fig",
@@ -33,7 +33,9 @@ const SPEC: Spec = Spec {
 
 fn main() {
     let args = SPEC.parse_env();
-    let obs = or_die(FigObs::from_args(&args));
+    let obs = FigObs {
+        stats_json: args.text("--stats-json"),
+    };
     let names = args.positionals();
     if names == ["list"] {
         for f in &REGISTRY {
@@ -50,8 +52,8 @@ fn main() {
                     "unknown figure `{name}`; `clp-fig list` names them"
                 ))
             });
-            if obs.is_set() && !f.takes_obs {
-                die(format!("{name} takes no observability flags"));
+            if obs.stats_json.is_some() && !f.takes_obs {
+                die(format!("{name} takes no --stats-json"));
             }
             f
         };

@@ -5,14 +5,17 @@
 //! ```sh
 //! cargo run --release -p clp-bench --bin run_one -- mcf 16
 //! cargo run --release -p clp-bench --bin run_one -- \
-//!     802.11b 16 --trace out.json --stats-json stats.json --sample-every 500
+//!     802.11b 16 --trace out.json --stats-json stats.json
+//! cargo run --release -p clp-bench --bin run_one -- \
+//!     conv 4 --trend --sample-every 500
 //! ```
 //!
 //! `run_one --help` lists the flags (generated from the table below).
 //! What the one-liners there leave out:
 //!
 //! * `--trace` files open at <https://ui.perfetto.dev>; `--stats-json`
-//!   writes the unified [`clp_obs::StatsSnapshot`].
+//!   writes the unified [`clp_obs::StatsSnapshot`] (end-of-run totals;
+//!   a series over any of its paths is `clp-trend --paths`).
 //! * `--faults` kinds: `noc_delay`, `noc_burst`, `forced_nack`,
 //!   `mispredict`, `dram_spike`, `handoff_delay`, e.g. `--faults
 //!   noc_delay,forced_nack=100`; the same spec and `--fault-seed` always
@@ -22,6 +25,8 @@
 //!   link, or dispatch) and renders the L5xx bound lints rustc-style.
 //! * `--trend` / `--phase-table` enable profiling so the bucket columns
 //!   are populated; cycle counts stay bit-identical either way.
+//!   `--sample-every` is their interval width and is refused without
+//!   one of them.
 //! * `--kill-core` is a *hard* kill: the core dies permanently and the
 //!   composition must detect it, migrate state, and recompose around the
 //!   survivors. The schedule is exactly reproducible.
@@ -34,7 +39,7 @@
 //! limit, invalid kill schedule — i.e. recovery failure), 4 = killed by
 //! the `--max-cycles` deadline.
 
-use clp_core::cli::{self, die, or_die, write_or_die, Flag, Spec};
+use clp_core::cli::{self, die, or_die, write_or_die, CliError, Flag, Spec};
 use clp_core::{compile_workload, ObsOptions};
 use clp_isa::Reg;
 use clp_obs::{ChromeTraceWriter, Tracer, TrendOptions};
@@ -48,12 +53,12 @@ const SPEC: Spec = Spec {
     flags: &[
         Flag::value("--trace", "PATH", "write a Chrome trace-event JSON file"),
         Flag::value("--stats-json", "PATH", "write the unified stats snapshot"),
-        Flag::value("--sample-every", "CYCLES", "sampling period (default 1000 with --stats-json)"),
         Flag::switch("--lint", "lint the compiled program first; refuse to run on errors"),
         Flag::switch("--bound", "print the static cycle floor beside the measured cycles"),
         Flag::switch("--profile", "print the clp-prof breakdown, heatmap and hottest links"),
         Flag::switch("--trend", "print the clp-trend phase timeline"),
         Flag::switch("--phase-table", "also print the per-phase bucket table (implies --trend)"),
+        Flag::value("--sample-every", "CYCLES", "--trend / --phase-table interval width (default 1000)"),
         Flag::value("--faults", "SPEC", "fault plan: kind[=rate],.. or all[=rate] (per-mille; 25)"),
         Flag::value("--fault-seed", "N", "fault PRNG stream (default 1)"),
         Flag::repeated("--kill-core", "ID@CYCLE", "hard-kill global core ID at CYCLE (up to 4)"),
@@ -70,7 +75,6 @@ fn main() {
     let w = &or_die(cli::workload(args.positional(0).unwrap_or("gzip")));
     let (name, n) = (w.name, or_die(args.cores()).unwrap_or(32));
     let (trace, stats_json) = (args.text("--trace"), args.text("--stats-json"));
-    let sample_every: Option<u64> = or_die(args.num("--sample-every", 1..));
     let faults = args.text("--faults");
     let fault_seed: u64 = or_die(args.num("--fault-seed", ..)).unwrap_or(1);
     let kills: Vec<CoreKill> = args
@@ -81,6 +85,13 @@ fn main() {
     let (lint, bound) = (args.switch("--lint"), args.switch("--bound"));
     let (profile, phase_table) = (args.switch("--profile"), args.switch("--phase-table"));
     let trend = args.switch("--trend") || phase_table;
+    let period: u64 = or_die(match args.num("--sample-every", 1..) {
+        Ok(Some(_)) if !trend => Err(CliError::Usage(
+            "--sample-every is the --trend / --phase-table interval width; pass one of them".into(),
+        )),
+        given => given,
+    })
+    .unwrap_or(1000);
     let cw = compile_workload(w).unwrap_or_else(|e| {
         println!("{name} on {n} cores FAILED: {e}");
         std::process::exit(3);
@@ -116,12 +127,10 @@ fn main() {
             .add_kill(usize::from(k.core), k.cycle)
             .unwrap_or_else(|e| die(format!("bad --kill-core schedule: {e}")));
     }
-    let period = sample_every.unwrap_or(1000);
     let obs = ObsOptions {
         tracer: trace.as_ref().map_or_else(Tracer::off, |path| {
             Tracer::new(ChromeTraceWriter::new(path))
         }),
-        sample_every: (stats_json.is_some() || sample_every.is_some()).then_some(period),
         profile,
         trend: trend.then(|| TrendOptions {
             period,
@@ -229,14 +238,10 @@ fn main() {
                     print!("{}", trend.render_phase_table());
                 }
             }
-            let snapshot = m.snapshot();
             if let Some(path) = &stats_json {
+                let snapshot = m.snapshot();
                 write_or_die(path, &snapshot.to_json());
-                println!(
-                    "[stats -> {path}: {} intervals, ipc {:.2}]",
-                    snapshot.intervals.len(),
-                    snapshot.expect("proc0/ipc"),
-                );
+                println!("[stats -> {path}: ipc {:.2}]", snapshot.expect("proc0/ipc"));
             }
         }
         Err(RunError::DeadlineExceeded { budget }) => {

@@ -7,10 +7,12 @@
 //! table is built from what was just measured, never re-read from disk.
 //! Figures 6–9 draw on one shared full-suite sweep (`Ctx::suite_sweep`),
 //! taken once per `clp-fig` invocation however many of them run.
+//! `--stats-json` needs no observer attached: every cell's `RunOutcome`
+//! already carries the stats snapshot the figures read and the flag dumps.
 
-use crate::{sweep_suite_resilient_observed, BenchRow, CellFailure, SWEEP_SIZES};
-use clp_core::cli::{write_or_die, Args, CliError, Flag};
-use clp_core::{compile_workload, run_compiled, run_workload, ObsOptions, ProcessorConfig};
+use crate::{sweep_suite_resilient, BenchRow, CellFailure, SWEEP_SIZES};
+use clp_core::cli::{write_or_die, Flag};
+use clp_core::{compile_workload, run_compiled, run_workload, ProcessorConfig};
 use clp_obs::StatsSnapshot;
 use clp_sim::FaultPlan;
 use clp_workloads::suite;
@@ -25,53 +27,21 @@ mod fig_degraded;
 mod sweep;
 mod tables;
 
-/// The observability flags shared by the figures that run the machine
-/// observed (`takes_obs` in the registry).
+/// The flag shared by the figures that can dump the stats snapshot of
+/// every cell they run (`takes_obs` in the registry).
 #[rustfmt::skip]
-pub const OBS_FLAGS: [Flag; 2] = [
-    Flag::value("--sample-every", "CYCLES", "sampling period (default 1000 with --stats-json)"),
+pub const OBS_FLAGS: [Flag; 1] = [
     Flag::value("--stats-json", "PATH", "write labeled stats snapshots (exactly one figure)"),
 ];
 
 /// The values of [`OBS_FLAGS`].
 #[derive(Clone, Debug, Default)]
 pub struct FigObs {
-    /// Interval-sampling period in cycles (`--sample-every`).
-    pub sample_every: Option<u64>,
     /// Where to write labeled stats snapshots (`--stats-json`).
     pub stats_json: Option<String>,
 }
 
 impl FigObs {
-    /// Reads the shared flags.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::Usage`] on a `--sample-every` below 1.
-    pub fn from_args(args: &Args) -> Result<FigObs, CliError> {
-        Ok(FigObs {
-            sample_every: args.num("--sample-every", 1..)?,
-            stats_json: args.text("--stats-json"),
-        })
-    }
-
-    /// Whether either flag was given.
-    #[must_use]
-    pub fn is_set(&self) -> bool {
-        self.sample_every.is_some() || self.stats_json.is_some()
-    }
-
-    /// The [`ObsOptions`] these flags select. Sampling defaults to a
-    /// 1000-cycle period when snapshots were requested, so the dumped
-    /// snapshots always carry a time series.
-    #[must_use]
-    pub fn obs_options(&self) -> ObsOptions {
-        ObsOptions {
-            sample_every: self.sample_every.or(self.stats_json.as_ref().map(|_| 1000)),
-            ..ObsOptions::default()
-        }
-    }
-
     /// Writes `labeled` snapshots to the `--stats-json` path as a JSON
     /// array of `{label, snapshot}` objects. No-op when the flag was not
     /// given.
@@ -112,7 +82,7 @@ impl FigObs {
 /// What one `clp-fig` invocation shares between its figures.
 #[derive(Default)]
 pub struct Ctx {
-    /// The observability flags, applied by the figures that take them.
+    /// Where the figures that take `--stats-json` dump their snapshots.
     pub obs: FigObs,
     /// Cells that failed in any figure's sweep so far.
     pub failed_cells: usize,
@@ -137,12 +107,7 @@ impl Ctx {
     /// every dropped cell each time, as each figure reports its own.
     fn suite_sweep(&mut self) -> Rc<Sweep> {
         if self.suite_sweep.is_none() {
-            let sweep = sweep_suite_resilient_observed(
-                &suite::all(),
-                &SWEEP_SIZES,
-                &self.obs.obs_options(),
-            )
-            .complete_rows();
+            let sweep = sweep_suite_resilient(&suite::all(), &SWEEP_SIZES).complete_rows();
             self.failed_cells += sweep.1.len();
             self.suite_sweep = Some(Rc::new(sweep));
         }
@@ -276,20 +241,6 @@ fn robustness_rows() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshots_alone_default_the_sampling_period() {
-        let flags = |sample_every, stats_json: Option<&str>| FigObs {
-            sample_every,
-            stats_json: stats_json.map(String::from),
-        };
-        // ... so the dumped snapshots always carry a time series.
-        let period = |f: FigObs| f.obs_options().sample_every;
-        assert_eq!(period(flags(None, Some("out.json"))), Some(1000));
-        assert_eq!(period(flags(Some(250), Some("out.json"))), Some(250));
-        assert_eq!(period(flags(None, None)), None);
-        assert!(!flags(None, None).is_set() && flags(Some(250), None).is_set());
-    }
 
     /// The names a document's `clp-fig` command lines mention.
     fn names_after_clp_fig(doc: &str) -> Vec<&str> {

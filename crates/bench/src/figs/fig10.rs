@@ -13,7 +13,7 @@
 //! one workload size.
 
 use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES};
+use crate::{save_json, sweep_suite_resilient, CellFailure, SWEEP_SIZES};
 use clp_alloc::{
     fixed_cmp, granularity_fractions, optimal_clp, variable_best_cmp, Allocation, SpeedupCurve,
 };
@@ -50,11 +50,9 @@ struct Out {
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
-    let fig = &ctx.obs;
     // Measure the 12 hand-optimized speedup curves (Figure 6 data).
     let (rows, failures) =
-        sweep_suite_resilient_observed(&suite::hand_optimized(), &SWEEP_SIZES, &fig.obs_options())
-            .complete_rows();
+        sweep_suite_resilient(&suite::hand_optimized(), &SWEEP_SIZES).complete_rows();
     warn_dropped(&failures);
     ctx.failed_cells += failures.len();
     let curves: Vec<SpeedupCurve> = rows
@@ -163,7 +161,7 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
             failures,
         },
     );
-    fig.save_sweep_snapshots(&rows);
+    ctx.obs.save_sweep_snapshots(&rows);
     Some(format!(
         "Fig 10  TFlex over best fixed CMP: avg {avg_gain:+.1}% max {max_gain:+.1}% \
          (paper +26%/+47%)"

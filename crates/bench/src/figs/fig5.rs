@@ -9,7 +9,7 @@
 use super::Ctx;
 use crate::{geomean, save_json};
 use clp_baseline::{run_baseline, BaselineConfig};
-use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
+use clp_core::{compile_workload, run_compiled, ProcessorConfig};
 use clp_workloads::{suite, WorkloadClass};
 use serde::Serialize;
 
@@ -25,12 +25,11 @@ struct Row {
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
     let fig = &ctx.obs;
-    let obs = fig.obs_options();
     let mut rows = Vec::new();
     let mut snapshots = Vec::new();
     for w in suite::all() {
         let cw = compile_workload(&w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let trips = run_compiled_observed(&cw, &ProcessorConfig::trips(), &obs)
+        let trips = run_compiled(&cw, &ProcessorConfig::trips())
             .unwrap_or_else(|e| panic!("{} on TRIPS: {e}", w.name));
         if fig.stats_json.is_some() {
             snapshots.push((format!("{}/trips", w.name), trips.snapshot.clone()));

@@ -18,7 +18,7 @@
 
 use super::Ctx;
 use crate::{geomean, save_json};
-use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
+use clp_core::{compile_workload, run_compiled, ProcessorConfig};
 use clp_sim::FaultPlan;
 use clp_workloads::suite;
 use serde::Serialize;
@@ -50,7 +50,6 @@ struct Row {
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
     let fig = &ctx.obs;
-    let obs = fig.obs_options();
     let mut rows = Vec::new();
     let mut snapshots = Vec::new();
     for name in WORKLOADS {
@@ -58,7 +57,7 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
         let cw = compile_workload(&w).unwrap_or_else(|e| panic!("{name}: {e}"));
         for n in SIZES {
             let clean_cfg = ProcessorConfig::tflex(n);
-            let clean = run_compiled_observed(&cw, &clean_cfg, &obs)
+            let clean = run_compiled(&cw, &clean_cfg)
                 .unwrap_or_else(|e| panic!("{name} clean on {n}: {e}"));
             assert!(clean.correct, "{name} clean on {n} cores must verify");
 
@@ -71,9 +70,8 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
             let kill_cycle = (clean.stats.cycles / 2).max(1);
             let mut plan = FaultPlan::none();
             plan.add_kill(victim, kill_cycle).expect("valid kill");
-            let degraded =
-                run_compiled_observed(&cw, &ProcessorConfig::tflex(n).with_faults(plan), &obs)
-                    .unwrap_or_else(|e| panic!("{name} degraded on {n}: {e}"));
+            let degraded = run_compiled(&cw, &ProcessorConfig::tflex(n).with_faults(plan))
+                .unwrap_or_else(|e| panic!("{name} degraded on {n}: {e}"));
             assert!(
                 degraded.correct,
                 "{name} on {n} cores must verify after losing core {victim}"

@@ -3,8 +3,7 @@
 //! TRIPS versus an 8-core TFlex processor.
 
 use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient_observed, CellFailure};
-use clp_core::ObsOptions;
+use crate::{save_json, sweep_suite_resilient, CellFailure};
 use clp_power::PowerBreakdown;
 use clp_sim::{table1_text, SimConfig};
 use clp_workloads::suite;
@@ -36,8 +35,7 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
     println!();
 
     // Average power across the suite at the paper's two organizations.
-    let (rows, failures) =
-        sweep_suite_resilient_observed(&suite::all(), &[8], &ObsOptions::default()).complete_rows();
+    let (rows, failures) = sweep_suite_resilient(&suite::all(), &[8]).complete_rows();
     warn_dropped(&failures);
     ctx.failed_cells += failures.len();
     let n = rows.len() as f64;

@@ -20,10 +20,7 @@
 #![warn(missing_docs)]
 
 use clp_core::cli::{die, write_or_die};
-use clp_core::{
-    compile_workload, run_compiled_observed, CompiledWorkload, ObsOptions, ProcessorConfig,
-    RunOutcome,
-};
+use clp_core::{compile_workload, run_compiled, CompiledWorkload, ProcessorConfig, RunOutcome};
 use clp_workloads::{IlpClass, Workload};
 use serde::Serialize;
 use std::borrow::Borrow;
@@ -217,19 +214,14 @@ pub fn par_suite<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + S
 }
 
 /// Sweeps every workload over `sizes` plus TRIPS, in parallel (see
-/// [`par_suite`]), preserving input order, with `obs` attached to every
-/// cell's run (`clp-fig` threads its `--sample-every` / `--stats-json`
-/// flags through here; see [`figs::FigObs`]). A failing cell is
+/// [`par_suite`]), preserving input order. Every cell's outcome carries
+/// the stats snapshot `clp-fig --stats-json` dumps. A failing cell is
 /// recorded in its row's `Result` and the sweep keeps going — one bad
 /// `(workload, size)` combination never kills a whole figure.
 #[must_use]
-pub fn sweep_suite_resilient_observed(
-    workloads: &[Workload],
-    sizes: &[usize],
-    obs: &ObsOptions,
-) -> SweepOutcome {
+pub fn sweep_suite_resilient(workloads: &[Workload], sizes: &[usize]) -> SweepOutcome {
     let run = |cw: &CompiledWorkload, cfg: ProcessorConfig| {
-        run_compiled_observed(cw, &cfg, obs).map_err(|e| e.to_string())
+        run_compiled(cw, &cfg).map_err(|e| e.to_string())
     };
     let rows = par_suite(workloads, |w| match compile_workload(w) {
         Ok(cw) => RowResult {
@@ -319,7 +311,7 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let outcome = sweep_suite_resilient_observed(&workloads, &[1, 64], &ObsOptions::default());
+        let outcome = sweep_suite_resilient(&workloads, &[1, 64]);
         assert!(!outcome.is_clean());
         let failures = outcome.failures();
         assert_eq!(failures.len(), 2, "one bad cell per workload");
@@ -341,7 +333,7 @@ mod tests {
     #[test]
     fn resilient_sweep_clean_run_is_complete() {
         let workloads = [clp_workloads::suite::by_name("conv").expect("known")];
-        let outcome = sweep_suite_resilient_observed(&workloads, &[1, 4], &ObsOptions::default());
+        let outcome = sweep_suite_resilient(&workloads, &[1, 4]);
         assert!(outcome.is_clean());
         let (rows, failures) = outcome.complete_rows();
         assert!(failures.is_empty());
@@ -356,7 +348,7 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let sweep = sweep_suite_resilient_observed(&workloads, &[1, 4, 16], &ObsOptions::default());
+        let sweep = sweep_suite_resilient(&workloads, &[1, 4, 16]);
         let (mut rows, failures) = sweep.complete_rows();
         assert!(failures.is_empty(), "sweep failed: {}", failures[0]);
         assert_eq!(rows.len(), 3);

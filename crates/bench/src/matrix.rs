@@ -1,9 +1,10 @@
-//! The two suite matrices behind committed goldens: `clp-bench-v1`
+//! The suite matrix behind two committed goldens: `clp-bench-v1`
 //! (`BENCH_baseline.json`) and `clp-bound-v1` (`BOUND_baseline.json`).
 //!
-//! Each document has one builder here, called by its tool
-//! (`clp-bench`, `clp-bound`) and by the tier-1 test that regenerates
-//! it (`tests/goldens.rs`), so what CI gates and what `cargo test`
+//! Both documents are views of one [`SuiteMatrix::measure`], which runs
+//! every cell once with the clp-prof layer on. The tools (`clp-bench`,
+//! `clp-bound`) and the tier-1 test that regenerates both documents
+//! (`tests/goldens.rs`) call it, so what CI gates and what `cargo test`
 //! defends are the same bytes.
 
 use crate::par_suite;
@@ -11,53 +12,16 @@ use clp_alloc::SpeedupCurve;
 use clp_core::cli::die;
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_lint::{bound_program, LintConfig, ProgramBound};
-use clp_workloads::{suite, Workload};
+use clp_obs::BucketCycles;
+use clp_workloads::Workload;
 use serde_json::{json, Value};
 
-/// The composition sizes of both matrices.
+/// The composition sizes of both committed matrices.
 pub const BENCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Both matrices run every cell with the clp-prof layer on.
-fn profiled() -> ObsOptions {
-    ObsOptions {
-        profile: true,
-        ..ObsOptions::default()
-    }
-}
-
-/// Measures the built-in suite at [`BENCH_SIZES`] with the clp-prof
-/// layer on and returns the `clp-bench-v1` document: cycles, IPC and
-/// the run-level cycle-accounting buckets per `(workload, cores)` cell.
-///
-/// # Panics
-///
-/// Panics if a suite workload does not compile or a cell does not run.
-#[must_use]
-pub fn bench_document() -> Value {
-    let obs = profiled();
-    let workloads = par_suite(&suite::all(), |w| {
-        let cw = compile_workload(w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let runs: Vec<Value> = BENCH_SIZES
-            .iter()
-            .map(|&n| {
-                let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(n), &obs)
-                    .unwrap_or_else(|e| panic!("{} on {n} cores: {e}", w.name));
-                let buckets = r.profile.expect("profiled").run_buckets();
-                json!({
-                    "cores": n,
-                    "cycles": (r.stats.cycles),
-                    "ipc": (r.stats.procs[0].ipc()),
-                    "buckets": buckets
-                })
-            })
-            .collect();
-        json!({"name": (w.name), "runs": runs})
-    });
-    json!({"schema": "clp-bench-v1", "sizes": BENCH_SIZES, "workloads": workloads})
-}
-
-/// One `(workload, cores)` cell of the bound matrix.
-pub struct BoundCell {
+/// One `(workload, cores)` cell: what a clp-prof-on run measured, beside
+/// the static bound it was held to.
+pub struct Cell {
     /// Workload name.
     pub workload: &'static str,
     /// Composition size.
@@ -66,9 +30,13 @@ pub struct BoundCell {
     pub bound: ProgramBound,
     /// Cycles the simulator measured.
     pub measured: u64,
+    /// Committed instructions per cycle.
+    pub ipc: f64,
+    /// The run-level cycle-accounting buckets.
+    pub buckets: BucketCycles,
 }
 
-impl BoundCell {
+impl Cell {
     /// `measured / bound`.
     #[must_use]
     pub fn tightness(&self) -> f64 {
@@ -76,14 +44,14 @@ impl BoundCell {
     }
 }
 
-/// The bound matrix over some workloads and sizes: the cells, the
+/// Some workloads measured and bounded at some sizes: the cells, the
 /// analytic speedup sketches `bound(1)/bound(n)` (for workloads swept
 /// at one core), and every soundness violation found on the way.
-pub struct BoundMatrix {
+pub struct SuiteMatrix {
     /// Composition sizes swept.
     pub sizes: Vec<usize>,
     /// Cells, workload-major.
-    pub cells: Vec<BoundCell>,
+    pub cells: Vec<Cell>,
     /// `(workload, curve)` per workload with a one-core sample.
     pub curves: Vec<(&'static str, SpeedupCurve)>,
     /// A program bound above the measured cycles, or a block bound
@@ -91,22 +59,25 @@ pub struct BoundMatrix {
     pub violations: Vec<String>,
 }
 
-impl BoundMatrix {
-    /// Bounds and measures every `(workload, size)` cell;
-    /// [`die`](clp_core::cli::die)s on a workload that does not compile
-    /// or a cell that does not run.
+impl SuiteMatrix {
+    /// Runs and bounds every `(workload, size)` cell once, one thread
+    /// per workload ([`par_suite`]); [`die`](clp_core::cli::die)s on a
+    /// workload that does not compile or a cell that does not run.
     #[must_use]
-    pub fn measure(workloads: &[Workload], sizes: &[usize]) -> BoundMatrix {
-        let (cfg, obs) = (LintConfig::default(), profiled());
-        let mut cells: Vec<BoundCell> = Vec::new();
-        let mut violations: Vec<String> = Vec::new();
-        for w in workloads {
+    pub fn measure(workloads: &[Workload], sizes: &[usize]) -> SuiteMatrix {
+        let cfg = LintConfig::default();
+        let obs = ObsOptions {
+            profile: true,
+            ..ObsOptions::default()
+        };
+        let rows = par_suite(workloads, |w| {
             let name = w.name;
             let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
-            for &cores in sizes {
-                let pb = bound_program(&cw.edge, &cfg, cores);
+            let mut violations: Vec<String> = Vec::new();
+            let cell = |&cores: &usize| {
                 let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
                     .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
+                let pb = bound_program(&cw.edge, &cfg, cores);
                 let measured = r.stats.cycles;
                 if pb.cycles > measured {
                     violations.push(format!(
@@ -114,7 +85,8 @@ impl BoundMatrix {
                         pb.cycles
                     ));
                 }
-                let spans = r.profile.expect("profiling was enabled").block_spans();
+                let profile = r.profile.expect("profiling was enabled");
+                let spans = profile.block_spans();
                 for bb in &pb.blocks {
                     if let Some(s) = spans.get(&bb.addr) {
                         if bb.cycles > s.min_cycles {
@@ -129,39 +101,60 @@ impl BoundMatrix {
                         }
                     }
                 }
-                cells.push(BoundCell {
+                Cell {
                     workload: name,
                     cores,
                     bound: pb,
                     measured,
-                });
-            }
-        }
-        let curves = workloads
-            .iter()
-            .filter_map(|w| {
-                let samples: Vec<(usize, u64)> = cells
-                    .iter()
-                    .filter(|c| c.workload == w.name)
-                    .map(|c| (c.cores, c.bound.cycles))
-                    .collect();
-                samples
-                    .iter()
-                    .any(|&(c, _)| c == 1)
-                    .then(|| (w.name, SpeedupCurve::analytic(w.name, &samples)))
-            })
-            .collect();
-        BoundMatrix {
+                    ipc: r.stats.procs[0].ipc(),
+                    buckets: profile.run_buckets(),
+                }
+            };
+            let cells: Vec<Cell> = sizes.iter().map(cell).collect();
+            let samples: Vec<(usize, u64)> =
+                cells.iter().map(|c| (c.cores, c.bound.cycles)).collect();
+            let one_core = samples.iter().any(|&(c, _)| c == 1);
+            let curve = one_core.then(|| (name, SpeedupCurve::analytic(name, &samples)));
+            (cells, curve, violations)
+        });
+        let mut matrix = SuiteMatrix {
             sizes: sizes.to_vec(),
-            cells,
-            curves,
-            violations,
+            cells: Vec::new(),
+            curves: Vec::new(),
+            violations: Vec::new(),
+        };
+        for (cells, curve, violations) in rows {
+            matrix.cells.extend(cells);
+            matrix.curves.extend(curve);
+            matrix.violations.extend(violations);
         }
+        matrix
+    }
+
+    /// The `clp-bench-v1` document: cycles, IPC and the run-level
+    /// cycle-accounting buckets per cell.
+    #[must_use]
+    pub fn bench_document(&self) -> Value {
+        let rows = self.cells.chunk_by(|a, b| a.workload == b.workload);
+        let workloads = rows.map(|row| {
+            let runs = row.iter().map(|c| {
+                json!({
+                    "cores": (c.cores),
+                    "cycles": (c.measured),
+                    "ipc": (c.ipc),
+                    "buckets": (c.buckets)
+                })
+            });
+            let runs: Vec<Value> = runs.collect();
+            json!({"name": (row[0].workload), "runs": runs})
+        });
+        let workloads: Vec<Value> = workloads.collect();
+        json!({"schema": "clp-bench-v1", "sizes": (self.sizes), "workloads": workloads})
     }
 
     /// The `clp-bound-v1` document.
     #[must_use]
-    pub fn document(&self) -> Value {
+    pub fn bound_document(&self) -> Value {
         let cells = self.cells.iter().map(|c| {
             json!({
                 "workload": (c.workload),

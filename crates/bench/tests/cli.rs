@@ -31,6 +31,12 @@ fn usage_errors_exit_2_under_the_tool_name() {
         "clp-diff: missing AFTER.json (--help for usage)\n"
     );
 
+    // A size no composition has is refused by the cell's run, which comes
+    // before the static bound (that panics on such a size).
+    let out = run(env!("CARGO_BIN_EXE_clp-bound"), &["conv", "--cores", "3"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("clp-bound: conv on 3 cores: compose"));
+
     // An unwritable --stats-json fails before the sweep, not after it.
     let out = run(
         env!("CARGO_BIN_EXE_clp-fig"),
@@ -69,6 +75,36 @@ fn run_one_tells_its_failure_modes_apart() {
         Some(3)
     );
     assert_eq!(run(exe, &["conv", "0"]).status.code(), Some(2));
+}
+
+/// `--sample-every` is the width of `run_one`'s trend intervals and
+/// nothing else: no tool accepts it where it would be ignored.
+#[test]
+fn the_sampling_flag_is_the_trend_interval_width_or_a_usage_error() {
+    let out = run(
+        env!("CARGO_BIN_EXE_clp-fig"),
+        &["fig6", "--sample-every", "500"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "clp-fig: unknown flag `--sample-every` (--help for usage)\n"
+    );
+
+    let exe = env!("CARGO_BIN_EXE_run_one");
+    let out = run(exe, &["conv", "4", "--sample-every", "500"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "run_one: --sample-every is the --trend / --phase-table interval width; \
+         pass one of them (--help for usage)\n"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+
+    let out = run(exe, &["conv", "4", "--trend", "--sample-every", "500"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("19 intervals x 500 cycles"), "{stdout}");
 }
 
 #[test]

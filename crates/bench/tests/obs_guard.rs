@@ -34,7 +34,6 @@ fn tracing_never_perturbs_the_simulation() {
     });
     let ring = run_with(&ObsOptions {
         tracer: Tracer::new(RingRecorder::new(4096)),
-        sample_every: Some(500),
         ..ObsOptions::default()
     });
     let profiled = run_with(&ObsOptions {

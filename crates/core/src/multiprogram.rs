@@ -87,14 +87,15 @@ pub struct MultiOutcome {
 ///
 /// Returns [`RunFailure::Placement`] if the specs do not fit (total
 /// oversubscription or region exhaustion), or another [`RunFailure`] if
-/// a program fails to compile, the simulation fails, or any program's
-/// outputs mismatch.
+/// a program fails to compile or the simulation fails. An output
+/// mismatch is not an error: it reads `false` in
+/// [`MultiOutcome::correct`].
 pub fn run_multiprogram(specs: &[ProgramSpec]) -> Result<MultiOutcome, RunFailure> {
     run_multiprogram_observed(specs, &ObsOptions::default())
 }
 
-/// Like [`run_multiprogram`], with tracing/sampling/trend recording
-/// attached to the shared chip. Composition decisions surface as
+/// Like [`run_multiprogram`], with tracing, profiling and trend
+/// recording attached to the shared chip. Composition decisions surface as
 /// `processor_composed` trace events and in the snapshot's `compose/*`
 /// counters.
 ///
@@ -163,10 +164,10 @@ pub fn run_multiprogram_observed(
     for (i, s) in specs.iter().enumerate() {
         let pid = pids[i].expect("composed");
         let ret = m.register(pid, Reg::new(1));
-        let base = m.addr_base(pid);
         // Verify within the program's own address space.
-        let ok = verify_at_base(s, &compiled[i], ret, m.memory(), base);
-        correct.push(ok);
+        let (golden, image) = (&compiled[i].golden, &m.memory().image);
+        let verified = s.workload.verify_at(golden, ret, image, m.addr_base(pid));
+        correct.push(verified.is_ok());
         cycles.push(stats.procs[pid.0].cycles);
     }
     Ok(MultiOutcome {
@@ -176,28 +177,6 @@ pub fn run_multiprogram_observed(
         correct,
         trend,
     })
-}
-
-fn verify_at_base(
-    spec: &ProgramSpec,
-    cw: &crate::run::CompiledWorkload,
-    ret: u64,
-    mem: &clp_mem::MemorySystem,
-    base: u64,
-) -> bool {
-    let golden = &cw.golden;
-    if spec.workload.check.check_ret && golden.ret != Some(ret) {
-        return false;
-    }
-    for &(region, len) in &spec.workload.check.regions {
-        for k in 0..len {
-            let a = region + 8 * k as u64;
-            if golden.image.read_u64(a) != mem.image.read_u64(base + a) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -197,7 +197,7 @@ pub struct RunOutcome {
     /// Chip-level statistics.
     pub stats: RunStats,
     /// The unified stats registry for the run (tree of every subsystem's
-    /// counters, plus interval samples when sampling was enabled).
+    /// counters).
     pub snapshot: StatsSnapshot,
     /// The entry function's return value (`r1`).
     pub ret: u64,
@@ -232,8 +232,6 @@ pub struct ObsOptions {
     /// ownership of the sink and is responsible for
     /// [`Tracer::finish`]-ing it after the run.
     pub tracer: Tracer,
-    /// Record one interval sample every N cycles (default: no sampling).
-    pub sample_every: Option<u64>,
     /// Enable the clp-prof cycle-accounting layer (default: off). When
     /// off, the run is bit-identical to an unprofiled run.
     pub profile: bool,
@@ -251,17 +249,13 @@ pub struct ObsOptions {
 
 impl ObsOptions {
     /// Builds the machine for `cfg` with these observers attached — the
-    /// one place that knows the order (tracer, sampler, clp-prof,
-    /// clp-trend) and that a trend with bucket or heat columns needs
-    /// the profiler on.
+    /// one place that knows the order (tracer, clp-prof, clp-trend) and
+    /// that a trend with bucket or heat columns needs the profiler on.
     #[must_use]
     pub fn machine(&self, cfg: SimConfig) -> Machine {
         let mut m = Machine::new(cfg);
         if self.tracer.enabled() {
             m.set_tracer(self.tracer.clone());
-        }
-        if let Some(period) = self.sample_every {
-            m.set_sample_period(period);
         }
         let trend_reads_prof = |t: &TrendOptions| t.buckets || t.heat;
         if self.profile || self.trend.as_ref().is_some_and(trend_reads_prof) {
@@ -287,7 +281,8 @@ pub fn run_compiled(
     run_compiled_observed(cw, cfg, &ObsOptions::default())
 }
 
-/// Like [`run_compiled`], with tracing/sampling attached.
+/// Like [`run_compiled`], with `obs`'s tracer, profiler and trend
+/// recorder attached.
 ///
 /// # Errors
 ///
@@ -396,8 +391,8 @@ impl Run {
                 return Err(stopped(RunFailure::Run(e), keep.then_some(self)));
             }
         };
-        let m = &mut self.m;
-        let trend = m.take_trend_report();
+        let trend = self.m.take_trend_report();
+        let m = &self.m;
         let snapshot = m.snapshot();
         let profile = m.profile_report();
         let ret = m.register(self.pid, Reg::new(1));

@@ -23,12 +23,21 @@ fn comparable(r: &RunOutcome) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Every observer on: interval sampler, clp-prof, clp-trend.
+/// Every observer on: clp-prof, and clp-trend with path columns, whose
+/// per-column last value is state a kill must not lose.
 fn observed() -> ObsOptions {
+    let paths = [
+        "proc0/insts_committed",
+        "proc0/blocks_committed",
+        "proc0/blocks_flushed",
+        "operand_net/delivered",
+    ];
     ObsOptions {
-        sample_every: Some(1_000),
         profile: true,
-        trend: Some(TrendOptions::default()),
+        trend: Some(TrendOptions {
+            paths: paths.map(String::from).to_vec(),
+            ..TrendOptions::default()
+        }),
         ..ObsOptions::default()
     }
 }

@@ -3,7 +3,11 @@
 use crate::cache::{AccessResult, CacheBank, CacheGeometry};
 use crate::config::MemConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+/// Sharing state per line address. Only ever looked up, inserted and
+/// removed by key, never iterated: hash order cannot reach a result.
+#[allow(clippy::disallowed_types)]
+type Directory = std::collections::HashMap<u64, DirEntry>;
 
 /// Coherence work the requester's miss triggered at the directory.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -45,7 +49,7 @@ struct DirEntry {
 pub struct NucaL2 {
     cfg: MemConfig,
     banks: Vec<CacheBank>,
-    directory: HashMap<u64, DirEntry>,
+    directory: Directory,
     /// DRAM accesses performed (reads + write-backs).
     pub dram_accesses: u64,
     /// L2 hits.
@@ -67,7 +71,7 @@ impl NucaL2 {
             banks: (0..cfg.l2_banks)
                 .map(|_| CacheBank::new(per_bank))
                 .collect(),
-            directory: HashMap::new(),
+            directory: Directory::new(),
             dram_accesses: 0,
             hits: 0,
             misses: 0,
@@ -259,7 +263,7 @@ mod tests {
     #[test]
     fn bank_hash_spreads_lines() {
         let l2 = l2();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..256u64 {
             seen.insert(l2.bank_for(i * 64));
         }

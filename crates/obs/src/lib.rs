@@ -19,16 +19,15 @@
 //!   the event-constructing closure never runs.
 //! - [`StatsSnapshot`] unifies the per-subsystem stats structs
 //!   (`ProcStats`, `MemStats`, `MeshStats`, `PredictorStats`) into one
-//!   hierarchical, serde-serializable tree, with optional per-interval
-//!   time series ([`IntervalSampler`]) so runs can report IPC and
-//!   network occupancy over time, not just end-of-run sums.
+//!   hierarchical, serde-serializable tree of end-of-run totals,
+//!   addressed by `"mem/l1d_hits"`-style paths.
 //! - [`ProfileReport`] (the clp-prof data model) carries the top-down
 //!   cycle-accounting buckets and critical-path attribution the
 //!   simulator extracts from last-arrival dependence edges; see
 //!   [`profile`] for the bucket taxonomy.
-//! - [`TrendReport`] (the clp-trend data model) generalizes the interval
-//!   sampler into a columnar time series over any set of stats-registry
-//!   paths plus the profiler's buckets and per-core heat rows, with a
+//! - [`TrendReport`] (the clp-trend data model) is the one time series
+//!   of a run: integer columns over any set of stats-registry paths
+//!   plus the profiler's buckets and per-core heat rows, with a
 //!   deterministic integer-only phase detector on top; see [`trend`].
 //! - [`diff`] flattens any two JSON documents into path-keyed leaves
 //!   and ranks the ones that moved (the clp-diff library);
@@ -58,9 +57,7 @@ pub use scope::{
     ScopeReport, Span, Terminal, WorkerSlice, WorkerTrack,
 };
 pub use sink::{ChromeTraceWriter, NullSink, RingRecorder, TraceSink, Tracer};
-pub use snapshot::{
-    IntervalSample, IntervalSampler, Metric, MetricValue, SampleCounters, StatsNode, StatsSnapshot,
-};
+pub use snapshot::{Metric, MetricValue, StatsNode, StatsSnapshot};
 pub use trend::{ColumnKind, Phase, TrendColumn, TrendOptions, TrendRecorder, TrendReport};
 
 /// A `json!` object minus its `null` fields: how the emitters spell an

@@ -1,5 +1,6 @@
 //! The unified stats registry: a hierarchical, serializable snapshot of
-//! every subsystem's counters, plus per-interval time-series sampling.
+//! every subsystem's counters at one instant. A series over any path in
+//! it is clp-trend's ([`crate::TrendOptions::paths`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -111,126 +112,14 @@ impl StatsNode {
     }
 }
 
-/// One sampling window of the time series.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct IntervalSample {
-    /// First cycle of the window (inclusive).
-    pub start_cycle: u64,
-    /// Last cycle of the window (exclusive).
-    pub end_cycle: u64,
-    /// Instructions committed during the window.
-    pub insts_committed: u64,
-    /// Blocks committed during the window.
-    pub blocks_committed: u64,
-    /// Blocks flushed during the window.
-    pub blocks_flushed: u64,
-    /// Operand-network messages delivered during the window.
-    pub operand_msgs: u64,
-    /// Committed instructions per cycle over the window.
-    pub ipc: f64,
-    /// Operand messages delivered per cycle over the window.
-    pub operand_occupancy: f64,
-}
-
-/// Cumulative counters the sampler differentiates into window deltas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SampleCounters {
-    /// Total instructions committed so far.
-    pub insts_committed: u64,
-    /// Total blocks committed so far.
-    pub blocks_committed: u64,
-    /// Total blocks flushed so far.
-    pub blocks_flushed: u64,
-    /// Total operand-network messages delivered so far.
-    pub operand_msgs: u64,
-}
-
-/// Turns cumulative counters into fixed-width [`IntervalSample`]s.
-///
-/// The hot loop pays one integer compare per cycle ([`IntervalSampler::due`]);
-/// the owner gathers [`SampleCounters`] only on due cycles.
-#[derive(Clone, Debug)]
-pub struct IntervalSampler {
-    period: u64,
-    next_due: u64,
-    window_start: u64,
-    last: SampleCounters,
-    samples: Vec<IntervalSample>,
-}
-
-impl IntervalSampler {
-    /// A sampler emitting one sample every `period` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn new(period: u64) -> Self {
-        assert!(period > 0, "sampling period must be positive");
-        IntervalSampler {
-            period,
-            next_due: period,
-            window_start: 0,
-            last: SampleCounters::default(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Whether the current cycle closes a window.
-    #[inline]
-    #[must_use]
-    pub fn due(&self, cycle: u64) -> bool {
-        cycle >= self.next_due
-    }
-
-    /// Closes the current window at `cycle` given the cumulative
-    /// `counters`, recording one sample.
-    pub fn sample(&mut self, cycle: u64, counters: SampleCounters) {
-        let span = cycle.saturating_sub(self.window_start).max(1);
-        let insts = counters.insts_committed - self.last.insts_committed;
-        let msgs = counters.operand_msgs - self.last.operand_msgs;
-        self.samples.push(IntervalSample {
-            start_cycle: self.window_start,
-            end_cycle: cycle,
-            insts_committed: insts,
-            blocks_committed: counters.blocks_committed - self.last.blocks_committed,
-            blocks_flushed: counters.blocks_flushed - self.last.blocks_flushed,
-            operand_msgs: msgs,
-            ipc: insts as f64 / span as f64,
-            operand_occupancy: msgs as f64 / span as f64,
-        });
-        self.last = counters;
-        self.window_start = cycle;
-        self.next_due = cycle + self.period;
-    }
-
-    /// Closes the final partial window (if non-empty) and returns all
-    /// samples.
-    #[must_use]
-    pub fn finish(mut self, cycle: u64, counters: SampleCounters) -> Vec<IntervalSample> {
-        if cycle > self.window_start {
-            self.sample(cycle, counters);
-        }
-        self.samples
-    }
-
-    /// Samples collected so far.
-    #[must_use]
-    pub fn samples(&self) -> &[IntervalSample] {
-        &self.samples
-    }
-}
-
 /// The full, self-describing result of a run: end-of-run totals as a
-/// navigable tree plus the sampled time series.
+/// navigable tree.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Total machine cycles simulated.
     pub cycles: u64,
     /// Root of the hierarchical stats tree.
     pub root: StatsNode,
-    /// Per-interval time series (empty unless sampling was enabled).
-    pub intervals: Vec<IntervalSample>,
 }
 
 impl StatsSnapshot {

@@ -1,7 +1,7 @@
 //! clp-trend: deterministic columnar time-series telemetry and phase
 //! detection.
 //!
-//! [`TrendRecorder`] generalizes the fixed-field `IntervalSampler` into a
+//! [`TrendRecorder`] is the one thing that samples a run. It is a
 //! column store: per interval it records any selected set of
 //! stats-registry paths (`mem/*`, `operand_net/*`, `faults/*`, …) plus
 //! the 14 clp-prof cycle-accounting buckets and the per-core heat-map

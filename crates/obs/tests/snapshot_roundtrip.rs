@@ -1,6 +1,6 @@
 //! Serde round-trips and path lookups for the stats registry.
 
-use clp_obs::{IntervalSample, MetricValue, StatsNode, StatsSnapshot};
+use clp_obs::{MetricValue, StatsNode, StatsSnapshot};
 
 fn sample_snapshot() -> StatsSnapshot {
     let root = StatsNode::new("run")
@@ -19,28 +19,6 @@ fn sample_snapshot() -> StatsSnapshot {
     StatsSnapshot {
         cycles: 12345,
         root,
-        intervals: vec![
-            IntervalSample {
-                start_cycle: 0,
-                end_cycle: 1000,
-                insts_committed: 800,
-                blocks_committed: 25,
-                blocks_flushed: 3,
-                operand_msgs: 1500,
-                ipc: 0.8,
-                operand_occupancy: 1.5,
-            },
-            IntervalSample {
-                start_cycle: 1000,
-                end_cycle: 2000,
-                insts_committed: 900,
-                blocks_committed: 30,
-                blocks_flushed: 0,
-                operand_msgs: 1700,
-                ipc: 0.9,
-                operand_occupancy: 1.7,
-            },
-        ],
     }
 }
 

@@ -10,7 +10,6 @@
 
 use clp_core::CompiledWorkload;
 use clp_workloads::Workload;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// FNV-1a over the `Debug` rendering of everything that affects
@@ -41,10 +40,15 @@ pub struct CacheEntry {
     pub lint_warnings: u64,
 }
 
+/// Entries by content hash. Looked up and inserted by key; the one
+/// walk over it sums a count, so hash order cannot reach a result.
+#[allow(clippy::disallowed_types)]
+type Entries = std::collections::HashMap<u64, CacheEntry>;
+
 /// The compile cache, with hit/miss accounting.
 #[derive(Default)]
 pub struct CompileCache {
-    entries: HashMap<u64, CacheEntry>,
+    entries: Entries,
     hits: u64,
     misses: u64,
 }

@@ -909,11 +909,7 @@ mod tests {
             inj.flip_prediction();
         }
         let root = clp_obs::StatsNode::new("run").child(inj.stats().to_node());
-        let snap = clp_obs::StatsSnapshot {
-            cycles: 0,
-            root,
-            intervals: Vec::new(),
-        };
+        let snap = clp_obs::StatsSnapshot { cycles: 0, root };
         assert_eq!(snap.expect("faults/flipped_predictions"), 5.0);
         assert_eq!(snap.expect("faults/total"), 5.0);
     }

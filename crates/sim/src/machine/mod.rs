@@ -10,7 +10,9 @@
 //! pipeline order: `fetch.rs`, `dispatch.rs`, `execute.rs`,
 //! `operand.rs`, `commit.rs`, and `recovery.rs` for hard faults. The
 //! stage loops walk the derived ready / executing / armed signals of
-//! `sched.rs`; `prof.rs` holds what only clp-prof and clp-trend run;
+//! `sched.rs`; `prof.rs` holds what only clp-prof and clp-trend run
+//! (the trend recorder's `due` compare is the one observer check in
+//! `step`, and [`Machine::snapshot`] a pure read of the totals);
 //! `driver.rs` holds `run`, the one loop that calls `step`. Each
 //! file's header names its protocol, and DESIGN.md ("Machine anatomy")
 //! tabulates the state, signals and events of each.
@@ -51,7 +53,7 @@ use crate::stats::{CommitLatencyBreakdown, ComposeStats, RecoveryStats, RunStats
 use clp_isa::{EdgeProgram, Reg};
 use clp_mem::MemorySystem;
 use clp_noc::{region_for, NodeId};
-use clp_obs::{IntervalSampler, SampleCounters, StatsSnapshot, TraceEvent, Tracer, TrendRecorder};
+use clp_obs::{StatsSnapshot, TraceEvent, Tracer, TrendRecorder};
 use fabric::Fabric;
 use state::{Ev, OpState, Proc, ProcIx};
 
@@ -64,7 +66,6 @@ pub struct ProcId(pub usize);
 pub struct Machine {
     fab: Fabric,
     procs: Vec<Proc>,
-    sampler: Option<IntervalSampler>,
     /// clp-trend columnar time-series recorder; `None` (the default)
     /// costs one branch per cycle and keeps the run bit-identical.
     trend: Option<Box<TrendRecorder>>,
@@ -82,7 +83,6 @@ impl Machine {
         Machine {
             fab: Fabric::new(cfg),
             procs: Vec::new(),
-            sampler: None,
             trend: None,
         }
     }
@@ -128,38 +128,11 @@ impl Machine {
         &self.fab.tracer
     }
 
-    /// Enables per-interval sampling: one [`clp_obs::IntervalSample`]
-    /// every `period` cycles, surfaced through [`Machine::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn set_sample_period(&mut self, period: u64) {
-        self.sampler = Some(IntervalSampler::new(period));
-    }
-
-    fn sample_counters(&self) -> SampleCounters {
-        let sum = |f: fn(&Proc) -> u64| self.procs.iter().map(f).sum();
-        SampleCounters {
-            insts_committed: sum(|p| p.stats.insts_committed),
-            blocks_committed: sum(|p| p.stats.blocks_committed),
-            blocks_flushed: sum(|p| p.stats.blocks_flushed),
-            operand_msgs: self.fab.opnet.stats().delivered,
-        }
-    }
-
-    /// The unified stats registry for the run so far: end-of-run totals
-    /// as a navigable tree plus the sampled time series (which this call
-    /// finalizes — the last partial window is closed and the sampler
-    /// retired).
+    /// The unified stats registry for the run so far: the totals as a
+    /// navigable tree, with clp-prof's node when profiling is on.
     #[must_use]
-    pub fn snapshot(&mut self) -> StatsSnapshot {
-        let counters = self.sample_counters();
-        let intervals = match self.sampler.take() {
-            Some(s) => s.finish(self.fab.now, counters),
-            None => Vec::new(),
-        };
-        let mut snap = self.collect_stats().to_snapshot(intervals);
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut snap = self.collect_stats().to_snapshot();
         if let Some(report) = self.profile_report() {
             let root = std::mem::take(&mut snap.root);
             snap.root = root.child(report.to_node());
@@ -338,16 +311,9 @@ impl Machine {
             p.issue_stage(fab);
             p.check_commit(fab);
         }
-        // 4. Interval sampling: one integer compare unless a window
-        // closes this cycle.
+        // 4. clp-trend columnar recording: one integer compare unless
+        // an interval closes this cycle.
         let now = self.fab.now;
-        if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
-            let counters = self.sample_counters();
-            if let Some(s) = self.sampler.as_mut() {
-                s.sample(now, counters);
-            }
-        }
-        // 5. clp-trend columnar recording: same one-compare contract.
         if self.trend.as_ref().is_some_and(|t| t.due(now)) {
             self.trend_sample();
         }

@@ -1,5 +1,5 @@
 //! clp-prof and clp-trend glue: last-arrival provenance, the backward
-//! critical-path walk at commit, and the trend sampler's inputs.
+//! critical-path walk at commit, and the trend recorder's inputs.
 //!
 //! Provenance ([`Prov`], [`FetchReason`]) is written on every path — a
 //! cheap `Copy` riding existing messages — but never read by any
@@ -410,7 +410,7 @@ impl Machine {
             }
             (total, acc.core_cycles.as_slice())
         });
-        let root = stats.to_snapshot(Vec::new()).root;
+        let root = stats.to_snapshot().root;
         let prof = prof.as_ref().map(|(b, h)| (b, *h));
         sample(&root, stats.total_insts(), prof)
     }

@@ -346,11 +346,8 @@ impl RunStats {
     /// ├── recovery          (RecoveryStats — zeros unless a core died)
     /// └── compose           (ComposeStats — allocation decisions)
     /// ```
-    ///
-    /// `intervals` carries the per-interval samples collected during the
-    /// run (empty when sampling was off).
     #[must_use]
-    pub fn to_snapshot(&self, intervals: Vec<clp_obs::IntervalSample>) -> clp_obs::StatsSnapshot {
+    pub fn to_snapshot(&self) -> clp_obs::StatsSnapshot {
         let mut root = clp_obs::StatsNode::new("run")
             .count("cycles", self.cycles)
             .count("total_blocks_committed", self.total_blocks_committed())
@@ -368,7 +365,6 @@ impl RunStats {
         clp_obs::StatsSnapshot {
             cycles: self.cycles,
             root,
-            intervals,
         }
     }
 }

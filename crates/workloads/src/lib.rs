@@ -239,17 +239,34 @@ impl Workload {
         ret: u64,
         image: &MemoryImage,
     ) -> Result<(), VerifyError> {
+        self.verify_at(golden, ret, image, 0)
+    }
+
+    /// [`Workload::verify_against`] for a program whose address space
+    /// starts at `base` in `image` (one of several on a shared chip);
+    /// a mismatch is reported at the program's own address.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first mismatch found.
+    pub fn verify_at(
+        &self,
+        golden: &Golden,
+        ret: u64,
+        image: &MemoryImage,
+        base: u64,
+    ) -> Result<(), VerifyError> {
         if self.check.check_ret && golden.ret != Some(ret) {
             return Err(VerifyError::Ret {
                 expected: golden.ret,
                 got: ret,
             });
         }
-        for &(base, len) in &self.check.regions {
+        for &(region, len) in &self.check.regions {
             for k in 0..len {
-                let addr = base + 8 * k as u64;
+                let addr = region + 8 * k as u64;
                 let expected = golden.image.read_u64(addr);
-                let got = image.read_u64(addr);
+                let got = image.read_u64(base + addr);
                 if expected != got {
                     return Err(VerifyError::Memory {
                         addr,

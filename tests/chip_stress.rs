@@ -35,26 +35,10 @@ fn thirty_two_single_core_threads() {
     for (pid, wi) in pids {
         let cw = &compiled[wi];
         let ret = m.register(pid, Reg::new(1));
-        let base = m.addr_base(pid);
         // Verify ret and regions within this processor's address space.
-        if cw.workload.check.check_ret {
-            assert_eq!(
-                Some(ret),
-                cw.golden.ret,
-                "proc {pid:?} ({})",
-                cw.workload.name
-            );
-        }
-        for &(region, len) in &cw.workload.check.regions {
-            for k in 0..len {
-                let a = region + 8 * k as u64;
-                assert_eq!(
-                    m.memory().image.read_u64(base + a),
-                    cw.golden.image.read_u64(a),
-                    "proc {pid:?} mem[{a:#x}]"
-                );
-            }
-        }
+        cw.workload
+            .verify_at(&cw.golden, ret, &m.memory().image, m.addr_base(pid))
+            .unwrap_or_else(|e| panic!("proc {pid:?} ({}): {e}", cw.workload.name));
     }
 }
 
