@@ -48,7 +48,6 @@ fn main() {
         paths: args.list("--paths"),
         phase_window: or_die(args.num("--phase-window", 1..)).unwrap_or(4),
         phase_threshold: or_die(args.num("--threshold", ..)).unwrap_or(150),
-        ..TrendOptions::default()
     };
     let (json, perfetto) = (args.switch("--json"), args.text("--perfetto"));
     let obs = ObsOptions {

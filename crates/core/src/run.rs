@@ -235,10 +235,10 @@ pub struct ObsOptions {
     /// Enable the clp-prof cycle-accounting layer (default: off). When
     /// off, the run is bit-identical to an unprofiled run.
     pub profile: bool,
-    /// Record a clp-trend columnar time series (default: off). When the
-    /// options ask for bucket or heat columns, profiling is enabled
-    /// implicitly — the trend layer reads the profiler's accumulators
-    /// but never feeds timing, so cycles stay bit-identical either way.
+    /// Record a clp-trend columnar time series (default: off). Turns
+    /// profiling on too: the series carries the profiler's bucket and
+    /// heat columns, read but never fed back into timing, so cycles stay
+    /// bit-identical either way.
     pub trend: Option<TrendOptions>,
     /// Ignored: there is one driver ([`Machine::run`]). The field only
     /// keeps `benchmark/` compiling and is removed with its
@@ -248,17 +248,15 @@ pub struct ObsOptions {
 }
 
 impl ObsOptions {
-    /// Builds the machine for `cfg` with these observers attached — the
-    /// one place that knows the order (tracer, clp-prof, clp-trend) and
-    /// that a trend with bucket or heat columns needs the profiler on.
+    /// Builds the machine for `cfg` with these observers attached, in
+    /// the one order: tracer, clp-prof, clp-trend.
     #[must_use]
     pub fn machine(&self, cfg: SimConfig) -> Machine {
         let mut m = Machine::new(cfg);
         if self.tracer.enabled() {
             m.set_tracer(self.tracer.clone());
         }
-        let trend_reads_prof = |t: &TrendOptions| t.buckets || t.heat;
-        if self.profile || self.trend.as_ref().is_some_and(trend_reads_prof) {
+        if self.profile {
             m.enable_profiling();
         }
         if let Some(t) = &self.trend {

@@ -7,11 +7,9 @@
 //! produce the same summary on every platform.
 //!
 //! An empty sample set has no percentiles; the summary carries `None`
-//! (serialized as `null`, omitted from the stats node) rather than a
-//! sentinel zero that downstream thresholds would mistake for a real
-//! zero-tick latency.
+//! (serialized as `null`) rather than a sentinel zero that downstream
+//! thresholds would mistake for a real zero-tick latency.
 
-use crate::snapshot::StatsNode;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a latency sample set. The statistics are
@@ -61,28 +59,6 @@ impl LatencySummary {
             max: Some(*samples.last().expect("non-empty")),
         }
     }
-
-    /// Renders the summary as a stats-registry node named `name`, so a
-    /// service can hang it off its `serve/*` subtree. Statistics that do
-    /// not exist (empty sample set) are omitted, not zero-filled.
-    #[must_use]
-    pub fn to_node(&self, name: &str) -> StatsNode {
-        let mut node = StatsNode::new(name).count("count", self.count as u64);
-        if let Some(mean) = self.mean {
-            node = node.gauge("mean", mean);
-        }
-        for (label, value) in [
-            ("p50", self.p50),
-            ("p90", self.p90),
-            ("p99", self.p99),
-            ("max", self.max),
-        ] {
-            if let Some(v) = value {
-                node = node.count(label, v);
-            }
-        }
-        node
-    }
 }
 
 #[cfg(test)]
@@ -97,12 +73,6 @@ mod tests {
         assert_eq!(s.p99, None);
         assert_eq!(s.mean, None);
         assert_eq!(s.max, None);
-        // The stats node omits what does not exist instead of rendering
-        // a sentinel zero.
-        let n = s.to_node("latency");
-        assert_eq!(n.lookup("count").map(|m| m.as_f64()), Some(0.0));
-        assert_eq!(n.lookup("p99"), None);
-        assert_eq!(n.lookup("mean"), None);
     }
 
     #[test]
@@ -130,13 +100,5 @@ mod tests {
         let s = LatencySummary::from_samples(&mut v);
         assert_eq!(s.p50, Some(20));
         assert_eq!(s.max, Some(30));
-    }
-
-    #[test]
-    fn renders_as_a_stats_node() {
-        let s = LatencySummary::from_samples(&mut [1, 2, 3, 4]);
-        let n = s.to_node("latency");
-        assert_eq!(n.lookup("p90").map(|m| m.as_f64()), Some(4.0));
-        assert_eq!(n.lookup("count").map(|m| m.as_f64()), Some(4.0));
     }
 }

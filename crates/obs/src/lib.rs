@@ -26,18 +26,20 @@
 //!   simulator extracts from last-arrival dependence edges; see
 //!   [`profile`] for the bucket taxonomy.
 //! - [`TrendReport`] (the clp-trend data model) is the one time series
-//!   of a run: integer columns over any set of stats-registry paths
-//!   plus the profiler's buckets and per-core heat rows, with a
-//!   deterministic integer-only phase detector on top; see [`trend`].
+//!   of a run: integer columns over values its caller hands in — any
+//!   set of stats-registry paths, plus the profiler's buckets and
+//!   per-core heat rows when it is handed them — with a deterministic
+//!   integer-only phase detector on top; see [`trend`].
 //! - [`diff`] flattens any two JSON documents into path-keyed leaves
 //!   and ranks the ones that moved (the clp-diff library);
 //!   [`check_golden`] is the one equality gate every committed golden
 //!   goes through.
 //! - [`scope`] (the clp-scope data model) lifts the same discipline to
-//!   the service layer: deterministic per-job lifecycle span trees on
-//!   virtual time, worker occupancy tracks, a fleet-wide top-down cycle
-//!   book rolled up per workload class and composition size, and a
-//!   service time series riding the trend recorder.
+//!   the service layer: the per-job lifecycle span trees on virtual time
+//!   that clp-serve keeps as part of its job records, and [`ScopeReport`],
+//!   a view over them — worker occupancy tracks, a fleet-wide top-down
+//!   cycle book rolled up per workload class and composition size, and a
+//!   service time series handed to the trend recorder.
 
 pub mod diff;
 pub mod event;
@@ -53,8 +55,8 @@ pub use event::{CacheLevel, FlushReason, TraceEvent};
 pub use latency::LatencySummary;
 pub use profile::{BlockSpanStat, Bucket, BucketCycles, ProcProfile, ProfileReport, NUM_BUCKETS};
 pub use scope::{
-    AttemptEnd, AttemptSpan, ClassBook, FleetBook, JobSpans, ScopeOptions, ScopeRecorder,
-    ScopeReport, Span, Terminal, WorkerSlice, WorkerTrack,
+    AttemptEnd, AttemptSpan, ClassBook, FleetBook, JobSpans, ScopeOptions, ScopeReport, Span,
+    Terminal, WorkerSlice, WorkerTrack,
 };
 pub use sink::{ChromeTraceWriter, NullSink, RingRecorder, TraceSink, Tracer};
 pub use snapshot::{Metric, MetricValue, StatsNode, StatsSnapshot};

@@ -1,39 +1,43 @@
 //! clp-scope: service-level spans and fleet-wide cycle attribution.
 //!
-//! clp-obs, clp-prof, and clp-trend see inside *one* run; the service
-//! layer (clp-serve) is a black box between admission and completion.
-//! This module gives the service the same treatment the simulator got:
+//! clp-obs, clp-prof, and clp-trend see inside *one* run; this module
+//! gives the service layer (clp-serve) the same treatment. The service
+//! keeps one book: each job's span tree ([`JobSpans`]) is part of its own
+//! per-job record, written where its terminal record is written. A
+//! [`ScopeReport`] is a view of those trees — a pure function of the
+//! spans, the worker count, the drain tick, the seed and
+//! [`ScopeOptions`]; nothing is recorded beside them:
 //!
-//! - a **deterministic span model on virtual time** — every job carries
-//!   a tree of lifecycle spans (queued → attempt{compile, run} →
-//!   backoff → …) and every worker an occupancy track, all recorded at
-//!   the service's fixed per-tick event points, so the same
-//!   `(seed, job list)` produces byte-identical span logs;
+//! - a **deterministic span model on virtual time** — every job's tree
+//!   of lifecycle spans (queued → attempt{compile} → backoff → …) and
+//!   every worker's occupancy track (its attempts, in start order), so
+//!   the same `(seed, job list)` produces byte-identical span logs;
 //! - a **fleet-level top-down book** — each completed job's clp-prof
-//!   run-level [`BucketCycles`] folded into per-workload-class and
+//!   run-level [`BucketCycles`] summed into per-workload-class and
 //!   per-composition-size rollups (summing raw books is inherently
 //!   cycle-weighted), the feedback signal an online compose/decompose
 //!   policy would read;
-//! - a **live virtual-time series** — queue depth, worker utilization,
-//!   retry/shed rates, and cache hit ratio sampled through the existing
-//!   [`TrendRecorder`] machinery;
+//! - a **virtual-time series** — queue depth, worker utilization,
+//!   retry/shed counts, and cache hit ratio at the ticks the service
+//!   processed (arrivals, attempt ends, retry releases), each derived
+//!   from the spans and handed to the [`TrendRecorder`] as values;
 //! - **exports** — the pinned `clp-scope-v1` JSON, a Perfetto
 //!   track export (one track per worker plus queue/admission tracks,
 //!   spans nested per job), and an ASCII fleet breakdown.
 //!
-//! The recorder is driven by plain values (ids, ticks, string labels),
-//! so this crate stays independent of the service crate; clp-serve owns
-//! the emission points and the determinism argument (see DESIGN.md,
+//! The span types are plain values (ids, ticks, string labels), so this
+//! crate stays independent of the service crate; clp-serve owns the
+//! emission points and the determinism argument (see DESIGN.md,
 //! "Service observability").
 
-use crate::profile::{BucketCycles, ProfileReport};
+use crate::profile::BucketCycles;
 use crate::sink::{chrome_trace, ChromeEvent};
 use crate::skip_nulls;
-use crate::snapshot::StatsNode;
+use crate::snapshot::MetricValue;
 use crate::trend::{TrendOptions, TrendRecorder, TrendReport};
 use serde::{Serialize, Value};
 use serde_json::json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Scope layer configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,8 +188,8 @@ pub struct JobSpans {
     /// Backoff waits between a failed attempt and its retry release
     /// (always `attempts.len() - 1` entries for executed jobs).
     pub backoffs: Vec<Span>,
-    /// The job's clp-prof run-level book (completed jobs when profiling
-    /// was on); the fleet book is exactly the sum of these.
+    /// The job's clp-prof run-level book (completed jobs whose attempts
+    /// were profiled); the fleet book is exactly the sum of these.
     pub book: Option<BucketCycles>,
 }
 
@@ -296,7 +300,7 @@ pub struct FleetBook {
 
 impl FleetBook {
     /// Folds one completed job's run-level book into the fleet book.
-    pub fn fold(&mut self, class: &str, cores: usize, sim_cycles: u64, buckets: &BucketCycles) {
+    fn fold(&mut self, class: &str, cores: usize, sim_cycles: u64, buckets: &BucketCycles) {
         self.total.fold(sim_cycles, buckets);
         self.by_class
             .entry(class.to_string())
@@ -327,8 +331,8 @@ impl FleetBook {
     }
 }
 
-/// Stats-registry paths the scope time series records (all under a
-/// `scope/` subtree the recorder synthesizes at each sample point).
+/// Column paths of the scope time series, in the order [`series_at`]
+/// hands their values in.
 const SERIES_PATHS: [&str; 9] = [
     "scope/queue_depth",
     "scope/busy_workers",
@@ -341,263 +345,72 @@ const SERIES_PATHS: [&str; 9] = [
     "scope/cache_misses",
 ];
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    completed: u64,
-    retries: u64,
-    shed: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+/// The series values as they stood at the end of processed tick `t`,
+/// after its dispatch, and the jobs completed by then: queue depth counts
+/// the attempts with `ready <= t < start` (ready: their queued span's
+/// start), busy those with `start <= t < end`; completions, retries
+/// (backoffs), sheds and cache lookups (attempts, by hit) count those
+/// that happened at ticks `<= t`.
+fn series_at(jobs: &[JobSpans], workers: usize, t: u64) -> ([Option<MetricValue>; 9], u64) {
+    let (mut queued, mut busy, mut completed, mut retries) = (0u64, 0u64, 0, 0);
+    let (mut shed, mut hits, mut misses) = (0, 0u64, 0u64);
+    for j in jobs {
+        match j.terminal {
+            Terminal::Completed { .. } if j.finish <= t => completed += 1,
+            Terminal::Shed if j.arrival <= t => shed += 1,
+            _ => {}
+        }
+        retries += j.backoffs.iter().filter(|b| b.start <= t).count() as u64;
+        for (ready, a) in j.queued.iter().zip(&j.attempts) {
+            queued += u64::from(ready.start <= t && t < a.start);
+            if a.start > t {
+                continue;
+            }
+            busy += u64::from(t < a.end);
+            if a.cache_hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+    }
+    let values = [
+        MetricValue::Gauge(queued as f64),
+        MetricValue::Gauge(busy as f64),
+        MetricValue::Gauge(busy as f64 / workers.max(1) as f64),
+        MetricValue::Gauge(hits as f64 / (hits + misses).max(1) as f64),
+        MetricValue::Count(completed),
+        MetricValue::Count(retries),
+        MetricValue::Count(shed),
+        MetricValue::Count(hits),
+        MetricValue::Count(misses),
+    ];
+    (values.map(Some), completed)
 }
 
-/// Records service lifecycle events into span trees, worker tracks, the
-/// fleet book, and a trend series. Every method must be called at the
-/// service's deterministic event points; the recorder itself never
-/// consults a clock and never feeds anything back into scheduling.
-#[derive(Debug)]
-pub struct ScopeRecorder {
-    workers: usize,
-    jobs: BTreeMap<u64, JobSpans>,
-    /// Tick at which each live job last became ready to dispatch
-    /// (admission or retry release); closed into a queued span at
-    /// dispatch.
-    ready_since: BTreeMap<u64, u64>,
-    tracks: Vec<WorkerTrack>,
-    fleet: FleetBook,
-    trend: TrendRecorder,
-    counters: Counters,
-}
-
-impl ScopeRecorder {
-    /// A recorder for a service with `workers` worker slots.
-    #[must_use]
-    pub fn new(opts: &ScopeOptions, workers: usize) -> Self {
-        let trend_opts = TrendOptions {
-            period: opts.period.max(1),
-            paths: SERIES_PATHS.iter().map(|s| (*s).to_string()).collect(),
-            buckets: false,
-            heat: false,
-            ..TrendOptions::default()
-        };
-        ScopeRecorder {
-            workers,
-            jobs: BTreeMap::new(),
-            ready_since: BTreeMap::new(),
-            tracks: vec![WorkerTrack::default(); workers],
-            fleet: FleetBook::default(),
-            trend: TrendRecorder::new(trend_opts, 0),
-            counters: Counters::default(),
+/// The service time series: an interval closes at each processed tick
+/// (arrivals, attempt ends and retry releases) that is due, and at the
+/// drain; its "instructions" are completed jobs.
+fn series(jobs: &[JobSpans], workers: usize, drained_at: u64, opts: &ScopeOptions) -> TrendReport {
+    let mut ticks = BTreeSet::new();
+    for j in jobs {
+        ticks.insert(j.arrival);
+        ticks.extend(j.attempts.iter().map(|a| a.end));
+        ticks.extend(j.backoffs.iter().map(|b| b.end));
+    }
+    let mut trend = TrendRecorder::new(TrendOptions {
+        period: opts.period.max(1),
+        paths: SERIES_PATHS.map(String::from).to_vec(),
+        ..TrendOptions::default()
+    });
+    for t in ticks {
+        if trend.due(t) {
+            let (values, completed) = series_at(jobs, workers, t);
+            trend.record(t, &values, completed, None);
         }
     }
-
-    fn job(&mut self, id: u64) -> &mut JobSpans {
-        self.jobs.get_mut(&id).expect("job was admitted")
-    }
-
-    /// A job entered the submission queue.
-    pub fn admitted(&mut self, id: u64, workload: &str, class: &str, cores: usize, now: u64) {
-        self.jobs.insert(
-            id,
-            JobSpans {
-                id,
-                workload: workload.to_string(),
-                class: class.to_string(),
-                cores,
-                arrival: now,
-                finish: now,
-                terminal: Terminal::Failed, // overwritten at the terminal event
-                queued: Vec::new(),
-                attempts: Vec::new(),
-                backoffs: Vec::new(),
-                book: None,
-            },
-        );
-        self.ready_since.insert(id, now);
-    }
-
-    /// A job was refused at admission (`shed`: queue-full shedding;
-    /// otherwise a malformed-request rejection).
-    pub fn rejected(
-        &mut self,
-        id: u64,
-        workload: &str,
-        class: &str,
-        cores: usize,
-        now: u64,
-        shed: bool,
-    ) {
-        if shed {
-            self.counters.shed += 1;
-        }
-        self.jobs.insert(
-            id,
-            JobSpans {
-                id,
-                workload: workload.to_string(),
-                class: class.to_string(),
-                cores,
-                arrival: now,
-                finish: now,
-                terminal: if shed {
-                    Terminal::Shed
-                } else {
-                    Terminal::Invalid
-                },
-                queued: Vec::new(),
-                attempts: Vec::new(),
-                backoffs: Vec::new(),
-                book: None,
-            },
-        );
-    }
-
-    /// A job left the queue for worker `worker`; the virtual completion
-    /// tick `done_at` is already known at the dispatch barrier.
-    pub fn dispatched(
-        &mut self,
-        id: u64,
-        worker: usize,
-        now: u64,
-        done_at: u64,
-        cache_hit: bool,
-        compile_ticks: u64,
-    ) {
-        if cache_hit {
-            self.counters.cache_hits += 1;
-        } else {
-            self.counters.cache_misses += 1;
-        }
-        let ready = self.ready_since.remove(&id).expect("job was ready");
-        let attempt = self.jobs.get(&id).map_or(0, |j| j.attempts.len()) as u32;
-        self.tracks[worker].slices.push(WorkerSlice {
-            job: id,
-            attempt,
-            start: now,
-            end: done_at,
-        });
-        let job = self.job(id);
-        job.queued.push(Span {
-            start: ready,
-            end: now,
-        });
-        job.attempts.push(AttemptSpan {
-            attempt,
-            worker,
-            start: now,
-            end: done_at,
-            cache_hit,
-            compile: (!cache_hit).then_some(Span {
-                start: now,
-                end: now + compile_ticks,
-            }),
-            // Overwritten when the completion event is processed.
-            end_kind: AttemptEnd::Success,
-        });
-    }
-
-    fn close_attempt(&mut self, id: u64, end: AttemptEnd) {
-        self.job(id)
-            .attempts
-            .last_mut()
-            .expect("attempt was dispatched")
-            .end_kind = end;
-    }
-
-    /// The job's current attempt completed and verified; `profile` is
-    /// its clp-prof report when profiling was on.
-    pub fn completed(&mut self, id: u64, now: u64, cycles: u64, profile: Option<&ProfileReport>) {
-        self.counters.completed += 1;
-        self.close_attempt(id, AttemptEnd::Success);
-        let book = profile.map(ProfileReport::run_buckets);
-        let job = self.job(id);
-        job.finish = now;
-        job.terminal = Terminal::Completed { cycles };
-        job.book = book;
-        let (class, cores) = (job.class.clone(), job.cores);
-        if let Some(b) = book {
-            self.fleet.fold(&class, cores, cycles, &b);
-        }
-    }
-
-    /// The job's current attempt failed permanently.
-    pub fn failed(&mut self, id: u64, now: u64) {
-        self.close_attempt(id, AttemptEnd::Permanent);
-        let job = self.job(id);
-        job.finish = now;
-        job.terminal = Terminal::Failed;
-    }
-
-    /// The job's current attempt failed (`end`) and every retry is
-    /// spent.
-    pub fn exhausted(&mut self, id: u64, now: u64, end: AttemptEnd) {
-        self.close_attempt(id, end);
-        let job = self.job(id);
-        job.finish = now;
-        job.terminal = Terminal::Exhausted;
-    }
-
-    /// The job's current attempt failed (`end`) and a retry was
-    /// scheduled for release at `release_at`.
-    pub fn retry(&mut self, id: u64, now: u64, release_at: u64, end: AttemptEnd) {
-        self.counters.retries += 1;
-        self.close_attempt(id, end);
-        self.job(id).backoffs.push(Span {
-            start: now,
-            end: release_at,
-        });
-        self.ready_since.insert(id, release_at);
-    }
-
-    fn stats_tree(&self, queue_depth: usize, busy: usize) -> StatsNode {
-        let c = &self.counters;
-        let looked_up = c.cache_hits + c.cache_misses;
-        StatsNode::new("service").child(
-            StatsNode::new("scope")
-                .gauge("queue_depth", queue_depth as f64)
-                .gauge("busy_workers", busy as f64)
-                .gauge("utilization", busy as f64 / self.workers.max(1) as f64)
-                .gauge(
-                    "cache_hit_ratio",
-                    c.cache_hits as f64 / looked_up.max(1) as f64,
-                )
-                .count("completed", c.completed)
-                .count("retries", c.retries)
-                .count("shed", c.shed)
-                .count("cache_hits", c.cache_hits)
-                .count("cache_misses", c.cache_misses),
-        )
-    }
-
-    /// Closes the current series interval if one is due at `now`. Called
-    /// once at the end of every processed event tick, with the queue
-    /// depth and busy-worker count as they stand after dispatch.
-    pub fn sample(&mut self, now: u64, queue_depth: usize, busy: usize) {
-        if !self.trend.due(now) {
-            return;
-        }
-        let root = self.stats_tree(queue_depth, busy);
-        let completed = self.counters.completed;
-        self.trend.record(now, &root, completed, None);
-    }
-
-    /// Finishes the recording at drain tick `drained_at` and assembles
-    /// the report. `seed` is echoed for provenance.
-    #[must_use]
-    pub fn finish(self, drained_at: u64, seed: u64) -> ScopeReport {
-        let root = self.stats_tree(0, 0);
-        let series = self
-            .trend
-            .finish(drained_at, &root, self.counters.completed, None);
-        ScopeReport {
-            seed,
-            workers: self.workers,
-            drained_at,
-            jobs: self.jobs.into_values().collect(),
-            tracks: self.tracks,
-            fleet: self.fleet,
-            series,
-        }
-    }
+    let (values, completed) = series_at(jobs, workers, drained_at);
+    trend.finish(drained_at, &values, completed, None)
 }
 
 /// The complete service-level observability document of one run.
@@ -621,6 +434,51 @@ pub struct ScopeReport {
 }
 
 impl ScopeReport {
+    /// The clp-scope view of one drained service run: `jobs` are the
+    /// service's span trees in id order, `workers` its worker slots,
+    /// `drained_at` the tick of its last event, `seed` echoed for
+    /// provenance. Everything else is derived from the spans: the worker
+    /// tracks are the attempts grouped by worker in start order, the
+    /// fleet book is the sum of the completed jobs' books, and the series
+    /// is sampled at the ticks the service processed.
+    #[must_use]
+    pub fn new(
+        jobs: Vec<JobSpans>,
+        workers: usize,
+        drained_at: u64,
+        seed: u64,
+        opts: &ScopeOptions,
+    ) -> ScopeReport {
+        let mut tracks = vec![WorkerTrack::default(); workers];
+        let mut fleet = FleetBook::default();
+        for j in &jobs {
+            for a in &j.attempts {
+                tracks[a.worker].slices.push(WorkerSlice {
+                    job: j.id,
+                    attempt: a.attempt,
+                    start: a.start,
+                    end: a.end,
+                });
+            }
+            if let (Terminal::Completed { cycles }, Some(book)) = (j.terminal, &j.book) {
+                fleet.fold(&j.class, j.cores, cycles, book);
+            }
+        }
+        for t in &mut tracks {
+            t.slices.sort_by_key(|s| s.start);
+        }
+        let series = series(&jobs, workers, drained_at, opts);
+        ScopeReport {
+            seed,
+            workers,
+            drained_at,
+            jobs,
+            tracks,
+            fleet,
+            series,
+        }
+    }
+
     /// The report under the pinned `clp-scope-v1` schema. Every value is
     /// an integer or a string, so equal runs serialize byte-identically.
     #[must_use]
@@ -845,36 +703,85 @@ impl ScopeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{Bucket, ProcProfile};
+    use crate::profile::Bucket;
 
-    fn profile(execute: u64, mem: u64) -> ProfileReport {
-        let mut p = ProcProfile::default();
-        p.run_buckets.add(Bucket::Execute, execute);
-        p.run_buckets.add(Bucket::MemWait, mem);
-        p.crit_path_cycles = execute + mem;
-        ProfileReport {
-            procs: vec![p],
-            elapsed: execute + mem + 10,
-            ..ProfileReport::default()
+    fn book(execute: u64, mem: u64) -> BucketCycles {
+        let mut b = BucketCycles::default();
+        b.add(Bucket::Execute, execute);
+        b.add(Bucket::MemWait, mem);
+        b
+    }
+
+    fn span(start: u64, end: u64) -> Span {
+        Span { start, end }
+    }
+
+    /// A job's span tree with no spans yet.
+    fn arrived(id: u64, workload: &str, class: &str, cores: usize, arrival: u64) -> JobSpans {
+        JobSpans {
+            id,
+            workload: workload.to_string(),
+            class: class.to_string(),
+            cores,
+            arrival,
+            finish: arrival,
+            terminal: Terminal::Shed,
+            queued: Vec::new(),
+            attempts: Vec::new(),
+            backoffs: Vec::new(),
+            book: None,
         }
     }
 
-    /// Drives one small synthetic service history through the recorder:
-    /// job 0 completes on attempt 0; job 1 fails once and completes on
-    /// its retry; job 2 is shed.
+    /// One small synthetic service history on two workers, as the
+    /// service writes it: job 0 completes on attempt 0 (a cache miss
+    /// compiling for 5 ticks); job 1 fails once and completes on its
+    /// retry (both hits); job 2 is shed.
+    fn history() -> Vec<JobSpans> {
+        let attempt = |attempt, start, end, end_kind| AttemptSpan {
+            attempt,
+            worker: 1,
+            start,
+            end,
+            cache_hit: true,
+            compile: None,
+            end_kind,
+        };
+        let job0 = JobSpans {
+            finish: 50,
+            terminal: Terminal::Completed { cycles: 35 },
+            queued: vec![span(10, 10)],
+            attempts: vec![AttemptSpan {
+                worker: 0,
+                cache_hit: false,
+                compile: Some(span(10, 15)),
+                ..attempt(0, 10, 50, AttemptEnd::Success)
+            }],
+            book: Some(book(30, 5)),
+            ..arrived(0, "conv", "hand_optimized", 4, 10)
+        };
+        let job1 = JobSpans {
+            finish: 90,
+            terminal: Terminal::Completed { cycles: 25 },
+            queued: vec![span(12, 12), span(60, 60)],
+            attempts: vec![
+                attempt(0, 12, 40, AttemptEnd::Transient),
+                attempt(1, 60, 90, AttemptEnd::Success),
+            ],
+            backoffs: vec![span(40, 60)],
+            book: Some(book(20, 5)),
+            ..arrived(1, "bezier", "eembc", 2, 12)
+        };
+        vec![job0, job1, arrived(2, "conv", "hand_optimized", 8, 14)]
+    }
+
     fn recorded() -> ScopeReport {
-        let mut r = ScopeRecorder::new(&ScopeOptions { period: 100 }, 2);
-        r.admitted(0, "conv", "hand_optimized", 4, 10);
-        r.admitted(1, "bezier", "eembc", 2, 12);
-        r.rejected(2, "conv", "hand_optimized", 8, 14, true);
-        r.dispatched(0, 0, 10, 50, false, 5);
-        r.dispatched(1, 1, 12, 40, true, 5);
-        r.sample(20, 0, 2);
-        r.completed(0, 50, 35, Some(&profile(30, 5)));
-        r.retry(1, 40, 60, AttemptEnd::Transient);
-        r.dispatched(1, 1, 60, 90, true, 5);
-        r.completed(1, 90, 25, Some(&profile(20, 5)));
-        r.finish(90, 7)
+        ScopeReport::new(history(), 2, 90, 7, &ScopeOptions { period: 100 })
+    }
+
+    fn column(rep: &ScopeReport, path: &str) -> Vec<u64> {
+        let col = rep.series.columns.iter().find(|c| c.path == path);
+        col.expect("column").values.clone()
     }
 
     #[test]
@@ -960,6 +867,41 @@ mod tests {
             .expect("column");
         let total: u64 = completed.values.iter().sum();
         assert_eq!(total, 2, "completed column deltas sum to the census");
+    }
+
+    /// With a one-tick period every processed tick (10, 12, 14, 40, 50,
+    /// 60, 90) closes an interval, so each column reads the derivation
+    /// identities tick by tick.
+    #[test]
+    fn series_derives_levels_and_counts_from_the_spans() {
+        let rep = ScopeReport::new(history(), 2, 90, 7, &ScopeOptions { period: 1 });
+        assert_eq!(rep.series.ends, vec![10, 12, 14, 40, 50, 60, 90]);
+        assert_eq!(column(&rep, "scope/queue_depth"), vec![0; 7]);
+        let busy = vec![1000, 2000, 2000, 1000, 0, 1000, 0];
+        assert_eq!(column(&rep, "scope/busy_workers"), busy);
+        assert_eq!(
+            column(&rep, "scope/utilization"),
+            vec![500, 1000, 1000, 500, 0, 500, 0]
+        );
+        assert_eq!(column(&rep, "scope/completed"), vec![0, 0, 0, 0, 1, 0, 1]);
+        assert_eq!(rep.series.insts, column(&rep, "scope/completed"));
+        assert_eq!(column(&rep, "scope/retries"), vec![0, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(column(&rep, "scope/shed"), vec![0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(column(&rep, "scope/cache_hits"), vec![0, 1, 0, 0, 0, 1, 0]);
+        assert_eq!(
+            column(&rep, "scope/cache_misses"),
+            vec![1, 0, 0, 0, 0, 0, 0]
+        );
+        let ratio = vec![0, 500, 500, 500, 500, 667, 667];
+        assert_eq!(column(&rep, "scope/cache_hit_ratio"), ratio);
+        // A job released but not yet dispatched at a processed tick is
+        // queued there: hold job 1's retry back from 60 to 70.
+        let mut jobs = history();
+        jobs[1].queued[1] = span(60, 70);
+        jobs[1].attempts[1].start = 70;
+        let rep = ScopeReport::new(jobs, 2, 90, 7, &ScopeOptions { period: 1 });
+        let depth = column(&rep, "scope/queue_depth");
+        assert_eq!(depth, vec![0, 0, 0, 0, 0, 1000, 0]);
     }
 
     #[test]

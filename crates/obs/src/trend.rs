@@ -2,11 +2,15 @@
 //! detection.
 //!
 //! [`TrendRecorder`] is the one thing that samples a run. It is a
-//! column store: per interval it records any selected set of
-//! stats-registry paths (`mem/*`, `operand_net/*`, `faults/*`, …) plus
-//! the 14 clp-prof cycle-accounting buckets and the per-core heat-map
-//! rows. Recording follows the zero-perturbation discipline — values are
-//! *written* on due cycles but never *read back* for timing, so cycle
+//! column store, and the caller hands it the values: per interval, one
+//! value for each of its named paths (the machine resolves stats-registry
+//! paths — `mem/*`, `operand_net/*`, `faults/*`, … — against its stats
+//! tree, and only when there are any; clp-scope hands in its nine service
+//! numbers), a cumulative instruction count, and the profiler's books
+//! when there are any to hand: the 14 clp-prof cycle-accounting buckets
+//! and the per-core heat-map rows get columns exactly when they are
+//! handed in. Recording follows the zero-perturbation discipline — values
+//! are *written* on due cycles but never *read back* for timing, so cycle
 //! counts with trend recording on are bit-identical to uninstrumented
 //! runs (asserted by `obs_guard`).
 //!
@@ -22,7 +26,7 @@
 use crate::profile::{by_bucket, Bucket, BucketCycles, NUM_BUCKETS};
 use crate::sink::{chrome_trace, ChromeEvent};
 use crate::skip_nulls;
-use crate::snapshot::{MetricValue, StatsNode};
+use crate::snapshot::MetricValue;
 use serde::Value;
 use serde_json::json;
 
@@ -31,15 +35,11 @@ use serde_json::json;
 pub struct TrendOptions {
     /// Interval width in cycles.
     pub period: u64,
-    /// Stats-registry paths to record as columns (e.g. `mem/l1d_misses`,
-    /// `proc0/ipc`, `operand_net/link_traversals`). Count metrics are
-    /// stored as per-interval deltas, gauges as milli-unit levels.
+    /// Paths to record as columns (e.g. `mem/l1d_misses`, `proc0/ipc`,
+    /// `operand_net/link_traversals`), one value each per sample. Count
+    /// values are stored as per-interval deltas, gauges as milli-unit
+    /// levels.
     pub paths: Vec<String>,
-    /// Record the 14 clp-prof buckets as per-interval delta columns
-    /// (requires profiling to be enabled on the machine; zero otherwise).
-    pub buckets: bool,
-    /// Record per-core critical-cycle heat rows (same requirement).
-    pub heat: bool,
     /// Half-window width (in intervals) for change-point scoring.
     pub phase_window: usize,
     /// Minimum L1 feature distance (per-mille units) for a boundary.
@@ -51,8 +51,6 @@ impl Default for TrendOptions {
         TrendOptions {
             period: 1000,
             paths: Vec::new(),
-            buckets: true,
-            heat: true,
             phase_window: 4,
             phase_threshold: 150,
         }
@@ -67,7 +65,7 @@ pub enum ColumnKind {
     /// Level of a gauge at the interval end, in milli-units
     /// (`round(value * 1000)`).
     GaugeMilli,
-    /// The path never resolved in the stats tree; values are all zero.
+    /// No value was ever handed in for the path; values are all zero.
     Missing,
 }
 
@@ -134,10 +132,9 @@ pub struct TrendReport {
     /// Requested stats-registry columns.
     pub columns: Vec<TrendColumn>,
     /// Per-bucket delta columns, indexed per [`Bucket::ALL`]; empty when
-    /// bucket recording was off.
+    /// the recorder was never handed the profiler's books.
     pub buckets: Vec<Vec<u64>>,
-    /// Per-core critical-cycle delta rows; empty when heat recording was
-    /// off.
+    /// Per-core critical-cycle delta rows; empty likewise.
     pub heat: Vec<Vec<u64>>,
     /// Detected phases, covering every interval exactly once.
     pub phases: Vec<Phase>,
@@ -169,18 +166,15 @@ pub struct TrendRecorder {
 }
 
 impl TrendRecorder {
-    /// A recorder sampling every `opts.period` cycles over `cores`
-    /// heat-map rows.
+    /// A recorder sampling every `opts.period` cycles.
     ///
     /// # Panics
     ///
     /// Panics if the period is zero.
     #[must_use]
-    pub fn new(opts: TrendOptions, cores: usize) -> Self {
+    pub fn new(opts: TrendOptions) -> Self {
         assert!(opts.period > 0, "trend period must be positive");
         let n_paths = opts.paths.len();
-        let n_heat = if opts.heat { cores } else { 0 };
-        let n_buckets = if opts.buckets { NUM_BUCKETS } else { 0 };
         TrendRecorder {
             next_due: opts.period,
             window_start: 0,
@@ -196,11 +190,17 @@ impl TrendRecorder {
             ],
             col_values: vec![Vec::new(); n_paths],
             last_buckets: [0; NUM_BUCKETS],
-            bucket_values: vec![Vec::new(); n_buckets],
-            last_heat: vec![0; n_heat],
-            heat_values: vec![Vec::new(); n_heat],
+            bucket_values: Vec::new(),
+            last_heat: Vec::new(),
+            heat_values: Vec::new(),
             opts,
         }
+    }
+
+    /// The paths whose values [`TrendRecorder::record`] takes, in order.
+    #[must_use]
+    pub fn paths(&self) -> &[String] {
+        &self.opts.paths
     }
 
     /// Whether the current cycle closes an interval. One integer compare
@@ -211,23 +211,25 @@ impl TrendRecorder {
         cycle >= self.next_due
     }
 
-    /// Closes the interval ending at `cycle`. `root` is the current
-    /// stats tree; `insts` the cumulative dispatched-instruction count;
-    /// `prof` the profiler's cumulative run-level buckets and per-core
-    /// cycles when profiling is on.
+    /// Closes the interval ending at `cycle`. `values` holds the current
+    /// value at each of [`TrendRecorder::paths`] (`None`: the path does
+    /// not resolve); `insts` is the cumulative instruction count; `prof`
+    /// the profiler's cumulative run-level buckets and per-core cycles,
+    /// handed on every sample or on none.
     pub fn record(
         &mut self,
         cycle: u64,
-        root: &StatsNode,
+        values: &[Option<MetricValue>],
         insts: u64,
-        prof: Option<(&BucketCycles, &[u64])>,
+        prof: Option<(BucketCycles, &[u64])>,
     ) {
+        debug_assert_eq!(values.len(), self.col_state.len(), "one value per path");
         self.ends.push(cycle);
         self.insts.push(insts - self.last_insts);
         self.last_insts = insts;
-        for (i, path) in self.opts.paths.iter().enumerate() {
-            let st = &mut self.col_state[i];
-            let v = match root.lookup(path) {
+        let columns = self.col_state.iter_mut().zip(&mut self.col_values);
+        for ((st, col), value) in columns.zip(values) {
+            let v = match *value {
                 Some(MetricValue::Count(c)) => {
                     if st.kind == ColumnKind::Missing {
                         st.kind = ColumnKind::Count;
@@ -244,22 +246,26 @@ impl TrendRecorder {
                 }
                 None => 0,
             };
-            self.col_values[i].push(v);
+            col.push(v);
         }
-        let (buckets, heat) = match prof {
-            Some((b, h)) => (b.0, h),
-            None => ([0; NUM_BUCKETS], &[] as &[u64]),
-        };
-        for (i, col) in self.bucket_values.iter_mut().enumerate() {
-            col.push(buckets[i].saturating_sub(self.last_buckets[i]));
-        }
-        if self.opts.buckets {
-            self.last_buckets = buckets;
-        }
-        for (i, row) in self.heat_values.iter_mut().enumerate() {
-            let cur = heat.get(i).copied().unwrap_or(0);
-            row.push(cur.saturating_sub(self.last_heat[i]));
-            self.last_heat[i] = cur;
+        if let Some((buckets, heat)) = prof {
+            if self.bucket_values.is_empty() {
+                // The first books handed in: a column per bucket and a
+                // row per core from here on.
+                self.bucket_values = vec![Vec::new(); NUM_BUCKETS];
+                self.last_heat = vec![0; heat.len()];
+                self.heat_values = vec![Vec::new(); heat.len()];
+            }
+            let columns = self.bucket_values.iter_mut().zip(&mut self.last_buckets);
+            for ((col, last), &cur) in columns.zip(&buckets.0) {
+                col.push(cur.saturating_sub(*last));
+                *last = cur;
+            }
+            let rows = self.heat_values.iter_mut().zip(&mut self.last_heat);
+            for ((row, last), &cur) in rows.zip(heat) {
+                row.push(cur.saturating_sub(*last));
+                *last = cur;
+            }
         }
         self.window_start = cycle;
         self.next_due = cycle + self.opts.period;
@@ -271,12 +277,12 @@ impl TrendRecorder {
     pub fn finish(
         mut self,
         cycle: u64,
-        root: &StatsNode,
+        values: &[Option<MetricValue>],
         insts: u64,
-        prof: Option<(&BucketCycles, &[u64])>,
+        prof: Option<(BucketCycles, &[u64])>,
     ) -> TrendReport {
         if cycle > self.window_start {
-            self.record(cycle, root, insts, prof);
+            self.record(cycle, values, insts, prof);
         }
         let columns = self
             .opts
@@ -560,10 +566,14 @@ impl TrendReport {
 mod tests {
     use super::*;
 
-    fn tree(l1d: u64, ipc: f64) -> StatsNode {
-        StatsNode::new("run")
-            .child(StatsNode::new("mem").count("l1d_misses", l1d))
-            .child(StatsNode::new("proc0").gauge("ipc", ipc))
+    /// One sample's values for the paths `mem/l1d_misses`, `proc0/ipc`
+    /// and a path that never resolves.
+    fn values(l1d: u64, ipc: f64) -> [Option<MetricValue>; 3] {
+        [
+            Some(MetricValue::Count(l1d)),
+            Some(MetricValue::Gauge(ipc)),
+            None,
+        ]
     }
 
     #[test]
@@ -575,16 +585,14 @@ mod tests {
                 "proc0/ipc".to_string(),
                 "no/such/path".to_string(),
             ],
-            buckets: false,
-            heat: false,
             ..TrendOptions::default()
         };
-        let mut rec = TrendRecorder::new(opts, 4);
+        let mut rec = TrendRecorder::new(opts);
         assert!(!rec.due(99));
         assert!(rec.due(100));
-        rec.record(100, &tree(10, 1.5), 50, None);
-        rec.record(200, &tree(25, 2.0), 150, None);
-        let report = rec.finish(230, &tree(31, 2.25), 190, None);
+        rec.record(100, &values(10, 1.5), 50, None);
+        rec.record(200, &values(25, 2.0), 150, None);
+        let report = rec.finish(230, &values(31, 2.25), 190, None);
         assert_eq!(report.ends, vec![100, 200, 230]);
         assert_eq!(report.insts, vec![50, 100, 40]);
         assert_eq!(report.columns[0].kind, ColumnKind::Count);
@@ -593,7 +601,9 @@ mod tests {
         assert_eq!(report.columns[1].values, vec![1500, 2000, 2250]);
         assert_eq!(report.columns[2].kind, ColumnKind::Missing);
         assert_eq!(report.columns[2].values, vec![0, 0, 0]);
-        // A report with no bucket columns still yields one covering phase.
+        // Never handed the profiler's books: no bucket or heat columns,
+        // and still one covering phase.
+        assert!(report.buckets.is_empty() && report.heat.is_empty());
         assert_eq!(report.phases.len(), 1);
         assert_eq!(report.phases[0].end_cycle, 230);
     }
@@ -605,16 +615,16 @@ mod tests {
             phase_window: 1,
             ..TrendOptions::default()
         };
-        let mut rec = TrendRecorder::new(opts, 2);
+        let mut rec = TrendRecorder::new(opts);
         let mut cum = BucketCycles::default();
         cum.add(Bucket::Execute, 40);
         cum.add(Bucket::MemWait, 10);
         let heat = [30u64, 20];
-        rec.record(100, &tree(0, 0.0), 10, Some((&cum, &heat)));
+        rec.record(100, &[], 10, Some((cum, &heat)));
         cum.add(Bucket::Execute, 5);
         cum.add(Bucket::MemWait, 60);
         let heat2 = [40u64, 75];
-        let report = rec.finish(200, &tree(0, 0.0), 20, Some((&cum, &heat2)));
+        let report = rec.finish(200, &[], 20, Some((cum, &heat2)));
         let exec = Bucket::Execute.index();
         let memw = Bucket::MemWait.index();
         assert_eq!(report.buckets[exec], vec![40, 5]);
@@ -638,7 +648,7 @@ mod tests {
             phase_threshold: 300,
             ..TrendOptions::default()
         };
-        let mut rec = TrendRecorder::new(opts, 1);
+        let mut rec = TrendRecorder::new(opts);
         let mut cum = BucketCycles::default();
         for i in 1..=12u64 {
             if i <= 6 {
@@ -650,9 +660,9 @@ mod tests {
             }
             let insts = i * 100;
             if i < 12 {
-                rec.record(i * 100, &tree(0, 0.0), insts, Some((&cum, &[0])));
+                rec.record(i * 100, &[], insts, Some((cum, &[0])));
             } else {
-                let report = rec.finish(i * 100, &tree(0, 0.0), insts, Some((&cum, &[0])));
+                let report = rec.finish(i * 100, &[], insts, Some((cum, &[0])));
                 assert_eq!(report.phases.len(), 2, "{:#?}", report.phases);
                 assert_eq!(report.phases[0].dominant, Bucket::Execute);
                 assert_eq!(report.phases[1].dominant, Bucket::MemWait);
@@ -678,18 +688,16 @@ mod tests {
     #[test]
     fn report_json_is_deterministic() {
         let build = || {
-            let mut rec = TrendRecorder::new(
-                TrendOptions {
-                    period: 50,
-                    paths: vec!["mem/l1d_misses".to_string()],
-                    ..TrendOptions::default()
-                },
-                2,
-            );
+            let mut rec = TrendRecorder::new(TrendOptions {
+                period: 50,
+                paths: vec!["mem/l1d_misses".to_string()],
+                ..TrendOptions::default()
+            });
             let mut cum = BucketCycles::default();
             cum.add(Bucket::Fetch, 30);
-            rec.record(50, &tree(5, 1.0), 10, Some((&cum, &[30, 0])));
-            rec.finish(90, &tree(9, 1.25), 25, Some((&cum, &[30, 0])))
+            let l1d = |n| [Some(MetricValue::Count(n))];
+            rec.record(50, &l1d(5), 10, Some((cum, &[30, 0])));
+            rec.finish(90, &l1d(9), 25, Some((cum, &[30, 0])))
         };
         assert_eq!(build().to_json(), build().to_json());
     }

@@ -27,15 +27,13 @@
 //!   transient failures, and a full drain on shutdown. Its
 //!   [`HostLedger`] counts what the host stepped against what the
 //!   attempts were charged.
-//! - [`report`] — the pinned `clp-serve-v1` JSON document.
-//!
-//! On top of these, [`service::serve_scoped`] threads the clp-scope
-//! recorder (from `clp-obs`) through the same deterministic event
-//! points: per-job lifecycle span trees, worker occupancy tracks, a
-//! fleet-wide cycle-attribution book folded from per-job clp-prof
-//! reports, and a service time series — all replayable byte-for-byte,
-//! and all strictly observational (scope off takes the identical code
-//! path).
+//! - [`report`] — the pinned `clp-serve-v1` JSON document, and
+//!   [`serve_scoped`]: the clp-scope view (from `clp-obs`) of the span
+//!   trees the service keeps with its job records — worker occupancy
+//!   tracks, a fleet-wide cycle-attribution book summed from per-job
+//!   clp-prof books, and a service time series, all replayable
+//!   byte-for-byte and all strictly observational (scope on only turns
+//!   per-attempt profiling on).
 //!
 //! The load-bearing property is *replayability*: no wall-clock exists
 //! anywhere, every stochastic choice draws from seeded SplitMix64

@@ -22,6 +22,11 @@
 //! A panic takes the request, and any machine in it, down with the
 //! poisoned worker.
 //!
+//! A profiled attempt (`Settings::profile`, set on every attempt of a
+//! `serve_scoped` run) hands back the run-level clp-prof book with its
+//! success — the fourteen bucket counts, not the whole report — for the
+//! job's span tree to keep.
+//!
 //! Determinism: a job's result is a pure function of its request
 //! (workload content, composition size, budget, fault plan, and the
 //! parked machine — itself a pure function of the job's earlier
@@ -31,6 +36,7 @@
 //! virtual time; the pool is just muscle.
 
 use clp_core::{compile_workload, CompiledWorkload, ObsOptions, ProcessorConfig, Run, RunFailure};
+use clp_obs::BucketCycles;
 use clp_sim::FaultPlan;
 use clp_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,11 +78,11 @@ pub struct Settings {
     pub faults: FaultPlan,
     /// Whether to plant a panic (attempt 0 of a sabotaged job).
     pub sabotage: bool,
-    /// Whether to run with clp-prof cycle accounting on, so the
-    /// response can carry the run-level bucket book (clp-scope folds it
-    /// into the fleet book). Profiling never changes cycle counts — the
-    /// PR-5 bit-identity contract — so the virtual schedule is the same
-    /// either way.
+    /// Whether to run with clp-prof cycle accounting on, so a success
+    /// carries the run-level bucket book (the job's span tree keeps it;
+    /// clp-scope sums the books into the fleet book). Profiling never
+    /// changes cycle counts — the PR-5 bit-identity contract — so the
+    /// virtual schedule is the same either way.
     pub profile: bool,
 }
 
@@ -112,9 +118,9 @@ pub enum ExecOutcome {
     Success {
         /// Simulated cycles.
         cycles: u64,
-        /// The clp-prof report when the request asked for profiling
-        /// (boxed: it is much larger than the rest of the response).
-        profile: Option<Box<clp_obs::ProfileReport>>,
+        /// The run's clp-prof run-level book, when the request asked for
+        /// profiling.
+        book: Option<BucketCycles>,
     },
     /// The run failed with a typed error.
     Failure(RunFailure),
@@ -202,8 +208,8 @@ fn execute(req: ExecRequest) -> ExecResponse {
     let from = run.cycle();
     let (outcome, reached, parked) = match run.finish(&compiled) {
         Ok(r) => {
-            let (cycles, profile) = (r.stats.cycles, r.profile.map(Box::new));
-            (ExecOutcome::Success { cycles, profile }, cycles, None)
+            let (cycles, book) = (r.stats.cycles, r.profile.map(|p| p.run_buckets()));
+            (ExecOutcome::Success { cycles, book }, cycles, None)
         }
         Err(stopped) => {
             let parked = stopped.run.map(|run| Parked { run, settings });

@@ -1,5 +1,6 @@
-//! The `clp-serve-v1` report: a pinned, serde-serialized document of one
-//! service run.
+//! The reports of a service run: the `clp-serve-v1` document, a pinned,
+//! serde-serialized view of the records, and [`serve_scoped`], the
+//! clp-scope view of the span trees.
 //!
 //! Because the service is deterministic, the same `(seed, config)`
 //! reproduces the report *byte-for-byte* — the replay golden test pins
@@ -9,9 +10,32 @@
 //! other golden goes through.
 
 use crate::arrivals::ArrivalConfig;
-use crate::service::{JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
-use clp_obs::LatencySummary;
+use crate::job::JobSpec;
+use crate::service::{serve, serve_with, JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
+use clp_obs::{LatencySummary, ScopeOptions, ScopeReport};
 use serde::Serialize;
+
+/// [`serve`] with clp-scope: with `scope` set, every attempt runs under
+/// clp-prof and the run is followed by [`ScopeReport::new`] over its
+/// span trees — a pure function of `(arrival schedule, config, scope
+/// options)` that replays byte-identically. Profiling never changes a
+/// cycle count, so the result is `serve`'s but for the completed jobs'
+/// books in the spans. With `scope: None` this *is* `serve`.
+#[must_use]
+pub fn serve_scoped(
+    schedule: Vec<(u64, JobSpec)>,
+    cfg: &ServiceConfig,
+    scope: Option<&ScopeOptions>,
+) -> (ServiceResult, Option<ScopeReport>) {
+    let Some(opts) = scope else {
+        return (serve(schedule, cfg), None);
+    };
+    let result = serve_with(schedule, cfg, true);
+    let drained_at = result.totals.drained_at;
+    let workers = cfg.workers.max(1);
+    let view = ScopeReport::new(result.spans.clone(), workers, drained_at, cfg.seed, opts);
+    (result, Some(view))
+}
 
 /// Schema tag of the serialized report.
 pub const SCHEMA: &str = "clp-serve-v1";
@@ -71,7 +95,6 @@ impl ServiceReport {
 mod tests {
     use super::*;
     use crate::arrivals::generate;
-    use crate::service::serve;
     use serde::Value;
 
     fn small_report() -> ServiceReport {
@@ -96,5 +119,41 @@ mod tests {
         assert!(json.contains("\"schema\": \"clp-serve-v1\""));
         let v: Value = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(v["seed"].as_f64(), Some(9.0));
+    }
+
+    #[test]
+    fn scope_off_and_scope_on_agree_on_the_service_result() {
+        // Profiling per job must not perturb the virtual schedule: the
+        // scope-on run's ServiceResult, spans included, equals the
+        // scope-off run's but for the completed jobs' books.
+        let cfg = ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        };
+        let sched = || {
+            vec![
+                (1u64, JobSpec::new(0, "conv", 8, 2_000)),
+                (500, JobSpec::new(1, "bezier", 4, 200_000)),
+            ]
+        };
+        let off = serve(sched(), &cfg);
+        let (mut on, report) = serve_scoped(sched(), &cfg, Some(&ScopeOptions::default()));
+        let rep = report.expect("scope on");
+        assert!(on.spans.iter().all(|s| s.book.is_some()), "both complete");
+        assert!(off.spans.iter().all(|s| s.book.is_none()));
+        // The scope report is the view of the result's spans.
+        assert_eq!(rep.jobs, on.spans);
+        assert_eq!(rep.drained_at, on.totals.drained_at);
+        assert_eq!(
+            rep.fleet.total.jobs, on.totals.completed,
+            "every completed job folded into the fleet book"
+        );
+        for s in &mut on.spans {
+            s.book = None;
+        }
+        assert_eq!(off, on);
+        // conv's 2k budget is killed twice: three attempts, two backoffs.
+        assert_eq!(off.spans[0].attempts.len(), 3);
+        assert_eq!(off.spans[0].backoffs.len(), 2);
     }
 }

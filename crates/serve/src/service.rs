@@ -35,24 +35,29 @@
 //! - planted panic: a fixed respawn charge for disposing of the
 //!   poisoned worker and spawning a fresh one.
 //!
-//! [`serve_scoped`] additionally threads a clp-scope [`ScopeRecorder`]
-//! through the same event points, recording per-job lifecycle spans,
-//! worker occupancy, the fleet cycle book, and a service time series.
-//! The recorder only *observes* — it is driven by values the scheduler
-//! already computed and feeds nothing back — so scope-off runs take the
-//! identical code path and scope-on runs replay byte-identically.
+//! One book: each job's span tree ([`JobSpans`] — its queued, attempt
+//! and backoff spans, the compile sub-span of a cache miss, how each
+//! attempt ended, the terminal, and with profiled attempts the
+//! completed run's clp-prof book) is part of its record. A job carries
+//! its tree through queue, worker and backoff; the tree is written where
+//! the [`JobRecord`] is and returned in [`ServiceResult::spans`]. The
+//! spans are values the scheduler computed anyway and feed nothing back,
+//! so clp-scope is a view over them (`report.rs`) and nothing here
+//! records on its behalf.
 
 use crate::cache::{content_hash, CacheEntry, CompileCache};
 use crate::job::{JobOutcome, JobSpec, Rejected};
 use crate::pool::{ExecOutcome, ExecRequest, ExecResponse, Parked, Settings, WorkerPool};
 use clp_core::{FailureClass, RunFailure};
-use clp_obs::{AttemptEnd, ScopeOptions, ScopeRecorder, ScopeReport};
+use clp_obs::{AttemptEnd, AttemptSpan, JobSpans, Span, Terminal};
 use clp_sim::fault::Prng;
 use clp_sim::{FaultPlan, RunError};
 use clp_workloads::Workload;
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+pub use crate::report::serve_scoped;
 
 /// Service policy knobs. Everything is in virtual ticks; nothing reads
 /// a clock.
@@ -187,14 +192,19 @@ pub struct HostLedger {
     pub cycles_charged: u64,
 }
 
-/// Everything a service run produces: counters, per-job records in id
-/// order, and the completed-job sojourn times (finish − arrival).
+/// Everything a service run produces: counters, per-job records and
+/// span trees in id order, and the completed-job sojourn times
+/// (finish − arrival).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceResult {
     /// Aggregate counters.
     pub totals: ServiceTotals,
     /// One record per submitted job, sorted by id.
     pub records: Vec<JobRecord>,
+    /// One span tree per submitted job, sorted by id: the lifecycle
+    /// behind each record. A completed job's carries its clp-prof book
+    /// when the attempts were profiled.
+    pub spans: Vec<JobSpans>,
     /// Sojourn latencies of completed jobs, in submission order.
     pub latencies: Vec<u64>,
     /// Host-side work, outside the pinned report.
@@ -206,15 +216,74 @@ struct JobState {
     workload: Arc<Workload>,
     /// [`content_hash`] of the workload: the compile-cache key.
     program: u64,
-    granted_cores: usize,
-    arrival: u64,
-    /// 0-based index of the attempt about to run.
-    attempt: u32,
     /// Budget of the next attempt (escalates on deadline kills).
     budget: u64,
     /// The machine the last attempt was deadline-killed on, for the
     /// next attempt to continue. Any other outcome leaves `None`.
     parked: Option<Parked>,
+    /// The job's span tree so far, holding its granted composition and
+    /// arrival. While the job waits, its last queued span is open
+    /// (`end == start`); dispatch closes it.
+    spans: JobSpans,
+}
+
+impl JobState {
+    /// Attempts dispatched so far.
+    fn attempts(&self) -> u32 {
+        self.spans.attempts.len() as u32
+    }
+
+    /// Closes the open queued span at `now` and opens the attempt that
+    /// occupies `worker` until `done_at`, compiling first for
+    /// `compile_ticks` on a cache miss.
+    fn dispatched(&mut self, worker: usize, now: u64, done_at: u64, compile_ticks: Option<u64>) {
+        let attempt = self.attempts();
+        let s = &mut self.spans;
+        let queued = s
+            .queued
+            .last_mut()
+            .expect("a queued job has an open queued span");
+        queued.end = now;
+        s.attempts.push(AttemptSpan {
+            attempt,
+            worker,
+            start: now,
+            end: done_at,
+            cache_hit: compile_ticks.is_none(),
+            compile: compile_ticks.map(|c| Span {
+                start: now,
+                end: now + c,
+            }),
+            // Set when the completion event is processed.
+            end_kind: AttemptEnd::Success,
+        });
+    }
+
+    /// Marks how the attempt in flight ended.
+    fn close_attempt(&mut self, end: AttemptEnd) {
+        let last = self.spans.attempts.last_mut();
+        let attempt = last.expect("a completing job has an attempt in flight");
+        attempt.end_kind = end;
+    }
+}
+
+/// A span tree with no spans yet for a job arriving at `now`: a refused
+/// job's whole tree, or an admitted one's until the terminal event
+/// overwrites `terminal` and `finish`.
+fn arrived(spec: &JobSpec, class: &str, cores: usize, now: u64, terminal: Terminal) -> JobSpans {
+    JobSpans {
+        id: spec.id,
+        workload: spec.workload.clone(),
+        class: class.to_string(),
+        cores,
+        arrival: now,
+        finish: now,
+        terminal,
+        queued: Vec::new(),
+        attempts: Vec::new(),
+        backoffs: Vec::new(),
+        book: None,
+    }
 }
 
 struct InFlight {
@@ -224,14 +293,42 @@ struct InFlight {
 }
 
 /// The run's output side, bundled so the event handlers thread one
-/// mutable borrow instead of four: terminal records, latency samples,
-/// the counters, and (when scope is on) the span recorder.
+/// mutable borrow instead of five: terminal records and span trees,
+/// latency samples, and the counters.
 struct Ledger {
     records: Vec<JobRecord>,
+    spans: Vec<JobSpans>,
     latencies: Vec<u64>,
     totals: ServiceTotals,
     host: HostLedger,
-    scope: Option<ScopeRecorder>,
+}
+
+impl Ledger {
+    /// Writes `job`'s terminal record and its closed span tree: the
+    /// attempt in flight ended `end`, the job `terminal`, at `now`.
+    fn finish(
+        &mut self,
+        mut job: JobState,
+        now: u64,
+        end: AttemptEnd,
+        terminal: Terminal,
+        outcome: JobOutcome,
+    ) {
+        job.close_attempt(end);
+        self.records.push(JobRecord {
+            attempts: job.attempts(),
+            id: job.spec.id,
+            workload: job.spec.workload,
+            cores_requested: job.spec.cores,
+            cores_granted: job.spans.cores,
+            arrival: job.spans.arrival,
+            finish: now,
+            outcome,
+        });
+        job.spans.finish = now;
+        job.spans.terminal = terminal;
+        self.spans.push(job.spans);
+    }
 }
 
 fn jitter_prng(cfg: &ServiceConfig, job_id: u64, attempt: u32) -> Prng {
@@ -280,23 +377,19 @@ fn service_ticks(
 /// threads are joined on drop — the graceful-shutdown contract.
 #[must_use]
 pub fn serve(schedule: Vec<(u64, JobSpec)>, cfg: &ServiceConfig) -> ServiceResult {
-    serve_scoped(schedule, cfg, None).0
+    serve_with(schedule, cfg, false)
 }
 
-/// [`serve`] with an optional clp-scope recording layer. With
-/// `scope: None` this *is* `serve` — the recorder hooks compile to a
-/// skipped `Option` branch and per-attempt profiling stays off, so the
-/// virtual schedule and the [`ServiceResult`] are identical either way
-/// (profiling never changes simulated cycle counts). With scope on, the
-/// returned [`ScopeReport`] is a pure function of
-/// `(arrival schedule, config, scope options)` and replays
-/// byte-identically.
-#[must_use]
-pub fn serve_scoped(
+/// [`serve`], with every attempt run under clp-prof when `profile` is
+/// set, so each completed job's span tree carries its run-level book.
+/// Profiling never changes a cycle count, so the virtual schedule, and
+/// with it everything in the result but those books, is the same either
+/// way.
+pub(crate) fn serve_with(
     schedule: Vec<(u64, JobSpec)>,
     cfg: &ServiceConfig,
-    scope: Option<&ScopeOptions>,
-) -> (ServiceResult, Option<ScopeReport>) {
+    profile: bool,
+) -> ServiceResult {
     let mut pool = WorkerPool::new(cfg.workers);
     let mut cache = CompileCache::new();
     let mut workers: Vec<Option<InFlight>> = (0..cfg.workers.max(1)).map(|_| None).collect();
@@ -304,12 +397,11 @@ pub fn serve_scoped(
     let mut retry_bin: Vec<(u64, JobState)> = Vec::new();
     let mut ledger = Ledger {
         records: Vec::new(),
+        spans: Vec::new(),
         latencies: Vec::new(),
         totals: ServiceTotals::default(),
         host: HostLedger::default(),
-        scope: scope.map(|o| ScopeRecorder::new(o, cfg.workers.max(1))),
     };
-    let profile_jobs = ledger.scope.is_some();
     let mut arrivals = schedule.into_iter().peekable();
     let mut now = 0u64;
 
@@ -375,14 +467,14 @@ pub fn serve_scoped(
             };
             let hit = cache.lookup(job.program);
             let miss = hit.is_none();
-            let first_attempt = job.attempt == 0;
+            let first_attempt = job.attempts() == 0;
             pool.dispatch(
                 i,
                 ExecRequest {
                     job_id: job.spec.id,
                     settings: Settings {
                         program: job.program,
-                        cores: job.granted_cores,
+                        cores: job.spans.cores,
                         // Attempt-0 faults only: a retry runs on fresh
                         // hardware with the transient condition cleared.
                         faults: if first_attempt {
@@ -391,7 +483,7 @@ pub fn serve_scoped(
                             FaultPlan::none()
                         },
                         sabotage: first_attempt && job.spec.sabotage,
-                        profile: profile_jobs,
+                        profile,
                     },
                     budget: job.budget,
                     workload: job.workload.clone(),
@@ -401,28 +493,19 @@ pub fn serve_scoped(
             );
             batch.push((i, job, miss));
         }
-        for (i, job, miss) in batch {
+        for (i, mut job, miss) in batch {
             let response = pool.await_response(i);
             let (ticks, charged) = service_ticks(cfg, &response.outcome, miss, job.budget);
             ledger.host.attempts += 1;
             ledger.host.resumed += u64::from(response.resumed);
             ledger.host.cycles_stepped += response.stepped;
             ledger.host.cycles_charged += charged;
-            if let Some(s) = ledger.scope.as_mut() {
-                s.dispatched(job.spec.id, i, now, now + ticks, !miss, cfg.compile_ticks);
-            }
+            job.dispatched(i, now, now + ticks, miss.then_some(cfg.compile_ticks));
             workers[i] = Some(InFlight {
                 done_at: now + ticks,
                 job,
                 response,
             });
-        }
-
-        // End of tick: close a series interval if one is due, with the
-        // queue and workers as they stand after dispatch.
-        if let Some(s) = ledger.scope.as_mut() {
-            let busy = workers.iter().filter(|w| w.is_some()).count();
-            s.sample(now, queue.len(), busy);
         }
     }
 
@@ -433,16 +516,14 @@ pub fn serve_scoped(
     ledger.totals.respawns = pool.respawns();
     ledger.totals.drained_at = now;
     ledger.records.sort_by_key(|r| r.id);
-    let report = ledger.scope.map(|s| s.finish(now, cfg.seed));
-    (
-        ServiceResult {
-            totals: ledger.totals,
-            records: ledger.records,
-            latencies: ledger.latencies,
-            host: ledger.host,
-        },
-        report,
-    )
+    ledger.spans.sort_by_key(|s| s.id);
+    ServiceResult {
+        totals: ledger.totals,
+        records: ledger.records,
+        spans: ledger.spans,
+        latencies: ledger.latencies,
+        host: ledger.host,
+    }
 }
 
 fn admit(
@@ -453,13 +534,16 @@ fn admit(
     ledger: &mut Ledger,
 ) {
     ledger.totals.submitted += 1;
-    // Record the typed rejection and (scope on) the terminal-only span
-    // tree; `class` is the workload-class label when the name resolved.
+    // Record the typed rejection and the terminal-only span tree;
+    // `class` is the workload-class label when the name resolved.
     let reject = |ledger: &mut Ledger, spec: &JobSpec, class: &str, why: Rejected| {
-        if let Some(s) = ledger.scope.as_mut() {
-            let shed = matches!(why, Rejected::Overloaded { .. });
-            s.rejected(spec.id, &spec.workload, class, spec.cores, now, shed);
-        }
+        let terminal = match why {
+            Rejected::Overloaded { .. } => Terminal::Shed,
+            _ => Terminal::Invalid,
+        };
+        ledger
+            .spans
+            .push(arrived(spec, class, spec.cores, now, terminal));
         ledger.records.push(JobRecord {
             id: spec.id,
             workload: spec.workload.clone(),
@@ -509,19 +593,20 @@ fn admit(
         ledger.totals.degraded += 1;
     }
     ledger.totals.admitted += 1;
-    if let Some(s) = ledger.scope.as_mut() {
-        s.admitted(spec.id, &spec.workload, class, granted, now);
-    }
+    // `Failed` until the terminal event says otherwise.
+    let mut spans = arrived(&spec, class, granted, now, Terminal::Failed);
+    spans.queued.push(Span {
+        start: now,
+        end: now,
+    });
     let budget = spec.budget;
     queue.push_back(JobState {
         spec,
         program: content_hash(&workload),
         workload: Arc::new(workload),
-        granted_cores: granted,
-        arrival: now,
-        attempt: 0,
         budget,
         parked: None,
+        spans,
     });
     ledger.totals.max_queue_depth = ledger.totals.max_queue_depth.max(queue.len() as u64);
 }
@@ -551,94 +636,69 @@ fn complete(
             },
         );
     }
-    let finish_record = |ledger: &mut Ledger, job: &JobState, outcome: JobOutcome| {
-        ledger.records.push(JobRecord {
-            id: job.spec.id,
-            workload: job.spec.workload.clone(),
-            cores_requested: job.spec.cores,
-            cores_granted: job.granted_cores,
-            arrival: job.arrival,
-            finish: now,
-            attempts: job.attempt + 1,
-            outcome,
-        });
-    };
-    let (error, class, was_panic) = match response.outcome {
-        ExecOutcome::Success { cycles, profile } => {
+    let (error, end) = match response.outcome {
+        ExecOutcome::Success { cycles, book } => {
             ledger.totals.completed += 1;
-            ledger.latencies.push(now - job.arrival);
-            if let Some(s) = ledger.scope.as_mut() {
-                s.completed(job.spec.id, now, cycles, profile.as_deref());
-            }
-            finish_record(ledger, &job, JobOutcome::Completed { cycles });
+            ledger.latencies.push(now - job.spans.arrival);
+            job.spans.book = book;
+            let outcome = JobOutcome::Completed { cycles };
+            let terminal = Terminal::Completed { cycles };
+            ledger.finish(job, now, AttemptEnd::Success, terminal, outcome);
             return;
         }
         ExecOutcome::Panicked => {
             ledger.totals.panics += 1;
-            (
-                "panic: worker poisoned and respawned".to_string(),
-                FailureClass::Transient,
-                true,
-            )
+            let error = "panic: worker poisoned and respawned".to_string();
+            (error, AttemptEnd::Panicked)
         }
         ExecOutcome::Failure(failure) => {
-            let class = failure.class();
-            match class {
+            let end = match failure.class() {
                 FailureClass::Permanent => {
                     ledger.totals.failed_permanent += 1;
-                    if let Some(s) = ledger.scope.as_mut() {
-                        s.failed(job.spec.id, now);
-                    }
-                    finish_record(
-                        ledger,
-                        &job,
-                        JobOutcome::Failed {
-                            error: failure.to_string(),
-                        },
-                    );
+                    let outcome = JobOutcome::Failed {
+                        error: failure.to_string(),
+                    };
+                    ledger.finish(job, now, AttemptEnd::Permanent, Terminal::Failed, outcome);
                     return;
                 }
-                FailureClass::Transient => ledger.totals.transient_failures += 1,
+                FailureClass::Transient => {
+                    ledger.totals.transient_failures += 1;
+                    AttemptEnd::Transient
+                }
                 FailureClass::DeadlineKill => {
                     ledger.totals.deadline_kills += 1;
                     // A killed job only makes sense to retry with more
                     // headroom.
                     job.budget = job.budget.saturating_mul(2);
+                    AttemptEnd::DeadlineKill
                 }
-            }
-            (failure.to_string(), class, false)
+            };
+            (failure.to_string(), end)
         }
     };
-    debug_assert_ne!(class, FailureClass::Permanent);
-    let attempt_end = if was_panic {
-        AttemptEnd::Panicked
-    } else if class == FailureClass::DeadlineKill {
-        AttemptEnd::DeadlineKill
-    } else {
-        AttemptEnd::Transient
-    };
-    if job.attempt >= cfg.max_retries {
+    let attempts = job.attempts();
+    if attempts > cfg.max_retries {
         ledger.totals.exhausted += 1;
-        if let Some(s) = ledger.scope.as_mut() {
-            s.exhausted(job.spec.id, now, attempt_end);
-        }
-        finish_record(
-            ledger,
-            &job,
-            JobOutcome::Exhausted {
-                attempts: job.attempt + 1,
-                last_error: error,
-            },
-        );
+        let outcome = JobOutcome::Exhausted {
+            attempts,
+            last_error: error,
+        };
+        ledger.finish(job, now, end, Terminal::Exhausted, outcome);
         return;
     }
-    job.attempt += 1;
     ledger.totals.retries += 1;
-    let delay = backoff_delay(cfg, job.spec.id, job.attempt);
-    if let Some(s) = ledger.scope.as_mut() {
-        s.retry(job.spec.id, now, now + delay, attempt_end);
-    }
-    retry_bin.push((now + delay, job));
+    let release = now + backoff_delay(cfg, job.spec.id, attempts);
+    job.close_attempt(end);
+    job.spans.backoffs.push(Span {
+        start: now,
+        end: release,
+    });
+    // Queued again from the release on.
+    job.spans.queued.push(Span {
+        start: release,
+        end: release,
+    });
+    retry_bin.push((release, job));
 }
 
 #[cfg(test)]
@@ -733,30 +793,5 @@ mod tests {
         assert_eq!(r.totals.deadline_kills, 2);
         assert_eq!(r.totals.retries, 2);
         assert_eq!(r.records[0].attempts, 3);
-    }
-
-    #[test]
-    fn scope_off_and_scope_on_agree_on_the_service_result() {
-        // Profiling per job must not perturb the virtual schedule: the
-        // scope-on run's ServiceResult equals the scope-off run's.
-        let sched = || {
-            vec![
-                (1u64, JobSpec::new(0, "conv", 8, 2_000)),
-                (500, JobSpec::new(1, "bezier", 4, 200_000)),
-            ]
-        };
-        let off = serve(sched(), &quick_cfg());
-        let (on, report) = serve_scoped(sched(), &quick_cfg(), Some(&ScopeOptions::default()));
-        let rep = report.expect("scope on");
-        assert_eq!(off.totals, on.totals);
-        assert_eq!(off.records, on.records);
-        assert_eq!(off.latencies, on.latencies);
-        // The scope report saw the same history the result records.
-        assert_eq!(rep.jobs.len(), 2);
-        assert_eq!(rep.drained_at, on.totals.drained_at);
-        assert_eq!(
-            rep.fleet.total.jobs, on.totals.completed,
-            "every completed job folded into the fleet book"
-        );
     }
 }

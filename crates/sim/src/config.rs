@@ -28,8 +28,6 @@ pub struct CoreConfig {
     pub dispatch_per_cycle: usize,
     /// Issue-window entries (one block's worth).
     pub window_entries: usize,
-    /// Architectural registers per bank (128 total / participating cores).
-    pub registers: usize,
 }
 
 /// Full simulator configuration.
@@ -93,7 +91,6 @@ impl SimConfig {
                 fp_issue: 1,
                 dispatch_per_cycle: 4,
                 window_entries: 128,
-                registers: 128,
             },
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::tflex(),
@@ -123,7 +120,6 @@ impl SimConfig {
                 fp_issue: 1,
                 dispatch_per_cycle: 1,
                 window_entries: 64,
-                registers: 128,
             },
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::trips_centralized(),

@@ -49,7 +49,7 @@ pub use error::{ComposeError, RunError};
 
 use crate::config::SimConfig;
 use crate::regfile::RegFile;
-use crate::stats::{CommitLatencyBreakdown, ComposeStats, RecoveryStats, RunStats};
+use crate::stats::{ComposeStats, RecoveryStats, RunStats};
 use clp_isa::{EdgeProgram, Reg};
 use clp_mem::MemorySystem;
 use clp_noc::{region_for, NodeId};
@@ -98,19 +98,6 @@ impl Machine {
     #[must_use]
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.fab.recovery_stats
-    }
-
-    /// Whether global core `core` has been silenced by a hard fault.
-    #[must_use]
-    pub fn is_core_dead(&self, core: usize) -> bool {
-        self.fab.dead[core]
-    }
-
-    /// What the fault layer injected so far (all zeros on fault-free
-    /// runs).
-    #[must_use]
-    pub fn fault_stats(&self) -> &crate::fault::FaultStats {
-        self.fab.faults.stats()
     }
 
     /// Attaches a tracer; clones of the handle propagate to the memory
@@ -503,11 +490,5 @@ impl Machine {
             ));
         }
         out
-    }
-
-    /// The commit-latency breakdown helper for tests.
-    #[must_use]
-    pub fn commit_breakdown(&self, pid: ProcId) -> CommitLatencyBreakdown {
-        self.procs[pid.0].stats.commit_latency()
     }
 }

@@ -1,5 +1,9 @@
 //! clp-prof and clp-trend glue: last-arrival provenance, the backward
-//! critical-path walk at commit, and the trend recorder's inputs.
+//! critical-path walk at commit, and the trend recorder's inputs. A
+//! trend sample hands the recorder values: the instruction count, the
+//! profiler's books (a trend turns clp-prof on), and a value per
+//! `TrendOptions::paths` entry — the stats tree those are looked up in
+//! is built only when there are any.
 //!
 //! Provenance ([`Prov`], [`FetchReason`]) is written on every path — a
 //! cheap `Copy` riding existing messages — but never read by any
@@ -10,10 +14,19 @@ use super::state::{Blk, Proc};
 use super::Machine;
 use clp_noc::{MeshConfig, NodeId};
 use clp_obs::{
-    Bucket, BucketCycles, ProcProfile, ProfileReport, StatsNode, TraceEvent, Tracer, TrendOptions,
-    TrendRecorder, TrendReport,
+    Bucket, BucketCycles, MetricValue, ProcProfile, ProfileReport, TraceEvent, Tracer,
+    TrendOptions, TrendRecorder, TrendReport,
 };
 use std::collections::BTreeMap;
+
+/// A trend sample's inputs: one value per path, the dispatched
+/// instruction count, and the profiler's run-level buckets and per-core
+/// cycles.
+type TrendInputs<'a> = (
+    Vec<Option<MetricValue>>,
+    u64,
+    Option<(BucketCycles, &'a [u64])>,
+);
 
 /// Why a pending fetch exists. Recorded unconditionally (one byte per
 /// fetch) and read only by the profiler, which maps the idle gap before
@@ -382,27 +395,35 @@ impl Machine {
     }
 
     /// Enables clp-trend columnar time-series recording: one sample per
-    /// `opts.period` cycles over the selected stats paths plus (when
-    /// profiling is also enabled) the cycle-accounting buckets and the
-    /// per-core heat rows. Call before [`Machine::run`]; collect with
+    /// `opts.period` cycles over the selected stats paths plus the
+    /// cycle-accounting buckets and the per-core heat rows, for which it
+    /// turns clp-prof on (if [`Machine::enable_profiling`] has not).
+    /// Call before [`Machine::run`]; collect with
     /// [`Machine::take_trend_report`].
     ///
     /// Recording is observational — samples are written on due cycles
     /// but never read back for timing, so cycle counts stay bit-identical
     /// to unrecorded runs.
     pub fn enable_trend(&mut self, opts: TrendOptions) {
-        let cores = self.fab.cfg.chip_cores();
-        self.trend = Some(Box::new(TrendRecorder::new(opts, cores)));
+        if self.fab.prof.is_none() {
+            self.enable_profiling();
+        }
+        self.trend = Some(Box::new(TrendRecorder::new(opts)));
     }
 
-    /// Hands `sample` what a trend sample reads: the stats tree, the
-    /// dispatched instruction count and, with profiling on, the
+    /// What a trend sample reads: the value at each of `rec`'s paths
+    /// (the stats tree is built only when there are paths to resolve),
+    /// the dispatched instruction count and, with profiling on, the
     /// run-level buckets over all processors plus the per-core cycles.
-    fn trend_inputs<R>(
-        &self,
-        sample: impl FnOnce(&StatsNode, u64, Option<(&BucketCycles, &[u64])>) -> R,
-    ) -> R {
-        let stats = self.collect_stats();
+    fn trend_inputs(&self, rec: &TrendRecorder) -> TrendInputs<'_> {
+        let paths = rec.paths();
+        let values = if paths.is_empty() {
+            Vec::new()
+        } else {
+            let root = self.collect_stats().to_snapshot().root;
+            paths.iter().map(|p| root.lookup(p)).collect()
+        };
+        let insts = self.procs.iter().map(|p| p.stats.insts_dispatched).sum();
         let prof = self.fab.prof.as_deref().map(|acc| {
             let mut total = BucketCycles::default();
             for p in &acc.per_proc {
@@ -410,9 +431,7 @@ impl Machine {
             }
             (total, acc.core_cycles.as_slice())
         });
-        let root = stats.to_snapshot().root;
-        let prof = prof.as_ref().map(|(b, h)| (b, *h));
-        sample(&root, stats.total_insts(), prof)
+        (values, insts, prof)
     }
 
     /// Finalizes and returns the trend report (closing the last partial
@@ -420,8 +439,9 @@ impl Machine {
     /// Recording stops; a second call returns `None`.
     #[must_use]
     pub fn take_trend_report(&mut self) -> Option<TrendReport> {
-        let (rec, now) = (self.trend.take()?, self.fab.now);
-        Some(self.trend_inputs(|root, insts, prof| rec.finish(now, root, insts, prof)))
+        let rec = self.trend.take()?;
+        let (values, insts, prof) = self.trend_inputs(&rec);
+        Some(rec.finish(self.fab.now, &values, insts, prof))
     }
 
     /// Closes the trend interval ending now. Only called on due cycles.
@@ -429,8 +449,8 @@ impl Machine {
         let Some(mut rec) = self.trend.take() else {
             return;
         };
-        let now = self.fab.now;
-        self.trend_inputs(|root, insts, prof| rec.record(now, root, insts, prof));
+        let (values, insts, prof) = self.trend_inputs(&rec);
+        rec.record(self.fab.now, &values, insts, prof);
         self.trend = Some(rec);
     }
 }

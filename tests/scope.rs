@@ -1,7 +1,8 @@
 //! Integration suite for clp-scope: span-tree invariants over random
-//! seeded arrival streams, byte-identical scope-on replay against the
-//! committed `SCOPE_serve.json` golden, and the observational guarantee
-//! that turning scope on does not change the `clp-serve-v1` document.
+//! seeded arrival streams, the view's series against the service's own
+//! totals, byte-identical scope-on replay against the committed
+//! `SCOPE_serve.json` golden, and the observational guarantee that
+//! turning scope on does not change the `clp-serve-v1` document.
 //!
 //! The span invariants are structural: a job's lifecycle must *tile* —
 //! queued, attempt, and backoff spans meet edge-to-edge from arrival to
@@ -12,7 +13,7 @@
 use clp::obs::{check_golden, ScopeOptions, ScopeReport, Terminal};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    bench_spec, serve_scoped, ServiceConfig, ServiceReport,
+    bench_spec, serve_scoped, ServiceConfig, ServiceReport, ServiceResult,
 };
 use proptest::prelude::*;
 
@@ -112,6 +113,26 @@ fn assert_span_invariants(rep: &ScopeReport) {
     assert_eq!(by_cores, want_sim, "size rollups partition the fleet");
 }
 
+/// The view against the service's own totals: each count column of the
+/// series sums to the matching counter, and the view's jobs are the
+/// result's span trees.
+fn assert_view_matches_totals(rep: &ScopeReport, result: &ServiceResult) {
+    let t = &result.totals;
+    for (path, total) in [
+        ("scope/completed", t.completed),
+        ("scope/retries", t.retries),
+        ("scope/shed", t.rejected_overloaded),
+        ("scope/cache_hits", t.cache_hits),
+        ("scope/cache_misses", t.cache_misses),
+    ] {
+        let col = rep.series.columns.iter().find(|c| c.path == path);
+        let sum: u64 = col.expect("series column").values.iter().sum();
+        assert_eq!(sum, total, "{path} sums to its total");
+    }
+    assert_eq!(rep.jobs, result.spans);
+    assert_eq!(rep.drained_at, t.drained_at);
+}
+
 #[test]
 fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     // The exact configuration `clp-serve --bench` pins, so this suite
@@ -154,6 +175,7 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
 
     // The chaotic bench run satisfies every span invariant too.
     assert_span_invariants(&scope_a);
+    assert_view_matches_totals(&scope_a, &result_a);
     assert_eq!(scope_a.fleet.total.jobs, result_a.totals.completed);
 }
 
@@ -199,5 +221,6 @@ proptest! {
         prop_assert_eq!(scope.fleet.total.jobs, result.totals.completed);
         prop_assert_eq!(scope.drained_at, result.totals.drained_at);
         assert_span_invariants(&scope);
+        assert_view_matches_totals(&scope, &result);
     }
 }
