@@ -172,7 +172,8 @@ pub struct JobSpans {
     /// Workload-class label (e.g. `spec_int`), or `unknown` for jobs
     /// rejected before name resolution.
     pub class: String,
-    /// Composition size granted (0 for rejected jobs).
+    /// Composition size: the one granted to an admitted job (halved
+    /// under load), the one requested by a rejected job.
     pub cores: usize,
     /// Arrival tick.
     pub arrival: u64,

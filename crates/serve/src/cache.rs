@@ -2,11 +2,11 @@
 //! results.
 //!
 //! The scheduler — never a worker — performs lookups and inserts, at
-//! virtual-time events in deterministic order, so hit/miss counts are a
-//! pure function of the job schedule and can be asserted byte-for-byte
-//! in the replay golden. Workers only *compile* on a miss and hand the
-//! finished [`CompiledWorkload`] back for insertion at the completion
-//! event.
+//! virtual-time events in deterministic order, so which attempts hit is
+//! a pure function of the job schedule; each attempt's span records it,
+//! and the hit/miss totals are counted off those spans at drain. Workers
+//! only *compile* on a miss and hand the finished [`CompiledWorkload`]
+//! back for insertion at the completion event.
 
 use clp_core::CompiledWorkload;
 use clp_workloads::Workload;
@@ -45,12 +45,10 @@ pub struct CacheEntry {
 #[allow(clippy::disallowed_types)]
 type Entries = std::collections::HashMap<u64, CacheEntry>;
 
-/// The compile cache, with hit/miss accounting.
+/// The compile cache.
 #[derive(Default)]
 pub struct CompileCache {
     entries: Entries,
-    hits: u64,
-    misses: u64,
 }
 
 impl CompileCache {
@@ -60,18 +58,10 @@ impl CompileCache {
         Self::default()
     }
 
-    /// Looks up a content hash, counting the hit or miss.
-    pub fn lookup(&mut self, key: u64) -> Option<CacheEntry> {
-        match self.entries.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                Some(e.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Looks up a content hash.
+    #[must_use]
+    pub fn lookup(&self, key: u64) -> Option<CacheEntry> {
+        self.entries.get(&key).cloned()
     }
 
     /// Inserts a freshly compiled entry. A concurrent miss on the same
@@ -79,18 +69,6 @@ impl CompileCache {
     /// hit shares one allocation.
     pub fn insert(&mut self, key: u64, entry: CacheEntry) {
         self.entries.entry(key).or_insert(entry);
-    }
-
-    /// Cache hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Distinct programs cached.
@@ -131,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_hits_and_misses() {
+    fn lookup_finds_what_was_inserted() {
         let mut cache = CompileCache::new();
         let w = suite::by_name("conv").unwrap();
         let key = content_hash(&w);
@@ -145,7 +123,6 @@ mod tests {
             },
         );
         assert!(cache.lookup(key).is_some());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lint_warnings(), 2);
     }

@@ -1,6 +1,7 @@
 //! Job vocabulary: what a client submits, why the admission controller
 //! may refuse it, and what the service ultimately reports per job.
 
+use clp_obs::Terminal;
 use clp_sim::FaultPlan;
 use serde::Serialize;
 use std::fmt;
@@ -119,6 +120,17 @@ impl JobOutcome {
     #[must_use]
     pub fn is_completed(&self) -> bool {
         matches!(self, JobOutcome::Completed { .. })
+    }
+
+    /// The job's terminal as the span model sees it.
+    pub(crate) fn terminal(&self) -> Terminal {
+        match self {
+            JobOutcome::Completed { cycles } => Terminal::Completed { cycles: *cycles },
+            JobOutcome::Rejected(Rejected::Overloaded { .. }) => Terminal::Shed,
+            JobOutcome::Rejected(_) => Terminal::Invalid,
+            JobOutcome::Failed { .. } => Terminal::Failed,
+            JobOutcome::Exhausted { .. } => Terminal::Exhausted,
+        }
     }
 }
 

@@ -14,8 +14,8 @@
 //! - [`arrivals`] — a seeded open-loop arrival generator; the schedule
 //!   is a pure function of `(seed, count)`.
 //! - [`cache`] — a content-hashed cache of compiled hyperblock programs
-//!   and their lint results, owned by the scheduler so hit/miss counts
-//!   are deterministic.
+//!   and their lint results, owned by the scheduler so which attempts
+//!   hit is deterministic.
 //! - [`pool`] — persistent worker threads running jobs under
 //!   `catch_unwind`; a panicking job poisons its worker, which is
 //!   disposed of and respawned. A deadline-killed attempt's machine

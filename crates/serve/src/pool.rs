@@ -128,11 +128,9 @@ pub enum ExecOutcome {
     Panicked,
 }
 
-/// A worker's response: the job id it ran, what happened, and (on a
-/// cache miss) the program it compiled, for the scheduler to insert.
+/// A worker's response: what happened, and (on a cache miss) the
+/// program it compiled, for the scheduler to insert.
 pub struct ExecResponse {
-    /// Echo of the request's job id.
-    pub job_id: u64,
     /// The outcome.
     pub outcome: ExecOutcome,
     /// Compiled on this attempt (cache miss): the program plus its lint
@@ -149,9 +147,8 @@ pub struct ExecResponse {
 
 impl ExecResponse {
     /// A response for an attempt whose machine never ran.
-    fn unrun(job_id: u64, outcome: ExecOutcome) -> Self {
+    fn unrun(outcome: ExecOutcome) -> Self {
         ExecResponse {
-            job_id,
             outcome,
             compiled_here: None,
             resumed: false,
@@ -172,7 +169,7 @@ fn execute(req: ExecRequest) -> ExecResponse {
         None => {
             let cw = match compile_workload(&req.workload) {
                 Ok(cw) => Arc::new(cw),
-                Err(e) => return ExecResponse::unrun(req.job_id, ExecOutcome::Failure(e)),
+                Err(e) => return ExecResponse::unrun(ExecOutcome::Failure(e)),
             };
             let lint = clp_lint::lint_program(&cw.edge, &clp_lint::LintConfig::default());
             let warnings = lint.count(clp_lint::Severity::Warn) as u64;
@@ -199,7 +196,7 @@ fn execute(req: ExecRequest) -> ExecResponse {
                 Err(e) => {
                     return ExecResponse {
                         compiled_here,
-                        ..ExecResponse::unrun(req.job_id, ExecOutcome::Failure(e))
+                        ..ExecResponse::unrun(ExecOutcome::Failure(e))
                     }
                 }
             }
@@ -217,7 +214,6 @@ fn execute(req: ExecRequest) -> ExecResponse {
         }
     };
     ExecResponse {
-        job_id: req.job_id,
         outcome,
         compiled_here,
         resumed,
@@ -239,7 +235,6 @@ fn spawn_worker(index: usize) -> Slot {
         .name(format!("{WORKER_THREAD_PREFIX}-{index}"))
         .spawn(move || {
             while let Ok(req) = req_rx.recv() {
-                let job_id = req.job_id;
                 match catch_unwind(AssertUnwindSafe(|| execute(req))) {
                     Ok(resp) => {
                         if resp_tx.send(resp).is_err() {
@@ -251,7 +246,7 @@ fn spawn_worker(index: usize) -> Slot {
                         // Whatever half-mutated state the job left behind
                         // (a parked machine it was continuing included)
                         // dies with it; the pool respawns the slot.
-                        let _ = resp_tx.send(ExecResponse::unrun(job_id, ExecOutcome::Panicked));
+                        let _ = resp_tx.send(ExecResponse::unrun(ExecOutcome::Panicked));
                         return;
                     }
                 }
@@ -268,7 +263,6 @@ fn spawn_worker(index: usize) -> Slot {
 /// The pool: `workers` persistent threads, respawned on poisoning.
 pub struct WorkerPool {
     slots: Vec<Slot>,
-    respawns: u64,
 }
 
 impl WorkerPool {
@@ -278,20 +272,7 @@ impl WorkerPool {
         install_quiet_hook();
         WorkerPool {
             slots: (0..workers.max(1)).map(spawn_worker).collect(),
-            respawns: 0,
         }
-    }
-
-    /// Number of worker slots.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Workers respawned after poisoning so far.
-    #[must_use]
-    pub fn respawns(&self) -> u64 {
-        self.respawns
     }
 
     /// Hands a request to slot `i` without waiting — the service
@@ -304,7 +285,8 @@ impl WorkerPool {
     /// Blocks for slot `i`'s response to its in-flight request. If the
     /// job panicked, the poisoned thread has already exited; the slot is
     /// respawned here, so the pool is whole again before the next
-    /// dispatch round.
+    /// dispatch round. A `Panicked` response is therefore exactly one
+    /// respawn, which is how the service counts them.
     pub fn await_response(&mut self, i: usize) -> ExecResponse {
         let resp = self.slots[i].rx.recv().expect("worker always responds");
         if matches!(resp.outcome, ExecOutcome::Panicked) {
@@ -312,7 +294,6 @@ impl WorkerPool {
                 let _ = h.join();
             }
             self.slots[i] = spawn_worker(i);
-            self.respawns += 1;
         }
         resp
     }
@@ -360,10 +341,8 @@ mod tests {
         let mut pool = WorkerPool::new(1);
         pool.dispatch(0, plain_request(7, "conv", 8, 200_000));
         let resp = pool.await_response(0);
-        assert_eq!(resp.job_id, 7);
         assert!(matches!(resp.outcome, ExecOutcome::Success { cycles, .. } if cycles > 100));
         assert!(resp.compiled_here.is_some(), "miss compiles");
-        assert_eq!(pool.respawns(), 0);
     }
 
     #[test]
@@ -374,7 +353,6 @@ mod tests {
         pool.dispatch(0, req);
         let resp = pool.await_response(0);
         assert!(matches!(resp.outcome, ExecOutcome::Panicked));
-        assert_eq!(pool.respawns(), 1);
         // The respawned worker is immediately serviceable.
         pool.dispatch(0, plain_request(2, "conv", 4, 200_000));
         let resp = pool.await_response(0);

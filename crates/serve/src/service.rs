@@ -38,12 +38,15 @@
 //! One book: each job's span tree ([`JobSpans`] — its queued, attempt
 //! and backoff spans, the compile sub-span of a cache miss, how each
 //! attempt ended, the terminal, and with profiled attempts the
-//! completed run's clp-prof book) is part of its record. A job carries
-//! its tree through queue, worker and backoff; the tree is written where
-//! the [`JobRecord`] is and returned in [`ServiceResult::spans`]. The
-//! spans are values the scheduler computed anyway and feed nothing back,
-//! so clp-scope is a view over them (`report.rs`) and nothing here
-//! records on its behalf.
+//! completed run's clp-prof book) is the only thing the scheduler writes
+//! per job event. A job carries its tree through queue, worker and
+//! backoff, and its terminal event enters it in the book beside the two
+//! facts the tree lacks: the composition size asked for and the typed
+//! [`JobOutcome`]. Everything else is a view of that book, built once at
+//! drain ([`Ledger::drain`]): the [`JobRecord`]s, the latencies, and
+//! every [`ServiceTotals`] counter but the deepest queue and what the
+//! cache holds. clp-scope is another view over the same trees
+//! (`report.rs`), and nothing here records on its behalf.
 
 use crate::cache::{content_hash, CacheEntry, CompileCache};
 use crate::job::{JobOutcome, JobSpec, Rejected};
@@ -205,7 +208,8 @@ pub struct ServiceResult {
     /// behind each record. A completed job's carries its clp-prof book
     /// when the attempts were profiled.
     pub spans: Vec<JobSpans>,
-    /// Sojourn latencies of completed jobs, in submission order.
+    /// Sojourn latencies of completed jobs, in id order. Only the
+    /// order-free `LatencySummary::from_samples` reads them.
     pub latencies: Vec<u64>,
     /// Host-side work, outside the pinned report.
     pub host: HostLedger,
@@ -268,9 +272,9 @@ impl JobState {
 }
 
 /// A span tree with no spans yet for a job arriving at `now`: a refused
-/// job's whole tree, or an admitted one's until the terminal event
-/// overwrites `terminal` and `finish`.
-fn arrived(spec: &JobSpec, class: &str, cores: usize, now: u64, terminal: Terminal) -> JobSpans {
+/// job's whole tree, or an admitted one's so far. [`Ledger::finish`]
+/// writes its terminal and finish.
+fn arrived(spec: &JobSpec, class: &str, cores: usize, now: u64) -> JobSpans {
     JobSpans {
         id: spec.id,
         workload: spec.workload.clone(),
@@ -278,7 +282,7 @@ fn arrived(spec: &JobSpec, class: &str, cores: usize, now: u64, terminal: Termin
         cores,
         arrival: now,
         finish: now,
-        terminal,
+        terminal: Terminal::Failed,
         queued: Vec::new(),
         attempts: Vec::new(),
         backoffs: Vec::new(),
@@ -292,42 +296,103 @@ struct InFlight {
     response: ExecResponse,
 }
 
-/// The run's output side, bundled so the event handlers thread one
-/// mutable borrow instead of five: terminal records and span trees,
-/// latency samples, and the counters.
+/// One job's entry in the book: its closed span tree, and the two facts
+/// the tree lacks.
+struct Entry {
+    spans: JobSpans,
+    /// Composition size the client asked for.
+    requested: usize,
+    outcome: JobOutcome,
+}
+
+/// The run's output side: the job book, plus the deepest queue and the
+/// host's work, which no job's tree records.
+#[derive(Default)]
 struct Ledger {
-    records: Vec<JobRecord>,
-    spans: Vec<JobSpans>,
-    latencies: Vec<u64>,
-    totals: ServiceTotals,
+    jobs: Vec<Entry>,
+    max_queue_depth: u64,
     host: HostLedger,
 }
 
 impl Ledger {
-    /// Writes `job`'s terminal record and its closed span tree: the
-    /// attempt in flight ended `end`, the job `terminal`, at `now`.
-    fn finish(
-        &mut self,
-        mut job: JobState,
-        now: u64,
-        end: AttemptEnd,
-        terminal: Terminal,
-        outcome: JobOutcome,
-    ) {
-        job.close_attempt(end);
-        self.records.push(JobRecord {
-            attempts: job.attempts(),
-            id: job.spec.id,
-            workload: job.spec.workload,
-            cores_requested: job.spec.cores,
-            cores_granted: job.spans.cores,
-            arrival: job.spans.arrival,
-            finish: now,
+    /// Closes a job's span tree at `now` with `outcome` and enters it in
+    /// the book: every terminal event, rejections included.
+    fn finish(&mut self, mut spans: JobSpans, requested: usize, now: u64, outcome: JobOutcome) {
+        spans.finish = now;
+        spans.terminal = outcome.terminal();
+        self.jobs.push(Entry {
+            spans,
+            requested,
             outcome,
         });
-        job.spans.finish = now;
-        job.spans.terminal = terminal;
-        self.spans.push(job.spans);
+    }
+
+    /// The result, derived once from the book, the cache and the drain
+    /// tick: records and span trees in id order, latencies, and totals.
+    fn drain(mut self, cache: &CompileCache, drained_at: u64) -> ServiceResult {
+        self.jobs.sort_by_key(|e| e.spans.id);
+        let mut records = Vec::with_capacity(self.jobs.len());
+        let mut spans = Vec::with_capacity(self.jobs.len());
+        for e in self.jobs {
+            let admitted = !matches!(e.outcome, JobOutcome::Rejected(_));
+            records.push(JobRecord {
+                id: e.spans.id,
+                workload: e.spans.workload.clone(),
+                cores_requested: e.requested,
+                cores_granted: if admitted { e.spans.cores } else { 0 },
+                arrival: e.spans.arrival,
+                finish: e.spans.finish,
+                attempts: e.spans.attempts.len() as u32,
+                outcome: e.outcome,
+            });
+            spans.push(e.spans);
+        }
+        let latencies: Vec<u64> = records
+            .iter()
+            .filter(|r| r.outcome.is_completed())
+            .map(|r| r.finish - r.arrival)
+            .collect();
+        let ended_as = |t: Terminal| spans.iter().filter(|s| s.terminal == t).count() as u64;
+        let attempts = || spans.iter().flat_map(|s| &s.attempts);
+        let ended = |k: AttemptEnd| attempts().filter(|a| a.end_kind == k).count() as u64;
+        let submitted = records.len() as u64;
+        let shed = ended_as(Terminal::Shed);
+        let invalid = ended_as(Terminal::Invalid);
+        let cache_hits = attempts().filter(|a| a.cache_hit).count() as u64;
+        let panics = ended(AttemptEnd::Panicked);
+        let totals = ServiceTotals {
+            submitted,
+            admitted: submitted - shed - invalid,
+            completed: latencies.len() as u64,
+            rejected_overloaded: shed,
+            rejected_invalid: invalid,
+            failed_permanent: ended_as(Terminal::Failed),
+            exhausted: ended_as(Terminal::Exhausted),
+            retries: spans.iter().map(|s| s.backoffs.len() as u64).sum(),
+            deadline_kills: ended(AttemptEnd::DeadlineKill),
+            panics,
+            // `WorkerPool::await_response` respawns exactly on a panic.
+            respawns: panics,
+            transient_failures: ended(AttemptEnd::Transient),
+            // Admitted (granted >= 1 core) below the size asked for.
+            degraded: records
+                .iter()
+                .filter(|r| (1..r.cores_requested).contains(&r.cores_granted))
+                .count() as u64,
+            cache_hits,
+            cache_misses: attempts().count() as u64 - cache_hits,
+            cache_entries: cache.len() as u64,
+            lint_warnings: cache.lint_warnings(),
+            max_queue_depth: self.max_queue_depth,
+            drained_at,
+        };
+        ServiceResult {
+            totals,
+            records,
+            spans,
+            latencies,
+            host: self.host,
+        }
     }
 }
 
@@ -395,13 +460,7 @@ pub(crate) fn serve_with(
     let mut workers: Vec<Option<InFlight>> = (0..cfg.workers.max(1)).map(|_| None).collect();
     let mut queue: VecDeque<JobState> = VecDeque::new();
     let mut retry_bin: Vec<(u64, JobState)> = Vec::new();
-    let mut ledger = Ledger {
-        records: Vec::new(),
-        spans: Vec::new(),
-        latencies: Vec::new(),
-        totals: ServiceTotals::default(),
-        host: HostLedger::default(),
-    };
+    let mut ledger = Ledger::default();
     let mut arrivals = schedule.into_iter().peekable();
     let mut now = 0u64;
 
@@ -509,21 +568,7 @@ pub(crate) fn serve_with(
         }
     }
 
-    ledger.totals.cache_hits = cache.hits();
-    ledger.totals.cache_misses = cache.misses();
-    ledger.totals.cache_entries = cache.len() as u64;
-    ledger.totals.lint_warnings = cache.lint_warnings();
-    ledger.totals.respawns = pool.respawns();
-    ledger.totals.drained_at = now;
-    ledger.records.sort_by_key(|r| r.id);
-    ledger.spans.sort_by_key(|s| s.id);
-    ServiceResult {
-        totals: ledger.totals,
-        records: ledger.records,
-        spans: ledger.spans,
-        latencies: ledger.latencies,
-        host: ledger.host,
-    }
+    ledger.drain(&cache, now)
 }
 
 fn admit(
@@ -533,68 +578,37 @@ fn admit(
     queue: &mut VecDeque<JobState>,
     ledger: &mut Ledger,
 ) {
-    ledger.totals.submitted += 1;
-    // Record the typed rejection and the terminal-only span tree;
+    // A refused job's span tree is its arrival, at the size it asked for;
     // `class` is the workload-class label when the name resolved.
-    let reject = |ledger: &mut Ledger, spec: &JobSpec, class: &str, why: Rejected| {
-        let terminal = match why {
-            Rejected::Overloaded { .. } => Terminal::Shed,
-            _ => Terminal::Invalid,
-        };
-        ledger
-            .spans
-            .push(arrived(spec, class, spec.cores, now, terminal));
-        ledger.records.push(JobRecord {
-            id: spec.id,
-            workload: spec.workload.clone(),
-            cores_requested: spec.cores,
-            cores_granted: 0,
-            arrival: now,
-            finish: now,
-            attempts: 0,
-            outcome: JobOutcome::Rejected(why),
-        });
+    let refuse = |ledger: &mut Ledger, class: &str, why: Rejected| {
+        let spans = arrived(&spec, class, spec.cores, now);
+        ledger.finish(spans, spec.cores, now, JobOutcome::Rejected(why));
     };
     let Some(workload) = clp_workloads::suite::by_name(&spec.workload) else {
-        ledger.totals.rejected_invalid += 1;
-        let why = Rejected::UnknownWorkload {
-            name: spec.workload.clone(),
-        };
-        reject(ledger, &spec, "unknown", why);
+        let name = spec.workload.clone();
+        refuse(ledger, "unknown", Rejected::UnknownWorkload { name });
         return;
     };
     let class = workload.class.label();
-    if spec.cores == 0 || !spec.cores.is_power_of_two() || spec.cores > 32 {
-        ledger.totals.rejected_invalid += 1;
-        reject(
-            ledger,
-            &spec,
-            class,
-            Rejected::InvalidCores { cores: spec.cores },
-        );
-        return;
-    }
-    if spec.budget == 0 {
-        ledger.totals.rejected_invalid += 1;
-        reject(ledger, &spec, class, Rejected::ZeroBudget);
-        return;
-    }
     let depth = queue.len();
-    if depth >= cfg.queue_cap {
-        ledger.totals.rejected_overloaded += 1;
-        reject(ledger, &spec, class, Rejected::Overloaded { depth });
+    let refused = if spec.cores == 0 || !spec.cores.is_power_of_two() || spec.cores > 32 {
+        Some(Rejected::InvalidCores { cores: spec.cores })
+    } else if spec.budget == 0 {
+        Some(Rejected::ZeroBudget)
+    } else if depth >= cfg.queue_cap {
+        Some(Rejected::Overloaded { depth })
+    } else {
+        None
+    };
+    if let Some(why) = refused {
+        refuse(ledger, class, why);
         return;
     }
     // Graceful degradation: shrink the composition before ever refusing
     // work. Halving a power of two stays a power of two.
-    let mut granted = spec.cores;
-    if depth >= cfg.degrade_at && granted > 1 {
-        granted /= 2;
-        ledger.totals.degraded += 1;
-    }
-    ledger.totals.admitted += 1;
-    // `Failed` until the terminal event says otherwise.
-    let mut spans = arrived(&spec, class, granted, now, Terminal::Failed);
+    let degrade = depth >= cfg.degrade_at && spec.cores > 1;
+    let granted = if degrade { spec.cores / 2 } else { spec.cores };
+    let mut spans = arrived(&spec, class, granted, now);
     spans.queued.push(Span {
         start: now,
         end: now,
@@ -608,7 +622,7 @@ fn admit(
         parked: None,
         spans,
     });
-    ledger.totals.max_queue_depth = ledger.totals.max_queue_depth.max(queue.len() as u64);
+    ledger.max_queue_depth = ledger.max_queue_depth.max(queue.len() as u64);
 }
 
 fn complete(
@@ -638,35 +652,21 @@ fn complete(
     }
     let (error, end) = match response.outcome {
         ExecOutcome::Success { cycles, book } => {
-            ledger.totals.completed += 1;
-            ledger.latencies.push(now - job.spans.arrival);
+            job.close_attempt(AttemptEnd::Success);
             job.spans.book = book;
             let outcome = JobOutcome::Completed { cycles };
-            let terminal = Terminal::Completed { cycles };
-            ledger.finish(job, now, AttemptEnd::Success, terminal, outcome);
+            ledger.finish(job.spans, job.spec.cores, now, outcome);
             return;
         }
         ExecOutcome::Panicked => {
-            ledger.totals.panics += 1;
             let error = "panic: worker poisoned and respawned".to_string();
             (error, AttemptEnd::Panicked)
         }
         ExecOutcome::Failure(failure) => {
             let end = match failure.class() {
-                FailureClass::Permanent => {
-                    ledger.totals.failed_permanent += 1;
-                    let outcome = JobOutcome::Failed {
-                        error: failure.to_string(),
-                    };
-                    ledger.finish(job, now, AttemptEnd::Permanent, Terminal::Failed, outcome);
-                    return;
-                }
-                FailureClass::Transient => {
-                    ledger.totals.transient_failures += 1;
-                    AttemptEnd::Transient
-                }
+                FailureClass::Permanent => AttemptEnd::Permanent,
+                FailureClass::Transient => AttemptEnd::Transient,
                 FailureClass::DeadlineKill => {
-                    ledger.totals.deadline_kills += 1;
                     // A killed job only makes sense to retry with more
                     // headroom.
                     job.budget = job.budget.saturating_mul(2);
@@ -676,29 +676,30 @@ fn complete(
             (failure.to_string(), end)
         }
     };
+    job.close_attempt(end);
     let attempts = job.attempts();
-    if attempts > cfg.max_retries {
-        ledger.totals.exhausted += 1;
-        let outcome = JobOutcome::Exhausted {
+    let outcome = match end {
+        AttemptEnd::Permanent => JobOutcome::Failed { error },
+        _ if attempts > cfg.max_retries => JobOutcome::Exhausted {
             attempts,
             last_error: error,
-        };
-        ledger.finish(job, now, end, Terminal::Exhausted, outcome);
-        return;
-    }
-    ledger.totals.retries += 1;
-    let release = now + backoff_delay(cfg, job.spec.id, attempts);
-    job.close_attempt(end);
-    job.spans.backoffs.push(Span {
-        start: now,
-        end: release,
-    });
-    // Queued again from the release on.
-    job.spans.queued.push(Span {
-        start: release,
-        end: release,
-    });
-    retry_bin.push((release, job));
+        },
+        _ => {
+            let release = now + backoff_delay(cfg, job.spec.id, attempts);
+            job.spans.backoffs.push(Span {
+                start: now,
+                end: release,
+            });
+            // Queued again from the release on.
+            job.spans.queued.push(Span {
+                start: release,
+                end: release,
+            });
+            retry_bin.push((release, job));
+            return;
+        }
+    };
+    ledger.finish(job.spans, job.spec.cores, now, outcome);
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Integration suite for clp-scope: span-tree invariants over random
 //! seeded arrival streams, the view's series against the service's own
 //! totals, byte-identical scope-on replay against the committed
-//! `SCOPE_serve.json` golden, and the observational guarantee that
-//! turning scope on does not change the `clp-serve-v1` document.
+//! `SCOPE_serve.json` golden and of README's chaotic run against
+//! `goldens/{serve,scope}_chaos.json`, and the observational guarantee
+//! that turning scope on does not change the `clp-serve-v1` document.
 //!
 //! The span invariants are structural: a job's lifecycle must *tile* —
 //! queued, attempt, and backoff spans meet edge-to-edge from arrival to
@@ -177,6 +178,52 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     assert_span_invariants(&scope_a);
     assert_view_matches_totals(&scope_a, &result_a);
     assert_eq!(scope_a.fleet.total.jobs, result_a.totals.completed);
+}
+
+#[test]
+fn chaos_run_matches_the_committed_chaos_goldens() {
+    // README's chaotic run, `clp-serve --jobs 24 --seed 7 --plant-panic 5
+    // --kill-core 11@800`, with every other flag at its default: a second
+    // pinned stream beside the bench, both documents held to equality.
+    let acfg = ArrivalConfig {
+        jobs: 24,
+        seed: 7,
+        plant_panic: vec![5],
+        kill_at: vec![(11, 800)],
+        ..ArrivalConfig::default()
+    };
+    let scfg = ServiceConfig {
+        seed: 7,
+        ..ServiceConfig::default()
+    };
+    let (result, scope) = serve_scoped(
+        arrivals::generate(&acfg),
+        &scfg,
+        Some(&ScopeOptions::default()),
+    );
+    let scope = scope.expect("scope on");
+    let golden = |name: &str| {
+        let path = format!("{}/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {path}: {e}"))
+    };
+    for (name, fresh) in [
+        (
+            "serve_chaos.json",
+            ServiceReport::new(&acfg, &scfg, &result).to_json(),
+        ),
+        ("scope_chaos.json", scope.to_json()),
+    ] {
+        check_golden(&golden(name), &fresh).unwrap_or_else(|moved| {
+            panic!(
+                "the chaos run diverged from goldens/{name}; regenerate both with \
+                 `clp-serve --jobs 24 --seed 7 --plant-panic 5 --kill-core 11@800 \
+                 --json goldens/serve_chaos.json --scope-json goldens/scope_chaos.json` \
+                 if intentional\n{moved}"
+            )
+        });
+    }
+    assert_span_invariants(&scope);
+    assert_view_matches_totals(&scope, &result);
 }
 
 proptest! {

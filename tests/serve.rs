@@ -11,11 +11,11 @@
 //! job — byte-for-byte.
 
 use clp::core::{run_workload, ProcessorConfig};
-use clp::obs::ScopeOptions;
+use clp::obs::{AttemptEnd, ScopeOptions};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    serve, serve_scoped, HostLedger, JobOutcome, JobSpec, Rejected, ServiceConfig, ServiceReport,
-    ServiceResult,
+    serve, serve_scoped, HostLedger, JobOutcome, JobRecord, JobSpec, Rejected, ServiceConfig,
+    ServiceReport, ServiceResult,
 };
 use clp::sim::{FaultKind, FaultPlan};
 use proptest::prelude::*;
@@ -48,6 +48,71 @@ fn unbooked(mut scoped: ServiceResult) -> ServiceResult {
         assert_eq!(book.is_some(), r.outcome.is_completed(), "job {}", s.id);
     }
     scoped
+}
+
+/// Recounts, here and not with the service's code, every counter of
+/// `totals` that is a view of the job book — from the records, from the
+/// span trees, or from both — and the latency multiset, and checks that
+/// each record is its span tree's.
+fn assert_totals_are_the_records(r: &ServiceResult) {
+    let t = &r.totals;
+    let rejected = |x: &JobRecord| matches!(x.outcome, JobOutcome::Rejected(_));
+    let count =
+        |pred: &dyn Fn(&JobRecord) -> bool| r.records.iter().filter(|x| pred(x)).count() as u64;
+    assert_eq!(t.submitted, r.records.len() as u64);
+    assert_eq!(t.admitted, count(&|x| !rejected(x)));
+    assert_eq!(t.completed, count(&|x| x.outcome.is_completed()));
+    let shed =
+        |x: &JobRecord| matches!(x.outcome, JobOutcome::Rejected(Rejected::Overloaded { .. }));
+    assert_eq!(t.rejected_overloaded, count(&shed));
+    assert_eq!(t.rejected_invalid, count(&|x| rejected(x) && !shed(x)));
+    assert_eq!(
+        t.failed_permanent,
+        count(&|x| matches!(x.outcome, JobOutcome::Failed { .. }))
+    );
+    assert_eq!(
+        t.exhausted,
+        count(&|x| matches!(x.outcome, JobOutcome::Exhausted { .. }))
+    );
+    assert_eq!(
+        t.degraded,
+        count(&|x| !rejected(x) && x.cores_granted < x.cores_requested)
+    );
+
+    let attempts = || r.spans.iter().flat_map(|s| &s.attempts);
+    let ended = |kind: AttemptEnd| attempts().filter(|a| a.end_kind == kind).count() as u64;
+    let backoffs: usize = r.spans.iter().map(|s| s.backoffs.len()).sum();
+    assert_eq!(t.retries, backoffs as u64);
+    assert_eq!(t.deadline_kills, ended(AttemptEnd::DeadlineKill));
+    assert_eq!(t.panics, ended(AttemptEnd::Panicked));
+    assert_eq!(
+        t.respawns, t.panics,
+        "a worker is respawned exactly on a panic"
+    );
+    assert_eq!(t.transient_failures, ended(AttemptEnd::Transient));
+    assert_eq!(
+        t.cache_hits,
+        attempts().filter(|a| a.cache_hit).count() as u64
+    );
+    assert_eq!(
+        t.cache_misses,
+        attempts().filter(|a| !a.cache_hit).count() as u64
+    );
+
+    assert_eq!(r.spans.len(), r.records.len());
+    for (x, s) in r.records.iter().zip(&r.spans) {
+        assert_eq!((x.id, x.arrival, x.finish), (s.id, s.arrival, s.finish));
+        assert_eq!(x.attempts as usize, s.attempts.len(), "job {}", x.id);
+        let granted = if rejected(x) { 0 } else { s.cores };
+        assert_eq!(x.cores_granted, granted, "job {}", x.id);
+    }
+    let sorted = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v
+    };
+    let completed = r.records.iter().filter(|x| x.outcome.is_completed());
+    let want: Vec<u64> = completed.map(|x| x.finish - x.arrival).collect();
+    assert_eq!(sorted(r.latencies.clone()), sorted(want), "latencies");
 }
 
 fn quiet_cfg() -> ServiceConfig {
@@ -267,6 +332,7 @@ fn service_drains_gracefully_on_shutdown() {
     let acfg = chaos_arrivals();
     let scfg = quiet_cfg();
     let r = serve(arrivals::generate(&acfg), &scfg);
+    assert_totals_are_the_records(&r);
     let t = &r.totals;
     let terminal =
         t.completed + t.rejected_overloaded + t.rejected_invalid + t.failed_permanent + t.exhausted;
@@ -464,6 +530,7 @@ proptest! {
         };
         let plain = serve(arrivals::generate(&acfg), &scfg);
         assert_completed_cycles_are_direct(&plain);
+        assert_totals_are_the_records(&plain);
         let h = plain.host;
         prop_assert!(h.resumed <= plain.totals.deadline_kills);
         prop_assert!(h.cycles_stepped <= h.cycles_charged);
