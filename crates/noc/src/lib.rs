@@ -10,8 +10,10 @@
 //! [`Mesh`] is a deterministic, cycle-stepped, dimension-order-routed
 //! (X then Y) mesh, generic over the message payload. Contention is
 //! modelled at link granularity: each router may forward at most
-//! [`MeshConfig::link_bandwidth`] messages per output direction per cycle;
-//! excess traffic queues in FIFO order.
+//! [`MeshConfig::link_bandwidth`] messages per output direction per cycle.
+//! Priority is per router output: the message that has been routable at
+//! that router longest goes first, ties going to the one injected first;
+//! the rest wait where they are.
 //!
 //! ```
 //! use clp_noc::{Mesh, MeshConfig, NodeId};
