@@ -18,9 +18,10 @@
 //! stdout (one top-level object; per-run reports under `"runs"`);
 //! `clp-prof --help` lists the other flags.
 
+use clp_bench::observe::{observe, prof_run, runs_document};
 use clp_core::cli::{die, or_die, Flag, Spec, SUITE};
-use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
-use serde_json::{json, Value};
+use clp_core::{compile_workload, ObsOptions};
+use serde_json::Value;
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -42,26 +43,19 @@ fn main() {
     let cores = or_die(args.cores()).unwrap_or(16);
     let top_links: usize = or_die(args.num("--top-links", ..)).unwrap_or(8);
     let json = args.switch("--json");
+    let obs = ObsOptions {
+        profile: true,
+        ..ObsOptions::default()
+    };
     let mut runs: Vec<Value> = Vec::new();
     for w in &workloads {
         let name = w.name;
         let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
-        let obs = ObsOptions {
-            profile: true,
-            ..ObsOptions::default()
-        };
-        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
-            .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
-        let report = r.profile.expect("profiling was enabled");
+        let r = observe(&cw, cores, &obs);
         if json {
-            runs.push(json!({
-                "workload": name,
-                "cores": cores,
-                "cycles": (r.stats.cycles),
-                "ipc": (r.stats.procs[0].ipc()),
-                "profile": (report.to_json_value())
-            }));
+            runs.push(prof_run(name, cores, &r));
         } else {
+            let report = r.profile.expect("profiling was enabled");
             println!(
                 "== {name} on {cores} cores: {} cycles, critical path {} ==",
                 r.stats.cycles,
@@ -76,10 +70,6 @@ fn main() {
         }
     }
     if json {
-        let doc = json!({"schema": "clp-prof-v1", "runs": runs});
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("serializes")
-        );
+        print!("{}", runs_document("clp-prof-v1", runs));
     }
 }

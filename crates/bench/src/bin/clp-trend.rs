@@ -16,10 +16,11 @@
 //! stdout (one top-level object; per-run reports under `"runs"`);
 //! `clp-trend --help` lists the other flags.
 
+use clp_bench::observe::{observe, runs_document, trend_run, trend_text};
 use clp_core::cli::{die, or_die, write_or_die, Flag, Spec, SUITE};
-use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
+use clp_core::{compile_workload, ObsOptions};
 use clp_obs::TrendOptions;
-use serde_json::{json, Value};
+use serde_json::Value;
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -58,27 +59,19 @@ fn main() {
     for w in &workloads {
         let name = w.name;
         let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
-        let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
-            .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
+        let r = observe(&cw, cores, &obs);
         let trend = r.trend.expect("trend recording was enabled");
         if let Some(path) = &perfetto {
             write_or_die(path, &trend.to_chrome_trace());
             println!("[perfetto counters -> {path}]");
         }
         if json {
-            runs.push(json!({"workload": name, "cores": cores, "trend": (trend.to_json_value())}));
+            runs.push(trend_run(name, cores, &trend));
         } else {
-            println!("== {name} on {cores} cores: {} cycles ==", trend.cycles);
-            print!("{}", trend.render_timeline());
-            print!("{}", trend.render_phase_table());
-            println!();
+            print!("{}", trend_text(name, cores, &trend));
         }
     }
     if json {
-        let doc = json!({"schema": "clp-trend-suite-v1", "runs": runs});
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("serializes")
-        );
+        print!("{}", runs_document("clp-trend-suite-v1", runs));
     }
 }

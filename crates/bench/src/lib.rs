@@ -14,8 +14,9 @@
 //!
 //! This library holds the shared sweep machinery: parallel measurement of
 //! every workload at every composition size plus the TRIPS baseline,
-//! small statistics helpers, and ([`matrix`]) the builders of the two
-//! suite documents with committed goldens.
+//! small statistics helpers, ([`matrix`]) the builders of the two
+//! suite documents with committed goldens, and ([`observe`]) what
+//! `clp-prof` and `clp-trend` print.
 
 #![warn(missing_docs)]
 
@@ -29,6 +30,7 @@ use std::thread;
 
 pub mod figs;
 pub mod matrix;
+pub mod observe;
 
 /// The composition sizes of the Figure 6–8 sweeps.
 pub const SWEEP_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];

@@ -48,7 +48,7 @@ use crate::graph::BlockGraph;
 use crate::predicate::{firing_paths, Fire};
 use crate::{Diagnostic, LintCode, LintConfig, Span};
 use clp_isa::{Block, BlockAddr, BranchKind, EdgeProgram, Instruction, Opcode, OpcodeClass};
-use clp_noc::{rect_hops, rect_route, region_rect, MeshConfig};
+use clp_noc::{rect_hops, rect_links, region_rect, MeshConfig};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The machine parameters the bound is computed against. These mirror
@@ -384,9 +384,8 @@ fn path_intervals(
             if from == core {
                 continue;
             }
-            let path = rect_route(from, core, rect_w);
-            for pair in path.windows(2) {
-                *traffic.entry((pair[0], pair[1])).or_insert(0) += 1;
+            for link in rect_links(from, core, rect_w) {
+                *traffic.entry(link).or_insert(0) += 1;
             }
         }
     }

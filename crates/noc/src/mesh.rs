@@ -114,10 +114,18 @@ impl MeshConfig {
     pub fn route_nodes(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         assert!(a.0 < self.nodes(), "node {a} outside mesh");
         assert!(b.0 < self.nodes(), "node {b} outside mesh");
-        crate::region::rect_route(a.0, b.0, self.width)
-            .into_iter()
+        crate::region::rect_walk(a.0, b.0, self.width)
             .map(NodeId)
             .collect()
+    }
+
+    /// The links of [`Self::route_nodes`]' path from `a` to `b`, as
+    /// `(from, to)` hops in order, walked without building the path.
+    /// `a == b` yields none.
+    pub fn route_links(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> {
+        assert!(a.0 < self.nodes(), "node {a} outside mesh");
+        assert!(b.0 < self.nodes(), "node {b} outside mesh");
+        crate::region::rect_links(a.0, b.0, self.width).map(|(x, y)| (NodeId(x), NodeId(y)))
     }
 
     /// Next hop direction under X-then-Y dimension-order routing.

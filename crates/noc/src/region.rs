@@ -78,25 +78,40 @@ pub fn rect_hops(a: usize, b: usize, rect_w: usize) -> usize {
 /// without materializing a mesh. `a == b` yields the single-slot path;
 /// otherwise the path has [`rect_hops`]` + 1` entries.
 ///
+/// This is the one definition of the route: [`MeshConfig::route_nodes`]
+/// collects it, and [`rect_links`] pairs it up.
+///
 /// # Panics
 ///
 /// Panics if `rect_w` is zero.
-#[must_use]
-pub fn rect_route(a: usize, b: usize, rect_w: usize) -> Vec<usize> {
+pub fn rect_walk(a: usize, b: usize, rect_w: usize) -> impl Iterator<Item = usize> {
     assert!(rect_w > 0, "zero-width rectangle");
-    let (mut x, mut y) = (a % rect_w, a / rect_w);
     let (dx, dy) = (b % rect_w, b / rect_w);
-    let mut path = Vec::with_capacity(rect_hops(a, b, rect_w) + 1);
-    path.push(a);
-    while x != dx {
-        x = if x < dx { x + 1 } else { x - 1 };
-        path.push(y * rect_w + x);
-    }
-    while y != dy {
-        y = if y < dy { y + 1 } else { y - 1 };
-        path.push(y * rect_w + x);
-    }
-    path
+    let toward = |v: usize, to: usize| if v < to { v + 1 } else { v - 1 };
+    std::iter::successors(Some((a % rect_w, a / rect_w)), move |&(x, y)| {
+        if x != dx {
+            Some((toward(x, dx), y))
+        } else if y != dy {
+            Some((x, toward(y, dy)))
+        } else {
+            None
+        }
+    })
+    .map(move |(x, y)| y * rect_w + x)
+}
+
+/// The links of [`rect_walk`]'s path from `a` to `b`, as `(from, to)`
+/// slot pairs in order, without building the path: [`rect_hops`] of
+/// them, none for `a == b`.
+///
+/// # Panics
+///
+/// Panics if `rect_w` is zero.
+pub fn rect_links(a: usize, b: usize, rect_w: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut at = a;
+    rect_walk(a, b, rect_w)
+        .skip(1)
+        .map(move |next| (std::mem::replace(&mut at, next), next))
 }
 
 /// The width and height of the rectangle used for an `n_cores`
@@ -187,11 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn rect_route_matches_mesh_route_nodes() {
+    fn rect_walk_matches_mesh_route_nodes() {
         let cfg = chip();
         for a in 0..cfg.nodes() {
             for b in 0..cfg.nodes() {
-                let by_slot = rect_route(a, b, cfg.width);
+                let by_slot: Vec<usize> = rect_walk(a, b, cfg.width).collect();
                 let by_mesh: Vec<usize> = cfg
                     .route_nodes(NodeId(a), NodeId(b))
                     .into_iter()

@@ -16,7 +16,8 @@
 //! [`check_golden`] is the repo's one definition of "matches the
 //! committed golden": byte equality, and on a miss the walker's ranked
 //! list. `clp-bench --check`, `clp-bound --check`, `clp-serve --check`
-//! and the tier-1 golden tests all call it.
+//! and the tier-1 golden tests all call it; a document too large to
+//! commit goes through it as its [`digest_golden`].
 
 use serde::Value;
 
@@ -318,6 +319,24 @@ pub fn diff_documents(a: &Value, b: &Value) -> AttributionReport {
         });
     }
     report
+}
+
+/// FNV-1a, 64-bit.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What is committed of a document too large to commit whole: its
+/// FNV-1a-64 digest and byte length, as a small JSON document that
+/// [`check_golden`] holds to the fresh document's like any other golden.
+#[must_use]
+pub fn digest_golden(text: &str) -> String {
+    let digest = fnv1a64(text.as_bytes());
+    let bytes = text.len();
+    format!("{{\n  \"fnv1a64\": \"{digest:016x}\",\n  \"bytes\": {bytes}\n}}\n")
 }
 
 /// The golden gate: `Ok` when the freshly emitted text equals the

@@ -50,7 +50,9 @@ pub mod sink;
 pub mod snapshot;
 pub mod trend;
 
-pub use diff::{check_golden, diff_documents, AttributionReport, DiffEntry, TextEntry};
+pub use diff::{
+    check_golden, diff_documents, digest_golden, fnv1a64, AttributionReport, DiffEntry, TextEntry,
+};
 pub use event::{CacheLevel, FlushReason, TraceEvent};
 pub use latency::LatencySummary;
 pub use profile::{BlockSpanStat, Bucket, BucketCycles, ProcProfile, ProfileReport, NUM_BUCKETS};

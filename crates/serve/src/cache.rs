@@ -22,12 +22,7 @@ pub fn content_hash(w: &Workload) -> u64 {
         "{:?}|{:?}|{:?}|{:?}",
         w.program, w.args, w.init_mem, w.check
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    clp_obs::fnv1a64(rendered.as_bytes())
 }
 
 /// One cached compilation: the compiled program (with its golden) plus

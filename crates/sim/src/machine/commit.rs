@@ -28,7 +28,7 @@ impl Proc {
         }
         b.outcome = Some(outcome);
         b.outputs_done += 1; // the branch is an output
-        if let Some(pr) = b.prof.as_deref_mut() {
+        if let Some(pr) = &mut b.prof {
             pr.t_resolved = now;
             pr.bro_prov = prov;
         }
@@ -180,7 +180,7 @@ impl Proc {
             return;
         }
         b.outputs_done += 1;
-        if let Some(pr) = b.prof.as_deref_mut().filter(|_| !b.committing) {
+        if let Some(pr) = b.prof.as_mut().filter(|_| !b.committing) {
             pr.t_last_output = fab.now;
             pr.out_prov = prov;
         }
@@ -243,7 +243,7 @@ impl Proc {
             last_ack = last_ack.max(now + cmd + update + cmd);
         }
         b.committing = true;
-        if let Some(pr) = b.prof.as_deref_mut() {
+        if let Some(pr) = &mut b.prof {
             pr.t_commit_start = now;
         }
         // Record commit-latency components.

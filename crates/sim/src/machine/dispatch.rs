@@ -39,9 +39,6 @@ impl Blk {
     fn dispatch(&mut self, sink: &mut Sink, seq: u64, part: usize, id: u8) {
         let (i, now) = (usize::from(id), sink.fab.now);
         self.ops[i].flags |= OpState::DISPATCHED;
-        if let Some(pr) = self.prof.as_deref_mut() {
-            pr.disp[i] = now;
-        }
         let d = &self.tmpl.dec[i];
         if d.kind != Kind::Read {
             return self.wake(sink, seq, part, id, Prov::dispatch(now));
@@ -67,9 +64,10 @@ impl Blk {
         if st.flags != OpState::DISPATCHED || st.got & d.need != d.need {
             return;
         }
-        if let Some(pr) = self.prof.as_deref_mut() {
-            pr.ready[i] = now;
-            pr.edge[i] = trigger;
+        if let Some(pr) = &mut self.prof {
+            let ip = &mut pr.insts[i];
+            ip.ready = now;
+            ip.edge = trigger;
         }
         if d.kind != Kind::Write {
             st.flags |= OpState::QUEUED;
@@ -77,8 +75,8 @@ impl Blk {
         }
         // Writes fire the moment their input lands.
         st.flags |= OpState::FIRED;
-        if let Some(pr) = self.prof.as_deref_mut() {
-            pr.issue[i] = now;
+        if let Some(pr) = &mut self.prof {
+            pr.insts[i].issue = now;
         }
         sink.stats.insts_fired += 1;
         sink.stats.reg_writes += 1;

@@ -65,8 +65,8 @@ impl Proc {
         let st = &mut b.ops[i];
         st.flags |= OpState::FIRED;
         let [left, right, pred] = st.val;
-        if let Some(pr) = b.prof.as_deref_mut() {
-            pr.issue[i] = now;
+        if let Some(pr) = &mut b.prof {
+            pr.insts[i].issue = now;
         }
         self.stats.insts_fired += 1;
         if d.fp {

@@ -9,6 +9,15 @@
 //! cheap `Copy` riding existing messages — but never read by any
 //! scheduling decision; everything else here runs only with an observer
 //! enabled, so unobserved runs stay bit-identical.
+//!
+//! Recording costs what it observes. A profiled block carries one
+//! [`BlkProf`] inline, whose only allocation is its per-instruction
+//! [`InstProf`] records: one per fetched block. A commit's walk charges
+//! the block-level book as it cuts and keeps only what the run-level
+//! book takes in [`ProfAcc`]'s one segment buffer; operand-network
+//! stalls are spread along clp-noc's route without building it, into a
+//! dense `nodes × nodes` link table. Nothing on the commit path
+//! allocates once the buffer has grown.
 
 use super::state::{Blk, Proc};
 use super::Machine;
@@ -17,7 +26,6 @@ use clp_obs::{
     Bucket, BucketCycles, MetricValue, ProcProfile, ProfileReport, TraceEvent, Tracer,
     TrendOptions, TrendRecorder, TrendReport,
 };
-use std::collections::BTreeMap;
 
 /// A trend sample's inputs: one value per path, the dispatched
 /// instruction count, and the profiler's run-level buckets and per-core
@@ -123,19 +131,25 @@ impl Prov {
     }
 }
 
-/// Per-block profiling state, allocated (one boxed struct per in-flight
-/// block) only when profiling is enabled.
+/// What the profiler keeps of one instruction.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct InstProf {
+    /// Cycle the last input arrived (became ready).
+    pub(super) ready: u64,
+    /// Issue (fire) cycle.
+    pub(super) issue: u64,
+    /// The last-arrival edge that made it ready.
+    pub(super) edge: Prov,
+}
+
+/// Per-block profiling state, held inline in the block; only its
+/// per-instruction records are allocated, once per fetched block, and
+/// only when profiling is enabled.
 #[derive(Debug)]
 pub(super) struct BlkProf {
     reason: FetchReason,
-    /// Per instruction: dispatch cycle.
-    pub(super) disp: Vec<u64>,
-    /// Per instruction: cycle the last input arrived (became ready).
-    pub(super) ready: Vec<u64>,
-    /// Per instruction: issue (fire) cycle.
-    pub(super) issue: Vec<u64>,
-    /// Per instruction: the last-arrival edge that made it ready.
-    pub(super) edge: Vec<Prov>,
+    /// Per instruction, by id.
+    pub(super) insts: Vec<InstProf>,
     /// Cycle the exit branch resolved at the owner.
     pub(super) t_resolved: u64,
     /// Provenance of the exit branch message.
@@ -152,10 +166,7 @@ impl BlkProf {
     pub(super) fn new(nops: usize, reason: FetchReason) -> Self {
         BlkProf {
             reason,
-            disp: vec![0; nops],
-            ready: vec![0; nops],
-            issue: vec![0; nops],
-            edge: vec![Prov::default(); nops],
+            insts: vec![InstProf::default(); nops],
             t_resolved: 0,
             bro_prov: Prov::default(),
             t_last_output: 0,
@@ -171,18 +182,24 @@ type Seg = (u64, u64, Bucket, usize, Option<(usize, usize)>);
 
 /// Cuts a span backward: each cut takes `[max(t0, min(start, cursor)),
 /// cursor)` and lowers the cursor, so the segments tile `[t0, t_end)`
-/// exactly regardless of timestamp noise.
-struct Cutter {
+/// exactly regardless of timestamp noise. Every segment is charged to
+/// the block-level book at once; the part of it after `clip` is kept in
+/// `segs` for the run-level book.
+struct Cutter<'a> {
     t0: u64,
     cursor: u64,
-    segs: Vec<Seg>,
+    clip: u64,
+    block: &'a mut BucketCycles,
+    segs: &'a mut Vec<Seg>,
 }
 
-impl Cutter {
+impl Cutter<'_> {
     fn cut(&mut self, start: u64, bucket: Bucket, core: usize, link: Option<(usize, usize)>) {
         let s = start.clamp(self.t0, self.cursor);
-        if s < self.cursor {
-            self.segs.push((s, self.cursor, bucket, core, link));
+        self.block.add(bucket, self.cursor - s);
+        if s < self.cursor && self.clip < self.cursor {
+            self.segs
+                .push((s.max(self.clip), self.cursor, bucket, core, link));
         }
         self.cursor = s;
     }
@@ -200,15 +217,26 @@ impl Cutter {
 
 /// Tiles a committed block's `[t_init, t_end)` span with bucketed
 /// segments by walking last-arrival edges backward from the commit
-/// handshake. Also returns the number of edges walked and the critical
-/// loads by service class.
-fn critical_path(b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64, [u64; 3]) {
+/// handshake: `block` is charged the whole tiling, and `segs` (cleared
+/// first) receives its part after `clip`, latest first. Returns the
+/// number of edges walked and the critical loads by service class.
+fn critical_path(
+    b: &Blk,
+    pr: &BlkProf,
+    t_end: u64,
+    clip: u64,
+    block: &mut BucketCycles,
+    segs: &mut Vec<Seg>,
+) -> (u64, [u64; 3]) {
     let owner = b.owner;
     let t0 = b.t_init.min(t_end);
+    segs.clear();
     let mut cutter = Cutter {
         t0,
         cursor: t_end,
-        segs: Vec::with_capacity(16),
+        clip,
+        block,
+        segs,
     };
     cutter.cut(pr.t_commit_start, Bucket::Commit, owner, None);
 
@@ -233,15 +261,18 @@ fn critical_path(b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64, [u64; 3])
     let mut load_class = [0u64; 3];
     if let Some(head) = chain_from {
         let mut i = usize::from(head.inst);
-        for _ in 0..(4 * pr.edge.len().max(1)) {
-            if cutter.cursor <= t0 || i >= pr.edge.len() {
+        for _ in 0..(4 * pr.insts.len().max(1)) {
+            let Some(ip) = pr.insts.get(i) else {
+                break;
+            };
+            if cutter.cursor <= t0 {
                 break;
             }
             edges += 1;
             // Where dispatch placed the consumer.
             let here = usize::from(b.tmpl.dec[i].home);
-            cutter.cut(pr.ready[i], Bucket::IssueWait, here, None);
-            let e = pr.edge[i];
+            cutter.cut(ip.ready, Bucket::IssueWait, here, None);
+            let e = ip.edge;
             let producer = match e.kind {
                 ProvKind::Dispatch => break,
                 ProvKind::Exec => Bucket::Execute,
@@ -263,17 +294,22 @@ fn critical_path(b: &Blk, pr: &BlkProf, t_end: u64) -> (Vec<Seg>, u64, [u64; 3])
     }
     // Whatever remains below the walk is block fetch/dispatch work.
     cutter.cut(t0, Bucket::Fetch, owner, None);
-    (cutter.segs, edges, load_class)
+    (edges, load_class)
 }
 
 /// Machine-level profile accumulator (behind `Machine::enable_profiling`).
 pub(super) struct ProfAcc {
     per_proc: Vec<ProcProfile>,
     core_cycles: Vec<u64>,
-    link_cycles: BTreeMap<(usize, usize), u64>,
+    /// Critical operand-network cycles per directed link, dense: entry
+    /// `from * nodes + to` of the chip's `nodes × nodes` table.
+    link_cycles: Vec<u64>,
     /// Per proc: end cycle of the previously committed block — the clip
     /// point of the commit-pull accounting.
     last_commit_end: Vec<u64>,
+    /// The committing block's segments after `last_commit_end`: one
+    /// buffer, cut into again at every commit.
+    segs: Vec<Seg>,
 }
 
 impl ProfAcc {
@@ -292,10 +328,9 @@ impl ProfAcc {
         mesh: MeshConfig,
         tracer: &Tracer,
     ) {
-        let Some(pr) = b.prof.as_deref() else {
+        let Some(pr) = &b.prof else {
             return;
         };
-        let (segs, edges, load_class) = critical_path(b, pr, t_end);
         let (pi, t0) = (p.id, b.t_init.min(t_end));
         if self.per_proc.len() <= pi {
             self.per_proc.resize_with(pi + 1, ProcProfile::default);
@@ -304,13 +339,13 @@ impl ProfAcc {
         let lc = self.last_commit_end[pi];
         let pp = &mut self.per_proc[pi];
 
-        // Block-level book: the unclipped span.
+        // Block-level book: the unclipped span, its buckets charged by
+        // the walk.
+        let walk = critical_path(b, pr, t_end, lc, &mut pp.block_buckets, &mut self.segs);
+        let (edges, load_class) = walk;
         pp.blocks += 1;
         pp.block_cycles += t_end - t0;
         pp.record_span(b.addr, t_end - t0);
-        for &(s, e, bucket, _, _) in &segs {
-            pp.block_buckets.add(bucket, e - s);
-        }
         pp.crit_path_edges += edges;
         pp.longest_chain = pp.longest_chain.max(edges);
         pp.crit_loads_forwarded += load_class[0];
@@ -319,7 +354,8 @@ impl ProfAcc {
 
         // Run-level book: commit-pull accounting. The gap between the
         // previous commit end and this block's init is charged to the
-        // reason this block was fetched; segments are clipped at `lc`.
+        // reason this block was fetched; the walk kept its segments
+        // clipped at `lc`.
         if t0 > lc {
             let gap_bucket = match pr.reason {
                 FetchReason::Entry | FetchReason::Sequential => Bucket::Fetch,
@@ -330,27 +366,21 @@ impl ProfAcc {
             pp.run_buckets.add(gap_bucket, t0 - lc);
             self.core_cycles[b.owner] += t0 - lc;
         }
-        for &(s, e, bucket, core, link) in &segs {
-            let s = s.max(lc);
-            if s >= e {
-                continue;
-            }
+        for &(s, e, bucket, core, link) in &self.segs {
             let d = e - s;
             pp.run_buckets.add(bucket, d);
             self.core_cycles[core] += d;
             let Some((from, to)) = link else {
                 continue;
             };
-            // Spread the stall across the dimension-order route.
-            let path = mesh.route_nodes(NodeId(from), NodeId(to));
-            let hops = path.len().saturating_sub(1) as u64;
+            // Spread the stall across the dimension-order route, the
+            // first `d % hops` links taking one cycle more.
+            let (from, to) = (NodeId(from), NodeId(to));
+            let hops = mesh.hops(from, to) as u64;
             if let Some(share) = d.checked_div(hops) {
-                let extra = (d % hops) as usize;
-                for (k, w) in path.windows(2).enumerate() {
-                    let amount = share + u64::from(k < extra);
-                    if amount > 0 {
-                        *self.link_cycles.entry((w[0].0, w[1].0)).or_insert(0) += amount;
-                    }
+                let extra = d % hops;
+                for (k, (x, y)) in (0..).zip(mesh.route_links(from, to)) {
+                    self.link_cycles[x.0 * mesh.nodes() + y.0] += share + u64::from(k < extra);
                 }
             }
         }
@@ -370,11 +400,13 @@ impl Machine {
     /// Profiling is observational: it never changes scheduling, so cycle
     /// counts match unprofiled runs exactly.
     pub fn enable_profiling(&mut self) {
+        let nodes = self.fab.cfg.chip_cores();
         self.fab.prof = Some(Box::new(ProfAcc {
             per_proc: Vec::new(),
-            core_cycles: vec![0; self.fab.cfg.chip_cores()],
-            link_cycles: BTreeMap::new(),
+            core_cycles: vec![0; nodes],
+            link_cycles: vec![0; nodes * nodes],
             last_commit_end: Vec::new(),
+            segs: Vec::new(),
         }));
     }
 
@@ -384,10 +416,16 @@ impl Machine {
     #[must_use]
     pub fn profile_report(&self) -> Option<ProfileReport> {
         let acc = self.fab.prof.as_deref()?;
+        let nodes = self.fab.cfg.chip_cores();
+        let links = (0..nodes).flat_map(|from| (0..nodes).map(move |to| (from, to)));
         Some(ProfileReport {
             procs: acc.per_proc.clone(),
             core_cycles: acc.core_cycles.clone(),
-            link_cycles: acc.link_cycles.iter().map(|(&k, &v)| (k, v)).collect(),
+            // Row-major is ascending `(from, to)` order.
+            link_cycles: links
+                .zip(acc.link_cycles.iter().copied())
+                .filter(|&(_, c)| c > 0)
+                .collect(),
             mesh_width: self.fab.cfg.operand_net.width,
             mesh_height: self.fab.cfg.operand_net.height,
             elapsed: self.fab.now,

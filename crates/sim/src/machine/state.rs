@@ -179,7 +179,7 @@ pub(super) struct Blk {
     pub(super) hand_off_cycles: f64,
     pub(super) t_last_cmd: u64,
     /// clp-prof per-block state; `None` whenever profiling is disabled.
-    pub(super) prof: Option<Box<BlkProf>>,
+    pub(super) prof: Option<BlkProf>,
 }
 
 impl Blk {
@@ -210,7 +210,7 @@ impl Blk {
             predict_cycles: 0.0,
             hand_off_cycles: f.hand_off_cycles,
             t_last_cmd: now + 1,
-            prof: profiled.then(|| Box::new(BlkProf::new(nops, f.reason))),
+            prof: profiled.then(|| BlkProf::new(nops, f.reason)),
         }
     }
 
@@ -221,8 +221,8 @@ impl Blk {
 
     /// Cycle `id` issued, as the profiler recorded it (0 unprofiled).
     pub(super) fn issue_cycle(&self, id: u8) -> u64 {
-        let pr = self.prof.as_deref();
-        pr.map_or(0, |pr| pr.issue[usize::from(id)])
+        let pr = self.prof.as_ref();
+        pr.map_or(0, |pr| pr.insts[usize::from(id)].issue)
     }
 
     /// Conservative ordering for previously-violating blocks: whether a

@@ -270,3 +270,21 @@ proptest! {
         prop_assert_eq!(s.link_traversals, expected_hops);
     }
 }
+
+/// `route_links`, the walk clp-prof spreads an operand stall over, names
+/// exactly the links of `route_nodes`' path, in order, for every
+/// `(from, to)` pair on the 4x8 mesh: one hop per link, none for a
+/// local trip.
+#[test]
+fn route_links_walk_route_nodes_path() {
+    let cfg = MeshConfig::trips_operand();
+    for a in (0..cfg.nodes()).map(NodeId) {
+        for b in (0..cfg.nodes()).map(NodeId) {
+            let path = cfg.route_nodes(a, b);
+            let want: Vec<(NodeId, NodeId)> = path.windows(2).map(|w| (w[0], w[1])).collect();
+            let links: Vec<(NodeId, NodeId)> = cfg.route_links(a, b).collect();
+            assert_eq!(links, want, "route {a} -> {b}");
+            assert_eq!(links.len(), cfg.hops(a, b), "route {a} -> {b}");
+        }
+    }
+}

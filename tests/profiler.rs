@@ -8,7 +8,7 @@ mod common;
 use clp::core::{
     compile_workload, run_compiled, run_compiled_observed, ObsOptions, ProcessorConfig,
 };
-use clp::obs::ProfileReport;
+use clp::obs::{Bucket, ProfileReport};
 use clp::workloads::suite;
 use proptest::prelude::*;
 
@@ -81,6 +81,29 @@ fn profile_is_deterministic() {
             r2.to_json_value(),
             "{name} breakdown drifted between runs"
         );
+    }
+}
+
+/// The dense link table reads out as the sorted map it replaced: links
+/// strictly ascending by `(from, to)`, no zero entry, and every
+/// run-level operand-network cycle spread onto exactly one link.
+#[test]
+fn link_cycles_are_ascending_nonzero_and_conserved() {
+    for (name, n) in [("conv", 16usize), ("gzip", 16), ("bezier", 32)] {
+        let (_, report) = profiled(name, &ProcessorConfig::tflex(n));
+        let links = &report.link_cycles;
+        assert!(!links.is_empty(), "{name} x{n}: no critical mesh link");
+        for w in links.windows(2) {
+            assert!(w[0].0 < w[1].0, "{name} x{n}: {:?} before {:?}", w[0], w[1]);
+        }
+        assert!(
+            links.iter().all(|&(_, c)| c > 0),
+            "{name} x{n}: a zero link"
+        );
+        let on_links: u64 = links.iter().map(|&(_, c)| c).sum();
+        let noc = report.procs.iter();
+        let noc: u64 = noc.map(|p| p.run_buckets.get(Bucket::OperandNoc)).sum();
+        assert_eq!(on_links, noc, "{name} x{n}: link cycles != operand_noc");
     }
 }
 

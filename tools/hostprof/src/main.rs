@@ -3,7 +3,9 @@
 //! to `clp-sim` (see the README, "Profiling the simulator").
 //!
 //! `hostprof <sizes> <reps>` runs every kernel of `suite::all()` through
-//! `clp_core::run_compiled` at each composition size, `reps` times,
+//! `clp_core::run_compiled_observed` at each composition size, `reps`
+//! times — unobserved, or with `--observe` under clp-prof and clp-trend
+//! as the benchmark's `analysis` cells run —
 //! while a CPU-time interval timer (`setitimer(ITIMER_PROF)`) raises
 //! SIGPROF. The handler stores the interrupted program counter and the
 //! frame-pointer chain into a preallocated array and does nothing else —
@@ -189,7 +191,7 @@ mod sampler {
 mod report {
     use super::sampler::{self, Sample};
     use clp_core::cli::{die, Flag, Spec};
-    use clp_core::{compile_workload, run_compiled, ProcessorConfig};
+    use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
     use std::collections::{BTreeMap, BTreeSet};
     use std::io::{ErrorKind, Read, Write};
     use std::process::{Command, Stdio};
@@ -198,11 +200,17 @@ mod report {
         prog: "hostprof",
         about: "sample the simulator's host CPU time over the whole suite and say where it goes",
         positionals: &["SIZES", "REPS"],
-        flags: &[Flag::value(
-            "--folded",
-            "FILE",
-            "also write folded stacks (flamegraph input)",
-        )],
+        flags: &[
+            Flag::value(
+                "--folded",
+                "FILE",
+                "also write folded stacks (flamegraph input)",
+            ),
+            Flag::switch(
+                "--observe",
+                "run every cell with clp-prof and clp-trend on, as `analysis` does",
+            ),
+        ],
         epilog: "SIZES is a comma list of composition sizes (1,2 is the narrow sweep, 16,32 the\n\
                  wide one); REPS is how many times the 26 kernels run at each. Build with\n\
                  RUSTFLAGS=\"-C force-frame-pointers=yes\"; needs addr2line on the PATH.",
@@ -313,6 +321,12 @@ mod report {
             .positional(1)
             .and_then(|r| r.parse().ok())
             .unwrap_or_else(|| die("REPS wants a number"));
+        let observe = args.switch("--observe");
+        let obs = ObsOptions {
+            profile: observe,
+            trend: observe.then(Default::default),
+            ..ObsOptions::default()
+        };
 
         // Compile before the timer starts: the profile is of the runs.
         let compiled: Vec<_> = clp_workloads::suite::all()
@@ -326,7 +340,7 @@ mod report {
             for cw in &compiled {
                 for &n in &sizes {
                     let cfg = ProcessorConfig::tflex(n);
-                    let run = run_compiled(cw, &cfg);
+                    let run = run_compiled_observed(cw, &cfg, &obs);
                     let run =
                         run.unwrap_or_else(|e| die(format!("{}@{n}: {e:?}", cw.workload.name)));
                     cycles += run.stats.cycles;
