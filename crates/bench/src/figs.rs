@@ -107,7 +107,7 @@ impl Ctx {
     /// every dropped cell each time, as each figure reports its own.
     fn suite_sweep(&mut self) -> Rc<Sweep> {
         if self.suite_sweep.is_none() {
-            let sweep = sweep_suite_resilient(&suite::all(), &SWEEP_SIZES).complete_rows();
+            let sweep = sweep_suite_resilient(&suite::all(), &SWEEP_SIZES);
             self.failed_cells += sweep.1.len();
             self.suite_sweep = Some(Rc::new(sweep));
         }

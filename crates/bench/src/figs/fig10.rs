@@ -51,8 +51,7 @@ struct Out {
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
     // Measure the 12 hand-optimized speedup curves (Figure 6 data).
-    let (rows, failures) =
-        sweep_suite_resilient(&suite::hand_optimized(), &SWEEP_SIZES).complete_rows();
+    let (rows, failures) = sweep_suite_resilient(&suite::hand_optimized(), &SWEEP_SIZES);
     warn_dropped(&failures);
     ctx.failed_cells += failures.len();
     let curves: Vec<SpeedupCurve> = rows

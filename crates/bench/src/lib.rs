@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 
 use clp_core::cli::{die, write_or_die};
-use clp_core::{compile_workload, run_compiled, CompiledWorkload, ProcessorConfig, RunOutcome};
+use clp_core::{compile_workload, run_compiled, ProcessorConfig, RunOutcome};
 use clp_workloads::{IlpClass, Workload};
 use serde::Serialize;
 use std::borrow::Borrow;
@@ -91,9 +91,9 @@ impl BenchRow {
 
 /// One failed `(workload, configuration)` cell of a sweep.
 ///
-/// `config` names the failing organization: `tflex-N`, `trips`, or
-/// `compile` when the workload never made it past the compiler (which
-/// fails every cell of its row).
+/// `config` names the failing organization: `tflex-N` or `trips`. A
+/// workload that never made it past the compiler fails every cell of its
+/// row.
 #[derive(Clone, Debug, Serialize)]
 pub struct CellFailure {
     /// The workload whose cell failed.
@@ -107,92 +107,6 @@ pub struct CellFailure {
 impl std::fmt::Display for CellFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} [{}]: {}", self.workload, self.config, self.error)
-    }
-}
-
-/// Per-cell results for one workload across the sweep: every `(workload,
-/// size)` cell carries its own `Result`, so one failing configuration
-/// does not lose the rest of the row.
-pub struct RowResult {
-    /// The workload.
-    pub workload: Workload,
-    /// `(cores, result)` for each TFlex size.
-    pub tflex: Vec<(usize, Result<RunOutcome, String>)>,
-    /// The TRIPS baseline result.
-    pub trips: Result<RunOutcome, String>,
-}
-
-impl RowResult {
-    /// The failed cells of this row.
-    #[must_use]
-    pub fn failures(&self) -> Vec<CellFailure> {
-        let mut out = Vec::new();
-        for (n, r) in &self.tflex {
-            if let Err(e) = r {
-                out.push(CellFailure {
-                    workload: self.workload.name.to_string(),
-                    config: format!("tflex-{n}"),
-                    error: e.clone(),
-                });
-            }
-        }
-        if let Err(e) = &self.trips {
-            out.push(CellFailure {
-                workload: self.workload.name.to_string(),
-                config: "trips".to_string(),
-                error: e.clone(),
-            });
-        }
-        out
-    }
-
-    /// Converts to a [`BenchRow`] if every cell succeeded.
-    #[must_use]
-    pub fn into_complete(self) -> Option<BenchRow> {
-        let mut tflex = Vec::with_capacity(self.tflex.len());
-        for (n, r) in self.tflex {
-            tflex.push((n, r.ok()?));
-        }
-        Some(BenchRow {
-            workload: self.workload,
-            tflex,
-            trips: self.trips.ok()?,
-        })
-    }
-}
-
-/// The outcome of a resilient sweep: every row, with per-cell `Result`s.
-pub struct SweepOutcome {
-    /// One entry per input workload, in input order.
-    pub rows: Vec<RowResult>,
-}
-
-impl SweepOutcome {
-    /// Every failed cell across the sweep.
-    #[must_use]
-    pub fn failures(&self) -> Vec<CellFailure> {
-        self.rows.iter().flat_map(RowResult::failures).collect()
-    }
-
-    /// True when every cell of every row succeeded.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.rows.iter().all(|r| r.failures().is_empty())
-    }
-
-    /// Splits into the fully-successful rows (ready for the figure math,
-    /// which needs every size present) and the failed cells (for the
-    /// warning log and the JSON report). Rows with any failed cell are
-    /// dropped from the first list and reported in the second.
-    #[must_use]
-    pub fn complete_rows(self) -> (Vec<BenchRow>, Vec<CellFailure>) {
-        let failures = self.failures();
-        let rows = self
-            .rows
-            .into_iter()
-            .filter_map(RowResult::into_complete)
-            .collect();
-        (rows, failures)
     }
 }
 
@@ -218,33 +132,60 @@ pub fn par_suite<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + S
 /// Sweeps every workload over `sizes` plus TRIPS, in parallel (see
 /// [`par_suite`]), preserving input order. Every cell's outcome carries
 /// the stats snapshot `clp-fig --stats-json` dumps. A failing cell is
-/// recorded in its row's `Result` and the sweep keeps going — one bad
-/// `(workload, size)` combination never kills a whole figure.
+/// recorded and the sweep keeps going — one bad `(workload, size)`
+/// combination never kills a whole figure.
+///
+/// Returns the fully-successful rows (ready for the figure math, which
+/// needs every size present) and the failed cells (for the warning log
+/// and the JSON report): a row with any failed cell is left out of the
+/// first list and its failed cells are in the second.
 #[must_use]
-pub fn sweep_suite_resilient(workloads: &[Workload], sizes: &[usize]) -> SweepOutcome {
-    let run = |cw: &CompiledWorkload, cfg: ProcessorConfig| {
-        run_compiled(cw, &cfg).map_err(|e| e.to_string())
-    };
-    let rows = par_suite(workloads, |w| match compile_workload(w) {
-        Ok(cw) => RowResult {
-            workload: w.clone(),
-            tflex: sizes
-                .iter()
-                .map(|&n| (n, run(&cw, ProcessorConfig::tflex(n))))
-                .collect(),
-            trips: run(&cw, ProcessorConfig::trips()),
-        },
-        Err(e) => {
-            // A compile failure fails every cell of the row.
-            let msg = e.to_string();
-            RowResult {
-                workload: w.clone(),
-                tflex: sizes.iter().map(|&n| (n, Err(msg.clone()))).collect(),
-                trips: Err(msg),
+pub fn sweep_suite_resilient(
+    workloads: &[Workload],
+    sizes: &[usize],
+) -> (Vec<BenchRow>, Vec<CellFailure>) {
+    let cells = par_suite(workloads, |w| {
+        let cw = compile_workload(w).map_err(|e| e.to_string());
+        // A compile failure fails every cell of the row.
+        let run = |cfg: ProcessorConfig| match &cw {
+            Ok(cw) => run_compiled(cw, &cfg).map_err(|e| e.to_string()),
+            Err(e) => Err(e.clone()),
+        };
+        let tflex: Vec<_> = sizes
+            .iter()
+            .map(|&n| (n, run(ProcessorConfig::tflex(n))))
+            .collect();
+        (tflex, run(ProcessorConfig::trips()))
+    });
+    let mut rows = Vec::with_capacity(workloads.len());
+    let mut failures = Vec::new();
+    for (w, (cells, trips)) in workloads.iter().zip(cells) {
+        let mut failed = |config: String, error: String| {
+            failures.push(CellFailure {
+                workload: w.name.to_string(),
+                config,
+                error,
+            });
+        };
+        let mut tflex = Vec::with_capacity(cells.len());
+        for (n, r) in cells {
+            match r {
+                Ok(outcome) => tflex.push((n, outcome)),
+                Err(e) => failed(format!("tflex-{n}"), e),
             }
         }
-    });
-    SweepOutcome { rows }
+        match trips {
+            Ok(trips) if tflex.len() == sizes.len() => rows.push(BenchRow {
+                workload: w.clone(),
+                tflex,
+                trips,
+            }),
+            // A failed TFlex cell leaves the row out.
+            Ok(_) => {}
+            Err(e) => failed("trips".to_string(), e),
+        }
+    }
+    (rows, failures)
 }
 
 /// Geometric mean (the paper's cross-benchmark average).
@@ -313,31 +254,23 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let outcome = sweep_suite_resilient(&workloads, &[1, 64]);
-        assert!(!outcome.is_clean());
-        let failures = outcome.failures();
+        let (rows, failures) = sweep_suite_resilient(&workloads, &[1, 64]);
+        // Only the 64-core cell of each row failed: the 1-core and TRIPS
+        // cells were still measured.
         assert_eq!(failures.len(), 2, "one bad cell per workload");
         for f in &failures {
             assert_eq!(f.config, "tflex-64");
             assert!(f.error.contains("compose"), "unexpected error: {}", f.error);
         }
-        for row in &outcome.rows {
-            assert!(row.tflex[0].1.is_ok(), "1-core cell still measured");
-            assert!(row.trips.is_ok(), "TRIPS cell still measured");
-        }
         // Rows with a failed cell are excluded from the complete set but
         // surfaced in the failure list.
-        let (rows, failures) = outcome.complete_rows();
         assert!(rows.is_empty());
-        assert_eq!(failures.len(), 2);
     }
 
     #[test]
     fn resilient_sweep_clean_run_is_complete() {
         let workloads = [clp_workloads::suite::by_name("conv").expect("known")];
-        let outcome = sweep_suite_resilient(&workloads, &[1, 4]);
-        assert!(outcome.is_clean());
-        let (rows, failures) = outcome.complete_rows();
+        let (rows, failures) = sweep_suite_resilient(&workloads, &[1, 4]);
         assert!(failures.is_empty());
         assert_eq!(rows.len(), 1);
         assert!(rows[0].cycles_at(4) > 0);
@@ -350,8 +283,7 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let sweep = sweep_suite_resilient(&workloads, &[1, 4, 16]);
-        let (mut rows, failures) = sweep.complete_rows();
+        let (mut rows, failures) = sweep_suite_resilient(&workloads, &[1, 4, 16]);
         assert!(failures.is_empty(), "sweep failed: {}", failures[0]);
         assert_eq!(rows.len(), 3);
         for r in &rows {

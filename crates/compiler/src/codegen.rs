@@ -638,17 +638,13 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, 
         }
         match compile_once(program, &attempt) {
             Err(
-                e @ (CompileError::Block {
+                CompileError::Block {
                     source: clp_isa::BlockError::TooManyInstructions(_),
                     ..
                 }
                 | CompileError::BlockTooLarge { .. }
-                | CompileError::LsidOverflow { .. }),
-            ) if !attempt.former.disabled => {
-                if std::env::var_os("CLP_COMPILE_DEBUG").is_some() {
-                    eprintln!("compile retry (cap {cap}): {e}");
-                }
-            }
+                | CompileError::LsidOverflow { .. },
+            ) if !attempt.former.disabled => {}
             other => return other,
         }
     }

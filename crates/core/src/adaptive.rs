@@ -11,10 +11,7 @@
 //! happens between epochs — exactly the property the paper's conclusion
 //! leans on.
 
-use crate::run::{
-    compile_workload, run_compiled_observed, CompiledWorkload, ObsOptions, ProcessorConfig,
-    RunFailure,
-};
+use crate::run::{compile_workload, run_compiled, CompiledWorkload, ProcessorConfig, RunFailure};
 use clp_power::{perf, perf2_per_watt, perf_per_area};
 use clp_workloads::Workload;
 
@@ -80,9 +77,8 @@ fn run_epoch(
     cw: &CompiledWorkload,
     cores: usize,
     goal: AdaptGoal,
-    obs: &ObsOptions,
 ) -> Result<AdaptStep, RunFailure> {
-    let r = run_compiled_observed(cw, &ProcessorConfig::tflex(cores), obs)?;
+    let r = run_compiled(cw, &ProcessorConfig::tflex(cores))?;
     Ok(AdaptStep {
         cores,
         cycles: r.stats.cycles,
@@ -105,27 +101,11 @@ pub fn adapt_composition(
     goal: AdaptGoal,
     start: usize,
 ) -> Result<AdaptOutcome, RunFailure> {
-    adapt_composition_observed(workload, goal, start, &ObsOptions::default())
-}
-
-/// Like [`adapt_composition`], with observability attached to every
-/// epoch's run (the tracer sees each epoch's `processor_composed`
-/// event, so the controller's moves land in the trace too).
-///
-/// # Errors
-///
-/// Propagates the first failed epoch.
-pub fn adapt_composition_observed(
-    workload: &Workload,
-    goal: AdaptGoal,
-    start: usize,
-    obs: &ObsOptions,
-) -> Result<AdaptOutcome, RunFailure> {
     assert!(start.is_power_of_two() && start <= 32, "bad start size");
     let cw = compile_workload(workload)?;
     let mut history = Vec::new();
     let mut decisions = Vec::new();
-    let mut current = run_epoch(&cw, start, goal, obs)?;
+    let mut current = run_epoch(&cw, start, goal)?;
     history.push(current.clone());
     decisions.push(AdaptDecision {
         epoch: 0,
@@ -144,7 +124,7 @@ pub fn adapt_composition_observed(
             if history.iter().any(|s| s.cores == candidate) {
                 continue; // already measured, known not better (or start)
             }
-            let step = run_epoch(&cw, candidate, goal, obs)?;
+            let step = run_epoch(&cw, candidate, goal)?;
             history.push(step.clone());
             if step.score > current.score {
                 decisions.push(AdaptDecision {

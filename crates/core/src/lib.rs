@@ -24,13 +24,8 @@ pub mod cli;
 mod multiprogram;
 mod run;
 
-pub use adaptive::{
-    adapt_composition, adapt_composition_observed, AdaptDecision, AdaptGoal, AdaptOutcome,
-    AdaptStep,
-};
-pub use multiprogram::{
-    run_multiprogram, run_multiprogram_observed, MultiOutcome, PlacementError, ProgramSpec,
-};
+pub use adaptive::{adapt_composition, AdaptDecision, AdaptGoal, AdaptOutcome, AdaptStep};
+pub use multiprogram::{run_multiprogram, MultiOutcome, PlacementError, ProgramSpec};
 pub use run::{
     compile_workload, run_compiled, run_compiled_observed, run_workload, speedup_curve, sweep,
     CompiledWorkload, FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, Run, RunFailure,

@@ -1,10 +1,10 @@
 //! Multiprogrammed execution: several workloads simultaneously on
 //! disjoint compositions of one chip, sharing the L2 and DRAM.
 
-use crate::run::{compile_workload, ObsOptions, ProcessorConfig, RunFailure};
+use crate::run::{compile_workload, ProcessorConfig, RunFailure};
 use clp_isa::Reg;
-use clp_obs::{StatsSnapshot, TrendReport};
-use clp_sim::{ProcId, RunStats};
+use clp_obs::StatsSnapshot;
+use clp_sim::{Machine, ProcId, RunStats};
 use clp_workloads::Workload;
 use std::fmt;
 
@@ -70,9 +70,6 @@ pub struct MultiOutcome {
     pub cycles: Vec<u64>,
     /// Per-program verification status.
     pub correct: Vec<bool>,
-    /// Chip-wide columnar time series (present when
-    /// [`ObsOptions::trend`] was set).
-    pub trend: Option<TrendReport>,
 }
 
 /// Runs several programs simultaneously on one chip. Core regions are
@@ -81,7 +78,8 @@ pub struct MultiOutcome {
 ///
 /// Inter-processor contention for the shared L2 and memory is modeled
 /// (the processors share one [`clp_mem::MemorySystem`]); each program
-/// runs in its own address space.
+/// runs in its own address space. Composition decisions surface in the
+/// snapshot's `compose/*` counters.
 ///
 /// # Errors
 ///
@@ -91,21 +89,6 @@ pub struct MultiOutcome {
 /// mismatch is not an error: it reads `false` in
 /// [`MultiOutcome::correct`].
 pub fn run_multiprogram(specs: &[ProgramSpec]) -> Result<MultiOutcome, RunFailure> {
-    run_multiprogram_observed(specs, &ObsOptions::default())
-}
-
-/// Like [`run_multiprogram`], with tracing, profiling and trend
-/// recording attached to the shared chip. Composition decisions surface as
-/// `processor_composed` trace events and in the snapshot's `compose/*`
-/// counters.
-///
-/// # Errors
-///
-/// See [`run_multiprogram`].
-pub fn run_multiprogram_observed(
-    specs: &[ProgramSpec],
-    obs: &ObsOptions,
-) -> Result<MultiOutcome, RunFailure> {
     let total: usize = specs.iter().map(|s| s.cores).sum();
     if total > 32 {
         return Err(RunFailure::Placement(PlacementError::Oversubscribed {
@@ -119,7 +102,7 @@ pub fn run_multiprogram_observed(
     order.sort_by_key(|&i| std::cmp::Reverse(specs[i].cores));
 
     let cfg = ProcessorConfig::tflex(32).sim;
-    let mut m = obs.machine(cfg);
+    let mut m = Machine::new(cfg);
     let mut compiled = Vec::with_capacity(specs.len());
     for s in specs {
         compiled.push(compile_workload(&s.workload)?);
@@ -156,7 +139,6 @@ pub fn run_multiprogram_observed(
     }
 
     let stats = m.run().map_err(RunFailure::Run)?;
-    let trend = m.take_trend_report();
     let snapshot = m.snapshot();
 
     let mut cycles = Vec::with_capacity(specs.len());
@@ -175,7 +157,6 @@ pub fn run_multiprogram_observed(
         snapshot,
         cycles,
         correct,
-        trend,
     })
 }
 
@@ -214,7 +195,7 @@ mod tests {
                 cores: 4,
             },
         ];
-        let out = run_multiprogram_observed(&specs, &ObsOptions::default()).expect("runs");
+        let out = run_multiprogram(&specs).expect("runs");
         assert_eq!(out.snapshot.expect("compose/compositions"), 2.0);
         assert_eq!(out.snapshot.expect("compose/cores_allocated"), 12.0);
         assert_eq!(out.snapshot.expect("compose/decompositions"), 0.0);

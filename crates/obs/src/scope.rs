@@ -77,7 +77,8 @@ pub enum AttemptEnd {
     DeadlineKill,
     /// Failed transiently (faults, recovery failure, placement).
     Transient,
-    /// Panicked in the worker; the worker was poisoned and respawned.
+    /// Panicked; the attempt's worker thread ended with it, and the
+    /// slot's next attempt runs on a fresh one.
     Panicked,
     /// Failed permanently; no retry can help.
     Permanent,

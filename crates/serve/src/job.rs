@@ -25,9 +25,9 @@ pub struct JobSpec {
     /// Fault plan applied on the *first* attempt only: retries run on
     /// fresh hardware with the transient condition cleared.
     pub faults: FaultPlan,
-    /// Plant a panic in the worker executing this job (attempt 0 only):
-    /// exercises catch_unwind isolation, poisoned-worker disposal, and
-    /// pool respawn without touching simulator internals.
+    /// Plant a panic in the worker thread executing this job (attempt 0
+    /// only): exercises panic isolation — the panic ends that thread and
+    /// nothing else — without touching simulator internals.
     pub sabotage: bool,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Long-running experiment campaigns treat the simulator as a *service*:
 //! jobs (workload, composition size, cycle budget) arrive over time,
-//! execute on a pool of workers, and must survive everything the
+//! execute on a fixed number of worker slots, and must survive everything the
 //! robustness layers can throw at them — injected protocol faults,
 //! scheduled core kills, runaway simulations, even a panicking worker —
 //! without dropping or corrupting any *other* job.
@@ -16,11 +16,13 @@
 //! - [`cache`] — a content-hashed cache of compiled hyperblock programs
 //!   and their lint results, owned by the scheduler so which attempts
 //!   hit is deterministic.
-//! - [`pool`] — persistent worker threads running jobs under
-//!   `catch_unwind`; a panicking job poisons its worker, which is
-//!   disposed of and respawned. A deadline-killed attempt's machine
-//!   comes back with the response and goes out again with the retry,
-//!   which continues it instead of re-simulating from cycle 0.
+//! - [`pool`] — what one attempt runs, and [`pool::run_batch`]: each
+//!   dispatch tick's attempts as one `std::thread::scope` fork-join, a
+//!   thread per attempt; a panicking attempt ends only its own thread
+//!   and comes back as a `Panicked` response. A deadline-killed
+//!   attempt's machine comes back with the response and goes out again
+//!   with the retry, which continues it instead of re-simulating from
+//!   cycle 0.
 //! - [`service`] — the virtual-time scheduler: bounded admission queue
 //!   with deterministic load shedding and graceful degradation, per-job
 //!   cycle-budget deadlines, seeded exponential backoff with jitter for

@@ -1,26 +1,25 @@
-//! The persistent worker pool: real OS threads executing simulation
-//! jobs, with per-job panic isolation and poisoned-worker respawn.
+//! The worker side of clp-serve: what one attempt of one job runs, and
+//! [`run_batch`], the fork-join that runs one dispatch tick's attempts
+//! on real OS threads.
 //!
-//! Each virtual worker slot of the service maps 1:1 to a physical
-//! thread. A job runs under [`std::panic::catch_unwind`]; if it panics,
-//! the worker reports the panic and then *exits* — its state is treated
-//! as poisoned and discarded — and the pool spawns a fresh thread into
-//! the slot. Sibling workers never observe anything but their own jobs,
-//! which is what the panic-isolation test pins down cycle-for-cycle.
+//! Each request of a batch runs on a thread of its own, named for its
+//! worker slot, inside one [`std::thread::scope`], joined in slot order.
+//! A panicking attempt ends its thread: the request and any machine in
+//! it unwind with it, and the join error is its `Panicked` response. No
+//! thread outlives its tick, and siblings never observe anything but
+//! their own requests, which the panic-isolation tests pin per cycle.
 //!
 //! Continue, don't redo: a deadline-killed attempt's machine is not
-//! dropped. The worker hands it back ([`Parked`]) with the
+//! dropped. The attempt hands it back ([`Parked`]) with the
 //! `DeadlineExceeded` response, the scheduler keeps it with the job, and
-//! the retry's request carries it to whichever worker is dispatched,
-//! which raises the deadline to the new budget and runs on from the
+//! the retry's request carries it to whichever slot is dispatched, whose
+//! thread raises the deadline to the new budget and runs on from the
 //! cycle the kill stopped at. The one test is equality, made here where
 //! both sides are in hand: the retry's [`Settings`] — everything about
 //! the request but the budget — must equal the killed attempt's, or the
 //! parked machine is dropped and the attempt starts at cycle 0. So a
 //! fault-free attempt continues, and an attempt 0 that ran under the
 //! job's fault plan never does, because retries run `FaultPlan::none()`.
-//! A panic takes the request, and any machine in it, down with the
-//! poisoned worker.
 //!
 //! A profiled attempt (`Settings::profile`, set on every attempt of a
 //! `serve_scoped` run) hands back the run-level clp-prof book with its
@@ -33,18 +32,15 @@
 //! requests, and by `Machine::run`'s contract indistinguishable in its
 //! result from starting over), so physical thread scheduling cannot
 //! leak into outcomes. The *service* keeps all ordering decisions on
-//! virtual time; the pool is just muscle.
+//! virtual time; the threads are just muscle.
 
 use clp_core::{compile_workload, CompiledWorkload, ObsOptions, ProcessorConfig, Run, RunFailure};
 use clp_obs::BucketCycles;
 use clp_sim::FaultPlan;
 use clp_workloads::Workload;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Once};
-use std::thread::JoinHandle;
 
-/// Prefix of pool thread names; the panic hook stays quiet for these so
+/// Prefix of worker thread names; the panic hook stays quiet for these so
 /// planted panics don't spray backtraces over test and bench output.
 const WORKER_THREAD_PREFIX: &str = "clp-serve-worker";
 
@@ -93,7 +89,7 @@ pub struct Parked {
     settings: Settings,
 }
 
-/// A request handed to a worker: one attempt of one job. The workload
+/// A request handed to a worker slot: one attempt of one job. The workload
 /// is resolved at admission (an unknown name is a typed rejection long
 /// before any worker sees it), so the worker never does name lookups,
 /// and shared from there on: a request is a few words.
@@ -124,7 +120,8 @@ pub enum ExecOutcome {
     },
     /// The run failed with a typed error.
     Failure(RunFailure),
-    /// The job panicked; the worker is poisoned and has exited.
+    /// The attempt panicked; its thread, and everything the attempt
+    /// held, is gone.
     Panicked,
 }
 
@@ -222,206 +219,30 @@ fn execute(req: ExecRequest) -> ExecResponse {
     }
 }
 
-struct Slot {
-    tx: Sender<ExecRequest>,
-    rx: Receiver<ExecResponse>,
-    handle: Option<JoinHandle<()>>,
-}
-
-fn spawn_worker(index: usize) -> Slot {
-    let (req_tx, req_rx) = channel::<ExecRequest>();
-    let (resp_tx, resp_rx) = channel::<ExecResponse>();
-    let handle = std::thread::Builder::new()
-        .name(format!("{WORKER_THREAD_PREFIX}-{index}"))
-        .spawn(move || {
-            while let Ok(req) = req_rx.recv() {
-                match catch_unwind(AssertUnwindSafe(|| execute(req))) {
-                    Ok(resp) => {
-                        if resp_tx.send(resp).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        // Poisoned: report, then dispose of this thread.
-                        // Whatever half-mutated state the job left behind
-                        // (a parked machine it was continuing included)
-                        // dies with it; the pool respawns the slot.
-                        let _ = resp_tx.send(ExecResponse::unrun(ExecOutcome::Panicked));
-                        return;
-                    }
-                }
-            }
-        })
-        .expect("spawn worker thread");
-    Slot {
-        tx: req_tx,
-        rx: resp_rx,
-        handle: Some(handle),
-    }
-}
-
-/// The pool: `workers` persistent threads, respawned on poisoning.
-pub struct WorkerPool {
-    slots: Vec<Slot>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads (at least one).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        install_quiet_hook();
-        WorkerPool {
-            slots: (0..workers.max(1)).map(spawn_worker).collect(),
-        }
-    }
-
-    /// Hands a request to slot `i` without waiting — the service
-    /// dispatches a whole batch first so independent jobs execute on
-    /// their threads in parallel, then awaits in worker-index order.
-    pub fn dispatch(&self, i: usize, req: ExecRequest) {
-        self.slots[i].tx.send(req).expect("worker accepts requests");
-    }
-
-    /// Blocks for slot `i`'s response to its in-flight request. If the
-    /// job panicked, the poisoned thread has already exited; the slot is
-    /// respawned here, so the pool is whole again before the next
-    /// dispatch round. A `Panicked` response is therefore exactly one
-    /// respawn, which is how the service counts them.
-    pub fn await_response(&mut self, i: usize) -> ExecResponse {
-        let resp = self.slots[i].rx.recv().expect("worker always responds");
-        if matches!(resp.outcome, ExecOutcome::Panicked) {
-            if let Some(h) = self.slots[i].handle.take() {
-                let _ = h.join();
-            }
-            self.slots[i] = spawn_worker(i);
-        }
-        resp
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close the request channels, then reap the threads.
-        for slot in &mut self.slots {
-            let (dead_tx, _) = channel();
-            slot.tx = dead_tx;
-        }
-        for slot in &mut self.slots {
-            if let Some(h) = slot.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn plain_request(id: u64, name: &str, cores: usize, budget: u64) -> ExecRequest {
-        let workload = clp_workloads::suite::by_name(name).expect("suite workload");
-        ExecRequest {
-            job_id: id,
-            settings: Settings {
-                program: crate::cache::content_hash(&workload),
-                cores,
-                faults: FaultPlan::none(),
-                sabotage: false,
-                profile: false,
-            },
-            budget,
-            workload: Arc::new(workload),
-            compiled: None,
-            parked: None,
-        }
-    }
-
-    #[test]
-    fn pool_runs_a_job_and_returns_the_compile() {
-        let mut pool = WorkerPool::new(1);
-        pool.dispatch(0, plain_request(7, "conv", 8, 200_000));
-        let resp = pool.await_response(0);
-        assert!(matches!(resp.outcome, ExecOutcome::Success { cycles, .. } if cycles > 100));
-        assert!(resp.compiled_here.is_some(), "miss compiles");
-    }
-
-    #[test]
-    fn planted_panic_poisons_and_respawns_the_worker() {
-        let mut pool = WorkerPool::new(1);
-        let mut req = plain_request(1, "conv", 4, 200_000);
-        req.settings.sabotage = true;
-        pool.dispatch(0, req);
-        let resp = pool.await_response(0);
-        assert!(matches!(resp.outcome, ExecOutcome::Panicked));
-        // The respawned worker is immediately serviceable.
-        pool.dispatch(0, plain_request(2, "conv", 4, 200_000));
-        let resp = pool.await_response(0);
-        assert!(matches!(resp.outcome, ExecOutcome::Success { .. }));
-    }
-
-    /// conv on 8 cores killed at 500 cycles: the response.
-    fn killed_at_500(pool: &mut WorkerPool) -> ExecResponse {
-        pool.dispatch(0, plain_request(3, "conv", 8, 500));
-        let resp = pool.await_response(0);
-        match &resp.outcome {
-            ExecOutcome::Failure(f) => {
-                assert_eq!(f.class(), clp_core::FailureClass::DeadlineKill);
-            }
-            _ => panic!("expected a deadline kill"),
-        }
-        resp
-    }
-
-    #[test]
-    fn deadline_kill_is_reported_as_typed_failure_and_hands_the_machine_back() {
-        let resp = killed_at_500(&mut WorkerPool::new(1));
-        assert!(resp.parked.is_some());
-        assert_eq!((resp.resumed, resp.stepped), (false, 500));
-    }
-
-    #[test]
-    fn a_parked_machine_is_continued_only_under_equal_settings() {
-        let mut pool = WorkerPool::new(1);
-        let mut retry = |change: fn(&mut Settings)| {
-            let mut req = plain_request(3, "conv", 8, 200_000);
-            change(&mut req.settings);
-            req.parked = killed_at_500(&mut pool).parked;
-            pool.dispatch(0, req);
-            let resp = pool.await_response(0);
-            assert!(resp.parked.is_none());
-            match resp.outcome {
-                ExecOutcome::Success { cycles, .. } => (resp.resumed, resp.stepped, cycles),
-                _ => panic!("the retry completes"),
-            }
-        };
-        // Only the budget differs: runs on from cycle 500.
-        let (resumed, stepped, cycles) = retry(|_| ());
-        assert_eq!((resumed, stepped), (true, cycles - 500));
-        // Any one setting differs: the machine is dropped, cycle 0.
-        let changes: [fn(&mut Settings); 4] = [
-            |s| s.cores = 4,
-            |s| s.profile = true,
-            |s| s.faults = FaultPlan::only(clp_sim::FaultKind::DramSpike, 1, 200),
-            |s| s.program ^= 1,
-        ];
-        for change in changes {
-            let (resumed, stepped, from_zero) = retry(change);
-            assert_eq!((resumed, stepped), (false, from_zero));
-        }
-    }
-
-    #[test]
-    fn results_are_pure_functions_of_the_request() {
-        let mut pool = WorkerPool::new(2);
-        pool.dispatch(0, plain_request(1, "bezier", 4, 200_000));
-        pool.dispatch(1, plain_request(2, "bezier", 4, 200_000));
-        let a = pool.await_response(0);
-        let b = pool.await_response(1);
-        match (a.outcome, b.outcome) {
-            (ExecOutcome::Success { cycles: ca, .. }, ExecOutcome::Success { cycles: cb, .. }) => {
-                assert_eq!(ca, cb, "same request, same cycles, any thread");
-            }
-            _ => panic!("both succeed"),
-        }
-    }
+/// Runs one dispatch tick's batch: each `(slot, request)` on its own
+/// thread, `clp-serve-worker-{slot}`, inside one scope, joined in batch
+/// order — the service builds the batch in slot order. Returns one
+/// response per request, in the same order; a request that panicked
+/// gets [`ExecOutcome::Panicked`].
+#[must_use]
+pub fn run_batch(batch: Vec<(usize, ExecRequest)>) -> Vec<ExecResponse> {
+    install_quiet_hook();
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = batch
+            .into_iter()
+            .map(|(slot, req)| {
+                std::thread::Builder::new()
+                    .name(format!("{WORKER_THREAD_PREFIX}-{slot}"))
+                    .spawn_scoped(scope, move || execute(req))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| {
+                t.join()
+                    .unwrap_or_else(|_| ExecResponse::unrun(ExecOutcome::Panicked))
+            })
+            .collect()
+    })
 }

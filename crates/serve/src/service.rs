@@ -1,15 +1,15 @@
-//! The deterministic service loop: virtual-time scheduling over a
-//! physical worker pool.
+//! The deterministic service loop: virtual-time scheduling over one
+//! physical fork-join per dispatch tick.
 //!
 //! All policy decisions — admission, shedding, degradation, dispatch,
 //! retry timing — happen on a *virtual* tick clock, with event classes
 //! processed in a fixed order per tick (completions by worker index,
 //! then retry releases by job id, then arrivals in schedule order, then
-//! dispatch by worker index). Job execution is physically parallel on
-//! the pool threads, but every result is a pure function of its request,
-//! so the virtual schedule — and therefore the entire service report —
-//! is bit-for-bit reproducible from `(arrival schedule, config)`. No
-//! wall-clock exists anywhere in this module.
+//! dispatch by worker index). A tick's dispatch batch executes
+//! physically in parallel ([`run_batch`]), but every result is a pure
+//! function of its request, so the virtual schedule — and therefore the
+//! entire service report — is bit-for-bit reproducible from `(arrival
+//! schedule, config)`. No wall-clock exists anywhere in this module.
 //!
 //! Charged vs stepped: what an attempt is *charged* (below) is a
 //! function of budgets and cycle counts only, never of what the host
@@ -32,8 +32,8 @@
 //!   validation failures: a small fixed validation charge;
 //! - verify mismatch: the budget (the run finished but its exact cycle
 //!   count is not reported with the error — documented pessimism);
-//! - planted panic: a fixed respawn charge for disposing of the
-//!   poisoned worker and spawning a fresh one.
+//! - planted panic: a fixed respawn charge, the virtual worker's
+//!   replacement (physically the attempt's thread is simply gone).
 //!
 //! One book: each job's span tree ([`JobSpans`] — its queued, attempt
 //! and backoff spans, the compile sub-span of a cache miss, how each
@@ -50,7 +50,7 @@
 
 use crate::cache::{content_hash, CacheEntry, CompileCache};
 use crate::job::{JobOutcome, JobSpec, Rejected};
-use crate::pool::{ExecOutcome, ExecRequest, ExecResponse, Parked, Settings, WorkerPool};
+use crate::pool::{run_batch, ExecOutcome, ExecRequest, ExecResponse, Parked, Settings};
 use clp_core::{FailureClass, RunFailure};
 use clp_obs::{AttemptEnd, AttemptSpan, JobSpans, Span, Terminal};
 use clp_sim::fault::Prng;
@@ -66,7 +66,7 @@ pub use crate::report::serve_scoped;
 /// a clock.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServiceConfig {
-    /// Worker slots (and physical pool threads).
+    /// Worker slots: at most this many attempts run at once.
     pub workers: usize,
     /// Hard bound of the submission queue: an arrival finding this many
     /// jobs queued is shed with [`Rejected::Overloaded`].
@@ -84,7 +84,7 @@ pub struct ServiceConfig {
     pub backoff_cap: u32,
     /// Ticks charged for compiling on a cache miss.
     pub compile_ticks: u64,
-    /// Ticks charged for disposing of a poisoned worker and respawning.
+    /// Ticks charged for a panicked attempt: the virtual worker's respawn.
     pub respawn_ticks: u64,
     /// Ticks charged for attempts rejected before the machine ran
     /// (compose/placement errors, kill-schedule validation).
@@ -134,7 +134,7 @@ pub struct ServiceTotals {
     pub deadline_kills: u64,
     /// Attempts that panicked in the worker.
     pub panics: u64,
-    /// Workers respawned after poisoning.
+    /// Virtual workers respawned after a panic (one per panic).
     pub respawns: u64,
     /// Attempts that failed transiently (faults, recovery failure,
     /// placement).
@@ -371,7 +371,7 @@ impl Ledger {
             retries: spans.iter().map(|s| s.backoffs.len() as u64).sum(),
             deadline_kills: ended(AttemptEnd::DeadlineKill),
             panics,
-            // `WorkerPool::await_response` respawns exactly on a panic.
+            // A panic ends its attempt's thread: one respawn per panic.
             respawns: panics,
             transient_failures: ended(AttemptEnd::Transient),
             // Admitted (granted >= 1 core) below the size asked for.
@@ -438,8 +438,9 @@ fn service_ticks(
 
 /// Runs the service over a pre-generated arrival schedule (strictly
 /// increasing ticks) and drains it completely: every admitted job
-/// reaches a terminal record before the function returns, and the pool
-/// threads are joined on drop — the graceful-shutdown contract.
+/// reaches a terminal record before the function returns, and every
+/// worker thread is joined within its tick — the graceful-shutdown
+/// contract.
 #[must_use]
 pub fn serve(schedule: Vec<(u64, JobSpec)>, cfg: &ServiceConfig) -> ServiceResult {
     serve_with(schedule, cfg, false)
@@ -455,7 +456,6 @@ pub(crate) fn serve_with(
     cfg: &ServiceConfig,
     profile: bool,
 ) -> ServiceResult {
-    let mut pool = WorkerPool::new(cfg.workers);
     let mut cache = CompileCache::new();
     let mut workers: Vec<Option<InFlight>> = (0..cfg.workers.max(1)).map(|_| None).collect();
     let mut queue: VecDeque<JobState> = VecDeque::new();
@@ -513,10 +513,11 @@ pub(crate) fn serve_with(
         }
 
         // 4. Dispatch to free workers, in worker-index order. The whole
-        // batch is sent before any response is awaited, so independent
-        // jobs execute physically in parallel; the barrier keeps every
-        // virtual decision downstream of deterministic state only.
-        let mut batch: Vec<(usize, JobState, bool)> = Vec::new();
+        // batch runs as one fork-join, so independent jobs execute
+        // physically in parallel; the join keeps every virtual decision
+        // downstream of deterministic state only.
+        let mut jobs: Vec<(usize, JobState, bool)> = Vec::new();
+        let mut batch: Vec<(usize, ExecRequest)> = Vec::new();
         for (i, slot) in workers.iter().enumerate() {
             if slot.is_some() {
                 continue;
@@ -527,7 +528,7 @@ pub(crate) fn serve_with(
             let hit = cache.lookup(job.program);
             let miss = hit.is_none();
             let first_attempt = job.attempts() == 0;
-            pool.dispatch(
+            batch.push((
                 i,
                 ExecRequest {
                     job_id: job.spec.id,
@@ -549,11 +550,10 @@ pub(crate) fn serve_with(
                     compiled: hit.map(|e| e.compiled),
                     parked: job.parked.take(),
                 },
-            );
-            batch.push((i, job, miss));
+            ));
+            jobs.push((i, job, miss));
         }
-        for (i, mut job, miss) in batch {
-            let response = pool.await_response(i);
+        for ((i, mut job, miss), response) in jobs.into_iter().zip(run_batch(batch)) {
             let (ticks, charged) = service_ticks(cfg, &response.outcome, miss, job.budget);
             ledger.host.attempts += 1;
             ledger.host.resumed += u64::from(response.resumed);

@@ -2,7 +2,8 @@
 //! seeded arrival streams, the view's series against the service's own
 //! totals, byte-identical scope-on replay against the committed
 //! `SCOPE_serve.json` golden and of README's chaotic run against
-//! `goldens/{serve,scope}_chaos.json`, and the observational guarantee
+//! `goldens/{serve,scope}_chaos.json` (and, at 1 and 8 workers,
+//! `goldens/{serve,scope}_w{1,8}.json`), and the observational guarantee
 //! that turning scope on does not change the `clp-serve-v1` document.
 //!
 //! The span invariants are structural: a job's lifecycle must *tile* —
@@ -185,6 +186,8 @@ fn chaos_run_matches_the_committed_chaos_goldens() {
     // README's chaotic run, `clp-serve --jobs 24 --seed 7 --plant-panic 5
     // --kill-core 11@800`, with every other flag at its default: a second
     // pinned stream beside the bench, both documents held to equality.
+    // Besides the default 4 workers it is pinned at 1, a dispatch batch
+    // of one, and at 8, batches wider than a two-CPU host.
     let acfg = ArrivalConfig {
         jobs: 24,
         seed: 7,
@@ -192,38 +195,45 @@ fn chaos_run_matches_the_committed_chaos_goldens() {
         kill_at: vec![(11, 800)],
         ..ArrivalConfig::default()
     };
-    let scfg = ServiceConfig {
-        seed: 7,
-        ..ServiceConfig::default()
-    };
-    let (result, scope) = serve_scoped(
-        arrivals::generate(&acfg),
-        &scfg,
-        Some(&ScopeOptions::default()),
-    );
-    let scope = scope.expect("scope on");
     let golden = |name: &str| {
         let path = format!("{}/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {path}: {e}"))
     };
-    for (name, fresh) in [
-        (
-            "serve_chaos.json",
-            ServiceReport::new(&acfg, &scfg, &result).to_json(),
-        ),
-        ("scope_chaos.json", scope.to_json()),
+    for (workers, serve_golden, scope_golden, flag) in [
+        (4, "serve_chaos.json", "scope_chaos.json", ""),
+        (1, "serve_w1.json", "scope_w1.json", " --workers 1"),
+        (8, "serve_w8.json", "scope_w8.json", " --workers 8"),
     ] {
-        check_golden(&golden(name), &fresh).unwrap_or_else(|moved| {
-            panic!(
-                "the chaos run diverged from goldens/{name}; regenerate both with \
-                 `clp-serve --jobs 24 --seed 7 --plant-panic 5 --kill-core 11@800 \
-                 --json goldens/serve_chaos.json --scope-json goldens/scope_chaos.json` \
-                 if intentional\n{moved}"
-            )
-        });
+        let scfg = ServiceConfig {
+            workers,
+            seed: 7,
+            ..ServiceConfig::default()
+        };
+        let (result, scope) = serve_scoped(
+            arrivals::generate(&acfg),
+            &scfg,
+            Some(&ScopeOptions::default()),
+        );
+        let scope = scope.expect("scope on");
+        for (name, fresh) in [
+            (
+                serve_golden,
+                ServiceReport::new(&acfg, &scfg, &result).to_json(),
+            ),
+            (scope_golden, scope.to_json()),
+        ] {
+            check_golden(&golden(name), &fresh).unwrap_or_else(|moved| {
+                panic!(
+                    "the {workers}-worker chaos run diverged from goldens/{name}; regenerate \
+                     both with `clp-serve --jobs 24 --seed 7 --plant-panic 5 --kill-core \
+                     11@800{flag} --json goldens/{serve_golden} --scope-json \
+                     goldens/{scope_golden}` if intentional\n{moved}"
+                )
+            });
+        }
+        assert_span_invariants(&scope);
+        assert_view_matches_totals(&scope, &result);
     }
-    assert_span_invariants(&scope);
-    assert_view_matches_totals(&scope, &result);
 }
 
 proptest! {

@@ -3,22 +3,28 @@
 //! retries, overload shedding, graceful degradation, full drain, and
 //! the continued deadline kill: which attempts run on a parked machine,
 //! that doing so never shows in a cycle count, and what it saves the
-//! host ([`HostLedger`]).
+//! host ([`HostLedger`]); and, under all of it, the worker side:
+//! [`run_batch`] runs one dispatch tick's attempts, a panic is one
+//! request's `Panicked` response, and a parked machine is continued only
+//! under equal settings.
 //!
 //! Everything here leans on the service's central contract: no
 //! wall-clock anywhere, so one `(arrival schedule, config)` pair
 //! reproduces the entire run — including every retry, panic, and shed
 //! job — byte-for-byte.
 
-use clp::core::{run_workload, ProcessorConfig};
+use clp::core::{run_workload, FailureClass, ProcessorConfig};
 use clp::obs::{AttemptEnd, ScopeOptions};
+use clp::serve::pool::{run_batch, ExecOutcome, ExecRequest, ExecResponse, Settings};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
+    cache::content_hash,
     serve, serve_scoped, HostLedger, JobOutcome, JobRecord, JobSpec, Rejected, ServiceConfig,
     ServiceReport, ServiceResult,
 };
 use clp::sim::{FaultKind, FaultPlan};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn chaos_arrivals() -> ArrivalConfig {
     // A small but fully loaded schedule: a planted panic, a doomed
@@ -87,7 +93,7 @@ fn assert_totals_are_the_records(r: &ServiceResult) {
     assert_eq!(t.panics, ended(AttemptEnd::Panicked));
     assert_eq!(
         t.respawns, t.panics,
-        "a worker is respawned exactly on a panic"
+        "a virtual worker is respawned exactly on a panic"
     );
     assert_eq!(t.transient_failures, ended(AttemptEnd::Transient));
     assert_eq!(
@@ -148,7 +154,7 @@ fn chaos_run_survives_panic_kill_and_deadline_without_corrupting_siblings() {
     let t = &result.totals;
     assert_eq!(t.submitted, 10);
     assert_eq!(t.panics, 1, "the planted panic fired");
-    assert_eq!(t.respawns, 1, "the poisoned worker was respawned");
+    assert_eq!(t.respawns, 1, "the panicked worker was respawned");
     assert!(t.transient_failures >= 1, "the kill job failed transiently");
     assert!(t.deadline_kills >= 1, "tight budgets were reaped");
     // Every submitted job reached a terminal state; nothing hung or
@@ -328,7 +334,7 @@ fn malformed_jobs_get_typed_rejections_not_panics() {
 fn service_drains_gracefully_on_shutdown() {
     // Drain contract: serve() returns only after every admitted job —
     // including retries in flight when arrivals stop — reaches a
-    // terminal record, and the pool threads are joined on drop.
+    // terminal record, and every worker thread is joined within its tick.
     let acfg = chaos_arrivals();
     let scfg = quiet_cfg();
     let r = serve(arrivals::generate(&acfg), &scfg);
@@ -486,6 +492,144 @@ fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
             cycles_charged: 1_785_851,
         }
     );
+}
+
+/// A fault-free first attempt of `name` on `cores` cores, compiling on
+/// the worker.
+fn plain_request(id: u64, name: &str, cores: usize, budget: u64) -> ExecRequest {
+    let workload = clp::workloads::suite::by_name(name).expect("suite workload");
+    ExecRequest {
+        job_id: id,
+        settings: Settings {
+            program: content_hash(&workload),
+            cores,
+            faults: FaultPlan::none(),
+            sabotage: false,
+            profile: false,
+        },
+        budget,
+        workload: Arc::new(workload),
+        compiled: None,
+        parked: None,
+    }
+}
+
+/// `req` as a batch of one, on slot 0.
+fn run_alone(req: ExecRequest) -> ExecResponse {
+    let mut responses = run_batch(vec![(0, req)]);
+    assert_eq!(responses.len(), 1, "one response per request");
+    responses.pop().expect("checked")
+}
+
+/// A success's `(cycles, resumed, stepped)`.
+fn completed(resp: ExecResponse) -> (u64, bool, u64) {
+    match resp.outcome {
+        ExecOutcome::Success { cycles, .. } => (cycles, resp.resumed, resp.stepped),
+        _ => panic!("expected the request to complete"),
+    }
+}
+
+/// conv on 8 cores killed at 500 cycles: the response.
+fn killed_at_500() -> ExecResponse {
+    let resp = run_alone(plain_request(3, "conv", 8, 500));
+    match &resp.outcome {
+        ExecOutcome::Failure(f) => assert_eq!(f.class(), FailureClass::DeadlineKill),
+        _ => panic!("expected a deadline kill"),
+    }
+    resp
+}
+
+/// conv on 8 cores with a 200 000-cycle budget, continuing the machine
+/// [`killed_at_500`] parked.
+fn continued_after_500() -> ExecRequest {
+    ExecRequest {
+        parked: killed_at_500().parked,
+        ..plain_request(3, "conv", 8, 200_000)
+    }
+}
+
+#[test]
+fn run_batch_runs_a_job_and_returns_the_compile() {
+    let resp = run_alone(plain_request(7, "conv", 8, 200_000));
+    assert!(resp.compiled_here.is_some(), "miss compiles");
+    let (cycles, resumed, stepped) = completed(resp);
+    assert!(cycles > 100);
+    assert_eq!((resumed, stepped), (false, cycles));
+}
+
+#[test]
+fn a_planted_panic_is_a_panicked_response_and_the_slot_runs_on() {
+    let mut req = plain_request(1, "conv", 4, 200_000);
+    req.settings.sabotage = true;
+    let resp = run_alone(req);
+    assert!(matches!(resp.outcome, ExecOutcome::Panicked));
+    assert!(resp.parked.is_none() && resp.compiled_here.is_none());
+    // The next batch on the same slot is serviceable.
+    completed(run_alone(plain_request(2, "conv", 4, 200_000)));
+}
+
+#[test]
+fn deadline_kill_is_reported_as_typed_failure_and_hands_the_machine_back() {
+    let resp = killed_at_500();
+    assert!(resp.parked.is_some());
+    assert_eq!((resp.resumed, resp.stepped), (false, 500));
+}
+
+#[test]
+fn a_parked_machine_is_continued_only_under_equal_settings() {
+    let retry = |change: fn(&mut Settings)| {
+        let mut req = continued_after_500();
+        change(&mut req.settings);
+        let resp = run_alone(req);
+        assert!(resp.parked.is_none());
+        completed(resp)
+    };
+    // Only the budget differs: runs on from cycle 500.
+    let (cycles, resumed, stepped) = retry(|_| ());
+    assert_eq!((resumed, stepped), (true, cycles - 500));
+    // Any one setting differs: the machine is dropped, cycle 0.
+    let changes: [fn(&mut Settings); 4] = [
+        |s| s.cores = 4,
+        |s| s.profile = true,
+        |s| s.faults = FaultPlan::only(FaultKind::DramSpike, 1, 200),
+        |s| s.program ^= 1,
+    ];
+    for change in changes {
+        let (from_zero, resumed, stepped) = retry(change);
+        assert_eq!((resumed, stepped), (false, from_zero));
+    }
+}
+
+#[test]
+fn results_are_pure_functions_of_the_request() {
+    let responses = run_batch(vec![
+        (0, plain_request(1, "bezier", 4, 200_000)),
+        (1, plain_request(2, "bezier", 4, 200_000)),
+    ]);
+    let cycles: Vec<u64> = responses.into_iter().map(|r| completed(r).0).collect();
+    assert_eq!(
+        cycles[0], cycles[1],
+        "same request, same cycles, any thread"
+    );
+}
+
+#[test]
+fn a_panic_in_a_batch_leaves_its_sibling_as_if_run_alone() {
+    // One batch: a sabotaged request beside one that continues a parked
+    // machine. The panic ends only its own thread; the sibling's
+    // response is the one it gets alone, down to what it stepped.
+    let alone = completed(run_alone(continued_after_500()));
+    assert!(alone.1, "the sibling continues its parked machine");
+    let mut sabotaged = plain_request(1, "bezier", 4, 200_000);
+    sabotaged.settings.sabotage = true;
+    let mut both = run_batch(vec![(0, sabotaged), (1, continued_after_500())]).into_iter();
+    let first = both.next().expect("a response per request");
+    assert!(matches!(first.outcome, ExecOutcome::Panicked));
+    assert_eq!(
+        completed(both.next().expect("a response per request")),
+        alone
+    );
+    assert!(both.next().is_none());
 }
 
 proptest! {
