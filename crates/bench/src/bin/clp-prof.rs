@@ -32,7 +32,6 @@ const SPEC: Spec = Spec {
         SUITE,
         Flag::switch("--json", "emit the clp-prof-v1 document instead of tables"),
         Flag::value("--cores", "N", "composition size (default 16)"),
-        Flag::value("--top-links", "N", "hottest mesh links to list (default 8)"),
     ],
     epilog: "",
 };
@@ -41,7 +40,6 @@ fn main() {
     let args = SPEC.parse_env();
     let workloads = or_die(args.workloads());
     let cores = or_die(args.cores()).unwrap_or(16);
-    let top_links: usize = or_die(args.num("--top-links", ..)).unwrap_or(8);
     let json = args.switch("--json");
     let obs = ObsOptions {
         profile: true,
@@ -65,7 +63,7 @@ fn main() {
             println!("per-core critical cycles:");
             print!("{}", report.render_core_heatmap());
             println!("hottest operand links:");
-            print!("{}", report.render_links(top_links));
+            print!("{}", report.render_links(8));
             println!();
         }
     }

@@ -33,8 +33,6 @@ const SPEC: Spec = Spec {
         Flag::value("--cores", "N", "composition size (default 16)"),
         Flag::value("--period", "CYCLES", "interval width (default 1000)"),
         Flag::repeated("--paths", "A,B,..", "extra stats-registry columns to record"),
-        Flag::value("--phase-window", "N", "change-point detector window, intervals (default 4)"),
-        Flag::value("--threshold", "N", "change-point detector threshold (default 150)"),
         Flag::value("--perfetto", "PATH", "also write the series as Chrome counter tracks"),
     ],
     epilog: "",
@@ -47,8 +45,6 @@ fn main() {
     let trend_opts = TrendOptions {
         period: or_die(args.num("--period", 1..)).unwrap_or(1000),
         paths: args.list("--paths"),
-        phase_window: or_die(args.num("--phase-window", 1..)).unwrap_or(4),
-        phase_threshold: or_die(args.num("--threshold", ..)).unwrap_or(150),
     };
     let (json, perfetto) = (args.switch("--json"), args.text("--perfetto"));
     let obs = ObsOptions {

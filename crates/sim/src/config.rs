@@ -26,8 +26,6 @@ pub struct CoreConfig {
     pub fp_issue: usize,
     /// Instructions dispatched into the window per cycle.
     pub dispatch_per_cycle: usize,
-    /// Issue-window entries (one block's worth).
-    pub window_entries: usize,
 }
 
 /// Full simulator configuration.
@@ -43,8 +41,6 @@ pub struct SimConfig {
     pub operand_net: MeshConfig,
     /// Handshake timing mode.
     pub protocol: ProtocolTiming,
-    /// Cycles a NACKed memory request waits before retrying.
-    pub nack_retry: u32,
     /// Maximum in-flight blocks per logical processor; `None` means one
     /// per participating core (the TFlex window rule).
     pub max_inflight: Option<usize>,
@@ -52,8 +48,6 @@ pub struct SimConfig {
     /// (centralized control/prediction) and the predictor is a single
     /// shared bank.
     pub centralized_control: bool,
-    /// Initial stack-pointer value installed in `r126`.
-    pub stack_top: u64,
     /// Cycle budget before [`RunError::CycleLimit`](crate::RunError).
     pub max_cycles: u64,
     /// Per-run cycle deadline, enforced by the run-loop watchdog:
@@ -67,15 +61,6 @@ pub struct SimConfig {
     /// Deterministic fault-injection plan ([`FaultPlan::none`] disables
     /// injection entirely and is bit-identical to a fault-free build).
     pub faults: FaultPlan,
-    /// Base heartbeat timeout (cycles of protocol silence from a
-    /// participating core before the survivors probe it). Only armed when
-    /// the fault plan schedules core kills; fault-free runs never pay for
-    /// the watchdog.
-    pub watchdog_timeout: u64,
-    /// Cap on the exponent of the watchdog's bounded exponential backoff:
-    /// after each all-alive probe round the timeout doubles, up to
-    /// `watchdog_timeout << watchdog_backoff_cap`.
-    pub watchdog_backoff_cap: u32,
 }
 
 impl SimConfig {
@@ -90,21 +75,16 @@ impl SimConfig {
                 issue_width: 2,
                 fp_issue: 1,
                 dispatch_per_cycle: 4,
-                window_entries: 128,
             },
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::tflex(),
             operand_net: MeshConfig::tflex_operand(),
             protocol: ProtocolTiming::Modeled,
-            nack_retry: 4,
             max_inflight: None,
             centralized_control: false,
-            stack_top: 0x4000_0000,
             max_cycles: 200_000_000,
             deadline: None,
             faults: FaultPlan::none(),
-            watchdog_timeout: 64,
-            watchdog_backoff_cap: 6,
         }
     }
 
@@ -119,21 +99,16 @@ impl SimConfig {
                 issue_width: 1,
                 fp_issue: 1,
                 dispatch_per_cycle: 1,
-                window_entries: 64,
             },
             mem: MemConfig::tflex(),
             predictor: PredictorConfig::trips_centralized(),
             operand_net: MeshConfig::trips_operand(),
             protocol: ProtocolTiming::Modeled,
-            nack_retry: 4,
             max_inflight: Some(8),
             centralized_control: true,
-            stack_top: 0x4000_0000,
             max_cycles: 200_000_000,
             deadline: None,
             faults: FaultPlan::none(),
-            watchdog_timeout: 64,
-            watchdog_backoff_cap: 6,
         }
     }
 
@@ -176,7 +151,7 @@ pub fn table1_text(cfg: &SimConfig) -> String {
         cfg.predictor.ctb,
         cfg.predictor.btb,
         cfg.predictor.btype,
-        cfg.core.window_entries,
+        clp_isa::MAX_BLOCK_INSTRUCTIONS,
         cfg.core.issue_width,
         cfg.core.fp_issue,
         cfg.mem.l1d_bytes / 1024,
@@ -200,7 +175,6 @@ mod tests {
         let c = SimConfig::tflex();
         assert_eq!(c.core.issue_width, 2);
         assert_eq!(c.core.fp_issue, 1);
-        assert_eq!(c.core.window_entries, 128);
         assert_eq!(c.chip_cores(), 32);
         assert_eq!(c.operand_net.link_bandwidth, 2);
         assert!(!c.centralized_control);

@@ -22,9 +22,12 @@
 //!    same plan always reproduces the same cycle count, and
 //!    [`FaultPlan::none`] is bit-identical to a build without the layer.
 //!
-//! Rates are expressed in *per-mille* (0–1000) so the whole plan stays
-//! integer-valued, `Eq`-comparable, and serializable alongside
-//! [`SimConfig`](crate::SimConfig).
+//! Each [`FaultKind`] is one row of a single table: its label (in
+//! `--faults` specs and `fault_injected` trace events), its `faults/*`
+//! stat names, and how large one injection is. A plan is one per-mille
+//! rate (0–1000) per row, so it stays integer-valued, `Eq`-comparable,
+//! and serializable alongside [`SimConfig`](crate::SimConfig); the
+//! injector has one [`FaultInjector::draw`] for every row.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -164,7 +167,8 @@ impl fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// The distinct protocol perturbations the layer can inject.
+/// The distinct protocol perturbations the layer can inject, in table
+/// order (which is also the order of the `faults/*` snapshot node).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Extra hop delay on an operand-network message.
@@ -181,7 +185,7 @@ pub enum FaultKind {
     HandoffDelay,
 }
 
-/// All injectable fault kinds, in a stable order.
+/// All injectable fault kinds, in table order.
 pub const ALL_FAULT_KINDS: [FaultKind; 6] = [
     FaultKind::NocDelay,
     FaultKind::NocBurst,
@@ -191,18 +195,72 @@ pub const ALL_FAULT_KINDS: [FaultKind; 6] = [
     FaultKind::HandoffDelay,
 ];
 
+/// How many cycles one injection of a kind costs.
+enum Magnitude {
+    /// Uniform in `1..=max`: a second PRNG draw after the roll.
+    Upto(u64),
+    /// Always this many, with no second draw.
+    Fixed(u64),
+}
+
+/// One fault kind's row of [`FAULTS`].
+struct Fault {
+    /// Stable snake_case label (traces, `--faults`).
+    label: &'static str,
+    /// The `faults/*` stat counting injections.
+    count: &'static str,
+    /// The `faults/*` stat summing injected cycles, where there is one.
+    cycles: Option<&'static str>,
+    magnitude: Magnitude,
+}
+
+/// The fault table, indexed by `FaultKind as usize`.
+const FAULTS: [Fault; 6] = [
+    Fault {
+        label: "noc_delay",
+        count: "noc_delays",
+        cycles: Some("noc_delay_cycles"),
+        magnitude: Magnitude::Upto(8),
+    },
+    Fault {
+        label: "noc_burst",
+        count: "noc_bursts",
+        cycles: Some("noc_burst_cycles"),
+        magnitude: Magnitude::Fixed(16),
+    },
+    // The extra cycles are the NACK's retry wait, which the trace reports.
+    Fault {
+        label: "forced_nack",
+        count: "forced_nacks",
+        cycles: None,
+        magnitude: Magnitude::Fixed(crate::machine::NACK_RETRY),
+    },
+    Fault {
+        label: "mispredict",
+        count: "flipped_predictions",
+        cycles: None,
+        magnitude: Magnitude::Fixed(0),
+    },
+    // Roughly one extra DRAM round trip at most.
+    Fault {
+        label: "dram_spike",
+        count: "dram_spikes",
+        cycles: Some("dram_spike_cycles"),
+        magnitude: Magnitude::Upto(150),
+    },
+    Fault {
+        label: "handoff_delay",
+        count: "handoff_delays",
+        cycles: Some("handoff_delay_cycles"),
+        magnitude: Magnitude::Upto(8),
+    },
+];
+
 impl FaultKind {
     /// Stable snake_case label (used in traces, stats, and `--faults`).
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::NocDelay => "noc_delay",
-            FaultKind::NocBurst => "noc_burst",
-            FaultKind::ForcedNack => "forced_nack",
-            FaultKind::Mispredict => "mispredict",
-            FaultKind::DramSpike => "dram_spike",
-            FaultKind::HandoffDelay => "handoff_delay",
-        }
+        FAULTS[self as usize].label
     }
 
     /// Parses a label produced by [`FaultKind::label`].
@@ -220,51 +278,21 @@ impl fmt::Display for FaultKind {
 
 /// A complete, serializable description of what to inject.
 ///
-/// Rates are per-mille probabilities (0–1000) evaluated at each decision
-/// point; `*_cycles` fields bound the magnitude of the corresponding
-/// perturbation. [`FaultPlan::none`] (the [`Default`]) disables every
-/// fault and adds exactly zero overhead to a run.
+/// [`FaultPlan::none`] (the [`Default`]) disables every fault and adds
+/// exactly zero overhead to a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// PRNG seed; same seed + same plan ⇒ same cycle count.
     pub seed: u64,
-    /// Per-mille chance each operand-NoC message is delayed on injection.
-    pub noc_delay_rate: u16,
-    /// Maximum extra cycles for a delayed message (uniform in `1..=max`).
-    pub noc_delay_cycles: u16,
-    /// Per-mille chance, evaluated once per machine cycle, of starting a
-    /// link-contention burst on the operand mesh.
-    pub noc_burst_rate: u16,
-    /// Length of a contention burst in cycles.
-    pub noc_burst_cycles: u16,
-    /// Per-mille chance a memory request is NACKed before reaching the
-    /// LSQ (a forced retry through the existing NACK/replay path).
-    pub nack_rate: u16,
-    /// Per-mille chance a next-block prediction's target is flipped to a
-    /// wrong-but-plausible block address (forced mispredict).
-    pub mispredict_rate: u16,
-    /// Per-mille chance a load reply is charged a DRAM-class latency
-    /// spike on top of its real latency.
-    pub dram_spike_rate: u16,
-    /// Maximum extra cycles for a DRAM spike (uniform in `1..=max`).
-    pub dram_spike_cycles: u16,
-    /// Per-mille chance a block hand-off message is delayed.
-    pub handoff_delay_rate: u16,
-    /// Maximum extra cycles for a delayed hand-off (uniform in `1..=max`).
-    pub handoff_delay_cycles: u16,
+    /// Per-mille chance (0–1000) that each kind fires at one of its
+    /// decision points, indexed by `FaultKind as usize`.
+    pub rates: [u16; 6],
     /// Scheduled hard core failures, in insertion order (`None` slots
     /// are empty). Populate through [`FaultPlan::add_kill`], which
     /// validates the schedule.
     pub kills: [Option<CoreKill>; MAX_KILLS],
 }
 
-/// Default magnitude (cycles) for delay-type faults in [`FaultPlan::chaos`]
-/// and `--faults` specs that give a rate but no magnitude.
-const DEFAULT_DELAY_CYCLES: u16 = 8;
-/// Default burst length for [`FaultKind::NocBurst`].
-const DEFAULT_BURST_CYCLES: u16 = 16;
-/// Default DRAM-spike magnitude (roughly an extra DRAM round trip).
-const DEFAULT_SPIKE_CYCLES: u16 = 150;
 /// Default per-mille rate when a `--faults` spec names a kind bare.
 const DEFAULT_RATE: u16 = 25;
 
@@ -275,77 +303,39 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             seed: 0,
-            noc_delay_rate: 0,
-            noc_delay_cycles: 0,
-            noc_burst_rate: 0,
-            noc_burst_cycles: 0,
-            nack_rate: 0,
-            mispredict_rate: 0,
-            dram_spike_rate: 0,
-            dram_spike_cycles: 0,
-            handoff_delay_rate: 0,
-            handoff_delay_cycles: 0,
+            rates: [0; 6],
             kills: [None; MAX_KILLS],
         }
     }
 
-    /// A moderate all-faults plan: every kind enabled at `rate` per-mille
-    /// with default magnitudes. The standard chaos-suite configuration.
+    /// A moderate all-faults plan: every kind enabled at `rate` per-mille.
+    /// The standard chaos-suite configuration.
     #[must_use]
     pub fn chaos(seed: u64, rate: u16) -> Self {
-        let mut p = FaultPlan::none();
-        p.seed = seed;
-        for k in ALL_FAULT_KINDS {
-            p.enable(k, rate);
+        FaultPlan {
+            seed,
+            rates: [rate; 6],
+            ..FaultPlan::none()
         }
-        p
     }
 
-    /// A plan with exactly one fault kind enabled at `rate` per-mille
-    /// (default magnitude) — what the chaos suite sweeps kind-by-kind.
+    /// A plan with exactly one fault kind enabled at `rate` per-mille —
+    /// what the chaos suite sweeps kind-by-kind.
     #[must_use]
     pub fn only(kind: FaultKind, seed: u64, rate: u16) -> Self {
-        let mut p = FaultPlan::none();
-        p.seed = seed;
-        p.enable(kind, rate);
+        let mut p = FaultPlan {
+            seed,
+            ..FaultPlan::none()
+        };
+        p.rates[kind as usize] = rate;
         p
-    }
-
-    /// Enables `kind` at `rate` per-mille with its default magnitude.
-    pub fn enable(&mut self, kind: FaultKind, rate: u16) {
-        match kind {
-            FaultKind::NocDelay => {
-                self.noc_delay_rate = rate;
-                self.noc_delay_cycles = DEFAULT_DELAY_CYCLES;
-            }
-            FaultKind::NocBurst => {
-                self.noc_burst_rate = rate;
-                self.noc_burst_cycles = DEFAULT_BURST_CYCLES;
-            }
-            FaultKind::ForcedNack => self.nack_rate = rate,
-            FaultKind::Mispredict => self.mispredict_rate = rate,
-            FaultKind::DramSpike => {
-                self.dram_spike_rate = rate;
-                self.dram_spike_cycles = DEFAULT_SPIKE_CYCLES;
-            }
-            FaultKind::HandoffDelay => {
-                self.handoff_delay_rate = rate;
-                self.handoff_delay_cycles = DEFAULT_DELAY_CYCLES;
-            }
-        }
     }
 
     /// True if no fault kind can ever fire under this plan, including
     /// scheduled core kills.
     #[must_use]
     pub fn is_none(&self) -> bool {
-        self.noc_delay_rate == 0
-            && self.noc_burst_rate == 0
-            && self.nack_rate == 0
-            && self.mispredict_rate == 0
-            && self.dram_spike_rate == 0
-            && self.handoff_delay_rate == 0
-            && !self.has_kills()
+        self.rates == [0; 6] && !self.has_kills()
     }
 
     /// True if this plan schedules at least one hard core kill.
@@ -471,18 +461,16 @@ impl FaultPlan {
                 None => (entry, DEFAULT_RATE),
             };
             if name == "all" {
-                for k in ALL_FAULT_KINDS {
-                    plan.enable(k, rate);
-                }
+                plan.rates = [rate; 6];
             } else {
                 let kind = FaultKind::from_label(name).ok_or_else(|| {
-                    let labels: Vec<&str> = ALL_FAULT_KINDS.iter().map(|k| k.label()).collect();
+                    let labels: Vec<&str> = FAULTS.iter().map(|f| f.label).collect();
                     format!(
                         "unknown fault kind `{name}`; expected one of: all, none, {}",
                         labels.join(", ")
                     )
                 })?;
-                plan.enable(kind, rate);
+                plan.rates[kind as usize] = rate;
             }
         }
         Ok(plan)
@@ -495,71 +483,42 @@ impl Default for FaultPlan {
     }
 }
 
-/// Counts of what the injector actually did during a run.
+/// Counts of what the injector actually did during a run, indexed by
+/// `FaultKind as usize`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
-    /// Operand-NoC messages delayed.
-    pub noc_delays: u64,
-    /// Total extra cycles added to delayed NoC messages.
-    pub noc_delay_cycles: u64,
-    /// Link-contention bursts started.
-    pub noc_bursts: u64,
-    /// Total cycles of burst throttling requested.
-    pub noc_burst_cycles: u64,
-    /// Memory requests NACKed by force.
-    pub forced_nacks: u64,
-    /// Next-block predictions flipped.
-    pub flipped_predictions: u64,
-    /// Load replies hit with a DRAM spike.
-    pub dram_spikes: u64,
-    /// Total extra cycles added by DRAM spikes.
-    pub dram_spike_cycles: u64,
-    /// Block hand-offs delayed.
-    pub handoff_delays: u64,
-    /// Total extra cycles added to delayed hand-offs.
-    pub handoff_delay_cycles: u64,
+    /// Injections of each kind.
+    pub counts: [u64; 6],
+    /// Extra cycles each kind injected in total (a forced NACK's retry
+    /// wait included, though only the kinds with a cycles stat report it).
+    pub cycles: [u64; 6],
 }
 
 impl FaultStats {
     /// Total faults injected, across all kinds.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.noc_delays
-            + self.noc_bursts
-            + self.forced_nacks
-            + self.flipped_predictions
-            + self.dram_spikes
-            + self.handoff_delays
+        self.counts.iter().sum()
     }
 
     /// Injection count for one kind.
     #[must_use]
     pub fn count(&self, kind: FaultKind) -> u64 {
-        match kind {
-            FaultKind::NocDelay => self.noc_delays,
-            FaultKind::NocBurst => self.noc_bursts,
-            FaultKind::ForcedNack => self.forced_nacks,
-            FaultKind::Mispredict => self.flipped_predictions,
-            FaultKind::DramSpike => self.dram_spikes,
-            FaultKind::HandoffDelay => self.handoff_delays,
-        }
+        self.counts[kind as usize]
     }
 
-    /// Renders these counters as a stats-registry node named `"faults"`.
+    /// Renders these counters as a stats-registry node named `"faults"`:
+    /// the total, then each kind's count and cycles stats in table order.
     #[must_use]
     pub fn to_node(&self) -> clp_obs::StatsNode {
-        clp_obs::StatsNode::new("faults")
-            .count("total", self.total())
-            .count("noc_delays", self.noc_delays)
-            .count("noc_delay_cycles", self.noc_delay_cycles)
-            .count("noc_bursts", self.noc_bursts)
-            .count("noc_burst_cycles", self.noc_burst_cycles)
-            .count("forced_nacks", self.forced_nacks)
-            .count("flipped_predictions", self.flipped_predictions)
-            .count("dram_spikes", self.dram_spikes)
-            .count("dram_spike_cycles", self.dram_spike_cycles)
-            .count("handoff_delays", self.handoff_delays)
-            .count("handoff_delay_cycles", self.handoff_delay_cycles)
+        let mut node = clp_obs::StatsNode::new("faults").count("total", self.total());
+        for (k, fault) in FAULTS.iter().enumerate() {
+            node = node.count(fault.count, self.counts[k]);
+            if let Some(name) = fault.cycles {
+                node = node.count(name, self.cycles[k]);
+            }
+        }
+        node
     }
 }
 
@@ -567,8 +526,8 @@ impl FaultStats {
 /// and injection counters. Owned by the `Machine`, consulted at each
 /// protocol decision point.
 ///
-/// Every `roll` with a zero rate returns without touching the PRNG, so a
-/// plan with some kinds disabled draws exactly the same stream for the
+/// A draw at a zero rate returns without touching the PRNG, so a plan
+/// with some kinds disabled draws exactly the same stream for the
 /// enabled ones regardless of which others exist — and
 /// [`FaultPlan::none`] never draws at all.
 #[derive(Clone, Copy, Debug)]
@@ -613,84 +572,23 @@ impl FaultInjector {
         &self.stats
     }
 
-    /// Bernoulli trial at `rate` per-mille. Zero-rate trials never
-    /// consume PRNG state (the bit-identity guarantee for disabled
-    /// kinds).
-    fn roll(&mut self, rate: u16) -> bool {
-        rate != 0 && self.prng.next_below(1000) < u64::from(rate)
-    }
-
-    /// Uniform magnitude in `1..=max` (0 if `max` is 0).
-    fn magnitude(&mut self, max: u16) -> u64 {
-        if max == 0 {
-            0
-        } else {
-            1 + self.prng.next_below(u64::from(max))
-        }
-    }
-
-    /// Should this operand-NoC message be delayed? Returns the extra
-    /// cycles to hold it before injection.
-    pub fn noc_delay(&mut self) -> Option<u64> {
-        if !self.roll(self.plan.noc_delay_rate) {
+    /// One decision point of `kind`: a Bernoulli trial at the kind's
+    /// per-mille rate and, on a hit, its extra cycles from the table
+    /// (drawn second, for the kinds whose magnitude is drawn). A zero
+    /// rate never consumes PRNG state — the bit-identity guarantee for
+    /// disabled kinds.
+    pub fn draw(&mut self, kind: FaultKind) -> Option<u64> {
+        let k = kind as usize;
+        let rate = u64::from(self.plan.rates[k]);
+        if rate == 0 || self.prng.next_below(1000) >= rate {
             return None;
         }
-        let extra = self.magnitude(self.plan.noc_delay_cycles);
-        self.stats.noc_delays += 1;
-        self.stats.noc_delay_cycles += extra;
-        Some(extra)
-    }
-
-    /// Should a link-contention burst start this cycle? Returns the
-    /// burst length in cycles.
-    pub fn noc_burst(&mut self) -> Option<u64> {
-        if !self.roll(self.plan.noc_burst_rate) {
-            return None;
-        }
-        let len = u64::from(self.plan.noc_burst_cycles.max(1));
-        self.stats.noc_bursts += 1;
-        self.stats.noc_burst_cycles += len;
-        Some(len)
-    }
-
-    /// Should this memory request be NACKed by force?
-    pub fn forced_nack(&mut self) -> bool {
-        let hit = self.roll(self.plan.nack_rate);
-        if hit {
-            self.stats.forced_nacks += 1;
-        }
-        hit
-    }
-
-    /// Should this next-block prediction be flipped?
-    pub fn flip_prediction(&mut self) -> bool {
-        let hit = self.roll(self.plan.mispredict_rate);
-        if hit {
-            self.stats.flipped_predictions += 1;
-        }
-        hit
-    }
-
-    /// Should this load reply take a DRAM spike? Returns the extra
-    /// latency cycles.
-    pub fn dram_spike(&mut self) -> Option<u64> {
-        if !self.roll(self.plan.dram_spike_rate) {
-            return None;
-        }
-        let extra = self.magnitude(self.plan.dram_spike_cycles);
-        self.stats.dram_spikes += 1;
-        self.stats.dram_spike_cycles += extra;
-        Some(extra)
-    }
-
-    /// Should this block hand-off be delayed? Returns the extra cycles.
-    pub fn handoff_delay(&mut self) -> Option<u64> {
-        if !self.roll(self.plan.handoff_delay_rate) {
-            return None;
-        }
-        let extra = self.magnitude(self.plan.handoff_delay_cycles);
-        self.stats.handoff_delays += 1;
-        self.stats.handoff_delay_cycles += extra;
+        let extra = match FAULTS[k].magnitude {
+            Magnitude::Upto(max) => 1 + self.prng.next_below(max),
+            Magnitude::Fixed(cycles) => cycles,
+        };
+        self.stats.counts[k] += 1;
+        self.stats.cycles[k] += extra;
         Some(extra)
     }
 }
@@ -727,12 +625,9 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::none());
         let before = inj.prng;
         for _ in 0..1000 {
-            assert!(inj.noc_delay().is_none());
-            assert!(inj.noc_burst().is_none());
-            assert!(!inj.forced_nack());
-            assert!(!inj.flip_prediction());
-            assert!(inj.dram_spike().is_none());
-            assert!(inj.handoff_delay().is_none());
+            for k in ALL_FAULT_KINDS {
+                assert_eq!(inj.draw(k), None);
+            }
         }
         assert_eq!(inj.prng, before, "disabled faults must not draw");
         assert_eq!(inj.stats().total(), 0);
@@ -742,34 +637,49 @@ mod tests {
     fn full_rate_always_fires() {
         let mut inj = FaultInjector::new(FaultPlan::chaos(7, 1000));
         for _ in 0..100 {
-            assert!(inj.noc_delay().is_some());
-            assert!(inj.forced_nack());
+            assert!(inj.draw(FaultKind::NocDelay).is_some());
+            assert_eq!(inj.draw(FaultKind::ForcedNack), Some(4), "the NACK wait");
         }
-        assert_eq!(inj.stats().noc_delays, 100);
-        assert_eq!(inj.stats().forced_nacks, 100);
         assert_eq!(inj.stats().count(FaultKind::NocDelay), 100);
+        assert_eq!(inj.stats().count(FaultKind::ForcedNack), 100);
+        assert_eq!(inj.stats().total(), 200);
     }
 
     #[test]
     fn moderate_rate_fires_roughly_proportionally() {
         let mut inj = FaultInjector::new(FaultPlan::chaos(1234, 100)); // 10%
         for _ in 0..10_000 {
-            inj.forced_nack();
+            inj.draw(FaultKind::ForcedNack);
         }
-        let n = inj.stats().forced_nacks;
+        let n = inj.stats().count(FaultKind::ForcedNack);
         assert!((700..=1300).contains(&n), "10% of 10k ≈ 1000, got {n}");
     }
 
     #[test]
-    fn magnitudes_stay_in_bounds() {
+    fn magnitudes_follow_the_table() {
         let mut inj = FaultInjector::new(FaultPlan::chaos(9, 1000));
         for _ in 0..500 {
-            if let Some(d) = inj.noc_delay() {
-                assert!((1..=u64::from(DEFAULT_DELAY_CYCLES)).contains(&d));
+            assert!((1..=8).contains(&inj.draw(FaultKind::NocDelay).unwrap()));
+            assert_eq!(inj.draw(FaultKind::NocBurst), Some(16));
+            assert_eq!(inj.draw(FaultKind::Mispredict), Some(0));
+            assert!((1..=150).contains(&inj.draw(FaultKind::DramSpike).unwrap()));
+            assert!((1..=8).contains(&inj.draw(FaultKind::HandoffDelay).unwrap()));
+        }
+        assert_eq!(inj.stats().cycles[FaultKind::NocBurst as usize], 500 * 16);
+    }
+
+    /// Only the drawn magnitudes take a second PRNG draw.
+    #[test]
+    fn fixed_magnitudes_draw_once_and_drawn_ones_twice() {
+        for kind in ALL_FAULT_KINDS {
+            let mut inj = FaultInjector::new(FaultPlan::only(kind, 5, 1000));
+            let mut prng = Prng::new(5);
+            inj.draw(kind);
+            prng.next_u64();
+            if matches!(FAULTS[kind as usize].magnitude, Magnitude::Upto(_)) {
+                prng.next_u64();
             }
-            if let Some(d) = inj.dram_spike() {
-                assert!((1..=u64::from(DEFAULT_SPIKE_CYCLES)).contains(&d));
-            }
+            assert_eq!(inj.prng, prng, "{kind}");
         }
     }
 
@@ -778,23 +688,13 @@ mod tests {
         let p = FaultPlan::parse("all=20", 5).unwrap();
         assert_eq!(p.seed, 5);
         assert!(!p.is_none());
-        for k in ALL_FAULT_KINDS {
-            // All kinds enabled: each has a nonzero rate.
-            let rate = match k {
-                FaultKind::NocDelay => p.noc_delay_rate,
-                FaultKind::NocBurst => p.noc_burst_rate,
-                FaultKind::ForcedNack => p.nack_rate,
-                FaultKind::Mispredict => p.mispredict_rate,
-                FaultKind::DramSpike => p.dram_spike_rate,
-                FaultKind::HandoffDelay => p.handoff_delay_rate,
-            };
-            assert_eq!(rate, 20, "{k}");
-        }
+        assert_eq!(p.rates, [20; 6]);
+        assert_eq!(p, FaultPlan::chaos(5, 20));
 
         let p = FaultPlan::parse("mispredict=50, forced_nack", 0).unwrap();
-        assert_eq!(p.mispredict_rate, 50);
-        assert_eq!(p.nack_rate, DEFAULT_RATE);
-        assert_eq!(p.noc_delay_rate, 0);
+        assert_eq!(p.rates[FaultKind::Mispredict as usize], 50);
+        assert_eq!(p.rates[FaultKind::ForcedNack as usize], DEFAULT_RATE);
+        assert_eq!(p.rates[FaultKind::NocDelay as usize], 0);
 
         assert!(FaultPlan::parse("none", 0).unwrap().is_none());
         assert!(FaultPlan::parse("", 0).unwrap().is_none());
@@ -895,9 +795,9 @@ mod tests {
         let mut a = FaultInjector::new(FaultPlan::chaos(1, 500));
         let mut b = FaultInjector::new(FaultPlan::chaos(1, 500));
         let mut c = FaultInjector::new(FaultPlan::chaos(2, 500));
-        let da: Vec<_> = (0..64).map(|_| a.noc_delay()).collect();
-        let db: Vec<_> = (0..64).map(|_| b.noc_delay()).collect();
-        let dc: Vec<_> = (0..64).map(|_| c.noc_delay()).collect();
+        let da: Vec<_> = (0..64).map(|_| a.draw(FaultKind::NocDelay)).collect();
+        let db: Vec<_> = (0..64).map(|_| b.draw(FaultKind::NocDelay)).collect();
+        let dc: Vec<_> = (0..64).map(|_| c.draw(FaultKind::NocDelay)).collect();
         assert_eq!(da, db);
         assert_ne!(da, dc);
     }
@@ -906,9 +806,27 @@ mod tests {
     fn stats_node_exposes_counts() {
         let mut inj = FaultInjector::new(FaultPlan::only(FaultKind::Mispredict, 3, 1000));
         for _ in 0..5 {
-            inj.flip_prediction();
+            inj.draw(FaultKind::Mispredict);
         }
-        let root = clp_obs::StatsNode::new("run").child(inj.stats().to_node());
+        let node = inj.stats().to_node();
+        let names: Vec<&str> = node.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "total",
+                "noc_delays",
+                "noc_delay_cycles",
+                "noc_bursts",
+                "noc_burst_cycles",
+                "forced_nacks",
+                "flipped_predictions",
+                "dram_spikes",
+                "dram_spike_cycles",
+                "handoff_delays",
+                "handoff_delay_cycles",
+            ]
+        );
+        let root = clp_obs::StatsNode::new("run").child(node);
         let snap = clp_obs::StatsSnapshot { cycles: 0, root };
         assert_eq!(snap.expect("faults/flipped_predictions"), 5.0);
         assert_eq!(snap.expect("faults/total"), 5.0);

@@ -10,7 +10,7 @@ use super::prof::ProfAcc;
 use super::state::{Ev, OpMsg, WaitingRead};
 use crate::config::{ProtocolTiming, SimConfig};
 use crate::events::EventWheel;
-use crate::fault::{CoreKill, FaultInjector};
+use crate::fault::{CoreKill, FaultInjector, FaultKind};
 use crate::stats::{ComposeStats, RecoveryStats};
 use clp_mem::MemorySystem;
 use clp_noc::{Mesh, NodeId};
@@ -139,21 +139,16 @@ impl Fabric {
         self.local.schedule(self.now, at, ev);
     }
 
-    /// One draw of the fault layer on behalf of `core`: `draw` asks the
-    /// injector (which counts what it injects) and a hit is traced with
-    /// its extra cycles. Fault-free plans never reach the PRNG.
-    pub(super) fn fault(
-        &mut self,
-        kind: &'static str,
-        core: usize,
-        draw: impl FnOnce(&mut FaultInjector) -> Option<u64>,
-    ) -> Option<u64> {
+    /// One decision point of fault `kind` on behalf of `core`: the
+    /// injector draws (and counts what it injects) and a hit is traced
+    /// with its extra cycles. Fault-free plans never reach the PRNG.
+    pub(super) fn fault(&mut self, kind: FaultKind, core: usize) -> Option<u64> {
         if !self.faults.active() {
             return None;
         }
-        let extra_cycles = draw(&mut self.faults)?;
+        let extra_cycles = self.faults.draw(kind)?;
         self.tracer.emit(self.now, || TraceEvent::FaultInjected {
-            kind,
+            kind: kind.label(),
             core,
             extra_cycles,
         });
@@ -166,7 +161,7 @@ impl Fabric {
     pub(super) fn deliver(&mut self, from: usize, to: usize, msg: OpMsg) {
         if from == to {
             self.push_local(self.now + 1, Ev::Op(to as u8, msg));
-        } else if let Some(extra) = self.fault("noc_delay", from, FaultInjector::noc_delay) {
+        } else if let Some(extra) = self.fault(FaultKind::NocDelay, from) {
             // Held back first, as by a slow or retried link.
             let (from, to) = (from as u8, to as u8);
             self.push_local(self.now + extra, Ev::Inject { from, to, msg });

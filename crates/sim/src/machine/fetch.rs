@@ -6,7 +6,7 @@ use super::decode::FetchTemplate;
 use super::fabric::Fabric;
 use super::prof::FetchReason;
 use super::state::{Blk, Ev, PendingFetch, Proc};
-use crate::fault::FaultInjector;
+use crate::fault::FaultKind;
 use clp_isa::BlockAddr;
 use clp_obs::TraceEvent;
 use std::sync::Arc;
@@ -87,8 +87,7 @@ impl Proc {
         // rollback and resolution-time training follow the normal
         // mispredict recovery path; the wrong-path fetch either finds
         // a real (wrong) block or stalls until the redirect.
-        let flip = |f: &mut FaultInjector| f.flip_prediction().then_some(0);
-        if fab.fault("mispredict", owner, flip).is_some() {
+        if fab.fault(FaultKind::Mispredict, owner).is_some() {
             pred.target = pred.target.wrapping_add(clp_isa::BLOCK_FRAME_BYTES);
         }
         fab.tracer.emit(now, || TraceEvent::BlockPredicted {
@@ -109,7 +108,7 @@ impl Proc {
         self.chain_next = Some(pred.target);
         // Delayed hand-off: the control message to the next owner
         // simply takes longer, as if the control mesh were congested.
-        let delay = fab.fault("handoff_delay", owner, FaultInjector::handoff_delay);
+        let delay = fab.fault(FaultKind::HandoffDelay, owner);
         let at = now + 1 + pred_lat + ras_extra + flight + delay.unwrap_or(0);
         let (proc, addr) = (self.ix(), pred.target);
         fab.push_local(at, Ev::HandOff { proc, addr });

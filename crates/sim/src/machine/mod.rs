@@ -46,8 +46,10 @@ mod sched;
 mod state;
 
 pub use error::{ComposeError, RunError};
+pub(crate) use operand::NACK_RETRY;
 
 use crate::config::SimConfig;
+use crate::fault::FaultKind;
 use crate::regfile::RegFile;
 use crate::stats::{ComposeStats, RecoveryStats, RunStats};
 use clp_isa::{EdgeProgram, Reg};
@@ -56,6 +58,10 @@ use clp_noc::{region_for, NodeId};
 use clp_obs::{StatsSnapshot, TraceEvent, Tracer, TrendRecorder};
 use fabric::Fabric;
 use state::{Ev, OpState, Proc, ProcIx};
+
+/// Initial stack-pointer value installed in `r126` of every composed
+/// processor.
+const STACK_TOP: u64 = 0x4000_0000;
 
 /// Identifies a logical processor within a [`Machine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -215,7 +221,7 @@ impl Machine {
         for (i, &a) in args.iter().enumerate() {
             regs.set_committed(Reg::new(1 + i), a);
         }
-        regs.set_committed(Reg::SP, fab.cfg.stack_top);
+        regs.set_committed(Reg::SP, STACK_TOP);
         let p = Proc::new(&fab.cfg, pid, cores, addr_base, program, regs);
         self.procs.push(p);
         Ok(ProcId(pid))
@@ -263,7 +269,7 @@ impl Machine {
         // 0. Fault layer: maybe start a link-contention burst (clamps
         // the operand mesh to bandwidth 1 for the burst length). One
         // Bernoulli draw per cycle; zero draws when the kind is off.
-        if let Some(len) = fab.fault("noc_burst", 0, |f| f.noc_burst()) {
+        if let Some(len) = fab.fault(FaultKind::NocBurst, 0) {
             fab.opnet.throttle(len);
         }
         // 1. Networks.

@@ -7,11 +7,14 @@ use super::dispatch::Sink;
 use super::fabric::Fabric;
 use super::prof::Prov;
 use super::state::{Blk, Ev, OpBody, OpMsg, Proc, WaitingRead};
-use crate::fault::FaultInjector;
+use crate::fault::FaultKind;
 use crate::regfile::RegRead;
 use clp_isa::{Reg, Target};
 use clp_mem::{LoadResponse, LoadServe, StoreResponse};
 use clp_obs::FlushReason;
+
+/// Cycles a NACKed memory request waits before retrying at its bank.
+pub(crate) const NACK_RETRY: u64 = 4;
 
 impl Blk {
     /// Routes a value (or null token) an instruction of this block
@@ -116,9 +119,7 @@ impl Proc {
         // accepted. The request retries through the existing
         // NACK/replay path; no overflow eviction (the LSQ is not
         // actually full, so no forward-progress action is owed).
-        let wait = u64::from(fab.cfg.nack_retry);
-        let nack = |f: &mut FaultInjector| f.forced_nack().then_some(wait);
-        if fab.fault("forced_nack", core, nack).is_some() {
+        if fab.fault(FaultKind::ForcedNack, core).is_some() {
             fab.mem.note_injected_nack(core, addr);
             return self.nack_retry(fab, core, msg);
         }
@@ -165,7 +166,7 @@ impl Proc {
                 // controller. The value is unchanged — only its
                 // arrival time moves.
                 let mut at = fab.now + u64::from(latency);
-                if let Some(extra) = fab.fault("dram_spike", core, FaultInjector::dram_spike) {
+                if let Some(extra) = fab.fault(FaultKind::DramSpike, core) {
                     fab.mem.note_injected_dram_spike(core, extra);
                     at += extra;
                 }
@@ -191,7 +192,7 @@ impl Proc {
     /// retry interval.
     fn nack_retry(&mut self, fab: &mut Fabric, core: usize, msg: &OpMsg) {
         self.stats.nack_retries += 1;
-        let at = fab.now + u64::from(fab.cfg.nack_retry);
+        let at = fab.now + NACK_RETRY;
         fab.push_local(at, Ev::Op(core as u8, *msg));
     }
 

@@ -4,7 +4,7 @@
 //! dropped, its pipeline stages stop, and nothing it had queued ever
 //! leaves. Survivors get NO side channel — they notice only that acks,
 //! hand-offs, and operands stop arriving. The heartbeat watchdog turns
-//! that silence into a declaration: after `watchdog_timeout` cycles
+//! that silence into a declaration: after `WATCHDOG_TIMEOUT` cycles
 //! without protocol progress it probes the participants (a modeled
 //! round trip on the control network); an unresponsive participant is
 //! declared dead, an all-alive round doubles the threshold (bounded
@@ -27,10 +27,18 @@ use super::fabric::Fabric;
 use super::prof::FetchReason;
 use super::state::{PendingFetch, Proc};
 use super::Machine;
-use crate::config::SimConfig;
 use clp_isa::Reg;
 use clp_obs::{FlushReason, TraceEvent};
 use clp_predictor::ComposedPredictor;
+
+/// Base heartbeat timeout: cycles of protocol silence from a
+/// participating core before the survivors probe it.
+const WATCHDOG_TIMEOUT: u64 = 64;
+
+/// Cap on the exponent of the watchdog's bounded exponential backoff:
+/// after each all-alive probe round the timeout doubles, up to
+/// `WATCHDOG_TIMEOUT << WATCHDOG_BACKOFF_CAP`.
+const WATCHDOG_BACKOFF_CAP: u32 = 6;
 
 impl Fabric {
     /// Marks any kill whose cycle has arrived. Called once per step,
@@ -71,8 +79,8 @@ impl Fabric {
 impl Proc {
     /// Silence (cycles since the last heartbeat) the watchdog tolerates
     /// before probing, at the current backoff round.
-    fn silence_limit(&self, cfg: &SimConfig) -> u64 {
-        cfg.watchdog_timeout << self.probe_round.min(cfg.watchdog_backoff_cap)
+    fn silence_limit(&self) -> u64 {
+        WATCHDOG_TIMEOUT << self.probe_round.min(WATCHDOG_BACKOFF_CAP)
     }
 }
 
@@ -118,10 +126,10 @@ impl Machine {
             Some(_) => {
                 // Spurious: the stall was slow, not dead. Back off.
                 p.probe_deadline = None;
-                p.probe_round = (p.probe_round + 1).min(fab.cfg.watchdog_backoff_cap);
+                p.probe_round = (p.probe_round + 1).min(WATCHDOG_BACKOFF_CAP);
                 p.last_beat = now;
             }
-            None if now.saturating_sub(p.last_beat) > p.silence_limit(&fab.cfg) => {
+            None if now.saturating_sub(p.last_beat) > p.silence_limit() => {
                 // Modeled round trip of a heartbeat probe across the
                 // composition.
                 let rtt = 2 * fab.max_ctrl_delay(p.cores[0], &p.cores) + 2;

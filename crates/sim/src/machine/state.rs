@@ -327,7 +327,7 @@ pub(super) struct Proc {
     /// when the fault plan schedules kills.
     pub(super) last_beat: u64,
     /// Watchdog backoff state: each all-alive probe round doubles the
-    /// silence threshold, up to `watchdog_timeout << watchdog_backoff_cap`.
+    /// silence threshold, up to `WATCHDOG_TIMEOUT << WATCHDOG_BACKOFF_CAP`.
     pub(super) probe_round: u32,
     /// A heartbeat probe is in flight; at this deadline the survivors
     /// either declare unresponsive cores dead or back off.

@@ -84,7 +84,7 @@ fn lone_branch_block_bound_is_one() {
     let cfg = LintConfig::default();
     for cores in SIZES {
         let b = p.block(0x1000).expect("block exists");
-        assert_eq!(bound_block(b, &cfg, cores).cycles, 1, "at {cores} cores");
+        assert_eq!(bound_block(b, cores).cycles, 1, "at {cores} cores");
         assert_eq!(bound_program(&p, &cfg, cores).cycles, 1, "at {cores} cores");
     }
 }
@@ -106,7 +106,7 @@ fn pure_chain_bound_matches_closed_form() {
         src.push_str("}\n");
         let p = parse_program(&src).expect("valid program");
         let b = p.block(0x1000).expect("block exists");
-        let bb = bound_block(b, &LintConfig::default(), 1);
+        let bb = bound_block(b, 1);
         assert_eq!(bb.cycles, 2 * (k as u64 + 1), "chain of {k} movs");
         assert_eq!(bb.binding.label(), "height");
         assert_eq!(bb.height, bb.flat_height, "no hops on one core");

@@ -11,10 +11,13 @@
 //!
 //! The observer goldens under `goldens/` pin what `clp-prof` and
 //! `clp-trend` print at their default 16 cores, built by the same
-//! `clp_bench::observe` functions the tools print through.
+//! `clp_bench::observe` functions the tools print through. The fault
+//! goldens pin the stats snapshot and the trace of a run in which every
+//! fault kind fires.
 
-use clp::core::{compile_workload, ObsOptions};
-use clp::obs::{check_golden, digest_golden, TrendOptions};
+use clp::core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
+use clp::obs::{check_golden, digest_golden, ChromeTraceWriter, Tracer, TrendOptions};
+use clp::sim::FaultPlan;
 use clp::workloads::suite;
 use clp_bench::matrix::{SuiteMatrix, BENCH_SIZES};
 use clp_bench::observe::{observe, prof_run, runs_document, trend_run, trend_text};
@@ -56,7 +59,7 @@ fn the_suite_reproduces_bound_baseline_and_every_bound_is_sound() {
     );
 }
 
-/// The command that rewrites every observer golden.
+/// The command that rewrites every observer and fault golden.
 const REGENERATE: &str = "cargo test -q --release --test goldens -- --ignored";
 
 /// Each observer golden under `goldens/` and what it holds, fresh:
@@ -115,11 +118,42 @@ fn the_observers_reproduce_their_goldens() {
     }
 }
 
-/// Not a check: rewrites the observer goldens (see [`REGENERATE`]).
+/// `run_one conv 8 --faults all=50 --fault-seed 1`, in which every fault
+/// kind fires: its `--stats-json` snapshot in full (the `faults/*` names
+/// and counts) and its `--trace` as a digest (every `fault_injected`
+/// label and `extra_cycles`).
+fn fault_goldens() -> [(&'static str, String); 2] {
+    let w = suite::by_name("conv").expect("conv is in the suite");
+    let cw = compile_workload(&w).expect("compiles");
+    let plan = FaultPlan::parse("all=50", 1).expect("valid spec");
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("faults_conv8.trace.json");
+    let obs = ObsOptions {
+        tracer: Tracer::new(ChromeTraceWriter::new(&trace)),
+        ..ObsOptions::default()
+    };
+    let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(8).with_faults(plan), &obs)
+        .expect("runs correctly");
+    obs.tracer.finish().expect("writes the trace");
+    let trace = std::fs::read_to_string(&trace).expect("reads the trace back");
+    [
+        ("faults_conv8.json", r.snapshot.to_json()),
+        ("faults_conv8.trace.digest.json", digest_golden(&trace)),
+    ]
+}
+
 #[test]
-#[ignore = "rewrites goldens/; run it to re-baseline the observer goldens"]
+fn the_fault_layer_reproduces_its_goldens() {
+    for (file, fresh) in fault_goldens() {
+        assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
+    }
+}
+
+/// Not a check: rewrites the observer and fault goldens (see
+/// [`REGENERATE`]).
+#[test]
+#[ignore = "rewrites goldens/; run it to re-baseline the observer and fault goldens"]
 fn regenerate_observer_goldens() {
-    for (file, fresh) in observer_goldens() {
+    for (file, fresh) in observer_goldens().into_iter().chain(fault_goldens()) {
         let path = format!("{}/goldens/{file}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
     }

@@ -317,7 +317,6 @@ fn path_columns_equal_the_series_the_interval_sampler_recorded() {
             trend: Some(TrendOptions {
                 period: cell.period,
                 paths: HAND_OVER_PATHS.map(String::from).to_vec(),
-                ..TrendOptions::default()
             }),
             ..ObsOptions::default()
         };
