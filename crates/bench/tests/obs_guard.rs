@@ -14,7 +14,7 @@
 
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::{NullSink, RingRecorder, Tracer, TrendOptions};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn run_with(obs: &ObsOptions) -> u64 {
     let w = clp_workloads::suite::by_name("conv").expect("exists");
@@ -59,20 +59,20 @@ fn null_sink_throughput_within_noise_of_off() {
     };
 
     let time = |obs: &ObsOptions| {
-        // Warm-up, then best-of-3 to shed scheduler noise.
+        let t = Instant::now();
         let _ = run_compiled_observed(&cw, &cfg, obs).expect("runs");
-        (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                let _ = run_compiled_observed(&cw, &cfg, obs).expect("runs");
-                t.elapsed()
-            })
-            .min()
-            .expect("nonempty")
+        t.elapsed()
     };
 
-    let off = time(&off_obs);
-    let null = time(&null_obs);
+    // Warm-up, then the two sides interleaved, best of 7 each: a burst
+    // of scheduler noise lands on both sides instead of one.
+    time(&off_obs);
+    time(&null_obs);
+    let (mut off, mut null) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        off = off.min(time(&off_obs));
+        null = null.min(time(&null_obs));
+    }
     // Generous noise bound: the hooks add one branch per site, which is
     // well under measurement jitter; 1.5x catches a real regression
     // (e.g. events constructed on the disabled path) without flaking.

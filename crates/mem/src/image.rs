@@ -44,6 +44,14 @@ impl MemoryImage {
     /// Reads a little-endian 64-bit word (no alignment requirement).
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off <= PAGE_SIZE - 8 {
+            // The word sits inside one page: one lookup.
+            return match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes")),
+                None => 0,
+            };
+        }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(addr.wrapping_add(i as u64));

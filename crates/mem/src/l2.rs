@@ -30,9 +30,17 @@ pub struct L2Response {
     pub actions: CoherenceActions,
 }
 
+/// A line's L1 sharers, one bit per core.
+type Sharers = u32;
+
+/// The most cores a chip can have: the directory holds a line's sharers
+/// as one bit per core, and the simulator's per-core scheduler masks are
+/// the same width.
+pub const MAX_CHIP_CORES: usize = Sharers::BITS as usize;
+
 #[derive(Clone, Copy, Debug, Default)]
 struct DirEntry {
-    sharers: u32,
+    sharers: Sharers,
     dirty_owner: Option<u8>,
 }
 
@@ -112,7 +120,9 @@ impl NucaL2 {
         let others = entry.sharers & !(1u32 << core);
         if write {
             if others != 0 {
-                actions.invalidate = (0..32).filter(|&c| others >> c & 1 == 1).collect();
+                actions.invalidate = (0..MAX_CHIP_CORES)
+                    .filter(|&c| others >> c & 1 == 1)
+                    .collect();
                 latency += self.cfg.coherence_penalty;
             }
             entry.sharers = 1 << core;
@@ -143,7 +153,7 @@ impl NucaL2 {
                 self.dram_accesses += 1;
                 // Inclusive L2: L1 copies of the evicted victim must go.
                 if let Some(v) = self.directory.remove(&victim) {
-                    for c in 0..32 {
+                    for c in 0..MAX_CHIP_CORES {
                         if v.sharers >> c & 1 == 1 {
                             actions.invalidate.push(c);
                         }

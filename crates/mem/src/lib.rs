@@ -37,7 +37,7 @@ mod system;
 pub use cache::{AccessResult, CacheBank, CacheGeometry};
 pub use config::MemConfig;
 pub use image::MemoryImage;
-pub use l2::NucaL2;
+pub use l2::{NucaL2, MAX_CHIP_CORES};
 pub use lsq::{LsqBank, LsqInsert};
 pub use stats::MemStats;
 pub use system::{

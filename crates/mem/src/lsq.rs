@@ -91,7 +91,7 @@ impl LsqBank {
 
     /// Executes a load: slots it and returns its value, assembled byte by
     /// byte from the youngest older in-flight store covering each byte,
-    /// falling back to the architectural image.
+    /// falling back to the architectural image. `size` is 1 or 8.
     pub fn execute_load(
         &mut self,
         seq: u64,
@@ -102,10 +102,31 @@ impl LsqBank {
         if self.entries.len() >= self.capacity {
             return LsqInsert::Nack;
         }
+        let overlapped = self
+            .entries
+            .iter()
+            .any(|e| e.is_store && e.seq < seq && overlap(e.addr, e.size, addr, size));
+        let value = if overlapped {
+            self.assemble(seq, addr, size, image)
+        } else {
+            image.read(addr, size)
+        };
+        self.entries.push(Entry {
+            seq,
+            addr,
+            size,
+            is_store: false,
+            value: 0,
+        });
+        LsqInsert::Ok(value)
+    }
+
+    /// A load's value when some older store overlaps it: each byte from
+    /// the youngest older store covering it, else from the image.
+    fn assemble(&self, seq: u64, addr: u64, size: u8, image: &MemoryImage) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, byte) in bytes.iter_mut().enumerate().take(size as usize) {
             let baddr = addr + i as u64;
-            // Youngest store older than this load covering the byte.
             let src = self
                 .entries
                 .iter()
@@ -116,14 +137,7 @@ impl LsqBank {
                 None => image.read_u8(baddr),
             };
         }
-        self.entries.push(Entry {
-            seq,
-            addr,
-            size,
-            is_store: false,
-            value: 0,
-        });
-        LsqInsert::Ok(u64::from_le_bytes(bytes))
+        u64::from_le_bytes(bytes)
     }
 
     /// Executes a store: slots it (value buffered until commit) and

@@ -25,7 +25,10 @@ pub struct MemStats {
     pub lsq_nacks: u64,
     /// Load/store ordering violations detected.
     pub violations: u64,
-    /// Store-to-load forwards that hit at least one in-flight store byte.
+    /// Loads whose value differs from the architectural image's: at
+    /// least one byte came from an older in-flight store and changed the
+    /// word. A store that overlaps but writes the bytes the image already
+    /// holds is not counted.
     pub forwards: u64,
     /// Dirty L1 lines written back to L2.
     pub l1_writebacks: u64,

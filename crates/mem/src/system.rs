@@ -32,7 +32,10 @@ pub fn dbank_for(addr: u64, n_cores: usize) -> usize {
 /// cache outcome from timing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LoadServe {
-    /// Value forwarded from an older buffered store in the LSQ bank.
+    /// Value forwarded from an older buffered store in the LSQ bank and
+    /// different from the image's (the loads [`MemStats::forwards`]
+    /// counts); an overlapping store that leaves the value unchanged
+    /// reads as [`LoadServe::L1`] or [`LoadServe::Miss`].
     Forward,
     /// Served by the L1 D-cache.
     #[default]

@@ -12,7 +12,7 @@ use crate::config::{ProtocolTiming, SimConfig};
 use crate::events::EventWheel;
 use crate::fault::{CoreKill, FaultInjector, FaultKind};
 use crate::stats::{ComposeStats, RecoveryStats};
-use clp_mem::MemorySystem;
+use clp_mem::{MemorySystem, MAX_CHIP_CORES};
 use clp_noc::{Mesh, NodeId};
 use clp_obs::{TraceEvent, Tracer};
 
@@ -67,8 +67,9 @@ impl Fabric {
     pub(super) fn new(cfg: SimConfig) -> Self {
         let cores = cfg.chip_cores();
         assert!(
-            cores <= 256,
-            "messages and decoded targets name a core in 8 bits: a {cores}-core chip is too big"
+            cores <= MAX_CHIP_CORES,
+            "a {cores}-core chip is too big: the L2 directory's sharer vector \
+             and the scheduler's core masks hold {MAX_CHIP_CORES} cores"
         );
         let mut pending_kills: Vec<CoreKill> = cfg.faults.kills().collect();
         pending_kills.sort_by_key(|k| (k.cycle, k.core));

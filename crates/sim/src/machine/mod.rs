@@ -82,8 +82,9 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the operand mesh has more than 256 nodes: messages name
-    /// a core in 8 bits.
+    /// Panics if the operand mesh has more than
+    /// [`clp_mem::MAX_CHIP_CORES`] (32) nodes: the L2 directory's sharer
+    /// vector and the scheduler's core masks hold one bit per core.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
         Machine {

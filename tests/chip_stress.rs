@@ -70,3 +70,19 @@ fn mixed_granularity_chip_of_eight_processors() {
     // Shared-L2 contention exists: some L2 traffic from multiple procs.
     assert!(out.stats.mem.l2_hits + out.stats.mem.l2_misses > 8);
 }
+
+/// A chip wider than the L2 directory's sharer vector is refused when
+/// the machine is built, not partway into a run: an 8×8 mesh used to
+/// overflow a core mask in the scheduler (debug) or index past the end
+/// of a 32-entry table at commit (release).
+#[test]
+#[should_panic(
+    expected = "a 64-core chip is too big: the L2 directory's sharer vector \
+                and the scheduler's core masks hold 32 cores"
+)]
+fn a_chip_of_64_cores_is_refused_at_construction() {
+    let mut cfg = ProcessorConfig::tflex(64).sim;
+    cfg.operand_net.width = 8;
+    cfg.operand_net.height = 8;
+    let _ = Machine::new(cfg);
+}

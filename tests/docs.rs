@@ -71,3 +71,27 @@ fn braces_expand_left_to_right() {
         ]
     );
 }
+
+/// Every release build in the repository — the root workspace,
+/// `benchmark/` and `tools/hostprof` — is one codegen unit per crate,
+/// which is what lets `Machine::step` inline the operand path. Nothing
+/// else would notice the setting go: no gate is on time.
+#[test]
+fn release_builds_are_one_codegen_unit_per_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let config =
+        std::fs::read_to_string(root.join(".cargo/config.toml")).expect("the config is committed");
+    let mut table = "";
+    let mut settings = Vec::new();
+    for line in config.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line;
+        } else if !line.is_empty() && !line.starts_with('#') {
+            settings.push((table, line.replace(' ', "")));
+        }
+    }
+    assert!(
+        settings.contains(&("[profile.release]", "codegen-units=1".to_string())),
+        ".cargo/config.toml must set codegen-units = 1 under [profile.release]: {settings:?}"
+    );
+}
