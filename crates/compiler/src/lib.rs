@@ -63,8 +63,6 @@ pub use interp::{interpret, InterpError, InterpResult, InterpStats};
 pub use ir::{BbId, FuncId, MemSize, Program, Terminator, VReg};
 pub use regalloc::RegPressureError;
 
-pub use clp_lint::{LintConfig, LintReport};
-
 use clp_isa::{BlockAddr, BlockError, ProgramError};
 use std::fmt;
 
@@ -137,9 +135,6 @@ pub enum CompileError {
     },
     /// Program assembly failed (duplicate addresses, dangling targets).
     Program(ProgramError),
-    /// The post-codegen lint gate found error-severity diagnostics
-    /// (see [`compile_with_lints`]).
-    DeniedLints(Vec<clp_lint::Diagnostic>),
 }
 
 impl fmt::Display for CompileError {
@@ -170,47 +165,8 @@ impl fmt::Display for CompileError {
                 source,
             } => write!(f, "'{function}' bb{bb}: {source}"),
             CompileError::Program(e) => write!(f, "{e}"),
-            CompileError::DeniedLints(diags) => {
-                write!(f, "lint gate: {} error-severity diagnostic(s)", diags.len())?;
-                for d in diags {
-                    write!(f, "\n{}", clp_lint::render(d))?;
-                }
-                Ok(())
-            }
         }
     }
 }
 
 impl std::error::Error for CompileError {}
-
-/// Compiles and then runs the [`clp_lint`] analyses as a post-codegen
-/// gate: any error-severity diagnostic (after `lints` overrides) fails
-/// the compile with [`CompileError::DeniedLints`]; surviving warnings
-/// and infos are returned alongside the program.
-///
-/// This is the static half of the paper's execution contract: blocks
-/// that would deadlock (no firing exit, an unresolved write or store
-/// slot) or corrupt memory order (duplicate LSIDs) are rejected before
-/// they ever reach a simulator.
-///
-/// # Errors
-///
-/// Any [`CompileError`] from [`compile`], or
-/// [`CompileError::DeniedLints`] from the gate.
-pub fn compile_with_lints(
-    program: &Program,
-    opts: &CompileOptions,
-    lints: &LintConfig,
-) -> Result<(clp_isa::EdgeProgram, clp_lint::LintReport), CompileError> {
-    let edge = compile(program, opts)?;
-    let report = clp_lint::lint_program(&edge, lints);
-    if report.has_errors() {
-        let errors = report
-            .diagnostics
-            .into_iter()
-            .filter(|d| d.severity == clp_lint::Severity::Error)
-            .collect();
-        return Err(CompileError::DeniedLints(errors));
-    }
-    Ok((edge, report))
-}

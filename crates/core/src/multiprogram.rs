@@ -77,7 +77,7 @@ pub struct MultiOutcome {
 /// sizes must fit the 32-core chip.
 ///
 /// Inter-processor contention for the shared L2 and memory is modeled
-/// (the processors share one [`clp_mem::MemorySystem`]); each program
+/// (the processors share one memory system); each program
 /// runs in its own address space. Composition decisions surface in the
 /// snapshot's `compose/*` counters.
 ///

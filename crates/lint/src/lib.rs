@@ -187,12 +187,6 @@ lint_codes! {
     /// A store that transitively depends on a load it must forward to.
     ForwardingCycle = ("L103", "forwarding-cycle", Error,
         "a store depends on an overlapping later-LSID load that must read its value");
-    /// A block whose memory slots exceed one LSQ bank's capacity: under
-    /// the minimum (1-core) composition every slot maps to the same
-    /// bank, so the age-based overflow eviction could never make the
-    /// oldest block fit — it would be un-flushable.
-    LsqUnflushableBlock = ("L104", "lsq-unflushable-block", Info,
-        "a block with more memory slots than one LSQ bank: un-flushable under 1-core composition");
     /// A result that reaches no write/store/branch sink.
     DeadDataflow = ("L201", "dead-dataflow", Warn,
         "an instruction whose result reaches no register write, store, or branch");
@@ -331,9 +325,9 @@ impl Serialize for Diagnostic {
     }
 }
 
-/// Per-run linter configuration: severity overrides, the composition
-/// the placement lints assume, and the LSQ bank size. The analyses'
-/// other thresholds are constants of their modules.
+/// Per-run linter configuration: severity overrides and the composition
+/// the placement lints assume. The analyses' thresholds are constants
+/// of their modules.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Severity overrides per code: `Some(sev)` re-levels the rule,
@@ -341,13 +335,6 @@ pub struct LintConfig {
     pub levels: BTreeMap<LintCode, Option<Severity>>,
     /// Composition size assumed by the placement lints.
     pub placement_cores: usize,
-    /// Per-bank LSQ capacity assumed by the overflow-flushability lint:
-    /// a block using more memory slots than this cannot be the sole
-    /// resident of a 1-core composition's only bank. The default matches
-    /// the simulator's 44-entry banks, which exceed the 32-LSID
-    /// architectural budget — so only a lowered threshold (modeling a
-    /// smaller LSQ) ever fires on a valid block.
-    pub lsq_entries: usize,
 }
 
 impl Default for LintConfig {
@@ -355,7 +342,6 @@ impl Default for LintConfig {
         LintConfig {
             levels: BTreeMap::new(),
             placement_cores: 32,
-            lsq_entries: 44,
         }
     }
 }
@@ -451,7 +437,7 @@ impl Serialize for LintReport {
 fn collect_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
     let g = graph::BlockGraph::new(block);
     let (mut diags, facts) = predicate::analyze(block, &g);
-    diags.extend(lsid::analyze(block, &g, &facts, cfg));
+    diags.extend(lsid::analyze(block, &g, &facts));
     diags.extend(dataflow::analyze(block, &g));
     diags.extend(placement::analyze(block, &g, cfg));
     diags

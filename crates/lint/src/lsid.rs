@@ -23,7 +23,7 @@
 
 use crate::graph::BlockGraph;
 use crate::predicate::PathFacts;
-use crate::{Diagnostic, LintCode, LintConfig, Span};
+use crate::{Diagnostic, LintCode, Span};
 use clp_isa::{Block, Instruction, Opcode, Operand};
 
 /// A memory operation participating in LSID order.
@@ -90,42 +90,11 @@ fn mem_desc(inst: &Instruction) -> String {
 }
 
 /// Runs the LSID analysis on one block.
-pub fn analyze(
-    block: &Block,
-    g: &BlockGraph,
-    facts: &PathFacts,
-    cfg: &LintConfig,
-) -> Vec<Diagnostic> {
+pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnostic> {
     let insts = block.instructions();
     let addr = block.address();
     let ops = mem_ops(block, g);
     let mut diags = Vec::new();
-
-    // Overflow flushability: the NACK protocol's forward-progress
-    // argument squashes younger blocks until the *oldest* block's
-    // requests fit the bank. Under a 1-core composition every memory
-    // slot of a block maps to the single bank, so a block with more
-    // slots than one bank holds could never fit even alone.
-    let mem_slots: std::collections::BTreeSet<usize> =
-        ops.iter().filter(|o| !o.is_null).map(|o| o.lsid).collect();
-    if mem_slots.len() > cfg.lsq_entries {
-        diags.push(
-            Diagnostic::new(
-                LintCode::LsqUnflushableBlock,
-                Span::block(addr),
-                format!(
-                    "block uses {} memory slots but one LSQ bank holds {}: \
-                     un-flushable under a 1-core composition",
-                    mem_slots.len(),
-                    cfg.lsq_entries
-                ),
-            )
-            .with_note(
-                "the age-based overflow eviction frees younger blocks' entries; \
-                 the oldest block alone must fit one bank",
-            ),
-        );
-    }
 
     for (x, a) in ops.iter().enumerate() {
         for b in &ops[x + 1..] {

@@ -203,57 +203,6 @@ fn store_load_forwarding_cycle() {
     assert_caught(&diags, LintCode::LsidOrderInversion);
 }
 
-#[test]
-fn block_exceeding_one_lsq_bank_is_unflushable() {
-    // Three distinct memory slots; with a (lowered) 2-entry bank the
-    // block could never fit a single bank alone, which breaks the
-    // overflow protocol's forward-progress argument at 1 core.
-    let b = block(
-        "block @0x1000 {
-           i0: movi #256 -> i3.L
-           i1: movi #256 -> i4.L
-           i2: movi #256 -> i5.L
-           i3: ld #0 ls0
-           i4: ld #8 ls1
-           i5: ld #16 ls2
-           i6: bro halt e0
-         }",
-    );
-    let diags = lint_block(&b, &LintConfig::default());
-    assert!(
-        !diags
-            .iter()
-            .any(|d| d.code == LintCode::LsqUnflushableBlock),
-        "44-entry banks always fit the 32-LSID budget, got {:?}",
-        codes_of(&diags)
-    );
-    let cfg = LintConfig {
-        lsq_entries: 2,
-        ..LintConfig::default()
-    };
-    let diags = lint_block(&b, &cfg);
-    assert_caught(&diags, LintCode::LsqUnflushableBlock);
-    assert!(diags
-        .iter()
-        .any(|d| d.code == LintCode::LsqUnflushableBlock && d.severity == Severity::Info));
-    // A null slot resolves without an LSQ entry; it does not count.
-    let b2 = block(
-        "block @0x1000 {
-           i0: movi #256 -> i1.L -> i2.L
-           i1: ld #0 ls0
-           i2: ld #8 ls1
-           i3: null ls2
-           i4: bro halt e0
-         }",
-    );
-    assert!(
-        !lint_block(&b2, &cfg)
-            .iter()
-            .any(|d| d.code == LintCode::LsqUnflushableBlock),
-        "two real slots fit a 2-entry bank"
-    );
-}
-
 // ---- analysis 3: dead dataflow -------------------------------------------
 
 #[test]

@@ -95,3 +95,25 @@ fn release_builds_are_one_codegen_unit_per_crate() {
         ".cargo/config.toml must set codegen-units = 1 under [profile.release]: {settings:?}"
     );
 }
+
+/// `cargo test -q` at the root is the tier-1 gate, and it reaches every
+/// crate's unit, integration and doc tests only because the root
+/// manifest's `default-members` names them. Nothing else would notice
+/// the line go: the root package's own tests would still pass.
+#[test]
+fn tier1_tests_every_member() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest =
+        std::fs::read_to_string(root.join("Cargo.toml")).expect("the manifest is committed");
+    let line = manifest
+        .lines()
+        .map(|l| l.replace(' ', ""))
+        .find(|l| l.starts_with("default-members="))
+        .expect("the root manifest sets default-members");
+    for member in ["\".\"", "\"crates/*\""] {
+        assert!(
+            line.contains(member),
+            "default-members must hold {member}: {line}"
+        );
+    }
+}

@@ -1,35 +1,24 @@
 //! Workspace integration test: every workload in the suite runs
-//! correctly (verified against the reference interpreter) on a sample of
-//! TFlex compositions, on the TRIPS baseline configuration, and on the
-//! conventional out-of-order reference.
+//! correctly (verified against the reference interpreter) on the
+//! 32-core TFlex composition, on the TRIPS baseline configuration, and
+//! on the conventional out-of-order reference. The 1- to 16-core TFlex
+//! cells are not repeated here: `tests/goldens.rs` runs, verifies and
+//! cycle-pins every one of them against `BENCH_baseline.json`.
 
 use clp::baseline::{run_baseline, BaselineConfig};
 use clp::core::{compile_workload, run_compiled, ProcessorConfig};
 use clp::workloads::suite;
+use clp_bench::par_suite;
 
 #[test]
-fn every_workload_correct_on_tflex_1_and_8() {
-    for w in suite::all() {
-        let cw = compile_workload(&w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        for n in [1usize, 8] {
-            let r = run_compiled(&cw, &ProcessorConfig::tflex(n))
-                .unwrap_or_else(|e| panic!("{} on {n} cores: {e}", w.name));
-            assert!(r.correct, "{} on {n} cores", w.name);
-            assert!(r.stats.cycles > 0);
-        }
-    }
-}
-
-#[test]
-fn every_workload_correct_on_tflex_2_16_32() {
-    for w in suite::all() {
-        let cw = compile_workload(&w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        for n in [2usize, 16, 32] {
-            let r = run_compiled(&cw, &ProcessorConfig::tflex(n))
-                .unwrap_or_else(|e| panic!("{} on {n} cores: {e}", w.name));
-            assert!(r.correct, "{} on {n} cores", w.name);
-        }
-    }
+fn every_workload_correct_on_tflex_32() {
+    par_suite(&suite::all(), |w| {
+        let cw = compile_workload(w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let r = run_compiled(&cw, &ProcessorConfig::tflex(32))
+            .unwrap_or_else(|e| panic!("{} on 32 cores: {e}", w.name));
+        assert!(r.correct, "{} on 32 cores", w.name);
+        assert!(r.stats.cycles > 0);
+    });
 }
 
 #[test]

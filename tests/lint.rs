@@ -7,7 +7,6 @@
 //! deadlock or memory-order violation on a real path), so a failure there
 //! means codegen regressed, not that the linter is noisy.
 
-use clp::compiler::{compile_with_lints, CompileOptions};
 use clp::core::compile_workload;
 use clp::isa::asm::parse_program;
 use clp::lint::{lint_program, render_report, LintCode, LintConfig, Severity};
@@ -105,16 +104,6 @@ fn full_suite_lints_with_zero_errors() {
         checked += 1;
     }
     assert!(checked >= 20, "suite unexpectedly small: {checked}");
-}
-
-#[test]
-fn compile_gate_passes_the_whole_suite() {
-    // The compiler-integrated gate must agree with the standalone pass.
-    for w in suite::all() {
-        let opts = CompileOptions::default();
-        compile_with_lints(&w.program, &opts, &LintConfig::default())
-            .unwrap_or_else(|e| panic!("{} rejected by the lint gate: {e}", w.name));
-    }
 }
 
 #[test]
