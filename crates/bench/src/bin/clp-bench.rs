@@ -3,7 +3,7 @@
 //! ```sh
 //! cargo run --release -p clp-bench --bin clp-bench            # write BENCH_suite.json
 //! cargo run --release -p clp-bench --bin clp-bench -- \
-//!     --check BENCH_baseline.json                             # CI golden gate
+//!     --check BENCH_baseline.json                             # golden gate
 //! cargo run --release -p clp-bench --bin clp-bench -- \
 //!     --out BENCH_baseline.json                               # re-baseline
 //! ```
@@ -47,8 +47,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_suite.json".into());
     let doc = SuiteMatrix::measure(&suite::all(), &BENCH_SIZES).bench_document();
     let text = serde_json::to_string_pretty(&doc).expect("serializes");
-    // Always emit the measured suite (also under --check, so CI uploads
-    // the fresh numbers a re-baseline can copy from).
+    // Always emit the measured suite (also under --check, so a
+    // re-baseline can copy the fresh numbers from it).
     write_or_die(&out, &text);
     println!(
         "clp-bench: wrote {} workloads x {:?} cores to {}",

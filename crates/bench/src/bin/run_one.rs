@@ -68,8 +68,8 @@ const SPEC: Spec = Spec {
 };
 
 fn main() {
-    // Nonzero exit on a failed or incorrect run, so CI smoke jobs can
-    // gate on run_one directly.
+    // Nonzero exit on a failed or incorrect run, so wrappers can gate on
+    // run_one directly.
     let mut exit_code = 0;
     let args = SPEC.parse_env();
     let w = &or_die(cli::workload(args.positional(0).unwrap_or("gzip")));

@@ -4,8 +4,8 @@
 //! Both documents are views of one [`SuiteMatrix::measure`], which runs
 //! every cell once with the clp-prof layer on. The tools (`clp-bench`,
 //! `clp-bound`) and the tier-1 test that regenerates both documents
-//! (`tests/goldens.rs`) call it, so what CI gates and what `cargo test`
-//! defends are the same bytes.
+//! (`tests/goldens.rs`) call it, so what `--check` gates and what `cargo
+//! test` defends are the same bytes.
 
 use crate::par_suite;
 use clp_alloc::SpeedupCurve;

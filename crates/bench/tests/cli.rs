@@ -1,15 +1,28 @@
-//! Pins, on the built binaries, the exit codes CI's `set -e` steps and
-//! wrappers rely on: 0 = ran and verified, 1 = a `--check` golden
-//! differs, 2 = usage error, 3 = the run itself failed, 4 = killed by
-//! the `--max-cycles` deadline.
+//! Pins, on the built binaries, the exit codes wrappers rely on: 0 =
+//! ran and verified, 1 = a `--check` golden differs, 2 = usage error,
+//! 3 = the run itself failed, 4 = killed by the `--max-cycles`
+//! deadline.
+//!
+//! It also holds what the binaries print to goldens under `goldens/`:
+//! `run_one`'s summary, `[faults: …]` and `[recovery: …]` lines and a
+//! trend run's stats snapshot, `clp-fig table1`, and (under `--release`)
+//! the stdout of `clp-fig all` and `clp-fig fig_degraded` with a digest
+//! of every JSON file they write.
 
+use clp_obs::{check_golden, fnv1a64};
+use serde_json::{json, Value};
 use std::process::{Command, Output};
 
+/// Where every binary runs: relative output paths land here, and clp-fig
+/// writes under `target/clp-results/` here, which is also what its
+/// stdout names.
+const TMP: &str = env!("CARGO_TARGET_TMPDIR");
+
 fn run(exe: &str, args: &[&str]) -> Output {
-    // clp-fig creates its results directory under the target directory.
     Command::new(exe)
         .args(args)
-        .env("CARGO_TARGET_DIR", env!("CARGO_TARGET_TMPDIR"))
+        .current_dir(TMP)
+        .env_remove("CARGO_TARGET_DIR")
         .output()
         .unwrap_or_else(|e| panic!("{exe} does not start: {e}"))
 }
@@ -128,12 +141,21 @@ fn the_observer_constants_are_not_flags() {
     }
 }
 
-#[test]
-fn clp_fig_table1_prints_the_configured_core() {
+fn table1_golden() -> (&'static str, String) {
     let out = run(env!("CARGO_BIN_EXE_clp-fig"), &["table1"]);
     assert_eq!(out.status.code(), Some(0));
+    (
+        "table1.txt",
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn clp_fig_table1_prints_the_configured_core() {
+    let (file, fresh) = table1_golden();
     let want = clp_sim::table1_text(&clp_sim::SimConfig::tflex());
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with(&want));
+    assert!(fresh.starts_with(&want));
+    assert_golden(file, &fresh);
 }
 
 /// `clp-bench --check` is an equality gate: the committed baseline
@@ -146,7 +168,7 @@ fn clp_fig_table1_prints_the_configured_core() {
 #[test]
 fn clp_bench_check_is_two_sided_and_its_thresholds_are_gone() {
     let exe = env!("CARGO_BIN_EXE_clp-bench");
-    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let tmp = std::path::Path::new(TMP);
     let path = |name: &str| tmp.join(name).to_string_lossy().into_owned();
     let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
     let text = std::fs::read_to_string(committed).expect("committed BENCH_baseline.json");
@@ -191,5 +213,153 @@ fn clp_bench_check_is_two_sided_and_its_thresholds_are_gone() {
         assert_eq!(out.status.code(), Some(2));
         let want = format!("clp-bench: unknown flag `{gone}` (--help for usage)\n");
         assert_eq!(stderr(&out), want);
+    }
+}
+
+/// The command that rewrites every golden this file checks.
+const REGENERATE: &str = "cargo test -q --release --test cli -- --ignored";
+
+fn golden_path(file: &str) -> String {
+    format!("{}/../../goldens/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Holds `fresh` to the committed `goldens/<file>` with the one golden
+/// gate; a text golden's miss quotes its first line that differs.
+fn assert_golden(file: &str, fresh: &str) {
+    let path = golden_path(file);
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    check_golden(&committed, fresh).unwrap_or_else(|moved| {
+        let why = match committed.lines().zip(fresh.lines()).find(|(a, b)| a != b) {
+            Some((was, now)) if file.ends_with(".txt") => {
+                format!("first line that differs:\n  committed: {was}\n  fresh:     {now}\n")
+            }
+            _ => moved,
+        };
+        panic!(
+            "goldens/{file} is no longer reproduced; re-baseline with `{REGENERATE}` \
+             if intentional\n{why}"
+        )
+    });
+}
+
+/// What `goldens/run_one.txt` holds, each followed there by its stdout:
+/// every fault kind at three seeds and three sizes, two kinds at a high
+/// rate, five hard-kill schedules, and a trend run whose stats snapshot
+/// is `goldens/run_one_conv4.stats.json`.
+const RUN_ONE: [&str; 17] = [
+    "conv 4 --faults all=100 --fault-seed 1",
+    "tblook 32 --faults all=100 --fault-seed 1",
+    "bezier 1 --faults all=100 --fault-seed 1",
+    "conv 4 --faults all=100 --fault-seed 7",
+    "tblook 32 --faults all=100 --fault-seed 7",
+    "bezier 1 --faults all=100 --fault-seed 7",
+    "conv 4 --faults all=100 --fault-seed 1234",
+    "tblook 32 --faults all=100 --fault-seed 1234",
+    "bezier 1 --faults all=100 --fault-seed 1234",
+    "conv 8 --faults all=100 --fault-seed 7",
+    "gzip 16 --faults forced_nack=200,dram_spike=200 --fault-seed 99",
+    "conv 2 --kill-core 1@3000",
+    "conv 4 --kill-core 4@2000",
+    "conv 8 --kill-core 3@2000",
+    "conv 16 --kill-core 9@2000",
+    "tblook 8 --kill-core 3@4000 --kill-core 5@6000",
+    "conv 4 --trend --phase-table --stats-json run_one_conv4.stats.json",
+];
+
+/// Runs every [`RUN_ONE`] row; each must exit 0, i.e. verify.
+fn run_one_goldens() -> [(&'static str, String); 2] {
+    let mut text = String::new();
+    for row in RUN_ONE {
+        let out = run(
+            env!("CARGO_BIN_EXE_run_one"),
+            &row.split(' ').collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "run_one {row}: {}",
+            stderr(&out)
+        );
+        text += &format!("$ run_one {row}\n{}", String::from_utf8_lossy(&out.stdout));
+    }
+    let stats = std::fs::read_to_string(format!("{TMP}/run_one_conv4.stats.json"))
+        .expect("run_one wrote its stats snapshot");
+    [("run_one.txt", text), ("run_one_conv4.stats.json", stats)]
+}
+
+#[test]
+fn run_one_reproduces_its_goldens() {
+    for (file, fresh) in run_one_goldens() {
+        assert_golden(file, &fresh);
+    }
+}
+
+/// Every JSON file `clp-fig all` and `clp-fig fig_degraded` write.
+const FIG_FILES: [&str; 14] = [
+    "fig5.json",
+    "fig6.json",
+    "table2.json",
+    "fig7.json",
+    "fig8.json",
+    "fig9.json",
+    "fig10.json",
+    "ablation_handshake.json",
+    "ablation_bandwidth.json",
+    "ablation_issue.json",
+    "ablation_predictor.json",
+    "ablation_placement.json",
+    "ablation_schedule_target.json",
+    "fig_degraded.json",
+];
+
+/// Runs `clp-fig all`, then `clp-fig fig_degraded`: their stdout, and a
+/// digest of each file of [`FIG_FILES`] they wrote.
+fn figure_goldens() -> [(&'static str, String); 2] {
+    let mut stdout = String::new();
+    for name in ["all", "fig_degraded"] {
+        let out = run(env!("CARGO_BIN_EXE_clp-fig"), &[name]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "clp-fig {name}: {}",
+            stderr(&out)
+        );
+        stdout += &String::from_utf8_lossy(&out.stdout);
+    }
+    let digests = FIG_FILES.map(|file| {
+        let path = format!("{TMP}/target/clp-results/{file}");
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
+        (
+            file.to_string(),
+            json!({"fnv1a64": digest, "bytes": (text.len())}),
+        )
+    });
+    let digests = serde_json::to_string_pretty(&Value::Object(digests.into())).expect("serializes");
+    [("figs.txt", stdout), ("figs.digest.json", digests)]
+}
+
+/// A full `clp-fig all` is too slow for a debug build, so it runs under
+/// `--release` only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "run under --release")]
+fn the_figures_reproduce_their_goldens() {
+    for (file, fresh) in figure_goldens() {
+        assert_golden(file, &fresh);
+    }
+}
+
+/// Not a check: rewrites every golden this file holds (see
+/// [`REGENERATE`]).
+#[test]
+#[ignore = "rewrites goldens/; run it to re-baseline the run_one and clp-fig goldens"]
+fn regenerate_tool_goldens() {
+    let goldens = run_one_goldens()
+        .into_iter()
+        .chain([table1_golden()])
+        .chain(figure_goldens());
+    for (file, fresh) in goldens {
+        let path = golden_path(file);
+        std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
     }
 }

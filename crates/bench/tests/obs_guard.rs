@@ -6,7 +6,7 @@
 //! within noise of a tracer-off run (the hooks are one branch, not a
 //! call); (3) the clp-prof layer's recording and backward walk stay
 //! within about twice their measured wall-clock factor over the bare run
-//! (the CI guard beside `clp-hostbench`'s `obs.profile_overhead_x`);
+//! (the tier-1 guard beside `clp-hostbench`'s `obs.profile_overhead_x`);
 //! (4) the clp-trend recorder is equally free — cycle counts with trend
 //! recording on stay bit-identical to the pinned goldens *and* to the
 //! committed `BENCH_baseline.json` cells, and its wall-clock cost stays

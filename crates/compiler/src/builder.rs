@@ -91,12 +91,6 @@ impl FunctionBuilder {
         self.current = bb;
     }
 
-    /// The block the cursor points at.
-    #[must_use]
-    pub fn current_block(&self) -> BbId {
-        self.current
-    }
-
     fn push(&mut self, kind: OpKind) {
         assert!(
             !self.terminated[self.current.0],

@@ -322,25 +322,6 @@ impl Program {
     pub fn function(&self, id: FuncId) -> &Function {
         &self.functions[id.0]
     }
-
-    /// Looks up a function by name.
-    #[must_use]
-    pub fn function_by_name(&self, name: &str) -> Option<(FuncId, &Function)> {
-        self.functions
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name == name)
-            .map(|(i, f)| (FuncId(i), f))
-    }
-
-    /// Total static IR operation count.
-    #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.functions
-            .iter()
-            .map(|f| f.blocks.iter().map(|b| b.ops.len()).sum::<usize>())
-            .sum()
-    }
 }
 
 #[cfg(test)]

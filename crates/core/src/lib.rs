@@ -27,9 +27,8 @@ mod run;
 pub use adaptive::{adapt_composition, AdaptDecision, AdaptGoal, AdaptOutcome, AdaptStep};
 pub use multiprogram::{run_multiprogram, MultiOutcome, PlacementError, ProgramSpec};
 pub use run::{
-    compile_workload, run_compiled, run_compiled_observed, run_workload, speedup_curve, sweep,
-    CompiledWorkload, FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, Run, RunFailure,
-    RunOutcome, Stopped,
+    compile_workload, run_compiled, run_compiled_observed, run_workload, sweep, CompiledWorkload,
+    FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, Run, RunFailure, RunOutcome, Stopped,
 };
 // Fault-injection vocabulary, re-exported so harnesses and tests can
 // build plans without depending on clp-sim directly.

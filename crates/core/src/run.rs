@@ -1,6 +1,5 @@
 //! Single-workload runs and composition sweeps.
 
-use clp_alloc::{SpeedupCurve, SIZES};
 use clp_compiler::{compile, CompileError, CompileOptions};
 use clp_isa::{EdgeProgram, Reg};
 use clp_obs::{ProfileReport, StatsSnapshot, Tracer, TrendOptions, TrendReport};
@@ -441,26 +440,6 @@ pub fn sweep(w: &Workload, sizes: &[usize]) -> Result<Vec<(usize, RunOutcome)>, 
         .collect()
 }
 
-/// Measures the full Figure 6 speedup curve (all six sizes, normalized
-/// to one core).
-///
-/// # Errors
-///
-/// Propagates the first failure.
-pub fn speedup_curve(w: &Workload) -> Result<SpeedupCurve, RunFailure> {
-    let runs = sweep(w, &SIZES)?;
-    let base = runs
-        .iter()
-        .find(|(n, _)| *n == 1)
-        .map(|(_, r)| r.stats.cycles)
-        .expect("size 1 in SIZES");
-    let samples: Vec<(usize, f64)> = runs
-        .iter()
-        .map(|(n, r)| (*n, base as f64 / r.stats.cycles as f64))
-        .collect();
-    Ok(SpeedupCurve::new(w.name, &samples))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,13 +495,5 @@ mod tests {
         for (n, r) in &runs {
             assert!(r.correct, "incorrect at {n} cores");
         }
-    }
-
-    #[test]
-    fn speedup_curve_normalizes_to_one() {
-        let w = suite::by_name("autocor").unwrap();
-        let c = speedup_curve(&w).expect("curve");
-        assert!((c.at(1) - 1.0).abs() < 1e-12);
-        assert!(c.best_speedup() >= 1.0);
     }
 }

@@ -79,12 +79,6 @@ impl BlockBuilder {
         self.pred = pred;
     }
 
-    /// The current predicate context.
-    #[must_use]
-    pub fn current_pred(&self) -> Option<(InstId, PredSense)> {
-        self.pred
-    }
-
     fn alloc(&mut self, inst: Instruction) -> InstId {
         let id = InstId::new(self.insts.len());
         self.insts.push(inst);
@@ -159,14 +153,6 @@ impl BlockBuilder {
         self.append(i)
     }
 
-    /// Appends a unary operation consuming `a`.
-    pub fn op1(&mut self, opcode: Opcode, a: InstId) -> InstId {
-        debug_assert_eq!(opcode.arity(), 1, "{opcode} is not unary");
-        let id = self.append(Instruction::new(opcode));
-        self.connect(a, id, Operand::Left);
-        id
-    }
-
     /// Appends a unary operation with an immediate (`addi`, `shli`, ...).
     pub fn op1i(&mut self, opcode: Opcode, a: InstId, imm: i64) -> InstId {
         debug_assert_eq!(opcode.arity(), 1, "{opcode} is not unary");
@@ -227,14 +213,6 @@ impl BlockBuilder {
         id
     }
 
-    /// Appends a `NULL` that resolves the store slot `lsid` on the current
-    /// predicate path without storing.
-    pub fn null_store(&mut self, lsid: usize) -> InstId {
-        let mut i = Instruction::new(Opcode::Null);
-        i.lsid = Some(Lsid::new(lsid));
-        self.append(i)
-    }
-
     /// Appends a `NULL` producing a null token, typically routed to a
     /// `WRITE` to resolve it on a predicated-off path.
     pub fn null_value(&mut self) -> InstId {
@@ -259,12 +237,6 @@ impl BlockBuilder {
         let id = self.branch(BranchKind::Return, None, exit_id);
         self.connect(link, id, Operand::Left);
         id
-    }
-
-    /// Direct access to an already-appended instruction (for passes that
-    /// patch immediates or branch targets after layout).
-    pub fn instruction_mut(&mut self, id: InstId) -> &mut Instruction {
-        &mut self.insts[id.index()]
     }
 
     /// Appends a fully formed instruction verbatim, bypassing the

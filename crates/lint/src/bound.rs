@@ -34,8 +34,8 @@
 //! chain would finish).
 //!
 //! Soundness is the load-bearing contract: `bound ≤ measured` for every
-//! block span the profiler records and for every suite cell, checked in
-//! CI. Everything here errs on the side of *under*-estimation:
+//! block span the profiler records and for every suite cell, checked by
+//! tier-1. Everything here errs on the side of *under*-estimation:
 //! predicate paths take the min over enumerated assignments (the real
 //! path always matches one when enumeration is exhaustive, and the
 //! sampled fallback keeps only instructions that fire under every
@@ -53,7 +53,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // The machine parameters the bound is computed against: the simulator's
 // TFlex core (dual-issue, one FP pipe, four-wide dispatch,
-// double-bandwidth operand links). The CI soundness gate runs the
+// double-bandwidth operand links). The tier-1 soundness gate runs the
 // analyzer against the real simulator, so any drift between the two is
 // caught as a bound violation rather than silently mis-modeled.
 

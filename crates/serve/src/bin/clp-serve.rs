@@ -9,7 +9,7 @@
 //! # Regenerate the committed benchmark document.
 //! cargo run --release -p clp-serve -- --bench --json BENCH_serve.json
 //!
-//! # CI gate: rerun the pinned configuration; the report must equal the golden.
+//! # Golden gate: rerun the pinned configuration; the report must equal the golden.
 //! cargo run --release -p clp-serve -- --bench --check BENCH_serve.json
 //! ```
 //!
@@ -24,7 +24,8 @@
 //! after the run — run summary, fleet cycle-attribution book, service
 //! time series and phase table; `--scope-json <path>` writes the full
 //! `clp-scope-v1` document (with `--bench`, byte-for-byte the committed
-//! `SCOPE_serve.json`: CI `cmp`s them) and `--perfetto <path>` a Chrome
+//! `SCOPE_serve.json`; `tests/scope.rs` pins that, the `--scope` text
+//! and the Perfetto export) and `--perfetto <path>` a Chrome
 //! trace-event file of the span trees and worker tracks. Scope is
 //! observational: with it off the run takes the identical code path,
 //! and with it on the `clp-serve-v1` report bytes do not change.
@@ -33,7 +34,7 @@
 //! attempts run, how many of them continued a deadline-killed machine
 //! instead of starting over, and the cycles the workers stepped against
 //! the cycles the attempts were charged for (`service::HostLedger`; in
-//! no JSON document — CI fails if `--bench` ever reports 0 resumed).
+//! no JSON document — `tests/scope.rs` pins the bench's ledger).
 //!
 //! Exit codes: 0 = drained and `--check` (if given) matched, 1 =
 //! `--check` found a difference, 2 = usage error.

@@ -4,8 +4,8 @@
 //!
 //! Because the service is deterministic, the same `(seed, config)`
 //! reproduces the report *byte-for-byte* — the replay golden test pins
-//! that, and `clp-serve --bench --check BENCH_serve.json` (CI, and
-//! tier-1 through `tests/scope.rs`) holds a fresh run to the committed
+//! that, and `clp-serve --bench --check BENCH_serve.json` (tier-1's
+//! `tests/scope.rs` does the same) holds a fresh run to the committed
 //! document with `clp_obs::check_golden`, the same equality gate every
 //! other golden goes through.
 

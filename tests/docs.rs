@@ -2,6 +2,9 @@
 //! `crates/…`, `tests/…` or `goldens/…` path in DESIGN.md and README.md,
 //! with `{a,b}` braces expanded, is checked against the tree, so a file
 //! that is moved or deleted cannot leave the prose pointing at nothing.
+//! Beside that sit the settings and gates nothing else would miss: the
+//! release profile, the tier-1 members, CI's two test commands, and a
+//! reader for every golden.
 
 use std::path::Path;
 
@@ -116,4 +119,83 @@ fn tier1_tests_every_member() {
             "default-members must hold {member}: {line}"
         );
     }
+}
+
+/// Tier-1 is the only gate: CI's test commands are `cargo test -q` and
+/// `cargo test -q --release`, and it names no test target, golden check
+/// or byte comparison of its own that a `cargo test` run would not make.
+/// (`cargo fmt --check` is a format check, not a golden.)
+#[test]
+fn ci_runs_only_the_tier1_commands() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml"))
+        .expect("the workflow is committed");
+    let stray: Vec<&str> = ci
+        .lines()
+        .filter(|l| !l.contains("cargo fmt"))
+        .flat_map(str::split_whitespace)
+        .filter(|w| *w == "--test" || w.starts_with("--check") || *w == "cmp")
+        .collect();
+    assert!(stray.is_empty(), "ci.yml checks outside tier-1: {stray:?}");
+    let tests: Vec<&str> = ci
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.contains("cargo test"))
+        .collect();
+    assert_eq!(
+        tests,
+        ["run: cargo test -q", "run: cargo test -q --release"]
+    );
+}
+
+/// Appends the text of every file under `dir`, recursively.
+fn read_tree(dir: &Path, out: &mut String) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("lists the directory").path();
+        if path.is_dir() {
+            read_tree(&path, out);
+        } else if let Ok(text) = std::fs::read_to_string(&path) {
+            out.push_str(&text);
+        }
+    }
+}
+
+/// File names in `dir`.
+fn file_names(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    entries
+        .map(|e| e.expect("lists the directory"))
+        .filter(|e| e.path().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// A committed golden that no test names is a file nothing checks: every
+/// file under `goldens/` and every root `*_baseline.json`,
+/// `BENCH_serve.json` and `SCOPE_serve.json` must be named in some file
+/// under `tests/` or `crates/*/tests/`.
+#[test]
+fn every_golden_is_read_by_a_test() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut goldens = file_names(&root.join("goldens"));
+    goldens.extend(file_names(root).into_iter().filter(|name| {
+        name.ends_with("_baseline.json") || name == "BENCH_serve.json" || name == "SCOPE_serve.json"
+    }));
+    let mut tests = String::new();
+    read_tree(&root.join("tests"), &mut tests);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is committed") {
+        read_tree(
+            &krate.expect("lists crates/").path().join("tests"),
+            &mut tests,
+        );
+    }
+    assert!(goldens.len() >= 20, "only {} goldens found", goldens.len());
+    let unread: Vec<&String> = goldens
+        .iter()
+        .filter(|g| !tests.contains(g.as_str()))
+        .collect();
+    assert!(unread.is_empty(), "goldens no test names: {unread:?}");
 }

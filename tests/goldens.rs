@@ -1,4 +1,4 @@
-//! Tier-1's hold on the goldens CI otherwise gates alone.
+//! Tier-1's hold on the suite, observer, fault and lint goldens.
 //!
 //! `BENCH_baseline.json` and `BOUND_baseline.json` are regenerated by
 //! the builders the `clp-bench` / `clp-bound` tools call and held to the
@@ -11,22 +11,22 @@
 //!
 //! The observer goldens under `goldens/` pin what `clp-prof` and
 //! `clp-trend` print at their default 16 cores, built by the same
-//! `clp_bench::observe` functions the tools print through. The fault
-//! goldens pin the stats snapshot and the trace of a run in which every
-//! fault kind fires. `goldens/lint_suite.json` pins `clp-lint --suite
-//! --json`, and `goldens/figs.digest.json` pins every JSON file `clp-fig
-//! all` and `clp-fig fig_degraded` write, one digest per file.
+//! `clp_bench::observe` functions the tools print through, and the
+//! Perfetto files of `clp-trend conv --perfetto` and `run_one conv 4
+//! --profile --trace` as digests. The fault goldens pin the stats
+//! snapshot and the trace of a run in which every fault kind fires.
+//! `goldens/lint_suite.json` pins `clp-lint --suite --json`. (What the
+//! binaries print themselves, `clp-fig` included, is pinned by
+//! `crates/bench/tests/cli.rs`.)
 
 use clp::core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp::lint::{lint_program, LintConfig, LintReport};
-use clp::obs::{check_golden, digest_golden, fnv1a64, ChromeTraceWriter, Tracer, TrendOptions};
+use clp::obs::{check_golden, digest_golden, ChromeTraceWriter, Tracer, TrendOptions};
 use clp::sim::FaultPlan;
 use clp::workloads::suite;
-use clp_bench::figs::{self, Ctx};
 use clp_bench::matrix::{SuiteMatrix, BENCH_SIZES};
 use clp_bench::observe::{observe, prof_run, runs_document, trend_run, trend_text};
-use clp_bench::{par_suite, results_dir};
-use serde_json::{json, Value};
+use clp_bench::par_suite;
 use std::sync::LazyLock;
 
 /// Whichever test gets here first measures; the other waits for it.
@@ -70,8 +70,9 @@ const REGENERATE: &str = "cargo test -q --release --test goldens -- --ignored";
 
 /// Each observer golden under `goldens/` and what it holds, fresh:
 /// `clp-prof conv --json`, `clp-trend conv --json` and `clp-trend
-/// --suite` in full, and `clp-prof --suite --json` as its digest.
-fn observer_goldens() -> [(&'static str, String); 4] {
+/// --suite` in full, and `clp-prof --suite --json`, `clp-trend conv
+/// --perfetto` and `run_one conv 4 --profile --trace` as digests.
+fn observer_goldens() -> [(&'static str, String); 6] {
     const CORES: usize = 16;
     let prof = ObsOptions {
         profile: true,
@@ -92,11 +93,13 @@ fn observer_goldens() -> [(&'static str, String); 4] {
             p,
             trend_run(w.name, CORES, &t),
             trend_text(w.name, CORES, &t),
+            t.to_chrome_trace(),
         )
     });
     let conv = workloads.iter().position(|w| w.name == "conv");
-    let (prof_conv, trend_conv, _) = &runs[conv.expect("conv is in the suite")];
-    let prof_suite = runs.iter().map(|(p, _, _)| p.clone()).collect();
+    let (prof_conv, trend_conv, _, trend_conv_perfetto) =
+        &runs[conv.expect("conv is in the suite")];
+    let prof_suite = runs.iter().map(|(p, ..)| p.clone()).collect();
     [
         (
             "prof_conv.json",
@@ -108,13 +111,41 @@ fn observer_goldens() -> [(&'static str, String); 4] {
         ),
         (
             "trend_suite.txt",
-            runs.iter().map(|(_, _, t)| t.as_str()).collect(),
+            runs.iter().map(|(_, _, t, _)| t.as_str()).collect(),
         ),
         (
             "prof_suite.digest.json",
             digest_golden(&runs_document("clp-prof-v1", prof_suite)),
         ),
+        (
+            "trend_conv.perfetto.digest.json",
+            digest_golden(trend_conv_perfetto),
+        ),
+        (
+            "prof_conv4.trace.digest.json",
+            digest_golden(&traced_run("prof_conv4.trace.json", 4, FaultPlan::none(), true).1),
+        ),
     ]
+}
+
+/// Runs conv on `cores` under `faults`, with clp-prof on if `profile`,
+/// tracing to `file` in the test's scratch directory: the outcome's
+/// stats snapshot and the trace, as `run_one`'s `--stats-json` and
+/// `--trace` write them.
+fn traced_run(file: &str, cores: usize, faults: FaultPlan, profile: bool) -> (String, String) {
+    let w = suite::by_name("conv").expect("conv is in the suite");
+    let cw = compile_workload(&w).expect("compiles");
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    let obs = ObsOptions {
+        tracer: Tracer::new(ChromeTraceWriter::new(&trace)),
+        profile,
+        ..ObsOptions::default()
+    };
+    let cfg = ProcessorConfig::tflex(cores).with_faults(faults);
+    let r = run_compiled_observed(&cw, &cfg, &obs).expect("runs correctly");
+    obs.tracer.finish().expect("writes the trace");
+    let trace = std::fs::read_to_string(&trace).expect("reads the trace back");
+    (r.snapshot.to_json(), trace)
 }
 
 #[test]
@@ -129,20 +160,10 @@ fn the_observers_reproduce_their_goldens() {
 /// and counts) and its `--trace` as a digest (every `fault_injected`
 /// label and `extra_cycles`).
 fn fault_goldens() -> [(&'static str, String); 2] {
-    let w = suite::by_name("conv").expect("conv is in the suite");
-    let cw = compile_workload(&w).expect("compiles");
     let plan = FaultPlan::parse("all=50", 1).expect("valid spec");
-    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("faults_conv8.trace.json");
-    let obs = ObsOptions {
-        tracer: Tracer::new(ChromeTraceWriter::new(&trace)),
-        ..ObsOptions::default()
-    };
-    let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(8).with_faults(plan), &obs)
-        .expect("runs correctly");
-    obs.tracer.finish().expect("writes the trace");
-    let trace = std::fs::read_to_string(&trace).expect("reads the trace back");
+    let (snapshot, trace) = traced_run("faults_conv8.trace.json", 8, plan, false);
     [
-        ("faults_conv8.json", r.snapshot.to_json()),
+        ("faults_conv8.json", snapshot),
         ("faults_conv8.trace.digest.json", digest_golden(&trace)),
     ]
 }
@@ -171,63 +192,15 @@ fn the_linter_reproduces_its_suite_golden() {
     assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
 }
 
-/// Every JSON file `clp-fig all` and `clp-fig fig_degraded` write.
-const FIG_FILES: [&str; 14] = [
-    "fig5.json",
-    "fig6.json",
-    "table2.json",
-    "fig7.json",
-    "fig8.json",
-    "fig9.json",
-    "fig10.json",
-    "ablation_handshake.json",
-    "ablation_bandwidth.json",
-    "ablation_issue.json",
-    "ablation_predictor.json",
-    "ablation_placement.json",
-    "ablation_schedule_target.json",
-    "fig_degraded.json",
-];
-
-/// Runs `clp-fig all` and `clp-fig fig_degraded`, then digests each file
-/// of [`FIG_FILES`] they wrote under `target/clp-results/`.
-fn figs_golden() -> (&'static str, String) {
-    let mut ctx = Ctx::default();
-    figs::run_all(&mut ctx);
-    (figs::by_name("fig_degraded").expect("registered").run)(&mut ctx);
-    assert_eq!(ctx.failed_cells, 0, "every sweep cell runs");
-    let dir = results_dir();
-    let digests = FIG_FILES.map(|file| {
-        let path = dir.join(file);
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
-        (
-            file.to_string(),
-            json!({"fnv1a64": digest, "bytes": (text.len())}),
-        )
-    });
-    ("figs.digest.json", pretty(&Value::Object(digests.into())))
-}
-
-/// A full `clp-fig all`: too slow for a debug build, so tier-1 skips it
-/// and CI runs it under `--release`.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "run under --release")]
-fn the_figures_reproduce_their_digests() {
-    let (file, fresh) = figs_golden();
-    assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
-}
-
 /// Not a check: rewrites every golden under `goldens/` that this file
 /// builds (see [`REGENERATE`]).
 #[test]
-#[ignore = "rewrites goldens/; run it to re-baseline the observer, fault, lint and figure goldens"]
+#[ignore = "rewrites goldens/; run it to re-baseline the observer, fault and lint goldens"]
 fn regenerate_observer_goldens() {
     let goldens = observer_goldens()
         .into_iter()
         .chain(fault_goldens())
-        .chain([lint_golden(), figs_golden()]);
+        .chain([lint_golden()]);
     for (file, fresh) in goldens {
         let path = format!("{}/goldens/{file}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));

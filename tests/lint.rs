@@ -1,6 +1,6 @@
 //! The linter's two contracts with the outside. The machine-readable
 //! diagnostics format is pinned byte for byte on a fixture: tools (editor
-//! integrations, the CI gate) parse this JSON, so field names, ordering
+//! integrations, scripts) parse this JSON, so field names, ordering
 //! and severity strings change only deliberately, never by accident. And
 //! every built-in workload compiles to an EDGE program with **zero
 //! error-severity** diagnostics: error lints are sound (they name a real

@@ -1,10 +1,12 @@
 //! Integration suite for clp-scope: span-tree invariants over random
 //! seeded arrival streams, the view's series against the service's own
 //! totals, byte-identical scope-on replay against the committed
-//! `SCOPE_serve.json` golden and of README's chaotic run against
-//! `goldens/{serve,scope}_chaos.json` (and, at 1 and 8 workers,
-//! `goldens/{serve,scope}_w{1,8}.json`), and the observational guarantee
-//! that turning scope on does not change the `clp-serve-v1` document.
+//! `SCOPE_serve.json` golden (and its `--scope` text and `--perfetto`
+//! export against `goldens/scope_bench{.txt,.perfetto.digest.json}`) and
+//! of README's chaotic run against `goldens/{serve,scope}_chaos.json`
+//! (and, at 1 and 8 workers, `goldens/{serve,scope}_w{1,8}.json`), and
+//! the observational guarantee that turning scope on does not change the
+//! `clp-serve-v1` document.
 //!
 //! The span invariants are structural: a job's lifecycle must *tile* —
 //! queued, attempt, and backoff spans meet edge-to-edge from arrival to
@@ -12,10 +14,10 @@
 //! tracks must never double-book a slot. Any scheduler change that
 //! breaks the event ordering contract shows up here as a torn span.
 
-use clp::obs::{check_golden, ScopeOptions, ScopeReport, Terminal};
+use clp::obs::{check_golden, digest_golden, ScopeOptions, ScopeReport, Terminal};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    bench_spec, serve_scoped, ServiceConfig, ServiceReport, ServiceResult,
+    bench_spec, serve_scoped, HostLedger, ServiceConfig, ServiceReport, ServiceResult,
 };
 use proptest::prelude::*;
 
@@ -135,18 +137,47 @@ fn assert_view_matches_totals(rep: &ScopeReport, result: &ServiceResult) {
     assert_eq!(rep.drained_at, t.drained_at);
 }
 
+/// The pinned `clp-serve --bench` run with scope on.
+fn bench_run() -> (ServiceResult, ScopeReport) {
+    let (acfg, scfg) = bench_spec();
+    let (result, scope) = serve_scoped(
+        arrivals::generate(&acfg),
+        &scfg,
+        Some(&ScopeOptions::default()),
+    );
+    (result, scope.expect("scope on"))
+}
+
+/// What `clp-serve --bench --scope --perfetto` prints and writes besides
+/// `SCOPE_serve.json`: the four text reports, and the Perfetto export as
+/// a digest.
+fn bench_scope_goldens(scope: &ScopeReport) -> [(&'static str, String); 2] {
+    let text = format!(
+        "{}\n{}{}{}",
+        scope.render_summary(),
+        scope.render_fleet(),
+        scope.series.render_timeline(),
+        scope.series.render_phase_table()
+    );
+    [
+        ("scope_bench.txt", text),
+        (
+            "scope_bench.perfetto.digest.json",
+            digest_golden(&scope.to_perfetto()),
+        ),
+    ]
+}
+
+fn golden_path(file: &str) -> String {
+    format!("{}/goldens/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
 #[test]
 fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
-    // The exact configuration `clp-serve --bench` pins, so this suite
-    // guards the same run CI replays.
+    // The exact configuration `clp-serve --bench` pins.
     let (acfg, scfg) = bench_spec();
-    let opts = ScopeOptions::default();
-    let run = || serve_scoped(arrivals::generate(&acfg), &scfg, Some(&opts));
-
-    let (result_a, scope_a) = run();
-    let (result_b, scope_b) = run();
-    let scope_a = scope_a.expect("scope on");
-    let scope_b = scope_b.expect("scope on");
+    let (result_a, scope_a) = bench_run();
+    let (result_b, scope_b) = bench_run();
 
     // Same (seed, job list) => byte-identical clp-scope-v1 documents.
     assert_eq!(
@@ -157,8 +188,8 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     assert_eq!(result_a, result_b);
 
     // ... and identical to the committed golden.
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/SCOPE_serve.json");
-    let golden = std::fs::read_to_string(golden_path).expect("committed SCOPE_serve.json");
+    let scope_path = concat!(env!("CARGO_MANIFEST_DIR"), "/SCOPE_serve.json");
+    let golden = std::fs::read_to_string(scope_path).expect("committed SCOPE_serve.json");
     check_golden(&golden, &scope_a.to_json()).unwrap_or_else(|moved| {
         panic!(
             "replay diverged from SCOPE_serve.json; regenerate with \
@@ -175,10 +206,46 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
         panic!("scope on must not perturb the service document (BENCH_serve.json)\n{moved}")
     });
 
+    // The scope text reports and the Perfetto export of the same run.
+    for (file, fresh) in bench_scope_goldens(&scope_a) {
+        let path = golden_path(file);
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        check_golden(&golden, &fresh).unwrap_or_else(|moved| {
+            panic!(
+                "replay diverged from goldens/{file}; regenerate with \
+                 `cargo test -q --test scope -- --ignored` if intentional\n{moved}"
+            )
+        });
+    }
+
+    // Deadline kills are continued on the machine they stopped, not
+    // re-simulated from cycle 0. No report can tell (virtual time is
+    // charged from budgets and cycle counts), so the host's own ledger
+    // is pinned here: the bench continues 13 of its 45 attempts.
+    assert_eq!(
+        result_a.host,
+        HostLedger {
+            attempts: 45,
+            resumed: 13,
+            cycles_stepped: 1_099_520,
+            cycles_charged: 1_559_520,
+        }
+    );
+
     // The chaotic bench run satisfies every span invariant too.
     assert_span_invariants(&scope_a);
     assert_view_matches_totals(&scope_a, &result_a);
     assert_eq!(scope_a.fleet.total.jobs, result_a.totals.completed);
+}
+
+/// Not a check: rewrites `goldens/scope_bench*` from the pinned bench.
+#[test]
+#[ignore = "rewrites goldens/scope_bench*; run it to re-baseline the bench's scope reports"]
+fn regenerate_bench_scope_goldens() {
+    for (file, fresh) in bench_scope_goldens(&bench_run().1) {
+        let path = golden_path(file);
+        std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
+    }
 }
 
 #[test]
@@ -196,7 +263,7 @@ fn chaos_run_matches_the_committed_chaos_goldens() {
         ..ArrivalConfig::default()
     };
     let golden = |name: &str| {
-        let path = format!("{}/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
+        let path = golden_path(name);
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {path}: {e}"))
     };
     for (workers, serve_golden, scope_golden, flag) in [

@@ -26,7 +26,7 @@ fn trended(name: &str, cfg: &ProcessorConfig) -> (u64, TrendReport) {
 }
 
 /// Same workload, same configuration: the full `clp-trend-v1` document
-/// is byte-identical between runs — the series is safe to pin in CI.
+/// is byte-identical between runs — the series is safe to pin as a golden.
 #[test]
 fn trend_json_is_byte_identical_between_runs() {
     let (c1, r1) = trended("conv", &ProcessorConfig::tflex(8));
