@@ -1,83 +1,50 @@
-//! Memory-hierarchy sizing parameters.
+//! The memory hierarchy of Table 1. Every composition and both machine
+//! presets (TFlex and the TRIPS baseline) share it, so its sizes and
+//! latencies are constants, not configuration.
 
-/// Memory system parameters (Table 1 of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemConfig {
-    /// Per-core L1 D-cache capacity in bytes (8 KB).
-    pub l1d_bytes: usize,
-    /// L1 D-cache associativity (2-way).
-    pub l1d_ways: usize,
-    /// L1 D-cache hit latency in cycles (2).
-    pub l1d_hit_latency: u32,
-    /// Cache line size in bytes (64).
-    pub line_bytes: usize,
-    /// Per-core L1 I-cache capacity in bytes (8 KB).
-    pub l1i_bytes: usize,
-    /// L1 I-cache hit latency in cycles (1).
-    pub l1i_hit_latency: u32,
-    /// LSQ entries per bank (44).
-    pub lsq_entries: usize,
-    /// Total shared L2 capacity in bytes (4 MB).
-    pub l2_bytes: usize,
-    /// Number of S-NUCA L2 banks (32).
-    pub l2_banks: usize,
-    /// L2 associativity (8-way).
-    pub l2_ways: usize,
-    /// Minimum (closest-bank) L2 hit latency in cycles (5).
-    pub l2_min_latency: u32,
-    /// Maximum (farthest-bank) L2 hit latency in cycles (27).
-    pub l2_max_latency: u32,
-    /// Unloaded main-memory latency in cycles (150).
-    pub dram_latency: u32,
-    /// Extra latency for a directory-initiated forward/invalidate of a
-    /// line held by a remote L1.
-    pub coherence_penalty: u32,
-}
+/// Per-core L1 D-cache capacity in bytes (8 KB).
+pub const L1D_BYTES: usize = 8 * 1024;
+/// L1 D-cache associativity (2-way).
+pub const L1D_WAYS: usize = 2;
+/// L1 D-cache hit latency in cycles (2).
+pub const L1D_HIT_LATENCY: u32 = 2;
+/// Cache line size in bytes (64), at every level.
+pub const LINE_BYTES: usize = 64;
+/// `addr >> LINE_SHIFT` is the line number of `addr`.
+pub(crate) const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+/// Per-core L1 I-cache capacity in bytes (8 KB), direct-mapped.
+pub const L1I_BYTES: usize = 8 * 1024;
+/// L1 I-cache hit latency in cycles (1).
+pub const L1I_HIT_LATENCY: u32 = 1;
+/// LSQ entries per bank (44).
+pub const LSQ_ENTRIES: usize = 44;
+/// Total shared L2 capacity in bytes (4 MB).
+pub const L2_BYTES: usize = 4 * 1024 * 1024;
+/// Number of S-NUCA L2 banks (32, a 4x8 array beside the cores).
+pub const L2_BANKS: usize = 32;
+/// L2 associativity (8-way).
+pub const L2_WAYS: usize = 8;
+/// Closest-bank L2 hit latency in cycles (5).
+pub const L2_MIN_LATENCY: u32 = 5;
+/// Farthest-bank L2 hit latency in cycles (27).
+pub const L2_MAX_LATENCY: u32 = 27;
+/// Unloaded main-memory latency in cycles (150).
+pub const DRAM_LATENCY: u32 = 150;
+/// Extra latency for a directory-initiated forward/invalidate of a
+/// line held by a remote L1 (not in Table 1; see DESIGN.md, "Invented
+/// constants").
+pub const COHERENCE_PENALTY: u32 = 12;
 
-impl MemConfig {
-    /// The TFlex/TRIPS parameters from Table 1.
-    #[must_use]
-    pub fn tflex() -> Self {
-        MemConfig {
-            l1d_bytes: 8 * 1024,
-            l1d_ways: 2,
-            l1d_hit_latency: 2,
-            line_bytes: 64,
-            l1i_bytes: 8 * 1024,
-            l1i_hit_latency: 1,
-            lsq_entries: 44,
-            l2_bytes: 4 * 1024 * 1024,
-            l2_banks: 32,
-            l2_ways: 8,
-            l2_min_latency: 5,
-            l2_max_latency: 27,
-            dram_latency: 150,
-            coherence_penalty: 12,
-        }
-    }
-}
-
-impl Default for MemConfig {
-    fn default() -> Self {
-        Self::tflex()
-    }
-}
+const _: () = assert!(LINE_BYTES == 1 << LINE_SHIFT);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What `goldens/table1.txt` does not print: the L2 bank count the
+    /// NUCA floorplan is laid out for.
     #[test]
     fn table_1_values() {
-        let c = MemConfig::tflex();
-        assert_eq!(c.l1d_bytes, 8192);
-        assert_eq!(c.l1d_ways, 2);
-        assert_eq!(c.l1d_hit_latency, 2);
-        assert_eq!(c.lsq_entries, 44);
-        assert_eq!(c.l2_bytes, 4 << 20);
-        assert_eq!(c.l2_banks, 32);
-        assert_eq!(c.l2_min_latency, 5);
-        assert_eq!(c.l2_max_latency, 27);
-        assert_eq!(c.dram_latency, 150);
+        assert_eq!(L2_BANKS, 32);
     }
 }

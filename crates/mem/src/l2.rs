@@ -1,7 +1,10 @@
 //! The shared S-NUCA L2 cache with directory coherence, plus DRAM.
 
 use crate::cache::{AccessResult, CacheBank, CacheGeometry};
-use crate::config::MemConfig;
+use crate::config::{
+    COHERENCE_PENALTY, DRAM_LATENCY, L2_BANKS, L2_BYTES, L2_MAX_LATENCY, L2_MIN_LATENCY, L2_WAYS,
+    LINE_BYTES, LINE_SHIFT,
+};
 
 /// Sharing state per line address. Only ever looked up, inserted and
 /// removed by key, never iterated: hash order cannot reach a result.
@@ -14,7 +17,7 @@ pub struct CoherenceActions {
     /// Cores whose L1 copy must be invalidated.
     pub invalidate: Vec<usize>,
     /// A core holding the line dirty that must forward it (read miss) —
-    /// charged [`MemConfig::coherence_penalty`] extra cycles.
+    /// charged [`COHERENCE_PENALTY`] extra cycles.
     pub forward_from: Option<usize>,
 }
 
@@ -48,13 +51,12 @@ struct DirEntry {
 ///
 /// Banks occupy the right half of the chip floorplan; access latency
 /// scales with Manhattan distance from the requesting core to the bank,
-/// spanning [`MemConfig::l2_min_latency`]..=[`MemConfig::l2_max_latency`].
+/// spanning [`L2_MIN_LATENCY`]..=[`L2_MAX_LATENCY`].
 /// The directory lives in the L2 tags: each line tracks an L1 sharing
 /// vector, treating every L1 bank as an independent coherence unit, which
 /// is what lets compositions change without flushing L1s.
 #[derive(Clone, Debug)]
 pub struct NucaL2 {
-    cfg: MemConfig,
     banks: Vec<CacheBank>,
     directory: Directory,
     /// DRAM accesses performed (reads + write-backs).
@@ -68,29 +70,26 @@ pub struct NucaL2 {
 impl NucaL2 {
     /// Creates an empty L2.
     #[must_use]
-    pub fn new(cfg: MemConfig) -> Self {
+    pub fn new() -> Self {
         let per_bank = CacheGeometry {
-            bytes: cfg.l2_bytes / cfg.l2_banks,
-            line_bytes: cfg.line_bytes,
-            ways: cfg.l2_ways,
+            bytes: L2_BYTES / L2_BANKS,
+            line_bytes: LINE_BYTES,
+            ways: L2_WAYS,
         };
         NucaL2 {
-            banks: (0..cfg.l2_banks)
-                .map(|_| CacheBank::new(per_bank))
-                .collect(),
+            banks: (0..L2_BANKS).map(|_| CacheBank::new(per_bank)).collect(),
             directory: Directory::new(),
             dram_accesses: 0,
             hits: 0,
             misses: 0,
-            cfg,
         }
     }
 
     /// The bank holding `line_addr`.
     #[must_use]
     pub fn bank_for(&self, line_addr: u64) -> usize {
-        let l = line_addr >> 6;
-        ((l ^ (l >> 7)) as usize) % self.cfg.l2_banks
+        let l = line_addr >> LINE_SHIFT;
+        ((l ^ (l >> 7)) as usize) % L2_BANKS
     }
 
     /// NUCA latency from a core (in the 4x8 core array, node id `core`)
@@ -102,8 +101,8 @@ impl NucaL2 {
         let hops = (cx - bx).unsigned_abs() + (cy - by).unsigned_abs();
         let min_hops = 1;
         let max_hops = 14; // (0,7) core to (7,0) bank
-        let span = self.cfg.l2_max_latency - self.cfg.l2_min_latency;
-        self.cfg.l2_min_latency + (hops.saturating_sub(min_hops)) * span / (max_hops - min_hops)
+        let span = L2_MAX_LATENCY - L2_MIN_LATENCY;
+        L2_MIN_LATENCY + (hops.saturating_sub(min_hops)) * span / (max_hops - min_hops)
     }
 
     /// Performs an L2 transaction on behalf of `core`'s L1 miss.
@@ -123,7 +122,7 @@ impl NucaL2 {
                 actions.invalidate = (0..MAX_CHIP_CORES)
                     .filter(|&c| others >> c & 1 == 1)
                     .collect();
-                latency += self.cfg.coherence_penalty;
+                latency += COHERENCE_PENALTY;
             }
             entry.sharers = 1 << core;
             entry.dirty_owner = Some(core as u8);
@@ -131,7 +130,7 @@ impl NucaL2 {
             if let Some(owner) = entry.dirty_owner {
                 if usize::from(owner) != core {
                     actions.forward_from = Some(usize::from(owner));
-                    latency += self.cfg.coherence_penalty;
+                    latency += COHERENCE_PENALTY;
                     entry.dirty_owner = None;
                 }
             }
@@ -145,7 +144,7 @@ impl NucaL2 {
         } else {
             self.misses += 1;
             self.dram_accesses += 1;
-            latency += self.cfg.dram_latency;
+            latency += DRAM_LATENCY;
             if let AccessResult::Miss {
                 writeback: Some(victim),
             } = result
@@ -200,7 +199,7 @@ mod tests {
     use super::*;
 
     fn l2() -> NucaL2 {
-        NucaL2::new(MemConfig::tflex())
+        NucaL2::new()
     }
 
     #[test]
@@ -257,7 +256,7 @@ mod tests {
         let r = l2.access(1, 0x2000, false);
         assert!(r.hit);
         assert_eq!(r.actions.forward_from, Some(0));
-        assert!(r.latency >= MemConfig::tflex().coherence_penalty);
+        assert!(r.latency >= COHERENCE_PENALTY);
     }
 
     #[test]

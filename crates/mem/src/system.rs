@@ -1,7 +1,10 @@
 //! The chip-level memory system facade driven by the simulator.
 
 use crate::cache::{AccessResult, CacheBank, CacheGeometry};
-use crate::config::MemConfig;
+use crate::config::{
+    L1D_BYTES, L1D_HIT_LATENCY, L1D_WAYS, L1I_BYTES, L1I_HIT_LATENCY, LINE_BYTES, LINE_SHIFT,
+    LSQ_ENTRIES,
+};
 use crate::image::MemoryImage;
 use crate::l2::NucaL2;
 use crate::lsq::{LsqBank, LsqInsert};
@@ -23,7 +26,7 @@ use clp_obs::{CacheLevel, TraceEvent, Tracer};
 #[must_use]
 pub fn dbank_for(addr: u64, n_cores: usize) -> usize {
     debug_assert!(n_cores > 0);
-    let line = addr >> 6;
+    let line = addr >> LINE_SHIFT;
     ((line ^ (line >> 9)) as usize) % n_cores
 }
 
@@ -93,7 +96,6 @@ pub struct EvacuationReport {
 /// their participant-relative bank hashes onto their member cores.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
-    cfg: MemConfig,
     /// The architectural memory contents.
     pub image: MemoryImage,
     l1d: Vec<CacheBank>,
@@ -109,29 +111,26 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates a memory system for a chip with `n_cores` cores.
     #[must_use]
-    pub fn new(cfg: MemConfig, n_cores: usize) -> Self {
+    pub fn new(n_cores: usize) -> Self {
         let dgeom = CacheGeometry {
-            bytes: cfg.l1d_bytes,
-            line_bytes: cfg.line_bytes,
-            ways: cfg.l1d_ways,
+            bytes: L1D_BYTES,
+            line_bytes: LINE_BYTES,
+            ways: L1D_WAYS,
         };
         let igeom = CacheGeometry {
-            bytes: cfg.l1i_bytes,
-            line_bytes: cfg.line_bytes,
+            bytes: L1I_BYTES,
+            line_bytes: LINE_BYTES,
             ways: 1,
         };
         MemorySystem {
             image: MemoryImage::new(),
             l1d: (0..n_cores).map(|_| CacheBank::new(dgeom)).collect(),
             l1i: (0..n_cores).map(|_| CacheBank::new(igeom)).collect(),
-            lsq: (0..n_cores)
-                .map(|_| LsqBank::new(cfg.lsq_entries))
-                .collect(),
-            l2: NucaL2::new(cfg),
+            lsq: (0..n_cores).map(|_| LsqBank::new(LSQ_ENTRIES)).collect(),
+            l2: NucaL2::new(),
             stats: MemStats::default(),
             tracer: Tracer::off(),
             cycle: 0,
-            cfg,
         }
     }
 
@@ -145,12 +144,6 @@ impl MemorySystem {
     #[inline]
     pub fn set_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics (including L2/DRAM counters).
@@ -181,7 +174,7 @@ impl MemorySystem {
         match self.l1d[core].access(addr, write) {
             AccessResult::Hit => {
                 self.stats.l1d_hits += 1;
-                self.cfg.l1d_hit_latency
+                L1D_HIT_LATENCY
             }
             AccessResult::Miss { writeback } => {
                 self.stats.l1d_misses += 1;
@@ -208,7 +201,7 @@ impl MemorySystem {
                 if resp.actions.forward_from.is_some() {
                     self.stats.dirty_forwards += 1;
                 }
-                self.cfg.l1d_hit_latency + resp.latency
+                L1D_HIT_LATENCY + resp.latency
             }
         }
     }
@@ -249,7 +242,7 @@ impl MemorySystem {
                 let latency = self.l1d_access(core, addr, false);
                 let served = if forwarded {
                     LoadServe::Forward
-                } else if latency > self.cfg.l1d_hit_latency {
+                } else if latency > L1D_HIT_LATENCY {
                     LoadServe::Miss
                 } else {
                     LoadServe::L1
@@ -317,7 +310,7 @@ impl MemorySystem {
             self.stats.stores_committed += 1;
             bank_latency += 1 + self
                 .l1d_access(core, addr, true)
-                .saturating_sub(self.cfg.l1d_hit_latency);
+                .saturating_sub(L1D_HIT_LATENCY);
         }
         bank_latency
     }
@@ -354,7 +347,7 @@ impl MemorySystem {
         self.lsq[core].flush_from(0);
         EvacuationReport {
             dirty_lines,
-            bytes: dirty_lines * self.cfg.line_bytes as u64,
+            bytes: dirty_lines * LINE_BYTES as u64,
             latency: 8 + 2 * dirty_lines,
         }
     }
@@ -371,10 +364,10 @@ impl MemorySystem {
     ) -> u32 {
         let slice_bytes = (BLOCK_FRAME_BYTES as usize / n_cores).max(1);
         let start = block_addr + (part * slice_bytes) as u64;
-        let lines = slice_bytes.div_ceil(self.cfg.line_bytes).max(1);
+        let lines = slice_bytes.div_ceil(LINE_BYTES).max(1);
         let mut worst_miss = 0u32;
         for l in 0..lines {
-            let addr = start + (l * self.cfg.line_bytes) as u64;
+            let addr = start + (l * LINE_BYTES) as u64;
             match self.l1i[core].access(addr, false) {
                 AccessResult::Hit => {
                     self.stats.l1i_hits += 1;
@@ -393,7 +386,7 @@ impl MemorySystem {
                 }
             }
         }
-        self.cfg.l1i_hit_latency + worst_miss
+        L1I_HIT_LATENCY + worst_miss
     }
 }
 
@@ -402,13 +395,13 @@ mod tests {
     use super::*;
 
     fn system() -> MemorySystem {
-        MemorySystem::new(MemConfig::tflex(), 32)
+        MemorySystem::new(32)
     }
 
     #[test]
     fn dbank_keeps_lines_together() {
         for addr in (0..4096u64).step_by(8) {
-            let line_base = addr & !63;
+            let line_base = addr & !(LINE_BYTES as u64 - 1);
             assert_eq!(dbank_for(addr, 8), dbank_for(line_base, 8));
         }
     }
@@ -491,17 +484,20 @@ mod tests {
 
     #[test]
     fn nacks_counted() {
-        let mut m = MemorySystem::new(
-            MemConfig {
-                lsq_entries: 1,
-                ..MemConfig::tflex()
-            },
-            2,
-        );
-        m.execute_load(0, 0, 0, 8);
-        let r = m.execute_load(0, 1, 64, 8);
+        let mut m = MemorySystem::new(2);
+        let full = LSQ_ENTRIES as u64;
+        for seq in 0..full {
+            let r = m.execute_load(0, seq, seq * 64, 8);
+            assert!(matches!(r, LoadResponse::Ok { .. }), "entry {seq}: {r:?}");
+        }
+        assert_eq!(m.lsq_occupancy(0), LSQ_ENTRIES);
+        let r = m.execute_load(0, full, full * 64, 8);
         assert_eq!(r, LoadResponse::Nack);
         assert_eq!(m.stats().lsq_nacks, 1);
+        assert!(matches!(
+            m.execute_load(1, full, full * 64, 8),
+            LoadResponse::Ok { .. }
+        ));
     }
 
     #[test]

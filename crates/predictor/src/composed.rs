@@ -1,6 +1,6 @@
 //! The composed (multi-bank) predictor and its speculation protocol.
 
-use crate::config::PredictorConfig;
+use crate::config::{PredictorConfig, GLOBAL_HISTORY_BITS};
 use crate::exit::{ExitCheckpoint, ExitPredictor};
 use crate::ras::{RasCheckpoint, ReturnAddressStack};
 use crate::target::TargetPredictor;
@@ -118,7 +118,6 @@ impl PredictorStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ComposedPredictor {
-    cfg: PredictorConfig,
     banks: Vec<Bank>,
     ras: ReturnAddressStack,
     global_history: u32,
@@ -152,7 +151,6 @@ impl ComposedPredictor {
             ras: ReturnAddressStack::new(n_cores, cfg.ras_per_core),
             global_history: 0,
             stats: PredictorStats::default(),
-            cfg,
         }
     }
 
@@ -160,12 +158,6 @@ impl ComposedPredictor {
     #[must_use]
     pub fn n_cores(&self) -> usize {
         self.banks.len()
-    }
-
-    /// Prediction latency in cycles.
-    #[must_use]
-    pub fn latency(&self) -> u32 {
-        self.cfg.latency
     }
 
     /// Accumulated statistics.
@@ -212,8 +204,7 @@ impl ComposedPredictor {
                 self.ras.checkpoint(),
             ),
         };
-        self.global_history =
-            ExitPredictor::shift_history(ghist, exit_id, self.cfg.global_history_bits);
+        self.global_history = ExitPredictor::shift_history(ghist, exit_id, GLOBAL_HISTORY_BITS);
         Prediction {
             exit_id,
             kind,
@@ -274,7 +265,7 @@ impl ComposedPredictor {
             self.global_history = ExitPredictor::shift_history(
                 ckpt.global_history,
                 actual.exit_id,
-                self.cfg.global_history_bits,
+                GLOBAL_HISTORY_BITS,
             );
         }
     }

@@ -1,6 +1,6 @@
 //! The tournament exit predictor (one bank; each core owns one).
 
-use crate::config::PredictorConfig;
+use crate::config::{PredictorConfig, LOCAL_HISTORY_BITS};
 use crate::tables::{ExitEntry, SatCounter};
 
 /// Which component the tournament chose for a prediction.
@@ -87,18 +87,15 @@ impl ExitPredictor {
             old_local_history: local_history,
         };
         // Speculative local-history update with the predicted exit.
-        self.local_l1[l1] = Self::shift_history(local_history, exit, self.cfg.local_history_bits);
+        self.local_l1[l1] = Self::shift_history(local_history, exit, LOCAL_HISTORY_BITS);
         (exit, choice, ckpt)
     }
 
     /// Restores the speculative local history from a checkpoint and
     /// reapplies the actual exit (misprediction repair).
     pub fn repair(&mut self, ckpt: ExitCheckpoint, actual_exit: u8) {
-        self.local_l1[ckpt.l1_index] = Self::shift_history(
-            ckpt.old_local_history,
-            actual_exit,
-            self.cfg.local_history_bits,
-        );
+        self.local_l1[ckpt.l1_index] =
+            Self::shift_history(ckpt.old_local_history, actual_exit, LOCAL_HISTORY_BITS);
     }
 
     /// Restores the speculative local history exactly as it was before

@@ -39,7 +39,7 @@ mod target;
 pub use composed::{
     block_owner, Checkpoint, ComposedPredictor, ExitOutcome, Prediction, PredictorStats,
 };
-pub use config::PredictorConfig;
+pub use config::{PredictorConfig, PREDICT_LATENCY};
 pub use exit::ExitPredictor;
 pub use ras::ReturnAddressStack;
 pub use tables::SatCounter;

@@ -65,7 +65,6 @@ const SPEC: Spec = Spec {
         Flag::value("--json", "PATH", "write the clp-serve-v1 report"),
         Flag::value("--check", "GOLDEN", "exit 1 unless the clp-serve-v1 report equals GOLDEN"),
         Flag::switch("--scope", "record with clp-scope and print its report"),
-        Flag::value("--scope-period", "TICKS", "scope time-series interval (default 5000)"),
         Flag::value("--scope-json", "PATH", "write the clp-scope-v1 document"),
         Flag::value("--perfetto", "PATH", "write span trees and worker tracks as a Chrome trace"),
     ],
@@ -100,14 +99,11 @@ fn main() {
     } else {
         (acfg, scfg)
     };
-    let scope_period: u64 = or_die(a.num("--scope-period", ..)).unwrap_or(5_000);
     let (scope_json, perfetto) = (a.text("--scope-json"), a.text("--perfetto"));
 
     let schedule = arrivals::generate(&acfg);
     let want_scope = a.switch("--scope") || scope_json.is_some() || perfetto.is_some();
-    let sopts = want_scope.then_some(ScopeOptions {
-        period: scope_period.max(1),
-    });
+    let sopts = want_scope.then(ScopeOptions::default);
     let (result, scope) = service::serve_scoped(schedule, &scfg, sopts.as_ref());
     let rep = ServiceReport::new(&acfg, &scfg, &result);
 

@@ -1,7 +1,7 @@
 //! Simulator configuration (Table 1 of the paper).
 
 use crate::fault::FaultPlan;
-use clp_mem::MemConfig;
+use clp_mem as mem;
 use clp_noc::MeshConfig;
 use clp_predictor::PredictorConfig;
 
@@ -16,13 +16,16 @@ pub enum ProtocolTiming {
     Instant,
 }
 
+/// Floating-point instructions a core issues per cycle (Table 1: one,
+/// in both the TFlex and the TRIPS configuration).
+pub const FP_ISSUE: usize = 1;
+
 /// Per-core microarchitectural parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// Maximum instructions issued per cycle.
+    /// Maximum instructions issued per cycle, of which at most
+    /// [`FP_ISSUE`] floating-point.
     pub issue_width: usize,
-    /// Of which at most this many floating-point.
-    pub fp_issue: usize,
     /// Instructions dispatched into the window per cycle.
     pub dispatch_per_cycle: usize,
 }
@@ -32,8 +35,6 @@ pub struct CoreConfig {
 pub struct SimConfig {
     /// Core pipeline parameters.
     pub core: CoreConfig,
-    /// Memory hierarchy parameters.
-    pub mem: MemConfig,
     /// Next-block predictor parameters.
     pub predictor: PredictorConfig,
     /// Operand-network parameters (TFlex doubles link bandwidth).
@@ -72,10 +73,8 @@ impl SimConfig {
         SimConfig {
             core: CoreConfig {
                 issue_width: 2,
-                fp_issue: 1,
                 dispatch_per_cycle: 4,
             },
-            mem: MemConfig::tflex(),
             predictor: PredictorConfig::tflex(),
             operand_net: MeshConfig::tflex_operand(),
             protocol: ProtocolTiming::Modeled,
@@ -96,10 +95,8 @@ impl SimConfig {
         SimConfig {
             core: CoreConfig {
                 issue_width: 1,
-                fp_issue: 1,
                 dispatch_per_cycle: 1,
             },
-            mem: MemConfig::tflex(),
             predictor: PredictorConfig::trips_centralized(),
             operand_net: MeshConfig::trips_operand(),
             protocol: ProtocolTiming::Modeled,
@@ -138,10 +135,10 @@ pub fn table1_text(cfg: &SimConfig) -> String {
          Data Supply        : partitioned {}KB D-cache ({}-cycle hit, {}-way, \
          1R/1W port); {}-entry LSQ bank; {}MB S-NUCA L2 ({}-way, LRU), \
          L2 hit {}..{} cycles; DRAM {} cycles (unloaded)",
-        cfg.mem.l1i_bytes / 1024,
-        cfg.mem.l1i_hit_latency,
+        mem::L1I_BYTES / 1024,
+        mem::L1I_HIT_LATENCY,
         cfg.predictor.state_bits(),
-        cfg.predictor.latency,
+        clp_predictor::PREDICT_LATENCY,
         cfg.predictor.local_l1,
         cfg.predictor.local_l2,
         cfg.predictor.global,
@@ -152,16 +149,16 @@ pub fn table1_text(cfg: &SimConfig) -> String {
         cfg.predictor.btype,
         clp_isa::MAX_BLOCK_INSTRUCTIONS,
         cfg.core.issue_width,
-        cfg.core.fp_issue,
-        cfg.mem.l1d_bytes / 1024,
-        cfg.mem.l1d_hit_latency,
-        cfg.mem.l1d_ways,
-        cfg.mem.lsq_entries,
-        cfg.mem.l2_bytes >> 20,
-        cfg.mem.l2_ways,
-        cfg.mem.l2_min_latency,
-        cfg.mem.l2_max_latency,
-        cfg.mem.dram_latency,
+        FP_ISSUE,
+        mem::L1D_BYTES / 1024,
+        mem::L1D_HIT_LATENCY,
+        mem::L1D_WAYS,
+        mem::LSQ_ENTRIES,
+        mem::L2_BYTES >> 20,
+        mem::L2_WAYS,
+        mem::L2_MIN_LATENCY,
+        mem::L2_MAX_LATENCY,
+        mem::DRAM_LATENCY,
     )
 }
 
@@ -172,8 +169,6 @@ mod tests {
     #[test]
     fn tflex_matches_table_1() {
         let c = SimConfig::tflex();
-        assert_eq!(c.core.issue_width, 2);
-        assert_eq!(c.core.fp_issue, 1);
         assert_eq!(c.chip_cores(), 32);
         assert_eq!(c.operand_net.link_bandwidth, 2);
         assert!(!c.centralized_control);

@@ -17,8 +17,7 @@
 //! suite — where "every bucket keeps the buffer it first grew" ended a
 //! long run with all 256 allocated: 100–260 KB that a machine parked at
 //! a deadline (clp-serve keeps those) would carry for nothing.
-//! DESIGN.md, "Hot-path data layout", has the allocation anatomy before
-//! and after.
+//! `behaves_like_a_map_of_cycles` holds the buffer count to that bound.
 //!
 //! Determinism: events for the same cycle drain in schedule order,
 //! exactly like the `Vec` per key of the map this replaces. Far events

@@ -49,7 +49,7 @@ mod regfile;
 mod stats;
 mod window;
 
-pub use config::{table1_text, CoreConfig, ProtocolTiming, SimConfig};
+pub use config::{table1_text, CoreConfig, ProtocolTiming, SimConfig, FP_ISSUE};
 pub use fault::{
     CoreKill, FaultKind, FaultPlan, FaultPlanError, FaultStats, ALL_FAULT_KINDS, MAX_KILLS,
 };

@@ -136,9 +136,11 @@ impl Proc {
     /// bank holds entries from a block younger than the requester, that
     /// youngest block is squashed; its re-fetch re-executes long after
     /// the NACKed request retries, so older requests always make
-    /// progress. Bank capacity (44) exceeds one block's LSID budget (32),
-    /// so the oldest block alone always fits.
+    /// progress. Bank capacity (`LSQ_ENTRIES`, 44) exceeds one block's
+    /// LSID budget (`MAX_BLOCK_LSIDS`, 32), so the oldest block alone
+    /// always fits.
     pub(super) fn overflow_flush(&mut self, fab: &mut Fabric, bank_core: usize, nacked_seq: u64) {
+        const _: () = assert!(clp_mem::LSQ_ENTRIES > clp_isa::MAX_BLOCK_LSIDS);
         let Some(y_gseq) = fab.mem.lsq_youngest(bank_core) else {
             return;
         };

@@ -7,6 +7,7 @@ use super::fabric::Fabric;
 use super::prof::Prov;
 use super::sched::Pick;
 use super::state::{Ev, OpBody, OpMsg, OpState, Proc};
+use crate::config::FP_ISSUE;
 use clp_isa::BranchKind;
 use clp_mem::dbank_for;
 use clp_obs::TraceEvent;
@@ -29,7 +30,7 @@ impl Proc {
             if fab.is_dead(self.cores[part]) {
                 continue;
             }
-            let mut fp = fab.cfg.core.fp_issue;
+            let mut fp = FP_ISSUE;
             ready.take_picks(part, width, |seq, id| {
                 self.issue_inst(fab, &mut fp, seq, part, id)
             });

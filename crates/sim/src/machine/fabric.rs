@@ -83,7 +83,7 @@ impl Fabric {
             .collect();
         Fabric {
             now: 0,
-            mem: MemorySystem::new(cfg.mem, cores),
+            mem: MemorySystem::new(cores),
             opnet: Mesh::new(cfg.operand_net),
             local: EventWheel::new(),
             ctrl_delays,

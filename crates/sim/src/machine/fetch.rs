@@ -95,7 +95,7 @@ impl Proc {
             addr: blk.addr,
             target: pred.target,
         });
-        let pred_lat = u64::from(self.predictor.latency());
+        let pred_lat = u64::from(clp_predictor::PREDICT_LATENCY);
         blk.predict_cycles = pred_lat as f64;
         // RAS traffic: a push/pop message to the stack-top core.
         let ras_extra = match pred.ras_core {

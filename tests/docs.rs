@@ -2,9 +2,9 @@
 //! `crates/…`, `tests/…` or `goldens/…` path in DESIGN.md and README.md,
 //! with `{a,b}` braces expanded, is checked against the tree, so a file
 //! that is moved or deleted cannot leave the prose pointing at nothing.
-//! Beside that sit the settings and gates nothing else would miss: the
-//! release profile, the tier-1 members, CI's two test commands, and a
-//! reader for every golden.
+//! Beside that sit the settings and gates nothing else would miss:
+//! DESIGN.md's length, the release profile, the tier-1 members, CI's two
+//! test commands, and a reader for every golden.
 
 use std::path::Path;
 
@@ -59,6 +59,23 @@ fn every_path_the_docs_name_exists() {
             .collect();
         assert!(missing.is_empty(), "{doc} names missing files: {missing:?}");
     }
+}
+
+/// DESIGN.md describes the system as it is; history and measurements go
+/// to CHANGES.md. A change fixes the prose in place, so the document
+/// does not grow. A change that adds a subsystem raises the bound, and
+/// one that shrinks the document lowers it.
+#[test]
+fn design_md_does_not_grow() {
+    const MAX_LINES: usize = 1345;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is committed");
+    let lines = design.lines().count();
+    assert!(
+        lines <= MAX_LINES,
+        "DESIGN.md has {lines} lines, more than {MAX_LINES}: fix prose in place, \
+         and put numbers and history in CHANGES.md"
+    );
 }
 
 #[test]

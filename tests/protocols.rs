@@ -3,7 +3,7 @@
 //! (§6.4), the Figure 9 latency trends, and cross-run determinism.
 
 use clp::core::{compile_workload, run_compiled, ProcessorConfig};
-use clp::mem::{dbank_for, LoadResponse, MemConfig, MemorySystem};
+use clp::mem::{dbank_for, LoadResponse, MemorySystem};
 use clp::sim::ProtocolTiming;
 use clp::workloads::suite;
 
@@ -11,7 +11,7 @@ use clp::workloads::suite;
 /// directory forwards/invalidates stale lines — no flush required.
 #[test]
 fn recomposition_preserves_coherence_without_flush() {
-    let mut mem = MemorySystem::new(MemConfig::tflex(), 32);
+    let mut mem = MemorySystem::new(32);
     // Phase 1: a single-core processor on core 0 writes a line (all
     // addresses hash to bank 0 when n=1).
     let addr = 0x4000u64;
