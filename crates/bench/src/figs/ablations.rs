@@ -30,7 +30,7 @@ use clp_core::{
 use clp_obs::{Bucket, ProfileReport};
 use clp_sim::ProtocolTiming;
 use clp_workloads::{suite, Workload};
-use serde::{Serialize, Value};
+use serde_json::{json, ToValue, Value};
 
 /// Runs `cw` on `cfg`, panicking with the workload's name on failure: an
 /// ablation has no use for a partial suite.
@@ -165,19 +165,6 @@ pub(super) fn schedule(_: &mut Ctx) -> Option<String> {
     ))
 }
 
-#[derive(Serialize)]
-struct BandwidthPoint {
-    cores: usize,
-    speedup_from_double_bw_pct: f64,
-    /// Share of the critical path in operand-mesh transit (narrow bw).
-    narrow_noc_share_pct: f64,
-    /// Share of the critical path in operand-mesh transit (doubled bw).
-    wide_noc_share_pct: f64,
-    /// Mean dimension-order route length of critical operands, in links
-    /// (profiler link attribution / operand_noc cycles, doubled bw).
-    mean_critical_hops: f64,
-}
-
 /// The share of the whole-run critical path spent in operand-mesh
 /// transit (hop latency plus contention), and the mean route length of
 /// critical operands: each critical mesh segment is spread over the
@@ -229,24 +216,19 @@ pub(super) fn bandwidth(_: &mut Ctx) -> Option<String> {
              (critical-path noc share {narrow_share:.1}% -> {wide_share:.1}%, \
              {hops:.1} hops/critical operand)"
         );
-        series.push(BandwidthPoint {
-            cores: n,
-            speedup_from_double_bw_pct: pct,
-            narrow_noc_share_pct: narrow_share,
-            wide_noc_share_pct: wide_share,
-            mean_critical_hops: hops,
-        });
+        // The noc shares are of the critical path, narrow and doubled
+        // bandwidth; the hops are the mean dimension-order route length
+        // of a critical operand at doubled bandwidth.
+        series.push(json!({
+            "cores": n,
+            "speedup_from_double_bw_pct": pct,
+            "narrow_noc_share_pct": narrow_share,
+            "wide_noc_share_pct": wide_share,
+            "mean_critical_hops": hops
+        }));
     }
     save_json("ablation_bandwidth.json", &series);
     None
-}
-
-#[derive(Serialize)]
-struct PredictorPoint {
-    cores: usize,
-    speedup_from_distribution_pct: f64,
-    mispredict_rate_distributed: f64,
-    mispredict_rate_centralized: f64,
 }
 
 pub(super) fn predictor(_: &mut Ctx) -> Option<String> {
@@ -280,12 +262,12 @@ pub(super) fn predictor(_: &mut Ctx) -> Option<String> {
             100.0 * mp_d,
             100.0 * mp_c
         );
-        series.push(PredictorPoint {
-            cores: n,
-            speedup_from_distribution_pct: pct,
-            mispredict_rate_distributed: mp_d,
-            mispredict_rate_centralized: mp_c,
-        });
+        series.push(json!({
+            "cores": n,
+            "speedup_from_distribution_pct": pct,
+            "mispredict_rate_distributed": mp_d,
+            "mispredict_rate_centralized": mp_c
+        }));
     }
     save_json("ablation_predictor.json", &series);
     None

@@ -13,12 +13,12 @@
 //! one workload size.
 
 use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient, CellFailure, SWEEP_SIZES};
+use crate::{save_json, sweep_suite_resilient, SWEEP_SIZES};
 use clp_alloc::{
     fixed_cmp, granularity_fractions, optimal_clp, variable_best_cmp, Allocation, SpeedupCurve,
 };
 use clp_workloads::suite;
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 use std::collections::BTreeMap;
 
 /// Deterministic workload mixes: `count` benchmarks per mix, rotating
@@ -33,7 +33,6 @@ fn mixes(curves: &[SpeedupCurve], count: usize, n_mixes: usize) -> Vec<Vec<Speed
         .collect()
 }
 
-#[derive(Serialize)]
 struct SizePoint {
     threads: usize,
     tflex: f64,
@@ -43,10 +42,17 @@ struct SizePoint {
     tflex_over_best_cmp_pct: f64,
 }
 
-#[derive(Serialize)]
-struct Out {
-    points: Vec<SizePoint>,
-    failures: Vec<CellFailure>,
+impl ToValue for SizePoint {
+    fn to_value(&self) -> Value {
+        json!({
+            "threads": (self.threads),
+            "tflex": (self.tflex),
+            "vb_cmp": (self.vb_cmp),
+            "cmp": (self.cmp),
+            "best_cmp_granularity": (self.best_cmp_granularity),
+            "tflex_over_best_cmp_pct": (self.tflex_over_best_cmp_pct)
+        })
+    }
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
@@ -153,13 +159,7 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
         println!();
     }
 
-    save_json(
-        "fig10.json",
-        &Out {
-            points: out,
-            failures,
-        },
-    );
+    save_json("fig10.json", &json!({"points": out, "failures": failures}));
     ctx.obs.save_sweep_snapshots(&rows);
     Some(format!(
         "Fig 10  TFlex over best fixed CMP: avg {avg_gain:+.1}% max {max_gain:+.1}% \

@@ -11,9 +11,8 @@ use crate::{geomean, save_json};
 use clp_baseline::{run_baseline, BaselineConfig};
 use clp_core::{compile_workload, run_compiled, ProcessorConfig};
 use clp_workloads::{suite, WorkloadClass};
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
-#[derive(Serialize)]
 struct Row {
     name: &'static str,
     class: String,
@@ -21,6 +20,18 @@ struct Row {
     baseline_cycles: u64,
     /// baseline/trips: >1 means the EDGE machine wins.
     relative: f64,
+}
+
+impl ToValue for Row {
+    fn to_value(&self) -> Value {
+        json!({
+            "name": (self.name),
+            "class": (self.class),
+            "trips_cycles": (self.trips_cycles),
+            "baseline_cycles": (self.baseline_cycles),
+            "relative": (self.relative)
+        })
+    }
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {

@@ -21,7 +21,7 @@ use crate::{geomean, save_json};
 use clp_core::{compile_workload, run_compiled, ProcessorConfig};
 use clp_sim::FaultPlan;
 use clp_workloads::suite;
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
 /// The composition sizes swept; 1 is excluded because a 1-core
 /// composition has no survivor to recover onto.
@@ -31,7 +31,6 @@ const SIZES: [usize; 4] = [2, 4, 8, 16];
 /// the whole sweep stays interactive.
 const WORKLOADS: [&str; 5] = ["conv", "tblook", "a2time", "bezier", "gzip"];
 
-#[derive(Serialize)]
 struct Row {
     name: &'static str,
     cores: usize,
@@ -46,6 +45,24 @@ struct Row {
     flushed_blocks: u64,
     migrated_bytes: u64,
     degraded_ipc: f64,
+}
+
+impl ToValue for Row {
+    fn to_value(&self) -> Value {
+        json!({
+            "name": (self.name),
+            "cores": (self.cores),
+            "victim": (self.victim),
+            "kill_cycle": (self.kill_cycle),
+            "clean_cycles": (self.clean_cycles),
+            "degraded_cycles": (self.degraded_cycles),
+            "throughput_retained": (self.throughput_retained),
+            "detection_cycles": (self.detection_cycles),
+            "flushed_blocks": (self.flushed_blocks),
+            "migrated_bytes": (self.migrated_bytes),
+            "degraded_ipc": (self.degraded_ipc)
+        })
+    }
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {

@@ -27,7 +27,7 @@ use crate::{geomean, order_by_ilp, save_json, BenchRow, CellFailure, SWEEP_SIZES
 use clp_core::RunOutcome;
 use clp_power::{perf2_per_watt, perf_per_area};
 use clp_sim::{CommitLatencyBreakdown, FetchLatencyBreakdown};
-use serde::{Serialize, Value};
+use serde_json::{json, ToValue, Value};
 
 /// The sweep's complete rows in Figure 6's x-axis order.
 fn by_ilp(rows: &[BenchRow]) -> Vec<&BenchRow> {
@@ -36,22 +36,9 @@ fn by_ilp(rows: &[BenchRow]) -> Vec<&BenchRow> {
     rows
 }
 
-#[derive(Serialize)]
-struct SpeedupRow {
-    name: &'static str,
-    ilp: String,
-    speedups: Vec<(usize, f64)>,
-    trips: f64,
-    best_size: usize,
-    best: f64,
-}
-
 /// A figure's JSON document: its rows and the cells the sweep dropped.
-fn document<R: Serialize>(rows: &[R], failures: &[CellFailure]) -> Value {
-    Value::Object(vec![
-        ("rows".to_string(), rows.to_value()),
-        ("failures".to_string(), failures.to_value()),
-    ])
+fn document<R: ToValue>(rows: &[R], failures: &[CellFailure]) -> Value {
+    json!({"rows": (rows), "failures": (failures)})
 }
 
 pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
@@ -80,14 +67,14 @@ pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
             r.best_size(),
             r.best_speedup(),
         );
-        out.push(SpeedupRow {
-            name: r.workload.name,
-            ilp: format!("{:?}", r.workload.ilp),
-            speedups: s,
-            trips: trips_speedup,
-            best_size: r.best_size(),
-            best: r.best_speedup(),
-        });
+        out.push(json!({
+            "name": (r.workload.name),
+            "ilp": (format!("{:?}", r.workload.ilp)),
+            "speedups": s,
+            "trips": trips_speedup,
+            "best_size": (r.best_size()),
+            "best": (r.best_speedup())
+        }));
     }
 
     println!();
@@ -122,13 +109,23 @@ pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
     ))
 }
 
-#[derive(Serialize)]
 struct EfficiencyRow {
     name: &'static str,
     /// `(cores, efficiency normalized to 1 core)`.
     efficiency: Vec<(usize, f64)>,
     trips: f64,
     peak_size: usize,
+}
+
+impl ToValue for EfficiencyRow {
+    fn to_value(&self) -> Value {
+        json!({
+            "name": (self.name),
+            "efficiency": (self.efficiency),
+            "trips": (self.trips),
+            "peak_size": (self.peak_size)
+        })
+    }
 }
 
 /// Prints the per-benchmark table Figures 7 and 8 share — `metric` of
@@ -247,17 +244,27 @@ pub(super) fn fig8(ctx: &mut Ctx) -> Option<String> {
     None
 }
 
-#[derive(Serialize)]
 struct Point {
     cores: usize,
     fetch: FetchLatencyBreakdown,
     commit: CommitLatencyBreakdown,
 }
 
-#[derive(Serialize)]
-struct LatencySeries {
-    series: Vec<Point>,
-    failures: Vec<CellFailure>,
+impl ToValue for Point {
+    fn to_value(&self) -> Value {
+        let (f, c) = (&self.fetch, &self.commit);
+        json!({
+            "cores": (self.cores),
+            "fetch": {
+                "prediction": (f.prediction),
+                "tag_access": (f.tag_access),
+                "hand_off": (f.hand_off),
+                "fetch_distribution": (f.fetch_distribution),
+                "dispatch": (f.dispatch)
+            },
+            "commit": {"handshake": (c.handshake), "arch_update": (c.arch_update)}
+        })
+    }
 }
 
 pub(super) fn fig9(ctx: &mut Ctx) -> Option<String> {
@@ -321,7 +328,10 @@ pub(super) fn fig9(ctx: &mut Ctx) -> Option<String> {
         );
     }
 
-    save_json("fig9.json", &LatencySeries { series, failures });
+    save_json(
+        "fig9.json",
+        &json!({"series": series, "failures": failures}),
+    );
     ctx.obs.save_sweep_snapshots(rows);
     None
 }

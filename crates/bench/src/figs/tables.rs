@@ -3,17 +3,24 @@
 //! TRIPS versus an 8-core TFlex processor.
 
 use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient, CellFailure};
+use crate::{save_json, sweep_suite_resilient};
 use clp_power::PowerBreakdown;
 use clp_sim::{table1_text, SimConfig};
 use clp_workloads::suite;
-use serde::Serialize;
+use serde_json::{json, Value};
 
-#[derive(Serialize)]
-struct PowerRows {
-    tflex8: PowerBreakdown,
-    trips: PowerBreakdown,
-    failures: Vec<CellFailure>,
+/// Table 2's power rows, in watts per category.
+fn power_json(p: &PowerBreakdown) -> Value {
+    json!({
+        "fetch": (p.fetch),
+        "execution": (p.execution),
+        "l1d": (p.l1d),
+        "routers": (p.routers),
+        "l2": (p.l2),
+        "dram_io": (p.dram_io),
+        "clock": (p.clock),
+        "leakage": (p.leakage)
+    })
 }
 
 pub(super) fn table1(_: &mut Ctx) -> Option<String> {
@@ -65,13 +72,11 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
         100.0 * trips.leakage_fraction()
     );
 
-    save_json(
-        "table2.json",
-        &PowerRows {
-            tflex8,
-            trips,
-            failures,
-        },
-    );
+    let doc = json!({
+        "tflex8": (power_json(&tflex8)),
+        "trips": (power_json(&trips)),
+        "failures": (failures)
+    });
+    save_json("table2.json", &doc);
     None
 }

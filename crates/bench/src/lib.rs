@@ -23,7 +23,7 @@
 use clp_core::cli::{die, write_or_die};
 use clp_core::{compile_workload, run_compiled, ProcessorConfig, RunOutcome};
 use clp_workloads::{IlpClass, Workload};
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 use std::borrow::Borrow;
 use std::path::PathBuf;
 use std::thread;
@@ -94,7 +94,7 @@ impl BenchRow {
 /// `config` names the failing organization: `tflex-N` or `trips`. A
 /// workload that never made it past the compiler fails every cell of its
 /// row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CellFailure {
     /// The workload whose cell failed.
     pub workload: String,
@@ -102,6 +102,12 @@ pub struct CellFailure {
     pub config: String,
     /// The rendered error.
     pub error: String,
+}
+
+impl ToValue for CellFailure {
+    fn to_value(&self) -> Value {
+        json!({"workload": (self.workload), "config": (self.config), "error": (self.error)})
+    }
 }
 
 impl std::fmt::Display for CellFailure {
@@ -229,7 +235,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Serializes `value` as pretty JSON into `target/clp-results/<name>`;
 /// exits 2 if the file cannot be written.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
+pub fn save_json<T: ToValue>(name: &str, value: &T) {
     let path = results_dir().join(name);
     let json = serde_json::to_string_pretty(value).expect("serializable");
     write_or_die(&path.to_string_lossy(), &json);
@@ -265,6 +271,28 @@ mod tests {
         // Rows with a failed cell are excluded from the complete set but
         // surfaced in the failure list.
         assert!(rows.is_empty());
+    }
+
+    /// No golden holds a sweep with a failed cell: pin how the figure
+    /// documents print the failure list.
+    #[test]
+    fn cell_failures_have_a_pinned_json_shape() {
+        let failures = vec![
+            CellFailure {
+                workload: "conv".into(),
+                config: "tflex-64".into(),
+                error: "compose: 64 cores".into(),
+            },
+            CellFailure {
+                workload: "gcc".into(),
+                config: "compile".into(),
+                error: "line\nbreak".into(),
+            },
+        ];
+        assert_eq!(
+            serde_json::to_string(&failures).unwrap(),
+            r#"[{"workload":"conv","config":"tflex-64","error":"compose: 64 cores"},{"workload":"gcc","config":"compile","error":"line\nbreak"}]"#
+        );
     }
 
     #[test]

@@ -60,6 +60,24 @@ fn usage_errors_exit_2_under_the_tool_name() {
     assert!(out.stdout.is_empty(), "nothing ran");
 }
 
+/// A document nested 200 000 deep is a usage error naming the file, not
+/// a stack overflow: the reader caps nesting at 128 levels.
+#[test]
+fn clp_diff_refuses_a_too_deep_document_with_exit_2() {
+    std::fs::write(
+        std::path::Path::new(TMP).join("deep.json"),
+        "[".repeat(200_000),
+    )
+    .expect("writes");
+    let out = run(env!("CARGO_BIN_EXE_clp-diff"), &["deep.json", "deep.json"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.starts_with("clp-diff: cannot parse `deep.json`") && err.contains("deeper than 128"),
+        "{err}"
+    );
+}
+
 #[test]
 fn help_is_generated_and_exits_0() {
     let out = run(env!("CARGO_BIN_EXE_run_one"), &["--help"]);

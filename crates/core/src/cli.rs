@@ -32,7 +32,7 @@
 //! [`Spec::parse_env`], [`or_die`] and [`die`] exit.
 
 use clp_workloads::{suite, Workload};
-use serde::Value;
+use serde_json::Value;
 use std::fmt::Display;
 use std::ops::{Bound, RangeBounds};
 use std::str::FromStr;
@@ -388,7 +388,7 @@ fn prog() -> String {
 pub fn read_json(path: &str) -> Value {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
-    serde::json::parse(&text).unwrap_or_else(|e| die(format!("cannot parse `{path}`: {e}")))
+    serde_json::from_str(&text).unwrap_or_else(|e| die(format!("cannot parse `{path}`: {e}")))
 }
 
 /// The `--check GOLDEN` step of every gated tool: holds the freshly

@@ -38,8 +38,7 @@
 #![warn(missing_docs)]
 
 use clp_isa::{Block, BlockAddr, EdgeProgram};
-use serde::{Serialize, Value};
-use serde_json::json;
+use serde_json::{json, ToValue, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -82,7 +81,7 @@ impl fmt::Display for Severity {
     }
 }
 
-impl Serialize for Severity {
+impl ToValue for Severity {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
     }
@@ -227,7 +226,7 @@ impl fmt::Display for LintCode {
     }
 }
 
-impl Serialize for LintCode {
+impl ToValue for LintCode {
     fn to_value(&self) -> Value {
         Value::String(self.code().to_string())
     }
@@ -311,7 +310,7 @@ impl Diagnostic {
     }
 }
 
-impl Serialize for Diagnostic {
+impl ToValue for Diagnostic {
     fn to_value(&self) -> Value {
         json!({
             "code": (self.code),
@@ -423,7 +422,7 @@ impl LintReport {
     }
 }
 
-impl Serialize for LintReport {
+impl ToValue for LintReport {
     fn to_value(&self) -> Value {
         json!({
             "errors": (self.error_count()),

@@ -19,7 +19,7 @@
 //! and the tier-1 golden tests all call it; a document too large to
 //! commit goes through it as its [`digest_golden`].
 
-use serde::Value;
+use serde_json::Value;
 
 /// Fields that identify an element of an array of objects. The first
 /// row whose fields are scalars in every element, no two elements
@@ -184,9 +184,7 @@ fn section_of(segment: &str, inherited: usize) -> usize {
 fn element_key(elem: &Value, fields: &[&str]) -> Option<Vec<String>> {
     let scalar = |f: &&str| match elem.get(f) {
         Value::String(s) => Some(s.clone()),
-        v @ (Value::Int(_) | Value::UInt(_) | Value::Bool(_)) => {
-            Some(serde::json::to_string_value(v, false))
-        }
+        v @ (Value::Int(_) | Value::UInt(_) | Value::Bool(_)) => Some(v.to_string()),
         _ => None,
     };
     fields.iter().map(scalar).collect()
@@ -245,7 +243,7 @@ fn flatten(v: &Value, path: &mut String, section: usize, out: &mut Vec<Flat>) {
             leaf: match scalar {
                 Value::Int(i) => Leaf::Int(i128::from(*i)),
                 Value::UInt(u) => Leaf::Int(i128::from(*u)),
-                other => Leaf::Text(serde::json::to_string_value(other, false)),
+                other => Leaf::Text(other.to_string()),
             },
         }),
     }
@@ -352,7 +350,7 @@ pub fn check_golden(committed: &str, fresh: &str) -> Result<(), String> {
         return Ok(());
     }
     let parse = |side: &str, text: &str| {
-        serde::json::parse(text).map_err(|e| format!("the {side} document does not parse: {e}\n"))
+        serde_json::from_str(text).map_err(|e| format!("the {side} document does not parse: {e}\n"))
     };
     let report = diff_documents(&parse("committed", committed)?, &parse("fresh", fresh)?);
     Err(if report.is_empty() {

@@ -349,8 +349,8 @@ impl TraceEvent {
     /// object. Allocation happens only here, at sink-encoding time —
     /// never on the emitting hot path.
     #[must_use]
-    pub fn args(&self) -> Vec<(&'static str, serde::Value)> {
-        use serde::Value;
+    pub fn args(&self) -> Vec<(&'static str, serde_json::Value)> {
+        use serde_json::Value;
         let hex = |a: u64| Value::String(format!("{a:#x}"));
         match *self {
             TraceEvent::BlockFetched {

@@ -10,11 +10,11 @@
 //! (serialized as `null`) rather than a sentinel zero that downstream
 //! thresholds would mistake for a real zero-tick latency.
 
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
 /// Summary statistics of a latency sample set. The statistics are
 /// `None` exactly when `count == 0`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
@@ -28,6 +28,20 @@ pub struct LatencySummary {
     pub p99: Option<u64>,
     /// Largest sample.
     pub max: Option<u64>,
+}
+
+/// A statistic that is `None` prints as `null`.
+impl ToValue for LatencySummary {
+    fn to_value(&self) -> Value {
+        json!({
+            "count": (self.count),
+            "mean": (self.mean),
+            "p50": (self.p50),
+            "p90": (self.p90),
+            "p99": (self.p99),
+            "max": (self.max)
+        })
+    }
 }
 
 /// Nearest-rank percentile of a sorted, non-empty slice: the smallest
@@ -73,6 +87,22 @@ mod tests {
         assert_eq!(s.p99, None);
         assert_eq!(s.mean, None);
         assert_eq!(s.max, None);
+    }
+
+    /// No golden holds a service that completed nothing: pin how its
+    /// summary prints, every statistic a `null`.
+    #[test]
+    fn empty_summary_prints_nulls() {
+        let s = LatencySummary::from_samples(&mut []);
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"count":0,"mean":null,"p50":null,"p90":null,"p99":null,"max":null}"#
+        );
+        let s = LatencySummary::from_samples(&mut [3, 1]);
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"count":2,"mean":2.0,"p50":1,"p90":3,"p99":3,"max":3}"#
+        );
     }
 
     #[test]

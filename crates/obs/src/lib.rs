@@ -19,7 +19,7 @@
 //!   the event-constructing closure never runs.
 //! - [`StatsSnapshot`] unifies the per-subsystem stats structs
 //!   (`ProcStats`, `MemStats`, `MeshStats`, `PredictorStats`) into one
-//!   hierarchical, serde-serializable tree of end-of-run totals,
+//!   hierarchical, JSON-serializable tree of end-of-run totals,
 //!   addressed by `"mem/l1d_hits"`-style paths.
 //! - [`ProfileReport`] (the clp-prof data model) carries the top-down
 //!   cycle-accounting buckets and critical-path attribution the
@@ -66,8 +66,8 @@ pub use trend::{ColumnKind, Phase, TrendColumn, TrendOptions, TrendRecorder, Tre
 
 /// A `json!` object minus its `null` fields: how the emitters spell an
 /// optional key (none of this crate's documents carries a `null`).
-pub(crate) fn skip_nulls(mut object: serde::Value) -> serde::Value {
-    if let serde::Value::Object(fields) = &mut object {
+pub(crate) fn skip_nulls(mut object: serde_json::Value) -> serde_json::Value {
+    if let serde_json::Value::Object(fields) = &mut object {
         fields.retain(|(_, v)| !v.is_null());
     }
     object

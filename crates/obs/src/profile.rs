@@ -16,8 +16,7 @@
 //! microarchitectural state the walk consumes.
 
 use crate::snapshot::StatsNode;
-use serde::{Serialize, Value};
-use serde_json::json;
+use serde_json::{json, ToValue, Value};
 use std::collections::BTreeMap;
 
 /// Number of cycle-accounting buckets (the length of [`Bucket::ALL`]).
@@ -188,13 +187,13 @@ impl BucketCycles {
 }
 
 /// A JSON object with one entry per bucket label, in canonical order.
-pub(crate) fn by_bucket<T: Serialize>(value: impl Fn(Bucket) -> T) -> Value {
+pub(crate) fn by_bucket<T: ToValue>(value: impl Fn(Bucket) -> T) -> Value {
     let entry = |&b: &Bucket| (b.label().to_string(), value(b).to_value());
     Value::Object(Bucket::ALL.iter().map(entry).collect())
 }
 
 /// The one JSON spelling of a bucket book: `{"fetch": n, ..}`.
-impl Serialize for BucketCycles {
+impl ToValue for BucketCycles {
     fn to_value(&self) -> Value {
         by_bucket(|b| self.get(b))
     }

@@ -35,8 +35,7 @@ use crate::sink::{chrome_trace, ChromeEvent};
 use crate::skip_nulls;
 use crate::snapshot::MetricValue;
 use crate::trend::{TrendOptions, TrendRecorder, TrendReport};
-use serde::{Serialize, Value};
-use serde_json::json;
+use serde_json::{json, ToValue, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Scope layer configuration.
@@ -62,7 +61,7 @@ pub struct Span {
     pub end: u64,
 }
 
-impl Serialize for Span {
+impl ToValue for Span {
     fn to_value(&self) -> Value {
         json!({"start": (self.start), "end": (self.end)})
     }
@@ -508,9 +507,7 @@ impl ScopeReport {
     /// The report serialized as pretty `clp-scope-v1` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        // Straight from the tree: `serde_json::to_string_pretty` would
-        // copy it first.
-        serde::json::to_string_value(&self.to_json_value(), true)
+        format!("{:#}", self.to_json_value())
     }
 
     /// One-paragraph run summary (terminal-state census + utilization).

@@ -1,7 +1,7 @@
 //! Trace sinks and the [`Tracer`] handle that feeds them.
 
 use crate::event::TraceEvent;
-use serde::Value;
+use serde_json::Value;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -162,7 +162,7 @@ pub(crate) fn chrome_trace(events: Vec<Value>, unit: Option<&str>) -> String {
             Value::String(unit.to_string()),
         ));
     }
-    serde::json::to_string_value(&Value::Object(doc), false)
+    Value::Object(doc).to_string()
 }
 
 /// Writes the run as Chrome trace-event JSON, loadable in Perfetto

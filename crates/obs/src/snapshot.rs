@@ -2,15 +2,25 @@
 //! every subsystem's counters at one instant. A series over any path in
 //! it is clp-trend's ([`crate::TrendOptions::paths`]).
 
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
 /// A single named measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MetricValue {
     /// A monotonically accumulated count.
     Count(u64),
     /// A derived or averaged quantity.
     Gauge(f64),
+}
+
+/// `{"Count": n}` or `{"Gauge": x}`.
+impl ToValue for MetricValue {
+    fn to_value(&self) -> Value {
+        match self {
+            MetricValue::Count(c) => json!({"Count": (c)}),
+            MetricValue::Gauge(g) => json!({"Gauge": (g)}),
+        }
+    }
 }
 
 impl MetricValue {
@@ -25,12 +35,18 @@ impl MetricValue {
 }
 
 /// A named metric within a [`StatsNode`].
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     /// Metric name, unique within its node.
     pub name: String,
     /// The measured value.
     pub value: MetricValue,
+}
+
+impl ToValue for Metric {
+    fn to_value(&self) -> Value {
+        json!({"name": (self.name), "value": (self.value)})
+    }
 }
 
 /// One node of the hierarchical stats tree.
@@ -39,7 +55,7 @@ pub struct Metric {
 /// `PredictorStats`) each render themselves into a node; the simulator
 /// assembles them under one root so consumers address any counter by a
 /// stable `"mem/l1d_hits"`-style path instead of plucking struct fields.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsNode {
     /// Node name (path segment).
     pub name: String,
@@ -47,6 +63,12 @@ pub struct StatsNode {
     pub metrics: Vec<Metric>,
     /// Child nodes.
     pub children: Vec<StatsNode>,
+}
+
+impl ToValue for StatsNode {
+    fn to_value(&self) -> Value {
+        json!({"name": (self.name), "metrics": (self.metrics), "children": (self.children)})
+    }
 }
 
 impl StatsNode {
@@ -114,12 +136,18 @@ impl StatsNode {
 
 /// The full, self-describing result of a run: end-of-run totals as a
 /// navigable tree.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Total machine cycles simulated.
     pub cycles: u64,
     /// Root of the hierarchical stats tree.
     pub root: StatsNode,
+}
+
+impl ToValue for StatsSnapshot {
+    fn to_value(&self) -> Value {
+        json!({"cycles": (self.cycles), "root": (self.root)})
+    }
 }
 
 impl StatsSnapshot {

@@ -27,8 +27,7 @@ use crate::profile::{by_bucket, Bucket, BucketCycles, NUM_BUCKETS};
 use crate::sink::{chrome_trace, ChromeEvent};
 use crate::skip_nulls;
 use crate::snapshot::MetricValue;
-use serde::Value;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Half-window width (in intervals) of the phase detector's change-point
 /// scoring.
@@ -468,9 +467,7 @@ impl TrendReport {
     /// The report serialized as pretty `clp-trend-v1` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        // Straight from the tree: `serde_json::to_string_pretty` would
-        // copy it first.
-        serde::json::to_string_value(&self.to_json_value(), true)
+        format!("{:#}", self.to_json_value())
     }
 
     /// An ASCII timeline: one sparkline row of per-interval IPC with `|`

@@ -3,7 +3,7 @@
 //! and paired async begin/end records for block lifecycles.
 
 use clp_obs::{CacheLevel, ChromeTraceWriter, FlushReason, TraceEvent, TraceSink};
-use serde::Value;
+use serde_json::Value;
 
 fn record_golden_run(w: &mut ChromeTraceWriter) {
     let events: [(u64, TraceEvent); 10] = [
@@ -110,7 +110,7 @@ fn chrome_trace_is_valid_and_ordered() {
     std::fs::remove_file(&path).ok();
 
     // Valid JSON with the trace-event envelope.
-    let doc: Value = serde::json::parse(&text).expect("valid JSON");
+    let doc: Value = serde_json::from_str(&text).expect("valid JSON");
     assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
     let events = doc["traceEvents"].as_array().expect("traceEvents array");
     assert!(!events.is_empty());
@@ -169,5 +169,5 @@ fn writer_finish_is_idempotent() {
     w.finish().expect("second finish is a no-op");
     let text = std::fs::read_to_string(&path).expect("file written");
     std::fs::remove_file(&path).ok();
-    assert!(serde::json::parse(&text).is_ok());
+    assert!(serde_json::from_str(&text).is_ok());
 }

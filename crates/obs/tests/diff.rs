@@ -13,8 +13,7 @@
 
 use clp_obs::{check_golden, diff_documents};
 use proptest::prelude::*;
-use serde::Value;
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn bench(cells: &[(u64, u64, u64, u64)]) -> String {
     let runs: Vec<Value> = cells
@@ -252,7 +251,7 @@ proptest! {
         }
         let _ = report.render(3);
         prop_assert!(diff_documents(&a, &a).is_empty());
-        let text = |v: &Value| serde::json::to_string_value(v, true);
+        let text = |v: &Value| format!("{v:#}");
         prop_assert_eq!(check_golden(&text(&a), &text(&a)), Ok(()));
         prop_assert_eq!(check_golden(&text(&a), &text(&b)).is_ok(), text(&a) == text(&b));
     }

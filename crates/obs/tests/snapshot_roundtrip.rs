@@ -1,7 +1,7 @@
 //! The stats registry's JSON text and path lookups.
 
 use clp_obs::{StatsNode, StatsSnapshot};
-use serde_json::Value;
+use serde_json::{ToValue, Value};
 
 fn sample_snapshot() -> StatsSnapshot {
     let root = StatsNode::new("run")
@@ -31,13 +31,13 @@ fn parsed(snap: &StatsSnapshot) -> Value {
 #[test]
 fn json_text_parses_back_to_the_same_value() {
     let snap = sample_snapshot();
-    assert_eq!(parsed(&snap), serde_json::to_value(&snap));
+    assert_eq!(parsed(&snap), snap.to_value());
 }
 
 #[test]
 fn empty_snapshot_parses_back_to_the_same_value() {
     let snap = StatsSnapshot::default();
-    assert_eq!(parsed(&snap), serde_json::to_value(&snap));
+    assert_eq!(parsed(&snap), snap.to_value());
 }
 
 #[test]

@@ -2,7 +2,6 @@
 
 use crate::area::AreaModel;
 use clp_sim::RunStats;
-use serde::Serialize;
 
 /// Per-event energies in nanojoules (130 nm, 1.5 V).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,7 +100,7 @@ impl PowerConfig {
 }
 
 /// Average power by category, in watts (the Table 2 breakdown).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Instruction supply: I-cache, predictor, dispatch.
     pub fetch: f64,

@@ -3,7 +3,7 @@
 
 use clp_obs::Terminal;
 use clp_sim::FaultPlan;
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 use std::fmt;
 
 /// A job submitted to the service: run one suite workload at one
@@ -49,7 +49,7 @@ impl JobSpec {
 /// Why the admission controller refused a job. Every rejection is typed
 /// and deterministic — under pressure the service sheds load by policy,
 /// never by panicking or blocking.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Rejected {
     /// The bounded submission queue is full; the job was shed. `depth`
     /// is the queue depth observed at arrival.
@@ -91,8 +91,20 @@ impl fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
+/// `"ZeroBudget"`, or `{"Variant": {..fields}}`.
+impl ToValue for Rejected {
+    fn to_value(&self) -> Value {
+        match self {
+            Rejected::Overloaded { depth } => json!({"Overloaded": {"depth": (depth)}}),
+            Rejected::InvalidCores { cores } => json!({"InvalidCores": {"cores": (cores)}}),
+            Rejected::ZeroBudget => json!("ZeroBudget"),
+            Rejected::UnknownWorkload { name } => json!({"UnknownWorkload": {"name": (name)}}),
+        }
+    }
+}
+
 /// Terminal disposition of one submitted job.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JobOutcome {
     /// The job ran to completion and verified against the golden.
     Completed {
@@ -113,6 +125,22 @@ pub enum JobOutcome {
         /// Rendered error of the last attempt.
         last_error: String,
     },
+}
+
+/// `{"Variant": ..}`: the fields of a struct variant, the rejection of
+/// `Rejected`.
+impl ToValue for JobOutcome {
+    fn to_value(&self) -> Value {
+        match self {
+            JobOutcome::Completed { cycles } => json!({"Completed": {"cycles": (cycles)}}),
+            JobOutcome::Rejected(why) => json!({"Rejected": (why)}),
+            JobOutcome::Failed { error } => json!({"Failed": {"error": (error)}}),
+            JobOutcome::Exhausted {
+                attempts,
+                last_error,
+            } => json!({"Exhausted": {"attempts": (attempts), "last_error": (last_error)}}),
+        }
+    }
 }
 
 impl JobOutcome {
@@ -147,6 +175,61 @@ mod tests {
         assert!(Rejected::UnknownWorkload { name: "x".into() }
             .to_string()
             .contains("`x`"));
+    }
+
+    /// Every rejection and outcome, the variants no golden prints among
+    /// them, as the reports spell them: a unit variant is a string, any
+    /// other is `{"Variant": ..}`.
+    #[test]
+    fn every_rejection_and_outcome_has_a_pinned_json_shape() {
+        macro_rules! json_of {
+            ($v:expr) => {
+                serde_json::to_string(&$v).unwrap()
+            };
+        }
+        let unknown = Rejected::UnknownWorkload {
+            name: "x\"y".into(),
+        };
+        let cases = [
+            (
+                json_of!(Rejected::Overloaded { depth: 9 }),
+                r#"{"Overloaded":{"depth":9}}"#,
+            ),
+            (
+                json_of!(Rejected::InvalidCores { cores: 3 }),
+                r#"{"InvalidCores":{"cores":3}}"#,
+            ),
+            (json_of!(Rejected::ZeroBudget), r#""ZeroBudget""#),
+            (json_of!(unknown), r#"{"UnknownWorkload":{"name":"x\"y"}}"#),
+            (
+                json_of!(JobOutcome::Completed { cycles: 7 }),
+                r#"{"Completed":{"cycles":7}}"#,
+            ),
+            (
+                json_of!(JobOutcome::Rejected(Rejected::ZeroBudget)),
+                r#"{"Rejected":"ZeroBudget"}"#,
+            ),
+            (
+                json_of!(JobOutcome::Rejected(Rejected::InvalidCores { cores: 5 })),
+                r#"{"Rejected":{"InvalidCores":{"cores":5}}}"#,
+            ),
+            (
+                json_of!(JobOutcome::Failed {
+                    error: "compile: boom".into()
+                }),
+                r#"{"Failed":{"error":"compile: boom"}}"#,
+            ),
+            (
+                json_of!(JobOutcome::Exhausted {
+                    attempts: 4,
+                    last_error: "late".into()
+                }),
+                r#"{"Exhausted":{"attempts":4,"last_error":"late"}}"#,
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The reports of a service run: the `clp-serve-v1` document, a pinned,
-//! serde-serialized view of the records, and [`serve_scoped`], the
+//! The reports of a service run: the `clp-serve-v1` document, a pinned
+//! JSON view of the records, and [`serve_scoped`], the
 //! clp-scope view of the span trees.
 //!
 //! Because the service is deterministic, the same `(seed, config)`
@@ -13,7 +13,7 @@ use crate::arrivals::ArrivalConfig;
 use crate::job::JobSpec;
 use crate::service::{serve, serve_with, JobRecord, ServiceConfig, ServiceResult, ServiceTotals};
 use clp_obs::{LatencySummary, ScopeOptions, ScopeReport};
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
 /// [`serve`] with clp-scope: with `scope` set, every attempt runs under
 /// clp-prof and the run is followed by [`ScopeReport::new`] over its
@@ -41,7 +41,7 @@ pub fn serve_scoped(
 pub const SCHEMA: &str = "clp-serve-v1";
 
 /// The full report document.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// Schema tag (`clp-serve-v1`).
     pub schema: String,
@@ -91,11 +91,26 @@ impl ServiceReport {
     }
 }
 
+impl ToValue for ServiceReport {
+    fn to_value(&self) -> Value {
+        json!({
+            "schema": (self.schema),
+            "seed": (self.seed),
+            "jobs_generated": (self.jobs_generated),
+            "mean_gap": (self.mean_gap),
+            "config": (self.config),
+            "totals": (self.totals),
+            "latency_ticks": (self.latency_ticks),
+            "throughput_per_ktick": (self.throughput_per_ktick),
+            "jobs": (self.jobs)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::generate;
-    use serde::Value;
 
     fn small_report() -> ServiceReport {
         let acfg = ArrivalConfig {

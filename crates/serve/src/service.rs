@@ -56,7 +56,7 @@ use clp_obs::{AttemptEnd, AttemptSpan, JobSpans, Span, Terminal};
 use clp_sim::fault::Prng;
 use clp_sim::{FaultPlan, RunError};
 use clp_workloads::Workload;
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -64,7 +64,7 @@ pub use crate::report::serve_scoped;
 
 /// Service policy knobs. Everything is in virtual ticks; nothing reads
 /// a clock.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker slots: at most this many attempts run at once.
     pub workers: usize,
@@ -111,8 +111,25 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ToValue for ServiceConfig {
+    fn to_value(&self) -> Value {
+        json!({
+            "workers": (self.workers),
+            "queue_cap": (self.queue_cap),
+            "degrade_at": (self.degrade_at),
+            "max_retries": (self.max_retries),
+            "backoff_base": (self.backoff_base),
+            "backoff_cap": (self.backoff_cap),
+            "compile_ticks": (self.compile_ticks),
+            "respawn_ticks": (self.respawn_ticks),
+            "validate_ticks": (self.validate_ticks),
+            "seed": (self.seed)
+        })
+    }
+}
+
 /// Aggregate counters of one service run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceTotals {
     /// Jobs submitted (admitted + rejected).
     pub submitted: u64,
@@ -155,8 +172,34 @@ pub struct ServiceTotals {
     pub drained_at: u64,
 }
 
+impl ToValue for ServiceTotals {
+    fn to_value(&self) -> Value {
+        json!({
+            "submitted": (self.submitted),
+            "admitted": (self.admitted),
+            "completed": (self.completed),
+            "rejected_overloaded": (self.rejected_overloaded),
+            "rejected_invalid": (self.rejected_invalid),
+            "failed_permanent": (self.failed_permanent),
+            "exhausted": (self.exhausted),
+            "retries": (self.retries),
+            "deadline_kills": (self.deadline_kills),
+            "panics": (self.panics),
+            "respawns": (self.respawns),
+            "transient_failures": (self.transient_failures),
+            "degraded": (self.degraded),
+            "cache_hits": (self.cache_hits),
+            "cache_misses": (self.cache_misses),
+            "cache_entries": (self.cache_entries),
+            "lint_warnings": (self.lint_warnings),
+            "max_queue_depth": (self.max_queue_depth),
+            "drained_at": (self.drained_at)
+        })
+    }
+}
+
 /// Terminal record of one submitted job.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobRecord {
     /// Job id.
     pub id: u64,
@@ -174,6 +217,21 @@ pub struct JobRecord {
     pub attempts: u32,
     /// Terminal disposition.
     pub outcome: JobOutcome,
+}
+
+impl ToValue for JobRecord {
+    fn to_value(&self) -> Value {
+        json!({
+            "id": (self.id),
+            "workload": (self.workload),
+            "cores_requested": (self.cores_requested),
+            "cores_granted": (self.cores_granted),
+            "arrival": (self.arrival),
+            "finish": (self.finish),
+            "attempts": (self.attempts),
+            "outcome": (self.outcome)
+        })
+    }
 }
 
 /// What the host did to produce a run, beside what the run was charged:

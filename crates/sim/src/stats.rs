@@ -4,10 +4,9 @@ use crate::fault::FaultStats;
 use clp_mem::MemStats;
 use clp_noc::MeshStats;
 use clp_predictor::PredictorStats;
-use serde::Serialize;
 
 /// Average per-block distributed-fetch latency components (Figure 9a).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FetchLatencyBreakdown {
     /// Next-block prediction (0 for unspeculated single-core runs).
     pub prediction: f64,
@@ -30,7 +29,7 @@ impl FetchLatencyBreakdown {
 }
 
 /// Average per-block commit latency components (Figure 9b).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommitLatencyBreakdown {
     /// Commit command + acknowledgment handshaking across cores.
     pub handshake: f64,

@@ -202,14 +202,14 @@ fn finished(
     m: &mut Machine,
     pid: ProcId,
     stats: RunStats,
-) -> (RunStats, String, u64, Vec<u64>, Option<serde::Value>) {
+) -> (RunStats, String, u64, Vec<u64>, Option<String>) {
     let ret = m.register(pid, Reg::new(1));
     let image = &m.memory().image;
     w.verify(ret, image).expect("outputs match the interpreter");
     let regions = w.check.regions.iter();
     let words = regions.flat_map(|&(base, len)| (0..len).map(move |k| base + 8 * k as u64));
     let words = words.map(|addr| image.read_u64(addr)).collect();
-    let profile = m.profile_report().map(|p| p.to_json_value());
+    let profile = m.profile_report().map(|p| p.to_json_value().to_string());
     (stats, m.snapshot().to_json(), ret, words, profile)
 }
 

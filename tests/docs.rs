@@ -165,6 +165,52 @@ fn ci_runs_only_the_tier1_commands() {
     );
 }
 
+/// JSON is written one way: every report spells its shape in a
+/// hand-written `ToValue` of the std-only vendored `serde_json`, so the
+/// build compiles no proc macro. Nothing else would notice a derive come
+/// back: every golden would still match.
+#[test]
+fn the_build_graph_has_no_proc_macro() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| {
+        let text = std::fs::read_to_string(path);
+        text.unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let settings = |path: &Path| -> Vec<String> {
+        let text = read(path);
+        text.lines().map(|l| l.replace(' ', "")).collect()
+    };
+    let lock = read(&root.join("Cargo.lock"));
+    assert!(
+        !lock.contains("name = \"serde_derive\""),
+        "Cargo.lock lists serde_derive"
+    );
+    for vendored in std::fs::read_dir(root.join("vendor")).expect("vendor/ is committed") {
+        let manifest = vendored.expect("lists vendor/").path().join("Cargo.toml");
+        assert!(
+            !settings(&manifest).contains(&"proc-macro=true".to_string()),
+            "{} builds a proc macro",
+            manifest.display()
+        );
+    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is committed") {
+        manifests.push(krate.expect("lists crates/").path().join("Cargo.toml"));
+    }
+    for manifest in manifests {
+        let serde = settings(&manifest);
+        let serde: Vec<&String> = serde
+            .iter()
+            .filter(|l| l.starts_with("serde=") || l.starts_with("serde."))
+            .collect();
+        assert!(
+            serde.is_empty(),
+            "{} depends on serde, not serde_json: {serde:?}",
+            manifest.display()
+        );
+    }
+}
+
 /// Appends the text of every file under `dir`, recursively.
 fn read_tree(dir: &Path, out: &mut String) {
     let Ok(entries) = std::fs::read_dir(dir) else {
