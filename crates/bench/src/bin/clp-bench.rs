@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Runs the built-in suite at 1/2/4/8/16 cores with the clp-prof layer
-//! enabled and emits `BENCH_suite.json` (pinned `clp-bench-v1` schema:
-//! cycles, IPC, and the top-down cycle-accounting buckets per cell) in
-//! the current directory. With `--check <golden>` the emitted document
+//! enabled (one `SuiteMatrix`, TRIPS and OoO cells included; a failed
+//! cell exits 2) and emits `BENCH_suite.json` (pinned `clp-bench-v1`
+//! schema: cycles, IPC, and the top-down cycle-accounting buckets per
+//! cell) in the current directory. With `--check <golden>` the emitted document
 //! must also equal the committed one — the simulator is deterministic,
 //! so any difference in either direction, in any field, is a modeling
 //! change and must re-baseline deliberately. The comparison is
@@ -45,7 +46,8 @@ fn main() {
     let out = args
         .text("--out")
         .unwrap_or_else(|| "BENCH_suite.json".into());
-    let doc = SuiteMatrix::measure(&suite::all(), &BENCH_SIZES).bench_document();
+    let matrix = SuiteMatrix::measure(&suite::all(), &BENCH_SIZES).complete_or_die();
+    let doc = matrix.bench_document(&BENCH_SIZES);
     let text = serde_json::to_string_pretty(&doc).expect("serializes");
     // Always emit the measured suite (also under --check, so a
     // re-baseline can copy the fresh numbers from it).

@@ -10,7 +10,8 @@
 //! For each workload and composition size, computes the clp-lint static
 //! cycle bound ([`clp_lint::bound_program`]), runs the simulator with
 //! profiling, and reports the bound beside the measured cycles with the
-//! tightness ratio `measured / bound`. Every invocation *enforces
+//! tightness ratio `measured / bound` (one `SuiteMatrix`; a failed cell
+//! exits 2). Every invocation *enforces
 //! soundness*: the program bound must not exceed the measured cycles,
 //! and no per-block bound may exceed the shortest fetch-to-commit span
 //! the profiler observed for that block — any violation is printed and
@@ -63,37 +64,36 @@ fn main() {
     if sizes.is_empty() {
         sizes = BENCH_SIZES.to_vec();
     }
-    let matrix = SuiteMatrix::measure(&workloads, &sizes);
-    let text = serde_json::to_string_pretty(&matrix.bound_document()).expect("serializes");
+    let matrix = SuiteMatrix::measure(&workloads, &sizes).complete_or_die();
+    let text = serde_json::to_string_pretty(&matrix.bound_document(&sizes)).expect("serializes");
 
     if args.switch("--json") {
         println!("{text}");
     } else {
-        let mut last = "";
-        for cell in &matrix.cells {
-            if cell.workload != last {
-                println!("== {} ==", cell.workload);
-                println!(
-                    "{:>6} {:>10} {:>10} {:>10}  floor",
-                    "cores", "bound", "measured", "tightness"
-                );
-                last = cell.workload;
-            }
+        for row in &matrix.rows {
+            println!("== {} ==", row.workload.name);
             println!(
-                "{:>6} {:>10} {:>10} {:>9.2}x  {}",
-                cell.cores,
-                cell.bound.cycles,
-                cell.measured,
-                cell.tightness(),
-                floor(cell)
+                "{:>6} {:>10} {:>10} {:>10}  floor",
+                "cores", "bound", "measured", "tightness"
             );
+            for cell in &row.tflex {
+                println!(
+                    "{:>6} {:>10} {:>10} {:>9.2}x  {}",
+                    cell.cores,
+                    cell.bound.cycles,
+                    cell.outcome.stats.cycles,
+                    cell.tightness(),
+                    floor(cell)
+                );
+            }
         }
-        for (name, curve) in &matrix.curves {
+        for curve in &matrix.curves(&sizes) {
             let samples: Vec<String> = curve
                 .speedup
                 .iter()
                 .map(|(c, s)| format!("{c}:{s:.2}"))
                 .collect();
+            let name = &curve.name;
             println!("analytic speedup sketch {name}: {}", samples.join(" "));
         }
     }

@@ -9,13 +9,14 @@
 //!
 //! Each named figure prints what the paper reports and writes its JSON
 //! under `target/clp-results/` (see [`clp_bench::figs`]). `all` runs the
-//! regeneration list in order — the full-suite sweep behind Figures 6–9
-//! is taken once — and closes with the paper-versus-measured table.
-//! `--stats-json` dumps the stats snapshot of every cell a figure ran;
-//! it applies to the figures `list` marks `[obs]`, exactly one at a time.
+//! regeneration list in order — the suite matrix behind Figures 5–10
+//! and Table 2 is measured once — and closes with the
+//! paper-versus-measured table. `--stats-json` dumps the stats snapshot
+//! of every cell a figure read; it applies to the figures `list` marks
+//! `[obs]`, exactly one at a time.
 //!
-//! Exit codes: 0 = regenerated, 1 = some sweep cell failed (its row is
-//! dropped from the figure and reported on stderr), 2 = usage error or
+//! Exit codes: 0 = regenerated, 1 = some suite cell failed (its row is
+//! dropped from the figures and reported on stderr), 2 = usage error or
 //! an unwritable output.
 
 use clp_bench::figs::{self, Ctx, FigObs, Figure, OBS_FLAGS, REGISTRY};
@@ -75,7 +76,7 @@ fn main() {
         }),
     }
     if ctx.failed_cells > 0 {
-        eprintln!("clp-fig: {} sweep cell(s) failed", ctx.failed_cells);
+        eprintln!("clp-fig: {} suite cell(s) failed", ctx.failed_cells);
         std::process::exit(1);
     }
 }

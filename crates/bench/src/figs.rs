@@ -5,19 +5,18 @@
 //! under `target/clp-results/`, and *returns* its headline — the
 //! paper-versus-measured line of `clp-fig all`'s closing table — so the
 //! table is built from what was just measured, never re-read from disk.
-//! Figures 6–9 draw on one shared full-suite sweep (`Ctx::suite_sweep`),
-//! taken once per `clp-fig` invocation however many of them run.
+//! Figures 5–10 and Table 2 read one [`SuiteMatrix`] (`Ctx::suite`),
+//! measured once per `clp-fig` invocation however many of them run.
 //! `--stats-json` needs no observer attached: every cell's `RunOutcome`
 //! already carries the stats snapshot the figures read and the flag dumps.
 
-use crate::{sweep_suite_resilient, BenchRow, CellFailure, SWEEP_SIZES};
+use crate::matrix::{Row, SuiteMatrix, SWEEP_SIZES};
 use clp_core::cli::{write_or_die, Flag};
 use clp_core::{compile_workload, run_compiled, run_workload, ProcessorConfig};
 use clp_obs::StatsSnapshot;
 use clp_sim::FaultPlan;
 use clp_workloads::suite;
 use serde_json::{json, Value};
-use std::borrow::Borrow;
 use std::rc::Rc;
 
 mod ablations;
@@ -58,17 +57,18 @@ impl FigObs {
         println!("[saved {path}]");
     }
 
-    /// Labels and writes every cell snapshot of a completed sweep
+    /// Labels and writes every TFlex and TRIPS snapshot of `rows`
     /// (`<workload>/tflex-<n>` and `<workload>/trips`). No-op when
     /// `--stats-json` was not given.
-    pub fn save_sweep_snapshots<R: Borrow<BenchRow>>(&self, rows: &[R]) {
+    pub fn save_sweep_snapshots(&self, rows: &[&Row]) {
         if self.stats_json.is_none() {
             return;
         }
         let mut labeled = Vec::new();
-        for r in rows.iter().map(Borrow::borrow) {
-            for (n, o) in &r.tflex {
-                labeled.push((format!("{}/tflex-{n}", r.workload.name), o.snapshot.clone()));
+        for r in rows {
+            for c in &r.tflex {
+                let label = format!("{}/tflex-{}", r.workload.name, c.cores);
+                labeled.push((label, c.outcome.snapshot.clone()));
             }
             labeled.push((
                 format!("{}/trips", r.workload.name),
@@ -84,13 +84,10 @@ impl FigObs {
 pub struct Ctx {
     /// Where the figures that take `--stats-json` dump their snapshots.
     pub obs: FigObs,
-    /// Cells that failed in any figure's sweep so far.
+    /// Cells of the suite matrix that failed.
     pub failed_cells: usize,
-    suite_sweep: Option<Rc<Sweep>>,
+    suite: Option<Rc<SuiteMatrix>>,
 }
-
-/// A sweep's complete rows and the cells it dropped.
-type Sweep = (Vec<BenchRow>, Vec<CellFailure>);
 
 impl Ctx {
     /// A fresh invocation with the given observability flags.
@@ -102,24 +99,20 @@ impl Ctx {
         }
     }
 
-    /// The full-suite 26 × (six sizes + TRIPS) sweep behind Figures
-    /// 6–9, in suite order: taken on first use, then reused. Warns about
-    /// every dropped cell each time, as each figure reports its own.
-    fn suite_sweep(&mut self) -> Rc<Sweep> {
-        if self.suite_sweep.is_none() {
-            let sweep = sweep_suite_resilient(&suite::all(), &SWEEP_SIZES);
-            self.failed_cells += sweep.1.len();
-            self.suite_sweep = Some(Rc::new(sweep));
+    /// The whole suite at [`SWEEP_SIZES`], on TRIPS and on the OoO core:
+    /// measured on first use, then reused. Warns about every dropped
+    /// cell each time, as each figure reports its own.
+    fn suite(&mut self) -> Rc<SuiteMatrix> {
+        if self.suite.is_none() {
+            let suite = SuiteMatrix::measure(&suite::all(), &SWEEP_SIZES);
+            self.failed_cells += suite.failures.len();
+            self.suite = Some(Rc::new(suite));
         }
-        let sweep = self.suite_sweep.clone().expect("just taken");
-        warn_dropped(&sweep.1);
-        sweep
-    }
-}
-
-fn warn_dropped(failures: &[CellFailure]) {
-    for f in failures {
-        eprintln!("warning: dropping failed cell {f}");
+        let suite = self.suite.clone().expect("just measured");
+        for f in &suite.failures {
+            eprintln!("warning: dropping failed cell {f}");
+        }
+        suite
     }
 }
 

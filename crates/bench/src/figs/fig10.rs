@@ -12,8 +12,9 @@
 //! ~6%; the allocation-fraction table shows mixed granularities within
 //! one workload size.
 
-use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient, SWEEP_SIZES};
+use super::Ctx;
+use crate::matrix::{Row, SWEEP_SIZES};
+use crate::save_json;
 use clp_alloc::{
     fixed_cmp, granularity_fractions, optimal_clp, variable_best_cmp, Allocation, SpeedupCurve,
 };
@@ -56,10 +57,14 @@ impl ToValue for SizePoint {
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
-    // Measure the 12 hand-optimized speedup curves (Figure 6 data).
-    let (rows, failures) = sweep_suite_resilient(&suite::hand_optimized(), &SWEEP_SIZES);
-    warn_dropped(&failures);
-    ctx.failed_cells += failures.len();
+    // The 12 hand-optimized speedup curves (Figure 6 data), suite order.
+    let suite = ctx.suite();
+    let hand: Vec<&str> = suite::hand_optimized().iter().map(|w| w.name).collect();
+    let rows = suite
+        .rows
+        .iter()
+        .filter(|r| hand.contains(&r.workload.name));
+    let rows: Vec<&Row> = rows.collect();
     let curves: Vec<SpeedupCurve> = rows
         .iter()
         .map(|r| {
@@ -159,7 +164,10 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
         println!();
     }
 
-    save_json("fig10.json", &json!({"points": out, "failures": failures}));
+    save_json(
+        "fig10.json",
+        &json!({"points": out, "failures": (suite.failures)}),
+    );
     ctx.obs.save_sweep_snapshots(&rows);
     Some(format!(
         "Fig 10  TFlex over best fixed CMP: avg {avg_gain:+.1}% max {max_gain:+.1}% \

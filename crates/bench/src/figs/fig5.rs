@@ -8,9 +8,7 @@
 
 use super::Ctx;
 use crate::{geomean, save_json};
-use clp_baseline::{run_baseline, BaselineConfig};
-use clp_core::{compile_workload, run_compiled, ProcessorConfig};
-use clp_workloads::{suite, WorkloadClass};
+use clp_workloads::WorkloadClass;
 use serde_json::{json, ToValue, Value};
 
 struct Row {
@@ -35,25 +33,18 @@ impl ToValue for Row {
 }
 
 pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
-    let fig = &ctx.obs;
-    let mut rows = Vec::new();
-    let mut snapshots = Vec::new();
-    for w in suite::all() {
-        let cw = compile_workload(&w).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let trips = run_compiled(&cw, &ProcessorConfig::trips())
-            .unwrap_or_else(|e| panic!("{} on TRIPS: {e}", w.name));
-        if fig.stats_json.is_some() {
-            snapshots.push((format!("{}/trips", w.name), trips.snapshot.clone()));
-        }
-        let base = run_baseline(&w.program, &w.args, &w.init_mem, &BaselineConfig::core2());
-        rows.push(Row {
-            name: w.name,
-            class: format!("{:?}", w.class),
-            trips_cycles: trips.cycles(),
-            baseline_cycles: base.cycles,
-            relative: base.cycles as f64 / trips.cycles() as f64,
-        });
-    }
+    let suite = ctx.suite();
+    let rows: Vec<Row> = suite
+        .rows
+        .iter()
+        .map(|r| Row {
+            name: r.workload.name,
+            class: format!("{:?}", r.workload.class),
+            trips_cycles: r.trips.cycles(),
+            baseline_cycles: r.ooo.cycles,
+            relative: r.ooo.cycles as f64 / r.trips.cycles() as f64,
+        })
+        .collect();
 
     println!("Figure 5: TRIPS performance relative to the conventional OoO reference");
     println!(
@@ -89,6 +80,13 @@ pub(super) fn run(ctx: &mut Ctx) -> Option<String> {
     );
 
     save_json("fig5.json", &rows);
-    fig.save_snapshots(snapshots);
+    let trips = suite.rows.iter();
+    let trips = trips.map(|r| {
+        (
+            format!("{}/trips", r.workload.name),
+            r.trips.snapshot.clone(),
+        )
+    });
+    ctx.obs.save_snapshots(trips.collect());
     None
 }

@@ -1,5 +1,5 @@
-//! Figures 6–9, all read off the one full-suite sweep
-//! (`Ctx::suite_sweep`: 26 benchmarks × six composition sizes + TRIPS).
+//! Figures 6–9, all read off the suite matrix (`Ctx::suite`: 26
+//! benchmarks × six composition sizes + TRIPS).
 //!
 //! * **Figure 6**: speedup of TFlex compositions (2–32 cores) and TRIPS
 //!   over a single TFlex core, per benchmark, plus AVG and BEST. Paper
@@ -23,27 +23,21 @@
 //!   update shrinks with added bandwidth.
 
 use super::Ctx;
-use crate::{geomean, order_by_ilp, save_json, BenchRow, CellFailure, SWEEP_SIZES};
+use crate::matrix::{Row, SWEEP_SIZES};
+use crate::{geomean, save_json, CellFailure};
 use clp_core::RunOutcome;
 use clp_power::{perf2_per_watt, perf_per_area};
 use clp_sim::{CommitLatencyBreakdown, FetchLatencyBreakdown};
 use serde_json::{json, ToValue, Value};
 
-/// The sweep's complete rows in Figure 6's x-axis order.
-fn by_ilp(rows: &[BenchRow]) -> Vec<&BenchRow> {
-    let mut rows: Vec<&BenchRow> = rows.iter().collect();
-    order_by_ilp(&mut rows);
-    rows
-}
-
-/// A figure's JSON document: its rows and the cells the sweep dropped.
+/// A figure's JSON document: its rows and the cells the matrix dropped.
 fn document<R: ToValue>(rows: &[R], failures: &[CellFailure]) -> Value {
     json!({"rows": (rows), "failures": (failures)})
 }
 
 pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
-    let sweep = ctx.suite_sweep();
-    let rows = by_ilp(&sweep.0);
+    let suite = ctx.suite();
+    let rows = suite.by_ilp();
 
     println!("Figure 6: speedup over one TFlex core");
     println!(
@@ -89,7 +83,8 @@ pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
             .map(|r| r.cycles_at(1) as f64 / r.trips.cycles() as f64)
             .collect::<Vec<_>>(),
     );
-    let avg8_vs_trips = geomean(&rows.iter().map(|r| r.vs_trips_at(8)).collect::<Vec<_>>());
+    let vs_trips = |r: &&Row| r.trips.cycles() as f64 / r.cycles_at(8) as f64;
+    let avg8_vs_trips = geomean(&rows.iter().map(vs_trips).collect::<Vec<_>>());
     let best_vs_trips = geomean(
         &rows
             .iter()
@@ -101,7 +96,7 @@ pub(super) fn fig6(ctx: &mut Ctx) -> Option<String> {
     println!("8-core TFlex vs TRIPS: {avg8_vs_trips:.2}x  (paper: ~1.19x)");
     println!("BEST TFlex  vs TRIPS: {best_vs_trips:.2}x  (paper: ~1.42x)");
 
-    save_json("fig6.json", &document(&out, &sweep.1));
+    save_json("fig6.json", &document(&out, &suite.failures));
     ctx.obs.save_sweep_snapshots(&rows);
     Some(format!(
         "Fig 6   AVG x16 speedup {:.2} (paper ~3.5); BEST {avg_best:.2} (paper ~4)",
@@ -133,7 +128,7 @@ impl ToValue for EfficiencyRow {
 /// the peak size — and returns its rows.
 fn efficiency_table(
     title: &str,
-    rows: &[&BenchRow],
+    rows: &[&Row],
     metric: impl Fn(&RunOutcome) -> f64,
 ) -> Vec<EfficiencyRow> {
     println!("{title}");
@@ -143,11 +138,11 @@ fn efficiency_table(
     );
     let mut out = Vec::new();
     for r in rows {
-        let base = metric(&r.tflex[0].1);
+        let base = metric(&r.at(1).outcome);
         let eff: Vec<(usize, f64)> = r
             .tflex
             .iter()
-            .map(|(n, o)| (*n, metric(o) / base))
+            .map(|c| (c.cores, metric(&c.outcome) / base))
             .collect();
         let trips_eff = metric(&r.trips) / base;
         let peak = eff
@@ -188,8 +183,8 @@ fn avg_trips(out: &[EfficiencyRow]) -> f64 {
 }
 
 pub(super) fn fig7(ctx: &mut Ctx) -> Option<String> {
-    let sweep = ctx.suite_sweep();
-    let rows = by_ilp(&sweep.0);
+    let suite = ctx.suite();
+    let rows = suite.by_ilp();
     let out = efficiency_table(
         "Figure 7: performance/area normalized to one TFlex core",
         &rows,
@@ -206,7 +201,7 @@ pub(super) fn fig7(ctx: &mut Ctx) -> Option<String> {
         avg_best(&out) / avg_trips(&out)
     );
 
-    save_json("fig7.json", &document(&out, &sweep.1));
+    save_json("fig7.json", &document(&out, &suite.failures));
     ctx.obs.save_sweep_snapshots(&rows);
     Some(format!(
         "Fig 7   perf/area peaks at 1-2 cores for {peaks_small}/{n} benchmarks (paper: most)"
@@ -214,8 +209,8 @@ pub(super) fn fig7(ctx: &mut Ctx) -> Option<String> {
 }
 
 pub(super) fn fig8(ctx: &mut Ctx) -> Option<String> {
-    let sweep = ctx.suite_sweep();
-    let rows = by_ilp(&sweep.0);
+    let suite = ctx.suite();
+    let rows = suite.by_ilp();
     let out = efficiency_table(
         "Figure 8: performance^2/Watt normalized to one TFlex core",
         &rows,
@@ -239,7 +234,7 @@ pub(super) fn fig8(ctx: &mut Ctx) -> Option<String> {
         avg_at(&out, 8) / avg_trips(&out)
     );
 
-    save_json("fig8.json", &document(&out, &sweep.1));
+    save_json("fig8.json", &document(&out, &suite.failures));
     ctx.obs.save_sweep_snapshots(&rows);
     None
 }
@@ -268,17 +263,17 @@ impl ToValue for Point {
 }
 
 pub(super) fn fig9(ctx: &mut Ctx) -> Option<String> {
-    let sweep = ctx.suite_sweep();
-    let (rows, failures) = (&sweep.0, sweep.1.clone());
+    let suite = ctx.suite();
+    let rows: Vec<&Row> = suite.rows.iter().collect();
     let mut series = Vec::new();
-    for (i, &n) in SWEEP_SIZES.iter().enumerate() {
+    for &n in &SWEEP_SIZES {
         let mut fetch = FetchLatencyBreakdown::default();
         let mut commit = CommitLatencyBreakdown::default();
         let count = rows.len() as f64;
-        for r in rows {
+        for r in &rows {
             // Figure inputs come through the stats registry, addressed by
             // stable path rather than struct-field plucking.
-            let snap = &r.tflex[i].1.snapshot;
+            let snap = &r.at(n).outcome.snapshot;
             fetch.prediction += snap.expect("proc0/fetch_latency/prediction") / count;
             fetch.tag_access += snap.expect("proc0/fetch_latency/tag_access") / count;
             fetch.hand_off += snap.expect("proc0/fetch_latency/hand_off") / count;
@@ -330,8 +325,8 @@ pub(super) fn fig9(ctx: &mut Ctx) -> Option<String> {
 
     save_json(
         "fig9.json",
-        &json!({"series": series, "failures": failures}),
+        &json!({"series": series, "failures": (suite.failures)}),
     );
-    ctx.obs.save_sweep_snapshots(rows);
+    ctx.obs.save_sweep_snapshots(&rows);
     None
 }

@@ -2,11 +2,10 @@
 //! component areas (mm² at 130 nm) and the average power breakdown of
 //! TRIPS versus an 8-core TFlex processor.
 
-use super::{warn_dropped, Ctx};
-use crate::{save_json, sweep_suite_resilient};
+use super::Ctx;
+use crate::save_json;
 use clp_power::PowerBreakdown;
 use clp_sim::{table1_text, SimConfig};
-use clp_workloads::suite;
 use serde_json::{json, Value};
 
 /// Table 2's power rows, in watts per category.
@@ -42,10 +41,8 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
     println!();
 
     // Average power across the suite at the paper's two organizations.
-    let (rows, failures) = sweep_suite_resilient(&suite::all(), &[8]);
-    warn_dropped(&failures);
-    ctx.failed_cells += failures.len();
-    let n = rows.len() as f64;
+    let suite = ctx.suite();
+    let n = suite.rows.len() as f64;
     let mut tflex8 = PowerBreakdown::default();
     let mut trips = PowerBreakdown::default();
     let add = |acc: &mut PowerBreakdown, p: &PowerBreakdown, n: f64| {
@@ -58,8 +55,8 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
         acc.clock += p.clock / n;
         acc.leakage += p.leakage / n;
     };
-    for r in &rows {
-        add(&mut tflex8, &r.tflex[0].1.power, n);
+    for r in &suite.rows {
+        add(&mut tflex8, &r.at(8).outcome.power, n);
         add(&mut trips, &r.trips.power, n);
     }
 
@@ -75,7 +72,7 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
     let doc = json!({
         "tflex8": (power_json(&tflex8)),
         "trips": (power_json(&trips)),
-        "failures": (failures)
+        "failures": (suite.failures)
     });
     save_json("table2.json", &doc);
     None

@@ -12,19 +12,17 @@
 //! what the tool parses and usage errors share one format and exit
 //! code (2).
 //!
-//! This library holds the shared sweep machinery: parallel measurement of
-//! every workload at every composition size plus the TRIPS baseline,
-//! small statistics helpers, ([`matrix`]) the builders of the two
-//! suite documents with committed goldens, and ([`observe`]) what
-//! `clp-prof` and `clp-trend` print.
+//! This library holds ([`matrix`]) the one whole-suite measurement that
+//! the figures, `clp-bench`, `clp-bound` and tier-1's goldens all read,
+//! and the builders of its two committed documents; ([`figs`]) the
+//! figure registry; ([`observe`]) what `clp-prof` and `clp-trend`
+//! print; and the small helpers they share.
 
 #![warn(missing_docs)]
 
 use clp_core::cli::{die, write_or_die};
-use clp_core::{compile_workload, run_compiled, ProcessorConfig, RunOutcome};
-use clp_workloads::{IlpClass, Workload};
+use clp_workloads::Workload;
 use serde_json::{json, ToValue, Value};
-use std::borrow::Borrow;
 use std::path::PathBuf;
 use std::thread;
 
@@ -32,73 +30,14 @@ pub mod figs;
 pub mod matrix;
 pub mod observe;
 
-/// The composition sizes of the Figure 6–8 sweeps.
-pub const SWEEP_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Measured results for one workload across the sweep.
-pub struct BenchRow {
-    /// The workload.
-    pub workload: Workload,
-    /// `(cores, outcome)` for each TFlex size.
-    pub tflex: Vec<(usize, RunOutcome)>,
-    /// The TRIPS baseline outcome.
-    pub trips: RunOutcome,
-}
-
-impl BenchRow {
-    /// Cycles at a TFlex size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the size was not swept.
-    #[must_use]
-    pub fn cycles_at(&self, n: usize) -> u64 {
-        self.tflex
-            .iter()
-            .find(|(c, _)| *c == n)
-            .map(|(_, r)| r.cycles())
-            .unwrap_or_else(|| panic!("size {n} not swept"))
-    }
-
-    /// Speedup over one TFlex core at a given size.
-    #[must_use]
-    pub fn speedup_at(&self, n: usize) -> f64 {
-        self.cycles_at(1) as f64 / self.cycles_at(n) as f64
-    }
-
-    /// The best (fastest) TFlex size.
-    #[must_use]
-    pub fn best_size(&self) -> usize {
-        self.tflex
-            .iter()
-            .min_by_key(|(_, r)| r.cycles())
-            .map(|(c, _)| *c)
-            .expect("swept")
-    }
-
-    /// Speedup of the per-application best configuration.
-    #[must_use]
-    pub fn best_speedup(&self) -> f64 {
-        self.speedup_at(self.best_size())
-    }
-
-    /// TFlex-vs-TRIPS speedup at a given size (>1 means TFlex wins).
-    #[must_use]
-    pub fn vs_trips_at(&self, n: usize) -> f64 {
-        self.trips.cycles() as f64 / self.cycles_at(n) as f64
-    }
-}
-
-/// One failed `(workload, configuration)` cell of a sweep.
-///
-/// `config` names the failing organization: `tflex-N` or `trips`. A
-/// workload that never made it past the compiler fails every cell of its
-/// row.
+/// One failed `(workload, configuration)` cell of a
+/// [`SuiteMatrix`](matrix::SuiteMatrix). A workload that never made it
+/// past the compiler fails one `compile` cell and has no other.
 #[derive(Clone, Debug)]
 pub struct CellFailure {
     /// The workload whose cell failed.
     pub workload: String,
-    /// The configuration that failed (`tflex-N`, `trips`, `compile`).
+    /// The configuration that failed: `tflex-N`, `trips`, `ooo`, `compile`.
     pub config: String,
     /// The rendered error.
     pub error: String,
@@ -135,65 +74,6 @@ pub fn par_suite<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + S
     })
 }
 
-/// Sweeps every workload over `sizes` plus TRIPS, in parallel (see
-/// [`par_suite`]), preserving input order. Every cell's outcome carries
-/// the stats snapshot `clp-fig --stats-json` dumps. A failing cell is
-/// recorded and the sweep keeps going — one bad `(workload, size)`
-/// combination never kills a whole figure.
-///
-/// Returns the fully-successful rows (ready for the figure math, which
-/// needs every size present) and the failed cells (for the warning log
-/// and the JSON report): a row with any failed cell is left out of the
-/// first list and its failed cells are in the second.
-#[must_use]
-pub fn sweep_suite_resilient(
-    workloads: &[Workload],
-    sizes: &[usize],
-) -> (Vec<BenchRow>, Vec<CellFailure>) {
-    let cells = par_suite(workloads, |w| {
-        let cw = compile_workload(w).map_err(|e| e.to_string());
-        // A compile failure fails every cell of the row.
-        let run = |cfg: ProcessorConfig| match &cw {
-            Ok(cw) => run_compiled(cw, &cfg).map_err(|e| e.to_string()),
-            Err(e) => Err(e.clone()),
-        };
-        let tflex: Vec<_> = sizes
-            .iter()
-            .map(|&n| (n, run(ProcessorConfig::tflex(n))))
-            .collect();
-        (tflex, run(ProcessorConfig::trips()))
-    });
-    let mut rows = Vec::with_capacity(workloads.len());
-    let mut failures = Vec::new();
-    for (w, (cells, trips)) in workloads.iter().zip(cells) {
-        let mut failed = |config: String, error: String| {
-            failures.push(CellFailure {
-                workload: w.name.to_string(),
-                config,
-                error,
-            });
-        };
-        let mut tflex = Vec::with_capacity(cells.len());
-        for (n, r) in cells {
-            match r {
-                Ok(outcome) => tflex.push((n, outcome)),
-                Err(e) => failed(format!("tflex-{n}"), e),
-            }
-        }
-        match trips {
-            Ok(trips) if tflex.len() == sizes.len() => rows.push(BenchRow {
-                workload: w.clone(),
-                tflex,
-                trips,
-            }),
-            // A failed TFlex cell leaves the row out.
-            Ok(_) => {}
-            Err(e) => failed("trips".to_string(), e),
-        }
-    }
-    (rows, failures)
-}
-
 /// Geometric mean (the paper's cross-benchmark average).
 ///
 /// # Panics
@@ -203,21 +83,6 @@ pub fn sweep_suite_resilient(
 pub fn geomean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Orders rows (owned or borrowed) for the Figure 6 x-axis: low-ILP
-/// benchmarks first, then high-ILP, alphabetical within each group.
-pub fn order_by_ilp<R: Borrow<BenchRow>>(rows: &mut [R]) {
-    rows.sort_by_key(|r| {
-        let w = &r.borrow().workload;
-        (
-            match w.ilp {
-                IlpClass::Low => 0,
-                IlpClass::High => 1,
-            },
-            w.name,
-        )
-    });
 }
 
 /// The directory where the figures drop machine-readable results,
@@ -245,6 +110,7 @@ pub fn save_json<T: ToValue>(name: &str, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::SuiteMatrix;
 
     #[test]
     fn geomean_basics() {
@@ -260,17 +126,17 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let (rows, failures) = sweep_suite_resilient(&workloads, &[1, 64]);
-        // Only the 64-core cell of each row failed: the 1-core and TRIPS
-        // cells were still measured.
-        assert_eq!(failures.len(), 2, "one bad cell per workload");
-        for f in &failures {
+        let m = SuiteMatrix::measure(&workloads, &[1, 64]);
+        // Only the 64-core cell of each row failed: the 1-core, TRIPS
+        // and OoO cells were still measured.
+        assert_eq!(m.failures.len(), 2, "one bad cell per workload");
+        for f in &m.failures {
             assert_eq!(f.config, "tflex-64");
             assert!(f.error.contains("compose"), "unexpected error: {}", f.error);
         }
         // Rows with a failed cell are excluded from the complete set but
         // surfaced in the failure list.
-        assert!(rows.is_empty());
+        assert!(m.rows.is_empty());
     }
 
     /// No golden holds a sweep with a failed cell: pin how the figure
@@ -298,10 +164,11 @@ mod tests {
     #[test]
     fn resilient_sweep_clean_run_is_complete() {
         let workloads = [clp_workloads::suite::by_name("conv").expect("known")];
-        let (rows, failures) = sweep_suite_resilient(&workloads, &[1, 4]);
-        assert!(failures.is_empty());
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].cycles_at(4) > 0);
+        let m = SuiteMatrix::measure(&workloads, &[1, 4]);
+        assert!(m.failures.is_empty());
+        assert_eq!(m.rows.len(), 1);
+        assert!(m.rows[0].cycles_at(4) > 0);
+        assert!(m.rows[0].ooo.cycles > 0);
     }
 
     #[test]
@@ -311,16 +178,16 @@ mod tests {
             .iter()
             .map(|n| clp_workloads::suite::by_name(n).expect("known"))
             .collect();
-        let (mut rows, failures) = sweep_suite_resilient(&workloads, &[1, 4, 16]);
-        assert!(failures.is_empty(), "sweep failed: {}", failures[0]);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
+        let m = SuiteMatrix::measure(&workloads, &[1, 4, 16]);
+        assert!(m.failures.is_empty(), "sweep failed: {}", m.failures[0]);
+        assert_eq!(m.rows.len(), 3);
+        for r in &m.rows {
             assert!(r.cycles_at(1) >= r.cycles_at(16) / 64, "sane cycles");
             assert!(r.speedup_at(1) == 1.0);
             assert!(r.best_speedup() >= 1.0);
-            assert!(r.vs_trips_at(4) > 0.0);
+            assert!(r.trips.cycles() > 0 && r.ooo.cycles > 0);
         }
-        order_by_ilp(&mut rows);
+        let rows = m.by_ilp();
         assert_eq!(rows[0].workload.ilp, clp_workloads::IlpClass::Low);
     }
 }

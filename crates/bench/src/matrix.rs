@@ -1,166 +1,254 @@
-//! The suite matrix behind two committed goldens: `clp-bench-v1`
-//! (`BENCH_baseline.json`) and `clp-bound-v1` (`BOUND_baseline.json`).
-//!
-//! Both documents are views of one [`SuiteMatrix::measure`], which runs
-//! every cell once with the clp-prof layer on. The tools (`clp-bench`,
-//! `clp-bound`) and the tier-1 test that regenerates both documents
-//! (`tests/goldens.rs`) call it, so what `--check` gates and what `cargo
-//! test` defends are the same bytes.
+//! The one whole-suite measurement: every workload on each TFlex size
+//! (clp-prof on), on TRIPS and on the conventional OoO core, once per
+//! cell. The `clp-bench-v1` (`BENCH_baseline.json`) and `clp-bound-v1`
+//! (`BOUND_baseline.json`) documents, the `clp-fig` figures of the
+//! fault-free suite and tier-1's `tests/goldens.rs` (which also pins
+//! `goldens/suite_wide.json`) are all views of it, so what `--check`
+//! gates, what the figures divide and what `cargo test` defends are the
+//! same cells.
 
-use crate::par_suite;
+use crate::{par_suite, CellFailure};
 use clp_alloc::SpeedupCurve;
+use clp_baseline::{run_baseline, BaselineConfig, BaselineResult};
 use clp_core::cli::die;
-use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
+use clp_core::{
+    compile_workload, run_compiled, run_compiled_observed, CompiledWorkload, ObsOptions,
+    ProcessorConfig, RunFailure, RunOutcome,
+};
 use clp_lint::{bound_program, LintConfig, ProgramBound};
 use clp_obs::BucketCycles;
-use clp_workloads::Workload;
+use clp_workloads::{IlpClass, Workload};
 use serde_json::{json, Value};
 
-/// The composition sizes of both committed matrices.
+/// The composition sizes of both committed documents.
 pub const BENCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// One `(workload, cores)` cell: what a clp-prof-on run measured, beside
-/// the static bound it was held to.
+/// The composition sizes of the Figure 6–9 sweep.
+pub const SWEEP_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// One `(workload, cores)` TFlex cell: the clp-prof-on run, beside the
+/// static bound it was held to.
 pub struct Cell {
-    /// Workload name.
-    pub workload: &'static str,
     /// Composition size.
     pub cores: usize,
+    /// The verified run, its clp-prof report included.
+    pub outcome: RunOutcome,
     /// The static program bound.
     pub bound: ProgramBound,
-    /// Cycles the simulator measured.
-    pub measured: u64,
-    /// Committed instructions per cycle.
-    pub ipc: f64,
-    /// The run-level cycle-accounting buckets.
-    pub buckets: BucketCycles,
 }
 
 impl Cell {
-    /// `measured / bound`.
+    /// Measured cycles over bound cycles.
     #[must_use]
     pub fn tightness(&self) -> f64 {
-        self.measured as f64 / self.bound.cycles as f64
+        self.outcome.stats.cycles as f64 / self.bound.cycles as f64
+    }
+
+    /// The run-level cycle-accounting buckets.
+    #[must_use]
+    pub fn buckets(&self) -> BucketCycles {
+        let profile = self.outcome.profile.as_ref();
+        profile.expect("profiling was enabled").run_buckets()
     }
 }
 
-/// Some workloads measured and bounded at some sizes: the cells, the
-/// analytic speedup sketches `bound(1)/bound(n)` (for workloads swept
-/// at one core), and every soundness violation found on the way.
+/// One workload whose every cell ran and verified.
+pub struct Row {
+    /// The workload.
+    pub workload: Workload,
+    /// One cell per measured size, in measured order.
+    pub tflex: Vec<Cell>,
+    /// The TRIPS baseline run.
+    pub trips: RunOutcome,
+    /// The conventional OoO run, held to the same golden.
+    pub ooo: BaselineResult,
+}
+
+impl Row {
+    /// The TFlex cell at `n` cores; panics if the size was not measured.
+    #[must_use]
+    pub fn at(&self, n: usize) -> &Cell {
+        let cell = self.tflex.iter().find(|c| c.cores == n);
+        cell.unwrap_or_else(|| panic!("size {n} not measured"))
+    }
+
+    /// The TFlex cells at `sizes`, in measured order.
+    pub fn cells_at<'a>(&'a self, sizes: &'a [usize]) -> impl Iterator<Item = &'a Cell> {
+        self.tflex.iter().filter(|c| sizes.contains(&c.cores))
+    }
+
+    /// Cycles at a TFlex size.
+    #[must_use]
+    pub fn cycles_at(&self, n: usize) -> u64 {
+        self.at(n).outcome.cycles()
+    }
+
+    /// Speedup over one TFlex core at a given size.
+    #[must_use]
+    pub fn speedup_at(&self, n: usize) -> f64 {
+        self.cycles_at(1) as f64 / self.cycles_at(n) as f64
+    }
+
+    /// The best (fastest) TFlex size.
+    #[must_use]
+    pub fn best_size(&self) -> usize {
+        let best = self.tflex.iter().min_by_key(|c| c.outcome.cycles());
+        best.expect("measured").cores
+    }
+
+    /// Speedup of the per-application best configuration.
+    #[must_use]
+    pub fn best_speedup(&self) -> f64 {
+        self.speedup_at(self.best_size())
+    }
+}
+
+/// Some workloads measured at some TFlex sizes, on TRIPS and on the OoO
+/// core: the complete rows, every failed cell, and every soundness
+/// violation found on the way.
+#[derive(Default)]
 pub struct SuiteMatrix {
-    /// Composition sizes swept.
-    pub sizes: Vec<usize>,
-    /// Cells, workload-major.
-    pub cells: Vec<Cell>,
-    /// `(workload, curve)` per workload with a one-core sample.
-    pub curves: Vec<(&'static str, SpeedupCurve)>,
+    /// The rows whose every cell ran, in input order.
+    pub rows: Vec<Row>,
+    /// Every cell that failed; its row is not in `rows`.
+    pub failures: Vec<CellFailure>,
     /// A program bound above the measured cycles, or a block bound
     /// above the shortest fetch-to-commit span the profiler saw.
     pub violations: Vec<String>,
 }
 
 impl SuiteMatrix {
-    /// Runs and bounds every `(workload, size)` cell once, one thread
-    /// per workload ([`par_suite`]); [`die`](clp_core::cli::die)s on a
-    /// workload that does not compile or a cell that does not run.
+    /// Measures each workload on its own thread ([`par_suite`]): compiled
+    /// once, run and bounded at each of `sizes`, run on TRIPS, and run on
+    /// the OoO core, whose outputs are held to the workload's golden. A
+    /// failed cell is recorded in `failures`, and its row left out.
     #[must_use]
     pub fn measure(workloads: &[Workload], sizes: &[usize]) -> SuiteMatrix {
-        let cfg = LintConfig::default();
-        let obs = ObsOptions {
-            profile: true,
-            ..ObsOptions::default()
-        };
-        let rows = par_suite(workloads, |w| {
-            let name = w.name;
-            let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{name}: {e}")));
-            let mut violations: Vec<String> = Vec::new();
-            let cell = |&cores: &usize| {
-                let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
-                    .unwrap_or_else(|e| die(format!("{name} on {cores} cores: {e}")));
-                let pb = bound_program(&cw.edge, &cfg, cores);
-                let measured = r.stats.cycles;
-                if pb.cycles > measured {
-                    violations.push(format!(
-                        "{name} on {cores} cores: program bound {} > measured {measured}",
-                        pb.cycles
-                    ));
-                }
-                let profile = r.profile.expect("profiling was enabled");
-                let spans = profile.block_spans();
-                for bb in &pb.blocks {
-                    if let Some(s) = spans.get(&bb.addr) {
-                        if bb.cycles > s.min_cycles {
-                            violations.push(format!(
-                                "{name} on {cores} cores: block @{:#x} bound {} \
-                                 ({}) > measured min span {}",
-                                bb.addr,
-                                bb.cycles,
-                                bb.binding.label(),
-                                s.min_cycles
-                            ));
-                        }
-                    }
-                }
-                Cell {
-                    workload: name,
-                    cores,
-                    bound: pb,
-                    measured,
-                    ipc: r.stats.procs[0].ipc(),
-                    buckets: profile.run_buckets(),
-                }
-            };
-            let cells: Vec<Cell> = sizes.iter().map(cell).collect();
-            let samples: Vec<(usize, u64)> =
-                cells.iter().map(|c| (c.cores, c.bound.cycles)).collect();
-            let one_core = samples.iter().any(|&(c, _)| c == 1);
-            let curve = one_core.then(|| (name, SpeedupCurve::analytic(name, &samples)));
-            (cells, curve, violations)
+        Self::measure_with(workloads, sizes, compile_workload)
+    }
+
+    /// [`SuiteMatrix::measure`] with `compile` for [`compile_workload`].
+    fn measure_with(
+        workloads: &[Workload],
+        sizes: &[usize],
+        compile: impl Fn(&Workload) -> Result<CompiledWorkload, RunFailure> + Sync,
+    ) -> SuiteMatrix {
+        let parts = par_suite(workloads, |w| {
+            let mut part = SuiteMatrix::default();
+            part.measure_row(w, sizes, &compile);
+            part
         });
-        let mut matrix = SuiteMatrix {
-            sizes: sizes.to_vec(),
-            cells: Vec::new(),
-            curves: Vec::new(),
-            violations: Vec::new(),
-        };
-        for (cells, curve, violations) in rows {
-            matrix.cells.extend(cells);
-            matrix.curves.extend(curve);
-            matrix.violations.extend(violations);
+        let mut matrix = SuiteMatrix::default();
+        for part in parts {
+            matrix.rows.extend(part.rows);
+            matrix.failures.extend(part.failures);
+            matrix.violations.extend(part.violations);
         }
         matrix
     }
 
-    /// The `clp-bench-v1` document: cycles, IPC and the run-level
-    /// cycle-accounting buckets per cell.
+    /// Measures `w`'s cells into `self`, and its row if none failed.
+    fn measure_row(
+        &mut self,
+        w: &Workload,
+        sizes: &[usize],
+        compile: impl Fn(&Workload) -> Result<CompiledWorkload, RunFailure>,
+    ) {
+        let Some(cw) = self.keep(w, "compile", compile(w).map_err(|e| e.to_string())) else {
+            return;
+        };
+        let mut tflex = Vec::new();
+        for &n in sizes {
+            let cell = tflex_cell(&cw, n, &mut self.violations);
+            tflex.push(self.keep(w, &format!("tflex-{n}"), cell));
+        }
+        let trips = run_compiled(&cw, &ProcessorConfig::trips()).map_err(|e| e.to_string());
+        let trips = self.keep(w, "trips", trips);
+        let ooo = self.keep(w, "ooo", ooo_cell(&cw));
+        if let (Some(tflex), Some(trips), Some(ooo)) = (tflex.into_iter().collect(), trips, ooo) {
+            let workload = w.clone();
+            self.rows.push(Row {
+                workload,
+                tflex,
+                trips,
+                ooo,
+            });
+        }
+    }
+
+    /// `r`'s value, or `None` with its error recorded for `w`'s `config`.
+    fn keep<T>(&mut self, w: &Workload, config: &str, r: Result<T, String>) -> Option<T> {
+        let (workload, config) = (w.name.to_string(), config.to_string());
+        let failed = |error| CellFailure {
+            workload,
+            config,
+            error,
+        };
+        r.map_err(|e| self.failures.push(failed(e))).ok()
+    }
+
+    /// The matrix, or [`die`] naming its first failed cell.
     #[must_use]
-    pub fn bench_document(&self) -> Value {
-        let rows = self.cells.chunk_by(|a, b| a.workload == b.workload);
-        let workloads = rows.map(|row| {
-            let runs = row.iter().map(|c| {
+    pub fn complete_or_die(self) -> SuiteMatrix {
+        if let Some(f) = self.failures.first() {
+            die(f);
+        }
+        self
+    }
+
+    /// The rows in Figure 6's x-axis order: low-ILP benchmarks first,
+    /// then high-ILP, alphabetical within each group.
+    #[must_use]
+    pub fn by_ilp(&self) -> Vec<&Row> {
+        let mut rows: Vec<&Row> = self.rows.iter().collect();
+        rows.sort_by_key(|r| (r.workload.ilp == IlpClass::High, r.workload.name));
+        rows
+    }
+
+    /// The analytic speedup sketch `bound(1)/bound(n)` over `sizes`, per
+    /// row, when `sizes` holds one core.
+    #[must_use]
+    pub fn curves(&self, sizes: &[usize]) -> Vec<SpeedupCurve> {
+        let rows = self.rows.iter().filter(|_| sizes.contains(&1));
+        let curve = |r: &Row| {
+            let cells = r.cells_at(sizes);
+            let samples: Vec<(usize, u64)> = cells.map(|c| (c.cores, c.bound.cycles)).collect();
+            SpeedupCurve::analytic(r.workload.name, &samples)
+        };
+        rows.map(curve).collect()
+    }
+
+    /// The `clp-bench-v1` document of the cells at `sizes`: cycles, IPC
+    /// and the run-level cycle-accounting buckets per cell.
+    #[must_use]
+    pub fn bench_document(&self, sizes: &[usize]) -> Value {
+        let workloads = self.rows.iter().map(|r| {
+            let runs = r.cells_at(sizes).map(|c| {
                 json!({
                     "cores": (c.cores),
-                    "cycles": (c.measured),
-                    "ipc": (c.ipc),
-                    "buckets": (c.buckets)
+                    "cycles": (c.outcome.stats.cycles),
+                    "ipc": (c.outcome.stats.procs[0].ipc()),
+                    "buckets": (c.buckets())
                 })
             });
             let runs: Vec<Value> = runs.collect();
-            json!({"name": (row[0].workload), "runs": runs})
+            json!({"name": (r.workload.name), "runs": runs})
         });
         let workloads: Vec<Value> = workloads.collect();
-        json!({"schema": "clp-bench-v1", "sizes": (self.sizes), "workloads": workloads})
+        json!({"schema": "clp-bench-v1", "sizes": sizes, "workloads": workloads})
     }
 
-    /// The `clp-bound-v1` document.
+    /// The `clp-bound-v1` document of the cells at `sizes`.
     #[must_use]
-    pub fn bound_document(&self) -> Value {
-        let cells = self.cells.iter().map(|c| {
+    pub fn bound_document(&self, sizes: &[usize]) -> Value {
+        let rows = self.rows.iter();
+        let cells = rows.flat_map(|r| r.cells_at(sizes).map(move |c| (r, c)));
+        let cells = cells.map(|(r, c)| {
             json!({
-                "workload": (c.workload),
+                "workload": (r.workload.name),
                 "cores": (c.cores),
                 "bound": (c.bound.cycles),
-                "measured": (c.measured),
+                "measured": (c.outcome.stats.cycles),
                 "tightness": (c.tightness()),
                 "must_commit": (c.bound.must_commit),
                 "terminal": (c.bound.terminal),
@@ -168,10 +256,99 @@ impl SuiteMatrix {
             })
         });
         let cells: Vec<Value> = cells.collect();
-        let curves = self.curves.iter();
+        let curves = self.curves(sizes).into_iter();
         let curves: Vec<Value> = curves
-            .map(|(name, curve)| json!({"workload": name, "speedup": (curve.speedup)}))
+            .map(|c| json!({"workload": (c.name), "speedup": (c.speedup)}))
             .collect();
-        json!({"schema": "clp-bound-v1", "cores": (self.sizes), "cells": cells, "curves": curves})
+        json!({"schema": "clp-bound-v1", "cores": sizes, "cells": cells, "curves": curves})
+    }
+}
+
+/// Runs `cw` on `cores` TFlex cores with clp-prof on and holds the
+/// static bound to the run, pushing every unsound bound to `violations`.
+fn tflex_cell(
+    cw: &CompiledWorkload,
+    cores: usize,
+    violations: &mut Vec<String>,
+) -> Result<Cell, String> {
+    let obs = ObsOptions {
+        profile: true,
+        ..ObsOptions::default()
+    };
+    let outcome = run_compiled_observed(cw, &ProcessorConfig::tflex(cores), &obs)
+        .map_err(|e| e.to_string())?;
+    let profile = outcome.profile.as_ref().expect("profiling was enabled");
+    let bound = bound_program(&cw.edge, &LintConfig::default(), cores);
+    let name = cw.workload.name;
+    let measured = outcome.stats.cycles;
+    if bound.cycles > measured {
+        violations.push(format!(
+            "{name} on {cores} cores: program bound {} > measured {measured}",
+            bound.cycles
+        ));
+    }
+    let spans = profile.block_spans();
+    for bb in &bound.blocks {
+        if let Some(s) = spans.get(&bb.addr) {
+            if bb.cycles > s.min_cycles {
+                violations.push(format!(
+                    "{name} on {cores} cores: block @{:#x} bound {} ({}) > measured min span {}",
+                    bb.addr,
+                    bb.cycles,
+                    bb.binding.label(),
+                    s.min_cycles
+                ));
+            }
+        }
+    }
+    Ok(Cell {
+        cores,
+        outcome,
+        bound,
+    })
+}
+
+/// Runs `cw`'s workload on the conventional OoO core and holds its
+/// return value and checked regions to `cw`'s golden.
+fn ooo_cell(cw: &CompiledWorkload) -> Result<BaselineResult, String> {
+    let w = &cw.workload;
+    let r = run_baseline(&w.program, &w.args, &w.init_mem, &BaselineConfig::core2());
+    let golden = &cw.golden;
+    if w.check.check_ret && r.ret != golden.ret {
+        return Err(format!(
+            "verify: return value {:?}, expected {:?}",
+            r.ret, golden.ret
+        ));
+    }
+    // The return value matched or is not checked: hold the regions.
+    let verified = w.verify_against(golden, golden.ret.unwrap_or_default(), &r.image);
+    verified.map(|()| r).map_err(|e| format!("verify: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clp_workloads::suite;
+
+    #[test]
+    fn a_wrong_ooo_output_is_a_cell_failure() {
+        // conv's golden with one checked word altered: no engine can
+        // match it, and the OoO cell must say so rather than pass.
+        let w = suite::by_name("conv").expect("known");
+        let (base, _) = w.check.regions[0];
+        let altered = |w: &Workload| {
+            let mut cw = compile_workload(w)?;
+            let word = cw.golden.image.read_u64(base);
+            cw.golden.image.write_u64(base, word ^ 1);
+            Ok(cw)
+        };
+        let m = SuiteMatrix::measure_with(&[w], &[1], altered);
+        assert!(m.rows.is_empty(), "a row with a failed cell is left out");
+        let ooo = m.failures.iter().find(|f| f.config == "ooo");
+        let ooo = ooo.expect("the OoO cell failed");
+        assert!(
+            ooo.error.contains(&format!("{base:#x}")),
+            "the failure names the word: {ooo}"
+        );
     }
 }

@@ -45,10 +45,10 @@ fn usage_errors_exit_2_under_the_tool_name() {
     );
 
     // A size no composition has is refused by the cell's run, which comes
-    // before the static bound (that panics on such a size).
+    // before the static bound (which panics on it); the tool names the cell.
     let out = run(env!("CARGO_BIN_EXE_clp-bound"), &["conv", "--cores", "3"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).starts_with("clp-bound: conv on 3 cores: compose"));
+    assert!(stderr(&out).starts_with("clp-bound: conv [tflex-3]: compose"));
 
     // An unwritable --stats-json fails before the sweep, not after it.
     let out = run(

@@ -16,6 +16,9 @@ use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorCon
 use clp_obs::{NullSink, RingRecorder, Tracer, TrendOptions};
 use std::time::{Duration, Instant};
 
+#[path = "../../../tests/common/pinned.rs"]
+mod pinned;
+
 fn run_with(obs: &ObsOptions) -> u64 {
     let w = clp_workloads::suite::by_name("conv").expect("exists");
     let cw = compile_workload(&w).expect("compiles");
@@ -135,53 +138,32 @@ fn trend_cycles(name: &str, cores: usize) -> u64 {
 
 /// Trend recording is pure observation: with the recorder (and the
 /// profiler it pulls in) attached, cycle counts stay bit-identical to
-/// the pre-observability goldens that gate the fig5/TRIPS numbers.
+/// the committed cells that gate the fig5/TRIPS numbers.
 #[test]
 fn trend_never_perturbs_pinned_goldens() {
-    let goldens: [(&str, usize, u64); 3] = [
-        ("conv", 4, 9_383),
-        ("conv", 32, 7_085),
-        ("bezier", 32, 5_012),
-    ];
-    for (name, cores, want) in goldens {
+    for (name, cores) in [("conv", 4), ("conv", 32), ("bezier", 32)] {
         assert_eq!(
             trend_cycles(name, cores),
-            want,
+            pinned::cycles(name, &format!("tflex-{cores}")),
             "{name} x{cores}: trend recording perturbed the cycle count"
         );
     }
 }
 
-/// The same bit-identity against every committed `BENCH_baseline.json`
-/// cell for a representative workload subset: the perf baseline and the
+/// The same bit-identity against the committed `BENCH_baseline.json`
+/// cells of a representative workload subset: the perf baseline and the
 /// trend layer agree on the machine they measure.
 #[test]
 fn trend_cycles_match_the_bench_baseline() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_baseline.json is committed");
-    let doc = serde_json::from_str(&text).expect("baseline parses");
-    let workloads = doc.get("workloads").as_array().expect("clp-bench-v1 shape");
-    let mut checked = 0;
-    for w in workloads {
-        let name = w.get("name").as_str().expect("named workload");
-        if !["conv", "tblook", "bezier"].contains(&name) {
-            continue;
-        }
-        for r in w.get("runs").as_array().expect("runs array") {
-            let cores = r.get("cores").as_u64().expect("cores") as usize;
-            if ![1, 4, 16].contains(&cores) {
-                continue;
-            }
-            let want = r.get("cycles").as_u64().expect("cycles");
+    for name in ["conv", "tblook", "bezier"] {
+        for cores in [1, 4, 16] {
             assert_eq!(
                 trend_cycles(name, cores),
-                want,
+                pinned::cycles(name, &format!("tflex-{cores}")),
                 "{name} x{cores}: trend-on run diverged from BENCH_baseline.json"
             );
-            checked += 1;
         }
     }
-    assert_eq!(checked, 9, "baseline subset went missing");
 }
 
 /// The trend recorder's marginal wall-clock cost over a profiler-on run

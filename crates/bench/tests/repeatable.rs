@@ -19,9 +19,9 @@
 //!   not rest on the curated suite alone. Failures print the seed,
 //!   which reproduces the program deterministically.
 //!
-//! The clean suite is not repeated here: `BENCH_baseline.json` (at
-//! threshold 0), `BOUND_baseline.json`, the `tests/trend.rs` goldens and
-//! `tests/wide_goldens.rs` pin it cell by cell.
+//! The clean suite is not repeated here: `tests/goldens.rs` pins it
+//! cell by cell in `BENCH_baseline.json`, `BOUND_baseline.json` and
+//! `goldens/suite_wide.json`, beside `tests/{trend,wide_goldens}.rs`.
 
 use clp_compiler::{FunctionBuilder, ProgramBuilder, VReg};
 use clp_core::{

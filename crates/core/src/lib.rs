@@ -4,8 +4,8 @@
 //! compile a [`Workload`](clp_workloads::Workload) once, run it on any processor organization
 //! (TFlex compositions of 1–32 cores, or the TRIPS baseline), verify the
 //! outputs against the reference interpreter, and collect performance,
-//! power, and area metrics. Sweeps produce the speedup curves that feed
-//! the Figure 6–8 plots and the Figure 10 allocator.
+//! power, and area metrics. Runs across composition sizes feed the
+//! Figure 6–8 plots and the Figure 10 allocator.
 //!
 //! ```no_run
 //! use clp_core::{run_workload, ProcessorConfig};
@@ -27,7 +27,7 @@ mod run;
 pub use adaptive::{adapt_composition, AdaptDecision, AdaptGoal, AdaptOutcome, AdaptStep};
 pub use multiprogram::{run_multiprogram, MultiOutcome, PlacementError, ProgramSpec};
 pub use run::{
-    compile_workload, run_compiled, run_compiled_observed, run_workload, sweep, CompiledWorkload,
+    compile_workload, run_compiled, run_compiled_observed, run_workload, CompiledWorkload,
     FailureClass, ObsOptions, ProcessorConfig, ProcessorKind, Run, RunFailure, RunOutcome, Stopped,
 };
 // Fault-injection vocabulary, re-exported so harnesses and tests can

@@ -1,4 +1,4 @@
-//! Single-workload runs and composition sweeps.
+//! Single-workload runs.
 
 use clp_compiler::{compile, CompileError, CompileOptions};
 use clp_isa::{EdgeProgram, Reg};
@@ -427,19 +427,6 @@ pub fn run_workload(w: &Workload, cfg: &ProcessorConfig) -> Result<RunOutcome, R
     run_compiled(&cw, cfg)
 }
 
-/// Runs a workload at every requested TFlex composition size.
-///
-/// # Errors
-///
-/// Propagates the first failure.
-pub fn sweep(w: &Workload, sizes: &[usize]) -> Result<Vec<(usize, RunOutcome)>, RunFailure> {
-    let cw = compile_workload(w)?;
-    sizes
-        .iter()
-        .map(|&n| run_compiled(&cw, &ProcessorConfig::tflex(n)).map(|r| (n, r)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,15 +472,5 @@ mod tests {
         let w = suite::by_name("conv").unwrap();
         let r = run_workload(&w, &ProcessorConfig::trips()).expect("runs");
         assert!(r.correct);
-    }
-
-    #[test]
-    fn sweep_produces_monotone_sizes() {
-        let w = suite::by_name("bezier").unwrap();
-        let runs = sweep(&w, &[1, 4, 16]).expect("sweeps");
-        assert_eq!(runs.len(), 3);
-        for (n, r) in &runs {
-            assert!(r.correct, "incorrect at {n} cores");
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example compose_sweep [workload]
 //! ```
 
-use clp::core::{compile_workload, run_compiled, sweep, ProcessorConfig};
+use clp::core::{compile_workload, run_compiled, ProcessorConfig};
 use clp::power::{perf2_per_watt, perf_per_area};
 use clp::workloads::suite;
 
@@ -17,7 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = suite::by_name(&name)
         .unwrap_or_else(|| panic!("unknown workload '{name}'; see clp::workloads::suite"));
 
-    let runs = sweep(&workload, &[1, 2, 4, 8, 16, 32])?;
+    // Compile once; every composition and TRIPS run the same EDGE code.
+    let cw = compile_workload(&workload)?;
+    let runs = [1, 2, 4, 8, 16, 32]
+        .into_iter()
+        .map(|n| run_compiled(&cw, &ProcessorConfig::tflex(n)).map(|r| (n, r)))
+        .collect::<Result<Vec<_>, _>>()?;
     let base_cycles = runs[0].1.stats.cycles;
 
     println!("{name}: composition sweep");
@@ -47,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let cw = compile_workload(&workload)?;
     let trips = run_compiled(&cw, &ProcessorConfig::trips())?;
     println!(
         "{:>6} {:>10}   (TRIPS baseline)",

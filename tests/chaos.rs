@@ -15,6 +15,9 @@ use clp::obs::{RingRecorder, Tracer};
 use clp::sim::{ComposeError, Machine, SimConfig};
 use std::sync::{Arc, Mutex};
 
+#[path = "common/pinned.rs"]
+mod pinned;
+
 /// The composition sizes the chaos suite sweeps.
 const CHAOS_SIZES: [usize; 3] = [1, 4, 32];
 
@@ -123,33 +126,32 @@ fn none_plan_is_bit_identical_to_the_default_config() {
     assert_eq!(b.stats.faults.total(), 0);
 }
 
-/// Pre-fault-layer cycle counts, captured on the commit before the fault
-/// layer and the completion-queue rewrite landed. `FaultPlan::none()`
-/// runs must reproduce them bit-for-bit (the S2/S7 acceptance gate).
+/// `FaultPlan::none()` runs reproduce the committed fault-free cells
+/// bit-for-bit (the pre-fault-layer values, unchanged since).
 #[test]
 fn fault_free_cycle_counts_match_the_pre_fault_layer_goldens() {
-    let goldens: [(&str, usize, u64); 5] = [
-        ("conv", 1, 29_721),
-        ("conv", 4, 9_383),
-        ("conv", 32, 7_085),
-        ("tblook", 4, 19_286),
-        ("bezier", 32, 5_012),
-    ];
-    for (name, cores, want) in goldens {
+    for (name, cores) in [
+        ("conv", 1),
+        ("conv", 4),
+        ("conv", 32),
+        ("tblook", 4),
+        ("bezier", 32),
+    ] {
         let cw = compiled(name);
         let r = run_compiled(&cw, &ProcessorConfig::tflex(cores)).expect("runs");
         assert_eq!(
-            r.stats.cycles, want,
+            r.stats.cycles,
+            pinned::cycles(name, &format!("tflex-{cores}")),
             "{name} on {cores} cores drifted from the pre-fault-layer golden"
         );
     }
     // TRIPS exercises the completion queue under centralized control.
-    let trips: [(&str, u64); 3] = [("conv", 7_672), ("bezier", 4_397), ("tblook", 24_312)];
-    for (name, want) in trips {
+    for name in ["conv", "bezier", "tblook"] {
         let cw = compiled(name);
         let r = run_compiled(&cw, &ProcessorConfig::trips()).expect("runs");
         assert_eq!(
-            r.stats.cycles, want,
+            r.stats.cycles,
+            pinned::cycles(name, "trips"),
             "{name} on TRIPS drifted from the pre-fault-layer golden"
         );
     }

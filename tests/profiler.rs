@@ -4,6 +4,8 @@
 //! (profiled and unprofiled runs produce bit-identical cycle counts).
 
 mod common;
+#[path = "common/pinned.rs"]
+mod pinned;
 
 use clp::core::{
     compile_workload, run_compiled, run_compiled_observed, ObsOptions, ProcessorConfig,
@@ -108,16 +110,12 @@ fn link_cycles_are_ascending_nonzero_and_conserved() {
 }
 
 /// Profiling is observation only: enabling it leaves every cycle count
-/// bit-identical, including against the pre-fault-layer goldens that
-/// gate the fig5/TRIPS numbers.
+/// bit-identical, including against the committed cells that gate the
+/// fig5/TRIPS numbers.
 #[test]
 fn profiling_never_perturbs_cycle_counts() {
-    let goldens: [(&str, usize, u64); 3] = [
-        ("conv", 4, 9_383),
-        ("conv", 32, 7_085),
-        ("bezier", 32, 5_012),
-    ];
-    for (name, cores, want) in goldens {
+    for (name, cores) in [("conv", 4), ("conv", 32), ("bezier", 32)] {
+        let want = pinned::cycles(name, &format!("tflex-{cores}"));
         let cfg = ProcessorConfig::tflex(cores);
         let cw = compile_workload(&suite::by_name(name).unwrap()).unwrap();
         let off = run_compiled(&cw, &cfg).expect("runs");
@@ -129,11 +127,12 @@ fn profiling_never_perturbs_cycle_counts() {
         );
     }
     // TRIPS golden too (centralized control path).
+    let want = pinned::cycles("conv", "trips");
     let cw = compile_workload(&suite::by_name("conv").unwrap()).unwrap();
     let off = run_compiled(&cw, &ProcessorConfig::trips()).expect("runs");
     let (on_cycles, _) = profiled("conv", &ProcessorConfig::trips());
-    assert_eq!(off.stats.cycles, 7_672);
-    assert_eq!(on_cycles, 7_672);
+    assert_eq!(off.stats.cycles, want);
+    assert_eq!(on_cycles, want);
 }
 
 /// The profile also lands in the stats registry under `profile/`.

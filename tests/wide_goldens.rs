@@ -1,10 +1,8 @@
-//! Pinned 32-core results. `BENCH_baseline.json` stops at 16 cores, yet
-//! the full-chip composition is where mesh traffic and window depth
-//! peak; these cells make tier-1 notice a drift there. One kernel per
-//! workload class, values recorded at commit 768ff12 (the parent of the
-//! PR that introduced this file) with `run_one <kernel> 32`. The same
-//! cells then run with clp-prof and clp-trend on, twice: observers must
-//! not move the cycle count, and a second run must give the same bytes.
+//! Observed and perturbed 32-core results. The full-chip composition is
+//! where mesh traffic and window depth peak. One kernel per workload
+//! class runs plain, held to its `goldens/suite_wide.json` cell, then
+//! with clp-prof and clp-trend on, twice: observers must not move the
+//! cycle count, and a second run must give the same bytes.
 //!
 //! The perturbed cells pin what the fault-free ones cannot reach: the
 //! order the stage loops visit cores and blocks in also orders PRNG
@@ -24,6 +22,9 @@ use clp::core::{
 use clp::obs::TrendOptions;
 use clp::sim::RunError;
 
+#[path = "common/pinned.rs"]
+mod pinned;
+
 #[test]
 fn thirty_two_core_cycles_and_results_are_pinned() {
     let obs = ObsOptions {
@@ -31,12 +32,10 @@ fn thirty_two_core_cycles_and_results_are_pinned() {
         trend: Some(TrendOptions::default()),
         ..ObsOptions::default()
     };
-    for (name, cycles, ret) in [
-        ("ct", 14_287, 0x1c76_9d7d), // hand-optimized
-        ("rspeed", 9_518, 0x5),      // EEMBC
-        ("mcf", 59_257, 0x9_3a63),   // SPEC INT
-        ("equake", 36_432, 0x0),     // SPEC FP
-    ] {
+    // One kernel each: hand-optimized, EEMBC, SPEC INT, SPEC FP.
+    for name in ["ct", "rspeed", "mcf", "equake"] {
+        let cycles = pinned::cycles(name, "tflex-32");
+        let ret = pinned::ret(name, "tflex-32");
         let w = clp::workloads::suite::by_name(name).expect("exists");
         let cw = compile_workload(&w).expect("compiles");
         let cfg = ProcessorConfig::tflex(32);
