@@ -14,7 +14,7 @@
 //! until resolution plus a redirect penalty. This model captures exactly
 //! the effects the comparison needs (ILP extraction limits, branch and
 //! memory sensitivity) without pretending to be a validated Core2 model —
-//! the figure's claim is about *relative shape* (see DESIGN.md).
+//! the figure's claim is about *relative shape* (see DESIGN.md, "Substitutions").
 
 #![warn(missing_docs)]
 

@@ -2,7 +2,7 @@
 //!
 //! Eight tools, one front door. `clp-fig <name>...` regenerates every
 //! table and figure of the paper from the registry in [`figs`] (see
-//! DESIGN.md's experiment index; `clp-fig list` prints it, `clp-fig all`
+//! DESIGN.md's "Experiments"; `clp-fig list` prints it, `clp-fig all`
 //! runs EXPERIMENTS.md's list and closes with the paper-versus-measured
 //! table): each figure prints the rows/series the paper reports and
 //! writes machine-readable JSON under `target/clp-results/`. Beside it

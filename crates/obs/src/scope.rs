@@ -27,8 +27,8 @@
 //!
 //! The span types are plain values (ids, ticks, string labels), so this
 //! crate stays independent of the service crate; clp-serve owns the
-//! emission points and the determinism argument (see DESIGN.md,
-//! "Service observability").
+//! emission points and the determinism argument (see
+//! DESIGN.md, "Service observability").
 
 use crate::profile::BucketCycles;
 use crate::sink::{chrome_trace, ChromeEvent};

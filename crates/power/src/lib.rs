@@ -8,7 +8,7 @@
 //! an area-based leakage estimate of 8–10% of total power.
 //!
 //! Absolute constants are *invented but internally consistent* estimates
-//! for a 130 nm / 1.5 V / 366 MHz process (see DESIGN.md: the paper's
+//! for a 130 nm / 1.5 V / 366 MHz process (DESIGN.md, "Invented constants": the paper's
 //! Table 2 numbers come from the TRIPS design database, which is not
 //! public). Every reproduced claim is a ratio (performance/area,
 //! performance²/W), which depends only on the relative breakdown.

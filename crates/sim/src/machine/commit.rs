@@ -264,7 +264,7 @@ impl Proc {
         // Commit completion is past the point of no return: the block's
         // functional effects applied when the handshake started, so it
         // finishes even if its owner died mid-handshake (modeling
-        // simplification, see DESIGN.md).
+        // simplification, see DESIGN.md, "Faults and recovery").
         self.last_beat = fab.beat();
         let fired = b.ops.iter().filter(|o| o.fired()).count();
         fab.tracer.emit(now, || TraceEvent::BlockCommitted {

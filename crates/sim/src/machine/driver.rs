@@ -4,7 +4,7 @@
 //! processor halts or a limit trips, and nothing else advances the
 //! clock. Event-driven skip-ahead, which jumped stretches where every
 //! `step` would have been a no-op, was deleted in PR 20 (it measured
-//! 0.99–1.04× this loop; DESIGN.md, "Execution engine", has the numbers
+//! 0.99–1.04× this loop; that CHANGES.md entry has the numbers
 //! and what its horizon cost the hot path). Do not add a fast path for
 //! idle cycles here or in `step`: that is skip-ahead by another name.
 //!

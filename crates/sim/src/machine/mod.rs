@@ -17,7 +17,7 @@
 //! file's header names its protocol, and DESIGN.md ("Machine anatomy")
 //! tabulates the state, signals and events of each.
 //!
-//! ## Modeling notes (see DESIGN.md)
+//! ## Modeling notes (see DESIGN.md, "Modeling decisions")
 //!
 //! * The **operand network** is a real contended mesh ([`clp_noc::Mesh`])
 //!   — operand bandwidth is one of the two TFlex optimizations the paper

@@ -16,8 +16,8 @@
 //! logically unified — and dirty L1 lines physically through the
 //! S-NUCA L2), recomputes every interleaving hash over the survivor
 //! set (which may be non-power-of-two), and resumes fetch at the
-//! architecturally correct next block. Modeled simplifications,
-//! documented in DESIGN.md: a block whose commit handshake started
+//! architecturally correct next block. Modeled simplifications (see
+//! DESIGN.md, "Faults and recovery"): a block whose commit handshake started
 //! always completes it (its functional effects are already durable),
 //! and mesh messages routed *through* a dead core's router are not
 //! re-routed (only endpoints are silenced).

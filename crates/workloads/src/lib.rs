@@ -5,7 +5,7 @@
 //! unportable to a reconstructed EDGE toolchain, so this crate provides
 //! 26 kernels written in the mini-IR, named after and shaped like the
 //! originals, spanning the same spectrum from high-ILP dense loops to
-//! low-ILP pointer chasing (see DESIGN.md for the substitution argument).
+//! low-ILP pointer chasing (see DESIGN.md, "Substitutions").
 //!
 //! Every workload carries its inputs and a *verification specification*;
 //! [`Workload::golden`] runs the reference interpreter and
