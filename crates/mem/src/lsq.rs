@@ -197,6 +197,14 @@ impl LsqBank {
         committed
     }
 
+    /// Whether an entry with `lo_seq <= seq < hi_seq` is present.
+    #[must_use]
+    pub fn holds(&self, lo_seq: u64, hi_seq: u64) -> bool {
+        self.entries
+            .iter()
+            .any(|e| (lo_seq..hi_seq).contains(&e.seq))
+    }
+
     /// The youngest (largest) sequence number present in the bank.
     #[must_use]
     pub fn youngest_seq(&self) -> Option<u64> {

@@ -162,6 +162,12 @@ impl MemorySystem {
         self.lsq[core].len()
     }
 
+    /// Whether `core`'s LSQ bank holds an entry with `lo <= seq < hi`.
+    #[must_use]
+    pub fn lsq_holds(&self, core: usize, lo: u64, hi: u64) -> bool {
+        self.lsq[core].holds(lo, hi)
+    }
+
     /// The youngest memory-order sequence in `core`'s LSQ bank (used by
     /// the NACK protocol's age-based eviction).
     #[must_use]

@@ -105,7 +105,8 @@ impl Proc {
         // speculation (its own next_pred, i.e. the prediction for the
         // block beyond it) on the way.
         let before = self.blocks.len();
-        while let Some(b) = self.blocks.pop_back_from(from) {
+        while let Some((seq, b)) = self.blocks.pop_back_from(from) {
+            self.armed.squash(seq, &b.slices);
             if let Some(pred) = b.next_pred {
                 self.predictor.rollback(&pred);
             }
@@ -118,15 +119,13 @@ impl Proc {
         // The block numbering restarts after the flushed range so stale
         // in-flight messages can never alias re-fetched blocks.
         self.regs.flush_from(from);
-        self.armed.truncate_from(from);
         self.ready.truncate_from(from);
         self.exec.truncate_from(from);
-        self.waiting_reads.retain(|w| w.seq < from);
         fab.mem.flush_from(&self.cores, from * 32);
         // Re-check surviving reads that may have been waiting on
-        // flushed writers.
+        // flushed writers, in the order they parked.
         let mut retry = std::mem::take(&mut fab.scratch_reads);
-        retry.append(&mut self.waiting_reads);
+        self.waiting_reads.take_older_than(from, &mut retry);
         self.retry_reads(fab, retry);
     }
 
@@ -206,25 +205,32 @@ impl Proc {
         self.check_commit(fab);
     }
 
-    pub(super) fn check_commit(&mut self, fab: &mut Fabric) {
-        let now = fab.now;
+    /// Whether the oldest block may start its commit handshake: every
+    /// output and the branch arrived and every slice dispatched.
+    pub(super) fn head_committable(&self, fab: &Fabric) -> bool {
         // No new block passes the commit point while a recovery is
         // draining — only already-committing blocks finish.
         if self.recovery_pending {
-            return;
+            return false;
         }
-        let Some((seq, b)) = self.blocks.first_mut() else {
-            return;
-        };
         // A dead owner cannot run the commit handshake.
-        if fab.is_dead(b.owner)
-            || b.committing
-            || b.outcome.is_none()
-            || b.outputs_done < b.tmpl.outputs_needed
-            || b.slices.unfinished() > 0
-        {
+        self.blocks.first().is_some_and(|(_, b)| {
+            !fab.is_dead(b.owner)
+                && !b.committing
+                && b.outcome.is_some()
+                && b.outputs_done >= b.tmpl.outputs_needed
+                && b.slices.unfinished() == 0
+        })
+    }
+
+    /// Starts the oldest block's commit handshake if it may start.
+    pub(super) fn check_commit(&mut self, fab: &mut Fabric) {
+        let now = fab.now;
+        self.commit_due = false;
+        if !self.head_committable(fab) {
             return;
         }
+        let (seq, b) = self.blocks.first_mut().expect("a committable head");
         fab.last_progress = now;
         // Commit: functional effects now; timing modeled analytically.
         // Count register writes per bank before committing them (a
@@ -233,13 +239,20 @@ impl Proc {
         for &(_, reg) in b.tmpl.block.writes() {
             reg_writes_per_bank[reg.bank_of(self.n)] += 1;
         }
-        self.regs.commit(seq);
+        self.regs
+            .commit(seq, b.tmpl.block.writes().iter().map(|&(_, reg)| reg));
+        // Only banks one of the block's memory requests reached can hold
+        // its LSQ entries; every other bank commits nothing, at no cost.
         let (lo, hi) = (seq * 32, seq * 32 + 32);
         let mut last_ack = now + 1;
         let mut max_update = 0u64;
         for (&core, &bank_writes) in self.cores.iter().zip(&reg_writes_per_bank) {
             let cmd = fab.ctrl_delay(b.owner, core);
-            let store_lat = u64::from(fab.mem.commit_stores_core(core, lo, hi));
+            let store_lat = if b.lsq_banks & 1 << core != 0 {
+                u64::from(fab.mem.commit_stores_core(core, lo, hi))
+            } else {
+                0
+            };
             let update = store_lat.max(u64::from(bank_writes));
             max_update = max_update.max(update);
             last_ack = last_ack.max(now + cmd + update + cmd);
@@ -266,7 +279,7 @@ impl Proc {
         // finishes even if its owner died mid-handshake (modeling
         // simplification, see DESIGN.md, "Faults and recovery").
         self.last_beat = fab.beat();
-        let fired = b.ops.iter().filter(|o| o.fired()).count();
+        let fired = usize::from(b.fired);
         fab.tracer.emit(now, || TraceEvent::BlockCommitted {
             proc: self.id,
             core: b.owner,

@@ -75,6 +75,7 @@ impl Blk {
         }
         // Writes fire the moment their input lands.
         st.flags |= OpState::FIRED;
+        self.fired += 1;
         if let Some(pr) = &mut self.prof {
             pr.insts[i].issue = now;
         }
@@ -96,9 +97,9 @@ impl Proc {
         // ascending order and, within a part, blocks oldest first; a
         // part none of the armed blocks has a runnable slice on would
         // find nothing to do. No bit is set during the stage (only a
-        // fetch command sets one), so the union taken here names every
+        // fetch command sets one), so the union read here names every
         // part that can make progress.
-        let mut parts = self.armed.parts(|seq| &self.blocks[&seq].slices);
+        let mut parts = self.armed.parts();
         if parts == 0 {
             return;
         }
@@ -120,6 +121,7 @@ impl Proc {
                 };
                 // A disarmed block left the list; the next took its place.
                 i += usize::from(!claim.disarmed);
+                self.commit_due |= claim.dispatched;
                 budget -= claim.ids.len();
                 // Dispatch is protocol progress.
                 self.last_beat = fab.beat();

@@ -16,6 +16,8 @@ pub enum ComposeError {
     /// The machine already composed 65 536 processors (decomposed ones
     /// count): messages name their processor in 16 bits.
     TooManyProcs,
+    /// The processor to decompose (by index) has not halted.
+    NotHalted(usize),
 }
 
 impl fmt::Display for ComposeError {
@@ -28,6 +30,9 @@ impl fmt::Display for ComposeError {
             }
             ComposeError::TooManyProcs => {
                 write!(f, "a machine composes at most 65536 processors")
+            }
+            ComposeError::NotHalted(p) => {
+                write!(f, "processor {p} has not halted and cannot be decomposed")
             }
         }
     }

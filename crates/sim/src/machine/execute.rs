@@ -65,6 +65,7 @@ impl Proc {
         self.last_beat = fab.beat();
         let st = &mut b.ops[i];
         st.flags |= OpState::FIRED;
+        b.fired += 1;
         let [left, right, pred] = st.val;
         if let Some(pr) = &mut b.prof {
             pr.insts[i].issue = now;

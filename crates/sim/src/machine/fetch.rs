@@ -162,7 +162,7 @@ impl Proc {
         let addr = b.addr.wrapping_add(self.addr_base);
         let lat = fab.mem.fetch_block_slice(core, addr, part, self.n);
         b.t_last_cmd = b.t_last_cmd.max(now);
-        self.armed
-            .arm(seq, &mut b.slices, part, now, now + u64::from(lat));
+        let start_at = now + u64::from(lat);
+        self.commit_due |= self.armed.arm(seq, &mut b.slices, part, now, start_at);
     }
 }

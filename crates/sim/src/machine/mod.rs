@@ -233,13 +233,15 @@ impl Machine {
     /// directory keeps them coherent, which is what lets composition
     /// changes hand data over on demand (§4.7).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the processor has not halted (its speculative state
-    /// would be dangling).
-    pub fn decompose(&mut self, pid: ProcId) {
+    /// Returns [`ComposeError::NotHalted`], and changes nothing, if the
+    /// processor has not halted (its speculative state would dangle).
+    pub fn decompose(&mut self, pid: ProcId) -> Result<(), ComposeError> {
         let (fab, p) = (&mut self.fab, &mut self.procs[pid.0]);
-        assert!(p.halted, "decompose requires a halted processor");
+        if !p.halted {
+            return Err(ComposeError::NotHalted(pid.0));
+        }
         let released = p.cores.len();
         for c in p.cores.drain(..) {
             fab.core_map[c] = None;
@@ -252,6 +254,7 @@ impl Machine {
                 proc: pid.0,
                 cores: released,
             });
+        Ok(())
     }
 
     /// Advances the machine one cycle.
@@ -303,7 +306,12 @@ impl Machine {
             p.dispatch_stage(fab);
             p.completion_stage(fab);
             p.issue_stage(fab);
-            p.check_commit(fab);
+            // The commit check runs when one of its inputs changed; a
+            // core that dies is one it cannot see, so kill plans run it
+            // every cycle.
+            if p.commit_due || fab.has_kills {
+                p.check_commit(fab);
+            }
         }
         // 4. clp-trend columnar recording: one integer compare unless
         // an interval closes this cycle.
@@ -372,16 +380,35 @@ impl Machine {
     }
 
     /// Panics unless the derived per-cycle state matches what it
-    /// summarises: the three scheduler signals (see `sched.rs`) and the
-    /// block window's index.
+    /// summarises: the three scheduler signals (see `sched.rs`), the
+    /// block window's index, the parked reads' lists, the commit flag,
+    /// and each block's fired count and LSQ bank mask.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
+        let fab = &self.fab;
         for p in &self.procs {
             p.ready.check();
             p.exec.check();
             let blocks = p.blocks.iter();
             p.armed.check(blocks.map(|(seq, b)| (seq, &b.slices)));
             p.blocks.check_invariants();
+            p.waiting_reads.check();
+            assert!(
+                p.commit_due || !p.head_committable(fab),
+                "proc {}: a committable head with the commit flag clear",
+                p.id
+            );
+            for (seq, b) in p.blocks.iter() {
+                let fired = b.ops.iter().filter(|o| o.fired()).count();
+                assert_eq!(usize::from(b.fired), fired, "block {seq} fired count");
+                let (lo, hi) = (seq * 32, seq * 32 + 32);
+                for &core in p.cores.iter().filter(|&&c| b.lsq_banks & 1 << c == 0) {
+                    assert!(
+                        !fab.mem.lsq_holds(core, lo, hi),
+                        "block {seq} has LSQ entries at core {core}, outside its bank mask"
+                    );
+                }
+            }
         }
     }
 
@@ -487,10 +514,9 @@ impl Machine {
                 out.push_str(&format!(" r{r}={}", p.regs.committed(Reg::new(r))));
             }
             out.push('\n');
-            let waiting = p.waiting_reads.iter().map(|w| (w.seq, w.reg));
             out.push_str(&format!(
                 "  waiting_reads={:?} ready={:?} exec={:?} local_events={}\n",
-                waiting.collect::<Vec<_>>(),
+                p.waiting_reads.in_order(),
                 p.ready.lens(),
                 p.exec.lens(),
                 self.fab.local.len(),

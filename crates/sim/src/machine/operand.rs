@@ -91,6 +91,7 @@ impl Proc {
                 self.retry_waiting_reads(fab, reg);
             }
             OpBody::MemReq { .. } => {
+                b.lsq_banks |= 1 << core;
                 let owner = b.owner;
                 self.on_mem_req(fab, core, msg, owner);
             }
@@ -213,21 +214,20 @@ impl Proc {
                 };
                 fab.push_local(at, ev);
             }
-            RegRead::Wait => self.waiting_reads.push(w),
+            RegRead::Wait => self.waiting_reads.park(w),
         }
     }
 
+    /// Retries the reads parked on `reg`, in the order they parked.
     fn retry_waiting_reads(&mut self, fab: &mut Fabric, reg: Reg) {
-        // Stable in-place partition: matching reads move (in order) to
-        // the scratch buffer, the rest compact down without reordering.
         let mut hit = std::mem::take(&mut fab.scratch_reads);
-        hit.extend(self.waiting_reads.extract_if(.., |w| w.reg == reg));
+        self.waiting_reads.take_reg(reg, &mut hit);
         self.retry_reads(fab, hit);
     }
 
     /// Re-checks parked reads of blocks still in flight, in order, and
-    /// hands the (scratch) buffer back. Retries that miss again
-    /// re-append behind the kept entries; order matters: each retry
+    /// hands the (scratch) buffer back. Retries that miss again park
+    /// anew, behind every read still parked; order matters: each retry
     /// schedules a SendOperands whose within-cycle position feeds mesh
     /// arbitration.
     pub(super) fn retry_reads(&mut self, fab: &mut Fabric, mut reads: Vec<WaitingRead>) {

@@ -10,9 +10,10 @@
 //! scheduling decision; everything else here runs only with an observer
 //! enabled, so unobserved runs stay bit-identical.
 //!
-//! Recording costs what it observes. A profiled block carries one
-//! [`BlkProf`] inline, whose only allocation is its per-instruction
-//! [`InstProf`] records: one per fetched block. A commit's walk charges
+//! Recording costs what it observes. A profiled block carries one boxed
+//! [`BlkProf`] with its per-instruction [`InstProf`] records: two
+//! allocations per fetched block, and an unprofiled block holds only a
+//! null pointer in their place. A commit's walk charges
 //! the block-level book as it cuts and keeps only what the run-level
 //! book takes in [`ProfAcc`]'s one segment buffer; operand-network
 //! stalls are spread along clp-noc's route without building it, into a
@@ -142,9 +143,10 @@ pub(super) struct InstProf {
     pub(super) edge: Prov,
 }
 
-/// Per-block profiling state, held inline in the block; only its
-/// per-instruction records are allocated, once per fetched block, and
-/// only when profiling is enabled.
+/// Per-block profiling state, boxed in the block so that an unprofiled
+/// block carries one pointer, not the whole record; allocated with its
+/// per-instruction records once per fetched block, and only when
+/// profiling is enabled.
 #[derive(Debug)]
 pub(super) struct BlkProf {
     reason: FetchReason,

@@ -145,6 +145,7 @@ impl Machine {
         let p = &mut self.procs[pi];
         if p.halted {
             p.recovery_pending = false;
+            p.commit_due = true;
             return;
         }
         // A committing block's functional effects are already durable;
@@ -164,6 +165,7 @@ impl Machine {
             p.cores.iter().copied().partition(|&c| fab.dead[c]);
         if dead_cores.is_empty() {
             p.recovery_pending = false;
+            p.commit_due = true;
             return;
         }
         // Kills can land while a commit drains; declare any stragglers.
@@ -239,6 +241,7 @@ impl Machine {
         let resume_at = now + migration_cycles;
         p.pending = Some(PendingFetch::new(resume, resume_at, FetchReason::Resume));
         p.recovery_pending = false;
+        p.commit_due = true;
         p.probe_deadline = None;
         p.probe_round = 0;
         p.last_beat = resume_at;

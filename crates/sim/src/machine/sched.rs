@@ -288,9 +288,11 @@ impl Slices {
         self.t_done
     }
 
-    fn finish(&mut self, now: u64) {
+    /// One slice finished at `now`; true if it was the block's last.
+    fn finish(&mut self, now: u64) -> bool {
         self.unfinished -= 1;
         self.t_done = self.t_done.max(now);
+        self.unfinished == 0
     }
 
     #[cfg(any(test, debug_assertions))]
@@ -314,19 +316,43 @@ pub(super) struct Claim {
     pub(super) ids: Range<usize>,
     /// The block's last runnable slice finished: it left the list.
     pub(super) disarmed: bool,
+    /// The block's last slice of all finished: an input of the commit
+    /// check changed.
+    pub(super) dispatched: bool,
 }
 
 /// Sequence numbers of the in-flight blocks with a runnable slice,
-/// ascending: the only blocks the dispatch stage looks at.
+/// ascending: the only blocks the dispatch stage looks at. Beside them,
+/// per part the number of those blocks with a runnable slice there, and
+/// the mask of parts whose count is non-zero — the union of their
+/// runnable masks, kept as bits change rather than folded each cycle.
 #[derive(Debug, Default)]
 pub(super) struct Armed {
     seqs: Vec<u64>,
+    counts: [u16; 32],
+    parts: u32,
 }
 
 impl Armed {
     /// Forgets every block (recomposition flushed them all).
     pub(super) fn reset(&mut self) {
         self.seqs.clear();
+        self.counts = [0; 32];
+        self.parts = 0;
+    }
+
+    /// `part`'s slice of one armed block became runnable.
+    fn count_in(&mut self, part: usize) {
+        self.counts[part] += 1;
+        self.parts |= 1 << part;
+    }
+
+    /// `part`'s slice of one armed block stopped being runnable.
+    fn count_out(&mut self, part: usize) {
+        self.counts[part] -= 1;
+        if self.counts[part] == 0 {
+            self.parts &= !(1 << part);
+        }
     }
 
     /// The `i`-th oldest armed block.
@@ -336,12 +362,18 @@ impl Armed {
 
     /// `part`'s fetch command for block `seq` arrived at `now`; its
     /// slice may dispatch from `start_at`. An empty slice finishes at
-    /// once.
-    pub(super) fn arm(&mut self, seq: u64, s: &mut Slices, part: usize, now: u64, start_at: u64) {
+    /// once; true if that was the block's last slice to finish.
+    pub(super) fn arm(
+        &mut self,
+        seq: u64,
+        s: &mut Slices,
+        part: usize,
+        now: u64,
+        start_at: u64,
+    ) -> bool {
         s.cur[part].start_at = start_at;
         if s.cur[part].len == 0 {
-            s.finish(now);
-            return;
+            return s.finish(now);
         }
         // Blocks mostly arm oldest-first, but a block whose arrived
         // slices all finished re-arms when a later command lands.
@@ -350,7 +382,11 @@ impl Armed {
                 self.seqs.insert(at, seq);
             }
         }
-        s.runnable |= 1 << part;
+        if s.runnable & 1 << part == 0 {
+            s.runnable |= 1 << part;
+            self.count_in(part);
+        }
+        false
     }
 
     /// Claims up to `budget` instructions of the `i`-th armed block's
@@ -372,10 +408,11 @@ impl Armed {
         let from = usize::from(c.next);
         let take = budget.min(usize::from(c.len) - from);
         c.next += take as u8;
-        let mut disarmed = false;
+        let (mut disarmed, mut dispatched) = (false, false);
         if c.next == c.len {
-            s.finish(now);
+            dispatched = s.finish(now);
             s.runnable &= !(1 << part);
+            self.count_out(part);
             disarmed = s.runnable == 0;
             if disarmed {
                 self.seqs.remove(i);
@@ -384,33 +421,53 @@ impl Armed {
         Some(Claim {
             ids: from..from + take,
             disarmed,
+            dispatched,
         })
     }
 
-    /// Drops blocks `seq` and younger (a squash).
-    pub(super) fn truncate_from(&mut self, seq: u64) {
-        self.seqs.truncate(self.seqs.partition_point(|&s| s < seq));
+    /// Block `seq`, whose dispatch progress is `s`, was squashed: it
+    /// leaves the list and its runnable slices leave the counts.
+    pub(super) fn squash(&mut self, seq: u64, s: &Slices) {
+        if let Ok(at) = self.seqs.binary_search(&seq) {
+            self.seqs.remove(at);
+        }
+        let mut bits = s.runnable;
+        while bits != 0 {
+            self.count_out(bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 
-    /// Union of the armed blocks' runnable masks: every part the
-    /// dispatch stage can make progress on.
-    pub(super) fn parts<'a>(&self, slices: impl Fn(u64) -> &'a Slices) -> u32 {
-        self.seqs.iter().fold(0, |m, &seq| m | slices(seq).runnable)
+    /// Every part the dispatch stage can make progress on: the union of
+    /// the armed blocks' runnable masks.
+    pub(super) fn parts(&self) -> u32 {
+        self.parts
     }
 
     /// Panics unless every block's runnable bits and unfinished count
-    /// match its cursors and the list names exactly the blocks with a
-    /// runnable slice, in window order.
+    /// match its cursors, the list names exactly the blocks with a
+    /// runnable slice, in window order, and the kept counts and mask
+    /// equal the fold of those blocks' runnable masks.
     #[cfg(any(test, debug_assertions))]
     pub(super) fn check<'a>(&self, blocks: impl Iterator<Item = (u64, &'a Slices)>) {
-        let mut runnable = Vec::new();
+        let (mut runnable, mut counts) = (Vec::new(), [0u16; 32]);
         for (seq, s) in blocks {
             s.check(seq);
             if s.runnable != 0 {
                 runnable.push(seq);
             }
+            for (part, n) in counts.iter_mut().enumerate() {
+                *n += u16::from(s.runnable >> part & 1 == 1);
+            }
         }
         assert_eq!(runnable, self.seqs, "armed list");
+        assert_eq!(counts, self.counts, "armed part counts");
+        let parts = (0..32).filter(|&p| counts[p] != 0);
+        assert_eq!(
+            parts.fold(0, |m, p| m | 1 << p),
+            self.parts,
+            "armed part mask"
+        );
     }
 }
 
@@ -558,7 +615,8 @@ mod tests {
                         let nth = arg as usize % blocks.len().max(1);
                         let live = blocks.iter_mut().nth(nth);
                         if let Some((&seq, (s, cmd, _))) = live.filter(|(_, b)| !b.1[part]) {
-                            armed.arm(seq, s, part, now, now + arg);
+                            let done = armed.arm(seq, s, part, now, now + arg);
+                            prop_assert_eq!(done, lens[part] == 0 && s.unfinished() == 0);
                             cmd[part] = true;
                         }
                     }
@@ -573,15 +631,20 @@ mod tests {
                             };
                             prop_assert_eq!(c.ids.start, taken[part]);
                             prop_assert!(!c.ids.is_empty() && c.ids.end <= lens[part]);
+                            let last = c.ids.end == lens[part] && s.unfinished() == 0;
+                            prop_assert_eq!(c.dispatched, last);
                             taken[part] = c.ids.end;
                             left -= c.ids.len();
                             i += usize::from(!c.disarmed);
                         }
                     }
+                    // A squash, youngest first.
                     _ => {
                         let from = arg.min(next_seq);
-                        armed.truncate_from(from);
-                        blocks.retain(|&seq, _| seq < from);
+                        while let Some(last) = blocks.last_entry().filter(|e| *e.key() >= from) {
+                            let (seq, (s, ..)) = last.remove_entry();
+                            armed.squash(seq, &s);
+                        }
                     }
                 }
                 armed.check(blocks.iter().map(|(&seq, b)| (seq, &b.0)));
@@ -592,8 +655,14 @@ mod tests {
                 let want: Vec<u64> =
                     blocks.iter().filter(|(_, b)| bits(b) != 0).map(|(&s, _)| s).collect();
                 prop_assert_eq!(&armed.seqs, &want);
-                let slices = |seq: u64| &blocks[&seq].0;
-                prop_assert_eq!(armed.parts(slices), blocks.values().fold(0, |m, b| m | bits(b)));
+                // The kept mask and counts against the fold over armed blocks.
+                let fold = want.iter().fold(0, |m, seq| m | blocks[seq].0.runnable);
+                prop_assert_eq!(armed.parts(), fold);
+                prop_assert_eq!(armed.parts(), blocks.values().fold(0, |m, b| m | bits(b)));
+                for p in 0..PARTS {
+                    let n = want.iter().filter(|seq| blocks[seq].0.runnable >> p & 1 == 1).count();
+                    prop_assert_eq!(usize::from(armed.counts[p]), n);
+                }
                 for b in blocks.values() {
                     let done = (0..PARTS).filter(|&p| b.1[p] && b.2[p] == lens[p]).count();
                     prop_assert_eq!(b.0.unfinished(), PARTS - done);

@@ -157,6 +157,8 @@ pub(super) struct Blk {
     /// output counts.
     pub(super) tmpl: Arc<FetchTemplate>,
     pub(super) ops: Vec<OpState>,
+    /// Instructions of `ops` marked `FIRED`, counted as they fire.
+    pub(super) fired: u16,
     pub(super) outputs_done: usize,
     /// The resolved exit branch.
     pub(super) outcome: Option<ExitOutcome>,
@@ -168,6 +170,10 @@ pub(super) struct Blk {
     conservative: bool,
     /// Bitmask of resolved store LSIDs (accepted or nulled).
     pub(super) stores_resolved: u32,
+    /// Global cores at which one of the block's memory requests arrived
+    /// (accepted or NACKed): the only LSQ banks that can hold its
+    /// entries, so the only ones its commit visits.
+    pub(super) lsq_banks: u32,
     /// Loads deferred by conservative ordering: `(part, inst id)`.
     pub(super) deferred_loads: Vec<(usize, u8)>,
     /// Dispatch progress of each participant's slice.
@@ -179,8 +185,12 @@ pub(super) struct Blk {
     pub(super) hand_off_cycles: f64,
     pub(super) t_last_cmd: u64,
     /// clp-prof per-block state; `None` whenever profiling is disabled.
-    pub(super) prof: Option<BlkProf>,
+    pub(super) prof: Option<Box<BlkProf>>,
 }
+
+// The clp-prof state is boxed: unprofiled, it costs the block one
+// pointer, not the record's 96 bytes.
+const _: () = assert!(size_of::<Blk>() <= 296);
 
 impl Blk {
     /// A block fetched at `now`.
@@ -197,12 +207,14 @@ impl Blk {
             addr: f.addr,
             owner,
             ops: vec![OpState::default(); nops],
+            fired: 0,
             outputs_done: 0,
             outcome: None,
             next_pred: None,
             committing: false,
             conservative,
             stores_resolved: 0,
+            lsq_banks: 0,
             deferred_loads: Vec::new(),
             slices: tmpl.cursors.clone(),
             tmpl,
@@ -210,7 +222,7 @@ impl Blk {
             predict_cycles: 0.0,
             hand_off_cycles: f.hand_off_cycles,
             t_last_cmd: now + 1,
-            prof: profiled.then(|| BlkProf::new(nops, f.reason)),
+            prof: profiled.then(|| Box::new(BlkProf::new(nops, f.reason))),
         }
     }
 
@@ -280,6 +292,100 @@ pub(super) struct WaitingRead {
     pub(super) prov: Prov,
 }
 
+const _: () = assert!(clp_isa::NUM_ARCH_REGS <= 128);
+
+/// The parked register reads: one list per register in park order,
+/// each read stamped from one counter as it parks (a re-park after a
+/// failed retry takes a new stamp). A write retries only its register's
+/// list; a flush retries every survivor merged by stamp, which is the
+/// order one list of all parks would hold.
+#[derive(Debug)]
+pub(super) struct WaitingReads {
+    by_reg: Vec<Vec<(u64, WaitingRead)>>,
+    /// Registers whose list is non-empty: the lists a flush visits.
+    parked: u128,
+    next_stamp: u64,
+    /// Scratch for the stamp merge.
+    merge: Vec<(u64, WaitingRead)>,
+}
+
+impl WaitingReads {
+    pub(super) fn new() -> Self {
+        WaitingReads {
+            by_reg: vec![Vec::new(); clp_isa::NUM_ARCH_REGS],
+            parked: 0,
+            next_stamp: 0,
+            merge: Vec::new(),
+        }
+    }
+
+    /// Parks `w` behind every read parked so far.
+    pub(super) fn park(&mut self, w: WaitingRead) {
+        self.by_reg[w.reg.index()].push((self.next_stamp, w));
+        self.parked |= 1 << w.reg.index();
+        self.next_stamp += 1;
+    }
+
+    /// Moves `reg`'s parked reads, in park order, onto `out`.
+    pub(super) fn take_reg(&mut self, reg: Reg, out: &mut Vec<WaitingRead>) {
+        out.extend(self.by_reg[reg.index()].drain(..).map(|(_, w)| w));
+        self.parked &= !(1 << reg.index());
+    }
+
+    /// Drops the reads of blocks `from` and younger and moves the rest,
+    /// in park order, onto `out`.
+    pub(super) fn take_older_than(&mut self, from: u64, out: &mut Vec<WaitingRead>) {
+        let mut merge = std::mem::take(&mut self.merge);
+        let mut regs = std::mem::take(&mut self.parked);
+        while regs != 0 {
+            let list = &mut self.by_reg[regs.trailing_zeros() as usize];
+            merge.extend(list.drain(..).filter(|(_, w)| w.seq < from));
+            regs &= regs - 1;
+        }
+        merge.sort_unstable_by_key(|&(stamp, _)| stamp);
+        out.extend(merge.drain(..).map(|(_, w)| w));
+        self.merge = merge;
+    }
+
+    /// Forgets every parked read (recomposition flushed every block).
+    pub(super) fn clear(&mut self) {
+        self.by_reg.iter_mut().for_each(Vec::clear);
+        self.parked = 0;
+    }
+
+    /// `(seq, reg)` of every parked read, in park order (debug dumps).
+    pub(super) fn in_order(&self) -> Vec<(u64, Reg)> {
+        let mut all: Vec<_> = self.by_reg.iter().flatten().collect();
+        all.sort_unstable_by_key(|&&(stamp, _)| stamp);
+        all.into_iter().map(|(_, w)| (w.seq, w.reg)).collect()
+    }
+
+    /// Panics unless each list holds only its own register's reads,
+    /// with strictly ascending stamps below the counter, and its bit in
+    /// `parked` is set iff it is non-empty.
+    #[cfg(any(test, debug_assertions))]
+    pub(super) fn check(&self) {
+        for (r, list) in self.by_reg.iter().enumerate() {
+            assert_eq!(
+                self.parked >> r & 1 == 1,
+                !list.is_empty(),
+                "parked bit r{r}"
+            );
+            assert!(
+                list.iter().all(|(_, w)| w.reg.index() == r),
+                "waiting reads of r{r} hold another register"
+            );
+            assert!(
+                list.windows(2).all(|p| p[0].0 < p[1].0),
+                "waiting reads of r{r} in stamp order"
+            );
+            assert!(list
+                .last()
+                .is_none_or(|&(stamp, _)| stamp < self.next_stamp));
+        }
+    }
+}
+
 pub(super) struct Proc {
     /// Index in `Machine::procs`, as messages and trace events name it.
     pub(super) id: usize,
@@ -315,13 +421,18 @@ pub(super) struct Proc {
     /// predictor that keeps same-block violations from livelocking).
     pub(super) violated_addrs: BTreeSet<BlockAddr>,
     pub(super) stats: ProcStats,
-    pub(super) waiting_reads: Vec<WaitingRead>,
+    pub(super) waiting_reads: WaitingReads,
     /// Instructions ready to issue, per participant.
     pub(super) ready: ReadyLists,
     /// Executions in flight, per participant.
     pub(super) exec: ExecQueues,
     /// Blocks with a dispatch slice that can make progress.
     pub(super) armed: Armed,
+    /// An input of the head block's commit check changed since
+    /// `check_commit` last ran: a block finished dispatching, or a
+    /// recovery stopped draining. Branch resolution, output and commit
+    /// acknowledgments run the check themselves.
+    pub(super) commit_due: bool,
     /// Last cycle this processor made observable protocol progress —
     /// the "heartbeat" the hard-fault watchdog listens to. Only read
     /// when the fault plan schedules kills.
@@ -375,10 +486,11 @@ impl Proc {
             halt_seq: None,
             violated_addrs: BTreeSet::new(),
             stats: ProcStats::default(),
-            waiting_reads: Vec::new(),
+            waiting_reads: WaitingReads::new(),
             ready: ReadyLists::default(),
             exec: ExecQueues::default(),
             armed: Armed::default(),
+            commit_due: false,
             last_beat: 0,
             probe_round: 0,
             probe_deadline: None,
@@ -422,5 +534,66 @@ impl Proc {
         let tmpl = Arc::new(FetchTemplate::new(block, addr, self.ix(), &self.cores));
         self.fetch_cache.insert(addr, Arc::clone(&tmpl));
         Some(tmpl)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The identity of a parked read: its block, register and a unique
+    /// tag (carried in `bank_core`).
+    fn key(w: &WaitingRead) -> (u64, Reg, usize) {
+        (w.seq, w.reg, w.bank_core)
+    }
+
+    proptest! {
+        /// Parks, retries by register and flushes against one `Vec` in
+        /// park order. A retried or surviving read whose block is odd
+        /// misses and parks again. Both sides retry the same reads in
+        /// the same order, and always hold the same reads in the same
+        /// (stamp-merged) order.
+        #[test]
+        fn waiting_reads_behave_like_one_list_in_park_order(
+            ops in prop::collection::vec((0u8..6, 0usize..6, 0u64..10), 1..300),
+        ) {
+            let mut reads = WaitingReads::new();
+            let mut model: Vec<WaitingRead> = Vec::new();
+            let (mut tag, mut got) = (0, Vec::new());
+            for (op, reg, seq) in ops {
+                let want: Vec<WaitingRead> = match op {
+                    0..=2 => {
+                        let w = WaitingRead {
+                            seq,
+                            reg: Reg::new(reg),
+                            targets: [None; 2],
+                            bank_core: tag,
+                            prov: Prov::default(),
+                        };
+                        tag += 1;
+                        reads.park(w);
+                        model.push(w);
+                        Vec::new()
+                    }
+                    3 | 4 => {
+                        reads.take_reg(Reg::new(reg), &mut got);
+                        model.extract_if(.., |w| w.reg.index() == reg).collect()
+                    }
+                    _ => {
+                        reads.take_older_than(seq, &mut got);
+                        model.retain(|w| w.seq < seq);
+                        std::mem::take(&mut model)
+                    }
+                };
+                prop_assert_eq!(got.iter().map(key).collect::<Vec<_>>(), want.iter().map(key).collect::<Vec<_>>());
+                for w in got.drain(..).filter(|w| w.seq % 2 == 1) {
+                    reads.park(w);
+                    model.push(w);
+                }
+                reads.check();
+                prop_assert_eq!(reads.in_order(), model.iter().map(|w| (w.seq, w.reg)).collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@ pub enum RegRead {
 /// assert_eq!(rf.read(Reg::new(5), 2), RegRead::Wait);
 /// rf.forward_write(Reg::new(5), 1, Some(42));   // value forwarded
 /// assert_eq!(rf.read(Reg::new(5), 2), RegRead::Ready(42));
-/// rf.commit(1);
+/// rf.commit(1, [Reg::new(5)]);                  // over block 1's write set
 /// assert_eq!(rf.committed(Reg::new(5)), 42);
 /// ```
 #[derive(Clone, Debug)]
@@ -111,11 +111,14 @@ impl RegFile {
         }
     }
 
-    /// Commits block `seq`: its versions become the committed values.
-    /// Returns the number of architectural writes performed.
-    pub fn commit(&mut self, seq: u64) -> usize {
+    /// Commits block `seq`, whose write set (the registers it declared)
+    /// is `writes`: its versions become the committed values. A block
+    /// has entries only for registers it declared, so no other list is
+    /// visited. Returns the number of architectural writes performed.
+    pub fn commit(&mut self, seq: u64, writes: impl IntoIterator<Item = Reg>) -> usize {
         let mut n = 0;
-        for (list, committed) in self.writes.iter_mut().zip(&mut self.committed) {
+        for reg in writes {
+            let list = &mut self.writes[reg.index()];
             let Ok(i) = list.binary_search_by_key(&seq, |&(s, _)| s) else {
                 continue;
             };
@@ -123,7 +126,7 @@ impl RegFile {
             debug_assert!(list[i].1.is_some(), "commit with a pending write");
             if let Some(v) = list[i].1 {
                 list.remove(i);
-                *committed = v;
+                self.committed[reg.index()] = v;
                 n += 1;
             }
         }
@@ -169,9 +172,83 @@ impl RegFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn r(n: usize) -> Reg {
         Reg::new(n)
+    }
+
+    /// The commit `RegFile::commit` replaced: a sweep of every
+    /// register's list, in index order.
+    fn commit_sweep(f: &mut RegFile, seq: u64) -> usize {
+        let mut n = 0;
+        for (list, committed) in f.writes.iter_mut().zip(&mut f.committed) {
+            let Ok(i) = list.binary_search_by_key(&seq, |&(s, _)| s) else {
+                continue;
+            };
+            if let Some(v) = list[i].1 {
+                list.remove(i);
+                *committed = v;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    proptest! {
+        /// Blocks declare write sets over a few registers, forward
+        /// values and nulls in any order, commit oldest-first and get
+        /// squashed: committing over the write set leaves the values
+        /// and lists the sweep of all 128 lists leaves, and counts the
+        /// same writes.
+        #[test]
+        fn commit_over_the_write_set_equals_the_sweep(
+            ops in prop::collection::vec((0u8..8, prop::collection::vec(0usize..10, 0..5), 0u64..1000), 1..200),
+        ) {
+            let mut f = RegFile::new(128);
+            // In-flight blocks, oldest first: seq and unforwarded writes.
+            let mut live: VecDeque<(u64, Vec<Reg>, Vec<Reg>)> = VecDeque::new();
+            let mut next_seq = 0;
+            for (op, regs, val) in ops {
+                match op {
+                    0 | 1 => {
+                        let mut set: Vec<Reg> = regs.into_iter().map(r).collect();
+                        set.sort_unstable_by_key(|reg| reg.index());
+                        set.dedup();
+                        for &reg in &set {
+                            f.declare_write(reg, next_seq);
+                        }
+                        live.push_back((next_seq, set.clone(), set));
+                        next_seq += 1;
+                    }
+                    2..=4 if !live.is_empty() => {
+                        let at = val as usize % live.len();
+                        let (seq, _, pending) = &mut live[at];
+                        if let Some(reg) = pending.pop() {
+                            f.forward_write(reg, *seq, (val % 3 != 0).then_some(val));
+                        }
+                    }
+                    5 | 6 => {
+                        let Some((seq, set, _)) = live.front().filter(|b| b.2.is_empty()) else {
+                            continue;
+                        };
+                        let (seq, set) = (*seq, set.clone());
+                        let mut swept = f.clone();
+                        let want = commit_sweep(&mut swept, seq);
+                        prop_assert_eq!(f.commit(seq, set), want);
+                        prop_assert_eq!(&f.committed, &swept.committed);
+                        prop_assert_eq!(&f.writes, &swept.writes);
+                        live.pop_front();
+                    }
+                    _ => {
+                        let from = next_seq.saturating_sub(val % 4);
+                        f.flush_from(from);
+                        live.retain(|b| b.0 < from);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -216,7 +293,7 @@ mod tests {
         let mut f = RegFile::new(128);
         f.declare_write(r(4), 1);
         f.forward_write(r(4), 1, Some(10));
-        assert_eq!(f.commit(1), 1);
+        assert_eq!(f.commit(1, [r(4)]), 1);
         assert_eq!(f.committed(r(4)), 10);
         assert!(f.is_clean());
     }

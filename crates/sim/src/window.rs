@@ -107,12 +107,13 @@ impl<T> BlockWindow<T> {
         Some(self.release(*seq, slot))
     }
 
-    /// Removes the youngest block if its sequence number is at or above
-    /// `from` — called in a loop, this squashes a suffix youngest-first.
-    pub(crate) fn pop_back_from(&mut self, from: u64) -> Option<T> {
+    /// Removes the youngest block, with its sequence number, if that is
+    /// at or above `from` — called in a loop, this squashes a suffix
+    /// youngest-first.
+    pub(crate) fn pop_back_from(&mut self, from: u64) -> Option<(u64, T)> {
         let &(seq, slot) = self.order.back().filter(|&&(s, _)| s >= from)?;
         self.order.pop_back();
-        Some(self.release(seq, slot))
+        Some((seq, self.release(seq, slot)))
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -236,8 +237,8 @@ mod tests {
                     0..=5 => {
                         let oldest = model.keys().next().copied().unwrap_or(next_seq);
                         let from = oldest + 1 + arg % (next_seq - oldest + 1);
-                        while let Some(v) = w.pop_back_from(from) {
-                            prop_assert_eq!(Some(v), model.pop_last().map(|(_, v)| v));
+                        while let Some(e) = w.pop_back_from(from) {
+                            prop_assert_eq!(Some(e), model.pop_last());
                         }
                         prop_assert!(model.range(from..).next().is_none());
                     }
@@ -282,8 +283,8 @@ mod tests {
             // Keep block 0 and (every fourth round) one more survivor.
             let from = if round % 4 == 0 { next_seq - 1 } else { 1 };
             let from = from.max(model.keys().nth(1).map_or(1, |&s| s + 1));
-            while let Some(v) = w.pop_back_from(from) {
-                assert_eq!(Some(v), model.pop_last().map(|(_, v)| v));
+            while let Some(e) = w.pop_back_from(from) {
+                assert_eq!(Some(e), model.pop_last());
             }
             assert_same(&w, &model, next_seq);
         }

@@ -330,6 +330,33 @@ fn error_types_render() {
     );
     assert!(RunError::Deadlock { cycle: 3 }.to_string().contains("3"));
     assert!(ComposeError::CoreBusy(5).to_string().contains("5"));
+    assert!(ComposeError::NotHalted(2).to_string().contains("2"));
+}
+
+#[test]
+fn decomposing_a_running_processor_errs_and_changes_nothing() {
+    let w = clp_workloads::suite::by_name("conv").expect("in the suite");
+    let (mut whole, pid) = composed(&w, 4, SimConfig::tflex(), false);
+    let want = whole.run().expect("runs");
+    let (mut m, pid2) = composed(&w, 4, SimConfig::tflex(), false);
+    assert_eq!(pid, pid2);
+    for _ in 0..500 {
+        m.step();
+    }
+    assert!(!m.is_halted(pid));
+    assert_eq!(m.decompose(pid), Err(ComposeError::NotHalted(pid.0)));
+    // The refused processor still owns its cores and runs on to the
+    // cycle the undisturbed run halted at.
+    assert!(
+        m.compose(1, 0, tiny_program(), &[]).is_err(),
+        "cores still busy"
+    );
+    let got = m.run().expect("runs on");
+    assert_eq!(got.cycles, want.cycles);
+    assert_eq!(
+        finished(&w, &mut m, pid, got),
+        finished(&w, &mut whole, pid, want)
+    );
 }
 
 #[test]
@@ -405,7 +432,7 @@ fn decompose_and_recompose_hand_data_over_coherently() {
     let p1 = m.compose(1, 0, producer, &[0x7000]).unwrap();
     m.run().expect("producer runs");
     let base = m.addr_base(p1);
-    m.decompose(p1);
+    m.decompose(p1).expect("the producer halted");
 
     // Recompose the (overlapping) region at 8 cores in the same address
     // space; the new interleaving reads the old core's committed data

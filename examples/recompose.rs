@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Release the core; its dirty L1 lines stay where they are.
     let base = m.addr_base(p1);
-    m.decompose(p1);
+    m.decompose(p1)?;
 
     // Phase 2: a 16-core consumer over the SAME region and address space.
     let p2 = m.compose_at(16, 0, consume_program(), &[DATA], base)?;
