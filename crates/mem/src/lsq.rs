@@ -197,12 +197,9 @@ impl LsqBank {
         committed
     }
 
-    /// Whether an entry with `lo_seq <= seq < hi_seq` is present.
-    #[must_use]
-    pub fn holds(&self, lo_seq: u64, hi_seq: u64) -> bool {
-        self.entries
-            .iter()
-            .any(|e| (lo_seq..hi_seq).contains(&e.seq))
+    /// The sequence number of every entry present, in insertion order.
+    pub fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|e| e.seq)
     }
 
     /// The youngest (largest) sequence number present in the bank.

@@ -162,10 +162,9 @@ impl MemorySystem {
         self.lsq[core].len()
     }
 
-    /// Whether `core`'s LSQ bank holds an entry with `lo <= seq < hi`.
-    #[must_use]
-    pub fn lsq_holds(&self, core: usize, lo: u64, hi: u64) -> bool {
-        self.lsq[core].holds(lo, hi)
+    /// The memory-order sequence of every entry in `core`'s LSQ bank.
+    pub fn lsq_seqs(&self, core: usize) -> impl Iterator<Item = u64> + '_ {
+        self.lsq[core].seqs()
     }
 
     /// The youngest memory-order sequence in `core`'s LSQ bank (used by

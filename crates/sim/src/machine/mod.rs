@@ -306,10 +306,10 @@ impl Machine {
             p.dispatch_stage(fab);
             p.completion_stage(fab);
             p.issue_stage(fab);
-            // The commit check runs when one of its inputs changed; a
-            // core that dies is one it cannot see, so kill plans run it
-            // every cycle.
-            if p.commit_due || fab.has_kills {
+            // The commit check runs when one of its inputs changed. A
+            // core dying is not one: a dead owner only keeps the head
+            // back, and every path that ends a recovery sets the flag.
+            if p.commit_due {
                 p.check_commit(fab);
             }
         }
@@ -398,15 +398,24 @@ impl Machine {
                 "proc {}: a committable head with the commit flag clear",
                 p.id
             );
-            for (seq, b) in p.blocks.iter() {
+            // The head's fired count, which its commit reads; every block
+            // is the head for at least the cycle its commit starts in.
+            if let Some((seq, b)) = p.blocks.first() {
                 let fired = b.ops.iter().filter(|o| o.fired()).count();
                 assert_eq!(usize::from(b.fired), fired, "block {seq} fired count");
-                let (lo, hi) = (seq * 32, seq * 32 + 32);
-                for &core in p.cores.iter().filter(|&&c| b.lsq_banks & 1 << c == 0) {
-                    assert!(
-                        !fab.mem.lsq_holds(core, lo, hi),
-                        "block {seq} has LSQ entries at core {core}, outside its bank mask"
-                    );
+            }
+            // An LSQ entry of an in-flight block lies in a bank its mask
+            // names. (A request that reaches a block already committing
+            // leaves an entry the commit passed; it outlives the block.)
+            for &core in &p.cores {
+                for gseq in fab.mem.lsq_seqs(core) {
+                    let seq = gseq / 32;
+                    if let Some(b) = p.blocks.get(&seq) {
+                        assert!(
+                            b.lsq_banks & 1 << core != 0,
+                            "core {core}'s LSQ holds block {seq}, outside its bank mask"
+                        );
+                    }
                 }
             }
         }

@@ -456,8 +456,10 @@ impl Armed {
             if s.runnable != 0 {
                 runnable.push(seq);
             }
-            for (part, n) in counts.iter_mut().enumerate() {
-                *n += u16::from(s.runnable >> part & 1 == 1);
+            let mut bits = s.runnable;
+            while bits != 0 {
+                counts[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
             }
         }
         assert_eq!(runnable, self.seqs, "armed list");

@@ -365,12 +365,15 @@ impl WaitingReads {
     /// `parked` is set iff it is non-empty.
     #[cfg(any(test, debug_assertions))]
     pub(super) fn check(&self) {
-        for (r, list) in self.by_reg.iter().enumerate() {
-            assert_eq!(
-                self.parked >> r & 1 == 1,
-                !list.is_empty(),
-                "parked bit r{r}"
-            );
+        let non_empty = self.by_reg.iter().enumerate();
+        let non_empty = non_empty.filter(|(_, list)| !list.is_empty());
+        let mask = non_empty.fold(0u128, |m, (r, _)| m | 1 << r);
+        assert_eq!(self.parked, mask, "parked mask");
+        let mut regs = self.parked;
+        while regs != 0 {
+            let r = regs.trailing_zeros() as usize;
+            regs &= regs - 1;
+            let list = &self.by_reg[r];
             assert!(
                 list.iter().all(|(_, w)| w.reg.index() == r),
                 "waiting reads of r{r} hold another register"

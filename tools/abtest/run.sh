@@ -13,11 +13,16 @@
 # src/main.rs. Both sides link the working tree's other crates, so a
 # difference outside crates/sim is measured on neither side: the script
 # warns about one.
+#
+# Supported revisions: those whose crates/sim/Cargo.toml lists under
+# [dependencies] only `clp-X.workspace = true` lines (every revision since
+# crates/sim stopped depending on serde). The script refuses any other.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
 if [ $# -ne 3 ]; then
   echo "usage: tools/abtest/run.sh REV SIZES REPS" >&2
+  echo "  REV's crates/sim may depend only on workspace clp-* crates" >&2
   exit 2
 fi
 rev=$1 sizes=$2 reps=$3
@@ -33,17 +38,26 @@ if [ -n "$outside" ]; then
   echo "$outside" | sed 's/^/  /' >&2
 fi
 
+# REV's [dependencies] lines; each must be a workspace clp-* crate, which
+# maps to a path into this tree's crates/.
+deps=$(git show "$rev:crates/sim/Cargo.toml" |
+  sed -n '/^\[dependencies\]/,/^\[/{/^\[/d;/^[[:space:]]*#/d;/^[[:space:]]*$/d;p}')
+unmapped=$(echo "$deps" | grep -v '^clp-[a-z]*\.workspace = true$' || true)
+if [ -n "$unmapped" ]; then
+  echo "abtest: $rev's crates/sim/Cargo.toml has [dependencies] lines that are" \
+    "not a workspace clp-* crate, which this script cannot map:" >&2
+  echo "$unmapped" | sed 's/^/  /' >&2
+  exit 2
+fi
+
 base=tools/abtest/base
 rm -rf "$base"
 mkdir -p "$base"
 git archive "$rev" crates/sim/src | tar -x -C "$base" --strip-components=2
-# The package's [dependencies], each a path into this tree's crates/.
 {
   printf '[package]\nname = "clp-sim-base"\nversion = "0.1.0"\nedition = "2021"\npublish = false\n\n'
   printf '[lib]\npath = "src/lib.rs"\n\n[dependencies]\n'
-  git show "$rev:crates/sim/Cargo.toml" |
-    sed -n '/^\[dependencies\]/,/^\[/p' |
-    sed -n 's|^clp-\([a-z]*\)\.workspace = true$|clp-\1 = { path = "../../../crates/\1" }|p'
+  echo "$deps" | sed 's|^clp-\([a-z]*\)\.workspace = true$|clp-\1 = { path = "../../../crates/\1" }|'
 } > "$base/Cargo.toml"
 
 # From the repository root, so that .cargo/config.toml's release profile
