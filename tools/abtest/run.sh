@@ -5,14 +5,15 @@
 #   tools/abtest/run.sh REV SIZES REPS     e.g. tools/abtest/run.sh HEAD~1 16,32 5
 #
 # Writes crates/sim at REV out as the package `clp-sim-base` in
-# tools/abtest/base (git-ignored), builds tools/abtest against it and the
-# working tree's clp-sim, and runs every suite kernel at each size in
-# SIZES, REPS times, both sides per cell in alternating order. Each
-# cell's cycles must be equal on the two sides. Prints the sum of
-# per-cell minima and the median of the per-rep ratios; see
-# src/main.rs. Both sides link the working tree's other crates, so a
-# difference outside crates/sim is measured on neither side: the script
-# warns about one.
+# tools/abtest/target/base (git-ignored, and under target/ so that a walk
+# over the repository's sources never meets the old copy), builds
+# tools/abtest against it and the working tree's clp-sim, and runs every
+# suite kernel at each size in SIZES, REPS times, both sides per cell in
+# alternating order. Each cell's cycles must be equal on the two sides.
+# Prints the sum of per-cell minima and the median of the per-rep
+# ratios; see src/main.rs. Both sides link the working tree's other
+# crates, so a difference outside crates/sim is measured on neither
+# side: the script warns about one.
 #
 # Supported revisions: those whose crates/sim/Cargo.toml lists under
 # [dependencies] only `clp-X.workspace = true` lines (every revision since
@@ -50,14 +51,14 @@ if [ -n "$unmapped" ]; then
   exit 2
 fi
 
-base=tools/abtest/base
+base=tools/abtest/target/base
 rm -rf "$base"
 mkdir -p "$base"
 git archive "$rev" crates/sim/src | tar -x -C "$base" --strip-components=2
 {
   printf '[package]\nname = "clp-sim-base"\nversion = "0.1.0"\nedition = "2021"\npublish = false\n\n'
   printf '[lib]\npath = "src/lib.rs"\n\n[dependencies]\n'
-  echo "$deps" | sed 's|^clp-\([a-z]*\)\.workspace = true$|clp-\1 = { path = "../../../crates/\1" }|'
+  echo "$deps" | sed 's|^clp-\([a-z]*\)\.workspace = true$|clp-\1 = { path = "../../../../crates/\1" }|'
 } > "$base/Cargo.toml"
 
 # From the repository root, so that .cargo/config.toml's release profile
