@@ -6,66 +6,52 @@ use clp_isa::{value, OpcodeClass};
 use clp_mem::{CacheBank, CacheGeometry, MemoryImage};
 use std::collections::VecDeque;
 
-/// Conventional-core parameters (a Core2-class machine).
+// Conventional-core parameters (a Core2-Duo-class machine).
+
+/// Instructions fetched/renamed per cycle.
+const FETCH_WIDTH: usize = 4;
+/// Instruction-window (ROB) entries.
+const WINDOW: usize = 96;
+/// Integer ALUs.
+const INT_UNITS: usize = 3;
+/// Floating-point units.
+const FP_UNITS: usize = 1;
+/// Cache ports (loads/stores issued per cycle).
+const MEM_PORTS: usize = 2;
+/// L1 data cache size in bytes.
+const L1_BYTES: usize = 32 * 1024;
+/// L1 hit latency.
+const L1_LATENCY: u32 = 3;
+/// Unified L2 hit latency.
+const L2_LATENCY: u32 = 14;
+/// L2 size in bytes.
+const L2_BYTES: usize = 2 * 1024 * 1024;
+/// Main-memory latency.
+const DRAM_LATENCY: u32 = 150;
+/// log2 of gshare table entries.
+const GSHARE_BITS: u32 = 12;
+/// Cycles from mispredicted-branch resolution to useful fetch.
+const MISPREDICT_PENALTY: u64 = 12;
+/// Fetch-group break on a correctly predicted taken branch (the
+/// front-end redirect bubble of conventional pipelines).
+const TAKEN_BRANCH_BUBBLE: u64 = 1;
+/// Dynamic-operation budget.
+const MAX_OPS: u64 = 200_000_000;
+
+/// The conventional core: the Core2-class constants above.
+///
+/// Fig. 5 compares against one machine, so the type has no fields. It
+/// only keeps `benchmark/` compiling (`BaselineConfig::core2()` passed
+/// to [`run_baseline`]) and is removed by the benchmark PR of ROADMAP
+/// 1(a).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BaselineConfig {
-    /// Instructions fetched/renamed per cycle.
-    pub fetch_width: usize,
-    /// Instruction-window (ROB) entries.
-    pub window: usize,
-    /// Integer ALUs.
-    pub int_units: usize,
-    /// Floating-point units.
-    pub fp_units: usize,
-    /// Cache ports (loads/stores issued per cycle).
-    pub mem_ports: usize,
-    /// L1 data cache size in bytes.
-    pub l1_bytes: usize,
-    /// L1 hit latency.
-    pub l1_latency: u32,
-    /// Unified L2 hit latency.
-    pub l2_latency: u32,
-    /// L2 size in bytes.
-    pub l2_bytes: usize,
-    /// Main-memory latency.
-    pub dram_latency: u32,
-    /// log2 of gshare table entries.
-    pub gshare_bits: u32,
-    /// Cycles from mispredicted-branch resolution to useful fetch.
-    pub mispredict_penalty: u64,
-    /// Fetch-group break on a correctly predicted taken branch (the
-    /// front-end redirect bubble of conventional pipelines).
-    pub taken_branch_bubble: u64,
-    /// Dynamic-operation budget.
-    pub max_ops: u64,
-}
+pub struct BaselineConfig;
 
 impl BaselineConfig {
     /// A Core2-Duo-class configuration.
     #[must_use]
     pub fn core2() -> Self {
-        BaselineConfig {
-            fetch_width: 4,
-            window: 96,
-            int_units: 3,
-            fp_units: 1,
-            mem_ports: 2,
-            l1_bytes: 32 * 1024,
-            l1_latency: 3,
-            l2_latency: 14,
-            l2_bytes: 2 * 1024 * 1024,
-            dram_latency: 150,
-            gshare_bits: 12,
-            mispredict_penalty: 12,
-            taken_branch_bubble: 1,
-            max_ops: 200_000_000,
-        }
-    }
-}
-
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        Self::core2()
+        BaselineConfig
     }
 }
 
@@ -154,7 +140,7 @@ pub fn run_baseline(
     program: &Program,
     args: &[u64],
     init_mem: &[(u64, Vec<u64>)],
-    cfg: &BaselineConfig,
+    _: &BaselineConfig,
 ) -> BaselineResult {
     let mut image = MemoryImage::new();
     for (addr, words) in init_mem {
@@ -162,24 +148,24 @@ pub fn run_baseline(
     }
     let mut stats = BaselineStats::default();
     let mut l1 = CacheBank::new(CacheGeometry {
-        bytes: cfg.l1_bytes,
+        bytes: L1_BYTES,
         line_bytes: 64,
         ways: 4,
     });
     let mut l2 = CacheBank::new(CacheGeometry {
-        bytes: cfg.l2_bytes,
+        bytes: L2_BYTES,
         line_bytes: 64,
         ways: 8,
     });
-    let mut bp = Gshare::new(cfg.gshare_bits);
+    let mut bp = Gshare::new(GSHARE_BITS);
 
     // Timing state.
     let mut fetch_cycle: u64 = 1;
     let mut fetched_this_cycle = 0usize;
     let mut rob: VecDeque<u64> = VecDeque::new(); // completion times, window-bounded
-    let mut int_free = vec![0u64; cfg.int_units];
-    let mut fp_free = vec![0u64; cfg.fp_units];
-    let mut mem_free = vec![0u64; cfg.mem_ports];
+    let mut int_free = vec![0u64; INT_UNITS];
+    let mut fp_free = vec![0u64; FP_UNITS];
+    let mut mem_free = vec![0u64; MEM_PORTS];
     // Conservative memory ordering: last store completion per line.
     // Read and written by key only, so hash order cannot reach a cycle.
     #[allow(clippy::disallowed_types)]
@@ -210,7 +196,7 @@ pub fn run_baseline(
 
     macro_rules! fetch_op {
         () => {{
-            if fetched_this_cycle >= cfg.fetch_width {
+            if fetched_this_cycle >= FETCH_WIDTH {
                 fetch_cycle += 1;
                 fetched_this_cycle = 0;
             }
@@ -236,10 +222,10 @@ pub fn run_baseline(
 
         for op in &block.ops {
             stats.ops += 1;
-            assert!(stats.ops < cfg.max_ops, "baseline exceeded op budget");
+            assert!(stats.ops < MAX_OPS, "baseline exceeded op budget");
             let f = fetch_op!();
             // Window constraint: the oldest must have completed.
-            if rob.len() >= cfg.window {
+            if rob.len() >= WINDOW {
                 let oldest = rob.pop_front().expect("nonempty");
                 if oldest > fetch_cycle {
                     fetch_cycle = oldest;
@@ -309,7 +295,7 @@ pub fn run_baseline(
                         let line = ea & !63;
                         let dep = last_store_done.get(&line).copied().unwrap_or(0);
                         let issue = unit_issue(&mut mem_free, ready_at.max(dep));
-                        let lat = cache_latency(&mut l1, &mut l2, &mut stats, cfg, ea, false);
+                        let lat = cache_latency(&mut l1, &mut l2, &mut stats, ea, false);
                         let done = issue + u64::from(lat);
                         frame.regs[dst.0 as usize] = image.read(ea, size.bytes());
                         frame.ready[dst.0 as usize] = done;
@@ -324,7 +310,7 @@ pub fn run_baseline(
                         stats.stores += 1;
                         let ea = frame.regs[addr.0 as usize].wrapping_add(*offset as u64);
                         let issue = unit_issue(&mut mem_free, ready_at);
-                        let lat = cache_latency(&mut l1, &mut l2, &mut stats, cfg, ea, true);
+                        let lat = cache_latency(&mut l1, &mut l2, &mut stats, ea, true);
                         let done = issue + u64::from(lat);
                         image.write(ea, size.bytes(), frame.regs[v.0 as usize]);
                         last_store_done.insert(ea & !63, done);
@@ -352,10 +338,10 @@ pub fn run_baseline(
                 let pc = (frame.func.0 as u64) << 16 | frame.bb.0 as u64;
                 if !bp.predict_and_update(pc, taken) {
                     stats.mispredicts += 1;
-                    fetch_cycle = resolve + cfg.mispredict_penalty;
+                    fetch_cycle = resolve + MISPREDICT_PENALTY;
                     fetched_this_cycle = 0;
                 } else if taken {
-                    fetch_cycle += cfg.taken_branch_bubble;
+                    fetch_cycle += TAKEN_BRANCH_BUBBLE;
                     fetched_this_cycle = 0;
                 }
                 frame.bb = if taken { *then_bb } else { *else_bb };
@@ -375,7 +361,7 @@ pub fn run_baseline(
                         frame.regs[v.0 as usize]
                     })
                     .collect();
-                fetch_cycle += cfg.taken_branch_bubble;
+                fetch_cycle += TAKEN_BRANCH_BUBBLE;
                 fetched_this_cycle = 0;
                 let mut callee_frame = new_frame(*callee, &argv, ready_at);
                 callee_frame.ret_dst = dst.map(|d| d.0);
@@ -420,19 +406,18 @@ fn cache_latency(
     l1: &mut CacheBank,
     l2: &mut CacheBank,
     stats: &mut BaselineStats,
-    cfg: &BaselineConfig,
     addr: u64,
     write: bool,
 ) -> u32 {
     if l1.access(addr, write).is_hit() {
-        cfg.l1_latency
+        L1_LATENCY
     } else {
         stats.l1_misses += 1;
         if l2.access(addr, write).is_hit() {
-            cfg.l1_latency + cfg.l2_latency
+            L1_LATENCY + L2_LATENCY
         } else {
             stats.l2_misses += 1;
-            cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
+            L1_LATENCY + L2_LATENCY + DRAM_LATENCY
         }
     }
 }
@@ -483,27 +468,6 @@ mod tests {
         assert!(r.cycles > 30, "cycles {}", r.cycles);
         assert_eq!(r.stats.loads, 30);
         assert!(r.stats.branches >= 31);
-    }
-
-    #[test]
-    fn wider_machine_is_faster() {
-        let p = sum_program();
-        let data: Vec<u64> = (1..=200).collect();
-        let init = vec![(0x1000u64, data)];
-        let narrow = BaselineConfig {
-            fetch_width: 1,
-            int_units: 1,
-            mem_ports: 1,
-            ..BaselineConfig::core2()
-        };
-        let r1 = run_baseline(&p, &[0x1000, 200], &init, &narrow);
-        let r4 = run_baseline(&p, &[0x1000, 200], &init, &BaselineConfig::core2());
-        assert!(
-            r4.cycles < r1.cycles,
-            "4-wide {} vs 1-wide {}",
-            r4.cycles,
-            r1.cycles
-        );
     }
 
     #[test]

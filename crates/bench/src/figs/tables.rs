@@ -36,7 +36,7 @@ pub(super) fn table2(ctx: &mut Ctx) -> Option<String> {
     println!("{}", area.table());
     println!(
         "die check: 8 TFlex cores + 1.5MB L2 = {:.1} mm^2 (18mm x 18mm die = 324 mm^2)",
-        clp_power::chip_area_mm2(&area, 8, 1.5)
+        clp_power::chip_area_mm2(8, 1.5)
     );
     println!();
 

@@ -70,7 +70,6 @@ fn assert_repeatable(
     let [first, second] = [(); 2].map(|()| run_compiled_observed(cw, cfg, &obs));
     match (first, second) {
         (Ok(first), Ok(second)) => {
-            assert!(first.correct, "{label}: wrong output");
             assert_eq!(
                 first.stats.cycles, second.stats.cycles,
                 "{label}: cycle count diverged"

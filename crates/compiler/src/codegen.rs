@@ -33,6 +33,9 @@ impl ValueRef {
 /// Register carrying the return value and first argument.
 pub const RET_REG: usize = 1;
 
+/// Virtual address of the first block (the synthetic `_start`).
+const BASE_ADDR: BlockAddr = 0x1_0000;
+
 struct BlockCtx<'a> {
     b: BlockBuilder,
     alloc: &'a Allocation,
@@ -694,7 +697,7 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     // link pointing at a _halt block), then the entry function, then the
     // rest. This keeps every function's returns uniform — the program
     // ends when the entry function returns to _halt.
-    let start_addr = opts.base_addr;
+    let start_addr = BASE_ADDR;
     let halt_addr = start_addr + BLOCK_FRAME_BYTES;
     let mut func_order: Vec<usize> = vec![program.entry.0];
     func_order.extend((0..program.functions.len()).filter(|&i| i != program.entry.0));

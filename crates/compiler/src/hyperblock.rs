@@ -171,15 +171,18 @@ impl HirFunction {
     }
 }
 
-/// Tuning knobs for hyperblock formation.
+/// Maximum memory operations per merged block (the LSID budget, with
+/// headroom below `clp_isa::MAX_BLOCK_LSIDS`).
+const MAX_MERGED_MEMORY_OPS: usize = 26;
+
+/// Tuning knobs for hyperblock formation: the two that the compiler's
+/// retry loop varies. A merged block also holds at most
+/// `MAX_MERGED_MEMORY_OPS` memory operations and
+/// [`clp_isa::MAX_BLOCK_EXITS`] exits.
 #[derive(Clone, Copy, Debug)]
 pub struct FormerOptions {
     /// Maximum estimated EDGE instructions per merged block.
     pub max_edge_size: usize,
-    /// Maximum memory operations per merged block (LSID budget).
-    pub max_memory_ops: usize,
-    /// Maximum exits per merged block.
-    pub max_exits: usize,
     /// Disable merging entirely (every IR block becomes one EDGE block).
     pub disabled: bool,
 }
@@ -188,8 +191,6 @@ impl Default for FormerOptions {
     fn default() -> Self {
         FormerOptions {
             max_edge_size: 140,
-            max_memory_ops: 26,
-            max_exits: clp_isa::MAX_BLOCK_EXITS,
             disabled: false,
         }
     }
@@ -278,8 +279,8 @@ pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
                     + bblock.ops.len() / 2
                     + 3 * merged_exits
                     + 24;
-                if merged_mem > opts.max_memory_ops
-                    || merged_exits > opts.max_exits
+                if merged_mem > MAX_MERGED_MEMORY_OPS
+                    || merged_exits > clp_isa::MAX_BLOCK_EXITS
                     || merged_size > opts.max_edge_size
                 {
                     continue;

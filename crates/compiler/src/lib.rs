@@ -63,14 +63,13 @@ pub use interp::{interpret, InterpError, InterpResult, InterpStats};
 pub use ir::{BbId, FuncId, MemSize, Program, Terminator, VReg};
 pub use regalloc::RegPressureError;
 
-use clp_isa::{BlockAddr, BlockError, ProgramError};
+use clp_isa::{BlockError, ProgramError};
 use std::fmt;
 
-/// Compiler configuration.
+/// Compiler configuration. The first block's address is the constant
+/// `codegen::BASE_ADDR`.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
-    /// Base virtual address of the first block.
-    pub base_addr: BlockAddr,
     /// Hyperblock-formation knobs.
     pub former: FormerOptions,
     /// Run placement-aware ID assignment.
@@ -82,7 +81,6 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            base_addr: 0x1_0000,
             former: FormerOptions::default(),
             placement: true,
             placement_cores: 32,

@@ -13,7 +13,6 @@
 //!
 //! let w = suite::by_name("conv").expect("exists");
 //! let r = run_workload(&w, &ProcessorConfig::tflex(8)).expect("runs");
-//! assert!(r.correct);
 //! println!("{} cycles, {:.2} W", r.stats.cycles, r.power.total());
 //! ```
 

@@ -200,8 +200,6 @@ pub struct RunOutcome {
     pub snapshot: StatsSnapshot,
     /// The entry function's return value (`r1`).
     pub ret: u64,
-    /// Whether outputs matched the golden reference.
-    pub correct: bool,
     /// Power breakdown for the run.
     pub power: PowerBreakdown,
     /// Area of the organization in mm².
@@ -408,7 +406,6 @@ impl Run {
             stats,
             snapshot,
             ret,
-            correct: true,
             power,
             area_mm2,
             profile,
@@ -461,7 +458,6 @@ mod tests {
     fn conv_runs_correctly_on_4_cores() {
         let w = suite::by_name("conv").unwrap();
         let r = run_workload(&w, &ProcessorConfig::tflex(4)).expect("runs");
-        assert!(r.correct);
         assert!(r.stats.cycles > 100);
         assert!(r.power.total() > 0.0);
         assert!(r.area_mm2 > 1.0);
@@ -471,6 +467,6 @@ mod tests {
     fn trips_mode_runs_conv() {
         let w = suite::by_name("conv").unwrap();
         let r = run_workload(&w, &ProcessorConfig::trips()).expect("runs");
-        assert!(r.correct);
+        assert!(r.stats.cycles > 100);
     }
 }

@@ -16,7 +16,7 @@ use clp_workloads::suite;
 /// What two outcomes are compared on: every field, reports as JSON.
 fn comparable(r: &RunOutcome) -> impl PartialEq + std::fmt::Debug {
     (
-        (r.stats.clone(), r.ret, r.correct, r.power, r.area_mm2),
+        (r.stats.clone(), r.ret, r.power, r.area_mm2),
         r.snapshot.to_json(),
         r.profile.as_ref().map(|p| p.to_json_value()),
         r.trend.as_ref().map(|t| t.to_json()),

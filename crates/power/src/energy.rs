@@ -3,70 +3,54 @@
 use crate::area::AreaModel;
 use clp_sim::RunStats;
 
-/// Per-event energies in nanojoules (130 nm, 1.5 V).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyModel {
-    /// Integer ALU operation.
-    pub int_op: f64,
-    /// Floating-point operation.
-    pub fp_op: f64,
-    /// Register-bank read or write.
-    pub reg_access: f64,
-    /// Issue-window wakeup/select per fired instruction.
-    pub window: f64,
-    /// I-cache access (per line).
-    pub icache: f64,
-    /// D-cache access.
-    pub dcache: f64,
-    /// LSQ associative search.
-    pub lsq: f64,
-    /// Predictor lookup + update.
-    pub predictor: f64,
-    /// One operand-router link traversal.
-    pub router_hop: f64,
-    /// L2 bank access.
-    pub l2: f64,
-    /// DRAM access (row activation amortized) + I/O.
-    pub dram: f64,
-    /// Clock tree + latches, per active core per cycle.
-    pub clock_per_core_cycle: f64,
-    /// Clock/latch energy per TRIPS tile-cycle. A tile is single-issue
-    /// and smaller than a TFlex core, but always carries an FPU and the
-    /// prototype has no clock gating (§6.3).
-    pub trips_tile_clock: f64,
-    /// Leakage power density in W/mm² (yields the paper's 8-10% of total).
-    pub leakage_w_per_mm2: f64,
-    /// Clock frequency in Hz (366 MHz, the TRIPS prototype).
-    pub frequency: f64,
-}
+// Per-event energies in nanojoules (130 nm, 1.5 V).
+
+/// Integer ALU operation.
+const INT_OP: f64 = 0.10;
+/// Floating-point operation.
+const FP_OP: f64 = 0.45;
+/// Register-bank read or write.
+const REG_ACCESS: f64 = 0.06;
+/// Issue-window wakeup/select per fired instruction.
+const WINDOW: f64 = 0.06;
+/// I-cache access (per line).
+const ICACHE: f64 = 0.16;
+/// D-cache access.
+const DCACHE: f64 = 0.22;
+/// LSQ associative search.
+const LSQ: f64 = 0.16;
+/// Predictor lookup + update.
+const PREDICTOR: f64 = 0.10;
+/// One operand-router link traversal.
+const ROUTER_HOP: f64 = 0.05;
+/// L2 bank access.
+const L2: f64 = 0.70;
+/// DRAM access (row activation amortized) + I/O.
+const DRAM: f64 = 12.0;
+/// Clock tree + latches, per active core per cycle.
+const CLOCK_PER_CORE_CYCLE: f64 = 0.85;
+/// Clock/latch energy per TRIPS tile-cycle. A tile is single-issue and
+/// smaller than a TFlex core, but always carries an FPU and the
+/// prototype has no clock gating (§6.3).
+const TRIPS_TILE_CLOCK: f64 = 0.62;
+/// Leakage power density in W/mm² (yields the paper's 8-10% of total).
+const LEAKAGE_W_PER_MM2: f64 = 0.0042;
+/// Clock frequency in Hz (366 MHz, the TRIPS prototype).
+const FREQUENCY: f64 = 366.0e6;
+
+/// The per-event energy model: the constants above.
+///
+/// The evaluation uses one 130 nm estimate, so the type has no fields.
+/// It only keeps `benchmark/` compiling (`EnergyModel::at_130nm().power(..)`)
+/// and is removed by the benchmark PR of ROADMAP 1(a).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EnergyModel;
 
 impl EnergyModel {
     /// The 130 nm estimates used throughout the evaluation.
     #[must_use]
     pub fn at_130nm() -> Self {
-        EnergyModel {
-            int_op: 0.10,
-            fp_op: 0.45,
-            reg_access: 0.06,
-            window: 0.06,
-            icache: 0.16,
-            dcache: 0.22,
-            lsq: 0.16,
-            predictor: 0.10,
-            router_hop: 0.05,
-            l2: 0.70,
-            dram: 12.0,
-            clock_per_core_cycle: 0.85,
-            trips_tile_clock: 0.62,
-            leakage_w_per_mm2: 0.0042,
-            frequency: 366.0e6,
-        }
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self::at_130nm()
+        EnergyModel
     }
 }
 
@@ -167,7 +151,7 @@ impl EnergyModel {
     #[must_use]
     pub fn power(&self, stats: &RunStats, cfg: &PowerConfig, area: &AreaModel) -> PowerBreakdown {
         let cycles = stats.cycles.max(1) as f64;
-        let seconds = cycles / self.frequency;
+        let seconds = cycles / FREQUENCY;
         let nj = 1.0e-9 / seconds; // W per nJ of total energy
 
         let mut fetch_e = 0.0;
@@ -177,25 +161,25 @@ impl EnergyModel {
         for p in &stats.procs {
             pred_events += p.predictor.predictions as f64;
             dispatched += p.insts_dispatched as f64;
-            exec_e += p.int_ops as f64 * self.int_op
-                + p.fp_ops as f64 * self.fp_op
-                + (p.reg_reads + p.reg_writes) as f64 * self.reg_access
-                + p.insts_fired as f64 * self.window;
+            exec_e += p.int_ops as f64 * INT_OP
+                + p.fp_ops as f64 * FP_OP
+                + (p.reg_reads + p.reg_writes) as f64 * REG_ACCESS
+                + p.insts_fired as f64 * WINDOW;
         }
-        fetch_e += (stats.mem.l1i_hits + stats.mem.l1i_misses) as f64 * self.icache
-            + pred_events * self.predictor
-            + dispatched * self.window * 0.5;
+        fetch_e += (stats.mem.l1i_hits + stats.mem.l1i_misses) as f64 * ICACHE
+            + pred_events * PREDICTOR
+            + dispatched * WINDOW * 0.5;
 
-        let l1d_e = (stats.mem.l1d_hits + stats.mem.l1d_misses) as f64 * self.dcache
-            + stats.mem.lsq_searches as f64 * self.lsq;
-        let router_e = stats.operand_net.link_traversals as f64 * self.router_hop;
-        let l2_e = (stats.mem.l2_hits + stats.mem.l2_misses) as f64 * self.l2;
-        let dram_e = stats.mem.dram_accesses as f64 * self.dram;
+        let l1d_e = (stats.mem.l1d_hits + stats.mem.l1d_misses) as f64 * DCACHE
+            + stats.mem.lsq_searches as f64 * LSQ;
+        let router_e = stats.operand_net.link_traversals as f64 * ROUTER_HOP;
+        let l2_e = (stats.mem.l2_hits + stats.mem.l2_misses) as f64 * L2;
+        let dram_e = stats.mem.dram_accesses as f64 * DRAM;
 
         let per_core = if cfg.trips {
-            self.trips_tile_clock
+            TRIPS_TILE_CLOCK
         } else {
-            self.clock_per_core_cycle
+            CLOCK_PER_CORE_CYCLE
         };
         let clock_e = cycles * cfg.active_cores as f64 * per_core;
 
@@ -204,7 +188,7 @@ impl EnergyModel {
         } else {
             area.tflex_mm2(cfg.active_cores)
         };
-        let leakage_w = area_mm2 * self.leakage_w_per_mm2;
+        let leakage_w = area_mm2 * LEAKAGE_W_PER_MM2;
 
         PowerBreakdown {
             fetch: fetch_e * nj,

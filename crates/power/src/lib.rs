@@ -19,6 +19,6 @@ mod area;
 mod energy;
 mod metrics;
 
-pub use area::{chip_area_mm2, AreaModel, ComponentArea};
+pub use area::{chip_area_mm2, AreaModel};
 pub use energy::{EnergyModel, PowerBreakdown, PowerConfig};
 pub use metrics::{perf, perf2_per_watt, perf_per_area};

@@ -77,7 +77,7 @@ fn main() {
     let acfg = arrivals::ArrivalConfig {
         jobs: or_die(a.num("--jobs", ..)).unwrap_or(24),
         seed,
-        mean_gap: or_die(a.num("--mean-gap", ..)).unwrap_or(3_000).max(1),
+        mean_gap: or_die(a.num("--mean-gap", 1..)).unwrap_or(3_000),
         budget: or_die(a.num("--budget", ..)).unwrap_or(200_000),
         tight_every: or_die(a.num("--tight-every", ..)).unwrap_or(0),
         tight_budget: or_die(a.num("--tight-budget", ..)).unwrap_or(2_500),
@@ -85,12 +85,11 @@ fn main() {
         kill_at: or_die(a.pairs("--kill-core")),
     };
     let scfg = service::ServiceConfig {
-        workers: or_die(a.num("--workers", ..)).unwrap_or(4).max(1),
-        queue_cap: or_die(a.num("--queue-cap", ..)).unwrap_or(8).max(1),
-        degrade_at: or_die(a.num("--degrade-at", ..)).unwrap_or(6).max(1),
+        workers: or_die(a.num("--workers", 1..)).unwrap_or(4),
+        queue_cap: or_die(a.num("--queue-cap", 1..)).unwrap_or(8),
+        degrade_at: or_die(a.num("--degrade-at", 1..)).unwrap_or(6),
         max_retries: or_die(a.num("--retries", ..)).unwrap_or(3),
         seed,
-        ..service::ServiceConfig::default()
     };
     // The scheduling flags are validated even under --bench, then
     // replaced wholesale by the pinned specification.

@@ -92,7 +92,6 @@ pub fn bench_spec() -> (ArrivalConfig, ServiceConfig) {
         degrade_at: 6,
         max_retries: 3,
         seed: 42,
-        ..ServiceConfig::default()
     };
     (acfg, scfg)
 }

@@ -62,8 +62,24 @@ use std::sync::Arc;
 
 pub use crate::report::serve_scoped;
 
+/// Base backoff delay in ticks; attempt `k` waits
+/// `BACKOFF_BASE << min(k-1, BACKOFF_CAP)` plus seeded jitter in
+/// `0..BACKOFF_BASE`.
+const BACKOFF_BASE: u64 = 500;
+/// Cap on the backoff shift.
+const BACKOFF_CAP: u32 = 5;
+/// Ticks charged for compiling on a cache miss.
+const COMPILE_TICKS: u64 = 2_000;
+/// Ticks charged for a panicked attempt: the virtual worker's respawn.
+const RESPAWN_TICKS: u64 = 1_000;
+/// Ticks charged for attempts rejected before the machine ran
+/// (compose/placement errors, kill-schedule validation).
+const VALIDATE_TICKS: u64 = 50;
+
 /// Service policy knobs. Everything is in virtual ticks; nothing reads
-/// a clock.
+/// a clock. The fixed tick charges and the backoff shape are constants
+/// (`BACKOFF_BASE`, `COMPILE_TICKS`, …), written into the report's
+/// `config` object beside these fields.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker slots: at most this many attempts run at once.
@@ -77,18 +93,6 @@ pub struct ServiceConfig {
     pub degrade_at: usize,
     /// Retries allowed per job beyond the first attempt.
     pub max_retries: u32,
-    /// Base backoff delay in ticks; attempt `k` waits
-    /// `base << min(k-1, cap)` plus seeded jitter in `0..base`.
-    pub backoff_base: u64,
-    /// Cap on the backoff shift.
-    pub backoff_cap: u32,
-    /// Ticks charged for compiling on a cache miss.
-    pub compile_ticks: u64,
-    /// Ticks charged for a panicked attempt: the virtual worker's respawn.
-    pub respawn_ticks: u64,
-    /// Ticks charged for attempts rejected before the machine ran
-    /// (compose/placement errors, kill-schedule validation).
-    pub validate_ticks: u64,
     /// Seed of the retry-jitter PRNG stream (mixed with job id and
     /// attempt, so jitter is independent of event interleaving).
     pub seed: u64,
@@ -101,11 +105,6 @@ impl Default for ServiceConfig {
             queue_cap: 8,
             degrade_at: 6,
             max_retries: 3,
-            backoff_base: 500,
-            backoff_cap: 5,
-            compile_ticks: 2_000,
-            respawn_ticks: 1_000,
-            validate_ticks: 50,
             seed: 1,
         }
     }
@@ -118,11 +117,11 @@ impl ToValue for ServiceConfig {
             "queue_cap": (self.queue_cap),
             "degrade_at": (self.degrade_at),
             "max_retries": (self.max_retries),
-            "backoff_base": (self.backoff_base),
-            "backoff_cap": (self.backoff_cap),
-            "compile_ticks": (self.compile_ticks),
-            "respawn_ticks": (self.respawn_ticks),
-            "validate_ticks": (self.validate_ticks),
+            "backoff_base": BACKOFF_BASE,
+            "backoff_cap": BACKOFF_CAP,
+            "compile_ticks": COMPILE_TICKS,
+            "respawn_ticks": RESPAWN_TICKS,
+            "validate_ticks": VALIDATE_TICKS,
             "seed": (self.seed)
         })
     }
@@ -296,9 +295,9 @@ impl JobState {
     }
 
     /// Closes the open queued span at `now` and opens the attempt that
-    /// occupies `worker` until `done_at`, compiling first for
-    /// `compile_ticks` on a cache miss.
-    fn dispatched(&mut self, worker: usize, now: u64, done_at: u64, compile_ticks: Option<u64>) {
+    /// occupies `worker` until `done_at`, compiling first on a cache
+    /// miss.
+    fn dispatched(&mut self, worker: usize, now: u64, done_at: u64, miss: bool) {
         let attempt = self.attempts();
         let s = &mut self.spans;
         let queued = s
@@ -311,10 +310,10 @@ impl JobState {
             worker,
             start: now,
             end: done_at,
-            cache_hit: compile_ticks.is_none(),
-            compile: compile_ticks.map(|c| Span {
+            cache_hit: !miss,
+            compile: miss.then_some(Span {
                 start: now,
-                end: now + c,
+                end: now + COMPILE_TICKS,
             }),
             // Set when the completion event is processed.
             end_kind: AttemptEnd::Success,
@@ -461,33 +460,27 @@ fn jitter_prng(cfg: &ServiceConfig, job_id: u64, attempt: u32) -> Prng {
 }
 
 fn backoff_delay(cfg: &ServiceConfig, job_id: u64, attempt: u32) -> u64 {
-    let base = cfg.backoff_base.max(1);
-    let shift = (attempt.saturating_sub(1)).min(cfg.backoff_cap);
-    let jitter = jitter_prng(cfg, job_id, attempt).next_below(base);
-    (base << shift) + jitter
+    let shift = (attempt.saturating_sub(1)).min(BACKOFF_CAP);
+    let jitter = jitter_prng(cfg, job_id, attempt).next_below(BACKOFF_BASE);
+    (BACKOFF_BASE << shift) + jitter
 }
 
 /// Ticks an attempt is charged, and how many of them are simulated
 /// cycles (the rest are fixed charges for work that is not simulation).
-fn service_ticks(
-    cfg: &ServiceConfig,
-    outcome: &ExecOutcome,
-    compile_miss: bool,
-    budget: u64,
-) -> (u64, u64) {
-    let compile = if compile_miss { cfg.compile_ticks } else { 0 };
+fn service_ticks(outcome: &ExecOutcome, compile_miss: bool, budget: u64) -> (u64, u64) {
+    let compile = if compile_miss { COMPILE_TICKS } else { 0 };
     let (work, simulated) = match outcome {
         ExecOutcome::Success { cycles, .. } => (*cycles, true),
-        ExecOutcome::Panicked => (cfg.respawn_ticks, false),
+        ExecOutcome::Panicked => (RESPAWN_TICKS, false),
         ExecOutcome::Failure(f) => match f {
             RunFailure::Run(RunError::DeadlineExceeded { budget }) => (*budget, true),
             RunFailure::Run(RunError::CycleLimit(n)) => (*n, true),
             RunFailure::Run(RunError::Deadlock { cycle }) => (*cycle, true),
-            RunFailure::Run(_) => (cfg.validate_ticks, false),
+            RunFailure::Run(_) => (VALIDATE_TICKS, false),
             RunFailure::Compose(_)
             | RunFailure::Placement(_)
             | RunFailure::Compile(_)
-            | RunFailure::Golden(_) => (cfg.validate_ticks, false),
+            | RunFailure::Golden(_) => (VALIDATE_TICKS, false),
             RunFailure::Verify(_) => (budget, true),
         },
     };
@@ -612,12 +605,12 @@ pub(crate) fn serve_with(
             jobs.push((i, job, miss));
         }
         for ((i, mut job, miss), response) in jobs.into_iter().zip(run_batch(batch)) {
-            let (ticks, charged) = service_ticks(cfg, &response.outcome, miss, job.budget);
+            let (ticks, charged) = service_ticks(&response.outcome, miss, job.budget);
             ledger.host.attempts += 1;
             ledger.host.resumed += u64::from(response.resumed);
             ledger.host.cycles_stepped += response.stepped;
             ledger.host.cycles_charged += charged;
-            job.dispatched(i, now, now + ticks, miss.then_some(cfg.compile_ticks));
+            job.dispatched(i, now, now + ticks, miss);
             workers[i] = Some(InFlight {
                 done_at: now + ticks,
                 job,

@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let outcome = run_workload(&workload, &ProcessorConfig::tflex(4))?;
     let proc = &outcome.stats.procs[0];
-    println!("correct:  {}", outcome.correct);
+    // `run_workload` returns an error on a golden mismatch.
+    println!("correct:  true");
     println!("cycles:   {}", outcome.stats.cycles);
     println!(
         "blocks:   {} committed, {} flushed",

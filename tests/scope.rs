@@ -336,7 +336,6 @@ proptest! {
             degrade_at: queue_cap.max(2) - 1,
             max_retries: 2,
             seed,
-            ..ServiceConfig::default()
         };
         let (result, scope) =
             serve_scoped(arrivals::generate(&acfg), &scfg, Some(&ScopeOptions::default()));

@@ -449,7 +449,6 @@ fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
         degrade_at: 48,
         max_retries: 7,
         seed: 42,
-        ..ServiceConfig::default()
     };
     let mut host = HostLedger::default();
     let (mut completed, mut kills) = (0, 0);
@@ -670,7 +669,6 @@ proptest! {
             degrade_at: 12,
             max_retries: 7,
             seed,
-            ..ServiceConfig::default()
         };
         let plain = serve(arrivals::generate(&acfg), &scfg);
         assert_completed_cycles_are_direct(&plain);
