@@ -9,9 +9,14 @@
 //! the stdout of `clp-fig all` and `clp-fig fig_degraded` with a digest
 //! of every JSON file they write.
 
-use clp_obs::{check_golden, fnv1a64};
+use clp_obs::fnv1a64;
 use serde_json::{json, Value};
 use std::process::{Command, Output};
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
+#[path = "../../../tests/common/pinned.rs"]
+mod pinned;
 
 /// Where every binary runs: relative output paths land here, and clp-fig
 /// writes under `target/clp-results/` here, which is also what its
@@ -135,7 +140,9 @@ fn the_sampling_flag_is_the_trend_interval_width_or_a_usage_error() {
     let out = run(exe, &["conv", "4", "--trend", "--sample-every", "500"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("19 intervals x 500 cycles"), "{stdout}");
+    let intervals = pinned::cycles("conv", "tflex-4").div_ceil(500);
+    let want = format!("{intervals} intervals x 500 cycles");
+    assert!(stdout.contains(&want), "{stdout}");
 }
 
 /// The phase detector's window and threshold and the hottest-link count
@@ -163,7 +170,7 @@ fn table1_golden() -> (&'static str, String) {
     let out = run(env!("CARGO_BIN_EXE_clp-fig"), &["table1"]);
     assert_eq!(out.status.code(), Some(0));
     (
-        "table1.txt",
+        "goldens/table1.txt",
         String::from_utf8_lossy(&out.stdout).into_owned(),
     )
 }
@@ -173,7 +180,7 @@ fn clp_fig_table1_prints_the_configured_core() {
     let (file, fresh) = table1_golden();
     let want = clp_sim::table1_text(&clp_sim::SimConfig::tflex());
     assert!(fresh.starts_with(&want));
-    assert_golden(file, &fresh);
+    golden::assert_golden(file, &fresh);
 }
 
 /// `clp-bench --check` is an equality gate: the committed baseline
@@ -234,32 +241,6 @@ fn clp_bench_check_is_two_sided_and_its_thresholds_are_gone() {
     }
 }
 
-/// The command that rewrites every golden this file checks.
-const REGENERATE: &str = "cargo test -q --release --test cli -- --ignored";
-
-fn golden_path(file: &str) -> String {
-    format!("{}/../../goldens/{file}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Holds `fresh` to the committed `goldens/<file>` with the one golden
-/// gate; a text golden's miss quotes its first line that differs.
-fn assert_golden(file: &str, fresh: &str) {
-    let path = golden_path(file);
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    check_golden(&committed, fresh).unwrap_or_else(|moved| {
-        let why = match committed.lines().zip(fresh.lines()).find(|(a, b)| a != b) {
-            Some((was, now)) if file.ends_with(".txt") => {
-                format!("first line that differs:\n  committed: {was}\n  fresh:     {now}\n")
-            }
-            _ => moved,
-        };
-        panic!(
-            "goldens/{file} is no longer reproduced; re-baseline with `{REGENERATE}` \
-             if intentional\n{why}"
-        )
-    });
-}
-
 /// What `goldens/run_one.txt` holds, each followed there by its stdout:
 /// every fault kind at three seeds and three sizes, two kinds at a high
 /// rate, five hard-kill schedules, and a trend run whose stats snapshot
@@ -302,13 +283,16 @@ fn run_one_goldens() -> [(&'static str, String); 2] {
     }
     let stats = std::fs::read_to_string(format!("{TMP}/run_one_conv4.stats.json"))
         .expect("run_one wrote its stats snapshot");
-    [("run_one.txt", text), ("run_one_conv4.stats.json", stats)]
+    [
+        ("goldens/run_one.txt", text),
+        ("goldens/run_one_conv4.stats.json", stats),
+    ]
 }
 
 #[test]
 fn run_one_reproduces_its_goldens() {
     for (file, fresh) in run_one_goldens() {
-        assert_golden(file, &fresh);
+        golden::assert_golden(file, &fresh);
     }
 }
 
@@ -354,7 +338,10 @@ fn figure_goldens() -> [(&'static str, String); 2] {
         )
     });
     let digests = serde_json::to_string_pretty(&Value::Object(digests.into())).expect("serializes");
-    [("figs.txt", stdout), ("figs.digest.json", digests)]
+    [
+        ("goldens/figs.txt", stdout),
+        ("goldens/figs.digest.json", digests),
+    ]
 }
 
 /// A full `clp-fig all` is too slow for a debug build, so it runs under
@@ -363,21 +350,19 @@ fn figure_goldens() -> [(&'static str, String); 2] {
 #[cfg_attr(debug_assertions, ignore = "run under --release")]
 fn the_figures_reproduce_their_goldens() {
     for (file, fresh) in figure_goldens() {
-        assert_golden(file, &fresh);
+        golden::assert_golden(file, &fresh);
     }
 }
 
-/// Not a check: rewrites every golden this file holds (see
-/// [`REGENERATE`]).
+/// Not a check: rewrites every golden this file holds.
 #[test]
-#[ignore = "rewrites goldens/; run it to re-baseline the run_one and clp-fig goldens"]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
 fn regenerate_tool_goldens() {
     let goldens = run_one_goldens()
         .into_iter()
         .chain([table1_golden()])
         .chain(figure_goldens());
     for (file, fresh) in goldens {
-        let path = golden_path(file);
-        std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
+        golden::write(file, &fresh);
     }
 }

@@ -109,13 +109,6 @@ impl HirBlock {
     pub fn op_cost(&self) -> usize {
         self.ops.iter().map(|o| 2 + o.pred.len().min(3)).sum()
     }
-
-    /// Conservative estimate of the EDGE instruction count this block
-    /// lowers to (ops + reads/writes + exit branches).
-    #[must_use]
-    pub fn estimated_edge_size(&self) -> usize {
-        self.op_cost() + 3 * self.exits.len() + 20
-    }
 }
 
 /// A function after hyperblock formation. `blocks[i]` is `None` when the

@@ -5,6 +5,10 @@ use clp_compiler::{compile, CompileOptions, FunctionBuilder, ProgramBuilder};
 use clp_isa::{Opcode, Reg};
 use clp_sim::{ComposeError, FaultPlan, Machine, ProcId, RunError, RunStats, SimConfig};
 use clp_workloads::Workload;
+use serde_json::{json, Value};
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
 
 fn tiny_program() -> clp_isa::EdgeProgram {
     let mut f = FunctionBuilder::new("t", 2);
@@ -85,37 +89,69 @@ fn cycle_limit_is_reported() {
     assert_eq!(m.run(), Err(RunError::CycleLimit(5_000)));
 }
 
-#[test]
-fn a_block_whose_exit_never_fires_is_reported_as_a_deadlock() {
-    // The lint suite's no-firing-exit block: the only exit is predicated
-    // on r1, so with r1 = 0 the block never completes and nothing else
-    // is in flight. The cycle is the last progress (the block's fetch
-    // and dispatch, which depend on the composition) plus the deadlock
-    // window plus one; values recorded at commit 18c0a69.
+/// The cycle at which the lint suite's no-firing-exit block deadlocks on
+/// `cores` cores. Its only exit is predicated on r1, so with r1 = 0 the
+/// block never completes and nothing else is in flight. The cycle is the
+/// last progress (the block's fetch and dispatch, which depend on the
+/// composition) plus the deadlock window plus one; each run steps half a
+/// million idle cycles.
+fn deadlock_cycle(cores: usize) -> u64 {
     let text = "entry @0x1000
                 block @0x1000 {
                   i0: read r1 -> i1.P
                   i1: p_t bro halt e0
                 }";
     let edge = clp_isa::asm::parse_program(text).expect("parses");
-    // Each run steps half a million idle cycles: a debug build runs the
-    // 1-core composition only, `--release` runs all three.
-    let sizes: &[(usize, u64)] = if cfg!(debug_assertions) {
-        &[(1, 500_174)]
+    let mut m = Machine::new(SimConfig::tflex());
+    m.compose(cores, 0, edge, &[0]).unwrap();
+    match m.run() {
+        Err(RunError::Deadlock { cycle }) => cycle,
+        other => panic!("{cores} cores: expected a deadlock, got {other:?}"),
+    }
+}
+
+/// The compositions [`deadlock_cycle`] is pinned at.
+const DEADLOCK_SIZES: [usize; 3] = [1, 4, 32];
+
+/// The `deadlock` section of `goldens/cells.json`: per composition, the
+/// cycle [`deadlock_cycle`] reports.
+fn deadlock_cells(sizes: &[usize]) -> Value {
+    let cells = sizes
+        .iter()
+        .map(|&n| (format!("tflex-{n}"), json!((deadlock_cycle(n)))));
+    Value::Object(cells.collect())
+}
+
+#[test]
+fn a_block_whose_exit_never_fires_is_reported_as_a_deadlock() {
+    // A debug build runs the 1-core composition only, `--release` runs
+    // all three; each twice, to the same cycle.
+    let sizes = if cfg!(debug_assertions) {
+        &DEADLOCK_SIZES[..1]
     } else {
-        &[(1, 500_174), (4, 500_170), (32, 500_171)]
+        &DEADLOCK_SIZES[..]
     };
-    for &(cores, cycle) in sizes {
+    let committed = golden::cells("deadlock");
+    for &cores in sizes {
+        let want = committed[format!("tflex-{cores}").as_str()].as_u64();
         for run in 0..2 {
-            let mut m = Machine::new(SimConfig::tflex());
-            m.compose(cores, 0, edge.clone(), &[0]).unwrap();
+            let cycle = deadlock_cycle(cores);
             assert_eq!(
-                m.run(),
-                Err(RunError::Deadlock { cycle }),
-                "{cores} cores, run {run}"
+                Some(cycle),
+                want,
+                "{cores} cores, run {run}: the deadlock cycle moved; re-baseline with `{}` \
+                 if intentional",
+                golden::REGENERATE
             );
         }
     }
+}
+
+/// Not a check: rewrites this file's section of `goldens/cells.json`.
+#[test]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_deadlock_cells() {
+    golden::write_cells(vec![("deadlock", deadlock_cells(&DEADLOCK_SIZES))]);
 }
 
 #[test]

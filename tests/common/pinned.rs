@@ -1,8 +1,15 @@
 //! The committed value of a fault-free suite cell, for the tests that
-//! hold a run to it. `BENCH_baseline.json` holds the TFlex cells at 1–16
-//! cores and `goldens/suite_wide.json` the 32-core, TRIPS and OoO cells;
-//! `tests/goldens.rs` writes both from its one suite measurement, so a
-//! re-baseline edits those files and no test constant.
+//! hold a run to it or derive a scenario's threshold from it (a deadline
+//! at half a cell's cycles, say). `BENCH_baseline.json` holds the TFlex
+//! cells at 1–16 cores and `goldens/suite_wide.json` the 32-core, TRIPS
+//! and OoO cells; `tests/goldens.rs`'s `regenerate_suite_goldens` writes
+//! both from its one suite measurement, so a re-baseline edits those
+//! files and no test constant.
+//!
+//! The files are compiled in, so a value read here must stay out of
+//! what a `regenerate_*` test writes: that run may rewrite the file
+//! after this copy of it was compiled. Exact values a test asserts of
+//! a run are `tests/common/golden.rs`'s, read when the check runs.
 //!
 //! Included by path (`#[path = ".../tests/common/pinned.rs"] mod
 //! pinned;`) from each test crate that reads it.

@@ -8,10 +8,14 @@
 //! that is moved, renamed or deleted cannot leave the prose pointing at
 //! nothing. Beside that sit the settings and gates nothing else would
 //! miss: the documents' lengths, the release profile, the tier-1
-//! members, CI's two test commands, and a reader for every golden.
+//! members, CI's two test commands, a reader for every golden, and one
+//! command that rewrites them all.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+#[path = "common/golden.rs"]
+mod golden;
 
 /// Each document the path check reads, with the fewest paths it must
 /// name (so a parser that matches nothing cannot pass).
@@ -307,19 +311,23 @@ fn goldens() -> Vec<String> {
     goldens
 }
 
-/// A committed golden that no test names is a file nothing checks: every
-/// golden must be named in some file under `tests/` or `crates/*/tests/`.
-#[test]
-fn every_golden_is_read_by_a_test() {
+/// Every file under `tests/` and `crates/*/tests/`.
+fn test_files() -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let goldens = goldens();
     let mut dirs = vec![root.join("tests")];
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is committed") {
         dirs.push(krate.expect("lists crates/").path().join("tests"));
     }
-    let tests: String = dirs
-        .iter()
-        .flat_map(|dir| files_under(dir))
+    dirs.iter().flat_map(|dir| files_under(dir)).collect()
+}
+
+/// A committed golden that no test names is a file nothing checks: every
+/// golden must be named in some file under `tests/` or `crates/*/tests/`.
+#[test]
+fn every_golden_is_read_by_a_test() {
+    let goldens = goldens();
+    let tests: String = test_files()
+        .into_iter()
         .filter_map(|file| std::fs::read_to_string(file).ok())
         .collect();
     let unread: Vec<&String> = goldens
@@ -327,6 +335,66 @@ fn every_golden_is_read_by_a_test() {
         .filter(|g| !tests.contains(g.as_str()))
         .collect();
     assert!(unread.is_empty(), "goldens no test names: {unread:?}");
+}
+
+/// Each `#[ignore]`d test under `tests/` or `crates/*/tests/` (an
+/// `ignore` attribute, maybe inside a `cfg_attr`), as `(file, name,
+/// attribute)`.
+fn ignored_tests() -> Vec<(String, String, String)> {
+    let mut ignored = Vec::new();
+    for file in test_files() {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let mut attribute = None;
+        for line in text.lines().map(str::trim) {
+            let is_ignore = line.starts_with("#[ignore") || line.starts_with("#[cfg_attr(");
+            if is_ignore && line.contains("ignore") {
+                attribute = Some(line.to_string());
+            } else if let Some(rest) = line.strip_prefix("fn ") {
+                if let Some(attribute) = attribute.take() {
+                    let name = rest.split('(').next().unwrap_or(rest).to_string();
+                    ignored.push((file.display().to_string(), name, attribute));
+                }
+            } else if !line.starts_with("#[") && !line.starts_with("//") {
+                attribute = None;
+            }
+        }
+    }
+    ignored
+}
+
+/// Re-baselining is one command: every `#[ignore]`d test is a
+/// `regenerate_*` golden writer whose reason names
+/// [`golden::REGENERATE`] (whose name filter reaches it), but for the
+/// figure test a debug build skips; and README's Goldens section names
+/// the command. A golden writer outside the filter fails here.
+#[test]
+fn every_ignored_test_is_reached_by_the_one_regenerate_command() {
+    let ignored = ignored_tests();
+    let writers = ignored
+        .iter()
+        .filter(|(_, name, _)| name.starts_with("regenerate_"));
+    assert!(writers.count() >= 7, "only {ignored:?} are ignored");
+    for (file, name, attribute) in &ignored {
+        if name == "the_figures_reproduce_their_goldens" {
+            continue;
+        }
+        assert!(
+            name.starts_with("regenerate_") && attribute.contains(golden::REGENERATE),
+            "{file}: `{name}` is ignored ({attribute}) but is not a `regenerate_*` test \
+             naming `{}`",
+            golden::REGENERATE
+        );
+    }
+    let readme = read("README.md");
+    let goldens = readme.lines().skip_while(|l| *l != "## Goldens").skip(1);
+    let mut section = goldens.take_while(|l| !l.starts_with("## "));
+    assert!(
+        section.any(|l| l.contains(golden::REGENERATE)),
+        "README's Goldens section does not name `{}`",
+        golden::REGENERATE
+    );
 }
 
 /// The goldens table lives in one place: README's "Goldens" section

@@ -23,11 +23,12 @@
 //! snapshot and the trace of a run in which every fault kind fires.
 //! `goldens/lint_suite.json` pins `clp-lint --suite --json`. (What the
 //! binaries print themselves, `clp-fig` included, is pinned by
-//! `crates/bench/tests/cli.rs`.)
+//! `crates/bench/tests/cli.rs`.) `regenerate_suite_goldens` rewrites
+//! every golden this file checks, from the builders its checks call.
 
 use clp::core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp::lint::{lint_program, LintConfig, LintReport};
-use clp::obs::{check_golden, digest_golden, ChromeTraceWriter, Tracer, TrendOptions};
+use clp::obs::{digest_golden, ChromeTraceWriter, Tracer, TrendOptions};
 use clp::power::{perf2_per_watt, perf_per_area};
 use clp::sim::FaultPlan;
 use clp::workloads::suite;
@@ -36,6 +37,9 @@ use clp_bench::observe::{observe, prof_run, runs_document, trend_run, trend_text
 use clp_bench::par_suite;
 use serde_json::json;
 use std::sync::LazyLock;
+
+#[path = "common/golden.rs"]
+mod golden;
 
 /// Whichever test gets here first measures; the others wait for it.
 static SUITE: LazyLock<SuiteMatrix> =
@@ -47,35 +51,36 @@ fn row(name: &str) -> &'static Row {
     row.unwrap_or_else(|| panic!("{name} has a failed cell: {:?}", SUITE.failures))
 }
 
-fn assert_golden(file: &str, how: &str, fresh: &str) {
-    let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    check_golden(&committed, fresh).unwrap_or_else(|moved| {
-        panic!("the suite no longer reproduces {file}; re-baseline with `{how}` if intentional\n{moved}")
-    });
-}
-
 fn pretty(doc: &serde_json::Value) -> String {
     serde_json::to_string_pretty(doc).expect("serializes")
 }
 
+/// The two root suite baselines, fresh, as `clp-bench --out` and
+/// `clp-bound --suite --json` write them.
+fn baselines() -> [(&'static str, String); 2] {
+    [
+        (
+            "BENCH_baseline.json",
+            pretty(&SUITE.bench_document(&BENCH_SIZES)),
+        ),
+        (
+            "BOUND_baseline.json",
+            pretty(&SUITE.bound_document(&BENCH_SIZES)) + "\n",
+        ),
+    ]
+}
+
 #[test]
 fn the_suite_reproduces_bench_baseline() {
-    assert_golden(
-        "BENCH_baseline.json",
-        "clp-bench --out BENCH_baseline.json",
-        &pretty(&SUITE.bench_document(&BENCH_SIZES)),
-    );
+    let [(file, fresh), _] = baselines();
+    golden::assert_golden(file, &fresh);
 }
 
 #[test]
 fn the_suite_reproduces_bound_baseline_and_every_bound_is_sound() {
     assert_eq!(SUITE.violations, Vec::<String>::new());
-    assert_golden(
-        "BOUND_baseline.json",
-        "clp-bound --suite --json > BOUND_baseline.json",
-        &pretty(&SUITE.bound_document(&BENCH_SIZES)),
-    );
+    let [_, (file, fresh)] = baselines();
+    golden::assert_golden(file, &fresh);
 }
 
 /// `goldens/suite_wide.json`: per workload, the cycles and return value
@@ -91,7 +96,7 @@ fn wide_golden() -> (&'static str, String) {
     });
     let workloads: Vec<_> = workloads.collect();
     let doc = json!({"schema": "clp-suite-wide-v1", "workloads": workloads});
-    ("suite_wide.json", pretty(&doc))
+    ("goldens/suite_wide.json", pretty(&doc))
 }
 
 /// Every cell of the suite ran and verified — TFlex and TRIPS against
@@ -103,7 +108,7 @@ fn the_suite_reproduces_suite_wide_and_every_cell_verifies() {
     let failures: Vec<String> = SUITE.failures.iter().map(ToString::to_string).collect();
     assert_eq!(failures, Vec::<String>::new());
     let (file, fresh) = wide_golden();
-    assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
+    golden::assert_golden(file, &fresh);
 }
 
 /// `ok` holds of every workload's row ([`row`] names any failed cell).
@@ -214,10 +219,6 @@ fn trips_beats_the_ooo_baseline_on_mcf() {
     );
 }
 
-/// The command that rewrites every golden under `goldens/` this file
-/// checks.
-const REGENERATE: &str = "cargo test -q --release --test goldens -- --ignored";
-
 /// Each observer golden under `goldens/` and what it holds, fresh:
 /// `clp-prof conv --json`, `clp-trend conv --json` and `clp-trend
 /// --suite` in full, and `clp-prof --suite --json`, `clp-trend conv
@@ -254,12 +255,15 @@ fn observer_goldens() -> [(&'static str, String); 6] {
     let perfetto = digest_golden(trend_conv_perfetto);
     let (_, trace) = traced_run("prof_conv4.trace.json", 4, FaultPlan::none(), true);
     [
-        ("prof_conv.json", prof_conv),
-        ("trend_conv.json", trend_conv),
-        ("trend_suite.txt", trend_suite),
-        ("prof_suite.digest.json", prof_suite),
-        ("trend_conv.perfetto.digest.json", perfetto),
-        ("prof_conv4.trace.digest.json", digest_golden(&trace)),
+        ("goldens/prof_conv.json", prof_conv),
+        ("goldens/trend_conv.json", trend_conv),
+        ("goldens/trend_suite.txt", trend_suite),
+        ("goldens/prof_suite.digest.json", prof_suite),
+        ("goldens/trend_conv.perfetto.digest.json", perfetto),
+        (
+            "goldens/prof_conv4.trace.digest.json",
+            digest_golden(&trace),
+        ),
     ]
 }
 
@@ -286,7 +290,7 @@ fn traced_run(file: &str, cores: usize, faults: FaultPlan, profile: bool) -> (St
 #[test]
 fn the_observers_reproduce_their_goldens() {
     for (file, fresh) in observer_goldens() {
-        assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
+        golden::assert_golden(file, &fresh);
     }
 }
 
@@ -298,15 +302,18 @@ fn fault_goldens() -> [(&'static str, String); 2] {
     let plan = FaultPlan::parse("all=50", 1).expect("valid spec");
     let (snapshot, trace) = traced_run("faults_conv8.trace.json", 8, plan, false);
     [
-        ("faults_conv8.json", snapshot),
-        ("faults_conv8.trace.digest.json", digest_golden(&trace)),
+        ("goldens/faults_conv8.json", snapshot),
+        (
+            "goldens/faults_conv8.trace.digest.json",
+            digest_golden(&trace),
+        ),
     ]
 }
 
 #[test]
 fn the_fault_layer_reproduces_its_goldens() {
     for (file, fresh) in fault_goldens() {
-        assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
+        golden::assert_golden(file, &fresh);
     }
 }
 
@@ -318,26 +325,29 @@ fn lint_golden() -> (&'static str, String) {
         lint_program(&cw.edge, &LintConfig::default())
     });
     let diagnostics = reports.into_iter().flat_map(|r| r.diagnostics).collect();
-    ("lint_suite.json", LintReport { diagnostics }.to_json())
+    (
+        "goldens/lint_suite.json",
+        LintReport { diagnostics }.to_json(),
+    )
 }
 
 #[test]
 fn the_linter_reproduces_its_suite_golden() {
     let (file, fresh) = lint_golden();
-    assert_golden(&format!("goldens/{file}"), REGENERATE, &fresh);
+    golden::assert_golden(file, &fresh);
 }
 
-/// Not a check: rewrites every golden under `goldens/` that this file
-/// builds (see [`REGENERATE`]).
+/// Not a check: rewrites every golden this file checks.
 #[test]
-#[ignore = "rewrites goldens/; run it to re-baseline the suite, observer, fault and lint goldens"]
-fn regenerate_observer_goldens() {
-    let goldens = observer_goldens()
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_suite_goldens() {
+    let goldens = baselines()
         .into_iter()
+        .chain([wide_golden()])
+        .chain(observer_goldens())
         .chain(fault_goldens())
-        .chain([lint_golden(), wide_golden()]);
+        .chain([lint_golden()]);
     for (file, fresh) in goldens {
-        let path = format!("{}/goldens/{file}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
+        golden::write(file, &fresh);
     }
 }

@@ -12,7 +12,11 @@ use clp::core::{
 };
 use clp::obs::{RingRecorder, Tracer};
 use clp::sim::{FaultPlanError, RunError, MAX_KILLS};
+use serde_json::{json, Value};
 use std::sync::{Arc, Mutex};
+
+#[path = "common/golden.rs"]
+mod golden;
 
 fn compiled(name: &str) -> CompiledWorkload {
     let w = clp::workloads::suite::by_name(name).expect("known workload");
@@ -158,27 +162,45 @@ fn kill_free_plans_stay_bit_identical() {
     assert_eq!(b.stats.recovery.probes, 0);
 }
 
+/// The kill schedules whose detection latency is pinned: (workload,
+/// cores, victim, kill cycle).
+const DETECTION: [(&str, usize, usize, u64); 3] = [
+    ("conv", 8, 3, 4_000),
+    ("tblook", 8, 5, 4_000),
+    ("conv", 16, 9, 2_000),
+];
+
+/// Runs every [`DETECTION`] schedule: the `detection` section of
+/// `goldens/cells.json` — per schedule, the cycles from kill to
+/// declaration and the recoveries.
+fn detection_cells() -> Value {
+    let cells = DETECTION.map(|(name, cores, victim, at)| {
+        let cw = compiled(name);
+        let r = run_compiled(&cw, &killed(cores, &[(victim, at)])).expect("recovers");
+        let rec = r.stats.recovery;
+        let cell = json!({
+            "detection_cycles": (rec.detection_cycles),
+            "recoveries": (rec.recoveries)
+        });
+        (format!("{name} x{cores} kill {victim}@{at}"), cell)
+    });
+    Value::Object(cells.to_vec())
+}
+
 /// Detection-latency goldens: for pinned kill schedules the watchdog's
 /// behaviour is fully deterministic, so the latency from kill to
 /// declaration is an exact number. Drift here means the detection
 /// protocol changed.
 #[test]
 fn detection_latency_matches_the_goldens() {
-    let goldens: [(&str, usize, usize, u64, u64, u64); 3] = [
-        // (workload, cores, victim, kill_cycle, detection_cycles, recoveries)
-        ("conv", 8, 3, 4_000, 253, 1),
-        ("tblook", 8, 5, 4_000, 287, 1),
-        ("conv", 16, 9, 2_000, 434, 1),
-    ];
-    for (name, cores, victim, at, want_det, want_rec) in goldens {
-        let cw = compiled(name);
-        let r = run_compiled(&cw, &killed(cores, &[(victim, at)])).expect("recovers");
-        assert_eq!(
-            r.stats.recovery.detection_cycles, want_det,
-            "{name}/{cores}c kill {victim}@{at}: detection latency drifted"
-        );
-        assert_eq!(r.stats.recovery.recoveries, want_rec);
-    }
+    golden::assert_cells("detection", &detection_cells());
+}
+
+/// Not a check: rewrites this file's section of `goldens/cells.json`.
+#[test]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_detection_cells() {
+    golden::write_cells(vec![("detection", detection_cells())]);
 }
 
 #[test]

@@ -14,12 +14,16 @@
 //! tracks must never double-book a slot. Any scheduler change that
 //! breaks the event ordering contract shows up here as a torn span.
 
-use clp::obs::{check_golden, digest_golden, ScopeOptions, ScopeReport, Terminal};
+use clp::obs::{digest_golden, ScopeOptions, ScopeReport, Terminal};
 use clp::serve::{
     arrivals::{self, ArrivalConfig},
-    bench_spec, serve_scoped, HostLedger, ServiceConfig, ServiceReport, ServiceResult,
+    bench_spec, serve, serve_scoped, ServiceConfig, ServiceReport, ServiceResult,
 };
 use proptest::prelude::*;
+use serde_json::{json, Value};
+
+#[path = "common/golden.rs"]
+mod golden;
 
 /// Asserts every structural span invariant on one scope report.
 fn assert_span_invariants(rep: &ScopeReport) {
@@ -160,22 +164,42 @@ fn bench_scope_goldens(scope: &ScopeReport) -> [(&'static str, String); 2] {
         scope.series.render_phase_table()
     );
     [
-        ("scope_bench.txt", text),
+        ("goldens/scope_bench.txt", text),
         (
-            "scope_bench.perfetto.digest.json",
+            "goldens/scope_bench.perfetto.digest.json",
             digest_golden(&scope.to_perfetto()),
         ),
     ]
 }
 
-fn golden_path(file: &str) -> String {
-    format!("{}/goldens/{file}", env!("CARGO_MANIFEST_DIR"))
+/// The bench's committed documents, fresh: `BENCH_serve.json`, the
+/// `clp-serve-v1` document of `result`, and from `scope`,
+/// `SCOPE_serve.json` and [`bench_scope_goldens`].
+fn bench_goldens(result: &ServiceResult, scope: &ScopeReport) -> Vec<(&'static str, String)> {
+    let (acfg, scfg) = bench_spec();
+    let rep = ServiceReport::new(&acfg, &scfg, result).to_json();
+    let mut goldens = vec![
+        ("BENCH_serve.json", rep),
+        ("SCOPE_serve.json", scope.to_json()),
+    ];
+    goldens.extend(bench_scope_goldens(scope));
+    goldens
+}
+
+/// The host's ledger of the bench: the `scope_bench` section of
+/// `goldens/cells.json`.
+fn bench_cells(result: &ServiceResult) -> Value {
+    let host = &result.host;
+    json!({
+        "attempts": (host.attempts),
+        "resumed": (host.resumed),
+        "cycles_stepped": (host.cycles_stepped),
+        "cycles_charged": (host.cycles_charged)
+    })
 }
 
 #[test]
 fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
-    // The exact configuration `clp-serve --bench` pins.
-    let (acfg, scfg) = bench_spec();
     let (result_a, scope_a) = bench_run();
     let (result_b, scope_b) = bench_run();
 
@@ -187,50 +211,23 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     );
     assert_eq!(result_a, result_b);
 
-    // ... and identical to the committed golden.
-    let scope_path = concat!(env!("CARGO_MANIFEST_DIR"), "/SCOPE_serve.json");
-    let golden = std::fs::read_to_string(scope_path).expect("committed SCOPE_serve.json");
-    check_golden(&golden, &scope_a.to_json()).unwrap_or_else(|moved| {
-        panic!(
-            "replay diverged from SCOPE_serve.json; regenerate with \
-             `clp-serve --bench --scope-json SCOPE_serve.json` if intentional\n{moved}"
-        )
-    });
-
-    // Scope is observational: the clp-serve-v1 document of the scope-on
-    // run is the committed scope-off benchmark, byte for byte.
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
-    let bench = std::fs::read_to_string(bench_path).expect("committed BENCH_serve.json");
-    let rep = ServiceReport::new(&acfg, &scfg, &result_a).to_json();
-    check_golden(&bench, &rep).unwrap_or_else(|moved| {
-        panic!("scope on must not perturb the service document (BENCH_serve.json)\n{moved}")
-    });
-
-    // The scope text reports and the Perfetto export of the same run.
-    for (file, fresh) in bench_scope_goldens(&scope_a) {
-        let path = golden_path(file);
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        check_golden(&golden, &fresh).unwrap_or_else(|moved| {
-            panic!(
-                "replay diverged from goldens/{file}; regenerate with \
-                 `cargo test -q --test scope -- --ignored` if intentional\n{moved}"
-            )
-        });
+    // ... and identical to the committed goldens: the scope document,
+    // the clp-serve-v1 document of the scope-on run (scope on must not
+    // perturb the committed scope-off benchmark, which is what
+    // `regenerate_scope_goldens` writes), the scope text reports and the
+    // Perfetto export.
+    for (file, fresh) in bench_goldens(&result_a, &scope_a) {
+        golden::assert_golden(file, &fresh);
     }
 
     // Deadline kills are continued on the machine they stopped, not
     // re-simulated from cycle 0. No report can tell (virtual time is
     // charged from budgets and cycle counts), so the host's own ledger
-    // is pinned here: the bench continues 13 of its 45 attempts.
-    assert_eq!(
-        result_a.host,
-        HostLedger {
-            attempts: 45,
-            resumed: 13,
-            cycles_stepped: 1_099_520,
-            cycles_charged: 1_559_520,
-        }
-    );
+    // is pinned: the bench continues some of its attempts, and steps
+    // fewer cycles than it is charged for.
+    let host = result_a.host;
+    assert!(host.resumed > 0 && host.cycles_stepped < host.cycles_charged);
+    golden::assert_cells("scope_bench", &bench_cells(&result_a));
 
     // The chaotic bench run satisfies every span invariant too.
     assert_span_invariants(&scope_a);
@@ -238,23 +235,13 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
     assert_eq!(scope_a.fleet.total.jobs, result_a.totals.completed);
 }
 
-/// Not a check: rewrites `goldens/scope_bench*` from the pinned bench.
-#[test]
-#[ignore = "rewrites goldens/scope_bench*; run it to re-baseline the bench's scope reports"]
-fn regenerate_bench_scope_goldens() {
-    for (file, fresh) in bench_scope_goldens(&bench_run().1) {
-        let path = golden_path(file);
-        std::fs::write(&path, fresh).unwrap_or_else(|e| panic!("{path}: {e}"));
-    }
-}
-
-#[test]
-fn chaos_run_matches_the_committed_chaos_goldens() {
-    // README's chaotic run, `clp-serve --jobs 24 --seed 7 --plant-panic 5
-    // --kill-core 11@800`, with every other flag at its default: a second
-    // pinned stream beside the bench, both documents held to equality.
-    // Besides the default 4 workers it is pinned at 1, a dispatch batch
-    // of one, and at 8, batches wider than a two-CPU host.
+/// README's chaotic run, `clp-serve --jobs 24 --seed 7 --plant-panic 5
+/// --kill-core 11@800`, with every other flag at its default: a second
+/// pinned stream beside the bench. Besides the default 4 workers it is
+/// pinned at 1, a dispatch batch of one, and at 8, batches wider than a
+/// two-CPU host. Each run must satisfy every span invariant; returns
+/// each run's two documents under their golden's name.
+fn chaos_goldens() -> Vec<(&'static str, String)> {
     let acfg = ArrivalConfig {
         jobs: 24,
         seed: 7,
@@ -262,14 +249,11 @@ fn chaos_run_matches_the_committed_chaos_goldens() {
         kill_at: vec![(11, 800)],
         ..ArrivalConfig::default()
     };
-    let golden = |name: &str| {
-        let path = golden_path(name);
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {path}: {e}"))
-    };
-    for (workers, serve_golden, scope_golden, flag) in [
-        (4, "serve_chaos.json", "scope_chaos.json", ""),
-        (1, "serve_w1.json", "scope_w1.json", " --workers 1"),
-        (8, "serve_w8.json", "scope_w8.json", " --workers 8"),
+    let mut goldens = Vec::new();
+    for (workers, serve_golden, scope_golden) in [
+        (4, "goldens/serve_chaos.json", "goldens/scope_chaos.json"),
+        (1, "goldens/serve_w1.json", "goldens/scope_w1.json"),
+        (8, "goldens/serve_w8.json", "goldens/scope_w8.json"),
     ] {
         let scfg = ServiceConfig {
             workers,
@@ -282,25 +266,38 @@ fn chaos_run_matches_the_committed_chaos_goldens() {
             Some(&ScopeOptions::default()),
         );
         let scope = scope.expect("scope on");
-        for (name, fresh) in [
-            (
-                serve_golden,
-                ServiceReport::new(&acfg, &scfg, &result).to_json(),
-            ),
-            (scope_golden, scope.to_json()),
-        ] {
-            check_golden(&golden(name), &fresh).unwrap_or_else(|moved| {
-                panic!(
-                    "the {workers}-worker chaos run diverged from goldens/{name}; regenerate \
-                     both with `clp-serve --jobs 24 --seed 7 --plant-panic 5 --kill-core \
-                     11@800{flag} --json goldens/{serve_golden} --scope-json \
-                     goldens/{scope_golden}` if intentional\n{moved}"
-                )
-            });
-        }
         assert_span_invariants(&scope);
         assert_view_matches_totals(&scope, &result);
+        let rep = ServiceReport::new(&acfg, &scfg, &result).to_json();
+        goldens.push((serve_golden, rep));
+        goldens.push((scope_golden, scope.to_json()));
     }
+    goldens
+}
+
+#[test]
+fn chaos_run_matches_the_committed_chaos_goldens() {
+    for (file, fresh) in chaos_goldens() {
+        golden::assert_golden(file, &fresh);
+    }
+}
+
+/// Not a check: rewrites every golden this file holds — the bench's and
+/// the chaos run's documents, and this file's section of
+/// `goldens/cells.json`.
+#[test]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_scope_goldens() {
+    let (result, scope) = bench_run();
+    let (acfg, scfg) = bench_spec();
+    let scope_off = serve(arrivals::generate(&acfg), &scfg);
+    for (file, fresh) in bench_goldens(&scope_off, &scope)
+        .into_iter()
+        .chain(chaos_goldens())
+    {
+        golden::write(file, &fresh);
+    }
+    golden::write_cells(vec![("scope_bench", bench_cells(&result))]);
 }
 
 proptest! {

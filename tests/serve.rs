@@ -24,7 +24,19 @@ use clp::serve::{
 };
 use clp::sim::{FaultKind, FaultPlan};
 use proptest::prelude::*;
+use serde_json::{json, Value};
 use std::sync::Arc;
+
+#[path = "common/golden.rs"]
+mod golden;
+#[path = "common/pinned.rs"]
+mod pinned;
+
+/// A third of conv's cycles at 8 cores: under budget doubling, the first
+/// two attempts at that size are killed and the third completes.
+fn a_third_of_conv_x8() -> u64 {
+    pinned::cycles("conv", "tflex-8") / 3
+}
 
 fn chaos_arrivals() -> ArrivalConfig {
     // A small but fully loaded schedule: a planted panic, a doomed
@@ -226,9 +238,9 @@ fn planted_panic_leaves_sibling_cycle_counts_untouched() {
 
 #[test]
 fn deadline_kills_escalate_budget_until_success() {
-    // conv at 8 cores needs ~7k cycles. A 2k budget dies, 4k dies, 8k
-    // succeeds: two deadline kills, two retries, then completion.
-    let jobs = vec![(1u64, JobSpec::new(0, "conv", 8, 2_000))];
+    // A third of conv's cycles dies, two thirds die, four thirds
+    // succeed: two deadline kills, two retries, then completion.
+    let jobs = vec![(1u64, JobSpec::new(0, "conv", 8, a_third_of_conv_x8()))];
     let r = serve(jobs, &quiet_cfg());
     assert_eq!(r.totals.deadline_kills, 2);
     assert_eq!(r.totals.retries, 2);
@@ -388,8 +400,10 @@ fn a_deadline_kill_under_attempt_0_faults_is_not_continued() {
     // meet; the retry runs fault-free, so its settings differ and the
     // faulted machine must be dropped: continuing it would carry the
     // faulted prefix into the reported cycle count. Attempt 1 is killed
-    // fault-free at 4 000 and attempt 2 continues *that* machine.
-    let mut spec = JobSpec::new(0, "conv", 8, 2_000);
+    // fault-free at twice the budget and attempt 2 continues *that*
+    // machine.
+    let budget = a_third_of_conv_x8();
+    let mut spec = JobSpec::new(0, "conv", 8, budget);
     spec.faults = FaultPlan::only(FaultKind::DramSpike, 9, 400);
     let r = serve(vec![(1, spec)], &quiet_cfg());
     assert_eq!((r.totals.deadline_kills, r.totals.completed), (2, 1));
@@ -403,9 +417,9 @@ fn a_deadline_kill_under_attempt_0_faults_is_not_continued() {
         HostLedger {
             attempts: 3,
             resumed: 1,
-            // 0..2 000 faulted, 0..4 000 afresh, then on from 4 000.
-            cycles_stepped: 2_000 + cycles,
-            cycles_charged: 2_000 + 4_000 + cycles,
+            // 0..budget faulted, 0..2 budget afresh, then on from there.
+            cycles_stepped: budget + cycles,
+            cycles_charged: budget + 2 * budget + cycles,
         }
     );
 }
@@ -413,9 +427,11 @@ fn a_deadline_kill_under_attempt_0_faults_is_not_continued() {
 #[test]
 fn the_gzip_shape_resumes_exactly_once() {
     // A no-survivor kill is refused before cycle 0 (transient), the
-    // fault-free retry outlives 200 000 cycles, and the third attempt
-    // runs the second's machine on: gzip is simulated once, end to end.
-    let mut spec = JobSpec::new(0, "gzip", 1, 200_000);
+    // fault-free retry outlives a budget of three quarters of gzip's
+    // cycles, and the third attempt runs the second's machine on: gzip
+    // is simulated once, end to end.
+    let budget = pinned::cycles("gzip", "tflex-1") * 3 / 4;
+    let mut spec = JobSpec::new(0, "gzip", 1, budget);
     spec.faults.add_kill(0, 800).expect("valid kill");
     let r = serve(vec![(1, spec)], &quiet_cfg());
     let t = &r.totals;
@@ -431,18 +447,17 @@ fn the_gzip_shape_resumes_exactly_once() {
             attempts: 3,
             resumed: 1,
             cycles_stepped: cycles,
-            cycles_charged: 200_000 + cycles,
+            cycles_charged: budget + cycles,
         }
     );
 }
 
-#[test]
-fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
-    // The four pinned streams of clp-hostbench's `serve_batch` (the
-    // specification is copied from benchmark/src/workloads.rs): 48 jobs
-    // all complete, 27 deadline kills on the way. Before kills were
-    // continued the workers stepped every charged cycle — 1 785 851 —
-    // of which 410 000 were re-simulated prefixes.
+/// The four pinned streams of clp-hostbench's `serve_batch` (the
+/// specification is copied from benchmark/src/workloads.rs), each run
+/// with scope off and on, checking that scope on changes nothing but
+/// the books: the jobs completed, and the `serve_batch` section of
+/// `goldens/cells.json` — the deadline kills and the host's ledger.
+fn serve_batch_cells() -> (u64, Value) {
     let scfg = ServiceConfig {
         workers: 2,
         queue_cap: 64,
@@ -481,16 +496,38 @@ fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
         host.cycles_stepped += plain.host.cycles_stepped;
         host.cycles_charged += plain.host.cycles_charged;
     }
-    assert_eq!((completed, kills), (48, 27));
-    assert_eq!(
-        host,
-        HostLedger {
-            attempts: 83,
-            resumed: 27,
-            cycles_stepped: 1_375_851,
-            cycles_charged: 1_785_851,
-        }
-    );
+    let cells = json!({"deadline_kills": kills, "host": (ledger(&host))});
+    (completed, cells)
+}
+
+/// `host` as a `goldens/cells.json` cell.
+fn ledger(host: &HostLedger) -> Value {
+    json!({
+        "attempts": (host.attempts),
+        "resumed": (host.resumed),
+        "cycles_stepped": (host.cycles_stepped),
+        "cycles_charged": (host.cycles_charged)
+    })
+}
+
+#[test]
+fn serve_batch_shaped_streams_step_only_the_cycles_that_complete() {
+    // All 48 jobs complete. Every deadline kill is continued, so the
+    // workers step fewer cycles than they are charged: without that they
+    // would step every charged cycle, re-simulating each killed prefix.
+    let (completed, cells) = serve_batch_cells();
+    assert_eq!(completed, 4 * 12);
+    let host = &cells["host"];
+    let stepped = host["cycles_stepped"].as_u64().expect("a count");
+    assert!(stepped < host["cycles_charged"].as_u64().expect("a count"));
+    golden::assert_cells("serve_batch", &cells);
+}
+
+/// Not a check: rewrites this file's section of `goldens/cells.json`.
+#[test]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_serve_cells() {
+    golden::write_cells(vec![("serve_batch", serve_batch_cells().1)]);
 }
 
 /// A fault-free first attempt of `name` on `cores` cores, compiling on

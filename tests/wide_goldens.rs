@@ -8,12 +8,10 @@
 //! order the stage loops visit cores and blocks in also orders PRNG
 //! draws, NACK retries and what a dying core leaves behind, and a
 //! run-twice comparison shares that code with itself, so it does not
-//! see it move. Values recorded at commit d7882b0 (the parent of the PR
-//! that added them) with `run_one <kernel> <cores> --faults all=25
-//! --fault-seed 7` and `run_one <kernel> <cores> --kill-core
-//! <core>@<cycle>`, flushes read from `--stats-json`; the single-kind
-//! and deadline cells at commit 18c0a69, the last with a second driver
-//! to agree with.
+//! see it move. Their cycles, flushes and injections are the
+//! `wide_perturbed` and `wide_single_kind` sections of
+//! `goldens/cells.json`, written by `regenerate_wide_cells`; their
+//! return values are the fault-free cells' in `goldens/suite_wide.json`.
 
 use clp::core::{
     compile_workload, run_compiled, run_compiled_observed, FaultKind, FaultPlan, ObsOptions,
@@ -21,7 +19,10 @@ use clp::core::{
 };
 use clp::obs::TrendOptions;
 use clp::sim::RunError;
+use serde_json::{json, Value};
 
+#[path = "common/golden.rs"]
+mod golden;
 #[path = "common/pinned.rs"]
 mod pinned;
 
@@ -62,22 +63,31 @@ fn thirty_two_core_cycles_and_results_are_pinned() {
     }
 }
 
-#[test]
-fn perturbed_sixteen_and_thirty_two_core_cells_are_pinned() {
-    // `None` runs under `FaultPlan::chaos(7, 25)`; `Some((core, cycle))`
-    // kills a core that holds a ready entry and in-flight completions
-    // (and, in the rspeed cells, whose processor has armed dispatch
-    // slices) at the start of that cycle.
-    for (name, cores, kill, cycles, ret, flushed) in [
-        ("rspeed", 16, None, 8_842, 0x5, 123),
-        ("rspeed", 32, None, 9_532, 0x5, 81),
-        ("bzip2", 16, None, 10_685, 0x5e, 21),
-        ("bzip2", 32, None, 14_709, 0x5e, 38),
-        ("rspeed", 16, Some((15, 2_046)), 9_746, 0x5, 126),
-        ("rspeed", 32, Some((23, 202)), 9_503, 0x5, 199),
-        ("bzip2", 16, Some((3, 7_562)), 11_271, 0x5e, 56),
-        ("bzip2", 32, Some((3, 6_762)), 15_738, 0x5e, 84),
-    ] {
+/// The core a perturbed cell kills and the cycle it dies at, if any.
+type Kill = Option<(usize, u64)>;
+
+/// The perturbed cells: `None` runs under `FaultPlan::chaos(7, 25)`;
+/// `Some((core, cycle))` kills a core that holds a ready entry and
+/// in-flight completions (and, in the rspeed cells, whose processor has
+/// armed dispatch slices) at the start of that cycle.
+const PERTURBED: [(&str, usize, Kill); 8] = [
+    ("rspeed", 16, None),
+    ("rspeed", 32, None),
+    ("bzip2", 16, None),
+    ("bzip2", 32, None),
+    ("rspeed", 16, Some((15, 2_046))),
+    ("rspeed", 32, Some((23, 202))),
+    ("bzip2", 16, Some((3, 7_562))),
+    ("bzip2", 32, Some((3, 6_762))),
+];
+
+/// Runs every [`PERTURBED`] cell: each one's return value, and the
+/// `wide_perturbed` section of `goldens/cells.json` — per cell, its
+/// cycles and flushed blocks.
+fn perturbed_cells() -> (Vec<u64>, Value) {
+    let mut rets = Vec::new();
+    let mut cells = Vec::new();
+    for (name, cores, kill) in PERTURBED {
         let plan = match kill {
             None => FaultPlan::chaos(7, 25),
             Some((core, cycle)) => {
@@ -89,40 +99,87 @@ fn perturbed_sixteen_and_thirty_two_core_cells_are_pinned() {
         let w = clp::workloads::suite::by_name(name).expect("exists");
         let cw = compile_workload(&w).expect("compiles");
         let cfg = ProcessorConfig::tflex(cores).with_faults(plan);
-        let cell = format!("{name} x{cores} kill {kill:?}");
+        let cell = match kill {
+            None => format!("{name} x{cores} chaos"),
+            Some((core, cycle)) => format!("{name} x{cores} kill {core}@{cycle}"),
+        };
         let r = run_compiled(&cw, &cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
-        assert_eq!(r.stats.cycles, cycles, "{cell}: cycle count moved");
-        assert_eq!(r.ret, ret, "{cell}: return value moved");
-        let got: u64 = r.stats.procs.iter().map(|p| p.blocks_flushed).sum();
-        assert_eq!(got, flushed, "{cell}: blocks_flushed moved");
+        let flushed: u64 = r.stats.procs.iter().map(|p| p.blocks_flushed).sum();
+        rets.push(r.ret);
+        cells.push((
+            cell,
+            json!({"cycles": (r.stats.cycles), "flushed": flushed}),
+        ));
     }
+    (rets, Value::Object(cells))
+}
+
+#[test]
+fn perturbed_sixteen_and_thirty_two_core_cells_are_pinned() {
+    let (rets, cells) = perturbed_cells();
+    for ((name, cores, kill), ret) in PERTURBED.into_iter().zip(rets) {
+        let want = pinned::ret(name, "tflex-32");
+        assert_eq!(
+            ret, want,
+            "{name} x{cores} kill {kill:?}: return value moved"
+        );
+    }
+    golden::assert_cells("wide_perturbed", &cells);
+}
+
+/// The fault kinds run alone on bzip2 at 16 cores.
+const SINGLE_KINDS: [FaultKind; 6] = [
+    FaultKind::NocDelay,
+    FaultKind::NocBurst,
+    FaultKind::ForcedNack,
+    FaultKind::Mispredict,
+    FaultKind::DramSpike,
+    FaultKind::HandoffDelay,
+];
+
+/// Runs bzip2 at 16 cores under each of [`SINGLE_KINDS`] alone: each
+/// run's return value, and the `wide_single_kind` section of
+/// `goldens/cells.json` — per kind, the cycles and injections.
+fn single_kind_cells() -> (Vec<u64>, Value) {
+    let w = clp::workloads::suite::by_name("bzip2").expect("exists");
+    let cw = compile_workload(&w).expect("compiles");
+    let mut rets = Vec::new();
+    let mut cells = Vec::new();
+    for kind in SINGLE_KINDS {
+        let cfg = ProcessorConfig::tflex(16).with_faults(FaultPlan::only(kind, 0xE0, 150));
+        let r = run_compiled(&cw, &cfg).unwrap_or_else(|e| panic!("bzip2 x16 under {kind}: {e}"));
+        let injected = r.stats.faults.count(kind);
+        rets.push(r.ret);
+        let cell = json!({"cycles": (r.stats.cycles), "injected": injected});
+        cells.push((kind.to_string(), cell));
+    }
+    (rets, Value::Object(cells))
 }
 
 #[test]
 fn single_fault_kinds_and_a_deadline_are_pinned_at_sixteen_cores() {
-    let w = clp::workloads::suite::by_name("bzip2").expect("exists");
-    let cw = compile_workload(&w).expect("compiles");
-    for (kind, cycles, injected) in [
-        (FaultKind::NocDelay, 10_846, 2_910),
-        (FaultKind::NocBurst, 10_516, 1_544),
-        (FaultKind::ForcedNack, 9_960, 67),
-        (FaultKind::Mispredict, 11_303, 85),
-        (FaultKind::DramSpike, 10_505, 44),
-        (FaultKind::HandoffDelay, 9_948, 77),
-    ] {
-        let cfg = ProcessorConfig::tflex(16).with_faults(FaultPlan::only(kind, 0xE0, 150));
-        let cell = format!("bzip2 x16 under {kind}");
-        let r = run_compiled(&cw, &cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
-        assert_eq!(r.stats.cycles, cycles, "{cell}: cycle count moved");
-        assert_eq!(r.ret, 0x5e, "{cell}: return value moved");
-        let got = r.stats.faults.count(kind);
-        assert_eq!(got, injected, "{cell}: injections moved");
+    let (rets, cells) = single_kind_cells();
+    for (kind, ret) in SINGLE_KINDS.into_iter().zip(rets) {
+        let want = pinned::ret("bzip2", "tflex-32");
+        assert_eq!(ret, want, "bzip2 x16 under {kind}: return value moved");
     }
-    // Half of rspeed x16's clean 8 533 cycles.
+    golden::assert_cells("wide_single_kind", &cells);
+    // Half of rspeed x16's clean cycles.
+    let budget = pinned::cycles("rspeed", "tflex-16") / 2;
     let w = clp::workloads::suite::by_name("rspeed").expect("exists");
     let cw = compile_workload(&w).expect("compiles");
-    match run_compiled(&cw, &ProcessorConfig::tflex(16).with_deadline(4_266)) {
-        Err(RunFailure::Run(RunError::DeadlineExceeded { budget: 4_266 })) => {}
-        other => panic!("rspeed x16: expected a deadline kill at 4266, got {other:?}"),
+    match run_compiled(&cw, &ProcessorConfig::tflex(16).with_deadline(budget)) {
+        Err(RunFailure::Run(RunError::DeadlineExceeded { budget: b })) if b == budget => {}
+        other => panic!("rspeed x16: expected a deadline kill at {budget}, got {other:?}"),
     }
+}
+
+/// Not a check: rewrites this file's sections of `goldens/cells.json`.
+#[test]
+#[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
+fn regenerate_wide_cells() {
+    golden::write_cells(vec![
+        ("wide_perturbed", perturbed_cells().1),
+        ("wide_single_kind", single_kind_cells().1),
+    ]);
 }
