@@ -4,8 +4,6 @@
 //! cargo run --release -p clp-bench --bin clp-bench            # write BENCH_suite.json
 //! cargo run --release -p clp-bench --bin clp-bench -- \
 //!     --check BENCH_baseline.json                             # golden gate
-//! cargo run --release -p clp-bench --bin clp-bench -- \
-//!     --out BENCH_baseline.json                               # re-baseline
 //! ```
 //!
 //! Runs the built-in suite at 1/2/4/8/16 cores with the clp-prof layer
@@ -19,7 +17,9 @@
 //! `clp_obs::check_golden`, the one gate every golden goes through: on
 //! a miss it prints the leaves that moved, cells and cycle-accounting
 //! buckets ranked by |delta|, and the tool exits 1. (How far a cell
-//! sits above its static floor is `clp-bound`'s report.)
+//! sits above its static floor is `clp-bound`'s report.) Re-baselining
+//! is `cargo test -q --release -- --ignored regenerate`, which rewrites
+//! `BENCH_baseline.json` with every other golden.
 //!
 //! Host wall-clock throughput is not measured here: that is
 //! `clp-hostbench` under `benchmark/` (see its README for the noise
@@ -49,8 +49,8 @@ fn main() {
     let matrix = SuiteMatrix::measure(&suite::all(), &BENCH_SIZES).complete_or_die();
     let doc = matrix.bench_document(&BENCH_SIZES);
     let text = serde_json::to_string_pretty(&doc).expect("serializes");
-    // Always emit the measured suite (also under --check, so a
-    // re-baseline can copy the fresh numbers from it).
+    // Always emit the measured suite, also under --check, so a miss can
+    // be taken apart with `clp-diff GOLDEN OUT`.
     write_or_die(&out, &text);
     println!(
         "clp-bench: wrote {} workloads x {:?} cores to {}",

@@ -53,7 +53,6 @@ const SPEC: Spec = Spec {
     flags: &[
         Flag::value("--trace", "PATH", "write a Chrome trace-event JSON file"),
         Flag::value("--stats-json", "PATH", "write the unified stats snapshot"),
-        Flag::switch("--lint", "lint the compiled program first; refuse to run on errors"),
         Flag::switch("--bound", "print the static cycle floor beside the measured cycles"),
         Flag::switch("--profile", "print the clp-prof breakdown, heatmap and hottest links"),
         Flag::switch("--trend", "print the clp-trend phase timeline"),
@@ -82,7 +81,7 @@ fn main() {
         .map(|v| CoreKill::parse(v).unwrap_or_else(|e| die(format!("bad --kill-core: {e}"))))
         .collect();
     let max_cycles: Option<u64> = or_die(args.num("--max-cycles", 1..));
-    let (lint, bound) = (args.switch("--lint"), args.switch("--bound"));
+    let bound = args.switch("--bound");
     let (profile, phase_table) = (args.switch("--profile"), args.switch("--phase-table"));
     let trend = args.switch("--trend") || phase_table;
     let period: u64 = or_die(match args.num("--sample-every", 1..) {
@@ -96,21 +95,6 @@ fn main() {
         println!("{name} on {n} cores FAILED: {e}");
         std::process::exit(3);
     });
-    if lint {
-        let cfg = clp_lint::LintConfig {
-            placement_cores: n,
-            ..clp_lint::LintConfig::default()
-        };
-        let report = clp_lint::lint_program(&cw.edge, &cfg);
-        if report.is_empty() {
-            println!("[lint: clean]");
-        } else {
-            print!("{}", clp_lint::render_report(&report, Some(&cw.edge)));
-        }
-        if report.has_errors() {
-            die("lint found error-severity diagnostics");
-        }
-    }
     // Fail on an unwritable output path now, not after a long run.
     for path in trace.iter().chain(&stats_json) {
         write_or_die(path, "");

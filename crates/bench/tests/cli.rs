@@ -113,6 +113,48 @@ fn run_one_tells_its_failure_modes_apart() {
     assert_eq!(run(exe, &["conv", "0"]).status.code(), Some(2));
 }
 
+/// `clp-lint --asm FILE` lints a program from outside the suite: a clean
+/// one exits 0, an error lint exits 1 and names its code, and a branch to
+/// a missing block is refused by the assembler (exit 2) before any lint
+/// runs.
+#[test]
+fn clp_lint_lints_an_assembled_program_from_disk() {
+    let exe = env!("CARGO_BIN_EXE_clp-lint");
+    let lint = |name: &str, text: &str| {
+        std::fs::write(std::path::Path::new(TMP).join(name), text).expect("writes");
+        run(exe, &["--asm", name])
+    };
+
+    let out = lint(
+        "clean.edge",
+        "entry @0x1000\nblock @0x1000 {\n  i0: read r1 -> i1.L\n  i1: addi #1 -> i2.L\n  \
+         i2: write r1\n  i3: bro halt e0\n}\n",
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "clean.edge: clean\n");
+
+    // The store's predicate can be false, and then nothing resolves ls0.
+    let out = lint(
+        "unresolved.edge",
+        "entry @0x1000\nblock @0x1000 {\n  i0: read r1 -> i2.P\n  i1: movi #256 -> i2.L -> i2.R\n  \
+         i2: p_t st #0 ls0\n  i3: bro halt e0\n}\n",
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("error[L005]"));
+
+    let out = lint(
+        "dangling.edge",
+        "entry @0x1000\nblock @0x1000 {\n  i0: bro br e0 @0x2000\n}\n",
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("block 0x1000 branches to nonexistent 0x2000"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "nothing was linted");
+}
+
 /// `--sample-every` is the width of `run_one`'s trend intervals and
 /// nothing else: no tool accepts it where it would be ignored.
 #[test]

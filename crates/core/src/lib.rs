@@ -18,12 +18,10 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 pub mod cli;
 mod multiprogram;
 mod run;
 
-pub use adaptive::{adapt_composition, AdaptDecision, AdaptGoal, AdaptOutcome, AdaptStep};
 pub use multiprogram::{run_multiprogram, MultiOutcome, PlacementError, ProgramSpec};
 pub use run::{
     compile_workload, run_compiled, run_compiled_observed, run_workload, CompiledWorkload,

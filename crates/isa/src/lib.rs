@@ -6,9 +6,10 @@
 //! Programs are sequences of *hyperblocks*: predicated, single-entry,
 //! multiple-exit regions of up to [`MAX_BLOCK_INSTRUCTIONS`] instructions
 //! with atomic execution semantics. Instructions do not name source
-//! registers; instead each instruction statically encodes up to two
-//! nine-bit [`Target`]s that say *which other instruction in the block*
-//! consumes its result and into which operand slot. The microarchitecture
+//! registers; instead each instruction names up to two [`Target`]s (a
+//! seven-bit instruction index plus an operand slot) that say *which
+//! other instruction in the block* consumes its result and into which
+//! operand slot. The microarchitecture
 //! interprets those targets as placement coordinates, which is exactly what
 //! makes processors composable: an N-core processor uses the low bits of
 //! the target index to pick the core and the high bits to pick the slot.
@@ -17,7 +18,9 @@
 //! [`Opcode::Read`] instructions inject register values into the dataflow
 //! graph and [`Opcode::Write`] instructions collect block outputs that are
 //! committed en masse. Memory ordering within a block is expressed by
-//! load/store identifiers ([`Lsid`]).
+//! load/store identifiers ([`Lsid`]). Blocks exist as [`Block`] values
+//! and as the textual form [`asm`] prints and parses. The opcode table
+//! holds only what the compiled suite executes.
 //!
 //! ```
 //! use clp_isa::{BlockBuilder, Operand, Opcode, BranchKind, Reg};
@@ -41,7 +44,6 @@
 pub mod asm;
 mod block;
 mod builder;
-mod encode;
 mod inst;
 mod opcode;
 mod program;
@@ -50,7 +52,6 @@ pub mod value;
 
 pub use block::{Block, BlockError, ExitSummary};
 pub use builder::BlockBuilder;
-pub use encode::{decode_instruction, encode_instruction, DecodeError, EncodedInstruction};
 pub use inst::{BranchInfo, Instruction, PredSense};
 pub use opcode::{BranchKind, Opcode, OpcodeClass};
 pub use program::{EdgeProgram, ProgramBuilder, ProgramError};

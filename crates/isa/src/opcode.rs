@@ -80,15 +80,14 @@ pub enum OpcodeClass {
 }
 
 macro_rules! opcodes {
-    ($( $(#[$meta:meta])* $name:ident = $code:expr => ($class:expr, $arity:expr, $lat:expr, $mnem:expr) ),+ $(,)?) => {
+    ($( $(#[$meta:meta])* $name:ident => ($class:expr, $arity:expr, $lat:expr, $mnem:expr) ),+ $(,)?) => {
         /// An EDGE instruction opcode.
         ///
         /// The tuple in each definition is `(class, data-operand arity,
         /// execution latency in cycles, mnemonic)`.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(u8)]
         pub enum Opcode {
-            $( $(#[$meta])* $name = $code ),+
+            $( $(#[$meta])* $name ),+
         }
 
         impl Opcode {
@@ -120,15 +119,6 @@ macro_rules! opcodes {
                 match self { $(Opcode::$name => $mnem),+ }
             }
 
-            /// Decodes the eight-bit opcode field.
-            #[must_use]
-            pub fn decode(bits: u8) -> Option<Self> {
-                match bits {
-                    $( $code => Some(Opcode::$name), )+
-                    _ => None,
-                }
-            }
-
             /// Looks an opcode up by its assembler mnemonic.
             #[must_use]
             pub fn from_mnemonic(s: &str) -> Option<Self> {
@@ -146,106 +136,88 @@ use OpcodeClass::{Branch, Float, Int, Memory, RegInterface};
 opcodes! {
     // ---- integer ALU ----
     /// 64-bit integer addition.
-    Add = 0x00 => (Int, 2, 1, "add"),
+    Add => (Int, 2, 1, "add"),
     /// 64-bit integer subtraction.
-    Sub = 0x01 => (Int, 2, 1, "sub"),
+    Sub => (Int, 2, 1, "sub"),
     /// 64-bit integer multiplication (low 64 bits).
-    Mul = 0x02 => (Int, 2, 3, "mul"),
+    Mul => (Int, 2, 3, "mul"),
     /// Signed 64-bit division (division by zero yields zero).
-    Div = 0x03 => (Int, 2, 12, "div"),
+    Div => (Int, 2, 12, "div"),
     /// Signed 64-bit remainder (modulo zero yields zero).
-    Rem = 0x04 => (Int, 2, 12, "rem"),
+    Rem => (Int, 2, 12, "rem"),
     /// Bitwise AND.
-    And = 0x05 => (Int, 2, 1, "and"),
+    And => (Int, 2, 1, "and"),
     /// Bitwise OR.
-    Or = 0x06 => (Int, 2, 1, "or"),
+    Or => (Int, 2, 1, "or"),
     /// Bitwise XOR.
-    Xor = 0x07 => (Int, 2, 1, "xor"),
+    Xor => (Int, 2, 1, "xor"),
     /// Logical shift left (shift amount taken modulo 64).
-    Shl = 0x08 => (Int, 2, 1, "shl"),
+    Shl => (Int, 2, 1, "shl"),
     /// Logical shift right.
-    Shr = 0x09 => (Int, 2, 1, "shr"),
+    Shr => (Int, 2, 1, "shr"),
     /// Arithmetic shift right.
-    Sar = 0x0a => (Int, 2, 1, "sar"),
-    /// Bitwise NOT (unary).
-    Not = 0x0b => (Int, 1, 1, "not"),
+    Sar => (Int, 2, 1, "sar"),
     /// Two's-complement negate (unary).
-    Neg = 0x0c => (Int, 1, 1, "neg"),
+    Neg => (Int, 1, 1, "neg"),
 
     // ---- tests (produce 0/1, usable as data or predicates) ----
     /// Set to 1 if equal.
-    Teq = 0x10 => (Int, 2, 1, "teq"),
+    Teq => (Int, 2, 1, "teq"),
     /// Set to 1 if not equal.
-    Tne = 0x11 => (Int, 2, 1, "tne"),
+    Tne => (Int, 2, 1, "tne"),
     /// Set to 1 if signed less-than.
-    Tlt = 0x12 => (Int, 2, 1, "tlt"),
+    Tlt => (Int, 2, 1, "tlt"),
     /// Set to 1 if signed less-or-equal.
-    Tle = 0x13 => (Int, 2, 1, "tle"),
+    Tle => (Int, 2, 1, "tle"),
     /// Set to 1 if signed greater-than.
-    Tgt = 0x14 => (Int, 2, 1, "tgt"),
+    Tgt => (Int, 2, 1, "tgt"),
     /// Set to 1 if signed greater-or-equal.
-    Tge = 0x15 => (Int, 2, 1, "tge"),
-    /// Set to 1 if unsigned less-than.
-    Tltu = 0x16 => (Int, 2, 1, "tltu"),
-    /// Set to 1 if unsigned greater-or-equal.
-    Tgeu = 0x17 => (Int, 2, 1, "tgeu"),
+    Tge => (Int, 2, 1, "tge"),
 
     // ---- data movement ----
     /// Copy the single operand to the targets (fan-out tree node).
-    Mov = 0x18 => (Int, 1, 1, "mov"),
+    Mov => (Int, 1, 1, "mov"),
     /// Generate the immediate constant (no data operands).
-    Movi = 0x19 => (Int, 0, 1, "movi"),
+    Movi => (Int, 0, 1, "movi"),
     /// Add the immediate to the single operand (`addi`).
-    Addi = 0x1a => (Int, 1, 1, "addi"),
-    /// Shift the single operand left by the immediate.
-    Shli = 0x1b => (Int, 1, 1, "shli"),
+    Addi => (Int, 1, 1, "addi"),
     /// Produce a null token: resolves a register write or a store LSID on
     /// a predicated-off path without performing it.
-    Null = 0x1c => (Int, 0, 1, "null"),
+    Null => (Int, 0, 1, "null"),
 
     // ---- floating point (f64 bit pattern in the 64-bit value) ----
     /// FP addition.
-    Fadd = 0x20 => (Float, 2, 4, "fadd"),
+    Fadd => (Float, 2, 4, "fadd"),
     /// FP subtraction.
-    Fsub = 0x21 => (Float, 2, 4, "fsub"),
+    Fsub => (Float, 2, 4, "fsub"),
     /// FP multiplication.
-    Fmul = 0x22 => (Float, 2, 4, "fmul"),
+    Fmul => (Float, 2, 4, "fmul"),
     /// FP division.
-    Fdiv = 0x23 => (Float, 2, 16, "fdiv"),
-    /// Set to 1 if FP equal.
-    Feq = 0x24 => (Float, 2, 2, "feq"),
-    /// Set to 1 if FP less-than.
-    Flt = 0x25 => (Float, 2, 2, "flt"),
-    /// Set to 1 if FP less-or-equal.
-    Fle = 0x26 => (Float, 2, 2, "fle"),
+    Fdiv => (Float, 2, 16, "fdiv"),
     /// Convert signed integer to FP (unary).
-    Itof = 0x27 => (Float, 1, 4, "itof"),
-    /// Convert FP to signed integer, truncating (unary).
-    Ftoi = 0x28 => (Float, 1, 4, "ftoi"),
-    /// FP negate (unary).
-    Fneg = 0x29 => (Float, 1, 1, "fneg"),
+    Itof => (Float, 1, 4, "itof"),
 
     // ---- memory ----
     /// Load a 64-bit word from `operand + imm`; carries an LSID.
-    Ld = 0x30 => (Memory, 1, 1, "ld"),
+    Ld => (Memory, 1, 1, "ld"),
     /// Load a byte (zero-extended) from `operand + imm`; carries an LSID.
-    Ldb = 0x31 => (Memory, 1, 1, "ldb"),
+    Ldb => (Memory, 1, 1, "ldb"),
     /// Store the right operand as a 64-bit word at `left + imm`.
-    St = 0x32 => (Memory, 2, 1, "st"),
+    St => (Memory, 2, 1, "st"),
     /// Store the low byte of the right operand at `left + imm`.
-    Stb = 0x33 => (Memory, 2, 1, "stb"),
+    Stb => (Memory, 2, 1, "stb"),
 
     // ---- control ----
     /// Block exit branch. Carries a [`BranchInfo`](crate::BranchInfo):
     /// exit ID, branch kind, and (except for returns) a static target.
-    Bro = 0x38 => (Branch, 0, 1, "bro"),
+    Bro => (Branch, 0, 1, "bro"),
 
     // ---- register interface ----
     /// Read an architectural register and forward it to the targets.
-    Read = 0x3c => (RegInterface, 0, 1, "read"),
+    Read => (RegInterface, 0, 1, "read"),
     /// Receive one value (or null) and write it to an architectural
     /// register when the block commits.
-    Write = 0x3d => (RegInterface, 1, 1, "write"),
+    Write => (RegInterface, 1, 1, "write"),
 }
 
 impl Opcode {
@@ -266,13 +238,7 @@ impl Opcode {
     pub fn has_immediate(self) -> bool {
         matches!(
             self,
-            Opcode::Movi
-                | Opcode::Addi
-                | Opcode::Shli
-                | Opcode::Ld
-                | Opcode::Ldb
-                | Opcode::St
-                | Opcode::Stb
+            Opcode::Movi | Opcode::Addi | Opcode::Ld | Opcode::Ldb | Opcode::St | Opcode::Stb
         )
     }
 
@@ -300,14 +266,12 @@ mod tests {
     #[test]
     fn opcode_decode_roundtrip() {
         for &op in Opcode::ALL {
-            assert_eq!(Opcode::decode(op as u8), Some(op), "{op:?}");
             assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op));
         }
     }
 
     #[test]
     fn opcode_decode_rejects_unknown() {
-        assert_eq!(Opcode::decode(0xff), None);
         assert_eq!(Opcode::from_mnemonic("frobnicate"), None);
     }
 

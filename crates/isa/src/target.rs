@@ -16,7 +16,7 @@ impl InstId {
     /// IDs `128..256` are transient artifacts of block construction
     /// (e.g. a [`BlockBuilder`](crate::BlockBuilder) that has grown past
     /// the architectural limit); they are rejected when the block is
-    /// validated and can never be encoded.
+    /// validated.
     ///
     /// # Panics
     ///
@@ -77,24 +77,14 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Two-bit encoding used in the nine-bit target field.
+    /// The slot number (0–2), the two operand bits of a nine-bit TRIPS
+    /// target; it indexes per-slot arrays.
     #[must_use]
     pub fn encode(self) -> u8 {
         match self {
             Operand::Left => 0,
             Operand::Right => 1,
             Operand::Pred => 2,
-        }
-    }
-
-    /// Decodes the two-bit operand-slot field.
-    #[must_use]
-    pub fn decode(bits: u8) -> Option<Self> {
-        match bits {
-            0 => Some(Operand::Left),
-            1 => Some(Operand::Right),
-            2 => Some(Operand::Pred),
-            _ => None,
         }
     }
 }
@@ -125,24 +115,6 @@ impl Target {
     #[must_use]
     pub fn new(inst: InstId, operand: Operand) -> Self {
         Target { inst, operand }
-    }
-
-    /// Packs the target into its nine-bit wire encoding.
-    ///
-    /// Only valid for architectural IDs (`< 128`); transient builder IDs
-    /// cannot be encoded.
-    #[must_use]
-    pub fn encode(self) -> u16 {
-        debug_assert!(self.inst.index() < crate::MAX_BLOCK_INSTRUCTIONS);
-        (u16::from(self.operand.encode()) << 7) | self.inst.0 as u16
-    }
-
-    /// Unpacks a nine-bit wire encoding.
-    #[must_use]
-    pub fn decode(bits: u16) -> Option<Self> {
-        let operand = Operand::decode(((bits >> 7) & 0x3) as u8)?;
-        let inst = InstId((bits & 0x7f) as u8);
-        Some(Target { inst, operand })
     }
 }
 
@@ -266,22 +238,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn inst_id_range_checked() {
         let _ = InstId::new(256);
-    }
-
-    #[test]
-    fn target_roundtrip() {
-        for idx in [0usize, 1, 63, 127] {
-            for op in [Operand::Left, Operand::Right, Operand::Pred] {
-                let t = Target::new(InstId::new(idx), op);
-                assert_eq!(Target::decode(t.encode()), Some(t));
-            }
-        }
-    }
-
-    #[test]
-    fn target_decode_rejects_bad_slot() {
-        // Slot bits 0b11 are unused.
-        assert_eq!(Target::decode(0b11_0000001), None);
     }
 
     #[test]

@@ -1,90 +1,10 @@
-//! Property-based tests for the EDGE ISA: encoding round-trips, assembler
-//! round-trips, and builder-produced block validity.
+//! Property-based tests for the EDGE ISA: assembler round-trips and
+//! builder-produced block validity.
 
-use clp_isa::{
-    asm, decode_instruction, encode_instruction, BlockBuilder, BranchInfo, BranchKind, InstId,
-    Instruction, Lsid, Opcode, Operand, PredSense, Reg, Target,
-};
+use clp_isa::{asm, BlockBuilder, BranchKind, Opcode, Reg};
 use proptest::prelude::*;
 
-fn arb_operand() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        Just(Operand::Left),
-        Just(Operand::Right),
-        Just(Operand::Pred)
-    ]
-}
-
-fn arb_target() -> impl Strategy<Value = Target> {
-    (0usize..128, arb_operand()).prop_map(|(i, op)| Target::new(InstId::new(i), op))
-}
-
-fn arb_pred() -> impl Strategy<Value = Option<PredSense>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(PredSense::OnTrue)),
-        Just(Some(PredSense::OnFalse))
-    ]
-}
-
-/// A canonical random instruction: every field combination that the
-/// builder/compiler could legitimately produce.
-fn arb_instruction() -> impl Strategy<Value = Instruction> {
-    let opcode = proptest::sample::select(Opcode::ALL.to_vec());
-    (
-        opcode,
-        arb_pred(),
-        any::<i64>(),
-        proptest::option::of(arb_target()),
-        proptest::option::of(arb_target()),
-        0usize..32,
-        0u8..8,
-        0usize..128,
-        any::<u64>(),
-    )
-        .prop_map(|(opcode, pred, imm, t0, t1, lsid, exit, regno, braddr)| {
-            let mut inst = Instruction::new(opcode);
-            inst.pred = pred;
-            inst.targets = [t0, t1];
-            if opcode.has_immediate() {
-                inst.imm = imm;
-            }
-            if opcode.is_load() || opcode.is_store() {
-                inst.lsid = Some(Lsid::new(lsid));
-            }
-            if opcode == Opcode::Bro {
-                let kind = BranchKind::ALL[(exit as usize) % BranchKind::ALL.len()];
-                let target = if matches!(kind, BranchKind::Return | BranchKind::Halt) {
-                    None
-                } else {
-                    Some(braddr)
-                };
-                inst.branch = Some(BranchInfo {
-                    exit_id: exit,
-                    kind,
-                    target,
-                });
-            }
-            if matches!(opcode, Opcode::Read | Opcode::Write) {
-                inst.reg = Some(Reg::new(regno));
-            }
-            inst
-        })
-}
-
 proptest! {
-    #[test]
-    fn encode_decode_roundtrip(inst in arb_instruction()) {
-        let enc = encode_instruction(&inst);
-        let dec = decode_instruction(enc).expect("canonical instructions decode");
-        prop_assert_eq!(dec, inst);
-    }
-
-    #[test]
-    fn target_encoding_is_injective(a in arb_target(), b in arb_target()) {
-        prop_assert_eq!(a.encode() == b.encode(), a == b);
-    }
-
     /// Random straight-line dataflow programs built through the builder
     /// always validate and survive an assembler round-trip.
     #[test]

@@ -86,17 +86,7 @@ fn as_const(v: Val) -> Option<u64> {
 fn is_test(op: Opcode) -> bool {
     matches!(
         op,
-        Opcode::Teq
-            | Opcode::Tne
-            | Opcode::Tlt
-            | Opcode::Tle
-            | Opcode::Tgt
-            | Opcode::Tge
-            | Opcode::Tltu
-            | Opcode::Tgeu
-            | Opcode::Feq
-            | Opcode::Flt
-            | Opcode::Fle
+        Opcode::Teq | Opcode::Tne | Opcode::Tlt | Opcode::Tle | Opcode::Tgt | Opcode::Tge
     )
 }
 

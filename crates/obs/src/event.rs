@@ -225,8 +225,8 @@ pub enum TraceEvent {
         migrated_bytes: u64,
     },
     /// A logical processor was composed from a region of cores — the
-    /// allocation decisions (multiprogramming, adaptive control,
-    /// degraded-mode recomposition) all flow through this event so trend
+    /// allocation decisions (multiprogramming, degraded-mode
+    /// recomposition) all flow through this event so trend
     /// series can be aligned with composition changes.
     ProcessorComposed {
         /// Logical processor id assigned.

@@ -21,4 +21,4 @@ mod metrics;
 
 pub use area::{chip_area_mm2, AreaModel};
 pub use energy::{EnergyModel, PowerBreakdown, PowerConfig};
-pub use metrics::{perf, perf2_per_watt, perf_per_area};
+pub use metrics::{perf2_per_watt, perf_per_area};

@@ -1,15 +1,5 @@
 //! Efficiency metrics used by the evaluation figures.
 
-/// Performance as inverse cycle count (the paper's `1/cycles`).
-#[must_use]
-pub fn perf(cycles: u64) -> f64 {
-    if cycles == 0 {
-        0.0
-    } else {
-        1.0 / cycles as f64
-    }
-}
-
 /// Area efficiency: `1 / (cycles × mm²)` (Figure 7).
 #[must_use]
 pub fn perf_per_area(cycles: u64, area_mm2: f64) -> f64 {
@@ -38,7 +28,6 @@ mod tests {
 
     #[test]
     fn zero_guards() {
-        assert_eq!(perf(0), 0.0);
         assert_eq!(perf_per_area(0, 10.0), 0.0);
         assert_eq!(perf_per_area(10, 0.0), 0.0);
         assert_eq!(perf2_per_watt(0, 1.0), 0.0);
@@ -47,7 +36,6 @@ mod tests {
 
     #[test]
     fn faster_is_better() {
-        assert!(perf(100) > perf(200));
         assert!(perf_per_area(100, 10.0) > perf_per_area(100, 20.0));
         assert!(perf2_per_watt(100, 2.0) > perf2_per_watt(100, 4.0));
         // perf² rewards speed quadratically: half the cycles at double

@@ -1,15 +1,13 @@
 //! EDGE assembly tour: build a hyperblock by hand with the block
-//! builder, print its textual assembly, round-trip it through the binary
-//! encoding, and show how composition reinterprets instruction IDs as
+//! builder, print its textual assembly, round-trip it through the
+//! parser, and show how composition reinterprets instruction IDs as
 //! placement coordinates.
 //!
 //! ```sh
 //! cargo run --release --example edge_assembly
 //! ```
 
-use clp::isa::{
-    asm, decode_instruction, encode_instruction, BlockBuilder, BranchKind, Opcode, PredSense, Reg,
-};
+use clp::isa::{asm, BlockBuilder, BranchKind, Opcode, PredSense, Reg};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // r3 = (r1 < r2) ? r1*2 : r2+1, then loop back to ourselves.
@@ -33,16 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = asm::format_block(&block);
     print!("{text}");
 
-    // Round-trip through the parser and the binary encoding.
+    // Round-trip through the parser.
     let parsed = asm::parse_block(&text)?;
     assert_eq!(parsed, block);
-    println!("=== binary encoding (first 4 instructions) ===");
-    for (i, inst) in block.instructions().iter().take(4).enumerate() {
-        let enc = encode_instruction(inst);
-        let dec = decode_instruction(enc)?;
-        assert_eq!(&dec, inst);
-        println!("i{i}: {:#018x} ext={:?}", enc.primary, enc.ext);
-    }
 
     println!("=== composition reinterprets the same target bits ===");
     for n_cores in [1usize, 4, 32] {

@@ -299,6 +299,36 @@ fn file_names(dir: &Path) -> Vec<String> {
         .collect()
 }
 
+/// README runs every example and runs nothing else, and DESIGN.md's
+/// workspace map lists the same set: an example deleted, renamed or
+/// added without its documents fails here.
+#[test]
+fn the_documents_list_exactly_the_examples_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let examples: BTreeSet<String> = file_names(&root.join("examples"))
+        .iter()
+        .filter_map(|name| name.strip_suffix(".rs").map(str::to_string))
+        .collect();
+    assert!(
+        examples.len() >= 3,
+        "only {} examples found",
+        examples.len()
+    );
+    let readme: BTreeSet<String> = read("README.md")
+        .split("--example ")
+        .skip(1)
+        .filter_map(|rest| rest.split_whitespace().next().map(str::to_string))
+        .collect();
+    assert_eq!(readme, examples, "README's `--example NAME` commands");
+    let design = read("DESIGN.md");
+    let line = design
+        .lines()
+        .find_map(|line| line.strip_prefix("examples/"))
+        .expect("DESIGN.md's workspace map has an `examples/` line");
+    let design: BTreeSet<String> = line.split(',').map(|n| n.trim().to_string()).collect();
+    assert_eq!(design, examples, "DESIGN.md's `examples/` line");
+}
+
 /// Every committed golden: each file under `goldens/` and each root
 /// `*_baseline.json`, `BENCH_serve.json` and `SCOPE_serve.json`.
 fn goldens() -> Vec<String> {

@@ -5,10 +5,13 @@
 //! every built-in workload compiles to an EDGE program with **zero
 //! error-severity** diagnostics: error lints are sound (they name a real
 //! deadlock or memory-order violation on a real path), so a failure there
-//! means codegen regressed, not that the linter is noisy.
+//! means codegen regressed, not that the linter is noisy. The same
+//! compiled suite also holds the ISA to what it executes: every opcode
+//! appears in some kernel.
 
 use clp::core::compile_workload;
 use clp::isa::asm::parse_program;
+use clp::isa::Opcode;
 use clp::lint::{lint_program, render_report, LintCode, LintConfig, Severity};
 use clp::workloads::suite;
 use serde_json::Value;
@@ -104,6 +107,30 @@ fn full_suite_lints_with_zero_errors() {
         checked += 1;
     }
     assert!(checked >= 20, "suite unexpectedly small: {checked}");
+}
+
+/// The ISA is cut down to what its workloads execute: an opcode no
+/// compiled suite kernel contains is dead weight in the table, the
+/// evaluator and the linter, so it goes (or a kernel starts using it).
+#[test]
+fn every_opcode_appears_in_a_compiled_suite_kernel() {
+    let mut used = Vec::new();
+    for w in suite::all() {
+        let cw = compile_workload(&w).expect("suite workloads compile");
+        for (_, block) in cw.edge.iter() {
+            used.extend(block.instructions().iter().map(|inst| inst.opcode));
+        }
+    }
+    let unused: Vec<&str> = Opcode::ALL
+        .iter()
+        .filter(|op| !used.contains(op))
+        .map(|op| op.mnemonic())
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "opcodes no compiled suite kernel contains: {}",
+        unused.join(", ")
+    );
 }
 
 #[test]
