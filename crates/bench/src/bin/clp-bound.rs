@@ -4,7 +4,6 @@
 //! ```sh
 //! cargo run --release -p clp-bench --bin clp-bound -- conv 16
 //! cargo run --release -p clp-bench --bin clp-bound -- --suite --json
-//! cargo run --release -p clp-bench --bin clp-bound -- --suite --check BOUND_baseline.json
 //! ```
 //!
 //! For each workload and composition size, computes the clp-lint static
@@ -17,16 +16,15 @@
 //! the profiler observed for that block — any violation is printed and
 //! the process exits 1.
 //!
-//! `--json` emits the pinned `clp-bound-v1` schema; `--check FILE`
-//! holds that document to a committed golden with the one equality gate
-//! (`clp_obs::check_golden`; on a miss the moved leaves are printed and
-//! the tool exits 1); `--cores A,B,..` overrides the default 1,2,4,8,16
-//! sweep. The `curves` section is the analytic speedup sketch
+//! `--json` emits the pinned `clp-bound-v1` schema (tier-1 holds the
+//! suite's document to `BOUND_baseline.json`; `clp-diff` ranks what
+//! moved between two of them); `--cores A,B,..` overrides the default
+//! 1,2,4,8,16 sweep. The `curves` section is the analytic speedup sketch
 //! `bound(1)/bound(n)` exported through
 //! [`clp_alloc::SpeedupCurve::analytic`].
 
 use clp_bench::matrix::{Cell, SuiteMatrix, BENCH_SIZES};
-use clp_core::cli::{check_golden, or_die, Flag, Spec, SUITE};
+use clp_core::cli::{or_die, Flag, Spec, SUITE};
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -36,7 +34,6 @@ const SPEC: Spec = Spec {
     flags: &[
         SUITE,
         Flag::switch("--json", "emit the clp-bound-v1 document instead of tables"),
-        Flag::value("--check", "GOLDEN", "exit 1 unless the clp-bound-v1 document equals GOLDEN"),
         Flag::value("--cores", "A,B,..", "composition sizes to sweep (default 1,2,4,8,16)"),
     ],
     epilog: "",
@@ -100,10 +97,6 @@ fn main() {
 
     for v in &matrix.violations {
         eprintln!("clp-bound: SOUNDNESS VIOLATION: {v}");
-    }
-    // An unsound bound exits 1 on its own; the golden gate does too.
-    if let Some(path) = &args.text("--check") {
-        check_golden(path, &text);
     }
     if !matrix.violations.is_empty() {
         std::process::exit(1);

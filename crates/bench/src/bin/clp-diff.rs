@@ -2,13 +2,14 @@
 //!
 //! ```sh
 //! cargo run --release -p clp-bench --bin clp-diff -- before.json after.json
-//! cargo run --release -p clp-bench --bin clp-diff -- BENCH_baseline.json BENCH_suite.json --top 5
+//! cargo run --release -p clp-bench --bin clp-bound -- --suite --json > bound.json
+//! cargo run --release -p clp-bench --bin clp-diff -- BOUND_baseline.json bound.json --top 5
 //! ```
 //!
 //! Takes any two JSON files — a stats-registry snapshot (`run_one
 //! --stats-json`), `clp-prof-v1` (`clp-prof --json`), `clp-bench-v1`
-//! (`clp-bench`), `clp-trend-v1` (`clp-trend --json`), `clp-scope-v1`
-//! and `clp-serve-v1` (`clp-serve --scope-json` / `--json`),
+//! (`BENCH_baseline.json`), `clp-trend-v1` (`clp-trend --json`),
+//! `clp-scope-v1` and `clp-serve-v1` (`clp-serve --scope-json` / `--json`),
 //! `clp-bound-v1` (`clp-bound --json`), a lint report (`clp-lint
 //! --json`) — and walks both trees with one schema-blind walker
 //! (`clp_obs::diff`): every leaf gets a path (`workloads[name=conv]/
@@ -16,8 +17,7 @@
 //! |delta| under `buckets`, `cores`, `links` and `metrics` headings,
 //! and leaves that differ otherwise (floats, strings, a changed type)
 //! are listed after them. The first file is the baseline. This is the
-//! same report a failed `--check` of `clp-bench`, `clp-bound` or
-//! `clp-serve` prints.
+//! same report a tier-1 golden test prints when its document moved.
 //!
 //! `--top N` bounds each section (default 10; 0 means unbounded).
 //! Exit codes: 0 = compared (even if everything moved), 2 = usage or

@@ -9,26 +9,23 @@
 //! cargo run --release -p clp-bench --bin clp-lint -- --asm prog.edge
 //! ```
 //!
-//! Lint codes are accepted as `L001` or in slug form (`dead-dataflow`);
-//! the L5xx bound lints' notes name the binding resource (dataflow
+//! The L5xx bound lints' notes name the binding resource (dataflow
 //! height vs issue bandwidth vs NoC link) per block. `clp-lint --help`
-//! lists the flags and every lint code. Exits 1 if any error-severity
-//! diagnostic remains, 2 on usage or input errors.
+//! lists the flags and every lint code with its severity. Exits 1 on an
+//! error-severity diagnostic, 2 on usage or input errors.
 
-use clp_core::cli::{self, die, or_die, CliError, Flag, Spec, SUITE};
+use clp_core::cli::{self, die, or_die, Flag, Spec, SUITE};
 use clp_core::compile_workload;
 use clp_isa::asm;
-use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport, Severity};
+use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport};
 use clp_workloads::{suite, Workload};
 
 #[rustfmt::skip]
-const FLAGS: [Flag; 7] = [
+const FLAGS: [Flag; 5] = [
     SUITE,
     Flag::value("--asm", "FILE", "also lint an assembled program from disk"),
     Flag::switch("--json", "emit the machine-readable diagnostics report"),
     Flag::switch("--bound", "add the L5xx static-cycle-bound lints"),
-    Flag::repeated("--allow", "CODE", "silence a lint (L001 or slug form)"),
-    Flag::repeated("--deny", "CODE", "promote a lint to an error"),
     Flag::value("--cores", "N", "composition size the placement/bound lints assume (default 32)"),
 ];
 
@@ -39,7 +36,7 @@ fn main() {
             "  {} {:28} {:7} {}\n",
             c.code(),
             c.slug(),
-            c.default_severity().to_string(),
+            c.severity().to_string(),
             c.describes()
         ));
     }
@@ -52,20 +49,9 @@ fn main() {
         epilog: &codes,
     };
     let args = spec.parse_env();
-    let code = |s: &str| {
-        let unknown = || CliError::Usage(format!("unknown lint code `{s}`"));
-        or_die(LintCode::from_code(s).ok_or_else(unknown))
-    };
-    let mut cfg = LintConfig {
+    let cfg = LintConfig {
         placement_cores: or_die(args.num("--cores", 1..)).unwrap_or(32),
-        ..LintConfig::default()
     };
-    for s in args.texts("--allow") {
-        cfg.allow(code(s));
-    }
-    for s in args.texts("--deny") {
-        cfg.set_level(code(s), Severity::Error);
-    }
     let workloads: Vec<Workload> = match (args.positionals(), args.switch(SUITE.name)) {
         ([], true) => suite::all(),
         (names, false) => names.iter().map(|n| or_die(cli::workload(n))).collect(),

@@ -30,14 +30,15 @@
 //! * `--kill-core` is a *hard* kill: the core dies permanently and the
 //!   composition must detect it, migrate state, and recompose around the
 //!   survivors. The schedule is exactly reproducible.
-//! * `--max-cycles` kills the run with a typed `DeadlineExceeded` and
-//!   its own exit code, so wrappers (CI timeouts, clp-serve) can tell
-//!   "job was slow" from "job is broken".
+//! * `--max-cycles` is the run's deadline (2 000 000 by default): past
+//!   it the run is killed with a typed `DeadlineExceeded` and its own
+//!   exit code, so wrappers (CI timeouts, clp-serve) can tell "job was
+//!   slow" from "job is broken".
 //!
 //! Exit codes tell failure modes apart: 1 = outputs diverged from the
-//! golden, 2 = usage error, 3 = the run itself failed (deadlock, cycle
-//! limit, invalid kill schedule — i.e. recovery failure), 4 = killed by
-//! the `--max-cycles` deadline.
+//! golden, 2 = usage error, 3 = the run itself failed (deadlock, invalid
+//! kill schedule — i.e. recovery failure), 4 = killed by the
+//! `--max-cycles` deadline.
 
 use clp_core::cli::{self, die, or_die, write_or_die, CliError, Flag, Spec};
 use clp_core::{compile_workload, ObsOptions};
@@ -61,7 +62,7 @@ const SPEC: Spec = Spec {
         Flag::value("--faults", "SPEC", "fault plan: kind[=rate],.. or all[=rate] (per-mille; 25)"),
         Flag::value("--fault-seed", "N", "fault PRNG stream (default 1)"),
         Flag::repeated("--kill-core", "ID@CYCLE", "hard-kill global core ID at CYCLE (up to 4)"),
-        Flag::value("--max-cycles", "N", "deadline watchdog: exit 4 past N cycles"),
+        Flag::value("--max-cycles", "N", "deadline watchdog: exit 4 past N cycles (default 2000000)"),
     ],
     epilog: "",
 };
@@ -80,7 +81,7 @@ fn main() {
         .texts("--kill-core")
         .map(|v| CoreKill::parse(v).unwrap_or_else(|e| die(format!("bad --kill-core: {e}"))))
         .collect();
-    let max_cycles: Option<u64> = or_die(args.num("--max-cycles", 1..));
+    let deadline: u64 = or_die(args.num("--max-cycles", 1..)).unwrap_or(2_000_000);
     let bound = args.switch("--bound");
     let (profile, phase_table) = (args.switch("--profile"), args.switch("--phase-table"));
     let trend = args.switch("--trend") || phase_table;
@@ -100,8 +101,7 @@ fn main() {
         write_or_die(path, "");
     }
     let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 2_000_000;
-    cfg.deadline = max_cycles;
+    cfg.deadline = deadline;
     if let Some(spec) = &faults {
         cfg.faults = FaultPlan::parse(spec, fault_seed)
             .unwrap_or_else(|e| die(format!("bad --faults spec: {e}")));
@@ -169,10 +169,7 @@ fn main() {
                 );
             }
             if bound {
-                let lcfg = clp_lint::LintConfig {
-                    placement_cores: n,
-                    ..clp_lint::LintConfig::default()
-                };
+                let lcfg = clp_lint::LintConfig { placement_cores: n };
                 let pb = clp_lint::bound_program(&cw.edge, &lcfg, n);
                 println!(
                     "[bound: static floor {} cycles vs {} measured ({:.2}x), \
@@ -238,8 +235,8 @@ fn main() {
         Err(e) => {
             println!("{name} on {n} cores FAILED: {e}");
             println!("{}", m.debug_snapshot());
-            // 3, not 1: the run itself died (deadlock, cycle limit, bad
-            // kill schedule), as opposed to finishing with wrong outputs.
+            // 3, not 1: the run itself died (deadlock, bad kill
+            // schedule), as opposed to finishing with wrong outputs.
             exit_code = 3;
         }
     }

@@ -1,20 +1,21 @@
 //! # clp-bench — the evaluation harness
 //!
-//! Eight tools, one front door. `clp-fig <name>...` regenerates every
+//! Seven tools, one front door. `clp-fig <name>...` regenerates every
 //! table and figure of the paper from the registry in [`figs`] (see
 //! DESIGN.md's "Experiments"; `clp-fig list` prints it, `clp-fig all`
 //! runs EXPERIMENTS.md's list and closes with the paper-versus-measured
 //! table): each figure prints the rows/series the paper reports and
 //! writes machine-readable JSON under `target/clp-results/`. Beside it
-//! sit `run_one`, `clp-bench`, `clp-bound`, `clp-diff`, `clp-lint`,
-//! `clp-prof` and `clp-trend`. Every one of them declares its flags as a
+//! sit `run_one`, `clp-bound`, `clp-diff`, `clp-lint`, `clp-prof` and
+//! `clp-trend`; the workspace's eighth tool, `clp-serve`, is the
+//! clp-serve crate's. Every one of them declares its flags as a
 //! [`clp_core::cli::Spec`] table, so `<tool> --help` is generated from
 //! what the tool parses and usage errors share one format and exit
 //! code (2).
 //!
 //! This library holds ([`matrix`]) the one whole-suite measurement that
-//! the figures, `clp-bench`, `clp-bound` and tier-1's goldens all read,
-//! and the builders of its two committed documents; ([`figs`]) the
+//! the figures, `clp-bound` and tier-1's goldens all read, and the
+//! builders of its two committed documents; ([`figs`]) the
 //! figure registry; ([`observe`]) what `clp-prof` and `clp-trend`
 //! print; and the small helpers they share.
 

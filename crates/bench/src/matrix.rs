@@ -3,9 +3,8 @@
 //! cell. The `clp-bench-v1` (`BENCH_baseline.json`) and `clp-bound-v1`
 //! (`BOUND_baseline.json`) documents, the `clp-fig` figures of the
 //! fault-free suite and tier-1's `tests/goldens.rs` (which also pins
-//! `goldens/suite_wide.json`) are all views of it, so what `--check`
-//! gates, what the figures divide and what `cargo test` defends are the
-//! same cells.
+//! `goldens/suite_wide.json`) are all views of it, so what the figures
+//! divide and what `cargo test` defends are the same cells.
 
 use crate::{par_suite, CellFailure};
 use clp_alloc::SpeedupCurve;

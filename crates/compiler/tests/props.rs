@@ -119,7 +119,7 @@ proptest! {
             // Execute through the cycle simulator at 1 core (cheap) to
             // check functional equality.
             let mut cfg = clp_sim::SimConfig::tflex();
-            cfg.max_cycles = 5_000_000;
+            cfg.deadline = 5_000_000;
             let mut m = clp_sim::Machine::new(cfg);
             let pid = m.compose(1, 0, edge, &[seed, trips]).expect("composes");
             m.run().expect("runs");

@@ -391,22 +391,6 @@ pub fn read_json(path: &str) -> Value {
     serde_json::from_str(&text).unwrap_or_else(|e| die(format!("cannot parse `{path}`: {e}")))
 }
 
-/// The `--check GOLDEN` step of every gated tool: holds the freshly
-/// emitted document to the committed one at `path` with
-/// [`clp_obs::check_golden`] (byte equality) and, on a miss, prints the
-/// ranked leaves that moved and exits 1.
-pub fn check_golden(path: &str, fresh: &str) {
-    let committed =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
-    match clp_obs::check_golden(&committed, fresh) {
-        Ok(()) => println!("[check: equal to {path}]"),
-        Err(moved) => {
-            eprint!("{}: fresh output differs from {path}\n{moved}", prog());
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Writes `contents` to `path`, [`die`]-ing if that fails. Tools write
 /// `""` to their output paths up front, to fail on an unwritable one
 /// before a long run, not after it.

@@ -63,10 +63,10 @@ impl ProcessorConfig {
     /// ([`RunError::DeadlineExceeded`]) once `budget` cycles have
     /// elapsed. clp-serve attaches one to every job so a runaway
     /// simulation is reaped and reported instead of occupying a worker
-    /// until the 200M-cycle safety net.
+    /// until the presets' 200M-cycle deadline.
     #[must_use]
     pub fn with_deadline(mut self, budget: u64) -> Self {
-        self.sim.deadline = Some(budget);
+        self.sim.deadline = budget;
         self
     }
 
@@ -137,8 +137,7 @@ impl RunFailure {
             // unsatisfiable regions are properties of the moment.
             RunFailure::Compose(clp_sim::ComposeError::TooManyArgs(_)) => FailureClass::Permanent,
             RunFailure::Compose(_) | RunFailure::Placement(_) => FailureClass::Transient,
-            RunFailure::Run(RunError::DeadlineExceeded { .. })
-            | RunFailure::Run(RunError::CycleLimit(_)) => FailureClass::DeadlineKill,
+            RunFailure::Run(RunError::DeadlineExceeded { .. }) => FailureClass::DeadlineKill,
             // Deadlock, invalid kills, and no-survivor schedules are
             // recovery failures: the next attempt runs on fresh hardware.
             RunFailure::Run(_) => FailureClass::Transient,
@@ -360,7 +359,7 @@ impl Run {
     /// Moves the deadline to `budget` cycles from cycle 0 (what
     /// [`ProcessorConfig::with_deadline`] set at the start).
     pub fn set_deadline(&mut self, budget: u64) {
-        self.m.set_deadline(Some(budget));
+        self.m.set_deadline(budget);
     }
 
     /// Runs to the halt, then takes the reports, verifies the outputs
@@ -441,7 +440,7 @@ mod tests {
 
     #[test]
     fn run_failure_renders() {
-        let e = RunFailure::Run(clp_sim::RunError::CycleLimit(9));
+        let e = RunFailure::Run(clp_sim::RunError::DeadlineExceeded { budget: 9 });
         assert!(e.to_string().contains("9"));
         let e = RunFailure::Compose(clp_sim::ComposeError::CoreBusy(3));
         assert!(e.to_string().starts_with("compose"));

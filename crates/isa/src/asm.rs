@@ -26,10 +26,11 @@ use std::fmt;
 /// Failure to parse assembly text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AsmError {
-    /// Syntactic problem at the given 1-based line.
+    /// Syntactic problem.
     Syntax {
-        /// Line number.
-        line: usize,
+        /// The 1-based line to blame; `None` for a missing entry, header
+        /// or `}`, and for a program that does not validate.
+        line: Option<usize>,
         /// Human-readable description.
         message: String,
     },
@@ -46,7 +47,12 @@ pub enum AsmError {
 impl fmt::Display for AsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AsmError::Syntax { line, message } => write!(f, "line {line}: {message}"),
+            AsmError::Syntax { line, message } => {
+                if let Some(line) = line {
+                    write!(f, "line {line}: ")?;
+                }
+                f.write_str(message)
+            }
             AsmError::Invalid {
                 error,
                 line: Some(line),
@@ -102,9 +108,9 @@ pub fn format_block(block: &Block) -> String {
     out
 }
 
-fn syntax(line: usize, message: impl Into<String>) -> AsmError {
+fn syntax(line: impl Into<Option<usize>>, message: impl Into<String>) -> AsmError {
     AsmError::Syntax {
-        line,
+        line: line.into(),
         message: message.into(),
     }
 }
@@ -285,9 +291,9 @@ fn parse_block_at(text: &str, offset: usize) -> Result<Block, AsmError> {
         inst_lines.push(line);
     }
 
-    let address = address.ok_or_else(|| syntax(0, "missing 'block @<addr> {' header"))?;
+    let address = address.ok_or_else(|| syntax(None, "missing 'block @<addr> {' header"))?;
     if !saw_close {
-        return Err(syntax(0, "missing closing '}'"));
+        return Err(syntax(None, "missing closing '}'"));
     }
     Block::from_instructions(address, insts).map_err(|error| {
         let line = error
@@ -314,7 +320,7 @@ pub fn format_program(program: &EdgeProgram) -> String {
 /// # Errors
 ///
 /// Returns [`AsmError`] for malformed text, invalid blocks, or program
-/// validation failures (the latter wrapped as a syntax error at line 0).
+/// validation failures (the latter a syntax error with no line).
 pub fn parse_program(text: &str) -> Result<EdgeProgram, AsmError> {
     let mut entry: Option<u64> = None;
     let mut builder = crate::ProgramBuilder::new();
@@ -358,8 +364,10 @@ pub fn parse_program(text: &str) -> Result<EdgeProgram, AsmError> {
                 .map_err(|e| syntax(line, e.to_string()))?;
         }
     }
-    let entry = entry.ok_or_else(|| syntax(0, "missing 'entry @<address>'"))?;
-    builder.finish(entry).map_err(|e| syntax(0, e.to_string()))
+    let entry = entry.ok_or_else(|| syntax(None, "missing 'entry @<address>'"))?;
+    builder
+        .finish(entry)
+        .map_err(|e| syntax(None, e.to_string()))
 }
 
 #[cfg(test)]
@@ -397,7 +405,10 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_mnemonic() {
         let err = parse_block("block @0x0 {\n  i0: zorp\n}\n").unwrap_err();
-        assert!(matches!(err, AsmError::Syntax { line: 2, .. }), "{err}");
+        assert!(
+            matches!(err, AsmError::Syntax { line: Some(2), .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -503,6 +514,11 @@ mod tests {
     #[test]
     fn program_parse_rejects_dangling_target() {
         let text = "entry @0x0\nblock @0x0 {\n  i0: bro br e0 @0x999\n}\n";
-        assert!(parse_program(text).is_err());
+        let err = parse_program(text).unwrap_err();
+        assert!(
+            matches!(err, AsmError::Syntax { line: None, .. }),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "block 0x0 branches to nonexistent 0x999");
     }
 }

@@ -741,5 +741,5 @@ pub fn lint_bounds(p: &EdgeProgram, cfg: &LintConfig) -> Vec<Diagnostic> {
             );
         }
     }
-    cfg.apply(diags)
+    crate::sorted(diags)
 }

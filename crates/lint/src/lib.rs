@@ -17,14 +17,14 @@
 //! 4. **Placement cost** ([`LintCode::DeepFanoutTree`],
 //!    [`LintCode::LongOperandRoute`]): fanout-tree depth and operand
 //!    routes whose mesh hop distance exceeds a threshold.
-//! 5. **Whole-program checks** ([`LintCode::DanglingBranchTarget`]
-//!    family): branch targets resolve, registers are defined before use
-//!    across the block graph, and every block is reachable.
+//! 5. **Whole-program checks** ([`LintCode::UnreachableBlock`]
+//!    family): registers are defined before use across the block graph,
+//!    every block is reachable, and some halt is.
 //!
 //! Entry points: [`lint_block`] for one hyperblock, [`lint_program`] for
-//! an [`EdgeProgram`]. Severity of each code can be raised, lowered, or
-//! silenced through [`LintConfig`]; [`render`] produces rustc-style text
-//! and [`LintReport::to_json`] machine-readable output.
+//! an [`EdgeProgram`]. A diagnostic's severity is its rule's
+//! ([`LintCode::severity`]); [`render`] produces rustc-style text and
+//! [`LintReport::to_json`] machine-readable output.
 //!
 //! The predicate analysis is *sound for compiled code*: an
 //! Error-severity diagnostic is only emitted for a concrete predicate
@@ -39,7 +39,6 @@
 
 use clp_isa::{Block, BlockAddr, EdgeProgram};
 use serde_json::{json, ToValue, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 
 mod bound;
@@ -116,10 +115,9 @@ macro_rules! lint_codes {
                 match self { $(LintCode::$variant => $slug),+ }
             }
 
-            /// The severity this rule carries unless overridden by
-            /// [`LintConfig`].
+            /// The severity of every diagnostic this rule emits.
             #[must_use]
-            pub fn default_severity(self) -> Severity {
+            pub fn severity(self) -> Severity {
                 match self { $(LintCode::$variant => Severity::$sev),+ }
             }
 
@@ -127,15 +125,6 @@ macro_rules! lint_codes {
             #[must_use]
             pub fn describes(self) -> &'static str {
                 match self { $(LintCode::$variant => $what),+ }
-            }
-
-            /// Parses either a `Lnnn` code or a rule slug.
-            #[must_use]
-            pub fn from_code(s: &str) -> Option<Self> {
-                match s {
-                    $( $code | $slug => Some(LintCode::$variant), )+
-                    _ => None,
-                }
             }
         }
     };
@@ -195,9 +184,6 @@ lint_codes! {
     /// An operand route longer than the configured mesh hop threshold.
     LongOperandRoute = ("L302", "long-operand-route", Info,
         "an operand route whose mesh hop distance exceeds the configured limit");
-    /// A branch naming a block that does not exist in the program.
-    DanglingBranchTarget = ("L401", "dangling-branch-target", Error,
-        "a branch whose static target block does not exist in the program");
     /// A block unreachable from the entry or any materialized address.
     UnreachableBlock = ("L402", "unreachable-block", Warn,
         "a block unreachable from the entry block or any address-taken block");
@@ -276,10 +262,8 @@ impl fmt::Display for Span {
 /// One finding of the linter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Which rule fired.
+    /// Which rule fired; its [`LintCode::severity`] is the diagnostic's.
     pub code: LintCode,
-    /// Effective severity after [`LintConfig`] overrides.
-    pub severity: Severity,
     /// What the diagnostic points at.
     pub span: Span,
     /// The primary message.
@@ -290,12 +274,11 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A new diagnostic at the rule's default severity.
+    /// A new diagnostic.
     #[must_use]
     pub fn new(code: LintCode, span: Span, message: impl Into<String>) -> Self {
         Diagnostic {
             code,
-            severity: code.default_severity(),
             span,
             message: message.into(),
             notes: Vec::new(),
@@ -315,7 +298,7 @@ impl ToValue for Diagnostic {
         json!({
             "code": (self.code),
             "name": (self.code.slug()),
-            "severity": (self.severity),
+            "severity": (self.code.severity()),
             "block": (self.span.block),
             "inst": (self.span.inst),
             "message": (self.message),
@@ -324,14 +307,10 @@ impl ToValue for Diagnostic {
     }
 }
 
-/// Per-run linter configuration: severity overrides and the composition
-/// the placement lints assume. The analyses' thresholds are constants
-/// of their modules.
+/// Per-run linter configuration: the composition the placement lints
+/// assume. The analyses' thresholds are constants of their modules.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
-    /// Severity overrides per code: `Some(sev)` re-levels the rule,
-    /// `None` silences it entirely.
-    pub levels: BTreeMap<LintCode, Option<Severity>>,
     /// Composition size assumed by the placement lints.
     pub placement_cores: usize,
 }
@@ -339,45 +318,15 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            levels: BTreeMap::new(),
             placement_cores: 32,
         }
     }
 }
 
-impl LintConfig {
-    /// Silences a rule.
-    pub fn allow(&mut self, code: LintCode) -> &mut Self {
-        self.levels.insert(code, None);
-        self
-    }
-
-    /// Forces a rule to a severity.
-    pub fn set_level(&mut self, code: LintCode, severity: Severity) -> &mut Self {
-        self.levels.insert(code, Some(severity));
-        self
-    }
-
-    /// The effective severity of a rule, `None` if silenced.
-    #[must_use]
-    pub fn severity_of(&self, code: LintCode) -> Option<Severity> {
-        match self.levels.get(&code) {
-            Some(over) => *over,
-            None => Some(code.default_severity()),
-        }
-    }
-
-    fn apply(&self, mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
-        diags.retain_mut(|d| match self.severity_of(d.code) {
-            Some(sev) => {
-                d.severity = sev;
-                true
-            }
-            None => false,
-        });
-        diags.sort_by(|a, b| (a.span, a.code, &a.message).cmp(&(b.span, b.code, &b.message)));
-        diags
-    }
+/// `diags` in report order: by span, then code, then message.
+fn sorted(mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    diags.sort_by(|a, b| (a.span, a.code, &a.message).cmp(&(b.span, b.code, &b.message)));
+    diags
 }
 
 /// The diagnostics produced by one lint run.
@@ -393,7 +342,7 @@ impl LintReport {
     pub fn count(&self, sev: Severity) -> usize {
         self.diagnostics
             .iter()
-            .filter(|d| d.severity == sev)
+            .filter(|d| d.code.severity() == sev)
             .count()
     }
 
@@ -448,7 +397,7 @@ fn collect_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
 /// whole-program rules require [`lint_program`].
 #[must_use]
 pub fn lint_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
-    cfg.apply(collect_block(block, cfg))
+    sorted(collect_block(block, cfg))
 }
 
 /// Lints every block of a program plus the whole-program rules.
@@ -460,7 +409,7 @@ pub fn lint_program(p: &EdgeProgram, cfg: &LintConfig) -> LintReport {
     }
     diags.extend(program::analyze(p));
     LintReport {
-        diagnostics: cfg.apply(diags),
+        diagnostics: sorted(diags),
     }
 }
 
@@ -470,14 +419,17 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_parse_back() {
-        let mut seen = std::collections::BTreeSet::new();
+        // A report names a rule by its code and its slug, and each of
+        // the two names that rule alone.
         for &c in LintCode::ALL {
-            assert!(seen.insert(c.code()), "duplicate code {}", c.code());
-            assert_eq!(LintCode::from_code(c.code()), Some(c));
-            assert_eq!(LintCode::from_code(c.slug()), Some(c));
+            let v = Diagnostic::new(c, Span::default(), "m").to_value();
+            let named = |k: &&LintCode| {
+                v["code"].as_str() == Some(k.code()) || v["name"].as_str() == Some(k.slug())
+            };
+            let back: Vec<LintCode> = LintCode::ALL.iter().filter(named).copied().collect();
+            assert_eq!(back, [c]);
             assert!(!c.describes().is_empty());
         }
-        assert_eq!(LintCode::from_code("L999"), None);
     }
 
     #[test]
@@ -485,25 +437,6 @@ mod tests {
         assert!(Severity::Error > Severity::Warn);
         assert!(Severity::Warn > Severity::Info);
         assert_eq!(Severity::Warn.to_string(), "warning");
-    }
-
-    #[test]
-    fn config_overrides_apply() {
-        let mut cfg = LintConfig::default();
-        cfg.allow(LintCode::DeadDataflow);
-        cfg.set_level(LintCode::DeepFanoutTree, Severity::Error);
-        assert_eq!(cfg.severity_of(LintCode::DeadDataflow), None);
-        assert_eq!(
-            cfg.severity_of(LintCode::DeepFanoutTree),
-            Some(Severity::Error)
-        );
-        let diags = vec![
-            Diagnostic::new(LintCode::DeadDataflow, Span::default(), "dead"),
-            Diagnostic::new(LintCode::DeepFanoutTree, Span::default(), "deep"),
-        ];
-        let out = cfg.apply(diags);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].severity, Severity::Error);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Whole-program checks over an [`EdgeProgram`]: branch-target
-//! resolution, block reachability, register def-before-use across the
-//! block graph, and termination.
+//! Whole-program checks over an [`EdgeProgram`]: block reachability,
+//! register def-before-use across the block graph, and termination.
+//! (Every static branch target resolves: `ProgramBuilder::finish`
+//! refuses one that does not.)
 //!
 //! The block graph's edges are the statically known exit targets
 //! (branches, calls, and sequential fall-throughs). Return addresses
@@ -47,35 +48,11 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let addrs: BTreeSet<BlockAddr> = p.iter().map(|(&a, _)| a).collect();
 
-    // Branch targets must resolve; collect the static block graph.
+    // The static block graph.
     let mut succs: BTreeMap<BlockAddr, Vec<BlockAddr>> = BTreeMap::new();
     let mut taken: BTreeSet<BlockAddr> = BTreeSet::new();
     for (&a, block) in p.iter() {
-        let mut out = Vec::new();
-        for exit in block.exits() {
-            if let Some(t) = exit.target {
-                if addrs.contains(&t) {
-                    out.push(t);
-                } else {
-                    let from = block
-                        .instructions()
-                        .iter()
-                        .position(|i| i.branch.and_then(|b| b.target) == Some(t));
-                    diags.push(Diagnostic::new(
-                        LintCode::DanglingBranchTarget,
-                        Span {
-                            block: Some(a),
-                            inst: from,
-                        },
-                        format!(
-                            "exit e{} targets @{t:#x}, which is not a block",
-                            exit.exit_id
-                        ),
-                    ));
-                }
-            }
-        }
-        succs.insert(a, out);
+        succs.insert(a, block.exits().iter().filter_map(|e| e.target).collect());
         for inst in block.instructions() {
             if inst.opcode.has_immediate() && addrs.contains(&(inst.imm as u64)) {
                 taken.insert(inst.imm as u64);

@@ -16,7 +16,8 @@ pub fn render(d: &Diagnostic) -> String {
 #[must_use]
 pub fn render_in(d: &Diagnostic, block: Option<&Block>) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code.code(), d.message);
+    let (sev, code) = (d.code.severity(), d.code.code());
+    let _ = writeln!(out, "{sev}[{code}]: {}", d.message);
     let _ = writeln!(out, "  --> {}", d.span);
     if let (Some(i), Some(b)) = (d.span.inst, block) {
         if let Some(inst) = b.instructions().get(i) {

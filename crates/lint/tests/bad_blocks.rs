@@ -38,7 +38,7 @@ fn predicate_path_with_no_firing_exit() {
     assert_caught(&diags, LintCode::NoFiringExit);
     assert!(diags
         .iter()
-        .any(|d| d.code == LintCode::NoFiringExit && d.severity == Severity::Error));
+        .any(|d| d.code == LintCode::NoFiringExit && d.code.severity() == Severity::Error));
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn store_slot_unresolved_on_false_path() {
     );
     let diags = lint_block(&fixed, &LintConfig::default());
     assert!(
-        !diags.iter().any(|d| d.severity == Severity::Error),
+        !diags.iter().any(|d| d.code.severity() == Severity::Error),
         "nullified store should be clean, got {:?}",
         codes_of(&diags)
     );
@@ -162,6 +162,39 @@ fn contradictory_predicates_are_dead() {
             .any(|d| d.code == LintCode::DeadPredicatePath && d.span.inst == Some(7)),
         "expected dead i7, got {:?}",
         codes_of(&diags)
+    );
+}
+
+#[test]
+fn too_many_predicate_conditions_are_sampled() {
+    // Thirteen independent conditions, one past the enumeration limit:
+    // the paths are sampled, and the report says so.
+    let mut text = "block @0x1000 {\n".to_string();
+    for k in 0..13 {
+        text += &format!("i{k}: read r{} -> i{}.P\n", k + 1, k + 13);
+    }
+    for k in 13..26 {
+        text += &format!("i{k}: p_t movi #1\n");
+    }
+    text += "i26: bro halt e0\n}";
+    assert_caught(
+        &lint_block(&block(&text), &LintConfig::default()),
+        LintCode::PredicateSpaceTruncated,
+    );
+}
+
+#[test]
+fn a_store_nullifying_null_with_targets() {
+    let b = block(
+        "block @0x1000 {
+           i0: null ls0 -> i1.L
+           i1: write r1
+           i2: bro halt e0
+         }",
+    );
+    assert_caught(
+        &lint_block(&b, &LintConfig::default()),
+        LintCode::NullStoreFanout,
     );
 }
 
@@ -308,22 +341,28 @@ fn program_that_cannot_halt() {
         .any(|d| d.code == LintCode::NoHaltExit));
 }
 
-// ---- config plumbing -----------------------------------------------------
+// ---- static cycle bounds -------------------------------------------------
 
 #[test]
-fn allow_and_relevel_change_the_report() {
-    let b = block(
-        "block @0x1000 {
-           i0: movi #42
-           i1: bro halt e0
-         }",
-    );
-    let mut cfg = LintConfig::default();
-    cfg.allow(LintCode::DeadDataflow);
-    assert!(!codes_of(&lint_block(&b, &cfg)).contains(&LintCode::DeadDataflow));
-    let mut cfg = LintConfig::default();
-    cfg.set_level(LintCode::DeadDataflow, Severity::Error);
-    assert!(lint_block(&b, &cfg)
-        .iter()
-        .any(|d| d.code == LintCode::DeadDataflow && d.severity == Severity::Error));
+fn stores_fed_across_one_link_are_noc_bound() {
+    // On two cores, even slots and even registers sit on core 0 and odd
+    // slots on core 1: each store on core 1 takes both operands from a
+    // core-0 register bank, so eight stores push sixteen operands
+    // through the one 0->1 link, two a cycle, while core 1 issues two
+    // stores a cycle and the dataflow is two reads deep.
+    let mut text = "entry @0x1000\nblock @0x1000 {\n".to_string();
+    for k in 0..8 {
+        text += &format!(
+            "i{}: read r{} -> i{}.L -> i{}.R\n",
+            2 * k,
+            2 * k + 2,
+            2 * k + 1,
+            2 * k + 1
+        );
+        text += &format!("i{}: st #0 ls{k}\n", 2 * k + 1);
+    }
+    text += "i16: bro halt e0\n}";
+    let p = parse_program(&text).expect("valid program");
+    let cfg = LintConfig { placement_cores: 2 };
+    assert_caught(&clp_lint::lint_bounds(&p, &cfg), LintCode::NocBoundBlock);
 }

@@ -15,8 +15,7 @@
 //!
 //! [`check_golden`] is the repo's one definition of "matches the
 //! committed golden": byte equality, and on a miss the walker's ranked
-//! list. `clp-bench --check`, `clp-bound --check`, `clp-serve --check`
-//! and the tier-1 golden tests all call it; a document too large to
+//! list. Every tier-1 golden test calls it; a document too large to
 //! commit goes through it as its [`digest_golden`].
 
 use serde_json::Value;

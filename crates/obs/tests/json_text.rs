@@ -1,4 +1,4 @@
-//! The JSON reader every tool goes through (`clp-diff`, `--check`'s
+//! The JSON reader every tool goes through (`clp-diff`, a golden's
 //! mismatch report, `clp_core::cli::read_json`): it takes time linear in
 //! its input, and hostile input is a parse error, never an abort.
 

@@ -6,19 +6,15 @@
 //! cargo run --release -p clp-serve -- \
 //!     --jobs 24 --seed 7 --plant-panic 5 --kill-core 11@800
 //!
-//! # Regenerate the committed benchmark document.
-//! cargo run --release -p clp-serve -- --bench --json BENCH_serve.json
-//!
-//! # Golden gate: rerun the pinned configuration; the report must equal the golden.
-//! cargo run --release -p clp-serve -- --bench --check BENCH_serve.json
+//! # Emit the pinned benchmark's report.
+//! cargo run --release -p clp-serve -- --bench --json /tmp/bench.json
 //! ```
 //!
 //! `--bench` pins the full configuration (seed 42, 48 jobs, 4 workers,
 //! tight-budget jobs, a planted panic, and a no-survivor core kill) so
-//! the resulting `clp-serve-v1` document is byte-reproducible; `--check
-//! <path>` holds the run's report to the committed document with the
-//! one golden gate (`clp_obs::check_golden`: byte equality, and on a
-//! miss the ranked list of leaves that moved), exiting 1 on a mismatch.
+//! the resulting `clp-serve-v1` document is byte-reproducible: tier-1
+//! holds it to the committed `BENCH_serve.json`, and `clp-diff` ranks
+//! the leaves that moved between any two reports.
 //!
 //! `--scope` turns on the clp-scope recorder and prints its report
 //! after the run — run summary, fleet cycle-attribution book, service
@@ -36,10 +32,9 @@
 //! the cycles the attempts were charged for (`service::HostLedger`; in
 //! no JSON document — `tests/scope.rs` pins the bench's ledger).
 //!
-//! Exit codes: 0 = drained and `--check` (if given) matched, 1 =
-//! `--check` found a difference, 2 = usage error.
+//! Exit codes: 0 = drained, 2 = usage error.
 
-use clp_core::cli::{check_golden, or_die, write_or_die, Flag, Spec};
+use clp_core::cli::{or_die, write_or_die, Flag, Spec};
 use clp_obs::ScopeOptions;
 use clp_serve::{arrivals, service, ServiceReport};
 
@@ -63,7 +58,6 @@ const SPEC: Spec = Spec {
         Flag::repeated("--kill-core", "JOB@CYCLE", "job whose first attempt kills its core"),
         Flag::switch("--bench", "pin the whole schedule to the committed benchmark configuration"),
         Flag::value("--json", "PATH", "write the clp-serve-v1 report"),
-        Flag::value("--check", "GOLDEN", "exit 1 unless the clp-serve-v1 report equals GOLDEN"),
         Flag::switch("--scope", "record with clp-scope and print its report"),
         Flag::value("--scope-json", "PATH", "write the clp-scope-v1 document"),
         Flag::value("--perfetto", "PATH", "write span trees and worker tracks as a Chrome trace"),
@@ -164,8 +158,5 @@ fn main() {
             write_or_die(path, &sr.to_perfetto());
             println!("[perfetto -> {path}]");
         }
-    }
-    if let Some(path) = &a.text("--check") {
-        check_golden(path, &rep.to_json());
     }
 }

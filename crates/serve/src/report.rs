@@ -4,10 +4,10 @@
 //!
 //! Because the service is deterministic, the same `(seed, config)`
 //! reproduces the report *byte-for-byte* — the replay golden test pins
-//! that, and `clp-serve --bench --check BENCH_serve.json` (tier-1's
-//! `tests/scope.rs` does the same) holds a fresh run to the committed
-//! document with `clp_obs::check_golden`, the same equality gate every
-//! other golden goes through.
+//! that, and tier-1's `tests/scope.rs` holds a fresh `clp-serve --bench`
+//! run to the committed `BENCH_serve.json` with
+//! `clp_obs::check_golden`, the same equality gate every other golden
+//! goes through.
 
 use crate::arrivals::ArrivalConfig;
 use crate::job::JobSpec;

@@ -474,7 +474,6 @@ fn service_ticks(outcome: &ExecOutcome, compile_miss: bool, budget: u64) -> (u64
         ExecOutcome::Panicked => (RESPAWN_TICKS, false),
         ExecOutcome::Failure(f) => match f {
             RunFailure::Run(RunError::DeadlineExceeded { budget }) => (*budget, true),
-            RunFailure::Run(RunError::CycleLimit(n)) => (*n, true),
             RunFailure::Run(RunError::Deadlock { cycle }) => (*cycle, true),
             RunFailure::Run(_) => (VALIDATE_TICKS, false),
             RunFailure::Compose(_)

@@ -48,16 +48,12 @@ pub struct SimConfig {
     /// (centralized control/prediction) and the predictor is a single
     /// shared bank.
     pub centralized_control: bool,
-    /// Cycle budget before [`RunError::CycleLimit`](crate::RunError).
-    pub max_cycles: u64,
-    /// Per-run cycle deadline, enforced by the run-loop watchdog:
-    /// crossing it aborts the run with
-    /// [`RunError::DeadlineExceeded`](crate::RunError) instead of hanging
-    /// until `max_cycles`. Unlike `max_cycles` (a safety net against
-    /// simulator bugs), the deadline is a *policy* knob — clp-serve sets
-    /// it per job so a runaway simulation is killed and reported as a
-    /// retryable deadline kill. `None` (the default) disables it.
-    pub deadline: Option<u64>,
+    /// The run's cycle budget, enforced by the run-loop watchdog:
+    /// reaching it aborts the run with
+    /// [`RunError::DeadlineExceeded`](crate::RunError). Both presets
+    /// allow 200M cycles; clp-serve sets it per job, so a runaway
+    /// simulation is killed and reported as a retryable deadline kill.
+    pub deadline: u64,
     /// Deterministic fault-injection plan ([`FaultPlan::none`] disables
     /// injection entirely and is bit-identical to a fault-free build).
     pub faults: FaultPlan,
@@ -80,8 +76,7 @@ impl SimConfig {
             protocol: ProtocolTiming::Modeled,
             max_inflight: None,
             centralized_control: false,
-            max_cycles: 200_000_000,
-            deadline: None,
+            deadline: 200_000_000,
             faults: FaultPlan::none(),
         }
     }
@@ -102,8 +97,7 @@ impl SimConfig {
             protocol: ProtocolTiming::Modeled,
             max_inflight: Some(8),
             centralized_control: true,
-            max_cycles: 200_000_000,
-            deadline: None,
+            deadline: 200_000_000,
             faults: FaultPlan::none(),
         }
     }

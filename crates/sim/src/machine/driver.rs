@@ -31,8 +31,7 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::CycleLimit`] past the configured budget,
-    /// [`RunError::DeadlineExceeded`] past a configured per-run
+    /// Returns [`RunError::DeadlineExceeded`] at the configured
     /// deadline, [`RunError::Deadlock`] if nothing progresses for a
     /// long time, or [`RunError::InvalidKill`] / [`RunError::NoSurvivors`]
     /// before the first cycle if the fault plan's kill schedule does
@@ -45,13 +44,10 @@ impl Machine {
         if self.fab.has_kills {
             self.validate_kills()?;
         }
-        let (max_cycles, deadline) = (self.fab.cfg.max_cycles, self.fab.cfg.deadline);
+        let budget = self.fab.cfg.deadline;
         while self.procs.iter().any(|p| !p.halted) {
             let now = self.fab.now;
-            if now >= max_cycles {
-                return Err(RunError::CycleLimit(max_cycles));
-            }
-            if let Some(budget) = deadline.filter(|&d| now >= d) {
+            if now >= budget {
                 return Err(RunError::DeadlineExceeded { budget });
             }
             if now.saturating_sub(self.fab.last_progress) > DEADLOCK_WINDOW {
@@ -67,7 +63,7 @@ impl Machine {
     /// next [`Machine::run`] continue from the cycle the last one
     /// stopped at; one at or before the current cycle stops it again at
     /// once, naming the new budget.
-    pub fn set_deadline(&mut self, deadline: Option<u64>) {
+    pub fn set_deadline(&mut self, deadline: u64) {
         self.fab.cfg.deadline = deadline;
     }
 }

@@ -49,13 +49,9 @@ impl From<RegionError> for ComposeError {
 /// Failure during a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
-    /// The cycle budget was exhausted.
-    CycleLimit(u64),
-    /// The per-run deadline ([`SimConfig::deadline`](crate::SimConfig))
-    /// was crossed and the watchdog aborted the run. Distinct from
-    /// [`RunError::CycleLimit`] so callers can tell a policy kill (a job
-    /// that outlived its budget and may deserve a retry with a larger
-    /// one) from the safety net against simulator bugs.
+    /// The run's cycle budget ([`SimConfig::deadline`](crate::SimConfig))
+    /// was reached and the watchdog aborted the run: a job that outlived
+    /// its budget and may deserve a retry with a larger one.
     DeadlineExceeded {
         /// The budget that was exhausted.
         budget: u64,
@@ -85,7 +81,6 @@ pub enum RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::CycleLimit(n) => write!(f, "exceeded cycle budget of {n}"),
             RunError::DeadlineExceeded { budget } => {
                 write!(f, "deadline kill: exceeded cycle deadline of {budget}")
             }

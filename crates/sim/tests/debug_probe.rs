@@ -17,7 +17,7 @@ fn minimal_block_halts_quickly() {
     let edge = compile(&p, &CompileOptions::default()).unwrap();
 
     let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 20_000;
+    cfg.deadline = 20_000;
     let mut m = Machine::new(cfg);
     let pid = m.compose(1, 0, edge, &[21]).unwrap();
     match m.run() {
@@ -41,7 +41,7 @@ fn minimal_block_halts_on_four_cores() {
     let edge = compile(&p, &CompileOptions::default()).unwrap();
 
     let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 20_000;
+    cfg.deadline = 20_000;
     let mut m = Machine::new(cfg);
     let pid = m.compose(4, 0, edge, &[21]).unwrap();
     match m.run() {
@@ -82,7 +82,7 @@ fn loop_probe_two_cores() {
     let edge = compile(&p, &CompileOptions::default()).unwrap();
 
     let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 100_000;
+    cfg.deadline = 100_000;
     let mut m = Machine::new(cfg);
     m.memory_mut().image.load_words(0x1000, &[1, 2, 3, 4]);
     let pid = m.compose(2, 0, edge, &[0x1000, 4]).unwrap();
@@ -126,7 +126,7 @@ fn loop_probe_one_core_forty() {
     let data: Vec<u64> = (1..=40).collect();
     for n_cores in [1usize, 2, 4, 8, 16, 32] {
         let mut cfg = SimConfig::tflex();
-        cfg.max_cycles = 2_000_000;
+        cfg.deadline = 2_000_000;
         let mut m = Machine::new(cfg);
         m.memory_mut().image.load_words(0x1000, &data);
         let pid = m.compose(n_cores, 0, edge.clone(), &[0x1000, 40]).unwrap();
@@ -207,7 +207,7 @@ fn branchy_divergence_probe() {
     let edge = compile(&p, &CompileOptions::default()).unwrap();
     for n_cores in [1usize, 2, 4, 8, 32] {
         let mut cfg = SimConfig::tflex();
-        cfg.max_cycles = 5_000;
+        cfg.deadline = 5_000;
         let mut m = Machine::new(cfg);
         m.memory_mut().image.load_words(0x2000, &data);
         let pid = m

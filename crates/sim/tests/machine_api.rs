@@ -64,31 +64,6 @@ fn address_spaces_are_disjoint_per_processor() {
     assert_eq!(m.register(b, Reg::new(1)), 4);
 }
 
-#[test]
-fn cycle_limit_is_reported() {
-    // An infinite loop must hit the budget, not hang.
-    let mut f = FunctionBuilder::new("spin", 0);
-    let h = f.new_block();
-    f.jump(h);
-    f.switch_to(h);
-    let x = f.c(1);
-    let y = f.c(0);
-    let c = f.bin(Opcode::Tgt, x, y);
-    let exit = f.new_block();
-    f.branch(c, h, exit);
-    f.switch_to(exit);
-    f.ret(None);
-    let mut pb = ProgramBuilder::new();
-    let id = pb.add_function(f.finish());
-    let edge = compile(&pb.finish(id), &CompileOptions::default()).unwrap();
-
-    let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 5_000;
-    let mut m = Machine::new(cfg);
-    m.compose(2, 0, edge, &[]).unwrap();
-    assert_eq!(m.run(), Err(RunError::CycleLimit(5_000)));
-}
-
 /// The cycle at which the lint suite's no-firing-exit block deadlocks on
 /// `cores` cores. Its only exit is predicated on r1, so with r1 = 0 the
 /// block never completes and nothing else is in flight. The cycle is the
@@ -155,9 +130,8 @@ fn regenerate_deadlock_cells() {
 }
 
 #[test]
-fn deadline_kill_is_typed_and_distinct_from_cycle_limit() {
-    // Same infinite loop as above, but killed by the policy deadline
-    // long before the max_cycles safety net.
+fn deadline_kill_is_typed() {
+    // An infinite loop must hit its deadline, not hang.
     let mut f = FunctionBuilder::new("spin", 0);
     let h = f.new_block();
     f.jump(h);
@@ -174,8 +148,7 @@ fn deadline_kill_is_typed_and_distinct_from_cycle_limit() {
     let edge = compile(&pb.finish(id), &CompileOptions::default()).unwrap();
 
     let mut cfg = SimConfig::tflex();
-    cfg.max_cycles = 5_000;
-    cfg.deadline = Some(700);
+    cfg.deadline = 700;
     let mut m = Machine::new(cfg);
     m.compose(2, 0, edge, &[]).unwrap();
     assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 700 }));
@@ -185,7 +158,7 @@ fn deadline_kill_is_typed_and_distinct_from_cycle_limit() {
 fn generous_deadline_does_not_perturb_the_run() {
     // A deadline the job never reaches must be invisible: identical
     // result and identical cycle count.
-    let run = |deadline: Option<u64>| {
+    let run = |deadline: u64| {
         let mut cfg = SimConfig::tflex();
         cfg.deadline = deadline;
         let mut m = Machine::new(cfg);
@@ -193,8 +166,8 @@ fn generous_deadline_does_not_perturb_the_run() {
         let stats = m.run().expect("runs");
         (m.register(pid, Reg::new(1)), stats.procs[0].cycles)
     };
-    let (ret_a, cyc_a) = run(None);
-    let (ret_b, cyc_b) = run(Some(1_000_000));
+    let (ret_a, cyc_a) = run(SimConfig::tflex().deadline);
+    let (ret_b, cyc_b) = run(1_000_000);
     assert_eq!(ret_a, 42);
     assert_eq!((ret_a, cyc_a), (ret_b, cyc_b));
 }
@@ -203,14 +176,14 @@ fn generous_deadline_does_not_perturb_the_run() {
 fn a_deadline_that_is_not_raised_stops_the_run_again_where_it_stood() {
     let w = clp_workloads::suite::by_name("conv").expect("suite kernel");
     let (mut m, _) = composed(&w, 4, SimConfig::tflex(), false);
-    m.set_deadline(Some(700));
+    m.set_deadline(700);
     assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 700 }));
     // Again, unmoved: the same kill, and not one more cycle.
     assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 700 }));
     assert_eq!(m.cycle(), 700);
     // Moved, but not past the cycle reached: killed at once, and the
     // error names the budget now in force.
-    m.set_deadline(Some(500));
+    m.set_deadline(500);
     assert_eq!(m.run(), Err(RunError::DeadlineExceeded { budget: 500 }));
     assert_eq!(m.cycle(), 700);
 }
@@ -258,7 +231,7 @@ fn continued_equals_from_zero(
     cores: usize,
     faults: FaultPlan,
     profile: bool,
-    ladder: impl IntoIterator<Item = Option<u64>>,
+    ladder: impl IntoIterator<Item = u64>,
 ) -> usize {
     let cfg = SimConfig {
         faults,
@@ -268,12 +241,12 @@ fn continued_equals_from_zero(
     let mut kills = 0;
     let mut ladder = ladder.into_iter();
     let (stats, last) = loop {
-        let deadline = ladder.next().expect("the ladder ends without a deadline");
+        let deadline = ladder.next().expect("the ladder ends past the halt");
         m.set_deadline(deadline);
         match m.run() {
             Ok(stats) => break (stats, deadline),
             Err(RunError::DeadlineExceeded { budget }) => {
-                assert_eq!((Some(budget), m.cycle()), (deadline, budget));
+                assert_eq!((budget, m.cycle()), (deadline, budget));
                 kills += 1;
             }
             Err(e) => panic!("{} on {cores}: {e}", w.name),
@@ -299,8 +272,8 @@ fn continued_equals_from_zero(
     kills
 }
 
-fn doubling(first: u64) -> impl Iterator<Item = Option<u64>> {
-    std::iter::successors(Some(first), |b| Some(b * 2)).map(Some)
+fn doubling(first: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(first), |b| Some(b * 2))
 }
 
 #[test]
@@ -318,7 +291,7 @@ fn a_run_continued_past_its_deadline_ends_like_the_from_zero_run() {
             let kills =
                 continued_equals_from_zero(&w, cores, FaultPlan::none(), false, doubling(2_500));
             assert!(kills >= 1, "{name} on {cores} never met a deadline");
-            let odd = [Some(777), Some(4_001), None];
+            let odd = [777, 4_001, u64::MAX];
             let kills = continued_equals_from_zero(&w, cores, FaultPlan::none(), true, odd);
             assert!(kills >= 1, "{name} on {cores} never met a deadline");
         }
@@ -339,7 +312,7 @@ fn a_run_continued_under_the_same_fault_plan_ends_like_the_from_zero_run() {
     two_kills.add_kill(5, 6_000).expect("valid kill");
     for (name, faults) in [("conv", chaos), ("tblook", two_kills)] {
         let w = clp_workloads::suite::by_name(name).expect("suite kernel");
-        let every_500 = (1..).map(|k| Some(500 * k));
+        let every_500 = (1..).map(|k| 500 * k);
         let kills = continued_equals_from_zero(&w, 8, faults, true, every_500);
         assert!(kills > 12, "{name}: the ladder reaches past the last kill");
         continued_equals_from_zero(&w, 8, faults, false, doubling(2_500));
@@ -361,8 +334,8 @@ fn snapshot_is_informative() {
 #[test]
 fn error_types_render() {
     assert_eq!(
-        RunError::CycleLimit(7).to_string(),
-        "exceeded cycle budget of 7"
+        RunError::DeadlineExceeded { budget: 7 }.to_string(),
+        "deadline kill: exceeded cycle deadline of 7"
     );
     assert!(RunError::Deadlock { cycle: 3 }.to_string().contains("3"));
     assert!(ComposeError::CoreBusy(5).to_string().contains("5"));

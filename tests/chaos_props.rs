@@ -40,7 +40,7 @@ proptest! {
         let edge = compile(&w.program, &CompileOptions::default()).expect("compiles");
         for cores in [1usize, 2, 4] {
             let mut cfg = SimConfig::tflex();
-            cfg.max_cycles = 20_000_000;
+            cfg.deadline = 20_000_000;
             cfg.faults = FaultPlan::chaos(fault_seed, 100);
             let mut m = Machine::new(cfg);
             for (addr, words) in &w.init_mem {

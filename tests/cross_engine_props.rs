@@ -43,7 +43,7 @@ proptest! {
         // Engine 2: the TFlex simulator.
         let edge = compile(&w.program, &CompileOptions::default()).expect("compiles");
         let mut cfg = SimConfig::tflex();
-        cfg.max_cycles = 20_000_000;
+        cfg.deadline = 20_000_000;
         let mut m = Machine::new(cfg);
         for (addr, words) in &w.init_mem {
             m.memory_mut().image.load_words(*addr, words);

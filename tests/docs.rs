@@ -329,6 +329,51 @@ fn the_documents_list_exactly_the_examples_that_exist() {
     assert_eq!(design, examples, "DESIGN.md's `examples/` line");
 }
 
+/// README's Tools table and the tool list in clp-bench's crate doc name
+/// exactly the binaries under `crates/*/src/bin/`: a binary deleted,
+/// renamed or added without its documents fails here.
+#[test]
+fn the_documents_list_exactly_the_binaries_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut binaries = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is committed") {
+        let bin = krate.expect("lists crates/").path().join("src/bin");
+        if bin.is_dir() {
+            let names = file_names(&bin).into_iter();
+            binaries.extend(names.filter_map(|n| n.strip_suffix(".rs").map(str::to_string)));
+        }
+    }
+    assert!(binaries.len() >= 5, "only {binaries:?} found");
+    let readme = read("README.md");
+    let table: BTreeSet<String> = readme
+        .lines()
+        .skip_while(|l| *l != "## Tools")
+        .take_while(|l| !l.starts_with("## Goldens"))
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|cell| cell.split('`').next().map(str::to_string))
+        .collect();
+    assert_eq!(table, binaries, "README's Tools table");
+    // A tool is a backticked span whose first word is `run_one` or a
+    // `clp-` name.
+    let is_tool = |w: &str| {
+        w == "run_one"
+            || w.strip_prefix("clp-")
+                .is_some_and(|t| !t.is_empty() && t.chars().all(|c| c.is_ascii_lowercase()))
+    };
+    let doc: String = read("crates/bench/src/lib.rs")
+        .lines()
+        .filter_map(|l| l.strip_prefix("//!"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let listed: BTreeSet<String> = inline_spans(&doc)
+        .into_iter()
+        .filter_map(|(_, span)| span.split_whitespace().next())
+        .filter(|w| is_tool(w))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(listed, binaries, "crates/bench/src/lib.rs's tool list");
+}
+
 /// Every committed golden: each file under `goldens/` and each root
 /// `*_baseline.json`, `BENCH_serve.json` and `SCOPE_serve.json`.
 fn goldens() -> Vec<String> {

@@ -4,10 +4,10 @@
 //! `clp_bench::matrix::SuiteMatrix` at 1–32 cores plus TRIPS and the OoO
 //! core, and every suite golden is a view of it.
 //! `BENCH_baseline.json` and `BOUND_baseline.json` (the 1–16-core cells)
-//! are regenerated by the builders the `clp-bench` / `clp-bound` tools
-//! call and held to the committed files with the same `check_golden`
-//! the tools' `--check` uses — so a cycle that moves fails `cargo test`,
-//! and the failure prints which cell and which bucket.
+//! are regenerated by the builders `clp-bound` and the figures call and
+//! held to the committed files with `clp_obs::check_golden` — so a cycle
+//! that moves fails `cargo test`, and the failure prints which cell and
+//! which bucket.
 //! `goldens/suite_wide.json` pins the cells the figures divide by: the
 //! cycles and return value of every workload at 32 cores, on TRIPS and
 //! on the OoO core. Every cell is verified against the interpreter's
@@ -55,8 +55,9 @@ fn pretty(doc: &serde_json::Value) -> String {
     serde_json::to_string_pretty(doc).expect("serializes")
 }
 
-/// The two root suite baselines, fresh, as `clp-bench --out` and
-/// `clp-bound --suite --json` write them.
+/// The two root suite baselines, fresh: `BENCH_baseline.json` as only
+/// `regenerate` writes it, and `BOUND_baseline.json` as `clp-bound
+/// --suite --json` prints it.
 fn baselines() -> [(&'static str, String); 2] {
     [
         (

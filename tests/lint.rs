@@ -95,7 +95,7 @@ fn full_suite_lints_with_zero_errors() {
         let errors: Vec<_> = report
             .diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Error)
+            .filter(|d| d.code.severity() == Severity::Error)
             .collect();
         assert!(
             errors.is_empty(),

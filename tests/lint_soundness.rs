@@ -44,7 +44,7 @@ proptest! {
         let errors: Vec<_> = report
             .diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Error)
+            .filter(|d| d.code.severity() == Severity::Error)
             .collect();
         prop_assert!(
             errors.is_empty(),

@@ -162,7 +162,7 @@ fn same_block_store_load_race_terminates() {
         .expect("compiles");
     for cores in [1usize, 8] {
         let mut cfg = clp::sim::SimConfig::tflex();
-        cfg.max_cycles = 1_000_000;
+        cfg.deadline = 1_000_000;
         let mut m = clp::sim::Machine::new(cfg);
         m.memory_mut().image.write_u64(0x8000, 5);
         let pid = m.compose(cores, 0, edge.clone(), &[0x8000, 1]).unwrap();

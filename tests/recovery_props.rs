@@ -67,7 +67,7 @@ proptest! {
             let window_hi = (clean_cycles / 2).max(2);
             plan.add_random_kills(&region, n_kills, 1, window_hi).expect("schedule fits");
             let mut cfg = SimConfig::tflex();
-            cfg.max_cycles = 20_000_000;
+            cfg.deadline = 20_000_000;
             cfg.faults = plan;
 
             let mut cycles = [0u64; 2];
