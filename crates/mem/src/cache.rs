@@ -63,13 +63,15 @@ const PAGE_LINES: usize = 32;
 ///
 /// Lines live in fixed-size pages of whole sets, and a page is
 /// allocated the first time a line is installed in it: an empty page
-/// reads as all-invalid. A run touches a few hundred of the 4 MB L2's
-/// 65 536 lines, so building a bank writes a page table, not the lines.
+/// reads as all-invalid. The page table itself reaches only as far as
+/// the highest page installed so far. A run touches a few hundred of
+/// the 4 MB L2's 65 536 lines, so building a bank allocates nothing.
 #[derive(Clone, Debug)]
 pub struct CacheBank {
     geom: CacheGeometry,
     /// `pages[set >> page_shift]` holds sets in ascending order, each
-    /// `ways` lines wide; empty until first install.
+    /// `ways` lines wide; empty, or past the table's end, until first
+    /// install.
     pages: Vec<Vec<Line>>,
     /// log2 of the sets per page.
     page_shift: u32,
@@ -86,7 +88,7 @@ impl CacheBank {
         // Largest power of two of whole sets that fits a page.
         let page_shift = (PAGE_LINES / geom.ways).clamp(1, sets).ilog2();
         CacheBank {
-            pages: vec![Vec::new(); sets >> page_shift],
+            pages: Vec::new(),
             page_shift,
             tick: 0,
             set_mask: (sets - 1) as u64,
@@ -111,16 +113,17 @@ impl CacheBank {
     /// The set holding `addr`; empty if its page was never installed.
     fn set(&self, addr: u64) -> &[Line] {
         let (page, base) = self.set_of(addr);
-        self.pages[page]
-            .get(base..base + self.geom.ways)
-            .unwrap_or(&[])
+        let page = self.pages.get(page).map_or(&[][..], Vec::as_slice);
+        page.get(base..base + self.geom.ways).unwrap_or(&[])
     }
 
     fn set_mut(&mut self, addr: u64) -> &mut [Line] {
         let (page, base) = self.set_of(addr);
-        self.pages[page]
-            .get_mut(base..base + self.geom.ways)
-            .unwrap_or(&mut [])
+        let page = self
+            .pages
+            .get_mut(page)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        page.get_mut(base..base + self.geom.ways).unwrap_or(&mut [])
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
@@ -139,6 +142,9 @@ impl CacheBank {
         self.tick += 1;
         let (page, base) = self.set_of(addr);
         let tag = self.tag_of(addr);
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, Vec::new);
+        }
         let page = &mut self.pages[page];
         if page.is_empty() {
             page.resize(self.geom.ways << self.page_shift, Line::default());

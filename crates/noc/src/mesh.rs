@@ -127,7 +127,10 @@ impl MeshConfig {
         crate::region::rect_links(a.0, b.0, self.width).map(|(x, y)| (NodeId(x), NodeId(y)))
     }
 
-    /// Next hop direction under X-then-Y dimension-order routing.
+    /// Next hop direction under X-then-Y dimension-order routing: the
+    /// per-pair statement of the rule that [`hop_table`] tabulates, and
+    /// that its test holds it to.
+    #[cfg(test)]
     pub(crate) fn route_dir(&self, at: NodeId, dst: NodeId) -> Dir {
         let a = self.coord(at);
         let d = self.coord(dst);
@@ -144,6 +147,8 @@ impl MeshConfig {
         }
     }
 
+    /// The router one hop from `at` in direction `dir`.
+    #[cfg(test)]
     pub(crate) fn neighbor_of(&self, at: NodeId, dir: Dir) -> NodeId {
         let c = self.coord(at);
         let n = match dir {
@@ -184,6 +189,39 @@ struct Hop {
     next: u16,
 }
 
+/// The `nodes x nodes` next-hop table of X-then-Y routing, indexed
+/// `at * nodes + dst`, by coordinates: the entry
+/// [`MeshConfig::route_dir`] and [`MeshConfig::neighbor_of`] give for
+/// each pair (`hop_table_is_the_routing_definition`), without their
+/// per-call range checks and divisions.
+fn hop_table(cfg: &MeshConfig) -> Vec<Hop> {
+    let (w, h) = (cfg.width, cfg.height);
+    let mut hops = Vec::with_capacity(cfg.nodes() * cfg.nodes());
+    for at in 0..w * h {
+        let (ax, ay) = (at % w, at / w);
+        for dy in 0..h {
+            for dx in 0..w {
+                let (dir, next) = if ax < dx {
+                    (Dir::East, at + 1)
+                } else if ax > dx {
+                    (Dir::West, at - 1)
+                } else if ay < dy {
+                    (Dir::South, at + w)
+                } else if ay > dy {
+                    (Dir::North, at - w)
+                } else {
+                    (Dir::Local, at)
+                };
+                hops.push(Hop {
+                    dir,
+                    next: next as u16,
+                });
+            }
+        }
+    }
+    hops
+}
+
 /// A deterministic, dimension-order-routed 2-D mesh.
 ///
 /// Each [`Mesh::step`] advances one cycle: every queued message moves at
@@ -194,9 +232,9 @@ struct Hop {
 #[derive(Debug)]
 pub struct Mesh<M> {
     cfg: MeshConfig,
-    /// `nodes x nodes` next-hop table indexed `at * nodes + dst`, filled
-    /// once from [`MeshConfig::route_dir`] / [`MeshConfig::neighbor_of`]
-    /// (the single definition of X-then-Y routing).
+    /// `nodes x nodes` next-hop table indexed `at * nodes + dst`: X-then-Y
+    /// routing as [`MeshConfig::route_dir`] / [`MeshConfig::neighbor_of`]
+    /// define it, filled once by [`hop_table`].
     hops: Vec<Hop>,
     /// In-flight payloads; `None` slots are on `free`.
     slab: Vec<Option<Parked<M>>>,
@@ -243,18 +281,8 @@ impl<M> Mesh<M> {
     pub fn new(cfg: MeshConfig) -> Self {
         let nodes = cfg.nodes();
         assert!(nodes <= usize::from(u16::MAX), "mesh too large");
-        let hops = (0..nodes * nodes)
-            .map(|i| {
-                let (at, dst) = (NodeId(i / nodes), NodeId(i % nodes));
-                let dir = cfg.route_dir(at, dst);
-                Hop {
-                    dir,
-                    next: cfg.neighbor_of(at, dir).0 as u16,
-                }
-            })
-            .collect();
         Mesh {
-            hops,
+            hops: hop_table(&cfg),
             slab: Vec::new(),
             free: Vec::new(),
             flights: Vec::new(),
@@ -438,6 +466,15 @@ impl<M> Mesh<M> {
         self.check_invariants();
     }
 
+    /// Whether messages await pickup: exactly when
+    /// [`Mesh::drain_delivered`] would return some. The caller's
+    /// no-work test.
+    #[must_use]
+    #[inline]
+    pub fn has_delivered(&self) -> bool {
+        !self.delivered.is_empty()
+    }
+
     /// Removes and returns all messages delivered by previous steps.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, M)> {
         std::mem::take(&mut self.delivered)
@@ -497,6 +534,52 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn hop_table_is_the_routing_definition() {
+        for cfg in [
+            MeshConfig::tflex_operand(),
+            MeshConfig::trips_operand(),
+            small(),
+        ] {
+            let mesh: Mesh<()> = Mesh::new(cfg);
+            let nodes = cfg.nodes();
+            assert_eq!(mesh.hops.len(), nodes * nodes);
+            for (i, hop) in mesh.hops.iter().enumerate() {
+                let (at, dst) = (NodeId(i / nodes), NodeId(i % nodes));
+                let dir = cfg.route_dir(at, dst);
+                assert_eq!(hop.dir, dir, "{at} -> {dst}");
+                assert_eq!(
+                    usize::from(hop.next),
+                    cfg.neighbor_of(at, dir).0,
+                    "{at} -> {dst}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delivered_check_agrees_with_drain() {
+        // Local, one-hop and contended messages, injected on a few
+        // cycles: after every step the check names exactly the steps
+        // whose drain hands something over.
+        let mut mesh = Mesh::new(small());
+        let mut seen = 0;
+        for cycle in 0..32u32 {
+            if cycle % 5 == 0 && cycle < 20 {
+                mesh.inject(NodeId(0), NodeId(15), cycle);
+                mesh.inject(NodeId(0), NodeId(3), cycle);
+                mesh.inject(NodeId(6), NodeId(6), cycle);
+            }
+            mesh.step();
+            let pending = mesh.has_delivered();
+            let got = mesh.drain_delivered();
+            assert_eq!(pending, !got.is_empty(), "step {cycle}");
+            assert!(!mesh.has_delivered());
+            seen += got.len();
+        }
+        assert_eq!(seen, 12);
     }
 
     #[test]

@@ -78,8 +78,13 @@ impl<T> EventWheel<T> {
 
     /// Rotates the wheel to `now`: far events whose cycle just entered
     /// the window move into their slot. Must run at the start of every
-    /// cycle, before any `schedule` calls for that cycle.
+    /// cycle, before any `schedule` calls for that cycle; with no far
+    /// event it is one emptiness test.
+    #[inline]
     pub(crate) fn advance(&mut self, now: u64) {
+        if self.far.is_empty() {
+            return;
+        }
         while let Some(entry) = self.far.first_entry() {
             let at = *entry.key();
             if at - now >= WHEEL {
@@ -92,6 +97,13 @@ impl<T> EventWheel<T> {
             *slot = entry.remove();
             self.spare.pop();
         }
+    }
+
+    /// Whether any event is due at `now`: exactly when [`Self::pop_due`]
+    /// would hand some over. The caller's no-work test.
+    #[inline]
+    pub(crate) fn due(&self, now: u64) -> bool {
+        !self.slots[(now & MASK) as usize].is_empty()
     }
 
     /// Hands every event due at `now` over in `out`, in schedule order.
@@ -140,7 +152,8 @@ mod tests {
         /// before the pop of `now` and one scheduled after it both wait
         /// for `now + 1`; far events come out ahead of later-scheduled
         /// near ones; and `len` agrees with the map after every
-        /// operation. The caller's buffer goes round as `Machine::step`
+        /// operation, as does the `due` check with the map's key for
+        /// `now`. The caller's buffer goes round as `Machine::step`
         /// sends it, and the wheel never owns more buffers than the
         /// most buckets that held events at once, plus that one.
         #[test]
@@ -178,11 +191,13 @@ mod tests {
                             out.clear();
                             now += 1;
                             w.advance(now);
+                            prop_assert_eq!(w.due(now), model.contains_key(&now));
                             most_nonempty = most_nonempty.max(w.nonempty_buckets());
                         }
                     }
                 }
                 prop_assert_eq!(w.len(), model.values().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(w.due(now), model.contains_key(&now));
                 most_nonempty = most_nonempty.max(w.nonempty_buckets());
                 prop_assert!(w.buffers() <= most_nonempty + 1, "{} buffers", w.buffers());
             }

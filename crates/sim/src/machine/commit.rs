@@ -112,6 +112,9 @@ impl Proc {
             }
             self.slots_free += 1;
             self.stats.blocks_flushed += 1;
+            if let Some(acc) = fab.prof.as_deref_mut() {
+                acc.retire(b.prof);
+            }
         }
         if self.blocks.len() == before {
             return;
@@ -314,6 +317,7 @@ impl Proc {
         }
         if let Some(acc) = fab.prof.as_deref_mut() {
             acc.commit(self, &b, now, fab.cfg.operand_net, &fab.tracer);
+            acc.retire(b.prof);
         }
         self.check_commit(fab);
     }

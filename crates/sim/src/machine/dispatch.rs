@@ -98,11 +98,9 @@ impl Proc {
         // part none of the armed blocks has a runnable slice on would
         // find nothing to do. No bit is set during the stage (only a
         // fetch command sets one), so the union read here names every
-        // part that can make progress.
+        // part that can make progress; `step` calls the stage only when
+        // it names one.
         let mut parts = self.armed.parts();
-        if parts == 0 {
-            return;
-        }
         let now = fab.now;
         while parts != 0 {
             let part = parts.trailing_zeros() as usize;

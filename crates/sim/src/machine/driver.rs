@@ -5,8 +5,13 @@
 //! clock. Event-driven skip-ahead, which jumped stretches where every
 //! `step` would have been a no-op, was deleted in PR 20 (it measured
 //! 0.99–1.04× this loop; that CHANGES.md entry has the numbers
-//! and what its horizon cost the hot path). Do not add a fast path for
-//! idle cycles here or in `step`: that is skip-ahead by another name.
+//! and what its horizon cost the hot path). Every cycle is stepped, and
+//! `step` reaches every stage in the same order each cycle: skipping a
+//! cycle here or in `step` is skip-ahead by another name. What `step`
+//! may do is pay per event: a stage sits behind a no-work test at its
+//! call site when the test reads only state that `check_invariants`
+//! holds (an emptiness, or the mask that summarises a list), so a stage
+//! with nothing to do costs one branch.
 //!
 //! `run` may be called again. Every limit is checked *before* the cycle
 //! it would cut, so a run that returns [`RunError::DeadlineExceeded`]
@@ -46,12 +51,16 @@ impl Machine {
         }
         let budget = self.fab.cfg.deadline;
         while self.procs.iter().any(|p| !p.halted) {
+            // Both limits in one compare: the deadline, or the cycle the
+            // deadlock window closes. The deadline wins a tie.
             let now = self.fab.now;
-            if now >= budget {
-                return Err(RunError::DeadlineExceeded { budget });
-            }
-            if now.saturating_sub(self.fab.last_progress) > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: now });
+            let window_end = self.fab.last_progress.saturating_add(DEADLOCK_WINDOW + 1);
+            if now >= budget.min(window_end) {
+                return Err(if now >= budget {
+                    RunError::DeadlineExceeded { budget }
+                } else {
+                    RunError::Deadlock { cycle: now }
+                });
             }
             self.step();
         }

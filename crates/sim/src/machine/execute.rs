@@ -13,10 +13,9 @@ use clp_mem::dbank_for;
 use clp_obs::TraceEvent;
 
 impl Proc {
+    /// The issue pass; `step` calls it only when a ready list is
+    /// non-empty.
     pub(super) fn issue_stage(&mut self, fab: &mut Fabric) {
-        if !self.ready.any_ready() {
-            return;
-        }
         // The lists step out of `self` for the stage, so that a pick
         // can issue on the spot, through `&mut self`, with the block
         // lookup it made. Nothing on the issue path wakes an
@@ -170,6 +169,8 @@ impl Proc {
         fab.deliver(from, self.cores[dbank_for(addr, self.n)], msg);
     }
 
+    /// Routes the results due this cycle; `step` calls it only when a
+    /// completion is in flight.
     pub(super) fn completion_stage(&mut self, fab: &mut Fabric) {
         let now = fab.now;
         // Parts with in-flight completions, ascending.
@@ -186,9 +187,17 @@ impl Proc {
                 let Some(b) = self.blocks.get(&e.seq) else {
                     continue;
                 };
-                let targets = &b.tmpl.dec[usize::from(e.inst)].targets;
-                let prov = Prov::exec(e.inst, from, b.issue_cycle(e.inst), now);
-                b.route_operands(fab, from, e.seq, targets, Some(e.result), prov);
+                let d = &b.tmpl.dec[usize::from(e.inst)];
+                // The issue cycle is the completion less the latency it
+                // was scheduled with: what the profiler recorded, read
+                // without it.
+                let issued = e.done - u64::from(d.latency);
+                debug_assert!(b
+                    .prof
+                    .as_ref()
+                    .is_none_or(|pr| pr.insts[usize::from(e.inst)].issue == issued));
+                let prov = Prov::exec(e.inst, from, issued, now);
+                b.route_operands(fab, from, e.seq, &d.targets, Some(e.result), prov);
             }
         }
     }

@@ -63,6 +63,26 @@ pub(super) struct Fabric {
     pub(super) scratch_delivered: Vec<(NodeId, OpMsg)>,
 }
 
+/// The control-message latency table, `a * cores + b`, by coordinates:
+/// one cycle plus, under modeled timing, the entry of
+/// [`clp_noc::MeshConfig::hops`] for each pair, without its per-call
+/// range checks and divisions.
+fn ctrl_delay_table(cfg: &SimConfig) -> Vec<u64> {
+    let cores = cfg.chip_cores();
+    if cfg.protocol == ProtocolTiming::Instant {
+        return vec![1; cores * cores];
+    }
+    let w = cfg.operand_net.width;
+    let xy: Vec<(usize, usize)> = (0..cores).map(|c| (c % w, c / w)).collect();
+    let mut delays = Vec::with_capacity(cores * cores);
+    for &(ax, ay) in &xy {
+        for &(bx, by) in &xy {
+            delays.push(1 + (ax.abs_diff(bx) + ay.abs_diff(by)) as u64);
+        }
+    }
+    delays
+}
+
 impl Fabric {
     pub(super) fn new(cfg: SimConfig) -> Self {
         let cores = cfg.chip_cores();
@@ -73,14 +93,7 @@ impl Fabric {
         );
         let mut pending_kills: Vec<CoreKill> = cfg.faults.kills().collect();
         pending_kills.sort_by_key(|k| (k.cycle, k.core));
-        let ctrl_delays = (0..cores * cores)
-            .map(|i| match cfg.protocol {
-                ProtocolTiming::Instant => 1,
-                ProtocolTiming::Modeled => {
-                    1 + cfg.operand_net.hops(NodeId(i / cores), NodeId(i % cores)) as u64
-                }
-            })
-            .collect();
+        let ctrl_delays = ctrl_delay_table(&cfg);
         Fabric {
             now: 0,
             mem: MemorySystem::new(cores),
@@ -168,6 +181,34 @@ impl Fabric {
             self.push_local(self.now + extra, Ev::Inject { from, to, msg });
         } else {
             self.opnet.inject(NodeId(from), NodeId(to), msg);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clp_noc::MeshConfig;
+
+    #[test]
+    fn ctrl_delays_are_one_plus_the_mesh_hops() {
+        for net in [MeshConfig::tflex_operand(), MeshConfig::trips_operand()] {
+            for protocol in [ProtocolTiming::Modeled, ProtocolTiming::Instant] {
+                let cfg = SimConfig {
+                    operand_net: net,
+                    protocol,
+                    ..SimConfig::default()
+                };
+                let fab = Fabric::new(cfg);
+                let cores = net.nodes();
+                for (a, b) in (0..cores).flat_map(|a| (0..cores).map(move |b| (a, b))) {
+                    let hops = match protocol {
+                        ProtocolTiming::Instant => 0,
+                        ProtocolTiming::Modeled => net.hops(NodeId(a), NodeId(b)) as u64,
+                    };
+                    assert_eq!(fab.ctrl_delay(a, b), 1 + hops, "{protocol:?} {a} -> {b}");
+                }
+            }
         }
     }
 }

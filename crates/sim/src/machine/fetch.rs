@@ -12,6 +12,8 @@ use clp_obs::TraceEvent;
 use std::sync::Arc;
 
 impl Proc {
+    /// Installs the pending fetch if it can go this cycle; `step` calls
+    /// it only when there is one.
     pub(super) fn fetch_stage(&mut self, fab: &mut Fabric) {
         if self.halted || self.halt_seq.is_some() || self.recovery_pending || self.slots_free == 0 {
             return;
@@ -60,7 +62,9 @@ impl Proc {
             self.regs.declare_write(reg, seq);
         }
         let conservative = self.violated_addrs.contains(&f.addr);
-        let mut blk = Blk::new(&f, owner, tmpl, conservative, now, fab.prof.is_some());
+        let nops = tmpl.block.len();
+        let prof = fab.prof.as_mut().map(|acc| acc.blk_prof(nops, f.reason));
+        let mut blk = Blk::new(&f, owner, tmpl, conservative, now, prof);
         // Tag access (1 cycle), then broadcast fetch commands.
         for (part, &dst) in self.cores.iter().enumerate() {
             let at = now + 1 + fab.ctrl_delay(owner, dst);

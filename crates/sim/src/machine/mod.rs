@@ -273,26 +273,36 @@ impl Machine {
         // 0. Fault layer: maybe start a link-contention burst (clamps
         // the operand mesh to bandwidth 1 for the burst length). One
         // Bernoulli draw per cycle; zero draws when the kind is off.
-        if let Some(len) = fab.fault(FaultKind::NocBurst, 0) {
-            fab.opnet.throttle(len);
+        if fab.faults.active() {
+            if let Some(len) = fab.fault(FaultKind::NocBurst, 0) {
+                fab.opnet.throttle(len);
+            }
         }
+        // From here on each stage runs behind its own no-work test:
+        // the emptiness of what it would drain, or the mask that
+        // summarises its list (`check_invariants` holds each mask to
+        // its list), never a guess about the cycle.
         // 1. Networks.
         fab.opnet.step();
-        let mut delivered = std::mem::take(&mut fab.scratch_delivered);
-        fab.opnet.swap_delivered(&mut delivered);
-        for (node, msg) in &delivered {
-            self.procs[usize::from(msg.proc)].handle_op(fab, node.0, msg);
+        if fab.opnet.has_delivered() {
+            let mut delivered = std::mem::take(&mut fab.scratch_delivered);
+            fab.opnet.swap_delivered(&mut delivered);
+            for (node, msg) in &delivered {
+                self.procs[usize::from(msg.proc)].handle_op(fab, node.0, msg);
+            }
+            delivered.clear();
+            fab.scratch_delivered = delivered;
         }
-        delivered.clear();
-        fab.scratch_delivered = delivered;
         // 2. Scheduled local/control events.
-        let mut evs = std::mem::take(&mut fab.scratch_evs);
-        fab.local.pop_due(fab.now, &mut evs);
-        for ev in &evs {
-            Self::run_event(fab, &mut self.procs, ev);
+        if fab.local.due(fab.now) {
+            let mut evs = std::mem::take(&mut fab.scratch_evs);
+            fab.local.pop_due(fab.now, &mut evs);
+            for ev in &evs {
+                Self::run_event(fab, &mut self.procs, ev);
+            }
+            evs.clear();
+            fab.scratch_evs = evs;
         }
-        evs.clear();
-        fab.scratch_evs = evs;
         // 3. Per-proc pipeline stages.
         for pi in 0..self.procs.len() {
             if self.fab.has_kills && !self.procs[pi].halted {
@@ -302,10 +312,18 @@ impl Machine {
             if p.halted {
                 continue;
             }
-            p.fetch_stage(fab);
-            p.dispatch_stage(fab);
-            p.completion_stage(fab);
-            p.issue_stage(fab);
+            if p.pending.is_some() {
+                p.fetch_stage(fab);
+            }
+            if p.armed.parts() != 0 {
+                p.dispatch_stage(fab);
+            }
+            if p.exec.any_in_flight() {
+                p.completion_stage(fab);
+            }
+            if p.ready.any_ready() {
+                p.issue_stage(fab);
+            }
             // The commit check runs when one of its inputs changed. A
             // core dying is not one: a dead owner only keeps the head
             // back, and every path that ends a recovery sets the flag.

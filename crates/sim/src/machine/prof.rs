@@ -11,9 +11,10 @@
 //! enabled, so unobserved runs stay bit-identical.
 //!
 //! Recording costs what it observes. A profiled block carries one boxed
-//! [`BlkProf`] with its per-instruction [`InstProf`] records: two
-//! allocations per fetched block, and an unprofiled block holds only a
-//! null pointer in their place. A commit's walk charges
+//! [`BlkProf`] with its per-instruction [`InstProf`] records, taken from
+//! and given back to [`ProfAcc`]'s spares, so the run allocates only as
+//! many as it ever has blocks in flight at once; an unprofiled block
+//! holds a null pointer in their place. A commit's walk charges
 //! the block-level book as it cuts and keeps only what the run-level
 //! book takes in [`ProfAcc`]'s one segment buffer; operand-network
 //! stalls are spread along clp-noc's route without building it, into a
@@ -144,9 +145,9 @@ pub(super) struct InstProf {
 }
 
 /// Per-block profiling state, boxed in the block so that an unprofiled
-/// block carries one pointer, not the whole record; allocated with its
-/// per-instruction records once per fetched block, and only when
-/// profiling is enabled.
+/// block carries one pointer, not the whole record; handed out by
+/// [`ProfAcc::blk_prof`] to each fetched block, and only when profiling
+/// is enabled.
 #[derive(Debug)]
 pub(super) struct BlkProf {
     reason: FetchReason,
@@ -165,7 +166,7 @@ pub(super) struct BlkProf {
 }
 
 impl BlkProf {
-    pub(super) fn new(nops: usize, reason: FetchReason) -> Self {
+    fn new(nops: usize, reason: FetchReason) -> Self {
         BlkProf {
             reason,
             insts: vec![InstProf::default(); nops],
@@ -312,9 +313,35 @@ pub(super) struct ProfAcc {
     /// The committing block's segments after `last_commit_end`: one
     /// buffer, cut into again at every commit.
     segs: Vec<Seg>,
+    /// Records of blocks that left the window, for the next fetches.
+    #[allow(clippy::vec_box)] // the boxes are what goes back into blocks
+    spare: Vec<Box<BlkProf>>,
 }
 
 impl ProfAcc {
+    /// The record of a block of `nops` instructions fetched for
+    /// `reason`, as [`BlkProf::new`] builds it: a retired block's, reset
+    /// in place, when there is one.
+    pub(super) fn blk_prof(&mut self, nops: usize, reason: FetchReason) -> Box<BlkProf> {
+        let Some(mut pr) = self.spare.pop() else {
+            return Box::new(BlkProf::new(nops, reason));
+        };
+        let mut insts = std::mem::take(&mut pr.insts);
+        insts.clear();
+        insts.resize(nops, InstProf::default());
+        *pr = BlkProf {
+            insts,
+            ..BlkProf::new(0, reason)
+        };
+        pr
+    }
+
+    /// Takes back the record of a block leaving the window (committed
+    /// or squashed).
+    pub(super) fn retire(&mut self, pr: Option<Box<BlkProf>>) {
+        self.spare.extend(pr);
+    }
+
     /// Attributes every cycle of a committed block's fetch-to-commit
     /// span to a top-down bucket. Two books are kept:
     /// * **block-level** — the full `[t_init, t_end)` span, tiled exactly
@@ -409,6 +436,7 @@ impl Machine {
             link_cycles: vec![0; nodes * nodes],
             last_commit_end: Vec::new(),
             segs: Vec::new(),
+            spare: Vec::new(),
         }));
     }
 

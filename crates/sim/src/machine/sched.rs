@@ -2,7 +2,8 @@
 //! each kept together with the bitmask that summarises it.
 //!
 //! `issue_stage`, `completion_stage` and `dispatch_stage` visit only the
-//! participants a mask names, in ascending order, and that order feeds
+//! participants a mask names, in ascending order (and `Machine::step`
+//! calls each only when its mask is non-zero), and that order feeds
 //! mesh arbitration — so a mask that disagrees with its list changes
 //! cycle counts silently. Each type here owns one list and its mask; its
 //! methods are the only code that writes either, so the two cannot
@@ -162,6 +163,11 @@ impl ExecQueues {
     pub(super) fn reset(&mut self, n: usize) {
         self.queues = (0..n).map(|_| VecDeque::new()).collect();
         self.mask = 0;
+    }
+
+    /// Whether any participant has a completion in flight.
+    pub(super) fn any_in_flight(&self) -> bool {
+        self.mask != 0
     }
 
     /// The lowest part at or above `from` with completions in flight

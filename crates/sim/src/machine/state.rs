@@ -200,7 +200,7 @@ impl Blk {
         tmpl: Arc<FetchTemplate>,
         conservative: bool,
         now: u64,
-        profiled: bool,
+        prof: Option<Box<BlkProf>>,
     ) -> Self {
         let nops = tmpl.block.len();
         Blk {
@@ -222,7 +222,7 @@ impl Blk {
             predict_cycles: 0.0,
             hand_off_cycles: f.hand_off_cycles,
             t_last_cmd: now + 1,
-            prof: profiled.then(|| Box::new(BlkProf::new(nops, f.reason))),
+            prof,
         }
     }
 

@@ -13,7 +13,11 @@
 //! made file-relative (the binary is a PIE), symbolised by one
 //! `addr2line -f -i -C -a` process with inlined frames expanded, and
 //! reported three ways: self time by the first in-repo frame (function
-//! and line), inclusive time by function, and folded stacks.
+//! and line), inclusive time by function, and folded stacks. Above the
+//! tables, the run's process CPU time (`CLOCK_PROCESS_CPUTIME_ID`, read
+//! around the cell loop) is divided by the simulated cycles and by the
+//! fired instructions: one run at 1 core and one at 32 show the fixed
+//! per-cycle share against the per-instruction one.
 //!
 //! x86-64 Linux only: the handler reads RIP / RBP / RSP out of the
 //! signal's `ucontext_t` at that ABI's offsets, and the walk needs
@@ -76,9 +80,29 @@ mod sampler {
         value: Timeval,
     }
 
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
     extern "C" {
         fn sigaction(sig: i32, act: *const SigAction, old: *mut SigAction) -> i32;
         fn setitimer(which: i32, new: *const Itimerval, old: *mut Itimerval) -> i32;
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+
+    /// CPU time this process has used, in nanoseconds: the clock the
+    /// interval timer samples by.
+    pub fn cpu_ns() -> u64 {
+        let mut ts = Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `ts` is a valid `struct timespec` (two longs) the call
+        // writes and nothing else holds.
+        let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID)");
+        ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
     }
 
     // All the handler touches. Relaxed is enough: each publishes no
@@ -335,7 +359,8 @@ mod report {
             .collect();
         let stack_top = 0usize;
         sampler::start(std::ptr::addr_of!(stack_top) as usize);
-        let mut cycles = 0;
+        let (mut cycles, mut fired) = (0, 0);
+        let t0 = sampler::cpu_ns();
         for _ in 0..reps {
             for cw in &compiled {
                 for &n in &sizes {
@@ -344,15 +369,23 @@ mod report {
                     let run =
                         run.unwrap_or_else(|e| die(format!("{}@{n}: {e:?}", cw.workload.name)));
                     cycles += run.stats.cycles;
+                    fired += run.stats.procs.iter().map(|p| p.insts_fired).sum::<u64>();
                 }
             }
         }
+        let cpu_ns = sampler::cpu_ns() - t0;
         let (samples, dropped) = sampler::stop();
+        let per = |n: u64| cpu_ns as f64 / n.max(1) as f64;
         let mut out = format!(
             "hostprof: sizes {sizes:?} x {reps} reps, {cycles} simulated cycles, {} Hz: \
-             {} samples, {dropped} dropped\n",
+             {} samples, {dropped} dropped\n\
+             host CPU: {:.1} ms, {:.1} ns per simulated cycle, {:.1} ns per fired \
+             instruction ({fired} fired)\n",
             sampler::HZ,
-            samples.len()
+            samples.len(),
+            cpu_ns as f64 / 1e6,
+            per(cycles),
+            per(fired),
         );
 
         // Program counters as they are; return addresses minus one, so
