@@ -9,24 +9,31 @@
 //! renaming — the property EDGE composability relies on.
 
 use crate::hyperblock::{form_hyperblocks, HirBlock, HirExitKind, HirFunction};
-use crate::ir::{BbId, MemSize, OpKind, Pred, Program, Terminator, VReg};
-use crate::liveness::{liveness, Liveness};
+use crate::ir::{BbId, Function, MemSize, OpKind, Pred, Program, Terminator, VReg};
+use crate::liveness::{liveness, Liveness, VRegSet};
 use crate::placement;
 use crate::regalloc::{allocate, saved_across_call, Allocation};
 use crate::{CompileError, CompileOptions};
 use clp_isa::{
     Block, BlockAddr, BlockBuilder, BranchInfo, BranchKind, EdgeProgram, InstId, Instruction,
     Opcode, Operand, PredSense, ProgramBuilder as EdgeProgramBuilder, Reg, BLOCK_FRAME_BYTES,
+    NUM_ARCH_REGS,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// A set of producers of which exactly one fires per execution.
-#[derive(Clone, Debug)]
-struct ValueRef(Vec<InstId>);
+/// A set of producers of which exactly one fires per execution: one
+/// instruction, or a guarded definition and the complementary `mov` of
+/// the old value.
+#[derive(Clone, Copy, Debug)]
+struct ValueRef(InstId, Option<InstId>);
 
 impl ValueRef {
     fn single(id: InstId) -> Self {
-        ValueRef(vec![id])
+        ValueRef(id, None)
+    }
+
+    fn producers(self) -> impl Iterator<Item = InstId> {
+        std::iter::once(self.0).chain(self.1)
     }
 }
 
@@ -39,18 +46,19 @@ const BASE_ADDR: BlockAddr = 0x1_0000;
 struct BlockCtx<'a> {
     b: BlockBuilder,
     alloc: &'a Allocation,
-    /// Current in-block value of each vreg.
-    current: BTreeMap<VReg, ValueRef>,
+    /// Current in-block value of each vreg, indexed by vreg id.
+    current: Vec<Option<ValueRef>>,
     /// VRegs (re)defined in this block (candidates for write-back).
-    defs: BTreeSet<VReg>,
-    /// Memoized READ instructions by architectural register.
-    reads: BTreeMap<usize, InstId>,
+    defs: VRegSet,
+    /// Memoized READ instructions, indexed by architectural register.
+    reads: [Option<InstId>; NUM_ARCH_REGS],
     /// Memoized materialized multi-conjunct predicates.
     pc_cache: BTreeMap<Vec<(u32, bool)>, ValueRef>,
     zero: Option<InstId>,
     next_lsid: usize,
-    /// Entry-block incoming bindings (params and link from the ABI regs).
-    incoming: BTreeMap<VReg, Reg>,
+    /// Entry-block incoming bindings (params and link from the ABI regs),
+    /// indexed by vreg id; empty in every other block.
+    incoming: Vec<Option<Reg>>,
     /// In-block stack-pointer value (post-prologue), if modified here.
     sp_ref: Option<ValueRef>,
     func_name: &'a str,
@@ -60,21 +68,39 @@ struct BlockCtx<'a> {
 type Guard = Option<(ValueRef, PredSense)>;
 
 impl<'a> BlockCtx<'a> {
-    fn new(addr: BlockAddr, alloc: &'a Allocation, func_name: &'a str, bb: BbId) -> Self {
+    fn new(
+        addr: BlockAddr,
+        alloc: &'a Allocation,
+        n_vregs: usize,
+        func_name: &'a str,
+        bb: BbId,
+    ) -> Self {
         BlockCtx {
             b: BlockBuilder::new(addr),
             alloc,
-            current: BTreeMap::new(),
-            defs: BTreeSet::new(),
-            reads: BTreeMap::new(),
+            current: vec![None; n_vregs],
+            defs: VRegSet::with_capacity(n_vregs),
+            reads: [None; NUM_ARCH_REGS],
             pc_cache: BTreeMap::new(),
             zero: None,
             next_lsid: 0,
-            incoming: BTreeMap::new(),
+            incoming: Vec::new(),
             sp_ref: None,
             func_name,
             bb,
         }
+    }
+
+    fn current(&self, v: VReg) -> Option<ValueRef> {
+        self.current[v.0 as usize]
+    }
+
+    fn set_current(&mut self, v: VReg, vr: ValueRef) {
+        self.current[v.0 as usize] = Some(vr);
+    }
+
+    fn incoming(&self, v: VReg) -> Option<Reg> {
+        self.incoming.get(v.0 as usize).copied().flatten()
     }
 
     fn err_too_large(&self) -> CompileError {
@@ -99,17 +125,17 @@ impl<'a> BlockCtx<'a> {
         }
         let id = self.b.push_raw(inst);
         if let Some(vr) = left {
-            for &p in &vr.0 {
+            for p in vr.producers() {
                 self.b.connect(p, id, Operand::Left);
             }
         }
         if let Some(vr) = right {
-            for &p in &vr.0 {
+            for p in vr.producers() {
                 self.b.connect(p, id, Operand::Right);
             }
         }
         if let Some((vr, _)) = guard {
-            for &p in &vr.0 {
+            for p in vr.producers() {
                 self.b.connect(p, id, Operand::Pred);
             }
         }
@@ -117,34 +143,30 @@ impl<'a> BlockCtx<'a> {
     }
 
     fn read_reg(&mut self, reg: Reg) -> InstId {
-        if let Some(&id) = self.reads.get(&reg.index()) {
+        if let Some(id) = self.reads[reg.index()] {
             return id;
         }
         let mut inst = Instruction::new(Opcode::Read);
         inst.reg = Some(reg);
         let id = self.b.push_raw(inst);
-        self.reads.insert(reg.index(), id);
+        self.reads[reg.index()] = Some(id);
         id
     }
 
     fn value_of(&mut self, v: VReg) -> ValueRef {
-        if let Some(vr) = self.current.get(&v) {
-            return vr.clone();
+        if let Some(vr) = self.current(v) {
+            return vr;
         }
-        let reg = self
-            .incoming
-            .get(&v)
-            .copied()
-            .unwrap_or_else(|| self.alloc.reg(v));
+        let reg = self.incoming(v).unwrap_or_else(|| self.alloc.reg(v));
         let id = self.read_reg(reg);
         let vr = ValueRef::single(id);
-        self.current.insert(v, vr.clone());
+        self.set_current(v, vr);
         vr
     }
 
     fn sp_value(&mut self) -> ValueRef {
-        match &self.sp_ref {
-            Some(vr) => vr.clone(),
+        match self.sp_ref {
+            Some(vr) => vr,
             None => ValueRef::single(self.read_reg(Reg::SP)),
         }
     }
@@ -179,8 +201,8 @@ impl<'a> BlockCtx<'a> {
             }
             _ => {
                 let key: Vec<(u32, bool)> = pred.iter().map(|&(v, s)| (v.0, s)).collect();
-                if let Some(vr) = self.pc_cache.get(&key) {
-                    return Ok(Some((vr.clone(), PredSense::OnTrue)));
+                if let Some(&vr) = self.pc_cache.get(&key) {
+                    return Ok(Some((vr, PredSense::OnTrue)));
                 }
                 let mut acc: Option<InstId> = None;
                 for &(v, s) in pred {
@@ -200,7 +222,7 @@ impl<'a> BlockCtx<'a> {
                     });
                 }
                 let vr = ValueRef::single(acc.expect("nonempty"));
-                self.pc_cache.insert(key, vr.clone());
+                self.pc_cache.insert(key, vr);
                 Ok(Some((vr, PredSense::OnTrue)))
             }
         }
@@ -236,10 +258,10 @@ impl<'a> BlockCtx<'a> {
         self.defs.insert(dst);
         match guard {
             _ if !need_merge => {
-                self.current.insert(dst, ValueRef::single(new_id));
+                self.set_current(dst, ValueRef::single(new_id));
             }
             None => {
-                self.current.insert(dst, ValueRef::single(new_id));
+                self.set_current(dst, ValueRef::single(new_id));
             }
             Some((vr, sense)) => {
                 // The complementary path must still deliver a token so the
@@ -247,22 +269,21 @@ impl<'a> BlockCtx<'a> {
                 // defined *inside* a predicated region has no prior value
                 // anywhere (the source program never observes it on the
                 // other path), so an arbitrary constant stands in.
-                let has_old = self.current.contains_key(&dst)
-                    || self.incoming.contains_key(&dst)
+                let has_old = self.current(dst).is_some()
+                    || self.incoming(dst).is_some()
                     || self.alloc.try_reg(dst).is_some();
                 let old = if has_old {
                     self.value_of(dst)
                 } else {
                     ValueRef::single(self.zero()?)
                 };
-                let guard_ref = vr.clone();
                 let mov_old = self.push(
                     Instruction::new(Opcode::Mov),
                     Some(&old),
                     None,
-                    Some((&guard_ref, sense.invert())),
+                    Some((vr, sense.invert())),
                 )?;
-                self.current.insert(dst, ValueRef(vec![new_id, mov_old]));
+                self.set_current(dst, ValueRef(new_id, Some(mov_old)));
             }
         }
         Ok(())
@@ -278,8 +299,10 @@ struct FuncCtx<'a> {
     hir: &'a HirFunction,
     lv: &'a Liveness,
     alloc: &'a Allocation,
-    /// `(dst, saved vregs)` for each call continuation block.
-    cont_info: BTreeMap<BbId, (Option<VReg>, Vec<VReg>)>,
+    /// `(dst, saved vregs)` of each call continuation block, indexed by
+    /// block.
+    cont_info: Vec<Option<(Option<VReg>, Vec<VReg>)>>,
+    n_vregs: usize,
     link_vreg: VReg,
     entry_bb: BbId,
     params: Vec<VReg>,
@@ -291,19 +314,20 @@ fn lower_block(
     bb: BbId,
     hb: &HirBlock,
     addr: BlockAddr,
-    addr_of_bb: &BTreeMap<BbId, BlockAddr>,
+    addr_of_bb: &[Option<BlockAddr>],
     func_entry_addr: &dyn Fn(crate::ir::FuncId) -> BlockAddr,
     opts: &CompileOptions,
 ) -> Result<Block, CompileError> {
-    let mut cx = BlockCtx::new(addr, fc.alloc, &fc.hir.name, bb);
+    let mut cx = BlockCtx::new(addr, fc.alloc, fc.n_vregs, &fc.hir.name, bb);
 
     // --- prologues -----------------------------------------------------
     if bb == fc.entry_bb {
+        cx.incoming = vec![None; fc.n_vregs];
         for (i, &p) in fc.params.iter().enumerate() {
-            cx.incoming.insert(p, Reg::new(RET_REG + i));
+            cx.incoming[p.0 as usize] = Some(Reg::new(RET_REG + i));
             cx.defs.insert(p);
         }
-        cx.incoming.insert(fc.link_vreg, Reg::LINK);
+        cx.incoming[fc.link_vreg.0 as usize] = Some(Reg::LINK);
         cx.defs.insert(fc.link_vreg);
         if fc.alloc.frame_bytes > 0 {
             let sp_in = cx.sp_value();
@@ -313,21 +337,21 @@ fn lower_block(
             cx.sp_ref = Some(ValueRef::single(new_sp));
         }
     }
-    if let Some((dst, saved)) = fc.cont_info.get(&bb) {
+    if let Some((dst, saved)) = &fc.cont_info[bb.0] {
         // Reload caller-saved values from the frame, then the return value.
         let sp = cx.sp_value();
         for &v in saved {
-            let slot = fc.alloc.frame_slot[&v];
+            let slot = fc.alloc.slot(v).expect("saved values have a slot");
             let mut ld = Instruction::new(Opcode::Ld);
             ld.imm = 8 * slot as i64;
             ld.lsid = Some(clp_isa::Lsid::new(cx.lsid()?));
             let id = cx.push(ld, Some(&sp), None, None)?;
-            cx.current.insert(v, ValueRef::single(id));
+            cx.set_current(v, ValueRef::single(id));
             cx.defs.insert(v);
         }
         if let Some(d) = dst {
             let id = cx.read_reg(Reg::new(RET_REG));
-            cx.current.insert(*d, ValueRef::single(id));
+            cx.set_current(*d, ValueRef::single(id));
             cx.defs.insert(*d);
         }
     }
@@ -336,12 +360,7 @@ fn lower_block(
     // Values written back at an exit: union of live-in over jump-exit
     // targets (call/ret blocks never contain guarded ops, so their
     // operand uses are handled by the unpredicated-use rule below).
-    let mut exit_live: BTreeSet<VReg> = BTreeSet::new();
-    for exit in &hb.exits {
-        if let HirExitKind::Jump(t) = &exit.kind {
-            exit_live.extend(fc.lv.live_in[t.0].iter().copied());
-        }
-    }
+    let exit_live = jump_live_out(hb, fc.lv);
     let pred_subset = |p: &Pred, q: &Pred| p.iter().all(|c| q.contains(c));
     let uses_in_pred = |op: &crate::ir::Op, v: VReg| op.pred.iter().any(|&(pv, _)| pv == v);
     let exit_guard_uses = |v: VReg| {
@@ -365,14 +384,15 @@ fn lower_block(
             if op.pred.is_empty() {
                 return false; // unguarded defs never need a merge
             }
-            if exit_live.contains(&dst) || exit_guard_uses(dst) {
+            if exit_live.contains(dst) || exit_guard_uses(dst) {
                 return true;
             }
             for later in &hb.ops[k + 1..] {
                 if uses_in_pred(later, dst) {
                     return true; // guard chains must always deliver
                 }
-                if later.kind.uses().contains(&dst) && !pred_subset(&op.pred, &later.pred) {
+                if later.kind.operands().contains(&Some(dst)) && !pred_subset(&op.pred, &later.pred)
+                {
                     return true;
                 }
                 if later.kind.dst() == Some(dst) {
@@ -460,21 +480,20 @@ fn lower_block(
                     // Resolve the store slot on the complementary path.
                     let mut null = Instruction::new(Opcode::Null);
                     null.lsid = Some(clp_isa::Lsid::new(l));
-                    let g = vr.clone();
-                    cx.push(null, None, None, Some((&g, sense.invert())))?;
+                    cx.push(null, None, None, Some((vr, sense.invert())))?;
                 }
             }
         }
     }
 
     // --- exits -----------------------------------------------------------
-    let mut suppress_write_back: BTreeSet<VReg> = BTreeSet::new();
+    let mut suppress_write_back = VRegSet::default();
     for (i, exit) in hb.exits.iter().enumerate() {
         let exit_id = i as u8;
         let guard = cx.guard_of(&exit.pred)?;
         match &exit.kind {
             HirExitKind::Jump(t) => {
-                let taddr = addr_of_bb[t];
+                let taddr = addr_of_bb[t.0].expect("jump targets are laid out");
                 let kind = if taddr == addr + BLOCK_FRAME_BYTES {
                     BranchKind::Seq
                 } else {
@@ -513,7 +532,7 @@ fn lower_block(
                 let saved = saved_across_call(fc.lv, *cont, *dst);
                 let sp = cx.sp_value();
                 for &v in &saved {
-                    let slot = fc.alloc.frame_slot[&v];
+                    let slot = fc.alloc.slot(v).expect("saved values have a slot");
                     let vv = cx.value_of(v);
                     let mut st = Instruction::new(Opcode::St);
                     st.imm = 8 * slot as i64;
@@ -530,7 +549,7 @@ fn lower_block(
                 }
                 // Link: the return address is the continuation block.
                 let mut movi = Instruction::new(Opcode::Movi);
-                movi.imm = addr_of_bb[cont] as i64;
+                movi.imm = addr_of_bb[cont.0].expect("continuations are laid out") as i64;
                 let link_val = cx.push(movi, None, None, None)?;
                 let mut w = Instruction::new(Opcode::Write);
                 w.reg = Some(Reg::LINK);
@@ -580,7 +599,7 @@ fn lower_block(
 
     // --- SP prologue write-back -----------------------------------------
     if bb == fc.entry_bb && fc.alloc.frame_bytes > 0 {
-        let sp = cx.sp_ref.clone().expect("prologue ran");
+        let sp = cx.sp_ref.expect("prologue ran");
         let mut w = Instruction::new(Opcode::Write);
         w.reg = Some(Reg::SP);
         cx.push(w, Some(&sp), None, None)?;
@@ -596,8 +615,7 @@ fn lower_block(
     let to_write: Vec<VReg> = cx
         .defs
         .iter()
-        .copied()
-        .filter(|v| live_out.contains(v) && !suppress_write_back.contains(v))
+        .filter(|&v| live_out.contains(v) && !suppress_write_back.contains(v))
         .collect();
     for v in to_write {
         let vv = cx.value_of(v);
@@ -618,6 +636,44 @@ fn lower_block(
         bb: bb.0,
         source: e,
     })
+}
+
+/// The values live out of `hb` through its jump exits: the union of
+/// their targets' live-in. Call exits contribute nothing (values crossing
+/// a call travel through the caller-save frame).
+fn jump_live_out(hb: &HirBlock, lv: &Liveness) -> VRegSet {
+    let mut live = VRegSet::default();
+    for exit in &hb.exits {
+        if let HirExitKind::Jump(t) = &exit.kind {
+            live.union_with(&lv.live_in[t.0]);
+        }
+    }
+    live
+}
+
+/// Write-back cliques: values defined in one hyperblock and live out of
+/// any of its exits are all written back by that block, so they need
+/// distinct registers even if their live ranges never overlap (they may
+/// be live at *different* exits).
+pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness) -> Vec<VRegSet> {
+    let mut cliques = Vec::new();
+    for (bi, hb) in hir.blocks.iter().enumerate() {
+        let Some(hb) = hb else { continue };
+        let mut defs: VRegSet = hb.ops.iter().filter_map(|o| o.kind.dst()).collect();
+        if bi == f.entry.0 {
+            // The entry block also "defines" (writes back) its live-out
+            // parameters and link register.
+            for &p in &f.params {
+                defs.insert(p);
+            }
+            defs.insert(f.link_vreg);
+        }
+        defs.intersect_with(&jump_live_out(hb, lv));
+        if defs.len() > 1 {
+            cliques.push(defs);
+        }
+    }
+    cliques
 }
 
 /// Compiles an IR program to an EDGE program.
@@ -662,31 +718,7 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     for f in &program.functions {
         let hir = form_hyperblocks(f, &opts.former);
         let lv = liveness(f);
-        // Write-back clique: values defined in one hyperblock and live
-        // out of any of its exits are all written back by that block, so
-        // they need distinct registers even if their live ranges never
-        // overlap (they may be live at *different* exits).
-        let mut cliques: Vec<BTreeSet<VReg>> = Vec::new();
-        for (bi, hb) in hir.blocks.iter().enumerate() {
-            let Some(hb) = hb else { continue };
-            let mut defs: BTreeSet<VReg> = hb.ops.iter().filter_map(|o| o.kind.dst()).collect();
-            if bi == f.entry.0 {
-                // The entry block also "defines" (writes back) its live-out
-                // parameters and link register.
-                defs.extend(f.params.iter().copied());
-                defs.insert(f.link_vreg);
-            }
-            let mut live_out: BTreeSet<VReg> = BTreeSet::new();
-            for e in &hb.exits {
-                if let HirExitKind::Jump(t) = &e.kind {
-                    live_out.extend(lv.live_in[t.0].iter().copied());
-                }
-            }
-            let written: BTreeSet<VReg> = defs.intersection(&live_out).copied().collect();
-            if written.len() > 1 {
-                cliques.push(written);
-            }
-        }
+        let cliques = write_back_cliques(f, &hir, &lv);
         let alloc = allocate(f, &lv, &cliques).map_err(CompileError::RegPressure)?;
         hirs.push(hir);
         lvs.push(lv);
@@ -701,28 +733,35 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     let halt_addr = start_addr + BLOCK_FRAME_BYTES;
     let mut func_order: Vec<usize> = vec![program.entry.0];
     func_order.extend((0..program.functions.len()).filter(|&i| i != program.entry.0));
-    let mut addr_of: Vec<BTreeMap<BbId, BlockAddr>> =
-        vec![BTreeMap::new(); program.functions.len()];
+    let mut addr_of: Vec<Vec<Option<BlockAddr>>> = program
+        .functions
+        .iter()
+        .map(|f| vec![None; f.blocks.len()])
+        .collect();
     let mut next = halt_addr + BLOCK_FRAME_BYTES;
     for &fi in &func_order {
         for bb in hirs[fi].layout_order() {
-            addr_of[fi].insert(bb, next);
+            addr_of[fi][bb.0] = Some(next);
             next += BLOCK_FRAME_BYTES;
         }
     }
+    let entry_addr = |callee: crate::ir::FuncId| {
+        let f = &program.functions[callee.0];
+        addr_of[callee.0][f.entry.0].expect("entry blocks are laid out")
+    };
 
     // Validate that continuations are only reached by returns.
     for (fi, f) in program.functions.iter().enumerate() {
-        let mut conts: BTreeSet<BbId> = BTreeSet::new();
+        let mut is_cont = vec![false; f.blocks.len()];
         for b in &f.blocks {
             if let Terminator::Call { cont, .. } = &b.term {
-                conts.insert(*cont);
+                is_cont[cont.0] = true;
             }
         }
         for hb in hirs[fi].blocks.iter().flatten() {
             for e in &hb.exits {
                 if let HirExitKind::Jump(t) = &e.kind {
-                    if conts.contains(t) {
+                    if is_cont[t.0] {
                         return Err(CompileError::ContIsJumpTarget {
                             function: f.name.clone(),
                             bb: t.0,
@@ -735,7 +774,7 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
 
     let mut epb = EdgeProgramBuilder::new();
     {
-        let entry_fn_addr = addr_of[program.entry.0][&program.functions[program.entry.0].entry];
+        let entry_fn_addr = entry_addr(program.entry);
         let mut sb = clp_isa::BlockBuilder::new(start_addr);
         let link_val = sb.movi(halt_addr as i64);
         sb.write(Reg::LINK, link_val);
@@ -757,29 +796,25 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     }
     for &fi in &func_order {
         let f = &program.functions[fi];
+        let mut cont_info = vec![None; f.blocks.len()];
+        for b in &f.blocks {
+            if let Terminator::Call { dst, cont, .. } = &b.term {
+                cont_info[cont.0] = Some((*dst, saved_across_call(&lvs[fi], *cont, *dst)));
+            }
+        }
         let fc = FuncCtx {
             hir: &hirs[fi],
             lv: &lvs[fi],
             alloc: &allocs[fi],
-            cont_info: f
-                .blocks
-                .iter()
-                .filter_map(|b| match &b.term {
-                    Terminator::Call { dst, cont, .. } => {
-                        Some((*cont, (*dst, saved_across_call(&lvs[fi], *cont, *dst))))
-                    }
-                    _ => None,
-                })
-                .collect(),
+            cont_info,
+            n_vregs: f.n_vregs as usize,
             link_vreg: f.link_vreg,
             entry_bb: f.entry,
             params: f.params.clone(),
         };
-        let entry_addr =
-            |callee: crate::ir::FuncId| addr_of[callee.0][&program.functions[callee.0].entry];
         for bb in hirs[fi].layout_order() {
             let hb = hirs[fi].blocks[bb.0].as_ref().expect("in layout");
-            let addr = addr_of[fi][&bb];
+            let addr = addr_of[fi][bb.0].expect("in layout");
             let block = lower_block(&fc, bb, hb, addr, &addr_of[fi], &entry_addr, opts)?;
             epb.add_block(block).map_err(CompileError::Program)?;
         }

@@ -158,12 +158,21 @@ impl OpKind {
     /// The registers the op reads (not counting its predicate).
     #[must_use]
     pub fn uses(&self) -> Vec<VReg> {
+        self.operands().into_iter().flatten().collect()
+    }
+
+    /// The registers the op reads (not counting its predicate), in
+    /// operand order, without allocating: [`OpKind::uses`] as a fixed
+    /// pair.
+    #[must_use]
+    pub(crate) fn operands(&self) -> [Option<VReg>; 2] {
         match *self {
-            OpKind::Const { .. } | OpKind::ConstF { .. } => vec![],
-            OpKind::Un { a, .. } => vec![a],
-            OpKind::Bin { a, b, .. } => vec![a, b],
-            OpKind::Load { addr, .. } => vec![addr],
-            OpKind::Store { addr, value, .. } => vec![addr, value],
+            OpKind::Const { .. } | OpKind::ConstF { .. } => [None, None],
+            OpKind::Un { a, .. } | OpKind::Load { addr: a, .. } => [Some(a), None],
+            OpKind::Bin { a, b, .. }
+            | OpKind::Store {
+                addr: a, value: b, ..
+            } => [Some(a), Some(b)],
         }
     }
 

@@ -56,6 +56,15 @@ pub mod liveness;
 pub mod placement;
 pub mod regalloc;
 
+/// The root tests' random-program generator, included by path; it names
+/// `FunctionBuilder`, `VReg` and `Opcode` from here. The input of the
+/// differential tests of [`liveness`] and [`regalloc::interference`].
+#[cfg(test)]
+#[path = "../../../tests/common/stmts.rs"]
+mod fuzz;
+#[cfg(test)]
+use clp_isa::Opcode;
+
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use codegen::compile;
 pub use hyperblock::FormerOptions;

@@ -53,11 +53,9 @@ pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
         return insts;
     }
 
-    // Free ID pool per residue class.
-    let mut free: Vec<Vec<usize>> = vec![Vec::new(); n_cores];
-    for id in (0..n).rev() {
-        free[id % n_cores].push(id); // reversed so pop() yields smallest
-    }
+    // The free IDs of residue class `r` are `next[r]`, `next[r] +
+    // n_cores`, ... below `n`: each class hands out its smallest first.
+    let mut next: Vec<usize> = (0..n_cores).collect();
 
     let mut new_id: Vec<usize> = vec![usize::MAX; n];
     let mut rr = 0usize; // round-robin for source instructions
@@ -69,36 +67,57 @@ pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
                 rr
             }
         };
-        // Pick the free residue class sharing the most low-order bits
-        // with the preferred one: instruction IDs select the core by
-        // their low bits, so maximal low-bit agreement preserves
-        // producer/consumer co-location for every smaller composition
-        // even when the exact class is full.
-        let log = n_cores.trailing_zeros();
-        let residue = (0..n_cores)
-            .filter(|&r| !free[r].is_empty())
-            .max_by_key(|&r| {
-                let agree = ((r ^ preferred) as u32).trailing_zeros().min(log);
-                (agree, std::cmp::Reverse(r.abs_diff(preferred)))
-            })
-            .expect("a slot is free by counting");
-        let id = free[residue].pop().expect("slot free");
-        new_id[i] = id;
+        let residue = pick(|r| next[r] < n, preferred, n_cores);
+        new_id[i] = next[residue];
+        next[residue] += n_cores;
     }
 
     // Apply the permutation.
-    let mut out: Vec<Option<Instruction>> = vec![None; n];
-    for (i, mut inst) in insts.into_iter().enumerate() {
-        for slot in &mut inst.targets {
-            if let Some(t) = slot {
-                *slot = Some(Target::new(InstId::new(new_id[t.inst.index()]), t.operand));
+    let mut old_id = vec![0usize; n];
+    for (i, &id) in new_id.iter().enumerate() {
+        old_id[id] = i;
+    }
+    old_id
+        .iter()
+        .map(|&i| {
+            let mut inst = insts[i].clone();
+            for t in inst.targets.iter_mut().flatten() {
+                *t = Target::new(InstId::new(new_id[t.inst.index()]), t.operand);
+            }
+            inst
+        })
+        .collect()
+}
+
+/// The free residue class (`is_free`) sharing the most low-order bits
+/// with `preferred`: instruction IDs select the core by their low bits,
+/// so maximal low-bit agreement preserves producer/consumer co-location
+/// for every smaller composition even when the exact class is full.
+/// Among equally agreeing classes the nearest wins, and of two equally
+/// near the higher.
+///
+/// The classes agreeing with `preferred` in exactly `k` low bits are
+/// those congruent to `preferred ^ (1 << k)` modulo `2 << k`, so the
+/// pick walks `k` down from the exact class and stops at the first
+/// level holding a free one.
+fn pick(is_free: impl Fn(usize) -> bool, preferred: usize, n_cores: usize) -> usize {
+    if is_free(preferred) {
+        return preferred;
+    }
+    for k in (0..n_cores.trailing_zeros()).rev() {
+        let step = 2 << k;
+        let mut best: Option<usize> = None;
+        for r in ((preferred ^ (1 << k)) % step..n_cores).step_by(step) {
+            let nearer = best.is_none_or(|b| r.abs_diff(preferred) <= b.abs_diff(preferred));
+            if is_free(r) && nearer {
+                best = Some(r);
             }
         }
-        out[new_id[i]] = Some(inst);
+        if let Some(r) = best {
+            return r;
+        }
     }
-    out.into_iter()
-        .map(|i| i.expect("permutation total"))
-        .collect()
+    unreachable!("a slot is free by counting")
 }
 
 /// Fraction of dataflow edges whose producer and consumer share a core in
@@ -189,6 +208,46 @@ mod tests {
         let insts: Vec<Instruction> = (0..200).map(|_| Instruction::new(Opcode::Movi)).collect();
         let out = schedule(insts.clone(), 32);
         assert_eq!(out.len(), insts.len());
+    }
+
+    /// The pick's definition, as a scan: of every free class, the one
+    /// with the greatest (agreement, nearness), the last maximum winning.
+    fn pick_by_scan(is_free: impl Fn(usize) -> bool, preferred: usize, n_cores: usize) -> usize {
+        let log = n_cores.trailing_zeros();
+        (0..n_cores)
+            .filter(|&r| is_free(r))
+            .max_by_key(|&r| {
+                let agree = ((r ^ preferred) as u32).trailing_zeros().min(log);
+                (agree, std::cmp::Reverse(r.abs_diff(preferred)))
+            })
+            .expect("some class is free")
+    }
+
+    #[test]
+    fn direct_pick_equals_the_scan() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for log in 0..=5 {
+            let n_cores = 1usize << log;
+            for _ in 0..2000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let free = (state >> 16) & ((1 << n_cores) - 1);
+                let free = if free == 0 {
+                    1 << (state % n_cores as u64)
+                } else {
+                    free
+                };
+                let is_free = |r: usize| free >> r & 1 == 1;
+                for preferred in 0..n_cores {
+                    assert_eq!(
+                        pick(is_free, preferred, n_cores),
+                        pick_by_scan(is_free, preferred, n_cores),
+                        "n_cores {n_cores}, free {free:#b}, preferred {preferred}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! additionally assigned caller-save frame slots.
 
 use crate::ir::{Function, Terminator, VReg};
-use crate::liveness::Liveness;
+use crate::liveness::{set_bits, Liveness, VRegSet};
 use clp_isa::Reg;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// First general-purpose allocatable register (below are the argument
 /// registers `r1..=r8` and `r0`, reserved).
@@ -17,14 +16,15 @@ pub const FIRST_ALLOC_REG: usize = 9;
 /// Last general-purpose allocatable register (above are `SP` and `LINK`).
 pub const LAST_ALLOC_REG: usize = 119;
 
-/// The result of register allocation for one function.
+/// The result of register allocation for one function. Both tables are
+/// indexed by virtual-register id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Allocation {
-    /// Architectural register for every block-crossing virtual register.
-    pub reg_of: BTreeMap<VReg, Reg>,
-    /// Caller-save frame slot (index, not byte offset) for every value
+    /// Architectural register of every block-crossing virtual register.
+    pub reg_of: Vec<Option<Reg>>,
+    /// Caller-save frame slot (index, not byte offset) of every value
     /// live across some call.
-    pub frame_slot: BTreeMap<VReg, usize>,
+    pub frame_slot: Vec<Option<usize>>,
     /// Frame size in bytes (0 for leaf functions with nothing to save).
     pub frame_bytes: i64,
 }
@@ -37,16 +37,20 @@ impl Allocation {
     /// Panics if `v` does not cross a block boundary (no register).
     #[must_use]
     pub fn reg(&self, v: VReg) -> Reg {
-        *self
-            .reg_of
-            .get(&v)
+        self.try_reg(v)
             .unwrap_or_else(|| panic!("{v} has no register (block-local)"))
     }
 
     /// The register assigned to `v`, if it crosses a block boundary.
     #[must_use]
     pub fn try_reg(&self, v: VReg) -> Option<Reg> {
-        self.reg_of.get(&v).copied()
+        self.reg_of.get(v.0 as usize).copied().flatten()
+    }
+
+    /// The caller-save frame slot of `v`, if it lives across a call.
+    #[must_use]
+    pub fn slot(&self, v: VReg) -> Option<usize> {
+        self.frame_slot.get(v.0 as usize).copied().flatten()
     }
 }
 
@@ -73,6 +77,103 @@ impl std::fmt::Display for RegPressureError {
 
 impl std::error::Error for RegPressureError {}
 
+/// The block-boundary interference graph: its vertices are the
+/// block-crossing virtual registers in ascending id order, and two
+/// interfere when one boundary set (a block's live-in or live-out) or one
+/// extra clique holds both. Row `i` is a bitset over vertex indices.
+#[derive(Debug)]
+pub(crate) struct Interference {
+    /// The vertices, ascending.
+    pub verts: Vec<VReg>,
+    /// Words per row.
+    words: usize,
+    /// `verts.len()` rows of `words` words.
+    rows: Vec<u64>,
+}
+
+impl Interference {
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The vertices adjacent to vertex `i`, ascending.
+    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.row(i))
+    }
+
+    /// The number of vertices adjacent to vertex `i`.
+    #[must_use]
+    pub fn degree(&self, i: usize) -> usize {
+        self.row(i).iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Builds the interference graph of `lv`'s boundary sets and
+/// `extra_cliques`.
+#[must_use]
+pub(crate) fn interference(lv: &Liveness, extra_cliques: &[VRegSet]) -> Interference {
+    let cliques = || lv.live_in.iter().chain(&lv.live_out).chain(extra_cliques);
+    let mut crossing = VRegSet::default();
+    for s in cliques() {
+        crossing.union_with(s);
+    }
+    let verts: Vec<VReg> = crossing.iter().collect();
+    let width = verts.last().map_or(0, |v| v.0 as usize + 1);
+    let mut index = vec![usize::MAX; width];
+    for (i, v) in verts.iter().enumerate() {
+        index[v.0 as usize] = i;
+    }
+    let words = verts.len().div_ceil(64);
+    let mut rows = vec![0u64; verts.len() * words];
+    let (mut members, mut mask) = (Vec::new(), vec![0u64; words]);
+    for s in cliques() {
+        members.clear();
+        members.extend(s.iter().map(|v| index[v.0 as usize]));
+        mask.fill(0);
+        for &m in &members {
+            mask[m / 64] |= 1 << (m % 64);
+        }
+        for &m in &members {
+            for (w, &b) in rows[m * words..(m + 1) * words].iter_mut().zip(&mask) {
+                *w |= b;
+            }
+        }
+    }
+    // No vertex interferes with itself.
+    for i in 0..verts.len() {
+        rows[i * words + i / 64] &= !(1 << (i % 64));
+    }
+    Interference { verts, words, rows }
+}
+
+/// The interference graph over ordered sets and an ordered index: the
+/// reference [`interference`] is held to. Its inputs are ordered sets
+/// too, so it shares no code with the bitsets.
+#[cfg(test)]
+pub(crate) fn interference_sets(
+    boundary: &[std::collections::BTreeSet<VReg>],
+    extra_cliques: &[std::collections::BTreeSet<VReg>],
+) -> (Vec<VReg>, Vec<std::collections::BTreeSet<usize>>) {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut crossing: BTreeSet<VReg> = BTreeSet::new();
+    for s in boundary.iter().chain(extra_cliques) {
+        crossing.extend(s.iter().copied());
+    }
+    let verts: Vec<VReg> = crossing.iter().copied().collect();
+    let index: BTreeMap<VReg, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); verts.len()];
+    for s in boundary.iter().chain(extra_cliques) {
+        let ids: Vec<usize> = s.iter().map(|v| index[v]).collect();
+        for (k, &a) in ids.iter().enumerate() {
+            for &b in &ids[k + 1..] {
+                adj[a].insert(b);
+                adj[b].insert(a);
+            }
+        }
+    }
+    (verts, adj)
+}
+
 /// Allocates registers and frame slots for `f`.
 ///
 /// # Errors
@@ -83,45 +184,25 @@ impl std::error::Error for RegPressureError {}
 pub fn allocate(
     f: &Function,
     lv: &Liveness,
-    extra_cliques: &[BTreeSet<VReg>],
+    extra_cliques: &[VRegSet],
 ) -> Result<Allocation, RegPressureError> {
-    // Collect block-crossing vregs.
-    let mut crossing: BTreeSet<VReg> = BTreeSet::new();
-    for s in lv.live_in.iter().chain(lv.live_out.iter()) {
-        crossing.extend(s.iter().copied());
-    }
-    for c in extra_cliques {
-        crossing.extend(c.iter().copied());
-    }
+    let graph = interference(lv, extra_cliques);
+    let n = graph.verts.len();
 
-    // Interference: co-membership in any boundary set.
-    let verts: Vec<VReg> = crossing.iter().copied().collect();
-    let index: BTreeMap<VReg, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); verts.len()];
-    let cliques = lv
-        .live_in
-        .iter()
-        .chain(lv.live_out.iter())
-        .chain(extra_cliques.iter());
-    for s in cliques {
-        let ids: Vec<usize> = s.iter().map(|v| index[v]).collect();
-        for (k, &a) in ids.iter().enumerate() {
-            for &b in &ids[k + 1..] {
-                adj[a].insert(b);
-                adj[b].insert(a);
-            }
-        }
-    }
-
-    // Greedy coloring, highest degree first.
-    let mut order: Vec<usize> = (0..verts.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(adj[i].len()));
+    // Greedy coloring, highest degree first (ties in id order: the sort
+    // is stable).
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(graph.degree(i)));
     let available = LAST_ALLOC_REG - FIRST_ALLOC_REG + 1;
-    let mut color: Vec<Option<usize>> = vec![None; verts.len()];
-    let mut max_color = 0usize;
+    let mut color: Vec<Option<usize>> = vec![None; n];
     for &i in &order {
-        let used: BTreeSet<usize> = adj[i].iter().filter_map(|&j| color[j]).collect();
-        let c = (0..).find(|c| !used.contains(c)).expect("unbounded");
+        // Every color given so far is below `available`, which is below
+        // 128, so the neighbours' colors fit one mask.
+        let used = graph
+            .neighbors(i)
+            .filter_map(|j| color[j])
+            .fold(0u128, |m, c| m | 1 << c);
+        let c = (!used).trailing_zeros() as usize;
         if c >= available {
             return Err(RegPressureError {
                 function: f.name.clone(),
@@ -130,29 +211,29 @@ pub fn allocate(
             });
         }
         color[i] = Some(c);
-        max_color = max_color.max(c + 1);
     }
 
-    let reg_of: BTreeMap<VReg, Reg> = verts
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, Reg::new(FIRST_ALLOC_REG + color[i].expect("colored"))))
-        .collect();
+    let mut reg_of = vec![None; f.n_vregs as usize];
+    for (i, v) in graph.verts.iter().enumerate() {
+        reg_of[v.0 as usize] = Some(Reg::new(FIRST_ALLOC_REG + color[i].expect("colored")));
+    }
 
     // Frame slots: everything live into a call continuation except the
     // call's destination (which returns in r1).
-    let mut frame_slot: BTreeMap<VReg, usize> = BTreeMap::new();
+    let mut frame_slot = vec![None; f.n_vregs as usize];
+    let mut slots = 0;
     for b in &f.blocks {
         if let Terminator::Call { dst, cont, .. } = &b.term {
-            for &v in &lv.live_in[cont.0] {
-                if Some(v) != *dst && !frame_slot.contains_key(&v) {
-                    let slot = frame_slot.len();
-                    frame_slot.insert(v, slot);
+            for v in lv.live_in[cont.0].iter() {
+                let slot = &mut frame_slot[v.0 as usize];
+                if Some(v) != *dst && slot.is_none() {
+                    *slot = Some(slots);
+                    slots += 1;
                 }
             }
         }
     }
-    let frame_bytes = 8 * frame_slot.len() as i64;
+    let frame_bytes = 8 * slots as i64;
 
     Ok(Allocation {
         reg_of,
@@ -167,7 +248,6 @@ pub fn allocate(
 pub fn saved_across_call(lv: &Liveness, cont: crate::ir::BbId, dst: Option<VReg>) -> Vec<VReg> {
     lv.live_in[cont.0]
         .iter()
-        .copied()
         .filter(|&v| Some(v) != dst)
         .collect()
 }
@@ -176,8 +256,9 @@ pub fn saved_across_call(lv: &Liveness, cont: crate::ir::BbId, dst: Option<VReg>
 mod tests {
     use super::*;
     use crate::builder::{FunctionBuilder, ProgramBuilder};
-    use crate::liveness::liveness;
+    use crate::liveness::{liveness, liveness_sets};
     use clp_isa::Opcode;
+    use std::collections::BTreeSet;
 
     #[test]
     fn disjoint_values_share_registers() {
@@ -199,10 +280,11 @@ mod tests {
         let alloc = allocate(&func, &lv, &[]).unwrap();
         // a and t are both crossing; they interfere? a live into b1,
         // t live into b2; never co-live.
-        assert_ne!(alloc.reg_of.get(&a), None);
-        assert_ne!(alloc.reg_of.get(&t), None);
-        let distinct: BTreeSet<Reg> = alloc.reg_of.values().copied().collect();
-        assert!(distinct.len() <= alloc.reg_of.len());
+        assert_ne!(alloc.try_reg(a), None);
+        assert_ne!(alloc.try_reg(t), None);
+        let regs: Vec<Reg> = alloc.reg_of.iter().flatten().copied().collect();
+        let distinct: BTreeSet<Reg> = regs.iter().copied().collect();
+        assert!(distinct.len() <= regs.len());
     }
 
     #[test]
@@ -239,9 +321,9 @@ mod tests {
         let lv = liveness(&func);
         let alloc = allocate(&func, &lv, &[]).unwrap();
         // y and the link must be saved; out comes back in r1.
-        assert!(alloc.frame_slot.contains_key(&y));
-        assert!(alloc.frame_slot.contains_key(&link));
-        assert!(!alloc.frame_slot.contains_key(&out));
+        assert!(alloc.slot(y).is_some());
+        assert!(alloc.slot(link).is_some());
+        assert!(alloc.slot(out).is_none());
         assert_eq!(alloc.frame_bytes, 16);
         let saved = saved_across_call(&lv, cont, Some(out));
         assert_eq!(saved.len(), 2);
@@ -273,8 +355,36 @@ mod tests {
         let func = f.finish();
         let lv = liveness(&func);
         let alloc = allocate(&func, &lv, &[]).unwrap();
-        for r in alloc.reg_of.values() {
+        for r in alloc.reg_of.iter().flatten() {
             assert!((FIRST_ALLOC_REG..=LAST_ALLOC_REG).contains(&r.index()));
+        }
+    }
+
+    proptest::proptest! {
+        /// The bit-row graph equals the ordered-set one, vertex for vertex
+        /// and edge for edge, on generated programs with their hyperblock
+        /// write-back cliques; the reference is fed the reference
+        /// liveness.
+        #[test]
+        fn bit_rows_equal_the_ordered_set_graph(
+            stmts in proptest::collection::vec(crate::fuzz::arb_stmt(3), 1..8),
+            seeds in proptest::collection::vec(-50i64..50, 1..5),
+        ) {
+            let func = crate::fuzz::fuzz_function(&stmts, &seeds).finish();
+            let hir = crate::hyperblock::form_hyperblocks(&func, &Default::default());
+            let lv = liveness(&func);
+            let cliques = crate::codegen::write_back_cliques(&func, &hir, &lv);
+            let graph = interference(&lv, &cliques);
+            let (live_in, live_out) = liveness_sets(&func);
+            let boundary: Vec<BTreeSet<VReg>> = live_in.into_iter().chain(live_out).collect();
+            let extra: Vec<BTreeSet<VReg>> = cliques.iter().map(|c| c.iter().collect()).collect();
+            let (verts, adj) = interference_sets(&boundary, &extra);
+            proptest::prop_assert_eq!(&graph.verts, &verts);
+            for (i, row) in adj.iter().enumerate() {
+                let fresh: Vec<usize> = graph.neighbors(i).collect();
+                let reference: Vec<usize> = row.iter().copied().collect();
+                proptest::prop_assert_eq!(fresh, reference);
+            }
         }
     }
 }

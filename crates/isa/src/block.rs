@@ -4,7 +4,6 @@ use crate::{
     BlockAddr, BranchKind, Instruction, Opcode, Operand, Reg, Target, MAX_BLOCK_EXITS,
     MAX_BLOCK_INSTRUCTIONS, MAX_BLOCK_LSIDS, MAX_BLOCK_READS, MAX_BLOCK_WRITES,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Validation failure for a [`Block`].
@@ -167,9 +166,9 @@ impl Block {
 
         let mut reads = Vec::new();
         let mut writes = Vec::new();
-        let mut write_regs = BTreeSet::new();
-        let mut lsids = BTreeSet::new();
-        let mut store_lsids = BTreeSet::new();
+        // Bit `r` of the register mask, bit `l` of the LSID masks.
+        let mut write_regs = 0u128;
+        let (mut lsids, mut store_lsids) = (0u32, 0u32);
         let mut exits: Vec<ExitSummary> = Vec::new();
 
         for (i, inst) in instructions.iter().enumerate() {
@@ -180,16 +179,17 @@ impl Block {
                 }
                 Opcode::Write => {
                     let r = inst.reg.ok_or(BlockError::MissingAnnotation(i))?;
-                    if !write_regs.insert(r) {
+                    if write_regs >> r.index() & 1 == 1 {
                         return Err(BlockError::DuplicateWrite(r));
                     }
+                    write_regs |= 1 << r.index();
                     writes.push((i, r));
                 }
                 op if op.is_load() || op.is_store() => {
                     let l = inst.lsid.ok_or(BlockError::MissingAnnotation(i))?;
-                    lsids.insert(l.index() as u8);
+                    lsids |= 1 << l.index();
                     if op.is_store() {
-                        store_lsids.insert(l.index() as u8);
+                        store_lsids |= 1 << l.index();
                     }
                 }
                 Opcode::Null => {
@@ -198,8 +198,8 @@ impl Block {
                     // are legal and need no annotation beyond what the
                     // instruction already carries.
                     if let Some(l) = inst.lsid {
-                        lsids.insert(l.index() as u8);
-                        store_lsids.insert(l.index() as u8);
+                        lsids |= 1 << l.index();
+                        store_lsids |= 1 << l.index();
                     }
                 }
                 Opcode::Bro => {
@@ -230,8 +230,8 @@ impl Block {
         if writes.len() > MAX_BLOCK_WRITES {
             return Err(BlockError::TooManyWrites(writes.len()));
         }
-        if lsids.len() > MAX_BLOCK_LSIDS {
-            return Err(BlockError::TooManyLsids(lsids.len()));
+        if lsids.count_ones() as usize > MAX_BLOCK_LSIDS {
+            return Err(BlockError::TooManyLsids(lsids.count_ones() as usize));
         }
         if exits.len() > MAX_BLOCK_EXITS {
             return Err(BlockError::TooManyExits(exits.len()));
@@ -249,7 +249,9 @@ impl Block {
             instructions,
             reads,
             writes,
-            store_lsids: store_lsids.into_iter().collect(),
+            store_lsids: (0..MAX_BLOCK_LSIDS as u8)
+                .filter(|&l| store_lsids >> l & 1 == 1)
+                .collect(),
             exits,
         })
     }
@@ -306,19 +308,16 @@ impl Block {
         const BLACK: u8 = 2;
         let n = instructions.len();
         let mut color = vec![WHITE; n];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for root in 0..n {
             if color[root] != WHITE {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            stack.push((root, 0));
             color[root] = GRAY;
             while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-                let succs: Vec<usize> = instructions[node]
-                    .targets()
-                    .map(|t| t.inst.index())
-                    .collect();
-                if *edge < succs.len() {
-                    let next = succs[*edge];
+                if let Some(t) = instructions[node].targets().nth(*edge) {
+                    let next = t.inst.index();
                     *edge += 1;
                     match color[next] {
                         WHITE => {

@@ -258,7 +258,7 @@ fn path_heights(
             // paths, and a `Maybe` producer may satisfy the slot early.
             let mut best: Option<u64> = None;
             let mut best_flat: Option<u64> = None;
-            for &p in &g.producers[i][slot] {
+            for &p in g.producers(i, slot) {
                 if fire[p] == Fire::No {
                     continue;
                 }
@@ -303,7 +303,7 @@ fn path_heights(
 /// definitely fires. A contested slot pins nobody.
 fn sole_producer(g: &BlockGraph, fire: &[Fire], i: usize, slot: usize) -> Option<usize> {
     let mut candidate: Option<usize> = None;
-    for &p in &g.producers[i][slot] {
+    for &p in g.producers(i, slot) {
         if fire[p] == Fire::No {
             continue;
         }

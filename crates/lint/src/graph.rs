@@ -10,9 +10,12 @@ use clp_isa::{value, Block, Instruction, Opcode, Operand};
 /// Dataflow facts about one block, computed once and shared by the
 /// analyses.
 pub struct BlockGraph {
-    /// `producers[i][slot]`: indices of instructions targeting operand
-    /// `slot` (0 = left, 1 = right, 2 = pred) of instruction `i`.
-    pub producers: Vec<[Vec<usize>; 3]>,
+    /// Every operand slot's producers, slot after slot (instruction `i`'s
+    /// slot `s` is slot `3 * i + s`), each slot's in ascending order.
+    producer_list: Vec<usize>,
+    /// Where slot `k`'s producers start in `producer_list`; one entry per
+    /// slot plus the end.
+    producer_start: Vec<usize>,
     /// Instruction indices in topological (producer-before-consumer)
     /// order.
     pub topo: Vec<usize>,
@@ -36,12 +39,26 @@ impl BlockGraph {
     pub fn new(block: &Block) -> Self {
         let insts = block.instructions();
         let n = insts.len();
-        let mut producers: Vec<[Vec<usize>; 3]> = vec![Default::default(); n];
+        let slot_of = |t: &clp_isa::Target| 3 * t.inst.index() + t.operand.encode() as usize;
+        // Count each slot's producers, place the slots end to end, then
+        // fill them in producer order.
+        let mut producer_start = vec![0usize; 3 * n + 1];
         let mut indegree = vec![0usize; n];
+        for inst in insts {
+            for t in inst.targets() {
+                producer_start[slot_of(&t) + 1] += 1;
+                indegree[t.inst.index()] += 1;
+            }
+        }
+        for k in 0..3 * n {
+            producer_start[k + 1] += producer_start[k];
+        }
+        let mut fill = producer_start.clone();
+        let mut producer_list = vec![0usize; producer_start[3 * n]];
         for (i, inst) in insts.iter().enumerate() {
             for t in inst.targets() {
-                producers[t.inst.index()][t.operand.encode() as usize].push(i);
-                indegree[t.inst.index()] += 1;
+                producer_list[fill[slot_of(&t)]] = i;
+                fill[slot_of(&t)] += 1;
             }
         }
         // Kahn's algorithm; the block is acyclic by construction so every
@@ -61,7 +78,8 @@ impl BlockGraph {
         debug_assert_eq!(topo.len(), n);
 
         let mut g = BlockGraph {
-            producers,
+            producer_list,
+            producer_start,
             topo,
             cval: vec![None; n],
             desc: vec![0u128; n],
@@ -82,12 +100,18 @@ impl BlockGraph {
         g
     }
 
+    /// The instructions targeting operand `slot` (0 = left, 1 = right,
+    /// 2 = pred) of instruction `i`, in ascending order.
+    pub fn producers(&self, i: usize, slot: usize) -> &[usize] {
+        let k = 3 * i + slot;
+        &self.producer_list[self.producer_start[k]..self.producer_start[k + 1]]
+    }
+
     /// The constant delivered to operand `slot` of instruction `i`, if
     /// it has exactly one producer with a known constant result (or a
     /// `null` producer, which reads as zero).
     pub fn op_cval(&self, i: usize, slot: Operand, insts: &[Instruction]) -> Option<u64> {
-        let ps = &self.producers[i][slot.encode() as usize];
-        match ps[..] {
+        match *self.producers(i, slot.encode() as usize) {
             [p] if insts[p].opcode == Opcode::Null => Some(0),
             [p] => self.cval[p],
             _ => None,
@@ -102,7 +126,7 @@ impl BlockGraph {
         if !foldable(op) {
             return None;
         }
-        // `self.producers` is fully built before `fold` runs, and `cval`
+        // The producer table is fully built before `fold` runs, and `cval`
         // of every producer is already computed (topological order).
         let a;
         let b;
@@ -121,7 +145,7 @@ impl BlockGraph {
     }
 
     fn op_cval_raw(&self, i: usize, slot: usize) -> Option<u64> {
-        match self.producers[i][slot][..] {
+        match *self.producers(i, slot) {
             [p] => self.cval[p],
             _ => None,
         }

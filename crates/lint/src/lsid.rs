@@ -77,10 +77,6 @@ fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
     a.0 < b.1 && b.0 < a.1
 }
 
-fn cofire(facts: &PathFacts, a: usize, b: usize) -> bool {
-    facts.cofire.contains(&(a.min(b), a.max(b)))
-}
-
 fn mem_desc(inst: &Instruction) -> String {
     format!(
         "{} ls{}",
@@ -99,7 +95,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnost
     for (x, a) in ops.iter().enumerate() {
         for b in &ops[x + 1..] {
             // Duplicate LSID with a load involved, on a common path.
-            if a.lsid == b.lsid && (a.is_load || b.is_load) && cofire(facts, a.inst, b.inst) {
+            if a.lsid == b.lsid && (a.is_load || b.is_load) && facts.cofire(a.inst, b.inst) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::DuplicateLsid,
@@ -151,7 +147,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnost
             // with a lower LSID at an overlapping address, and both fire
             // on one path — the load must observe the store (forwarding)
             // but the store waits on the load (dataflow).
-            if a.is_load && !b.is_load && b.lsid < a.lsid && cofire(facts, a.inst, b.inst) {
+            if a.is_load && !b.is_load && b.lsid < a.lsid && facts.cofire(a.inst, b.inst) {
                 if let (Some(ra), Some(rb)) = (a.range, b.range) {
                     if overlaps(ra, rb) {
                         diags.push(

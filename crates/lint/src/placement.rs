@@ -64,7 +64,8 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnosti
         if insts[i].opcode != Opcode::Mov {
             continue;
         }
-        let feed = g.producers[i][0]
+        let feed = g
+            .producers(i, 0)
             .iter()
             .map(|&p| depth[p])
             .max()

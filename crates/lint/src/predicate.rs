@@ -45,10 +45,34 @@ const PRED_SAMPLES: usize = 2048;
 /// Facts the LSID analysis reuses: which memory operations were observed
 /// to fire together on an enumerated path.
 pub struct PathFacts {
-    /// Instruction-index pairs `(i, j)`, `i < j`, of memory operations
-    /// (loads, stores, store-nullifying nulls) that both definitely fire
-    /// on at least one enumerated path.
-    pub cofire: BTreeSet<(usize, usize)>,
+    /// A symmetric bit matrix over instruction indices: bit `j` of row
+    /// `i` is set when memory operations `i != j` (loads, stores,
+    /// store-nullifying nulls) both definitely fire on at least one
+    /// enumerated path.
+    cofire: Vec<u128>,
+}
+
+impl PathFacts {
+    /// Whether memory operations `a` and `b` both fire on some path.
+    pub fn cofire(&self, a: usize, b: usize) -> bool {
+        self.cofire[a] >> b & 1 == 1
+    }
+}
+
+/// `var_of[i]`: the predicate variable instruction `i` is, if it is one.
+fn var_index(vars: &[usize], n: usize) -> Vec<Option<usize>> {
+    let mut var_of = vec![None; n];
+    for (v, &i) in vars.iter().enumerate() {
+        var_of[i] = Some(v);
+    }
+    var_of
+}
+
+/// Marks `bit` of `seen`; true the first time.
+fn first(seen: &mut u128, bit: usize) -> bool {
+    let fresh = *seen >> bit & 1 == 0;
+    *seen |= 1 << bit;
+    fresh
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -125,7 +149,7 @@ fn slot_boolean(
     g: &BlockGraph,
     memo: &mut [Option<bool>],
 ) -> bool {
-    let ps = &g.producers[i][s];
+    let ps = g.producers(i, s);
     !ps.is_empty() && ps.iter().all(|&p| boolean_ish(p, insts, g, memo))
 }
 
@@ -163,7 +187,7 @@ fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
     for (i, inst) in insts.iter().enumerate() {
         if inst.is_predicated() {
             stack.extend(
-                g.producers[i][Operand::Pred.encode() as usize]
+                g.producers(i, Operand::Pred.encode() as usize)
                     .iter()
                     .copied(),
             );
@@ -180,12 +204,12 @@ fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
         let op = insts[i].opcode;
         match op {
             Opcode::Null => {}
-            Opcode::Mov => stack.extend(g.producers[i][0].iter().copied()),
+            Opcode::Mov => stack.extend(g.producers(i, 0).iter().copied()),
             Opcode::Teq | Opcode::Tne => {
                 if g.op_cval(i, Operand::Right, insts) == Some(0) {
-                    stack.extend(g.producers[i][0].iter().copied());
+                    stack.extend(g.producers(i, 0).iter().copied());
                 } else if g.op_cval(i, Operand::Left, insts) == Some(0) {
-                    stack.extend(g.producers[i][1].iter().copied());
+                    stack.extend(g.producers(i, 1).iter().copied());
                 } else {
                     vars.push(i);
                 }
@@ -194,8 +218,8 @@ fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
                 if slot_boolean(i, 0, insts, g, &mut bmemo)
                     && slot_boolean(i, 1, insts, g, &mut bmemo) =>
             {
-                stack.extend(g.producers[i][0].iter().copied());
-                stack.extend(g.producers[i][1].iter().copied());
+                stack.extend(g.producers(i, 0).iter().copied());
+                stack.extend(g.producers(i, 1).iter().copied());
             }
             _ => vars.push(i),
         }
@@ -218,9 +242,9 @@ struct PathEval {
     vals: Vec<Val>,
 }
 
-fn var_val(i: usize, insts: &[Instruction], var_of: &BTreeMap<usize, usize>, mask: u64) -> Val {
-    match var_of.get(&i) {
-        Some(&v) => {
+fn var_val(i: usize, insts: &[Instruction], var_of: &[Option<usize>], mask: u64) -> Val {
+    match var_of[i] {
+        Some(v) => {
             let bit = (mask >> v) & 1 == 1;
             if is_test(insts[i].opcode) {
                 Val::Const(u64::from(bit))
@@ -242,7 +266,7 @@ fn slot_state(
     let mut st = SlotState::default();
     let mut seen: Option<Val> = None;
     let mut mixed = false;
-    for &p in &g.producers[i][s] {
+    for &p in g.producers(i, s) {
         if is_null_store(&insts[p]) {
             continue;
         }
@@ -279,22 +303,25 @@ impl PathEval {
     }
 }
 
+/// Evaluates the path of `mask` into `pe`. Every instruction's firing
+/// and value, and every slot it has, are rewritten; the slots it does not
+/// have keep their default.
 fn eval_path(
     block: &Block,
     g: &BlockGraph,
-    var_of: &BTreeMap<usize, usize>,
+    var_of: &[Option<usize>],
     mask: u64,
-) -> PathEval {
+    pe: &mut PathEval,
+) {
     let insts = block.instructions();
-    let mut pe = PathEval::new(insts.len());
     for &i in &g.topo {
         let inst = &insts[i];
         let arity = inst.data_arity();
         for s in 0..arity {
-            pe.slots[i][s] = slot_state(i, s, g, insts, &pe);
+            pe.slots[i][s] = slot_state(i, s, g, insts, pe);
         }
         if inst.is_predicated() {
-            pe.slots[i][2] = slot_state(i, 2, g, insts, &pe);
+            pe.slots[i][2] = slot_state(i, 2, g, insts, pe);
         }
         let mut no = false;
         let mut maybe = false;
@@ -334,9 +361,8 @@ fn eval_path(
         } else {
             Fire::Yes
         };
-        pe.vals[i] = value_of(inst, i, g, &pe, var_of, mask, insts);
+        pe.vals[i] = value_of(inst, i, g, pe, var_of, mask, insts);
     }
-    pe
 }
 
 fn value_of(
@@ -344,7 +370,7 @@ fn value_of(
     i: usize,
     g: &BlockGraph,
     pe: &PathEval,
-    var_of: &BTreeMap<usize, usize>,
+    var_of: &[Option<usize>],
     mask: u64,
     insts: &[Instruction],
 ) -> Val {
@@ -416,16 +442,21 @@ pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     let spill = all_vars.len().saturating_sub(64);
     all_vars.truncate(64);
     let vars = all_vars;
+    let n = block.len();
+    let mut pe = PathEval::new(n);
     if spill > 0 || vars.len() > MAX_PRED_VARS {
-        let pe = eval_path(block, g, &BTreeMap::new(), 0);
+        eval_path(block, g, &vec![None; n], 0, &mut pe);
         return FiringPaths {
             exhaustive: false,
             paths: vec![pe.fire],
         };
     }
-    let var_of: BTreeMap<usize, usize> = vars.iter().enumerate().map(|(v, &i)| (i, v)).collect();
+    let var_of = var_index(&vars, n);
     let paths = (0..(1u64 << vars.len()))
-        .map(|mask| eval_path(block, g, &var_of, mask).fire)
+        .map(|mask| {
+            eval_path(block, g, &var_of, mask, &mut pe);
+            pe.fire.clone()
+        })
         .collect();
     FiringPaths {
         exhaustive: true,
@@ -458,7 +489,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
     let spill = all_vars.len().saturating_sub(64);
     all_vars.truncate(64);
     let vars = all_vars;
-    let var_of: BTreeMap<usize, usize> = vars.iter().enumerate().map(|(v, &i)| (i, v)).collect();
+    let var_of = var_index(&vars, n);
 
     let exhaustive = spill == 0 && vars.len() <= MAX_PRED_VARS;
     let masks: Vec<u64> = if exhaustive {
@@ -498,44 +529,53 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
         );
     }
 
-    // Store-slot resolvers per LSID: stores and store-nullifying nulls.
+    // Store-slot resolvers per LSID (stores and store-nullifying nulls),
+    // the exits and the memory operations.
     let mut resolvers: BTreeMap<u8, Vec<usize>> = BTreeMap::new();
-    let mut mem_ops: Vec<usize> = Vec::new();
+    let (mut exits, mut mem_ops) = (Vec::new(), Vec::new());
     for (i, inst) in insts.iter().enumerate() {
         if inst.opcode.is_store() || is_null_store(inst) {
             if let Some(l) = inst.lsid {
                 resolvers.entry(l.index() as u8).or_default().push(i);
             }
         }
+        if inst.opcode == Opcode::Bro {
+            exits.push(i);
+        }
         if inst.opcode.is_load() || inst.opcode.is_store() || is_null_store(inst) {
             mem_ops.push(i);
         }
     }
 
-    let mut reported: BTreeSet<(LintCode, usize)> = BTreeSet::new();
+    // What has been reported, so each defect is reported once: by
+    // instruction (writes), by LSID (store slots), by instruction per
+    // operand slot (races).
+    let (mut no_exit, mut multi_exit) = (false, false);
+    let (mut starved, mut double_write) = (0u128, 0u128);
+    let (mut unresolved, mut double_store) = (0u128, 0u128);
+    let mut races = [0u128; 3];
     let mut ever_fired = vec![false; n];
-    let mut cofire: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut cofire = vec![0u128; n];
+    let mut pe = PathEval::new(n);
 
     for &mask in &masks {
-        let pe = eval_path(block, g, &var_of, mask);
+        eval_path(block, g, &var_of, mask, &mut pe);
         let witness = || describe_mask(&vars, mask, insts);
 
         // Exactly one exit must fire.
         let mut exit_lo: Vec<usize> = Vec::new();
         let mut exit_hi = 0u32;
-        for (i, inst) in insts.iter().enumerate() {
-            if inst.opcode == Opcode::Bro {
-                match pe.fire[i] {
-                    Fire::Yes => {
-                        exit_lo.push(i);
-                        exit_hi += 1;
-                    }
-                    Fire::Maybe => exit_hi += 1,
-                    Fire::No => {}
+        for &i in &exits {
+            match pe.fire[i] {
+                Fire::Yes => {
+                    exit_lo.push(i);
+                    exit_hi += 1;
                 }
+                Fire::Maybe => exit_hi += 1,
+                Fire::No => {}
             }
         }
-        if exit_hi == 0 && reported.insert((LintCode::NoFiringExit, usize::MAX)) {
+        if exit_hi == 0 && !std::mem::replace(&mut no_exit, true) {
             diags.push(
                 Diagnostic::new(
                     LintCode::NoFiringExit,
@@ -545,7 +585,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                 .with_note(format!("on {}", witness())),
             );
         }
-        if exit_lo.len() >= 2 && reported.insert((LintCode::MultipleFiringExits, usize::MAX)) {
+        if exit_lo.len() >= 2 && !std::mem::replace(&mut multi_exit, true) {
             let list: Vec<String> = exit_lo.iter().map(|i| format!("i{i}")).collect();
             diags.push(
                 Diagnostic::new(
@@ -560,7 +600,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
 
         // Every register write resolves exactly once.
         for &(wi, reg) in block.writes() {
-            if pe.fire[wi] == Fire::No && reported.insert((LintCode::StarvedWrite, wi)) {
+            if pe.fire[wi] == Fire::No && first(&mut starved, wi) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::StarvedWrite,
@@ -573,7 +613,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                     .with_note(format!("on {}", witness())),
                 );
             }
-            if pe.slots[wi][0].lo >= 2 && reported.insert((LintCode::DoubleWrite, wi)) {
+            if pe.slots[wi][0].lo >= 2 && first(&mut double_write, wi) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::DoubleWrite,
@@ -596,7 +636,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                 .filter(|&i| pe.fire[i] == Fire::Yes)
                 .collect();
             let hi = rs.iter().filter(|&&i| pe.fire[i] != Fire::No).count();
-            if hi == 0 && reported.insert((LintCode::UnresolvedStore, lsid as usize)) {
+            if hi == 0 && first(&mut unresolved, lsid.into()) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::UnresolvedStore,
@@ -609,7 +649,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                     .with_note(format!("on {}", witness())),
                 );
             }
-            if lo.len() >= 2 && reported.insert((LintCode::DoubleStore, lsid as usize)) {
+            if lo.len() >= 2 && first(&mut double_store, lsid.into()) {
                 let list: Vec<String> = lo.iter().map(|i| format!("i{i}")).collect();
                 diags.push(
                     Diagnostic::new(
@@ -633,7 +673,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                 if is_write && s == 0 {
                     continue;
                 }
-                if pe.slots[i][s].lo >= 2 && reported.insert((LintCode::OperandRace, i * 4 + s)) {
+                if pe.slots[i][s].lo >= 2 && first(&mut races[s], i) {
                     let slot = ["left", "right", "predicate"][s];
                     diags.push(
                         Diagnostic::new(
@@ -655,14 +695,13 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                 *fired = true;
             }
         }
-        let fired: Vec<usize> = mem_ops
+        let fired = mem_ops
             .iter()
-            .copied()
-            .filter(|&i| pe.fire[i] == Fire::Yes)
-            .collect();
-        for (a, &i) in fired.iter().enumerate() {
-            for &j in &fired[a + 1..] {
-                cofire.insert((i, j));
+            .filter(|&&i| pe.fire[i] == Fire::Yes)
+            .fold(0u128, |m, &i| m | 1 << i);
+        for &i in &mem_ops {
+            if fired >> i & 1 == 1 {
+                cofire[i] |= fired & !(1 << i);
             }
         }
     }

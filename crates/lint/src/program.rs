@@ -19,8 +19,8 @@
 //! deterministically.
 
 use crate::{Diagnostic, LintCode, Span};
-use clp_isa::{BlockAddr, BranchKind, EdgeProgram, NUM_ARCH_REGS};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use clp_isa::{Block, BlockAddr, BranchKind, EdgeProgram, NUM_ARCH_REGS};
+use std::collections::VecDeque;
 
 /// Stack-pointer register of the compiler's ABI.
 const SP: usize = 126;
@@ -35,7 +35,7 @@ fn abi_entry_defined() -> u128 {
     d | (1 << SP) | (1 << LINK)
 }
 
-fn writes_mask(block: &clp_isa::Block) -> u128 {
+fn writes_mask(block: &Block) -> u128 {
     let mut m = 0u128;
     for &(_, r) in block.writes() {
         m |= 1 << r.index();
@@ -43,40 +43,50 @@ fn writes_mask(block: &clp_isa::Block) -> u128 {
     m
 }
 
-/// Runs the whole-program analysis.
+/// Runs the whole-program analysis. Blocks are known by their position
+/// in address order, so every per-block fact is a vector.
 pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let addrs: BTreeSet<BlockAddr> = p.iter().map(|(&a, _)| a).collect();
+    let blocks: Vec<(BlockAddr, &Block)> = p.iter().map(|(&a, b)| (a, b)).collect();
+    let index_of = |a: BlockAddr| blocks.binary_search_by_key(&a, |&(x, _)| x).ok();
+    let n = blocks.len();
 
-    // The static block graph.
-    let mut succs: BTreeMap<BlockAddr, Vec<BlockAddr>> = BTreeMap::new();
-    let mut taken: BTreeSet<BlockAddr> = BTreeSet::new();
-    for (&a, block) in p.iter() {
-        succs.insert(a, block.exits().iter().filter_map(|e| e.target).collect());
+    // The static block graph. Every static target is a block
+    // (`ProgramBuilder::finish` refuses a dangling one).
+    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut taken = vec![false; n];
+    for (_, block) in &blocks {
+        let targets = block.exits().iter().filter_map(|e| e.target);
+        succs.push(targets.filter_map(index_of).collect());
         for inst in block.instructions() {
-            if inst.opcode.has_immediate() && addrs.contains(&(inst.imm as u64)) {
-                taken.insert(inst.imm as u64);
+            if inst.opcode.has_immediate() {
+                if let Some(t) = index_of(inst.imm as u64) {
+                    taken[t] = true;
+                }
             }
         }
     }
 
     // Reachability from the entry and every address-taken block.
-    let mut reached: BTreeSet<BlockAddr> = BTreeSet::new();
-    let mut queue: VecDeque<BlockAddr> = VecDeque::new();
-    for root in std::iter::once(p.entry()).chain(taken.iter().copied()) {
-        if addrs.contains(&root) && reached.insert(root) {
+    let mut reached = vec![false; n];
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    let roots = index_of(p.entry())
+        .into_iter()
+        .chain((0..n).filter(|&b| taken[b]));
+    for root in roots {
+        if !std::mem::replace(&mut reached[root], true) {
             queue.push_back(root);
         }
     }
-    while let Some(a) = queue.pop_front() {
-        for &s in &succs[&a] {
-            if reached.insert(s) {
+    while let Some(b) = queue.pop_front() {
+        for &s in &succs[b] {
+            if !std::mem::replace(&mut reached[s], true) {
                 queue.push_back(s);
             }
         }
     }
-    for &a in &addrs {
-        if !reached.contains(&a) {
+    for (b, &(a, _)) in blocks.iter().enumerate() {
+        if !reached[b] {
             diags.push(Diagnostic::new(
                 LintCode::UnreachableBlock,
                 Span::block(a),
@@ -86,11 +96,15 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
     }
 
     // Termination: some reachable exit must halt.
-    let halts = reached.iter().any(|a| {
-        p.block(*a)
-            .is_some_and(|b| b.exits().iter().any(|e| e.kind == BranchKind::Halt))
+    let halts = (0..n).any(|b| {
+        reached[b]
+            && blocks[b]
+                .1
+                .exits()
+                .iter()
+                .any(|e| e.kind == BranchKind::Halt)
     });
-    if !addrs.is_empty() && !halts {
+    if n > 0 && !halts {
         diags.push(Diagnostic::new(
             LintCode::NoHaltExit,
             Span::block(p.entry()),
@@ -108,31 +122,30 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
     // intersection. Address-taken blocks receive control with unknown
     // (assumed defined) caller state and stay pinned at top; the entry
     // starts from the ABI registers.
-    let mut defined: BTreeMap<BlockAddr, u128> = reached.iter().map(|&a| (a, top)).collect();
-    if reached.contains(&p.entry()) && !taken.contains(&p.entry()) {
-        defined.insert(p.entry(), abi_entry_defined());
+    let mut defined = vec![top; n];
+    if let Some(e) = index_of(p.entry()).filter(|&e| reached[e] && !taken[e]) {
+        defined[e] = abi_entry_defined();
     }
-    let mut work: VecDeque<BlockAddr> = reached.iter().copied().collect();
-    while let Some(a) = work.pop_front() {
-        let Some(block) = p.block(a) else { continue };
-        let out = defined[&a] | writes_mask(block);
-        for &s in &succs[&a] {
-            if taken.contains(&s) {
+    let mut work: VecDeque<usize> = (0..n).filter(|&b| reached[b]).collect();
+    while let Some(b) = work.pop_front() {
+        let out = defined[b] | writes_mask(blocks[b].1);
+        for &s in &succs[b] {
+            if taken[s] {
                 continue;
             }
-            let cur = defined[&s];
-            let met = cur & out;
-            if met != cur {
-                defined.insert(s, met);
+            let met = defined[s] & out;
+            if met != defined[s] {
+                defined[s] = met;
                 work.push_back(s);
             }
         }
     }
-    for &a in &reached {
-        let Some(block) = p.block(a) else { continue };
-        let d = defined[&a];
+    for (b, &(a, block)) in blocks.iter().enumerate() {
+        if !reached[b] {
+            continue;
+        }
         for &(i, r) in block.reads() {
-            if d & (1 << r.index()) == 0 {
+            if defined[b] & (1 << r.index()) == 0 {
                 diags.push(
                     Diagnostic::new(
                         LintCode::MaybeUninitRead,

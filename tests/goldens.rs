@@ -21,21 +21,25 @@
 //! Perfetto files of `clp-trend conv --perfetto` and `run_one conv 4
 //! --profile --trace` as digests. The fault goldens pin the stats
 //! snapshot and the trace of a run in which every fault kind fires.
-//! `goldens/lint_suite.json` pins `clp-lint --suite --json`. (What the
-//! binaries print themselves, `clp-fig` included, is pinned by
-//! `crates/bench/tests/cli.rs`.) `regenerate_suite_goldens` rewrites
-//! every golden this file checks, from the builders its checks call.
+//! `goldens/lint_suite.json` pins `clp-lint --suite --json`, and
+//! `goldens/programs.digest.json` what the compiler emits for every
+//! kernel. (What the binaries print themselves, `clp-fig` included, is
+//! pinned by `crates/bench/tests/cli.rs`.) `regenerate_suite_goldens`
+//! rewrites every golden this file checks, from the builders its checks
+//! call.
 
+use clp::compiler::{compile, CompileOptions};
 use clp::core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
+use clp::isa::asm::format_program;
 use clp::lint::{lint_program, LintConfig, LintReport};
-use clp::obs::{digest_golden, ChromeTraceWriter, Tracer, TrendOptions};
+use clp::obs::{digest_golden, fnv1a64, ChromeTraceWriter, Tracer, TrendOptions};
 use clp::power::{perf2_per_watt, perf_per_area};
 use clp::sim::FaultPlan;
 use clp::workloads::suite;
 use clp_bench::matrix::{Row, SuiteMatrix, BENCH_SIZES, SWEEP_SIZES};
 use clp_bench::observe::{observe, prof_run, runs_document, trend_run, trend_text};
 use clp_bench::par_suite;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::sync::LazyLock;
 
 #[path = "common/golden.rs"]
@@ -338,6 +342,33 @@ fn the_linter_reproduces_its_suite_golden() {
     golden::assert_golden(file, &fresh);
 }
 
+/// `goldens/programs.digest.json`: per suite kernel, in suite order, the
+/// FNV-1a-64 digest and byte length of its compiled program as
+/// `format_program` prints it. That text round-trips exactly
+/// (`tests/parsers.rs`), so the digest pins every instruction, target
+/// and placement the compiler emits, before any cycle is simulated.
+fn programs_golden() -> (&'static str, String) {
+    let digests = par_suite(&suite::all(), |w| {
+        let edge = compile(&w.program, &CompileOptions::default()).expect("compiles");
+        let text = format_program(&edge);
+        let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
+        (
+            w.name.to_string(),
+            json!({"fnv1a64": digest, "bytes": (text.len())}),
+        )
+    });
+    (
+        "goldens/programs.digest.json",
+        serde_json::to_string_pretty(&Value::Object(digests)).expect("serializes") + "\n",
+    )
+}
+
+#[test]
+fn the_compiler_reproduces_its_program_digests() {
+    let (file, fresh) = programs_golden();
+    golden::assert_golden(file, &fresh);
+}
+
 /// Not a check: rewrites every golden this file checks.
 #[test]
 #[ignore = "rewrites goldens/; run `cargo test -q --release -- --ignored regenerate`"]
@@ -347,7 +378,7 @@ fn regenerate_suite_goldens() {
         .chain([wide_golden()])
         .chain(observer_goldens())
         .chain(fault_goldens())
-        .chain([lint_golden()]);
+        .chain([lint_golden(), programs_golden()]);
     for (file, fresh) in goldens {
         golden::write(file, &fresh);
     }

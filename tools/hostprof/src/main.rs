@@ -19,6 +19,11 @@
 //! fired instructions: one run at 1 core and one at 32 show the fixed
 //! per-cycle share against the per-instruction one.
 //!
+//! `hostprof setup <reps>` profiles the cold path instead, the one the
+//! benchmark's `setup_s` times: `suite::all()`, then `compile_workload`
+//! (compile and golden interpreter) and `lint_program` per kernel,
+//! `reps` times over.
+//!
 //! x86-64 Linux only: the handler reads RIP / RBP / RSP out of the
 //! signal's `ucontext_t` at that ABI's offsets, and the walk needs
 //! `-C force-frame-pointers=yes`.
@@ -216,6 +221,7 @@ mod report {
     use super::sampler::{self, Sample};
     use clp_core::cli::{die, Flag, Spec};
     use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
+    use clp_lint::{lint_program, LintConfig};
     use std::collections::{BTreeMap, BTreeSet};
     use std::io::{ErrorKind, Read, Write};
     use std::process::{Command, Stdio};
@@ -236,7 +242,9 @@ mod report {
             ),
         ],
         epilog: "SIZES is a comma list of composition sizes (1,2 is the narrow sweep, 16,32 the\n\
-                 wide one); REPS is how many times the 26 kernels run at each. Build with\n\
+                 wide one); REPS is how many times the 26 kernels run at each. SIZES `setup`\n\
+                 profiles the cold path instead: the suite build, then each kernel's compile,\n\
+                 golden interpreter run and lint, REPS times. Build with\n\
                  RUSTFLAGS=\"-C force-frame-pointers=yes\"; needs addr2line on the PATH.",
     };
 
@@ -285,14 +293,14 @@ mod report {
         // and both pipes are finite.
         let mut stdin = child.stdin.take().expect("piped");
         let input: String = addrs.iter().map(|a| format!("{a:#x}\n")).collect();
-        let writer = std::thread::spawn(move || stdin.write_all(input.as_bytes()));
         let mut out = String::new();
         let mut stdout = child.stdout.take().expect("piped");
-        stdout.read_to_string(&mut out).unwrap_or_else(|e| die(e));
-        writer
-            .join()
-            .expect("writer thread does not panic")
-            .unwrap_or_else(|e| die(format!("addr2line closed its input: {e}")));
+        let written = std::thread::scope(|s| {
+            let writer = s.spawn(move || stdin.write_all(input.as_bytes()));
+            stdout.read_to_string(&mut out).unwrap_or_else(|e| die(e));
+            writer.join().expect("writer thread does not panic")
+        });
+        written.unwrap_or_else(|e| die(format!("addr2line closed its input: {e}")));
         child.wait().unwrap_or_else(|e| die(e));
         // `-a` heads each answer with the address; function / file:line
         // line pairs follow, one pair per inlining level.
@@ -333,39 +341,27 @@ mod report {
         format!("\n{title}\n{}", rows.collect::<String>())
     }
 
-    pub fn main() {
-        let args = SPEC.parse_env();
-        let sizes: Vec<usize> = args
-            .positional(0)
-            .into_iter()
-            .flat_map(|s| s.split(','))
-            .map(|s| s.parse().unwrap_or_else(|_| die(format!("bad size `{s}`"))))
-            .collect();
-        let reps: usize = args
-            .positional(1)
-            .and_then(|r| r.parse().ok())
-            .unwrap_or_else(|| die("REPS wants a number"));
-        let observe = args.switch("--observe");
-        let obs = ObsOptions {
-            profile: observe,
-            trend: observe.then(Default::default),
-            ..ObsOptions::default()
-        };
-
-        // Compile before the timer starts: the profile is of the runs.
+    /// Samples `reps` passes of every suite kernel at each of `sizes`,
+    /// compiled before the timer starts: the profile is of the runs.
+    /// The headline and the samples.
+    fn profile_cells(
+        sizes: &[usize],
+        reps: usize,
+        obs: &ObsOptions,
+        stack_top: usize,
+    ) -> (String, &'static [Sample]) {
         let compiled: Vec<_> = clp_workloads::suite::all()
             .iter()
             .map(|w| compile_workload(w).unwrap_or_else(|e| die(format!("{}: {e:?}", w.name))))
             .collect();
-        let stack_top = 0usize;
-        sampler::start(std::ptr::addr_of!(stack_top) as usize);
+        sampler::start(stack_top);
         let (mut cycles, mut fired) = (0, 0);
         let t0 = sampler::cpu_ns();
         for _ in 0..reps {
             for cw in &compiled {
-                for &n in &sizes {
+                for &n in sizes {
                     let cfg = ProcessorConfig::tflex(n);
-                    let run = run_compiled_observed(cw, &cfg, &obs);
+                    let run = run_compiled_observed(cw, &cfg, obs);
                     let run =
                         run.unwrap_or_else(|e| die(format!("{}@{n}: {e:?}", cw.workload.name)));
                     cycles += run.stats.cycles;
@@ -376,7 +372,7 @@ mod report {
         let cpu_ns = sampler::cpu_ns() - t0;
         let (samples, dropped) = sampler::stop();
         let per = |n: u64| cpu_ns as f64 / n.max(1) as f64;
-        let mut out = format!(
+        let head = format!(
             "hostprof: sizes {sizes:?} x {reps} reps, {cycles} simulated cycles, {} Hz: \
              {} samples, {dropped} dropped\n\
              host CPU: {:.1} ms, {:.1} ns per simulated cycle, {:.1} ns per fired \
@@ -387,6 +383,68 @@ mod report {
             per(cycles),
             per(fired),
         );
+        (head, samples)
+    }
+
+    /// Samples `reps` rounds of the cold path `setup_s` times:
+    /// `suite::all()`, then `compile_workload` and `lint_program` per
+    /// kernel. The headline and the samples.
+    fn profile_setup(reps: usize, stack_top: usize) -> (String, &'static [Sample]) {
+        let cfg = LintConfig::default();
+        sampler::start(stack_top);
+        let (mut kernels, mut diagnostics) = (0, 0);
+        let t0 = sampler::cpu_ns();
+        for _ in 0..reps {
+            for w in &clp_workloads::suite::all() {
+                let cw = compile_workload(w).unwrap_or_else(|e| die(format!("{}: {e:?}", w.name)));
+                diagnostics += lint_program(&cw.edge, &cfg).diagnostics.len();
+                kernels += 1;
+            }
+        }
+        let cpu_ns = sampler::cpu_ns() - t0;
+        let (samples, dropped) = sampler::stop();
+        let head = format!(
+            "hostprof: setup x {reps} reps, {kernels} kernels set up, {diagnostics} \
+             diagnostics, {} Hz: {} samples, {dropped} dropped\n\
+             host CPU: {:.1} ms, {:.1} us per kernel set-up, {:.3} ms per suite\n",
+            sampler::HZ,
+            samples.len(),
+            cpu_ns as f64 / 1e6,
+            cpu_ns as f64 / 1e3 / kernels.max(1) as f64,
+            cpu_ns as f64 / 1e6 / reps.max(1) as f64,
+        );
+        (head, samples)
+    }
+
+    pub fn main() {
+        let args = SPEC.parse_env();
+        let reps: usize = args
+            .positional(1)
+            .and_then(|r| r.parse().ok())
+            .unwrap_or_else(|| die("REPS wants a number"));
+        // The frame walk stops at this local of `main`.
+        let main_local = 0usize;
+        let stack_top = std::ptr::addr_of!(main_local) as usize;
+        let observe = args.switch("--observe");
+        let (mut out, samples) = if args.positional(0) == Some("setup") {
+            if observe {
+                die("--observe observes simulated cells; `setup` runs none");
+            }
+            profile_setup(reps, stack_top)
+        } else {
+            let sizes: Vec<usize> = args
+                .positional(0)
+                .into_iter()
+                .flat_map(|s| s.split(','))
+                .map(|s| s.parse().unwrap_or_else(|_| die(format!("bad size `{s}`"))))
+                .collect();
+            let obs = ObsOptions {
+                profile: observe,
+                trend: observe.then(Default::default),
+                ..ObsOptions::default()
+            };
+            profile_cells(&sizes, reps, &obs, stack_top)
+        };
 
         // Program counters as they are; return addresses minus one, so
         // that they fall inside the call they return to.
