@@ -8,9 +8,9 @@
 //! starve and blocks never deadlock, with no broadcast or hardware
 //! renaming — the property EDGE composability relies on.
 
-use crate::hyperblock::{form_hyperblocks, HirBlock, HirExitKind, HirFunction};
-use crate::ir::{BbId, Function, MemSize, OpKind, Pred, Program, Terminator, VReg};
-use crate::liveness::{liveness, Liveness, VRegSet};
+use crate::hyperblock::{form_hyperblocks, HirBlock, HirExitKind, HirFunction, HirOp};
+use crate::ir::{BbId, Function, MemSize, OpKind, Program, Terminator, VReg};
+use crate::liveness::{liveness, Liveness, VRegRows, VRegSet};
 use crate::placement;
 use crate::regalloc::{allocate, saved_across_call, Allocation};
 use crate::{CompileError, CompileOptions};
@@ -19,7 +19,6 @@ use clp_isa::{
     Opcode, Operand, PredSense, ProgramBuilder as EdgeProgramBuilder, Reg, BLOCK_FRAME_BYTES,
     NUM_ARCH_REGS,
 };
-use std::collections::BTreeMap;
 
 /// A set of producers of which exactly one fires per execution: one
 /// instruction, or a guarded definition and the complementary `mov` of
@@ -43,22 +42,48 @@ pub const RET_REG: usize = 1;
 /// Virtual address of the first block (the synthetic `_start`).
 const BASE_ADDR: BlockAddr = 0x1_0000;
 
-struct BlockCtx<'a> {
-    b: BlockBuilder,
-    alloc: &'a Allocation,
+/// The per-vreg state of the block being lowered, kept across the blocks
+/// of a program so that lowering a block allocates only the block.
+#[derive(Default)]
+struct BlockBufs {
     /// Current in-block value of each vreg, indexed by vreg id.
     current: Vec<Option<ValueRef>>,
     /// VRegs (re)defined in this block (candidates for write-back).
     defs: VRegSet,
-    /// Memoized READ instructions, indexed by architectural register.
-    reads: [Option<InstId>; NUM_ARCH_REGS],
-    /// Memoized materialized multi-conjunct predicates.
-    pc_cache: BTreeMap<Vec<(u32, bool)>, ValueRef>,
-    zero: Option<InstId>,
-    next_lsid: usize,
     /// Entry-block incoming bindings (params and link from the ABI regs),
     /// indexed by vreg id; empty in every other block.
     incoming: Vec<Option<Reg>>,
+    /// Memoized materialized multi-conjunct predicates: the conjuncts
+    /// `pc_keys[start..start + len]` and their value, per entry.
+    pc_cache: Vec<(usize, usize, ValueRef)>,
+    /// The conjuncts of every `pc_cache` entry, end to end.
+    pc_keys: Vec<(VReg, bool)>,
+}
+
+/// Buffers one compilation reuses from block to block.
+#[derive(Default)]
+struct Scratch {
+    bufs: BlockBufs,
+    /// The instructions of the block being built, in builder order.
+    insts: Vec<Instruction>,
+    /// The values live out of the block through its jump exits.
+    exit_live: VRegSet,
+    /// Whether each op's guarded definition needs a merge.
+    need_merge: Vec<bool>,
+    /// Values a call exit saves to the frame instead of writing back.
+    suppress_write_back: VRegSet,
+    /// The values the block writes back.
+    to_write: Vec<VReg>,
+}
+
+struct BlockCtx<'a> {
+    b: BlockBuilder,
+    alloc: &'a Allocation,
+    bufs: &'a mut BlockBufs,
+    /// Memoized READ instructions, indexed by architectural register.
+    reads: [Option<InstId>; NUM_ARCH_REGS],
+    zero: Option<InstId>,
+    next_lsid: usize,
     /// In-block stack-pointer value (post-prologue), if modified here.
     sp_ref: Option<ValueRef>,
     func_name: &'a str,
@@ -69,22 +94,26 @@ type Guard = Option<(ValueRef, PredSense)>;
 
 impl<'a> BlockCtx<'a> {
     fn new(
-        addr: BlockAddr,
+        b: BlockBuilder,
         alloc: &'a Allocation,
+        bufs: &'a mut BlockBufs,
         n_vregs: usize,
         func_name: &'a str,
         bb: BbId,
     ) -> Self {
+        bufs.current.clear();
+        bufs.current.resize(n_vregs, None);
+        bufs.defs.reset(n_vregs);
+        bufs.incoming.clear();
+        bufs.pc_cache.clear();
+        bufs.pc_keys.clear();
         BlockCtx {
-            b: BlockBuilder::new(addr),
+            b,
             alloc,
-            current: vec![None; n_vregs],
-            defs: VRegSet::with_capacity(n_vregs),
+            bufs,
             reads: [None; NUM_ARCH_REGS],
-            pc_cache: BTreeMap::new(),
             zero: None,
             next_lsid: 0,
-            incoming: Vec::new(),
             sp_ref: None,
             func_name,
             bb,
@@ -92,15 +121,15 @@ impl<'a> BlockCtx<'a> {
     }
 
     fn current(&self, v: VReg) -> Option<ValueRef> {
-        self.current[v.0 as usize]
+        self.bufs.current[v.0 as usize]
     }
 
     fn set_current(&mut self, v: VReg, vr: ValueRef) {
-        self.current[v.0 as usize] = Some(vr);
+        self.bufs.current[v.0 as usize] = Some(vr);
     }
 
     fn incoming(&self, v: VReg) -> Option<Reg> {
-        self.incoming.get(v.0 as usize).copied().flatten()
+        self.bufs.incoming.get(v.0 as usize).copied().flatten()
     }
 
     fn err_too_large(&self) -> CompileError {
@@ -184,7 +213,7 @@ impl<'a> BlockCtx<'a> {
     /// directly with a sense; longer conjunctions are normalized to 0/1
     /// and folded with `and` (all inputs always deliver, so the chain
     /// cannot starve).
-    fn guard_of(&mut self, pred: &Pred) -> Result<Guard, CompileError> {
+    fn guard_of(&mut self, pred: &[(VReg, bool)]) -> Result<Guard, CompileError> {
         match pred.len() {
             0 => Ok(None),
             1 => {
@@ -200,8 +229,13 @@ impl<'a> BlockCtx<'a> {
                 )))
             }
             _ => {
-                let key: Vec<(u32, bool)> = pred.iter().map(|&(v, s)| (v.0, s)).collect();
-                if let Some(&vr) = self.pc_cache.get(&key) {
+                let keys = &self.bufs.pc_keys;
+                let cached = self
+                    .bufs
+                    .pc_cache
+                    .iter()
+                    .find(|&&(start, len, _)| keys[start..start + len] == *pred);
+                if let Some(&(_, _, vr)) = cached {
                     return Ok(Some((vr, PredSense::OnTrue)));
                 }
                 let mut acc: Option<InstId> = None;
@@ -222,7 +256,9 @@ impl<'a> BlockCtx<'a> {
                     });
                 }
                 let vr = ValueRef::single(acc.expect("nonempty"));
-                self.pc_cache.insert(key, vr);
+                let start = self.bufs.pc_keys.len();
+                self.bufs.pc_keys.extend_from_slice(pred);
+                self.bufs.pc_cache.push((start, pred.len(), vr));
                 Ok(Some((vr, PredSense::OnTrue)))
             }
         }
@@ -255,7 +291,7 @@ impl<'a> BlockCtx<'a> {
         guard: &Guard,
         need_merge: bool,
     ) -> Result<(), CompileError> {
-        self.defs.insert(dst);
+        self.bufs.defs.insert(dst);
         match guard {
             _ if !need_merge => {
                 self.set_current(dst, ValueRef::single(new_id));
@@ -305,7 +341,7 @@ struct FuncCtx<'a> {
     n_vregs: usize,
     link_vreg: VReg,
     entry_bb: BbId,
-    params: Vec<VReg>,
+    params: &'a [VReg],
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -317,18 +353,29 @@ fn lower_block(
     addr_of_bb: &[Option<BlockAddr>],
     func_entry_addr: &dyn Fn(crate::ir::FuncId) -> BlockAddr,
     opts: &CompileOptions,
+    scratch: &mut Scratch,
 ) -> Result<Block, CompileError> {
-    let mut cx = BlockCtx::new(addr, fc.alloc, fc.n_vregs, &fc.hir.name, bb);
+    let Scratch {
+        bufs,
+        insts,
+        exit_live,
+        need_merge,
+        suppress_write_back,
+        to_write,
+    } = scratch;
+    let b = BlockBuilder::with_buffer(addr, std::mem::take(insts));
+    let mut cx = BlockCtx::new(b, fc.alloc, bufs, fc.n_vregs, &fc.hir.name, bb);
+    let conjuncts = |op: &HirOp| fc.hir.guard(op.pred);
 
     // --- prologues -----------------------------------------------------
     if bb == fc.entry_bb {
-        cx.incoming = vec![None; fc.n_vregs];
+        cx.bufs.incoming.resize(fc.n_vregs, None);
         for (i, &p) in fc.params.iter().enumerate() {
-            cx.incoming[p.0 as usize] = Some(Reg::new(RET_REG + i));
-            cx.defs.insert(p);
+            cx.bufs.incoming[p.0 as usize] = Some(Reg::new(RET_REG + i));
+            cx.bufs.defs.insert(p);
         }
-        cx.incoming[fc.link_vreg.0 as usize] = Some(Reg::LINK);
-        cx.defs.insert(fc.link_vreg);
+        cx.bufs.incoming[fc.link_vreg.0 as usize] = Some(Reg::LINK);
+        cx.bufs.defs.insert(fc.link_vreg);
         if fc.alloc.frame_bytes > 0 {
             let sp_in = cx.sp_value();
             let mut addi = Instruction::new(Opcode::Addi);
@@ -347,12 +394,12 @@ fn lower_block(
             ld.lsid = Some(clp_isa::Lsid::new(cx.lsid()?));
             let id = cx.push(ld, Some(&sp), None, None)?;
             cx.set_current(v, ValueRef::single(id));
-            cx.defs.insert(v);
+            cx.bufs.defs.insert(v);
         }
         if let Some(d) = dst {
             let id = cx.read_reg(Reg::new(RET_REG));
             cx.set_current(*d, ValueRef::single(id));
-            cx.defs.insert(*d);
+            cx.bufs.defs.insert(*d);
         }
     }
 
@@ -360,56 +407,53 @@ fn lower_block(
     // Values written back at an exit: union of live-in over jump-exit
     // targets (call/ret blocks never contain guarded ops, so their
     // operand uses are handled by the unpredicated-use rule below).
-    let exit_live = jump_live_out(hb, fc.lv);
-    let pred_subset = |p: &Pred, q: &Pred| p.iter().all(|c| q.contains(c));
-    let uses_in_pred = |op: &crate::ir::Op, v: VReg| op.pred.iter().any(|&(pv, _)| pv == v);
+    jump_live_out(hb, fc.lv, exit_live);
+    let pred_subset = |p: &[(VReg, bool)], q: &[(VReg, bool)]| p.iter().all(|c| q.contains(c));
+    let uses_in_pred = |op: &HirOp, v: VReg| conjuncts(op).iter().any(|&(pv, _)| pv == v);
     let exit_guard_uses = |v: VReg| {
         hb.exits
             .iter()
-            .any(|e| e.pred.iter().any(|&(pv, _)| pv == v))
+            .any(|e| fc.hir.guard(e.pred).iter().any(|&(pv, _)| pv == v))
             || hb.exits.iter().any(|e| match &e.kind {
                 HirExitKind::Call { args, .. } => args.contains(&v),
                 HirExitKind::Ret(Some(r)) => *r == v,
                 _ => false,
             })
     };
-    let need_merge: Vec<bool> = hb
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(k, op)| {
-            let Some(dst) = op.kind.dst() else {
-                return false;
-            };
-            if op.pred.is_empty() {
-                return false; // unguarded defs never need a merge
+    need_merge.clear();
+    need_merge.extend(hb.ops.iter().enumerate().map(|(k, op)| {
+        let Some(dst) = op.kind.dst() else {
+            return false;
+        };
+        if op.pred.is_empty() {
+            return false; // unguarded defs never need a merge
+        }
+        if exit_live.contains(dst) || exit_guard_uses(dst) {
+            return true;
+        }
+        for later in &hb.ops[k + 1..] {
+            if uses_in_pred(later, dst) {
+                return true; // guard chains must always deliver
             }
-            if exit_live.contains(dst) || exit_guard_uses(dst) {
+            if later.kind.operands().contains(&Some(dst))
+                && !pred_subset(conjuncts(op), conjuncts(later))
+            {
                 return true;
             }
-            for later in &hb.ops[k + 1..] {
-                if uses_in_pred(later, dst) {
-                    return true; // guard chains must always deliver
-                }
-                if later.kind.operands().contains(&Some(dst)) && !pred_subset(&op.pred, &later.pred)
-                {
-                    return true;
-                }
-                if later.kind.dst() == Some(dst) {
-                    // A redefinition: unguarded ones kill the value;
-                    // guarded ones read it through their own merge —
-                    // be conservative and merge.
-                    return !later.pred.is_empty();
-                }
+            if later.kind.dst() == Some(dst) {
+                // A redefinition: unguarded ones kill the value;
+                // guarded ones read it through their own merge —
+                // be conservative and merge.
+                return !later.pred.is_empty();
             }
-            false
-        })
-        .collect();
+        }
+        false
+    }));
 
     // --- operations ----------------------------------------------------
     for (op_idx, op) in hb.ops.iter().enumerate() {
         let merge = need_merge[op_idx];
-        let guard = cx.guard_of(&op.pred)?;
+        let guard = cx.guard_of(conjuncts(op))?;
         match &op.kind {
             OpKind::Const { dst, value } => {
                 let mut movi = Instruction::new(Opcode::Movi);
@@ -487,10 +531,10 @@ fn lower_block(
     }
 
     // --- exits -----------------------------------------------------------
-    let mut suppress_write_back = VRegSet::default();
+    suppress_write_back.reset(0);
     for (i, exit) in hb.exits.iter().enumerate() {
         let exit_id = i as u8;
-        let guard = cx.guard_of(&exit.pred)?;
+        let guard = cx.guard_of(fc.hir.guard(exit.pred))?;
         match &exit.kind {
             HirExitKind::Jump(t) => {
                 let taddr = addr_of_bb[t.0].expect("jump targets are laid out");
@@ -611,13 +655,15 @@ fn lower_block(
     // ops define values that original liveness attributes to *inner*
     // edges that no longer exist). Call exits contribute nothing — values
     // crossing a call travel through the caller-save frame.
-    let live_out = exit_live;
-    let to_write: Vec<VReg> = cx
-        .defs
-        .iter()
-        .filter(|&v| live_out.contains(v) && !suppress_write_back.contains(v))
-        .collect();
-    for v in to_write {
+    let live_out = &*exit_live;
+    to_write.clear();
+    to_write.extend(
+        cx.bufs
+            .defs
+            .iter()
+            .filter(|&v| live_out.contains(v) && !suppress_write_back.contains(v)),
+    );
+    for &v in &*to_write {
         let vv = cx.value_of(v);
         let mut w = Instruction::new(Opcode::Write);
         w.reg = Some(fc.alloc.reg(v));
@@ -625,41 +671,47 @@ fn lower_block(
     }
 
     // --- placement + validation ------------------------------------------
-    let insts = cx.b.into_instructions();
-    let insts = if opts.placement {
-        placement::schedule(insts, opts.placement_cores)
-    } else {
-        insts
-    };
-    Block::from_instructions(addr, insts).map_err(|e| CompileError::Block {
+    // The block gets a buffer of its own; the builder's goes back to the
+    // scratch for the next block.
+    *insts = cx.b.into_instructions();
+    let block = opts
+        .placement
+        .then(|| placement::scheduled(insts, opts.placement_cores))
+        .flatten()
+        .unwrap_or_else(|| insts.to_vec());
+    Block::from_instructions(addr, block).map_err(|e| CompileError::Block {
         function: fc.hir.name.clone(),
         bb: bb.0,
         source: e,
     })
 }
 
-/// The values live out of `hb` through its jump exits: the union of
-/// their targets' live-in. Call exits contribute nothing (values crossing
-/// a call travel through the caller-save frame).
-fn jump_live_out(hb: &HirBlock, lv: &Liveness) -> VRegSet {
-    let mut live = VRegSet::default();
+/// Sets `live` to the values live out of `hb` through its jump exits:
+/// the union of their targets' live-in. Call exits contribute nothing
+/// (values crossing a call travel through the caller-save frame).
+fn jump_live_out(hb: &HirBlock, lv: &Liveness, live: &mut VRegSet) {
+    live.reset(0);
     for exit in &hb.exits {
         if let HirExitKind::Jump(t) = &exit.kind {
-            live.union_with(&lv.live_in[t.0]);
+            live.union_with(lv.live_in.row(t.0));
         }
     }
-    live
 }
 
 /// Write-back cliques: values defined in one hyperblock and live out of
 /// any of its exits are all written back by that block, so they need
 /// distinct registers even if their live ranges never overlap (they may
 /// be live at *different* exits).
-pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness) -> Vec<VRegSet> {
-    let mut cliques = Vec::new();
+pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness) -> VRegRows {
+    let width = f.n_vregs as usize;
+    let mut cliques = VRegRows::new(0, width);
+    let (mut defs, mut live) = (VRegSet::default(), VRegSet::default());
     for (bi, hb) in hir.blocks.iter().enumerate() {
         let Some(hb) = hb else { continue };
-        let mut defs: VRegSet = hb.ops.iter().filter_map(|o| o.kind.dst()).collect();
+        defs.reset(width);
+        for d in hb.ops.iter().filter_map(|o| o.kind.dst()) {
+            defs.insert(d);
+        }
         if bi == f.entry.0 {
             // The entry block also "defines" (writes back) its live-out
             // parameters and link register.
@@ -668,9 +720,10 @@ pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness)
             }
             defs.insert(f.link_vreg);
         }
-        defs.intersect_with(&jump_live_out(hb, lv));
+        jump_live_out(hb, lv, &mut live);
+        defs.intersect_with(live.as_row());
         if defs.len() > 1 {
-            cliques.push(defs);
+            cliques.push(&defs);
         }
     }
     cliques
@@ -713,6 +766,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, 
 fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, CompileError> {
     // Per-function analyses.
     let mut hirs = Vec::with_capacity(program.functions.len());
+    let mut layouts = Vec::with_capacity(program.functions.len());
     let mut lvs = Vec::with_capacity(program.functions.len());
     let mut allocs = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
@@ -720,6 +774,7 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
         let lv = liveness(f);
         let cliques = write_back_cliques(f, &hir, &lv);
         let alloc = allocate(f, &lv, &cliques).map_err(CompileError::RegPressure)?;
+        layouts.push(hir.layout_order());
         hirs.push(hir);
         lvs.push(lv);
         allocs.push(alloc);
@@ -740,7 +795,7 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
         .collect();
     let mut next = halt_addr + BLOCK_FRAME_BYTES;
     for &fi in &func_order {
-        for bb in hirs[fi].layout_order() {
+        for &bb in &layouts[fi] {
             addr_of[fi][bb.0] = Some(next);
             next += BLOCK_FRAME_BYTES;
         }
@@ -773,6 +828,10 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     }
 
     let mut epb = EdgeProgramBuilder::new();
+    let mut scratch = Scratch::default();
+    // Room for a valid block's instructions, so the buffer grows only
+    // for a block on its way to `BlockTooLarge`.
+    scratch.insts.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
     {
         let entry_fn_addr = entry_addr(program.entry);
         let mut sb = clp_isa::BlockBuilder::new(start_addr);
@@ -810,12 +869,21 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
             n_vregs: f.n_vregs as usize,
             link_vreg: f.link_vreg,
             entry_bb: f.entry,
-            params: f.params.clone(),
+            params: &f.params,
         };
-        for bb in hirs[fi].layout_order() {
+        for &bb in &layouts[fi] {
             let hb = hirs[fi].blocks[bb.0].as_ref().expect("in layout");
             let addr = addr_of[fi][bb.0].expect("in layout");
-            let block = lower_block(&fc, bb, hb, addr, &addr_of[fi], &entry_addr, opts)?;
+            let block = lower_block(
+                &fc,
+                bb,
+                hb,
+                addr,
+                &addr_of[fi],
+                &entry_addr,
+                opts,
+                &mut scratch,
+            )?;
             epb.add_block(block).map_err(CompileError::Program)?;
         }
     }

@@ -2,15 +2,91 @@
 //! successors, the generalization of chain merging, triangles, and
 //! diamonds used to build large EDGE blocks out of small IR blocks.
 
-use crate::ir::{BbId, Function, Op, Pred, Terminator, VReg};
-use std::collections::BTreeSet;
+use crate::ir::{BbId, Function, OpKind, Terminator, VReg};
+
+/// A guard conjunction of a hyperblock: `len` `(register,
+/// expected-truth)` conjuncts from `start` of its function's guard arena,
+/// read with [`HirFunction::guard`]. Empty means unconditional.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PredRange {
+    start: u32,
+    len: u32,
+}
+
+impl PredRange {
+    /// The number of conjuncts.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for the unconditional guard.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The conjuncts of every guard of one function, end to end. Guards are
+/// never changed once written, so a guard formed from an empty one and
+/// another shares the other's conjuncts.
+#[derive(Clone, Debug, Default)]
+struct GuardArena(Vec<(VReg, bool)>);
+
+impl GuardArena {
+    fn get(&self, p: PredRange) -> &[(VReg, bool)] {
+        &self.0[p.start as usize..(p.start + p.len) as usize]
+    }
+
+    /// Appends `conjuncts` as a new guard.
+    fn push(&mut self, conjuncts: &[(VReg, bool)]) -> PredRange {
+        if conjuncts.is_empty() {
+            return PredRange::default();
+        }
+        let start = self.0.len() as u32;
+        self.0.extend_from_slice(conjuncts);
+        PredRange {
+            start,
+            len: conjuncts.len() as u32,
+        }
+    }
+
+    /// The guard `outer ∧ inner`, conjuncts of `outer` first.
+    fn and(&mut self, outer: PredRange, inner: PredRange) -> PredRange {
+        if inner.is_empty() {
+            return outer;
+        }
+        if outer.is_empty() {
+            return inner;
+        }
+        let start = self.0.len() as u32;
+        self.0
+            .extend_from_within(outer.start as usize..(outer.start + outer.len) as usize);
+        self.0
+            .extend_from_within(inner.start as usize..(inner.start + inner.len) as usize);
+        PredRange {
+            start,
+            len: outer.len + inner.len,
+        }
+    }
+}
+
+/// An operation of a hyperblock: an IR operation under a guard (a
+/// predicated op whose guard fails is a no-op).
+#[derive(Clone, Debug, PartialEq)]
+pub struct HirOp {
+    /// Guard conjunction (empty = always executes).
+    pub pred: PredRange,
+    /// The operation proper.
+    pub kind: OpKind,
+}
 
 /// An exit of a hyperblock: a guard conjunction plus a control transfer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HirExit {
     /// Guard (empty = unconditional). The guards of a block's exits
     /// partition: exactly one fires per execution.
-    pub pred: Pred,
+    pub pred: PredRange,
     /// The transfer.
     pub kind: HirExitKind,
 }
@@ -42,16 +118,17 @@ pub enum HirExitKind {
 #[derive(Clone, Debug, PartialEq)]
 pub struct HirBlock {
     /// The (possibly predicated) operations, in program order.
-    pub ops: Vec<Op>,
+    pub ops: Vec<HirOp>,
     /// The exits; their guards partition.
     pub exits: Vec<HirExit>,
 }
 
 impl HirBlock {
-    fn from_basic(block: &crate::ir::BasicBlock) -> Self {
+    fn from_basic(block: &crate::ir::BasicBlock, guards: &mut GuardArena) -> Self {
+        let always = PredRange::default();
         let exits = match &block.term {
             Terminator::Jump(b) => vec![HirExit {
-                pred: vec![],
+                pred: always,
                 kind: HirExitKind::Jump(*b),
             }],
             Terminator::Branch {
@@ -60,11 +137,11 @@ impl HirBlock {
                 else_bb,
             } => vec![
                 HirExit {
-                    pred: vec![(*cond, true)],
+                    pred: guards.push(&[(*cond, true)]),
                     kind: HirExitKind::Jump(*then_bb),
                 },
                 HirExit {
-                    pred: vec![(*cond, false)],
+                    pred: guards.push(&[(*cond, false)]),
                     kind: HirExitKind::Jump(*else_bb),
                 },
             ],
@@ -74,7 +151,7 @@ impl HirBlock {
                 dst,
                 cont,
             } => vec![HirExit {
-                pred: vec![],
+                pred: always,
                 kind: HirExitKind::Call {
                     func: *func,
                     args: args.clone(),
@@ -83,16 +160,23 @@ impl HirBlock {
                 },
             }],
             Terminator::Ret(v) => vec![HirExit {
-                pred: vec![],
+                pred: always,
                 kind: HirExitKind::Ret(*v),
             }],
             Terminator::Halt => vec![HirExit {
-                pred: vec![],
+                pred: always,
                 kind: HirExitKind::Halt,
             }],
         };
         HirBlock {
-            ops: block.ops.clone(),
+            ops: block
+                .ops
+                .iter()
+                .map(|op| HirOp {
+                    pred: guards.push(&op.pred),
+                    kind: op.kind.clone(),
+                })
+                .collect(),
             exits,
         }
     }
@@ -123,6 +207,8 @@ pub struct HirFunction {
     pub entry: BbId,
     /// Number of blocks before formation (for reporting).
     pub blocks_before: usize,
+    /// The conjuncts of every guard.
+    guards: GuardArena,
 }
 
 impl HirFunction {
@@ -132,6 +218,12 @@ impl HirFunction {
         self.blocks.iter().flatten().count()
     }
 
+    /// The conjuncts of guard `p`, in order.
+    #[must_use]
+    pub fn guard(&self, p: PredRange) -> &[(VReg, bool)] {
+        self.guards.get(p)
+    }
+
     /// The layout order for address assignment: ascending block IDs, but
     /// a call's continuation is emitted immediately after the call block
     /// so that the RAS's `call address + frame` push predicts returns.
@@ -139,7 +231,7 @@ impl HirFunction {
     pub fn layout_order(&self) -> Vec<BbId> {
         let n = self.blocks.len();
         let mut emitted = vec![false; n];
-        let mut order = Vec::new();
+        let mut order = Vec::with_capacity(n);
         let emit = |id: usize, order: &mut Vec<BbId>, emitted: &mut Vec<bool>| {
             let mut next = Some(id);
             while let Some(i) = next {
@@ -189,12 +281,10 @@ impl Default for FormerOptions {
     }
 }
 
-fn pred_vregs(pred: &Pred) -> impl Iterator<Item = VReg> + '_ {
-    pred.iter().map(|&(v, _)| v)
-}
-
-fn jump_pred_counts(blocks: &[Option<HirBlock>]) -> Vec<usize> {
-    let mut counts = vec![0usize; blocks.len()];
+/// Counts, into `counts`, the jump exits targeting each block.
+fn jump_pred_counts(blocks: &[Option<HirBlock>], counts: &mut Vec<usize>) {
+    counts.clear();
+    counts.resize(blocks.len(), 0);
     for b in blocks.iter().flatten() {
         for e in &b.exits {
             if let HirExitKind::Jump(t) = e.kind {
@@ -202,16 +292,16 @@ fn jump_pred_counts(blocks: &[Option<HirBlock>]) -> Vec<usize> {
             }
         }
     }
-    counts
 }
 
 /// Runs hyperblock formation over `f`.
 #[must_use]
 pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
+    let mut guards = GuardArena::default();
     let mut blocks: Vec<Option<HirBlock>> = f
         .blocks
         .iter()
-        .map(|b| Some(HirBlock::from_basic(b)))
+        .map(|b| Some(HirBlock::from_basic(b, &mut guards)))
         .collect();
     let blocks_before = blocks.len();
 
@@ -231,11 +321,13 @@ pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
             blocks,
             entry: f.entry,
             blocks_before,
+            guards,
         };
     }
 
+    let mut counts = Vec::new();
     loop {
-        let counts = jump_pred_counts(&blocks);
+        jump_pred_counts(&blocks, &mut counts);
         let mut merged_any = false;
 
         'outer: for a in 0..blocks.len() {
@@ -281,35 +373,31 @@ pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
                 // Guard-corruption check: B's ops must not redefine any
                 // vreg used by the inlining guard or by A's other exits'
                 // guards (those are semantically evaluated before B runs).
-                let mut forbidden: BTreeSet<VReg> = pred_vregs(&exit.pred).collect();
-                for (j, other) in ablock.exits.iter().enumerate() {
-                    if j != ei {
-                        forbidden.extend(pred_vregs(&other.pred));
-                    }
-                }
+                let guarded_by_a = |d: VReg| {
+                    ablock
+                        .exits
+                        .iter()
+                        .any(|e| guards.get(e.pred).iter().any(|&(v, _)| v == d))
+                };
                 if bblock
                     .ops
                     .iter()
-                    .any(|o| o.kind.dst().is_some_and(|d| forbidden.contains(&d)))
+                    .any(|o| o.kind.dst().is_some_and(guarded_by_a))
                 {
                     continue;
                 }
 
                 // Perform the merge.
-                let guard = exit.pred.clone();
+                let guard = exit.pred;
                 let bblock = blocks[b].take().expect("checked above");
                 let ablock = blocks[a].as_mut().expect("checked above");
                 ablock.exits.remove(ei);
                 for mut op in bblock.ops {
-                    let mut pred = guard.clone();
-                    pred.append(&mut op.pred);
-                    op.pred = pred;
+                    op.pred = guards.and(guard, op.pred);
                     ablock.ops.push(op);
                 }
                 for mut e in bblock.exits {
-                    let mut pred = guard.clone();
-                    pred.append(&mut e.pred);
-                    e.pred = pred;
+                    e.pred = guards.and(guard, e.pred);
                     ablock.exits.push(e);
                 }
                 merged_any = true;
@@ -327,6 +415,7 @@ pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
         blocks,
         entry: f.entry,
         blocks_before,
+        guards,
     }
 }
 

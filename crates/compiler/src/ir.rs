@@ -155,15 +155,14 @@ impl OpKind {
         }
     }
 
-    /// The registers the op reads (not counting its predicate).
-    #[must_use]
-    pub fn uses(&self) -> Vec<VReg> {
-        self.operands().into_iter().flatten().collect()
+    /// The registers the op reads (not counting its predicate), in
+    /// operand order.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> {
+        self.operands().into_iter().flatten()
     }
 
     /// The registers the op reads (not counting its predicate), in
-    /// operand order, without allocating: [`OpKind::uses`] as a fixed
-    /// pair.
+    /// operand order: [`OpKind::uses`] as a fixed pair.
     #[must_use]
     pub(crate) fn operands(&self) -> [Option<VReg>; 2] {
         match *self {
@@ -190,18 +189,19 @@ impl Op {
         Op { pred: vec![], kind }
     }
 
-    /// All registers this op reads: operands plus guard registers.
-    #[must_use]
-    pub fn uses(&self) -> Vec<VReg> {
-        let mut u = self.kind.uses();
-        u.extend(self.pred.iter().map(|&(v, _)| v));
-        // A predicated definition may leave the old value: it is also a use.
-        if !self.pred.is_empty() {
-            if let Some(d) = self.kind.dst() {
-                u.push(d);
-            }
-        }
-        u
+    /// All registers this op reads: operands, then guard registers, then
+    /// the destination of a predicated definition (which may leave the
+    /// old value, so it is also a use).
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        let may_keep = if self.pred.is_empty() {
+            None
+        } else {
+            self.kind.dst()
+        };
+        self.kind
+            .uses()
+            .chain(self.pred.iter().map(|&(v, _)| v))
+            .chain(may_keep)
     }
 }
 
@@ -238,33 +238,30 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// The registers the terminator reads. `link_vreg` is the function's
-    /// implicit link register, consumed by [`Terminator::Ret`].
-    #[must_use]
-    pub fn uses(&self, link_vreg: VReg) -> Vec<VReg> {
-        match self {
-            Terminator::Jump(_) | Terminator::Halt => vec![],
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Call { args, .. } => args.clone(),
-            Terminator::Ret(v) => {
-                let mut u: Vec<VReg> = v.iter().copied().collect();
-                u.push(link_vreg);
-                u
-            }
-        }
+    /// The registers the terminator reads, in order. `link_vreg` is the
+    /// function's implicit link register, consumed (last) by
+    /// [`Terminator::Ret`].
+    pub fn uses(&self, link_vreg: VReg) -> impl Iterator<Item = VReg> + '_ {
+        let (first, args, link): (Option<VReg>, &[VReg], Option<VReg>) = match self {
+            Terminator::Jump(_) | Terminator::Halt => (None, &[], None),
+            Terminator::Branch { cond, .. } => (Some(*cond), &[], None),
+            Terminator::Call { args, .. } => (None, args, None),
+            Terminator::Ret(v) => (*v, &[], Some(link_vreg)),
+        };
+        first.into_iter().chain(args.iter().copied()).chain(link)
     }
 
-    /// Successor blocks within the same function.
-    #[must_use]
-    pub fn successors(&self) -> Vec<BbId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Successor blocks within the same function, in order.
+    pub fn successors(&self) -> impl Iterator<Item = BbId> {
+        let pair = match self {
+            Terminator::Jump(b) => [Some(*b), None],
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Call { cont, .. } => vec![*cont],
-            Terminator::Ret(_) | Terminator::Halt => vec![],
-        }
+            } => [Some(*then_bb), Some(*else_bb)],
+            Terminator::Call { cont, .. } => [Some(*cont), None],
+            Terminator::Ret(_) | Terminator::Halt => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 }
 
@@ -345,9 +342,9 @@ mod tests {
             a: VReg(1),
             b: VReg(2),
         });
-        assert_eq!(op.uses(), vec![VReg(1), VReg(2)]);
+        assert_eq!(op.uses().collect::<Vec<_>>(), vec![VReg(1), VReg(2)]);
         op.pred = vec![(VReg(9), true)];
-        let uses = op.uses();
+        let uses: Vec<VReg> = op.uses().collect();
         assert!(uses.contains(&VReg(9)), "guard is a use");
         assert!(uses.contains(&VReg(3)), "predicated def is a may-use");
     }
@@ -362,28 +359,28 @@ mod tests {
         };
         assert_eq!(k.dst(), None);
         assert!(k.is_memory());
-        assert_eq!(k.uses(), vec![VReg(0), VReg(1)]);
+        assert_eq!(k.uses().collect::<Vec<_>>(), vec![VReg(0), VReg(1)]);
     }
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(BbId(3)).successors(), vec![BbId(3)]);
+        let succs = |t: Terminator| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(Terminator::Jump(BbId(3))), vec![BbId(3)]);
         assert_eq!(
-            Terminator::Branch {
+            succs(Terminator::Branch {
                 cond: VReg(0),
                 then_bb: BbId(1),
                 else_bb: BbId(2)
-            }
-            .successors(),
+            }),
             vec![BbId(1), BbId(2)]
         );
-        assert!(Terminator::Halt.successors().is_empty());
+        assert!(succs(Terminator::Halt).is_empty());
     }
 
     #[test]
     fn ret_uses_link() {
         let t = Terminator::Ret(Some(VReg(4)));
-        let uses = t.uses(VReg(99));
+        let uses: Vec<VReg> = t.uses(VReg(99)).collect();
         assert!(uses.contains(&VReg(4)));
         assert!(uses.contains(&VReg(99)));
     }

@@ -6,10 +6,11 @@
 //! allocation and `READ`/`WRITE` insertion.
 //!
 //! Each block's transfer is summarised once as `in = gen ∪ (out − kill)`
-//! over bitsets indexed by virtual-register id, and a worklist revisits a
-//! block only when a successor's live-in grew. Every set iterates in
-//! ascending id order, which fixes the order of what follows from it:
-//! register colors, frame slots and write-backs.
+//! over bit rows indexed by virtual-register id, all of a function's rows
+//! in one flat matrix, and a worklist revisits a block only when a
+//! successor's live-in grew. Every set iterates in ascending id order,
+//! which fixes the order of what follows from it: register colors, frame
+//! slots and write-backs.
 
 use crate::ir::{Function, Terminator, VReg};
 
@@ -19,17 +20,22 @@ use crate::ir::{Function, Terminator, VReg};
 pub struct VRegSet(Vec<u64>);
 
 impl VRegSet {
-    /// An empty set with room for ids `0..n` without growing.
+    /// Empties the set and makes room for ids `0..n`, keeping its buffer.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.0.clear();
+        self.0.resize(n.div_ceil(64), 0);
+    }
+
+    /// The set as a borrowed row.
     #[must_use]
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        VRegSet(vec![0; n.div_ceil(64)])
+    pub fn as_row(&self) -> VRegRow<'_> {
+        VRegRow(&self.0)
     }
 
     /// True if `v` is in the set.
     #[must_use]
     pub fn contains(&self, v: VReg) -> bool {
-        let i = v.0 as usize;
-        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+        self.as_row().contains(v)
     }
 
     /// Adds `v`; true if it was not there.
@@ -44,33 +50,18 @@ impl VRegSet {
         fresh
     }
 
-    /// Removes `v`.
-    pub(crate) fn remove(&mut self, v: VReg) {
-        let i = v.0 as usize;
-        if let Some(w) = self.0.get_mut(i / 64) {
-            *w &= !(1 << (i % 64));
-        }
-    }
-
     /// Adds every member of `other`.
-    pub(crate) fn union_with(&mut self, other: &VRegSet) {
+    pub(crate) fn union_with(&mut self, other: VRegRow<'_>) {
         if other.0.len() > self.0.len() {
             self.0.resize(other.0.len(), 0);
         }
-        for (w, o) in self.0.iter_mut().zip(&other.0) {
+        for (w, o) in self.0.iter_mut().zip(other.0) {
             *w |= o;
         }
     }
 
-    /// Removes every member of `other`.
-    pub(crate) fn subtract(&mut self, other: &VRegSet) {
-        for (w, o) in self.0.iter_mut().zip(&other.0) {
-            *w &= !o;
-        }
-    }
-
     /// Keeps only the members of `other`.
-    pub(crate) fn intersect_with(&mut self, other: &VRegSet) {
+    pub(crate) fn intersect_with(&mut self, other: VRegRow<'_>) {
         for (k, w) in self.0.iter_mut().enumerate() {
             *w &= other.0.get(k).copied().unwrap_or(0);
         }
@@ -78,19 +69,106 @@ impl VRegSet {
 
     /// The members, in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        set_bits(&self.0).map(|i| VReg(i as u32))
+        self.as_row().iter()
     }
 
     /// The number of members.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_row().len()
     }
 
     /// True if the set has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
+        self.as_row().is_empty()
+    }
+}
+
+/// A borrowed set of virtual registers: one row of a [`VRegRows`]
+/// matrix, or a whole [`VRegSet`].
+#[derive(Clone, Copy, Debug)]
+pub struct VRegRow<'a>(&'a [u64]);
+
+impl<'a> VRegRow<'a> {
+    /// True if `v` is in the set.
+    #[must_use]
+    pub fn contains(self, v: VReg) -> bool {
+        let i = v.0 as usize;
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The members, in ascending id order.
+    pub fn iter(self) -> impl Iterator<Item = VReg> + 'a {
+        set_bits(self.0).map(|i| VReg(i as u32))
+    }
+
+    /// The number of members.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if the set has no members.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
         self.0.iter().all(|&w| w == 0)
+    }
+}
+
+/// Equally wide sets of virtual registers, row after row in one buffer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct VRegRows {
+    /// Words per row (at least one).
+    words: usize,
+    /// The rows, end to end.
+    bits: Vec<u64>,
+}
+
+impl VRegRows {
+    /// `rows` empty rows with room for ids `0..width`.
+    #[must_use]
+    pub(crate) fn new(rows: usize, width: usize) -> Self {
+        let words = width.div_ceil(64).max(1);
+        VRegRows {
+            words,
+            bits: vec![0; rows * words],
+        }
+    }
+
+    /// The number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bits.len() / self.words.max(1)
+    }
+
+    /// True if there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// Row `r`.
+    #[must_use]
+    pub fn row(&self, r: usize) -> VRegRow<'_> {
+        VRegRow(&self.bits[r * self.words..(r + 1) * self.words])
+    }
+
+    /// Row `r`, to change in place.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    /// Every row, in order.
+    pub fn rows(&self) -> impl Iterator<Item = VRegRow<'_>> {
+        self.bits.chunks_exact(self.words.max(1)).map(VRegRow)
+    }
+
+    /// Appends `set` (no wider than a row) as a new row.
+    pub(crate) fn push(&mut self, set: &VRegSet) {
+        let at = self.bits.len();
+        self.bits.resize(at + self.words, 0);
+        self.bits[at..at + set.0.len()].copy_from_slice(&set.0);
     }
 }
 
@@ -133,49 +211,58 @@ impl FromIterator<VReg> for VRegSet {
     }
 }
 
-/// Live-in/live-out sets per basic block.
+/// Live-in/live-out sets per basic block: row `bb` of each matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Liveness {
     /// Registers live at entry of each block.
-    pub live_in: Vec<VRegSet>,
+    pub live_in: VRegRows,
     /// Registers live at exit of each block.
-    pub live_out: Vec<VRegSet>,
+    pub live_out: VRegRows,
 }
 
 impl Liveness {
     /// True if `v` is live across any block boundary.
     #[must_use]
     pub fn crosses_blocks(&self, v: VReg) -> bool {
-        self.live_in.iter().any(|s| s.contains(v))
+        self.live_in.rows().any(|s| s.contains(v))
     }
 }
 
-/// Block `bb`'s transfer `in = gen ∪ (out − kill)` as `(gen, kill)`: the
-/// terminator, then the ops in reverse, each killing its unpredicated
-/// definition and then adding its uses.
-fn gen_kill(f: &Function, bb: usize) -> (VRegSet, VRegSet) {
+/// Sets bit `v` of `row`.
+fn set(row: &mut [u64], v: VReg) {
+    let i = v.0 as usize;
+    row[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `v` of `row`.
+fn clear(row: &mut [u64], v: VReg) {
+    let i = v.0 as usize;
+    row[i / 64] &= !(1 << (i % 64));
+}
+
+/// Block `bb`'s transfer `in = gen ∪ (out − kill)`, into the zeroed rows
+/// `gen` and `kill`: the terminator, then the ops in reverse, each
+/// killing its unpredicated definition and then adding its uses.
+fn gen_kill(f: &Function, bb: usize, gen: &mut [u64], kill: &mut [u64]) {
     let block = &f.blocks[bb];
-    let width = f.n_vregs as usize;
-    let (mut gen, mut kill) = (VRegSet::with_capacity(width), VRegSet::with_capacity(width));
     if let Terminator::Call { dst: Some(d), .. } = &block.term {
-        gen.remove(*d);
-        kill.insert(*d);
+        clear(gen, *d);
+        set(kill, *d);
     }
     for u in block.term.uses(f.link_vreg) {
-        gen.insert(u);
+        set(gen, u);
     }
     for op in block.ops.iter().rev() {
         if op.pred.is_empty() {
             if let Some(d) = op.kind.dst() {
-                gen.remove(d);
-                kill.insert(d);
+                clear(gen, d);
+                set(kill, d);
             }
         }
         for u in op.uses() {
-            gen.insert(u);
+            set(gen, u);
         }
     }
-    (gen, kill)
 }
 
 /// Computes block-boundary liveness for `f`: the least fixed point, by a
@@ -183,38 +270,53 @@ fn gen_kill(f: &Function, bb: usize) -> (VRegSet, VRegSet) {
 #[must_use]
 pub fn liveness(f: &Function) -> Liveness {
     let n = f.blocks.len();
-    let succs: Vec<Vec<usize>> = f
-        .blocks
-        .iter()
-        .map(|b| b.term.successors().iter().map(|s| s.0).collect())
-        .collect();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (bb, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            preds[s].push(bb);
+    let width = f.n_vregs as usize;
+    // Predecessor lists, end to end: block `b`'s are
+    // `preds[pred_start[b]..pred_start[b + 1]]`.
+    let mut pred_start = vec![0usize; n + 1];
+    for b in &f.blocks {
+        for s in b.term.successors() {
+            pred_start[s.0 + 1] += 1;
         }
     }
-    let transfer: Vec<(VRegSet, VRegSet)> = (0..n).map(|bb| gen_kill(f, bb)).collect();
-    let empty = VRegSet::with_capacity(f.n_vregs as usize);
-    let mut live_in = vec![empty.clone(); n];
-    let mut live_out = vec![empty; n];
+    for k in 0..n {
+        pred_start[k + 1] += pred_start[k];
+    }
+    let mut preds = vec![0usize; pred_start[n]];
+    let mut fill = pred_start.clone();
+    for (bb, b) in f.blocks.iter().enumerate() {
+        for s in b.term.successors() {
+            preds[fill[s.0]] = bb;
+            fill[s.0] += 1;
+        }
+    }
+    let (mut gen, mut kill) = (VRegRows::new(n, width), VRegRows::new(n, width));
+    for bb in 0..n {
+        gen_kill(f, bb, gen.row_mut(bb), kill.row_mut(bb));
+    }
+    let mut live_in = VRegRows::new(n, width);
+    let mut live_out = VRegRows::new(n, width);
     // Popped last block first, as a backward analysis converges fastest.
     let mut work: Vec<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(bb) = work.pop() {
         queued[bb] = false;
-        let mut out = VRegSet::with_capacity(f.n_vregs as usize);
-        for &s in &succs[bb] {
-            out.union_with(&live_in[s]);
+        let out = live_out.row_mut(bb);
+        out.fill(0);
+        for s in f.blocks[bb].term.successors() {
+            for (w, i) in out.iter_mut().zip(live_in.row(s.0).0) {
+                *w |= i;
+            }
         }
-        let (gen, kill) = &transfer[bb];
-        let mut inn = out.clone();
-        inn.subtract(kill);
-        inn.union_with(gen);
-        live_out[bb] = out;
-        if inn != live_in[bb] {
-            live_in[bb] = inn;
-            for &p in &preds[bb] {
+        let (g, k) = (gen.row(bb).0, kill.row(bb).0);
+        let mut grew = false;
+        for (i, w) in live_in.row_mut(bb).iter_mut().enumerate() {
+            let inn = g[i] | (out[i] & !k[i]);
+            grew |= inn != *w;
+            *w = inn;
+        }
+        if grew {
+            for &p in &preds[pred_start[bb]..pred_start[bb + 1]] {
                 if !queued[p] {
                     queued[p] = true;
                     work.push(p);
@@ -311,12 +413,12 @@ mod tests {
         let lv = liveness(&func);
         // i, acc, base, n all live into the loop header.
         for v in [i, acc, base, n] {
-            assert!(lv.live_in[h.0].contains(v), "{v} live into header");
+            assert!(lv.live_in.row(h.0).contains(v), "{v} live into header");
             assert!(lv.crosses_blocks(v));
         }
         // The loop condition c is consumed by the header's branch and is
         // not live into the body (the body doesn't read it).
-        assert!(!lv.live_in[body.0].contains(c));
+        assert!(!lv.live_in.row(body.0).contains(c));
     }
 
     #[test]
@@ -345,8 +447,8 @@ mod tests {
         let link = func.link_vreg;
         let lv = liveness(&func);
         // The link register must survive across the call (live into cont).
-        assert!(lv.live_in[cont.0].contains(link));
-        assert!(lv.live_in[0].contains(link));
+        assert!(lv.live_in.row(cont.0).contains(link));
+        assert!(lv.live_in.row(0).contains(link));
         let _ = pb;
     }
 
@@ -362,9 +464,9 @@ mod tests {
         f.ret(Some(out));
         let func = f.finish();
         let lv = liveness(&func);
-        assert!(lv.live_in[cont.0].contains(out));
+        assert!(lv.live_in.row(cont.0).contains(out));
         assert!(
-            !lv.live_in[0].contains(out),
+            !lv.live_in.row(0).contains(out),
             "dst defined by the call, not live before it"
         );
     }
@@ -387,7 +489,7 @@ mod tests {
         });
         let lv = liveness(&func);
         assert!(
-            lv.live_in[0].contains(x),
+            lv.live_in.row(0).contains(x),
             "old value may flow through the predicated def"
         );
     }
@@ -403,8 +505,8 @@ mod tests {
             let func = crate::fuzz::fuzz_function(&stmts, &seeds).finish();
             let lv = liveness(&func);
             let (live_in, live_out) = liveness_sets(&func);
-            let sets = |v: &[VRegSet]| -> Vec<Vec<VReg>> {
-                v.iter().map(|s| s.iter().collect()).collect()
+            let sets = |v: &VRegRows| -> Vec<Vec<VReg>> {
+                v.rows().map(|s| s.iter().collect()).collect()
             };
             let ordered = |v: &[std::collections::BTreeSet<VReg>]| -> Vec<Vec<VReg>> {
                 v.iter().map(|s| s.iter().copied().collect()).collect()

@@ -16,80 +16,130 @@ use clp_isa::{InstId, Instruction, Target};
 /// returned unchanged (validation will reject them with a better error).
 #[must_use]
 pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
+    scheduled(&insts, n_cores).unwrap_or(insts)
+}
+
+/// [`schedule`] into a new vector of exactly `insts.len()`, or `None`
+/// for a block it leaves unchanged. Its working state is a few arrays of
+/// `MAX_BLOCK_INSTRUCTIONS` bytes on the stack: every instruction index
+/// fits a byte.
+#[must_use]
+pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Instruction>> {
+    const MAX: usize = clp_isa::MAX_BLOCK_INSTRUCTIONS;
+    const NONE: u8 = u8::MAX;
     let n = insts.len();
-    if n == 0 || n > clp_isa::MAX_BLOCK_INSTRUCTIONS || !n_cores.is_power_of_two() {
-        return insts;
+    if n == 0 || n > MAX || !n_cores.is_power_of_two() {
+        return None;
     }
 
-    // Build producer lists and a topological order (Kahn).
-    let mut indeg = vec![0usize; n];
-    let mut first_producer: Vec<Option<usize>> = vec![None; n];
+    // Build producer lists and a topological order (Kahn). A block has
+    // at most two targets per instruction, so in-degrees fit 16 bits.
+    let mut indeg = [0u16; MAX];
+    let mut first_producer = [NONE; MAX];
     for (i, inst) in insts.iter().enumerate() {
         for t in inst.targets() {
             let c = t.inst.index();
             indeg[c] += 1;
-            if first_producer[c].is_none() {
-                first_producer[c] = Some(i);
+            if first_producer[c] == NONE {
+                first_producer[c] = i as u8;
             }
         }
     }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut topo = Vec::with_capacity(n);
-    let mut qi = 0;
-    while qi < queue.len() {
-        let i = queue[qi];
-        qi += 1;
-        topo.push(i);
+    // `topo[..len]` is the order so far; `topo[head..len]` the queue.
+    let mut topo = [0u8; MAX];
+    let mut len = 0;
+    for i in (0..n).filter(|&i| indeg[i] == 0) {
+        topo[len] = i as u8;
+        len += 1;
+    }
+    let mut head = 0;
+    while head < len {
+        let i = usize::from(topo[head]);
+        head += 1;
         for t in insts[i].targets() {
             let c = t.inst.index();
             indeg[c] -= 1;
             if indeg[c] == 0 {
-                queue.push(c);
+                topo[len] = c as u8;
+                len += 1;
             }
         }
     }
-    if topo.len() != n {
+    if len != n {
         // Cyclic (invalid) block: leave untouched for validation to report.
-        return insts;
+        return None;
     }
 
     // The free IDs of residue class `r` are `next[r]`, `next[r] +
-    // n_cores`, ... below `n`: each class hands out its smallest first.
-    let mut next: Vec<usize> = (0..n_cores).collect();
+    // n_cores`, ... below `n`: each class hands out its smallest first,
+    // and bit `r` of `free` says it has one left. A class at or past `n`
+    // never has one, so only the first `n` are kept.
+    let mut next = [0u8; MAX];
+    for (r, slot) in next[..n].iter_mut().enumerate() {
+        *slot = r as u8;
+    }
+    let mut free = (0..n.min(n_cores)).fold(0u128, |m, r| m | 1 << r);
 
-    let mut new_id: Vec<usize> = vec![usize::MAX; n];
+    let mut new_id = [NONE; MAX];
     let mut rr = 0usize; // round-robin for source instructions
-    for &i in &topo {
+    for &i in &topo[..n] {
+        let i = usize::from(i);
+        // `n_cores` is a power of two: `& (n_cores - 1)` is `% n_cores`.
         let preferred = match first_producer[i] {
-            Some(p) if new_id[p] != usize::MAX => new_id[p] % n_cores,
+            p if p != NONE && new_id[usize::from(p)] != NONE => {
+                usize::from(new_id[usize::from(p)]) & (n_cores - 1)
+            }
             _ => {
-                rr = (rr + 1) % n_cores;
+                rr = (rr + 1) & (n_cores - 1);
                 rr
             }
         };
-        let residue = pick(|r| next[r] < n, preferred, n_cores);
+        let residue = pick(free, preferred, n_cores);
         new_id[i] = next[residue];
-        next[residue] += n_cores;
+        let after = usize::from(next[residue]) + n_cores;
+        if after >= n {
+            free &= !(1 << residue);
+        } else {
+            next[residue] = after as u8;
+        }
     }
 
     // Apply the permutation.
-    let mut old_id = vec![0usize; n];
-    for (i, &id) in new_id.iter().enumerate() {
-        old_id[id] = i;
+    let mut old_id = [0u8; MAX];
+    for (i, &id) in new_id[..n].iter().enumerate() {
+        old_id[usize::from(id)] = i as u8;
     }
-    old_id
-        .iter()
-        .map(|&i| {
-            let mut inst = insts[i].clone();
-            for t in inst.targets.iter_mut().flatten() {
-                *t = Target::new(InstId::new(new_id[t.inst.index()]), t.operand);
-            }
-            inst
-        })
-        .collect()
+    Some(
+        old_id[..n]
+            .iter()
+            .map(|&i| {
+                let mut inst = insts[usize::from(i)].clone();
+                for t in inst.targets.iter_mut().flatten() {
+                    let id = usize::from(new_id[t.inst.index()]);
+                    *t = Target::new(InstId::new(id), t.operand);
+                }
+                inst
+            })
+            .collect(),
+    )
 }
 
-/// The free residue class (`is_free`) sharing the most low-order bits
+/// `EVERY[k]`: bits `0`, `2 << k`, `2 * (2 << k)`, ... of a `u128`.
+const EVERY: [u128; 7] = {
+    let mut every = [0; 7];
+    let mut k = 0;
+    while k < 7 {
+        let mut bit = 0;
+        while bit < 128 {
+            every[k] |= 1 << bit;
+            bit += 2 << k;
+        }
+        k += 1;
+    }
+    every
+};
+
+/// The free residue class (bit `r` of `free`) sharing the most low-order bits
 /// with `preferred`: instruction IDs select the core by their low bits,
 /// so maximal low-bit agreement preserves producer/consumer co-location
 /// for every smaller composition even when the exact class is full.
@@ -99,23 +149,37 @@ pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
 /// The classes agreeing with `preferred` in exactly `k` low bits are
 /// those congruent to `preferred ^ (1 << k)` modulo `2 << k`, so the
 /// pick walks `k` down from the exact class and stops at the first
-/// level holding a free one.
-fn pick(is_free: impl Fn(usize) -> bool, preferred: usize, n_cores: usize) -> usize {
-    if is_free(preferred) {
+/// level holding a free one. Of a level's free classes, the nearest is
+/// the highest below `preferred` or the lowest above it.
+fn pick(free: u128, preferred: usize, n_cores: usize) -> usize {
+    if preferred < 128 && free >> preferred & 1 == 1 {
         return preferred;
     }
     for k in (0..n_cores.trailing_zeros()).rev() {
-        let step = 2 << k;
-        let mut best: Option<usize> = None;
-        for r in ((preferred ^ (1 << k)) % step..n_cores).step_by(step) {
-            let nearer = best.is_none_or(|b| r.abs_diff(preferred) <= b.abs_diff(preferred));
-            if is_free(r) && nearer {
-                best = Some(r);
-            }
+        let first = (preferred ^ (1 << k)) & ((2 << k) - 1);
+        if first >= 128 {
+            continue;
         }
-        if let Some(r) = best {
-            return r;
+        // Bits `first`, `first + (2 << k)`, ...: the level's classes.
+        let level = EVERY.get(k as usize).map_or(1, |&every| every) << first;
+        let free = free & level;
+        if free == 0 {
+            continue;
         }
+        let below = if preferred >= 128 {
+            free
+        } else {
+            free & ((1 << preferred) - 1)
+        };
+        let above = free & !below;
+        let lo = (below != 0).then(|| 127 - below.leading_zeros() as usize);
+        let hi = (above != 0).then(|| above.trailing_zeros() as usize);
+        return match (lo, hi) {
+            (Some(l), Some(h)) if h - preferred > preferred - l => l,
+            (_, Some(h)) => h,
+            (Some(l), None) => l,
+            (None, None) => unreachable!("the level holds a free class"),
+        };
     }
     unreachable!("a slot is free by counting")
 }
@@ -241,7 +305,7 @@ mod tests {
                 let is_free = |r: usize| free >> r & 1 == 1;
                 for preferred in 0..n_cores {
                     assert_eq!(
-                        pick(is_free, preferred, n_cores),
+                        pick(u128::from(free), preferred, n_cores),
                         pick_by_scan(is_free, preferred, n_cores),
                         "n_cores {n_cores}, free {free:#b}, preferred {preferred}"
                     );

@@ -7,7 +7,7 @@
 //! additionally assigned caller-save frame slots.
 
 use crate::ir::{Function, Terminator, VReg};
-use crate::liveness::{set_bits, Liveness, VRegSet};
+use crate::liveness::{set_bits, Liveness, VRegRows, VRegSet};
 use clp_isa::Reg;
 
 /// First general-purpose allocatable register (below are the argument
@@ -111,8 +111,13 @@ impl Interference {
 /// Builds the interference graph of `lv`'s boundary sets and
 /// `extra_cliques`.
 #[must_use]
-pub(crate) fn interference(lv: &Liveness, extra_cliques: &[VRegSet]) -> Interference {
-    let cliques = || lv.live_in.iter().chain(&lv.live_out).chain(extra_cliques);
+pub(crate) fn interference(lv: &Liveness, extra_cliques: &VRegRows) -> Interference {
+    let cliques = || {
+        lv.live_in
+            .rows()
+            .chain(lv.live_out.rows())
+            .chain(extra_cliques.rows())
+    };
     let mut crossing = VRegSet::default();
     for s in cliques() {
         crossing.union_with(s);
@@ -184,7 +189,7 @@ pub(crate) fn interference_sets(
 pub fn allocate(
     f: &Function,
     lv: &Liveness,
-    extra_cliques: &[VRegSet],
+    extra_cliques: &VRegRows,
 ) -> Result<Allocation, RegPressureError> {
     let graph = interference(lv, extra_cliques);
     let n = graph.verts.len();
@@ -224,7 +229,7 @@ pub fn allocate(
     let mut slots = 0;
     for b in &f.blocks {
         if let Terminator::Call { dst, cont, .. } = &b.term {
-            for v in lv.live_in[cont.0].iter() {
+            for v in lv.live_in.row(cont.0).iter() {
                 let slot = &mut frame_slot[v.0 as usize];
                 if Some(v) != *dst && slot.is_none() {
                     *slot = Some(slots);
@@ -246,7 +251,8 @@ pub fn allocate(
 /// minus the call destination.
 #[must_use]
 pub fn saved_across_call(lv: &Liveness, cont: crate::ir::BbId, dst: Option<VReg>) -> Vec<VReg> {
-    lv.live_in[cont.0]
+    lv.live_in
+        .row(cont.0)
         .iter()
         .filter(|&v| Some(v) != dst)
         .collect()
@@ -277,7 +283,7 @@ mod tests {
         f.ret(Some(u));
         let func = f.finish();
         let lv = liveness(&func);
-        let alloc = allocate(&func, &lv, &[]).unwrap();
+        let alloc = allocate(&func, &lv, &VRegRows::default()).unwrap();
         // a and t are both crossing; they interfere? a live into b1,
         // t live into b2; never co-live.
         assert_ne!(alloc.try_reg(a), None);
@@ -299,7 +305,7 @@ mod tests {
         f.ret(Some(s));
         let func = f.finish();
         let lv = liveness(&func);
-        let alloc = allocate(&func, &lv, &[]).unwrap();
+        let alloc = allocate(&func, &lv, &VRegRows::default()).unwrap();
         assert_ne!(alloc.reg(x), alloc.reg(y));
     }
 
@@ -319,7 +325,7 @@ mod tests {
         let func = f.finish();
         let link = func.link_vreg;
         let lv = liveness(&func);
-        let alloc = allocate(&func, &lv, &[]).unwrap();
+        let alloc = allocate(&func, &lv, &VRegRows::default()).unwrap();
         // y and the link must be saved; out comes back in r1.
         assert!(alloc.slot(y).is_some());
         assert!(alloc.slot(link).is_some());
@@ -336,7 +342,7 @@ mod tests {
         f.ret(Some(x));
         let func = f.finish();
         let lv = liveness(&func);
-        let alloc = allocate(&func, &lv, &[]).unwrap();
+        let alloc = allocate(&func, &lv, &VRegRows::default()).unwrap();
         assert_eq!(alloc.frame_bytes, 0);
     }
 
@@ -354,7 +360,7 @@ mod tests {
         f.ret(Some(acc));
         let func = f.finish();
         let lv = liveness(&func);
-        let alloc = allocate(&func, &lv, &[]).unwrap();
+        let alloc = allocate(&func, &lv, &VRegRows::default()).unwrap();
         for r in alloc.reg_of.iter().flatten() {
             assert!((FIRST_ALLOC_REG..=LAST_ALLOC_REG).contains(&r.index()));
         }
@@ -377,7 +383,7 @@ mod tests {
             let graph = interference(&lv, &cliques);
             let (live_in, live_out) = liveness_sets(&func);
             let boundary: Vec<BTreeSet<VReg>> = live_in.into_iter().chain(live_out).collect();
-            let extra: Vec<BTreeSet<VReg>> = cliques.iter().map(|c| c.iter().collect()).collect();
+            let extra: Vec<BTreeSet<VReg>> = cliques.rows().map(|c| c.iter().collect()).collect();
             let (verts, adj) = interference_sets(&boundary, &extra);
             proptest::prop_assert_eq!(&graph.verts, &verts);
             for (i, row) in adj.iter().enumerate() {

@@ -164,12 +164,22 @@ impl Block {
             return Err(BlockError::TooManyInstructions(n));
         }
 
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
+        // Each list is allocated once, at the size the block needs.
+        let (mut n_reads, mut n_writes, mut n_branches) = (0, 0, 0);
+        for inst in &instructions {
+            match inst.opcode {
+                Opcode::Read => n_reads += 1,
+                Opcode::Write => n_writes += 1,
+                Opcode::Bro => n_branches += 1,
+                _ => {}
+            }
+        }
+        let mut reads = Vec::with_capacity(n_reads);
+        let mut writes = Vec::with_capacity(n_writes);
         // Bit `r` of the register mask, bit `l` of the LSID masks.
         let mut write_regs = 0u128;
         let (mut lsids, mut store_lsids) = (0u32, 0u32);
-        let mut exits: Vec<ExitSummary> = Vec::new();
+        let mut exits: Vec<ExitSummary> = Vec::with_capacity(n_branches);
 
         for (i, inst) in instructions.iter().enumerate() {
             match inst.opcode {
@@ -244,22 +254,23 @@ impl Block {
         Self::check_acyclic(&instructions)?;
 
         exits.sort_by_key(|e| e.exit_id);
+        let mut store_lsid_list = Vec::with_capacity(store_lsids.count_ones() as usize);
+        store_lsid_list.extend((0..MAX_BLOCK_LSIDS as u8).filter(|&l| store_lsids >> l & 1 == 1));
         Ok(Block {
             address,
             instructions,
             reads,
             writes,
-            store_lsids: (0..MAX_BLOCK_LSIDS as u8)
-                .filter(|&l| store_lsids >> l & 1 == 1)
-                .collect(),
+            store_lsids: store_lsid_list,
             exits,
         })
     }
 
     fn check_targets(instructions: &[Instruction]) -> Result<(), BlockError> {
         let n = instructions.len();
-        // Track, per instruction, which operand slots are fed.
-        let mut fed = vec![[false; 3]; n];
+        // Track, per instruction, which operand slots are fed (a block
+        // has at most `MAX_BLOCK_INSTRUCTIONS`, checked before this).
+        let mut fed = [[false; 3]; MAX_BLOCK_INSTRUCTIONS];
         for (i, inst) in instructions.iter().enumerate() {
             for t in inst.targets() {
                 let ti = t.inst.index();
@@ -306,30 +317,43 @@ impl Block {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
+        // The path holds each instruction at most once, so both arrays
+        // fit a block of `MAX_BLOCK_INSTRUCTIONS` (checked before this).
         let n = instructions.len();
-        let mut color = vec![WHITE; n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
+        let mut color = [WHITE; MAX_BLOCK_INSTRUCTIONS];
+        // `stack[..depth]`: the DFS path, each node with its next edge.
+        // (Indices below 128 and edges below 2 fit a byte each.)
+        let mut stack = [(0u8, 0u8); MAX_BLOCK_INSTRUCTIONS];
         for root in 0..n {
             if color[root] != WHITE {
                 continue;
             }
-            stack.push((root, 0));
+            stack[0] = (root as u8, 0);
+            let mut depth = 1;
             color[root] = GRAY;
-            while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-                if let Some(t) = instructions[node].targets().nth(*edge) {
+            while depth > 0 {
+                // `edge` walks the target slots in order, skipping empty
+                // ones: the order `targets()` yields them in.
+                let (node, ref mut edge) = stack[depth - 1];
+                let targets = &instructions[usize::from(node)].targets;
+                while usize::from(*edge) < targets.len() && targets[usize::from(*edge)].is_none() {
+                    *edge += 1;
+                }
+                if let Some(t) = targets.get(usize::from(*edge)).copied().flatten() {
                     let next = t.inst.index();
                     *edge += 1;
                     match color[next] {
                         WHITE => {
                             color[next] = GRAY;
-                            stack.push((next, 0));
+                            stack[depth] = (next as u8, 0);
+                            depth += 1;
                         }
                         GRAY => return Err(BlockError::CyclicDataflow(next)),
                         _ => {}
                     }
                 } else {
-                    color[node] = BLACK;
-                    stack.pop();
+                    color[usize::from(node)] = BLACK;
+                    depth -= 1;
                 }
             }
         }

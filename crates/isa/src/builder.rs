@@ -50,6 +50,19 @@ impl BlockBuilder {
         }
     }
 
+    /// Starts building a block at `address` in `buffer`'s storage,
+    /// dropping its contents: a compiler lowering many blocks reuses one
+    /// buffer, taking it back with [`BlockBuilder::into_instructions`].
+    #[must_use]
+    pub fn with_buffer(address: BlockAddr, mut buffer: Vec<Instruction>) -> Self {
+        buffer.clear();
+        BlockBuilder {
+            address,
+            insts: buffer,
+            pred: None,
+        }
+    }
+
     /// Number of instructions appended so far (including fan-out movs).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -22,12 +22,17 @@ fn is_sink(block: &Block, i: usize) -> bool {
     }
 }
 
-/// Runs the dead-dataflow analysis on one block.
-pub fn analyze(block: &Block, g: &BlockGraph) -> Vec<Diagnostic> {
+/// Runs the dead-dataflow analysis on one block, adding its findings to
+/// `diags`.
+pub fn analyze(block: &Block, g: &BlockGraph, diags: &mut Vec<Diagnostic>) {
     let insts = block.instructions();
     let addr = block.address();
     let n = insts.len();
-    let mut live: Vec<bool> = (0..n).map(|i| is_sink(block, i)).collect();
+    // Bit `i`: instruction `i` is live (a block has at most 128).
+    let is_live = |live: u128, i: usize| live >> i & 1 == 1;
+    let mut live = (0..n)
+        .filter(|&i| is_sink(block, i))
+        .fold(0u128, |m, i| m | 1 << i);
     // Reverse-topological propagation: feeding a live instruction is
     // live. A store-nullifying null never delivers to targets, so its
     // targets do not keep it (or anything) alive — but it is a sink
@@ -35,26 +40,23 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> Vec<Diagnostic> {
     // edges keep their producers live because the null consumes them.
     for idx in (0..g.topo.len()).rev() {
         let i = g.topo[idx];
-        if live[i] {
-            continue;
+        if !is_live(live, i) && insts[i].targets().any(|t| is_live(live, t.inst.index())) {
+            live |= 1 << i;
         }
-        live[i] = insts[i].targets().any(|t| live[t.inst.index()]);
     }
-    let mut diags = Vec::new();
-    for i in 0..n {
-        if !live[i] {
+    for (i, inst) in insts.iter().enumerate() {
+        if !is_live(live, i) {
             diags.push(
                 Diagnostic::new(
                     LintCode::DeadDataflow,
                     Span::inst(addr, i),
                     format!(
                         "result of {} reaches no register write, store, or branch",
-                        insts[i].opcode
+                        inst.opcode
                     ),
                 )
                 .with_note("the instruction occupies an issue-window slot for no effect"),
             );
         }
     }
-    diags
 }

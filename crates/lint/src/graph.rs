@@ -5,10 +5,24 @@
 //! dangling targets), so the topological sort always covers every
 //! instruction and target indices are always in range.
 
-use clp_isa::{value, Block, Instruction, Opcode, Operand};
+use clp_isa::{value, Block, Instruction, Opcode, Operand, MAX_BLOCK_INSTRUCTIONS};
+
+/// Room for one entry per instruction of the largest block.
+pub(crate) const ROOM: usize = MAX_BLOCK_INSTRUCTIONS;
+
+/// Empties `v` and refills it with `len` copies of `x`, reserving `room`
+/// entries first: sized for the largest block, a buffer kept across the
+/// blocks of a lint run grows once.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, x: T, room: usize) {
+    v.clear();
+    v.reserve(room.max(len));
+    v.resize(len, x);
+}
 
 /// Dataflow facts about one block, computed once and shared by the
-/// analyses.
+/// analyses. A lint run rebuilds one graph in place for every block of a
+/// program ([`BlockGraph::rebuild`]), so its buffers are allocated once.
+#[derive(Default)]
 pub struct BlockGraph {
     /// Every operand slot's producers, slot after slot (instruction `i`'s
     /// slot `s` is slot `3 * i + s`), each slot's in ascending order.
@@ -16,6 +30,15 @@ pub struct BlockGraph {
     /// Where slot `k`'s producers start in `producer_list`; one entry per
     /// slot plus the end.
     producer_start: Vec<usize>,
+    /// Whether some store-nullifying null names targets: those resolve a
+    /// store slot but never deliver, so only then do the delivering
+    /// lists differ from the producer lists.
+    null_fanout: bool,
+    /// The producer lists without the store-nullifying nulls, when
+    /// `null_fanout`.
+    delivering_list: Vec<usize>,
+    /// Where slot `k`'s delivering producers start in `delivering_list`.
+    delivering_start: Vec<usize>,
     /// Instruction indices in topological (producer-before-consumer)
     /// order.
     pub topo: Vec<usize>,
@@ -26,6 +49,9 @@ pub struct BlockGraph {
     /// `desc[i]`: bitset of instructions transitively reachable from `i`
     /// along dataflow targets (not including `i` itself).
     pub desc: Vec<u128>,
+    /// Kahn's algorithm's in-degrees and ready stack.
+    indegree: Vec<usize>,
+    ready: Vec<usize>,
 }
 
 /// Whether `value::eval` models this opcode exactly (pure value
@@ -34,70 +60,117 @@ pub fn foldable(op: Opcode) -> bool {
     op.produces_value() && !op.is_load() && !matches!(op, Opcode::Read | Opcode::Null | Opcode::Bro)
 }
 
+/// A store-nullifying `null` resolves a store slot but never delivers to
+/// its dataflow targets (the simulator drops them).
+pub fn is_null_store(inst: &Instruction) -> bool {
+    inst.opcode == Opcode::Null && inst.lsid.is_some()
+}
+
+/// Lays the targets of `insts` (those of producers `keep` accepts) out
+/// slot by slot: `start[k]..start[k + 1]` of `list` are slot `k`'s
+/// producers, ascending.
+fn slot_lists(
+    insts: &[Instruction],
+    keep: impl Fn(&Instruction) -> bool,
+    start: &mut Vec<usize>,
+    list: &mut Vec<usize>,
+) {
+    let slot_of = |t: &clp_isa::Target| 3 * t.inst.index() + t.operand.encode() as usize;
+    let slots = 3 * insts.len();
+    // Count each slot's producers, place the slots end to end, then fill
+    // them in producer order, advancing each slot's start as it fills and
+    // shifting the starts back afterwards.
+    refill(start, slots + 1, 0, 3 * ROOM + 1);
+    for inst in insts.iter().filter(|i| keep(i)) {
+        for t in inst.targets() {
+            start[slot_of(&t) + 1] += 1;
+        }
+    }
+    for k in 0..slots {
+        start[k + 1] += start[k];
+    }
+    // At most two targets per instruction.
+    refill(list, start[slots], 0, 2 * ROOM);
+    for (i, inst) in insts.iter().enumerate().filter(|(_, i)| keep(i)) {
+        for t in inst.targets() {
+            let k = slot_of(&t);
+            list[start[k]] = i;
+            start[k] += 1;
+        }
+    }
+    for k in (0..slots).rev() {
+        start[k + 1] = start[k];
+    }
+    start[0] = 0;
+}
+
 impl BlockGraph {
     /// Computes the graph facts for a validated block.
     pub fn new(block: &Block) -> Self {
+        let mut g = BlockGraph::default();
+        g.rebuild(block);
+        g
+    }
+
+    /// Recomputes the graph facts for a validated block in place.
+    pub fn rebuild(&mut self, block: &Block) {
         let insts = block.instructions();
         let n = insts.len();
-        let slot_of = |t: &clp_isa::Target| 3 * t.inst.index() + t.operand.encode() as usize;
-        // Count each slot's producers, place the slots end to end, then
-        // fill them in producer order.
-        let mut producer_start = vec![0usize; 3 * n + 1];
-        let mut indegree = vec![0usize; n];
-        for inst in insts {
-            for t in inst.targets() {
-                producer_start[slot_of(&t) + 1] += 1;
-                indegree[t.inst.index()] += 1;
-            }
-        }
-        for k in 0..3 * n {
-            producer_start[k + 1] += producer_start[k];
-        }
-        let mut fill = producer_start.clone();
-        let mut producer_list = vec![0usize; producer_start[3 * n]];
-        for (i, inst) in insts.iter().enumerate() {
-            for t in inst.targets() {
-                producer_list[fill[slot_of(&t)]] = i;
-                fill[slot_of(&t)] += 1;
-            }
+        slot_lists(
+            insts,
+            |_| true,
+            &mut self.producer_start,
+            &mut self.producer_list,
+        );
+        self.null_fanout = insts
+            .iter()
+            .any(|i| is_null_store(i) && i.target_count() > 0);
+        if self.null_fanout {
+            slot_lists(
+                insts,
+                |i| !is_null_store(i),
+                &mut self.delivering_start,
+                &mut self.delivering_list,
+            );
         }
         // Kahn's algorithm; the block is acyclic by construction so every
         // instruction is emitted.
-        let mut topo = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        while let Some(i) = ready.pop() {
-            topo.push(i);
+        refill(&mut self.indegree, n, 0, ROOM);
+        for inst in insts {
+            for t in inst.targets() {
+                self.indegree[t.inst.index()] += 1;
+            }
+        }
+        refill(&mut self.topo, 0, 0, ROOM);
+        refill(&mut self.ready, 0, 0, ROOM);
+        self.ready.extend((0..n).filter(|&i| self.indegree[i] == 0));
+        while let Some(i) = self.ready.pop() {
+            self.topo.push(i);
             for t in insts[i].targets() {
                 let j = t.inst.index();
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.push(j);
+                self.indegree[j] -= 1;
+                if self.indegree[j] == 0 {
+                    self.ready.push(j);
                 }
             }
         }
-        debug_assert_eq!(topo.len(), n);
+        debug_assert_eq!(self.topo.len(), n);
 
-        let mut g = BlockGraph {
-            producer_list,
-            producer_start,
-            topo,
-            cval: vec![None; n],
-            desc: vec![0u128; n],
-        };
-        for idx in 0..g.topo.len() {
-            let i = g.topo[idx];
-            g.cval[i] = g.fold(&insts[i], i);
+        refill(&mut self.cval, n, None, ROOM);
+        refill(&mut self.desc, n, 0, ROOM);
+        for idx in 0..self.topo.len() {
+            let i = self.topo[idx];
+            self.cval[i] = self.fold(&insts[i], i);
         }
-        for idx in (0..g.topo.len()).rev() {
-            let i = g.topo[idx];
+        for idx in (0..self.topo.len()).rev() {
+            let i = self.topo[idx];
             let mut d = 0u128;
             for t in insts[i].targets() {
                 let j = t.inst.index();
-                d |= (1u128 << j) | g.desc[j];
+                d |= (1u128 << j) | self.desc[j];
             }
-            g.desc[i] = d;
+            self.desc[i] = d;
         }
-        g
     }
 
     /// The instructions targeting operand `slot` (0 = left, 1 = right,
@@ -105,6 +178,17 @@ impl BlockGraph {
     pub fn producers(&self, i: usize, slot: usize) -> &[usize] {
         let k = 3 * i + slot;
         &self.producer_list[self.producer_start[k]..self.producer_start[k + 1]]
+    }
+
+    /// The instructions that can deliver a token to operand `slot` of
+    /// instruction `i`: [`BlockGraph::producers`] without the
+    /// store-nullifying nulls, in ascending order.
+    pub fn delivering(&self, i: usize, slot: usize) -> &[usize] {
+        if !self.null_fanout {
+            return self.producers(i, slot);
+        }
+        let k = 3 * i + slot;
+        &self.delivering_list[self.delivering_start[k]..self.delivering_start[k + 1]]
     }
 
     /// The constant delivered to operand `slot` of instruction `i`, if

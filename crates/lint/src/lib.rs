@@ -382,13 +382,25 @@ impl ToValue for LintReport {
     }
 }
 
-fn collect_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let g = graph::BlockGraph::new(block);
-    let (mut diags, facts) = predicate::analyze(block, &g);
-    diags.extend(lsid::analyze(block, &g, &facts));
-    diags.extend(dataflow::analyze(block, &g));
-    diags.extend(placement::analyze(block, &g, cfg));
-    diags
+/// The working state of the per-block analyses, kept across the blocks
+/// of a program so that linting a block allocates nothing but its
+/// diagnostics.
+#[derive(Default)]
+struct Scratch {
+    graph: graph::BlockGraph,
+    predicate: predicate::Scratch,
+    mem_ops: Vec<lsid::MemOp>,
+}
+
+/// Runs every per-block analysis on `block`, adding the findings to
+/// `diags`.
+fn collect_block(block: &Block, cfg: &LintConfig, s: &mut Scratch, diags: &mut Vec<Diagnostic>) {
+    s.graph.rebuild(block);
+    let g = &s.graph;
+    let facts = predicate::analyze(block, g, &mut s.predicate, diags);
+    lsid::analyze(block, g, &facts, &mut s.mem_ops, diags);
+    dataflow::analyze(block, g, diags);
+    placement::analyze(block, g, cfg, diags);
 }
 
 /// Lints a single hyperblock with the given configuration.
@@ -397,17 +409,20 @@ fn collect_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
 /// whole-program rules require [`lint_program`].
 #[must_use]
 pub fn lint_block(block: &Block, cfg: &LintConfig) -> Vec<Diagnostic> {
-    sorted(collect_block(block, cfg))
+    let mut diags = Vec::new();
+    collect_block(block, cfg, &mut Scratch::default(), &mut diags);
+    sorted(diags)
 }
 
 /// Lints every block of a program plus the whole-program rules.
 #[must_use]
 pub fn lint_program(p: &EdgeProgram, cfg: &LintConfig) -> LintReport {
     let mut diags = Vec::new();
+    let mut scratch = Scratch::default();
     for (_, block) in p.iter() {
-        diags.extend(collect_block(block, cfg));
+        collect_block(block, cfg, &mut scratch, &mut diags);
     }
-    diags.extend(program::analyze(p));
+    program::analyze(p, &mut diags);
     LintReport {
         diagnostics: sorted(diags),
     }

@@ -27,7 +27,7 @@ use crate::{Diagnostic, LintCode, Span};
 use clp_isa::{Block, Instruction, Opcode, Operand};
 
 /// A memory operation participating in LSID order.
-struct MemOp {
+pub(crate) struct MemOp {
     inst: usize,
     lsid: usize,
     is_load: bool,
@@ -44,9 +44,10 @@ fn access_width(op: Opcode) -> u64 {
     }
 }
 
-fn mem_ops(block: &Block, g: &BlockGraph) -> Vec<MemOp> {
+fn mem_ops(block: &Block, g: &BlockGraph, out: &mut Vec<MemOp>) {
     let insts = block.instructions();
-    let mut out = Vec::new();
+    out.clear();
+    out.reserve(crate::graph::ROOM);
     for (i, inst) in insts.iter().enumerate() {
         let is_mem = inst.opcode.is_load() || inst.opcode.is_store();
         let is_null = inst.opcode == Opcode::Null && inst.lsid.is_some();
@@ -70,7 +71,6 @@ fn mem_ops(block: &Block, g: &BlockGraph) -> Vec<MemOp> {
             range,
         });
     }
-    out
 }
 
 fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
@@ -85,13 +85,20 @@ fn mem_desc(inst: &Instruction) -> String {
     )
 }
 
-/// Runs the LSID analysis on one block.
-pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnostic> {
+/// Runs the LSID analysis on one block, adding its findings to `diags`;
+/// `ops` is working space.
+pub fn analyze(
+    block: &Block,
+    g: &BlockGraph,
+    facts: &PathFacts,
+    ops: &mut Vec<MemOp>,
+    diags: &mut Vec<Diagnostic>,
+) {
     let insts = block.instructions();
     let addr = block.address();
-    let ops = mem_ops(block, g);
-    let mut diags = Vec::new();
+    mem_ops(block, g, ops);
 
+    let ops = &*ops;
     for (x, a) in ops.iter().enumerate() {
         for b in &ops[x + 1..] {
             // Duplicate LSID with a load involved, on a common path.
@@ -114,11 +121,11 @@ pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnost
         }
     }
 
-    for a in &ops {
+    for a in ops {
         if a.is_null {
             continue;
         }
-        for b in &ops {
+        for b in ops {
             if b.is_null || a.inst == b.inst {
                 continue;
             }
@@ -174,6 +181,4 @@ pub fn analyze(block: &Block, g: &BlockGraph, facts: &PathFacts) -> Vec<Diagnost
             }
         }
     }
-
-    diags
 }

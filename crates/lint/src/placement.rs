@@ -17,7 +17,7 @@
 
 use crate::graph::BlockGraph;
 use crate::{Diagnostic, LintCode, LintConfig, Span};
-use clp_isa::{Block, Opcode};
+use clp_isa::{Block, Opcode, MAX_BLOCK_INSTRUCTIONS};
 use clp_noc::{rect_hops, region_rect, MeshConfig};
 
 /// Mesh hop distance above which an operand route is flagged.
@@ -25,17 +25,22 @@ const MAX_ROUTE_HOPS: u32 = 6;
 /// Mov-tree depth above which a fanout tree is flagged.
 const MAX_FANOUT_DEPTH: u32 = 4;
 
-/// Runs the placement-cost analysis on one block.
-pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
+/// Runs the placement-cost analysis on one block, adding its findings to
+/// `diags`.
+pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
     let insts = block.instructions();
     let addr = block.address();
-    let mut diags = Vec::new();
 
     let mesh = MeshConfig::tflex_operand();
     if let Ok((rect_w, _)) = region_rect(&mesh, cfg.placement_cores) {
         let n = cfg.placement_cores;
         for (i, inst) in insts.iter().enumerate() {
-            for t in inst.targets() {
+            // `n` is a power of two (`region_rect` takes no other size):
+            // a target on the producer's own core is zero hops away.
+            let remote = inst
+                .targets()
+                .filter(|t| (i ^ t.inst.index()) & (n - 1) != 0);
+            for t in remote {
                 let hops = rect_hops(i % n, t.inst.index() % n, rect_w) as u32;
                 if hops > MAX_ROUTE_HOPS {
                     diags.push(
@@ -58,7 +63,7 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnosti
     // Depth of the mov chain ending at each mov: one more than the
     // deepest mov feeding its value operand. Producers precede
     // consumers in topological order, so one forward pass suffices.
-    let mut depth = vec![0u32; insts.len()];
+    let mut depth = [0u32; MAX_BLOCK_INSTRUCTIONS];
     let mut deepest: Option<(usize, u32)> = None;
     for &i in &g.topo {
         if insts[i].opcode != Opcode::Mov {
@@ -87,6 +92,4 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig) -> Vec<Diagnosti
             );
         }
     }
-
-    diags
 }

@@ -30,10 +30,10 @@
 //! correlated tests (e.g. `tlt x,5` and `tge x,5` as separate
 //! instructions) may see paths no concrete execution takes.
 
-use crate::graph::{foldable, BlockGraph};
+use crate::graph::{foldable, is_null_store, refill, BlockGraph, ROOM};
 use crate::{Diagnostic, LintCode, Span};
-use clp_isa::{value, Block, Instruction, Opcode, Operand, PredSense};
-use std::collections::{BTreeMap, BTreeSet};
+use clp_isa::{value, Block, Instruction, Opcode, Operand, PredSense, MAX_BLOCK_LSIDS};
+use std::collections::BTreeSet;
 
 /// Maximum number of free predicate conditions enumerated exhaustively
 /// (`2^n` paths); blocks with more are sampled.
@@ -44,28 +44,65 @@ const PRED_SAMPLES: usize = 2048;
 
 /// Facts the LSID analysis reuses: which memory operations were observed
 /// to fire together on an enumerated path.
-pub struct PathFacts {
+pub struct PathFacts<'a> {
     /// A symmetric bit matrix over instruction indices: bit `j` of row
     /// `i` is set when memory operations `i != j` (loads, stores,
     /// store-nullifying nulls) both definitely fire on at least one
     /// enumerated path.
-    cofire: Vec<u128>,
+    cofire: &'a [u128],
 }
 
-impl PathFacts {
+impl PathFacts<'_> {
     /// Whether memory operations `a` and `b` both fire on some path.
     pub fn cofire(&self, a: usize, b: usize) -> bool {
         self.cofire[a] >> b & 1 == 1
     }
 }
 
-/// `var_of[i]`: the predicate variable instruction `i` is, if it is one.
-fn var_index(vars: &[usize], n: usize) -> Vec<Option<usize>> {
-    let mut var_of = vec![None; n];
-    for (v, &i) in vars.iter().enumerate() {
-        var_of[i] = Some(v);
+/// The working state of the analysis, kept across the blocks of a
+/// program so that analysing a block allocates nothing but diagnostics.
+#[derive(Default)]
+pub struct Scratch {
+    /// The block's predicate conditions, ascending.
+    vars: Vec<usize>,
+    /// `var_of[i]`: the predicate variable instruction `i` is, if it is
+    /// one.
+    var_of: Vec<Option<usize>>,
+    /// `discover_vars`' boolean-operand memo, visited marks and stack.
+    bmemo: Vec<Option<bool>>,
+    needed: Vec<bool>,
+    stack: Vec<usize>,
+    pe: PathEval,
+    /// Row `i`: the memory operations that fire together with `i`.
+    cofire: Vec<u128>,
+}
+
+impl Scratch {
+    /// Finds the block's predicate conditions, at most 64 of them, and
+    /// indexes them: the number beyond 64 (left `Unknown`, which only
+    /// weakens the analysis, never falsifies it) is returned.
+    fn index_vars(&mut self, block: &Block, g: &BlockGraph) -> usize {
+        discover_vars(block, g, self);
+        let spill = self.vars.len().saturating_sub(64);
+        self.vars.truncate(64);
+        refill(&mut self.var_of, block.len(), None, ROOM);
+        for (v, &i) in self.vars.iter().enumerate() {
+            self.var_of[i] = Some(v);
+        }
+        self.pe.reset(block.len());
+        spill
     }
-    var_of
+}
+
+/// Iterates the set bits of `m`, ascending.
+fn bits(mut m: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            i
+        })
+    })
 }
 
 /// Marks `bit` of `seen`; true the first time.
@@ -112,12 +149,6 @@ fn is_test(op: Opcode) -> bool {
         op,
         Opcode::Teq | Opcode::Tne | Opcode::Tlt | Opcode::Tle | Opcode::Tgt | Opcode::Tge
     )
-}
-
-/// A store-nullifying `null` resolves a store slot but never delivers to
-/// its dataflow targets (the simulator drops them).
-fn is_null_store(inst: &Instruction) -> bool {
-    inst.opcode == Opcode::Null && inst.lsid.is_some()
 }
 
 /// Delivery bounds and merged value of one operand slot under one
@@ -175,15 +206,23 @@ fn boolean_ish(i: usize, insts: &[Instruction], g: &BlockGraph, memo: &mut [Opti
     r
 }
 
-/// Discovers the free predicate conditions of the block: instruction
-/// indices whose boolean outcome the path enumeration ranges over.
-fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
+/// Discovers the free predicate conditions of the block into `s.vars`:
+/// instruction indices whose boolean outcome the path enumeration ranges
+/// over.
+fn discover_vars(block: &Block, g: &BlockGraph, s: &mut Scratch) {
     let insts = block.instructions();
     let n = insts.len();
-    let mut bmemo = vec![None; n];
-    let mut needed = vec![false; n];
-    let mut vars = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
+    let Scratch {
+        vars,
+        bmemo,
+        needed,
+        stack,
+        ..
+    } = s;
+    refill(bmemo, n, None, ROOM);
+    refill(needed, n, false, ROOM);
+    refill(vars, 0, 0, ROOM);
+    refill(stack, 0, 0, ROOM);
     for (i, inst) in insts.iter().enumerate() {
         if inst.is_predicated() {
             stack.extend(
@@ -215,8 +254,7 @@ fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
                 }
             }
             Opcode::And | Opcode::Or | Opcode::Xor
-                if slot_boolean(i, 0, insts, g, &mut bmemo)
-                    && slot_boolean(i, 1, insts, g, &mut bmemo) =>
+                if slot_boolean(i, 0, insts, g, bmemo) && slot_boolean(i, 1, insts, g, bmemo) =>
             {
                 stack.extend(g.producers(i, 0).iter().copied());
                 stack.extend(g.producers(i, 1).iter().copied());
@@ -225,7 +263,6 @@ fn discover_vars(block: &Block, g: &BlockGraph) -> Vec<usize> {
         }
     }
     vars.sort_unstable();
-    vars
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -236,10 +273,19 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+#[derive(Default)]
 struct PathEval {
     fire: Vec<Fire>,
-    slots: Vec<[SlotState; 3]>,
+    /// The lower delivery bound of each operand slot (0 for the slots an
+    /// instruction does not have).
+    lo: Vec<[u32; 3]>,
     vals: Vec<Val>,
+    /// Bitsets over instruction indices: the instructions that
+    /// definitely fire, those that may, and those with an operand slot
+    /// delivered at least twice.
+    yes: u128,
+    may: u128,
+    multi: u128,
 }
 
 fn var_val(i: usize, insts: &[Instruction], var_of: &[Option<usize>], mask: u64) -> Val {
@@ -256,20 +302,11 @@ fn var_val(i: usize, insts: &[Instruction], var_of: &[Option<usize>], mask: u64)
     }
 }
 
-fn slot_state(
-    i: usize,
-    s: usize,
-    g: &BlockGraph,
-    insts: &[Instruction],
-    pe: &PathEval,
-) -> SlotState {
+fn slot_state(i: usize, s: usize, g: &BlockGraph, pe: &PathEval) -> SlotState {
     let mut st = SlotState::default();
     let mut seen: Option<Val> = None;
     let mut mixed = false;
-    for &p in g.producers(i, s) {
-        if is_null_store(&insts[p]) {
-            continue;
-        }
+    for &p in g.delivering(i, s) {
         let f = pe.fire[p];
         if f == Fire::No {
             continue;
@@ -294,18 +331,17 @@ fn slot_state(
 }
 
 impl PathEval {
-    fn new(n: usize) -> Self {
-        PathEval {
-            fire: vec![Fire::No; n],
-            slots: vec![[SlotState::default(); 3]; n],
-            vals: vec![Val::Unknown; n],
-        }
+    /// Resets every entry for a block of `n` instructions.
+    fn reset(&mut self, n: usize) {
+        refill(&mut self.fire, n, Fire::No, ROOM);
+        refill(&mut self.lo, n, [0; 3], ROOM);
+        refill(&mut self.vals, n, Val::Unknown, ROOM);
     }
 }
 
 /// Evaluates the path of `mask` into `pe`. Every instruction's firing
-/// and value, and every slot it has, are rewritten; the slots it does not
-/// have keep their default.
+/// and value, and the delivery bound of every slot it has, are
+/// rewritten; the slots it does not have keep their zero.
 fn eval_path(
     block: &Block,
     g: &BlockGraph,
@@ -314,19 +350,19 @@ fn eval_path(
     pe: &mut PathEval,
 ) {
     let insts = block.instructions();
+    let (mut yes, mut may, mut multi) = (0u128, 0u128, 0u128);
     for &i in &g.topo {
         let inst = &insts[i];
-        let arity = inst.data_arity();
-        for s in 0..arity {
-            pe.slots[i][s] = slot_state(i, s, g, insts, pe);
-        }
-        if inst.is_predicated() {
-            pe.slots[i][2] = slot_state(i, 2, g, insts, pe);
-        }
         let mut no = false;
         let mut maybe = false;
-        for s in 0..arity {
-            let st = pe.slots[i][s];
+        // The merged values of the slots, `Unknown` for those it lacks.
+        let mut vals = [Val::Unknown; 3];
+        for (s, val) in vals.iter_mut().enumerate().take(inst.data_arity()) {
+            let st = slot_state(i, s, g, pe);
+            (pe.lo[i][s], *val) = (st.lo, st.val);
+            if st.lo >= 2 {
+                multi |= 1 << i;
+            }
             if st.hi == 0 {
                 no = true;
             } else if st.lo == 0 {
@@ -334,7 +370,11 @@ fn eval_path(
             }
         }
         if let Some(sense) = inst.pred {
-            let st = pe.slots[i][2];
+            let st = slot_state(i, 2, g, pe);
+            pe.lo[i][2] = st.lo;
+            if st.lo >= 2 {
+                multi |= 1 << i;
+            }
             if st.hi == 0 {
                 no = true;
             } else {
@@ -357,19 +397,23 @@ fn eval_path(
         pe.fire[i] = if no {
             Fire::No
         } else if maybe {
+            may |= 1 << i;
             Fire::Maybe
         } else {
+            may |= 1 << i;
+            yes |= 1 << i;
             Fire::Yes
         };
-        pe.vals[i] = value_of(inst, i, g, pe, var_of, mask, insts);
+        pe.vals[i] = value_of(inst, i, g, &vals, var_of, mask, insts);
     }
+    (pe.yes, pe.may, pe.multi) = (yes, may, multi);
 }
 
 fn value_of(
     inst: &Instruction,
     i: usize,
     g: &BlockGraph,
-    pe: &PathEval,
+    slots: &[Val; 3],
     var_of: &[Option<usize>],
     mask: u64,
     insts: &[Instruction],
@@ -381,10 +425,9 @@ fn value_of(
     match op {
         Opcode::Movi => Val::Const(inst.imm as u64),
         Opcode::Null => Val::NullTok,
-        Opcode::Mov => pe.slots[i][0].val,
+        Opcode::Mov => slots[0],
         Opcode::Teq | Opcode::Tne => {
-            let l = pe.slots[i][0].val;
-            let r = pe.slots[i][1].val;
+            let (l, r) = (slots[0], slots[1]);
             if let (Some(a), Some(b)) = (as_const(l), as_const(r)) {
                 return Val::Const(value::eval(op, inst.imm, a, b));
             }
@@ -404,8 +447,8 @@ fn value_of(
         }
         _ if foldable(op) => {
             let fold = match op.arity() {
-                1 => as_const(pe.slots[i][0].val).map(|a| value::eval(op, inst.imm, a, 0)),
-                2 => match (as_const(pe.slots[i][0].val), as_const(pe.slots[i][1].val)) {
+                1 => as_const(slots[0]).map(|a| value::eval(op, inst.imm, a, 0)),
+                2 => match (as_const(slots[0]), as_const(slots[1])) {
                     (Some(a), Some(b)) => Some(value::eval(op, inst.imm, a, b)),
                     _ => None,
                 },
@@ -438,23 +481,19 @@ pub(crate) struct FiringPaths {
 
 /// Enumerates firing vectors for `block` (see [`FiringPaths`]).
 pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
-    let mut all_vars = discover_vars(block, g);
-    let spill = all_vars.len().saturating_sub(64);
-    all_vars.truncate(64);
-    let vars = all_vars;
-    let n = block.len();
-    let mut pe = PathEval::new(n);
-    if spill > 0 || vars.len() > MAX_PRED_VARS {
-        eval_path(block, g, &vec![None; n], 0, &mut pe);
+    let mut s = Scratch::default();
+    let spill = s.index_vars(block, g);
+    let pe = &mut s.pe;
+    if spill > 0 || s.vars.len() > MAX_PRED_VARS {
+        eval_path(block, g, &vec![None; block.len()], 0, pe);
         return FiringPaths {
             exhaustive: false,
-            paths: vec![pe.fire],
+            paths: vec![std::mem::take(&mut pe.fire)],
         };
     }
-    let var_of = var_index(&vars, n);
-    let paths = (0..(1u64 << vars.len()))
+    let paths = (0..(1u64 << s.vars.len()))
         .map(|mask| {
-            eval_path(block, g, &var_of, mask, &mut pe);
+            eval_path(block, g, &s.var_of, mask, pe);
             pe.fire.clone()
         })
         .collect();
@@ -476,24 +515,31 @@ fn describe_mask(vars: &[usize], mask: u64, insts: &[Instruction]) -> String {
     format!("predicate assignment {}", parts.join(", "))
 }
 
-/// Runs the predicate-path analysis on one block.
-pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
+/// Runs the predicate-path analysis on one block, adding its findings to
+/// `diags`; the facts it returns borrow `s`.
+pub fn analyze<'s>(
+    block: &Block,
+    g: &BlockGraph,
+    s: &'s mut Scratch,
+    diags: &mut Vec<Diagnostic>,
+) -> PathFacts<'s> {
     let insts = block.instructions();
     let n = insts.len();
     let addr = block.address();
-    let mut diags = Vec::new();
 
-    let mut all_vars = discover_vars(block, g);
-    // Masks are 64-bit; conditions beyond 64 stay `Unknown`, which only
-    // weakens the analysis, never falsifies it.
-    let spill = all_vars.len().saturating_sub(64);
-    all_vars.truncate(64);
-    let vars = all_vars;
-    let var_of = var_index(&vars, n);
+    let spill = s.index_vars(block, g);
+    let Scratch {
+        vars,
+        var_of,
+        pe,
+        cofire,
+        ..
+    } = s;
+    let vars = &*vars;
 
     let exhaustive = spill == 0 && vars.len() <= MAX_PRED_VARS;
-    let masks: Vec<u64> = if exhaustive {
-        (0..(1u64 << vars.len())).collect()
+    let sampled: Vec<u64> = if exhaustive {
+        Vec::new()
     } else {
         let mask_bits = if vars.len() >= 64 {
             u64::MAX
@@ -517,7 +563,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                      sampled {} of {} assignments",
                     vars.len() + spill,
                     MAX_PRED_VARS,
-                    masks.len(),
+                    sampled.len(),
                     if vars.len() + spill >= 64 {
                         "2^64+".to_string()
                     } else {
@@ -528,22 +574,28 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
             .with_note("exhaustive-only checks (dead-predicate-path) are skipped".to_string()),
         );
     }
+    let paths = if exhaustive {
+        1usize << vars.len()
+    } else {
+        sampled.len()
+    };
 
-    // Store-slot resolvers per LSID (stores and store-nullifying nulls),
-    // the exits and the memory operations.
-    let mut resolvers: BTreeMap<u8, Vec<usize>> = BTreeMap::new();
-    let (mut exits, mut mem_ops) = (Vec::new(), Vec::new());
+    // As bitsets over instruction indices: store-slot resolvers per LSID
+    // (stores and store-nullifying nulls), the exits and the memory
+    // operations.
+    let mut resolvers = [0u128; MAX_BLOCK_LSIDS];
+    let (mut exits, mut mem_ops) = (0u128, 0u128);
     for (i, inst) in insts.iter().enumerate() {
         if inst.opcode.is_store() || is_null_store(inst) {
             if let Some(l) = inst.lsid {
-                resolvers.entry(l.index() as u8).or_default().push(i);
+                resolvers[l.index()] |= 1 << i;
             }
         }
         if inst.opcode == Opcode::Bro {
-            exits.push(i);
+            exits |= 1 << i;
         }
         if inst.opcode.is_load() || inst.opcode.is_store() || is_null_store(inst) {
-            mem_ops.push(i);
+            mem_ops |= 1 << i;
         }
     }
 
@@ -554,28 +606,24 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
     let (mut starved, mut double_write) = (0u128, 0u128);
     let (mut unresolved, mut double_store) = (0u128, 0u128);
     let mut races = [0u128; 3];
-    let mut ever_fired = vec![false; n];
-    let mut cofire = vec![0u128; n];
-    let mut pe = PathEval::new(n);
+    let mut ever_fired = 0u128;
+    refill(cofire, n, 0, ROOM);
 
-    for &mask in &masks {
-        eval_path(block, g, &var_of, mask, &mut pe);
-        let witness = || describe_mask(&vars, mask, insts);
+    let masks = (0..paths).map(|path| {
+        if exhaustive {
+            path as u64
+        } else {
+            sampled[path]
+        }
+    });
+    for mask in masks {
+        eval_path(block, g, var_of, mask, pe);
+        let witness = || describe_mask(vars, mask, insts);
+        let (yes, may) = (pe.yes, pe.may);
 
         // Exactly one exit must fire.
-        let mut exit_lo: Vec<usize> = Vec::new();
-        let mut exit_hi = 0u32;
-        for &i in &exits {
-            match pe.fire[i] {
-                Fire::Yes => {
-                    exit_lo.push(i);
-                    exit_hi += 1;
-                }
-                Fire::Maybe => exit_hi += 1,
-                Fire::No => {}
-            }
-        }
-        if exit_hi == 0 && !std::mem::replace(&mut no_exit, true) {
+        let exit_lo = exits & yes;
+        if exits & may == 0 && !std::mem::replace(&mut no_exit, true) {
             diags.push(
                 Diagnostic::new(
                     LintCode::NoFiringExit,
@@ -585,13 +633,13 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                 .with_note(format!("on {}", witness())),
             );
         }
-        if exit_lo.len() >= 2 && !std::mem::replace(&mut multi_exit, true) {
-            let list: Vec<String> = exit_lo.iter().map(|i| format!("i{i}")).collect();
+        if exit_lo.count_ones() >= 2 && !std::mem::replace(&mut multi_exit, true) {
+            let list: Vec<String> = bits(exit_lo).map(|i| format!("i{i}")).collect();
             diags.push(
                 Diagnostic::new(
                     LintCode::MultipleFiringExits,
-                    Span::inst(addr, exit_lo[1]),
-                    format!("{} exit branches fire on the same path", exit_lo.len()),
+                    Span::inst(addr, bits(exit_lo).nth(1).expect("two exits")),
+                    format!("{} exit branches fire on the same path", list.len()),
                 )
                 .with_note(format!("firing exits: {}", list.join(", ")))
                 .with_note(format!("on {}", witness())),
@@ -613,14 +661,14 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                     .with_note(format!("on {}", witness())),
                 );
             }
-            if pe.slots[wi][0].lo >= 2 && first(&mut double_write, wi) {
+            if pe.lo[wi][0] >= 2 && first(&mut double_write, wi) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::DoubleWrite,
                         Span::inst(addr, wi),
                         format!(
                             "write to {reg} is delivered {} values on the same path",
-                            pe.slots[wi][0].lo
+                            pe.lo[wi][0]
                         ),
                     )
                     .with_note(format!("on {}", witness())),
@@ -629,18 +677,13 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
         }
 
         // Every store slot resolves exactly once.
-        for (&lsid, rs) in &resolvers {
-            let lo: Vec<usize> = rs
-                .iter()
-                .copied()
-                .filter(|&i| pe.fire[i] == Fire::Yes)
-                .collect();
-            let hi = rs.iter().filter(|&&i| pe.fire[i] != Fire::No).count();
-            if hi == 0 && first(&mut unresolved, lsid.into()) {
+        for (lsid, &rs) in resolvers.iter().enumerate().filter(|(_, &rs)| rs != 0) {
+            let lo = rs & yes;
+            if rs & may == 0 && first(&mut unresolved, lsid) {
                 diags.push(
                     Diagnostic::new(
                         LintCode::UnresolvedStore,
-                        Span::inst(addr, rs[0]),
+                        Span::inst(addr, rs.trailing_zeros() as usize),
                         format!(
                             "store slot ls{lsid} is neither stored nor nullified on this path; \
                              the block's store outputs never resolve"
@@ -649,15 +692,15 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                     .with_note(format!("on {}", witness())),
                 );
             }
-            if lo.len() >= 2 && first(&mut double_store, lsid.into()) {
-                let list: Vec<String> = lo.iter().map(|i| format!("i{i}")).collect();
+            if lo.count_ones() >= 2 && first(&mut double_store, lsid) {
+                let list: Vec<String> = bits(lo).map(|i| format!("i{i}")).collect();
                 diags.push(
                     Diagnostic::new(
                         LintCode::DoubleStore,
-                        Span::inst(addr, lo[1]),
+                        Span::inst(addr, bits(lo).nth(1).expect("two resolvers")),
                         format!(
                             "store slot ls{lsid} resolves {} times on the same path",
-                            lo.len()
+                            list.len()
                         ),
                     )
                     .with_note(format!("resolved by {}", list.join(", ")))
@@ -667,13 +710,13 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
         }
 
         // Non-write operand slots delivered twice.
-        for (i, inst) in insts.iter().enumerate() {
-            let is_write = inst.opcode == Opcode::Write;
+        for i in bits(pe.multi) {
+            let is_write = insts[i].opcode == Opcode::Write;
             for s in 0..3 {
                 if is_write && s == 0 {
                     continue;
                 }
-                if pe.slots[i][s].lo >= 2 && first(&mut races[s], i) {
+                if pe.lo[i][s] >= 2 && first(&mut races[s], i) {
                     let slot = ["left", "right", "predicate"][s];
                     diags.push(
                         Diagnostic::new(
@@ -681,7 +724,7 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
                             Span::inst(addr, i),
                             format!(
                                 "{slot} operand receives {} tokens on the same path",
-                                pe.slots[i][s].lo
+                                pe.lo[i][s]
                             ),
                         )
                         .with_note(format!("on {}", witness())),
@@ -690,32 +733,21 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
             }
         }
 
-        for (i, fired) in ever_fired.iter_mut().enumerate() {
-            if pe.fire[i] != Fire::No {
-                *fired = true;
-            }
-        }
-        let fired = mem_ops
-            .iter()
-            .filter(|&&i| pe.fire[i] == Fire::Yes)
-            .fold(0u128, |m, &i| m | 1 << i);
-        for &i in &mem_ops {
-            if fired >> i & 1 == 1 {
-                cofire[i] |= fired & !(1 << i);
-            }
+        ever_fired |= may;
+        let fired = mem_ops & yes;
+        for i in bits(fired) {
+            cofire[i] |= fired & !(1 << i);
         }
     }
 
     if exhaustive {
-        for (i, &fired) in ever_fired.iter().enumerate() {
-            if !fired {
-                diags.push(Diagnostic::new(
-                    LintCode::DeadPredicatePath,
-                    Span::inst(addr, i),
-                    "instruction fires on no predicate assignment (contradictory predicates \
-                     or a dead producer)",
-                ));
-            }
+        for i in (0..n).filter(|&i| ever_fired >> i & 1 == 0) {
+            diags.push(Diagnostic::new(
+                LintCode::DeadPredicatePath,
+                Span::inst(addr, i),
+                "instruction fires on no predicate assignment (contradictory predicates \
+                 or a dead producer)",
+            ));
         }
     }
 
@@ -733,5 +765,5 @@ pub fn analyze(block: &Block, g: &BlockGraph) -> (Vec<Diagnostic>, PathFacts) {
         }
     }
 
-    (diags, PathFacts { cofire })
+    PathFacts { cofire }
 }

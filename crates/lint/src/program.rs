@@ -44,20 +44,22 @@ fn writes_mask(block: &Block) -> u128 {
 }
 
 /// Runs the whole-program analysis. Blocks are known by their position
-/// in address order, so every per-block fact is a vector.
-pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// in address order, so every per-block fact is a vector. The findings
+/// are added to `diags`.
+pub fn analyze(p: &EdgeProgram, diags: &mut Vec<Diagnostic>) {
     let blocks: Vec<(BlockAddr, &Block)> = p.iter().map(|(&a, b)| (a, b)).collect();
     let index_of = |a: BlockAddr| blocks.binary_search_by_key(&a, |&(x, _)| x).ok();
     let n = blocks.len();
 
     // The static block graph. Every static target is a block
-    // (`ProgramBuilder::finish` refuses a dangling one).
-    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(n);
+    // (`ProgramBuilder::finish` refuses a dangling one). Block `b`'s
+    // successors are `succ_list[succ_start[b]..succ_start[b + 1]]`.
+    let (mut succ_list, mut succ_start) = (Vec::new(), Vec::with_capacity(n + 1));
     let mut taken = vec![false; n];
     for (_, block) in &blocks {
+        succ_start.push(succ_list.len());
         let targets = block.exits().iter().filter_map(|e| e.target);
-        succs.push(targets.filter_map(index_of).collect());
+        succ_list.extend(targets.filter_map(index_of));
         for inst in block.instructions() {
             if inst.opcode.has_immediate() {
                 if let Some(t) = index_of(inst.imm as u64) {
@@ -66,6 +68,8 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
             }
         }
     }
+    succ_start.push(succ_list.len());
+    let succs = |b: usize| &succ_list[succ_start[b]..succ_start[b + 1]];
 
     // Reachability from the entry and every address-taken block.
     let mut reached = vec![false; n];
@@ -79,7 +83,7 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
         }
     }
     while let Some(b) = queue.pop_front() {
-        for &s in &succs[b] {
+        for &s in succs(b) {
             if !std::mem::replace(&mut reached[s], true) {
                 queue.push_back(s);
             }
@@ -129,7 +133,7 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
     let mut work: VecDeque<usize> = (0..n).filter(|&b| reached[b]).collect();
     while let Some(b) = work.pop_front() {
         let out = defined[b] | writes_mask(blocks[b].1);
-        for &s in &succs[b] {
+        for &s in succs(b) {
             if taken[s] {
                 continue;
             }
@@ -157,6 +161,4 @@ pub fn analyze(p: &EdgeProgram) -> Vec<Diagnostic> {
             }
         }
     }
-
-    diags
 }

@@ -19,6 +19,7 @@
 //! commit goes through it as its [`digest_golden`].
 
 use serde_json::Value;
+use std::fmt;
 
 /// Fields that identify an element of an array of objects. The first
 /// row whose fields are scalars in every element, no two elements
@@ -321,9 +322,43 @@ pub fn diff_documents(a: &Value, b: &Value) -> AttributionReport {
 /// FNV-1a, 64-bit.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// FNV-1a, 64-bit, fed piece by piece. As a [`fmt::Write`] it hashes
+/// text as it is formatted, without building the text: the same value
+/// [`fnv1a64`] gives the whole.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a64 {
+    /// Feeds `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    }
+
+    /// The digest of everything fed.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// What is committed of a document too large to commit whole: its

@@ -51,7 +51,8 @@ pub mod snapshot;
 pub mod trend;
 
 pub use diff::{
-    check_golden, diff_documents, digest_golden, fnv1a64, AttributionReport, DiffEntry, TextEntry,
+    check_golden, diff_documents, digest_golden, fnv1a64, AttributionReport, DiffEntry, Fnv1a64,
+    TextEntry,
 };
 pub use event::{CacheLevel, FlushReason, TraceEvent};
 pub use latency::LatencySummary;

@@ -59,7 +59,7 @@ impl Default for ArrivalConfig {
 /// `0..jobs` in arrival order.
 #[must_use]
 pub fn generate(cfg: &ArrivalConfig) -> Vec<(u64, JobSpec)> {
-    let names: Vec<&str> = clp_workloads::suite::all().iter().map(|w| w.name).collect();
+    let kernels = &clp_workloads::suite::KERNELS;
     let mut prng = Prng::new(cfg.seed);
     let mut now = 0u64;
     let mut out = Vec::with_capacity(cfg.jobs);
@@ -70,7 +70,7 @@ pub fn generate(cfg: &ArrivalConfig) -> Vec<(u64, JobSpec)> {
             1 + prng.next_below(2 * cfg.mean_gap - 1)
         };
         now += gap;
-        let name = names[prng.next_below(names.len() as u64) as usize];
+        let name = kernels[prng.next_below(kernels.len() as u64) as usize].name;
         let cores = CORE_CHOICES[prng.next_below(CORE_CHOICES.len() as u64) as usize];
         let tight = cfg.tight_every > 0 && (id as usize + 1).is_multiple_of(cfg.tight_every);
         let budget = if tight { cfg.tight_budget } else { cfg.budget };

@@ -10,19 +10,24 @@
 
 use clp_core::CompiledWorkload;
 use clp_workloads::Workload;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// FNV-1a over the `Debug` rendering of everything that affects
 /// compilation and verification: the IR program, the arguments, the
 /// initial memory, and the check spec. Two workloads with identical
-/// content share one cache entry regardless of name.
+/// content share one cache entry regardless of name. The rendering is
+/// hashed as it is written, never built.
 #[must_use]
 pub fn content_hash(w: &Workload) -> u64 {
-    let rendered = format!(
+    let mut hash = clp_obs::Fnv1a64::default();
+    write!(
+        hash,
         "{:?}|{:?}|{:?}|{:?}",
         w.program, w.args, w.init_mem, w.check
-    );
-    clp_obs::fnv1a64(rendered.as_bytes())
+    )
+    .expect("hashing text cannot fail");
+    hash.finish()
 }
 
 /// One cached compilation: the compiled program (with its golden) plus
@@ -101,6 +106,22 @@ mod tests {
         let mut d = suite::by_name("conv").unwrap();
         d.args.push(1);
         assert_ne!(content_hash(&a), content_hash(&d));
+    }
+
+    #[test]
+    fn streamed_hash_equals_the_hash_of_the_rendered_text() {
+        for w in suite::all() {
+            let rendered = format!(
+                "{:?}|{:?}|{:?}|{:?}",
+                w.program, w.args, w.init_mem, w.check
+            );
+            assert_eq!(
+                content_hash(&w),
+                clp_obs::fnv1a64(rendered.as_bytes()),
+                "{}",
+                w.name
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! while a CPU-time interval timer (`setitimer(ITIMER_PROF)`) raises
 //! SIGPROF. The handler stores the interrupted program counter and the
 //! frame-pointer chain into a preallocated array and does nothing else —
-//! nothing else is async-signal-safe. After the run the addresses are
+//! nothing else is async-signal-safe. A sample interrupted outside the
+//! binary (in libc's `malloc`, `free` or `memcpy`, built without frame
+//! pointers) is charged to the in-binary code it returns to: the first
+//! word above the stack pointer that points into the binary's text is
+//! taken as the return address, and the frame-pointer walk goes on from
+//! there. After the run the addresses are
 //! made file-relative (the binary is a PIE), symbolised by one
 //! `addr2line -f -i -C -a` process with inlined frames expanded, and
 //! reported three ways: self time by the first in-repo frame (function
@@ -116,6 +121,15 @@ mod sampler {
     static SAMPLES: AtomicPtr<Sample> = AtomicPtr::new(std::ptr::null_mut());
     static TAKEN: AtomicUsize = AtomicUsize::new(0);
     static STACK_TOP: AtomicUsize = AtomicUsize::new(0);
+    /// The binary's executable mapping, `[TEXT_LO, TEXT_HI)`.
+    static TEXT_LO: AtomicUsize = AtomicUsize::new(0);
+    static TEXT_HI: AtomicUsize = AtomicUsize::new(0);
+    /// Samples charged through libc to the in-binary code they return to.
+    static CHARGED: AtomicUsize = AtomicUsize::new(0);
+
+    /// How far above the stack pointer a sample outside the binary looks
+    /// for a return address into it, in words.
+    const SCAN_WORDS: usize = 1024;
 
     extern "C" fn on_sigprof(_sig: i32, _info: *mut c_void, ucontext: *mut c_void) {
         let i = TAKEN.fetch_add(1, Relaxed);
@@ -135,7 +149,34 @@ mod sampler {
         sample[0] = pc;
         // Frames ascend from the interrupted stack pointer to `main`'s.
         let (mut floor, top) = (sp, STACK_TOP.load(Relaxed));
-        for slot in &mut sample[1..] {
+        let text = TEXT_LO.load(Relaxed)..TEXT_HI.load(Relaxed);
+        let mut slots = sample[1..].iter_mut();
+        if !text.contains(&pc) && sp % 8 == 0 {
+            // A leaf outside the binary keeps no frame pointer of its
+            // own, and the frame pointer still names its in-binary
+            // caller's frame: the first word from the stack pointer up
+            // that points into the binary's text is the return address
+            // into that caller.
+            let end = top.min(sp.saturating_add(8 * SCAN_WORDS));
+            let mut at = sp;
+            while at + 8 <= end {
+                // SAFETY: `at` is 8-aligned and `[at, at + 8)` lies
+                // between the interrupted stack pointer and the address
+                // of a local of `main`: live stack memory, as the walk
+                // below reads.
+                let word = unsafe { (at as *const usize).read() };
+                if text.contains(&word) {
+                    if let Some(slot) = slots.next() {
+                        *slot = word;
+                    }
+                    floor = at + 8;
+                    CHARGED.fetch_add(1, Relaxed);
+                    break;
+                }
+                at += 8;
+            }
+        }
+        for slot in slots {
             if fp < floor || fp % 8 != 0 || fp.saturating_add(16) > top {
                 break;
             }
@@ -180,11 +221,14 @@ mod sampler {
     }
 
     /// Starts sampling. `stack_top` is the address of a local of
-    /// `main`: the walk stops there.
-    pub fn start(stack_top: usize) {
+    /// `main`: the walk stops there. `text` is the binary's executable
+    /// mapping.
+    pub fn start(stack_top: usize, text: (usize, usize)) {
         let buf: &'static mut [Sample] = vec![[0; 1 + MAX_DEPTH]; CAPACITY].leak();
         SAMPLES.store(buf.as_mut_ptr(), Relaxed);
         STACK_TOP.store(stack_top, Relaxed);
+        TEXT_LO.store(text.0, Relaxed);
+        TEXT_HI.store(text.1, Relaxed);
         let handler: extern "C" fn(i32, *mut c_void, *mut c_void) = on_sigprof;
         let act = SigAction {
             handler: handler as usize,
@@ -199,6 +243,12 @@ mod sampler {
         let rc = unsafe { sigaction(SIGPROF, &act, std::ptr::null_mut()) };
         assert_eq!(rc, 0, "sigaction(SIGPROF)");
         set_timer(1_000_000 / HZ as i64);
+    }
+
+    /// The samples so far charged through libc to the in-binary code
+    /// they return to.
+    pub fn charged() -> usize {
+        CHARGED.load(Relaxed)
     }
 
     /// Stops the timer and returns the samples kept and the number
@@ -266,17 +316,32 @@ mod report {
         }
     }
 
-    /// The executable's mappings `(start, end)` from `/proc/self/maps`;
-    /// the first one starts at the PIE load base.
-    fn exe_mappings(exe: &str) -> Vec<(usize, usize)> {
+    /// The executable's mappings `(start, end, executable)` from
+    /// `/proc/self/maps`; the first one starts at the PIE load base.
+    fn exe_mappings(exe: &str) -> Vec<(usize, usize, bool)> {
         let maps = std::fs::read_to_string("/proc/self/maps").unwrap_or_else(|e| die(e));
         let ours = maps.lines().filter(|l| l.ends_with(exe));
         let range = |l: &str| {
-            let (lo, hi) = l.split_whitespace().next()?.split_once('-')?;
+            let mut fields = l.split_whitespace();
+            let (lo, hi) = fields.next()?.split_once('-')?;
             let hex = |s| usize::from_str_radix(s, 16).ok();
-            Some((hex(lo)?, hex(hi)?))
+            Some((hex(lo)?, hex(hi)?, fields.next()?.contains('x')))
         };
         ours.filter_map(range).collect()
+    }
+
+    /// The path of the running executable.
+    fn exe_path() -> String {
+        let exe = std::fs::read_link("/proc/self/exe").unwrap_or_else(|e| die(e));
+        exe.to_string_lossy().into_owned()
+    }
+
+    /// The executable's text mapping: where a return address into the
+    /// binary points.
+    fn exe_text() -> (usize, usize) {
+        let maps = exe_mappings(&exe_path());
+        let text = maps.into_iter().find(|m| m.2);
+        text.map_or((0, 0), |(lo, hi, _)| (lo, hi))
     }
 
     /// Symbolises file-relative addresses of `exe` with one `addr2line`
@@ -354,7 +419,7 @@ mod report {
             .iter()
             .map(|w| compile_workload(w).unwrap_or_else(|e| die(format!("{}: {e:?}", w.name))))
             .collect();
-        sampler::start(stack_top);
+        sampler::start(stack_top, exe_text());
         let (mut cycles, mut fired) = (0, 0);
         let t0 = sampler::cpu_ns();
         for _ in 0..reps {
@@ -391,7 +456,7 @@ mod report {
     /// kernel. The headline and the samples.
     fn profile_setup(reps: usize, stack_top: usize) -> (String, &'static [Sample]) {
         let cfg = LintConfig::default();
-        sampler::start(stack_top);
+        sampler::start(stack_top, exe_text());
         let (mut kernels, mut diagnostics) = (0, 0);
         let t0 = sampler::cpu_ns();
         for _ in 0..reps {
@@ -446,14 +511,20 @@ mod report {
             profile_cells(&sizes, reps, &obs, stack_top)
         };
 
+        let charged = sampler::charged();
+        out.push_str(&format!(
+            "libc: {charged} samples ({:.2}%) charged through libc to the in-binary code \
+             they return to\n",
+            100.0 * charged as f64 / samples.len().max(1) as f64
+        ));
+
         // Program counters as they are; return addresses minus one, so
         // that they fall inside the call they return to.
-        let exe = std::fs::read_link("/proc/self/exe").unwrap_or_else(|e| die(e));
-        let exe = exe.to_string_lossy();
+        let exe = exe_path();
         let maps = exe_mappings(&exe);
         let base = maps.first().map_or(0, |m| m.0);
         let relative = |k: usize, addr: usize| {
-            let inside = maps.iter().any(|&(lo, hi)| (lo..hi).contains(&addr));
+            let inside = maps.iter().any(|&(lo, hi, _)| (lo..hi).contains(&addr));
             inside.then(|| addr - usize::from(k > 0) - base)
         };
         let stack = |s: &'static Sample| {
