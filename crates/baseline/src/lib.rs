@@ -3,9 +3,15 @@
 //! The paper's Figure 5 calibrates TRIPS against a measured Intel Core2
 //! Duo. That hardware (and its compiler) cannot be reproduced here, so
 //! this crate provides the closest synthetic equivalent: a conventional
-//! 4-wide out-of-order core with a gshare branch predictor, a return
-//! address stack, a 96-entry window, and a classic two-level cache
-//! hierarchy, executing the *same mini-IR programs* as the EDGE stack.
+//! 4-wide out-of-order core with a gshare branch predictor, a 96-entry
+//! window, and a classic two-level cache hierarchy, running the *same
+//! mini-IR programs* as the EDGE stack. Calls and returns only redirect
+//! fetch (there is no return-address stack).
+//!
+//! The model is timing only: [`clp_compiler::interpret_with`] executes
+//! the program and reports each step, and the model charges it. Values,
+//! addresses, branch outcomes and the final image are the reference
+//! interpreter's.
 //!
 //! Timing uses the standard dataflow approximation for OoO cores: each
 //! dynamic operation issues at the maximum of its fetch cycle, operand

@@ -1,8 +1,9 @@
 //! The out-of-order timing model.
 
-use clp_compiler::ir::{BbId, FuncId, OpKind, Terminator};
+use clp_compiler::interp::{interpret_with, Step};
+use clp_compiler::ir::{OpKind, Terminator, VReg};
 use clp_compiler::Program;
-use clp_isa::{value, OpcodeClass};
+use clp_isa::OpcodeClass;
 use clp_mem::{CacheBank, CacheGeometry, MemoryImage};
 use std::collections::VecDeque;
 
@@ -35,7 +36,7 @@ const MISPREDICT_PENALTY: u64 = 12;
 /// Fetch-group break on a correctly predicted taken branch (the
 /// front-end redirect bubble of conventional pipelines).
 const TAKEN_BRANCH_BUBBLE: u64 = 1;
-/// Dynamic-operation budget.
+/// Dynamic-operation budget: a run panics on its `MAX_OPS`-th op.
 const MAX_OPS: u64 = 200_000_000;
 
 /// The conventional core: the Core2-class constants above.
@@ -119,22 +120,24 @@ impl Gshare {
     }
 }
 
+/// A call's operand-ready times: when each of its vregs' value is ready.
 struct Frame {
-    func: FuncId,
-    bb: BbId,
-    regs: Vec<u64>,
     ready: Vec<u64>,
-    ret_dst: Option<u32>,
-    ret_bb: BbId,
+    /// The caller's vreg the return value lands in.
+    ret_dst: Option<VReg>,
 }
 
 /// Runs `program` on the conventional out-of-order model.
 ///
+/// The reference interpreter executes the program; this model times
+/// each step it reports, so values, addresses, branch outcomes, the
+/// return value, the final image and the `ops`, `loads`, `stores` and
+/// `branches` counts are the interpreter's.
+///
 /// # Panics
 ///
-/// Panics if the program exceeds the dynamic-operation budget or the
-/// call-depth bound (a workload bug — the same programs terminate under
-/// the reference interpreter).
+/// Panics if the interpreter stops the program at the dynamic-operation
+/// budget or its call-depth bound (a workload bug).
 #[must_use]
 pub fn run_baseline(
     program: &Program,
@@ -172,27 +175,11 @@ pub fn run_baseline(
     let mut last_store_done: std::collections::HashMap<u64, u64> = Default::default();
     let mut last_cycle: u64 = 1;
 
-    let new_frame = |func: FuncId, argv: &[u64], ready_at: u64| -> Frame {
-        let f = program.function(func);
-        let mut regs = vec![0u64; f.n_vregs as usize];
-        let mut ready = vec![0u64; f.n_vregs as usize];
-        for (i, &a) in argv.iter().enumerate().take(f.n_params) {
-            regs[f.params[i].0 as usize] = a;
-            ready[f.params[i].0 as usize] = ready_at;
-        }
-        Frame {
-            func,
-            bb: f.entry,
-            regs,
-            ready,
-            ret_dst: None,
-            ret_bb: f.entry,
-        }
-    };
-
     let mut stack: Vec<Frame> = Vec::new();
-    let mut frame = new_frame(program.entry, args, 0);
-    let ret_value: Option<u64>;
+    let mut frame = Frame {
+        ready: vec![0; program.function(program.entry).n_vregs as usize],
+        ret_dst: None,
+    };
 
     macro_rules! fetch_op {
         () => {{
@@ -216,13 +203,8 @@ pub fn run_baseline(
         issue
     }
 
-    'outer: loop {
-        let func = program.function(frame.func);
-        let block = func.block(frame.bb);
-
-        for op in &block.ops {
-            stats.ops += 1;
-            assert!(stats.ops < MAX_OPS, "baseline exceeded op budget");
+    let time = |step: Step<'_>| match step {
+        Step::Op { op, fired, addr } => {
             let f = fetch_op!();
             // Window constraint: the oldest must have completed.
             if rob.len() >= WINDOW {
@@ -232,87 +214,42 @@ pub fn run_baseline(
                     fetched_this_cycle = 0;
                 }
             }
-            let fires = op
-                .pred
-                .iter()
-                .all(|&(v, s)| (frame.regs[v.0 as usize] != 0) == s);
             let mut ready_at = f;
             for u in op.uses() {
                 ready_at = ready_at.max(frame.ready[u.0 as usize]);
             }
-            let done = if !fires {
+            let done = if !fired {
                 ready_at + 1
             } else {
-                match &op.kind {
-                    OpKind::Const { dst, value } => {
-                        frame.regs[dst.0 as usize] = *value as u64;
+                match op.kind {
+                    OpKind::Const { dst, .. } | OpKind::ConstF { dst, .. } => {
                         frame.ready[dst.0 as usize] = f + 1;
                         f + 1
                     }
-                    OpKind::ConstF { dst, value } => {
-                        frame.regs[dst.0 as usize] = value.to_bits();
-                        frame.ready[dst.0 as usize] = f + 1;
-                        f + 1
-                    }
-                    OpKind::Un { dst, op: o, a } => {
-                        let issue = unit_issue(
-                            if o.class() == OpcodeClass::Float {
-                                &mut fp_free
-                            } else {
-                                &mut int_free
-                            },
-                            ready_at,
-                        );
-                        let done = issue + u64::from(o.latency());
-                        frame.regs[dst.0 as usize] =
-                            value::eval(*o, 0, frame.regs[a.0 as usize], 0);
+                    OpKind::Un { dst, op: o, .. } | OpKind::Bin { dst, op: o, .. } => {
+                        let units = if o.class() == OpcodeClass::Float {
+                            &mut fp_free
+                        } else {
+                            &mut int_free
+                        };
+                        let done = unit_issue(units, ready_at) + u64::from(o.latency());
                         frame.ready[dst.0 as usize] = done;
                         done
                     }
-                    OpKind::Bin { dst, op: o, a, b } => {
-                        let issue = unit_issue(
-                            if o.class() == OpcodeClass::Float {
-                                &mut fp_free
-                            } else {
-                                &mut int_free
-                            },
-                            ready_at,
-                        );
-                        let done = issue + u64::from(o.latency());
-                        frame.regs[dst.0 as usize] =
-                            value::eval(*o, 0, frame.regs[a.0 as usize], frame.regs[b.0 as usize]);
-                        frame.ready[dst.0 as usize] = done;
-                        done
-                    }
-                    OpKind::Load {
-                        dst,
-                        addr,
-                        offset,
-                        size,
-                    } => {
-                        stats.loads += 1;
-                        let ea = frame.regs[addr.0 as usize].wrapping_add(*offset as u64);
-                        let line = ea & !63;
-                        let dep = last_store_done.get(&line).copied().unwrap_or(0);
+                    OpKind::Load { dst, .. } => {
+                        let ea = addr.expect("a fired load has an address");
+                        let dep = last_store_done.get(&(ea & !63)).copied().unwrap_or(0);
                         let issue = unit_issue(&mut mem_free, ready_at.max(dep));
                         let lat = cache_latency(&mut l1, &mut l2, &mut stats, ea, false);
                         let done = issue + u64::from(lat);
-                        frame.regs[dst.0 as usize] = image.read(ea, size.bytes());
                         frame.ready[dst.0 as usize] = done;
                         done
                     }
-                    OpKind::Store {
-                        addr,
-                        offset,
-                        value: v,
-                        size,
-                    } => {
-                        stats.stores += 1;
-                        let ea = frame.regs[addr.0 as usize].wrapping_add(*offset as u64);
+                    OpKind::Store { .. } => {
+                        let ea = addr.expect("a fired store has an address");
                         let issue = unit_issue(&mut mem_free, ready_at);
                         let lat = cache_latency(&mut l1, &mut l2, &mut stats, ea, true);
                         let done = issue + u64::from(lat);
-                        image.write(ea, size.bytes(), frame.regs[v.0 as usize]);
                         last_store_done.insert(ea & !63, done);
                         done
                     }
@@ -321,81 +258,72 @@ pub fn run_baseline(
             rob.push_back(done);
             last_cycle = last_cycle.max(done);
         }
-
-        // Terminator.
-        let f = fetch_op!();
-        match &block.term {
-            Terminator::Jump(b) => frame.bb = *b,
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                stats.branches += 1;
-                let taken = frame.regs[cond.0 as usize] != 0;
-                let resolve = frame.ready[cond.0 as usize].max(f) + 1;
-                last_cycle = last_cycle.max(resolve);
-                let pc = (frame.func.0 as u64) << 16 | frame.bb.0 as u64;
-                if !bp.predict_and_update(pc, taken) {
-                    stats.mispredicts += 1;
-                    fetch_cycle = resolve + MISPREDICT_PENALTY;
-                    fetched_this_cycle = 0;
-                } else if taken {
+        Step::Term {
+            func,
+            bb,
+            term,
+            taken,
+        } => {
+            let f = fetch_op!();
+            match term {
+                Terminator::Jump(_) | Terminator::Halt => {}
+                Terminator::Branch { cond, .. } => {
+                    let resolve = frame.ready[cond.0 as usize].max(f) + 1;
+                    last_cycle = last_cycle.max(resolve);
+                    let pc = (func.0 as u64) << 16 | bb.0 as u64;
+                    if !bp.predict_and_update(pc, taken) {
+                        stats.mispredicts += 1;
+                        fetch_cycle = resolve + MISPREDICT_PENALTY;
+                        fetched_this_cycle = 0;
+                    } else if taken {
+                        fetch_cycle += TAKEN_BRANCH_BUBBLE;
+                        fetched_this_cycle = 0;
+                    }
+                }
+                Terminator::Call {
+                    func: callee,
+                    args,
+                    dst,
+                    ..
+                } => {
+                    let ready_at = args.iter().fold(f, |r, v| r.max(frame.ready[v.0 as usize]));
                     fetch_cycle += TAKEN_BRANCH_BUBBLE;
                     fetched_this_cycle = 0;
+                    let callee = program.function(*callee);
+                    let mut ready = vec![0; callee.n_vregs as usize];
+                    for p in callee.params.iter().take(callee.n_params.min(args.len())) {
+                        ready[p.0 as usize] = ready_at;
+                    }
+                    let callee_frame = Frame {
+                        ready,
+                        ret_dst: *dst,
+                    };
+                    stack.push(std::mem::replace(&mut frame, callee_frame));
                 }
-                frame.bb = if taken { *then_bb } else { *else_bb };
-            }
-            Terminator::Call {
-                func: callee,
-                args: call_args,
-                dst,
-                cont,
-            } => {
-                assert!(stack.len() < 4096, "call depth exceeded");
-                let mut ready_at = f;
-                let argv: Vec<u64> = call_args
-                    .iter()
-                    .map(|v| {
-                        ready_at = ready_at.max(frame.ready[v.0 as usize]);
-                        frame.regs[v.0 as usize]
-                    })
-                    .collect();
-                fetch_cycle += TAKEN_BRANCH_BUBBLE;
-                fetched_this_cycle = 0;
-                let mut callee_frame = new_frame(*callee, &argv, ready_at);
-                callee_frame.ret_dst = dst.map(|d| d.0);
-                callee_frame.ret_bb = *cont;
-                stack.push(std::mem::replace(&mut frame, callee_frame));
-            }
-            Terminator::Ret(v) => {
-                let rv = v.map(|v| frame.regs[v.0 as usize]);
-                let rt = v.map_or(f, |v| frame.ready[v.0 as usize]);
-                match stack.pop() {
-                    Some(mut caller) => {
-                        if let (Some(d), Some(val)) = (frame.ret_dst, rv) {
-                            caller.regs[d as usize] = val;
-                            caller.ready[d as usize] = rt.max(f);
+                Terminator::Ret(v) => {
+                    let rt = v.map_or(f, |v| frame.ready[v.0 as usize]);
+                    match stack.pop() {
+                        Some(mut caller) => {
+                            if let (Some(d), Some(_)) = (frame.ret_dst, v) {
+                                caller.ready[d.0 as usize] = rt.max(f);
+                            }
+                            frame = caller;
                         }
-                        caller.bb = frame.ret_bb;
-                        frame = caller;
-                    }
-                    None => {
-                        ret_value = rv;
-                        last_cycle = last_cycle.max(rt);
-                        break 'outer;
+                        None => last_cycle = last_cycle.max(rt),
                     }
                 }
-            }
-            Terminator::Halt => {
-                ret_value = None;
-                break 'outer;
             }
         }
-    }
+    };
+    let run = interpret_with(program, args, &mut image, MAX_OPS - 1, time)
+        .unwrap_or_else(|e| panic!("baseline run: {e}"));
 
+    stats.ops = run.stats.ops;
+    stats.branches = run.stats.branches;
+    stats.loads = run.stats.loads;
+    stats.stores = run.stats.stores;
     BaselineResult {
-        ret: ret_value,
+        ret: run.ret,
         cycles: last_cycle.max(fetch_cycle),
         image,
         stats,

@@ -43,8 +43,9 @@
 use clp_core::cli::{self, die, or_die, write_or_die, CliError, Flag, Spec};
 use clp_core::{compile_workload, ObsOptions};
 use clp_isa::Reg;
-use clp_obs::{ChromeTraceWriter, Tracer, TrendOptions};
+use clp_obs::{RingRecorder, Tracer, TrendOptions};
 use clp_sim::{CoreKill, FaultPlan, RunError, SimConfig, ALL_FAULT_KINDS};
+use std::sync::{Arc, Mutex};
 
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
@@ -111,10 +112,12 @@ fn main() {
             .add_kill(usize::from(k.core), k.cycle)
             .unwrap_or_else(|e| die(format!("bad --kill-core schedule: {e}")));
     }
+    // Every event of the run, rendered as the `--trace` file at the end.
+    let recorder = trace
+        .as_ref()
+        .map(|_| Arc::new(Mutex::new(RingRecorder::new(usize::MAX))));
     let obs = ObsOptions {
-        tracer: trace.as_ref().map_or_else(Tracer::off, |path| {
-            Tracer::new(ChromeTraceWriter::new(path))
-        }),
+        tracer: recorder.clone().map_or_else(Tracer::off, Tracer::shared),
         profile,
         trend: trend.then(|| TrendOptions {
             period,
@@ -240,8 +243,9 @@ fn main() {
             exit_code = 3;
         }
     }
-    if let Some(path) = &trace {
-        m.tracer().finish().expect("can write trace");
+    if let (Some(path), Some(recorder)) = (&trace, &recorder) {
+        let recorder = recorder.lock().expect("trace recorder poisoned");
+        write_or_die(path, &recorder.to_chrome_trace());
         println!("[trace -> {path}]");
     }
     std::process::exit(exit_code);

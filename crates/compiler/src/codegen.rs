@@ -733,8 +733,8 @@ pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness)
 ///
 /// Hyperblock formation uses a conservative size estimate; if a merged
 /// block still lowers past an EDGE resource limit, compilation retries
-/// with progressively smaller formation caps (finally with formation
-/// disabled, where every IR block trivially fits).
+/// with progressively smaller formation caps (finally with a cap of 0,
+/// which merges nothing, so every IR block trivially fits).
 ///
 /// # Errors
 ///
@@ -743,11 +743,7 @@ pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness)
 pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, CompileError> {
     let mut attempt = *opts;
     for cap in [attempt.former.max_edge_size, 116, 96, 76, 56, 36, 0] {
-        if cap == 0 {
-            attempt.former.disabled = true;
-        } else {
-            attempt.former.max_edge_size = cap;
-        }
+        attempt.former.max_edge_size = cap;
         match compile_once(program, &attempt) {
             Err(
                 CompileError::Block {
@@ -756,11 +752,11 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, 
                 }
                 | CompileError::BlockTooLarge { .. }
                 | CompileError::LsidOverflow { .. },
-            ) if !attempt.former.disabled => {}
+            ) if cap > 0 => {}
             other => return other,
         }
     }
-    unreachable!("loop returns on the disabled-former attempt")
+    unreachable!("loop returns on the zero-cap attempt")
 }
 
 fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, CompileError> {

@@ -260,24 +260,21 @@ impl HirFunction {
 /// headroom below `clp_isa::MAX_BLOCK_LSIDS`).
 const MAX_MERGED_MEMORY_OPS: usize = 26;
 
-/// Tuning knobs for hyperblock formation: the two that the compiler's
-/// retry loop varies. A merged block also holds at most
+/// Tuning knob for hyperblock formation: the size cap that the
+/// compiler's retry loop lowers. A merged block also holds at most
 /// `MAX_MERGED_MEMORY_OPS` memory operations and
 /// [`clp_isa::MAX_BLOCK_EXITS`] exits.
 #[derive(Clone, Copy, Debug)]
 pub struct FormerOptions {
-    /// Maximum estimated EDGE instructions per merged block.
+    /// Maximum estimated EDGE instructions per merged block. Every
+    /// estimate is at least 24, so a cap of 0 merges nothing and every
+    /// IR block becomes one EDGE block.
     pub max_edge_size: usize,
-    /// Disable merging entirely (every IR block becomes one EDGE block).
-    pub disabled: bool,
 }
 
 impl Default for FormerOptions {
     fn default() -> Self {
-        FormerOptions {
-            max_edge_size: 140,
-            disabled: false,
-        }
+        FormerOptions { max_edge_size: 140 }
     }
 }
 
@@ -313,16 +310,6 @@ pub fn form_hyperblocks(f: &Function, opts: &FormerOptions) -> HirFunction {
         if let Terminator::Call { cont, .. } = &b.term {
             pinned[cont.0] = true;
         }
-    }
-
-    if opts.disabled {
-        return HirFunction {
-            name: f.name.clone(),
-            blocks,
-            entry: f.entry,
-            blocks_before,
-            guards,
-        };
     }
 
     let mut counts = Vec::new();
@@ -539,16 +526,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_former_keeps_all_blocks() {
+    fn zero_cap_former_keeps_all_blocks() {
         let mut f = FunctionBuilder::new("chain", 0);
         let b1 = f.new_block();
         f.jump(b1);
         f.switch_to(b1);
         f.halt();
-        let opts = FormerOptions {
-            disabled: true,
-            ..Default::default()
-        };
+        let opts = FormerOptions { max_edge_size: 0 };
         let hir = form_hyperblocks(&f.finish(), &opts);
         assert_eq!(hir.blocks_after(), 2);
     }

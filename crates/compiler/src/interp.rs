@@ -1,10 +1,11 @@
 //! A reference interpreter for the IR.
 //!
 //! Used to produce golden outputs for every workload: the TFlex
-//! simulator, the conventional baseline simulator, and this interpreter
-//! must all agree on final memory contents and return values.
+//! simulator must agree with this interpreter on final memory contents
+//! and return values. The conventional baseline does not re-execute the
+//! IR: it times this interpreter's run through [`interpret_with`].
 
-use crate::ir::{BbId, FuncId, OpKind, Program, Terminator, VReg};
+use crate::ir::{BbId, FuncId, Op, OpKind, Program, Terminator, VReg};
 use clp_isa::value;
 use clp_mem::MemoryImage;
 use std::fmt;
@@ -57,6 +58,32 @@ pub struct InterpResult {
     pub stats: InterpStats,
 }
 
+/// One step of a run, as [`interpret_with`] reports it.
+#[derive(Clone, Copy, Debug)]
+pub enum Step<'p> {
+    /// An operation, after it evaluated: whether its guard fired and,
+    /// for a fired load or store, its effective address.
+    Op {
+        /// The operation.
+        op: &'p Op,
+        /// Whether the guard held (an op with no guard always fires).
+        fired: bool,
+        /// A fired load's or store's effective address.
+        addr: Option<u64>,
+    },
+    /// A block's terminator, before control moves.
+    Term {
+        /// The function being executed.
+        func: FuncId,
+        /// The block the terminator ends.
+        bb: BbId,
+        /// The terminator.
+        term: &'p Terminator,
+        /// A branch's outcome (`false` for every other terminator).
+        taken: bool,
+    },
+}
+
 const MAX_CALL_DEPTH: usize = 4096;
 
 struct Frame {
@@ -79,6 +106,22 @@ pub fn interpret(
     args: &[u64],
     image: &mut MemoryImage,
     max_ops: u64,
+) -> Result<InterpResult, InterpError> {
+    interpret_with(program, args, image, max_ops, |_| {})
+}
+
+/// [`interpret`], reporting every [`Step`] to `on_step` in execution
+/// order. The callback observes the run and cannot change it.
+///
+/// # Errors
+///
+/// As [`interpret`].
+pub fn interpret_with<'p>(
+    program: &'p Program,
+    args: &[u64],
+    image: &mut MemoryImage,
+    max_ops: u64,
+    mut on_step: impl FnMut(Step<'p>),
 ) -> Result<InterpResult, InterpError> {
     let mut stats = InterpStats::default();
     let mut stack: Vec<Frame> = Vec::new();
@@ -109,14 +152,20 @@ pub fn interpret(
             if stats.ops > max_ops {
                 return Err(InterpError::StepLimit(max_ops));
             }
-            let fires = op
+            let fired = op
                 .pred
                 .iter()
                 .all(|&(v, sense)| (frame.regs[v.0 as usize] != 0) == sense);
-            if !fires {
+            if !fired {
+                on_step(Step::Op {
+                    op,
+                    fired,
+                    addr: None,
+                });
                 continue;
             }
             stats.fired_ops += 1;
+            let mut ea = None;
             match op.kind {
                 OpKind::Const { dst, value } => frame.regs[dst.0 as usize] = value as u64,
                 OpKind::ConstF { dst, value } => frame.regs[dst.0 as usize] = value.to_bits(),
@@ -136,6 +185,7 @@ pub fn interpret(
                     stats.loads += 1;
                     let a = frame.regs[addr.0 as usize].wrapping_add(offset as u64);
                     frame.regs[dst.0 as usize] = image.read(a, size.bytes());
+                    ea = Some(a);
                 }
                 OpKind::Store {
                     addr,
@@ -146,23 +196,33 @@ pub fn interpret(
                     stats.stores += 1;
                     let a = frame.regs[addr.0 as usize].wrapping_add(offset as u64);
                     image.write(a, size.bytes(), frame.regs[value.0 as usize]);
+                    ea = Some(a);
                 }
             }
+            on_step(Step::Op {
+                op,
+                fired,
+                addr: ea,
+            });
         }
 
+        let taken = match block.term {
+            Terminator::Branch { cond, .. } => frame.regs[cond.0 as usize] != 0,
+            _ => false,
+        };
+        on_step(Step::Term {
+            func: frame.func,
+            bb: frame.bb,
+            term: &block.term,
+            taken,
+        });
         match &block.term {
             Terminator::Jump(b) => frame.bb = *b,
             Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
+                then_bb, else_bb, ..
             } => {
                 stats.branches += 1;
-                frame.bb = if frame.regs[cond.0 as usize] != 0 {
-                    *then_bb
-                } else {
-                    *else_bb
-                };
+                frame.bb = if taken { *then_bb } else { *else_bb };
             }
             Terminator::Call {
                 func: callee,

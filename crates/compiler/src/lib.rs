@@ -68,7 +68,7 @@ use clp_isa::Opcode;
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use codegen::compile;
 pub use hyperblock::FormerOptions;
-pub use interp::{interpret, InterpError, InterpResult, InterpStats};
+pub use interp::{interpret, interpret_with, InterpError, InterpResult, InterpStats, Step};
 pub use ir::{BbId, FuncId, MemSize, Program, Terminator, VReg};
 pub use regalloc::RegPressureError;
 

@@ -112,9 +112,9 @@ proptest! {
         let golden = interpret(&program, &[seed, trips], &mut img, 1_000_000)
             .expect("terminates");
 
-        for disabled in [false, true] {
+        for cap in [140, 0] {
             let mut opts = CompileOptions::default();
-            opts.former.disabled = disabled;
+            opts.former.max_edge_size = cap;
             let edge = compile(&program, &opts).expect("compiles");
             // Execute through the cycle simulator at 1 core (cheap) to
             // check functional equality.
@@ -126,7 +126,7 @@ proptest! {
             prop_assert_eq!(
                 Some(m.register(pid, Reg::new(1))),
                 golden.ret,
-                "former.disabled={} diverged", disabled
+                "former cap {} diverged", cap
             );
         }
     }

@@ -224,9 +224,9 @@ impl RunOutcome {
 /// Observability options for a run.
 #[derive(Clone, Debug, Default)]
 pub struct ObsOptions {
-    /// Tracer to attach to the machine (default: off). The caller keeps
-    /// ownership of the sink and is responsible for
-    /// [`Tracer::finish`]-ing it after the run.
+    /// Tracer to attach to the machine (default: off). A caller that
+    /// wants the events keeps a handle on the recorder
+    /// ([`Tracer::shared`]) and reads or renders it after the run.
     pub tracer: Tracer,
     /// Enable the clp-prof cycle-accounting layer (default: off). When
     /// off, the run is bit-identical to an unprofiled run.

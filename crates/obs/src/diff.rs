@@ -5,7 +5,7 @@
 //! attribution tells you *what*. [`diff_documents`] flattens both trees
 //! into `(path, leaf)` pairs — object keys and array elements become
 //! path segments, an array of objects being keyed by its identifying
-//! fields ([`ARRAY_KEYS`]) so a cell keeps its path when a neighbour
+//! fields (`ARRAY_KEYS`) so a cell keeps its path when a neighbour
 //! appears or vanishes — merges the two sorted lists, and ranks the
 //! integer leaves that moved by |delta|. Nothing in here knows a
 //! schema: the stats snapshot, `clp-prof-v1`, `clp-bench-v1`,
@@ -90,7 +90,7 @@ pub struct TextEntry {
 /// What moved between two documents.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AttributionReport {
-    /// One `(title, rows)` per [`SECTIONS`] entry, in table order; rows
+    /// One `(title, rows)` per `SECTIONS` entry, in table order; rows
     /// by |delta| descending, then path ascending.
     pub sections: Vec<(&'static str, Vec<DiffEntry>)>,
     /// Non-integer leaves that differ, by path.

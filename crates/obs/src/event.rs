@@ -2,8 +2,7 @@
 //!
 //! Every variant is plain-old-data — no heap allocation — so
 //! constructing an event on the traced path never touches the
-//! allocator, and the [`NullSink`](crate::NullSink) path stays
-//! allocation-free (asserted by a test).
+//! allocator.
 
 /// Why a processor's speculative state was flushed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +58,7 @@ impl CacheLevel {
 /// A cycle-stamped microarchitectural event.
 ///
 /// The stamp itself (the cycle) travels alongside the event in
-/// [`TraceSink::record`](crate::TraceSink::record), so the variants only
+/// [`RingRecorder::record`](crate::RingRecorder::record), so the variants only
 /// carry *what* happened and *where*.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {

@@ -9,11 +9,10 @@
 //!   (fetch → issue → commit/flush), memory system activity (LSQ NACKs,
 //!   cache misses, ordering violations), operand/control mesh routing,
 //!   and next-block prediction.
-//! - [`TraceSink`] is the pluggable consumer trait, with three
-//!   implementations: [`NullSink`] (drops everything; used to prove the
-//!   hooks stay off the hot path), [`RingRecorder`] (last-N events in
-//!   memory, for tests and debugging), and [`ChromeTraceWriter`]
-//!   (Chrome trace-event JSON that loads directly in Perfetto).
+//! - [`RingRecorder`] is the one consumer: the last N events in memory
+//!   (every event at `usize::MAX`), and
+//!   [`RingRecorder::to_chrome_trace`], a view of them as Chrome
+//!   trace-event JSON that loads directly in Perfetto.
 //! - [`Tracer`] is the cheap cloneable handle distributed to every
 //!   subsystem. When tracing is off it is a single `Option` branch and
 //!   the event-constructing closure never runs.
@@ -61,7 +60,7 @@ pub use scope::{
     AttemptEnd, AttemptSpan, ClassBook, FleetBook, JobSpans, ScopeOptions, ScopeReport, Span,
     Terminal, WorkerSlice, WorkerTrack,
 };
-pub use sink::{ChromeTraceWriter, NullSink, RingRecorder, TraceSink, Tracer};
+pub use sink::{RingRecorder, Tracer};
 pub use snapshot::{Metric, MetricValue, StatsNode, StatsSnapshot};
 pub use trend::{ColumnKind, Phase, TrendColumn, TrendOptions, TrendRecorder, TrendReport};
 

@@ -1,39 +1,14 @@
-//! Trace sinks and the [`Tracer`] handle that feeds them.
+//! The trace recorder and the [`Tracer`] handle that feeds it.
 
 use crate::event::TraceEvent;
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// A consumer of cycle-stamped [`TraceEvent`]s.
-pub trait TraceSink: Send {
-    /// Records one event. `cycle` is the machine cycle the event occurred
-    /// on; within one run, calls arrive with non-decreasing cycles.
-    fn record(&mut self, cycle: u64, event: TraceEvent);
-
-    /// Finalizes the sink (e.g. writes buffered output). Called once when
-    /// the run ends; implementations must tolerate repeated calls.
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A sink that drops every event.
-///
-/// Used by the bench guard to prove the emission hooks cost nothing
-/// beyond the `Tracer`'s branch: recording through a `NullSink` performs
-/// no allocation and no work.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn record(&mut self, _cycle: u64, _event: TraceEvent) {}
-}
-
-/// An in-memory ring buffer keeping the most recent `capacity` events.
+/// An in-memory ring buffer keeping the most recent `capacity` events:
+/// the one consumer of [`TraceEvent`]s. `RingRecorder::new(usize::MAX)`
+/// keeps every event; [`RingRecorder::to_chrome_trace`] renders them.
 #[derive(Debug)]
 pub struct RingRecorder {
     buf: VecDeque<(u64, TraceEvent)>,
@@ -42,7 +17,9 @@ pub struct RingRecorder {
 }
 
 impl RingRecorder {
-    /// A recorder holding at most `capacity` events (oldest evicted first).
+    /// A recorder holding at most `capacity` events (oldest evicted
+    /// first). The buffer grows as events arrive, so a large capacity
+    /// reserves nothing up front.
     ///
     /// # Panics
     ///
@@ -51,10 +28,20 @@ impl RingRecorder {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RingRecorder capacity must be positive");
         RingRecorder {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             dropped: 0,
         }
+    }
+
+    /// Records one event. `cycle` is the machine cycle the event occurred
+    /// on; within one run, calls arrive with non-decreasing cycles.
+    pub fn record(&mut self, cycle: u64, event: TraceEvent) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back((cycle, event));
     }
 
     /// The retained events, oldest first.
@@ -79,22 +66,66 @@ impl RingRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-impl TraceSink for RingRecorder {
-    fn record(&mut self, cycle: u64, event: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
+    /// The retained events as Chrome trace-event JSON, loadable in
+    /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+    ///
+    /// Block lifecycles become async begin/end pairs (`ph: "b"`/`"e"`)
+    /// so a block renders as a span from fetch to commit/flush; a
+    /// profile sample is a counter (`ph: "C"`); everything else is an
+    /// instant (`ph: "i"`). One simulated cycle maps to one microsecond
+    /// of trace time.
+    #[must_use]
+    pub fn to_chrome_trace(&self) -> String {
+        let mut records = Vec::with_capacity(self.buf.len());
+        let mut push = |cycle: u64, ph: &str, name: String, ev: &TraceEvent, id: Option<u64>| {
+            let (pid, tid) = ev.track();
+            let args = ev.args().into_iter().map(|(k, v)| (k.to_string(), v));
+            let record = ChromeEvent {
+                name,
+                cat: Some(ev.category()),
+                ph,
+                ts: Some(cycle),
+                pid,
+                tid: Some(tid),
+                id: id.map(|id| Value::String(format!("{id:#x}"))),
+                // Thread-scoped instant.
+                scope: (ph == "i").then_some("t"),
+                args: Some(Value::Object(args.collect())),
+                ..ChromeEvent::default()
+            };
+            records.push(record.into_value());
+        };
+        for &(cycle, ref ev) in &self.buf {
+            match *ev {
+                TraceEvent::BlockFetched { proc, addr, .. } => {
+                    // Async span: opened at fetch, closed at commit/flush.
+                    let id = addr ^ ((proc as u64) << 48);
+                    push(cycle, "b", format!("block {addr:#x}"), ev, Some(id));
+                }
+                TraceEvent::BlockCommitted { proc, addr, .. }
+                | TraceEvent::BlockFlushed { proc, addr, .. } => {
+                    let id = addr ^ ((proc as u64) << 48);
+                    push(cycle, "e", format!("block {addr:#x}"), ev, Some(id));
+                    // Also drop an instant so the cause is visible at a glance.
+                    push(cycle, "i", ev.kind().to_string(), ev, None);
+                }
+                TraceEvent::ProfileBuckets { .. } => {
+                    // Counter sample: Perfetto draws one stacked counter
+                    // track per bucket from the args object.
+                    push(cycle, "C", ev.kind().to_string(), ev, None);
+                }
+                _ => push(cycle, "i", ev.kind().to_string(), ev, None),
+            }
         }
-        self.buf.push_back((cycle, event));
+        chrome_trace(records, Some("ms"))
     }
 }
 
 /// One Chrome trace-event record. Every producer in the crate (the
-/// event-trace writer here, clp-trend's counter tracks, clp-scope's
-/// span export) builds its records through this, so the key order and
-/// the absent-means-omitted rule are written once.
+/// recorder's view here, clp-trend's counter tracks, clp-scope's span
+/// export) builds its records through this, so the key order and the
+/// absent-means-omitted rule are written once.
 #[derive(Default)]
 pub(crate) struct ChromeEvent<'a> {
     pub(crate) name: String,
@@ -165,115 +196,15 @@ pub(crate) fn chrome_trace(events: Vec<Value>, unit: Option<&str>) -> String {
     Value::Object(doc).to_string()
 }
 
-/// Writes the run as Chrome trace-event JSON, loadable in Perfetto
-/// (<https://ui.perfetto.dev>) or `chrome://tracing`.
-///
-/// Block lifecycles become async begin/end pairs (`ph: "b"`/`"e"`) so a
-/// block renders as a span from fetch to commit/flush; everything else
-/// is an instant (`ph: "i"`). One simulated cycle maps to one
-/// microsecond of trace time.
-pub struct ChromeTraceWriter {
-    path: PathBuf,
-    events: Vec<Value>,
-    written: bool,
-}
-
-impl ChromeTraceWriter {
-    /// A writer that will emit JSON to `path` on [`TraceSink::finish`].
-    #[must_use]
-    pub fn new(path: impl AsRef<Path>) -> Self {
-        ChromeTraceWriter {
-            path: path.as_ref().to_path_buf(),
-            events: Vec::new(),
-            written: false,
-        }
-    }
-
-    fn push(&mut self, cycle: u64, ph: &str, name: String, ev: &TraceEvent, id: Option<u64>) {
-        let (pid, tid) = ev.track();
-        let args = ev.args().into_iter().map(|(k, v)| (k.to_string(), v));
-        let event = ChromeEvent {
-            name,
-            cat: Some(ev.category()),
-            ph,
-            ts: Some(cycle),
-            pid,
-            tid: Some(tid),
-            id: id.map(|id| Value::String(format!("{id:#x}"))),
-            // Thread-scoped instant.
-            scope: (ph == "i").then_some("t"),
-            args: Some(Value::Object(args.collect())),
-            ..ChromeEvent::default()
-        };
-        self.events.push(event.into_value());
-    }
-
-    /// Number of buffered trace records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for ChromeTraceWriter {
-    fn record(&mut self, cycle: u64, event: TraceEvent) {
-        match event {
-            TraceEvent::BlockFetched { proc, addr, .. } => {
-                // Async span: opened at fetch, closed at commit/flush.
-                let id = addr ^ ((proc as u64) << 48);
-                self.push(cycle, "b", format!("block {addr:#x}"), &event, Some(id));
-            }
-            TraceEvent::BlockCommitted { proc, addr, .. }
-            | TraceEvent::BlockFlushed { proc, addr, .. } => {
-                let id = addr ^ ((proc as u64) << 48);
-                self.push(cycle, "e", format!("block {addr:#x}"), &event, Some(id));
-                // Also drop an instant so the cause is visible at a glance.
-                self.push(cycle, "i", event.kind().to_string(), &event, None);
-            }
-            TraceEvent::ProfileBuckets { .. } => {
-                // Counter sample: Perfetto draws one stacked counter
-                // track per bucket from the args object.
-                self.push(cycle, "C", event.kind().to_string(), &event, None);
-            }
-            _ => self.push(cycle, "i", event.kind().to_string(), &event, None),
-        }
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        if self.written {
-            return Ok(());
-        }
-        let text = chrome_trace(std::mem::take(&mut self.events), Some("ms"));
-        std::fs::write(&self.path, text)?;
-        self.written = true;
-        Ok(())
-    }
-}
-
-impl fmt::Debug for ChromeTraceWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChromeTraceWriter")
-            .field("path", &self.path)
-            .field("events", &self.events.len())
-            .finish()
-    }
-}
-
 /// The cheap, cloneable handle subsystems emit through.
 ///
 /// `Tracer::off()` is the default everywhere: one `Option` check and the
 /// event-constructing closure never runs, so an untraced run pays a
 /// single predictable branch per hook. When tracing is on, all clones
-/// share one sink behind a mutex (the simulator is single-threaded per
-/// machine; the lock is uncontended).
+/// share one [`RingRecorder`] behind a mutex (the simulator is
+/// single-threaded per machine; the lock is uncontended).
 #[derive(Clone, Default)]
-pub struct Tracer(Option<Arc<Mutex<dyn TraceSink>>>);
+pub struct Tracer(Option<Arc<Mutex<RingRecorder>>>);
 
 impl Tracer {
     /// A disabled tracer (all hooks become a single branch).
@@ -282,20 +213,20 @@ impl Tracer {
         Tracer(None)
     }
 
-    /// A tracer feeding `sink`.
+    /// A tracer feeding `recorder`.
     #[must_use]
-    pub fn new(sink: impl TraceSink + 'static) -> Self {
-        Tracer(Some(Arc::new(Mutex::new(sink))))
+    pub fn new(recorder: RingRecorder) -> Self {
+        Tracer::shared(Arc::new(Mutex::new(recorder)))
     }
 
-    /// A tracer sharing an existing sink handle (lets the caller keep
-    /// access to the sink, e.g. to inspect a [`RingRecorder`] afterwards).
+    /// A tracer sharing an existing recorder handle (lets the caller
+    /// keep access to the recorder, to read or render it afterwards).
     #[must_use]
-    pub fn shared(sink: Arc<Mutex<dyn TraceSink>>) -> Self {
-        Tracer(Some(sink))
+    pub fn shared(recorder: Arc<Mutex<RingRecorder>>) -> Self {
+        Tracer(Some(recorder))
     }
 
-    /// Whether a sink is attached.
+    /// Whether a recorder is attached.
     #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
@@ -303,26 +234,15 @@ impl Tracer {
     }
 
     /// Records the event produced by `make` — which is only invoked when
-    /// a sink is attached, keeping the disabled path free of event
+    /// a recorder is attached, keeping the disabled path free of event
     /// construction.
     #[inline]
     pub fn emit(&self, cycle: u64, make: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = &self.0 {
-            sink.lock()
-                .expect("trace sink poisoned")
+        if let Some(recorder) = &self.0 {
+            recorder
+                .lock()
+                .expect("trace recorder poisoned")
                 .record(cycle, make());
-        }
-    }
-
-    /// Finalizes the sink (writes buffered output for file-backed sinks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O error, if any.
-    pub fn finish(&self) -> std::io::Result<()> {
-        match &self.0 {
-            Some(sink) => sink.lock().expect("trace sink poisoned").finish(),
-            None => Ok(()),
         }
     }
 }

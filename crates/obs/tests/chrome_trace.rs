@@ -1,11 +1,11 @@
-//! Golden-file test for the Chrome trace writer: the output must be
-//! valid JSON in the trace-event format, with non-decreasing timestamps
-//! and paired async begin/end records for block lifecycles.
+//! The recorder's Chrome trace view: the output must be valid JSON in
+//! the trace-event format, with non-decreasing timestamps and paired
+//! async begin/end records for block lifecycles.
 
-use clp_obs::{CacheLevel, ChromeTraceWriter, FlushReason, TraceEvent, TraceSink};
+use clp_obs::{CacheLevel, FlushReason, RingRecorder, TraceEvent};
 use serde_json::Value;
 
-fn record_golden_run(w: &mut ChromeTraceWriter) {
+fn record_golden_run(w: &mut RingRecorder) {
     let events: [(u64, TraceEvent); 10] = [
         (
             1,
@@ -102,12 +102,9 @@ fn record_golden_run(w: &mut ChromeTraceWriter) {
 
 #[test]
 fn chrome_trace_is_valid_and_ordered() {
-    let path = std::env::temp_dir().join(format!("clp_obs_chrome_{}.json", std::process::id()));
-    let mut w = ChromeTraceWriter::new(&path);
+    let mut w = RingRecorder::new(64);
     record_golden_run(&mut w);
-    w.finish().expect("writes");
-    let text = std::fs::read_to_string(&path).expect("file written");
-    std::fs::remove_file(&path).ok();
+    let text = w.to_chrome_trace();
 
     // Valid JSON with the trace-event envelope.
     let doc: Value = serde_json::from_str(&text).expect("valid JSON");
@@ -159,15 +156,14 @@ fn chrome_trace_is_valid_and_ordered() {
     }
 }
 
+/// `usize::MAX` is the unbounded recorder: it reserves nothing up front,
+/// keeps every event and renders them all.
 #[test]
-fn writer_finish_is_idempotent() {
-    let path =
-        std::env::temp_dir().join(format!("clp_obs_chrome_idem_{}.json", std::process::id()));
-    let mut w = ChromeTraceWriter::new(&path);
+fn an_unbounded_recorder_keeps_and_renders_every_event() {
+    let mut w = RingRecorder::new(usize::MAX);
     record_golden_run(&mut w);
-    w.finish().expect("writes");
-    w.finish().expect("second finish is a no-op");
-    let text = std::fs::read_to_string(&path).expect("file written");
-    std::fs::remove_file(&path).ok();
-    assert!(serde_json::from_str(&text).is_ok());
+    assert_eq!((w.len(), w.dropped()), (10, 0));
+    let doc: Value = serde_json::from_str(&w.to_chrome_trace()).expect("valid JSON");
+    // Ten events, plus the instant each commit and flush also drops.
+    assert_eq!(doc["traceEvents"].as_array().map(Vec::len), Some(12));
 }

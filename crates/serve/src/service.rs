@@ -43,7 +43,7 @@
 //! backoff, and its terminal event enters it in the book beside the two
 //! facts the tree lacks: the composition size asked for and the typed
 //! [`JobOutcome`]. Everything else is a view of that book, built once at
-//! drain ([`Ledger::drain`]): the [`JobRecord`]s, the latencies, and
+//! drain (`Ledger::drain`): the [`JobRecord`]s, the latencies, and
 //! every [`ServiceTotals`] counter but the deepest queue and what the
 //! cache holds. clp-scope is another view over the same trees
 //! (`report.rs`), and nothing here records on its behalf.

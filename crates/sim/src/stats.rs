@@ -325,7 +325,8 @@ impl RunStats {
         self.procs.iter().map(|p| p.blocks_committed).sum()
     }
 
-    /// Total committed instructions across processors.
+    /// Block slots of committed blocks across processors, fired or not:
+    /// the sum of `insts_dispatched`, not of `insts_committed`.
     #[must_use]
     pub fn total_insts(&self) -> u64 {
         self.procs.iter().map(|p| p.insts_dispatched).sum()

@@ -198,7 +198,7 @@ impl Workload {
     }
 
     /// Like [`Workload::golden`], but a non-terminating or stack-blowing
-    /// program is reported as a typed [`InterpError`] rather than a
+    /// program is reported as a typed [`InterpError`](clp_compiler::InterpError) rather than a
     /// panic — the form the clp-serve admission path uses so a malformed
     /// job is rejected instead of taking a worker down.
     ///

@@ -603,8 +603,9 @@ fn sample_output_is_matched_to_its_command() {
     );
 }
 
-/// Every identifier in the Rust sources under `crates/`, `tests/`,
-/// `src/` and `examples/`.
+/// Every identifier in the code of the Rust sources under `crates/`,
+/// `tests/`, `src/` and `examples/`: a word that only a `//` comment
+/// holds, doc comments included, does not count.
 fn rust_identifiers() -> BTreeSet<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     ["crates", "tests", "src", "examples"]
@@ -613,8 +614,8 @@ fn rust_identifiers() -> BTreeSet<String> {
         .filter(|path| path.extension().is_some_and(|e| e == "rs"))
         .flat_map(|path| {
             let text = std::fs::read_to_string(&path).expect("a source file reads");
-            let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
-            words
+            let code = text.lines().map(|l| l.find("//").map_or(l, |at| &l[..at]));
+            code.flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
                 .filter(|w| !w.is_empty())
                 .map(str::to_string)
                 .collect::<Vec<_>>()
@@ -624,7 +625,8 @@ fn rust_identifiers() -> BTreeSet<String> {
 
 /// The names an inline span cites: the last segment of each `A::b`
 /// path (paths into `std` aside), and the span itself when it is one
-/// snake_case word with at least two underscores, such as a test name.
+/// snake_case word with at least two underscores, such as a test name,
+/// or one UpperCamelCase word, such as a type name.
 fn cited_names(span: &str) -> Vec<&str> {
     const STD: [&str; 3] = ["std", "mpsc", "thread"];
     let ident = |c: char| c.is_alphanumeric() || c == '_';
@@ -647,7 +649,10 @@ fn cited_names(span: &str) -> Vec<&str> {
         }
     }
     let snake = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
-    if span.chars().all(snake) && span.matches('_').count() >= 2 {
+    let camel = span.starts_with(|c: char| c.is_ascii_uppercase())
+        && span.contains(|c: char| c.is_ascii_lowercase())
+        && span.chars().all(|c| c.is_ascii_alphanumeric());
+    if camel || span.chars().all(snake) && span.matches('_').count() >= 2 {
         names.push(span);
     }
     names
@@ -665,6 +670,9 @@ fn cited_names_are_path_tails_and_long_snake_case_words() {
         ["design_md_does_not_grow"]
     );
     assert_eq!(cited_names("a_test_name"), ["a_test_name"]);
+    assert_eq!(cited_names("RingRecorder"), ["RingRecorder"]);
+    assert!(cited_names("SCREAMING").is_empty());
+    assert!(cited_names("Ring recorder").is_empty());
     assert!(cited_names("std::thread::scope").is_empty());
     assert!(cited_names("mpsc::channel").is_empty());
     assert!(cited_names("noc_delay").is_empty());

@@ -32,7 +32,7 @@ use clp::compiler::{compile, CompileOptions};
 use clp::core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp::isa::asm::format_program;
 use clp::lint::{lint_program, LintConfig, LintReport};
-use clp::obs::{digest_golden, fnv1a64, ChromeTraceWriter, Tracer, TrendOptions};
+use clp::obs::{digest_golden, fnv1a64, RingRecorder, Tracer, TrendOptions};
 use clp::power::{perf2_per_watt, perf_per_area};
 use clp::sim::FaultPlan;
 use clp::workloads::suite;
@@ -40,7 +40,7 @@ use clp_bench::matrix::{Row, SuiteMatrix, BENCH_SIZES, SWEEP_SIZES};
 use clp_bench::observe::{observe, prof_run, runs_document, trend_run, trend_text};
 use clp_bench::par_suite;
 use serde_json::{json, Value};
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock, Mutex};
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -258,7 +258,7 @@ fn observer_goldens() -> [(&'static str, String); 6] {
     let prof_suite = runs.iter().map(|(p, ..)| p.clone()).collect();
     let prof_suite = digest_golden(&runs_document("clp-prof-v1", prof_suite));
     let perfetto = digest_golden(trend_conv_perfetto);
-    let (_, trace) = traced_run("prof_conv4.trace.json", 4, FaultPlan::none(), true);
+    let (_, trace) = traced_run(4, FaultPlan::none(), true);
     [
         ("goldens/prof_conv.json", prof_conv),
         ("goldens/trend_conv.json", trend_conv),
@@ -273,22 +273,20 @@ fn observer_goldens() -> [(&'static str, String); 6] {
 }
 
 /// Runs conv on `cores` under `faults`, with clp-prof on if `profile`,
-/// tracing to `file` in the test's scratch directory: the outcome's
-/// stats snapshot and the trace, as `run_one`'s `--stats-json` and
-/// `--trace` write them.
-fn traced_run(file: &str, cores: usize, faults: FaultPlan, profile: bool) -> (String, String) {
+/// recording every trace event: the outcome's stats snapshot and the
+/// trace, as `run_one`'s `--stats-json` and `--trace` write them.
+fn traced_run(cores: usize, faults: FaultPlan, profile: bool) -> (String, String) {
     let w = suite::by_name("conv").expect("conv is in the suite");
     let cw = compile_workload(&w).expect("compiles");
-    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    let recorder = Arc::new(Mutex::new(RingRecorder::new(usize::MAX)));
     let obs = ObsOptions {
-        tracer: Tracer::new(ChromeTraceWriter::new(&trace)),
+        tracer: Tracer::shared(recorder.clone()),
         profile,
         ..ObsOptions::default()
     };
     let cfg = ProcessorConfig::tflex(cores).with_faults(faults);
     let r = run_compiled_observed(&cw, &cfg, &obs).expect("runs correctly");
-    obs.tracer.finish().expect("writes the trace");
-    let trace = std::fs::read_to_string(&trace).expect("reads the trace back");
+    let trace = recorder.lock().expect("unpoisoned").to_chrome_trace();
     (r.snapshot.to_json(), trace)
 }
 
@@ -305,7 +303,7 @@ fn the_observers_reproduce_their_goldens() {
 /// label and `extra_cycles`).
 fn fault_goldens() -> [(&'static str, String); 2] {
     let plan = FaultPlan::parse("all=50", 1).expect("valid spec");
-    let (snapshot, trace) = traced_run("faults_conv8.trace.json", 8, plan, false);
+    let (snapshot, trace) = traced_run(8, plan, false);
     [
         ("goldens/faults_conv8.json", snapshot),
         (
