@@ -47,6 +47,15 @@ use clp_obs::{RingRecorder, Tracer, TrendOptions};
 use clp_sim::{CoreKill, FaultPlan, RunError, SimConfig, ALL_FAULT_KINDS};
 use std::sync::{Arc, Mutex};
 
+/// `print!` and `println!` through [`cli::out`]: a closed pipe ends the
+/// run quietly.
+macro_rules! out {
+    ($($arg:tt)*) => { cli::out(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { cli::out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 #[rustfmt::skip]
 const SPEC: Spec = Spec {
     prog: "run_one",
@@ -94,7 +103,7 @@ fn main() {
     })
     .unwrap_or(1000);
     let cw = compile_workload(w).unwrap_or_else(|e| {
-        println!("{name} on {n} cores FAILED: {e}");
+        outln!("{name} on {n} cores FAILED: {e}");
         std::process::exit(3);
     });
     // Fail on an unwritable output path now, not after a long run.
@@ -136,7 +145,7 @@ fn main() {
         Ok(stats) => {
             let ret = m.register(pid, Reg::new(1));
             let ok = w.verify_against(&cw.golden, ret, &m.memory().image).is_ok();
-            println!(
+            outln!(
                 "{name} on {n} cores: {} cycles, ret={ret:#x}, correct={ok}",
                 stats.cycles
             );
@@ -150,7 +159,7 @@ fn main() {
                     .filter(|&&k| fs.count(k) > 0)
                     .map(|&k| format!("{}={}", k.label(), fs.count(k)))
                     .collect();
-                println!(
+                outln!(
                     "[faults: {} injected (seed {}){}{}]",
                     fs.total(),
                     fault_seed,
@@ -160,7 +169,7 @@ fn main() {
             }
             if !kills.is_empty() {
                 let rec = stats.recovery;
-                println!(
+                outln!(
                     "[recovery: {} killed, {} recoveries, detection {:.0} cycles, \
                      {} blocks flushed, {} B migrated, degraded ipc {:.2}]",
                     rec.cores_killed,
@@ -174,7 +183,7 @@ fn main() {
             if bound {
                 let lcfg = clp_lint::LintConfig { placement_cores: n };
                 let pb = clp_lint::bound_program(&cw.edge, &lcfg, n);
-                println!(
+                outln!(
                     "[bound: static floor {} cycles vs {} measured ({:.2}x), \
                      floors must-commit={} terminal={} work={}]",
                     pb.cycles,
@@ -185,7 +194,7 @@ fn main() {
                     pb.work_floor,
                 );
                 for b in &pb.blocks {
-                    println!(
+                    outln!(
                         "  block @{:#x}: bound {} cycles, bound by {} \
                          (height {}, flat {}, issue {}, noc {}, dispatch {}{})",
                         b.addr,
@@ -206,38 +215,38 @@ fn main() {
                 let diags = clp_lint::lint_bounds(&cw.edge, &lcfg);
                 if !diags.is_empty() {
                     let report = clp_lint::LintReport { diagnostics: diags };
-                    print!("{}", clp_lint::render_report(&report, Some(&cw.edge)));
+                    out!("{}", clp_lint::render_report(&report, Some(&cw.edge)));
                 }
             }
             if profile {
                 let report = m.profile_report().expect("profiling enabled");
-                print!("{}", report.render_breakdown());
-                print!("{}", report.render_core_heatmap());
-                print!("{}", report.render_links(8));
+                out!("{}", report.render_breakdown());
+                out!("{}", report.render_core_heatmap());
+                out!("{}", report.render_links(8));
             }
             if trend {
                 let trend = m.take_trend_report().expect("trend enabled");
-                print!("{}", trend.render_timeline());
+                out!("{}", trend.render_timeline());
                 if phase_table {
-                    print!("{}", trend.render_phase_table());
+                    out!("{}", trend.render_phase_table());
                 }
             }
             if let Some(path) = &stats_json {
                 let snapshot = m.snapshot();
                 write_or_die(path, &snapshot.to_json());
-                println!("[stats -> {path}: ipc {:.2}]", snapshot.expect("proc0/ipc"));
+                outln!("[stats -> {path}: ipc {:.2}]", snapshot.expect("proc0/ipc"));
             }
         }
         Err(RunError::DeadlineExceeded { budget }) => {
-            println!("{name} on {n} cores KILLED: exceeded --max-cycles deadline of {budget}");
+            outln!("{name} on {n} cores KILLED: exceeded --max-cycles deadline of {budget}");
             // 4: the watchdog fired. The job may well be fine, just
             // slower than the budget — callers decide whether to retry
             // with a larger one.
             exit_code = 4;
         }
         Err(e) => {
-            println!("{name} on {n} cores FAILED: {e}");
-            println!("{}", m.debug_snapshot());
+            outln!("{name} on {n} cores FAILED: {e}");
+            outln!("{}", m.debug_snapshot());
             // 3, not 1: the run itself died (deadlock, bad kill
             // schedule), as opposed to finishing with wrong outputs.
             exit_code = 3;
@@ -246,7 +255,7 @@ fn main() {
     if let (Some(path), Some(recorder)) = (&trace, &recorder) {
         let recorder = recorder.lock().expect("trace recorder poisoned");
         write_or_die(path, &recorder.to_chrome_trace());
-        println!("[trace -> {path}]");
+        outln!("[trace -> {path}]");
     }
     std::process::exit(exit_code);
 }

@@ -118,6 +118,32 @@ fn run_one_tells_its_failure_modes_apart() {
 /// a missing block is refused by the assembler (exit 2) before any lint
 /// runs.
 #[test]
+fn run_one_exits_quietly_when_its_reader_stops_early() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // ~250 KB of phase table: far past what a pipe buffers, so run_one is
+    // still writing when the reader goes (as with `| head -1`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_run_one"))
+        .args(["mcf", "1", "--phase-table", "--sample-every", "1"])
+        .current_dir(TMP)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run_one starts");
+    let mut first = String::new();
+    let mut reader = BufReader::new(child.stdout.take().expect("piped"));
+    reader.read_line(&mut first).expect("one line");
+    assert!(first.starts_with("mcf on 1 cores: "), "{first}");
+    drop(reader);
+    let mut err = String::new();
+    let mut stderr = child.stderr.take().expect("piped");
+    stderr.read_to_string(&mut err).expect("stderr");
+    let status = child.wait().expect("run_one ends");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(status.code(), Some(0), "{err}");
+}
+
+#[test]
 fn clp_lint_lints_an_assembled_program_from_disk() {
     let exe = env!("CARGO_BIN_EXE_clp-lint");
     let lint = |name: &str, text: &str| {

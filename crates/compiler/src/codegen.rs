@@ -70,6 +70,9 @@ struct Scratch {
     exit_live: VRegSet,
     /// Whether each op's guarded definition needs a merge.
     need_merge: Vec<bool>,
+    /// Per op, bit `v % 64` for every register `v` it reads, defines or
+    /// is guarded by: an op without the bit of `v` does not touch `v`.
+    touches: Vec<u64>,
     /// Values a call exit saves to the frame instead of writing back.
     suppress_write_back: VRegSet,
     /// The values the block writes back.
@@ -360,6 +363,7 @@ fn lower_block(
         insts,
         exit_live,
         need_merge,
+        touches,
         suppress_write_back,
         to_write,
     } = scratch;
@@ -420,6 +424,18 @@ fn lower_block(
                 _ => false,
             })
     };
+    let bit = |v: VReg| 1u64 << (v.0 % 64);
+    touches.clear();
+    touches.extend(hb.ops.iter().map(|op| {
+        let guard = conjuncts(op).iter().map(|&(v, _)| v);
+        let regs = op
+            .kind
+            .operands()
+            .into_iter()
+            .flatten()
+            .chain(op.kind.dst());
+        regs.chain(guard).fold(0, |m, v| m | bit(v))
+    }));
     need_merge.clear();
     need_merge.extend(hb.ops.iter().enumerate().map(|(k, op)| {
         let Some(dst) = op.kind.dst() else {
@@ -431,7 +447,8 @@ fn lower_block(
         if exit_live.contains(dst) || exit_guard_uses(dst) {
             return true;
         }
-        for later in &hb.ops[k + 1..] {
+        let later_ops = hb.ops[k + 1..].iter().zip(&touches[k + 1..]);
+        for (later, _) in later_ops.filter(|&(_, t)| t & bit(dst) != 0) {
             if uses_in_pred(later, dst) {
                 return true; // guard chains must always deliver
             }
@@ -741,10 +758,12 @@ pub(crate) fn write_back_cliques(f: &Function, hir: &HirFunction, lv: &Liveness)
 /// Returns a [`CompileError`] for register pressure, malformed call
 /// structure, or block-validation failures that shrinking cannot fix.
 pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, CompileError> {
+    // Liveness is of the IR, which no cap changes: every attempt shares it.
+    let lvs: Vec<Liveness> = program.functions.iter().map(liveness).collect();
     let mut attempt = *opts;
     for cap in [attempt.former.max_edge_size, 116, 96, 76, 56, 36, 0] {
         attempt.former.max_edge_size = cap;
-        match compile_once(program, &attempt) {
+        match compile_once(program, &lvs, &attempt) {
             Err(
                 CompileError::Block {
                     source: clp_isa::BlockError::TooManyInstructions(_),
@@ -759,20 +778,23 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, 
     unreachable!("loop returns on the zero-cap attempt")
 }
 
-fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram, CompileError> {
+/// One attempt of [`compile`] at the formation cap in `opts`; `lvs` is
+/// each function's liveness.
+fn compile_once(
+    program: &Program,
+    lvs: &[Liveness],
+    opts: &CompileOptions,
+) -> Result<EdgeProgram, CompileError> {
     // Per-function analyses.
     let mut hirs = Vec::with_capacity(program.functions.len());
     let mut layouts = Vec::with_capacity(program.functions.len());
-    let mut lvs = Vec::with_capacity(program.functions.len());
     let mut allocs = Vec::with_capacity(program.functions.len());
-    for f in &program.functions {
+    for (f, lv) in program.functions.iter().zip(lvs) {
         let hir = form_hyperblocks(f, &opts.former);
-        let lv = liveness(f);
-        let cliques = write_back_cliques(f, &hir, &lv);
-        let alloc = allocate(f, &lv, &cliques).map_err(CompileError::RegPressure)?;
+        let cliques = write_back_cliques(f, &hir, lv);
+        let alloc = allocate(f, lv, &cliques).map_err(CompileError::RegPressure)?;
         layouts.push(hir.layout_order());
         hirs.push(hir);
-        lvs.push(lv);
         allocs.push(alloc);
     }
 
@@ -826,8 +848,11 @@ fn compile_once(program: &Program, opts: &CompileOptions) -> Result<EdgeProgram,
     let mut epb = EdgeProgramBuilder::new();
     let mut scratch = Scratch::default();
     // Room for a valid block's instructions, so the buffer grows only
-    // for a block on its way to `BlockTooLarge`.
+    // for a block on its way to `BlockTooLarge`; each op lowers to one
+    // instruction or more, so the per-op buffers fit too.
     scratch.insts.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
+    scratch.need_merge.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
+    scratch.touches.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
     {
         let entry_fn_addr = entry_addr(program.entry);
         let mut sb = clp_isa::BlockBuilder::new(start_addr);

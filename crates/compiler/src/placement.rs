@@ -12,12 +12,18 @@ use clp_isa::{InstId, Instruction, Target};
 
 /// Renumbers `insts` (a block's instructions in builder order) to place
 /// dependent instructions on the same core of an `n_cores` target,
-/// rewriting all dataflow targets. Blocks too large to be valid are
-/// returned unchanged (validation will reject them with a better error).
+/// rewriting all dataflow targets. Blocks too large to be valid, and
+/// targets that are not a power of two of at most [`MAX_CORES`] cores,
+/// are returned unchanged (validation rejects such a block with a better
+/// error).
 #[must_use]
 pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
     scheduled(&insts, n_cores).unwrap_or(insts)
 }
+
+/// The largest composition [`schedule`] places for: twice TFlex's 32
+/// cores, so that a residue class is a bit of a `u64`.
+pub const MAX_CORES: usize = 64;
 
 /// [`schedule`] into a new vector of exactly `insts.len()`, or `None`
 /// for a block it leaves unchanged. Its working state is a few arrays of
@@ -28,17 +34,22 @@ pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Ins
     const MAX: usize = clp_isa::MAX_BLOCK_INSTRUCTIONS;
     const NONE: u8 = u8::MAX;
     let n = insts.len();
-    if n == 0 || n > MAX || !n_cores.is_power_of_two() {
+    if n == 0 || n > MAX || !n_cores.is_power_of_two() || n_cores > MAX_CORES {
         return None;
     }
 
-    // Build producer lists and a topological order (Kahn). A block has
-    // at most two targets per instruction, so in-degrees fit 16 bits.
+    // One walk over the targets: each instruction's consumers, and each
+    // one's in-degree (at most two targets per instruction, so 16 bits)
+    // and first producer. Kahn's algorithm then reads the consumers.
+    let mut consumers = [[0u8; 2]; MAX];
+    let mut fanout = [0u8; MAX];
     let mut indeg = [0u16; MAX];
     let mut first_producer = [NONE; MAX];
     for (i, inst) in insts.iter().enumerate() {
-        for t in inst.targets() {
+        for t in inst.targets.iter().flatten() {
             let c = t.inst.index();
+            consumers[i][usize::from(fanout[i])] = c as u8;
+            fanout[i] += 1;
             indeg[c] += 1;
             if first_producer[c] == NONE {
                 first_producer[c] = i as u8;
@@ -56,8 +67,8 @@ pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Ins
     while head < len {
         let i = usize::from(topo[head]);
         head += 1;
-        for t in insts[i].targets() {
-            let c = t.inst.index();
+        for &c in &consumers[i][..usize::from(fanout[i])] {
+            let c = usize::from(c);
             indeg[c] -= 1;
             if indeg[c] == 0 {
                 topo[len] = c as u8;
@@ -78,7 +89,7 @@ pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Ins
     for (r, slot) in next[..n].iter_mut().enumerate() {
         *slot = r as u8;
     }
-    let mut free = (0..n.min(n_cores)).fold(0u128, |m, r| m | 1 << r);
+    let mut free = u64::MAX >> (64 - n.min(n_cores));
 
     let mut new_id = [NONE; MAX];
     let mut rr = 0usize; // round-robin for source instructions
@@ -94,7 +105,11 @@ pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Ins
                 rr
             }
         };
-        let residue = pick(free, preferred, n_cores);
+        let residue = if free >> preferred & 1 == 1 {
+            preferred
+        } else {
+            pick(free, preferred, n_cores)
+        };
         new_id[i] = next[residue];
         let after = usize::from(next[residue]) + n_cores;
         if after >= n {
@@ -124,13 +139,13 @@ pub(crate) fn scheduled(insts: &[Instruction], n_cores: usize) -> Option<Vec<Ins
     )
 }
 
-/// `EVERY[k]`: bits `0`, `2 << k`, `2 * (2 << k)`, ... of a `u128`.
-const EVERY: [u128; 7] = {
-    let mut every = [0; 7];
+/// `EVERY[k]`: bits `0`, `2 << k`, `2 * (2 << k)`, ... of a `u64`.
+const EVERY: [u64; 6] = {
+    let mut every = [0; 6];
     let mut k = 0;
-    while k < 7 {
+    while k < 6 {
         let mut bit = 0;
-        while bit < 128 {
+        while bit < 64 {
             every[k] |= 1 << bit;
             bit += 2 << k;
         }
@@ -140,45 +155,37 @@ const EVERY: [u128; 7] = {
 };
 
 /// The free residue class (bit `r` of `free`) sharing the most low-order bits
-/// with `preferred`: instruction IDs select the core by their low bits,
-/// so maximal low-bit agreement preserves producer/consumer co-location
-/// for every smaller composition even when the exact class is full.
+/// with `preferred`, which is not free itself: instruction IDs select the
+/// core by their low bits, so maximal low-bit agreement preserves
+/// producer/consumer co-location for every smaller composition even when
+/// the exact class is full.
 /// Among equally agreeing classes the nearest wins, and of two equally
-/// near the higher.
+/// near the higher. `n_cores` is a power of two of at most [`MAX_CORES`]
+/// and `preferred` is below it.
 ///
 /// The classes agreeing with `preferred` in exactly `k` low bits are
 /// those congruent to `preferred ^ (1 << k)` modulo `2 << k`, so the
 /// pick walks `k` down from the exact class and stops at the first
 /// level holding a free one. Of a level's free classes, the nearest is
 /// the highest below `preferred` or the lowest above it.
-fn pick(free: u128, preferred: usize, n_cores: usize) -> usize {
-    if preferred < 128 && free >> preferred & 1 == 1 {
-        return preferred;
-    }
+fn pick(free: u64, preferred: usize, n_cores: usize) -> usize {
     for k in (0..n_cores.trailing_zeros()).rev() {
-        let first = (preferred ^ (1 << k)) & ((2 << k) - 1);
-        if first >= 128 {
-            continue;
-        }
         // Bits `first`, `first + (2 << k)`, ...: the level's classes.
-        let level = EVERY.get(k as usize).map_or(1, |&every| every) << first;
-        let free = free & level;
+        let first = (preferred ^ (1 << k)) & ((2 << k) - 1);
+        let free = free & EVERY[k as usize] << first;
         if free == 0 {
             continue;
         }
-        let below = if preferred >= 128 {
-            free
-        } else {
-            free & ((1 << preferred) - 1)
-        };
+        let below = free & ((1 << preferred) - 1);
         let above = free & !below;
-        let lo = (below != 0).then(|| 127 - below.leading_zeros() as usize);
-        let hi = (above != 0).then(|| above.trailing_zeros() as usize);
-        return match (lo, hi) {
-            (Some(l), Some(h)) if h - preferred > preferred - l => l,
-            (_, Some(h)) => h,
-            (Some(l), None) => l,
-            (None, None) => unreachable!("the level holds a free class"),
+        let lo = (below != 0).then(|| 63 - below.leading_zeros() as usize);
+        if above == 0 {
+            return lo.expect("the level holds a free class");
+        }
+        let hi = above.trailing_zeros() as usize;
+        return match lo {
+            Some(l) if hi - preferred > preferred - l => l,
+            _ => hi,
         };
     }
     unreachable!("a slot is free by counting")
@@ -290,28 +297,35 @@ mod tests {
     #[test]
     fn direct_pick_equals_the_scan() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for log in 0..=5 {
+        for log in 0..=MAX_CORES.trailing_zeros() {
             let n_cores = 1usize << log;
             for _ in 0..2000 {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1);
-                let free = (state >> 16) & ((1 << n_cores) - 1);
+                let free = state.rotate_right(16) & (u64::MAX >> (64 - n_cores));
                 let free = if free == 0 {
                     1 << (state % n_cores as u64)
                 } else {
                     free
                 };
                 let is_free = |r: usize| free >> r & 1 == 1;
-                for preferred in 0..n_cores {
+                for preferred in (0..n_cores).filter(|&p| !is_free(p)) {
                     assert_eq!(
-                        pick(u128::from(free), preferred, n_cores),
+                        pick(free, preferred, n_cores),
                         pick_by_scan(is_free, preferred, n_cores),
                         "n_cores {n_cores}, free {free:#b}, preferred {preferred}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn compositions_past_max_cores_pass_through() {
+        let insts = chain_block_insts();
+        assert_eq!(schedule(insts.clone(), 2 * MAX_CORES), insts);
+        assert_ne!(schedule(insts.clone(), MAX_CORES), insts);
     }
 
     #[test]

@@ -369,6 +369,18 @@ pub fn or_die<T>(result: Result<T, CliError>) -> T {
     }
 }
 
+/// Writes `text` to stdout, as `print!` does. A reader that stops early
+/// (`| head`) is not an error: the tool exits 0 quietly instead of
+/// panicking on the closed pipe.
+pub fn out(text: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(format!("cannot write to stdout: {e}")),
+        Ok(()) => {}
+    }
+}
+
 /// Prints `<tool>: <msg>` to stderr and exits 2 — the usage / bad-input
 /// exit of every tool. The tool's name is the running binary's.
 pub fn die(msg: impl Display) -> ! {

@@ -19,6 +19,7 @@ use crate::Opcode;
 /// Panics if called with a memory, branch, or register-interface opcode —
 /// those have side effects that the caller must model itself.
 #[must_use]
+#[inline]
 pub fn eval(op: Opcode, imm: i64, a: u64, b: u64) -> u64 {
     let sa = a as i64;
     let sb = b as i64;

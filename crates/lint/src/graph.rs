@@ -66,42 +66,44 @@ pub fn is_null_store(inst: &Instruction) -> bool {
     inst.opcode == Opcode::Null && inst.lsid.is_some()
 }
 
+/// The operand slot a target feeds: instruction `i`'s slot `s` is slot
+/// `3 * i + s`.
+fn slot_of(t: &clp_isa::Target) -> usize {
+    3 * t.inst.index() + t.operand.encode() as usize
+}
+
 /// Lays the targets of `insts` (those of producers `keep` accepts) out
 /// slot by slot: `start[k]..start[k + 1]` of `list` are slot `k`'s
-/// producers, ascending.
+/// producers, ascending. One walk counts each slot's producers and sums
+/// them into where each slot ends; a second places the producers from
+/// the last down, each slot's end moving back to its start as it fills.
 fn slot_lists(
     insts: &[Instruction],
     keep: impl Fn(&Instruction) -> bool,
     start: &mut Vec<usize>,
     list: &mut Vec<usize>,
 ) {
-    let slot_of = |t: &clp_isa::Target| 3 * t.inst.index() + t.operand.encode() as usize;
     let slots = 3 * insts.len();
-    // Count each slot's producers, place the slots end to end, then fill
-    // them in producer order, advancing each slot's start as it fills and
-    // shifting the starts back afterwards.
     refill(start, slots + 1, 0, 3 * ROOM + 1);
     for inst in insts.iter().filter(|i| keep(i)) {
         for t in inst.targets() {
-            start[slot_of(&t) + 1] += 1;
+            start[slot_of(&t)] += 1;
         }
     }
-    for k in 0..slots {
-        start[k + 1] += start[k];
+    let mut total = 0;
+    for end in &mut start[..=slots] {
+        total += *end;
+        *end = total;
     }
     // At most two targets per instruction.
-    refill(list, start[slots], 0, 2 * ROOM);
-    for (i, inst) in insts.iter().enumerate().filter(|(_, i)| keep(i)) {
+    refill(list, total, 0, 2 * ROOM);
+    for (i, inst) in insts.iter().enumerate().rev().filter(|(_, i)| keep(i)) {
         for t in inst.targets() {
             let k = slot_of(&t);
+            start[k] -= 1;
             list[start[k]] = i;
-            start[k] += 1;
         }
     }
-    for k in (0..slots).rev() {
-        start[k + 1] = start[k];
-    }
-    start[0] = 0;
 }
 
 impl BlockGraph {
@@ -112,7 +114,11 @@ impl BlockGraph {
         g
     }
 
-    /// Recomputes the graph facts for a validated block in place.
+    /// Recomputes the graph facts for a validated block in place: two
+    /// walks over the targets lay out the producer lists (which give
+    /// every in-degree), Kahn's algorithm folds each constant as it
+    /// orders the instructions, and a walk back down the order gathers
+    /// the descendants.
     pub fn rebuild(&mut self, block: &Block) {
         let insts = block.instructions();
         let n = insts.len();
@@ -133,19 +139,22 @@ impl BlockGraph {
                 &mut self.delivering_list,
             );
         }
+        // An instruction's in-degree is the size of its three slots.
+        let start = &self.producer_start;
+        refill(&mut self.indegree, 0, 0, ROOM);
+        self.indegree
+            .extend((0..n).map(|i| start[3 * i + 3] - start[3 * i]));
+
         // Kahn's algorithm; the block is acyclic by construction so every
-        // instruction is emitted.
-        refill(&mut self.indegree, n, 0, ROOM);
-        for inst in insts {
-            for t in inst.targets() {
-                self.indegree[t.inst.index()] += 1;
-            }
-        }
+        // instruction is emitted. An instruction is popped after all its
+        // producers, so its constant folds then.
         refill(&mut self.topo, 0, 0, ROOM);
         refill(&mut self.ready, 0, 0, ROOM);
+        refill(&mut self.cval, n, None, ROOM);
         self.ready.extend((0..n).filter(|&i| self.indegree[i] == 0));
         while let Some(i) = self.ready.pop() {
             self.topo.push(i);
+            self.cval[i] = self.fold(&insts[i], i);
             for t in insts[i].targets() {
                 let j = t.inst.index();
                 self.indegree[j] -= 1;
@@ -156,14 +165,8 @@ impl BlockGraph {
         }
         debug_assert_eq!(self.topo.len(), n);
 
-        refill(&mut self.cval, n, None, ROOM);
         refill(&mut self.desc, n, 0, ROOM);
-        for idx in 0..self.topo.len() {
-            let i = self.topo[idx];
-            self.cval[i] = self.fold(&insts[i], i);
-        }
-        for idx in (0..self.topo.len()).rev() {
-            let i = self.topo[idx];
+        for &i in self.topo.iter().rev() {
             let mut d = 0u128;
             for t in insts[i].targets() {
                 let j = t.inst.index();

@@ -35,13 +35,13 @@ pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig, diags: &mut Vec<
     if let Ok((rect_w, _)) = region_rect(&mesh, cfg.placement_cores) {
         let n = cfg.placement_cores;
         for (i, inst) in insts.iter().enumerate() {
-            // `n` is a power of two (`region_rect` takes no other size):
-            // a target on the producer's own core is zero hops away.
-            let remote = inst
-                .targets()
-                .filter(|t| (i ^ t.inst.index()) & (n - 1) != 0);
+            // `n` is a power of two (`region_rect` takes no other size),
+            // so `& (n - 1)` is `% n`: a target on the producer's own
+            // core is zero hops away.
+            let core = |i: usize| i & (n - 1);
+            let remote = inst.targets().filter(|t| core(i ^ t.inst.index()) != 0);
             for t in remote {
-                let hops = rect_hops(i % n, t.inst.index() % n, rect_w) as u32;
+                let hops = rect_hops(core(i), core(t.inst.index()), rect_w) as u32;
                 if hops > MAX_ROUTE_HOPS {
                     diags.push(
                         Diagnostic::new(

@@ -65,9 +65,6 @@ impl PathFacts<'_> {
 pub struct Scratch {
     /// The block's predicate conditions, ascending.
     vars: Vec<usize>,
-    /// `var_of[i]`: the predicate variable instruction `i` is, if it is
-    /// one.
-    var_of: Vec<Option<usize>>,
     /// `discover_vars`' boolean-operand memo, visited marks and stack.
     bmemo: Vec<Option<bool>>,
     needed: Vec<bool>,
@@ -85,13 +82,19 @@ impl Scratch {
         discover_vars(block, g, self);
         let spill = self.vars.len().saturating_sub(64);
         self.vars.truncate(64);
-        refill(&mut self.var_of, block.len(), None, ROOM);
-        for (v, &i) in self.vars.iter().enumerate() {
-            self.var_of[i] = Some(v);
-        }
         self.pe.reset(block.len());
         spill
     }
+}
+
+/// The instructions whose firing or value can differ between the paths
+/// of `mask` and `before`: the variables (`vars[j]` is variable `j`)
+/// whose bits differ and everything downstream of them. The rest keep
+/// their state from one path to the other, so a path evaluated after
+/// another only needs these.
+fn changed(vars: &[usize], g: &BlockGraph, mask: u64, before: u64) -> u128 {
+    let flipped = bits(u128::from(mask ^ before)).map(|j| vars[j]);
+    flipped.fold(0, |m, i| m | 1 << i | g.desc[i])
 }
 
 /// Iterates the set bits of `m`, ascending.
@@ -288,9 +291,11 @@ struct PathEval {
     multi: u128,
 }
 
-fn var_val(i: usize, insts: &[Instruction], var_of: &[Option<usize>], mask: u64) -> Val {
-    match var_of[i] {
-        Some(v) => {
+/// The value of instruction `i` on the path of `mask` when nothing
+/// folds it: its variable's, if it is one of `vars` (ascending).
+fn var_val(i: usize, insts: &[Instruction], vars: &[usize], mask: u64) -> Val {
+    match vars.binary_search(&i) {
+        Ok(v) => {
             let bit = (mask >> v) & 1 == 1;
             if is_test(insts[i].opcode) {
                 Val::Const(u64::from(bit))
@@ -298,15 +303,29 @@ fn var_val(i: usize, insts: &[Instruction], var_of: &[Option<usize>], mask: u64)
                 Val::Truthy(bit)
             }
         }
-        None => Val::Unknown,
+        Err(_) => Val::Unknown,
     }
 }
 
+/// The state of slot `s` of instruction `i` on the path `pe` holds so
+/// far: tokens merge into one value only when they all agree.
 fn slot_state(i: usize, s: usize, g: &BlockGraph, pe: &PathEval) -> SlotState {
+    let delivering = g.delivering(i, s);
+    if let [p] = *delivering {
+        // Most slots have one producer.
+        return match pe.fire[p] {
+            Fire::No => SlotState::default(),
+            f => SlotState {
+                lo: u32::from(f == Fire::Yes),
+                hi: 1,
+                val: pe.vals[p],
+            },
+        };
+    }
     let mut st = SlotState::default();
     let mut seen: Option<Val> = None;
     let mut mixed = false;
-    for &p in g.delivering(i, s) {
+    for &p in delivering {
         let f = pe.fire[p];
         if f == Fire::No {
             continue;
@@ -336,22 +355,27 @@ impl PathEval {
         refill(&mut self.fire, n, Fire::No, ROOM);
         refill(&mut self.lo, n, [0; 3], ROOM);
         refill(&mut self.vals, n, Val::Unknown, ROOM);
+        (self.yes, self.may, self.multi) = (0, 0, 0);
     }
 }
 
-/// Evaluates the path of `mask` into `pe`. Every instruction's firing
-/// and value, and the delivery bound of every slot it has, are
-/// rewritten; the slots it does not have keep their zero.
+/// Evaluates the path of `mask` into `pe` for the instructions `redo`
+/// holds, in topological order; every producer of one is either in
+/// `redo` too or already evaluated as it is on this path. Each one's
+/// firing and value, and the delivery bound of every slot it has, are
+/// rewritten; the slots it does not have keep their zero, and the
+/// instructions outside `redo` keep all they had.
 fn eval_path(
     block: &Block,
     g: &BlockGraph,
-    var_of: &[Option<usize>],
+    vars: &[usize],
     mask: u64,
+    redo: u128,
     pe: &mut PathEval,
 ) {
     let insts = block.instructions();
-    let (mut yes, mut may, mut multi) = (0u128, 0u128, 0u128);
-    for &i in &g.topo {
+    let (mut yes, mut may, mut multi) = (pe.yes & !redo, pe.may & !redo, pe.multi & !redo);
+    for &i in g.topo.iter().filter(|&&i| redo >> i & 1 == 1) {
         let inst = &insts[i];
         let mut no = false;
         let mut maybe = false;
@@ -404,7 +428,7 @@ fn eval_path(
             yes |= 1 << i;
             Fire::Yes
         };
-        pe.vals[i] = value_of(inst, i, g, &vals, var_of, mask, insts);
+        pe.vals[i] = value_of(inst, i, g, &vals, vars, mask, insts);
     }
     (pe.yes, pe.may, pe.multi) = (yes, may, multi);
 }
@@ -414,7 +438,7 @@ fn value_of(
     i: usize,
     g: &BlockGraph,
     slots: &[Val; 3],
-    var_of: &[Option<usize>],
+    vars: &[usize],
     mask: u64,
     insts: &[Instruction],
 ) -> Val {
@@ -442,7 +466,7 @@ fn value_of(
             };
             match t {
                 Some(t) => Val::Const(u64::from(if op == Opcode::Tne { t } else { !t })),
-                None => var_val(i, insts, var_of, mask),
+                None => var_val(i, insts, vars, mask),
             }
         }
         _ if foldable(op) => {
@@ -456,10 +480,10 @@ fn value_of(
             };
             match fold {
                 Some(c) => Val::Const(c),
-                None => var_val(i, insts, var_of, mask),
+                None => var_val(i, insts, vars, mask),
             }
         }
-        _ => var_val(i, insts, var_of, mask),
+        _ => var_val(i, insts, vars, mask),
     }
 }
 
@@ -485,7 +509,8 @@ pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     let spill = s.index_vars(block, g);
     let pe = &mut s.pe;
     if spill > 0 || s.vars.len() > MAX_PRED_VARS {
-        eval_path(block, g, &vec![None; block.len()], 0, pe);
+        // Every condition left `Unknown`.
+        eval_path(block, g, &[], 0, u128::MAX, pe);
         return FiringPaths {
             exhaustive: false,
             paths: vec![std::mem::take(&mut pe.fire)],
@@ -493,7 +518,11 @@ pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     }
     let paths = (0..(1u64 << s.vars.len()))
         .map(|mask| {
-            eval_path(block, g, &s.var_of, mask, pe);
+            let redo = match mask {
+                0 => u128::MAX,
+                _ => changed(&s.vars, g, mask, mask - 1),
+            };
+            eval_path(block, g, &s.vars, mask, redo, pe);
             pe.fire.clone()
         })
         .collect();
@@ -529,11 +558,7 @@ pub fn analyze<'s>(
 
     let spill = s.index_vars(block, g);
     let Scratch {
-        vars,
-        var_of,
-        pe,
-        cofire,
-        ..
+        vars, pe, cofire, ..
     } = s;
     let vars = &*vars;
 
@@ -616,8 +641,11 @@ pub fn analyze<'s>(
             sampled[path]
         }
     });
+    let mut before = None;
     for mask in masks {
-        eval_path(block, g, var_of, mask, pe);
+        let redo = before.map_or(u128::MAX, |before| changed(vars, g, mask, before));
+        before = Some(mask);
+        eval_path(block, g, vars, mask, redo, pe);
         let witness = || describe_mask(vars, mask, insts);
         let (yes, may) = (pe.yes, pe.may);
 

@@ -1,8 +1,10 @@
-//! Heap-allocation budgets of the cold path: compiling the 26 kernels
-//! and linting their programs. Both run once per kernel before the first
-//! simulated cycle of every tool, clp-serve cache miss and benchmark
-//! round, and both keep their per-block working state on buffers reused
-//! across the blocks of a program. These budgets hold them there.
+//! Heap-allocation budgets of the cold path: compiling the 26 kernels,
+//! running each on the golden interpreter, and linting their programs.
+//! All three run once per kernel before the first simulated cycle of
+//! every tool, clp-serve cache miss and benchmark round; compile and
+//! lint keep their per-block working state on buffers reused across the
+//! blocks of a program, and the golden run's memory image remembers its
+//! last page in place. These budgets hold them there.
 //!
 //! A counting global allocator counts per thread, so tests running in
 //! parallel do not mix their counts.
@@ -74,17 +76,36 @@ fn compiling_and_linting_the_suite_stay_within_their_allocation_budgets() {
             .sum::<usize>()
     });
     // Before buffers were reused, compiling the suite made 10 067
-    // allocations (59 per block) and linting it 5 389; now 2 671 and
-    // 1 440. Each bound keeps about a tenth of headroom and is under a
-    // third of the old count. Most of what is left is output: each
-    // block's instruction, read, write and exit lists, and each
-    // diagnostic's message and notes.
+    // allocations (59 per block) and linting it 5 389; then 2 671 and
+    // 1 440; now 2 659 (liveness runs once per function, and the per-op
+    // buffers are reserved once) and 1 440. Each bound keeps about a
+    // tenth of headroom. Most of what is left is output: each block's
+    // instruction, read, write and exit lists, and each diagnostic's
+    // message and notes.
     assert!(
-        compile_allocs <= 2_950,
+        compile_allocs <= 2_925,
         "compiling the suite made {compile_allocs} allocations"
     );
     assert!(
-        lint_allocs <= 1_600,
+        lint_allocs <= 1_580,
         "linting the suite made {lint_allocs} allocations ({diagnostics} diagnostics)"
+    );
+}
+
+#[test]
+fn the_suites_golden_runs_stay_within_their_allocation_budget() {
+    let suite = clp_workloads::suite::all();
+    let (ops, golden_allocs) = allocations(|| {
+        suite
+            .iter()
+            .map(|w| w.try_golden().expect("runs").stats.ops)
+            .sum::<u64>()
+    });
+    // 264 allocations: each run's image pages, page table and register
+    // frames (one per call). Remembering the last page found allocates
+    // nothing; the bound keeps about a tenth of headroom.
+    assert!(
+        golden_allocs <= 290,
+        "the golden runs made {golden_allocs} allocations ({ops} ops)"
     );
 }

@@ -7,15 +7,16 @@
 //! times — unobserved, or with `--observe` under clp-prof and clp-trend
 //! as the benchmark's `analysis` cells run —
 //! while a CPU-time interval timer (`setitimer(ITIMER_PROF)`) raises
-//! SIGPROF. The handler stores the interrupted program counter and the
+//! SIGPROF. The handler copies the interrupted stack, walks its
 //! frame-pointer chain into a preallocated array and does nothing else —
 //! nothing else is async-signal-safe. A sample interrupted outside the
 //! binary (in libc's `malloc`, `free` or `memcpy`, built without frame
 //! pointers) is charged to the in-binary code it returns to: the first
 //! word above the stack pointer that points into the binary's text is
-//! taken as the return address, and the frame-pointer walk goes on from
-//! there. After the run the addresses are
-//! made file-relative (the binary is a PIE), symbolised by one
+//! taken as the return address, and since the leaf may have reused the
+//! frame-pointer register, the walk goes on from the first plausible
+//! frame record above that word (see `walk::walk`). After the run the
+//! addresses are made file-relative (the binary is a PIE), symbolised by one
 //! `addr2line -f -i -C -a` process with inlined frames expanded, and
 //! reported three ways: self time by the first in-repo frame (function
 //! and line), inclusive time by function, and folded stacks. Above the
@@ -46,17 +47,167 @@ fn main() {
     report::main();
 }
 
-/// The signal side: timer, handler, sample buffer.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-mod sampler {
-    use std::ffi::c_void;
-    use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
+/// The stack walk of one sample, over a copy of the interrupted stack:
+/// pure, so that it can be tested on synthetic stacks.
+mod walk {
+    use std::ops::Range;
 
     /// Return addresses kept per sample, above the interrupted PC.
     pub const MAX_DEPTH: usize = 24;
     /// The interrupted PC, then return addresses innermost first; the
     /// first 0 ends the stack.
     pub type Sample = [usize; 1 + MAX_DEPTH];
+
+    /// How far above the stack pointer a sample outside the binary looks
+    /// for a return address into it, in words.
+    pub const SCAN_WORDS: usize = 1024;
+
+    /// The farthest a frame record's saved frame pointer may point above
+    /// the record, in bytes: a main thread's whole stack (8 MiB). The
+    /// record of a frame called from outside the copy points past it.
+    const MAX_FRAME: usize = 8 << 20;
+
+    /// Walks a sample interrupted at `pc` with frame pointer `fp`:
+    /// `stack` holds the words from the 8-aligned address `sp` up, and
+    /// `text` is the binary's executable mapping. Writes the PC and the
+    /// return addresses into `sample` and says whether the sample was
+    /// charged through a leaf outside the binary.
+    ///
+    /// Such a leaf (libc's `malloc`, say) keeps no frame record and may
+    /// have reused the frame-pointer register for anything, a heap
+    /// address included. So the return address into the binary is the
+    /// first word from `sp` up that points into `text`, and the
+    /// frame-pointer walk resumes from the first plausible frame record
+    /// above it: a word pointing further up the stack (a heap or libc
+    /// address lies below it), followed by a return address into `text`.
+    pub fn walk(
+        pc: usize,
+        fp: usize,
+        sp: usize,
+        stack: &[usize],
+        text: &Range<usize>,
+        sample: &mut Sample,
+    ) -> bool {
+        let end = sp + 8 * stack.len();
+        // The word at `addr`, if it lies in the copy.
+        let word = |addr: usize| {
+            let in_copy = addr >= sp && addr.is_multiple_of(8) && addr + 8 <= end;
+            in_copy.then(|| stack[(addr - sp) / 8])
+        };
+        sample[0] = pc;
+        let mut slots = sample[1..].iter_mut();
+        let (mut fp, mut floor) = (fp, sp);
+        let charged = !text.contains(&pc);
+        if charged {
+            let scanned = &stack[..stack.len().min(SCAN_WORDS)];
+            let Some(k) = scanned.iter().position(|w| text.contains(w)) else {
+                return false;
+            };
+            if let Some(slot) = slots.next() {
+                *slot = stack[k];
+            }
+            floor = sp + 8 * (k + 1);
+            let record = |&at: &usize| {
+                let caller = word(at).unwrap_or(0);
+                let ret = word(at + 8).unwrap_or(0);
+                let up = caller.wrapping_sub(at);
+                up > 0 && up <= MAX_FRAME && caller.is_multiple_of(8) && text.contains(&ret)
+            };
+            let mut above = (k + 1..stack.len()).map(|j| sp + 8 * j);
+            fp = above.find(record).unwrap_or(0);
+        }
+        for slot in slots {
+            if fp < floor {
+                break;
+            }
+            let (Some(caller_fp), Some(ret)) = (word(fp), word(fp + 8)) else {
+                break;
+            };
+            if ret == 0 {
+                break;
+            }
+            *slot = ret;
+            floor = fp + 16;
+            fp = caller_fp;
+        }
+        charged
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        const TEXT: Range<usize> = 0x1000..0x9000;
+        const SP: usize = 0x7fff_0000;
+        const HEAP: usize = 0x5555_0000;
+
+        /// The address of word `k` of the synthetic stack.
+        fn at(k: usize) -> usize {
+            SP + 8 * k
+        }
+
+        /// A stack interrupted in libc's `malloc` (PC outside the text)
+        /// that reused the frame pointer for a heap address: below the
+        /// return address into its caller sit malloc's own words (a heap
+        /// pointer, a libc address); above it the caller's locals (another
+        /// heap pointer, a code address with no stack word below it), then
+        /// the caller's frame record, its caller's, and the end of the
+        /// chain.
+        fn stack() -> Vec<usize> {
+            vec![
+                HEAP + 0x40, // 0: malloc's spill
+                0x7f00_1234, // 1: a libc address
+                0x2345,      // 2: return into the caller of malloc
+                HEAP + 0x80, // 3: a local
+                0x4444,      // 4: a code address held in a local
+                7,           // 5: a local
+                at(8),       // 6: the caller's record: its caller's frame
+                0x3456,      //    and the return into it
+                at(10),      // 8: the next record up
+                0x4567,      //
+                0,           // 10: the end of the chain
+                0,
+            ]
+        }
+
+        #[test]
+        fn a_libc_leaf_resumes_at_the_first_frame_record_above_its_return() {
+            let mut sample = [0; 1 + MAX_DEPTH];
+            let charged = walk(0x7f00_5678, HEAP, SP, &stack(), &TEXT, &mut sample);
+            assert!(charged);
+            assert_eq!(sample[..5], [0x7f00_5678, 0x2345, 0x3456, 0x4567, 0]);
+        }
+
+        #[test]
+        fn an_in_binary_pc_walks_the_frame_pointer_chain() {
+            let mut sample = [0; 1 + MAX_DEPTH];
+            let charged = walk(0x1111, at(6), SP, &stack(), &TEXT, &mut sample);
+            assert!(!charged);
+            assert_eq!(sample[..4], [0x1111, 0x3456, 0x4567, 0]);
+            // A frame pointer off the copied stack ends the walk at once.
+            let mut sample = [0; 1 + MAX_DEPTH];
+            let charged = walk(0x1111, HEAP, SP, &stack(), &TEXT, &mut sample);
+            assert!(!charged);
+            assert_eq!(sample[..2], [0x1111, 0]);
+        }
+
+        #[test]
+        fn a_leaf_with_no_return_into_the_binary_keeps_its_pc_alone() {
+            let mut sample = [0; 1 + MAX_DEPTH];
+            let words = [HEAP, 0x7f00_1234, 0];
+            assert!(!walk(0x7f00_5678, HEAP, SP, &words, &TEXT, &mut sample));
+            assert_eq!(sample[..2], [0x7f00_5678, 0]);
+        }
+    }
+}
+
+/// The signal side: timer, handler, sample buffer.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod sampler {
+    use std::ffi::c_void;
+    use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
+
+    use super::walk::{walk, Sample, MAX_DEPTH};
 
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
@@ -127,9 +278,9 @@ mod sampler {
     /// Samples charged through libc to the in-binary code they return to.
     static CHARGED: AtomicUsize = AtomicUsize::new(0);
 
-    /// How far above the stack pointer a sample outside the binary looks
-    /// for a return address into it, in words.
-    const SCAN_WORDS: usize = 1024;
+    /// The most of the interrupted stack a sample copies, in words (64
+    /// KiB): the walk reads no further.
+    const STACK_WORDS: usize = 8192;
 
     extern "C" fn on_sigprof(_sig: i32, _info: *mut c_void, ucontext: *mut c_void) {
         let i = TAKEN.fetch_add(1, Relaxed);
@@ -140,60 +291,27 @@ mod sampler {
         // kernel passes a valid `ucontext_t`; on x86-64 Linux its
         // general registers are 23 i64s at byte 40, and the three
         // indices are below 23.
-        let (pc, mut fp, sp) = unsafe {
+        let (pc, fp, sp) = unsafe {
             let gregs = ucontext.cast::<u8>().add(GREGS).cast::<i64>();
             let reg = |r: usize| gregs.add(r).read() as usize;
             (reg(REG_RIP), reg(REG_RBP), reg(REG_RSP))
         };
-        let mut sample: Sample = [0; 1 + MAX_DEPTH];
-        sample[0] = pc;
         // Frames ascend from the interrupted stack pointer to `main`'s.
-        let (mut floor, top) = (sp, STACK_TOP.load(Relaxed));
-        let text = TEXT_LO.load(Relaxed)..TEXT_HI.load(Relaxed);
-        let mut slots = sample[1..].iter_mut();
-        if !text.contains(&pc) && sp % 8 == 0 {
-            // A leaf outside the binary keeps no frame pointer of its
-            // own, and the frame pointer still names its in-binary
-            // caller's frame: the first word from the stack pointer up
-            // that points into the binary's text is the return address
-            // into that caller.
-            let end = top.min(sp.saturating_add(8 * SCAN_WORDS));
-            let mut at = sp;
-            while at + 8 <= end {
-                // SAFETY: `at` is 8-aligned and `[at, at + 8)` lies
-                // between the interrupted stack pointer and the address
-                // of a local of `main`: live stack memory, as the walk
-                // below reads.
-                let word = unsafe { (at as *const usize).read() };
-                if text.contains(&word) {
-                    if let Some(slot) = slots.next() {
-                        *slot = word;
-                    }
-                    floor = at + 8;
-                    CHARGED.fetch_add(1, Relaxed);
-                    break;
-                }
-                at += 8;
-            }
+        let sp = sp.next_multiple_of(8);
+        let top = STACK_TOP.load(Relaxed);
+        let words = (top.saturating_sub(sp) / 8).min(STACK_WORDS);
+        let mut stack = [0usize; STACK_WORDS];
+        for (k, w) in stack[..words].iter_mut().enumerate() {
+            // SAFETY: `sp + 8 * k` is 8-aligned and `[sp + 8 * k, sp + 8
+            // * k + 8)` lies between the interrupted stack pointer and the
+            // address of a local of `main`, on whose thread the profiled
+            // run executes: live stack memory, whatever the words mean.
+            *w = unsafe { ((sp + 8 * k) as *const usize).read() };
         }
-        for slot in slots {
-            if fp < floor || fp % 8 != 0 || fp.saturating_add(16) > top {
-                break;
-            }
-            // SAFETY: `fp` is 8-aligned and `[fp, fp + 16)` lies between
-            // the interrupted stack pointer and the address of a local
-            // of `main`, on whose thread the profiled run executes: live
-            // stack memory, whatever the words there mean.
-            let (caller_fp, ret) = unsafe {
-                let frame = fp as *const usize;
-                (frame.read(), frame.add(1).read())
-            };
-            if ret == 0 {
-                break;
-            }
-            *slot = ret;
-            floor = fp + 16;
-            fp = caller_fp;
+        let text = TEXT_LO.load(Relaxed)..TEXT_HI.load(Relaxed);
+        let mut sample: Sample = [0; 1 + MAX_DEPTH];
+        if walk(pc, fp, sp, &stack[..words], &text, &mut sample) {
+            CHARGED.fetch_add(1, Relaxed);
         }
         // SAFETY: `i < CAPACITY`, the length the buffer was allocated
         // with; `start` leaked it, so it outlives the timer; `fetch_add`
@@ -268,7 +386,8 @@ mod sampler {
 /// The reporting side: run, symbolise, print.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod report {
-    use super::sampler::{self, Sample};
+    use super::sampler;
+    use super::walk::Sample;
     use clp_core::cli::{die, Flag, Spec};
     use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
     use clp_lint::{lint_program, LintConfig};
@@ -396,6 +515,9 @@ mod report {
     /// Rows per table; the folded stacks hold the rest.
     const ROWS: usize = 40;
 
+    /// The self-time row of the samples with no frame of this repository.
+    const NO_FRAME: &str = "[no in-repo frame]";
+
     /// The `ROWS` largest rows of `counts` as samples, share, name.
     fn table(title: &str, counts: &BTreeMap<String, usize>, total: usize) -> String {
         let mut rows: Vec<(&String, &usize)> = counts.iter().collect();
@@ -511,13 +633,6 @@ mod report {
             profile_cells(&sizes, reps, &obs, stack_top)
         };
 
-        let charged = sampler::charged();
-        out.push_str(&format!(
-            "libc: {charged} samples ({:.2}%) charged through libc to the in-binary code \
-             they return to\n",
-            100.0 * charged as f64 / samples.len().max(1) as f64
-        ));
-
         // Program counters as they are; return addresses minus one, so
         // that they fall inside the call they return to.
         let exe = exe_path();
@@ -551,7 +666,7 @@ mod report {
                 .collect();
             let own = frames.iter().find_map(|f| Some((f, f.in_repo()?)));
             let own = own.map(|(f, path)| format!("{}  {}", f.func, &f.at[path..]));
-            let own = own.unwrap_or("[no in-repo frame]".into());
+            let own = own.unwrap_or(NO_FRAME.into());
             *by_line.entry(own).or_default() += 1;
             let funcs: BTreeSet<&str> = frames.iter().map(|f| f.func.as_str()).collect();
             for f in funcs {
@@ -561,6 +676,15 @@ mod report {
             *folded.entry(path.join(";")).or_default() += 1;
         }
         let total = samples.len().max(1);
+        let share = |n: usize| 100.0 * n as f64 / total as f64;
+        let charged = sampler::charged();
+        let lost = by_line.get(NO_FRAME).copied().unwrap_or(0);
+        out.push_str(&format!(
+            "libc: {charged} samples ({:.2}%) charged through libc to the in-binary code \
+             they return to; {lost} ({:.2}%) with {NO_FRAME}\n",
+            share(charged),
+            share(lost),
+        ));
         let title = "self time by first in-repo frame (function  file:line)";
         out.push_str(&table(title, &by_line, total));
         out.push_str(&table("inclusive time by function", &by_func, total));
