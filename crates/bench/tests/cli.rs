@@ -113,10 +113,8 @@ fn run_one_tells_its_failure_modes_apart() {
     assert_eq!(run(exe, &["conv", "0"]).status.code(), Some(2));
 }
 
-/// `clp-lint --asm FILE` lints a program from outside the suite: a clean
-/// one exits 0, an error lint exits 1 and names its code, and a branch to
-/// a missing block is refused by the assembler (exit 2) before any lint
-/// runs.
+/// `run_one` piped into a reader that closes after one line exits 0
+/// without a panic.
 #[test]
 fn run_one_exits_quietly_when_its_reader_stops_early() {
     use std::io::{BufRead, BufReader, Read};
@@ -143,6 +141,10 @@ fn run_one_exits_quietly_when_its_reader_stops_early() {
     assert_eq!(status.code(), Some(0), "{err}");
 }
 
+/// `clp-lint --asm FILE` lints a program from outside the suite: a clean
+/// one exits 0, an error lint exits 1 and names its code, and a branch to
+/// a missing block is refused by the assembler (exit 2) before any lint
+/// runs.
 #[test]
 fn clp_lint_lints_an_assembled_program_from_disk() {
     let exe = env!("CARGO_BIN_EXE_clp-lint");

@@ -250,7 +250,8 @@ impl Block {
             return Err(BlockError::NoExit);
         }
 
-        Self::check_dataflow(&instructions)?;
+        Self::check_targets(&instructions)?;
+        Self::check_acyclic(&instructions)?;
 
         exits.sort_by_key(|e| e.exit_id);
         let mut store_lsid_list = Vec::with_capacity(store_lsids.count_ones() as usize);
@@ -265,119 +266,39 @@ impl Block {
         })
     }
 
-    /// Validates every target (it names an instruction of the block and
-    /// an operand slot that instruction has), that every operand slot is
-    /// fed, and that the dataflow graph is acyclic, in one depth-first
-    /// walk over the targets. On a flaw it hands over to
-    /// [`Block::check_targets`] and [`Block::check_acyclic`], in that
-    /// order, so the error reported is always their first.
-    fn check_dataflow(instructions: &[Instruction]) -> Result<(), BlockError> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let flawed = || {
-            Self::check_targets(instructions)?;
-            Self::check_acyclic(instructions)
-        };
-        // Bit `s` of `has[i]` / `fed[i]`: instruction `i` has / is fed
-        // operand slot `s` (a block has at most `MAX_BLOCK_INSTRUCTIONS`,
-        // checked before this).
-        let n = instructions.len();
-        let mut has = [0u8; MAX_BLOCK_INSTRUCTIONS];
-        for (slots, inst) in has.iter_mut().zip(instructions) {
-            let data = (1u8 << inst.data_arity().min(2)) - 1;
-            *slots = data | u8::from(inst.is_predicated()) << 2;
-        }
-        let mut fed = [0u8; MAX_BLOCK_INSTRUCTIONS];
-        let mut color = [WHITE; MAX_BLOCK_INSTRUCTIONS];
-        // `stack[..depth]`: the walk's path, each node with the number of
-        // its target slots already taken (indices below 128 and slot
-        // counts below 3 fit a byte each).
-        let mut stack = [(0u8, 0u8); MAX_BLOCK_INSTRUCTIONS];
-        for root in 0..n {
-            if color[root] != WHITE {
-                continue;
-            }
-            stack[0] = (root as u8, 0);
-            let mut depth = 1;
-            color[root] = GRAY;
-            while depth > 0 {
-                let (node, ref mut taken) = stack[depth - 1];
-                let targets = &instructions[usize::from(node)].targets;
-                let present = |(k, t): (usize, &Option<Target>)| Some((k, (*t)?));
-                let mut rest = targets.iter().enumerate().skip(usize::from(*taken));
-                let Some((k, t)) = rest.find_map(present) else {
-                    color[usize::from(node)] = BLACK;
-                    depth -= 1;
-                    continue;
-                };
-                *taken = k as u8 + 1;
-                let (next, slot) = (t.inst.index(), t.operand.encode());
-                if next >= n || has[next] >> slot & 1 == 0 {
-                    return flawed();
-                }
-                fed[next] |= 1 << slot;
-                match color[next] {
-                    WHITE => {
-                        color[next] = GRAY;
-                        stack[depth] = (next as u8, 0);
-                        depth += 1;
-                    }
-                    GRAY => return flawed(),
-                    _ => {}
-                }
-            }
-        }
-        if has[..n] != fed[..n] {
-            return flawed();
-        }
-        Ok(())
-    }
-
     fn check_targets(instructions: &[Instruction]) -> Result<(), BlockError> {
         let n = instructions.len();
-        // Track, per instruction, which operand slots are fed (a block
-        // has at most `MAX_BLOCK_INSTRUCTIONS`, checked before this).
-        let mut fed = [[false; 3]; MAX_BLOCK_INSTRUCTIONS];
+        // Bit `s` of `has[i]` / `fed[i]`: instruction `i` has / is fed the
+        // operand slot `s` encodes to (a block has at most
+        // `MAX_BLOCK_INSTRUCTIONS`, checked before this).
+        let mut has = [0u8; MAX_BLOCK_INSTRUCTIONS];
+        for (slots, inst) in has.iter_mut().zip(instructions) {
+            *slots = ((1u8 << inst.data_arity().min(2)) - 1) | u8::from(inst.is_predicated()) << 2;
+        }
+        let mut fed = [0u8; MAX_BLOCK_INSTRUCTIONS];
         for (i, inst) in instructions.iter().enumerate() {
             for t in inst.targets() {
                 let ti = t.inst.index();
                 if ti >= n {
                     return Err(BlockError::DanglingTarget { from: i, target: t });
                 }
-                let consumer = &instructions[ti];
-                let ok = match t.operand {
-                    Operand::Left => consumer.data_arity() >= 1,
-                    Operand::Right => consumer.data_arity() >= 2,
-                    Operand::Pred => consumer.is_predicated(),
-                };
-                if !ok {
+                let slot = 1 << t.operand.encode();
+                if has[ti] & slot == 0 {
                     return Err(BlockError::BadOperandSlot { from: i, target: t });
                 }
-                fed[ti][t.operand.encode() as usize] = true;
+                fed[ti] |= slot;
             }
         }
-        for (i, inst) in instructions.iter().enumerate() {
-            if inst.data_arity() >= 1 && !fed[i][0] {
-                return Err(BlockError::UnfedOperand {
-                    inst: i,
-                    operand: Operand::Left,
-                });
-            }
-            if inst.data_arity() >= 2 && !fed[i][1] {
-                return Err(BlockError::UnfedOperand {
-                    inst: i,
-                    operand: Operand::Right,
-                });
-            }
-            if inst.is_predicated() && !fed[i][2] {
-                return Err(BlockError::UnfedOperand {
-                    inst: i,
-                    operand: Operand::Pred,
-                });
-            }
+        // The first unfed slot, instructions in order and each one's
+        // slots in encoding order (left, right, predicate).
+        match (0..n).find(|&i| has[i] != fed[i]) {
+            None => Ok(()),
+            Some(i) => Err(BlockError::UnfedOperand {
+                inst: i,
+                operand: [Operand::Left, Operand::Right, Operand::Pred]
+                    [(has[i] & !fed[i]).trailing_zeros() as usize],
+            }),
         }
-        Ok(())
     }
 
     fn check_acyclic(instructions: &[Instruction]) -> Result<(), BlockError> {
@@ -522,61 +443,6 @@ mod tests {
         assert_eq!(b.output_count(), 1);
         assert_eq!(b.exits().len(), 1);
         assert_eq!(b.exits()[0].kind, BranchKind::Halt);
-    }
-
-    /// The one-walk check reports, on every block, what the two checks
-    /// it stands for report in turn: random blocks of up to 12
-    /// instructions whose targets dangle, name absent slots, leave slots
-    /// unfed or close cycles, each now and then.
-    #[test]
-    fn one_walk_reports_the_first_error_of_the_two_checks() {
-        let ops = [
-            Opcode::Movi,
-            Opcode::Mov,
-            Opcode::Add,
-            Opcode::Tlt,
-            Opcode::Bro,
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut draw = |bound: usize| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) as usize % bound
-        };
-        let mut outcomes = std::collections::BTreeSet::new();
-        for _ in 0..20_000 {
-            let n = 1 + draw(12);
-            let insts: Vec<Instruction> = (0..n)
-                .map(|_| {
-                    let mut inst = Instruction::new(ops[draw(ops.len())]);
-                    if draw(4) == 0 {
-                        inst.pred = Some(PredSense::OnTrue);
-                    }
-                    if inst.opcode == Opcode::Bro {
-                        inst.branch = halt_branch().branch;
-                    }
-                    for slot in 0..draw(3) {
-                        let to = InstId::new(draw(n + 1));
-                        let operand = [Operand::Left, Operand::Right, Operand::Pred][draw(3)];
-                        inst.targets[slot + draw(2) * (1 - slot)] = Some(Target::new(to, operand));
-                    }
-                    inst
-                })
-                .collect();
-            let two = Block::check_targets(&insts).and_then(|()| Block::check_acyclic(&insts));
-            let one = Block::check_dataflow(&insts);
-            assert_eq!(one, two, "{insts:?}");
-            outcomes.insert(match one {
-                Ok(()) => "valid",
-                Err(BlockError::DanglingTarget { .. }) => "dangling",
-                Err(BlockError::BadOperandSlot { .. }) => "bad slot",
-                Err(BlockError::UnfedOperand { .. }) => "unfed",
-                Err(BlockError::CyclicDataflow(_)) => "cyclic",
-                Err(e) => panic!("not a dataflow error: {e}"),
-            });
-        }
-        assert_eq!(outcomes.len(), 5, "every outcome happens: {outcomes:?}");
     }
 
     #[test]

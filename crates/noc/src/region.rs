@@ -65,11 +65,6 @@ impl std::error::Error for RegionError {}
 #[must_use]
 pub fn rect_hops(a: usize, b: usize, rect_w: usize) -> usize {
     assert!(rect_w > 0, "zero-width rectangle");
-    if rect_w.is_power_of_two() {
-        // Every mesh and composition rectangle: shifts, not divisions.
-        let shift = rect_w.trailing_zeros();
-        return (a & (rect_w - 1)).abs_diff(b & (rect_w - 1)) + (a >> shift).abs_diff(b >> shift);
-    }
     let (ax, ay) = (a % rect_w, a / rect_w);
     let (bx, by) = (b % rect_w, b / rect_w);
     ax.abs_diff(bx) + ay.abs_diff(by)
@@ -203,13 +198,6 @@ mod tests {
         assert_eq!(rect_hops(2, 2, 2), 0);
         // 4-wide chip layout: node 0 (0,0) to node 31 (3,7).
         assert_eq!(rect_hops(0, 31, 4), 10);
-        // Power-of-two widths shift instead of dividing, to the same sum.
-        for w in 1..=9usize {
-            for (a, b) in (0..64usize).flat_map(|a| (0..64).map(move |b| (a, b))) {
-                let by_division = (a % w).abs_diff(b % w) + (a / w).abs_diff(b / w);
-                assert_eq!(rect_hops(a, b, w), by_division, "{a} -> {b} at width {w}");
-            }
-        }
     }
 
     #[test]
