@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 /// Legal composition sizes on the 32-core chip.
 pub const SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Total cores on the chip.
-pub const TOTAL_CORES: usize = 32;
+const TOTAL_CORES: usize = 32;
 
 /// A benchmark's measured speedup as a function of composition size,
 /// normalized to its own single-core performance.

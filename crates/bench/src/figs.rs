@@ -44,7 +44,7 @@ impl FigObs {
     /// Writes `labeled` snapshots to the `--stats-json` path as a JSON
     /// array of `{label, snapshot}` objects. No-op when the flag was not
     /// given.
-    pub fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) {
+    fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) {
         let Some(path) = &self.stats_json else {
             return;
         };
@@ -60,7 +60,7 @@ impl FigObs {
     /// Labels and writes every TFlex and TRIPS snapshot of `rows`
     /// (`<workload>/tflex-<n>` and `<workload>/trips`). No-op when
     /// `--stats-json` was not given.
-    pub fn save_sweep_snapshots(&self, rows: &[&Row]) {
+    fn save_sweep_snapshots(&self, rows: &[&Row]) {
         if self.stats_json.is_none() {
             return;
         }

@@ -81,7 +81,7 @@ pub fn par_suite<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + S
 ///
 /// Panics on an empty slice.
 #[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
+fn geomean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
@@ -101,7 +101,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Serializes `value` as pretty JSON into `target/clp-results/<name>`;
 /// exits 2 if the file cannot be written.
-pub fn save_json<T: ToValue>(name: &str, value: &T) {
+fn save_json<T: ToValue>(name: &str, value: &T) {
     let path = results_dir().join(name);
     let json = serde_json::to_string_pretty(value).expect("serializable");
     write_or_die(&path.to_string_lossy(), &json);

@@ -72,7 +72,7 @@ impl Row {
     }
 
     /// The TFlex cells at `sizes`, in measured order.
-    pub fn cells_at<'a>(&'a self, sizes: &'a [usize]) -> impl Iterator<Item = &'a Cell> {
+    fn cells_at<'a>(&'a self, sizes: &'a [usize]) -> impl Iterator<Item = &'a Cell> {
         self.tflex.iter().filter(|c| sizes.contains(&c.cores))
     }
 
@@ -198,7 +198,7 @@ impl SuiteMatrix {
     /// The rows in Figure 6's x-axis order: low-ILP benchmarks first,
     /// then high-ILP, alphabetical within each group.
     #[must_use]
-    pub fn by_ilp(&self) -> Vec<&Row> {
+    pub(crate) fn by_ilp(&self) -> Vec<&Row> {
         let mut rows: Vec<&Row> = self.rows.iter().collect();
         rows.sort_by_key(|r| (r.workload.ilp == IlpClass::High, r.workload.name));
         rows

@@ -148,7 +148,7 @@ impl FunctionBuilder {
     }
 
     /// `dst = op a` into an existing register.
-    pub fn un_into(&mut self, dst: VReg, op: Opcode, a: VReg) {
+    fn un_into(&mut self, dst: VReg, op: Opcode, a: VReg) {
         assert_eq!(op.arity(), 1, "{op} is not unary");
         self.push(OpKind::Un { dst, op, a });
     }
@@ -335,6 +335,19 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Function {
+        /// Predecessor counts for every block.
+        fn pred_counts(&self) -> Vec<usize> {
+            let mut counts = vec![0usize; self.blocks.len()];
+            for b in &self.blocks {
+                for s in b.term.successors() {
+                    counts[s.0] += 1;
+                }
+            }
+            counts
+        }
+    }
 
     #[test]
     fn straight_line_function() {

@@ -37,7 +37,7 @@ impl ValueRef {
 }
 
 /// Register carrying the return value and first argument.
-pub const RET_REG: usize = 1;
+const RET_REG: usize = 1;
 
 /// Virtual address of the first block (the synthetic `_start`).
 const BASE_ADDR: BlockAddr = 0x1_0000;

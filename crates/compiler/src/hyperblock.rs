@@ -8,7 +8,7 @@ use crate::ir::{BbId, Function, OpKind, Terminator, VReg};
 /// expected-truth)` conjuncts from `start` of its function's guard arena,
 /// read with [`HirFunction::guard`]. Empty means unconditional.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PredRange {
+pub(crate) struct PredRange {
     start: u32,
     len: u32,
 }
@@ -76,14 +76,14 @@ impl GuardArena {
 #[derive(Clone, Debug, PartialEq)]
 pub struct HirOp {
     /// Guard conjunction (empty = always executes).
-    pub pred: PredRange,
+    pub(crate) pred: PredRange,
     /// The operation proper.
     pub kind: OpKind,
 }
 
 /// An exit of a hyperblock: a guard conjunction plus a control transfer.
 #[derive(Clone, Debug, PartialEq)]
-pub struct HirExit {
+pub(crate) struct HirExit {
     /// Guard (empty = unconditional). The guards of a block's exits
     /// partition: exactly one fires per execution.
     pub pred: PredRange,
@@ -93,7 +93,7 @@ pub struct HirExit {
 
 /// Control-transfer kinds of a hyperblock exit.
 #[derive(Clone, Debug, PartialEq)]
-pub enum HirExitKind {
+pub(crate) enum HirExitKind {
     /// Jump to another hyperblock of the same function.
     Jump(BbId),
     /// Call a function, continuing at `cont` (always a block's sole,
@@ -120,7 +120,7 @@ pub struct HirBlock {
     /// The (possibly predicated) operations, in program order.
     pub ops: Vec<HirOp>,
     /// The exits; their guards partition.
-    pub exits: Vec<HirExit>,
+    pub(crate) exits: Vec<HirExit>,
 }
 
 impl HirBlock {
@@ -183,14 +183,14 @@ impl HirBlock {
 
     /// Memory operations in the block (bounds the LSID budget).
     #[must_use]
-    pub fn memory_ops(&self) -> usize {
+    fn memory_ops(&self) -> usize {
         self.ops.iter().filter(|o| o.kind.is_memory()).count()
     }
 
     /// Estimated EDGE instructions contributed by the ops alone
     /// (instruction + fan-out movs + predicate materialization).
     #[must_use]
-    pub fn op_cost(&self) -> usize {
+    fn op_cost(&self) -> usize {
         self.ops.iter().map(|o| 2 + o.pred.len().min(3)).sum()
     }
 }
@@ -212,15 +212,9 @@ pub struct HirFunction {
 }
 
 impl HirFunction {
-    /// Surviving block count.
-    #[must_use]
-    pub fn blocks_after(&self) -> usize {
-        self.blocks.iter().flatten().count()
-    }
-
     /// The conjuncts of guard `p`, in order.
     #[must_use]
-    pub fn guard(&self, p: PredRange) -> &[(VReg, bool)] {
+    pub(crate) fn guard(&self, p: PredRange) -> &[(VReg, bool)] {
         self.guards.get(p)
     }
 
@@ -228,7 +222,7 @@ impl HirFunction {
     /// a call's continuation is emitted immediately after the call block
     /// so that the RAS's `call address + frame` push predicts returns.
     #[must_use]
-    pub fn layout_order(&self) -> Vec<BbId> {
+    pub(crate) fn layout_order(&self) -> Vec<BbId> {
         let n = self.blocks.len();
         let mut emitted = vec![false; n];
         let mut order = Vec::with_capacity(n);
@@ -411,6 +405,13 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use clp_isa::Opcode;
+
+    impl HirFunction {
+        /// Surviving block count.
+        fn blocks_after(&self) -> usize {
+            self.blocks.iter().flatten().count()
+        }
+    }
 
     #[test]
     fn chain_merges_into_one_block() {

@@ -177,7 +177,7 @@ impl OpKind {
 
     /// True for loads and stores.
     #[must_use]
-    pub fn is_memory(&self) -> bool {
+    pub(crate) fn is_memory(&self) -> bool {
         matches!(self, OpKind::Load { .. } | OpKind::Store { .. })
     }
 }
@@ -298,18 +298,6 @@ impl Function {
     #[must_use]
     pub fn block(&self, id: BbId) -> &BasicBlock {
         &self.blocks[id.0]
-    }
-
-    /// Predecessor counts for every block.
-    #[must_use]
-    pub fn pred_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.blocks.len()];
-        for b in &self.blocks {
-            for s in b.term.successors() {
-                counts[s.0] += 1;
-            }
-        }
-        counts
     }
 }
 

@@ -10,9 +10,8 @@
 //! 3. [hyperblock formation](crate::hyperblock) — predicated inlining of
 //!    single-predecessor successors (chains, triangles, diamonds, loop
 //!    rotation) under the EDGE resource limits;
-//! 4. [`liveness`] + [register allocation](crate::regalloc)
-//!    for block-crossing values only (intra-block values travel on
-//!    dataflow targets);
+//! 4. [`liveness`] + register allocation for block-crossing values only
+//!    (intra-block values travel on dataflow targets);
 //! 5. [`codegen`] with a caller-save calling convention
 //!    (args in `r1..r8`, return in `r1`, link in `r127`, stack pointer in
 //!    `r126`), `READ`/`WRITE` insertion, predicate materialization, and
@@ -54,7 +53,7 @@ pub mod interp;
 pub mod ir;
 pub mod liveness;
 pub mod placement;
-pub mod regalloc;
+mod regalloc;
 
 /// The root tests' random-program generator, included by path; it names
 /// `FunctionBuilder`, `VReg` and `Opcode` from here. The input of the

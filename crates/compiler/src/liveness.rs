@@ -17,7 +17,7 @@ use crate::ir::{Function, Terminator, VReg};
 /// A set of virtual registers: one bit per register id, iterated in
 /// ascending id order. It grows to hold any id inserted.
 #[derive(Clone, Debug, Default)]
-pub struct VRegSet(Vec<u64>);
+pub(crate) struct VRegSet(Vec<u64>);
 
 impl VRegSet {
     /// Empties the set and makes room for ids `0..n`, keeping its buffer.
@@ -28,7 +28,7 @@ impl VRegSet {
 
     /// The set as a borrowed row.
     #[must_use]
-    pub fn as_row(&self) -> VRegRow<'_> {
+    pub(crate) fn as_row(&self) -> VRegRow<'_> {
         VRegRow(&self.0)
     }
 
@@ -77,18 +77,12 @@ impl VRegSet {
     pub fn len(&self) -> usize {
         self.as_row().len()
     }
-
-    /// True if the set has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.as_row().is_empty()
-    }
 }
 
 /// A borrowed set of virtual registers: one row of a [`VRegRows`]
 /// matrix, or a whole [`VRegSet`].
 #[derive(Clone, Copy, Debug)]
-pub struct VRegRow<'a>(&'a [u64]);
+pub(crate) struct VRegRow<'a>(&'a [u64]);
 
 impl<'a> VRegRow<'a> {
     /// True if `v` is in the set.
@@ -107,12 +101,6 @@ impl<'a> VRegRow<'a> {
     #[must_use]
     pub fn len(self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if the set has no members.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0.iter().all(|&w| w == 0)
     }
 }
 
@@ -150,7 +138,7 @@ impl VRegRows {
 
     /// Row `r`.
     #[must_use]
-    pub fn row(&self, r: usize) -> VRegRow<'_> {
+    pub(crate) fn row(&self, r: usize) -> VRegRow<'_> {
         VRegRow(&self.bits[r * self.words..(r + 1) * self.words])
     }
 
@@ -160,7 +148,7 @@ impl VRegRows {
     }
 
     /// Every row, in order.
-    pub fn rows(&self) -> impl Iterator<Item = VRegRow<'_>> {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = VRegRow<'_>> {
         self.bits.chunks_exact(self.words.max(1)).map(VRegRow)
     }
 
@@ -218,14 +206,6 @@ pub struct Liveness {
     pub live_in: VRegRows,
     /// Registers live at exit of each block.
     pub live_out: VRegRows,
-}
-
-impl Liveness {
-    /// True if `v` is live across any block boundary.
-    #[must_use]
-    pub fn crosses_blocks(&self, v: VReg) -> bool {
-        self.live_in.rows().any(|s| s.contains(v))
-    }
 }
 
 /// Sets bit `v` of `row`.
@@ -388,6 +368,13 @@ mod tests {
     use super::*;
     use crate::builder::{FunctionBuilder, ProgramBuilder};
     use clp_isa::Opcode;
+
+    impl Liveness {
+        /// True if `v` is live across any block boundary.
+        fn crosses_blocks(&self, v: VReg) -> bool {
+            self.live_in.rows().any(|s| s.contains(v))
+        }
+    }
 
     #[test]
     fn loop_carried_values_are_live() {

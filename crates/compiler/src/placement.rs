@@ -13,7 +13,7 @@ use clp_isa::{InstId, Instruction, Target};
 /// Renumbers `insts` (a block's instructions in builder order) to place
 /// dependent instructions on the same core of an `n_cores` target,
 /// rewriting all dataflow targets. Blocks too large to be valid, and
-/// targets that are not a power of two of at most [`MAX_CORES`] cores,
+/// targets that are not a power of two of at most `MAX_CORES` cores,
 /// are returned unchanged (validation rejects such a block with a better
 /// error).
 #[must_use]
@@ -23,7 +23,7 @@ pub fn schedule(insts: Vec<Instruction>, n_cores: usize) -> Vec<Instruction> {
 
 /// The largest composition [`schedule`] places for: twice TFlex's 32
 /// cores, so that a residue class is a bit of a `u64`.
-pub const MAX_CORES: usize = 64;
+const MAX_CORES: usize = 64;
 
 /// [`schedule`] into a new vector of exactly `insts.len()`, or `None`
 /// for a block it leaves unchanged. Its working state is a few arrays of

@@ -12,9 +12,9 @@ use clp_isa::Reg;
 
 /// First general-purpose allocatable register (below are the argument
 /// registers `r1..=r8` and `r0`, reserved).
-pub const FIRST_ALLOC_REG: usize = 9;
+const FIRST_ALLOC_REG: usize = 9;
 /// Last general-purpose allocatable register (above are `SP` and `LINK`).
-pub const LAST_ALLOC_REG: usize = 119;
+const LAST_ALLOC_REG: usize = 119;
 
 /// The result of register allocation for one function. Both tables are
 /// indexed by virtual-register id.
@@ -43,7 +43,7 @@ impl Allocation {
 
     /// The register assigned to `v`, if it crosses a block boundary.
     #[must_use]
-    pub fn try_reg(&self, v: VReg) -> Option<Reg> {
+    pub(crate) fn try_reg(&self, v: VReg) -> Option<Reg> {
         self.reg_of.get(v.0 as usize).copied().flatten()
     }
 
@@ -97,13 +97,13 @@ impl Interference {
     }
 
     /// The vertices adjacent to vertex `i`, ascending.
-    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         set_bits(self.row(i))
     }
 
     /// The number of vertices adjacent to vertex `i`.
     #[must_use]
-    pub fn degree(&self, i: usize) -> usize {
+    fn degree(&self, i: usize) -> usize {
         self.row(i).iter().map(|w| w.count_ones() as usize).sum()
     }
 }
@@ -186,7 +186,7 @@ pub(crate) fn interference_sets(
 /// Returns [`RegPressureError`] if the interference graph needs more
 /// colors than `r9..=r119` provides (the compiler does not spill
 /// block-crossing values; workloads are written to fit).
-pub fn allocate(
+pub(crate) fn allocate(
     f: &Function,
     lv: &Liveness,
     extra_cliques: &VRegRows,
@@ -250,7 +250,11 @@ pub fn allocate(
 /// The set of vregs a call block must save: values live into `cont`
 /// minus the call destination.
 #[must_use]
-pub fn saved_across_call(lv: &Liveness, cont: crate::ir::BbId, dst: Option<VReg>) -> Vec<VReg> {
+pub(crate) fn saved_across_call(
+    lv: &Liveness,
+    cont: crate::ir::BbId,
+    dst: Option<VReg>,
+) -> Vec<VReg> {
     lv.live_in
         .row(cont.0)
         .iter()

@@ -192,7 +192,7 @@ impl BlockBuilder {
     }
 
     /// Appends a load of the given width (`Ld` or `Ldb`).
-    pub fn load_op(&mut self, opcode: Opcode, addr: InstId, offset: i64, lsid: usize) -> InstId {
+    fn load_op(&mut self, opcode: Opcode, addr: InstId, offset: i64, lsid: usize) -> InstId {
         debug_assert!(opcode.is_load());
         let mut i = Instruction::new(opcode);
         i.imm = offset;
@@ -208,7 +208,7 @@ impl BlockBuilder {
     }
 
     /// Appends a store of the given width with an address offset.
-    pub fn store_op(
+    fn store_op(
         &mut self,
         opcode: Opcode,
         addr: InstId,
@@ -226,12 +226,6 @@ impl BlockBuilder {
         id
     }
 
-    /// Appends a `NULL` producing a null token, typically routed to a
-    /// `WRITE` to resolve it on a predicated-off path.
-    pub fn null_value(&mut self) -> InstId {
-        self.append(Instruction::new(Opcode::Null))
-    }
-
     /// Appends an exit branch of the given kind under the current
     /// predicate context.
     pub fn branch(&mut self, kind: BranchKind, target: Option<BlockAddr>, exit_id: u8) -> InstId {
@@ -243,13 +237,6 @@ impl BlockBuilder {
             target,
         });
         self.append(i)
-    }
-
-    /// Appends a return branch whose target address is `link`'s value.
-    pub fn branch_return(&mut self, link: InstId, exit_id: u8) -> InstId {
-        let id = self.branch(BranchKind::Return, None, exit_id);
-        self.connect(link, id, Operand::Left);
-        id
     }
 
     /// Appends a fully formed instruction verbatim, bypassing the
@@ -315,7 +302,7 @@ mod tests {
         b.connect(v, w, Operand::Left);
         // Resolve the write on the false path too.
         b.set_pred(Some((c, PredSense::OnFalse)));
-        let nv = b.null_value();
+        let nv = b.append(Instruction::new(Opcode::Null));
         b.connect(nv, w, Operand::Left);
         b.set_pred(None);
         b.branch(BranchKind::Halt, None, 0);
@@ -354,19 +341,5 @@ mod tests {
         b.branch(BranchKind::Halt, None, 0);
         let err = b.finish().unwrap_err();
         assert!(matches!(err, BlockError::TooManyInstructions(_)));
-    }
-
-    #[test]
-    fn return_branch_takes_operand() {
-        let mut b = BlockBuilder::new(0);
-        let link = b.read(Reg::LINK);
-        b.branch_return(link, 0);
-        let blk = b.finish().unwrap();
-        let bro = blk
-            .instructions()
-            .iter()
-            .find(|i| i.opcode == Opcode::Bro)
-            .unwrap();
-        assert_eq!(bro.data_arity(), 1);
     }
 }

@@ -100,7 +100,7 @@ impl Instruction {
     }
 
     /// Adds a target, returning `false` if both slots are already full.
-    pub fn push_target(&mut self, t: Target) -> bool {
+    pub(crate) fn push_target(&mut self, t: Target) -> bool {
         for slot in &mut self.targets {
             if slot.is_none() {
                 *slot = Some(t);

@@ -121,7 +121,7 @@ macro_rules! opcodes {
 
             /// Looks an opcode up by its assembler mnemonic.
             #[must_use]
-            pub fn from_mnemonic(s: &str) -> Option<Self> {
+            pub(crate) fn from_mnemonic(s: &str) -> Option<Self> {
                 match s {
                     $( $mnem => Some(Opcode::$name), )+
                     _ => None,

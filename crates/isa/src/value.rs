@@ -83,21 +83,19 @@ pub fn eval(op: Opcode, imm: i64, a: u64, b: u64) -> u64 {
     }
 }
 
-/// Converts an `f64` into its 64-bit word representation.
-#[must_use]
-pub fn from_f64(x: f64) -> u64 {
-    x.to_bits()
-}
-
-/// Interprets a 64-bit word as an `f64`.
-#[must_use]
-pub fn to_f64(x: u64) -> f64 {
-    f64::from_bits(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Converts an `f64` into its 64-bit word representation.
+    fn from_f64(x: f64) -> u64 {
+        x.to_bits()
+    }
+
+    /// Interprets a 64-bit word as an `f64`.
+    fn to_f64(x: u64) -> f64 {
+        f64::from_bits(x)
+    }
 
     #[test]
     fn integer_ops_wrap() {

@@ -658,21 +658,6 @@ pub fn bound_program(p: &EdgeProgram, _cfg: &LintConfig, cores: usize) -> Progra
     }
 }
 
-/// Analytic speedup-sketch samples, `(cores, bound_cycles)` per size —
-/// feed them to `clp_alloc::SpeedupCurve::analytic` for a
-/// `bound(1)/bound(n)` curve beside the measured ones.
-#[must_use]
-pub fn bound_curve_samples(
-    p: &EdgeProgram,
-    cfg: &LintConfig,
-    sizes: &[usize],
-) -> Vec<(usize, u64)> {
-    sizes
-        .iter()
-        .map(|&n| (n, bound_program(p, cfg, n).cycles))
-        .collect()
-}
-
 /// Runs the L5xx bound lints over a program at
 /// [`LintConfig::placement_cores`]: which blocks are issue- or
 /// NoC-bound rather than height-bound, and where placement inflates

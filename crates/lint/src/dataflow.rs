@@ -24,7 +24,7 @@ fn is_sink(block: &Block, i: usize) -> bool {
 
 /// Runs the dead-dataflow analysis on one block, adding its findings to
 /// `diags`.
-pub fn analyze(block: &Block, g: &BlockGraph, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn analyze(block: &Block, g: &BlockGraph, diags: &mut Vec<Diagnostic>) {
     let insts = block.instructions();
     let addr = block.address();
     let n = insts.len();

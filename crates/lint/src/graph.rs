@@ -23,7 +23,7 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, x: T, room: usize) {
 /// analyses. A lint run rebuilds one graph in place for every block of a
 /// program ([`BlockGraph::rebuild`]), so its buffers are allocated once.
 #[derive(Default)]
-pub struct BlockGraph {
+pub(crate) struct BlockGraph {
     /// Every operand slot's producers, slot after slot (instruction `i`'s
     /// slot `s` is slot `3 * i + s`), each slot's in ascending order.
     producer_list: Vec<usize>,
@@ -56,13 +56,13 @@ pub struct BlockGraph {
 
 /// Whether `value::eval` models this opcode exactly (pure value
 /// computation, no memory or side effects).
-pub fn foldable(op: Opcode) -> bool {
+pub(crate) fn foldable(op: Opcode) -> bool {
     op.produces_value() && !op.is_load() && !matches!(op, Opcode::Read | Opcode::Null | Opcode::Bro)
 }
 
 /// A store-nullifying `null` resolves a store slot but never delivers to
 /// its dataflow targets (the simulator drops them).
-pub fn is_null_store(inst: &Instruction) -> bool {
+pub(crate) fn is_null_store(inst: &Instruction) -> bool {
     inst.opcode == Opcode::Null && inst.lsid.is_some()
 }
 
@@ -119,7 +119,7 @@ impl BlockGraph {
     /// every in-degree), Kahn's algorithm folds each constant as it
     /// orders the instructions, and a walk back down the order gathers
     /// the descendants.
-    pub fn rebuild(&mut self, block: &Block) {
+    pub(crate) fn rebuild(&mut self, block: &Block) {
         let insts = block.instructions();
         let n = insts.len();
         slot_lists(
@@ -186,7 +186,7 @@ impl BlockGraph {
     /// The instructions that can deliver a token to operand `slot` of
     /// instruction `i`: [`BlockGraph::producers`] without the
     /// store-nullifying nulls, in ascending order.
-    pub fn delivering(&self, i: usize, slot: usize) -> &[usize] {
+    pub(crate) fn delivering(&self, i: usize, slot: usize) -> &[usize] {
         if !self.null_fanout {
             return self.producers(i, slot);
         }
@@ -197,7 +197,7 @@ impl BlockGraph {
     /// The constant delivered to operand `slot` of instruction `i`, if
     /// it has exactly one producer with a known constant result (or a
     /// `null` producer, which reads as zero).
-    pub fn op_cval(&self, i: usize, slot: Operand, insts: &[Instruction]) -> Option<u64> {
+    pub(crate) fn op_cval(&self, i: usize, slot: Operand, insts: &[Instruction]) -> Option<u64> {
         match *self.producers(i, slot.encode() as usize) {
             [p] if insts[p].opcode == Opcode::Null => Some(0),
             [p] => self.cval[p],

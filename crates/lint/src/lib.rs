@@ -50,11 +50,8 @@ mod predicate;
 mod program;
 mod render;
 
-pub use bound::{
-    bound_block, bound_curve_samples, bound_program, lint_bounds, BlockBound, ProgramBound,
-    Resource,
-};
-pub use render::{render, render_in, render_report};
+pub use bound::{bound_block, bound_program, lint_bounds, BlockBound, ProgramBound, Resource};
+pub use render::{render, render_report};
 
 /// How severe a diagnostic is. `Error` means the block can deadlock,
 /// commit twice, or otherwise break block-atomic execution; `Warn` means
@@ -287,7 +284,7 @@ impl Diagnostic {
 
     /// Attaches a note.
     #[must_use]
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
         self
     }

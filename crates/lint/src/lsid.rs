@@ -87,7 +87,7 @@ fn mem_desc(inst: &Instruction) -> String {
 
 /// Runs the LSID analysis on one block, adding its findings to `diags`;
 /// `ops` is working space.
-pub fn analyze(
+pub(crate) fn analyze(
     block: &Block,
     g: &BlockGraph,
     facts: &PathFacts,

@@ -27,7 +27,12 @@ const MAX_FANOUT_DEPTH: u32 = 4;
 
 /// Runs the placement-cost analysis on one block, adding its findings to
 /// `diags`.
-pub fn analyze(block: &Block, g: &BlockGraph, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn analyze(
+    block: &Block,
+    g: &BlockGraph,
+    cfg: &LintConfig,
+    diags: &mut Vec<Diagnostic>,
+) {
     let insts = block.instructions();
     let addr = block.address();
 

@@ -44,7 +44,7 @@ const PRED_SAMPLES: usize = 2048;
 
 /// Facts the LSID analysis reuses: which memory operations were observed
 /// to fire together on an enumerated path.
-pub struct PathFacts<'a> {
+pub(crate) struct PathFacts<'a> {
     /// A symmetric bit matrix over instruction indices: bit `j` of row
     /// `i` is set when memory operations `i != j` (loads, stores,
     /// store-nullifying nulls) both definitely fire on at least one
@@ -54,7 +54,7 @@ pub struct PathFacts<'a> {
 
 impl PathFacts<'_> {
     /// Whether memory operations `a` and `b` both fire on some path.
-    pub fn cofire(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn cofire(&self, a: usize, b: usize) -> bool {
         self.cofire[a] >> b & 1 == 1
     }
 }
@@ -546,7 +546,7 @@ fn describe_mask(vars: &[usize], mask: u64, insts: &[Instruction]) -> String {
 
 /// Runs the predicate-path analysis on one block, adding its findings to
 /// `diags`; the facts it returns borrow `s`.
-pub fn analyze<'s>(
+pub(crate) fn analyze<'s>(
     block: &Block,
     g: &BlockGraph,
     s: &'s mut Scratch,

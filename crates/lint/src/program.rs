@@ -46,7 +46,7 @@ fn writes_mask(block: &Block) -> u128 {
 /// Runs the whole-program analysis. Blocks are known by their position
 /// in address order, so every per-block fact is a vector. The findings
 /// are added to `diags`.
-pub fn analyze(p: &EdgeProgram, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn analyze(p: &EdgeProgram, diags: &mut Vec<Diagnostic>) {
     let blocks: Vec<(BlockAddr, &Block)> = p.iter().map(|(&a, b)| (a, b)).collect();
     let index_of = |a: BlockAddr| blocks.binary_search_by_key(&a, |&(x, _)| x).ok();
     let n = blocks.len();

@@ -14,7 +14,7 @@ pub fn render(d: &Diagnostic) -> String {
 /// Renders one diagnostic, quoting the instruction from `block` when the
 /// span names one.
 #[must_use]
-pub fn render_in(d: &Diagnostic, block: Option<&Block>) -> String {
+fn render_in(d: &Diagnostic, block: Option<&Block>) -> String {
     let mut out = String::new();
     let (sev, code) = (d.code.severity(), d.code.code());
     let _ = writeln!(out, "{sev}[{code}]: {}", d.message);

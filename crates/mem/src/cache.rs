@@ -97,12 +97,6 @@ impl CacheBank {
         }
     }
 
-    /// The bank's geometry.
-    #[must_use]
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geom
-    }
-
     /// Page index and in-page line offset of the set holding `addr`.
     fn set_of(&self, addr: u64) -> (usize, usize) {
         let set = ((addr >> self.line_shift) & self.set_mask) as usize;
@@ -132,7 +126,7 @@ impl CacheBank {
 
     /// The line-aligned address containing `addr`.
     #[must_use]
-    pub fn line_addr(&self, addr: u64) -> u64 {
+    pub(crate) fn line_addr(&self, addr: u64) -> u64 {
         addr & !((self.geom.line_bytes as u64) - 1)
     }
 
@@ -179,7 +173,7 @@ impl CacheBank {
 
     /// Invalidates the line containing `addr` (directory-initiated).
     /// Returns `true` if a dirty copy was dropped (write-back needed).
-    pub fn invalidate(&mut self, addr: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, addr: u64) -> bool {
         let tag = self.tag_of(addr);
         for l in self.set_mut(addr) {
             if l.valid && l.tag == tag {
@@ -204,7 +198,7 @@ impl CacheBank {
     /// line is invalidated and reported as `(line_addr, was_dirty)` so
     /// the caller can write dirty lines back and notify the directory.
     /// The order is deterministic (set-major, way-minor).
-    pub fn evacuate(&mut self) -> Vec<(u64, bool)> {
+    pub(crate) fn evacuate(&mut self) -> Vec<(u64, bool)> {
         let mut drained = Vec::new();
         for l in self.pages.iter_mut().flatten() {
             if l.valid {

@@ -257,12 +257,6 @@ impl MemoryImage {
         (0..n).map(|i| self.read_u64(addr + 8 * i as u64)).collect()
     }
 
-    /// Number of populated 4 KB pages (for footprint assertions in tests).
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.numbers.len()
-    }
-
     /// The resident pages by page number.
     fn pages(&self) -> BTreeMap<u64, &[u8]> {
         let pages = self.bytes.chunks_exact(PAGE_SIZE);
@@ -283,6 +277,13 @@ impl fmt::Debug for MemoryImage {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl MemoryImage {
+        /// Number of populated 4 KB pages (for footprint assertions in tests).
+        fn resident_pages(&self) -> usize {
+            self.numbers.len()
+        }
+    }
 
     /// The image as an ordered map of pages: the reference
     /// [`MemoryImage`] is held to.

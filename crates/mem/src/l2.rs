@@ -13,7 +13,7 @@ type Directory = std::collections::HashMap<u64, DirEntry>;
 
 /// Coherence work the requester's miss triggered at the directory.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CoherenceActions {
+pub(crate) struct CoherenceActions {
     /// Cores whose L1 copy must be invalidated.
     pub invalidate: Vec<usize>,
     /// A core holding the line dirty that must forward it (read miss) —
@@ -23,7 +23,7 @@ pub struct CoherenceActions {
 
 /// Result of one L2 transaction.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct L2Response {
+pub(crate) struct L2Response {
     /// Total latency in cycles (NUCA distance + DRAM if missed + any
     /// coherence penalty).
     pub latency: u32,
@@ -56,7 +56,7 @@ struct DirEntry {
 /// vector, treating every L1 bank as an independent coherence unit, which
 /// is what lets compositions change without flushing L1s.
 #[derive(Clone, Debug)]
-pub struct NucaL2 {
+pub(crate) struct NucaL2 {
     banks: Vec<CacheBank>,
     directory: Directory,
     /// DRAM accesses performed (reads + write-backs).
@@ -87,7 +87,7 @@ impl NucaL2 {
 
     /// The bank holding `line_addr`.
     #[must_use]
-    pub fn bank_for(&self, line_addr: u64) -> usize {
+    fn bank_for(&self, line_addr: u64) -> usize {
         let l = line_addr >> LINE_SHIFT;
         ((l ^ (l >> 7)) as usize) % L2_BANKS
     }
@@ -95,7 +95,7 @@ impl NucaL2 {
     /// NUCA latency from a core (in the 4x8 core array, node id `core`)
     /// to `bank` (in the adjacent 4x8 bank array).
     #[must_use]
-    pub fn nuca_latency(&self, core: usize, bank: usize) -> u32 {
+    fn nuca_latency(&self, core: usize, bank: usize) -> u32 {
         let (cx, cy) = ((core % 4) as i32, (core / 4) as i32);
         let (bx, by) = ((4 + bank % 4) as i32, (bank / 4) as i32);
         let hops = (cx - bx).unsigned_abs() + (cy - by).unsigned_abs();
@@ -184,7 +184,7 @@ impl NucaL2 {
     }
 
     /// Drops `core` from the sharing vector of `line_addr` (L1 eviction).
-    pub fn evict_notify(&mut self, core: usize, line_addr: u64) {
+    pub(crate) fn evict_notify(&mut self, core: usize, line_addr: u64) {
         if let Some(e) = self.directory.get_mut(&line_addr) {
             e.sharers &= !(1u32 << core);
             if e.dirty_owner == Some(core as u8) {

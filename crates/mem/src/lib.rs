@@ -36,9 +36,8 @@ mod system;
 
 pub use cache::{AccessResult, CacheBank, CacheGeometry};
 pub use config::{
-    COHERENCE_PENALTY, DRAM_LATENCY, L1D_BYTES, L1D_HIT_LATENCY, L1D_WAYS, L1I_BYTES,
-    L1I_HIT_LATENCY, L2_BANKS, L2_BYTES, L2_MAX_LATENCY, L2_MIN_LATENCY, L2_WAYS, LINE_BYTES,
-    LSQ_ENTRIES,
+    DRAM_LATENCY, L1D_BYTES, L1D_HIT_LATENCY, L1D_WAYS, L1I_BYTES, L1I_HIT_LATENCY, L2_BYTES,
+    L2_MAX_LATENCY, L2_MIN_LATENCY, L2_WAYS, LSQ_ENTRIES,
 };
 pub use image::MemoryImage;
 pub use l2::MAX_CHIP_CORES;

@@ -156,12 +156,6 @@ impl MemorySystem {
         s
     }
 
-    /// Occupancy of `core`'s LSQ bank.
-    #[must_use]
-    pub fn lsq_occupancy(&self, core: usize) -> usize {
-        self.lsq[core].len()
-    }
-
     /// The memory-order sequence of every entry in `core`'s LSQ bank.
     pub fn lsq_seqs(&self, core: usize) -> impl Iterator<Item = u64> + '_ {
         self.lsq[core].seqs()
@@ -398,6 +392,13 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemorySystem {
+        /// Occupancy of `core`'s LSQ bank.
+        fn lsq_occupancy(&self, core: usize) -> usize {
+            self.lsq[core].len()
+        }
+    }
 
     fn system() -> MemorySystem {
         MemorySystem::new(32)

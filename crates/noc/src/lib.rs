@@ -35,5 +35,5 @@ mod region;
 mod stats;
 
 pub use mesh::{Mesh, MeshConfig, NodeId};
-pub use region::{rect_hops, rect_links, rect_walk, region_for, region_rect, Coord, RegionError};
+pub use region::{rect_hops, rect_links, region_for, region_rect, Coord, RegionError};
 pub use stats::MeshStats;

@@ -72,20 +72,6 @@ impl MeshConfig {
         self.width * self.height
     }
 
-    /// The coordinates of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn coord(&self, node: NodeId) -> Coord {
-        assert!(node.0 < self.nodes(), "node {node} outside mesh");
-        Coord {
-            x: node.0 % self.width,
-            y: node.0 / self.width,
-        }
-    }
-
     /// The node at coordinates `c`.
     #[must_use]
     pub fn node_at(&self, c: Coord) -> NodeId {
@@ -309,12 +295,6 @@ impl<M> Mesh<M> {
         self.throttled_until = self.throttled_until.max(self.cycle + cycles);
     }
 
-    /// True while a [`Mesh::throttle`] burst is in effect.
-    #[must_use]
-    pub fn is_throttled(&self) -> bool {
-        self.cycle < self.throttled_until
-    }
-
     /// Attaches a tracer; `plane` labels this mesh's events
     /// (`"operand"` or `"control"`).
     pub fn set_tracer(&mut self, tracer: Tracer, plane: &'static str) {
@@ -516,6 +496,29 @@ impl<M> Mesh<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MeshConfig {
+        /// The coordinates of `node`: what the test-only routing rule
+        /// ([`MeshConfig::route_dir`]) and the region tests reason in.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `node` is out of range.
+        pub(crate) fn coord(&self, node: NodeId) -> Coord {
+            assert!(node.0 < self.nodes(), "node {node} outside mesh");
+            Coord {
+                x: node.0 % self.width,
+                y: node.0 / self.width,
+            }
+        }
+    }
+
+    impl<M> Mesh<M> {
+        /// True while a [`Mesh::throttle`] burst is in effect.
+        fn is_throttled(&self) -> bool {
+            self.cycle < self.throttled_until
+        }
+    }
 
     fn small() -> MeshConfig {
         MeshConfig {

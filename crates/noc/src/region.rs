@@ -83,7 +83,7 @@ pub fn rect_hops(a: usize, b: usize, rect_w: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `rect_w` is zero.
-pub fn rect_walk(a: usize, b: usize, rect_w: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn rect_walk(a: usize, b: usize, rect_w: usize) -> impl Iterator<Item = usize> {
     assert!(rect_w > 0, "zero-width rectangle");
     let (dx, dy) = (b % rect_w, b / rect_w);
     let toward = |v: usize, to: usize| if v < to { v + 1 } else { v - 1 };
@@ -99,7 +99,7 @@ pub fn rect_walk(a: usize, b: usize, rect_w: usize) -> impl Iterator<Item = usiz
     .map(move |(x, y)| y * rect_w + x)
 }
 
-/// The links of [`rect_walk`]'s path from `a` to `b`, as `(from, to)`
+/// The links of `rect_walk`'s path from `a` to `b`, as `(from, to)`
 /// slot pairs in order, without building the path: [`rect_hops`] of
 /// them, none for `a == b`.
 ///

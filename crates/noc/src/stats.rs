@@ -21,7 +21,7 @@ pub struct MeshStats {
 impl MeshStats {
     /// Mean delivery latency in cycles (0 if nothing was delivered).
     #[must_use]
-    pub fn avg_latency(&self) -> f64 {
+    pub(crate) fn avg_latency(&self) -> f64 {
         if self.delivered == 0 {
             0.0
         } else {

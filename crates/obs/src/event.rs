@@ -287,7 +287,7 @@ impl TraceEvent {
 
     /// Trace category (groups related kinds in viewers).
     #[must_use]
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             TraceEvent::BlockFetched { .. }
             | TraceEvent::FetchHandoff { .. }

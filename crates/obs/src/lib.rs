@@ -55,7 +55,7 @@ pub use diff::{
 };
 pub use event::{CacheLevel, FlushReason, TraceEvent};
 pub use latency::LatencySummary;
-pub use profile::{BlockSpanStat, Bucket, BucketCycles, ProcProfile, ProfileReport, NUM_BUCKETS};
+pub use profile::{BlockSpanStat, Bucket, BucketCycles, ProcProfile, ProfileReport};
 pub use scope::{
     AttemptEnd, AttemptSpan, ClassBook, FleetBook, JobSpans, ScopeOptions, ScopeReport, Span,
     Terminal, WorkerSlice, WorkerTrack,

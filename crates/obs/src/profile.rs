@@ -20,7 +20,7 @@ use serde_json::{json, ToValue, Value};
 use std::collections::BTreeMap;
 
 /// Number of cycle-accounting buckets (the length of [`Bucket::ALL`]).
-pub const NUM_BUCKETS: usize = 14;
+pub(crate) const NUM_BUCKETS: usize = 14;
 
 /// Where a cycle went, per the last-arrival attribution rule.
 ///
@@ -161,7 +161,7 @@ impl BucketCycles {
     /// The bucket / cycles / share table: a header and one row per
     /// non-empty bucket, shares being of [`BucketCycles::total`].
     #[must_use]
-    pub fn render_table(&self) -> String {
+    pub(crate) fn render_table(&self) -> String {
         let total = self.total().max(1);
         let mut out = format!("{:<14} {:>12} {:>7}\n", "bucket", "cycles", "share");
         for (b, c) in self.iter().filter(|&(_, c)| c > 0) {
@@ -174,7 +174,7 @@ impl BucketCycles {
     /// The three largest buckets as `label pct%, ..` (whole percents of
     /// the total; canonical order breaks ties).
     #[must_use]
-    pub fn render_top3(&self) -> String {
+    pub(crate) fn render_top3(&self) -> String {
         let mut ranked: Vec<(Bucket, u64)> = self.iter().filter(|&(_, c)| c > 0).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
         let total = self.total().max(1);

@@ -248,7 +248,7 @@ pub struct WorkerTrack {
 impl WorkerTrack {
     /// Total ticks this worker spent occupied.
     #[must_use]
-    pub fn busy_ticks(&self) -> u64 {
+    fn busy_ticks(&self) -> u64 {
         self.slices.iter().map(|s| s.end - s.start).sum()
     }
 }

@@ -111,13 +111,13 @@ impl StatsNode {
 
     /// Looks up a direct child by name.
     #[must_use]
-    pub fn get_child(&self, name: &str) -> Option<&StatsNode> {
+    fn get_child(&self, name: &str) -> Option<&StatsNode> {
         self.children.iter().find(|c| c.name == name)
     }
 
     /// Looks up a metric on this node by name.
     #[must_use]
-    pub fn get_metric(&self, name: &str) -> Option<MetricValue> {
+    fn get_metric(&self, name: &str) -> Option<MetricValue> {
         self.metrics
             .iter()
             .find(|m| m.name == name)

@@ -88,7 +88,7 @@ impl AreaModel {
 
     /// Area of one TFlex core in mm².
     #[must_use]
-    pub fn tflex_core_mm2(&self) -> f64 {
+    fn tflex_core_mm2(&self) -> f64 {
         COMPONENTS.iter().map(|c| c.tflex_core).sum()
     }
 

@@ -37,7 +37,7 @@ pub struct ExitOutcome {
 
 /// Rollback state for one block's prediction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     owner: usize,
     exit: ExitCheckpoint,
     ras: RasCheckpoint,
@@ -58,7 +58,7 @@ pub struct Prediction {
     /// if the prediction involved no RAS traffic.
     pub ras_core: Option<usize>,
     /// Rollback state to pass to [`ComposedPredictor::resolve`].
-    pub checkpoint: Checkpoint,
+    pub(crate) checkpoint: Checkpoint,
 }
 
 #[derive(Clone, Debug)]
@@ -98,7 +98,7 @@ impl PredictorStats {
 
 /// The fully composed next-block predictor for one logical processor.
 ///
-/// Holds one identical [`ExitPredictor`]/[`TargetPredictor`] bank per
+/// Holds one identical `ExitPredictor`/`TargetPredictor` bank per
 /// participating core plus the sequentially partitioned RAS and the
 /// speculative global exit history that hardware forwards from owner to
 /// owner.
@@ -164,12 +164,6 @@ impl ComposedPredictor {
     #[must_use]
     pub fn stats(&self) -> &PredictorStats {
         &self.stats
-    }
-
-    /// The participating core holding the RAS top (for message timing).
-    #[must_use]
-    pub fn ras_top_core(&self) -> usize {
-        self.ras.top_core()
     }
 
     /// Predicts the block following the block at `addr`, speculatively
@@ -281,21 +275,22 @@ impl ComposedPredictor {
         self.ras.repair(ckpt.ras);
         self.global_history = ckpt.global_history;
     }
-
-    /// Misprediction rate over all resolved predictions.
-    #[must_use]
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.stats.predictions == 0 {
-            0.0
-        } else {
-            self.stats.mispredictions as f64 / self.stats.predictions as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ComposedPredictor {
+        /// Misprediction rate over all resolved predictions.
+        fn misprediction_rate(&self) -> f64 {
+            if self.stats.predictions == 0 {
+                0.0
+            } else {
+                self.stats.mispredictions as f64 / self.stats.predictions as f64
+            }
+        }
+    }
 
     fn predictor(n: usize) -> ComposedPredictor {
         ComposedPredictor::new(PredictorConfig::tflex(), n)

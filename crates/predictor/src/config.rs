@@ -83,7 +83,7 @@ impl PredictorConfig {
 
     /// Validates that all table sizes are powers of two.
     #[must_use]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         [
             self.local_l1,
             self.local_l2,

@@ -5,7 +5,7 @@ use crate::tables::{ExitEntry, SatCounter};
 
 /// Which component the tournament chose for a prediction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExitChoice {
+pub(crate) enum ExitChoice {
     /// The per-block local two-level component.
     Local,
     /// The global-history component.
@@ -14,7 +14,7 @@ pub enum ExitChoice {
 
 /// Rollback state for one speculative exit prediction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExitCheckpoint {
+pub(crate) struct ExitCheckpoint {
     l1_index: usize,
     old_local_history: u32,
 }
@@ -27,7 +27,7 @@ pub struct ExitCheckpoint {
 /// [`ComposedPredictor`](crate::ComposedPredictor) because it is forwarded
 /// from owner to owner with each prediction hand-off.
 #[derive(Clone, Debug)]
-pub struct ExitPredictor {
+pub(crate) struct ExitPredictor {
     cfg: PredictorConfig,
     local_l1: Vec<u32>,
     local_l2: Vec<ExitEntry>,
@@ -111,7 +111,7 @@ impl ExitPredictor {
     /// time* (the checkpoint's local history and the forwarded global
     /// history), as in hardware where the update indexes are carried with
     /// the block.
-    pub fn train(
+    pub(crate) fn train(
         &mut self,
         block_addr: u64,
         ckpt: ExitCheckpoint,
@@ -132,7 +132,7 @@ impl ExitPredictor {
 
     /// Shifts a 3-bit exit ID into an exit history register.
     #[must_use]
-    pub fn shift_history(history: u32, exit: u8, bits: u32) -> u32 {
+    pub(crate) fn shift_history(history: u32, exit: u8, bits: u32) -> u32 {
         ((history << 3) | u32::from(exit & 0x7)) & ((1 << bits) - 1)
     }
 }

@@ -18,12 +18,12 @@
 //!
 //! The RAS is *sequentially* partitioned across the composed cores into
 //! one logical stack (entries `0..16` on core 0, `16..32` on core 1, ...);
-//! [`ComposedPredictor::ras_top_core`] exposes which core currently holds
-//! the top so that the simulator can charge the push/pop message latency.
+//! [`Prediction::ras_core`] names the core that held the top, so that the
+//! simulator can charge the push/pop message latency.
 //!
 //! Histories are updated speculatively at predict time. Every prediction
-//! returns a [`Checkpoint`]; on a misprediction the owner calls
-//! [`ComposedPredictor::resolve`] with that checkpoint and the actual
+//! carries a checkpoint; on a misprediction the owner calls
+//! [`ComposedPredictor::resolve`] with the prediction and the actual
 //! outcome, which rolls the speculative state back and reapplies the
 //! correct history, exactly as the mispredicting owner does in hardware.
 
@@ -36,11 +36,6 @@ mod ras;
 mod tables;
 mod target;
 
-pub use composed::{
-    block_owner, Checkpoint, ComposedPredictor, ExitOutcome, Prediction, PredictorStats,
-};
+pub use composed::{block_owner, ComposedPredictor, ExitOutcome, Prediction, PredictorStats};
 pub use config::{PredictorConfig, PREDICT_LATENCY};
-pub use exit::ExitPredictor;
 pub use ras::ReturnAddressStack;
-pub use tables::SatCounter;
-pub use target::TargetPredictor;

@@ -88,7 +88,7 @@ impl ReturnAddressStack {
 
     /// A checkpoint representing "no RAS activity" at the current top.
     #[must_use]
-    pub fn checkpoint(&self) -> RasCheckpoint {
+    pub(crate) fn checkpoint(&self) -> RasCheckpoint {
         RasCheckpoint {
             top: self.top,
             overwritten: None,

@@ -2,12 +2,12 @@
 
 /// A 2-bit saturating counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SatCounter(u8);
+pub(crate) struct SatCounter(u8);
 
 impl SatCounter {
     /// Creates a counter initialized to a weakly-taken state (2).
     #[must_use]
-    pub fn weakly_high() -> Self {
+    pub(crate) fn weakly_high() -> Self {
         SatCounter(2)
     }
 
@@ -19,12 +19,12 @@ impl SatCounter {
 
     /// True in the upper half of the range.
     #[must_use]
-    pub fn is_high(self) -> bool {
+    pub(crate) fn is_high(self) -> bool {
         self.0 >= 2
     }
 
     /// Increments, saturating at 3.
-    pub fn inc(&mut self) {
+    fn inc(&mut self) {
         self.0 = (self.0 + 1).min(3);
     }
 
@@ -34,7 +34,7 @@ impl SatCounter {
     }
 
     /// Strengthens toward `high` (inc if true, dec if false).
-    pub fn train(&mut self, high: bool) {
+    pub(crate) fn train(&mut self, high: bool) {
         if high {
             self.inc()
         } else {
@@ -49,7 +49,7 @@ impl SatCounter {
 /// weakens the entry, and only a second miss replaces the stored exit ID
 /// (the standard two-level-predictor update generalized from bits to IDs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExitEntry {
+pub(crate) struct ExitEntry {
     /// Predicted 3-bit exit ID.
     pub exit: u8,
     /// Confidence/hysteresis.
@@ -58,7 +58,7 @@ pub struct ExitEntry {
 
 impl ExitEntry {
     /// Trains the entry with an observed exit.
-    pub fn train(&mut self, actual: u8) {
+    pub(crate) fn train(&mut self, actual: u8) {
         if self.exit == actual {
             self.conf.inc();
         } else if self.conf.value() == 0 {
@@ -73,7 +73,7 @@ impl ExitEntry {
 /// A direct-mapped tagged table mapping partial tags to 64-bit values
 /// (used for the BTB and CTB).
 #[derive(Clone, Debug)]
-pub struct TaggedTable {
+pub(crate) struct TaggedTable {
     tags: Vec<u16>,
     values: Vec<u64>,
     valid: Vec<bool>,

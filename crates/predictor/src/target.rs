@@ -12,7 +12,7 @@ use clp_isa::{BlockAddr, BranchKind, BLOCK_FRAME_BYTES};
 /// [`ComposedPredictor`](crate::ComposedPredictor)), and the
 /// next-sequential-block adder.
 #[derive(Clone, Debug)]
-pub struct TargetPredictor {
+pub(crate) struct TargetPredictor {
     btype: Vec<u8>,
     btype_mask: usize,
     btb: TaggedTable,
@@ -42,14 +42,14 @@ impl TargetPredictor {
     /// Predicts the branch kind of `exit` out of the block at `addr`.
     /// Cold entries predict a sequential exit.
     #[must_use]
-    pub fn predict_kind(&self, addr: BlockAddr, exit: u8) -> BranchKind {
+    pub(crate) fn predict_kind(&self, addr: BlockAddr, exit: u8) -> BranchKind {
         BranchKind::decode(self.btype[self.btype_index(addr, exit)]).unwrap_or(BranchKind::Seq)
     }
 
     /// Predicts the target of a regular branch (BTB); falls back to the
     /// sequential address on a miss.
     #[must_use]
-    pub fn predict_branch_target(&self, addr: BlockAddr, exit: u8) -> BlockAddr {
+    pub(crate) fn predict_branch_target(&self, addr: BlockAddr, exit: u8) -> BlockAddr {
         self.btb
             .lookup(Self::btb_key(addr, exit))
             .unwrap_or(addr + BLOCK_FRAME_BYTES)
@@ -58,7 +58,7 @@ impl TargetPredictor {
     /// Predicts the target of a call (CTB); falls back to the sequential
     /// address on a miss.
     #[must_use]
-    pub fn predict_call_target(&self, addr: BlockAddr, exit: u8) -> BlockAddr {
+    pub(crate) fn predict_call_target(&self, addr: BlockAddr, exit: u8) -> BlockAddr {
         self.ctb
             .lookup(Self::btb_key(addr, exit))
             .unwrap_or(addr + BLOCK_FRAME_BYTES)
@@ -66,12 +66,12 @@ impl TargetPredictor {
 
     /// The sequential-exit target (`SEQ` adder).
     #[must_use]
-    pub fn sequential_target(addr: BlockAddr) -> BlockAddr {
+    pub(crate) fn sequential_target(addr: BlockAddr) -> BlockAddr {
         addr + BLOCK_FRAME_BYTES
     }
 
     /// Trains the bank with a resolved exit.
-    pub fn train(
+    pub(crate) fn train(
         &mut self,
         addr: BlockAddr,
         exit: u8,

@@ -33,7 +33,7 @@ pub fn content_hash(w: &Workload) -> u64 {
 /// One cached compilation: the compiled program (with its golden) plus
 /// the lint warning count recorded when it was first compiled.
 #[derive(Clone)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// The compiled workload, shared with in-flight executions.
     pub compiled: Arc<CompiledWorkload>,
     /// Warning-severity lint diagnostics found at compile time.
@@ -47,7 +47,7 @@ type Entries = std::collections::HashMap<u64, CacheEntry>;
 
 /// The compile cache.
 #[derive(Default)]
-pub struct CompileCache {
+pub(crate) struct CompileCache {
     entries: Entries,
 }
 
@@ -75,12 +75,6 @@ impl CompileCache {
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total lint warnings across distinct cached programs.

@@ -64,7 +64,7 @@ pub mod service;
 
 pub use arrivals::ArrivalConfig;
 pub use job::{JobOutcome, JobSpec, Rejected};
-pub use report::{ServiceReport, SCHEMA};
+pub use report::ServiceReport;
 pub use service::{
     serve, serve_scoped, HostLedger, JobRecord, ServiceConfig, ServiceResult, ServiceTotals,
 };

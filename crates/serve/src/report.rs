@@ -21,6 +21,10 @@ use serde_json::{json, ToValue, Value};
 /// options)` that replays byte-identically. Profiling never changes a
 /// cycle count, so the result is `serve`'s but for the completed jobs'
 /// books in the spans. With `scope: None` this *is* `serve`.
+///
+/// # Panics
+///
+/// Panics on the configurations [`serve`] refuses.
 #[must_use]
 pub fn serve_scoped(
     schedule: Vec<(u64, JobSpec)>,
@@ -32,13 +36,18 @@ pub fn serve_scoped(
     };
     let result = serve_with(schedule, cfg, true);
     let drained_at = result.totals.drained_at;
-    let workers = cfg.workers.max(1);
-    let view = ScopeReport::new(result.spans.clone(), workers, drained_at, cfg.seed, opts);
+    let view = ScopeReport::new(
+        result.spans.clone(),
+        cfg.workers,
+        drained_at,
+        cfg.seed,
+        opts,
+    );
     (result, Some(view))
 }
 
 /// Schema tag of the serialized report.
-pub const SCHEMA: &str = "clp-serve-v1";
+const SCHEMA: &str = "clp-serve-v1";
 
 /// The full report document.
 #[derive(Clone, Debug)]

@@ -491,6 +491,12 @@ fn service_ticks(outcome: &ExecOutcome, compile_miss: bool, budget: u64) -> (u64
 /// reaches a terminal record before the function returns, and every
 /// worker thread is joined within its tick — the graceful-shutdown
 /// contract.
+///
+/// # Panics
+///
+/// Panics if `cfg.workers`, `cfg.queue_cap` or `cfg.degrade_at` is 0: no
+/// worker would run a job, every arrival would be shed, or every arrival
+/// would be degraded. The message names the field.
 #[must_use]
 pub fn serve(schedule: Vec<(u64, JobSpec)>, cfg: &ServiceConfig) -> ServiceResult {
     serve_with(schedule, cfg, false)
@@ -506,8 +512,15 @@ pub(crate) fn serve_with(
     cfg: &ServiceConfig,
     profile: bool,
 ) -> ServiceResult {
+    for (field, value) in [
+        ("workers", cfg.workers),
+        ("queue_cap", cfg.queue_cap),
+        ("degrade_at", cfg.degrade_at),
+    ] {
+        assert!(value >= 1, "ServiceConfig::{field} must be at least 1");
+    }
     let mut cache = CompileCache::new();
-    let mut workers: Vec<Option<InFlight>> = (0..cfg.workers.max(1)).map(|_| None).collect();
+    let mut workers: Vec<Option<InFlight>> = (0..cfg.workers).map(|_| None).collect();
     let mut queue: VecDeque<JobState> = VecDeque::new();
     let mut retry_bin: Vec<(u64, JobState)> = Vec::new();
     let mut ledger = Ledger::default();
@@ -761,6 +774,36 @@ mod tests {
             workers: 2,
             ..ServiceConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceConfig::workers must be at least 1")]
+    fn zero_workers_are_refused() {
+        let cfg = ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        };
+        let _ = serve(Vec::new(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceConfig::queue_cap must be at least 1")]
+    fn a_zero_queue_cap_is_refused() {
+        let cfg = ServiceConfig {
+            queue_cap: 0,
+            ..ServiceConfig::default()
+        };
+        let _ = serve(Vec::new(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceConfig::degrade_at must be at least 1")]
+    fn a_zero_degrade_watermark_is_refused() {
+        let cfg = ServiceConfig {
+            degrade_at: 0,
+            ..ServiceConfig::default()
+        };
+        let _ = serve(Vec::new(), &cfg);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl SimConfig {
 
     /// The number of cores on the chip.
     #[must_use]
-    pub fn chip_cores(&self) -> usize {
+    pub(crate) fn chip_cores(&self) -> usize {
         self.operand_net.nodes()
     }
 }

@@ -27,7 +27,7 @@
 //! stat names, and how large one injection is. A plan is one per-mille
 //! rate (0–1000) per row, so it stays integer-valued and `Eq`-comparable
 //! alongside [`SimConfig`](crate::SimConfig); the injector has one
-//! [`FaultInjector::draw`] for every row.
+//! `FaultInjector::draw` for every row.
 
 use std::fmt;
 
@@ -57,7 +57,7 @@ impl Prng {
     }
 
     /// Next 64 pseudo-random bits (xorshift64*).
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -263,7 +263,7 @@ impl FaultKind {
 
     /// Parses a label produced by [`FaultKind::label`].
     #[must_use]
-    pub fn from_label(s: &str) -> Option<Self> {
+    fn from_label(s: &str) -> Option<Self> {
         ALL_FAULT_KINDS.iter().copied().find(|k| k.label() == s)
     }
 }
@@ -338,7 +338,7 @@ impl FaultPlan {
 
     /// True if this plan schedules at least one hard core kill.
     #[must_use]
-    pub fn has_kills(&self) -> bool {
+    fn has_kills(&self) -> bool {
         self.kills.iter().any(Option::is_some)
     }
 
@@ -529,7 +529,7 @@ impl FaultStats {
 /// enabled ones regardless of which others exist — and
 /// [`FaultPlan::none`] never draws at all.
 #[derive(Clone, Copy, Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     /// `!plan.is_none()`, computed once: `plan` never changes after
     /// `new`, and `active` is asked every cycle.
@@ -550,17 +550,11 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector executes.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// True if this injector can ever fire (used to skip per-cycle work
     /// entirely on fault-free runs).
     #[must_use]
     #[inline]
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.active
     }
 
@@ -575,7 +569,7 @@ impl FaultInjector {
     /// (drawn second, for the kinds whose magnitude is drawn). A zero
     /// rate never consumes PRNG state — the bit-identity guarantee for
     /// disabled kinds.
-    pub fn draw(&mut self, kind: FaultKind) -> Option<u64> {
+    pub(crate) fn draw(&mut self, kind: FaultKind) -> Option<u64> {
         let k = kind as usize;
         let rate = u64::from(self.plan.rates[k]);
         if rate == 0 || self.prng.next_below(1000) >= rate {

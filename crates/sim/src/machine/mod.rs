@@ -51,7 +51,7 @@ pub(crate) use operand::NACK_RETRY;
 use crate::config::SimConfig;
 use crate::fault::FaultKind;
 use crate::regfile::RegFile;
-use crate::stats::{ComposeStats, RecoveryStats, RunStats};
+use crate::stats::RunStats;
 use clp_isa::{EdgeProgram, Reg};
 use clp_mem::MemorySystem;
 use clp_noc::{region_for, NodeId};
@@ -92,19 +92,6 @@ impl Machine {
             procs: Vec::new(),
             trend: None,
         }
-    }
-
-    /// Composition-allocation counters so far.
-    #[must_use]
-    pub fn compose_stats(&self) -> &ComposeStats {
-        &self.fab.compose_stats
-    }
-
-    /// Hard-fault detection/recomposition counters so far (all zero when
-    /// the fault plan schedules no kills).
-    #[must_use]
-    pub fn recovery_stats(&self) -> &RecoveryStats {
-        &self.fab.recovery_stats
     }
 
     /// Attaches a tracer; clones of the handle propagate to the memory

@@ -64,7 +64,7 @@ impl RegFile {
     }
 
     /// Sets a committed value (machine initialization).
-    pub fn set_committed(&mut self, reg: Reg, value: u64) {
+    pub(crate) fn set_committed(&mut self, reg: Reg, value: u64) {
         self.committed[reg.index()] = value;
     }
 
@@ -152,20 +152,14 @@ impl RegFile {
 
     /// Outstanding declared-but-unforwarded writes `(reg, seq)` (debug).
     #[must_use]
-    pub fn pending_entries(&self) -> Vec<(u8, u64)> {
+    pub(crate) fn pending_entries(&self) -> Vec<(u8, u64)> {
         self.entries(true)
     }
 
     /// Forwarded speculative versions `(reg, seq)` (debug).
     #[must_use]
-    pub fn version_entries(&self) -> Vec<(u8, u64)> {
+    pub(crate) fn version_entries(&self) -> Vec<(u8, u64)> {
         self.entries(false)
-    }
-
-    /// True if no speculative state is outstanding.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.writes.iter().all(Vec::is_empty)
     }
 }
 
@@ -174,6 +168,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::VecDeque;
+
+    impl RegFile {
+        /// True if no speculative state is outstanding.
+        fn is_clean(&self) -> bool {
+            self.writes.iter().all(Vec::is_empty)
+        }
+    }
 
     fn r(n: usize) -> Reg {
         Reg::new(n)

@@ -131,7 +131,7 @@ impl ProcStats {
     /// actually fired in committed blocks. Always `<= ipc()`; the gap is
     /// the predicated-off and never-fired slot fraction.
     #[must_use]
-    pub fn committed_ipc(&self) -> f64 {
+    fn committed_ipc(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
@@ -328,7 +328,7 @@ impl RunStats {
     /// Block slots of committed blocks across processors, fired or not:
     /// the sum of `insts_dispatched`, not of `insts_committed`.
     #[must_use]
-    pub fn total_insts(&self) -> u64 {
+    fn total_insts(&self) -> u64 {
         self.procs.iter().map(|p| p.insts_dispatched).sum()
     }
 
@@ -347,7 +347,7 @@ impl RunStats {
     /// └── compose           (ComposeStats — allocation decisions)
     /// ```
     #[must_use]
-    pub fn to_snapshot(&self) -> clp_obs::StatsSnapshot {
+    pub(crate) fn to_snapshot(&self) -> clp_obs::StatsSnapshot {
         let mut root = clp_obs::StatsNode::new("run")
             .count("cycles", self.cycles)
             .count("total_blocks_committed", self.total_blocks_committed())

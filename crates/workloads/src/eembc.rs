@@ -116,7 +116,7 @@ pub fn autocor() -> Workload {
 /// `basefp`: basic floating-point chain — per element
 /// `y = (x*a + b) / (x + c)` (medium ILP, FP-latency bound).
 #[must_use]
-pub fn basefp() -> Workload {
+pub(crate) fn basefp() -> Workload {
     let n = 96usize;
     let mut f = FunctionBuilder::new("basefp", 3);
     let x = f.param(0);

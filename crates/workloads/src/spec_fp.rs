@@ -84,7 +84,7 @@ pub fn swim() -> Workload {
 /// `mgrid`: two smoothing passes of a 1-D multigrid relaxation
 /// (three-point stencil, pass-to-pass serialization).
 #[must_use]
-pub fn mgrid() -> Workload {
+pub(crate) fn mgrid() -> Workload {
     let n = 224usize;
     let mut f = FunctionBuilder::new("mgrid", 3);
     let v = f.param(0);
@@ -133,7 +133,7 @@ pub fn mgrid() -> Workload {
 /// `applu`: a lower-triangular solve sweep — each element depends on the
 /// previous (serial FP recurrence: latency-bound, low ILP).
 #[must_use]
-pub fn applu() -> Workload {
+pub(crate) fn applu() -> Workload {
     let n = 160usize;
     let mut f = FunctionBuilder::new("applu", 4);
     let diag = f.param(0);
@@ -288,7 +288,7 @@ pub fn equake() -> Workload {
 /// `ammp`: molecular-mechanics pairwise potential over 14 particles —
 /// O(n²) independent distance computations (high FP ILP).
 #[must_use]
-pub fn ammp() -> Workload {
+pub(crate) fn ammp() -> Workload {
     let particles = 20usize;
     let mut f = FunctionBuilder::new("ammp", 4);
     let px = f.param(0);

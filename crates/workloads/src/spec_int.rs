@@ -354,7 +354,7 @@ pub fn twolf() -> Workload {
 /// `vpr`: FPGA routing cost — per net, walk a bounding box over a cost
 /// grid accumulating table-driven costs (regular loads, medium ILP).
 #[must_use]
-pub fn vpr() -> Workload {
+pub(crate) fn vpr() -> Workload {
     let grid = 16usize;
     let nets = 48usize;
     const GRID: u64 = 0x4_0002_0000;

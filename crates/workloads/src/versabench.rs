@@ -13,7 +13,7 @@ const OUT: u64 = 0x3_0001_0000;
 /// time with the 8 bit-steps per byte unrolled (high integer ILP from the
 /// independent per-word bit manipulation).
 #[must_use]
-pub fn dot11b() -> Workload {
+pub(crate) fn dot11b() -> Workload {
     let n = 112usize;
     let mut f = FunctionBuilder::new("dot11b", 3);
     let input = f.param(0);
@@ -79,7 +79,7 @@ pub fn dot11b() -> Workload {
 /// table encode with running-disparity selection (table lookups plus a
 /// disparity-dependent branch per symbol).
 #[must_use]
-pub fn b8b10() -> Workload {
+pub(crate) fn b8b10() -> Workload {
     let n = 144usize;
     const TAB5: u64 = 0x3_0002_0000;
     const TAB3: u64 = 0x3_0003_0000;

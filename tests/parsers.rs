@@ -1,13 +1,15 @@
 //! The text parsers that take outside input never panic: whatever the
-//! assembler (`asm::parse_program`, `asm::parse_block`) or the fault-spec
-//! parsers (`FaultPlan::parse`, `CoreKill::parse`) are handed, the result
-//! is `Ok` or a typed `Err` whose message renders.
+//! assembler (`asm::parse_program`, `asm::parse_block`), the fault-spec
+//! parsers (`FaultPlan::parse`, `CoreKill::parse`) or the flag parser
+//! (`cli::Spec::parse` and its lookups, clp-serve's job flags among them)
+//! are handed, the result is `Ok` or a typed `Err` whose message renders.
 //!
 //! Inputs are token soup drawn from a fixed list, as `clp_core::cli`'s
 //! `no_argv_panics_against_any_table` draws argv, and one-token mutations
 //! of what `format_block` / `format_program` print for suite kernels.
 
 use clp::compiler::{compile, CompileOptions};
+use clp::core::cli::{CliError, Flag, Spec, SUITE};
 use clp::isa::asm::{format_program, parse_block, parse_program};
 use clp::sim::{CoreKill, FaultPlan};
 use clp::workloads::suite;
@@ -28,6 +30,33 @@ const ASM_TOKENS: &str = "block @0x1000 @0x @zz @18446744073709551615 @0x1000000
 const FAULT_TOKENS: &str = "all none noc_delay noc_burst forced_nack mispredict dram_spike \
     handoff_delay bogus = , @ 0 25 1000 1001 65535 65536 -1 18446744073709551615 \
     18446744073709551616 0x10";
+
+/// Argv tokens: every flag of [`JOB_FLAGS`] and an unknown one, `--` and
+/// a lone `-`, a workload name, and values clp-serve's job flags must
+/// refuse or take: zero, negative, 2^64, comma lists, and `A@B` pairs
+/// with a side missing or not a number. [`tokens`] adds the empty token
+/// and a blank one.
+const ARGV_TOKENS: &str = "--jobs --workers --plant-panic --kill-core --names --bench --suite \
+    --cores --help --zzz -- - conv nope 0 1 7 -1 18446744073709551616 1,2,,3 3@ @4 a@b 3@4 \
+    2@18446744073709551616";
+
+/// A job-flag table with every flag kind, shaped like clp-serve's: plain
+/// values, repeated values (`JOB`, `JOB@CYCLE`, a name list), switches
+/// and the `WORKLOAD [CORES] | --suite` selector.
+const JOB_FLAGS: [Flag; 8] = [
+    Flag::value("--jobs", "N", "jobs to generate"),
+    Flag::value("--workers", "N", "worker slots"),
+    Flag::repeated("--plant-panic", "JOB", "job whose first attempt panics"),
+    Flag::repeated(
+        "--kill-core",
+        "JOB@CYCLE",
+        "job whose first attempt kills its core",
+    ),
+    Flag::repeated("--names", "A,B", "a list"),
+    Flag::switch("--bench", "pin the schedule"),
+    SUITE,
+    Flag::value("--cores", "N", "composition size"),
+];
 
 /// `list`'s tokens, then the empty token and `blank`.
 fn tokens(list: &'static str, blank: &'static str) -> Vec<&'static str> {
@@ -171,5 +200,40 @@ proptest! {
             Ok(kill) => prop_assert_eq!(CoreKill::parse(&kill.to_string()), Ok(kill)),
             Err(msg) => prop_assert!(!msg.is_empty()),
         }
+    }
+
+    #[test]
+    fn no_argv_soup_panics_the_flag_parser(
+        picks in proptest::collection::vec(0usize..40, 0..10),
+    ) {
+        let tokens = tokens(ARGV_TOKENS, " ");
+        let argv: Vec<String> = picks.iter().map(|&i| tokens[i % tokens.len()].into()).collect();
+        let spec = Spec {
+            prog: "clp-serve",
+            about: "job flags",
+            positionals: &["[WORKLOAD]", "[CORES]"],
+            flags: &JOB_FLAGS,
+            epilog: "",
+        };
+        let refused = |err: CliError| match err {
+            CliError::Help(text) | CliError::Usage(text) => !text.is_empty(),
+        };
+        let args = match spec.parse(argv) {
+            Ok(args) => args,
+            Err(err) => {
+                prop_assert!(refused(err));
+                return Ok(());
+            }
+        };
+        for flag in &JOB_FLAGS {
+            let name = flag.name;
+            prop_assert!(args.num::<u64>(name, 1..).map_or_else(refused, |_| true));
+            prop_assert!(args.num::<i64>(name, ..).map_or_else(refused, |_| true));
+            prop_assert!(args.nums::<usize>(name, ..).map_or_else(refused, |_| true));
+            prop_assert!(args.pairs(name).map_or_else(refused, |_| true));
+            prop_assert!(args.list(name).iter().all(|item| !item.is_empty()));
+        }
+        prop_assert!(args.cores().map_or_else(refused, |_| true));
+        prop_assert!(args.workloads().map_or_else(refused, |w| !w.is_empty()));
     }
 }
