@@ -26,4 +26,4 @@
 
 mod ooo;
 
-pub use ooo::{run_baseline, BaselineConfig, BaselineResult, BaselineStats};
+pub use ooo::{run_baseline, BaselineConfig, BaselineResult};

@@ -70,9 +70,6 @@ struct Scratch {
     exit_live: VRegSet,
     /// Whether each op's guarded definition needs a merge.
     need_merge: Vec<bool>,
-    /// Per op, bit `v % 64` for every register `v` it reads, defines or
-    /// is guarded by: an op without the bit of `v` does not touch `v`.
-    touches: Vec<u64>,
     /// Values a call exit saves to the frame instead of writing back.
     suppress_write_back: VRegSet,
     /// The values the block writes back.
@@ -363,7 +360,6 @@ fn lower_block(
         insts,
         exit_live,
         need_merge,
-        touches,
         suppress_write_back,
         to_write,
     } = scratch;
@@ -424,18 +420,6 @@ fn lower_block(
                 _ => false,
             })
     };
-    let bit = |v: VReg| 1u64 << (v.0 % 64);
-    touches.clear();
-    touches.extend(hb.ops.iter().map(|op| {
-        let guard = conjuncts(op).iter().map(|&(v, _)| v);
-        let regs = op
-            .kind
-            .operands()
-            .into_iter()
-            .flatten()
-            .chain(op.kind.dst());
-        regs.chain(guard).fold(0, |m, v| m | bit(v))
-    }));
     need_merge.clear();
     need_merge.extend(hb.ops.iter().enumerate().map(|(k, op)| {
         let Some(dst) = op.kind.dst() else {
@@ -447,8 +431,7 @@ fn lower_block(
         if exit_live.contains(dst) || exit_guard_uses(dst) {
             return true;
         }
-        let later_ops = hb.ops[k + 1..].iter().zip(&touches[k + 1..]);
-        for (later, _) in later_ops.filter(|&(_, t)| t & bit(dst) != 0) {
+        for later in &hb.ops[k + 1..] {
             if uses_in_pred(later, dst) {
                 return true; // guard chains must always deliver
             }
@@ -852,7 +835,6 @@ fn compile_once(
     // instruction or more, so the per-op buffers fit too.
     scratch.insts.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
     scratch.need_merge.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
-    scratch.touches.reserve(clp_isa::MAX_BLOCK_INSTRUCTIONS);
     {
         let entry_fn_addr = entry_addr(program.entry);
         let mut sb = clp_isa::BlockBuilder::new(start_addr);

@@ -87,16 +87,6 @@ impl Scratch {
     }
 }
 
-/// The instructions whose firing or value can differ between the paths
-/// of `mask` and `before`: the variables (`vars[j]` is variable `j`)
-/// whose bits differ and everything downstream of them. The rest keep
-/// their state from one path to the other, so a path evaluated after
-/// another only needs these.
-fn changed(vars: &[usize], g: &BlockGraph, mask: u64, before: u64) -> u128 {
-    let flipped = bits(u128::from(mask ^ before)).map(|j| vars[j]);
-    flipped.fold(0, |m, i| m | 1 << i | g.desc[i])
-}
-
 /// Iterates the set bits of `m`, ascending.
 fn bits(mut m: u128) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -310,22 +300,10 @@ fn var_val(i: usize, insts: &[Instruction], vars: &[usize], mask: u64) -> Val {
 /// The state of slot `s` of instruction `i` on the path `pe` holds so
 /// far: tokens merge into one value only when they all agree.
 fn slot_state(i: usize, s: usize, g: &BlockGraph, pe: &PathEval) -> SlotState {
-    let delivering = g.delivering(i, s);
-    if let [p] = *delivering {
-        // Most slots have one producer.
-        return match pe.fire[p] {
-            Fire::No => SlotState::default(),
-            f => SlotState {
-                lo: u32::from(f == Fire::Yes),
-                hi: 1,
-                val: pe.vals[p],
-            },
-        };
-    }
     let mut st = SlotState::default();
     let mut seen: Option<Val> = None;
     let mut mixed = false;
-    for &p in delivering {
+    for &p in g.delivering(i, s) {
         let f = pe.fire[p];
         if f == Fire::No {
             continue;
@@ -359,23 +337,14 @@ impl PathEval {
     }
 }
 
-/// Evaluates the path of `mask` into `pe` for the instructions `redo`
-/// holds, in topological order; every producer of one is either in
-/// `redo` too or already evaluated as it is on this path. Each one's
-/// firing and value, and the delivery bound of every slot it has, are
-/// rewritten; the slots it does not have keep their zero, and the
-/// instructions outside `redo` keep all they had.
-fn eval_path(
-    block: &Block,
-    g: &BlockGraph,
-    vars: &[usize],
-    mask: u64,
-    redo: u128,
-    pe: &mut PathEval,
-) {
+/// Evaluates the path of `mask` into `pe`, every instruction in
+/// topological order. Each one's firing and value, and the delivery
+/// bound of every slot it has, are rewritten; the slots it does not have
+/// keep their zero.
+fn eval_path(block: &Block, g: &BlockGraph, vars: &[usize], mask: u64, pe: &mut PathEval) {
     let insts = block.instructions();
-    let (mut yes, mut may, mut multi) = (pe.yes & !redo, pe.may & !redo, pe.multi & !redo);
-    for &i in g.topo.iter().filter(|&&i| redo >> i & 1 == 1) {
+    let (mut yes, mut may, mut multi) = (0, 0, 0);
+    for &i in &g.topo {
         let inst = &insts[i];
         let mut no = false;
         let mut maybe = false;
@@ -510,7 +479,7 @@ pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     let pe = &mut s.pe;
     if spill > 0 || s.vars.len() > MAX_PRED_VARS {
         // Every condition left `Unknown`.
-        eval_path(block, g, &[], 0, u128::MAX, pe);
+        eval_path(block, g, &[], 0, pe);
         return FiringPaths {
             exhaustive: false,
             paths: vec![std::mem::take(&mut pe.fire)],
@@ -518,11 +487,7 @@ pub(crate) fn firing_paths(block: &Block, g: &BlockGraph) -> FiringPaths {
     }
     let paths = (0..(1u64 << s.vars.len()))
         .map(|mask| {
-            let redo = match mask {
-                0 => u128::MAX,
-                _ => changed(&s.vars, g, mask, mask - 1),
-            };
-            eval_path(block, g, &s.vars, mask, redo, pe);
+            eval_path(block, g, &s.vars, mask, pe);
             pe.fire.clone()
         })
         .collect();
@@ -641,11 +606,8 @@ pub(crate) fn analyze<'s>(
             sampled[path]
         }
     });
-    let mut before = None;
     for mask in masks {
-        let redo = before.map_or(u128::MAX, |before| changed(vars, g, mask, before));
-        before = Some(mask);
-        eval_path(block, g, vars, mask, redo, pe);
+        eval_path(block, g, vars, mask, pe);
         let witness = || describe_mask(vars, mask, insts);
         let (yes, may) = (pe.yes, pe.may);
 

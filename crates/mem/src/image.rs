@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -17,8 +16,6 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// The resident 4 KB pages lie end to end in one buffer, in the order
 /// they were first written, and an open-addressed table finds a page
 /// number's place in it: an access hashes once and usually probes once.
-/// The last page an access found is remembered, so a run of accesses to
-/// one page skips the hash.
 #[derive(Clone, Default)]
 pub struct MemoryImage {
     /// The resident pages' bytes, page after page.
@@ -32,46 +29,6 @@ pub struct MemoryImage {
     /// `64 - log2(table.len())`: the shift that maps a page number's
     /// hash onto the table.
     shift: u32,
-    /// The page the last lookup found.
-    last: LastPage,
-}
-
-/// The last page a lookup found, as one word: its page number above
-/// [`LastPage::INDEX_BITS`] bits holding `k + 1` for resident page `k`
-/// (0: nothing remembered). Pages past the first `2^INDEX_BITS - 1` are
-/// not remembered, and a page number has at most 52 bits, so the word
-/// always holds both. Reads remember through a shared reference: one
-/// atomic word keeps the image `Sync`, and any value a reader sees names
-/// a resident page, since pages are never unmapped.
-#[derive(Default)]
-struct LastPage(AtomicU64);
-
-impl LastPage {
-    const INDEX_BITS: u32 = 12;
-    const INDEX_MASK: u64 = (1 << Self::INDEX_BITS) - 1;
-
-    /// The buffer offset of `page` if it is the one remembered.
-    #[inline]
-    fn get(&self, page: u64) -> Option<usize> {
-        let word = self.0.load(Relaxed);
-        let k = word & Self::INDEX_MASK;
-        (word >> Self::INDEX_BITS == page && k != 0).then(|| (k as usize - 1) * PAGE_SIZE)
-    }
-
-    /// Remembers that resident page `k` (1-based) is page `page`.
-    #[inline]
-    fn set(&self, page: u64, k: u32) {
-        if u64::from(k) <= Self::INDEX_MASK {
-            self.0
-                .store(page << Self::INDEX_BITS | u64::from(k), Relaxed);
-        }
-    }
-}
-
-impl Clone for LastPage {
-    fn clone(&self) -> Self {
-        LastPage(AtomicU64::new(self.0.load(Relaxed)))
-    }
 }
 
 impl MemoryImage {
@@ -91,9 +48,6 @@ impl MemoryImage {
     /// The buffer offset of page `page`, if it is resident.
     #[inline]
     fn find(&self, page: u64) -> Option<usize> {
-        if let Some(at) = self.last.get(page) {
-            return Some(at);
-        }
         if self.table.is_empty() {
             return None;
         }
@@ -102,10 +56,7 @@ impl MemoryImage {
         loop {
             match self.table[at & mask] {
                 (_, 0) => return None,
-                (number, k) if number == page => {
-                    self.last.set(page, k);
-                    return Some((k as usize - 1) * PAGE_SIZE);
-                }
+                (number, k) if number == page => return Some((k as usize - 1) * PAGE_SIZE),
                 _ => at += 1,
             }
         }
@@ -123,7 +74,6 @@ impl MemoryImage {
         self.numbers.push(page);
         let k = self.numbers.len();
         self.place(page, k as u32);
-        self.last.set(page, k as u32);
         self.bytes.resize(k * PAGE_SIZE, 0);
         (k - 1) * PAGE_SIZE
     }
@@ -368,8 +318,8 @@ mod tests {
         /// Any run of byte and word reads and writes, of word-run loads
         /// (some spanning three pages) and of clones, many straddling two
         /// pages and each followed by reads of its own address and of the
-        /// one before it, so the remembered page keeps changing, reads
-        /// what the ordered map of pages reads and leaves the same pages
+        /// one before it, so lookups alternate between pages, reads what
+        /// the ordered map of pages reads and leaves the same pages
         /// resident with the same bytes.
         #[test]
         fn hashed_pages_equal_the_ordered_map(
@@ -409,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn the_remembered_page_keeps_the_image_shareable() {
+    fn the_image_is_send_and_sync() {
         fn shareable<T: Send + Sync>() {}
         shareable::<MemoryImage>();
     }

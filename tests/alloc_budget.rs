@@ -3,8 +3,8 @@
 //! All three run once per kernel before the first simulated cycle of
 //! every tool, clp-serve cache miss and benchmark round; compile and
 //! lint keep their per-block working state on buffers reused across the
-//! blocks of a program, and the golden run's memory image remembers its
-//! last page in place. These budgets hold them there.
+//! blocks of a program, and the golden run's memory image keeps its
+//! pages in one buffer. These budgets hold them there.
 //!
 //! A counting global allocator counts per thread, so tests running in
 //! parallel do not mix their counts.
@@ -77,13 +77,13 @@ fn compiling_and_linting_the_suite_stay_within_their_allocation_budgets() {
     });
     // Before buffers were reused, compiling the suite made 10 067
     // allocations (59 per block) and linting it 5 389; then 2 671 and
-    // 1 440; now 2 659 (liveness runs once per function, and the per-op
-    // buffers are reserved once) and 1 440. Each bound keeps about a
-    // tenth of headroom. Most of what is left is output: each block's
-    // instruction, read, write and exit lists, and each diagnostic's
-    // message and notes.
+    // 1 440; now 2 632 (liveness runs once per function, and the per-op
+    // buffer is reserved once per program) and 1 414. Each bound keeps
+    // about a tenth of headroom. Most of what is left is output: each
+    // block's instruction, read, write and exit lists, and each
+    // diagnostic's message and notes.
     assert!(
-        compile_allocs <= 2_925,
+        compile_allocs <= 2_895,
         "compiling the suite made {compile_allocs} allocations"
     );
     assert!(
@@ -102,8 +102,7 @@ fn the_suites_golden_runs_stay_within_their_allocation_budget() {
             .sum::<u64>()
     });
     // 264 allocations: each run's image pages, page table and register
-    // frames (one per call). Remembering the last page found allocates
-    // nothing; the bound keeps about a tenth of headroom.
+    // frames (one per call); the bound keeps about a tenth of headroom.
     assert!(
         golden_allocs <= 290,
         "the golden runs made {golden_allocs} allocations ({ops} ops)"
